@@ -15,9 +15,11 @@
 // a densest.Decremental, and a greedy commit only removes the covered
 // elements from the resident instances that actually contain them (via
 // an inverted edge → (hub, element) index) and zeroes the support
-// weights it paid. Re-evaluating a hub is then a re-peel of its live
-// sub-instance — no instance rebuild, no graph adjacency scans — and a
-// hub untouched by a commit keeps its oracle output with no work at all.
+// weights it paid. Re-evaluating a hub is then a peel of the live, unpaid
+// part of its instance — no instance rebuild, no graph adjacency scans,
+// no visit to covered elements (ensureInst compacts an instance's
+// adjacency once half of it is dead) or to paid supports — and a hub
+// untouched by a commit keeps its oracle output with no work at all.
 // Because coverage is committed from the same materialized elements the
 // oracle counted, the claimed newlyCovered always equals the coverage
 // the commit performs, including when MaxCrossEdges truncates the
@@ -610,7 +612,11 @@ func (st *instStore) init(n, budget int) {
 // ensureInst returns hub w's instance, rebuilding it if it was spilled
 // (or never usable enough to keep — both look the same to the store) and
 // touching it into the current generation. Returns nil only for hubs
-// with no instance at all. Must run on the solve goroutine.
+// with no instance at all. Must run on the solve goroutine, outside any
+// parallel evaluation phase and any IncidentEdges iteration: every oracle
+// evaluation is preceded by one ensureInst, so this is the quiescent
+// point where the instance's adjacency is compacted (densest.Compact is
+// a no-op until half its represented elements are dead).
 func (sv *solver) ensureInst(w graph.NodeID) *hubInstance {
 	if !sv.hasInst[w] {
 		return nil
@@ -620,9 +626,10 @@ func (sv *solver) ensureInst(w graph.NodeID) *hubInstance {
 		hi = buildHubInstance(sv.g, sv.r, w, sv.cfg, sv.scs[0])
 		sv.store.rebuilds++
 		sv.adoptInst(w, hi)
-		return hi
+	} else {
+		sv.touchInst(w, len(hi.gid))
 	}
-	sv.touchInst(w, len(hi.gid))
+	hi.d.Compact()
 	return hi
 }
 

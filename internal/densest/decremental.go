@@ -2,23 +2,24 @@
 // (CSR adjacency + weights) and then maintained under the two mutations
 // CHITCHAT's greedy loop actually performs — element removal (a covered
 // edge leaves the ground set) and node-weight zeroing (a support push or
-// pull got paid). Solving re-peels only the live sub-instance over the
-// materialized layout, skipping the per-evaluation instance rebuild that
-// dominated fresh Peel calls.
+// pull got paid). Solving peels only the live, unpaid part of the
+// instance: the per-vertex adjacency is kept dense over live elements by
+// Compact, and vertices that are paid for or isolated never enter the
+// peel heap (DESIGN.md §14 states the invariant).
 package densest
 
 // Decremental is a peeling oracle over a materialized instance that
 // supports deleting elements and zeroing node weights in O(1), with
 // solves over the remaining live sub-instance. Solve is a pure read of
 // the maintained state (all mutable peel state lives in the Scratch), so
-// concurrent Solve calls with distinct scratches are safe; RemoveEdge and
-// ZeroWeight must not run concurrently with anything else.
+// concurrent Solve calls with distinct scratches are safe; RemoveEdge,
+// ZeroWeight and Compact must not run concurrently with anything else.
 type Decremental struct {
 	n      int
 	weight []float64  // current node weights (zeroed as costs are paid)
 	edges  [][2]int32 // all materialized edges, dead ones included
 	off    []int32    // CSR offsets, len n+1
-	adj    []int32    // incident edge indices, len 2*len(edges)
+	adj    []int32    // incident edge indices, 2 per represented element
 	deg    []int32    // live degree per node
 	alive  []bool     // per materialized edge: element still present
 	live   int        // number of live edges
@@ -42,8 +43,18 @@ func NewDecremental(inst Instance) *Decremental {
 		d.deg[e[0]]++
 		d.deg[e[1]]++
 	}
-	var cur []int32
-	buildCSR(d.deg, d.edges, d.off, &d.adj, &cur)
+	// CSR adjacency: incident edge indices of u are adj[off[u]:off[u+1]].
+	for u := 0; u < n; u++ {
+		d.off[u+1] = d.off[u] + d.deg[u]
+	}
+	d.adj = make([]int32, 2*m)
+	cur := append([]int32(nil), d.off[:n]...)
+	for ei, e := range d.edges {
+		d.adj[cur[e[0]]] = int32(ei)
+		cur[e[0]]++
+		d.adj[cur[e[1]]] = int32(ei)
+		cur[e[1]]++
+	}
 	for i := range d.alive {
 		d.alive[i] = true
 	}
@@ -67,9 +78,10 @@ func (d *Decremental) Edge(ei int) (a, b int32) {
 // EdgeAlive reports whether element ei is still present.
 func (d *Decremental) EdgeAlive(ei int) bool { return d.alive[ei] }
 
-// IncidentEdges returns the materialized edge indices incident to node u
-// (live or not — check EdgeAlive). The slice aliases internal storage and
-// must not be modified.
+// IncidentEdges returns the represented edge indices incident to node u:
+// every live element at u, plus those removed since the last Compact
+// (check EdgeAlive). The slice aliases internal storage, must not be
+// modified, and is invalidated by Compact.
 func (d *Decremental) IncidentEdges(u int) []int32 {
 	return d.adj[d.off[u]:d.off[u+1]]
 }
@@ -94,25 +106,145 @@ func (d *Decremental) RemoveEdge(ei int) bool {
 // u already pays its support cost, so u is free for every later solve.
 func (d *Decremental) ZeroWeight(u int) { d.weight[u] = 0 }
 
+// Compact squeezes dead elements out of the adjacency once fewer than half
+// the represented elements are live, and is a no-op otherwise — so the
+// scans in Solve and IncidentEdges stay within 2× of the live size at an
+// amortized O(1) per RemoveEdge. It rewrites adj and off in place (the
+// live entries only move left); element ids, Edge and EdgeAlive are
+// unaffected. It is a mutation like RemoveEdge: it must not run
+// concurrently with Solve, nor while a caller iterates an IncidentEdges
+// slice — which is why RemoveEdge never triggers it.
+func (d *Decremental) Compact() {
+	if 4*d.live >= len(d.adj) {
+		return
+	}
+	w, lo := int32(0), int32(0)
+	for u := 0; u < d.n; u++ {
+		hi := d.off[u+1]
+		d.off[u] = w
+		for _, ei := range d.adj[lo:hi] {
+			if d.alive[ei] {
+				d.adj[w] = ei
+				w++
+			}
+		}
+		lo = hi
+	}
+	d.off[d.n] = w
+	d.adj = d.adj[:w]
+}
+
 // Solve peels the live sub-instance and returns the densest intermediate
-// subgraph, exactly as Peel would on a freshly built instance holding
-// only the live edges and current weights (same members, same density).
-// It reads but never writes the maintained state; all working arrays come
-// from sc, so concurrent solves with distinct scratches are safe.
+// subgraph: repeatedly delete the vertex with the smallest deg(u)/g(u),
+// ties towards the lowest id, and keep the best snapshot. Only vertices
+// that are unpaid (weight > 0) and connected (live degree > 0) are ever
+// queued. Isolated unpaid vertices have ratio 0 and nothing can change
+// that, so they leave first, in id order, without touching the heap;
+// weightless vertices have ratio +Inf, would leave last, and peeling them
+// can only lose elements at zero weight — no such snapshot is ever denser
+// — so the peel stops at the last unpaid vertex and they are always
+// members. It reads but never writes the maintained state; all working
+// arrays come from sc, so concurrent solves with distinct scratches are
+// safe. Instances must not contain self-loops.
 func (d *Decremental) Solve(sc *Scratch) Result {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	if d.n == 0 {
+	n := d.n
+	if n == 0 {
 		return Result{}
 	}
-	deg := grow(sc.deg, d.n)
-	sc.deg = deg
-	copy(deg, d.deg)
-	edgeAlive := grow(sc.edges, len(d.edges))
-	sc.edges = edgeAlive
-	copy(edgeAlive, d.alive)
-	return peelLoop(d.n, d.weight, d.edges, d.off, d.adj, deg, edgeAlive, d.live, sc)
+	weight := d.weight
+	order := grow(sc.order, n)[:0]
+	h := peelHeap(grow(sc.heap, n)[:0])
+	pos := grow(sc.pos, n)
+	gone := grow(sc.gone, n)
+	clear(gone)
+
+	curWeight := 0.0
+	for u, w := range weight {
+		curWeight += w
+		if w == 0 {
+			continue
+		}
+		if deg := d.deg[u]; deg == 0 {
+			order = append(order, int32(u))
+		} else {
+			h = append(h, peelEntry{float64(deg) / w, int32(u), deg})
+		}
+	}
+	isolated := len(order)
+	unpaid := isolated + len(h)
+	h.init(pos)
+	curEdges := d.live
+
+	best := Result{EdgeCnt: curEdges, Weight: curWeight}
+	bestStep := 0 // number of removals before the best snapshot
+	for step := 1; unpaid > 0; step++ {
+		var u int32
+		if step <= isolated {
+			u = order[step-1]
+		} else {
+			u = h[0].id
+			last := h[len(h)-1]
+			h = h[:len(h)-1]
+			if len(h) > 0 {
+				h.down(0, last, pos)
+			}
+			order = append(order, u)
+			gone[u] = true
+			for _, ei := range d.adj[d.off[u]:d.off[u+1]] {
+				if !d.alive[ei] {
+					continue
+				}
+				other := d.edges[ei][0]
+				if other == u {
+					other = d.edges[ei][1]
+				}
+				if gone[other] {
+					continue
+				}
+				curEdges--
+				if w := weight[other]; w > 0 {
+					i := int(pos[other])
+					e := h[i]
+					e.deg--
+					e.key = float64(e.deg) / w
+					h.up(i, e, pos)
+				}
+			}
+		}
+		curWeight -= weight[u]
+		unpaid--
+		// Snap to exact zero once every unpaid vertex is gone; accumulated
+		// float error must not mask an infinite-density (free-coverage)
+		// subgraph.
+		if unpaid == 0 || curWeight < 0 {
+			curWeight = 0
+		}
+		if snap := (Result{EdgeCnt: curEdges, Weight: curWeight}); snap.Denser(best) {
+			best = snap
+			bestStep = step
+		}
+	}
+	sc.order, sc.heap, sc.pos, sc.gone = order, h[:0], pos, gone
+
+	// Members: everything not among the first bestStep removals.
+	clear(gone)
+	for _, u := range order[:bestStep] {
+		gone[u] = true
+	}
+	best.Members = make([]int32, 0, n-bestStep)
+	// Recompute weight exactly from the members: the incremental subtraction
+	// above can drift by a few ulps, and callers compare densities exactly.
+	best.Weight = 0
+	for u, out := range gone {
+		if !out {
+			best.Members = append(best.Members, int32(u))
+			best.Weight += weight[u]
+		}
+	}
+	return best
 }
 
 // LiveInstance appends the live edges to buf and returns an Instance view

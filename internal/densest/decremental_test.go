@@ -1,6 +1,8 @@
 package densest
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -8,17 +10,29 @@ import (
 	"testing/quick"
 )
 
+// randomWeight draws a node weight: zero (already paid) with probability
+// 1/paidOneIn, otherwise continuous — or, when ties is set, from {1, 2, 4}
+// so that equal deg/weight ratios are common and the id tie-break decides
+// the peel order.
+func randomWeight(rng *rand.Rand, paidOneIn int, ties bool) float64 {
+	switch {
+	case rng.Intn(paidOneIn) == 0:
+		return 0
+	case ties:
+		return float64(int(1) << rng.Intn(3))
+	default:
+		return 0.1 + rng.Float64()*10
+	}
+}
+
 // randomInstance builds a random weighted multigraph instance.
 func randomInstance(rng *rand.Rand) Instance {
 	n := 2 + rng.Intn(30)
 	m := rng.Intn(4 * n)
 	inst := Instance{N: n, Weight: make([]float64, n)}
+	ties := rng.Intn(2) == 0
 	for u := range inst.Weight {
-		if rng.Intn(5) == 0 {
-			inst.Weight[u] = 0 // already-paid nodes exist from the start too
-		} else {
-			inst.Weight[u] = 0.1 + rng.Float64()*10
-		}
+		inst.Weight[u] = randomWeight(rng, 5, ties)
 	}
 	for i := 0; i < m; i++ {
 		a := int32(rng.Intn(n))
@@ -31,7 +45,25 @@ func randomInstance(rng *rand.Rand) Instance {
 	return inst
 }
 
-// filtered returns the fresh-Peel view of d's current state: same node
+// hubInstance builds a CHITCHAT-shaped instance: nx producers and ny
+// consumers each tied to a weightless hub vertex by a support element,
+// plus up to cross producer→consumer elements; about a third of the
+// supports are already paid.
+func hubInstance(rng *rand.Rand, nx, ny, cross int) Instance {
+	hub := int32(nx + ny)
+	inst := Instance{N: nx + ny + 1, Weight: make([]float64, nx+ny+1)}
+	ties := rng.Intn(2) == 0
+	for u := int32(0); u < hub; u++ {
+		inst.Weight[u] = randomWeight(rng, 3, ties)
+		inst.Edges = append(inst.Edges, [2]int32{u, hub})
+	}
+	for i := 0; i < cross; i++ {
+		inst.Edges = append(inst.Edges, [2]int32{int32(rng.Intn(nx)), int32(nx + rng.Intn(ny))})
+	}
+	return inst
+}
+
+// filtered returns the reference-peel view of d's current state: same node
 // set and weights, only the live edges.
 func filtered(d *Decremental) Instance {
 	inst := Instance{N: d.N(), Weight: make([]float64, d.N())}
@@ -47,36 +79,177 @@ func filtered(d *Decremental) Instance {
 	return inst
 }
 
+// sameResult compares two oracle outputs bit for bit: member order,
+// edge count and the float64 weight pattern.
+func sameResult(a, b Result) bool {
+	return a.EdgeCnt == b.EdgeCnt &&
+		math.Float64bits(a.Weight) == math.Float64bits(b.Weight) &&
+		reflect.DeepEqual(a.Members, b.Members)
+}
+
+// checkAgainstReference solves d with the kernel and the live
+// sub-instance with referencePeel and reports the first difference.
+func checkAgainstReference(d *Decremental, sc *Scratch) error {
+	got := d.Solve(sc)
+	want := referencePeel(filtered(d))
+	if !sameResult(got, want) {
+		return fmt.Errorf("kernel %+v, reference %+v", got, want)
+	}
+	return nil
+}
+
+// driveToEmpty removes every element of d in random order, zeroing
+// weights and compacting at random points on the way, and checks the
+// kernel against the reference after every mutation. Removing everything
+// crosses the compaction threshold about log2(m) times and ends on the
+// zero-live-edge instance; the weight zeroings pass through isolated-
+// unpaid and, often, all-paid states. It returns how many compactions
+// actually squeezed the adjacency.
+func driveToEmpty(rng *rand.Rand, d *Decremental) (compactions int, err error) {
+	var sc Scratch
+	if err := checkAgainstReference(d, &sc); err != nil {
+		return 0, fmt.Errorf("initial: %w", err)
+	}
+	for step, ei := range rng.Perm(d.NumEdges()) {
+		d.RemoveEdge(ei)
+		if rng.Intn(4) == 0 {
+			d.ZeroWeight(rng.Intn(d.N()))
+		}
+		if rng.Intn(3) == 0 {
+			before := len(d.adj)
+			d.Compact()
+			if len(d.adj) < before {
+				compactions++
+			}
+			if err := checkAdjacency(d); err != nil {
+				return compactions, fmt.Errorf("step %d: %w", step, err)
+			}
+		}
+		if err := checkAgainstReference(d, &sc); err != nil {
+			return compactions, fmt.Errorf("step %d: %w", step, err)
+		}
+	}
+	return compactions, nil
+}
+
+// checkAdjacency verifies the adjacency invariant Solve and CHITCHAT's
+// commit rely on: every live element appears exactly once in the
+// IncidentEdges of each endpoint.
+func checkAdjacency(d *Decremental) error {
+	seen := make(map[[2]int32]int)
+	for u := 0; u < d.N(); u++ {
+		for _, ei := range d.IncidentEdges(u) {
+			a, b := d.Edge(int(ei))
+			if a != int32(u) && b != int32(u) {
+				return fmt.Errorf("element %d listed at foreign vertex %d", ei, u)
+			}
+			seen[[2]int32{int32(u), ei}]++
+		}
+	}
+	for ei := 0; ei < d.NumEdges(); ei++ {
+		if !d.EdgeAlive(ei) {
+			continue
+		}
+		a, b := d.Edge(ei)
+		if seen[[2]int32{a, int32(ei)}] != 1 || seen[[2]int32{b, int32(ei)}] != 1 {
+			return fmt.Errorf("live element %d not listed exactly once per endpoint", ei)
+		}
+	}
+	return nil
+}
+
 // The central equivalence the incremental oracle rests on: after ANY
-// sequence of element removals and weight zeroings, Solve returns exactly
-// what Peel returns on a freshly built instance of the live edges — same
-// members, same edge count, same weight. CHITCHAT's schedule invariance
-// across worker counts depends on this being exact, not approximate.
-func TestDecrementalMatchesFreshPeel(t *testing.T) {
+// sequence of element removals, weight zeroings and compactions, Solve
+// returns exactly what the reference peel returns on a freshly built
+// instance of the live edges — same members in the same order, same edge
+// count, same weight bits. CHITCHAT's byte-identical schedules depend on
+// this being exact, not approximate.
+func TestDecrementalMatchesReferencePeel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		inst := randomInstance(rng)
-		d := NewDecremental(inst)
-		var sc, psc Scratch
-		for step := 0; step < 25; step++ {
-			switch {
-			case rng.Intn(3) == 0:
-				d.ZeroWeight(rng.Intn(d.N()))
-			case d.NumEdges() > 0:
-				d.RemoveEdge(rng.Intn(d.NumEdges()))
-			}
-			got := d.Solve(&sc)
-			want := Peel(filtered(d), &psc)
-			if got.EdgeCnt != want.EdgeCnt || got.Weight != want.Weight ||
-				!reflect.DeepEqual(got.Members, want.Members) {
-				t.Logf("seed %d step %d: got %+v want %+v", seed, step, got, want)
-				return false
-			}
+		if _, err := driveToEmpty(rng, NewDecremental(randomInstance(rng))); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The states the kernel treats specially, as explicit cases.
+func TestDecrementalSpecialStates(t *testing.T) {
+	path := [][2]int32{{0, 1}, {1, 2}, {2, 3}}
+	cases := []struct {
+		name   string
+		inst   Instance
+		remove []int
+	}{
+		{"isolated unpaid", Instance{N: 6, Weight: []float64{1, 2, 3, 4, 0.5, 7}, Edges: path}, nil},
+		{"isolated unpaid after removal", Instance{N: 4, Weight: []float64{1, 2, 3, 4}, Edges: path}, []int{0}},
+		{"isolated paid", Instance{N: 6, Weight: []float64{1, 2, 3, 4, 0, 0}, Edges: path}, nil},
+		{"all paid", Instance{N: 4, Weight: make([]float64, 4), Edges: path}, nil},
+		{"all paid, no live edge", Instance{N: 4, Weight: make([]float64, 4), Edges: path}, []int{0, 1, 2}},
+		{"zero live edges", Instance{N: 4, Weight: []float64{1, 2, 3, 4}, Edges: path}, []int{0, 1, 2}},
+		{"no edges at all", Instance{N: 3, Weight: []float64{1, 0, 2}}, nil},
+		{"paid pair between unpaid ends", Instance{N: 4, Weight: []float64{5, 0, 0, 5}, Edges: path}, nil},
+		{"parallel elements", Instance{N: 3, Weight: []float64{1, 1, 9}, Edges: [][2]int32{{0, 1}, {0, 1}, {1, 2}}}, nil},
+	}
+	for _, tc := range cases {
+		d := NewDecremental(tc.inst)
+		for _, ei := range tc.remove {
+			d.RemoveEdge(ei)
+		}
+		for _, compact := range []bool{false, true} {
+			if compact {
+				d.Compact()
+			}
+			if err := checkAgainstReference(d, nil); err != nil {
+				t.Errorf("%s (compacted=%v): %v", tc.name, compact, err)
+			}
+		}
+	}
+}
+
+// A hub-shaped instance large enough that removing its elements crosses
+// the compaction threshold several times; the adjacency must shrink each
+// time and end empty.
+func TestDecrementalCompactsRepeatedly(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := NewDecremental(hubInstance(rng, 20, 20, 200))
+	compactions, err := driveToEmpty(rng, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compactions < 4 {
+		t.Fatalf("adjacency compacted %d times over a full drain, want >= 4", compactions)
+	}
+	d.Compact()
+	if len(d.adj) != 0 {
+		t.Fatalf("adjacency holds %d slots with no live element", len(d.adj))
+	}
+}
+
+// Compact is a no-op while at least half the represented elements are
+// live: IncidentEdges slices handed out stay valid until the threshold.
+func TestCompactThreshold(t *testing.T) {
+	inst := Instance{N: 5, Weight: []float64{1, 1, 1, 1, 1},
+		Edges: [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}}}
+	d := NewDecremental(inst)
+	d.RemoveEdge(0)
+	d.RemoveEdge(1)
+	d.Compact()
+	if len(d.adj) != 8 {
+		t.Fatalf("compacted at half live: %d slots, want 8", len(d.adj))
+	}
+	d.RemoveEdge(2)
+	d.Compact()
+	if len(d.adj) != 2 {
+		t.Fatalf("below half live: %d slots, want 2", len(d.adj))
+	}
+	if got := d.IncidentEdges(3); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("IncidentEdges(3) = %v, want [3]", got)
 	}
 }
 
@@ -152,7 +325,7 @@ func TestDecrementalConcurrentSolves(t *testing.T) {
 }
 
 // FuzzDecrementalEquivalence drives the same equivalence as the quick
-// property from arbitrary fuzz seeds.
+// property from arbitrary fuzz seeds, over random and hub-shaped instances.
 func FuzzDecrementalEquivalence(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -160,20 +333,37 @@ func FuzzDecrementalEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		inst := randomInstance(rng)
-		d := NewDecremental(inst)
-		var sc, psc Scratch
-		for step := 0; step < 10; step++ {
-			if d.NumEdges() > 0 && rng.Intn(2) == 0 {
-				d.RemoveEdge(rng.Intn(d.NumEdges()))
-			} else {
-				d.ZeroWeight(rng.Intn(d.N()))
-			}
-			got := d.Solve(&sc)
-			want := Peel(filtered(d), &psc)
-			if got.EdgeCnt != want.EdgeCnt || got.Weight != want.Weight ||
-				!reflect.DeepEqual(got.Members, want.Members) {
-				t.Fatalf("seed %d step %d: got %+v want %+v", seed, step, got, want)
-			}
+		if seed%2 == 0 {
+			inst = hubInstance(rng, 1+rng.Intn(12), 1+rng.Intn(12), rng.Intn(80))
+		}
+		if _, err := driveToEmpty(rng, NewDecremental(inst)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	})
 }
+
+// BenchmarkDecrementalSolveLate measures one oracle evaluation in the
+// state CHITCHAT's re-solves spend most of their peels in (measured on
+// the churn_local regional solves: 103 vertices and 643 materialized
+// elements per peeled instance, 128 of them live, 63 vertices unpaid): a
+// hub-shaped instance late in a solve, with ~80% of its elements covered
+// and about half its supports paid.
+func BenchmarkDecrementalSolveLate(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	d := NewDecremental(hubInstance(rng, 51, 51, 541))
+	for _, ei := range rng.Perm(d.NumEdges())[:d.NumEdges()*4/5] {
+		d.RemoveEdge(ei)
+	}
+	for u := 0; u < d.N(); u += 2 {
+		d.ZeroWeight(u)
+	}
+	d.Compact()
+	var sc Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = d.Solve(&sc)
+	}
+}
+
+var benchSink Result

@@ -4,26 +4,30 @@
 //
 //	d_w(S) = |E(S)| / g(S)
 //
-// Peel implements the modified Asahiro/Charikar greedy: repeatedly delete
+// The oracle is the modified Asahiro/Charikar greedy: repeatedly delete
 // the node with the smallest weighted degree deg(u)/g(u) and return the
 // best intermediate subgraph. Lemma 1 proves this is a factor-2
 // approximation. Exact provides a brute-force reference for tests.
 // Decremental materializes an instance once and maintains it under
 // element removal and weight zeroing — the exact mutations CHITCHAT's
-// greedy commits perform — so re-solving skips the instance rebuild;
-// Decremental.Solve is guaranteed to match Peel on the live sub-instance.
+// greedy commits perform — so re-solving skips the instance rebuild, and
+// its Solve pays only for the live, unpaid part of the instance: paid
+// and isolated nodes never enter the peel heap, and the adjacency is
+// compacted as elements die (DESIGN.md §14 states the invariant and why
+// the result is bit-identical to the every-node peel, which survives as
+// the tests' referencePeel). Peel is the one-shot form: materialize,
+// solve once.
 //
 // Zero-weight nodes (cost already paid by earlier greedy steps) have
-// infinite priority and are peeled last; a subgraph with positive edges
-// and zero total weight has infinite density — i.e., free coverage.
+// infinite priority, so they would be peeled last and are members of
+// every candidate subgraph; a subgraph with positive edges and zero total
+// weight has infinite density — i.e., free coverage.
 package densest
 
 import (
 	"errors"
 	"fmt"
 	"math"
-
-	"piggyback/internal/pq"
 )
 
 // ErrInstanceTooLarge is the panic value (wrapped) raised when Exact is
@@ -75,22 +79,17 @@ func (r Result) Denser(o Result) bool {
 
 func inf() float64 { return math.Inf(1) }
 
-// Scratch is a reusable per-worker arena for Peel and Exact: the peel
-// ordering, degree and adjacency arrays, and the priority queue. A nil
-// Scratch makes every call allocate fresh; callers in hot loops (each
-// CHITCHAT oracle evaluation runs one Peel) hold one Scratch per worker
-// goroutine and amortize all of it. The zero value is ready to use. A
-// Scratch must not be shared between concurrent calls.
+// Scratch is a reusable per-worker arena for the peel: the heap, its
+// position index, the removal order and the removed marks. A nil Scratch
+// makes every call allocate fresh; callers in hot loops (each CHITCHAT
+// oracle evaluation runs one peel) hold one Scratch per worker goroutine
+// and amortize all of it. The zero value is ready to use. A Scratch must
+// not be shared between concurrent calls.
 type Scratch struct {
-	deg   []int32
-	off   []int32 // CSR adjacency offsets, len N+1
-	cur   []int32
-	adj   []int32 // incident edge indices, len 2|E|
-	alive []bool
-	edges []bool // edgeAlive
+	heap  []peelEntry
+	pos   []int32 // pos[u] = heap slot of u, valid only while u is queued
+	gone  []bool
 	order []int32
-	prios []float64
-	q     pq.IndexedMin
 }
 
 // grow returns a length-n slice backed by b's storage when it is large
@@ -102,167 +101,77 @@ func grow[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// Peel runs the weighted peeling algorithm and returns the densest
-// intermediate subgraph encountered. O((n + m) log n). sc may be nil;
-// passing a reused Scratch makes the call allocation-free except for the
-// returned member list (which never aliases the scratch).
+// Peel runs the weighted peeling algorithm on a one-shot instance and
+// returns the densest intermediate subgraph encountered: it materializes
+// inst and solves it once. O((n + m) log n). Callers that solve the same
+// instance repeatedly under removals hold a Decremental instead.
 func Peel(inst Instance, sc *Scratch) Result {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	n := inst.N
-	if n == 0 {
-		return Result{}
-	}
-	m := len(inst.Edges)
-
-	deg := grow(sc.deg, n)
-	sc.deg = deg
-	for i := range deg {
-		deg[i] = 0
-	}
-	for _, e := range inst.Edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
-	// CSR adjacency: incident edge indices of u are adj[off[u]:off[u+1]].
-	off := grow(sc.off, n+1)
-	sc.off = off
-	buildCSR(deg, inst.Edges, off, &sc.adj, &sc.cur)
-
-	edgeAlive := grow(sc.edges, m)
-	sc.edges = edgeAlive
-	for i := range edgeAlive {
-		edgeAlive[i] = true
-	}
-
-	return peelLoop(n, inst.Weight, inst.Edges, off, sc.adj, deg, edgeAlive, m, sc)
+	return NewDecremental(inst).Solve(sc)
 }
 
-// buildCSR fills off (len n+1, off[0..n] from the degree prefix sum) and
-// adj (incident edge indices, len 2m) for the given undirected edge list.
-// deg must hold the degree of every node; cur is a reusable cursor buffer.
-func buildCSR(deg []int32, edges [][2]int32, off []int32, adjBuf, curBuf *[]int32) {
-	n := len(deg)
-	off[0] = 0
-	for u := 0; u < n; u++ {
-		off[u+1] = off[u] + deg[u]
+// peelEntry is one queued vertex: key and id are stored together, so a
+// heap comparison reads its two entries and no side table.
+type peelEntry struct {
+	key float64 // deg / weight[id]
+	id  int32
+	deg int32 // live elements to vertices not yet peeled
+}
+
+// peelHeap is the binary min-heap behind the peel, ordered by (key, id).
+// It supports exactly what the peel does — bulk build, pop-min and
+// decrease-key — which is why it is not pq.IndexedMin: no per-compare
+// indirection through pos and prio tables, no increase-key, no removal.
+type peelHeap []peelEntry
+
+func (e peelEntry) less(o peelEntry) bool {
+	return e.key < o.key || (e.key == o.key && e.id < o.id)
+}
+
+// init establishes the heap property bottom-up and fills pos.
+func (h peelHeap) init(pos []int32) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i], pos)
 	}
-	adj := grow(*adjBuf, 2*len(edges))
-	*adjBuf = adj
-	cur := grow(*curBuf, n)
-	*curBuf = cur
-	copy(cur, off[:n])
-	for ei, e := range edges {
-		adj[cur[e[0]]] = int32(ei)
-		cur[e[0]]++
-		adj[cur[e[1]]] = int32(ei)
-		cur[e[1]]++
+	for i, e := range h {
+		pos[e.id] = int32(i)
 	}
 }
 
-// peelLoop is the shared peeling core behind Peel and Decremental.Solve.
-// off/adj is a CSR adjacency over the full edge list; deg and edgeAlive
-// are WORKING arrays describing the live sub-instance (deg[u] = live
-// degree, edgeAlive[ei] = element still present) and are destroyed by the
-// loop; liveEdges is the current number of live elements. The peel order
-// — and therefore the returned member set — is exactly what Peel would
-// produce on a freshly built instance containing only the live edges:
-// priorities depend only on live degrees and weights, and ties break by
-// node id.
-func peelLoop(n int, weight []float64, edges [][2]int32, off, adj []int32,
-	deg []int32, edgeAlive []bool, liveEdges int, sc *Scratch) Result {
+// up sifts e, destined for slot i, towards the root.
+func (h peelHeap) up(i int, e peelEntry, pos []int32) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.less(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		pos[h[i].id] = int32(i)
+		i = parent
+	}
+	h[i] = e
+	pos[e.id] = int32(i)
+}
 
-	alive := grow(sc.alive, n)
-	sc.alive = alive
-	for i := range alive {
-		alive[i] = true
-	}
-
-	prio := func(u int) float64 {
-		w := weight[u]
-		if w == 0 {
-			// Weightless nodes (cost already paid) are peeled last.
-			return inf()
+// down sifts e, destined for slot i, towards the leaves.
+func (h peelHeap) down(i int, e peelEntry, pos []int32) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		return float64(deg[u]) / w
-	}
-
-	prios := grow(sc.prios, n)
-	sc.prios = prios
-	curWeight := 0.0
-	alivePositive := 0 // alive nodes with weight > 0
-	for u := 0; u < n; u++ {
-		prios[u] = prio(u)
-		curWeight += weight[u]
-		if weight[u] > 0 {
-			alivePositive++
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
 		}
-	}
-	q := &sc.q
-	q.Init(prios)
-	curEdges := liveEdges
-
-	best := Result{EdgeCnt: curEdges, Weight: curWeight}
-	bestStep := 0 // number of removals before the best snapshot
-	removalOrder := grow(sc.order, n)[:0]
-
-	for step := 1; q.Len() > 0; step++ {
-		u, _ := q.PopMin()
-		alive[u] = false
-		removalOrder = append(removalOrder, int32(u))
-		curWeight -= weight[u]
-		if weight[u] > 0 {
-			alivePositive--
+		if !h[c].less(e) {
+			break
 		}
-		// Snap to exact zero once every positive-weight node is gone;
-		// accumulated float error must not mask an infinite-density
-		// (free-coverage) subgraph.
-		if alivePositive == 0 || curWeight < 0 {
-			curWeight = 0
-		}
-		for _, ei := range adj[off[u]:off[u+1]] {
-			if !edgeAlive[ei] {
-				continue
-			}
-			edgeAlive[ei] = false
-			curEdges--
-			other := edges[ei][0]
-			if other == int32(u) {
-				other = edges[ei][1]
-			}
-			if alive[other] {
-				deg[other]--
-				q.Update(int(other), prio(int(other)))
-			}
-		}
-		snap := Result{EdgeCnt: curEdges, Weight: curWeight}
-		if snap.Denser(best) {
-			best = snap
-			bestStep = step
-		}
+		h[i] = h[c]
+		pos[h[i].id] = int32(i)
+		i = c
 	}
-	sc.order = removalOrder
-
-	// Reconstruct members: nodes not among the first bestStep removals.
-	// After the full peel every alive[] entry is false; reuse it as the
-	// "removed before the best snapshot" marker.
-	for i := 0; i < bestStep; i++ {
-		alive[removalOrder[i]] = true
-	}
-	best.Members = make([]int32, 0, n-bestStep)
-	for u := 0; u < n; u++ {
-		if !alive[u] {
-			best.Members = append(best.Members, int32(u))
-		}
-	}
-	// Recompute weight exactly from the members: the incremental subtraction
-	// above can drift by a few ulps, and callers compare densities exactly.
-	best.Weight = 0
-	for _, u := range best.Members {
-		best.Weight += weight[u]
-	}
-	return best
+	h[i] = e
+	pos[e.id] = int32(i)
 }
 
 // Exact solves the problem by subset enumeration; only usable for small

@@ -12,8 +12,6 @@
 package online
 
 import (
-	"sort"
-
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/workload"
@@ -25,57 +23,74 @@ type amortizeResult struct {
 	Saved    float64 // net cost removed (refunds minus purchases)
 }
 
-// hubGroup collects the candidate edges that could be covered through
-// one hub.
-type hubGroup struct {
-	hub   graph.NodeID
-	cands []amortCand
-}
-
+// amortCand is one way to upgrade a direct edge: cover e through hub.
 type amortCand struct {
 	e      graph.EdgeID // the direct edge u → v
-	u, v   graph.NodeID
 	up     graph.EdgeID // support u → hub
 	down   graph.EdgeID // support hub → v
-	push   bool         // direct side currently paid (true: push, false: pull)
-	refund float64      // the direct price clearing the edge returns
+	hub    graph.NodeID
+	refund float64 // the direct price clearing the edge returns
+	push   bool    // direct side currently paid (true: push, false: pull)
 }
 
-// amortize runs the purchase sweep over s in place, considering only
-// the region's edges as upgrade candidates (nil region means every
-// edge). The schedule must be valid; it stays valid, and its cost is
-// strictly reduced or untouched — every hub bundle is bought only when
-// its pooled refund exceeds the price of its missing supports.
+// amortizer is the sweep's scratch, held by the daemon across re-solves:
+// flat arrays indexed by edge and node id of the graph being swept (the
+// sweep used to build four maps per call, which was most of its cost).
+// The zero value is ready to use.
+type amortizer struct {
+	pinned  []int32     // per edge: coverage obligations on its flags
+	needers []int32     // per edge: candidates of the current hub still needing it bought; all zero between hubs
+	ends    []int32     // per node: end of the hub's group in cands
+	found   []amortCand // candidates in discovery order
+	cands   []amortCand // the same, grouped by hub
+}
+
+// grown returns b resized to n zeroed elements, reusing its storage.
+func grown(b []int32, n int) []int32 {
+	if cap(b) < n {
+		return make([]int32, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// run sweeps s in place, considering only the region's edges as upgrade
+// candidates (nil region means every edge; a region must be ascending,
+// as graph.InducedEdgeIDs returns it). The schedule must be valid; it
+// stays valid, and its cost is strictly reduced or untouched — every hub
+// bundle is bought only when its pooled refund exceeds the price of its
+// missing supports.
 //
 // Determinism: hubs are processed in ascending node id, candidates in
 // ascending edge id, and the drop-to-fixpoint loop always removes the
 // lowest-id unprofitable candidate first.
-func amortize(s *core.Schedule, r *workload.Rates, region []graph.EdgeID) amortizeResult {
+func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.EdgeID) amortizeResult {
 	g := s.Graph()
 
 	// pinned[e] counts coverage obligations on e's flags, exactly as in
-	// refine.Pass: a direct flag may only be cleared, and a support
-	// priced as already-paid, with this bookkeeping in hand.
-	pinned := make([]int32, g.NumEdges())
-	pin := func(u, w, v graph.NodeID) {
-		if up, ok := g.EdgeID(u, w); ok {
-			pinned[up]++
-		}
-		if down, ok := g.EdgeID(w, v); ok {
-			pinned[down]++
-		}
-	}
+	// refine.Pass: a direct flag may only be cleared with this bookkeeping
+	// in hand.
+	a.pinned = grown(a.pinned, g.NumEdges())
+	pinned := a.pinned
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		if s.IsCovered(e) {
-			pin(u, s.Hub(e), v)
+			w := s.Hub(e)
+			if up, ok := g.EdgeID(u, w); ok {
+				pinned[up]++
+			}
+			if down, ok := g.EdgeID(w, v); ok {
+				pinned[down]++
+			}
 		}
 		return true
 	})
 
-	// Collect candidates per hub. A candidate is a region edge paying
-	// exactly one direct side that nothing depends on; each hub in
-	// out(u) ∩ in(v) that could serve it gets one entry.
-	groups := map[graph.NodeID]*hubGroup{}
+	// Collect candidates. A candidate is a region edge paying exactly one
+	// direct side that nothing depends on; each hub in out(u) ∩ in(v)
+	// that could serve it gets one entry.
+	a.ends = grown(a.ends, g.NumNodes())
+	found := a.found[:0]
 	consider := func(e graph.EdgeID, u, v graph.NodeID) {
 		if s.IsCovered(e) || pinned[e] > 0 {
 			return
@@ -101,15 +116,10 @@ func amortize(s *core.Schedule, r *workload.Rates, region []graph.EdgeID) amorti
 				j++
 			default:
 				if w := outU[i]; w != u && w != v {
-					gr := groups[w]
-					if gr == nil {
-						gr = &hubGroup{hub: w}
-						groups[w] = gr
-					}
-					gr.cands = append(gr.cands, amortCand{
-						e: e, u: u, v: v,
-						up: loU + graph.EdgeID(i), down: idsV[j],
-						push: push, refund: refund,
+					a.ends[w]++
+					found = append(found, amortCand{
+						e: e, up: loU + graph.EdgeID(i), down: idsV[j],
+						hub: w, refund: refund, push: push,
 					})
 				}
 				i++
@@ -127,86 +137,109 @@ func amortize(s *core.Schedule, r *workload.Rates, region []graph.EdgeID) amorti
 			consider(e, g.EdgeSource(e), g.EdgeTarget(e))
 		}
 	}
+	a.found = found
 
-	hubs := make([]graph.NodeID, 0, len(groups))
-	for w := range groups {
-		hubs = append(hubs, w)
+	// Group by hub with a stable counting sort: discovery order is
+	// ascending in e, so every group comes out ascending in e too. After
+	// the scatter ends[w] is the end of hub w's group (and the start of
+	// the next nonempty one).
+	if cap(a.cands) < len(found) {
+		a.cands = make([]amortCand, len(found))
 	}
-	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
+	all := a.cands[:len(found)]
+	sum := int32(0)
+	for w, cnt := range a.ends {
+		a.ends[w] = sum
+		sum += cnt
+	}
+	for _, c := range found {
+		all[a.ends[c.hub]] = c
+		a.ends[c.hub]++
+	}
+
+	// pushPrice and pullPrice return what support e still costs to turn
+	// on: 0 when the needed flag is already set (exterior-paid, or bought
+	// for an earlier bundle of this sweep).
+	pushPrice := func(e graph.EdgeID) float64 {
+		if s.IsPush(e) {
+			return 0
+		}
+		return r.Prod[g.EdgeSource(e)]
+	}
+	pullPrice := func(e graph.EdgeID) float64 {
+		if s.IsPull(e) {
+			return 0
+		}
+		return r.Cons[g.EdgeTarget(e)]
+	}
+	a.needers = grown(a.needers, g.NumEdges())
+	needers := a.needers
 
 	var res amortizeResult
-	taken := map[graph.EdgeID]bool{}
-	for _, w := range hubs {
-		cands := groups[w].cands[:0]
-		for _, c := range groups[w].cands {
-			if !taken[c.e] {
+	lo := int32(0)
+	for w, hi := range a.ends {
+		if lo == hi {
+			continue
+		}
+		// Candidates an earlier hub of this sweep already upgraded are
+		// out; the group is ours to filter in place.
+		cands := all[lo:lo]
+		for _, c := range all[lo:hi] {
+			if !s.IsCovered(c.e) {
 				cands = append(cands, c)
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].e < cands[j].e })
-
-		// price returns what support e still costs to turn on for this
-		// bundle: 0 when the needed flag is already set (exterior-paid).
-		price := func(e graph.EdgeID, isPush bool) float64 {
-			if isPush {
-				if s.IsPush(e) {
-					return 0
-				}
-				return r.Prod[g.EdgeSource(e)]
+		lo = hi
+		for _, c := range cands {
+			if pushPrice(c.up) > 0 {
+				needers[c.up]++
 			}
-			if s.IsPull(e) {
-				return 0
+			if pullPrice(c.down) > 0 {
+				needers[c.down]++
 			}
-			return r.Cons[g.EdgeTarget(e)]
 		}
 
 		// Drop-to-fixpoint: a candidate whose refund cannot even pay for
 		// the missing supports ONLY it needs is dead weight — removing it
 		// strictly improves the bundle, and removal can orphan another
-		// candidate's shared support, so iterate.
-		for {
-			dropped := false
-			needers := map[graph.EdgeID]int{}
-			for _, c := range cands {
-				if price(c.up, true) > 0 {
-					needers[c.up]++
-				}
-				if price(c.down, false) > 0 {
-					needers[c.down]++
-				}
-			}
+		// candidate's shared support, so rescan from the start.
+		for dropped := true; dropped; {
+			dropped = false
 			for i, c := range cands {
+				pUp, pDown := pushPrice(c.up), pullPrice(c.down)
 				excl := 0.0
-				if p := price(c.up, true); p > 0 && needers[c.up] == 1 {
-					excl += p
+				if pUp > 0 && needers[c.up] == 1 {
+					excl += pUp
 				}
-				if p := price(c.down, false); p > 0 && needers[c.down] == 1 {
-					excl += p
+				if pDown > 0 && needers[c.down] == 1 {
+					excl += pDown
 				}
 				if c.refund <= excl {
+					if pUp > 0 {
+						needers[c.up]--
+					}
+					if pDown > 0 {
+						needers[c.down]--
+					}
 					cands = append(cands[:i], cands[i+1:]...)
 					dropped = true
 					break
 				}
 			}
-			if !dropped {
-				break
-			}
-		}
-		if len(cands) == 0 {
-			continue
 		}
 
+		// Price the bundle. The first candidate needing a support books
+		// its price and zeroes the counter, which both dedupes shared
+		// supports and leaves needers all zero for the next hub.
 		refundSum, priceSum := 0.0, 0.0
-		need := map[graph.EdgeID]bool{} // support id → needs push (true) or pull
 		for _, c := range cands {
 			refundSum += c.refund
-			if p := price(c.up, true); p > 0 && !hasKey(need, c.up) {
-				need[c.up] = true
+			if p := pushPrice(c.up); p > 0 && needers[c.up] > 0 {
+				needers[c.up] = 0
 				priceSum += p
 			}
-			if p := price(c.down, false); p > 0 && !hasKey(need, c.down) {
-				need[c.down] = false
+			if p := pullPrice(c.down); p > 0 && needers[c.down] > 0 {
+				needers[c.down] = 0
 				priceSum += p
 			}
 		}
@@ -216,11 +249,12 @@ func amortize(s *core.Schedule, r *workload.Rates, region []graph.EdgeID) amorti
 
 		// Buy the bundle: supports first, then re-serve each candidate
 		// through the hub — the schedule is valid at every step.
-		for e, isPush := range need {
-			if isPush {
-				s.SetPush(e)
-			} else {
-				s.SetPull(e)
+		for _, c := range cands {
+			if pushPrice(c.up) > 0 {
+				s.SetPush(c.up)
+			}
+			if pullPrice(c.down) > 0 {
+				s.SetPull(c.down)
 			}
 		}
 		for _, c := range cands {
@@ -229,18 +263,10 @@ func amortize(s *core.Schedule, r *workload.Rates, region []graph.EdgeID) amorti
 			} else {
 				s.ClearPull(c.e)
 			}
-			s.SetCovered(c.e, w)
-			pinned[c.up]++
-			pinned[c.down]++
-			taken[c.e] = true
+			s.SetCovered(c.e, graph.NodeID(w))
 			res.Upgraded++
 		}
 		res.Saved += refundSum - priceSum
 	}
 	return res
-}
-
-func hasKey(m map[graph.EdgeID]bool, k graph.EdgeID) bool {
-	_, ok := m[k]
-	return ok
 }

@@ -74,7 +74,7 @@ func TestAmortizePurchasesSharedSupports(t *testing.T) {
 		t.Fatalf("refine recovered %d edges on a both-supports-missing instance", res.Recovered)
 	}
 
-	res := amortize(s, r, nil)
+	res := new(amortizer).run(s, r, nil)
 	if res.Upgraded != 3 {
 		t.Fatalf("Upgraded = %d, want 3", res.Upgraded)
 	}
@@ -97,7 +97,7 @@ func TestAmortizePurchasesSharedSupports(t *testing.T) {
 		}
 	}
 	// Idempotent: nothing left to buy.
-	if again := amortize(s, r, nil); again.Upgraded != 0 {
+	if again := new(amortizer).run(s, r, nil); again.Upgraded != 0 {
 		t.Fatalf("second sweep upgraded %d more edges", again.Upgraded)
 	}
 }
@@ -115,7 +115,7 @@ func TestAmortizeRejectsUnprofitableBundle(t *testing.T) {
 	s := chitchat.Solve(g, r, chitchat.Config{})
 	r.Prod[0] = 100
 	before := s.Cost(r)
-	if res := amortize(s, r, nil); res.Upgraded != 0 || res.Saved != 0 {
+	if res := new(amortizer).run(s, r, nil); res.Upgraded != 0 || res.Saved != 0 {
 		t.Fatalf("bought an unprofitable bundle: %+v", res)
 	}
 	if after := s.Cost(r); after != before {
@@ -132,7 +132,7 @@ func TestAmortizeRespectsRegionScope(t *testing.T) {
 	// a pull support, not a spiked push), so the sweep must not reach
 	// outside it to the 0→v edges.
 	e01, _ := g.EdgeID(0, 1)
-	if res := amortize(s, r, []graph.EdgeID{e01}); res.Upgraded != 0 {
+	if res := new(amortizer).run(s, r, []graph.EdgeID{e01}); res.Upgraded != 0 {
 		t.Fatalf("region-scoped sweep upgraded %d edges outside the region", res.Upgraded)
 	}
 	// Region holding the three spiked edges: full upgrade.
@@ -141,8 +141,36 @@ func TestAmortizeRespectsRegionScope(t *testing.T) {
 		e, _ := g.EdgeID(0, v)
 		region = append(region, e)
 	}
-	if res := amortize(s, r, region); res.Upgraded != 3 {
+	if res := new(amortizer).run(s, r, region); res.Upgraded != 3 {
 		t.Fatalf("region-scoped sweep upgraded %d, want 3", res.Upgraded)
+	}
+}
+
+// The daemon holds one amortizer across re-solves of differently sized
+// graphs. A reused scratch must behave like a fresh one, and must hand the
+// per-hub support counters back all zero (the sweep relies on that instead
+// of clearing them per hub).
+func TestAmortizerScratchReuse(t *testing.T) {
+	var a amortizer
+	for round := 0; round < 3; round++ {
+		_, r, s := spikeFixture(t)
+		fresh := s.Clone()
+		got, want := a.run(s, r, nil), new(amortizer).run(fresh, r, nil)
+		if got != want || s.Cost(r) != fresh.Cost(r) {
+			t.Fatalf("round %d: reused scratch %+v (cost %v), fresh %+v (cost %v)",
+				round, got, s.Cost(r), want, fresh.Cost(r))
+		}
+		// A smaller graph in between: the scratch shrinks and regrows.
+		g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 2}})
+		small := &workload.Rates{Prod: []float64{100, 2, 0}, Cons: []float64{0, 0.5, 3}}
+		hybrid := core.NewSchedule(g)
+		hybrid.Finalize(small)
+		a.run(hybrid, small, nil)
+		for e, c := range a.needers[:cap(a.needers)] {
+			if c != 0 {
+				t.Fatalf("round %d: needers[%d] = %d after a sweep", round, e, c)
+			}
+		}
 	}
 }
 
@@ -194,12 +222,15 @@ func TestAmortizeFlipsAcceptOnIncumbentQualityPatch(t *testing.T) {
 // real flashcrowd zoo trace over a Flickr-like graph, CHITCHAT-quality
 // incumbent, identity regional solver. Every accept the daemon makes is
 // then attributable to patch post-processing; the run without the sweep
-// accepts strictly fewer times.
+// accepts strictly fewer times. The op count is NOT scaled down under
+// -short: the first flash crowd whose pooled refund pays for its supports
+// arrives past op 600 at either graph size (150 nodes / 1500 ops: 16
+// accepts with the sweep against 6 without; 300 / 1500: 12 against 7).
 func TestAmortizeFlashCrowdTrace(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 150), 11))
 	base := workload.LogDegree(g, 5)
 	trace, err := scenario.Default.Generate(scenario.FlashCrowd, g, base,
-		scenario.Params{Ops: scaled(1500, 600), Seed: 42})
+		scenario.Params{Ops: 1500, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

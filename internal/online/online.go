@@ -262,6 +262,7 @@ type Daemon struct {
 	// SolverAuto selector reads (checkDrift writes it just before each
 	// resolveRegion).
 	regionSeverity float64
+	amortize       amortizer // exterior-amortization sweep scratch
 	stats          Stats
 	inst           daemonInstruments
 }
@@ -704,7 +705,7 @@ func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
 		// patch that loses afterwards would have lost anyway.
 		refine.Run(patched, d.r)
 		if !d.cfg.DisableAmortize {
-			amort = amortize(patched, d.r, regionEdges)
+			amort = d.amortize.run(patched, d.r, regionEdges)
 		}
 	}
 

@@ -1,7 +1,7 @@
 // Package pq implements an indexed binary min-heap keyed by float64
 // priorities. Items are dense integer ids, which lets callers decrease or
-// update priorities in O(log n) — the operation CHITCHAT's lazy greedy and
-// the densest-subgraph peeling loop both need.
+// update priorities in O(log n) — the operation CHITCHAT's lazy greedy
+// needs. (The densest-subgraph peel has its own decrease-key-only heap.)
 package pq
 
 // IndexedMin is a min-priority queue over item ids 0..n-1. The zero value
@@ -59,52 +59,6 @@ func (q *IndexedMin) Update(id int, p float64) {
 	if p < old {
 		q.up(i)
 	} else {
-		q.down(i)
-	}
-}
-
-// Reset empties the queue and re-sizes it to hold item ids 0..n-1,
-// reusing the underlying storage when capacity allows. The zero value of
-// IndexedMin is usable after Reset, which lets callers embed a queue in a
-// reusable scratch arena.
-func (q *IndexedMin) Reset(n int) {
-	if cap(q.pos) < n {
-		q.pos = make([]int32, n)
-		q.prio = make([]float64, n)
-	}
-	q.pos = q.pos[:n]
-	q.prio = q.prio[:n]
-	for i := range q.pos {
-		q.pos[i] = -1
-	}
-	q.heap = q.heap[:0]
-}
-
-// Init resets the queue to hold exactly the ids 0..len(prios)-1 with the
-// given priorities, building the heap by bottom-up heapify — O(n) versus
-// O(n log n) for n individual Pushes. It is the bulk-build counterpart of
-// PushBatch, used by the densest-subgraph peeling loop.
-func (q *IndexedMin) Init(prios []float64) {
-	n := len(prios)
-	// Unlike Reset, skip the pos-clearing pass: every pos slot is
-	// overwritten below. Init runs once per peel in the densest-subgraph
-	// oracle, so the redundant O(n) sweep was measurable.
-	if cap(q.pos) < n {
-		q.pos = make([]int32, n)
-		q.prio = make([]float64, n)
-	}
-	q.pos = q.pos[:n]
-	q.prio = q.prio[:n]
-	copy(q.prio, prios)
-	if cap(q.heap) < n {
-		q.heap = make([]int32, n)
-	}
-	q.heap = q.heap[:n]
-	for i := 0; i < n; i++ {
-		q.heap[i] = int32(i)
-		q.pos[i] = int32(i)
-	}
-	for i := n/2 - 1; i >= 0; i-- {
 		q.down(i)
 	}
 }

@@ -131,80 +131,6 @@ func TestQuickHeapOrder(t *testing.T) {
 	}
 }
 
-func TestInitMatchesPushes(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	prios := make([]float64, 200)
-	for i := range prios {
-		prios[i] = rng.Float64() * 10
-	}
-	a := New(len(prios))
-	for id, p := range prios {
-		a.Push(id, p)
-	}
-	var b IndexedMin // zero value + Init must work (scratch-arena reuse)
-	b.Init(prios)
-	for a.Len() > 0 {
-		ida, pa := a.PopMin()
-		idb, pb := b.PopMin()
-		if ida != idb || pa != pb {
-			t.Fatalf("Init pop (%d,%v) != Push pop (%d,%v)", idb, pb, ida, pa)
-		}
-	}
-	if b.Len() != 0 {
-		t.Fatalf("Init queue drained to Len %d", b.Len())
-	}
-}
-
-// Init is called once per peel in the densest oracle, on a scratch queue
-// left in an arbitrary state by the previous solve. It must fully
-// override leftover contents — including when the new size is smaller
-// than the old one.
-func TestInitOverridesPreviousState(t *testing.T) {
-	var q IndexedMin
-	rng := rand.New(rand.NewSource(9))
-	for round := 0; round < 5; round++ {
-		n := 3 + rng.Intn(50)
-		prios := make([]float64, n)
-		for i := range prios {
-			prios[i] = rng.Float64() * 100
-		}
-		q.Init(prios)
-		if q.Len() != n {
-			t.Fatalf("round %d: Len = %d, want %d", round, q.Len(), n)
-		}
-		// Drain only part of the queue so the next Init sees stale state.
-		drain := rng.Intn(n)
-		last := -1.0
-		for i := 0; i < drain; i++ {
-			_, p := q.PopMin()
-			if p < last {
-				t.Fatalf("round %d: out-of-order pop %v after %v", round, p, last)
-			}
-			last = p
-		}
-	}
-}
-
-func TestResetReuses(t *testing.T) {
-	var q IndexedMin
-	for round := 0; round < 3; round++ {
-		n := 5 + round*10
-		q.Reset(n)
-		if q.Len() != 0 {
-			t.Fatalf("Reset left Len %d", q.Len())
-		}
-		for id := 0; id < n; id++ {
-			if q.Contains(id) {
-				t.Fatalf("round %d: id %d queued after Reset", round, id)
-			}
-			q.Push(id, float64(n-id))
-		}
-		if id, p := q.Min(); id != n-1 || p != 1 {
-			t.Fatalf("round %d: Min = (%d,%v)", round, id, p)
-		}
-	}
-}
-
 // PushBatch must yield the same queue as individual Pushes, both in the
 // sift-up regime (small batch into a large heap) and the heapify regime
 // (large batch into a small heap).
