@@ -411,6 +411,30 @@ func BenchmarkNosyWorkers2(b *testing.B) { benchNosyWorkers(b, 2) }
 func BenchmarkNosyWorkers4(b *testing.B) { benchNosyWorkers(b, 4) }
 func BenchmarkNosyWorkers8(b *testing.B) { benchNosyWorkers(b, 8) }
 
+// The dense case: the ≈56k-edge, 1.3k-node streamed Flickr-like graph the
+// repo benchmark's solve_batch workload solves (bench/workloads.go),
+// where a commit's endpoints have hundreds of neighbours and the rule
+// for what a commit dirties decides the round's cost. evals/solve (hub
+// edges priced, summed over rounds) and rounds repeat exactly.
+func benchNosyDense(b *testing.B, workers int) {
+	g := StreamSocialGraph(FlickrLikeEdges(60000, 7))
+	r := LogDegreeRates(g, 5)
+	b.ResetTimer()
+	var evals, rounds int
+	for i := 0; i < b.N; i++ {
+		res := nosy.Solve(g, r, nosy.Config{Workers: workers})
+		evals, rounds = 0, len(res.Iterations)
+		for _, it := range res.Iterations {
+			evals += it.Dirty
+		}
+	}
+	b.ReportMetric(float64(evals), "evals/solve")
+	b.ReportMetric(float64(rounds), "rounds")
+}
+
+func BenchmarkNosyDenseWorkers1(b *testing.B) { benchNosyDense(b, 1) }
+func BenchmarkNosyDenseWorkers2(b *testing.B) { benchNosyDense(b, 2) }
+
 // CommonInEdges micro-benches: the balanced case exercises the linear
 // merge, the skewed case the galloping path (celebrity in-list vs a
 // normal user's).

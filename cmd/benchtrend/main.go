@@ -134,6 +134,7 @@ func main() {
 var gatedBenchmarks = []string{
 	"BenchmarkChitChatWorkers1",
 	"BenchmarkNosyWorkers1",
+	"BenchmarkNosyDenseWorkers1",
 	"BenchmarkShardSolve1M",
 }
 

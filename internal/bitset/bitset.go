@@ -2,10 +2,7 @@
 // per-edge membership (push/pull/covered sets) without hashing.
 package bitset
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Set is a fixed-capacity bit set. The zero value is an empty set of
 // capacity zero; use New to allocate capacity.
@@ -119,36 +116,4 @@ func (s *Set) AppendSet(dst []int32) []int32 {
 		dst = append(dst, int32(i))
 	}
 	return dst
-}
-
-// SetAtomic sets bit i and is safe to call concurrently with other
-// SetAtomic/ClearAtomic calls on the same set. Mixing it with the
-// non-atomic mutators concurrently is a data race.
-func (s *Set) SetAtomic(i int) {
-	w := &s.words[i>>6]
-	mask := uint64(1) << (uint(i) & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return
-		}
-	}
-}
-
-// ClearAtomic clears bit i; the concurrency contract matches SetAtomic.
-func (s *Set) ClearAtomic(i int) {
-	w := &s.words[i>>6]
-	mask := uint64(1) << (uint(i) & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask == 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old&^mask) {
-			return
-		}
-	}
 }

@@ -2,7 +2,6 @@ package bitset
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -167,35 +166,6 @@ func TestAppendSet(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("AppendSet = %v, want %v", got, want)
-		}
-	}
-}
-
-// Concurrent SetAtomic/ClearAtomic on adjacent bits of shared words must
-// not lose updates (run under -race in CI).
-func TestAtomicSetClearConcurrent(t *testing.T) {
-	const n = 1024
-	s := New(n)
-	var wg sync.WaitGroup
-	for wk := 0; wk < 8; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for i := wk; i < n; i += 8 {
-				s.SetAtomic(i)
-			}
-			for i := wk; i < n; i += 16 {
-				s.ClearAtomic(i)
-			}
-		}(wk)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		// Bit i is set by worker i%8 and, when i%16 < 8, cleared by the
-		// same worker afterwards — so it survives iff i%16 >= 8.
-		want := i%16 >= 8
-		if s.Test(i) != want {
-			t.Fatalf("bit %d = %v, want %v", i, s.Test(i), want)
 		}
 	}
 }

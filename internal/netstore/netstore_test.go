@@ -205,6 +205,40 @@ func TestServerRejectsGarbage(t *testing.T) {
 	}
 }
 
+// Shutting a healthy tier down is not a protocol error, whichever side
+// hangs up first: the handler's pending read ends in EOF when the client
+// left first and in net.ErrClosed (or a reset) when Server.Close closed
+// the connection under it. Counting the latter made
+// netstore_server_proto_errors_total flip 0/1 between identical
+// cmd/loadgen runs.
+func TestShutdownIsNotAProtoError(t *testing.T) {
+	g, _ := figure2()
+	sched := baseline.PushAll(g)
+	for i := 0; i < 200; i++ {
+		s, err := NewServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := Dial(sched, []string{s.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Update(0, store.Event{User: 0, ID: int64(i), TS: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			cl.Close()
+			s.Close()
+		} else {
+			s.Close()
+			cl.Close()
+		}
+		if st := s.Stats(); st.ProtoErrors != 0 || st.Frames == 0 {
+			t.Fatalf("round %d (server closed first: %v): %+v", i, i%2 == 1, st)
+		}
+	}
+}
+
 // Failure handling: killing a data-store server mid-workload must NOT
 // fail client operations — updates park in the hinted-handoff buffer,
 // queries degrade to the pull-all floor — and everything stays prompt.

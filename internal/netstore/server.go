@@ -167,6 +167,14 @@ func (s *Server) Close() error {
 	return err
 }
 
+// closing reports whether Close has begun; it sets the flag before it
+// closes any connection.
+func (s *Server) closing() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
 // Snapshot copies out every view — the durable state a restarted server
 // would reload (ServerConfig.Views). Call after Close for a consistent
 // image, or any time for a best-effort one.
@@ -239,10 +247,14 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			// Frame-level failure: the stream position is untrustworthy,
 			// so the connection must die — but not silently. EOF is a
-			// clean hangup; everything else goes through the hook, and a
-			// version mismatch gets a best-effort parting error frame
-			// before the drop.
-			if !errors.Is(err, io.EOF) {
+			// clean hangup, and so is whatever the read returns once
+			// Close has begun (net.ErrClosed from Close closing this
+			// connection, or a reset from a peer leaving at the same
+			// moment): which of the two sides' hang-ups the handler sees
+			// first is goroutine timing, not protocol. Everything else
+			// goes through the hook, and a version mismatch gets a
+			// best-effort parting error frame before the drop.
+			if !errors.Is(err, io.EOF) && !s.closing() {
 				s.protoError(conn, err)
 			}
 			if errors.Is(err, ErrVersionMismatch) {

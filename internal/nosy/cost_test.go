@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"piggyback/internal/baseline"
-	"piggyback/internal/bitset"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/workload"
@@ -94,14 +93,7 @@ func TestRunningCostMatchesFreshRestricted(t *testing.T) {
 	}
 
 	cfg := Config{Workers: 1}
-	ev := NewEvaluator(g, r, cfg)
-	ev.sched = base.Clone()
-	ev.restrict = bitset.New(g.NumEdges())
-	for _, e := range region {
-		ev.restrict.Set(int(e))
-		ev.sched.ClearEdge(e)
-	}
-	ev.resetCost()
+	ev := newRestrictedEvaluator(g, r, cfg, base, region)
 	st := newState(ev, cfg)
 	iters := 0
 	for {

@@ -25,12 +25,16 @@
 // Package nosymr runs the identical logic (via Evaluator) as literal
 // MapReduce jobs on the in-memory engine.
 //
-// An iteration costs what changed, not the graph: the immutable
-// structural half of every evaluation is memoized once per hub edge
-// (structCache), phase 1 walks only the dirty set, per-worker buffers
-// make steady-state rounds allocation-free, and the lock table resets
-// only the words the round bid on. The schedule produced is identical to
-// the naive three-phase sweep for every worker count.
+// A round costs what the previous round's commits can change, not the
+// graph: the immutable structural half of every evaluation is memoized
+// once per hub edge (structCache); phase 1 re-prices only the dirty set,
+// and a commit dirties exactly the hub edges whose evaluation reads a
+// flag it wrote (Evaluator.Commit; DESIGN.md §15); round storage is
+// reused, and the lock table resets only the words the round bid on.
+// Evaluation fans out across workers when a worker's share outweighs a
+// thread wake-up; bidding, deciding and committing run on the solve
+// goroutine. The schedule produced is identical to the naive three-phase
+// sweep for every worker count.
 package nosy
 
 import (
@@ -82,8 +86,11 @@ const DefaultMaxCrossEdges = 100000
 
 // IterationStat describes one PARALLELNOSY iteration.
 type IterationStat struct {
-	Iteration      int     // 0-based round number
-	Dirty          int     // hub edges re-evaluated this round (dirty-set size)
+	Iteration int // 0-based round number
+	// Dirty is the number of hub edges re-priced this round: those whose
+	// evaluation reads a flag the previous round's commits wrote (round
+	// 0: every edge, or the region of a restricted solve).
+	Dirty          int
 	Candidates     int     // hub-graphs passing the phase-1 gain test
 	FullCommits    int     // candidates committed with all locks
 	PartialCommits int     // candidates committed as sub-hub-graphs
@@ -115,22 +122,27 @@ func Solve(g *graph.Graph, r *workload.Rates, cfg Config) Result {
 // commits on top of a schedule the finalization completes with the hybrid
 // rule — so the result is a valid anytime schedule for every stop point.
 func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config) (Result, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	st := newState(NewEvaluator(g, r, cfg), cfg)
-	ev := st.ev
-	var iters []IterationStat
-	var cause error
+	iters, cause := st.run(ctx)
+	st.ev.sched.Finalize(r)
+	return Result{Schedule: st.ev.sched, Iterations: iters}, cause
+}
+
+// run iterates rounds until one commits nothing, MaxIterations is
+// reached, or ctx is done (checked at round boundaries only).
+func (st *state) run(ctx context.Context) (iters []IterationStat, cause error) {
+	cfg := st.cfg
 	for it := 0; cfg.MaxIterations == 0 || it < cfg.MaxIterations; it++ {
 		if err := ctx.Err(); err != nil {
-			cause = err
-			break
+			return iters, err
 		}
 		stat := st.iterate()
 		stat.Iteration = it
 		if cfg.TraceCosts {
-			stat.Cost = ev.Cost() // O(1) running finalized-equivalent cost
+			// O(1) running finalized-equivalent cost. In a restricted solve
+			// base is valid, so every unscheduled edge is a region edge and
+			// this equals the FinalizeEdges(region) snapshot.
+			stat.Cost = st.ev.Cost()
 		}
 		iters = append(iters, stat)
 		if cfg.OnIteration != nil {
@@ -140,8 +152,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 			break
 		}
 	}
-	ev.Schedule().Finalize(r)
-	return Result{Schedule: ev.Schedule(), Iterations: iters}, cause
+	return iters, nil
 }
 
 // SolveRestricted re-optimizes ONLY the given region edges of g, starting
@@ -170,9 +181,18 @@ func SolveRestricted(g *graph.Graph, r *workload.Rates, cfg Config,
 func SolveRestrictedCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config,
 	base *core.Schedule, region []graph.EdgeID) (Result, error) {
 
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+	ev := newRestrictedEvaluator(g, r, cfg, base, region)
+	iters, cause := newState(ev, cfg).run(ctx)
+	ev.sched.FinalizeEdges(r, region)
+	repairs := core.RepairCoverage(ev.sched, r)
+	return Result{Schedule: ev.sched, Iterations: iters, BoundaryRepairs: repairs}, cause
+}
+
+// newRestrictedEvaluator returns an evaluator over a clone of base with
+// the region edges cleared and every write confined to them.
+func newRestrictedEvaluator(g *graph.Graph, r *workload.Rates, cfg Config,
+	base *core.Schedule, region []graph.EdgeID) *Evaluator {
+
 	ev := NewEvaluator(g, r, cfg)
 	ev.sched = base.Clone()
 	ev.restrict = bitset.New(g.NumEdges())
@@ -181,44 +201,20 @@ func SolveRestrictedCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, 
 		ev.sched.ClearEdge(e)
 	}
 	ev.resetCost()
-	st := newState(ev, cfg)
-	var iters []IterationStat
-	var cause error
-	for it := 0; cfg.MaxIterations == 0 || it < cfg.MaxIterations; it++ {
-		if err := ctx.Err(); err != nil {
-			cause = err
-			break
-		}
-		stat := st.iterate()
-		stat.Iteration = it
-		if cfg.TraceCosts {
-			// Base is valid, so every unscheduled edge is a region edge:
-			// the running cost equals the FinalizeEdges(region) snapshot.
-			stat.Cost = ev.Cost()
-		}
-		iters = append(iters, stat)
-		if cfg.OnIteration != nil {
-			cfg.OnIteration(stat)
-		}
-		if stat.FullCommits+stat.PartialCommits == 0 {
-			break
-		}
-	}
-	ev.sched.FinalizeEdges(r, region)
-	repairs := core.RepairCoverage(ev.sched, r)
-	return Result{Schedule: ev.sched, Iterations: iters, BoundaryRepairs: repairs}, cause
+	return ev
 }
 
 // Evaluator holds the candidate-pricing logic shared by the shared-memory
 // solver (this package) and the MapReduce solver (package nosymr). All
-// methods read the current schedule snapshot; only Apply writes it.
+// methods read the current schedule snapshot; only Commit and the Apply*
+// mutators write it, from one goroutine with no evaluation in flight.
 //
 // The structural half of an evaluation — the common-producer intersection
 // behind a hub edge — depends only on the immutable graph, so it is
 // memoized in an arena-backed structCache: the first evaluation of a hub
 // edge pays the CommonInEdges merge, every later one is a re-pricing pass
 // over the cached flat arrays. Evaluator methods are safe for concurrent
-// use by multiple goroutines.
+// use by multiple goroutines; the mutators are not.
 type Evaluator struct {
 	g       *graph.Graph
 	r       *workload.Rates
@@ -240,6 +236,12 @@ type Evaluator struct {
 	// edges in the set may be written, so a candidate's hub edge and
 	// every kept producer pair must lie inside it (SolveRestricted).
 	restrict *bitset.Set
+
+	// stamp[v] == epoch marks v as an out-neighbour of a source whose edge
+	// into the commit target being swept changed (Commit); bumping epoch
+	// unmarks every node at once.
+	stamp []uint32
+	epoch uint32
 }
 
 // structBuf is the per-goroutine scratch an evaluation computes an
@@ -263,6 +265,7 @@ func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 		cstar:   make([]float64, g.NumEdges()),
 		src:     make([]graph.NodeID, g.NumEdges()),
 		structs: newStructCache(g.NumEdges(), cfg.StructCacheEntries, cfg.MaxCrossEdges),
+		stamp:   make([]uint32, g.NumNodes()),
 	}
 	ev.bufPool.New = func() any { return new(structBuf) }
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
@@ -328,9 +331,6 @@ func (ev *Evaluator) ApplyCover(e graph.EdgeID, hub graph.NodeID) {
 
 // Schedule returns the mutable schedule under optimization.
 func (ev *Evaluator) Schedule() *core.Schedule { return ev.sched }
-
-// Graph returns the underlying graph.
-func (ev *Evaluator) Graph() *graph.Graph { return ev.g }
 
 // Candidate is a profitable hub-graph G(X, w, y) from phase 1. HubEdge
 // (the edge w → y) doubles as the candidate's identity.
@@ -531,48 +531,115 @@ func (ev *Evaluator) Apply(c *Candidate, keep []int32) {
 	}
 }
 
+// Commit is Apply preceded by exact dirty propagation: it sets in dirty
+// every hub edge whose cached evaluation the commit can change, and no
+// others beyond a structural superset. An evaluation of hub edge w' → y'
+// reads only the flags of w' → y', of its supports x → w' and of its
+// cross-edges x → y', so an edge a → b whose flags change (pull newly set
+// on w → y, push newly set on x → w, cover set on x → y) invalidates
+// itself, hub edges b → y' with a → y' present, and hub edges w' → b with
+// a → w' present. Per target b (w, then y) the out-neighbourhoods of the
+// changed sources are stamped and b's out- and in-edges swept against
+// the stamps once. "Newly" is judged against the flags before this
+// commit's writes; commits of one round write disjoint edges, so that is
+// the round's snapshot. Flags only gain bits during a solve, so a hub
+// edge that is covered (never a candidate again; dirtied by the commit
+// that covered it) or outside restrict (never a candidate) is skipped.
+func (ev *Evaluator) Commit(c *Candidate, keep []int32, dirty *bitset.Set) {
+	s := ev.sched
+	ev.epoch++
+	changed := false
+	for _, j := range keep {
+		if xw := c.XWEdges[j]; !s.IsPush(xw) {
+			dirty.Set(int(xw))
+			ev.stampOut(c.Xs[j])
+			changed = true
+		}
+	}
+	if changed {
+		ev.sweep(c.W, dirty)
+	}
+	ev.epoch++
+	if !s.IsPull(c.HubEdge) {
+		dirty.Set(int(c.HubEdge))
+		ev.stampOut(c.W)
+	}
+	for _, j := range keep {
+		dirty.Set(int(c.XYEdges[j]))
+		ev.stampOut(c.Xs[j])
+	}
+	ev.sweep(c.Y, dirty)
+	ev.Apply(c, keep)
+}
+
+// stampOut marks the out-neighbours of a for the current epoch.
+func (ev *Evaluator) stampOut(a graph.NodeID) {
+	for _, v := range ev.g.OutNeighbors(a) {
+		ev.stamp[v] = ev.epoch
+	}
+}
+
+// sweep dirties the live hub edges b → y' with y' stamped and w' → b with
+// w' stamped.
+func (ev *Evaluator) sweep(b graph.NodeID, dirty *bitset.Set) {
+	live := func(e graph.EdgeID) bool {
+		return !ev.sched.IsCovered(e) && (ev.restrict == nil || ev.restrict.Test(int(e)))
+	}
+	lo, _ := ev.g.OutEdgeRange(b)
+	for i, y := range ev.g.OutNeighbors(b) {
+		if e := lo + graph.EdgeID(i); ev.stamp[y] == ev.epoch && live(e) {
+			dirty.Set(int(e))
+		}
+	}
+	in := ev.g.InEdgeIDs(b)
+	for i, w := range ev.g.InNeighbors(b) {
+		if ev.stamp[w] == ev.epoch && live(in[i]) {
+			dirty.Set(int(in[i]))
+		}
+	}
+}
+
 // state carries the shared-memory solver's lock table plus the
-// incremental candidate cache. A hub edge's candidacy depends only on the
-// schedule state of edges pointing into its endpoints, so after an
-// iteration only hub edges in the neighborhoods of changed edges are
-// re-evaluated — the same observation behind the paper's pull-based
-// update dissemination between MapReduce iterations. All round-transient
-// storage (dirty list, candidate list, per-worker decision and keep
-// buffers, touched lock words) is retained and reused, so a steady-state
+// incremental candidate cache: a hub edge is re-priced only in the round
+// after a commit wrote a flag its evaluation reads (Evaluator.Commit) —
+// the same observation behind the paper's pull-based update
+// dissemination between MapReduce iterations. All round-transient
+// storage (dirty list, candidate list, per-worker scratch, keep buffer,
+// touched lock words) is retained and reused, so a steady-state
 // iteration is allocation-free and costs O(dirty + candidates), not O(m).
 type state struct {
-	ev         *Evaluator
-	cfg        Config
-	locks      []lockWord
-	lockShards []sync.Mutex
-	dirty      *bitset.Set  // hub edges whose evaluation may have changed
-	isCand     *bitset.Set  // hub edges whose cands slot holds a live candidate
-	cands      []*Candidate // per hub edge, allocated on first candidacy, then reused
-	dirtyList  []int32      // reused scratch: this round's dirty edges
-	candList   []*Candidate
-	nodeBuf    []graph.NodeID
-	workers    []workerState
+	ev        *Evaluator
+	cfg       Config
+	locks     []lockWord
+	touched   []graph.EdgeID // lock words bid on this round
+	dirty     *bitset.Set    // hub edges whose evaluation may have changed
+	isCand    *bitset.Set    // hub edges whose cands slot holds a live candidate
+	cands     []*Candidate   // per hub edge, allocated on first candidacy, then reused
+	dirtyList []int32        // reused scratch: this round's dirty edges
+	evalOK    []bool         // parallel to dirtyList: the edge passed the gain test
+	candList  []*Candidate
+	keep      []int32     // reused scratch: the producers one decision keeps
+	scratch   []Candidate // per worker: what an evaluation prices into
 }
 
 // newState builds the solver state Solve iterates on: all-unclaimed lock
 // table, everything dirty, no candidates yet.
 func newState(ev *Evaluator, cfg Config) *state {
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	m := ev.g.NumEdges()
 	st := &state{
-		ev:         ev,
-		cfg:        cfg,
-		locks:      make([]lockWord, m),
-		lockShards: make([]sync.Mutex, lockShardCount),
-		dirty:      bitset.New(m),
-		isCand:     bitset.New(m),
-		cands:      make([]*Candidate, m),
-		workers:    make([]workerState, cfg.Workers),
+		ev:      ev,
+		cfg:     cfg,
+		locks:   make([]lockWord, m),
+		dirty:   bitset.New(m),
+		isCand:  bitset.New(m),
+		cands:   make([]*Candidate, m),
+		scratch: make([]Candidate, cfg.Workers),
 	}
 	for i := range st.locks {
 		st.locks[i].owner = -1
-	}
-	for i := range st.workers {
-		st.workers[i].lg.locks = st.locks
 	}
 	if ev.restrict != nil {
 		// Restricted solve: only region edges can become candidates, so
@@ -587,22 +654,10 @@ func newState(ev *Evaluator, cfg Config) *state {
 	return st
 }
 
-// workerState is one worker's reusable round-local storage. scratch is
-// the Candidate evaluations price into before the result is copied to a
-// per-edge slot — so edges that never pass the gain test cost one nil
-// pointer, not retained producer slices. decs/keep hold decisions until
-// the serial apply; touched records the lock words this worker was first
-// to bid on, so the end-of-round reset visits only words the round
-// actually used.
-type workerState struct {
-	scratch Candidate
-	lg      lockGranter
-	decs    []decision
-	keep    []int32 // arena backing every decision's keep list this round
-	touched []graph.EdgeID
-}
-
 // copyFrom overwrites c with a deep copy of sc, reusing c's capacity.
+// Evaluations price into a per-worker scratch Candidate and only those
+// passing the gain test are copied to their per-edge slot, so an edge
+// that is never a candidate costs one nil pointer, not producer slices.
 func (c *Candidate) copyFrom(sc *Candidate) {
 	c.HubEdge, c.W, c.Y, c.Gain = sc.HubEdge, sc.W, sc.Y, sc.Gain
 	c.Xs = append(c.Xs[:0], sc.Xs...)
@@ -617,8 +672,6 @@ type lockWord struct {
 	owner graph.EdgeID
 }
 
-const lockShardCount = 1024 // power of two
-
 // iterate runs one full candidate/lock/decide round, then returns the
 // lock words the round bid on to the unclaimed state — the lock table is
 // all-unowned between iterations without ever paying the O(m) clear.
@@ -627,99 +680,91 @@ func (st *state) iterate() IterationStat {
 	st.phaseLocks(cands)
 	stat := st.phaseDecide(cands)
 	stat.Dirty = len(st.dirtyList)
-	st.resetLocks()
+	for _, e := range st.touched {
+		st.locks[e] = lockWord{gain: 0, owner: -1}
+	}
+	st.touched = st.touched[:0]
 	return stat
 }
 
-// Batch widths for the atomic work cursor: small enough to balance the
-// skewed per-edge evaluation cost (celebrity neighborhoods), large enough
-// that the cursor increment is noise.
 const (
-	evalBatch   = 32
-	lockBatch   = 16
-	dirtyBatch  = 2
-	workerSpawn = 4 // minimum items per worker before fanning out
+	// workerShare is the fewest dirty edges a worker must be handed before
+	// evaluation fans out. Waking a parked thread costs 8.5–13 µs on the
+	// reference container (bench/README), about 50 warm evaluations, so
+	// a share must be many times that for the second worker to pay; late
+	// rounds with tens of dirty edges run on the caller.
+	workerShare = 512
+	// workBatch is the span handed out per pull on the work cursor: small
+	// enough to balance the skewed per-edge cost (celebrity neighborhoods),
+	// large enough that the cursor increment is noise.
+	workBatch = 32
 )
 
-// fanout is the worker count parallel will use for n items: capped so
-// every spawned goroutine has at least workerSpawn items to chew on.
-func (st *state) fanout(n int) int {
-	nw := st.cfg.Workers
-	if max := (n + workerSpawn - 1) / workerSpawn; nw > max {
-		nw = max
-	}
-	return nw
-}
-
-// parallel runs fn over [0, n) in batches handed out by an atomic work
-// cursor. fn(lo, hi, wk) processes items [lo, hi) on worker wk; worker
-// ids are dense in [0, Workers). Results must be written to storage
-// indexed by item or worker, so the outcome is independent of scheduling.
-func (st *state) parallel(n, batch int, fn func(lo, hi, wk int)) {
-	nw := st.fanout(n)
+// parallel runs fn over [0, n) on min(Workers, n/workerShare) workers,
+// the caller being worker 0; fn(lo, hi, wk) processes items [lo, hi) on
+// worker wk. Spans come off an atomic cursor, so results must be written
+// to storage indexed by item or worker to be independent of scheduling.
+func (st *state) parallel(n int, fn func(lo, hi, wk int)) {
+	nw := min(st.cfg.Workers, n/workerShare)
 	if nw <= 1 {
-		for lo := 0; lo < n; lo += batch {
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi, 0)
-		}
+		fn(0, n, 0)
 		return
 	}
 	var next atomic.Int64
+	work := func(wk int) {
+		for {
+			lo := int(next.Add(workBatch)) - workBatch
+			if lo >= n {
+				return
+			}
+			fn(lo, min(lo+workBatch, n), wk)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(nw)
-	for wk := 0; wk < nw; wk++ {
+	wg.Add(nw - 1)
+	for wk := 1; wk < nw; wk++ {
 		go func(wk int) {
 			defer wg.Done()
-			for {
-				lo := int(next.Add(int64(batch))) - batch
-				if lo >= n {
-					return
-				}
-				hi := lo + batch
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi, wk)
-			}
+			work(wk)
 		}(wk)
 	}
+	work(0)
 	wg.Wait()
 }
 
-// phaseCandidates re-evaluates exactly the dirty hub edges — workers pull
-// batches of the materialized dirty list off an atomic cursor instead of
-// scanning all m edges — then returns the full current candidate list
-// (cached entries for clean edges, fresh ones for dirty edges).
+// phaseCandidates re-evaluates exactly the dirty hub edges, then returns
+// the full current candidate list (cached entries for clean edges, fresh
+// ones for dirty edges) in hub-edge order. Workers write only per-edge
+// slots and per-item results; the bitsets are updated afterwards by the
+// caller alone.
 func (st *state) phaseCandidates() []*Candidate {
 	st.dirtyList = st.dirty.AppendSet(st.dirtyList[:0])
 	list := st.dirtyList
-	st.parallel(len(list), evalBatch, func(lo, hi, wk int) {
-		sc := &st.workers[wk].scratch
-		for _, e := range list[lo:hi] {
-			if st.ev.EvalCandidateReuse(graph.EdgeID(e), sc) {
+	if cap(st.evalOK) < len(list) {
+		st.evalOK = make([]bool, len(list))
+	}
+	ok := st.evalOK[:len(list)]
+	st.parallel(len(list), func(lo, hi, wk int) {
+		sc := &st.scratch[wk]
+		for i := lo; i < hi; i++ {
+			e := list[i]
+			if ok[i] = st.ev.EvalCandidateReuse(graph.EdgeID(e), sc); ok[i] {
 				c := st.cands[e]
 				if c == nil {
 					c = &Candidate{}
 					st.cands[e] = c
 				}
 				c.copyFrom(sc)
-				st.isCand.SetAtomic(int(e))
-			} else {
-				st.isCand.ClearAtomic(int(e))
 			}
 		}
 	})
-	// Clear the consumed dirty bits: per-bit when sparse, whole-table when
-	// the round was dense enough that the word sweep is cheaper.
-	if len(list)*64 < st.dirty.Len() {
-		for _, e := range list {
-			st.dirty.Clear(int(e))
+	for i, e := range list {
+		st.dirty.Clear(int(e))
+		if ok[i] {
+			st.isCand.Set(int(e))
+		} else {
+			st.isCand.Clear(int(e))
 		}
-	} else {
-		st.dirty.Reset()
 	}
 	st.candList = st.candList[:0]
 	st.isCand.Range(func(e int) bool {
@@ -729,108 +774,38 @@ func (st *state) phaseCandidates() []*Candidate {
 	return st.candList
 }
 
-// markDirtyNodes flags, for every commit-affected node v, every hub edge
-// whose evaluation the commit can change: hub edges leaving v (v is the
-// hub) and hub edges entering v (the changed edge may be a cross-edge or
-// the pull edge of those candidates). The fan-out walks full in/out
-// neighborhoods — celebrity-sized for the hubs worth committing — so it
-// spreads across workers (parallel degrades to a serial loop when the
-// node list is small); atomic bit sets keep concurrent word updates safe
-// and are uncontended-cheap on the serial path.
-func (st *state) markDirtyNodes(vs []graph.NodeID) {
-	g := st.ev.g
-	st.parallel(len(vs), dirtyBatch, func(lo, hi, _ int) {
-		for _, v := range vs[lo:hi] {
-			elo, ehi := g.OutEdgeRange(v)
-			for e := elo; e < ehi; e++ {
-				st.dirty.SetAtomic(int(e))
-			}
-			for _, e := range g.InEdgeIDs(v) {
-				st.dirty.SetAtomic(int(e))
-			}
-		}
-	})
-}
-
 // phaseLocks lets every candidate bid for its edges; each edge keeps the
-// highest-gain bidder (ties: lowest hub-edge id). Sharded mutexes keep the
-// update cheap; the max-merge is commutative and associative, so the
-// result is deterministic regardless of interleaving.
+// highest-gain bidder (ties: lowest hub-edge id). One goroutine bids, in
+// candidate order: the phase is a scattered max-merge into the lock
+// table, and sharing that table between bidders cost more in
+// synchronization than the second bidder saved (DESIGN.md §15).
 func (st *state) phaseLocks(cands []*Candidate) {
-	if st.fanout(len(cands)) <= 1 {
-		// Single bidder: the shard mutexes would be pure overhead (they
-		// dominated single-worker profiles), and the max-merge outcome is
-		// the same either way.
-		w := &st.workers[0]
-		for _, c := range cands {
-			st.bidSerial(c.HubEdge, c, w)
-			for j := range c.Xs {
-				st.bidSerial(c.XWEdges[j], c, w)
-				st.bidSerial(c.XYEdges[j], c, w)
-			}
+	for _, c := range cands {
+		st.bid(c.HubEdge, c)
+		for j := range c.Xs {
+			st.bid(c.XWEdges[j], c)
+			st.bid(c.XYEdges[j], c)
 		}
-		return
 	}
-	st.parallel(len(cands), lockBatch, func(lo, hi, wk int) {
-		w := &st.workers[wk]
-		for _, c := range cands[lo:hi] {
-			st.bid(c.HubEdge, c, w)
-			for j := range c.Xs {
-				st.bid(c.XWEdges[j], c, w)
-				st.bid(c.XYEdges[j], c, w)
-			}
-		}
-	})
 }
 
-// bid offers candidate c for lock word e. The first bidder of the round
-// records e in its worker-local touched list (the owner transition off
-// -1 happens exactly once per round), which is what makes the end-of-
-// round partial reset complete.
-func (st *state) bid(e graph.EdgeID, c *Candidate, w *workerState) {
-	sh := &st.lockShards[int(e)&(lockShardCount-1)]
-	sh.Lock()
-	st.bidSerial(e, c, w)
-	sh.Unlock()
-}
-
-// bidSerial is bid without the shard lock, for single-bidder rounds.
-func (st *state) bidSerial(e graph.EdgeID, c *Candidate, w *workerState) {
+// bid offers candidate c for lock word e. The first bid of the round
+// records e in the touched list (the owner transition off -1 happens
+// exactly once per round), which is what makes the end-of-round partial
+// reset complete: words never bid on were never dirtied, so the table is
+// all-unowned again in O(bids), not O(m).
+func (st *state) bid(e graph.EdgeID, c *Candidate) {
 	cur := &st.locks[e]
 	if cur.owner == -1 {
-		w.touched = append(w.touched, e)
+		st.touched = append(st.touched, e)
 		*cur = lockWord{gain: c.Gain, owner: c.HubEdge}
 	} else if c.Gain > cur.gain || (c.Gain == cur.gain && c.HubEdge < cur.owner) {
 		*cur = lockWord{gain: c.Gain, owner: c.HubEdge}
 	}
 }
 
-// resetLocks returns every lock word bid on this round to the unclaimed
-// state and truncates the touched lists. Words never bid on were never
-// dirtied, so the table is all-unowned again in O(bids), not O(m).
-func (st *state) resetLocks() {
-	for i := range st.workers {
-		w := &st.workers[i]
-		for _, e := range w.touched {
-			st.locks[e] = lockWord{gain: 0, owner: -1}
-		}
-		w.touched = w.touched[:0]
-	}
-}
-
-// decision is a commit computed against the snapshot, applied afterwards.
-// keep lists live in the owning worker's keep arena as [lo, hi) spans —
-// offsets, not subslices, because the arena may grow while the round
-// accumulates decisions.
-type decision struct {
-	c       *Candidate
-	lo, hi  int32
-	partial bool
-}
-
 // lockGranter is the shared-memory solver's granter: a direct lock-table
-// read, reusable per worker (only owner changes per candidate) so decide
-// allocates nothing.
+// read, so deciding allocates nothing.
 type lockGranter struct {
 	locks []lockWord
 	owner graph.EdgeID
@@ -838,50 +813,32 @@ type lockGranter struct {
 
 func (lg *lockGranter) granted(e graph.EdgeID) bool { return lg.locks[e].owner == lg.owner }
 
-// decide runs the shared phase-3 rule (Evaluator.decideInto) for one
-// candidate against the lock table, appending the kept producers to the
-// worker's keep arena.
-func (st *state) decide(c *Candidate, w *workerState) {
-	w.lg.owner = c.HubEdge
-	lo := int32(len(w.keep))
-	keep, partial, ok := decideInto(st.ev, c, &w.lg, w.keep)
-	w.keep = keep
-	if !ok {
-		return
-	}
-	w.decs = append(w.decs, decision{c: c, lo: lo, hi: int32(len(keep)), partial: partial})
-}
-
-// phaseDecide computes commit decisions in parallel from the snapshot,
-// then applies them; lock ownership guarantees the applied writes are
-// disjoint per edge. The dirty fan-out for the next round is deferred to
-// one parallel pass over all commit-affected nodes.
+// phaseDecide runs the shared phase-3 rule (decideInto) for every
+// candidate against the lock table and commits the winners as it goes.
+// That equals deciding everything against the round's snapshot and
+// applying afterwards: a decision reads only the lock table and the flags
+// of edges locked by its own candidate, and a commit writes only edges
+// locked by its candidate. Each commit dirties what it invalidates for
+// the next round before it writes. The phase stays on one goroutine: it
+// is reads of the lock table the bidder just wrote, and a second core
+// bought nothing measurable (DESIGN.md §15).
 func (st *state) phaseDecide(cands []*Candidate) IterationStat {
-	st.parallel(len(cands), lockBatch, func(lo, hi, wk int) {
-		w := &st.workers[wk]
-		for _, c := range cands[lo:hi] {
-			st.decide(c, w)
-		}
-	})
-
 	stat := IterationStat{Candidates: len(cands)}
-	st.nodeBuf = st.nodeBuf[:0]
-	for i := range st.workers {
-		w := &st.workers[i]
-		for _, d := range w.decs {
-			st.ev.Apply(d.c, w.keep[d.lo:d.hi])
-			// All edges written by Apply point into W or Y.
-			st.nodeBuf = append(st.nodeBuf, d.c.W, d.c.Y)
-			if d.partial {
-				stat.PartialCommits++
-			} else {
-				stat.FullCommits++
-			}
-			stat.CoveredEdges += int(d.hi - d.lo)
+	lg := lockGranter{locks: st.locks}
+	for _, c := range cands {
+		lg.owner = c.HubEdge
+		keep, partial, ok := decideInto(st.ev, c, &lg, st.keep[:0])
+		st.keep = keep
+		if !ok {
+			continue
 		}
-		w.decs = w.decs[:0]
-		w.keep = w.keep[:0]
+		st.ev.Commit(c, keep, st.dirty)
+		if partial {
+			stat.PartialCommits++
+		} else {
+			stat.FullCommits++
+		}
+		stat.CoveredEdges += len(keep)
 	}
-	st.markDirtyNodes(st.nodeBuf)
 	return stat
 }

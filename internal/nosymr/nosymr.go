@@ -13,27 +13,27 @@
 //     emitting (hub edge, locked edge).
 //   - Job 2 (reduce-only = phase 3): grants are grouped by hub edge; the
 //     reducer looks the candidate up in the round snapshot, applies the
-//     full/partial commit rule, and emits schedule updates.
-//   - Merge: updates are applied to the schedule; lock ownership makes
-//     them conflict-free, so application order is irrelevant.
+//     full/partial commit rule, and emits the commit: the hub edge and
+//     the producers kept.
+//   - Merge: commits are applied to the schedule; lock ownership makes
+//     their writes conflict-free, so application order is irrelevant.
 //
 // The pricing, locking, and decision logic is the Evaluator from package
 // nosy, so this solver and the shared-memory one are the same algorithm
 // on different substrates; tests assert they produce identical schedules
 // and identical per-iteration stats.
 //
-// Job 1's map input is the dirty set, not every edge: a hub edge's
-// candidacy depends only on the schedule state of edges pointing into its
-// endpoints, so after an iteration only hub edges in the neighborhoods of
-// committed hubs are re-priced — the shared-memory solver's dirty-set
-// discipline, realized here as the paper's "pull-based update
-// dissemination" between iterations. Clean candidates from earlier rounds
-// skip the pricing map and bid with their cached hub-graph; the lock and
-// decide jobs see exactly the candidate set the full re-map would have
-// produced, so schedules and stats are unchanged — only the mapped volume
-// shrinks. The Evaluator's memoized structural cache carries over too:
-// the dirty re-pricings re-walk cached intersections instead of
-// recomputing them.
+// Job 1's map input is the dirty set, not every edge: the merge applies
+// each commit through nosy.Evaluator.Commit, which flags exactly the hub
+// edges whose evaluation reads a flag the commit writes — the one
+// commit→dirty rule both substrates share, realized here as the paper's
+// "pull-based update dissemination" between iterations. Clean candidates
+// from earlier rounds skip the pricing map and bid with their cached
+// hub-graph; the lock and decide jobs see exactly the candidate set the
+// full re-map would have produced, so schedules and stats are unchanged —
+// only the mapped volume shrinks. The Evaluator's memoized structural
+// cache carries over too: the dirty re-pricings re-walk cached
+// intersections instead of recomputing them.
 package nosymr
 
 import (
@@ -128,29 +128,12 @@ type grant struct {
 // candidateMarker flags counting grants (no real edge has a negative id).
 const candidateMarker graph.EdgeID = -1
 
-// update is Job 2's output: one schedule mutation.
-type update struct {
-	op   updateOp
-	edge graph.EdgeID
-	hub  graph.NodeID // for opCover
-}
-
-type updateOp uint8
-
-const (
-	opPush updateOp = iota
-	opPull
-	opCover
-)
-
-// commitMark tags Job 2 outputs so the merge can count full vs partial
-// commits and fan the commit's dirty neighborhood out to the next round;
-// emitted once per committed candidate with upd.edge = the hub edge.
-type output struct {
-	upd     update
-	mark    bool // true: this is a commit marker, upd.edge is the hub edge
+// commit is Job 2's output: candidate hubEdge commits the producers keep
+// (indices into its Xs), in full or as a partial sub-hub-graph.
+type commit struct {
+	hubEdge graph.EdgeID
+	keep    []int32
 	partial bool
-	covered int
 }
 
 func iterate(ev *nosy.Evaluator, cc *candCache, opts mapreduce.Options) nosy.IterationStat {
@@ -177,7 +160,12 @@ func iterate(ev *nosy.Evaluator, cc *candCache, opts mapreduce.Options) nosy.Ite
 	// Job 1 — map: phase-1 candidate selection emitting lock requests
 	// (dirty edges re-priced into the cache, clean ones served from it);
 	// reduce: phase-2 lock granting. Mappers write only their own edge's
-	// cache slot, so concurrent map invocations never conflict.
+	// cache slot, so concurrent map invocations never conflict; candidacy
+	// of the re-priced edges is dropped here and restored from the
+	// reducers' candidate markers below, on this goroutine alone.
+	for _, e := range cc.dirtyList {
+		cc.isCand.Clear(int(e))
+	}
 	grants := mapreduce.Run(
 		input,
 		func(he graph.EdgeID, emit func(graph.EdgeID, lockRequest)) {
@@ -185,7 +173,6 @@ func iterate(ev *nosy.Evaluator, cc *candCache, opts mapreduce.Options) nosy.Ite
 			if cc.dirty.Test(int(he)) {
 				fresh, ok := ev.EvalCandidate(he)
 				if !ok {
-					cc.isCand.ClearAtomic(int(he))
 					return
 				}
 				c = cc.cands[he]
@@ -194,7 +181,6 @@ func iterate(ev *nosy.Evaluator, cc *candCache, opts mapreduce.Options) nosy.Ite
 					cc.cands[he] = c
 				}
 				*c = fresh
-				cc.isCand.SetAtomic(int(he))
 			} else {
 				c = cc.cands[he]
 			}
@@ -226,106 +212,56 @@ func iterate(ev *nosy.Evaluator, cc *candCache, opts mapreduce.Options) nosy.Ite
 		},
 		opts,
 	)
-	// The dirty set is consumed: clear per-bit when sparse, whole-table
-	// when the round was dense enough that the word sweep is cheaper.
-	if len(cc.dirtyList)*64 < cc.dirty.Len() {
-		for _, e := range cc.dirtyList {
-			cc.dirty.Clear(int(e))
-		}
-	} else {
-		cc.dirty.Reset()
+	for _, e := range cc.dirtyList {
+		cc.dirty.Clear(int(e)) // the dirty set is consumed
 	}
 	realGrants := grants[:0]
 	for _, gr := range grants {
 		if gr.lockedEdge == candidateMarker {
 			stat.Candidates++
+			cc.isCand.Set(int(gr.hubEdge))
 		} else {
 			realGrants = append(realGrants, gr)
 		}
 	}
 
-	// Job 2 — group grants by hub edge (map), decide and emit updates
+	// Job 2 — group grants by hub edge (map), decide and emit commits
 	// (reduce). The reducer reads the candidate from the round snapshot's
 	// cache — the same hub-graph the full re-derivation would rebuild,
 	// since clean candidates are unchanged by definition and dirty ones
-	// were just re-priced.
-	outs := mapreduce.Run(
+	// were just re-priced. Only bidders hold grants, so every key is a
+	// candidate.
+	commits := mapreduce.Run(
 		realGrants,
 		func(gr grant, emit func(graph.EdgeID, graph.EdgeID)) {
 			emit(gr.hubEdge, gr.lockedEdge)
 		},
 		mapreduce.Int32Key,
-		func(he graph.EdgeID, locked []graph.EdgeID, emit func(output)) {
-			if !cc.isCand.Test(int(he)) {
-				// This hub edge won locks for another candidate's edges but
-				// is itself not a candidate (it only appears as key if it
-				// bid, so this cannot happen; guard anyway).
-				return
-			}
-			c := cc.cands[he]
+		func(he graph.EdgeID, locked []graph.EdgeID, emit func(commit)) {
 			grantedSet := make(map[graph.EdgeID]bool, len(locked))
 			for _, e := range locked {
 				grantedSet[e] = true
 			}
-			keep, partial, ok := ev.Decide(c, func(e graph.EdgeID) bool { return grantedSet[e] })
-			if !ok {
-				return
-			}
-			emit(output{upd: update{edge: he}, mark: true, partial: partial, covered: len(keep)})
-			emit(output{upd: update{op: opPull, edge: c.HubEdge}})
-			for _, j := range keep {
-				emit(output{upd: update{op: opPush, edge: c.XWEdges[j]}})
-				emit(output{upd: update{op: opCover, edge: c.XYEdges[j], hub: c.W}})
+			keep, partial, ok := ev.Decide(cc.cands[he], func(e graph.EdgeID) bool { return grantedSet[e] })
+			if ok {
+				emit(commit{hubEdge: he, keep: keep, partial: partial})
 			}
 		},
 		opts,
 	)
 
-	// Merge job: apply updates. Lock ownership makes them disjoint per
-	// edge, so order does not matter. Commit markers fan the commit's
-	// dirty neighborhood out to the next round. Mutations go through the
-	// Evaluator's Apply* methods so its running cost stays exact.
-	g := ev.Graph()
-	for _, o := range outs {
-		if o.mark {
-			if o.partial {
-				stat.PartialCommits++
-			} else {
-				stat.FullCommits++
-			}
-			stat.CoveredEdges += o.covered
-			c := cc.cands[o.upd.edge]
-			markDirty(g, cc.dirty, c.W)
-			markDirty(g, cc.dirty, c.Y)
-			continue
+	// Merge job: apply the commits. Lock ownership makes their writes
+	// disjoint per edge, so order does not matter. Evaluator.Commit flags
+	// what each one invalidates for the next round and keeps the running
+	// cost exact.
+	for _, cm := range commits {
+		if cm.partial {
+			stat.PartialCommits++
+		} else {
+			stat.FullCommits++
 		}
-		applyUpdate(ev, o.upd)
+		stat.CoveredEdges += len(cm.keep)
+		ev.Commit(cc.cands[cm.hubEdge], cm.keep, cc.dirty)
 	}
 	return stat
-}
-
-// markDirty flags every hub edge whose evaluation a commit touching node
-// v can change: hub edges leaving v (v is the hub) and hub edges
-// entering v (the changed edge may be a cross-edge or the pull edge of
-// those candidates) — the fan-out rule of the shared-memory solver's
-// markDirtyNodes.
-func markDirty(g *graph.Graph, dirty *bitset.Set, v graph.NodeID) {
-	lo, hi := g.OutEdgeRange(v)
-	for e := lo; e < hi; e++ {
-		dirty.Set(int(e))
-	}
-	for _, e := range g.InEdgeIDs(v) {
-		dirty.Set(int(e))
-	}
-}
-
-func applyUpdate(ev *nosy.Evaluator, u update) {
-	switch u.op {
-	case opPush:
-		ev.ApplyPush(u.edge)
-	case opPull:
-		ev.ApplyPull(u.edge)
-	case opCover:
-		ev.ApplyCover(u.edge, u.hub)
-	}
 }
