@@ -13,6 +13,7 @@ package piggyback
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"syscall"
 	"testing"
@@ -573,3 +574,110 @@ func BenchmarkZooCascade(b *testing.B)      { benchmarkZoo(b, scenario.Cascade) 
 func BenchmarkZooRegionChurn(b *testing.B)  { benchmarkZoo(b, scenario.RegionChurn) }
 func BenchmarkZooLDBC(b *testing.B)         { benchmarkZoo(b, scenario.LDBC) }
 func BenchmarkZooPreferential(b *testing.B) { benchmarkZoo(b, scenario.Preferential) }
+
+// ---- Drift check and region kernels (DESIGN.md §16) ----
+
+// churnLocalGraph is the repo benchmark's churn_local input at seed 7:
+// ≈120k streamed Flickr-like edges, where the daemon's 768-node region
+// cap cuts out about a fifth of the graph.
+func churnLocalGraph() (*Graph, *Rates) {
+	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
+	return g, workload.LogDegree(g, 5)
+}
+
+// checkSeeds returns two nodes of equal out-degree whose 2-hop regions
+// both reach the daemon's 768-node cap, the higher id first. A rate op
+// that moves Prod by 1 charges its user exactly OutDegree of dirt, so
+// alternating the two makes the dirtiest node alternate too (the lower
+// id wins the tie, the higher then overtakes it).
+func checkSeeds(b *testing.B, g *Graph) (hi, lo graph.NodeID) {
+	byDeg := map[int]graph.NodeID{}
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		deg := g.OutDegree(v)
+		if deg < 8 || len(graph.KHop(g, []graph.NodeID{v}, 2, 768)) < 768 {
+			continue
+		}
+		if u, ok := byDeg[deg]; ok {
+			return v, u
+		}
+		byDeg[deg] = v
+	}
+	b.Fatal("no two capped regions with seeds of equal out-degree")
+	return 0, 0
+}
+
+// benchApplyCheck times one Apply that lands on a check boundary and
+// does not re-solve (CheckEvery 1, a threshold nothing reaches): a rate
+// op on users[i%len(users)] that moves Prod by ±1.
+func benchApplyCheck(b *testing.B, r *Rates, d *online.Daemon, users []graph.NodeID) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := users[i%len(users)]
+		step := float64(1 - 2*(i/len(users)%2)) // +1, then −1, per user
+		if err := d.Apply(workload.ChurnOp{Kind: workload.OpRates, U: u, Prod: r.Prod[u] + step, Cons: r.Cons[u]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := d.Stats(); st.Resolves+st.Reverted != 0 {
+		b.Fatalf("%d re-solves ran; the bench is meant to time the check alone", st.Resolves+st.Reverted)
+	}
+}
+
+func newCheckDaemon(b *testing.B, g *Graph, r *Rates) *online.Daemon {
+	d, err := online.New(baseline.Hybrid(g, r), r, online.Config{
+		DriftThreshold: 1e18, CheckEvery: 1, BudgetFraction: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkApplyCheckFresh: every check's dirtiest node differs from the
+// previous check's, so the region is extracted each time.
+func BenchmarkApplyCheckFresh(b *testing.B) {
+	g, r := churnLocalGraph()
+	hi, lo := checkSeeds(b, g)
+	benchApplyCheck(b, r, newCheckDaemon(b, g, r), []graph.NodeID{hi, lo})
+}
+
+// BenchmarkApplyCheckRepeat: the dirtiest node stays put (one large rate
+// op pins it) while the ops land on a user outside its region — the case
+// about nine in ten of churn_local's checks are.
+func BenchmarkApplyCheckRepeat(b *testing.B) {
+	g, r := churnLocalGraph()
+	seed, _ := checkSeeds(b, g)
+	region := graph.KHop(g, []graph.NodeID{seed}, 2, 768)
+	outside := graph.NodeID(0)
+	for slices.Contains(region, outside) || g.OutDegree(outside) == 0 {
+		outside++
+	}
+	d := newCheckDaemon(b, g, r)
+	if err := d.Apply(workload.ChurnOp{Kind: workload.OpRates, U: seed, Prod: r.Prod[seed] + 1e12, Cons: r.Cons[seed]}); err != nil {
+		b.Fatal(err)
+	}
+	benchApplyCheck(b, r, d, []graph.NodeID{outside})
+}
+
+func BenchmarkKHop768(b *testing.B) {
+	g, _ := churnLocalGraph()
+	seed, _ := checkSeeds(b, g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graph.KHop(g, []graph.NodeID{seed}, 2, 768)
+	}
+}
+
+func BenchmarkInducedEdgeIDs768(b *testing.B) {
+	g, _ := churnLocalGraph()
+	seed, _ := checkSeeds(b, g)
+	region := graph.KHop(g, []graph.NodeID{seed}, 2, 768)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.ReportMetric(float64(len(graph.InducedEdgeIDs(g, region))), "edges")
+	}
+}

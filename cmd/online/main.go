@@ -191,6 +191,10 @@ func main() {
 	}
 	fmt.Printf("region edges re-solved: %d (%.1f%% of final live edges)\n",
 		st.RegionEdges, 100*float64(st.RegionEdges)/float64(liveG.NumEdges()))
+	if st.DriftChecks > 0 {
+		fmt.Printf("drift checks: %d, %d extracted a region (%.1f%%), the rest read the remembered one\n",
+			st.DriftChecks, st.RegionExtractions, 100*float64(st.RegionExtractions)/float64(st.DriftChecks))
+	}
 	if *serve {
 		// The cluster now executes the last accepted splice; swap in the
 		// final maintained snapshot so the measurement reflects the

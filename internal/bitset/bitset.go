@@ -117,3 +117,23 @@ func (s *Set) AppendSet(dst []int32) []int32 {
 	}
 	return dst
 }
+
+// Ranks returns, for each 64-bit word of the set, the number of set bits
+// in the words before it — the index that makes Rank O(1). It describes
+// the set as it is now and is stale once a bit changes.
+func (s *Set) Ranks() []int32 {
+	ranks := make([]int32, len(s.words))
+	c := int32(0)
+	for i, w := range s.words {
+		ranks[i] = c
+		c += int32(bits.OnesCount64(w))
+	}
+	return ranks
+}
+
+// Rank returns the number of set bits below i, given ranks = s.Ranks():
+// for a set bit, its position in the increasing order AppendSet emits.
+func (s *Set) Rank(ranks []int32, i int) int {
+	below := s.words[i>>6] & (1<<(uint(i)&63) - 1)
+	return int(ranks[i>>6]) + bits.OnesCount64(below)
+}

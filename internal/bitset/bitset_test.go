@@ -207,3 +207,21 @@ func TestQuickAgainstMap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRankIsPositionInAppendSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 64, 65, 200, 1000} {
+		s := New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				s.Set(i)
+			}
+		}
+		ranks := s.Ranks()
+		for pos, i := range s.AppendSet(nil) {
+			if got := s.Rank(ranks, int(i)); got != pos {
+				t.Fatalf("n=%d: Rank(%d) = %d, want %d", n, i, got, pos)
+			}
+		}
+	}
+}

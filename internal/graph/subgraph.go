@@ -3,10 +3,18 @@
 // region of the social graph is cut out as a standalone dense-ID graph,
 // re-solved in isolation, and the result is spliced back through the
 // recorded node mapping.
+//
+// The three kernels here test region membership in a per-call bitmap over
+// the parent's node ids and read adjacency in CSR order, so ascending
+// output falls out of the scan: nothing is hashed and nothing is sorted.
 
 package graph
 
-import "sort"
+import (
+	"slices"
+
+	"piggyback/internal/bitset"
+)
 
 // Subgraph is a node-induced subgraph of a parent graph, with dense local
 // node and edge IDs plus the mapping back to the parent.
@@ -14,34 +22,42 @@ type Subgraph struct {
 	// G is the extracted graph over local node ids 0..len(Global)-1.
 	G *Graph
 	// Global maps a local node id to its parent node id. It is sorted
-	// ascending, so extraction is deterministic for a given node set.
+	// ascending, so extraction is deterministic for a given node set and
+	// a node's local id is its position in Global.
 	Global []NodeID
-	// local maps a parent node id to its local id (dense slice lookup
-	// would cost O(parent nodes) memory per region; regions are small).
-	local map[NodeID]NodeID
 }
 
 // Local returns the local id of parent node u, if u is in the subgraph.
 func (s *Subgraph) Local(u NodeID) (NodeID, bool) {
-	l, ok := s.local[u]
-	return l, ok
+	i, ok := slices.BinarySearch(s.Global, u)
+	return NodeID(i), ok
 }
 
 // NumNodes returns the number of nodes in the subgraph.
 func (s *Subgraph) NumNodes() int { return len(s.Global) }
 
-// dedupSorted sorts nodes ascending and removes duplicates in place.
-func dedupSorted(nodes []NodeID) []NodeID {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	dst := 0
-	for i, v := range nodes {
-		if i > 0 && v == nodes[i-1] {
-			continue
-		}
-		nodes[dst] = v
-		dst++
+// nodeSet marks nodes (duplicates tolerated) in a bitmap over g's node
+// ids and returns it with the distinct members ascending.
+func nodeSet(g *Graph, nodes []NodeID) (*bitset.Set, []NodeID) {
+	in := bitset.New(g.NumNodes())
+	for _, v := range nodes {
+		in.Set(int(v))
 	}
-	return nodes[:dst]
+	return in, in.AppendSet(make([]NodeID, 0, len(nodes)))
+}
+
+// countInduced returns the number of edges of g with both endpoints in
+// the set, whose members are uniq.
+func countInduced(g *Graph, in *bitset.Set, uniq []NodeID) int {
+	m := 0
+	for _, u := range uniq {
+		for _, v := range g.OutNeighbors(u) {
+			if in.Test(int(v)) {
+				m++
+			}
+		}
+	}
+	return m
 }
 
 // Induced extracts the subgraph of g induced by the given nodes
@@ -49,60 +65,39 @@ func dedupSorted(nodes []NodeID) []NodeID {
 // is kept, remapped to dense local ids. The input slice is not retained;
 // node order does not affect the result.
 func Induced(g *Graph, nodes []NodeID) *Subgraph {
-	global := dedupSorted(append([]NodeID(nil), nodes...))
-	local := make(map[NodeID]NodeID, len(global))
-	for i, v := range global {
-		local[v] = NodeID(i)
-	}
+	in, global := nodeSet(g, nodes)
+	// A member's local id is its rank in the ascending set. The edges
+	// come from g, in range and loop-free, so they skip AddEdge's checks.
+	ranks := in.Ranks()
 	b := NewBuilder(len(global))
+	b.edges = make([]Edge, 0, countInduced(g, in, global))
 	for lu, u := range global {
 		for _, v := range g.OutNeighbors(u) {
-			if lv, ok := local[v]; ok {
-				b.AddEdge(NodeID(lu), lv)
+			if in.Test(int(v)) {
+				b.edges = append(b.edges, Edge{NodeID(lu), NodeID(in.Rank(ranks, int(v)))})
 			}
 		}
 	}
-	return &Subgraph{G: b.Build(), Global: global, local: local}
-}
-
-// InducedFromEdges extracts the subgraph induced by nodes over an
-// explicit parent edge list — for live graphs that exist only as an edge
-// set (base graph plus churn) rather than a frozen CSR structure.
-func InducedFromEdges(nodes []NodeID, edges []Edge) *Subgraph {
-	global := dedupSorted(append([]NodeID(nil), nodes...))
-	local := make(map[NodeID]NodeID, len(global))
-	for i, v := range global {
-		local[v] = NodeID(i)
-	}
-	b := NewBuilder(len(global))
-	for _, e := range edges {
-		lu, ok1 := local[e.From]
-		lv, ok2 := local[e.To]
-		if ok1 && ok2 {
-			b.AddEdge(lu, lv)
-		}
-	}
-	return &Subgraph{G: b.Build(), Global: global, local: local}
+	return &Subgraph{G: b.Build(), Global: global}
 }
 
 // InducedEdgeIDs returns the parent edge ids with both endpoints in the
 // node set (duplicates tolerated), ascending — the restricted edge set
-// a localized solver run is allowed to touch. CSR edge ids are
-// contiguous and ascending per source node, so walking the deduplicated
-// node set in order yields the result already sorted and unique.
+// a localized solver run is allowed to touch; nil when there is none. CSR
+// edge ids are contiguous and ascending per source node, so walking the
+// members in order yields the result already sorted and unique.
 func InducedEdgeIDs(g *Graph, nodes []NodeID) []EdgeID {
-	uniq := dedupSorted(append([]NodeID(nil), nodes...))
-	set := make(map[NodeID]struct{}, len(uniq))
-	for _, v := range uniq {
-		set[v] = struct{}{}
+	in, uniq := nodeSet(g, nodes)
+	m := countInduced(g, in, uniq)
+	if m == 0 {
+		return nil
 	}
-	var out []EdgeID
+	out := make([]EdgeID, 0, m)
 	for _, u := range uniq {
-		lo, hi := g.OutEdgeRange(u)
-		targets := g.OutNeighbors(u)
-		for e := lo; e < hi; e++ {
-			if _, ok := set[targets[e-lo]]; ok {
-				out = append(out, e)
+		lo, _ := g.OutEdgeRange(u)
+		for i, v := range g.OutNeighbors(u) {
+			if in.Test(int(v)) {
+				out = append(out, lo+EdgeID(i))
 			}
 		}
 	}
@@ -116,46 +111,43 @@ func InducedEdgeIDs(g *Graph, nodes []NodeID) []EdgeID {
 // reached, completing the current layer in (distance, node id) order so
 // the cut is deterministic.
 func KHop(g *Graph, seeds []NodeID, k, maxNodes int) []NodeID {
-	frontier := dedupSorted(append([]NodeID(nil), seeds...))
-	if maxNodes > 0 && len(frontier) > maxNodes {
-		frontier = frontier[:maxNodes]
+	n := g.NumNodes()
+	limit := n
+	if maxNodes > 0 && maxNodes < n {
+		limit = maxNodes
 	}
-	seen := make(map[NodeID]struct{}, len(frontier))
-	out := make([]NodeID, 0, len(frontier))
-	for _, v := range frontier {
-		seen[v] = struct{}{}
-		out = append(out, v)
+	// layer holds the WHOLE next layer before any of it is admitted, so a
+	// cap admits the layer's lowest ids regardless of which frontier node
+	// found them; seen holds what has been admitted.
+	seen, layer := bitset.New(n), bitset.New(n)
+	for _, v := range seeds {
+		layer.Set(int(v))
 	}
-	for hop := 0; hop < k; hop++ {
-		// Discover the WHOLE next layer before cutting, so a cap admits
-		// the lowest-id nodes of the layer regardless of which frontier
-		// node found them.
-		var next []NodeID
+	var frontier []NodeID
+	count := 0
+	for hop := 0; ; hop++ {
+		frontier = frontier[:0]
+		for i, ok := layer.NextSet(0); ok && count < limit; i, ok = layer.NextSet(i + 1) {
+			seen.Set(i)
+			frontier = append(frontier, NodeID(i))
+			count++
+		}
+		if hop >= k || count == limit || len(frontier) == 0 {
+			break
+		}
+		layer.Reset()
 		for _, u := range frontier {
 			for _, v := range g.OutNeighbors(u) {
-				if _, ok := seen[v]; !ok {
-					seen[v] = struct{}{}
-					next = append(next, v)
+				if !seen.Test(int(v)) {
+					layer.Set(int(v))
 				}
 			}
 			for _, v := range g.InNeighbors(u) {
-				if _, ok := seen[v]; !ok {
-					seen[v] = struct{}{}
-					next = append(next, v)
+				if !seen.Test(int(v)) {
+					layer.Set(int(v))
 				}
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		full := false
-		if maxNodes > 0 && len(out)+len(next) >= maxNodes {
-			next = next[:maxNodes-len(out)]
-			full = true
-		}
-		out = append(out, next...)
-		if full || len(next) == 0 {
-			break
-		}
-		frontier = next
 	}
-	return dedupSorted(out)
+	return seen.AppendSet(make([]NodeID, 0, count))
 }

@@ -19,7 +19,8 @@
 //     available per op in O(1).
 //  3. Localize — every CheckEvery ops the daemon finds the dirtiest
 //     node; if the dirt inside its k-hop neighborhood exceeds
-//     DriftThreshold × current cost, the region is extracted from the
+//     DriftThreshold × the region's own hybrid cost mass (Σ c* over the
+//     edges the neighborhood induces), the region is extracted from the
 //     rebased live graph (graph.Induced / graph.InducedEdgeIDs with ID
 //     remapping) and re-solved in isolation with CHITCHAT
 //     (chitchat.SolveInduced on the extracted subgraph) or PARALLELNOSY
@@ -44,6 +45,7 @@ import (
 	"time"
 
 	"piggyback/internal/baseline"
+	"piggyback/internal/bitset"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
@@ -196,6 +198,12 @@ type Stats struct {
 	// LastSolverErr is the most recent hard re-solve failure (nil when
 	// SolverErrors is 0).
 	LastSolverErr error
+	// DriftChecks counts candidate regions held against the threshold
+	// (one per check boundary with new dirt, plus one per follow-up
+	// after a re-solve); RegionExtractions counts those that ran the
+	// region kernels because the dirtiest node or the epoch had changed.
+	// The rest were answered from the remembered region.
+	DriftChecks, RegionExtractions int
 	// RegionEdges is the cumulative edge count of all re-solved regions
 	// (accepted or reverted) — the "localized work" measure: compare it
 	// against the live edge count to see how much of the graph the
@@ -254,9 +262,24 @@ type Daemon struct {
 	revertStreak int
 	// charged records whether any dirt landed since the last drift
 	// check; an unchanged dirt landscape cannot newly cross the
-	// threshold, so the check (an O(n) scan plus region extraction) is
-	// skipped entirely.
+	// threshold, so the check (an O(n) scan for the dirtiest node plus a
+	// sum over its remembered region) is skipped entirely.
 	charged bool
+	// region is the candidate region of the previous drift check. It is
+	// a function of the immutable epoch graph and the seed alone, so a
+	// check whose epoch and seed repeat reads it instead of extracting
+	// it again (DESIGN.md §16 argues exactness).
+	region struct {
+		epoch *graph.Graph
+		seed  graph.NodeID
+		nodes []graph.NodeID // KHop of seed on epoch, ascending
+		in    *bitset.Set    // membership of nodes, over the node ids
+		edges int            // edges of epoch that nodes induce
+		cost  float64        // Σ c* over them, in ascending edge-id order
+		dirt  float64        // Σ dirt over nodes, as the last check read it
+		// stale: a member's rates changed since cost was summed.
+		stale bool
+	}
 	// regionSeverity is the drift tracker's dirt/cost ratio of the
 	// region currently being re-solved — the degradation hint the
 	// SolverAuto selector reads (checkDrift writes it just before each
@@ -274,6 +297,7 @@ type daemonInstruments struct {
 	ops, adds, removes, rateUpdates *telemetry.Counter
 	rescues, resolves, reverted     *telemetry.Counter
 	solverErrors, regionEdges       *telemetry.Counter
+	driftChecks, regionExtractions  *telemetry.Counter
 	boundaryRepairs, amortized      *telemetry.Counter
 	breakerTransitions              *telemetry.Counter
 	cost, drift, lowerBound         *telemetry.Gauge
@@ -295,6 +319,8 @@ func newDaemonInstruments(reg *telemetry.Registry) daemonInstruments {
 		reverted:           reg.Counter("online_reverted_total"),
 		solverErrors:       reg.Counter("online_solver_errors_total"),
 		regionEdges:        reg.Counter("online_region_edges_total"),
+		driftChecks:        reg.Counter("online_drift_checks_total"),
+		regionExtractions:  reg.Counter("online_region_extractions_total"),
 		boundaryRepairs:    reg.Counter("online_boundary_repairs_total"),
 		amortized:          reg.Counter("online_amortized_total"),
 		breakerTransitions: reg.Counter("online_breaker_transitions_total"),
@@ -320,6 +346,7 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 		epoch: s.Graph(),
 		dirt:  make([]float64, s.Graph().NumNodes()),
 	}
+	d.region.in = bitset.New(len(d.dirt))
 	d.inst = newDaemonInstruments(d.cfg.Metrics)
 	d.regional = d.cfg.Regional
 	if d.regional == nil {
@@ -496,12 +523,18 @@ func (d *Daemon) ApplyCtx(ctx context.Context, op workload.ChurnOp) error {
 		// charging for them here drowned the real signal in
 		// unrecoverable dirt, so they are deliberately not charged.
 	case workload.OpRates:
+		if op.U < 0 || int(op.U) >= len(d.dirt) {
+			return fmt.Errorf("online: user %d out of range", op.U)
+		}
 		oldP, oldC := d.r.Prod[op.U], d.r.Cons[op.U]
 		if err := d.m.UpdateRates(op.U, op.Prod, op.Cons); err != nil {
 			return err
 		}
 		d.stats.RateUpdates++
 		d.inst.rateUpdates.Inc()
+		if d.region.in.Test(int(op.U)) {
+			d.region.stale = true
+		}
 		// Repricing regret scales with how much scheduled traffic the
 		// user carries; the epoch degrees are the cheap proxy.
 		regret := math.Abs(op.Prod-oldP)*float64(d.epoch.OutDegree(op.U)) +
@@ -588,45 +621,88 @@ func (d *Daemon) checkDrift(ctx context.Context) {
 		return // no new dirt since the last check; nothing can have crossed
 	}
 	d.charged = false
-	const maxResolvesPerCheck = 4
 	if d.cfg.BudgetFraction >= 0 &&
 		float64(d.stats.RegionEdges) >= d.cfg.BudgetFraction*float64(d.m.NumEdges()) {
-		return // budget already spent; skip the region extraction entirely
+		return // budget already spent; skip the check entirely
 	}
+	const maxResolvesPerCheck = 4
+	for pass := 0; pass < maxResolvesPerCheck && d.checkRegion(ctx); pass++ {
+	}
+}
+
+// checkRegion holds the dirtiest node's region against the threshold and
+// re-solves it if it has crossed; it reports whether it did. The region
+// is read from d.region when the epoch and the dirtiest node are those of
+// the previous check, and extracted otherwise.
+func (d *Daemon) checkRegion(ctx context.Context) bool {
+	seed := d.dirtiestNode()
+	if seed < 0 {
+		return false
+	}
+	d.stats.DriftChecks++
+	d.inst.driftChecks.Inc()
+	rg := &d.region
+	if rg.epoch != d.epoch || rg.seed != seed {
+		d.extractRegion(seed)
+	} else if rg.stale {
+		d.priceRegion()
+	}
+	dirt := 0.0
+	for _, v := range rg.nodes {
+		dirt += d.dirt[v]
+	}
+	rg.dirt = dirt
 	threshold := d.cfg.DriftThreshold * float64(int64(1)<<min(d.revertStreak, 40))
-	for pass := 0; pass < maxResolvesPerCheck; pass++ {
-		seed := d.dirtiestNode()
-		if seed < 0 {
-			return
-		}
-		region := graph.KHop(d.epoch, []graph.NodeID{seed}, d.cfg.K, d.cfg.MaxRegionNodes)
-		regionDirt := 0.0
-		for _, v := range region {
-			regionDirt += d.dirt[v]
-		}
-		regionEdges := graph.InducedEdgeIDs(d.epoch, region)
-		regionCost := 0.0
-		for _, e := range regionEdges {
-			u := d.epoch.EdgeSource(e)
-			v := d.epoch.EdgeTarget(e)
-			regionCost += baseline.EdgeCost(d.r, u, v)
-		}
-		if regionDirt <= threshold*math.Max(regionCost, 1e-9) {
-			// The region around the dirtiest node has not churned enough
-			// relative to its size. Other regions could in principle have
-			// a higher dirt ratio, but the dirtiest node is the cheap
-			// deterministic proxy; they will be found once their own dirt
-			// grows.
-			return
-		}
-		if d.cfg.BudgetFraction >= 0 &&
-			float64(d.stats.RegionEdges+len(regionEdges)) > d.cfg.BudgetFraction*float64(d.m.NumEdges()) {
-			return // out of re-solve budget; keep patching incrementally
-		}
-		d.regionSeverity = regionDirt / math.Max(regionCost, 1e-9)
-		d.resolveRegion(ctx, region)
-		threshold = d.cfg.DriftThreshold * float64(int64(1)<<min(d.revertStreak, 40))
+	if rg.dirt <= threshold*math.Max(rg.cost, 1e-9) {
+		// The region around the dirtiest node has not churned enough
+		// relative to its size. Other regions could in principle have a
+		// higher dirt ratio, but the dirtiest node is the cheap
+		// deterministic proxy; they will be found once their own dirt
+		// grows.
+		return false
 	}
+	if d.cfg.BudgetFraction >= 0 &&
+		float64(d.stats.RegionEdges+rg.edges) > d.cfg.BudgetFraction*float64(d.m.NumEdges()) {
+		return false // out of re-solve budget; keep patching incrementally
+	}
+	d.regionSeverity = rg.dirt / math.Max(rg.cost, 1e-9)
+	d.resolveRegion(ctx, rg.nodes)
+	return true
+}
+
+// extractRegion replaces the remembered region with the k-hop
+// neighborhood of seed on the current epoch graph.
+func (d *Daemon) extractRegion(seed graph.NodeID) {
+	d.stats.RegionExtractions++
+	d.inst.regionExtractions.Inc()
+	rg := &d.region
+	for _, v := range rg.nodes {
+		rg.in.Clear(int(v))
+	}
+	rg.epoch, rg.seed = d.epoch, seed
+	rg.nodes = graph.KHop(d.epoch, []graph.NodeID{seed}, d.cfg.K, d.cfg.MaxRegionNodes)
+	for _, v := range rg.nodes {
+		rg.in.Set(int(v))
+	}
+	d.priceRegion()
+}
+
+// priceRegion counts the epoch edges the remembered nodes induce and
+// sums their hybrid costs under the live rates: one pass over the
+// members' out-ranges, which visits the induced edges in ascending edge
+// id — the summation order that makes the float reproducible.
+func (d *Daemon) priceRegion() {
+	rg := &d.region
+	edges, cost := 0, 0.0
+	for _, u := range rg.nodes {
+		for _, v := range rg.epoch.OutNeighbors(u) {
+			if rg.in.Test(int(v)) {
+				edges++
+				cost += baseline.EdgeCost(d.r, u, v)
+			}
+		}
+	}
+	rg.edges, rg.cost, rg.stale = edges, cost, false
 }
 
 // resolveRegion rebases the live graph, re-solves the region in

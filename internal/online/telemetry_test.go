@@ -131,6 +131,7 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		"online_rate_updates_total", "online_rescues_total",
 		"online_resolves_total", "online_reverted_total",
 		"online_solver_errors_total", "online_region_edges_total",
+		"online_drift_checks_total", "online_region_extractions_total",
 		"online_boundary_repairs_total", "online_breaker_transitions_total",
 		"online_cost", "online_drift", "online_lower_bound",
 		"online_breaker_state",
@@ -151,14 +152,16 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 	st := d.Stats()
 	snap = reg.Snapshot()
 	for name, want := range map[string]int{
-		"online_ops_total":          st.Ops,
-		"online_adds_total":         st.Adds,
-		"online_removes_total":      st.Removes,
-		"online_rate_updates_total": st.RateUpdates,
-		"online_rescues_total":      st.Rescues,
-		"online_resolves_total":     st.Resolves,
-		"online_reverted_total":     st.Reverted,
-		"online_region_edges_total": st.RegionEdges,
+		"online_ops_total":                st.Ops,
+		"online_adds_total":               st.Adds,
+		"online_removes_total":            st.Removes,
+		"online_rate_updates_total":       st.RateUpdates,
+		"online_rescues_total":            st.Rescues,
+		"online_resolves_total":           st.Resolves,
+		"online_reverted_total":           st.Reverted,
+		"online_region_edges_total":       st.RegionEdges,
+		"online_drift_checks_total":       st.DriftChecks,
+		"online_region_extractions_total": st.RegionExtractions,
 	} {
 		m, ok := snap.Get(name)
 		if !ok || int(m.Value) != want {

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"piggyback/internal/baseline"
+	"piggyback/internal/bitset"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
 	"piggyback/internal/densest"
@@ -97,40 +98,21 @@ func finish(name string, s *core.Schedule, p Problem, rep Report, cause error) (
 	return &Result{Schedule: s, Report: rep}, cause
 }
 
-// endpointNodes returns the sorted, deduplicated endpoint set of the
-// region edges.
+// endpointNodes returns the ascending endpoint set of the region edges.
+// The region must be ascending: CSR edge ids are grouped by source, so
+// one cursor over the out-ranges, advanced alongside the region, names
+// every edge's source without a search.
 func endpointNodes(g *graph.Graph, region []graph.EdgeID) []graph.NodeID {
-	nodes := make([]graph.NodeID, 0, 2*len(region))
+	in := bitset.New(g.NumNodes())
+	u := graph.NodeID(0)
 	for _, e := range region {
-		nodes = append(nodes, g.EdgeSource(e), g.EdgeTarget(e))
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	dst := 0
-	for i, v := range nodes {
-		if i > 0 && v == nodes[i-1] {
-			continue
+		for _, hi := g.OutEdgeRange(u); hi <= e; _, hi = g.OutEdgeRange(u) {
+			u++
 		}
-		nodes[dst] = v
-		dst++
+		in.Set(int(u))
+		in.Set(int(g.EdgeTarget(e)))
 	}
-	return nodes[:dst]
-}
-
-// sameEdgeSet reports whether a and b hold the same edge ids (order
-// ignored; a is sorted in place, b is copied).
-func sameEdgeSet(a, b []graph.EdgeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-	bs := append([]graph.EdgeID(nil), b...)
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	for i := range a {
-		if a[i] != bs[i] {
-			return false
-		}
-	}
-	return true
+	return in.AppendSet(make([]graph.NodeID, 0, in.Count()))
 }
 
 // chitchatSolver adapts the CHITCHAT approximation to the Solver
@@ -187,8 +169,13 @@ func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (res *Result, err
 		sched, cause := chitchat.SolveCtx(ctx, p.Graph, p.Rates, cfg)
 		return finish(ChitChat, sched, p, Report{Iterations: commits}, cause)
 	}
-	nodes := endpointNodes(p.Graph, p.Region)
-	if induced := graph.InducedEdgeIDs(p.Graph, nodes); !sameEdgeSet(induced, p.Region) {
+	region := p.Region
+	if !slices.IsSorted(region) {
+		region = slices.Clone(region)
+		slices.Sort(region)
+	}
+	nodes := endpointNodes(p.Graph, region)
+	if induced := graph.InducedEdgeIDs(p.Graph, nodes); !slices.Equal(induced, region) {
 		return nil, fmt.Errorf("%w: %d region edges vs %d induced by their endpoints",
 			ErrRegionNotInduced, len(p.Region), len(induced))
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"piggyback/internal/baseline"
@@ -294,6 +295,37 @@ func TestRegionSolve(t *testing.T) {
 		}
 		if !bytes.Equal(scheduleBytes(t, res.Schedule), scheduleBytes(t, want)) {
 			t.Errorf("region schedule differs from manual extract+solve+splice")
+		}
+	})
+	t.Run("endpoints", func(t *testing.T) {
+		// The cursor walk against a binary search per edge.
+		set := map[graph.NodeID]bool{}
+		for _, e := range region {
+			set[g.EdgeSource(e)], set[g.EdgeTarget(e)] = true, true
+		}
+		got := endpointNodes(g, region)
+		if len(got) != len(set) || !slices.IsSorted(got) {
+			t.Fatalf("endpointNodes: %d nodes (sorted %v), want %d", len(got), slices.IsSorted(got), len(set))
+		}
+		for _, v := range got {
+			if !set[v] {
+				t.Fatalf("endpointNodes: %d is no endpoint", v)
+			}
+		}
+		// A region in any order is the same region.
+		sv := NewChitChat(chitchat.Config{})
+		want, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r, Base: base, Region: region})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversed := slices.Clone(region)
+		slices.Reverse(reversed)
+		res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r, Base: base, Region: reversed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(scheduleBytes(t, res.Schedule), scheduleBytes(t, want.Schedule)) {
+			t.Errorf("reversed region re-solves to a different schedule")
 		}
 	})
 	t.Run("not-induced", func(t *testing.T) {
