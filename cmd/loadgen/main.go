@@ -12,6 +12,7 @@
 //	go run ./cmd/loadgen -nodes 400 -ops 1500 -requests 2000 -servers 3 -faults
 //	go run ./cmd/loadgen -telemetry 127.0.0.1:9090 -spantree
 //	go run ./cmd/loadgen -scenario flashcrowd -snapshot
+//	go run ./cmd/loadgen -timedtree
 package main
 
 import (
@@ -48,6 +49,7 @@ func main() {
 	timeout := flag.Duration("timeout", 150*time.Millisecond, "client round-trip timeout")
 	telem := flag.String("telemetry", "", "serve /metrics and /debug/pprof on this address during the run")
 	spantree := flag.Bool("spantree", false, "print the daemon's deterministic re-solve span tree")
+	timedtree := flag.Bool("timedtree", false, "print the span tree with each span's wall time (differs run to run)")
 	snapshot := flag.Bool("snapshot", false, "print the non-timing metric snapshot (byte-identical across seeded runs)")
 	flag.Parse()
 
@@ -219,6 +221,9 @@ func main() {
 
 	if *spantree {
 		fmt.Printf("\n--- span tree (deterministic) ---\n%s", tr.Tree())
+	}
+	if *timedtree {
+		fmt.Printf("\n--- span tree (timed) ---\n%s", tr.TimedTree())
 	}
 	if *snapshot {
 		fmt.Printf("\n--- non-timing snapshot (deterministic) ---\n%s", reg.Snapshot().NonTiming().String())

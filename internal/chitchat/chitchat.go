@@ -42,20 +42,27 @@
 // hub paid for by a singleton), while hubs that merely lost elements got
 // worse and keep their stale, too-low queue entries until they reach the
 // head. A stale head triggers a speculative refresh of the top
-// Config.RefreshBatch candidates at once. The committed choice is the same
-// greedy choice up to ties; the lazy form just avoids recomputing oracles
-// whose turn never comes.
+// Config.RefreshBatch candidates at once. The committed choice is the
+// greedy choice itself: a commit happens only on a fresh head, every stale
+// entry is a lower bound and the queue orders by (priority, id), so the
+// committed hub is the (true ratio, id) minimum whatever was refreshed.
+// The lazy form only avoids recomputing oracles whose turn never comes;
+// the width cannot change the schedule (TestRefreshPolicyCannotChangeSchedule).
+//
+// The hub that has just committed is not re-peeled: its next peel would
+// pop the saved prefix of the committed one, and
+// densest.Decremental.Replay walks that prefix instead (DESIGN.md §14).
 //
 // Oracle evaluations are independent reads of the solver state, so both
 // the initial per-hub pass and every refresh batch fan out across
-// Config.Workers goroutines. Which candidates get refreshed, and which
-// commits, is decided by queue state alone (ties break toward the lowest
-// hub id), so the schedule is byte-identical for every worker count.
+// Config.Workers goroutines. Which candidates get refreshed is decided by
+// queue state alone and cannot change which hub commits (ties break
+// toward the lowest hub id), so the schedule is byte-identical for every
+// worker count.
 package chitchat
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -90,10 +97,10 @@ type Config struct {
 	Workers int
 	// RefreshBatch is how many stale hub candidates at the head of the
 	// queue are re-evaluated together when the head turns out stale; 0
-	// means DefaultRefreshBatch. It is deliberately independent of
-	// Workers: the refresh policy decides tie-breaks and therefore the
-	// schedule, and the schedule must not vary with the worker count —
-	// for any fixed RefreshBatch the result is worker-count invariant.
+	// means DefaultRefreshBatch. It moves oracle work only: the committed
+	// hub is always the (true ratio, id) minimum (see the package
+	// comment), so every width yields the same schedule at every worker
+	// count.
 	RefreshBatch int
 	// InstanceBudget bounds the total materialized hub-instance elements
 	// (support + cross edges) resident at once. 0 means unlimited: every
@@ -109,9 +116,9 @@ type Config struct {
 	InstanceBudget int
 	// MemberCacheCap bounds how many oracle member lists are retained
 	// between evaluation and commit; 0 means DefaultMemberCacheCap.
-	// Priorities only need the (cost, covered) pair, which is stored flat
-	// for all hubs; the member slices — the O(|S|) payload that used to
-	// be retained for every hub — live in a fixed-size ring. A commit
+	// Priorities live in the queue; the member slices — the O(|S|)
+	// payload that used to be retained for every hub — live in a
+	// fixed-size ring. A commit
 	// whose members were evicted re-derives them with one deterministic
 	// re-peel of the (unchanged) instance, so the cap trades memory for
 	// re-peels, never correctness.
@@ -175,10 +182,12 @@ type storeStats struct {
 
 // Test hooks; nil outside tests. commitObserver reports, after every hub
 // commit, the coverage the oracle claimed against the coverage the commit
-// actually performed. cacheObserver reports member-cache statistics and
-// storeObserver instance-store statistics when a solve finishes.
+// actually performed, replayObserver every post-commit replay next to a
+// fresh peel of the same instance. cacheObserver reports member-cache
+// statistics and storeObserver instance-store statistics at the end.
 var (
 	commitObserver func(w graph.NodeID, claimed, covered int)
+	replayObserver func(w graph.NodeID, replayed, peeled densest.Result)
 	cacheObserver  func(cacheStats)
 	storeObserver  func(storeStats)
 )
@@ -232,7 +241,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 		inv:       make([][]invEntry, m),
 		hasInst:   make([]bool, n),
 		fresh:     make([]bool, n),
-		freshVal:  make([]hubVal, n),
+		slot:      make([]int32, n),
 	}
 	sv.uncovered.SetAll()
 	sv.mcache.init(cfg.MemberCacheCap)
@@ -336,10 +345,10 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 			HighWater: sv.mcache.highWater,
 			Stores:    sv.mcache.stores,
 		}
-		for _, mem := range sv.mcache.members {
-			if mem != nil {
+		for _, ev := range sv.mcache.evals {
+			if ev.Members != nil {
 				st.RetainedLists++
-				st.RetainedInts += len(mem)
+				st.RetainedInts += len(ev.Members)
 			}
 		}
 		cacheObserver(st)
@@ -425,15 +434,16 @@ type solver struct {
 	hasInst []bool
 	inv     [][]invEntry
 
-	// Freshness: fresh[w] means freshVal[w] matches the CURRENT state of
+	// Freshness: fresh[w] means hub w's latest oracle output (in mcache
+	// slot slot[w] until overwritten) matches the CURRENT state of
 	// instance w — no commit removed one of its elements or zeroed one of
 	// its weights since the evaluation. Stale entries in the queue are
 	// lower bounds (losing elements only worsens a hub), so lazy greedy
 	// re-evaluates them when they reach the head; hubs whose weights were
 	// zeroed may have improved and are re-evaluated eagerly at commit.
-	fresh    []bool
-	freshVal []hubVal
-	mcache   memberCache
+	fresh  []bool
+	slot   []int32
+	mcache memberCache
 
 	// Progress counters for Config.OnProgress.
 	commits    int
@@ -445,14 +455,6 @@ type solver struct {
 	batchOK  []bool
 	insIDs   []int32
 	insPrios []float64
-}
-
-// hubVal is the flat per-hub oracle summary retained for every hub: the
-// priority inputs plus the member-cache slot (or -1 when evicted).
-type hubVal struct {
-	cost    float64
-	covered int32
-	slot    int32
 }
 
 // hubInstance binds a hub's materialized oracle instance to the graph:
@@ -852,16 +854,15 @@ func (sv *solver) commitHub(w graph.NodeID) {
 	// clears freshness), so this is a touch; ensureInst keeps the
 	// invariant local all the same.
 	hi := sv.ensureInst(w)
-	members := sv.cachedMembers(w)
-	if members == nil {
+	ev, ok := sv.cachedEval(w)
+	if !ok {
 		// Evicted from the bounded member cache. The instance is unchanged
 		// since the fresh evaluation, so one re-peel reproduces it.
-		ev, ok := evalHub(hi, sv.cfg, sv.scs[0])
-		if !ok {
+		if ev, ok = evalHub(hi, sv.cfg, sv.scs[0]); !ok {
 			return // cannot happen for a fresh queued hub; stay defensive
 		}
-		members = ev.members
 	}
+	members := ev.Members
 	if cap(sv.memb) < hi.d.N() {
 		sv.memb = make([]bool, hi.d.N())
 	}
@@ -887,7 +888,7 @@ func (sv *solver) commitHub(w graph.NodeID) {
 	// elements are served by their own push/pull, cross-elements by
 	// piggybacking through w. Each member's incident edges are visited
 	// from their first endpoint only, so every element is handled once.
-	claimed := int(sv.freshVal[w].covered)
+	claimed := ev.EdgeCnt
 	covered := 0
 	for _, v := range members {
 		for _, ei := range hi.d.IncidentEdges(int(v)) {
@@ -909,15 +910,30 @@ func (sv *solver) commitHub(w graph.NodeID) {
 	if commitObserver != nil {
 		commitObserver(w, claimed, covered)
 	}
-	sv.reEval(w)
+	if sv.cfg.ExactOracle {
+		sv.reEval(w) // a brute-force selection has no peel to replay
+		return
+	}
+	// The commit zeroed the members' weights and removed the live elements
+	// among them, and nothing else in this instance: Replay's precondition.
+	res := hi.d.Replay(densest.Result(ev), &sv.scs[0].dsc)
+	if replayObserver != nil {
+		replayObserver(w, res, hi.d.Solve(nil))
+	}
+	ev, ok = usable(hi, res)
+	sv.requeue(w, ev, ok)
 }
 
-// reEval re-runs the oracle for a hub that is not currently queued and
-// re-inserts it when it still covers something; otherwise the hub is
-// exhausted and stays out for good.
+// reEval re-runs the oracle for a hub that is not currently queued.
 func (sv *solver) reEval(w graph.NodeID) {
 	ev, ok := evalHub(sv.ensureInst(w), sv.cfg, sv.scs[0])
-	if !ok || ev.newlyCovered == 0 {
+	sv.requeue(w, ev, ok)
+}
+
+// requeue re-inserts the unqueued hub w under its new oracle output when
+// it still covers something; otherwise it is exhausted and stays out.
+func (sv *solver) requeue(w graph.NodeID, ev hubEval, ok bool) {
+	if !ok {
 		sv.fresh[w] = false
 		return
 	}
@@ -937,13 +953,10 @@ func (sv *solver) refreshHead() {
 	id, _ := sv.q.Min() // caller established: a hub with a stale entry
 	sv.q.PopMin()
 	w := graph.NodeID(id)
-	ev, ok := evalHub(sv.ensureInst(w), sv.cfg, sv.scs[0])
-	if !ok || ev.newlyCovered == 0 {
-		sv.fresh[w] = false
+	sv.reEval(w)
+	if !sv.fresh[w] {
 		return // exhausted hub; it never regains value
 	}
-	sv.setFresh(w, ev)
-	sv.q.Push(id, ev.ratio())
 	if sv.q.Len() == 1 {
 		return // sole candidate; the main loop commits it
 	}
@@ -995,7 +1008,7 @@ func (sv *solver) evalBatch(batch []graph.NodeID) {
 	ids := sv.insIDs[:0]
 	prios := sv.insPrios[:0]
 	for i, w := range batch {
-		if ok[i] && res[i].newlyCovered > 0 {
+		if ok[i] {
 			sv.setFresh(w, res[i])
 			ids = append(ids, int32(w))
 			prios = append(prios, res[i].ratio())
@@ -1008,34 +1021,30 @@ func (sv *solver) evalBatch(batch []graph.NodeID) {
 	sv.insPrios = prios
 }
 
-// setFresh records ev as hub w's current oracle output: the flat summary
-// for all hubs, the member list in the bounded cache.
+// setFresh records ev as hub w's current oracle output, in the bounded
+// cache.
 func (sv *solver) setFresh(w graph.NodeID, ev hubEval) {
 	sv.fresh[w] = true
-	sv.freshVal[w] = hubVal{
-		cost:    ev.cost,
-		covered: int32(ev.newlyCovered),
-		slot:    sv.mcache.store(w, ev.members, sv.freshVal),
-	}
+	sv.slot[w] = sv.mcache.store(w, ev)
 }
 
-// cachedMembers returns hub w's fresh member list if it is still resident
-// in the bounded cache, nil otherwise.
-func (sv *solver) cachedMembers(w graph.NodeID) []int32 {
-	slot := sv.freshVal[w].slot
-	if slot >= 0 && sv.mcache.hubs[slot] == w {
-		return sv.mcache.members[slot]
+// cachedEval returns hub w's fresh oracle output if it is still resident
+// in the bounded cache.
+func (sv *solver) cachedEval(w graph.NodeID) (hubEval, bool) {
+	if slot := sv.slot[w]; sv.mcache.hubs[slot] == w {
+		return sv.mcache.evals[slot], true
 	}
-	return nil
+	return hubEval{}, false
 }
 
-// memberCache is a fixed-size ring of oracle member lists. It bounds the
-// memory retained between evaluation and commit to O(Config.MemberCacheCap)
-// slices regardless of graph size; evicted entries are re-derived on
-// demand by re-peeling the unchanged instance.
+// memberCache is a fixed-size ring of oracle outputs (the member list a
+// commit applies and the peel prefix its replay restarts from, one
+// allocation). It bounds the memory retained between evaluation and
+// commit to O(Config.MemberCacheCap) slices regardless of graph size;
+// evicted entries are re-derived by re-peeling the unchanged instance.
 type memberCache struct {
 	hubs      []graph.NodeID
-	members   [][]int32
+	evals     []hubEval
 	next      int
 	occupied  int
 	highWater int
@@ -1047,53 +1056,41 @@ func (mc *memberCache) init(cap int) {
 	for i := range mc.hubs {
 		mc.hubs[i] = -1
 	}
-	mc.members = make([][]int32, cap)
+	mc.evals = make([]hubEval, cap)
 }
 
-// store places w's member list in the next ring slot, unlinking whichever
-// hub previously owned the slot, and returns the slot.
-func (mc *memberCache) store(w graph.NodeID, members []int32, vals []hubVal) int32 {
+// store places w's oracle output in the next ring slot, evicting
+// whichever hub owned the slot before (its lookup then finds w there,
+// not itself), and returns the slot.
+func (mc *memberCache) store(w graph.NodeID, ev hubEval) int32 {
 	mc.stores++
 	slot := mc.next
 	mc.next++
 	if mc.next == len(mc.hubs) {
 		mc.next = 0
 	}
-	if old := mc.hubs[slot]; old >= 0 {
-		if vals[old].slot == int32(slot) {
-			vals[old].slot = -1
-		}
-	} else {
+	if mc.hubs[slot] < 0 {
 		mc.occupied++
 		if mc.occupied > mc.highWater {
 			mc.highWater = mc.occupied
 		}
 	}
 	mc.hubs[slot] = w
-	mc.members[slot] = members
+	mc.evals[slot] = ev
 	return int32(slot)
 }
 
-// hubEval is a transient oracle output: the selected instance vertices
-// and how much the selection covers at what cost.
-type hubEval struct {
-	members      []int32 // instance-local vertex ids, hub vertex included
-	cost         float64 // Σ unpaid rp(x) + Σ unpaid rc(y)
-	newlyCovered int     // live elements inside the selection
-}
+// hubEval is a usable oracle output on a hub instance: Members are the
+// selected instance-local vertex ids, hub vertex included; EdgeCnt > 0 the
+// live elements inside the selection, all newly covered by a commit;
+// Weight its cost Σ unpaid rp(x) + Σ unpaid rc(y).
+type hubEval densest.Result
 
-func (h hubEval) ratio() float64 {
-	if h.newlyCovered == 0 {
-		return math.Inf(1)
-	}
-	return h.cost / float64(h.newlyCovered)
-}
+func (h hubEval) ratio() float64 { return h.Weight / float64(h.EdgeCnt) }
 
 // evalHub runs the oracle over the hub's live sub-instance. It only reads
 // the instance and writes sc, so concurrent calls with distinct scratches
-// are safe. A selection is usable only when it retains the hub vertex
-// (support pushes/pulls need the hub; it is weightless, so keeping it
-// never hurts) and at least one producer or consumer.
+// are safe.
 func evalHub(hi *hubInstance, cfg Config, sc *scratch) (hubEval, bool) {
 	if hi == nil || hi.d.AliveEdges() == 0 {
 		return hubEval{}, false
@@ -1106,6 +1103,14 @@ func evalHub(hi *hubInstance, cfg Config, sc *scratch) (hubEval, bool) {
 	} else {
 		res = hi.d.Solve(&sc.dsc)
 	}
+	return usable(hi, res)
+}
+
+// usable admits an oracle selection as a greedy candidate: it must cover
+// something, retain the hub vertex (support pushes/pulls need the hub; it
+// is weightless, so keeping it never hurts) and at least one producer or
+// consumer.
+func usable(hi *hubInstance, res densest.Result) (hubEval, bool) {
 	if res.EdgeCnt == 0 {
 		return hubEval{}, false
 	}
@@ -1120,7 +1125,7 @@ func evalHub(hi *hubInstance, cfg Config, sc *scratch) (hubEval, bool) {
 	if !hubIn || len(res.Members) < 2 {
 		return hubEval{}, false
 	}
-	return hubEval{members: res.Members, cost: res.Weight, newlyCovered: res.EdgeCnt}, true
+	return hubEval(res), true
 }
 
 // scratch holds per-worker reusable buffers: yMark/yPos form a

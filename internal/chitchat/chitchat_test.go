@@ -153,9 +153,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 // TestWorkerCountInvarianceNonDefaultBatch pins worker-count invariance
 // for a non-default speculative refresh width: RefreshBatch changes which
-// stale candidates are refreshed together (and may change the schedule
-// relative to the default), but for any fixed width the schedule must
-// still be byte-identical across worker counts. A tiny MemberCacheCap
+// stale candidates are refreshed together, and the schedule must still be
+// byte-identical across worker counts. A tiny MemberCacheCap
 // rides along so evicted-commit re-peels are exercised under every
 // worker count too.
 func TestWorkerCountInvarianceNonDefaultBatch(t *testing.T) {

@@ -156,6 +156,7 @@ func (d *Decremental) Solve(sc *Scratch) Result {
 	}
 	weight := d.weight
 	order := grow(sc.order, n)[:0]
+	after := grow(sc.after, n)
 	h := peelHeap(grow(sc.heap, n)[:0])
 	pos := grow(sc.pos, n)
 	gone := grow(sc.gone, n)
@@ -178,9 +179,9 @@ func (d *Decremental) Solve(sc *Scratch) Result {
 	h.init(pos)
 	curEdges := d.live
 
-	best := Result{EdgeCnt: curEdges, Weight: curWeight}
+	bestEdges, bestWeight := curEdges, curWeight
 	bestStep := 0 // number of removals before the best snapshot
-	for step := 1; unpaid > 0; step++ {
+	for step := 1; step <= unpaid; step++ {
 		var u int32
 		if step <= isolated {
 			u = order[step-1]
@@ -214,36 +215,88 @@ func (d *Decremental) Solve(sc *Scratch) Result {
 				}
 			}
 		}
-		curWeight -= weight[u]
-		unpaid--
-		// Snap to exact zero once every unpaid vertex is gone; accumulated
-		// float error must not mask an infinite-density (free-coverage)
-		// subgraph.
-		if unpaid == 0 || curWeight < 0 {
-			curWeight = 0
-		}
-		if snap := (Result{EdgeCnt: curEdges, Weight: curWeight}); snap.Denser(best) {
-			best = snap
-			bestStep = step
+		after[step-1] = int32(curEdges)
+		curWeight = lighten(curWeight, weight[u], unpaid-step)
+		if denser(curEdges, curWeight, bestEdges, bestWeight) {
+			bestEdges, bestWeight, bestStep = curEdges, curWeight, step
 		}
 	}
-	sc.order, sc.heap, sc.pos, sc.gone = order, h[:0], pos, gone
+	sc.order, sc.after, sc.heap, sc.pos, sc.gone = order, after, h[:0], pos, gone
+	return d.snapshot(bestEdges, order[:bestStep], after[:bestStep], 0, gone)
+}
 
-	// Members: everything not among the first bestStep removals.
+// Replay returns what Solve would return now — same Members, EdgeCnt,
+// Weight bits and prefix — without peeling, given that prev is d's latest
+// Solve or Replay result and that since then d changed in exactly the
+// way committing prev changes it: every member's weight zeroed and every
+// live element with both endpoints among the members removed. A peel
+// would then pop exactly prev.Peeled, leaving prev.EdgeCnt fewer elements
+// after each step (DESIGN.md §14 has the argument). Any other mutation
+// since prev invalidates the prefix: Solve instead.
+func (d *Decremental) Replay(prev Result, sc *Scratch) Result {
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	if d.n == 0 {
+		return Result{}
+	}
+	curWeight := 0.0
+	for _, w := range d.weight {
+		curWeight += w
+	}
+	shift := int32(prev.EdgeCnt)
+	unpaid := len(prev.Peeled)
+	bestEdges, bestWeight, bestStep := d.live, curWeight, 0
+	for k, u := range prev.Peeled {
+		curEdges := int(prev.EdgesAfter[k] - shift)
+		curWeight = lighten(curWeight, d.weight[u], unpaid-k-1)
+		if denser(curEdges, curWeight, bestEdges, bestWeight) {
+			bestEdges, bestWeight, bestStep = curEdges, curWeight, k+1
+		}
+	}
+	gone := grow(sc.gone, d.n)
+	sc.gone = gone
+	return d.snapshot(bestEdges, prev.Peeled[:bestStep], prev.EdgesAfter[:bestStep], shift, gone)
+}
+
+// lighten is the float step Solve and Replay share: the weight left after
+// removing a vertex of weight w, with unpaid vertices still to go. It
+// snaps to exact zero once they are all gone; accumulated float error
+// must not mask an infinite-density (free-coverage) subgraph.
+func lighten(cur, w float64, unpaid int) float64 {
+	cur -= w
+	if unpaid == 0 || cur < 0 {
+		return 0
+	}
+	return cur
+}
+
+// snapshot builds the result reached by removing peeled, with edges live
+// elements left: Members is every other vertex in id order, Peeled and
+// EdgesAfter copy peeled and after − shift, all in one allocation.
+func (d *Decremental) snapshot(edges int, peeled, after []int32, shift int32, gone []bool) Result {
+	best := Result{EdgeCnt: edges}
 	clear(gone)
-	for _, u := range order[:bestStep] {
+	for _, u := range peeled {
 		gone[u] = true
 	}
-	best.Members = make([]int32, 0, n-bestStep)
+	k := d.n - len(peeled)
+	buf := make([]int32, k, d.n+len(peeled))
+	best.Members = buf[:0:k]
 	// Recompute weight exactly from the members: the incremental subtraction
-	// above can drift by a few ulps, and callers compare densities exactly.
-	best.Weight = 0
+	// can drift by a few ulps, and callers compare densities exactly.
 	for u, out := range gone {
 		if !out {
 			best.Members = append(best.Members, int32(u))
-			best.Weight += weight[u]
+			best.Weight += d.weight[u]
 		}
 	}
+	buf = append(buf, peeled...)
+	best.Peeled = buf[k:d.n:d.n]
+	for _, e := range after {
+		buf = append(buf, e-shift)
+	}
+	best.EdgesAfter = buf[d.n:]
 	return best
 }
 

@@ -324,8 +324,118 @@ func TestDecrementalConcurrentSolves(t *testing.T) {
 	}
 }
 
+// commit changes d the way CHITCHAT's commit of res does: every member
+// goes weightless and every live element among the members is removed.
+func commit(d *Decremental, res Result) {
+	member := make([]bool, d.N())
+	for _, u := range res.Members {
+		member[u] = true
+		d.ZeroWeight(int(u))
+	}
+	for ei := 0; ei < d.NumEdges(); ei++ {
+		if a, b := d.Edge(ei); member[a] && member[b] {
+			d.RemoveEdge(ei)
+		}
+	}
+}
+
+// driveCommits alternates random mutations of d with chains of commits:
+// each chain starts from a fresh Solve and then commits, replays and
+// compares the replay with a fresh Solve — members, edge count, weight
+// bits and the saved prefix — feeding the replayed result into the next
+// link. It returns the length of the longest chain whose every replay
+// walked a non-empty prefix.
+func driveCommits(rng *rand.Rand, d *Decremental) (longest int, err error) {
+	var sc Scratch
+	for round := 0; round < 8 && d.AliveEdges() > 0; round++ {
+		res := d.Solve(&sc)
+		walked := 0
+		for link := 0; link < 6 && d.AliveEdges() > 0; link++ {
+			commit(d, res)
+			if len(res.Peeled) > 0 {
+				walked++
+			}
+			got, want := d.Replay(res, &sc), d.Solve(nil)
+			if !reflect.DeepEqual(got, want) {
+				return longest, fmt.Errorf("round %d link %d: replay %+v, fresh solve %+v", round, link, got, want)
+			}
+			if math.Float64bits(got.Weight) != math.Float64bits(want.Weight) {
+				return longest, fmt.Errorf("round %d link %d: weight bits differ", round, link)
+			}
+			res = got
+		}
+		longest = max(longest, walked)
+		for i := rng.Intn(4); i >= 0; i-- {
+			d.RemoveEdge(rng.Intn(d.NumEdges()))
+			if rng.Intn(3) == 0 {
+				d.ZeroWeight(rng.Intn(d.N()))
+			}
+		}
+		if rng.Intn(2) == 0 {
+			d.Compact()
+		}
+	}
+	return longest, nil
+}
+
+// After a commit of its own result, Replay must return exactly what a
+// fresh Solve returns — over random and hub-shaped instances with paid,
+// isolated and tie-heavy vertices, through chains of consecutive commits
+// on one instance.
+func TestReplayMatchesSolveAfterCommit(t *testing.T) {
+	longest := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		inst := randomInstance(rng)
+		if seed%2 == 0 {
+			inst = hubInstance(rng, 1+rng.Intn(20), 1+rng.Intn(20), rng.Intn(200))
+		}
+		n, err := driveCommits(rng, NewDecremental(inst))
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		longest = max(longest, n)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if longest < 3 {
+		t.Fatalf("longest chain of prefix-walking replays is %d, want >= 3", longest)
+	}
+}
+
+// The shapes a replay treats specially: a result that kept everything
+// (empty prefix), one that kept nothing worth covering, an instance the
+// commit leaves without live elements, and the empty instance.
+func TestReplaySpecialStates(t *testing.T) {
+	path := [][2]int32{{0, 1}, {1, 2}, {2, 3}}
+	for name, inst := range map[string]Instance{
+		"keeps everything":   {N: 4, Weight: []float64{1, 1, 1, 1}, Edges: [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {1, 3}}},
+		"peels a tail":       {N: 5, Weight: []float64{1, 1, 1, 50, 60}, Edges: [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}}},
+		"isolated unpaid":    {N: 6, Weight: []float64{1, 2, 3, 4, 0.5, 7}, Edges: path},
+		"all paid":           {N: 4, Weight: make([]float64, 4), Edges: path},
+		"no edges at all":    {N: 3, Weight: []float64{1, 0, 2}},
+		"no vertices at all": {},
+	} {
+		d := NewDecremental(inst)
+		res := d.Solve(nil)
+		for link := 0; link < 3; link++ {
+			commit(d, res)
+			got, want := d.Replay(res, nil), d.Solve(nil)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, link %d: replay %+v, fresh solve %+v", name, link, got, want)
+			}
+			res = got
+		}
+	}
+}
+
 // FuzzDecrementalEquivalence drives the same equivalence as the quick
-// property from arbitrary fuzz seeds, over random and hub-shaped instances.
+// property from arbitrary fuzz seeds, over random and hub-shaped
+// instances, and then the replay equivalence on a second instance of the
+// same shape.
 func FuzzDecrementalEquivalence(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -339,6 +449,9 @@ func FuzzDecrementalEquivalence(f *testing.F) {
 		if _, err := driveToEmpty(rng, NewDecremental(inst)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		if _, err := driveCommits(rng, NewDecremental(inst)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	})
 }
 
@@ -348,7 +461,7 @@ func FuzzDecrementalEquivalence(f *testing.F) {
 // elements per peeled instance, 128 of them live, 63 vertices unpaid): a
 // hub-shaped instance late in a solve, with ~80% of its elements covered
 // and about half its supports paid.
-func BenchmarkDecrementalSolveLate(b *testing.B) {
+func lateInstance() *Decremental {
 	rng := rand.New(rand.NewSource(13))
 	d := NewDecremental(hubInstance(rng, 51, 51, 541))
 	for _, ei := range rng.Perm(d.NumEdges())[:d.NumEdges()*4/5] {
@@ -358,11 +471,31 @@ func BenchmarkDecrementalSolveLate(b *testing.B) {
 		d.ZeroWeight(u)
 	}
 	d.Compact()
+	return d
+}
+
+func BenchmarkDecrementalSolveLate(b *testing.B) {
+	d := lateInstance()
 	var sc Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = d.Solve(&sc)
+	}
+}
+
+// BenchmarkDecrementalReplay measures what follows a hub commit in the
+// same state: the replay of the committed peel, against the re-peel
+// BenchmarkDecrementalSolveLate prices.
+func BenchmarkDecrementalReplay(b *testing.B) {
+	d := lateInstance()
+	var sc Scratch
+	res := d.Solve(&sc)
+	commit(d, res)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = d.Replay(res, &sc)
 	}
 }
 

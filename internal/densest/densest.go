@@ -51,6 +51,11 @@ type Result struct {
 	Members []int32
 	EdgeCnt int
 	Weight  float64
+	// Peeled is the peel's removal order up to the best snapshot (the
+	// complement of Members), EdgesAfter[k] the live elements left after
+	// removing Peeled[k]: Decremental.Replay's input. Nil from Exact.
+	Peeled     []int32
+	EdgesAfter []int32
 }
 
 // Density returns |E(S)|/g(S); +Inf if g(S)=0 and |E(S)|>0; 0 if both 0.
@@ -67,29 +72,34 @@ func (r Result) Density() float64 {
 // Denser reports whether r is strictly denser than o, comparing by
 // cross-multiplication so zero weights are exact.
 func (r Result) Denser(o Result) bool {
+	return denser(r.EdgeCnt, r.Weight, o.EdgeCnt, o.Weight)
+}
+
+func denser(rE int, rW float64, oE int, oW float64) bool {
 	// r.E/r.W > o.E/o.W  ⟺  r.E*o.W > o.E*r.W   (weights >= 0)
-	lhs := float64(r.EdgeCnt) * o.Weight
-	rhs := float64(o.EdgeCnt) * r.Weight
+	lhs := float64(rE) * oW
+	rhs := float64(oE) * rW
 	if lhs != rhs {
 		return lhs > rhs
 	}
 	// Equal ratios: prefer more coverage (more edges).
-	return r.EdgeCnt > o.EdgeCnt
+	return rE > oE
 }
 
 func inf() float64 { return math.Inf(1) }
 
 // Scratch is a reusable per-worker arena for the peel: the heap, its
-// position index, the removal order and the removed marks. A nil Scratch
-// makes every call allocate fresh; callers in hot loops (each CHITCHAT
-// oracle evaluation runs one peel) hold one Scratch per worker goroutine
-// and amortize all of it. The zero value is ready to use. A Scratch must
-// not be shared between concurrent calls.
+// position index, the removal order with its edge counts and the removed
+// marks. A nil Scratch makes every call allocate fresh; callers in hot
+// loops (each CHITCHAT oracle evaluation runs one peel) hold one Scratch
+// per worker goroutine and amortize all of it. The zero value is ready to
+// use. A Scratch must not be shared between concurrent calls.
 type Scratch struct {
 	heap  []peelEntry
 	pos   []int32 // pos[u] = heap slot of u, valid only while u is queued
 	gone  []bool
 	order []int32
+	after []int32 // live elements left after each removal in order
 }
 
 // grow returns a length-n slice backed by b's storage when it is large

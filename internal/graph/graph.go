@@ -10,8 +10,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -31,6 +33,14 @@ type EdgeID = int32
 type Edge struct {
 	From NodeID
 	To   NodeID
+}
+
+// Compare orders edges by (From, To) — edge-id order.
+func (e Edge) Compare(o Edge) int {
+	if c := cmp.Compare(e.From, o.From); c != 0 {
+		return c
+	}
+	return cmp.Compare(e.To, o.To)
 }
 
 // Graph is an immutable directed graph in CSR form. Build one with a
@@ -85,14 +95,12 @@ func (b *Builder) TryAddEdge(u, v NodeID) error {
 // NumPending returns the number of edges added so far (before dedup).
 func (b *Builder) NumPending() int { return len(b.edges) }
 
-// Build freezes the accumulated edges into an immutable Graph.
+// Build freezes the accumulated edges into an immutable Graph; edges
+// added in edge-id order (an induced subgraph, a rebase) are not re-sorted.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].From != b.edges[j].From {
-			return b.edges[i].From < b.edges[j].From
-		}
-		return b.edges[i].To < b.edges[j].To
-	})
+	if !slices.IsSortedFunc(b.edges, Edge.Compare) {
+		slices.SortFunc(b.edges, Edge.Compare)
+	}
 	// Dedup in place.
 	dst := 0
 	for i, e := range b.edges {

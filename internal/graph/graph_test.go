@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,31 @@ func TestDedupAndSelfLoops(t *testing.T) {
 	g := b.Build()
 	if g.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2 (dedup + self-loop drop)", g.NumEdges())
+	}
+}
+
+// Build sorts only what is out of order: input already in edge-id order,
+// reversed, and carrying duplicates must all freeze into the same graph.
+func TestBuildSortedReversedAndDuplicated(t *testing.T) {
+	sorted := []Edge{{0, 1}, {0, 3}, {1, 0}, {1, 2}, {2, 3}, {3, 0}, {3, 2}}
+	want := FromEdges(4, sorted).EdgeList()
+	if !slices.Equal(want, sorted) {
+		t.Fatalf("sorted input came out as %v", want)
+	}
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	dup := append(slices.Clone(sorted), sorted...)
+	sortedDup := []Edge{{0, 1}, {0, 1}, {0, 3}, {1, 0}, {1, 2}, {1, 2}, {2, 3}, {3, 0}, {3, 2}, {3, 2}}
+	for name, in := range map[string][]Edge{"reversed": reversed, "duplicated": dup, "sorted with duplicates": sortedDup} {
+		g := FromEdges(4, in)
+		if got := g.EdgeList(); !slices.Equal(got, want) {
+			t.Errorf("%s input: edges %v, want %v", name, got, want)
+		}
+		for e, x := range want {
+			if id, ok := g.EdgeID(x.From, x.To); !ok || int(id) != e {
+				t.Errorf("%s input: EdgeID%v = %d, %v, want %d", name, x, id, ok, e)
+			}
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ package incremental
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"piggyback/internal/bitset"
 	"piggyback/internal/core"
@@ -479,52 +480,45 @@ func (m *Maintainer) Cost() float64 { return m.cost }
 // object passed to New; UpdateRates mutates it).
 func (m *Maintainer) Rates() *workload.Rates { return m.r }
 
-// LiveEdges returns the current edge list (base minus removals plus live
-// additions), for rebuilding the graph before re-optimization.
-func (m *Maintainer) LiveEdges() []graph.Edge {
-	out := make([]graph.Edge, 0, m.NumEdges())
-	m.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if !m.removed.Test(int(e)) {
-			out = append(out, graph.Edge{From: u, To: v})
-		}
-		return true
-	})
-	for _, x := range m.extra {
-		if !x.removed {
-			out = append(out, x.edge)
-		}
-	}
-	return out
-}
-
 // Rebase materializes the live edge set into a fresh CSR graph and a
 // schedule over it mirroring the maintained assignments — the handoff
 // point from cheap greedy patching to a (localized) re-solve. Every live
 // edge keeps its flags; coverage carries over because the maintainer's
 // invariant guarantees hub supports of live covered edges are live. The
 // maintainer itself is not modified.
+//
+// The live set is the base CSR, already in edge-id order, minus the
+// removed edges, plus the live extras, which are never base edges (AddEdge
+// revives those in place). Merging the two sorted runs emits every live
+// edge once in the new graph's edge-id order, so an edge's new id is its
+// emission index and its flags and hub ride along: no sort, no lookup.
 func (m *Maintainer) Rebase() (*graph.Graph, *core.Schedule) {
-	ng := graph.FromEdges(m.g.NumNodes(), m.LiveEdges())
-	ns := core.NewSchedule(ng)
-	copyFlags := func(u, v graph.NodeID, f core.Flag, hub graph.NodeID) {
-		ne, ok := ng.EdgeID(u, v)
-		if !ok {
-			return // cannot happen: the edge came from LiveEdges
+	extras := make([]*extraEdge, 0, m.liveExtra)
+	for i := range m.extra {
+		if x := &m.extra[i]; !x.removed {
+			extras = append(extras, x)
 		}
-		if f&core.FlagPush != 0 {
-			ns.SetPush(ne)
-		}
-		if f&core.FlagPull != 0 {
-			ns.SetPull(ne)
-		}
-		if f&core.FlagCovered != 0 {
-			ns.SetCovered(ne, hub)
+	}
+	slices.SortFunc(extras, func(a, b *extraEdge) int { return a.edge.Compare(b.edge) })
+
+	n := m.NumEdges()
+	b := graph.NewBuilder(m.g.NumNodes())
+	flags := make([]core.Flag, 0, n)
+	hubs := make([]graph.NodeID, 0, n)
+	emitExtrasBefore := func(next graph.Edge) {
+		for len(extras) > 0 && extras[0].edge.Compare(next) < 0 {
+			x := extras[0]
+			extras = extras[1:]
+			b.AddEdge(x.edge.From, x.edge.To)
+			flags = append(flags, x.flags)
+			hubs = append(hubs, x.hub)
 		}
 	}
 	m.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		if m.removed.Test(int(e)) {
 			return true
 		}
+		emitExtrasBefore(graph.Edge{From: u, To: v})
 		var f core.Flag
 		if m.sched.IsPush(e) {
 			f |= core.FlagPush
@@ -535,12 +529,24 @@ func (m *Maintainer) Rebase() (*graph.Graph, *core.Schedule) {
 		if m.sched.IsCovered(e) {
 			f |= core.FlagCovered
 		}
-		copyFlags(u, v, f, m.sched.Hub(e))
+		b.AddEdge(u, v)
+		flags = append(flags, f)
+		hubs = append(hubs, m.sched.Hub(e))
 		return true
 	})
-	for _, x := range m.extra {
-		if !x.removed {
-			copyFlags(x.edge.From, x.edge.To, x.flags, x.hub)
+	emitExtrasBefore(graph.Edge{From: graph.NodeID(m.g.NumNodes())})
+
+	ng := b.Build()
+	ns := core.NewSchedule(ng)
+	for e, f := range flags {
+		if f&core.FlagPush != 0 {
+			ns.SetPush(graph.EdgeID(e))
+		}
+		if f&core.FlagPull != 0 {
+			ns.SetPull(graph.EdgeID(e))
+		}
+		if f&core.FlagCovered != 0 {
+			ns.SetCovered(graph.EdgeID(e), hubs[e])
 		}
 	}
 	return ng, ns

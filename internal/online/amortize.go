@@ -38,7 +38,6 @@ type amortCand struct {
 // sweep used to build four maps per call, which was most of its cost).
 // The zero value is ready to use.
 type amortizer struct {
-	pinned  []int32     // per edge: coverage obligations on its flags
 	needers []int32     // per edge: candidates of the current hub still needing it bought; all zero between hubs
 	ends    []int32     // per node: end of the hub's group in cands
 	found   []amortCand // candidates in discovery order
@@ -57,7 +56,10 @@ func grown(b []int32, n int) []int32 {
 
 // run sweeps s in place, considering only the region's edges as upgrade
 // candidates (nil region means every edge; a region must be ascending,
-// as graph.InducedEdgeIDs returns it). The schedule must be valid; it
+// as graph.InducedEdgeIDs returns it). pinned[e] must count the covered
+// edges of s whose hub support is e, as refine.Pass over s returns it: a
+// direct flag may only be cleared where it is 0, and the sweep keeps it
+// current as it buys. The schedule must be valid; it
 // stays valid, and its cost is strictly reduced or untouched — every hub
 // bundle is bought only when its pooled refund exceeds the price of its
 // missing supports.
@@ -65,26 +67,8 @@ func grown(b []int32, n int) []int32 {
 // Determinism: hubs are processed in ascending node id, candidates in
 // ascending edge id, and the drop-to-fixpoint loop always removes the
 // lowest-id unprofitable candidate first.
-func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.EdgeID) amortizeResult {
+func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.EdgeID, pinned []int32) amortizeResult {
 	g := s.Graph()
-
-	// pinned[e] counts coverage obligations on e's flags, exactly as in
-	// refine.Pass: a direct flag may only be cleared with this bookkeeping
-	// in hand.
-	a.pinned = grown(a.pinned, g.NumEdges())
-	pinned := a.pinned
-	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if s.IsCovered(e) {
-			w := s.Hub(e)
-			if up, ok := g.EdgeID(u, w); ok {
-				pinned[up]++
-			}
-			if down, ok := g.EdgeID(w, v); ok {
-				pinned[down]++
-			}
-		}
-		return true
-	})
 
 	// Collect candidates. A candidate is a region edge paying exactly one
 	// direct side that nothing depends on; each hub in out(u) ∩ in(v)
@@ -181,11 +165,13 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 		if lo == hi {
 			continue
 		}
-		// Candidates an earlier hub of this sweep already upgraded are
-		// out; the group is ours to filter in place.
+		// Candidates an earlier hub of this sweep upgraded are out, and so
+		// are those it took as an already-paid support: clearing that flag
+		// now would void the coverage resting on it (piggybacking is not
+		// transitive; DESIGN.md §7). The group is ours to filter in place.
 		cands := all[lo:lo]
 		for _, c := range all[lo:hi] {
-			if !s.IsCovered(c.e) {
+			if !s.IsCovered(c.e) && pinned[c.e] == 0 {
 				cands = append(cands, c)
 			}
 		}
@@ -264,6 +250,8 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 				s.ClearPull(c.e)
 			}
 			s.SetCovered(c.e, graph.NodeID(w))
+			pinned[c.up]++
+			pinned[c.down]++
 			res.Upgraded++
 		}
 		res.Saved += refundSum - priceSum

@@ -2,7 +2,9 @@ package online
 
 import (
 	"context"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
@@ -26,6 +28,13 @@ func (identitySolver) Solve(ctx context.Context, p solver.Problem) (*solver.Resu
 		Schedule: p.Base.Clone(),
 		Report:   solver.Report{Solver: "identity", Iterations: 1},
 	}, nil
+}
+
+// sweep runs the amortizer the way the daemon does: after a refine pass,
+// on the obligation counts the pass ends with.
+func sweep(a *amortizer, s *core.Schedule, r *workload.Rates, region []graph.EdgeID) amortizeResult {
+	_, pinned := refine.Pass(s, r)
+	return a.run(s, r, region, pinned)
 }
 
 // spikeFixture is the minimal exterior-amortization instance: celebrity
@@ -74,7 +83,7 @@ func TestAmortizePurchasesSharedSupports(t *testing.T) {
 		t.Fatalf("refine recovered %d edges on a both-supports-missing instance", res.Recovered)
 	}
 
-	res := new(amortizer).run(s, r, nil)
+	res := sweep(new(amortizer), s, r, nil)
 	if res.Upgraded != 3 {
 		t.Fatalf("Upgraded = %d, want 3", res.Upgraded)
 	}
@@ -97,7 +106,7 @@ func TestAmortizePurchasesSharedSupports(t *testing.T) {
 		}
 	}
 	// Idempotent: nothing left to buy.
-	if again := new(amortizer).run(s, r, nil); again.Upgraded != 0 {
+	if again := sweep(new(amortizer), s, r, nil); again.Upgraded != 0 {
 		t.Fatalf("second sweep upgraded %d more edges", again.Upgraded)
 	}
 }
@@ -115,7 +124,7 @@ func TestAmortizeRejectsUnprofitableBundle(t *testing.T) {
 	s := chitchat.Solve(g, r, chitchat.Config{})
 	r.Prod[0] = 100
 	before := s.Cost(r)
-	if res := new(amortizer).run(s, r, nil); res.Upgraded != 0 || res.Saved != 0 {
+	if res := sweep(new(amortizer), s, r, nil); res.Upgraded != 0 || res.Saved != 0 {
 		t.Fatalf("bought an unprofitable bundle: %+v", res)
 	}
 	if after := s.Cost(r); after != before {
@@ -132,7 +141,7 @@ func TestAmortizeRespectsRegionScope(t *testing.T) {
 	// a pull support, not a spiked push), so the sweep must not reach
 	// outside it to the 0→v edges.
 	e01, _ := g.EdgeID(0, 1)
-	if res := new(amortizer).run(s, r, []graph.EdgeID{e01}); res.Upgraded != 0 {
+	if res := sweep(new(amortizer), s, r, []graph.EdgeID{e01}); res.Upgraded != 0 {
 		t.Fatalf("region-scoped sweep upgraded %d edges outside the region", res.Upgraded)
 	}
 	// Region holding the three spiked edges: full upgrade.
@@ -141,7 +150,7 @@ func TestAmortizeRespectsRegionScope(t *testing.T) {
 		e, _ := g.EdgeID(0, v)
 		region = append(region, e)
 	}
-	if res := new(amortizer).run(s, r, region); res.Upgraded != 3 {
+	if res := sweep(new(amortizer), s, r, region); res.Upgraded != 3 {
 		t.Fatalf("region-scoped sweep upgraded %d, want 3", res.Upgraded)
 	}
 }
@@ -155,7 +164,7 @@ func TestAmortizerScratchReuse(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		_, r, s := spikeFixture(t)
 		fresh := s.Clone()
-		got, want := a.run(s, r, nil), new(amortizer).run(fresh, r, nil)
+		got, want := sweep(&a, s, r, nil), sweep(new(amortizer), fresh, r, nil)
 		if got != want || s.Cost(r) != fresh.Cost(r) {
 			t.Fatalf("round %d: reused scratch %+v (cost %v), fresh %+v (cost %v)",
 				round, got, s.Cost(r), want, fresh.Cost(r))
@@ -165,7 +174,7 @@ func TestAmortizerScratchReuse(t *testing.T) {
 		small := &workload.Rates{Prod: []float64{100, 2, 0}, Cons: []float64{0, 0.5, 3}}
 		hybrid := core.NewSchedule(g)
 		hybrid.Finalize(small)
-		a.run(hybrid, small, nil)
+		sweep(&a, hybrid, small, nil)
 		for e, c := range a.needers[:cap(a.needers)] {
 			if c != 0 {
 				t.Fatalf("round %d: needers[%d] = %d after a sweep", round, e, c)
@@ -268,6 +277,100 @@ func TestAmortizeFlashCrowdTrace(t *testing.T) {
 	// first flipped accept (epoch rebase, dirt clearing, backoff reset),
 	// and the gate only promises each splice beats ITS incumbent at
 	// splice time — which the accept counters above already witness.
+}
+
+// The cross-hub hazard (ROADMAP item 0 at the PR 15 anchor): hub 2 covers
+// 0→1 resting on the support 0→2, which was push already and is itself a
+// candidate paying exactly its push; hub 3 then offers to cover 0→2 and
+// clear that push. Piggybacking is not transitive, so taking the offer
+// voids 0→1's coverage. The sweep must leave a support it has just
+// relied on alone.
+func TestAmortizeKeepsSupportsOfEarlierBundles(t *testing.T) {
+	g := graph.FromEdges(4, []graph.Edge{
+		{From: 0, To: 1}, {From: 0, To: 2}, {From: 2, To: 1},
+		{From: 0, To: 3}, {From: 3, To: 2},
+	})
+	r := &workload.Rates{Prod: []float64{10, 1, 1, 1}, Cons: []float64{1, 1, 1, 1}}
+	s := core.NewSchedule(g)
+	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		s.SetPush(e)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Cost(r)
+	res := sweep(new(amortizer), s, r, nil)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("schedule invalid after amortize: %v", err)
+	}
+	e01, _ := g.EdgeID(0, 1)
+	e02, _ := g.EdgeID(0, 2)
+	if res.Upgraded != 1 || !s.IsCovered(e01) || s.Hub(e01) != 2 || !s.IsPush(e02) || s.IsCovered(e02) {
+		t.Fatalf("want exactly 0→1 covered through hub 2 on a standing push 0→2, got %+v", res)
+	}
+	if got := before - s.Cost(r); !floatsClose(got, res.Saved) || !floatsClose(got, 9) {
+		t.Fatalf("cost dropped %v, Saved reports %v, want 9", got, res.Saved)
+	}
+}
+
+// Property: on random valid schedules under tie-heavy rates (so many
+// supports are already paid and many bundles break even), refine then
+// amortize leaves a valid schedule, never a dearer one, and books exactly
+// the cost it removed.
+func TestQuickAmortizeSafety(t *testing.T) {
+	upgraded := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := graphgen.Social(graphgen.Config{
+			Nodes: 5 + rng.Intn(60), AvgFollows: 2 + rng.Intn(6),
+			TriadProb: rng.Float64(), Reciprocity: rng.Float64(), Seed: seed,
+		})
+		n := g.NumNodes()
+		r := &workload.Rates{Prod: make([]float64, n), Cons: make([]float64, n)}
+		for u := 0; u < n; u++ {
+			r.Prod[u] = float64(int(1) << rng.Intn(4))
+			r.Cons[u] = float64(int(1) << rng.Intn(3))
+		}
+		// A valid schedule with every kind of edge: hybrid or CHITCHAT,
+		// then a random share of edges forced to the dearer direct side
+		// or to both sides, as stale choices after a rate change look.
+		s := core.NewSchedule(g)
+		if rng.Intn(2) == 0 {
+			s = chitchat.Solve(g, r, chitchat.Config{Workers: 1})
+		}
+		s.Finalize(r)
+		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+			switch rng.Intn(6) {
+			case 0:
+				s.SetPush(e)
+			case 1:
+				s.SetPull(e)
+			}
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("seed %d: input invalid: %v", seed, err)
+		}
+		var region []graph.EdgeID
+		if rng.Intn(2) == 0 {
+			region = graph.InducedEdgeIDs(g, graph.KHop(g, []graph.NodeID{graph.NodeID(rng.Intn(n))}, 2, 0))
+		}
+		before := s.Cost(r)
+		refined, pinned := refine.Pass(s, r)
+		res := new(amortizer).run(s, r, region, pinned)
+		upgraded += res.Upgraded
+		if err := s.Validate(); err != nil {
+			t.Logf("seed %d: invalid after amortize: %v", seed, err)
+			return false
+		}
+		after := s.Cost(r)
+		return after <= before && !(res.Saved < 0) && floatsClose(before-refined.Saved-res.Saved, after)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+	if upgraded == 0 {
+		t.Fatal("no sweep bought anything; the property proved nothing")
+	}
 }
 
 func floatsClose(a, b float64) bool {

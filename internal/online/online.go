@@ -149,11 +149,12 @@ type Config struct {
 	// (online_*) in the given registry. Every series is registered at
 	// construction, so a scrape sees them at zero before the first op.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, records every localized re-solve as a span
-	// (the regional solver is wrapped in solver.WithTracing): portfolio
-	// races and shard inner solves nest under it, and because the
-	// daemon's re-solves are strictly sequential the resulting span tree
-	// is deterministic for a fixed trace and configuration.
+	// Tracer, when non-nil, records every localized re-solve as a
+	// `resolve` span with one timed child per step (DESIGN.md §12); the
+	// regional solver is wrapped in solver.WithTracing, so its `solve/…`
+	// span, portfolio races and shard inner solves nest under it. The
+	// re-solves are strictly sequential, so the span tree is
+	// deterministic for a fixed trace and configuration.
 	Tracer *telemetry.Tracer
 	// Events, when non-nil, receives circuit-breaker state transitions
 	// as ("breaker", "closed->open") events, in order — the stream the
@@ -705,17 +706,48 @@ func (d *Daemon) priceRegion() {
 	rg.edges, rg.cost, rg.stale = edges, cost, false
 }
 
+// stage is one traced step of a re-solve: a span and its wall time. The
+// zero value, which begin returns without a tracer, does nothing.
+type stage struct {
+	tr    *telemetry.Tracer
+	id    telemetry.SpanID
+	start time.Time
+}
+
+// begin opens a span under parent, formatting its attributes only when a
+// tracer is configured.
+func (d *Daemon) begin(parent telemetry.SpanID, name, format string, args ...any) stage {
+	if tr := d.cfg.Tracer; tr != nil {
+		return stage{tr, tr.Begin(parent, name, fmt.Sprintf(format, args...)), time.Now()}
+	}
+	return stage{}
+}
+
+func (st stage) end(format string, args ...any) {
+	if st.tr != nil {
+		st.tr.SetDuration(st.id, time.Since(st.start))
+		st.tr.End(st.id, fmt.Sprintf(format, args...))
+	}
+}
+
 // resolveRegion rebases the live graph, re-solves the region in
 // isolation through the configured solver.Solver, and splices the patch
 // in if it lowers the cost. Either way the region's dirt is cleared and
-// a fresh maintainer epoch begins when the patch is accepted.
+// a fresh maintainer epoch begins when the patch is accepted. A tracer
+// sees the stall as one `resolve` span with its steps as children.
 func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
+	_, parent := telemetry.FromContext(ctx)
+	root := d.begin(parent, "resolve", "seed=%d nodes=%d", d.region.seed, len(epochNodes))
+	st := d.begin(root.id, "rebase", "")
 	liveG, liveS := d.m.Rebase()
+	st.end("edges=%d", liveG.NumEdges())
 	// The region's NODE set was chosen on the (possibly lagging) epoch
 	// graph; its edges are extracted from the fresh live graph, so the
 	// re-solve always sees current structure.
 	nodes := epochNodes
+	st = d.begin(root.id, "extract", "")
 	regionEdges := graph.InducedEdgeIDs(liveG, nodes)
+	st.end("edges=%d", len(regionEdges))
 	d.stats.RegionEdges += len(regionEdges)
 	d.inst.regionEdges.Add(int64(len(regionEdges)))
 	d.inst.regionSize.Observe(float64(len(regionEdges)))
@@ -729,17 +761,17 @@ func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
 	if len(regionEdges) == 0 {
 		// The epoch-stale region dissolved on the live graph; no solver
 		// ran, so neither the revert counter nor the backoff should move.
+		root.end("dissolved edges=0")
 		return
 	}
 
-	oldCost := liveS.Cost(d.r)
 	rctx := ctx
 	if d.cfg.ResolveTimeout > 0 {
 		var cancel context.CancelFunc
 		rctx, cancel = context.WithTimeout(ctx, d.cfg.ResolveTimeout)
 		defer cancel()
 	}
-	var patched *core.Schedule
+	rctx = telemetry.NewContext(rctx, root.tr, root.id)
 	solveStart := time.Now()
 	res, err := d.regional.Solve(rctx, solver.Problem{
 		Graph:  liveG,
@@ -750,14 +782,7 @@ func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
 	wall := time.Since(solveStart)
 	d.stats.ResolveWall += wall
 	d.inst.resolveWall.Add(wall.Seconds())
-	if res != nil {
-		// A context-truncated re-solve still returns a valid best-so-far
-		// patch (res non-nil alongside err); only hard failures leave
-		// res nil, and then the maintained schedule stands.
-		patched = res.Schedule
-		d.stats.BoundaryRepairs += res.Report.BoundaryRepairs
-		d.inst.boundaryRepairs.Add(int64(res.Report.BoundaryRepairs))
-	} else {
+	if res == nil {
 		// Hard failure: the solver never produced a schedule. This is
 		// misconfiguration or a bug, not an unprofitable re-solve, so it
 		// is booked separately and does NOT feed the revert backoff —
@@ -766,45 +791,67 @@ func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
 		d.stats.SolverErrors++
 		d.inst.solverErrors.Inc()
 		d.stats.LastSolverErr = err
+		root.end("failed edges=%d", len(regionEdges))
 		return
 	}
+	// A context-truncated re-solve still returns a valid best-so-far
+	// patch (res non-nil alongside err); only hard failures leave res
+	// nil, and then the maintained schedule stands.
+	patched := res.Schedule
+	d.stats.BoundaryRepairs += res.Report.BoundaryRepairs
+	d.inst.boundaryRepairs.Add(int64(res.Report.BoundaryRepairs))
+
+	// The regional solver saw the region in isolation, so region edges
+	// whose free exterior coverage the extraction severed came back as
+	// direct service. The free-coverage sweep wins them back
+	// deterministically before the accept/revert decision, and the
+	// exterior-amortization sweep then prices support PURCHASES the
+	// isolated solve could not see: a pooled refund across the region's
+	// direct edges against supports the exterior schedule already pays
+	// for. Both only ever lower the patch cost, so a patch that loses
+	// afterwards would have lost anyway.
+	st = d.begin(root.id, "refine", "")
+	refined, pinned := refine.Pass(patched, d.r)
+	st.end("recovered=%d", refined.Recovered)
 	var amort amortizeResult
-	if patched != nil {
-		// The regional solver saw the region in isolation, so region
-		// edges whose free exterior coverage the extraction severed came
-		// back as direct service. The free-coverage sweep wins them back
-		// deterministically before the accept/revert decision, and the
-		// exterior-amortization sweep then prices support PURCHASES the
-		// isolated solve could not see: a pooled refund across the
-		// region's direct edges against supports the exterior schedule
-		// already pays for. Both only ever lower the patch cost, so a
-		// patch that loses afterwards would have lost anyway.
-		refine.Run(patched, d.r)
-		if !d.cfg.DisableAmortize {
-			amort = d.amortize.run(patched, d.r, regionEdges)
-		}
+	if !d.cfg.DisableAmortize {
+		st = d.begin(root.id, "amortize", "")
+		amort = d.amortize.run(patched, d.r, regionEdges, pinned)
+		st.end("upgraded=%d", amort.Upgraded)
 	}
 
-	if patched == nil || patched.Cost(d.r) >= oldCost {
+	st = d.begin(root.id, "gate", "")
+	oldCost, newCost := liveS.Cost(d.r), patched.Cost(d.r)
+	if newCost >= oldCost {
+		st.end("incumbent=%.1f patch=%.1f revert", oldCost, newCost)
 		d.stats.Reverted++
 		d.inst.reverted.Inc()
 		d.revertStreak++
+		root.end("reverted edges=%d", len(regionEdges))
 		return
 	}
+	st.end("incumbent=%.1f patch=%.1f accept", oldCost, newCost)
 	d.stats.Resolves++
 	d.inst.resolves.Inc()
 	d.stats.Amortized += amort.Upgraded
 	d.stats.AmortizedSaved += amort.Saved
 	d.inst.amortized.Add(int64(amort.Upgraded))
 	d.revertStreak = 0
+	st = d.begin(root.id, "rebuild", "")
 	d.m = incremental.New(patched, d.r)
 	d.m.OnRescue = d.onRescue
 	d.epoch = liveG
+	st.end("")
+	st = d.begin(root.id, "lower-bound", "")
 	d.lb = lowerBound(liveG, d.r)
 	d.inst.lowerBound.Set(d.lb)
+	st.end("")
 	if d.OnSplice != nil {
+		st = d.begin(root.id, "publish", "")
 		d.OnSplice(liveG, patched)
+		st.end("")
 	}
+	root.end("accepted edges=%d", len(regionEdges))
 }
 
 // lowerBound computes the coverability bound: an edge u → v whose

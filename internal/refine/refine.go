@@ -26,28 +26,60 @@ type Result struct {
 }
 
 // Pass runs one free-coverage sweep over s in place. The schedule must be
-// valid (Theorem 1); it stays valid, and its cost never increases.
-func Pass(s *core.Schedule, r *workload.Rates) Result {
+// valid (Theorem 1); it stays valid, and its cost never increases. One
+// pass is a fixpoint: it only clears direct flags and adds coverage,
+// neither of which creates a bracket, so a second pass recovers nothing.
+//
+// Alongside the result it returns the obligation counts it ends with:
+// pinned[e] is the number of covered edges whose hub support is e. Only
+// an edge with pinned == 0 and no coverage role may have its direct flags
+// cleared, which a later sweep (the online daemon's amortizer) must know.
+func Pass(s *core.Schedule, r *workload.Rates) (Result, []int32) {
 	g := s.Graph()
+	n := g.NumNodes()
 
-	// pinned[e] counts obligations on e's flags: covered edges whose hub
-	// support is e. An edge with pinned == 0 and no coverage role may have
-	// its direct flags cleared.
 	pinned := make([]int32, g.NumEdges())
-	pin := func(u, w, v graph.NodeID) {
-		if up, ok := g.EdgeID(u, w); ok {
-			pinned[up]++
-		}
-		if down, ok := g.EdgeID(w, v); ok {
-			pinned[down]++
-		}
-	}
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		if s.IsCovered(e) {
-			pin(u, s.Hub(e), v)
+			w := s.Hub(e)
+			if up, ok := g.EdgeID(u, w); ok {
+				pinned[up]++
+			}
+			if down, ok := g.EdgeID(w, v); ok {
+				pinned[down]++
+			}
 		}
 		return true
 	})
+
+	// Only a pushed out-edge of u and a pulled in-edge of v can bracket
+	// u → v, so those are what the sweep intersects, not out(u) ∩ in(v):
+	// push[pushAt[u]:pushAt[u+1]] are u's pushed out-edges by ascending
+	// target, pull[pullAt[v]:pullAt[v+1]] v's pulled in-edges by ascending
+	// source pullFrom.
+	cnt := s.Counts()
+	pushAt := make([]int32, n+1)
+	push := make([]graph.EdgeID, 0, cnt.Push)
+	pullAt := make([]int32, n+1)
+	pull := make([]graph.EdgeID, 0, cnt.Pull)
+	pullFrom := make([]graph.NodeID, 0, cnt.Pull)
+	for u := graph.NodeID(0); int(u) < n; u++ {
+		lo, hi := g.OutEdgeRange(u)
+		for e := lo; e < hi; e++ {
+			if s.IsPush(e) {
+				push = append(push, e)
+			}
+		}
+		pushAt[u+1] = int32(len(push))
+		ids := g.InEdgeIDs(u)
+		for j, w := range g.InNeighbors(u) {
+			if s.IsPull(ids[j]) {
+				pull = append(pull, ids[j])
+				pullFrom = append(pullFrom, w)
+			}
+		}
+		pullAt[u+1] = int32(len(pull))
+	}
 
 	var res Result
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
@@ -55,34 +87,31 @@ func Pass(s *core.Schedule, r *workload.Rates) Result {
 		if s.IsCovered(e) || pinned[e] > 0 {
 			return true
 		}
-		push := s.IsPush(e)
-		pull := s.IsPull(e)
-		if push == pull {
+		isPush := s.IsPush(e)
+		if isPush == s.IsPull(e) {
 			// Neither (invalid input, leave alone) or both (the edge is
 			// doing double duty; clearing one side is a different
 			// optimization with dependency subtleties — skip).
 			return true
 		}
-		// Look for a hub w with u → w already pushed and w → v already
-		// pulled: walk out(u) ∩ in(v).
-		outU := g.OutNeighbors(u)
-		loU, _ := g.OutEdgeRange(u)
-		inV := g.InNeighbors(v)
-		idsV := g.InEdgeIDs(v)
-		i, j := 0, 0
-		for i < len(outU) && j < len(inV) {
+		// The lowest hub w with u → w pushed and w → v pulled. The lists
+		// are as of the start of the pass and the pass only ever clears
+		// flags, so a hit is re-checked against the live flags: what
+		// remains is exactly what a walk over the live schedule would find.
+		i, iEnd := pushAt[u], pushAt[u+1]
+		j, jEnd := pullAt[v], pullAt[v+1]
+		for i < iEnd && j < jEnd {
+			w := g.EdgeTarget(push[i])
 			switch {
-			case outU[i] < inV[j]:
+			case w < pullFrom[j]:
 				i++
-			case outU[i] > inV[j]:
+			case w > pullFrom[j]:
 				j++
 			default:
-				w := outU[i]
-				up := loU + graph.EdgeID(i)
-				down := idsV[j]
-				if w != u && w != v && s.IsPush(up) && s.IsPull(down) {
+				up, down := push[i], pull[j]
+				if s.IsPush(up) && s.IsPull(down) {
 					// Refund the direct cost and pin the new supports.
-					if push {
+					if isPush {
 						res.Saved += r.Prod[u]
 						s.ClearPush(e)
 					} else {
@@ -101,21 +130,11 @@ func Pass(s *core.Schedule, r *workload.Rates) Result {
 		}
 		return true
 	})
-	return res
+	return res, pinned
 }
 
-// Run applies passes until a fixpoint (a pass that recovers nothing) and
-// returns the combined result. A single pass already finds everything a
-// fixed H/L can offer — coverage never adds pushes or pulls — so the loop
-// exists purely as a guard against future pass variants that might.
+// Run is Pass for callers that only want the result.
 func Run(s *core.Schedule, r *workload.Rates) Result {
-	var total Result
-	for {
-		res := Pass(s, r)
-		total.Recovered += res.Recovered
-		total.Saved += res.Saved
-		if res.Recovered == 0 {
-			return total
-		}
-	}
+	res, _ := Pass(s, r)
+	return res
 }

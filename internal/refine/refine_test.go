@@ -3,6 +3,7 @@ package refine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,5 +159,99 @@ func TestQuickSafety(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sameSchedule reports the first edge on which two schedules over one
+// graph differ in flags or hub.
+func sameSchedule(t *testing.T, got, want *core.Schedule) {
+	t.Helper()
+	for e := graph.EdgeID(0); int(e) < want.Graph().NumEdges(); e++ {
+		if got.IsPush(e) != want.IsPush(e) || got.IsPull(e) != want.IsPull(e) ||
+			got.IsCovered(e) != want.IsCovered(e) || got.Hub(e) != want.Hub(e) {
+			t.Fatalf("edge %d: pass left push=%v pull=%v hub=%d, reference push=%v pull=%v hub=%d", e,
+				got.IsPush(e), got.IsPull(e), got.Hub(e), want.IsPush(e), want.IsPull(e), want.Hub(e))
+		}
+	}
+}
+
+// CheckAgainstReference runs Pass and the reference sweep on clones of s
+// and requires the same Result and the same flags and hub on every edge,
+// then a second Pass that recovers nothing. It returns what was recovered.
+func CheckAgainstReference(t *testing.T, s *core.Schedule, r *workload.Rates) int {
+	t.Helper()
+	got, want := s.Clone(), s.Clone()
+	res, pinned := Pass(got, r)
+	if ref := referencePass(want, r); res != ref {
+		t.Fatalf("pass returned %+v, reference %+v", res, ref)
+	}
+	sameSchedule(t, got, want)
+	again, pinned2 := Pass(got, r)
+	if again.Recovered != 0 || again.Saved != 0 {
+		t.Fatalf("second pass recovered %+v after the first recovered %+v", again, res)
+	}
+	if !slices.Equal(pinned, pinned2) {
+		t.Fatal("the pinned counts a pass ends with differ from those a fresh pass starts from")
+	}
+	return res.Recovered
+}
+
+// Pass against the sweep it replaced, over random valid schedules: the
+// hybrid baseline at push/pull-mixing rates, converged and truncated
+// PARALLELNOSY, each also with a random share of its covered edges put
+// back to direct service (so candidates, pinned supports and stale list
+// entries all occur).
+func TestPassMatchesReferenceSweep(t *testing.T) {
+	recovered := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := graphgen.Social(graphgen.Config{
+			Nodes: 5 + rng.Intn(120), AvgFollows: 3 + rng.Intn(6),
+			TriadProb: rng.Float64(), Reciprocity: rng.Float64(), Seed: seed,
+		})
+		r := workload.LogDegree(g, 0.5+rng.Float64()*5)
+		var s *core.Schedule
+		switch rng.Intn(3) {
+		case 0:
+			s = baseline.Hybrid(g, r)
+		case 1:
+			s = nosy.Solve(g, r, nosy.Config{}).Schedule
+		default:
+			s = nosy.Solve(g, r, nosy.Config{MaxIterations: 1 + rng.Intn(2)}).Schedule
+		}
+		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+			if s.IsCovered(e) && rng.Intn(3) == 0 {
+				s.ClearCovered(e)
+				s.FinalizeEdges(r, []graph.EdgeID{e})
+			}
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("seed %d: input invalid: %v", seed, err)
+		}
+		recovered += CheckAgainstReference(t, s, r)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if recovered == 0 {
+		t.Fatal("no schedule had anything to recover; the comparison proved nothing")
+	}
+}
+
+// BenchmarkRefinePassChurn prices one pass at the churn_local geometry: a
+// PARALLELNOSY schedule over the 120k-edge streamed graph, as a stall of
+// the daemon sweeps it — little to recover, every edge to look at.
+func BenchmarkRefinePassChurn(b *testing.B) {
+	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
+	r := workload.LogDegree(g, 5)
+	base := nosy.Solve(g, r, nosy.Config{}).Schedule
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := base.Clone()
+		b.StartTimer()
+		Pass(s, r)
 	}
 }

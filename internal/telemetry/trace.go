@@ -151,7 +151,13 @@ func (t *Tracer) Len() int {
 // per depth, `name#id attrs -> endAttrs`, children in Begin order.
 // Byte-identical across runs whenever the Begin sequence and the
 // attribute strings are deterministic; contains no timing.
-func (t *Tracer) Tree() string {
+func (t *Tracer) Tree() string { return t.render(false) }
+
+// TimedTree is Tree with each span's recorded wall time appended as
+// `(1.234ms)`. It differs run to run; pin Tree.
+func (t *Tracer) TimedTree() string { return t.render(true) }
+
+func (t *Tracer) render(timed bool) string {
 	if t == nil {
 		return ""
 	}
@@ -175,6 +181,9 @@ func (t *Tracer) Tree() string {
 			}
 		} else {
 			b.WriteString(" [open]")
+		}
+		if d, ok := t.durs[s.id]; ok && timed {
+			fmt.Fprintf(&b, " (%.3fms)", float64(d)/float64(time.Millisecond))
 		}
 		b.WriteByte('\n')
 		for _, c := range s.children {

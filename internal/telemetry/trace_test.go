@@ -63,6 +63,13 @@ func TestTracerDurationsOutOfBand(t *testing.T) {
 	if tr.Duration(id) != 42*time.Millisecond {
 		t.Fatalf("duration = %v", tr.Duration(id))
 	}
+	// TimedTree is Tree plus the recorded durations, and nothing else.
+	child := tr.Begin(id, "refine", "")
+	tr.End(child, "recovered=3")
+	timed := tr.TimedTree()
+	if want := strings.Replace(tr.Tree(), " -> ok\n", " -> ok (42.000ms)\n", 1); timed != want {
+		t.Fatalf("TimedTree =\n%s\nwant\n%s", timed, want)
+	}
 }
 
 func TestTracerNilSafe(t *testing.T) {
@@ -73,7 +80,7 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 	tr.End(id, "")
 	tr.SetDuration(id, time.Second)
-	if tr.Duration(id) != 0 || tr.Len() != 0 || tr.Tree() != "" {
+	if tr.Duration(id) != 0 || tr.Len() != 0 || tr.Tree() != "" || tr.TimedTree() != "" {
 		t.Fatalf("nil tracer not inert")
 	}
 	if NewContext(context.Background(), tr, id) != context.Background() {
