@@ -98,8 +98,9 @@ func runFaultFree(t *testing.T, sched *core.Schedule, trace store.Trace) []map[g
 // only recovers after the trace — and asserts the acceptance criteria:
 // zero client-visible operation failures and, after handoff replay,
 // views byte-identical to the fault-free run. It returns the per-server
-// retry logs so the caller can pin backoff determinism across runs.
-func runChaos(t *testing.T, sched *core.Schedule, trace store.Trace, want []map[graph.NodeID][]store.Event) [][]string {
+// retry logs and the client's final counters (bytes zeroed) so the
+// caller can pin the failure handling to what shipped.
+func runChaos(t *testing.T, sched *core.Schedule, trace store.Trace, want []map[graph.NodeID][]store.Event) ([][]string, ClientStats) {
 	t.Helper()
 	ops := len(trace)
 	crash1, restart1, crash2 := ops/5, ops*3/5, ops*4/5
@@ -192,7 +193,8 @@ func runChaos(t *testing.T, sched *core.Schedule, trace store.Trace, want []map[
 	if fired := plan.FiredOn(0); len(fired) == 0 {
 		t.Fatal("the fault plan injected nothing on server 0's first connection")
 	}
-	return logs
+	st.BytesRead, st.BytesWritten = 0, 0
+	return logs, st
 }
 
 // TestChaosAcceptance is the PR's acceptance test: a seeded fault plan
@@ -200,21 +202,34 @@ func runChaos(t *testing.T, sched *core.Schedule, trace store.Trace, want []map[
 // frames) over the request trace must end with zero failed client
 // operations and, after hinted-handoff replay, views byte-identical to
 // a fault-free run. Running the chaos twice must produce byte-identical
-// per-server retry schedules — the determinism claim of package fault.
+// per-server retry schedules — the determinism claim of package fault —
+// and both must be the schedule and the counters recorded at commit
+// acc89d8, before the request path was rebuilt: a retry, redial, park or
+// probe that a change to call counts differently fails here by name.
 func TestChaosAcceptance(t *testing.T) {
 	ops := 2000
+	wantStats := ClientStats{Retries: 6, Redials: 118, Parked: 184, Replayed: 184, DegradedQueries: 251, DownEvents: 2, UpEvents: 2}
 	if testing.Short() {
 		ops = 800
+		wantStats = ClientStats{Retries: 6, Redials: 55, Parked: 77, Replayed: 77, DegradedQueries: 104, DownEvents: 2, UpEvents: 2}
+	}
+	wantLogs := [][]string{ // OnRetry as a<attempt>/<delay>, the same at both sizes
+		{"a1/2.09253ms", "a1/2.652711ms"},
+		{"a1/2.753528ms", "a2/4.259686ms"},
+		{"a1/2.040502ms", "a2/4.259475ms"},
 	}
 	sched, trace := chaosWorkload(ops)
 	want := runFaultFree(t, sched, trace)
 
-	first := runChaos(t, sched, trace, want)
-	second := runChaos(t, sched, trace, want)
-	for si := range first {
-		if !reflect.DeepEqual(first[si], second[si]) {
-			t.Fatalf("server %d: retry schedules differ between identically seeded runs:\n%v\nvs\n%v",
-				si, first[si], second[si])
+	for run := 0; run < 2; run++ {
+		logs, st := runChaos(t, sched, trace, want)
+		for si := range wantLogs {
+			if !reflect.DeepEqual(logs[si], wantLogs[si]) {
+				t.Fatalf("run %d, server %d: retry schedule\n%v\nis not the pinned\n%v", run, si, logs[si], wantLogs[si])
+			}
+		}
+		if st != wantStats {
+			t.Fatalf("run %d: client counters\n%+v\nare not the pinned\n%+v", run, st, wantStats)
 		}
 	}
 }
@@ -313,7 +328,8 @@ func TestMalformedFrameGetsTypedError(t *testing.T) {
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		reply, _, err := readFrame(br, nil)
+		var buf []byte
+		reply, _, err := readFrame(br, &buf)
 		if err != nil {
 			t.Fatalf("server dropped the connection instead of replying: %v", err)
 		}
@@ -330,14 +346,14 @@ func TestMalformedFrameGetsTypedError(t *testing.T) {
 
 	// The same connection still serves well-formed requests.
 	ev := store.Event{User: 7, ID: 3, TS: 9}
-	if _, err := roundTrip(encodeUpdate(ev, []graph.NodeID{7})); err != nil {
+	if _, err := roundTrip(encodeUpdate(nil, ev, []graph.NodeID{7})); err != nil {
 		t.Fatalf("update after malformed frames: %v", err)
 	}
-	body, err := roundTrip(encodeQuery(store.StreamSize, []graph.NodeID{7}))
+	body, err := roundTrip(encodeQuery(nil, store.StreamSize, []graph.NodeID{7}))
 	if err != nil {
 		t.Fatalf("query after malformed frames: %v", err)
 	}
-	evs, err := decodeEvents(body)
+	evs, err := decodeEvents(body, nil)
 	if err != nil || len(evs) != 1 || evs[0] != ev {
 		t.Fatalf("query reply = %v (%v), want the one update", evs, err)
 	}
@@ -346,5 +362,105 @@ func TestMalformedFrameGetsTypedError(t *testing.T) {
 	defer mu.Unlock()
 	if len(hooked) != 2 {
 		t.Fatalf("OnProtoError fired %d times, want 2: %v", len(hooked), hooked)
+	}
+}
+
+// downTier is a one-server tier whose server has just died with its
+// views saved, and a client that learns of it on its first failed call
+// (no retries) and then probes on every call or on none.
+func downTier(t *testing.T, probeEvery int) (cl *Client, addr string, saved map[graph.NodeID][]store.Event) {
+	t.Helper()
+	g, _ := figure2()
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err = DialConfigured(baseline.PushAll(g), []string{srv.Addr()}, DialConfig{
+		Timeout: 500 * time.Millisecond, Retries: -1, ProbeEvery: probeEvery,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if err := cl.Update(0, store.Event{User: 0, ID: 1, TS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	return cl, srv.Addr(), srv.Snapshot()
+}
+
+// TestParkedPayloadIsOwned: a parked update must be a copy of the frame,
+// not the connection's encode buffer, which every later request through
+// the same connection rewrites. Against a park that keeps the buffer,
+// all three parked frames read as the last one and the views lose two
+// events.
+func TestParkedPayloadIsOwned(t *testing.T) {
+	cl, addr, saved := downTier(t, 1<<30)
+	var want [][]byte
+	for i := int64(2); i <= 4; i++ {
+		ev := store.Event{User: 0, ID: i, TS: i}
+		if err := cl.Update(0, ev); err != nil {
+			t.Fatalf("update %d against a down server: %v", i, err)
+		}
+		want = append(want, frameOf(0, encodeUpdate(nil, ev, cl.pushBatch[0][0].views)))
+	}
+	s := cl.conns[0]
+	s.mu.Lock()
+	parked := s.handoff
+	s.mu.Unlock()
+	if !reflect.DeepEqual(parked, want) {
+		t.Fatalf("parked frames\n%x\nare not the three updates' frames\n%x", parked, want)
+	}
+
+	srv := restartServer(t, addr, saved)
+	if still := cl.Recover(); still != 0 {
+		t.Fatal("server still down after its restart")
+	}
+	srv.Close()
+	for v, list := range srv.Snapshot() {
+		if len(list) != 4 {
+			t.Fatalf("view %d holds %v after the replay, want all four events", v, list)
+		}
+	}
+	if st := cl.Stats(); st.Parked != 3 || st.Replayed != 3 {
+		t.Fatalf("parked/replayed = %d/%d, want 3/3", st.Parked, st.Replayed)
+	}
+}
+
+// TestProbeReplySurvivesHandoffReplay: in call the probe's reply is read
+// before markUp replays the handoff through the same connection, and
+// every replayed frame's reply lands in the buffer the probe's reply
+// sits in. An ack covers only the bytes every reply starts with (version,
+// epoch, status), so the replay here also carries a frame the server
+// answers with a typed error, which is long enough to reach the events.
+// Against a call that returns the aliased reply, the query decodes the
+// error message as its first event.
+func TestProbeReplySurvivesHandoffReplay(t *testing.T) {
+	cl, addr, saved := downTier(t, 1<<30)
+	for i := int64(2); i <= 3; i++ {
+		if err := cl.Update(0, store.Event{User: 0, ID: i, TS: i}); err != nil {
+			t.Fatalf("update %d against a down server: %v", i, err)
+		}
+	}
+	if err := cl.park(0, frameOf(0, []byte{99})); err != nil {
+		t.Fatal(err)
+	}
+	srv := restartServer(t, addr, saved)
+	defer srv.Close()
+
+	cl.cfg.ProbeEvery = 1 // the next call probes
+	got, err := cl.Query(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The probe ran before the replay, so it saw the first event only.
+	if want := []store.Event{{User: 0, ID: 1, TS: 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("probing query returned %v, want the probe's own reply %v", got, want)
+	}
+	if st := cl.Stats(); cl.ServerDown(0) || st.Replayed != 2 || st.HandoffDrops != 1 || st.ErrorFrames != 1 {
+		t.Fatalf("after the probe: down=%v, %+v; want up, 2 replayed, the undecodable frame dropped", cl.ServerDown(0), st)
+	}
+	if got, err = cl.Query(2); err != nil || len(got) != 3 {
+		t.Fatalf("query after the replay = %v, %v; want all three events", got, err)
 	}
 }

@@ -131,8 +131,10 @@ type ClientStats struct {
 
 // Client is a schedule-driven application-logic client over TCP
 // (Algorithm 3). It keeps one connection per data-store server and
-// fans requests out in parallel, one batched message per server,
-// waiting for all replies.
+// sends one batched message per server, waiting for all replies: the
+// first batch's round trip runs on the calling goroutine and each
+// further batch's on a helper goroutine, so the round trips overlap and
+// a request with one batch starts nothing (DESIGN.md §17).
 //
 // Failure handling (none of which the paper's prototype has): a failed
 // round-trip is retried with capped exponential backoff on a FRESH
@@ -144,9 +146,10 @@ type ClientStats struct {
 // pull-all floor: correct, costlier). Every ProbeEvery-th operation
 // that would touch a down server probes it with a redial.
 //
-// A Client is safe for the same concurrent use as before: one request
-// at a time (requests fan out internally); open one client per
-// goroutine.
+// A Client runs one request (Update or Query) at a time: the request in
+// flight and every connection's buffers are the client's own state, so
+// open one client per requesting goroutine. ServerDown, ServerEpoch,
+// Recover and Stats may be called from any goroutine at any time.
 type Client struct {
 	sched  *core.Schedule
 	assign partition.Assignment
@@ -156,10 +159,18 @@ type Client struct {
 	pushBatch [][]batch
 	pullBatch [][]batch
 
+	// The request in flight: its batches, whether it is an update and of
+	// which event, and one error and one reply slot per batch.
+	batches []batch
+	update  bool
+	ev      store.Event
+	errs    []error
+	replies [][]store.Event
+	wg      sync.WaitGroup // the helpers of the request in flight
+
 	// fallback memoizes the pull-all batches (own views of u and its
 	// in-neighbors) built on first degraded query per user.
-	fallbackMu sync.Mutex
-	fallback   map[graph.NodeID][]batch
+	fallback map[graph.NodeID][]batch
 
 	// inst backs both Stats() and (when DialConfig.Metrics is set) the
 	// /metrics exposition — one set of instruments, two readers.
@@ -168,21 +179,29 @@ type Client struct {
 
 // sconn is the client's per-server endpoint: the live connection (nil
 // while disconnected), health state, deterministic jitter stream, and
-// the hinted-handoff buffer. All fields are guarded by mu; a request
-// holds the lock for the full call so per-server operations serialize.
+// the hinted-handoff buffer. All fields but wbuf and events are guarded
+// by mu; a request holds the lock for the full call so per-server
+// operations serialize.
 type sconn struct {
 	mu   sync.Mutex
 	idx  int
 	addr string
 	c    net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
 
 	down      bool
 	downOps   int // ops refused since the last probe
 	lastEpoch uint32
 	rng       *rand.Rand // jitter; seeded from cfg.Seed and the index
-	handoff   [][]byte   // parked update payloads awaiting replay
+	handoff   [][]byte   // parked update frames awaiting replay, each its own copy
+
+	// Reused from request to request. wbuf (the frame sent) and events
+	// (the decoded reply) belong to the goroutine running this server's
+	// batch. rbuf is the frame read: call's reply aliases it until the
+	// next round trip here, which only this client's next call starts
+	// (Recover touches down servers only, and those have no live reply).
+	wbuf, rbuf []byte
+	events     []store.Event
 }
 
 type batch struct {
@@ -218,6 +237,8 @@ func DialConfigured(s *core.Schedule, addrs []string, cfg DialConfig) (*Client, 
 		cfg:      cfg,
 		fallback: make(map[graph.NodeID][]batch),
 		inst:     newClientInstruments(cfg.Metrics, len(addrs)),
+		errs:     make([]error, len(addrs)),
+		replies:  make([][]store.Event, len(addrs)),
 	}
 	for i, addr := range addrs {
 		sc := &sconn{
@@ -311,7 +332,6 @@ func (cl *Client) redial(s *sconn) error {
 	}
 	s.c = countingConn{Conn: c, r: cl.inst.bytesRead, w: cl.inst.bytesWritten}
 	s.br = bufio.NewReader(s.c)
-	s.bw = bufio.NewWriterSize(s.c, 16<<10)
 	return nil
 }
 
@@ -319,26 +339,23 @@ func (cl *Client) redial(s *sconn) error {
 func (s *sconn) closeConn() {
 	if s.c != nil {
 		s.c.Close()
-		s.c = nil
-		s.br, s.bw = nil, nil
+		s.c, s.br = nil, nil
 	}
 }
 
-// roundTripOnce sends one frame and reads the reply on the current
-// connection. Caller holds s.mu and guarantees s.c != nil. Any error —
-// timeout, partial read, reset — means the length-prefixed stream can
-// no longer be trusted; the CALLER must discard the connection.
-func (cl *Client) roundTripOnce(s *sconn, payload []byte) ([]byte, error) {
+// roundTripOnce sends one sealed frame and reads the reply (in s.rbuf)
+// on the current connection. Caller holds s.mu and guarantees s.c !=
+// nil. Any error — timeout, partial read, reset — means the
+// length-prefixed stream can no longer be trusted; the CALLER must
+// discard the connection.
+func (cl *Client) roundTripOnce(s *sconn, frame []byte) ([]byte, error) {
 	if err := s.c.SetDeadline(time.Now().Add(cl.cfg.Timeout)); err != nil {
 		return nil, err
 	}
-	if err := writeFrame(s.bw, 0, payload); err != nil {
+	if _, err := s.c.Write(frame); err != nil {
 		return nil, err
 	}
-	if err := s.bw.Flush(); err != nil {
-		return nil, err
-	}
-	reply, epoch, err := readFrame(s.br, nil)
+	reply, epoch, err := readFrame(s.br, &s.rbuf)
 	if err != nil {
 		return nil, err
 	}
@@ -360,11 +377,15 @@ func (cl *Client) backoff(s *sconn, attempt int) time.Duration {
 
 // call performs one request against server si with the full failure
 // discipline: retry with backoff on fresh connections, down-marking,
-// probe-gated recovery, and handoff replay after a probe succeeds.
-func (cl *Client) call(si int, payload []byte) ([]byte, error) {
+// probe-gated recovery, and handoff replay after a probe succeeds. call
+// seals frame (a newFrame plus payload); the reply body is in s.rbuf.
+func (cl *Client) call(si int, frame []byte) ([]byte, error) {
 	s := cl.conns[si]
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := sealFrame(frame, 0); err != nil {
+		return nil, err
+	}
 
 	attempts := cl.cfg.Retries + 1
 	if s.down {
@@ -394,9 +415,11 @@ func (cl *Client) call(si int, payload []byte) ([]byte, error) {
 				continue
 			}
 		}
-		reply, err := cl.roundTripOnce(s, payload)
+		reply, err := cl.roundTripOnce(s, frame)
 		if err == nil {
 			if s.down {
+				// The replay's acks land in the buffer this reply is in.
+				reply = append([]byte(nil), reply...)
 				cl.markUp(si, s)
 			}
 			return reply, nil
@@ -417,14 +440,7 @@ func (cl *Client) call(si int, payload []byte) ([]byte, error) {
 		// so the connection is never reused.
 		s.closeConn()
 	}
-	if !s.down {
-		s.down = true
-		s.downOps = 0
-		cl.inst.downs.Inc()
-		if cl.cfg.OnStateChange != nil {
-			cl.cfg.OnStateChange(si, true)
-		}
-	}
+	cl.markDownLocked(si, s)
 	return nil, fmt.Errorf("netstore: server %d (%s): %w: %v", si, s.addr, ErrServerDown, lastErr)
 }
 
@@ -439,14 +455,14 @@ func (cl *Client) markUp(si int, s *sconn) {
 		cl.cfg.OnStateChange(si, false)
 	}
 	for len(s.handoff) > 0 {
-		payload := s.handoff[0]
+		frame := s.handoff[0]
 		if s.c == nil {
 			if err := cl.redial(s); err != nil {
 				cl.markDownLocked(si, s)
 				return
 			}
 		}
-		if _, err := cl.roundTripOnce(s, payload); err != nil {
+		if _, err := cl.roundTripOnce(s, frame); err != nil {
 			var se *ServerError
 			if errors.As(err, &se) {
 				// Deterministic rejection: replaying it again can never
@@ -481,9 +497,10 @@ func (cl *Client) markDownLocked(si int, s *sconn) {
 	}
 }
 
-// park stores a failed update payload in server si's hinted-handoff
-// buffer for replay on recovery.
-func (cl *Client) park(si int, payload []byte) error {
+// park stores a copy of a failed update's frame (the original is the
+// connection's encode buffer) in server si's hinted-handoff buffer for
+// replay on recovery.
+func (cl *Client) park(si int, frame []byte) error {
 	if cl.cfg.HandoffCap < 0 {
 		return fmt.Errorf("netstore: server %d: %w (handoff disabled)", si, ErrServerDown)
 	}
@@ -494,7 +511,7 @@ func (cl *Client) park(si int, payload []byte) error {
 		cl.inst.drops.Inc()
 		return fmt.Errorf("netstore: server %d: %w (%d parked)", si, ErrHandoffFull, len(s.handoff))
 	}
-	s.handoff = append(s.handoff, payload)
+	s.handoff = append(s.handoff, append([]byte(nil), frame...))
 	cl.inst.parked.Inc()
 	cl.inst.handoffDepth.Add(1)
 	return nil
@@ -533,28 +550,61 @@ func (cl *Client) Recover() int {
 // handoff buffer (or a non-transport server rejection) surfaces as an
 // error.
 func (cl *Client) Update(u graph.NodeID, ev store.Event) error {
-	batches := cl.pushBatch[u]
-	var wg sync.WaitGroup
-	errs := make([]error, len(batches))
-	for i, b := range batches {
-		wg.Add(1)
-		go func(i int, b batch) {
-			defer wg.Done()
-			payload := encodeUpdate(ev, b.views)
-			_, err := cl.call(b.server, payload)
-			if err != nil && errors.Is(err, ErrServerDown) {
-				err = cl.park(b.server, payload)
-			}
-			errs[i] = err
-		}(i, b)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	cl.dispatch(cl.pushBatch[u], true, ev)
+	for _, err := range cl.errs[:len(cl.batches)] {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// dispatch runs every batch of one request and returns when all have
+// finished: batch 0 on the calling goroutine, each further batch on a
+// helper so that its round trip overlaps the caller's.
+func (cl *Client) dispatch(batches []batch, update bool, ev store.Event) {
+	cl.batches, cl.update, cl.ev = batches, update, ev
+	for i := 1; i < len(batches); i++ {
+		cl.wg.Add(1)
+		go cl.help(i)
+	}
+	cl.runBatch(0)
+	cl.wg.Wait()
+}
+
+func (cl *Client) help(i int) {
+	defer cl.wg.Done()
+	cl.runBatch(i)
+}
+
+// runBatch performs batch i of the request in flight and fills its
+// error and reply slots.
+func (cl *Client) runBatch(i int) {
+	b := cl.batches[i]
+	if !cl.update {
+		cl.replies[i], cl.errs[i] = cl.queryBatch(b)
+		return
+	}
+	s := cl.conns[b.server]
+	s.wbuf = encodeUpdate(newFrame(s.wbuf), cl.ev, b.views)
+	_, err := cl.call(b.server, s.wbuf)
+	if errors.Is(err, ErrServerDown) {
+		err = cl.park(b.server, s.wbuf)
+	}
+	cl.errs[i] = err
+}
+
+// queryBatch asks b's server for the newest events of b's views; the
+// result is that connection's scratch, good until its next call.
+func (cl *Client) queryBatch(b batch) ([]store.Event, error) {
+	s := cl.conns[b.server]
+	s.wbuf = encodeQuery(newFrame(s.wbuf), store.StreamSize, b.views)
+	body, err := cl.call(b.server, s.wbuf)
+	if err != nil {
+		return nil, err
+	}
+	s.events, err = decodeEvents(body, s.events)
+	return s.events, err
 }
 
 // Query assembles u's event stream: one query per server holding a view
@@ -570,59 +620,37 @@ func (cl *Client) Update(u graph.NodeID, ev store.Event) error {
 // down. Results from the degraded path are exact-duplicate-deduped,
 // since hub views and own views overlap.
 func (cl *Client) Query(u graph.NodeID) ([]store.Event, error) {
-	batches := cl.pullBatch[u]
-	var wg sync.WaitGroup
-	errs := make([]error, len(batches))
-	replies := make([][]store.Event, len(batches))
-	for i, b := range batches {
-		wg.Add(1)
-		go func(i int, b batch) {
-			defer wg.Done()
-			body, err := cl.call(b.server, encodeQuery(store.StreamSize, b.views))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			replies[i], errs[i] = decodeEvents(body)
-		}(i, b)
-	}
-	wg.Wait()
+	cl.dispatch(cl.pullBatch[u], false, store.Event{})
+	errs, replies := cl.errs[:len(cl.batches)], cl.replies[:len(cl.batches)]
 
 	degraded := false
-	for i := range batches {
-		if errs[i] == nil {
+	for _, err := range errs {
+		if err == nil {
 			continue
 		}
-		if errors.Is(errs[i], ErrServerDown) {
+		if errors.Is(err, ErrServerDown) {
 			degraded = true
 			continue
 		}
-		return nil, errs[i]
+		return nil, err
 	}
 	if !degraded {
-		var out []store.Event
-		for i := range batches {
-			out = store.MergeNewest(out, replies[i], store.StreamSize)
-		}
-		return out, nil
+		return mergeNewest(make([]store.Event, 0, store.StreamSize), replies, store.StreamSize), nil
 	}
 
 	cl.inst.degraded.Inc()
-	all := make([]store.Event, 0, store.StreamSize*(len(batches)+1))
-	for i := range batches {
-		all = append(all, replies[i]...) // failed batches contribute nil
+	// Copied before the fallback's calls reuse the connections' scratch.
+	all := make([]store.Event, 0, store.StreamSize*(len(replies)+1))
+	for _, evs := range replies {
+		all = append(all, evs...) // failed batches contribute nil
 	}
 	for _, b := range cl.fallbackBatches(u) {
 		if cl.ServerDown(b.server) {
 			continue // that producer's recent events are unreachable for now
 		}
-		body, err := cl.call(b.server, encodeQuery(store.StreamSize, b.views))
+		evs, err := cl.queryBatch(b)
 		if err != nil {
 			continue // best effort: degrade further rather than fail
-		}
-		evs, err := decodeEvents(body)
-		if err != nil {
-			continue
 		}
 		all = append(all, evs...)
 	}
@@ -633,8 +661,6 @@ func (cl *Client) Query(u graph.NodeID) ([]store.Event, error) {
 // set for u: the own views of u and every in-neighbor, grouped by
 // server.
 func (cl *Client) fallbackBatches(u graph.NodeID) []batch {
-	cl.fallbackMu.Lock()
-	defer cl.fallbackMu.Unlock()
 	if b, ok := cl.fallback[u]; ok {
 		return b
 	}

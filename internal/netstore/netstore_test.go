@@ -309,27 +309,27 @@ func TestServerDeathDegradesGracefully(t *testing.T) {
 func TestProtocolRoundTrips(t *testing.T) {
 	ev := store.Event{User: 42, ID: -7, TS: 1 << 40}
 	views := []graph.NodeID{1, 2, 3}
-	op, gotEv, _, gotViews, err := decodeRequest(encodeUpdate(ev, views))
+	op, gotEv, _, gotViews, err := decodeRequest(encodeUpdate(nil, ev, views), nil)
 	if err != nil || op != opUpdate || gotEv != ev || len(gotViews) != 3 {
 		t.Fatalf("update round trip: op=%d ev=%v views=%v err=%v", op, gotEv, gotViews, err)
 	}
 	var k int
-	op, _, k, gotViews, err = decodeRequest(encodeQuery(10, views[:2]))
+	op, _, k, gotViews, err = decodeRequest(encodeQuery(nil, 10, views[:2]), nil)
 	if err != nil || op != opQuery || k != 10 || len(gotViews) != 2 {
 		t.Fatalf("query round trip: op=%d k=%d views=%v err=%v", op, k, gotViews, err)
 	}
 	events := []store.Event{ev, {User: 1, ID: 2, TS: 3}}
-	got, err := decodeEvents(encodeEvents(events))
+	got, err := decodeEvents(encodeEvents(nil, events), nil)
 	if err != nil || len(got) != 2 || got[0] != ev {
 		t.Fatalf("events round trip: %v err=%v", got, err)
 	}
-	if _, _, _, _, err := decodeRequest(nil); err == nil {
+	if _, _, _, _, err := decodeRequest(nil, nil); err == nil {
 		t.Fatal("empty request accepted")
 	}
-	if _, _, _, _, err := decodeRequest([]byte{9}); err == nil {
+	if _, _, _, _, err := decodeRequest([]byte{9}, nil); err == nil {
 		t.Fatal("unknown op accepted")
 	}
-	if _, err := decodeEvents([]byte{1}); err == nil {
+	if _, err := decodeEvents([]byte{1}, nil); err == nil {
 		t.Fatal("short events body accepted")
 	}
 }

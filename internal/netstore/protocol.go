@@ -101,53 +101,54 @@ const maxFrame = 16 << 20
 
 const eventWire = 4 + 8 + 8 // user + id + ts
 
-func writeFrame(w io.Writer, epoch uint32, payload []byte) error {
-	var hdr [4 + frameHdr]byte
-	if len(payload) > maxFrame {
-		return fmt.Errorf("netstore: frame of %d bytes exceeds limit", len(payload))
-	}
-	binary.LittleEndian.PutUint32(hdr[:], uint32(frameHdr+len(payload)))
-	hdr[4] = protocolVersion
-	binary.LittleEndian.PutUint32(hdr[5:], epoch)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// newFrame starts a frame in buf's storage: room for the length, the
+// version, room for the epoch. The caller appends the payload (a
+// response's status byte first, so no body is copied behind one) and
+// seals the result.
+func newFrame(buf []byte) []byte {
+	return append(buf[:0], 0, 0, 0, 0, protocolVersion, 0, 0, 0, 0)
 }
 
-func readFrame(r io.Reader, buf []byte) (payload []byte, epoch uint32, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// sealFrame stamps a frame begun by newFrame with its length and epoch.
+func sealFrame(frame []byte, epoch uint32) error {
+	if len(frame)-4-frameHdr > maxFrame {
+		return fmt.Errorf("netstore: frame of %d bytes exceeds limit", len(frame)-4-frameHdr)
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	binary.LittleEndian.PutUint32(frame[5:], epoch)
+	return nil
+}
+
+// readFrame reads one frame into *buf, grown only when the frame does
+// not fit, and returns the payload, which aliases *buf until the next
+// read into it. The length prefix goes through *buf too: a local array
+// handed to an io.Reader escapes, one allocation per frame.
+func readFrame(r io.Reader, buf *[]byte) (payload []byte, epoch uint32, err error) {
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 64)
+	}
+	b := (*buf)[:4]
+	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(b)
 	if n > maxFrame+frameHdr {
 		return nil, 0, fmt.Errorf("netstore: frame of %d bytes exceeds limit", n)
 	}
 	if n < frameHdr {
 		return nil, 0, fmt.Errorf("netstore: frame of %d bytes is shorter than its header", n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	if cap(b) < int(n) {
+		*buf = make([]byte, n)
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	b = (*buf)[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, 0, err
 	}
-	if buf[0] != protocolVersion {
-		return nil, 0, fmt.Errorf("%w: got %d, want %d", ErrVersionMismatch, buf[0], protocolVersion)
+	if b[0] != protocolVersion {
+		return nil, 0, fmt.Errorf("%w: got %d, want %d", ErrVersionMismatch, b[0], protocolVersion)
 	}
-	return buf[frameHdr:], binary.LittleEndian.Uint32(buf[1:]), nil
-}
-
-// okResponse builds a statusOK response payload around rest (nil for a
-// bare ack).
-func okResponse(rest []byte) []byte {
-	out := make([]byte, 1+len(rest))
-	out[0] = statusOK
-	copy(out[1:], rest)
-	return out
+	return b[frameHdr:], binary.LittleEndian.Uint32(b[1:]), nil
 }
 
 // errResponse builds a statusErr response payload.
@@ -178,10 +179,10 @@ func decodeResponse(payload []byte) ([]byte, error) {
 	}
 }
 
-func putEvent(b []byte, ev store.Event) {
-	binary.LittleEndian.PutUint32(b[0:], uint32(ev.User))
-	binary.LittleEndian.PutUint64(b[4:], uint64(ev.ID))
-	binary.LittleEndian.PutUint64(b[12:], uint64(ev.TS))
+func appendEvent(b []byte, ev store.Event) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(ev.User))
+	b = binary.LittleEndian.AppendUint64(b, uint64(ev.ID))
+	return binary.LittleEndian.AppendUint64(b, uint64(ev.TS))
 }
 
 func getEvent(b []byte) store.Event {
@@ -192,83 +193,76 @@ func getEvent(b []byte) store.Event {
 	}
 }
 
-// encodeUpdate builds an update request frame body.
-func encodeUpdate(ev store.Event, views []graph.NodeID) []byte {
-	body := make([]byte, 1+eventWire+4+4*len(views))
-	body[0] = opUpdate
-	putEvent(body[1:], ev)
-	binary.LittleEndian.PutUint32(body[1+eventWire:], uint32(len(views)))
-	off := 1 + eventWire + 4
-	for i, v := range views {
-		binary.LittleEndian.PutUint32(body[off+4*i:], uint32(v))
-	}
-	return body
+// encodeUpdate appends an update request body to dst.
+func encodeUpdate(dst []byte, ev store.Event, views []graph.NodeID) []byte {
+	dst = append(dst, opUpdate)
+	dst = appendEvent(dst, ev)
+	return appendViews(dst, views)
 }
 
-// encodeQuery builds a query request frame body.
-func encodeQuery(k int, views []graph.NodeID) []byte {
-	body := make([]byte, 1+4+4+4*len(views))
-	body[0] = opQuery
-	binary.LittleEndian.PutUint32(body[1:], uint32(k))
-	binary.LittleEndian.PutUint32(body[5:], uint32(len(views)))
-	for i, v := range views {
-		binary.LittleEndian.PutUint32(body[9+4*i:], uint32(v))
-	}
-	return body
+// encodeQuery appends a query request body to dst.
+func encodeQuery(dst []byte, k int, views []graph.NodeID) []byte {
+	dst = append(dst, opQuery)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
+	return appendViews(dst, views)
 }
 
-// decodeRequest parses a request body.
-func decodeRequest(body []byte) (op byte, ev store.Event, k int, views []graph.NodeID, err error) {
+func appendViews(dst []byte, views []graph.NodeID) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(views)))
+	for _, v := range views {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	return dst
+}
+
+// decodeRequest parses a request body; views is decoded into scratch's
+// storage, or a new slice of exactly its length when it does not fit.
+func decodeRequest(body []byte, scratch []graph.NodeID) (op byte, ev store.Event, k int, views []graph.NodeID, err error) {
 	if len(body) < 1 {
 		return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: empty request")
 	}
 	op = body[0]
+	kind, off := "query", 9
 	switch op {
 	case opUpdate:
-		if len(body) < 1+eventWire+4 {
-			return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: short update frame")
-		}
-		ev = getEvent(body[1:])
-		n := int(binary.LittleEndian.Uint32(body[1+eventWire:]))
-		off := 1 + eventWire + 4
-		if len(body) != off+4*n {
-			return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: update frame length mismatch")
-		}
-		views = make([]graph.NodeID, n)
-		for i := range views {
-			views[i] = graph.NodeID(binary.LittleEndian.Uint32(body[off+4*i:]))
-		}
+		kind, off = "update", 1+eventWire+4
 	case opQuery:
-		if len(body) < 9 {
-			return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: short query frame")
-		}
-		k = int(binary.LittleEndian.Uint32(body[1:]))
-		n := int(binary.LittleEndian.Uint32(body[5:]))
-		if len(body) != 9+4*n {
-			return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: query frame length mismatch")
-		}
-		views = make([]graph.NodeID, n)
-		for i := range views {
-			views[i] = graph.NodeID(binary.LittleEndian.Uint32(body[9+4*i:]))
-		}
 	default:
 		return 0, store.Event{}, 0, nil, unknownOpError(op)
+	}
+	if len(body) < off {
+		return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: short %s frame", kind)
+	}
+	if op == opUpdate {
+		ev = getEvent(body[1:])
+	} else {
+		k = int(binary.LittleEndian.Uint32(body[1:]))
+	}
+	n := int(binary.LittleEndian.Uint32(body[off-4:]))
+	if len(body) != off+4*n {
+		return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: %s frame length mismatch", kind)
+	}
+	if cap(scratch) < n {
+		scratch = make([]graph.NodeID, n)
+	}
+	views = scratch[:n]
+	for i := range views {
+		views[i] = graph.NodeID(binary.LittleEndian.Uint32(body[off+4*i:]))
 	}
 	return op, ev, k, views, nil
 }
 
-// encodeEvents builds a query response body.
-func encodeEvents(events []store.Event) []byte {
-	body := make([]byte, 4+eventWire*len(events))
-	binary.LittleEndian.PutUint32(body, uint32(len(events)))
-	for i, ev := range events {
-		putEvent(body[4+eventWire*i:], ev)
+// encodeEvents appends a query response body to dst.
+func encodeEvents(dst []byte, events []store.Event) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(events)))
+	for _, ev := range events {
+		dst = appendEvent(dst, ev)
 	}
-	return body
+	return dst
 }
 
-// decodeEvents parses a query response body.
-func decodeEvents(body []byte) ([]store.Event, error) {
+// decodeEvents parses a query response body into scratch's storage.
+func decodeEvents(body []byte, scratch []store.Event) ([]store.Event, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("netstore: short query response")
 	}
@@ -276,9 +270,32 @@ func decodeEvents(body []byte) ([]store.Event, error) {
 	if len(body) != 4+eventWire*n {
 		return nil, fmt.Errorf("netstore: query response length mismatch")
 	}
-	out := make([]store.Event, n)
+	if cap(scratch) < n {
+		scratch = make([]store.Event, n)
+	}
+	out := scratch[:n]
 	for i := range out {
 		out[i] = getEvent(body[4+eventWire*i:])
 	}
 	return out, nil
+}
+
+// mergeNewest appends to dst the k newest events of the newest-first
+// cursors, consuming them. Equal timestamps go to the earlier cursor,
+// which is what folding store.MergeNewest over them left to right gives.
+func mergeNewest(dst []store.Event, curs [][]store.Event, k int) []store.Event {
+	for len(dst) < k {
+		best := -1
+		for i, c := range curs {
+			if len(c) > 0 && (best < 0 || c[0].TS > curs[best][0].TS) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		dst = append(dst, curs[best][0])
+		curs[best] = curs[best][1:]
+	}
+	return dst
 }

@@ -219,6 +219,17 @@ func (s *Server) protoError(conn net.Conn, err error) {
 	}
 }
 
+// connScratch is what one server connection owns and reuses from frame
+// to frame: the frame read and the frame written, the decoded view list,
+// and the query merge's copied heads, its cursors into them and its
+// result. Nothing in it outlives the request that filled it.
+type connScratch struct {
+	rbuf, wbuf []byte
+	views      []graph.NodeID
+	heads, out []store.Event
+	curs       [][]store.Event
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -227,23 +238,23 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	// Byte accounting wraps the raw conn UNDER the bufio layers, so the
+	// Byte accounting wraps the raw conn UNDER the read buffering, so the
 	// counters see exactly what crosses the wire.
 	cc := countingConn{Conn: conn, r: s.inst.bytesRead, w: s.inst.bytesWritten}
 	br := bufio.NewReader(cc)
-	bw := bufio.NewWriter(cc)
-	var buf []byte
-	reply := func(payload []byte) bool {
-		if writeFrame(bw, s.epoch.Load(), payload) != nil {
+	var c connScratch
+	reply := func() bool {
+		if sealFrame(c.wbuf, s.epoch.Load()) != nil {
 			return false
 		}
-		return bw.Flush() == nil
+		_, err := cc.Write(c.wbuf)
+		return err == nil
 	}
 	for {
 		if s.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		payload, _, err := readFrame(br, buf)
+		payload, _, err := readFrame(br, &c.rbuf)
 		if err != nil {
 			// Frame-level failure: the stream position is untrustworthy,
 			// so the connection must die — but not silently. EOF is a
@@ -258,14 +269,16 @@ func (s *Server) handle(conn net.Conn) {
 				s.protoError(conn, err)
 			}
 			if errors.Is(err, ErrVersionMismatch) {
-				reply(errResponse(ErrCodeMalformed, err.Error()))
+				c.wbuf = append(newFrame(c.wbuf), errResponse(ErrCodeMalformed, err.Error())...)
+				reply()
 			}
 			return
 		}
 		s.inst.frames.Inc()
-		buf = payload[:0]
-		op, ev, k, views, err := decodeRequest(payload)
-		if err != nil {
+		op, ev, k, views, err := decodeRequest(payload, c.views)
+		c.views, c.wbuf = views, newFrame(c.wbuf)
+		switch {
+		case err != nil:
 			// Payload-level failure: the framing is intact, so reply with
 			// a typed error frame and keep serving — dropping the
 			// connection here made every client-side encoding bug look
@@ -275,23 +288,17 @@ func (s *Server) handle(conn net.Conn) {
 			if errors.Is(err, errUnknownOp) {
 				code = ErrCodeUnknownOp
 			}
-			if !reply(errResponse(code, err.Error())) {
-				return
-			}
-			continue
-		}
-		switch op {
-		case opUpdate:
+			c.wbuf = append(c.wbuf, errResponse(code, err.Error())...)
+		case op == opUpdate:
 			for _, v := range views {
 				s.insert(v, ev)
 			}
-			if !reply(okResponse(nil)) {
-				return
-			}
-		case opQuery:
-			if !reply(okResponse(encodeEvents(s.query(views, k)))) {
-				return
-			}
+			c.wbuf = append(c.wbuf, statusOK)
+		case op == opQuery:
+			c.wbuf = encodeEvents(append(c.wbuf, statusOK), s.query(&c, views, k))
+		}
+		if !reply() {
+			return
 		}
 	}
 }
@@ -325,24 +332,40 @@ func (s *Server) insert(v graph.NodeID, ev store.Event) {
 	sh.views[v] = list
 }
 
-func (s *Server) query(views []graph.NodeID, k int) []store.Event {
+// mergeFanIn bounds the views one merge round takes, so a query's
+// scratch is at most (mergeFanIn+1)·ViewCap events however many views
+// its frame names.
+const mergeFanIn = 64
+
+// query returns the k newest events across views, in c's scratch: each
+// view's head is copied under its shard's lock, one lock at a time, and
+// one k-bounded merge runs over the copies once no lock is held.
+func (s *Server) query(c *connScratch, views []graph.NodeID, k int) []store.Event {
 	if k <= 0 || k > store.ViewCap {
 		k = store.StreamSize
 	}
-	var out []store.Event
-	for _, v := range views {
-		sh := s.shard(v)
-		sh.mu.Lock()
-		list := sh.views[v]
-		if len(list) > k {
-			list = list[:k]
+	c.out = c.out[:0]
+	for len(views) > 0 {
+		round := views[:min(len(views), mergeFanIn)]
+		views = views[len(round):]
+		if need := (len(round) + 1) * k; cap(c.heads) < need {
+			c.heads = make([]store.Event, 0, need) // the cursors alias it: no regrowth below
 		}
-		snapshot := make([]store.Event, len(list))
-		copy(snapshot, list)
-		sh.mu.Unlock()
-		out = store.MergeNewest(out, snapshot, k)
+		// The result so far is cursor 0, so ties still go to earlier views.
+		c.heads = append(c.heads[:0], c.out...)
+		c.curs = append(c.curs[:0], c.heads)
+		for _, v := range round {
+			sh := s.shard(v)
+			sh.mu.Lock()
+			head := sh.views[v]
+			head = head[:min(len(head), k)]
+			c.heads = append(c.heads, head...)
+			sh.mu.Unlock()
+			c.curs = append(c.curs, c.heads[len(c.heads)-len(head):])
+		}
+		c.out = mergeNewest(c.out[:0], c.curs, k)
 	}
-	return out
+	return c.out
 }
 
 // errUnknownOp lets the handler map decode failures to the right error
