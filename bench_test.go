@@ -135,26 +135,6 @@ func BenchmarkChitChat(b *testing.B) {
 	}
 }
 
-// Worker-scaling of the parallel CHITCHAT oracle evaluation on the
-// default bench graph (the BenchmarkChitChat graph). The schedule is
-// byte-identical across worker counts (chitchat.TestWorkerCountInvariance
-// proves it); only wall clock moves. Speedup requires actual cores:
-// ~95% of solve cycles are oracle evaluations inside parallel batches,
-// but on a single-CPU machine all four variants time alike.
-func benchChitChatWorkers(b *testing.B, workers int) {
-	g := FlickrLikeGraph(400, 7)
-	r := LogDegreeRates(g, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chitchat.Solve(g, r, chitchat.Config{Workers: workers})
-	}
-}
-
-func BenchmarkChitChatWorkers1(b *testing.B) { benchChitChatWorkers(b, 1) }
-func BenchmarkChitChatWorkers2(b *testing.B) { benchChitChatWorkers(b, 2) }
-func BenchmarkChitChatWorkers4(b *testing.B) { benchChitChatWorkers(b, 4) }
-func BenchmarkChitChatWorkers8(b *testing.B) { benchChitChatWorkers(b, 8) }
-
 func BenchmarkDensestSubgraphPeel(b *testing.B) {
 	g := TwitterLikeGraph(2000, 3)
 	// Build one large hub instance: the highest-degree node.
@@ -499,16 +479,16 @@ var (
 // BenchmarkShardSolve1M solves a ≥1M-edge streaming-generated Flickr-like
 // graph end to end through the registered shard solver — the paper's
 // evaluation scale on one machine. Peak RSS is reported as a metric
-// (recorded in BENCH_shard.json) because bounding it is the point: the
-// spillable instance store plus one-active-shard-per-worker scheduling
-// keep memory O(active shard), not O(graph).
+// (recorded in BENCH_shard.json) because bounding it is the point: one
+// live shard subgraph per worker keeps memory O(active shard), not
+// O(graph).
 func BenchmarkShardSolve1M(b *testing.B) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(1_100_000, 1))
 	if g.NumEdges() < 1_000_000 {
 		b.Fatalf("generator produced %d edges, need ≥1M", g.NumEdges())
 	}
 	r := workload.LogDegree(g, workload.DefaultReadWriteRatio)
-	sv, err := NewSolver("shard", Options{InstanceBudget: 1 << 20})
+	sv, err := NewSolver("shard", Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

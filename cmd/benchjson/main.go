@@ -3,7 +3,7 @@
 // per-PR artifacts (BENCH_chitchat.json, BENCH_nosy.json). Only
 // standard-library parsing — no benchstat dependency.
 //
-//	go test -run '^$' -bench 'BenchmarkChitChatWorkers' -benchtime 1x . \
+//	go test -run '^$' -bench '^BenchmarkChitChat$' -benchtime 1x . \
 //	    | go run ./cmd/benchjson -o BENCH_chitchat.json
 //	go test -run '^$' -bench . -benchtime 1x . \
 //	    | go run ./cmd/benchjson -filter '^BenchmarkNosy' -o BENCH_nosy.json
@@ -19,7 +19,7 @@ import (
 	"strconv"
 )
 
-// benchLine matches e.g. "BenchmarkChitChatWorkers1-4   2   194170926 ns/op".
+// benchLine matches e.g. "BenchmarkNosyWorkers1-4   2   194170926 ns/op".
 // The -N GOMAXPROCS suffix is folded into the bare benchmark name.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)`)
 

@@ -132,7 +132,7 @@ func main() {
 // gatedBenchmarks is the pinned regression-gate set: one representative
 // per solver family whose BENCH artifact CI regenerates.
 var gatedBenchmarks = []string{
-	"BenchmarkChitChatWorkers1",
+	"BenchmarkChitChat",
 	"BenchmarkNosyWorkers1",
 	"BenchmarkNosyDenseWorkers1",
 	"BenchmarkShardSolve1M",

@@ -11,7 +11,7 @@ func TestFileSourcesAndMarkdown(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.json")
 	b := filepath.Join(dir, "b.json")
-	os.WriteFile(a, []byte(`{"benchmarks":{"BenchmarkChitChatWorkers1":{"iterations":2,"ns_per_op":1.94e8,"sec_per_op":0.194}}}`), 0o644)
+	os.WriteFile(a, []byte(`{"benchmarks":{"BenchmarkChitChat":{"iterations":2,"ns_per_op":1.94e8,"sec_per_op":0.194}}}`), 0o644)
 	os.WriteFile(b, []byte(`{"benchmarks":{"BenchmarkNosyWorkers1":{"iterations":2,"ns_per_op":4.1e8,"sec_per_op":0.41}}}`), 0o644)
 
 	srcs, err := fileSources([]string{a, b})
@@ -22,7 +22,7 @@ func TestFileSourcesAndMarkdown(t *testing.T) {
 		t.Fatalf("got %d sources", len(srcs))
 	}
 	md := renderMarkdown(srcs)
-	for _, want := range []string{"ChitChatWorkers1", "NosyWorkers1", "0.194", "0.41"} {
+	for _, want := range []string{"ChitChat", "NosyWorkers1", "0.194", "0.41"} {
 		if !strings.Contains(md, want) {
 			t.Fatalf("markdown missing %q:\n%s", want, md)
 		}
@@ -37,19 +37,19 @@ func TestFileSourcesAndMarkdown(t *testing.T) {
 
 func TestGate(t *testing.T) {
 	baseline := map[string]entry{
-		"BenchmarkChitChatWorkers1": {SecPerOp: 0.20},
-		"BenchmarkNosyWorkers1":     {SecPerOp: 0.40},
-		"BenchmarkShardSolve1M":     {SecPerOp: 5.0},
-		"BenchmarkUnpinned":         {SecPerOp: 1.0},
+		"BenchmarkChitChat":     {SecPerOp: 0.20},
+		"BenchmarkNosyWorkers1": {SecPerOp: 0.40},
+		"BenchmarkShardSolve1M": {SecPerOp: 5.0},
+		"BenchmarkUnpinned":     {SecPerOp: 1.0},
 	}
 
 	// Within threshold (and faster) passes; unpinned regressions are
 	// ignored.
 	current := map[string]entry{
-		"BenchmarkChitChatWorkers1": {SecPerOp: 0.22}, // +10%
-		"BenchmarkNosyWorkers1":     {SecPerOp: 0.30}, // faster
-		"BenchmarkShardSolve1M":     {SecPerOp: 5.0},  // unchanged
-		"BenchmarkUnpinned":         {SecPerOp: 9.0},  // 9x, but not pinned
+		"BenchmarkChitChat":     {SecPerOp: 0.22}, // +10%
+		"BenchmarkNosyWorkers1": {SecPerOp: 0.30}, // faster
+		"BenchmarkShardSolve1M": {SecPerOp: 5.0},  // unchanged
+		"BenchmarkUnpinned":     {SecPerOp: 9.0},  // 9x, but not pinned
 	}
 	if v := gate(baseline, current, gatedBenchmarks, 15); len(v) != 0 {
 		t.Fatalf("clean run flagged: %+v", v)
@@ -67,7 +67,7 @@ func TestGate(t *testing.T) {
 
 	// A tighter threshold catches the +10% too, ordered as pinned.
 	if v := gate(baseline, current, gatedBenchmarks, 5); len(v) != 2 ||
-		v[0].Name != "BenchmarkChitChatWorkers1" || v[1].Name != "BenchmarkShardSolve1M" {
+		v[0].Name != "BenchmarkChitChat" || v[1].Name != "BenchmarkShardSolve1M" {
 		t.Fatalf("violations at 5%% = %+v", v)
 	}
 

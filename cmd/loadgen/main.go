@@ -44,7 +44,6 @@ func main() {
 	servers := flag.Int("servers", 3, "netstore TCP servers")
 	seed := flag.Int64("seed", 7, "graph, trace, request and jitter seed")
 	scen := flag.String("scenario", "", "replay a zoo scenario (internal/scenario) instead of the built-in churn trace; empty lists: "+strings.Join(scenario.Default.Names(), "|"))
-	workers := flag.Int("workers", 1, "regional solver workers")
 	faults := flag.Bool("faults", false, "inject the pinned fault plan on server 0 (delays, a reset, a dropped reply)")
 	timeout := flag.Duration("timeout", 150*time.Millisecond, "client round-trip timeout")
 	telem := flag.String("telemetry", "", "serve /metrics and /debug/pprof on this address during the run")
@@ -134,7 +133,6 @@ func main() {
 	// record the rollout as its requests observe it.
 	epoch := uint32(0)
 	d, err := online.New(init, r, online.Config{
-		ChitChat:       chitchat.Config{Workers: *workers},
 		Solver:         online.SolverChitChat,
 		DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1,
 		Metrics: reg, Tracer: tr, Events: &events,

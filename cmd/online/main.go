@@ -42,7 +42,7 @@ func main() {
 	k := flag.Int("k", 0, "region hop radius (0 = default)")
 	maxRegion := flag.Int("maxregion", 0, "region node cap (0 = default)")
 	every := flag.Int("every", 0, "ops between drift checks (0 = default)")
-	workers := flag.Int("workers", 0, "solver workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "workers of a parallel -solver (0 = GOMAXPROCS; chitchat is serial)")
 	budget := flag.Duration("budget", 0, "wall-clock budget per localized re-solve (0 = none)")
 	report := flag.Int("report", 1000, "ops between progress lines")
 	addFrac := flag.Float64("adds", 0, "fraction of ops that add edges (0 = default)")
@@ -118,7 +118,7 @@ func main() {
 	r := workload.LogDegree(g, 5)
 	fmt.Printf("graph: %d nodes, %d edges; solving initial schedule…\n",
 		g.NumNodes(), g.NumEdges())
-	init := chitchat.Solve(g, r, chitchat.Config{Workers: *workers})
+	init := chitchat.Solve(g, r, chitchat.Config{})
 	trace := workload.GenerateChurn(g, r, *ops, workload.ChurnConfig{
 		Seed: *seed, AddFraction: *addFrac, RemoveFraction: *rmFrac,
 	})
@@ -175,7 +175,7 @@ func main() {
 	liveG, liveS := d.Snapshot()
 	// The from-scratch comparison uses the daemon's CURRENT rates —
 	// the churn stream may have rescaled user activity.
-	freshCost := chitchat.Solve(liveG, d.Rates(), chitchat.Config{Workers: *workers}).Cost(d.Rates())
+	freshCost := chitchat.Solve(liveG, d.Rates(), chitchat.Config{}).Cost(d.Rates())
 	st := d.Stats()
 	fmt.Printf("\nfinal: %d live edges, cost %.1f (snapshot %.1f)\n",
 		liveG.NumEdges(), d.Cost(), liveS.Cost(d.Rates()))

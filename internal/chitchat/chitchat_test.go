@@ -107,88 +107,6 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance proves the parallel solver equivalent to the
-// sequential one: for every worker count the schedule must be
-// byte-identical — same cost, same per-edge push/pull/cover assignment,
-// same hub choices — on both generator presets. Worker count only moves
-// oracle evaluations between goroutines; the refresh and commit policy
-// (ties toward the lowest hub id) is fixed.
-func TestWorkerCountInvariance(t *testing.T) {
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"twitter", graphgen.Social(graphgen.TwitterLike(scaled(300, 150), 13))},
-		{"flickr", graphgen.Social(graphgen.FlickrLike(scaled(300, 150), 7))},
-	}
-	for _, tc := range graphs {
-		t.Run(tc.name, func(t *testing.T) {
-			r := workload.LogDegree(tc.g, 5)
-			ref := Solve(tc.g, r, Config{Workers: 1})
-			if err := ref.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4, 8} {
-				got := Solve(tc.g, r, Config{Workers: workers})
-				if got.Cost(r) != ref.Cost(r) {
-					t.Fatalf("workers=%d cost %v differs from sequential %v",
-						workers, got.Cost(r), ref.Cost(r))
-				}
-				for e := 0; e < tc.g.NumEdges(); e++ {
-					ee := graph.EdgeID(e)
-					if got.IsPush(ee) != ref.IsPush(ee) ||
-						got.IsPull(ee) != ref.IsPull(ee) ||
-						got.IsCovered(ee) != ref.IsCovered(ee) {
-						t.Fatalf("workers=%d schedule differs at edge %d", workers, e)
-					}
-					if ref.IsCovered(ee) && got.Hub(ee) != ref.Hub(ee) {
-						t.Fatalf("workers=%d hub differs at edge %d: %d vs %d",
-							workers, e, got.Hub(ee), ref.Hub(ee))
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestWorkerCountInvarianceNonDefaultBatch pins worker-count invariance
-// for a non-default speculative refresh width: RefreshBatch changes which
-// stale candidates are refreshed together, and the schedule must still be
-// byte-identical across worker counts. A tiny MemberCacheCap
-// rides along so evicted-commit re-peels are exercised under every
-// worker count too.
-func TestWorkerCountInvarianceNonDefaultBatch(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 150), 7))
-	r := workload.LogDegree(g, 5)
-	base := Config{RefreshBatch: 5, MemberCacheCap: 8}
-	refCfg := base
-	refCfg.Workers = 1
-	ref := Solve(g, r, refCfg)
-	if err := ref.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		cfg := base
-		cfg.Workers = workers
-		got := Solve(g, r, cfg)
-		if got.Cost(r) != ref.Cost(r) {
-			t.Fatalf("workers=%d cost %v differs from sequential %v",
-				workers, got.Cost(r), ref.Cost(r))
-		}
-		for e := 0; e < g.NumEdges(); e++ {
-			ee := graph.EdgeID(e)
-			if got.IsPush(ee) != ref.IsPush(ee) ||
-				got.IsPull(ee) != ref.IsPull(ee) ||
-				got.IsCovered(ee) != ref.IsCovered(ee) {
-				t.Fatalf("workers=%d schedule differs at edge %d", workers, e)
-			}
-			if ref.IsCovered(ee) && got.Hub(ee) != ref.Hub(ee) {
-				t.Fatalf("workers=%d hub differs at edge %d", workers, e)
-			}
-		}
-	}
-}
-
 func TestCrossEdgeBound(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(scaled(300, 200), 5))
 	r := workload.LogDegree(g, 5)
@@ -254,46 +172,6 @@ func TestTruncatedCoverageRespectsBudget(t *testing.T) {
 		if c > budget {
 			t.Fatalf("hub %d covers %d cross-edges, budget %d", w, c, budget)
 		}
-	}
-}
-
-// TestMemberCacheBounded solves a large graph and asserts the member-list
-// cache — the only per-hub O(|S|) state retained between evaluation and
-// commit — stays at its fixed capacity while under real pressure: far
-// more member lists are stored over the solve than the ring holds, yet
-// the resident lists never exceed capacity (≪ number of hubs). Before
-// this bound, the solver retained X/Y member slices for all n hubs
-// simultaneously.
-func TestMemberCacheBounded(t *testing.T) {
-	n := scaled(5000, 1500)
-	g := graphgen.Social(graphgen.TwitterLike(n, 3))
-	r := workload.LogDegree(g, 5)
-	var st cacheStats
-	cacheObserver = func(s cacheStats) { st = s }
-	s := Solve(g, r, Config{})
-	cacheObserver = nil
-	if st.Capacity != DefaultMemberCacheCap {
-		t.Fatalf("capacity = %d, want %d", st.Capacity, DefaultMemberCacheCap)
-	}
-	if st.Stores <= st.Capacity {
-		t.Fatalf("only %d member lists stored (capacity %d): cache never under pressure, test proves nothing", st.Stores, st.Capacity)
-	}
-	if st.RetainedLists > st.Capacity {
-		t.Errorf("retained %d member lists, capacity %d", st.RetainedLists, st.Capacity)
-	}
-	if st.HighWater > st.Capacity {
-		t.Errorf("high-water %d exceeds capacity %d", st.HighWater, st.Capacity)
-	}
-	if st.RetainedLists >= n/4 {
-		t.Errorf("retained %d member lists for %d hubs: resident memory is not O(active hubs)", st.RetainedLists, n)
-	}
-	t.Logf("member cache: %d stores, high-water %d/%d, retained %d lists / %d ints",
-		st.Stores, st.HighWater, st.Capacity, st.RetainedLists, st.RetainedInts)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Cost(r) > baseline.HybridCost(g, r)+1e-6 {
-		t.Fatal("large-graph schedule worse than hybrid")
 	}
 }
 
@@ -371,84 +249,5 @@ func TestSolveInducedPatchRoundTrip(t *testing.T) {
 	}
 	if err := full.Validate(); err != nil {
 		t.Fatalf("spliced schedule invalid: %v", err)
-	}
-}
-
-// TestInstanceBudgetInvariance pins the spillable instance store's core
-// contract: the schedule is byte-identical for every InstanceBudget (and
-// worker count on top), because a rebuilt instance replays the uncovered
-// set and the paid supports and is therefore indistinguishable from one
-// that stayed resident. A tight budget must actually spill (evictions,
-// rebuilds) and hold peak resident mass far below the unlimited run.
-func TestInstanceBudgetInvariance(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 150), 7))
-	r := workload.LogDegree(g, 5)
-
-	var stats []storeStats
-	storeObserver = func(st storeStats) { stats = append(stats, st) }
-	defer func() { storeObserver = nil }()
-
-	ref := Solve(g, r, Config{Workers: 1})
-	if err := ref.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	unlimited := stats[0]
-	if unlimited.Evictions != 0 || unlimited.Rebuilds != 0 {
-		t.Fatalf("unlimited budget spilled: %+v", unlimited)
-	}
-	budget := unlimited.PeakElems / 8
-	if budget < 16 {
-		budget = 16
-	}
-	for _, workers := range []int{1, 4} {
-		stats = stats[:0]
-		got := Solve(g, r, Config{Workers: workers, InstanceBudget: budget})
-		st := stats[0]
-		if st.Evictions == 0 || st.Rebuilds == 0 {
-			t.Fatalf("budget %d workers %d never spilled: %+v", budget, workers, st)
-		}
-		if st.PeakElems >= unlimited.PeakElems {
-			t.Fatalf("budget %d peak %d not below unlimited peak %d",
-				budget, st.PeakElems, unlimited.PeakElems)
-		}
-		for e := 0; e < g.NumEdges(); e++ {
-			ee := graph.EdgeID(e)
-			if got.IsPush(ee) != ref.IsPush(ee) ||
-				got.IsPull(ee) != ref.IsPull(ee) ||
-				got.IsCovered(ee) != ref.IsCovered(ee) {
-				t.Fatalf("budget=%d workers=%d schedule differs at edge %d", budget, workers, e)
-			}
-			if ref.IsCovered(ee) && got.Hub(ee) != ref.Hub(ee) {
-				t.Fatalf("budget=%d workers=%d hub differs at edge %d: %d vs %d",
-					budget, workers, e, got.Hub(ee), ref.Hub(ee))
-			}
-		}
-		t.Logf("budget=%d workers=%d: builds=%d rebuilds=%d evictions=%d peak=%d (unlimited peak %d)",
-			budget, workers, st.Builds, st.Rebuilds, st.Evictions, st.PeakElems, unlimited.PeakElems)
-	}
-}
-
-// TestInstanceBudgetTinyStillValid drives the store to its degenerate
-// extreme — a budget smaller than any single instance, so nearly every
-// touch rotates — and checks the solve still terminates with a valid,
-// identical schedule.
-func TestInstanceBudgetTinyStillValid(t *testing.T) {
-	g := graphgen.Social(graphgen.TwitterLike(scaled(200, 100), 3))
-	r := workload.LogDegree(g, 5)
-	ref := Solve(g, r, Config{Workers: 1})
-	got := Solve(g, r, Config{Workers: 1, InstanceBudget: 1})
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.Cost(r) != ref.Cost(r) {
-		t.Fatalf("budget=1 cost %v differs from unlimited %v", got.Cost(r), ref.Cost(r))
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		ee := graph.EdgeID(e)
-		if got.IsPush(ee) != ref.IsPush(ee) ||
-			got.IsPull(ee) != ref.IsPull(ee) ||
-			got.IsCovered(ee) != ref.IsCovered(ee) {
-			t.Fatalf("budget=1 schedule differs at edge %d", e)
-		}
 	}
 }

@@ -280,7 +280,7 @@ func Fig9(sc Scale, method SampleMethod) *Table {
 			for ri, ratio := range ratios {
 				r := base.WithRatio(ratio)
 				hybrid := baseline.HybridCost(sg, r)
-				cc := chitchat.Solve(sg, r, chitchat.Config{Workers: sc.Workers}).Cost(r)
+				cc := chitchat.Solve(sg, r, chitchat.Config{}).Cost(r)
 				pn := nosy.Solve(sg, r, nosy.Config{Workers: sc.Workers}).Schedule.Cost(r)
 				for len(cols[gi*2]) < len(ratios) {
 					cols[gi*2] = append(cols[gi*2], 0)

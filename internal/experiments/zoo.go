@@ -57,7 +57,7 @@ func Zoo(sc Scale) *Table {
 			}
 			sv = solver.Chain(sv, sc.Middleware...)
 			if meta.Regions {
-				row, rowErr := zooDaemonRow(g, base, trace, sv, sc.Workers)
+				row, rowErr := zooDaemonRow(g, base, trace, sv)
 				if rowErr != nil {
 					t.Rows = append(t.Rows, []string{scen, name, "daemon", "error: " + rowErr.Error(), "", "", ""})
 					continue
@@ -89,12 +89,12 @@ func Zoo(sc Scale) *Table {
 // reverted). The daemon starts from a CHITCHAT schedule of the
 // pre-trace graph — the same incumbent every scenario's acceptance test
 // uses — and rates are cloned because the daemon mutates them in place.
-func zooDaemonRow(g *graph.Graph, base *workload.Rates, trace []workload.ChurnOp, regional solver.Solver, workers int) ([]string, error) {
+func zooDaemonRow(g *graph.Graph, base *workload.Rates, trace []workload.ChurnOp, regional solver.Solver) ([]string, error) {
 	r := &workload.Rates{
 		Prod: append([]float64(nil), base.Prod...),
 		Cons: append([]float64(nil), base.Cons...),
 	}
-	s := chitchat.Solve(g, r, chitchat.Config{Workers: workers})
+	s := chitchat.Solve(g, r, chitchat.Config{})
 	dm, err := online.New(s, r, online.Config{
 		Regional:       regional,
 		DriftThreshold: 0.05,

@@ -62,11 +62,10 @@ const Name = "shard"
 func init() {
 	solver.Default.MustRegister(Name, func(o solver.Options) solver.Solver {
 		return New(Config{
-			Shards:         o.Shards,
-			Workers:        o.Workers,
-			MaxCrossEdges:  o.MaxCrossEdges,
-			InstanceBudget: o.InstanceBudget,
-			Progress:       o.Progress,
+			Shards:        o.Shards,
+			Workers:       o.Workers,
+			MaxCrossEdges: o.MaxCrossEdges,
+			Progress:      o.Progress,
 		})
 	}, solver.Meta{Cost: solver.CostExpensive})
 }
@@ -91,9 +90,8 @@ type Config struct {
 	// Seed varies the partition layout. The default (0) is fine; the
 	// knob exists for partition-sensitivity experiments.
 	Seed int64
-	// MaxCrossEdges and InstanceBudget pass through to the inner solver.
-	MaxCrossEdges  int
-	InstanceBudget int
+	// MaxCrossEdges passes through to the inner solver.
+	MaxCrossEdges int
 	// Progress, when non-nil, receives one event per completed shard.
 	Progress func(solver.ProgressEvent)
 }
@@ -160,11 +158,7 @@ func (s *shardSolver) Solve(ctx context.Context, p solver.Problem) (*solver.Resu
 	if reg == nil {
 		reg = solver.Default
 	}
-	innerOpts := solver.Options{
-		Workers:        1,
-		MaxCrossEdges:  s.cfg.MaxCrossEdges,
-		InstanceBudget: s.cfg.InstanceBudget,
-	}
+	innerOpts := solver.Options{Workers: 1, MaxCrossEdges: s.cfg.MaxCrossEdges}
 	// Fail on unknown inner names before doing any partitioning work.
 	if _, err := reg.Get(inner); err != nil {
 		return nil, fmt.Errorf("solver %s: inner solver: %w", Name, err)

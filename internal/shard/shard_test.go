@@ -154,21 +154,6 @@ func TestShardNeverWorseThanHybrid(t *testing.T) {
 	}
 }
 
-// Spillable store composition: a finite per-shard instance budget must
-// not change the schedule.
-func TestShardInstanceBudgetInvariance(t *testing.T) {
-	p := quickProblem(t)
-	ref, err := New(Config{Shards: 4}).Solve(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := New(Config{Shards: 4, InstanceBudget: 64}).Solve(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSchedule(t, "instance budget", ref.Schedule, tight.Schedule, p.Graph)
-}
-
 func TestShardProgressAndAutoShards(t *testing.T) {
 	p := quickProblem(t)
 	events := 0

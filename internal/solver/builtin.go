@@ -29,11 +29,7 @@ const (
 
 func init() {
 	Default.MustRegister(ChitChat, func(o Options) Solver {
-		return withProgress(NewChitChat(chitchat.Config{
-			Workers:        o.Workers,
-			MaxCrossEdges:  o.MaxCrossEdges,
-			InstanceBudget: o.InstanceBudget,
-		}), o.Progress)
+		return withProgress(NewChitChat(chitchat.Config{MaxCrossEdges: o.MaxCrossEdges}), o.Progress)
 	}, Meta{Regions: true, Cost: CostExpensive})
 	Default.MustRegister(Nosy, func(o Options) Solver {
 		return withProgress(NewNosy(nosy.Config{

@@ -134,8 +134,10 @@ type ProgressEvent struct {
 // is available through the typed constructors (NewChitChat, NewNosy,
 // NewNosyMapReduce).
 type Options struct {
-	// Workers is the parallelism degree; 0 means GOMAXPROCS. Schedules
-	// are byte-identical for every worker count.
+	// Workers is the parallelism degree; 0 means GOMAXPROCS. Read by
+	// nosy, nosymr, shard and portfolio; CHITCHAT is serial and the
+	// baselines do no work worth splitting. Schedules are byte-identical
+	// for every worker count.
 	Workers int
 	// MaxIterations bounds iterative solvers; 0 means run to
 	// convergence.
@@ -146,12 +148,6 @@ type Options struct {
 	// Shards is the partition count for the sharded solver; 0 means
 	// auto-size from the edge count. Ignored by unsharded solvers.
 	Shards int
-	// InstanceBudget bounds the resident element mass of CHITCHAT's
-	// hub-instance store; 0 means unlimited (fully resident). Schedules
-	// are byte-identical for every budget — the knob trades peak memory
-	// for instance rebuilds. Ignored by solvers without an instance
-	// store.
-	InstanceBudget int
 	// TraceCosts makes PARALLELNOSY compute the finalized cost every
 	// iteration (one O(m) pass + clone per round) so ProgressEvent.Cost
 	// is live.

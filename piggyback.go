@@ -357,9 +357,7 @@ type ChitChatConfig = chitchat.Config
 
 // ChitChat computes a schedule with the CHITCHAT O(ln n)-approximation.
 // It is the quality reference; use the "nosy" solver for very large
-// graphs. The densest-subgraph oracle evaluations fan out across
-// ChitChatConfig.Workers goroutines (default: all cores) and the
-// schedule is byte-identical for every worker count.
+// graphs. The solve is serial and deterministic.
 //
 // Deprecated: use NewChitChatSolver(cfg).Solve (or NewSolver("chitchat",
 // ...)) for cancellation, live progress, and typed errors. This wrapper
