@@ -47,7 +47,7 @@ func main() {
 	faults := flag.Bool("faults", false, "inject the pinned fault plan on server 0 (delays, a reset, a dropped reply)")
 	timeout := flag.Duration("timeout", 150*time.Millisecond, "client round-trip timeout")
 	telem := flag.String("telemetry", "", "serve /metrics and /debug/pprof on this address during the run")
-	spantree := flag.Bool("spantree", false, "print the daemon's deterministic re-solve span tree")
+	spantree := flag.Bool("spantree", false, "print the daemon's deterministic re-solve span tree and its decision record per re-solve")
 	timedtree := flag.Bool("timedtree", false, "print the span tree with each span's wall time (differs run to run)")
 	snapshot := flag.Bool("snapshot", false, "print the non-timing metric snapshot (byte-identical across seeded runs)")
 	flag.Parse()
@@ -219,6 +219,7 @@ func main() {
 
 	if *spantree {
 		fmt.Printf("\n--- span tree (deterministic) ---\n%s", tr.Tree())
+		fmt.Printf("\n--- re-solve decisions (deterministic) ---\n%s\n", strings.Join(events.Attrs("resolve"), "\n"))
 	}
 	if *timedtree {
 		fmt.Printf("\n--- span tree (timed) ---\n%s", tr.TimedTree())

@@ -43,7 +43,6 @@ func main() {
 	maxRegion := flag.Int("maxregion", 0, "region node cap (0 = default)")
 	every := flag.Int("every", 0, "ops between drift checks (0 = default)")
 	workers := flag.Int("workers", 0, "workers of a parallel -solver (0 = GOMAXPROCS; chitchat is serial)")
-	budget := flag.Duration("budget", 0, "wall-clock budget per localized re-solve (0 = none)")
 	report := flag.Int("report", 1000, "ops between progress lines")
 	addFrac := flag.Float64("adds", 0, "fraction of ops that add edges (0 = default)")
 	rmFrac := flag.Float64("removes", 0, "fraction of ops that remove edges (0 = default)")
@@ -60,7 +59,6 @@ func main() {
 		DriftThreshold:   *threshold,
 		CheckEvery:       *every,
 		MaxRegionNodes:   *maxRegion,
-		ResolveTimeout:   *budget,
 		Fallback:         *fallback,
 		BreakerThreshold: *breakerN,
 	}

@@ -92,6 +92,11 @@ type Progress struct {
 	HubCommits int // hub commits among them
 	Covered    int // ground-set edges served so far
 	Remaining  int // ground-set edges still unserved
+	// Saved is what the commits so far have won over serving every edge
+	// they covered directly: Σ c*(covered element) − Σ support weight paid.
+	// A singleton pays exactly its c*, so only hub commits move it, and
+	// HybridCost − Saved of an exhausted solve is the schedule's cost.
+	Saved float64
 }
 
 // DefaultMaxCrossEdges matches the bound used for the Twitter runs in §4.2.
@@ -249,6 +254,7 @@ func (sv *solver) noteCommit(hub bool) {
 			HubCommits: sv.hubCommits,
 			Covered:    sv.g.NumEdges() - sv.remaining,
 			Remaining:  sv.remaining,
+			Saved:      sv.saved,
 		})
 	}
 }
@@ -286,6 +292,7 @@ type solver struct {
 	// Progress counters for Config.OnProgress.
 	commits    int
 	hubCommits int
+	saved      float64
 
 	memb []bool // member marks, sized to the largest instance
 }
@@ -511,7 +518,10 @@ func (sv *solver) commitHub(w graph.NodeID) {
 	// elements are served by their own push/pull, cross-elements by
 	// piggybacking through w. Each member's incident edges are visited
 	// from their first endpoint only, so every element is handled once.
-	covered := 0
+	// Instance edges run producer → hub, hub → consumer or producer →
+	// consumer, so the endpoints name each element's hybrid cost without a
+	// graph lookup; the commit saves their sum less the weight it paid.
+	covered, direct := 0, 0.0
 	for _, v := range members {
 		for _, ei := range hi.d.IncidentEdges(int(v)) {
 			a, b := hi.d.Edge(int(ei))
@@ -519,13 +529,22 @@ func (sv *solver) commitHub(w graph.NodeID) {
 				continue
 			}
 			e := hi.gid[ei]
+			src, dst := w, w
+			if a != hub {
+				src = hi.xs[a]
+			}
+			if b != hub {
+				dst = hi.ys[int(b)-hi.nx]
+			}
 			if a != hub && b != hub {
 				sv.s.SetCovered(e, w)
 			}
+			direct += baseline.EdgeCost(sv.r, src, dst)
 			sv.coverEdge(e)
 			covered++
 		}
 	}
+	sv.saved += direct - ev.Weight
 	for _, v := range members {
 		memb[v] = false
 	}

@@ -2,11 +2,14 @@ package chitchat
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"testing"
 
+	"piggyback/internal/baseline"
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
@@ -77,4 +80,47 @@ func TestSchedulesMatchShipped(t *testing.T) {
 	}
 	check("SolveInduced", SolveInduced(sub, workload.LogDegree(g, 5), Config{}),
 		"9a7510bf541208b4cb53c5dcdb4e24271f95b8a0251a0523ac771684a0b63390")
+}
+
+// Progress.Saved is exact, on the graphs TestSchedulesMatchShipped pins:
+// the hybrid cost less the last Saved is the cost of the schedule, for an
+// exhausted solve and for one cut at its 64th commit alike (Finalize
+// serves what a cut leaves at c*, which is what Saved has not claimed).
+func TestSavedIsExact(t *testing.T) {
+	check := func(name string, g *graph.Graph, r *workload.Rates, cfg Config) {
+		t.Helper()
+		for _, cut := range []int{0, 64} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var last Progress
+			cfg.OnProgress = func(p Progress) {
+				last = p
+				if p.Commits == cut {
+					cancel()
+				}
+			}
+			s, err := SolveCtx(ctx, g, r, cfg)
+			cancel()
+			if (err != nil) != (cut > 0) {
+				t.Fatalf("%s cut=%d: err = %v after %d commits", name, cut, err, last.Commits)
+			}
+			cost, want := s.Cost(r), baseline.HybridCost(g, r)-last.Saved
+			if math.Abs(cost-want) > 1e-9*cost {
+				t.Errorf("%s cut=%d: hybrid − Saved = %v, schedule costs %v (%d commits)", name, cut, want, cost, last.Commits)
+			}
+		}
+	}
+	for _, seed := range []int64{2018, 2030, 7063} {
+		g := graphgen.Social(graphgen.FlickrLike(500, seed))
+		check(fmt.Sprintf("FlickrLike(500, %d)", seed), g, workload.LogDegree(g, 5), Config{})
+	}
+	g := graphgen.Social(graphgen.FlickrLike(150, 1))
+	check("MaxCrossEdges=8", g, workload.LogDegree(g, 5), Config{MaxCrossEdges: 8})
+	g = graphgen.Social(graphgen.FlickrLike(300, 11))
+	for _, name := range []string{"flashcrowd", "cascade"} {
+		endG, endR := zooEndState(t, g, workload.LogDegree(g, 5), name)
+		check(name, endG, endR, Config{})
+	}
+	g = graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
+	sub := graph.Induced(g, graph.KHop(g, []graph.NodeID{1000}, 2, 768))
+	check("SolveInduced", sub.G, workload.LogDegree(g, 5).Project(sub.Global), Config{})
 }

@@ -20,8 +20,8 @@ func SolverPanics(from, to int) solver.Middleware {
 // SolverStalls is middleware that, on solve invocations from..to
 // (1-based, inclusive from, exclusive to), ignores the problem and
 // blocks until the context is done, then returns (nil, ctx.Err()) — a
-// solver that violates the anytime contract, the failure a
-// ResolveTimeout exists to contain.
+// solver that violates the anytime contract, the failure a deadline on
+// the daemon's ApplyCtx exists to contain.
 func SolverStalls(from, to int) solver.Middleware {
 	return func(next solver.Solver) solver.Solver {
 		return &sabotageSolver{inner: next, from: from, to: to, mode: sabotageStall}

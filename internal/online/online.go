@@ -108,14 +108,6 @@ type Config struct {
 	// one code path through which the daemon runs algorithms; the
 	// SolverKind switch only selects a default instance.
 	Regional solver.Solver
-	// ResolveTimeout is the wall-clock budget for ONE localized
-	// re-solve (BudgetFraction bounds cumulative work, not latency).
-	// When it fires, the solver returns its best-so-far valid schedule
-	// — the anytime contract — which still passes the accept/revert
-	// gate, so a truncated re-solve can only improve the live schedule
-	// or be rolled back. 0 means no wall-clock bound. A nonzero timeout
-	// trades the daemon's strict determinism for bounded latency.
-	ResolveTimeout time.Duration
 	// DisableAmortize turns off the exterior-amortized pricing sweep
 	// that runs on every candidate patch after the refine free-coverage
 	// sweep (amortize.go): purchased hub coverage whose pooled refund
@@ -156,9 +148,10 @@ type Config struct {
 	// re-solves are strictly sequential, so the span tree is
 	// deterministic for a fixed trace and configuration.
 	Tracer *telemetry.Tracer
-	// Events, when non-nil, receives circuit-breaker state transitions
-	// as ("breaker", "closed->open") events, in order — the stream the
-	// chaos tests pin exactly. Only meaningful with Fallback set.
+	// Events, when non-nil, receives, in order, one ("resolve", …) event
+	// per re-solve attempt — its decision record, DESIGN.md §12 — and the
+	// circuit breaker's transitions as ("breaker", "closed->open"): the
+	// streams the telemetry and chaos tests pin exactly.
 	Events *telemetry.EventLog
 }
 
@@ -286,6 +279,7 @@ type Daemon struct {
 	// SolverAuto selector reads (checkDrift writes it just before each
 	// resolveRegion).
 	regionSeverity float64
+	attempt        attempt   // the re-solve under way, or the last one
 	amortize       amortizer // exterior-amortization sweep scratch
 	stats          Stats
 	inst           daemonInstruments
@@ -373,6 +367,9 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("online: regional solver %q: %w",
 			d.regional.Name(), solver.ErrRegionUnsupported)
 	}
+	// The stopping rule sits on the regional solver itself: whatever it
+	// streams is what the rule sees, and a breaker's fallback is not cut.
+	d.regional = solver.WithStop(d.attempt.stop)(d.regional)
 	if d.cfg.Fallback != "" {
 		reg := d.cfg.Registry
 		if reg == nil {
@@ -493,10 +490,10 @@ func (d *Daemon) Apply(op workload.ChurnOp) error {
 
 // ApplyCtx is Apply under a context: a context that is already done
 // fails fast before the op is ingested, and any localized re-solve the
-// op triggers runs under the context (plus Config.ResolveTimeout), so a
-// request-serving caller can bound the daemon's per-op wall clock. A
-// re-solve cut short by the context contributes its best-so-far patch
-// through the usual accept/revert gate.
+// op triggers runs under the context, so a caller that wants a wall
+// bound on the daemon's per-op latency passes a deadline. A re-solve cut
+// short by the context contributes its best-so-far patch through the
+// usual accept/revert gate.
 func (d *Daemon) ApplyCtx(ctx context.Context, op workload.ChurnOp) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -667,7 +664,7 @@ func (d *Daemon) checkRegion(ctx context.Context) bool {
 		return false // out of re-solve budget; keep patching incrementally
 	}
 	d.regionSeverity = rg.dirt / math.Max(rg.cost, 1e-9)
-	d.resolveRegion(ctx, rg.nodes)
+	d.resolveRegion(ctx)
 	return true
 }
 
@@ -730,27 +727,104 @@ func (st stage) end(format string, args ...any) {
 	}
 }
 
-// resolveRegion rebases the live graph, re-solves the region in
-// isolation through the configured solver.Solver, and splices the patch
+// The stopping rule of a regional re-solve (DESIGN.md §7): at every
+// stopEvery-th commit the solve is cut if it already leads the incumbent
+// on the region's edges AND the last stopEvery commits added less than
+// stopGain of what it has saved. Commits and floats from a serial loop,
+// never time, so a cut solve repeats as exactly as an exhausted one. Not
+// knobs: a change re-pins the zoo counts.
+const (
+	stopEvery = 64
+	stopGain  = 0.01
+)
+
+// attempt is one re-solve's decision record — the ("resolve", …) event,
+// fixed text with no timings — and the rule's state while the solver runs.
+type attempt struct {
+	seed         graph.NodeID
+	nodes, edges int
+	// On the region's edges: what the live schedule pays (push ⇒ rp(u),
+	// pull ⇒ rc(v)) and Σ c*, so hybrid − Saved is the solve's pay so far.
+	incumbent, hybrid float64
+	commits           int
+	saved, mark       float64 // Saved at the last event, at the last boundary
+	stopped           string  // early: the rule cut it; canceled: the caller did
+	// The patch as solved, after refine, after amortize, and the incumbent,
+	// each priced over the whole live graph.
+	raw, refined, amortized, total float64
+	verdict                        string // accepted, reverted, dissolved, failed
+	backoff                        int    // the revert streak it leaves
+}
+
+// stop is the rule, over the solver's progress stream: CHITCHAT's n-th
+// event is its n-th commit. A stream that carries no Saved (NOSY's) never
+// satisfies the second half.
+func (a *attempt) stop(n int, ev solver.ProgressEvent) bool {
+	a.saved = ev.Saved
+	if n%stopEvery != 0 {
+		return false
+	}
+	gained := ev.Saved - a.mark
+	a.mark = ev.Saved
+	early := a.hybrid-ev.Saved < a.incumbent && gained < stopGain*ev.Saved
+	if early {
+		a.stopped = "early"
+	}
+	return early
+}
+
+func (a *attempt) String() string {
+	return fmt.Sprintf("seed=%d nodes=%d edges=%d incumbent=%.1f hybrid=%.1f commits=%d saved=%.1f stopped=%s"+
+		" raw=%.1f refined=%.1f amortized=%.1f total=%.1f verdict=%s backoff=%d",
+		a.seed, a.nodes, a.edges, a.incumbent, a.hybrid, a.commits, a.saved, a.stopped,
+		a.raw, a.refined, a.amortized, a.total, a.verdict, a.backoff)
+}
+
+// resolveRegion rebases the live graph, re-solves the remembered region
+// in isolation through the configured solver.Solver, and splices the patch
 // in if it lowers the cost. Either way the region's dirt is cleared and
 // a fresh maintainer epoch begins when the patch is accepted. A tracer
 // sees the stall as one `resolve` span with its steps as children.
-func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
+func (d *Daemon) resolveRegion(ctx context.Context) {
+	nodes := d.region.nodes
 	_, parent := telemetry.FromContext(ctx)
-	root := d.begin(parent, "resolve", "seed=%d nodes=%d", d.region.seed, len(epochNodes))
+	root := d.begin(parent, "resolve", "seed=%d nodes=%d", d.region.seed, len(nodes))
+	a := &d.attempt
+	*a = attempt{seed: d.region.seed, nodes: len(nodes), stopped: "exhausted"}
+	defer func() {
+		a.backoff = d.revertStreak
+		root.end("%s edges=%d", a.verdict, a.edges)
+		if d.cfg.Events != nil {
+			d.cfg.Events.Emit("resolve", a.String())
+		}
+	}()
 	st := d.begin(root.id, "rebase", "")
 	liveG, liveS := d.m.Rebase()
 	st.end("edges=%d", liveG.NumEdges())
 	// The region's NODE set was chosen on the (possibly lagging) epoch
 	// graph; its edges are extracted from the fresh live graph, so the
 	// re-solve always sees current structure.
-	nodes := epochNodes
 	st = d.begin(root.id, "extract", "")
 	regionEdges := graph.InducedEdgeIDs(liveG, nodes)
-	st.end("edges=%d", len(regionEdges))
-	d.stats.RegionEdges += len(regionEdges)
-	d.inst.regionEdges.Add(int64(len(regionEdges)))
-	d.inst.regionSize.Observe(float64(len(regionEdges)))
+	k := 0 // cursor over nodes: both lists ascend, and edge ids group by source
+	for _, e := range regionEdges {
+		for _, hi := liveG.OutEdgeRange(nodes[k]); hi <= e; _, hi = liveG.OutEdgeRange(nodes[k]) {
+			k++
+		}
+		u, v := nodes[k], liveG.EdgeTarget(e)
+		a.hybrid += baseline.EdgeCost(d.r, u, v)
+		if liveS.IsPush(e) {
+			a.incumbent += d.r.Prod[u]
+		}
+		if liveS.IsPull(e) {
+			a.incumbent += d.r.Cons[v]
+		}
+	}
+	a.edges = len(regionEdges)
+	st.end("edges=%d", a.edges)
+	d.stats.RegionEdges += a.edges
+	d.inst.regionEdges.Add(int64(a.edges))
+	d.inst.regionSize.Observe(float64(a.edges))
 
 	// Clear the region's dirt up front: whatever the decision below,
 	// it is final for this dirt mass, and leaving it would re-trigger
@@ -758,22 +832,15 @@ func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
 	for _, v := range nodes {
 		d.dirt[v] = 0
 	}
-	if len(regionEdges) == 0 {
+	if a.edges == 0 {
 		// The epoch-stale region dissolved on the live graph; no solver
 		// ran, so neither the revert counter nor the backoff should move.
-		root.end("dissolved edges=0")
+		a.verdict = "dissolved"
 		return
 	}
 
-	rctx := ctx
-	if d.cfg.ResolveTimeout > 0 {
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(ctx, d.cfg.ResolveTimeout)
-		defer cancel()
-	}
-	rctx = telemetry.NewContext(rctx, root.tr, root.id)
 	solveStart := time.Now()
-	res, err := d.regional.Solve(rctx, solver.Problem{
+	res, err := d.regional.Solve(telemetry.NewContext(ctx, root.tr, root.id), solver.Problem{
 		Graph:  liveG,
 		Rates:  d.r,
 		Base:   liveS,
@@ -791,13 +858,18 @@ func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
 		d.stats.SolverErrors++
 		d.inst.solverErrors.Inc()
 		d.stats.LastSolverErr = err
-		root.end("failed edges=%d", len(regionEdges))
+		a.verdict = "failed"
 		return
 	}
-	// A context-truncated re-solve still returns a valid best-so-far
-	// patch (res non-nil alongside err); only hard failures leave res
-	// nil, and then the maintained schedule stands.
+	// A truncated re-solve — by the rule, or by the caller's context —
+	// still returns a valid best-so-far patch (res non-nil alongside
+	// err); only hard failures leave res nil, and then the maintained
+	// schedule stands.
 	patched := res.Schedule
+	a.commits = res.Report.Iterations
+	if err != nil {
+		a.stopped = "canceled"
+	}
 	d.stats.BoundaryRepairs += res.Report.BoundaryRepairs
 	d.inst.boundaryRepairs.Add(int64(res.Report.BoundaryRepairs))
 
@@ -821,16 +893,19 @@ func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
 	}
 
 	st = d.begin(root.id, "gate", "")
-	oldCost, newCost := liveS.Cost(d.r), patched.Cost(d.r)
-	if newCost >= oldCost {
-		st.end("incumbent=%.1f patch=%.1f revert", oldCost, newCost)
+	a.total, a.amortized = liveS.Cost(d.r), patched.Cost(d.r)
+	a.refined = a.amortized + amort.Saved
+	a.raw = a.refined + refined.Saved
+	if a.amortized >= a.total {
+		st.end("incumbent=%.1f patch=%.1f revert", a.total, a.amortized)
 		d.stats.Reverted++
 		d.inst.reverted.Inc()
 		d.revertStreak++
-		root.end("reverted edges=%d", len(regionEdges))
+		a.verdict = "reverted"
 		return
 	}
-	st.end("incumbent=%.1f patch=%.1f accept", oldCost, newCost)
+	st.end("incumbent=%.1f patch=%.1f accept", a.total, a.amortized)
+	a.verdict = "accepted"
 	d.stats.Resolves++
 	d.inst.resolves.Inc()
 	d.stats.Amortized += amort.Upgraded
@@ -851,7 +926,6 @@ func (d *Daemon) resolveRegion(ctx context.Context, epochNodes []graph.NodeID) {
 		d.OnSplice(liveG, patched)
 		st.end("")
 	}
-	root.end("accepted edges=%d", len(regionEdges))
 }
 
 // lowerBound computes the coverability bound: an edge u → v whose

@@ -227,9 +227,13 @@ func TestRememberedRegionIsExact(t *testing.T) {
 		})
 	}
 	t.Run("churn", func(t *testing.T) {
-		g := graphgen.Social(graphgen.FlickrLike(scaled(1500, 600), 5))
+		// 100-node regions of a CHITCHAT-scheduled graph rarely win (one or
+		// two accepts in ten seeds, before and after the stopping rule); the
+		// seed is the one whose trace accepts one at each size.
+		seed := int64(scaled(5, 8))
+		g := graphgen.Social(graphgen.FlickrLike(scaled(1500, 600), seed))
 		base := workload.LogDegree(g, 5)
-		trace := workload.GenerateChurn(g, base, scaled(3000, 800), workload.ChurnConfig{Seed: 5})
+		trace := workload.GenerateChurn(g, base, scaled(3000, 800), workload.ChurnConfig{Seed: seed})
 		cfg := zooDaemon
 		cfg.MaxRegionNodes = 100
 		st := lockstep(t, g, base, trace, cfg)

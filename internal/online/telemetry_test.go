@@ -177,3 +177,44 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		t.Fatalf("online_drift = %v, want %v", m.Value, d.Drift())
 	}
 }
+
+// One ("resolve", …) event per re-solve attempt, in a fixed format with
+// no timings: what the region looked like, how far the solve got and
+// whether the stopping rule cut it, what the patch cost at each step and
+// what the gate made of it. On this 80-node trace the region is the whole
+// graph, so hybrid − saved is the raw patch and incumbent is total.
+func TestDaemonDecisionRecord(t *testing.T) {
+	g := graphgen.Social(graphgen.FlickrLike(80, 7))
+	base := workload.LogDegree(g, 5)
+	r := freshRates(g, base)
+	var ev telemetry.EventLog
+	d, err := New(chitchat.Solve(g, r, chitchat.Config{}), r, Config{
+		DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1, Events: &ev,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ApplyTrace(workload.GenerateChurn(g, base, 120, workload.ChurnConfig{Seed: 7})); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"seed=53 nodes=80 edges=2187 incumbent=2933.1 hybrid=9950.6 commits=231 saved=7017.5 stopped=exhausted raw=2933.1 refined=2933.1 amortized=2933.1 total=2933.1 verdict=reverted backoff=1",
+		"seed=9 nodes=80 edges=2189 incumbent=2921.3 hybrid=9836.0 commits=232 saved=6910.8 stopped=exhausted raw=2925.1 refined=2919.9 amortized=2919.9 total=2921.3 verdict=accepted backoff=0",
+		"seed=15 nodes=80 edges=2189 incumbent=2895.0 hybrid=9833.0 commits=233 saved=6932.8 stopped=exhausted raw=2900.2 refined=2895.0 amortized=2895.0 total=2895.0 verdict=reverted backoff=1",
+		"seed=3 nodes=80 edges=2184 incumbent=2940.6 hybrid=9624.8 commits=128 saved=6757.6 stopped=early raw=2867.3 refined=2867.3 amortized=2867.3 total=2940.6 verdict=accepted backoff=0",
+		"seed=7 nodes=80 edges=2184 incumbent=2879.7 hybrid=9812.1 commits=214 saved=6926.8 stopped=exhausted raw=2885.3 refined=2885.3 amortized=2885.3 total=2879.7 verdict=reverted backoff=1",
+		"seed=29 nodes=80 edges=2177 incumbent=3062.2 hybrid=9891.5 commits=269 saved=6779.4 stopped=exhausted raw=3112.2 refined=3099.8 amortized=3099.8 total=3062.2 verdict=reverted backoff=2",
+	}
+	got := ev.Attrs("resolve")
+	if len(got) != len(want) {
+		t.Fatalf("%d decision records, want %d:\n%s", len(got), len(want), ev.String())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+	if st := d.Stats(); st.Resolves+st.Reverted != len(want) {
+		t.Errorf("%d attempts in Stats, %d records", st.Resolves+st.Reverted, len(want))
+	}
+}

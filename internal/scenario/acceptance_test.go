@@ -40,14 +40,20 @@ type accPin struct {
 
 // acceptancePins: exact daemon behavior per scenario at the geometry
 // above (CHITCHAT regional solver, DriftThreshold 0.05, CheckEvery 8,
-// unlimited budget).
+// unlimited budget). Re-pinned in PR 21, when the daemon's CHITCHAT
+// began to stop once it leads the incumbent and has stopped paying
+// (parent: {7,6,0} {29,13,98} {15,26,0} {17,9,104} {7,2,10} {4,2,0}).
+// A cut solve is a different patch, and an accept resets the revert
+// backoff, so attempts move with it; no scenario reverts more than it
+// did and no final cost is above the parent's by more than 0.5% —
+// DESIGN.md §13 has the table.
 var acceptancePins = map[string]accPin{
-	scenario.Cascade:      {Resolves: 7, Reverted: 6, Amortized: 0},
-	scenario.Diurnal:      {Resolves: 29, Reverted: 13, Amortized: 98},
-	scenario.FlashCrowd:   {Resolves: 15, Reverted: 26, Amortized: 0},
-	scenario.LDBC:         {Resolves: 17, Reverted: 9, Amortized: 104},
-	scenario.Preferential: {Resolves: 7, Reverted: 2, Amortized: 10},
-	scenario.RegionChurn:  {Resolves: 4, Reverted: 2, Amortized: 0},
+	scenario.Cascade:      {Resolves: 9, Reverted: 5, Amortized: 0},
+	scenario.Diurnal:      {Resolves: 29, Reverted: 13, Amortized: 130},
+	scenario.FlashCrowd:   {Resolves: 29, Reverted: 17, Amortized: 0},
+	scenario.LDBC:         {Resolves: 17, Reverted: 9, Amortized: 109},
+	scenario.Preferential: {Resolves: 11, Reverted: 0, Amortized: 26},
+	scenario.RegionChurn:  {Resolves: 3, Reverted: 2, Amortized: 0},
 }
 
 func TestAcceptanceZooDaemon(t *testing.T) {

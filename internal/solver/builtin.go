@@ -157,6 +157,7 @@ func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (res *Result, err
 				Iteration: pr.Commits,
 				Covered:   pr.Covered,
 				Remaining: pr.Remaining,
+				Saved:     pr.Saved,
 				Cost:      math.NaN(),
 			})
 		}

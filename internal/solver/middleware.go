@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -153,61 +154,72 @@ func (rs *recoverSolver) Solve(ctx context.Context, p Problem) (res *Result, err
 	return rs.inner.Solve(ctx, p)
 }
 
-// WithBudget bounds a solve at `units` work units, counted as progress
-// events — PARALLELNOSY rounds, CHITCHAT greedy commits, shard
-// completions. Unlike a wall-clock deadline, the budget is
-// DETERMINISTIC: events fire at iteration boundaries on the solve
+// WithStop cancels a solve on its own progress: stop sees every progress
+// event — a PARALLELNOSY round, a CHITCHAT greedy commit, a shard
+// completion — with n, how many the solve has emitted so far, and stops
+// the solve by returning true; it is called one event at a time under the
+// wrapper's lock, so it may keep state but must not call into the solver.
+// Unlike a wall-clock deadline the stop is DETERMINISTIC when the
+// predicate is: events fire at iteration boundaries on the solve
 // goroutine in an order independent of machine speed and worker count,
-// and the solvers stop within one iteration of the cancellation the
-// budget triggers, so two runs with the same budget produce
-// byte-identical schedules (the ROADMAP item-3 follow-up).
+// and the solvers stop within one iteration of the cancellation, so two
+// runs produce byte-identical schedules.
 //
-// The budget stop is NOT surfaced as an error: the result comes back
-// with a nil error and Report.Canceled=true as the truncation marker.
+// The stop is NOT surfaced as an error: the result comes back with a
+// nil error and Report.Canceled=true as the truncation marker.
 // Cancellation of the caller's own context propagates as usual.
 // Solvers without a progress stream (the baselines) are unaffected.
-func WithBudget(units int) Middleware {
+func WithStop(stop func(n int, ev ProgressEvent) bool) Middleware {
 	return func(next Solver) Solver {
-		b := &budgetSolver{wrapped: wrapped{next}, units: int64(units)}
-		b.supported = Observe(next, b.onEvent)
-		return b
+		s := &stopSolver{wrapped: wrapped{next}, stop: stop}
+		Observe(next, s.onEvent)
+		return s
 	}
 }
 
-type budgetSolver struct {
-	wrapped
-	units     int64
-	supported bool
-	state     atomic.Pointer[budgetState] // per-solve; nil between solves
+// WithBudget is WithStop counting: it bounds a solve at `units` progress
+// events, the deterministic work budget. Zero or less bounds nothing.
+func WithBudget(units int) Middleware {
+	return WithStop(func(n int, _ ProgressEvent) bool { return units > 0 && n >= units })
 }
 
-type budgetState struct {
-	n      atomic.Int64
+type stopSolver struct {
+	wrapped
+	stop func(n int, ev ProgressEvent) bool
+	// mu orders events a composite solver emits from several goroutines.
+	// cancel is non-nil while a solve runs that stop has not yet stopped,
+	// n the events it has emitted.
+	mu     sync.Mutex
+	n      int
 	cancel context.CancelFunc
 }
 
-func (b *budgetSolver) onEvent(ProgressEvent) {
-	st := b.state.Load()
-	if st == nil {
+func (s *stopSolver) onEvent(ev ProgressEvent) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cancel == nil {
 		return
 	}
-	if st.n.Add(1) >= b.units {
-		st.cancel()
+	s.n++
+	if s.stop(s.n, ev) {
+		s.cancel()
+		s.cancel = nil
 	}
 }
 
-func (b *budgetSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
-	if b.units <= 0 || !b.supported {
-		return b.inner.Solve(ctx, p)
-	}
-	bctx, cancel := context.WithCancel(ctx)
+func (s *stopSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
+	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	st := &budgetState{cancel: cancel}
-	b.state.Store(st)
-	defer b.state.Store(nil)
-	res, err := b.inner.Solve(bctx, p)
-	if err != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) && st.n.Load() >= b.units {
-		// The budget, not the caller, stopped the solve: a deterministic
+	s.mu.Lock()
+	s.n, s.cancel = 0, cancel
+	s.mu.Unlock()
+	res, err := s.inner.Solve(sctx, p)
+	s.mu.Lock()
+	stopped := s.cancel == nil
+	s.cancel = nil
+	s.mu.Unlock()
+	if stopped && err != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) {
+		// The predicate, not the caller, stopped the solve: a deterministic
 		// completion, not a cancellation. Report.Canceled stays true as
 		// the truncation marker.
 		return res, nil

@@ -123,6 +123,9 @@ type ProgressEvent struct {
 	// edge counts (CHITCHAT only).
 	Covered   int
 	Remaining int
+	// Saved is what the commits so far have won over serving the edges
+	// they covered directly (CHITCHAT only; chitchat.Progress.Saved).
+	Saved float64
 	// Cost is the current finalized cost when the solver tracks it
 	// (PARALLELNOSY under Options.TraceCosts); NaN when not computed.
 	Cost float64

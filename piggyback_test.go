@@ -168,8 +168,9 @@ func TestSolverFacade(t *testing.T) {
 }
 
 // TestOnlineDaemonCtxAPI exercises the daemon's context surface: a
-// canceled context fails fast, and a (generous) ResolveTimeout passes
-// churn through unharmed.
+// canceled context fails fast, and a (generous) deadline on ApplyCtx —
+// the wall bound a caller has — changes nothing: the daemon ends on the
+// schedule it reaches without one.
 func TestOnlineDaemonCtxAPI(t *testing.T) {
 	g := FlickrLikeGraph(200, 5)
 	r := LogDegreeRates(g, 5)
@@ -180,20 +181,35 @@ func TestOnlineDaemonCtxAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewOnlineDaemon(sched, r, OnlineConfig{
-		Regional:       regional,
-		ResolveTimeout: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range trace {
-		if err := d.ApplyCtx(context.Background(), op); err != nil {
+	run := func(apply func(*OnlineDaemon, ChurnOp) error) *OnlineDaemon {
+		rr := &Rates{Prod: append([]float64(nil), r.Prod...), Cons: append([]float64(nil), r.Cons...)}
+		d, err := NewOnlineDaemon(sched, rr, OnlineConfig{
+			Regional: regional, DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, op := range trace {
+			if err := apply(d, op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
+	plain := run((*OnlineDaemon).Apply)
+	d := run(func(d *OnlineDaemon, op ChurnOp) error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		return d.ApplyCtx(ctx, op)
+	})
+	if st := d.Stats(); st.Resolves+st.Reverted == 0 {
+		t.Fatal("the trace triggered no re-solve; the deadline bounded nothing")
+	}
+	if d.Cost() != plain.Cost() {
+		t.Fatalf("a generous deadline moved the final cost: %v vs %v", d.Cost(), plain.Cost())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
