@@ -25,7 +25,6 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
-	"piggyback/internal/nosymr"
 	"piggyback/internal/online"
 	"piggyback/internal/partition"
 	"piggyback/internal/refine"
@@ -115,14 +114,6 @@ func BenchmarkParallelNosySingleWorker(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nosy.Solve(g, r, nosy.Config{Workers: 1})
-	}
-}
-
-func BenchmarkParallelNosyMapReduce(b *testing.B) {
-	g, r := benchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nosymr.Solve(g, r, nosy.Config{})
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"piggyback/internal/experiments"
-	"piggyback/internal/solver"
-	"piggyback/internal/stats"
 )
 
 func main() {
@@ -27,7 +25,6 @@ func main() {
 		seed    = flag.Int64("seed", 0, "override scale seed (0 keeps preset)")
 		workers = flag.Int("workers", 0, "solver parallelism for PARALLELNOSY and the other parallel solvers (0 = all cores; CHITCHAT is serial)")
 		plot    = flag.Bool("plot", false, "render ASCII bar charts instead of tables")
-		mw      = flag.String("middleware", "", "solver middleware for registry-driven experiments: metrics")
 	)
 	flag.Parse()
 
@@ -45,19 +42,6 @@ func main() {
 		sc.Seed = *seed
 	}
 	sc.Workers = *workers
-
-	// -middleware metrics: wrap every registry-constructed solver with a
-	// shared metrics sink and print the per-solver table after the runs.
-	var sink *stats.SolverMetrics
-	switch *mw {
-	case "":
-	case "metrics":
-		sink = &stats.SolverMetrics{}
-		sc.Middleware = []solver.Middleware{solver.WithMetrics(sink)}
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown middleware %q (want: metrics)\n", *mw)
-		os.Exit(1)
-	}
 
 	runs := map[string]func(experiments.Scale) *experiments.Table{
 		"datasets": experiments.Datasets,
@@ -96,9 +80,5 @@ func main() {
 			fmt.Println(table.String())
 		}
 		fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	if sink != nil {
-		fmt.Println("## Per-solver metrics (registry-driven experiments)")
-		fmt.Print(sink.Table())
 	}
 }

@@ -133,7 +133,6 @@ func main() {
 	// record the rollout as its requests observe it.
 	epoch := uint32(0)
 	d, err := online.New(init, r, online.Config{
-		Solver:         online.SolverChitChat,
 		DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1,
 		Metrics: reg, Tracer: tr, Events: &events,
 	})

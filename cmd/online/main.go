@@ -27,7 +27,6 @@ import (
 	"piggyback/internal/online"
 	_ "piggyback/internal/shard" // registers the "shard" solver
 	"piggyback/internal/solver"
-	"piggyback/internal/stats"
 	"piggyback/internal/store"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
@@ -54,51 +53,43 @@ func main() {
 	linger := flag.Duration("linger", 0, "keep the -telemetry endpoint up this long after the run completes")
 	flag.Parse()
 
+	// The daemon resolves no names: -solver and -fallback are looked up
+	// here, in the one registry. Any solver that supports Problem.Region
+	// can drive the daemon's re-solves.
+	regionSolver := func(flagName, name string) solver.Solver {
+		sv, err := solver.Default.New(name, solver.Options{Workers: *workers})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if !solver.SupportsRegions(sv) {
+			fmt.Fprintf(os.Stderr, "-%s %s cannot re-solve regions (region-capable: chitchat, nosy)\n", flagName, name)
+			os.Exit(2)
+		}
+		return sv
+	}
 	cfg := online.Config{
 		K:                *k,
 		DriftThreshold:   *threshold,
 		CheckEvery:       *every,
 		MaxRegionNodes:   *maxRegion,
-		Fallback:         *fallback,
+		Regional:         regionSolver("solver", *solverName),
 		BreakerThreshold: *breakerN,
 	}
-	if *solverName == solver.Auto {
-		// The built-in selector path: the daemon wires its drift tracker
-		// into the selector's degradation hint, so badly drifted regions
-		// get the quality reference and mild ones the cheap patch.
-		cfg.Solver = online.SolverAuto
-		cfg.Nosy.Workers = *workers
-	} else {
-		// One code path for algorithm selection: the registry. Any solver
-		// that supports Problem.Region can drive the daemon's re-solves.
-		regional, err := solver.Default.New(*solverName, solver.Options{Workers: *workers})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if !solver.SupportsRegions(regional) {
-			fmt.Fprintf(os.Stderr, "-solver %s cannot re-solve regions (region-capable: chitchat, nosy)\n", *solverName)
-			os.Exit(2)
-		}
-		cfg.Regional = regional
+	if *fallback != "" {
+		cfg.Fallback = regionSolver("fallback", *fallback)
 	}
 
-	// -telemetry: one registry feeds the daemon's online_* series, the
-	// per-solver solver_* series (via the WithMetrics middleware around
-	// the regional solver), and a liveness gauge; the tracer records the
-	// deterministic re-solve span tree. The endpoint is up before the
-	// first op, and every series is pre-registered so a scrape during
-	// warmup sees the full inventory at zero.
+	// -telemetry: one registry feeds the daemon's online_* series and a
+	// liveness gauge; the tracer records the deterministic re-solve span
+	// tree. The endpoint is up before the first op, and every series is
+	// pre-registered so a scrape during warmup sees the full inventory
+	// at zero.
 	if *telem != "" {
 		reg := telemetry.NewRegistry()
 		cfg.Metrics = reg
 		cfg.Tracer = telemetry.NewTracer(*seed)
 		cfg.Events = &telemetry.EventLog{}
-		sink := stats.NewSolverMetrics(reg)
-		sink.Touch(*solverName)
-		if cfg.Regional != nil {
-			cfg.Regional = solver.Chain(cfg.Regional, solver.WithMetrics(sink))
-		}
 		reg.Gauge("piggyback_up").Set(1)
 		ln, err := telemetry.Serve(*telem, reg)
 		if err != nil {

@@ -42,7 +42,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "solver parallelism (0 = all cores; ignored by the serial chitchat)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry the best-so-far valid schedule is reported")
 		progress = flag.Bool("progress", false, "print live per-iteration progress")
-		iters    = flag.Bool("iters", false, "trace finalized cost per iteration (implies -progress; nosy/nosymr)")
+		iters    = flag.Bool("iters", false, "trace finalized cost per iteration (implies -progress; nosy)")
 		out      = flag.String("o", "", "save the schedule (schedio format) for cmd/feedstore")
 	)
 	flag.Parse()

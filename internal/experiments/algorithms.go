@@ -36,7 +36,6 @@ func Algorithms(sc Scale) *Table {
 			if err != nil {
 				continue // unregistered between Names and New: impossible, skip
 			}
-			sv = solver.Chain(sv, sc.Middleware...)
 			res, err := sv.Solve(context.Background(), solver.Problem{Graph: g, Rates: r})
 			if err != nil {
 				t.Rows = append(t.Rows, []string{name, item.name, "error: " + err.Error(), "", "", ""})

@@ -80,10 +80,6 @@ type Scale struct {
 	// Registry is the solver registry the registry-driven experiments
 	// enumerate; nil means solver.Default.
 	Registry *solver.Registry
-	// Middleware wraps every registry-constructed solver (first entry
-	// outermost) — the hook cmd/experiments uses to attach the metrics
-	// sink.
-	Middleware []solver.Middleware
 }
 
 // registry returns the solver registry to enumerate.

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"piggyback/internal/chitchat"
-	"piggyback/internal/graph"
+	"piggyback/internal/core"
 	"piggyback/internal/online"
 	"piggyback/internal/scenario"
 	"piggyback/internal/solver"
@@ -34,6 +34,10 @@ func Zoo(sc Scale) *Table {
 		ops = 1200
 	}
 	g, base := sc.flickr()
+	// Every daemon row starts from the same incumbent — a CHITCHAT
+	// schedule of the pre-trace graph, what each scenario's acceptance
+	// test uses — so it is solved once; online.New clones it per row.
+	incumbent := chitchat.Solve(g, base, chitchat.Config{})
 	reg := sc.registry()
 	for _, scen := range scenario.Default.Names() {
 		trace, err := scenario.Default.Generate(scen, g, base, scenario.Params{Ops: ops, Seed: sc.Seed})
@@ -47,17 +51,12 @@ func Zoo(sc Scale) *Table {
 			continue
 		}
 		for _, name := range reg.Names() {
-			meta, err := reg.Meta(name)
-			if err != nil {
-				continue
-			}
 			sv, err := reg.New(name, solver.Options{Workers: sc.Workers})
 			if err != nil {
 				continue
 			}
-			sv = solver.Chain(sv, sc.Middleware...)
-			if meta.Regions {
-				row, rowErr := zooDaemonRow(g, base, trace, sv)
+			if solver.SupportsRegions(sv) {
+				row, rowErr := zooDaemonRow(incumbent, base, trace, sv)
 				if rowErr != nil {
 					t.Rows = append(t.Rows, []string{scen, name, "daemon", "error: " + rowErr.Error(), "", "", ""})
 					continue
@@ -85,17 +84,15 @@ func Zoo(sc Scale) *Table {
 }
 
 // zooDaemonRow replays one zoo trace through the online daemon with the
-// given regional solver and reports (mode, cost, wall, re-solves,
-// reverted). The daemon starts from a CHITCHAT schedule of the
-// pre-trace graph — the same incumbent every scenario's acceptance test
-// uses — and rates are cloned because the daemon mutates them in place.
-func zooDaemonRow(g *graph.Graph, base *workload.Rates, trace []workload.ChurnOp, regional solver.Solver) ([]string, error) {
+// given regional solver, starting from incumbent, and reports (mode,
+// cost, wall, re-solves, reverted). Rates are cloned because the daemon
+// mutates them in place.
+func zooDaemonRow(incumbent *core.Schedule, base *workload.Rates, trace []workload.ChurnOp, regional solver.Solver) ([]string, error) {
 	r := &workload.Rates{
 		Prod: append([]float64(nil), base.Prod...),
 		Cons: append([]float64(nil), base.Cons...),
 	}
-	s := chitchat.Solve(g, r, chitchat.Config{})
-	dm, err := online.New(s, r, online.Config{
+	dm, err := online.New(incumbent, r, online.Config{
 		Regional:       regional,
 		DriftThreshold: 0.05,
 		CheckEvery:     8,

@@ -113,11 +113,9 @@ func TestRunningCostMatchesFreshRestricted(t *testing.T) {
 	}
 }
 
-// The MapReduce solver routes its merge through the same Apply* path;
-// its traced costs must be finalized-equivalent as well. (Its stats are
-// asserted identical to the shared-memory solver's elsewhere, except
-// Cost, which may differ by accumulation order — so pin it against the
-// schedule directly.)
+// The Apply* mutators keep the running cost finalized-equivalent in any
+// write order, not only Commit's: replay a final schedule edge by edge
+// and pin the running cost against the schedule directly.
 func TestRunningCostViaEvaluatorApply(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 120), 7))
 	r := workload.LogDegree(g, 5)

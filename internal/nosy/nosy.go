@@ -22,8 +22,6 @@
 // Decisions are computed against the snapshot and applied afterwards, so
 // every schedule write in an iteration touches an edge locked by exactly
 // one candidate — the MapReduce structure of the paper, on goroutines.
-// Package nosymr runs the identical logic (via Evaluator) as literal
-// MapReduce jobs on the in-memory engine.
 //
 // A round costs what the previous round's commits can change, not the
 // graph: the immutable structural half of every evaluation is memoized
@@ -77,7 +75,7 @@ type Config struct {
 	// round that produced it completes (Cost is filled only under
 	// TraceCosts). The callback runs on the solve goroutine between
 	// rounds; it must not mutate solver inputs and should return
-	// quickly. It is shared by the shared-memory and MapReduce solvers.
+	// quickly.
 	OnIteration func(IterationStat)
 }
 
@@ -204,10 +202,9 @@ func newRestrictedEvaluator(g *graph.Graph, r *workload.Rates, cfg Config,
 	return ev
 }
 
-// Evaluator holds the candidate-pricing logic shared by the shared-memory
-// solver (this package) and the MapReduce solver (package nosymr). All
-// methods read the current schedule snapshot; only Commit and the Apply*
-// mutators write it, from one goroutine with no evaluation in flight.
+// Evaluator holds the candidate-pricing logic. All methods read the
+// current schedule snapshot; only Commit and the Apply* mutators write
+// it, from one goroutine with no evaluation in flight.
 //
 // The structural half of an evaluation — the common-producer intersection
 // behind a hub edge — depends only on the immutable graph, so it is
@@ -457,37 +454,13 @@ func (ev *Evaluator) pullCost(wy graph.EdgeID, y graph.NodeID) float64 {
 	}
 }
 
-// granter reports whether an edge's lock is granted to the candidate
-// being decided. The shared-memory solver passes a reusable lock-table
-// view; nosymr adapts its grant sets via funcGranter.
-type granter interface {
-	granted(e graph.EdgeID) bool
-}
-
-// funcGranter adapts a plain predicate to the granter interface.
-type funcGranter func(graph.EdgeID) bool
-
-func (f funcGranter) granted(e graph.EdgeID) bool { return f(e) }
-
-// Decide implements phase 3 for one candidate given its lock grants:
-// returns the committed subset of producers (indices into c.Xs), whether
-// the commit is partial, and whether to commit at all. The pull edge
-// w → y must be granted for any commit.
-func (ev *Evaluator) Decide(c *Candidate, granted func(graph.EdgeID) bool) (keep []int32, partial, ok bool) {
-	keep, partial, ok = decideInto(ev, c, funcGranter(granted), nil)
-	if !ok {
-		return nil, false, false
-	}
-	return keep, partial, true
-}
-
-// decideInto is the one implementation of the phase-3 commit rule, used
-// by both solver substrates: kept producer indices are appended to buf
+// decideInto implements phase 3 for one candidate given the lock table:
+// the indices (into c.Xs) of the producers it commits are appended to buf
 // (which may be nil). It returns the extended buffer — truncated back to
 // its original length when the candidate does not commit — plus the
-// partial and commit flags. Generic over the granter so the shared-
-// memory solver's lock-table checks dispatch statically on the hot path.
-func decideInto[G granter](ev *Evaluator, c *Candidate, g G, buf []int32) ([]int32, bool, bool) {
+// partial and commit flags. The pull edge w → y must be granted for any
+// commit.
+func decideInto(ev *Evaluator, c *Candidate, g *lockGranter, buf []int32) ([]int32, bool, bool) {
 	if !g.granted(c.HubEdge) {
 		return buf, false, false
 	}
@@ -599,9 +572,9 @@ func (ev *Evaluator) sweep(b graph.NodeID, dirty *bitset.Set) {
 	}
 }
 
-// state carries the shared-memory solver's lock table plus the
-// incremental candidate cache: a hub edge is re-priced only in the round
-// after a commit wrote a flag its evaluation reads (Evaluator.Commit) —
+// state carries the solver's lock table plus the incremental candidate
+// cache: a hub edge is re-priced only in the round after a commit wrote
+// a flag its evaluation reads (Evaluator.Commit) —
 // the same observation behind the paper's pull-based update
 // dissemination between MapReduce iterations. All round-transient
 // storage (dirty list, candidate list, per-worker scratch, keep buffer,
@@ -804,8 +777,8 @@ func (st *state) bid(e graph.EdgeID, c *Candidate) {
 	}
 }
 
-// lockGranter is the shared-memory solver's granter: a direct lock-table
-// read, so deciding allocates nothing.
+// lockGranter reports whether an edge's lock is granted to the candidate
+// being decided: a direct lock-table read, so deciding allocates nothing.
 type lockGranter struct {
 	locks []lockWord
 	owner graph.EdgeID
@@ -813,7 +786,7 @@ type lockGranter struct {
 
 func (lg *lockGranter) granted(e graph.EdgeID) bool { return lg.locks[e].owner == lg.owner }
 
-// phaseDecide runs the shared phase-3 rule (decideInto) for every
+// phaseDecide runs the phase-3 rule (decideInto) for every
 // candidate against the lock table and commits the winners as it goes.
 // That equals deciding everything against the round's snapshot and
 // applying afterwards: a decision reads only the lock table and the flags

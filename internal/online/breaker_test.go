@@ -1,6 +1,7 @@
 package online
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestDaemonBreakerQuarantinesFailingSolver(t *testing.T) {
 	primary := solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverPanics(1, 4))
 	d, err := New(init, r, Config{
 		Regional:          primary,
-		Fallback:          "chitchat",
+		Fallback:          solver.NewChitChat(chitchat.Config{}),
 		BreakerThreshold:  2,
 		BreakerProbeEvery: 2,
 		DriftThreshold:    0.02,
@@ -72,16 +73,13 @@ func TestDaemonBreakerQuarantinesFailingSolver(t *testing.T) {
 	}
 }
 
-// TestDaemonRejectsBadFallback pins the configuration-time checks: an
-// unknown fallback name and a region-incapable fallback both fail New.
+// TestDaemonRejectsBadFallback pins the configuration-time check: a
+// region-incapable fallback fails New.
 func TestDaemonRejectsBadFallback(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(100, 3))
 	base := workload.LogDegree(g, 5)
 	init := chitchat.Solve(g, base, chitchat.Config{})
-	if _, err := New(init, base, Config{Fallback: "no-such-solver"}); err == nil {
-		t.Fatal("unknown fallback accepted")
-	}
-	if _, err := New(init, base, Config{Fallback: "pushall"}); err == nil {
-		t.Fatal("region-incapable fallback accepted")
+	if _, err := New(init, base, Config{Fallback: pushAllSolver(t)}); !errors.Is(err, solver.ErrRegionUnsupported) {
+		t.Fatalf("region-incapable fallback: err = %v, want ErrRegionUnsupported", err)
 	}
 }

@@ -50,29 +50,10 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/incremental"
-	"piggyback/internal/nosy"
 	"piggyback/internal/refine"
 	"piggyback/internal/solver"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
-)
-
-// SolverKind selects the localized re-solve algorithm.
-type SolverKind uint8
-
-const (
-	// SolverChitChat re-solves regions with the CHITCHAT approximation
-	// on the extracted subgraph — the quality reference, fine for the
-	// region sizes the daemon extracts.
-	SolverChitChat SolverKind = iota
-	// SolverNosy re-solves regions in place with PARALLELNOSY
-	// restricted to the region edge set.
-	SolverNosy
-	// SolverAuto picks per region through the feature-based selector
-	// ("auto"), fed by the daemon's drift tracker: small dirty regions
-	// get restricted NOSY, badly degraded regions (accumulated dirt
-	// exceeding the region's own cost mass) get induced CHITCHAT.
-	SolverAuto
 )
 
 // Config tunes the daemon. The zero value uses the defaults.
@@ -99,14 +80,11 @@ type Config struct {
 	// work no matter how the drift signal behaves. 0 means 0.2; negative
 	// removes the cap.
 	BudgetFraction float64
-	// Solver picks the localized re-solve algorithm. Ignored when
-	// Regional is set.
-	Solver SolverKind
-	// Regional, when non-nil, is the solver used for localized
-	// re-solves — any solver.Solver that supports Problem.Region. When
-	// nil, one is built from Solver + ChitChat/Nosy below. This is the
-	// one code path through which the daemon runs algorithms; the
-	// SolverKind switch only selects a default instance.
+	// Regional is the solver used for localized re-solves — any
+	// solver.Solver that supports Problem.Region; nil means
+	// solver.NewChitChat(ChitChat). The daemon resolves no names: a
+	// caller that takes one from a flag looks it up in a solver.Registry
+	// itself.
 	Regional solver.Solver
 	// DisableAmortize turns off the exterior-amortized pricing sweep
 	// that runs on every candidate patch after the refine free-coverage
@@ -115,22 +93,17 @@ type Config struct {
 	// cost, so it is on by default; the flag exists for ablation and for
 	// pinning pre-PR-10 accept/revert sequences.
 	DisableAmortize bool
-	// ChitChat configures SolverChitChat re-solves.
+	// ChitChat configures the default regional solver; ignored when
+	// Regional is set.
 	ChitChat chitchat.Config
-	// Nosy configures SolverNosy re-solves.
-	Nosy nosy.Config
-	// Registry resolves solver names for SolverAuto and Fallback; nil
-	// means solver.Default.
-	Registry *solver.Registry
-	// Fallback, when non-empty, names a registry solver that backs a
-	// circuit breaker around the regional solver: BreakerThreshold
-	// consecutive hard re-solve failures quarantine the primary and
-	// route re-solves to the fallback, with half-open probing every
-	// BreakerProbeEvery-th re-solve. The primary is wrapped in
-	// solver.WithRecover so panics count as failures instead of killing
-	// the daemon. Empty disables the breaker (and panics stay fatal, as
-	// before).
-	Fallback string
+	// Fallback, when non-nil, backs a circuit breaker around the
+	// regional solver: BreakerThreshold consecutive hard re-solve
+	// failures quarantine the primary and route re-solves to the
+	// fallback, with half-open probing every BreakerProbeEvery-th
+	// re-solve. The primary is wrapped in solver.WithRecover so panics
+	// count as failures instead of killing the daemon. Nil disables the
+	// breaker (and panics stay fatal). It must support Problem.Region.
+	Fallback solver.Solver
 	// BreakerThreshold is the consecutive-failure trip count; 0 means
 	// the solver.BreakerConfig default (3).
 	BreakerThreshold int
@@ -144,7 +117,7 @@ type Config struct {
 	// Tracer, when non-nil, records every localized re-solve as a
 	// `resolve` span with one timed child per step (DESIGN.md §12); the
 	// regional solver is wrapped in solver.WithTracing, so its `solve/…`
-	// span, portfolio races and shard inner solves nest under it. The
+	// span and whatever a composite solver begins nest under it. The
 	// re-solves are strictly sequential, so the span tree is
 	// deterministic for a fixed trace and configuration.
 	Tracer *telemetry.Tracer
@@ -214,8 +187,7 @@ type Stats struct {
 	AmortizedSaved float64
 	// ResolveWall is the cumulative wall-clock time spent inside the
 	// regional solver (accepted and reverted re-solves alike) — the
-	// daemon's re-solve latency budget, what the selector is meant to
-	// spend better.
+	// solver's share of the daemon's stalls.
 	ResolveWall time.Duration
 	// Breaker is the circuit-breaker state when Config.Fallback is set
 	// (nil otherwise): trips, probes, fallback solves, open/closed.
@@ -274,15 +246,10 @@ type Daemon struct {
 		// stale: a member's rates changed since cost was summed.
 		stale bool
 	}
-	// regionSeverity is the drift tracker's dirt/cost ratio of the
-	// region currently being re-solved — the degradation hint the
-	// SolverAuto selector reads (checkDrift writes it just before each
-	// resolveRegion).
-	regionSeverity float64
-	attempt        attempt   // the re-solve under way, or the last one
-	amortize       amortizer // exterior-amortization sweep scratch
-	stats          Stats
-	inst           daemonInstruments
+	attempt  attempt   // the re-solve under way, or the last one
+	amortize amortizer // exterior-amortization sweep scratch
+	stats    Stats
+	inst     daemonInstruments
 }
 
 // daemonInstruments mirrors Stats into a telemetry registry. With no
@@ -345,22 +312,7 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 	d.inst = newDaemonInstruments(d.cfg.Metrics)
 	d.regional = d.cfg.Regional
 	if d.regional == nil {
-		switch d.cfg.Solver {
-		case SolverNosy:
-			d.regional = solver.NewNosy(d.cfg.Nosy)
-		case SolverAuto:
-			// The PR-4 drift tracker feeds the selector: the hint closure
-			// reads the dirt/cost ratio of the region checkDrift decided
-			// to re-solve, so the rule table can route badly degraded
-			// regions to the quality reference.
-			d.regional = solver.NewSelector(solver.SelectorConfig{
-				Registry: d.cfg.Registry,
-				Options:  solver.Options{Workers: d.cfg.Nosy.Workers},
-				Hint:     func(solver.Problem) float64 { return d.regionSeverity },
-			})
-		default:
-			d.regional = solver.NewChitChat(d.cfg.ChitChat)
-		}
+		d.regional = solver.NewChitChat(d.cfg.ChitChat)
 	} else if !solver.SupportsRegions(d.regional) {
 		// Fail at configuration time: a region-incapable solver would
 		// turn every triggered re-solve into a silent no-op.
@@ -370,15 +322,7 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 	// The stopping rule sits on the regional solver itself: whatever it
 	// streams is what the rule sees, and a breaker's fallback is not cut.
 	d.regional = solver.WithStop(d.attempt.stop)(d.regional)
-	if d.cfg.Fallback != "" {
-		reg := d.cfg.Registry
-		if reg == nil {
-			reg = solver.Default
-		}
-		fb, err := reg.New(d.cfg.Fallback, solver.Options{Workers: d.cfg.Nosy.Workers})
-		if err != nil {
-			return nil, fmt.Errorf("online: fallback solver: %w", err)
-		}
+	if fb := d.cfg.Fallback; fb != nil {
 		if !solver.SupportsRegions(fb) {
 			return nil, fmt.Errorf("online: fallback solver %q: %w",
 				fb.Name(), solver.ErrRegionUnsupported)
@@ -407,7 +351,7 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 	if d.cfg.Tracer != nil {
 		// Wrap outermost so every daemon-triggered re-solve — primary,
 		// fallback, or probe alike — opens exactly one "solve/..." span,
-		// with portfolio and shard spans nesting under it via the context.
+		// with a composite solver's spans nesting under it via the context.
 		d.regional = solver.WithTracing(d.cfg.Tracer)(d.regional)
 	}
 	d.m = incremental.New(s, r)
@@ -663,7 +607,6 @@ func (d *Daemon) checkRegion(ctx context.Context) bool {
 		float64(d.stats.RegionEdges+rg.edges) > d.cfg.BudgetFraction*float64(d.m.NumEdges()) {
 		return false // out of re-solve budget; keep patching incrementally
 	}
-	d.regionSeverity = rg.dirt / math.Max(rg.cost, 1e-9)
 	d.resolveRegion(ctx)
 	return true
 }

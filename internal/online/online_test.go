@@ -39,20 +39,18 @@ func TestDaemonChurnValidAndCostExact(t *testing.T) {
 	trace := workload.GenerateChurn(g, base, scaled(2000, 600), workload.ChurnConfig{Seed: 3})
 
 	for _, tc := range []struct {
-		name   string
-		solver SolverKind
+		name     string
+		regional solver.Solver
 	}{
-		{"chitchat", SolverChitChat},
-		{"nosy", SolverNosy},
+		{"chitchat", nil},
+		{"nosy", solver.NewNosy(nosy.Config{Workers: 1})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := freshRates(g, base)
 			d, err := New(init.Clone(), r, Config{
-				Solver:         tc.solver,
+				Regional:       tc.regional,
 				MaxRegionNodes: 120,
 				DriftThreshold: 0.1,
-				ChitChat:       chitchat.Config{Workers: 1},
-				Nosy:           nosy.Config{Workers: 1},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -193,7 +191,6 @@ func TestAcceptanceOnlineDaemon2k(t *testing.T) {
 		d, err := New(init.Clone(), r, Config{
 			MaxRegionNodes: 150,
 			ChitChat:       chitchat.Config{Workers: workers},
-			Nosy:           nosy.Config{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -245,6 +242,16 @@ func TestAcceptanceOnlineDaemon2k(t *testing.T) {
 	}
 }
 
+// pushAllSolver is a solver that cannot re-solve regions.
+func pushAllSolver(t *testing.T) solver.Solver {
+	t.Helper()
+	sv, err := solver.NewBaseline(solver.PushAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
+}
+
 // TestRejectsRegionIncapableSolver pins the construction-time guard: a
 // regional solver that cannot handle Problem.Region is a configuration
 // error, not a stream of silent re-solve failures.
@@ -252,8 +259,7 @@ func TestRejectsRegionIncapableSolver(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(100, 1))
 	r := workload.LogDegree(g, 5)
 	s := chitchat.Solve(g, r, chitchat.Config{})
-	_, err := New(s, r, Config{Regional: solver.NewNosyMapReduce(nosy.Config{})})
-	if !errors.Is(err, solver.ErrRegionUnsupported) {
-		t.Fatalf("New with nosymr regional = %v, want ErrRegionUnsupported", err)
+	if _, err := New(s, r, Config{Regional: pushAllSolver(t)}); !errors.Is(err, solver.ErrRegionUnsupported) {
+		t.Fatalf("New with pushall regional = %v, want ErrRegionUnsupported", err)
 	}
 }

@@ -30,7 +30,7 @@ func telemetryRun(t *testing.T, workers int) (tree, snap string, events []string
 	primary := solver.Chain(solver.NewNosy(nosy.Config{Workers: workers}), fault.SolverPanics(1, 4))
 	d, err := New(init, r, Config{
 		Regional:          primary,
-		Fallback:          "chitchat",
+		Fallback:          solver.NewChitChat(chitchat.Config{}),
 		BreakerThreshold:  2,
 		BreakerProbeEvery: 2,
 		DriftThreshold:    0.02,

@@ -154,7 +154,7 @@ func TestAcceptanceZooBreaker(t *testing.T) {
 	primary := solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverPanics(1, 4))
 	d, err := online.New(chitchat.Solve(g, r, chitchat.Config{}), r, online.Config{
 		Regional:          primary,
-		Fallback:          "chitchat",
+		Fallback:          solver.NewChitChat(chitchat.Config{}),
 		BreakerThreshold:  2,
 		BreakerProbeEvery: 2,
 		DriftThreshold:    0.05,

@@ -67,7 +67,7 @@ func init() {
 			MaxCrossEdges: o.MaxCrossEdges,
 			Progress:      o.Progress,
 		})
-	}, solver.Meta{Cost: solver.CostExpensive})
+	})
 }
 
 // autoShardEdges sizes the auto partition: one shard per ~128k edges, so

@@ -14,23 +14,21 @@ import (
 	"piggyback/internal/densest"
 	"piggyback/internal/graph"
 	"piggyback/internal/nosy"
-	"piggyback/internal/nosymr"
 )
 
 // Built-in registry names.
 const (
-	ChitChat      = "chitchat"
-	Nosy          = "nosy"
-	NosyMapReduce = "nosymr"
-	Hybrid        = "hybrid"
-	PushAll       = "pushall"
-	PullAll       = "pullall"
+	ChitChat = "chitchat"
+	Nosy     = "nosy"
+	Hybrid   = "hybrid"
+	PushAll  = "pushall"
+	PullAll  = "pullall"
 )
 
 func init() {
 	Default.MustRegister(ChitChat, func(o Options) Solver {
 		return withProgress(NewChitChat(chitchat.Config{MaxCrossEdges: o.MaxCrossEdges}), o.Progress)
-	}, Meta{Regions: true, Cost: CostExpensive})
+	})
 	Default.MustRegister(Nosy, func(o Options) Solver {
 		return withProgress(NewNosy(nosy.Config{
 			Workers:       o.Workers,
@@ -38,18 +36,10 @@ func init() {
 			MaxCrossEdges: o.MaxCrossEdges,
 			TraceCosts:    o.TraceCosts,
 		}), o.Progress)
-	}, Meta{Regions: true, Cost: CostModerate})
-	Default.MustRegister(NosyMapReduce, func(o Options) Solver {
-		return withProgress(NewNosyMapReduce(nosy.Config{
-			Workers:       o.Workers,
-			MaxIterations: o.MaxIterations,
-			MaxCrossEdges: o.MaxCrossEdges,
-			TraceCosts:    o.TraceCosts,
-		}), o.Progress)
-	}, Meta{Cost: CostModerate})
-	Default.MustRegister(Hybrid, func(Options) Solver { return baselineSolver{Hybrid} }, Meta{Cost: CostCheap})
-	Default.MustRegister(PushAll, func(Options) Solver { return baselineSolver{PushAll} }, Meta{Cost: CostCheap})
-	Default.MustRegister(PullAll, func(Options) Solver { return baselineSolver{PullAll} }, Meta{Cost: CostCheap})
+	})
+	Default.MustRegister(Hybrid, func(Options) Solver { return baselineSolver{Hybrid} })
+	Default.MustRegister(PushAll, func(Options) Solver { return baselineSolver{PushAll} })
+	Default.MustRegister(PullAll, func(Options) Solver { return baselineSolver{PullAll} })
 }
 
 // withProgress attaches a progress sink to a typed-constructor solver.
@@ -121,8 +111,8 @@ type chitchatSolver struct {
 }
 
 // NewChitChat returns the CHITCHAT solver under a full typed config —
-// the constructor for callers that need knobs beyond Options (exact
-// oracle, refresh batch, member cache cap).
+// the constructor for callers that need knobs beyond Options (the exact
+// oracle, the per-commit OnProgress hook).
 func NewChitChat(cfg chitchat.Config) Solver { return &chitchatSolver{cfg: cfg} }
 
 func (s *chitchatSolver) Name() string { return ChitChat }
@@ -186,34 +176,20 @@ func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (res *Result, err
 	return finish(ChitChat, out, p, Report{Iterations: commits, BoundaryRepairs: repairs}, cause)
 }
 
-// nosySolver adapts PARALLELNOSY — shared-memory or MapReduce — to the
-// Solver contract. Region re-solves run the restricted entry point
-// (shared-memory substrate only).
+// nosySolver adapts PARALLELNOSY to the Solver contract. Region
+// re-solves run the restricted entry point.
 type nosySolver struct {
 	cfg      nosy.Config
-	mr       bool
 	progress func(ProgressEvent)
 }
 
-// NewNosy returns the shared-memory PARALLELNOSY solver under a full
-// typed config.
+// NewNosy returns the PARALLELNOSY solver under a full typed config.
 func NewNosy(cfg nosy.Config) Solver { return &nosySolver{cfg: cfg} }
 
-// NewNosyMapReduce returns the MapReduce PARALLELNOSY solver under a
-// full typed config. It produces schedules identical to NewNosy but
-// does not support region re-solves.
-func NewNosyMapReduce(cfg nosy.Config) Solver { return &nosySolver{cfg: cfg, mr: true} }
+func (s *nosySolver) Name() string { return Nosy }
 
-func (s *nosySolver) Name() string {
-	if s.mr {
-		return NosyMapReduce
-	}
-	return Nosy
-}
-
-// SupportsRegions implements RegionCapable: only the shared-memory
-// substrate has the restricted entry point.
-func (s *nosySolver) SupportsRegions() bool { return !s.mr }
+// SupportsRegions implements RegionCapable.
+func (s *nosySolver) SupportsRegions() bool { return true }
 
 // ChainProgress implements ProgressChainer: fn is appended to the
 // solver's progress stream, after any previously attached sink.
@@ -236,7 +212,7 @@ func chainSinks(prev, next func(ProgressEvent)) func(ProgressEvent) {
 }
 
 func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err error) {
-	defer guard(s.Name(), &res, &err)
+	defer guard(Nosy, &res, &err)
 	if err := checkProblem(p); err != nil {
 		return nil, err
 	}
@@ -252,7 +228,7 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 				cost = math.NaN()
 			}
 			s.progress(ProgressEvent{
-				Solver:         s.Name(),
+				Solver:         Nosy,
 				Iteration:      it.Iteration,
 				Dirty:          it.Dirty,
 				Candidates:     it.Candidates,
@@ -267,14 +243,9 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 		nr    nosy.Result
 		cause error
 	)
-	switch {
-	case p.Region != nil && s.mr:
-		return nil, fmt.Errorf("solver %s: %w", s.Name(), ErrRegionUnsupported)
-	case p.Region != nil:
+	if p.Region != nil {
 		nr, cause = nosy.SolveRestrictedCtx(ctx, p.Graph, p.Rates, cfg, p.Base, p.Region)
-	case s.mr:
-		nr, cause = nosymr.SolveCtx(ctx, p.Graph, p.Rates, cfg)
-	default:
+	} else {
 		nr, cause = nosy.SolveCtx(ctx, p.Graph, p.Rates, cfg)
 	}
 	rep := Report{Iterations: len(nr.Iterations), BoundaryRepairs: nr.BoundaryRepairs}
@@ -283,7 +254,7 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 		rep.PartialCommits += it.PartialCommits
 		rep.CoveredEdges += it.CoveredEdges
 	}
-	return finish(s.Name(), nr.Schedule, p, rep, cause)
+	return finish(Nosy, nr.Schedule, p, rep, cause)
 }
 
 // baselineSolver adapts the one-shot baselines. They are instantaneous,

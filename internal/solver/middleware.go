@@ -5,16 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"piggyback/internal/stats"
 )
 
-// Middleware wraps a Solver with cross-cutting behavior — metrics,
-// logging, budgets — without the solver knowing. Middlewares compose
-// with Chain and preserve the wrapped solver's Name, region capability,
-// and progress stream.
+// Middleware wraps a Solver with cross-cutting behavior — tracing,
+// panic recovery, a stopping rule — without the solver knowing.
+// Middlewares compose with Chain and preserve the wrapped solver's Name,
+// region capability, and progress stream.
 type Middleware func(Solver) Solver
 
 // Chain applies the middlewares to s left to right: the first is
@@ -62,76 +58,6 @@ func (w wrapped) SupportsRegions() bool { return SupportsRegions(w.inner) }
 // the inner solver has no progress stream (the one-shot baselines).
 func (w wrapped) ChainProgress(fn func(ProgressEvent)) { Observe(w.inner, fn) }
 
-// WithMetrics records every solve into sink: wall time, iterations,
-// progress events observed, final cost, cancellation and failure — the
-// per-solver counters `cmd/experiments -middleware metrics` tabulates.
-func WithMetrics(sink *stats.SolverMetrics) Middleware {
-	return func(next Solver) Solver {
-		m := &metricsSolver{wrapped: wrapped{next}, sink: sink}
-		Observe(next, func(ProgressEvent) { m.events.Add(1) })
-		return m
-	}
-}
-
-type metricsSolver struct {
-	wrapped
-	sink   *stats.SolverMetrics
-	events atomic.Int64 // cumulative across solves; per-solve = delta
-}
-
-func (m *metricsSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
-	before := m.events.Load()
-	start := time.Now()
-	res, err := m.inner.Solve(ctx, p)
-	rec := stats.SolveRecord{
-		Wall:   time.Since(start),
-		Events: m.events.Load() - before,
-		Failed: res == nil,
-	}
-	if res != nil {
-		rec.Iterations = res.Report.Iterations
-		rec.Cost = res.Report.Cost
-		rec.Canceled = res.Report.Canceled
-	}
-	m.sink.Record(m.Name(), rec)
-	return res, err
-}
-
-// WithLogging writes one line when a solve starts and one when it
-// finishes (cost, iterations, wall time, error) through logf —
-// typically log.Printf.
-func WithLogging(logf func(format string, args ...any)) Middleware {
-	return func(next Solver) Solver {
-		return &loggingSolver{wrapped: wrapped{next}, logf: logf}
-	}
-}
-
-type loggingSolver struct {
-	wrapped
-	logf func(format string, args ...any)
-}
-
-func (l *loggingSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
-	if p.Region == nil {
-		l.logf("solver %s: solving %d nodes / %d edges", l.Name(), p.Graph.NumNodes(), p.Graph.NumEdges())
-	} else {
-		l.logf("solver %s: re-solving region of %d edges", l.Name(), len(p.Region))
-	}
-	start := time.Now()
-	res, err := l.inner.Solve(ctx, p)
-	switch {
-	case res == nil:
-		l.logf("solver %s: failed after %v: %v", l.Name(), time.Since(start).Round(time.Millisecond), err)
-	case err != nil:
-		l.logf("solver %s: canceled after %d iterations, %v (best-so-far cost %.1f): %v",
-			l.Name(), res.Report.Iterations, time.Since(start).Round(time.Millisecond), res.Report.Cost, err)
-	default:
-		l.logf("solver %s: done in %d iterations, %v, cost %.1f",
-			l.Name(), res.Report.Iterations, time.Since(start).Round(time.Millisecond), res.Report.Cost)
-	}
-	return res, err
-}
-
 // WithRecover converts ANY panic escaping Solve into a returned error.
 // The built-ins already convert the typed library panics; this is the
 // belt-and-braces wrapper for third-party registrants running inside a
@@ -175,12 +101,6 @@ func WithStop(stop func(n int, ev ProgressEvent) bool) Middleware {
 		Observe(next, s.onEvent)
 		return s
 	}
-}
-
-// WithBudget is WithStop counting: it bounds a solve at `units` progress
-// events, the deterministic work budget. Zero or less bounds nothing.
-func WithBudget(units int) Middleware {
-	return WithStop(func(n int, _ ProgressEvent) bool { return units > 0 && n >= units })
 }
 
 type stopSolver struct {

@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	"piggyback/internal/chitchat"
 	"piggyback/internal/nosy"
-	"piggyback/internal/stats"
+	"piggyback/internal/telemetry"
 )
+
+// atEvent is the counting stop predicate: cut the solve at its units-th
+// progress event, the deterministic work budget.
+func atEvent(units int) func(int, ProgressEvent) bool {
+	return func(n int, _ ProgressEvent) bool { return n >= units }
+}
 
 // tagSolver records the order middleware layers run in.
 type tagSolver struct {
@@ -56,7 +61,7 @@ func TestChainOrder(t *testing.T) {
 func TestMiddlewarePreservesContract(t *testing.T) {
 	g, r := quickProblem(t, 60)
 	sv := Chain(NewNosy(nosy.Config{Workers: 1}),
-		WithRecover(), WithMetrics(&stats.SolverMetrics{}), WithBudget(1000))
+		WithRecover(), WithTracing(telemetry.NewTracer(1)), WithStop(atEvent(1000)))
 	if sv.Name() != Nosy {
 		t.Errorf("Name() through 3 layers = %q, want %q", sv.Name(), Nosy)
 	}
@@ -75,36 +80,6 @@ func TestMiddlewarePreservesContract(t *testing.T) {
 	}
 }
 
-func TestWithMetricsRecords(t *testing.T) {
-	g, r := quickProblem(t, 120)
-	sink := &stats.SolverMetrics{}
-	sv := Chain(NewNosy(nosy.Config{Workers: 1}), WithMetrics(sink))
-	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r}); err != nil {
-		t.Fatal(err)
-	}
-	snap := sink.Snapshot()
-	st, ok := snap[Nosy]
-	if !ok {
-		t.Fatalf("no stats recorded under %q; have %v", Nosy, sink.Names())
-	}
-	if st.Solves != 2 || st.Failures != 0 || st.Canceled != 0 {
-		t.Fatalf("stats = %+v, want 2 clean solves", st)
-	}
-	if st.Iterations == 0 || st.Events == 0 || st.Wall <= 0 {
-		t.Fatalf("counters not accumulated: %+v", st)
-	}
-	if st.LastCost != res.Report.Cost {
-		t.Fatalf("LastCost = %v, want %v", st.LastCost, res.Report.Cost)
-	}
-	if !strings.Contains(sink.Table(), Nosy) {
-		t.Fatalf("Table() does not mention %q:\n%s", Nosy, sink.Table())
-	}
-}
-
 type panicSolver struct{}
 
 func (panicSolver) Name() string                                    { return "boom" }
@@ -120,38 +95,12 @@ func TestWithRecoverConvertsPanic(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want wrapped panic", err)
 	}
-	// Failures reach the metrics sink as failures, not as crashes.
-	sink := &stats.SolverMetrics{}
-	sv = Chain(panicSolver{}, WithMetrics(sink), WithRecover())
-	if _, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r}); err == nil {
-		t.Fatal("expected error")
-	}
-	if st := sink.Snapshot()["boom"]; st.Failures != 1 {
-		t.Fatalf("failure not recorded: %+v", st)
-	}
 }
 
-func TestWithLoggingLines(t *testing.T) {
-	g, r := quickProblem(t, 60)
-	var lines []string
-	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
-	sv := Chain(baselineSolver{Hybrid}, WithLogging(logf))
-	if _, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r}); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("logged %d lines, want start+finish:\n%s", len(lines), strings.Join(lines, "\n"))
-	}
-	if !strings.Contains(lines[0], "solving") || !strings.Contains(lines[1], "done") {
-		t.Fatalf("unexpected log lines:\n%s", strings.Join(lines, "\n"))
-	}
-}
-
-// The budget middleware truncates deterministically: same budget ⇒
-// byte-identical schedule, independent of the member's worker count.
-// The budget stop is a completion (nil error) flagged by
-// Report.Canceled.
-func TestWithBudgetDeterministicTruncation(t *testing.T) {
+// A counting stop truncates deterministically: same budget ⇒
+// byte-identical schedule, independent of the solver's worker count.
+// The stop is a completion (nil error) flagged by Report.Canceled.
+func TestWithStopDeterministicTruncation(t *testing.T) {
 	g, r := quickProblem(t, 250)
 
 	// Reference: converged run takes more rounds than the budget.
@@ -167,7 +116,7 @@ func TestWithBudgetDeterministicTruncation(t *testing.T) {
 
 	var ref []byte
 	for _, workers := range []int{1, 4} {
-		sv := Chain(NewNosy(nosy.Config{Workers: workers}), WithBudget(budget))
+		sv := Chain(NewNosy(nosy.Config{Workers: workers}), WithStop(atEvent(budget)))
 		res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 		if err != nil {
 			t.Fatalf("workers=%d: budget stop surfaced as error: %v", workers, err)
@@ -191,7 +140,7 @@ func TestWithBudgetDeterministicTruncation(t *testing.T) {
 	}
 
 	// A budget the solve never reaches changes nothing.
-	sv := Chain(NewNosy(nosy.Config{Workers: 1}), WithBudget(10000))
+	sv := Chain(NewNosy(nosy.Config{Workers: 1}), WithStop(atEvent(10000)))
 	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 	if err != nil {
 		t.Fatal(err)
@@ -204,11 +153,11 @@ func TestWithBudgetDeterministicTruncation(t *testing.T) {
 	}
 }
 
-// The budget applies to CHITCHAT's commit stream too.
-func TestWithBudgetChitChat(t *testing.T) {
+// The stop applies to CHITCHAT's commit stream too.
+func TestWithStopChitChat(t *testing.T) {
 	g, r := quickProblem(t, 250)
 	const budget = 10
-	sv := Chain(NewChitChat(chitchat.Config{Workers: 1}), WithBudget(budget))
+	sv := Chain(NewChitChat(chitchat.Config{Workers: 1}), WithStop(atEvent(budget)))
 	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 	if err != nil {
 		t.Fatal(err)
@@ -224,12 +173,12 @@ func TestWithBudgetChitChat(t *testing.T) {
 	}
 }
 
-// Caller cancellation is NOT swallowed by the budget layer.
-func TestWithBudgetPropagatesOuterCancel(t *testing.T) {
+// Caller cancellation is NOT swallowed by the stop layer.
+func TestWithStopPropagatesOuterCancel(t *testing.T) {
 	g, r := quickProblem(t, 120)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sv := Chain(NewNosy(nosy.Config{Workers: 1}), WithBudget(1000))
+	sv := Chain(NewNosy(nosy.Config{Workers: 1}), WithStop(atEvent(1000)))
 	res, err := sv.Solve(ctx, Problem{Graph: g, Rates: r})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -239,19 +188,21 @@ func TestWithBudgetPropagatesOuterCancel(t *testing.T) {
 	}
 }
 
-// Budget-less or progress-less solvers pass through untouched.
-func TestWithBudgetNoopCases(t *testing.T) {
+// A predicate that never fires, or a solver without a progress stream,
+// passes through untouched.
+func TestWithStopNoopCases(t *testing.T) {
 	g, r := quickProblem(t, 60)
 	for _, sv := range []Solver{
-		Chain(baselineSolver{Hybrid}, WithBudget(1)),           // no progress stream
-		Chain(NewNosy(nosy.Config{Workers: 1}), WithBudget(0)), // no budget
+		Chain(baselineSolver{Hybrid}, WithStop(atEvent(1))), // no progress stream
+		Chain(NewNosy(nosy.Config{Workers: 1}), // never fires
+			WithStop(func(int, ProgressEvent) bool { return false })),
 	} {
 		res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Report.Canceled {
-			t.Fatalf("%s: no-op budget flagged Canceled", sv.Name())
+			t.Fatalf("%s: no-op stop flagged Canceled", sv.Name())
 		}
 	}
 }

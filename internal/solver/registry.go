@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 )
@@ -19,68 +20,21 @@ var ErrUnknownSolver = errors.New("solver: unknown solver")
 // MustRegister (the init-time path) panics on it instead.
 var ErrDuplicateSolver = errors.New("solver: duplicate registration")
 
-// CostClass coarsely ranks how expensive a registered solver is per
-// solve — metadata the selector and portfolio consult when deciding
-// what to run, deliberately NOT a cost model (see DESIGN.md §10).
-type CostClass uint8
-
-const (
-	// CostUnknown is the zero value: nothing declared.
-	CostUnknown CostClass = iota
-	// CostCheap marks one-shot solvers (the baselines): O(m), no
-	// iteration.
-	CostCheap
-	// CostModerate marks iterative heuristics whose per-round work is
-	// proportional to what changed (PARALLELNOSY).
-	CostModerate
-	// CostExpensive marks quality references that pay for oracle calls
-	// or full re-solves (CHITCHAT, shard).
-	CostExpensive
-)
-
-// String renders the class for tables and logs.
-func (c CostClass) String() string {
-	switch c {
-	case CostCheap:
-		return "cheap"
-	case CostModerate:
-		return "moderate"
-	case CostExpensive:
-		return "expensive"
-	}
-	return "unknown"
-}
-
-// Meta is the per-entry registry metadata declared at registration.
-type Meta struct {
-	// Regions reports whether the solver handles Problem.Region
-	// re-solves. It mirrors what RegionCapable reports on an instance,
-	// but is queryable without building one.
-	Regions bool
-	// Cost is the solver's coarse cost class.
-	Cost CostClass
-}
-
-// entry pairs a factory with its declared metadata.
-type entry struct {
-	factory Factory
-	meta    Meta
-}
-
-// Registry maps solver names to factories plus metadata. It is a
-// first-class value: consumers hold one (usually Default), tests build
-// private ones, and Clone derives scratch copies. All methods are safe
-// for concurrent use.
+// Registry maps solver names to factories. It is a first-class value:
+// consumers hold one (usually Default), tests build private ones, and
+// Clone derives scratch copies. What an entry can do is asked of the
+// instance it builds (RegionCapable), not declared beside it. All
+// methods are safe for concurrent use.
 //
 // The zero value is NOT ready; use NewRegistry (or Clone).
 type Registry struct {
 	mu      sync.RWMutex
-	entries map[string]entry
+	entries map[string]Factory
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{entries: map[string]entry{}}
+	return &Registry{entries: map[string]Factory{}}
 }
 
 // Default is the process-global registry the built-in solvers register
@@ -89,10 +43,10 @@ func NewRegistry() *Registry {
 // so callers can substitute their own.
 var Default = NewRegistry()
 
-// Register makes a solver available under name with its metadata.
-// It returns an error wrapping ErrDuplicateSolver when the name is
-// taken, and a plain error on an empty name or nil factory.
-func (r *Registry) Register(name string, f Factory, m Meta) error {
+// Register makes a solver available under name. It returns an error
+// wrapping ErrDuplicateSolver when the name is taken, and a plain error
+// on an empty name or nil factory.
+func (r *Registry) Register(name string, f Factory) error {
 	if name == "" || f == nil {
 		return errors.New("solver: Register with empty name or nil factory")
 	}
@@ -101,14 +55,14 @@ func (r *Registry) Register(name string, f Factory, m Meta) error {
 	if _, dup := r.entries[name]; dup {
 		return fmt.Errorf("%w of %q", ErrDuplicateSolver, name)
 	}
-	r.entries[name] = entry{factory: f, meta: m}
+	r.entries[name] = f
 	return nil
 }
 
 // MustRegister is Register that panics on error — the init-time path,
 // where registry misuse is a programmer error caught at startup.
-func (r *Registry) MustRegister(name string, f Factory, m Meta) {
-	if err := r.Register(name, f, m); err != nil {
+func (r *Registry) MustRegister(name string, f Factory) {
+	if err := r.Register(name, f); err != nil {
 		panic(err)
 	}
 }
@@ -117,24 +71,12 @@ func (r *Registry) MustRegister(name string, f Factory, m Meta) {
 // ErrUnknownSolver that lists the known names.
 func (r *Registry) Get(name string) (Factory, error) {
 	r.mu.RLock()
-	e, ok := r.entries[name]
+	f, ok := r.entries[name]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownSolver, name, r.Names())
 	}
-	return e.factory, nil
-}
-
-// Meta returns the metadata declared for name, or an error wrapping
-// ErrUnknownSolver.
-func (r *Registry) Meta(name string) (Meta, error) {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	r.mu.RUnlock()
-	if !ok {
-		return Meta{}, fmt.Errorf("%w %q (have %v)", ErrUnknownSolver, name, r.Names())
-	}
-	return e.meta, nil
+	return f, nil
 }
 
 // New is the one-step convenience: look name up and build the solver.
@@ -172,9 +114,5 @@ func (r *Registry) Len() int {
 func (r *Registry) Clone() *Registry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	c := &Registry{entries: make(map[string]entry, len(r.entries))}
-	for n, e := range r.entries {
-		c.entries[n] = e
-	}
-	return c
+	return &Registry{entries: maps.Clone(r.entries)}
 }

@@ -17,21 +17,14 @@ func testFactory(name string) Factory {
 // collision with errors.Is.
 func TestRegisterDuplicateTypedError(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Register("x", testFactory(Hybrid), Meta{Cost: CostCheap}); err != nil {
+	if err := reg.Register("x", testFactory(Hybrid)); err != nil {
 		t.Fatal(err)
 	}
-	err := reg.Register("x", testFactory(PushAll), Meta{Cost: CostExpensive})
+	err := reg.Register("x", testFactory(PushAll))
 	if !errors.Is(err, ErrDuplicateSolver) {
 		t.Fatalf("second Register = %v, want ErrDuplicateSolver", err)
 	}
 	// The original entry survived.
-	m, err := reg.Meta("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Cost != CostCheap {
-		t.Fatalf("duplicate Register overwrote the entry: meta = %+v", m)
-	}
 	sv, err := reg.New("x", Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -44,60 +37,31 @@ func TestRegisterDuplicateTypedError(t *testing.T) {
 // Clone is independent in both directions.
 func TestRegistryCloneIndependent(t *testing.T) {
 	orig := NewRegistry()
-	orig.MustRegister("a", testFactory(Hybrid), Meta{Regions: true})
+	orig.MustRegister("a", testFactory(Hybrid))
 	clone := orig.Clone()
 
-	clone.MustRegister("b", testFactory(PushAll), Meta{})
+	clone.MustRegister("b", testFactory(PushAll))
 	if _, err := orig.Get("b"); !errors.Is(err, ErrUnknownSolver) {
 		t.Fatalf("registration on the clone leaked into the original: %v", err)
 	}
-	orig.MustRegister("c", testFactory(PullAll), Meta{})
+	orig.MustRegister("c", testFactory(PullAll))
 	if _, err := clone.Get("c"); !errors.Is(err, ErrUnknownSolver) {
 		t.Fatalf("registration on the original leaked into the clone: %v", err)
 	}
 
-	// The shared prefix is intact, metadata included.
-	m, err := clone.Meta("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Regions {
-		t.Fatalf("clone lost metadata: %+v", m)
+	// The shared prefix is intact.
+	if sv, err := clone.New("a", Options{}); err != nil || sv.Name() != Hybrid {
+		t.Fatalf("clone lost the shared entry: %v, %v", sv, err)
 	}
 	if orig.Len() != 2 || clone.Len() != 2 {
 		t.Fatalf("Len: orig %d, clone %d; want 2 and 2", orig.Len(), clone.Len())
 	}
 }
 
-// The built-ins declare the metadata consumers key decisions off.
-func TestDefaultRegistryMeta(t *testing.T) {
-	for name, want := range map[string]Meta{
-		ChitChat:      {Regions: true, Cost: CostExpensive},
-		Nosy:          {Regions: true, Cost: CostModerate},
-		NosyMapReduce: {Cost: CostModerate},
-		Hybrid:        {Cost: CostCheap},
-		PushAll:       {Cost: CostCheap},
-		PullAll:       {Cost: CostCheap},
-		Portfolio:     {Regions: true, Cost: CostExpensive},
-		Auto:          {Regions: true, Cost: CostModerate},
-	} {
-		got, err := Default.Meta(name)
-		if err != nil {
-			t.Fatalf("Meta(%q): %v", name, err)
-		}
-		if got != want {
-			t.Errorf("Meta(%q) = %+v, want %+v", name, got, want)
-		}
-	}
-	if _, err := Default.Meta("no-such-algorithm"); !errors.Is(err, ErrUnknownSolver) {
-		t.Errorf("Meta(unknown) = %v, want ErrUnknownSolver", err)
-	}
-}
-
 func TestRegistryNamesSorted(t *testing.T) {
 	reg := NewRegistry()
 	for _, n := range []string{"zeta", "alpha", "mid"} {
-		reg.MustRegister(n, testFactory(Hybrid), Meta{})
+		reg.MustRegister(n, testFactory(Hybrid))
 	}
 	names := reg.Names()
 	if !sort.StringsAreSorted(names) {
@@ -105,20 +69,6 @@ func TestRegistryNamesSorted(t *testing.T) {
 	}
 	if len(names) != 3 {
 		t.Fatalf("Names() = %v, want 3 entries", names)
-	}
-}
-
-func TestCostClassString(t *testing.T) {
-	for c, want := range map[CostClass]string{
-		CostUnknown:   "unknown",
-		CostCheap:     "cheap",
-		CostModerate:  "moderate",
-		CostExpensive: "expensive",
-		CostClass(99): "unknown",
-	} {
-		if got := c.String(); got != want {
-			t.Errorf("CostClass(%d).String() = %q, want %q", c, got, want)
-		}
 	}
 }
 
@@ -136,12 +86,12 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				name := fmt.Sprintf("s-%d-%d", w, i)
-				if err := reg.Register(name, testFactory(Hybrid), Meta{Cost: CostCheap}); err != nil {
+				if err := reg.Register(name, testFactory(Hybrid)); err != nil {
 					t.Errorf("Register(%q): %v", name, err)
 				}
 				// Everyone re-registering the shared name races on the
 				// duplicate path; exactly one wins overall.
-				_ = reg.Register("shared", testFactory(Hybrid), Meta{})
+				_ = reg.Register("shared", testFactory(Hybrid))
 			}
 		}(w)
 		wg.Add(1)
@@ -150,7 +100,6 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				_ = reg.Names()
 				_, _ = reg.Get(fmt.Sprintf("s-%d-%d", w, i))
-				_, _ = reg.Meta("shared")
 				_, _ = reg.New("shared", Options{})
 				_ = reg.Clone().Len()
 			}

@@ -2,12 +2,12 @@
 // every scheduling algorithm in this repository implements — the API the
 // cmd tools, the examples, and the online rescheduling daemon consume.
 //
-// The paper's algorithms (CHITCHAT §3.1, PARALLELNOSY §3.2 in both its
-// shared-memory and MapReduce forms, the FEEDINGFRENZY hybrid baseline
-// of Silberstein et al., and the localized restricted re-solves of the
-// online subsystem) share one abstraction: each is "a thing that
-// produces a valid Theorem-1 schedule for (graph, rates), possibly
-// incrementally". Solver is that abstraction made explicit:
+// The paper's algorithms (CHITCHAT §3.1, PARALLELNOSY §3.2, the
+// FEEDINGFRENZY hybrid baseline of Silberstein et al., and the localized
+// restricted re-solves of the online subsystem) share one abstraction:
+// each is "a thing that produces a valid Theorem-1 schedule for (graph,
+// rates), possibly incrementally". Solver is that abstraction made
+// explicit:
 //
 //	Solve(ctx context.Context, p Problem) (*Result, error)
 //
@@ -30,15 +30,14 @@
 //     instead of crashing the serving process.
 //
 // Solvers are looked up by name in a Registry — a first-class value
-// with per-entry Meta (region capability, cost class); the package-wide
-// Default instance is what the cmd tools and the piggyback facade use,
-// and Clone() derives independent registries for tests and embedders.
-// Cross-cutting concerns (metrics, logging, panic recovery, determin-
-// istic work budgets) wrap any Solver through Middleware and Chain.
-// Two registered solvers are themselves built from the registry:
-// "portfolio" races member solvers and keeps the cheapest schedule,
-// and "auto" picks one solver per Problem from cheap structural
-// features (DESIGN.md §10).
+// mapping names to factories; the package-wide Default instance is what
+// the cmd tools and the piggyback facade use, and Clone() derives
+// independent registries for tests and embedders. It lists algorithms
+// only; DESIGN.md §10 has the measurement behind that. Cross-cutting
+// concerns wrap any Solver through Middleware and Chain: WithTracing,
+// WithRecover, WithStop (cancel on the solve's own progress,
+// deterministically), and the Breaker that quarantines a failing solver
+// behind a fallback.
 package solver
 
 import (
@@ -134,13 +133,12 @@ type ProgressEvent struct {
 // Options tunes a solver constructed through the registry. The zero
 // value uses every default. Knobs that do not apply to a given
 // algorithm are ignored; algorithm-specific configuration beyond these
-// is available through the typed constructors (NewChitChat, NewNosy,
-// NewNosyMapReduce).
+// is available through the typed constructors (NewChitChat, NewNosy).
 type Options struct {
 	// Workers is the parallelism degree; 0 means GOMAXPROCS. Read by
-	// nosy, nosymr, shard and portfolio; CHITCHAT is serial and the
-	// baselines do no work worth splitting. Schedules are byte-identical
-	// for every worker count.
+	// nosy and shard; CHITCHAT is serial and the baselines do no work
+	// worth splitting. Schedules are byte-identical for every worker
+	// count.
 	Workers int
 	// MaxIterations bounds iterative solvers; 0 means run to
 	// convergence.
@@ -179,7 +177,7 @@ var (
 	// ErrNoBase means Problem.Region was set without a Base schedule.
 	ErrNoBase = errors.New("solver: region re-solve requires a base schedule")
 	// ErrRegionUnsupported means the solver cannot do localized
-	// re-solves (the MapReduce substrate and the baselines).
+	// re-solves (the baselines and the sharded solver).
 	ErrRegionUnsupported = errors.New("solver: algorithm does not support region re-solves")
 	// ErrRegionNotInduced means the region edge set is not the full
 	// induced edge set of its endpoint nodes, which the subgraph-

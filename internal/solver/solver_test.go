@@ -15,7 +15,6 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
-	"piggyback/internal/nosymr"
 	"piggyback/internal/schedio"
 	"piggyback/internal/workload"
 )
@@ -38,10 +37,12 @@ func scheduleBytes(t *testing.T, s *core.Schedule) []byte {
 }
 
 func TestRegistryHasBuiltins(t *testing.T) {
+	// Algorithms only, and exactly these: "shard" registers itself from
+	// its own package, which this test binary does not link.
 	names := Default.Names()
-	want := []string{Auto, ChitChat, Hybrid, Nosy, NosyMapReduce, Portfolio, PullAll, PushAll}
-	if len(names) < len(want) {
-		t.Fatalf("Names() = %v, want at least %v", names, want)
+	want := []string{ChitChat, Hybrid, Nosy, PullAll, PushAll}
+	if !slices.Equal(names, want) {
+		t.Fatalf("Names() = %v, want %v", names, want)
 	}
 	for _, w := range want {
 		if _, err := Default.Get(w); err != nil {
@@ -55,14 +56,14 @@ func TestRegistryHasBuiltins(t *testing.T) {
 
 func TestRegisterMisusePanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.MustRegister(Hybrid, func(Options) Solver { return baselineSolver{Hybrid} }, Meta{})
+	reg.MustRegister(Hybrid, func(Options) Solver { return baselineSolver{Hybrid} })
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
-		{"empty name", func() { reg.MustRegister("", func(Options) Solver { return baselineSolver{Hybrid} }, Meta{}) }},
-		{"nil factory", func() { reg.MustRegister("x", nil, Meta{}) }},
-		{"duplicate", func() { reg.MustRegister(Hybrid, func(Options) Solver { return baselineSolver{Hybrid} }, Meta{}) }},
+		{"empty name", func() { reg.MustRegister("", func(Options) Solver { return baselineSolver{Hybrid} }) }},
+		{"nil factory", func() { reg.MustRegister("x", nil) }},
+		{"duplicate", func() { reg.MustRegister(Hybrid, func(Options) Solver { return baselineSolver{Hybrid} }) }},
 	} {
 		func() {
 			defer func() {
@@ -85,12 +86,11 @@ func TestSolversMatchPreRedesign(t *testing.T) {
 	}
 	g, r := quickProblem(t, nodes)
 	legacy := map[string]func() *core.Schedule{
-		ChitChat:      func() *core.Schedule { return chitchat.Solve(g, r, chitchat.Config{}) },
-		Nosy:          func() *core.Schedule { return nosy.Solve(g, r, nosy.Config{}).Schedule },
-		NosyMapReduce: func() *core.Schedule { return nosymr.Solve(g, r, nosy.Config{}).Schedule },
-		Hybrid:        func() *core.Schedule { return baseline.Hybrid(g, r) },
-		PushAll:       func() *core.Schedule { return baseline.PushAll(g) },
-		PullAll:       func() *core.Schedule { return baseline.PullAll(g) },
+		ChitChat: func() *core.Schedule { return chitchat.Solve(g, r, chitchat.Config{}) },
+		Nosy:     func() *core.Schedule { return nosy.Solve(g, r, nosy.Config{}).Schedule },
+		Hybrid:   func() *core.Schedule { return baseline.Hybrid(g, r) },
+		PushAll:  func() *core.Schedule { return baseline.PushAll(g) },
+		PullAll:  func() *core.Schedule { return baseline.PullAll(g) },
 	}
 	for name, old := range legacy {
 		t.Run(name, func(t *testing.T) {
@@ -194,10 +194,10 @@ func TestCancelMidSolve(t *testing.T) {
 			t.Errorf("truncated greedy cost %v beats converged %v; impossible", got, want)
 		}
 	})
-	t.Run("nosymr", func(t *testing.T) {
+	t.Run("pre-canceled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already done before the solve starts
-		sv := NewNosyMapReduce(nosy.Config{})
+		sv := NewNosy(nosy.Config{})
 		res, err := sv.Solve(ctx, Problem{Graph: g, Rates: r})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
@@ -374,7 +374,6 @@ func TestProblemValidation(t *testing.T) {
 		{"nil graph", NewNosy(nosy.Config{}), Problem{Rates: r}, ErrNoGraph},
 		{"nil rates", NewNosy(nosy.Config{}), Problem{Graph: g}, ErrNoGraph},
 		{"region without base", NewNosy(nosy.Config{}), Problem{Graph: g, Rates: r, Region: region}, ErrNoBase},
-		{"nosymr region", NewNosyMapReduce(nosy.Config{}), Problem{Graph: g, Rates: r, Base: base, Region: region}, ErrRegionUnsupported},
 		{"baseline region", baselineSolver{Hybrid}, Problem{Graph: g, Rates: r, Base: base, Region: region}, ErrRegionUnsupported},
 	} {
 		res, err := tc.sv.Solve(context.Background(), tc.p)
@@ -480,12 +479,11 @@ func TestProgressStream(t *testing.T) {
 // online daemon use to fail fast on misconfiguration.
 func TestSupportsRegions(t *testing.T) {
 	for name, want := range map[string]bool{
-		ChitChat:      true,
-		Nosy:          true,
-		NosyMapReduce: false,
-		Hybrid:        false,
-		PushAll:       false,
-		PullAll:       false,
+		ChitChat: true,
+		Nosy:     true,
+		Hybrid:   false,
+		PushAll:  false,
+		PullAll:  false,
 	} {
 		sv, err := Default.New(name, Options{})
 		if err != nil {

@@ -14,9 +14,9 @@ import (
 // tree: `solve/<name>` with the problem shape as Begin attributes and
 // the outcome class (iterations, cost, error kind — never wall time) as
 // End attributes. The span is pushed into the inner solver's context,
-// so composite solvers that begin child spans (the portfolio's race
-// members, the sharded solver's per-shard solves, and nested WithTracing
-// wrappers) nest under it, producing one tree for the whole solve.
+// so composite solvers that begin child spans (the sharded solver's
+// per-shard solves, and nested WithTracing wrappers) nest under it,
+// producing one tree for the whole solve.
 //
 // Wall-clock durations are recorded out-of-band via Tracer.SetDuration;
 // the tree itself stays byte-identical across runs and worker counts as

@@ -9,47 +9,6 @@ import (
 	"piggyback/internal/telemetry"
 )
 
-// WithTracing around the portfolio yields one nested tree: the
-// portfolio's own span with one race/<member> child per racer — and the
-// tree is byte-identical across two runs and across racer-concurrency
-// settings, the core determinism contract.
-func TestWithTracingPortfolioTreeDeterministic(t *testing.T) {
-	g, r := quickProblem(t, 120)
-	run := func(workers int) string {
-		tr := telemetry.NewTracer(42)
-		sv := Chain(NewPortfolio(PortfolioConfig{
-			Workers: workers,
-			Options: Options{Workers: 1},
-		}), WithTracing(tr))
-		if _, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r}); err != nil {
-			t.Fatalf("solve (workers=%d): %v", workers, err)
-		}
-		return tr.Tree()
-	}
-	t1 := run(1)
-	if t2 := run(1); t2 != t1 {
-		t.Fatalf("two identical runs differ:\n%s\nvs\n%s", t1, t2)
-	}
-	if t4 := run(2); t4 != t1 {
-		t.Fatalf("tree differs across racer concurrency:\n%s\nvs\n%s", t1, t4)
-	}
-	lines := strings.Split(strings.TrimSpace(t1), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want portfolio span + 2 member spans, got:\n%s", t1)
-	}
-	if !strings.HasPrefix(lines[0], "solve/portfolio#") {
-		t.Fatalf("root = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "  race/chitchat#") || !strings.HasPrefix(lines[2], "  race/nosy#") {
-		t.Fatalf("member spans wrong or out of order:\n%s", t1)
-	}
-	for _, l := range lines {
-		if strings.Contains(l, "[open]") {
-			t.Fatalf("unended span in a completed solve:\n%s", t1)
-		}
-	}
-}
-
 func TestWithTracingOutcomeClasses(t *testing.T) {
 	g, r := quickProblem(t, 60)
 	tr := telemetry.NewTracer(1)

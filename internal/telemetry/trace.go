@@ -35,9 +35,8 @@ type span struct {
 // The determinism contract is split between the tracer and its
 // callers: the tracer guarantees IDs and rendering are pure functions
 // of the Begin sequence; instrumentation guarantees the Begin sequence
-// itself is deterministic by beginning spans at coordination points (a
-// portfolio begins member spans in member order before launching the
-// race; the shard solver begins per-shard spans in index order before
+// itself is deterministic by beginning spans at coordination points
+// (the shard solver begins per-shard spans in index order before
 // dispatch; the online daemon's re-solves are sequential by design).
 // End may happen concurrently from worker goroutines — the tree orders
 // children by Begin, not End, and End attributes attach per span.
@@ -205,8 +204,8 @@ type spanCtx struct {
 }
 
 // NewContext returns ctx carrying the tracer and current span, so
-// nested instrumentation (a member solve inside a portfolio race, an
-// inner solve inside a shard) parents its spans correctly.
+// nested instrumentation (an inner solve inside a shard) parents its
+// spans correctly.
 func NewContext(ctx context.Context, t *Tracer, id SpanID) context.Context {
 	if t == nil {
 		return ctx

@@ -11,12 +11,12 @@ import (
 func TestTracerDeterministicTree(t *testing.T) {
 	build := func() string {
 		tr := NewTracer(7)
-		root := tr.Begin(RootSpan, "solve/portfolio", "n=100")
-		a := tr.Begin(root, "race/chitchat", "member=0")
-		b := tr.Begin(root, "race/nosy", "member=1")
+		root := tr.Begin(RootSpan, "solve/shard", "nodes=100 edges=900")
+		a := tr.Begin(root, "shard/solve", "shard=0 nodes=60")
+		b := tr.Begin(root, "shard/solve", "shard=1 nodes=40")
 		tr.End(b, "canceled")
 		tr.End(a, "ok cost=12")
-		tr.End(root, "winner=chitchat")
+		tr.End(root, "ok iters=2")
 		return tr.Tree()
 	}
 	t1, t2 := build(), build()
@@ -27,15 +27,15 @@ func TestTracerDeterministicTree(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("want 3 span lines, got %q", lines)
 	}
-	if !strings.HasPrefix(lines[0], "solve/portfolio#") || !strings.Contains(lines[0], "-> winner=chitchat") {
+	if !strings.HasPrefix(lines[0], "solve/shard#") || !strings.Contains(lines[0], "-> ok iters=2") {
 		t.Fatalf("root line wrong: %q", lines[0])
 	}
 	// Children render in Begin order with two-space indent, even though
 	// b ended before a.
-	if !strings.HasPrefix(lines[1], "  race/chitchat#") {
+	if !strings.HasPrefix(lines[1], "  shard/solve#") || !strings.Contains(lines[1], "shard=0") {
 		t.Fatalf("child 0 wrong: %q", lines[1])
 	}
-	if !strings.HasPrefix(lines[2], "  race/nosy#") {
+	if !strings.HasPrefix(lines[2], "  shard/solve#") || !strings.Contains(lines[2], "shard=1") {
 		t.Fatalf("child 1 wrong: %q", lines[2])
 	}
 }
@@ -111,7 +111,7 @@ func TestContextRoundTrip(t *testing.T) {
 
 func TestTracerConcurrentEnd(t *testing.T) {
 	// Begin on the coordinator, End from workers — the discipline the
-	// portfolio and shard instrumentation follow. The tree must come out
+	// shard instrumentation follows. The tree must come out
 	// identical regardless of End interleaving.
 	build := func() string {
 		tr := NewTracer(11)

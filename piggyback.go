@@ -11,8 +11,7 @@
 //
 //   - the CHITCHAT O(ln n)-approximation (greedy set cover with a
 //     weighted densest-subgraph oracle),
-//   - the PARALLELNOSY parallel heuristic (shared-memory and MapReduce
-//     implementations),
+//   - the PARALLELNOSY parallel heuristic,
 //   - the push-all / pull-all / hybrid (FEEDINGFRENZY) baselines,
 //   - incremental schedule maintenance under graph churn,
 //   - synthetic social-graph generators and log-degree workload models,
@@ -56,7 +55,6 @@ import (
 	"piggyback/internal/sampling"
 	"piggyback/internal/shard"
 	"piggyback/internal/solver"
-	"piggyback/internal/stats"
 	"piggyback/internal/store"
 	"piggyback/internal/workload"
 )
@@ -92,28 +90,12 @@ type Options = solver.Options
 // SolverFactory builds a configured Solver from Options.
 type SolverFactory = solver.Factory
 
-// SolverRegistry is a first-class mapping from solver names to factories
-// plus per-entry metadata. The process-global instance backing
-// RegisterSolver / NewSolver is DefaultSolverRegistry(); isolated stacks
-// (tests, embedded portfolios) build their own with NewSolverRegistry or
-// fork the default with Clone.
+// SolverRegistry is a first-class mapping from solver names to
+// factories. The process-global instance backing RegisterSolver /
+// NewSolver is DefaultSolverRegistry(); isolated stacks (tests,
+// embedders) build their own with NewSolverRegistry or fork the default
+// with Clone.
 type SolverRegistry = solver.Registry
-
-// SolverMeta describes a registered solver: region capability and a
-// coarse cost class.
-type SolverMeta = solver.Meta
-
-// SolverCostClass is the coarse relative-expense label carried in
-// SolverMeta.
-type SolverCostClass = solver.CostClass
-
-// Solver cost classes.
-const (
-	SolverCostUnknown   = solver.CostUnknown
-	SolverCostCheap     = solver.CostCheap
-	SolverCostModerate  = solver.CostModerate
-	SolverCostExpensive = solver.CostExpensive
-)
 
 // DefaultSolverRegistry returns the process-global registry all built-in
 // solvers register into.
@@ -143,12 +125,10 @@ var (
 // RegisterSolver makes a solver available under name in the default
 // registry (panics on duplicates — registration is an init-time
 // affair; use DefaultSolverRegistry().Register for the error-returning
-// form). The built-ins are "chitchat", "nosy", "nosymr", "shard",
-// "hybrid", "pushall", "pullall", plus the adaptive meta-solvers
-// "portfolio" (races several members, returns the cheapest valid
-// schedule) and "auto" (feature-based per-problem selection).
+// form). The built-ins are the algorithms "chitchat", "nosy" and
+// "shard" and the baselines "hybrid", "pushall" and "pullall".
 func RegisterSolver(name string, f SolverFactory) {
-	solver.Default.MustRegister(name, f, SolverMeta{})
+	solver.Default.MustRegister(name, f)
 }
 
 // GetSolver returns the factory registered under name in the default
@@ -161,8 +141,8 @@ func NewSolver(name string, opts Options) (Solver, error) { return solver.Defaul
 // Solvers returns every solver name in the default registry, sorted.
 func Solvers() []string { return solver.Default.Names() }
 
-// SolverMiddleware wraps a Solver with a cross-cutting concern (metrics,
-// logging, panic conversion, work budgets) while preserving the Solver
+// SolverMiddleware wraps a Solver with a cross-cutting concern (panic
+// conversion, tracing, a stopping rule) while preserving the Solver
 // contract.
 type SolverMiddleware = solver.Middleware
 
@@ -170,60 +150,8 @@ type SolverMiddleware = solver.Middleware
 // outermost layer.
 func ChainSolver(s Solver, mws ...SolverMiddleware) Solver { return solver.Chain(s, mws...) }
 
-// SolverMetrics is a concurrency-safe per-solver metrics sink for
-// WithSolverMetrics; its Table method renders an aligned summary.
-type SolverMetrics = stats.SolverMetrics
-
-// SolverStats is one solver's accumulated counters in a SolverMetrics.
-type SolverStats = stats.SolverStats
-
-// WithSolverMetrics records per-solve counters and timings into sink.
-func WithSolverMetrics(sink *SolverMetrics) SolverMiddleware { return solver.WithMetrics(sink) }
-
-// WithSolverLogging logs solve start/finish lines through logf.
-func WithSolverLogging(logf func(format string, args ...any)) SolverMiddleware {
-	return solver.WithLogging(logf)
-}
-
 // WithSolverRecover converts solver panics into errors.
 func WithSolverRecover() SolverMiddleware { return solver.WithRecover() }
-
-// WithSolverBudget deterministically truncates a solve after the given
-// number of progress events (iterations), returning the valid anytime
-// schedule with Report.Canceled set and a nil error.
-func WithSolverBudget(units int) SolverMiddleware { return solver.WithBudget(units) }
-
-// PortfolioConfig tunes the portfolio solver: which registry members to
-// race, the concurrency cap, and the per-member iteration budget.
-type PortfolioConfig = solver.PortfolioConfig
-
-// NewPortfolioSolver returns the portfolio solver under its full typed
-// config (registry name "portfolio"): it races the member solvers on
-// the same Problem under one context and returns the cheapest valid
-// schedule, with a deterministic cost-then-name tie-break.
-func NewPortfolioSolver(cfg PortfolioConfig) Solver { return solver.NewPortfolio(cfg) }
-
-// SolverFeatures are the cheap structural measurements the "auto"
-// selector reads (node/edge counts, density, degree skew, region size,
-// drift degradation).
-type SolverFeatures = solver.Features
-
-// SolverRule maps a feature predicate to a solver name in the selector's
-// decision table.
-type SolverRule = solver.Rule
-
-// DefaultSolverRules returns the fixed decision table the "auto" solver
-// evaluates in order.
-func DefaultSolverRules() []SolverRule { return solver.DefaultRules() }
-
-// SelectorConfig tunes the feature-based selector solver.
-type SelectorConfig = solver.SelectorConfig
-
-// NewAutoSolver returns the feature-based selector solver under its full
-// typed config (registry name "auto"): per Problem it measures cheap
-// structural features and delegates to the solver named by the first
-// matching rule.
-func NewAutoSolver(cfg SelectorConfig) Solver { return solver.NewSelector(cfg) }
 
 // MustSolve runs the named registered solver to completion and panics
 // on any error — the one-liner for examples, tests, and scripts.
@@ -242,17 +170,12 @@ func MustSolve(name string, g *Graph, r *Rates) *Schedule {
 }
 
 // NewChitChatSolver returns the CHITCHAT solver under its full typed
-// config (knobs beyond Options: exact oracle, refresh batch, member
-// cache cap, progress hook).
+// config (knobs beyond Options: exact oracle, per-commit progress hook).
 func NewChitChatSolver(cfg ChitChatConfig) Solver { return solver.NewChitChat(cfg) }
 
-// NewNosySolver returns the shared-memory PARALLELNOSY solver under its
-// full typed config. It supports Problem.Region re-solves.
+// NewNosySolver returns the PARALLELNOSY solver under its full typed
+// config. It supports Problem.Region re-solves.
 func NewNosySolver(cfg NosyConfig) Solver { return solver.NewNosy(cfg) }
-
-// NewNosyMapReduceSolver returns the MapReduce PARALLELNOSY solver; it
-// produces schedules identical to NewNosySolver.
-func NewNosyMapReduceSolver(cfg NosyConfig) Solver { return solver.NewNosyMapReduce(cfg) }
 
 // ShardConfig tunes the sharded solver: partition → concurrent per-shard
 // solves → deterministic cut reconciliation.
@@ -392,22 +315,6 @@ func ParallelNosy(g *Graph, r *Rates, cfg NosyConfig) (*Schedule, []NosyIteratio
 	return res.Schedule, iters
 }
 
-// ParallelNosyMapReduce runs the same heuristic as literal MapReduce jobs
-// on the in-memory engine — the paper's Hadoop formulation. It produces
-// the identical schedule as ParallelNosy.
-//
-// Deprecated: use NewNosyMapReduceSolver(cfg).Solve (or
-// NewSolver("nosymr", ...)).
-func ParallelNosyMapReduce(g *Graph, r *Rates, cfg NosyConfig) (*Schedule, []NosyIteration) {
-	var iters []NosyIteration
-	cfg.OnIteration = chainIters(cfg.OnIteration, &iters)
-	res, err := NewNosyMapReduceSolver(cfg).Solve(context.Background(), Problem{Graph: g, Rates: r})
-	if err != nil {
-		panic(err)
-	}
-	return res.Schedule, iters
-}
-
 // chainIters accumulates iteration stats into dst while preserving any
 // caller-installed hook — the shim that lets the deprecated slice-
 // returning wrappers ride on the streaming API.
@@ -529,13 +436,6 @@ type OnlineDaemon = online.Daemon
 // OnlineStats counts daemon activity (ops, rescues, re-solves, region
 // sizes).
 type OnlineStats = online.Stats
-
-// Online solver kinds for localized re-solves.
-const (
-	OnlineSolverChitChat = online.SolverChitChat
-	OnlineSolverNosy     = online.SolverNosy
-	OnlineSolverAuto     = online.SolverAuto
-)
 
 // NewOnlineDaemon starts an online rescheduling daemon from an
 // optimized valid schedule. The rates are retained and mutated by

@@ -44,16 +44,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMapReduceVariantAgrees(t *testing.T) {
-	g := FlickrLikeGraph(150, 7)
-	r := LogDegreeRates(g, 5)
-	a, _ := ParallelNosy(g, r, NosyConfig{})
-	b, _ := ParallelNosyMapReduce(g, r, NosyConfig{})
-	if a.Cost(r) != b.Cost(r) {
-		t.Fatalf("implementations disagree: %v vs %v", a.Cost(r), b.Cost(r))
-	}
-}
-
 func TestIncrementalMaintenanceAPI(t *testing.T) {
 	g := TwitterLikeGraph(200, 3)
 	r := LogDegreeRates(g, 5)
