@@ -1,19 +1,15 @@
 package piggyback
 
-// Benchmarks regenerating the paper's evaluation, one per table/figure
-// (see DESIGN.md §4 for the experiment index), plus micro-benchmarks of
-// the algorithmic building blocks and ablations of the design choices
-// DESIGN.md calls out. Run with:
+// Plain `go test -bench` entry points for profiling, ungated and
+// unrecorded: one per table or figure of the paper's evaluation at the
+// Quick scale (DESIGN.md §4 has the index), one per algorithmic kernel,
+// and the ablations of DESIGN.md §6. "Did this change make it slower?"
+// is the repo benchmark's question (README, "Benchmarks").
 //
-//	go test -bench=. -benchmem
-//
-// The figure benches use the Quick scale so the full suite completes in
-// minutes; cmd/experiments -scale default regenerates the recorded
-// EXPERIMENTS.md tables.
+//	go test -run '^$' -bench . -benchmem
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"syscall"
 	"testing"
@@ -22,37 +18,33 @@ import (
 	"piggyback/internal/chitchat"
 	"piggyback/internal/densest"
 	"piggyback/internal/experiments"
-	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
-	"piggyback/internal/online"
 	"piggyback/internal/partition"
-	"piggyback/internal/refine"
 	"piggyback/internal/sampling"
-	"piggyback/internal/scenario"
 	"piggyback/internal/store"
 	"piggyback/internal/workload"
 )
 
 // ---- Evaluation tables and figures (§4) ----
 
-func BenchmarkDatasets(b *testing.B) {
+func benchFigure(b *testing.B, fig func(experiments.Scale) *experiments.Table) {
 	for i := 0; i < b.N; i++ {
-		experiments.Datasets(experiments.Quick)
+		fig(experiments.Quick)
 	}
 }
 
-func BenchmarkFig4PredictedImprovement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig4(experiments.Quick)
-	}
+func benchFig9(b *testing.B, m experiments.SampleMethod) {
+	benchFigure(b, func(sc experiments.Scale) *experiments.Table { return experiments.Fig9(sc, m) })
 }
 
-func BenchmarkFig5IncrementalUpdates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig5(experiments.Quick)
-	}
-}
+func BenchmarkDatasets(b *testing.B)                     { benchFigure(b, experiments.Datasets) }
+func BenchmarkFig4PredictedImprovement(b *testing.B)     { benchFigure(b, experiments.Fig4) }
+func BenchmarkFig5IncrementalUpdates(b *testing.B)       { benchFigure(b, experiments.Fig5) }
+func BenchmarkFig7PlacementAwareThroughput(b *testing.B) { benchFigure(b, experiments.Fig7) }
+func BenchmarkFig8LoadBalance(b *testing.B)              { benchFigure(b, experiments.Fig8) }
+func BenchmarkFig9aRandomWalkSamples(b *testing.B)       { benchFig9(b, experiments.RandomWalkSampling) }
+func BenchmarkFig9bBFSSamples(b *testing.B)              { benchFig9(b, experiments.BFSSampling) }
 
 func BenchmarkFig6PrototypeThroughput(b *testing.B) {
 	sc := experiments.Quick
@@ -62,55 +54,32 @@ func BenchmarkFig6PrototypeThroughput(b *testing.B) {
 	}
 }
 
-func BenchmarkFig7PlacementAwareThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig7(experiments.Quick)
-	}
-}
-
-func BenchmarkFig8LoadBalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig8(experiments.Quick)
-	}
-}
-
-func BenchmarkFig9aRandomWalkSamples(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig9(experiments.Quick, experiments.RandomWalkSampling)
-	}
-}
-
-func BenchmarkFig9bBFSSamples(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig9(experiments.Quick, experiments.BFSSampling)
-	}
-}
-
 // ---- Algorithm micro-benchmarks ----
 
+// benchGraph is the Quick-scale input: the 800-node Flickr-like preset.
 func benchGraph() (*Graph, *Rates) {
 	g := FlickrLikeGraph(800, 7)
 	return g, LogDegreeRates(g, 5)
 }
 
-func BenchmarkHybridSchedule(b *testing.B) {
+// One worker: schedules are byte-identical across worker counts
+// (nosy.TestWorkerCountInvariance), and the repo benchmark's nosy.scale
+// measures what a second one buys.
+func BenchmarkNosyWorkers1(b *testing.B) {
 	g, r := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		baseline.Hybrid(g, r)
+		nosy.Solve(g, r, nosy.Config{Workers: 1})
 	}
 }
 
-func BenchmarkParallelNosy(b *testing.B) {
-	g, r := benchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nosy.Solve(g, r, nosy.Config{})
-	}
-}
-
-func BenchmarkParallelNosySingleWorker(b *testing.B) {
-	g, r := benchGraph()
+// The dense case: the ≈56k-edge, 1.3k-node streamed Flickr-like graph the
+// repo benchmark's solve_batch workload solves, where a commit's endpoints
+// have hundreds of neighbours and the rule for what a commit dirties
+// decides a round's cost (nosy.TestEvalsAndRoundsPinned pins the count).
+func BenchmarkNosyDenseWorkers1(b *testing.B) {
+	g := StreamSocialGraph(FlickrLikeEdges(60000, 7))
+	r := LogDegreeRates(g, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nosy.Solve(g, r, nosy.Config{Workers: 1})
@@ -126,9 +95,10 @@ func BenchmarkChitChat(b *testing.B) {
 	}
 }
 
-func BenchmarkDensestSubgraphPeel(b *testing.B) {
+// hubInstance is one large densest-subgraph instance: the hub-graph of
+// the highest-degree node of a 2000-node Twitter-like graph.
+func hubInstance() densest.Instance {
 	g := TwitterLikeGraph(2000, 3)
-	// Build one large hub instance: the highest-degree node.
 	var hub NodeID
 	best := -1
 	for u := 0; u < g.NumNodes(); u++ {
@@ -150,40 +120,22 @@ func BenchmarkDensestSubgraphPeel(b *testing.B) {
 		inst.Weight[len(xs)+j] = r.Cons[y]
 		inst.Edges = append(inst.Edges, [2]int32{hv, int32(len(xs) + j)})
 	}
+	return inst
+}
+
+func BenchmarkDensestSubgraphPeel(b *testing.B) {
+	inst := hubInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		densest.Peel(inst, nil)
 	}
 }
 
-// Decremental oracle vs fresh Peel on the same large hub instance, after
-// a burst of element removals: the fresh path pays the full instance
-// (re)build per solve, the decremental path only re-peels the live
-// sub-instance over the materialized CSR.
+// Decremental oracle vs fresh Peel on the same hub instance, after a burst
+// of element removals: the fresh path pays the full instance (re)build per
+// solve, the decremental path re-peels the live sub-instance over its CSR.
 func BenchmarkDensestDecrementalResolve(b *testing.B) {
-	g := TwitterLikeGraph(2000, 3)
-	var hub NodeID
-	best := -1
-	for u := 0; u < g.NumNodes(); u++ {
-		if d := g.InDegree(NodeID(u)) + g.OutDegree(NodeID(u)); d > best {
-			best, hub = d, NodeID(u)
-		}
-	}
-	r := LogDegreeRates(g, 5)
-	xs := g.InNeighbors(hub)
-	ys := g.OutNeighbors(hub)
-	inst := densest.Instance{N: len(xs) + len(ys) + 1}
-	inst.Weight = make([]float64, inst.N)
-	hv := int32(len(xs) + len(ys))
-	for i, x := range xs {
-		inst.Weight[i] = r.Prod[x]
-		inst.Edges = append(inst.Edges, [2]int32{int32(i), hv})
-	}
-	for j, y := range ys {
-		inst.Weight[len(xs)+j] = r.Cons[y]
-		inst.Edges = append(inst.Edges, [2]int32{hv, int32(len(xs) + j)})
-	}
-	d := densest.NewDecremental(inst)
+	d := densest.NewDecremental(hubInstance())
 	for ei := 0; ei < d.NumEdges(); ei += 3 {
 		d.RemoveEdge(ei)
 	}
@@ -239,186 +191,12 @@ func BenchmarkPrototypeRequests(b *testing.B) {
 	}
 }
 
-// ---- Ablations (design choices from DESIGN.md §6) ----
-
-// Partial commits: phase 3's sub-hub-graph rescue vs all-or-nothing locks.
-func BenchmarkAblationNoPartialCommits(b *testing.B) {
-	g, r := benchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := nosy.Solve(g, r, nosy.Config{DisablePartialCommits: true})
-		if i == 0 {
-			b.ReportMetric(baseline.HybridCost(g, r)/res.Schedule.Cost(r), "improvement")
-			b.ReportMetric(float64(len(res.Iterations)), "iterations")
-		}
-	}
-}
-
-func BenchmarkAblationWithPartialCommits(b *testing.B) {
-	g, r := benchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := nosy.Solve(g, r, nosy.Config{})
-		if i == 0 {
-			b.ReportMetric(baseline.HybridCost(g, r)/res.Schedule.Cost(r), "improvement")
-			b.ReportMetric(float64(len(res.Iterations)), "iterations")
-		}
-	}
-}
-
-// Cross-edge bound b (§4.2): tight vs default.
-func BenchmarkAblationCrossEdgeBound16(b *testing.B) {
-	g, r := benchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := nosy.Solve(g, r, nosy.Config{MaxCrossEdges: 16})
-		if i == 0 {
-			b.ReportMetric(baseline.HybridCost(g, r)/res.Schedule.Cost(r), "improvement")
-		}
-	}
-}
-
-// CHITCHAT oracle: exact brute force vs factor-2 peeling on a small graph.
-func BenchmarkAblationChitChatExactOracle(b *testing.B) {
-	g := SocialGraph(SocialGraphConfig{
-		Nodes: 60, AvgFollows: 4, TriadProb: 0.6, Reciprocity: 0.4, Seed: 5,
-	})
-	r := LogDegreeRates(g, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := chitchat.Solve(g, r, chitchat.Config{ExactOracle: true})
-		if i == 0 {
-			b.ReportMetric(baseline.HybridCost(g, r)/s.Cost(r), "improvement")
-		}
-	}
-}
-
-func BenchmarkAblationChitChatPeelOracle(b *testing.B) {
-	g := SocialGraph(SocialGraphConfig{
-		Nodes: 60, AvgFollows: 4, TriadProb: 0.6, Reciprocity: 0.4, Seed: 5,
-	})
-	r := LogDegreeRates(g, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := chitchat.Solve(g, r, chitchat.Config{})
-		if i == 0 {
-			b.ReportMetric(baseline.HybridCost(g, r)/s.Cost(r), "improvement")
-		}
-	}
-}
-
-// Null-model ablation: piggybacking feeds on the co-subscription
-// structure of social graphs. On a uniform random (ER) graph with the
-// same density, hubs barely exist and the gain collapses to ≈1.05×,
-// versus ≈2× on the social graph — DESIGN.md's substitution argument for
-// trusting the synthetic Twitter/Flickr stand-ins. (Interestingly, pure
-// preferential attachment without triadic closure still yields hubs:
-// everyone co-subscribes to the same celebrities; only uniform wiring
-// destroys the effect.)
-func BenchmarkAblationSocialVsER(b *testing.B) {
-	gSoc := FlickrLikeGraph(600, 9)
-	gER := graphgen.ErdosRenyi(600, gSoc.NumEdges(), 9)
-	rSoc := LogDegreeRates(gSoc, 5)
-	rER := LogDegreeRates(gER, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		soc := nosy.Solve(gSoc, rSoc, nosy.Config{})
-		er := nosy.Solve(gER, rER, nosy.Config{})
-		if i == 0 {
-			b.ReportMetric(baseline.HybridCost(gSoc, rSoc)/soc.Schedule.Cost(rSoc), "improvement-social")
-			b.ReportMetric(baseline.HybridCost(gER, rER)/er.Schedule.Cost(rER), "improvement-er")
-		}
-	}
-}
-
-// Workload-model ablation: the paper ties activity to degree (log-degree
-// model); Zipf activity independent of degree tests whether the gain
-// survives when celebrities are not necessarily the busiest producers.
-func BenchmarkAblationWorkloadModels(b *testing.B) {
-	g := FlickrLikeGraph(600, 9)
-	rLog := LogDegreeRates(g, 5)
-	rZipf := ZipfRates(g.NumNodes(), 1.5, 5, 9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		logRes := nosy.Solve(g, rLog, nosy.Config{})
-		zipfRes := nosy.Solve(g, rZipf, nosy.Config{})
-		if i == 0 {
-			b.ReportMetric(baseline.HybridCost(g, rLog)/logRes.Schedule.Cost(rLog), "improvement-logdeg")
-			b.ReportMetric(baseline.HybridCost(g, rZipf)/zipfRes.Schedule.Cost(rZipf), "improvement-zipf")
-		}
-	}
-}
-
-// Refinement sweep: free-coverage recovery on a truncated PARALLELNOSY
-// run (converged runs leave nothing — tested in internal/refine).
-func BenchmarkRefineSweep(b *testing.B) {
-	g, r := benchGraph()
-	base := nosy.Solve(g, r, nosy.Config{MaxIterations: 2}).Schedule
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := base.Clone()
-		res := refine.Run(s, r)
-		if i == 0 {
-			b.ReportMetric(float64(res.Recovered), "recovered")
-		}
-	}
-}
-
-// Worker-scaling of PARALLELNOSY on the Quick-scale bench graph (the
-// benchGraph 800-node Flickr preset). Schedules are byte-identical
-// across worker counts (nosy.TestWorkerCountInvariance); only wall
-// clock moves, and only on machines with real cores. CI converts these
-// into BENCH_nosy.json; the tracked copy records the dev-container
-// trajectory including the pre-structural-cache baseline.
-func benchNosyWorkers(b *testing.B, workers int) {
-	g, r := benchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nosy.Solve(g, r, nosy.Config{Workers: workers})
-	}
-}
-
-func BenchmarkNosyWorkers1(b *testing.B) { benchNosyWorkers(b, 1) }
-func BenchmarkNosyWorkers2(b *testing.B) { benchNosyWorkers(b, 2) }
-func BenchmarkNosyWorkers4(b *testing.B) { benchNosyWorkers(b, 4) }
-func BenchmarkNosyWorkers8(b *testing.B) { benchNosyWorkers(b, 8) }
-
-// The dense case: the ≈56k-edge, 1.3k-node streamed Flickr-like graph the
-// repo benchmark's solve_batch workload solves (bench/workloads.go),
-// where a commit's endpoints have hundreds of neighbours and the rule
-// for what a commit dirties decides the round's cost. evals/solve (hub
-// edges priced, summed over rounds) and rounds repeat exactly.
-func benchNosyDense(b *testing.B, workers int) {
-	g := StreamSocialGraph(FlickrLikeEdges(60000, 7))
-	r := LogDegreeRates(g, 5)
-	b.ResetTimer()
-	var evals, rounds int
-	for i := 0; i < b.N; i++ {
-		res := nosy.Solve(g, r, nosy.Config{Workers: workers})
-		evals, rounds = 0, len(res.Iterations)
-		for _, it := range res.Iterations {
-			evals += it.Dirty
-		}
-	}
-	b.ReportMetric(float64(evals), "evals/solve")
-	b.ReportMetric(float64(rounds), "rounds")
-}
-
-func BenchmarkNosyDenseWorkers1(b *testing.B) { benchNosyDense(b, 1) }
-func BenchmarkNosyDenseWorkers2(b *testing.B) { benchNosyDense(b, 2) }
-
-// CommonInEdges micro-benches: the balanced case exercises the linear
-// merge, the skewed case the galloping path (celebrity in-list vs a
-// normal user's).
-func commonInEdgesGraph() *Graph {
+// CommonInEdges: the balanced case exercises the linear merge, the
+// skewed case the galloping path (celebrity in-list vs a normal user's).
+func BenchmarkCommonInEdges(b *testing.B) {
 	g := TwitterLikeGraph(3000, 7)
-	return g
-}
-
-func BenchmarkCommonInEdgesBalanced(b *testing.B) {
-	g := commonInEdgesGraph()
-	// Two mid-degree nodes: rank the nodes by in-degree and take a pair
-	// from the middle of the distribution.
+	// Balanced: rank the nodes by in-degree and take a pair from the
+	// middle of the distribution.
 	type nd struct {
 		v NodeID
 		d int
@@ -428,18 +206,7 @@ func BenchmarkCommonInEdgesBalanced(b *testing.B) {
 		nodes = append(nodes, nd{NodeID(u), g.InDegree(NodeID(u))})
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].d > nodes[j].d })
-	a, c := nodes[len(nodes)/4].v, nodes[len(nodes)/4+1].v
-	var xs []NodeID
-	var ea, eb []EdgeID
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xs, ea, eb = g.CommonInEdges(a, c, 0, xs[:0], ea[:0], eb[:0])
-	}
-}
-
-func BenchmarkCommonInEdgesSkewed(b *testing.B) {
-	g := commonInEdgesGraph()
-	// Celebrity (max in-degree) against a low-degree node.
+	// Skewed: the celebrity (max in-degree) against a low-degree node.
 	var celeb, low NodeID
 	best, worst := -1, 1<<30
 	for u := 0; u < g.NumNodes(); u++ {
@@ -451,28 +218,90 @@ func BenchmarkCommonInEdgesSkewed(b *testing.B) {
 			worst, low = d, NodeID(u)
 		}
 	}
-	var xs []NodeID
-	var ea, eb []EdgeID
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xs, ea, eb = g.CommonInEdges(celeb, low, 0, xs[:0], ea[:0], eb[:0])
+	for _, p := range []struct {
+		name string
+		a, c NodeID
+	}{
+		{"Balanced", nodes[len(nodes)/4].v, nodes[len(nodes)/4+1].v},
+		{"Skewed", celeb, low},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			var xs []NodeID
+			var ea, eb []EdgeID
+			for i := 0; i < b.N; i++ {
+				xs, ea, eb = g.CommonInEdges(p.a, p.c, 0, xs[:0], ea[:0], eb[:0])
+			}
+		})
 	}
 }
 
-// Keep the unused-import compiler happy for types used only in helpers.
-var (
-	_ = graph.Edge{}
-	_ = workload.DefaultReadWriteRatio
-)
+// ---- Ablations (design choices from DESIGN.md §6) ----
+
+// One PARALLELNOSY solve per design choice, each reporting its
+// improvement over hybrid and its rounds next to its time: phase 3's
+// sub-hub-graph rescue against all-or-nothing locks, and a tight §4.2
+// bound b against the default. Social/ErdosRenyi is the null model:
+// piggybacking feeds on co-subscription structure, and on a uniform
+// random graph of the same density hubs barely exist and the gain falls
+// from ≈2× to ≈1.05× — the argument for trusting the synthetic stand-ins
+// (preferential attachment without triadic closure still yields hubs;
+// only uniform wiring destroys the effect). ZipfActivity: does the gain
+// survive when celebrities are not necessarily the busiest producers?
+func BenchmarkAblationNosy(b *testing.B) {
+	g, r := benchGraph()
+	soc := FlickrLikeGraph(600, 9)
+	er := graphgen.ErdosRenyi(600, soc.NumEdges(), 9)
+	for _, a := range []struct {
+		name string
+		g    *Graph
+		r    *Rates
+		cfg  nosy.Config
+	}{
+		{"PartialCommits", g, r, nosy.Config{}},
+		{"NoPartialCommits", g, r, nosy.Config{DisablePartialCommits: true}},
+		{"CrossEdgeBound16", g, r, nosy.Config{MaxCrossEdges: 16}},
+		{"Social", soc, LogDegreeRates(soc, 5), nosy.Config{}},
+		{"ErdosRenyi", er, LogDegreeRates(er, 5), nosy.Config{}},
+		{"ZipfActivity", soc, workload.Zipf(soc.NumNodes(), 1.5, 5, 9), nosy.Config{}},
+	} {
+		b.Run(a.name, func(b *testing.B) {
+			var res nosy.Result
+			for i := 0; i < b.N; i++ {
+				res = nosy.Solve(a.g, a.r, a.cfg)
+			}
+			b.ReportMetric(baseline.HybridCost(a.g, a.r)/res.Schedule.Cost(a.r), "improvement")
+			b.ReportMetric(float64(len(res.Iterations)), "rounds")
+		})
+	}
+}
+
+// CHITCHAT oracle: exact brute force vs factor-2 peeling on a small graph.
+func BenchmarkAblationChitChatOracle(b *testing.B) {
+	g := graphgen.Social(graphgen.Config{
+		Nodes: 60, AvgFollows: 4, TriadProb: 0.6, Reciprocity: 0.4, Seed: 5,
+	})
+	r := LogDegreeRates(g, 5)
+	for _, exact := range []bool{true, false} {
+		name := map[bool]string{true: "Exact", false: "Peel"}[exact]
+		b.Run(name, func(b *testing.B) {
+			var s *Schedule
+			for i := 0; i < b.N; i++ {
+				s = chitchat.Solve(g, r, chitchat.Config{ExactOracle: exact})
+			}
+			b.ReportMetric(baseline.HybridCost(g, r)/s.Cost(r), "improvement")
+		})
+	}
+}
 
 // ---- Sharded million-edge solve (the PR-6 scale acceptance bench) ----
 
 // BenchmarkShardSolve1M solves a ≥1M-edge streaming-generated Flickr-like
 // graph end to end through the registered shard solver — the paper's
 // evaluation scale on one machine. Peak RSS is reported as a metric
-// (recorded in BENCH_shard.json) because bounding it is the point: one
-// live shard subgraph per worker keeps memory O(active shard), not
-// O(graph).
+// because bounding it is the point: one live shard subgraph per worker
+// keeps memory O(active shard), not O(graph). Nothing tracks the number
+// (91 MB at 1.18M edges, DESIGN.md §4) until the repo benchmark has a
+// ≥1M-edge layer (ROADMAP item 8).
 func BenchmarkShardSolve1M(b *testing.B) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(1_100_000, 1))
 	if g.NumEdges() < 1_000_000 {
@@ -497,158 +326,5 @@ func BenchmarkShardSolve1M(b *testing.B) {
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err == nil {
 		// Linux reports ru_maxrss in KiB.
 		b.ReportMetric(float64(ru.Maxrss)/1024, "peakRSS-MB")
-	}
-}
-
-// ---- Adversarial workload zoo (DESIGN.md §13) ----
-
-// benchmarkZoo drives one zoo scenario through the online daemon at the
-// acceptance geometry (the internal/scenario acceptance suite pins the
-// same counts) and reports the daemon's end state as metrics: final
-// cost, accepted re-solves, reverted attempts. CI records these in
-// BENCH_zoo.json, so the daemon's behavioral trajectory under
-// adversarial load across PRs lives next to the timing one.
-func benchmarkZoo(b *testing.B, name string) {
-	g := graphgen.Social(graphgen.FlickrLike(300, 11))
-	base := workload.LogDegree(g, 5)
-	trace, err := scenario.Default.Generate(name, g, base, scenario.Params{Ops: 800, Seed: 42})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := &workload.Rates{
-			Prod: append([]float64(nil), base.Prod...),
-			Cons: append([]float64(nil), base.Cons...),
-		}
-		d, err := online.New(chitchat.Solve(g, r, chitchat.Config{}), r, online.Config{
-			DriftThreshold: 0.05, CheckEvery: 8, BudgetFraction: -1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := d.ApplyTrace(trace); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			st := d.Stats()
-			b.ReportMetric(d.Cost(), "cost")
-			b.ReportMetric(float64(st.Resolves), "resolves")
-			b.ReportMetric(float64(st.Reverted), "reverted")
-		}
-	}
-}
-
-func BenchmarkZooFlashCrowd(b *testing.B)   { benchmarkZoo(b, scenario.FlashCrowd) }
-func BenchmarkZooDiurnal(b *testing.B)      { benchmarkZoo(b, scenario.Diurnal) }
-func BenchmarkZooCascade(b *testing.B)      { benchmarkZoo(b, scenario.Cascade) }
-func BenchmarkZooRegionChurn(b *testing.B)  { benchmarkZoo(b, scenario.RegionChurn) }
-func BenchmarkZooLDBC(b *testing.B)         { benchmarkZoo(b, scenario.LDBC) }
-func BenchmarkZooPreferential(b *testing.B) { benchmarkZoo(b, scenario.Preferential) }
-
-// ---- Drift check and region kernels (DESIGN.md §16) ----
-
-// churnLocalGraph is the repo benchmark's churn_local input at seed 7:
-// ≈120k streamed Flickr-like edges, where the daemon's 768-node region
-// cap cuts out about a fifth of the graph.
-func churnLocalGraph() (*Graph, *Rates) {
-	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
-	return g, workload.LogDegree(g, 5)
-}
-
-// checkSeeds returns two nodes of equal out-degree whose 2-hop regions
-// both reach the daemon's 768-node cap, the higher id first. A rate op
-// that moves Prod by 1 charges its user exactly OutDegree of dirt, so
-// alternating the two makes the dirtiest node alternate too (the lower
-// id wins the tie, the higher then overtakes it).
-func checkSeeds(b *testing.B, g *Graph) (hi, lo graph.NodeID) {
-	byDeg := map[int]graph.NodeID{}
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		deg := g.OutDegree(v)
-		if deg < 8 || len(graph.KHop(g, []graph.NodeID{v}, 2, 768)) < 768 {
-			continue
-		}
-		if u, ok := byDeg[deg]; ok {
-			return v, u
-		}
-		byDeg[deg] = v
-	}
-	b.Fatal("no two capped regions with seeds of equal out-degree")
-	return 0, 0
-}
-
-// benchApplyCheck times one Apply that lands on a check boundary and
-// does not re-solve (CheckEvery 1, a threshold nothing reaches): a rate
-// op on users[i%len(users)] that moves Prod by ±1.
-func benchApplyCheck(b *testing.B, r *Rates, d *online.Daemon, users []graph.NodeID) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := users[i%len(users)]
-		step := float64(1 - 2*(i/len(users)%2)) // +1, then −1, per user
-		if err := d.Apply(workload.ChurnOp{Kind: workload.OpRates, U: u, Prod: r.Prod[u] + step, Cons: r.Cons[u]}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if st := d.Stats(); st.Resolves+st.Reverted != 0 {
-		b.Fatalf("%d re-solves ran; the bench is meant to time the check alone", st.Resolves+st.Reverted)
-	}
-}
-
-func newCheckDaemon(b *testing.B, g *Graph, r *Rates) *online.Daemon {
-	d, err := online.New(baseline.Hybrid(g, r), r, online.Config{
-		DriftThreshold: 1e18, CheckEvery: 1, BudgetFraction: -1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return d
-}
-
-// BenchmarkApplyCheckFresh: every check's dirtiest node differs from the
-// previous check's, so the region is extracted each time.
-func BenchmarkApplyCheckFresh(b *testing.B) {
-	g, r := churnLocalGraph()
-	hi, lo := checkSeeds(b, g)
-	benchApplyCheck(b, r, newCheckDaemon(b, g, r), []graph.NodeID{hi, lo})
-}
-
-// BenchmarkApplyCheckRepeat: the dirtiest node stays put (one large rate
-// op pins it) while the ops land on a user outside its region — the case
-// about nine in ten of churn_local's checks are.
-func BenchmarkApplyCheckRepeat(b *testing.B) {
-	g, r := churnLocalGraph()
-	seed, _ := checkSeeds(b, g)
-	region := graph.KHop(g, []graph.NodeID{seed}, 2, 768)
-	outside := graph.NodeID(0)
-	for slices.Contains(region, outside) || g.OutDegree(outside) == 0 {
-		outside++
-	}
-	d := newCheckDaemon(b, g, r)
-	if err := d.Apply(workload.ChurnOp{Kind: workload.OpRates, U: seed, Prod: r.Prod[seed] + 1e12, Cons: r.Cons[seed]}); err != nil {
-		b.Fatal(err)
-	}
-	benchApplyCheck(b, r, d, []graph.NodeID{outside})
-}
-
-func BenchmarkKHop768(b *testing.B) {
-	g, _ := churnLocalGraph()
-	seed, _ := checkSeeds(b, g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.KHop(g, []graph.NodeID{seed}, 2, 768)
-	}
-}
-
-func BenchmarkInducedEdgeIDs768(b *testing.B) {
-	g, _ := churnLocalGraph()
-	seed, _ := checkSeeds(b, g)
-	region := graph.KHop(g, []graph.NodeID{seed}, 2, 768)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(float64(len(graph.InducedEdgeIDs(g, region))), "edges")
 	}
 }

@@ -176,3 +176,29 @@ func TestDirtyPropagationMatchesFullSweep(t *testing.T) {
 		}
 	}
 }
+
+// What a solve prices is a count, not a time: Σ IterationStat.Dirty (hub
+// edges priced, summed over rounds) and the number of rounds repeat
+// exactly and may not depend on the worker count. Full size is the repo
+// benchmark's solve_batch graph, where a commit's endpoints have
+// hundreds of neighbours and the rule for what a commit dirties decides
+// a round's cost (the neighbourhood rule priced 1 544 009, DESIGN.md §4).
+func TestEvalsAndRoundsPinned(t *testing.T) {
+	edges, wantEvals, wantRounds := 60_000, 350_341, 121
+	if testing.Short() {
+		edges, wantEvals, wantRounds = 20_000, 118_228, 85
+	}
+	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(edges, 7))
+	r := workload.LogDegree(g, 5)
+	for _, workers := range []int{1, 2} {
+		res := Solve(g, r, Config{Workers: workers})
+		evals := 0
+		for _, it := range res.Iterations {
+			evals += it.Dirty
+		}
+		if evals != wantEvals || len(res.Iterations) != wantRounds {
+			t.Errorf("Workers %d: %d evals in %d rounds, pinned %d in %d",
+				workers, evals, len(res.Iterations), wantEvals, wantRounds)
+		}
+	}
+}

@@ -376,6 +376,57 @@ func TestRememberedRegionTransitions(t *testing.T) {
 	})
 }
 
+// The case about nine in ten of churn_local's checks are: the dirtiest
+// node stays put (one large rate op pins it) while rate ops land on a
+// user outside its region, every Apply is a check and none re-solves.
+// Such a check reads the remembered region: no extraction, no allocation.
+func TestCheckFromRememberedRegionDoesNotAllocate(t *testing.T) {
+	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(20_000, 7))
+	r := workload.LogDegree(g, 5)
+	d, err := New(baseline.Hybrid(g, r), r, Config{
+		DriftThreshold: 1e18, CheckEvery: 1, MaxRegionNodes: 64, BudgetFraction: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := graph.NodeID(0)
+	for g.OutDegree(seed) == 0 {
+		seed++
+	}
+	region := graph.KHop(g, []graph.NodeID{seed}, 2, 64)
+	outsider := graph.NodeID(0)
+	for slices.Contains(region, outsider) || g.OutDegree(outsider) == 0 {
+		outsider++
+	}
+	step := 1.0
+	apply := func(op workload.ChurnOp) {
+		if err := d.Apply(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nudge := func() { // Prod of the outsider: +1, −1, +1, …
+		apply(rateOp(d, outsider, step))
+		step = -step
+	}
+	apply(rateOp(d, seed, 1e12))
+	nudge()
+	before := d.Stats()
+	if before.RegionExtractions != 1 || d.region.seed != seed {
+		t.Fatalf("set-up: %d extractions, remembered seed %d, want 1 and %d", before.RegionExtractions, d.region.seed, seed)
+	}
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, nudge); allocs != 0 {
+		t.Errorf("a check answered from the remembered region allocates %v times", allocs)
+	}
+	st := d.Stats()
+	if st.RegionExtractions != before.RegionExtractions {
+		t.Errorf("%d regions extracted across the measured ops, want none", st.RegionExtractions-before.RegionExtractions)
+	}
+	if st.DriftChecks-before.DriftChecks < runs || st.Resolves+st.Reverted != 0 {
+		t.Fatalf("the measured ops were not checks without a re-solve: %+v", st)
+	}
+}
+
 // An op naming a user that does not exist is an error, whatever its
 // kind, and leaves the daemon as it was.
 func TestDaemonRejectsOutOfRangeUsers(t *testing.T) {

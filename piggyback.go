@@ -53,7 +53,7 @@ import (
 	"piggyback/internal/partition"
 	"piggyback/internal/refine"
 	"piggyback/internal/sampling"
-	"piggyback/internal/shard"
+	_ "piggyback/internal/shard" // registers the "shard" solver
 	"piggyback/internal/solver"
 	"piggyback/internal/store"
 	"piggyback/internal/workload"
@@ -90,20 +90,6 @@ type Options = solver.Options
 // SolverFactory builds a configured Solver from Options.
 type SolverFactory = solver.Factory
 
-// SolverRegistry is a first-class mapping from solver names to
-// factories. The process-global instance backing RegisterSolver /
-// NewSolver is DefaultSolverRegistry(); isolated stacks (tests,
-// embedders) build their own with NewSolverRegistry or fork the default
-// with Clone.
-type SolverRegistry = solver.Registry
-
-// DefaultSolverRegistry returns the process-global registry all built-in
-// solvers register into.
-func DefaultSolverRegistry() *SolverRegistry { return solver.Default }
-
-// NewSolverRegistry returns an empty, independent solver registry.
-func NewSolverRegistry() *SolverRegistry { return solver.NewRegistry() }
-
 // Typed errors surfaced by Solve (and the registry).
 var (
 	// ErrInstanceTooLarge: the exact densest-subgraph oracle was asked
@@ -113,8 +99,6 @@ var (
 	ErrEdgeOutOfRange = graph.ErrEdgeOutOfRange
 	// ErrUnknownSolver: no solver is registered under the given name.
 	ErrUnknownSolver = solver.ErrUnknownSolver
-	// ErrDuplicateSolver: Register was called with a name already taken.
-	ErrDuplicateSolver = solver.ErrDuplicateSolver
 	// ErrRegionUnsupported: the chosen solver cannot re-solve regions.
 	ErrRegionUnsupported = solver.ErrRegionUnsupported
 	// ErrRegionNotInduced: a region re-solve needs the region to be the
@@ -122,36 +106,17 @@ var (
 	ErrRegionNotInduced = solver.ErrRegionNotInduced
 )
 
-// RegisterSolver makes a solver available under name in the default
-// registry (panics on duplicates — registration is an init-time
-// affair; use DefaultSolverRegistry().Register for the error-returning
-// form). The built-ins are the algorithms "chitchat", "nosy" and
-// "shard" and the baselines "hybrid", "pushall" and "pullall".
-func RegisterSolver(name string, f SolverFactory) {
-	solver.Default.MustRegister(name, f)
-}
-
 // GetSolver returns the factory registered under name in the default
 // registry, or an error wrapping ErrUnknownSolver.
 func GetSolver(name string) (SolverFactory, error) { return solver.Default.Get(name) }
 
 // NewSolver looks name up in the default registry and builds the solver.
+// The registered names are the algorithms "chitchat", "nosy" and "shard"
+// and the baselines "hybrid", "pushall" and "pullall".
 func NewSolver(name string, opts Options) (Solver, error) { return solver.Default.New(name, opts) }
 
 // Solvers returns every solver name in the default registry, sorted.
 func Solvers() []string { return solver.Default.Names() }
-
-// SolverMiddleware wraps a Solver with a cross-cutting concern (panic
-// conversion, tracing, a stopping rule) while preserving the Solver
-// contract.
-type SolverMiddleware = solver.Middleware
-
-// ChainSolver applies middlewares to s; the first middleware becomes the
-// outermost layer.
-func ChainSolver(s Solver, mws ...SolverMiddleware) Solver { return solver.Chain(s, mws...) }
-
-// WithSolverRecover converts solver panics into errors.
-func WithSolverRecover() SolverMiddleware { return solver.WithRecover() }
 
 // MustSolve runs the named registered solver to completion and panics
 // on any error — the one-liner for examples, tests, and scripts.
@@ -172,19 +137,6 @@ func MustSolve(name string, g *Graph, r *Rates) *Schedule {
 // NewChitChatSolver returns the CHITCHAT solver under its full typed
 // config (knobs beyond Options: exact oracle, per-commit progress hook).
 func NewChitChatSolver(cfg ChitChatConfig) Solver { return solver.NewChitChat(cfg) }
-
-// NewNosySolver returns the PARALLELNOSY solver under its full typed
-// config. It supports Problem.Region re-solves.
-func NewNosySolver(cfg NosyConfig) Solver { return solver.NewNosy(cfg) }
-
-// ShardConfig tunes the sharded solver: partition → concurrent per-shard
-// solves → deterministic cut reconciliation.
-type ShardConfig = shard.Config
-
-// NewShardSolver returns the sharded million-edge solver under its full
-// typed config (registry name "shard"; zero config auto-sizes the
-// partition and runs CHITCHAT per shard).
-func NewShardSolver(cfg ShardConfig) Solver { return shard.New(cfg) }
 
 // Graph is a directed social graph in CSR form; the edge u → v means v
 // subscribes to u. Build one with NewGraphBuilder or GraphFromEdges.
@@ -230,14 +182,12 @@ func FlickrLikeGraph(nodes int, seed int64) *Graph {
 // SocialGraphConfig exposes the generator's knobs for custom shapes.
 type SocialGraphConfig = graphgen.Config
 
-// SocialGraph generates a synthetic social graph from an explicit config.
-func SocialGraph(cfg SocialGraphConfig) *Graph { return graphgen.Social(cfg) }
-
-// StreamSocialGraph generates a graph with SocialGraph's shape through
-// the two-pass streaming CSR builder, with generator state O(nodes)
-// instead of an in-memory edge list — the million-edge path (the RNG
-// draw order differs from SocialGraph's, so the edge sets are distinct).
-// Pair with the "shard" solver to keep solve memory O(shard).
+// StreamSocialGraph generates a synthetic social graph through the
+// two-pass streaming CSR builder, with generator state O(nodes) instead
+// of an in-memory edge list — the million-edge path (the RNG draw order
+// differs from TwitterLikeGraph's and FlickrLikeGraph's, so the same
+// config gives a distinct edge set). Pair with the "shard" solver to keep
+// solve memory O(shard).
 func StreamSocialGraph(cfg SocialGraphConfig) *Graph { return graphgen.StreamSocial(cfg) }
 
 // FlickrLikeEdges sizes a Flickr-like config to hit a target edge count
@@ -255,21 +205,6 @@ func LogDegreeRates(g *Graph, readWriteRatio float64) *Rates {
 
 // UniformRates gives every user production 1 and consumption ratio.
 func UniformRates(n int, ratio float64) *Rates { return workload.NewUniform(n, ratio) }
-
-// ZipfRates gives Zipf-distributed per-user activity independent of graph
-// degree — a sensitivity alternative to LogDegreeRates.
-func ZipfRates(n int, s, readWriteRatio float64, seed int64) *Rates {
-	return workload.Zipf(n, s, readWriteRatio, seed)
-}
-
-// NewSchedule returns an empty schedule for g (no edge served yet).
-func NewSchedule(g *Graph) *Schedule { return core.NewSchedule(g) }
-
-// PushAll returns the all-push baseline schedule.
-func PushAll(g *Graph) *Schedule { return baseline.PushAll(g) }
-
-// PullAll returns the all-pull baseline schedule.
-func PullAll(g *Graph) *Schedule { return baseline.PullAll(g) }
 
 // Hybrid returns the FEEDINGFRENZY baseline of Silberstein et al.: each
 // edge served by the cheaper of push and pull.
@@ -302,29 +237,24 @@ type NosyIteration = nosy.IterationStat
 // ParallelNosy computes a schedule with the PARALLELNOSY parallel
 // heuristic, returning the finalized schedule and per-iteration stats.
 //
-// Deprecated: use NewNosySolver(cfg).Solve (or NewSolver("nosy", ...))
-// for cancellation and live progress; per-iteration stats stream through
-// NosyConfig.OnIteration / Options.Progress instead of accumulating.
+// Deprecated: use NewSolver("nosy", ...) for cancellation and live
+// progress; per-iteration stats stream through Options.Progress instead
+// of accumulating.
 func ParallelNosy(g *Graph, r *Rates, cfg NosyConfig) (*Schedule, []NosyIteration) {
+	// Accumulate the streamed stats, keeping any hook the caller installed.
 	var iters []NosyIteration
-	cfg.OnIteration = chainIters(cfg.OnIteration, &iters)
-	res, err := NewNosySolver(cfg).Solve(context.Background(), Problem{Graph: g, Rates: r})
-	if err != nil {
-		panic(err)
-	}
-	return res.Schedule, iters
-}
-
-// chainIters accumulates iteration stats into dst while preserving any
-// caller-installed hook — the shim that lets the deprecated slice-
-// returning wrappers ride on the streaming API.
-func chainIters(prev func(NosyIteration), dst *[]NosyIteration) func(NosyIteration) {
-	return func(it NosyIteration) {
-		*dst = append(*dst, it)
+	prev := cfg.OnIteration
+	cfg.OnIteration = func(it NosyIteration) {
+		iters = append(iters, it)
 		if prev != nil {
 			prev(it)
 		}
 	}
+	res, err := solver.NewNosy(cfg).Solve(context.Background(), Problem{Graph: g, Rates: r})
+	if err != nil {
+		panic(err)
+	}
+	return res.Schedule, iters
 }
 
 // HybridCost returns the FEEDINGFRENZY cost without materializing the
@@ -368,42 +298,6 @@ func InducedSubgraph(g *Graph, nodes []NodeID) *Subgraph { return graph.Induced(
 // seeds (sorted; maxNodes > 0 caps the result deterministically).
 func KHopNeighborhood(g *Graph, seeds []NodeID, k, maxNodes int) []NodeID {
 	return graph.KHop(g, seeds, k, maxNodes)
-}
-
-// ChitChatInduced re-solves an extracted region with CHITCHAT under the
-// global rates projected through the subgraph mapping, returning a patch
-// schedule over sub.G for ApplySchedulePatch.
-//
-// Deprecated: use NewChitChatSolver(cfg).Solve with Problem.Base and
-// Problem.Region, which extracts, re-solves, and splices in one call.
-func ChitChatInduced(sub *Subgraph, r *Rates, cfg ChitChatConfig) *Schedule {
-	return chitchat.SolveInduced(sub, r, cfg)
-}
-
-// ParallelNosyRestricted re-optimizes only the given region edges of g,
-// starting from a valid base schedule — the localized re-solve entry
-// point. Edges outside the region keep their assignment (boundary
-// coverage may gain support flags); the result is valid and identical
-// for every worker count.
-//
-// Deprecated: use NewNosySolver(cfg).Solve with Problem.Base and
-// Problem.Region.
-func ParallelNosyRestricted(g *Graph, r *Rates, cfg NosyConfig, base *Schedule, region []EdgeID) (*Schedule, []NosyIteration) {
-	var iters []NosyIteration
-	cfg.OnIteration = chainIters(cfg.OnIteration, &iters)
-	res, err := NewNosySolver(cfg).Solve(context.Background(),
-		Problem{Graph: g, Rates: r, Base: base, Region: region})
-	if err != nil {
-		panic(err)
-	}
-	return res.Schedule, iters
-}
-
-// ApplySchedulePatch splices a re-solved region patch (a schedule over
-// sub.G) into s atomically, repairing boundary coverage; it returns the
-// number of boundary repairs.
-func ApplySchedulePatch(s *Schedule, sub *Subgraph, patch *Schedule, r *Rates) (int, error) {
-	return core.ApplyPatch(s, sub, patch, r)
 }
 
 // ChurnOp is one graph/workload update in a churn stream.
