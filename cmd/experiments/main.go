@@ -23,7 +23,7 @@ func main() {
 		expFlag = flag.String("exp", "all", "comma-separated: datasets,algos,zoo,fig4,fig5,fig6,fig7,fig8,fig9a,fig9b or all")
 		scale   = flag.String("scale", "default", "scale preset: quick | default")
 		seed    = flag.Int64("seed", 0, "override scale seed (0 keeps preset)")
-		workers = flag.Int("workers", 0, "solver parallelism for PARALLELNOSY and the other parallel solvers (0 = all cores; CHITCHAT is serial)")
+		workers = flag.Int("workers", 0, "solver parallelism for PARALLELNOSY and the other parallel solvers (0 = all cores; CHITCHAT uses them for its seed phase only)")
 		plot    = flag.Bool("plot", false, "render ASCII bar charts instead of tables")
 	)
 	flag.Parse()

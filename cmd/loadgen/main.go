@@ -217,6 +217,9 @@ func main() {
 	fmt.Printf("plan rollout: %d epochs published\n", epoch)
 
 	if *spantree {
+		// A wall time: above the marker the byte-identical output starts at.
+		stall := reg.Histogram("online_stall_seconds", telemetry.LatencyBuckets)
+		fmt.Printf("re-solve stall: p50 %.1fms over %d stalls\n", 1000*stall.Quantile(0.5), stall.Count())
 		fmt.Printf("\n--- span tree (deterministic) ---\n%s", tr.Tree())
 		fmt.Printf("\n--- re-solve decisions (deterministic) ---\n%s\n", strings.Join(events.Attrs("resolve"), "\n"))
 	}

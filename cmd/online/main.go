@@ -41,7 +41,7 @@ func main() {
 	k := flag.Int("k", 0, "region hop radius (0 = default)")
 	maxRegion := flag.Int("maxregion", 0, "region node cap (0 = default)")
 	every := flag.Int("every", 0, "ops between drift checks (0 = default)")
-	workers := flag.Int("workers", 0, "workers of a parallel -solver (0 = GOMAXPROCS; chitchat is serial)")
+	workers := flag.Int("workers", 0, "workers of a parallel -solver (0 = GOMAXPROCS; chitchat uses them for its seed phase only)")
 	report := flag.Int("report", 1000, "ops between progress lines")
 	addFrac := flag.Float64("adds", 0, "fraction of ops that add edges (0 = default)")
 	rmFrac := flag.Float64("removes", 0, "fraction of ops that remove edges (0 = default)")

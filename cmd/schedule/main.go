@@ -39,7 +39,7 @@ func main() {
 		text     = flag.Bool("text", false, "graph file is in text format")
 		algo     = flag.String("algo", "nosy", "algorithm: "+strings.Join(solver.Default.Names(), " | "))
 		ratio    = flag.Float64("ratio", workload.DefaultReadWriteRatio, "read/write ratio for the log-degree workload")
-		workers  = flag.Int("workers", 0, "solver parallelism (0 = all cores; ignored by the serial chitchat)")
+		workers  = flag.Int("workers", 0, "solver parallelism (0 = all cores; chitchat uses them for its seed phase only)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry the best-so-far valid schedule is reported")
 		progress = flag.Bool("progress", false, "print live per-iteration progress")
 		iters    = flag.Bool("iters", false, "trace finalized cost per iteration (implies -progress; nosy)")

@@ -9,8 +9,9 @@
 // lowest cost per newly covered element — is solved per hub by the
 // weighted densest-subgraph oracle of package densest (Lemma 1), giving
 // an overall O(ln n) approximation (Theorem 4). The solve is Algorithm 1
-// as written: build every hub instance, evaluate it once, then one serial
-// loop that commits a fresh queue head or re-evaluates a stale one.
+// as written: build every hub instance and evaluate it once (hubs are
+// independent there: Config.Workers goroutines, merged in hub order), then
+// one serial loop that commits a fresh queue head or re-evaluates a stale one.
 //
 // Instances. Each hub-graph is materialized once (CSR adjacency + weights,
 // capped at Config.MaxCrossEdges cross-edges) into a densest.Decremental
@@ -26,7 +27,8 @@
 // Inverted index. inv maps a graph edge to the (hub, element) pairs that
 // materialized it, so a commit removes each covered element from exactly
 // the instances that contain it and only those hubs turn stale; a hub
-// untouched by a commit keeps its oracle output with no work at all.
+// untouched by a commit keeps its oracle output with no work at all. One
+// flat array behind per-edge offsets, sized by counting the built instances.
 //
 // Lazy refresh. The paper refreshes every affected hub after each
 // selection; here a commit eagerly re-evaluates only the hubs whose ratio
@@ -50,7 +52,10 @@ package chitchat
 
 import (
 	"context"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"piggyback/internal/baseline"
 	"piggyback/internal/bitset"
@@ -74,10 +79,8 @@ type Config struct {
 	// enumeration (instances up to 24 nodes; larger hub-graphs fall back
 	// to peeling). Only sensible on tiny graphs; used by ablation benches.
 	ExactOracle bool
-	// Workers is ignored: the solve is serial.
-	//
-	// Deprecated: kept because bench/seam.go assigns it; delete with
-	// ROADMAP item 6's benchmark issue.
+	// Workers bounds the seed phase's goroutines; 0 means GOMAXPROCS, which
+	// also caps it. Schedules and Progress streams are the same for every value.
 	Workers int
 	// OnProgress, when non-nil, streams a Progress snapshot after every
 	// greedy commit. The callback runs on the solve goroutine; it must
@@ -108,11 +111,16 @@ const DefaultMaxCrossEdges = 100000
 // TestSchedulesMatchShipped.
 const refreshWidth = 16
 
-// Test hooks; nil outside tests. commitObserver reports, after every hub
-// commit, the coverage the oracle claimed against the coverage the commit
-// actually performed, replayObserver every post-commit replay next to a
-// fresh peel of the same instance.
+// seedBlock is how many hubs a seed worker takes per pull on the cursor:
+// small, because a celebrity's instance costs hundreds of times a leaf's.
+const seedBlock = 16
+
+// Test hooks; nil outside tests. seedObserver sees each hub on the worker
+// about to build it, commitObserver after every hub commit the coverage
+// the oracle claimed against the coverage the commit actually performed,
+// replayObserver every post-commit replay next to a fresh peel.
 var (
+	seedObserver   func(w graph.NodeID)
 	commitObserver func(w graph.NodeID, claimed, covered int)
 	replayObserver func(w graph.NodeID, replayed, peeled densest.Result)
 )
@@ -136,8 +144,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 	if cfg.MaxCrossEdges == 0 {
 		cfg.MaxCrossEdges = DefaultMaxCrossEdges
 	}
-	n := g.NumNodes()
-	m := g.NumEdges()
+	n, m := g.NumNodes(), g.NumEdges()
 	s := core.NewSchedule(g)
 	if m == 0 {
 		return s, nil
@@ -151,7 +158,6 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 		q:         pq.New(n + m),
 		sc:        scratch{yMark: make([]int64, n), yPos: make([]int32, n)},
 		insts:     make([]*hubInstance, n),
-		inv:       make([][]invEntry, m),
 		evals:     make([]hubEval, n),
 	}
 	sv.uncovered.SetAll()
@@ -161,27 +167,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 		sv.q.Push(n+int(e), baseline.EdgeCost(r, u, v))
 		return true
 	})
-
-	// Seed the queue: build every hub instance and evaluate it against the
-	// full ground set. A hub the oracle keeps nothing of from the start
-	// never enters the queue, so its instance is never needed.
-	ids := make([]int32, 0, n)
-	prios := make([]float64, 0, n)
-	for w := graph.NodeID(0); int(w) < n; w++ {
-		hi := buildHubInstance(g, r, w, cfg, &sv.sc)
-		ev := evalHub(hi, cfg, &sv.sc)
-		if ev.Members == nil {
-			continue
-		}
-		sv.insts[w] = hi
-		for ei, e := range hi.gid {
-			sv.inv[e] = append(sv.inv[e], invEntry{int32(w), int32(ei)})
-		}
-		sv.evals[w] = ev
-		ids = append(ids, int32(w))
-		prios = append(prios, ev.ratio())
-	}
-	sv.q.PushBatch(ids, prios)
+	sv.seed()
 
 	var cause error
 	for sv.remaining > 0 && sv.q.Len() > 0 {
@@ -259,8 +245,7 @@ func (sv *solver) noteCommit(hub bool) {
 	}
 }
 
-// solver carries the solve state; everything runs on the caller's
-// goroutine.
+// solver carries the solve state; only seed leaves the caller's goroutine.
 type solver struct {
 	g   *graph.Graph
 	r   *workload.Rates
@@ -274,13 +259,12 @@ type solver struct {
 	sc        scratch
 
 	// insts[w] is hub w's instance; nil when w has no producers or no
-	// consumers, or when its oracle kept nothing from the start. inv[e]
-	// lists the (hub, element) pairs of every instance that materialized
-	// the still-uncovered graph edge e, so covering an edge removes
-	// exactly the affected elements; the bucket is dropped whole once e
-	// is covered.
+	// consumers, or when its oracle kept nothing from the start.
+	// inv[invAt[e]:invAt[e+1]] lists, by ascending hub, the (hub, element)
+	// pairs that materialized graph edge e: what covering e must remove.
 	insts []*hubInstance
-	inv   [][]invEntry
+	invAt []int
+	inv   []invEntry
 
 	// evals[w] is hub w's latest oracle output while it matches the
 	// CURRENT state of instance w, and zero ("stale") once a commit has
@@ -295,6 +279,96 @@ type solver struct {
 	saved      float64
 
 	memb []bool // member marks, sized to the largest instance
+}
+
+// seed builds every hub instance and evaluates it against the full ground
+// set, keeping the hubs the oracle keeps something of. That reads only the
+// graph and the rates and writes the hub's two slots, so blocks of hubs
+// come off a shared cursor onto the caller and up to Workers−1 goroutines
+// (none below two blocks), one scratch each. A panic — the lowest hub's, if
+// several — is re-raised once all have returned; index reads the slots in
+// hub order, so nothing downstream can tell how many workers filled them.
+func (sv *solver) seed() {
+	var (
+		n       = sv.n
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		fault   any // panic value of the lowest hub that raised one
+		faultAt = n
+	)
+	work := func(sc *scratch) {
+		w := 0
+		defer func() {
+			if p := recover(); p != nil {
+				mu.Lock()
+				if w < faultAt {
+					fault, faultAt = p, w
+				}
+				mu.Unlock()
+			}
+			wg.Done()
+		}()
+		for {
+			lo := int(next.Add(seedBlock)) - seedBlock
+			if lo >= n {
+				return
+			}
+			for w = lo; w < min(lo+seedBlock, n); w++ {
+				if seedObserver != nil {
+					seedObserver(graph.NodeID(w))
+				}
+				hi := buildHubInstance(sv.g, sv.r, graph.NodeID(w), sv.cfg, sc)
+				if ev := evalHub(hi, sv.cfg, sc); ev.Members != nil {
+					sv.insts[w], sv.evals[w] = hi, ev
+				}
+			}
+		}
+	}
+	nw := max(1, min(runtime.GOMAXPROCS(0), n/seedBlock))
+	if sv.cfg.Workers > 0 {
+		nw = min(nw, sv.cfg.Workers)
+	}
+	wg.Add(nw)
+	for ; nw > 1; nw-- {
+		go work(&scratch{yMark: make([]int64, n), yPos: make([]int32, n)})
+	}
+	work(&sv.sc)
+	wg.Wait()
+	if fault != nil {
+		panic(fault)
+	}
+	sv.index()
+}
+
+// index lays out the inverted index and queues the kept hubs: count the
+// elements per graph edge, turn counts into bucket starts, fill by hub then
+// element (DESIGN.md §14), which moves invAt[e+1] from e's start to its end.
+func (sv *solver) index() {
+	at := make([]int, sv.g.NumEdges()+1)
+	for _, hi := range sv.insts {
+		if hi != nil {
+			for _, e := range hi.gid {
+				at[e+1]++
+			}
+		}
+	}
+	total := 0
+	for e, cnt := range at[1:] {
+		at[e+1] = total
+		total += cnt
+	}
+	sv.inv, sv.invAt = make([]invEntry, total), at
+	for w, hi := range sv.insts {
+		if hi == nil {
+			continue
+		}
+		for ei, e := range hi.gid {
+			sv.inv[at[e+1]] = invEntry{int32(w), int32(ei)}
+			at[e+1]++
+		}
+		sv.q.Push(w, sv.evals[w].ratio())
+	}
 }
 
 // fresh reports whether hub w's oracle output matches its instance.
@@ -316,23 +390,12 @@ type hubInstance struct {
 
 func (hi *hubInstance) hubIdx() int32 { return int32(hi.nx + len(hi.ys)) }
 
-// xIndex returns the instance vertex of producer x (position in the
-// sorted xs), if present.
-func (hi *hubInstance) xIndex(x graph.NodeID) (int, bool) {
-	i := sort.Search(len(hi.xs), func(i int) bool { return hi.xs[i] >= x })
-	if i < len(hi.xs) && hi.xs[i] == x {
-		return i, true
-	}
-	return 0, false
-}
+// xIndex and yIndex return the instance vertex of producer x, consumer y.
+func (hi *hubInstance) xIndex(x graph.NodeID) (int, bool) { return slices.BinarySearch(hi.xs, x) }
 
-// yIndex returns the instance vertex of consumer y, if present.
 func (hi *hubInstance) yIndex(y graph.NodeID) (int, bool) {
-	j := sort.Search(len(hi.ys), func(j int) bool { return hi.ys[j] >= y })
-	if j < len(hi.ys) && hi.ys[j] == y {
-		return hi.nx + j, true
-	}
-	return 0, false
+	j, ok := slices.BinarySearch(hi.ys, y)
+	return hi.nx + j, ok
 }
 
 // buildHubInstance materializes the maximal hub-graph centered on w — X =
@@ -343,7 +406,6 @@ func (hi *hubInstance) yIndex(y graph.NodeID) (int, bool) {
 // weight is unpaid.
 func buildHubInstance(g *graph.Graph, r *workload.Rates, w graph.NodeID,
 	cfg Config, sc *scratch) *hubInstance {
-
 	xs := g.InNeighbors(w)
 	ys := g.OutNeighbors(w)
 	if len(xs) == 0 || len(ys) == 0 {
@@ -410,8 +472,7 @@ func buildHubInstance(g *graph.Graph, r *workload.Rates, w graph.NodeID,
 	}
 }
 
-// invEntry locates one materialized element of a hub instance: element
-// elem of instance hub is graph edge e for every entry in inv[e].
+// invEntry is one place graph edge e was materialized, for e's bucket.
 type invEntry struct {
 	hub  int32
 	elem int32
@@ -437,12 +498,11 @@ func (sv *solver) coverEdge(e graph.EdgeID) {
 	}
 	sv.uncovered.Clear(int(e))
 	sv.remaining--
-	for _, en := range sv.inv[e] {
+	for _, en := range sv.inv[sv.invAt[e]:sv.invAt[e+1]] {
 		if sv.insts[en.hub].d.RemoveEdge(int(en.elem)) {
 			sv.evals[en.hub] = hubEval{}
 		}
 	}
-	sv.inv[e] = nil
 }
 
 // commitSingleton serves edge e directly at the hybrid cost. Paying for
@@ -663,12 +723,11 @@ func usable(hi *hubInstance, res densest.Result) hubEval {
 	return hubEval(res)
 }
 
-// scratch holds the solve's reusable buffers: yMark/yPos form a
+// scratch holds one goroutine's reusable buffers: yMark/yPos form a
 // generation-stamped index from node id to the hub instance's Y-side
 // vertex (a per-build map dominated profiles); weight/edges/gids back
-// instance materialization, liveBuf the exact-oracle snapshot, and dsc is
-// the peel arena, so a steady-state oracle evaluation allocates only its
-// small result slice.
+// instance materialization, liveBuf the exact-oracle snapshot, dsc is the
+// peel arena: a steady-state evaluation allocates only its result slice.
 type scratch struct {
 	yMark   []int64
 	yPos    []int32

@@ -129,23 +129,26 @@ func TestCrossEdgeBound(t *testing.T) {
 // schedule actually did. Both are now computed from the same materialized
 // element set; every hub commit must cover exactly what it claimed.
 func TestCommitMatchesClaimUnderTruncation(t *testing.T) {
+	fourProcs(t)
+	g := graphgen.Social(graphgen.FlickrLike(scaled(200, 120), 7))
+	r := workload.LogDegree(g, 5)
 	for _, maxCross := range []int{1, 2, 5, 0 /* default, non-binding */} {
-		g := graphgen.Social(graphgen.FlickrLike(scaled(200, 120), 7))
-		r := workload.LogDegree(g, 5)
-		commits := 0
-		commitObserver = func(w graph.NodeID, claimed, covered int) {
-			commits++
-			if claimed != covered {
-				t.Errorf("maxCross=%d hub %d: claimed %d covered %d", maxCross, w, claimed, covered)
+		for _, workers := range seedWorkers {
+			commits := 0
+			commitObserver = func(w graph.NodeID, claimed, covered int) {
+				commits++
+				if claimed != covered {
+					t.Errorf("maxCross=%d workers=%d hub %d: claimed %d covered %d", maxCross, workers, w, claimed, covered)
+				}
 			}
-		}
-		s := Solve(g, r, Config{MaxCrossEdges: maxCross})
-		commitObserver = nil
-		if err := s.Validate(); err != nil {
-			t.Fatalf("maxCross=%d: %v", maxCross, err)
-		}
-		if commits == 0 {
-			t.Fatalf("maxCross=%d: no hub commits observed", maxCross)
+			s := Solve(g, r, Config{MaxCrossEdges: maxCross, Workers: workers})
+			commitObserver = nil
+			if err := s.Validate(); err != nil {
+				t.Fatalf("maxCross=%d workers=%d: %v", maxCross, workers, err)
+			}
+			if commits == 0 {
+				t.Fatalf("maxCross=%d workers=%d: no hub commits observed", maxCross, workers)
+			}
 		}
 	}
 }

@@ -45,6 +45,7 @@ func (s *Schedule) FinalizeEdges(r *workload.Rates, edges []graph.EdgeID) {
 func (s *Schedule) ClearEdge(e graph.EdgeID) {
 	s.flags[e] = 0
 	s.hub[e] = -1
+	s.pinned = nil
 }
 
 // ApplyPatch splices patch — a valid schedule over sub.G, an induced
@@ -60,7 +61,12 @@ func ApplyPatch(s *Schedule, sub *graph.Subgraph, patch *Schedule, r *workload.R
 	if err := Splice(s, sub, patch); err != nil {
 		return 0, err
 	}
-	return RepairCoverage(s, r), nil
+	// The repair resolves every covered edge's supports: have it leave the
+	// counts for the sweep that follows a region splice (TakePinned).
+	pinned := make([]int32, len(s.flags))
+	repairs := repairCoverage(s, r, pinned)
+	s.pinned = pinned
+	return repairs, nil
 }
 
 // Splice is ApplyPatch without the repair pass: it writes patch's
@@ -116,7 +122,11 @@ func Splice(s *Schedule, sub *graph.Subgraph, patch *Schedule) error {
 // be repaired that way and falls back to direct service with the
 // cheaper of push and pull. Repairs only add flags, so a repair never
 // invalidates another edge. Returns the number of edges touched.
-func RepairCoverage(s *Schedule, r *workload.Rates) int {
+func RepairCoverage(s *Schedule, r *workload.Rates) int { return repairCoverage(s, r, nil) }
+
+// repairCoverage also counts into pinned, when non-nil, the covered edges
+// resting on each support it resolves.
+func repairCoverage(s *Schedule, r *workload.Rates, pinned []int32) int {
 	repairs := 0
 	s.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		if !s.IsCovered(e) {
@@ -134,6 +144,10 @@ func RepairCoverage(s *Schedule, r *workload.Rates) int {
 			}
 			repairs++
 			return true
+		}
+		if pinned != nil {
+			pinned[up]++
+			pinned[down]++
 		}
 		fixed := false
 		if !s.IsPush(up) {

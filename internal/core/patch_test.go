@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"piggyback/internal/graph"
@@ -102,6 +103,35 @@ func TestApplyPatchKeepsCoverageAndRemapsHubNode(t *testing.T) {
 	cov, _ := g.EdgeID(0, 2)
 	if !s.IsCovered(cov) || s.Hub(cov) != 1 {
 		t.Fatalf("coverage not remapped: covered=%v hub=%d", s.IsCovered(cov), s.Hub(cov))
+	}
+
+	// The repair walk leaves the obligation counts for the sweep that
+	// follows: one covered edge rests on each support. They are handed over
+	// once, and not at all once coverage has changed.
+	up, _ := g.EdgeID(0, 1)
+	down, _ := g.EdgeID(1, 2)
+	want := make([]int32, g.NumEdges())
+	want[up], want[down] = 1, 1
+	if s.pinned == nil {
+		t.Fatal("ApplyPatch left no pinned counts")
+	}
+	for _, from := range []string{"handed over", "walked"} {
+		if got := s.TakePinned(); !slices.Equal(got, want) || s.pinned != nil {
+			t.Fatalf("%s: pinned = %v (kept: %v), want %v", from, got, s.pinned != nil, want)
+		}
+	}
+	for _, change := range []func(){
+		func() { s.ClearCovered(cov) },
+		func() { s.SetCovered(cov, 1) },
+		func() { s.ClearEdge(cov) },
+	} {
+		s.pinned = want
+		if change(); s.pinned != nil {
+			t.Fatal("a coverage change kept the pinned counts")
+		}
+	}
+	if got := s.TakePinned(); !slices.Equal(got, make([]int32, g.NumEdges())) {
+		t.Fatalf("pinned = %v with nothing covered", got)
 	}
 }
 

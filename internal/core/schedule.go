@@ -31,6 +31,9 @@ type Schedule struct {
 	g     *graph.Graph
 	flags []Flag
 	hub   []graph.NodeID // hub[e] = hub node for covered edge e, else -1
+	// pinned is TakePinned's result as ApplyPatch's repair walk left it,
+	// nil once coverage has changed since (or it was taken).
+	pinned []int32
 }
 
 // NewSchedule returns an empty schedule (no edge scheduled yet) for g.
@@ -68,12 +71,39 @@ func (s *Schedule) SetPull(e graph.EdgeID) { s.flags[e] |= FlagPull }
 func (s *Schedule) SetCovered(e graph.EdgeID, w graph.NodeID) {
 	s.flags[e] |= FlagCovered
 	s.hub[e] = w
+	s.pinned = nil
 }
 
 // ClearCovered removes coverage from edge e (incremental maintenance).
 func (s *Schedule) ClearCovered(e graph.EdgeID) {
 	s.flags[e] &^= FlagCovered
 	s.hub[e] = -1
+	s.pinned = nil
+}
+
+// TakePinned returns, per edge, the number of covered edges whose hub
+// support it is: the obligations a sweep that clears direct flags must
+// respect (refine.Pass). The caller owns the slice. ApplyPatch's repair
+// resolves the same support ids, so right after it — a region re-solve's
+// splice — its counts are handed over and no support is searched for twice.
+func (s *Schedule) TakePinned() []int32 {
+	if pinned := s.pinned; pinned != nil {
+		s.pinned = nil
+		return pinned
+	}
+	pinned := make([]int32, len(s.flags))
+	s.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
+		if s.IsCovered(e) {
+			if up, ok := s.g.EdgeID(u, s.hub[e]); ok {
+				pinned[up]++
+			}
+			if down, ok := s.g.EdgeID(s.hub[e], v); ok {
+				pinned[down]++
+			}
+		}
+		return true
+	})
+	return pinned
 }
 
 // ClearPush removes e from H.

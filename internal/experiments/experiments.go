@@ -73,7 +73,7 @@ type Scale struct {
 	SampleCount       int // samples averaged per point (paper: 5)
 	PrototypeRequests int // requests per Fig. 6 measurement point
 	PrototypeClients  int // client goroutines for Fig. 6
-	Workers           int // solver parallelism, read by PARALLELNOSY and the registry's parallel solvers (CHITCHAT is serial); 0 = all cores
+	Workers           int // solver parallelism, read by PARALLELNOSY and the registry's parallel solvers (CHITCHAT: seed phase only); 0 = all cores
 	ZooOps            int // churn trace length per zoo scenario; 0 means 1200
 	Seed              int64
 

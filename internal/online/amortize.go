@@ -29,8 +29,9 @@ type amortCand struct {
 	up     graph.EdgeID // support u → hub
 	down   graph.EdgeID // support hub → v
 	hub    graph.NodeID
-	refund float64 // the direct price clearing the edge returns
-	push   bool    // direct side currently paid (true: push, false: pull)
+	u      graph.NodeID // source of e and of up: what buying up costs is rp(u)
+	refund float64      // the direct price clearing the edge returns
+	push   bool         // direct side currently paid (true: push, false: pull)
 }
 
 // amortizer is the sweep's scratch, held by the daemon across re-solves:
@@ -103,7 +104,7 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 					a.ends[w]++
 					found = append(found, amortCand{
 						e: e, up: loU + graph.EdgeID(i), down: idsV[j],
-						hub: w, refund: refund, push: push,
+						hub: w, u: u, refund: refund, push: push,
 					})
 				}
 				i++
@@ -117,8 +118,12 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 			return true
 		})
 	} else {
+		u := graph.NodeID(0) // cursor: the region ascends and edge ids group by source
 		for _, e := range region {
-			consider(e, g.EdgeSource(e), g.EdgeTarget(e))
+			for _, hi := g.OutEdgeRange(u); hi <= e; _, hi = g.OutEdgeRange(u) {
+				u++
+			}
+			consider(e, u, g.EdgeTarget(e))
 		}
 	}
 	a.found = found
@@ -144,11 +149,11 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 	// pushPrice and pullPrice return what support e still costs to turn
 	// on: 0 when the needed flag is already set (exterior-paid, or bought
 	// for an earlier bundle of this sweep).
-	pushPrice := func(e graph.EdgeID) float64 {
-		if s.IsPush(e) {
+	pushPrice := func(c amortCand) float64 {
+		if s.IsPush(c.up) {
 			return 0
 		}
-		return r.Prod[g.EdgeSource(e)]
+		return r.Prod[c.u]
 	}
 	pullPrice := func(e graph.EdgeID) float64 {
 		if s.IsPull(e) {
@@ -177,7 +182,7 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 		}
 		lo = hi
 		for _, c := range cands {
-			if pushPrice(c.up) > 0 {
+			if pushPrice(c) > 0 {
 				needers[c.up]++
 			}
 			if pullPrice(c.down) > 0 {
@@ -192,7 +197,7 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 		for dropped := true; dropped; {
 			dropped = false
 			for i, c := range cands {
-				pUp, pDown := pushPrice(c.up), pullPrice(c.down)
+				pUp, pDown := pushPrice(c), pullPrice(c.down)
 				excl := 0.0
 				if pUp > 0 && needers[c.up] == 1 {
 					excl += pUp
@@ -220,7 +225,7 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 		refundSum, priceSum := 0.0, 0.0
 		for _, c := range cands {
 			refundSum += c.refund
-			if p := pushPrice(c.up); p > 0 && needers[c.up] > 0 {
+			if p := pushPrice(c); p > 0 && needers[c.up] > 0 {
 				needers[c.up] = 0
 				priceSum += p
 			}
@@ -236,7 +241,7 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 		// Buy the bundle: supports first, then re-serve each candidate
 		// through the hub — the schedule is valid at every step.
 		for _, c := range cands {
-			if pushPrice(c.up) > 0 {
+			if pushPrice(c) > 0 {
 				s.SetPush(c.up)
 			}
 			if pullPrice(c.down) > 0 {

@@ -265,7 +265,7 @@ type daemonInstruments struct {
 	cost, drift, lowerBound         *telemetry.Gauge
 	breakerState                    *telemetry.Gauge
 	resolveWall                     *telemetry.Gauge
-	regionSize                      *telemetry.Histogram
+	regionSize, stall               *telemetry.Histogram
 }
 
 func newDaemonInstruments(reg *telemetry.Registry) daemonInstruments {
@@ -292,6 +292,7 @@ func newDaemonInstruments(reg *telemetry.Registry) daemonInstruments {
 		breakerState:       reg.Gauge("online_breaker_state"),
 		resolveWall:        reg.Gauge("online_resolve_wall_seconds_total"),
 		regionSize:         reg.Histogram("online_region_size", telemetry.SizeBuckets),
+		stall:              reg.Histogram("online_stall_seconds", telemetry.LatencyBuckets),
 	}
 }
 
@@ -730,11 +731,13 @@ func (a *attempt) String() string {
 // sees the stall as one `resolve` span with its steps as children.
 func (d *Daemon) resolveRegion(ctx context.Context) {
 	nodes := d.region.nodes
+	start := time.Now()
 	_, parent := telemetry.FromContext(ctx)
 	root := d.begin(parent, "resolve", "seed=%d nodes=%d", d.region.seed, len(nodes))
 	a := &d.attempt
 	*a = attempt{seed: d.region.seed, nodes: len(nodes), stopped: "exhausted"}
 	defer func() {
+		d.inst.stall.Observe(time.Since(start).Seconds())
 		a.backoff = d.revertStreak
 		root.end("%s edges=%d", a.verdict, a.edges)
 		if d.cfg.Events != nil {

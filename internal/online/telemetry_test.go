@@ -49,7 +49,16 @@ func telemetryRun(t *testing.T, workers int) (tree, snap string, events []string
 	if err := d.Validate(); err != nil {
 		t.Fatalf("final schedule invalid: %v", err)
 	}
-	return tr.Tree(), reg.Snapshot().NonTiming().String(), ev.Attrs("breaker"), d.Stats()
+	// One stall observed per re-solve attempt, whatever its verdict; a wall
+	// time, so in the registry and out of the deterministic snapshot.
+	full := reg.Snapshot()
+	if m, _ := full.Get("online_stall_seconds"); m.Count == 0 || int(m.Count) != len(ev.Attrs("resolve")) || m.Sum <= 0 {
+		t.Fatalf("online_stall_seconds = %+v over %d re-solve attempts", m, len(ev.Attrs("resolve")))
+	}
+	if _, ok := full.NonTiming().Get("online_stall_seconds"); ok {
+		t.Fatal("online_stall_seconds is in the non-timing snapshot")
+	}
+	return tr.Tree(), full.NonTiming().String(), ev.Attrs("breaker"), d.Stats()
 }
 
 // Same seed, same fault plan, same configuration: two runs must produce
@@ -134,7 +143,7 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		"online_drift_checks_total", "online_region_extractions_total",
 		"online_boundary_repairs_total", "online_breaker_transitions_total",
 		"online_cost", "online_drift", "online_lower_bound",
-		"online_breaker_state",
+		"online_breaker_state", "online_stall_seconds",
 	} {
 		if _, ok := snap.Get(name); !ok {
 			t.Fatalf("series %s not registered at construction:\n%s", name, snap.String())

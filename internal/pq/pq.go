@@ -63,37 +63,6 @@ func (q *IndexedMin) Update(id int, p float64) {
 	}
 }
 
-// PushBatch inserts ids[i] with priority prios[i] for every i — the bulk
-// re-insert used by CHITCHAT's batched lazy-greedy refresh. Panics if any
-// id is already queued. When the batch is large relative to the current
-// heap it restores the heap property by a single bottom-up heapify;
-// otherwise it sifts each new item up individually. Either way the queue
-// holds the same (id, priority) set, and because the ordering is total
-// (priority, then id) the observable PopMin sequence is identical.
-func (q *IndexedMin) PushBatch(ids []int32, prios []float64) {
-	if len(ids) != len(prios) {
-		panic("pq: PushBatch length mismatch")
-	}
-	for i, id := range ids {
-		if q.pos[id] >= 0 {
-			panic("pq: PushBatch of queued id")
-		}
-		q.prio[id] = prios[i]
-		q.pos[id] = int32(len(q.heap))
-		q.heap = append(q.heap, id)
-	}
-	n := len(q.heap)
-	if k := len(ids); k > 0 && k >= n/4 {
-		for i := n/2 - 1; i >= 0; i-- {
-			q.down(i)
-		}
-		return
-	}
-	for _, id := range ids {
-		q.up(int(q.pos[id]))
-	}
-}
-
 // Min returns the id and priority of the minimum element without removing
 // it. Panics if empty.
 func (q *IndexedMin) Min() (id int, p float64) {

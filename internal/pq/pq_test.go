@@ -130,47 +130,3 @@ func TestQuickHeapOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// PushBatch must yield the same queue as individual Pushes, both in the
-// sift-up regime (small batch into a large heap) and the heapify regime
-// (large batch into a small heap).
-func TestPushBatchMatchesPushes(t *testing.T) {
-	for _, tc := range []struct{ preload, batch int }{{100, 3}, {3, 100}, {0, 50}, {10, 10}} {
-		rng := rand.New(rand.NewSource(int64(tc.preload*1000 + tc.batch)))
-		n := tc.preload + tc.batch
-		a, b := New(n), New(n)
-		for id := 0; id < tc.preload; id++ {
-			p := rng.Float64()
-			a.Push(id, p)
-			b.Push(id, p)
-		}
-		ids := make([]int32, 0, tc.batch)
-		prios := make([]float64, 0, tc.batch)
-		for id := tc.preload; id < n; id++ {
-			p := rng.Float64()
-			a.Push(id, p)
-			ids = append(ids, int32(id))
-			prios = append(prios, p)
-		}
-		b.PushBatch(ids, prios)
-		for a.Len() > 0 {
-			ida, pa := a.PopMin()
-			idb, pb := b.PopMin()
-			if ida != idb || pa != pb {
-				t.Fatalf("preload=%d batch=%d: batch pop (%d,%v) != push pop (%d,%v)",
-					tc.preload, tc.batch, idb, pb, ida, pa)
-			}
-		}
-	}
-}
-
-func TestPushBatchPanicsOnQueuedID(t *testing.T) {
-	q := New(4)
-	q.Push(2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PushBatch of queued id should panic")
-		}
-	}()
-	q.PushBatch([]int32{2}, []float64{5})
-}

@@ -38,19 +38,7 @@ func Pass(s *core.Schedule, r *workload.Rates) (Result, []int32) {
 	g := s.Graph()
 	n := g.NumNodes()
 
-	pinned := make([]int32, g.NumEdges())
-	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if s.IsCovered(e) {
-			w := s.Hub(e)
-			if up, ok := g.EdgeID(u, w); ok {
-				pinned[up]++
-			}
-			if down, ok := g.EdgeID(w, v); ok {
-				pinned[down]++
-			}
-		}
-		return true
-	})
+	pinned := s.TakePinned()
 
 	// Only a pushed out-edge of u and a pulled in-edge of v can bracket
 	// u → v, so those are what the sweep intersects, not out(u) ∩ in(v):

@@ -178,8 +178,14 @@ func sameSchedule(t *testing.T, got, want *core.Schedule) {
 // CheckAgainstReference runs Pass and the reference sweep on clones of s
 // and requires the same Result and the same flags and hub on every edge,
 // then a second Pass that recovers nothing. It returns what was recovered.
+// It takes s's handed-over pinned counts, if any, and checks them too.
 func CheckAgainstReference(t *testing.T, s *core.Schedule, r *workload.Rates) int {
 	t.Helper()
+	// The counts core.ApplyPatch's repair left on s for Pass, when s comes
+	// from a region splice, against the walk Pass makes without them.
+	if handed, walked := s.TakePinned(), s.TakePinned(); !slices.Equal(handed, walked) {
+		t.Fatal("the pinned counts the splice handed over differ from a fresh walk's")
+	}
 	got, want := s.Clone(), s.Clone()
 	res, pinned := Pass(got, r)
 	if ref := referencePass(want, r); res != ref {

@@ -27,7 +27,7 @@ const (
 
 func init() {
 	Default.MustRegister(ChitChat, func(o Options) Solver {
-		return withProgress(NewChitChat(chitchat.Config{MaxCrossEdges: o.MaxCrossEdges}), o.Progress)
+		return withProgress(NewChitChat(chitchat.Config{Workers: o.Workers, MaxCrossEdges: o.MaxCrossEdges}), o.Progress)
 	})
 	Default.MustRegister(Nosy, func(o Options) Solver {
 		return withProgress(NewNosy(nosy.Config{

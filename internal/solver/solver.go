@@ -136,9 +136,9 @@ type ProgressEvent struct {
 // is available through the typed constructors (NewChitChat, NewNosy).
 type Options struct {
 	// Workers is the parallelism degree; 0 means GOMAXPROCS. Read by
-	// nosy and shard; CHITCHAT is serial and the baselines do no work
-	// worth splitting. Schedules are byte-identical for every worker
-	// count.
+	// nosy, shard and chitchat (its seed phase; the greedy loop is
+	// serial); the baselines do no work worth splitting. Schedules are
+	// byte-identical for every worker count.
 	Workers int
 	// MaxIterations bounds iterative solvers; 0 means run to
 	// convergence.
