@@ -101,21 +101,15 @@ func main() {
 	addrs := make([]string, *servers)
 	for i := range tier {
 		scfg := netstore.ServerConfig{Metrics: reg, MetricsLabel: fmt.Sprint(i)}
-		if i == 0 && *faults {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			tier[i] = netstore.NewServerOn(plan.WrapListener(ln), scfg)
-		} else {
-			s, err := netstore.NewServerWith("127.0.0.1:0", scfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			tier[i] = s
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
+		if i == 0 && *faults {
+			ln = plan.WrapListener(ln)
+		}
+		tier[i] = netstore.NewServerOn(ln, scfg)
 		addrs[i] = tier[i].Addr()
 	}
 	cl, err := netstore.DialConfigured(init, addrs, netstore.DialConfig{
@@ -199,8 +193,8 @@ func main() {
 	}
 
 	st := d.Stats()
-	fmt.Printf("\nchurn: %d ops, %d accepted re-solves, %d reverted, drift %.3f\n",
-		st.Ops, st.Resolves, st.Reverted, d.Drift())
+	fmt.Printf("\nchurn: %d ops, %d accepted re-solves, %d reverted, cost %.1f\n",
+		st.Ops, st.Resolves, st.Reverted, d.Cost())
 	fmt.Printf("requests: %d queries, %d updates, %d errors in %v\n",
 		queries.Value(), updates.Value(), reqErrs.Value(), wall.Round(time.Millisecond))
 	fmt.Printf("query latency: p50 %.3fms  p99 %.3fms\n",

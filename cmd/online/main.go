@@ -1,7 +1,7 @@
 // Command online runs the online rescheduling daemon over a synthetic
-// churn trace and reports the drift trajectory: maintained cost vs. the
-// coverability lower bound, localized re-solve activity, and the final
-// gap to a from-scratch re-optimization of the churned graph.
+// churn trace and reports its trajectory: maintained cost, localized
+// re-solve activity, and the final gap to a from-scratch
+// re-optimization of the churned graph.
 //
 // With -serve it additionally runs the prototype view-store cluster:
 // the daemon's accepted re-solves swap the cluster's live schedule
@@ -140,10 +140,9 @@ func main() {
 		fmt.Printf("initial throughput: %.0f req/s/client\n", measure(cluster, r, *seed))
 	}
 
-	fmt.Printf("initial: cost %.1f, lower bound %.1f, drift %.3f\n\n",
-		d.Cost(), d.LowerBound(), d.Drift())
-	fmt.Printf("%8s %12s %8s %9s %9s %12s\n",
-		"ops", "cost", "drift", "resolves", "reverted", "region edges")
+	fmt.Printf("initial: cost %.1f\n\n", d.Cost())
+	fmt.Printf("%8s %12s %9s %9s %12s\n",
+		"ops", "cost", "resolves", "reverted", "region edges")
 	ctx := context.Background()
 	for i, op := range trace {
 		if err := d.ApplyCtx(ctx, op); err != nil {
@@ -152,8 +151,8 @@ func main() {
 		}
 		if (i+1)%*report == 0 {
 			st := d.Stats()
-			fmt.Printf("%8d %12.1f %8.3f %9d %9d %12d\n",
-				i+1, d.Cost(), d.Drift(), st.Resolves, st.Reverted, st.RegionEdges)
+			fmt.Printf("%8d %12.1f %9d %9d %12d\n",
+				i+1, d.Cost(), st.Resolves, st.Reverted, st.RegionEdges)
 		}
 	}
 	if err := d.Validate(); err != nil {

@@ -1,8 +1,8 @@
 // Dynamicgraph: keep an optimized schedule near-optimal while the
 // social graph churns, using the online rescheduling daemon — cheap
-// incremental patches per op, drift tracking against a cost lower
-// bound, and localized re-solves spliced in when a region churns past
-// the threshold (§3.3 extended; DESIGN.md §7).
+// incremental patches per op, dirt booked per node, and localized
+// re-solves spliced in when a region churns past the threshold (§3.3
+// extended; DESIGN.md §7).
 //
 // The -short flag runs a scaled-down version; CI uses it as the smoke
 // test for the online path.
@@ -56,18 +56,18 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("graph: %d nodes, %d edges; schedule cost %.1f (lower bound %.1f)\n\n",
-		g.NumNodes(), g.NumEdges(), d.Cost(), d.LowerBound())
+	fmt.Printf("graph: %d nodes, %d edges; schedule cost %.1f\n\n",
+		g.NumNodes(), g.NumEdges(), d.Cost())
 
-	fmt.Printf("%8s %12s %8s %10s %10s\n", "ops", "cost", "drift", "re-solves", "rescues")
+	fmt.Printf("%8s %12s %10s %10s\n", "ops", "cost", "re-solves", "rescues")
 	for i, op := range trace {
 		if err := d.ApplyCtx(ctx, op); err != nil {
 			panic(err)
 		}
 		if (i+1)%(ops/4) == 0 {
 			st := d.Stats()
-			fmt.Printf("%8d %12.1f %8.3f %10d %10d\n",
-				i+1, d.Cost(), d.Drift(), st.Resolves+st.Reverted, st.Rescues)
+			fmt.Printf("%8d %12.1f %10d %10d\n",
+				i+1, d.Cost(), st.Resolves+st.Reverted, st.Rescues)
 		}
 	}
 	if err := d.Validate(); err != nil {

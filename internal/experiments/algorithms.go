@@ -30,9 +30,8 @@ func Algorithms(sc Scale) *Table {
 	} {
 		g, r := item.build()
 		hybrid := baseline.HybridCost(g, r)
-		reg := sc.registry()
-		for _, name := range reg.Names() {
-			sv, err := reg.New(name, solver.Options{Workers: sc.Workers})
+		for _, name := range solver.Default.Names() {
+			sv, err := solver.Default.New(name, solver.Options{Workers: sc.Workers})
 			if err != nil {
 				continue // unregistered between Names and New: impossible, skip
 			}

@@ -11,7 +11,6 @@ import (
 
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
-	"piggyback/internal/solver"
 	"piggyback/internal/workload"
 )
 
@@ -76,18 +75,6 @@ type Scale struct {
 	Workers           int // solver parallelism, read by PARALLELNOSY and the registry's parallel solvers (CHITCHAT: seed phase only); 0 = all cores
 	ZooOps            int // churn trace length per zoo scenario; 0 means 1200
 	Seed              int64
-
-	// Registry is the solver registry the registry-driven experiments
-	// enumerate; nil means solver.Default.
-	Registry *solver.Registry
-}
-
-// registry returns the solver registry to enumerate.
-func (sc Scale) registry() *solver.Registry {
-	if sc.Registry != nil {
-		return sc.Registry
-	}
-	return solver.Default
 }
 
 // Quick is sized for tests and smoke runs (seconds).

@@ -38,7 +38,6 @@ func Zoo(sc Scale) *Table {
 	// schedule of the pre-trace graph, what each scenario's acceptance
 	// test uses — so it is solved once; online.New clones it per row.
 	incumbent := chitchat.Solve(g, base, chitchat.Config{})
-	reg := sc.registry()
 	for _, scen := range scenario.Default.Names() {
 		trace, err := scenario.Default.Generate(scen, g, base, scenario.Params{Ops: ops, Seed: sc.Seed})
 		if err != nil {
@@ -50,8 +49,8 @@ func Zoo(sc Scale) *Table {
 			t.Rows = append(t.Rows, []string{scen, "", "", "error: " + err.Error(), "", "", ""})
 			continue
 		}
-		for _, name := range reg.Names() {
-			sv, err := reg.New(name, solver.Options{Workers: sc.Workers})
+		for _, name := range solver.Default.Names() {
+			sv, err := solver.Default.New(name, solver.Options{Workers: sc.Workers})
 			if err != nil {
 				continue
 			}

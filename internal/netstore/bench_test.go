@@ -2,6 +2,7 @@ package netstore
 
 import (
 	"fmt"
+	"net"
 	"testing"
 
 	"piggyback/internal/baseline"
@@ -46,7 +47,7 @@ func benchTier(b *testing.B, plan func(*graph.Graph) *core.Schedule) (cl *Client
 		b.Cleanup(func() { srv.Close() })
 		addrs[i] = srv.Addr()
 	}
-	cl, err := Dial(plan(graph.FromEdges(n, edges)), addrs)
+	cl, err := DialConfigured(plan(graph.FromEdges(n, edges)), addrs, DialConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,10 +110,11 @@ func BenchmarkServerQueryMerge(b *testing.B) {
 		}
 		ask = append(ask, graph.NodeID(v))
 	}
-	srv, err := NewServerWith("127.0.0.1:0", ServerConfig{Views: views})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
+	srv := NewServerOn(ln, ServerConfig{Views: views})
 	defer srv.Close()
 	for _, v := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("V=%d", v), func(b *testing.B) {

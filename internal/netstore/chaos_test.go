@@ -45,9 +45,9 @@ func restartServer(t *testing.T, addr string, views map[graph.NodeID][]store.Eve
 	t.Helper()
 	var err error
 	for i := 0; i < 100; i++ {
-		var srv *Server
-		if srv, err = NewServerWith(addr, ServerConfig{Views: views}); err == nil {
-			return srv
+		var ln net.Listener
+		if ln, err = net.Listen("tcp", addr); err == nil {
+			return NewServerOn(ln, ServerConfig{Views: views})
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -301,16 +301,17 @@ func TestRedialAfterTimeout(t *testing.T) {
 func TestMalformedFrameGetsTypedError(t *testing.T) {
 	var mu sync.Mutex
 	var hooked []error
-	srv, err := NewServerWith("127.0.0.1:0", ServerConfig{
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerOn(ln, ServerConfig{
 		OnProtoError: func(remote string, err error) {
 			mu.Lock()
 			hooked = append(hooked, err)
 			mu.Unlock()
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer srv.Close()
 
 	c, err := net.Dial("tcp", srv.Addr())

@@ -34,7 +34,7 @@ var (
 )
 
 // DialConfig tunes the client's failure handling. The zero value uses
-// every default; Dial/DialWithSeed use the zero value.
+// every default; DialWithSeed sets only Seed.
 type DialConfig struct {
 	// Seed is both the partition seed (must match the seed used to
 	// shard data across the servers) and the root of the deterministic
@@ -209,22 +209,16 @@ type batch struct {
 	views  []graph.NodeID
 }
 
-// Dial connects to the given data-store servers and precomputes per-user
-// batches from the schedule; addrs[i] hosts the views that the hash
-// assignment maps to server i.
-func Dial(s *core.Schedule, addrs []string) (*Client, error) {
-	return DialConfigured(s, addrs, DialConfig{})
-}
-
-// DialWithSeed is Dial with an explicit partition seed (must match the
-// seed used to shard data across the servers).
+// DialWithSeed is DialConfigured with only a partition seed (must match
+// the seed used to shard data across the servers).
 func DialWithSeed(s *core.Schedule, addrs []string, seed int64) (*Client, error) {
 	return DialConfigured(s, addrs, DialConfig{Seed: seed})
 }
 
-// DialConfigured is Dial with explicit failure-handling configuration.
-// Every server must be reachable at dial time; failure handling covers
-// servers that die later.
+// DialConfigured connects to the given data-store servers and precomputes
+// per-user batches from the schedule; addrs[i] hosts the views that the
+// hash assignment maps to server i. Every server must be reachable at
+// dial time; failure handling covers servers that die later.
 func DialConfigured(s *core.Schedule, addrs []string, cfg DialConfig) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("netstore: no servers")

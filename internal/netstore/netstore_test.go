@@ -39,7 +39,7 @@ func figure2() (*graph.Graph, *workload.Rates) {
 
 func dial(t *testing.T, s *core.Schedule, addrs []string) *Client {
 	t.Helper()
-	cl, err := Dial(s, addrs)
+	cl, err := DialConfigured(s, addrs, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			cl, err := Dial(s, addrs)
+			cl, err := DialConfigured(s, addrs, DialConfig{})
 			if err != nil {
 				errCh <- err
 				return
@@ -181,11 +181,11 @@ func TestStreamSizeOverTCP(t *testing.T) {
 func TestDialErrors(t *testing.T) {
 	g, r := figure2()
 	s := baseline.Hybrid(g, r)
-	if _, err := Dial(s, nil); err == nil {
-		t.Fatal("Dial with no servers accepted")
+	if _, err := DialConfigured(s, nil, DialConfig{}); err == nil {
+		t.Fatal("DialConfigured with no servers accepted")
 	}
-	if _, err := Dial(s, []string{"127.0.0.1:1"}); err == nil {
-		t.Fatal("Dial to closed port accepted")
+	if _, err := DialConfigured(s, []string{"127.0.0.1:1"}, DialConfig{}); err == nil {
+		t.Fatal("DialConfigured to closed port accepted")
 	}
 }
 
@@ -219,7 +219,7 @@ func TestShutdownIsNotAProtoError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := Dial(sched, []string{s.Addr()})
+		cl, err := DialConfigured(sched, []string{s.Addr()}, DialConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

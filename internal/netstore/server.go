@@ -89,21 +89,16 @@ type viewShard struct {
 // NewServer starts a server listening on addr (use "127.0.0.1:0" for an
 // ephemeral test port) with the default configuration.
 func NewServer(addr string) (*Server, error) {
-	return NewServerWith(addr, ServerConfig{})
-}
-
-// NewServerWith is NewServer with explicit configuration.
-func NewServerWith(addr string, cfg ServerConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return NewServerOn(ln, cfg), nil
+	return NewServerOn(ln, ServerConfig{}), nil
 }
 
-// NewServerOn starts a server on an existing listener — the seam that
-// lets tests interpose a fault-injecting listener between the server
-// and its clients.
+// NewServerOn starts a server with explicit configuration on an existing
+// listener — also the seam that lets tests interpose a fault-injecting
+// listener between the server and its clients.
 func NewServerOn(ln net.Listener, cfg ServerConfig) *Server {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout

@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"net"
 	"testing"
 
 	"piggyback/internal/baseline"
@@ -17,14 +18,12 @@ func trafficRun(t *testing.T, reg *telemetry.Registry) (ClientStats, []ServerSta
 	servers := make([]*Server, 2)
 	addrs := make([]string, 2)
 	for i := range servers {
-		s, err := NewServerWith("127.0.0.1:0", ServerConfig{
-			Metrics: reg, MetricsLabel: serverLabel(i),
-		})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		servers[i] = s
-		addrs[i] = s.Addr()
+		servers[i] = NewServerOn(ln, ServerConfig{Metrics: reg, MetricsLabel: serverLabel(i)})
+		addrs[i] = servers[i].Addr()
 	}
 	cl, err := DialConfigured(sched, addrs, DialConfig{Metrics: reg})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net"
 	"reflect"
 	"slices"
 	"testing"
@@ -82,10 +83,11 @@ func TestServerQueryFoldsAcrossRounds(t *testing.T) {
 		}
 		ask = append(ask, id, id) // a view may be named twice
 	}
-	srv, err := NewServerWith("127.0.0.1:0", ServerConfig{Views: views})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := NewServerOn(ln, ServerConfig{Views: views})
 	defer srv.Close()
 	var want []store.Event
 	for _, v := range ask {

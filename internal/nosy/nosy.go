@@ -24,11 +24,11 @@
 // one candidate — the MapReduce structure of the paper, on goroutines.
 //
 // A round costs what the previous round's commits can change, not the
-// graph: the immutable structural half of every evaluation is memoized
-// once per hub edge (structCache); phase 1 re-prices only the dirty set,
-// and a commit dirties exactly the hub edges whose evaluation reads a
-// flag it wrote (Evaluator.Commit; DESIGN.md §15); round storage is
-// reused, and the lock table resets only the words the round bid on.
+// graph: the immutable structural half of every evaluation is computed
+// once per hub edge and kept (structCache); phase 1 re-prices only the
+// dirty set, and a commit dirties exactly the hub edges whose evaluation
+// reads a flag it wrote (Evaluator.Commit; DESIGN.md §15); round storage
+// is reused, and the lock table resets only the words the round bid on.
 // Evaluation fans out across workers when a worker's share outweighs a
 // thread wake-up; bidding, deciding and committing run on the solve
 // goroutine. The schedule produced is identical to the naive three-phase
@@ -58,11 +58,6 @@ type Config struct {
 	// MaxCrossEdges bounds |X| per candidate hub-graph, the bound b of
 	// §4.2 (100 000 for the Twitter runs). 0 means DefaultMaxCrossEdges.
 	MaxCrossEdges int
-	// StructCacheEntries bounds the producer entries resident per
-	// generation in the hub-graph structural cache (see structCache).
-	// 0 means DefaultStructCacheEntries; small values force eviction and
-	// only cost recomputation, never correctness.
-	StructCacheEntries int
 	// DisablePartialCommits turns off the X'-subset re-evaluation of
 	// phase 3 (ablation: convergence needs more iterations).
 	DisablePartialCommits bool
@@ -208,10 +203,11 @@ func newRestrictedEvaluator(g *graph.Graph, r *workload.Rates, cfg Config,
 //
 // The structural half of an evaluation — the common-producer intersection
 // behind a hub edge — depends only on the immutable graph, so it is
-// memoized in an arena-backed structCache: the first evaluation of a hub
-// edge pays the CommonInEdges merge, every later one is a re-pricing pass
-// over the cached flat arrays. Evaluator methods are safe for concurrent
-// use by multiple goroutines; the mutators are not.
+// computed once into an arena-backed structCache: the first evaluation of
+// a hub edge pays the CommonInEdges merge, every later one is a
+// re-pricing pass over the stored flat arrays. Evaluations are safe for
+// concurrent use by goroutines evaluating distinct hub edges, as a round
+// does (structCache states the round barrier); the mutators are not.
 type Evaluator struct {
 	g       *graph.Graph
 	r       *workload.Rates
@@ -220,7 +216,6 @@ type Evaluator struct {
 	cstar   []float64      // hybrid per-edge cost c*(e)
 	src     []graph.NodeID // source node per edge (avoids CSR binary search)
 	structs *structCache
-	bufPool sync.Pool // *structBuf intersection scratch for cache misses
 
 	// cost is the finalized-equivalent running cost of sched: scheduled
 	// edges priced by their push/pull flags, unscheduled edges at their
@@ -241,14 +236,6 @@ type Evaluator struct {
 	epoch uint32
 }
 
-// structBuf is the per-goroutine scratch an evaluation computes an
-// uncached intersection into before handing it to the structural cache.
-type structBuf struct {
-	xs []graph.NodeID
-	xw []graph.EdgeID
-	xy []graph.EdgeID
-}
-
 // NewEvaluator returns an evaluator over an empty schedule for g.
 func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 	if cfg.MaxCrossEdges == 0 {
@@ -261,10 +248,9 @@ func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 		sched:   core.NewSchedule(g),
 		cstar:   make([]float64, g.NumEdges()),
 		src:     make([]graph.NodeID, g.NumEdges()),
-		structs: newStructCache(g.NumEdges(), cfg.StructCacheEntries, cfg.MaxCrossEdges),
+		structs: &structCache{recs: make([]structRec, g.NumEdges())},
 		stamp:   make([]uint32, g.NumNodes()),
 	}
-	ev.bufPool.New = func() any { return new(structBuf) }
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		ev.cstar[e] = baseline.EdgeCost(r, u, v)
 		ev.src[e] = u
@@ -366,9 +352,13 @@ func (ev *Evaluator) EvalCandidateReuse(he graph.EdgeID, c *Candidate) bool {
 	}
 	w := ev.src[he]
 	y := ev.g.EdgeTarget(he)
-	xs, xwIDs, xyIDs, buf := ev.structure(he, w, y)
-	if buf != nil {
-		defer ev.bufPool.Put(buf)
+	xs, xwIDs, xyIDs, ok := ev.structs.get(he)
+	if !ok {
+		// First evaluation: compute into c's producer slices, which the
+		// pricing pass overwrites next, and store.
+		c.Xs, c.XWEdges, c.XYEdges = ev.g.CommonInEdges(w, y, ev.cfg.MaxCrossEdges, c.Xs[:0], c.XWEdges[:0], c.XYEdges[:0])
+		ev.structs.put(he, c.Xs, c.XWEdges, c.XYEdges)
+		xs, xwIDs, xyIDs, _ = ev.structs.get(he)
 	}
 	if len(xs) == 0 {
 		return false
@@ -408,24 +398,6 @@ func (ev *Evaluator) EvalCandidateReuse(he graph.EdgeID, c *Candidate) bool {
 	cost += ev.pullCost(he, y)
 	c.Gain = saved - cost
 	return c.Gain > 0
-}
-
-// structure returns the immutable intersection for hub edge he = (w → y),
-// from the cache when resident, recomputing and inserting it otherwise.
-// When the entry is too large to cache, the returned slices are backed by
-// buf, which the caller must return to bufPool after pricing; buf is nil
-// whenever the slices are arena-backed (or empty).
-func (ev *Evaluator) structure(he graph.EdgeID, w, y graph.NodeID) (xs []graph.NodeID, xw, xy []graph.EdgeID, buf *structBuf) {
-	if xs, xw, xy, ok := ev.structs.get(he); ok {
-		return xs, xw, xy, nil
-	}
-	b := ev.bufPool.Get().(*structBuf)
-	b.xs, b.xw, b.xy = ev.g.CommonInEdges(w, y, ev.cfg.MaxCrossEdges, b.xs[:0], b.xw[:0], b.xy[:0])
-	if cxs, cxw, cxy, cached := ev.structs.put(he, b.xs, b.xw, b.xy); cached {
-		ev.bufPool.Put(b)
-		return cxs, cxw, cxy, nil
-	}
-	return b.xs, b.xw, b.xy, b
 }
 
 // pushCost is c_X(x → w): the extra cost of making the edge a push.

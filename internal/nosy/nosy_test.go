@@ -1,6 +1,7 @@
 package nosy
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -221,9 +222,9 @@ func sameCandidate(a, b Candidate) bool {
 // Property pinning the structural cache: on random graphs, under
 // arbitrary interleavings of hub commits and direct schedule writes, a
 // cached-candidate re-pricing is exactly a fresh EvalCandidate — same
-// producers in the same order, bit-identical gain. Tiny cache capacities
-// force eviction mid-sequence, so hit, miss, evicted, and
-// too-large-to-cache paths are all crossed.
+// producers in the same order, bit-identical gain. The first pass over
+// the edges computes and stores every intersection, later passes read
+// the stored ones.
 func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -236,8 +237,7 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 			return true
 		}
 		r := workload.LogDegree(g, 0.5+rng.Float64()*10)
-		cfg := Config{Workers: 1, StructCacheEntries: []int{0, 1, 8, 256}[rng.Intn(4)]}
-		ev := NewEvaluator(g, r, cfg)
+		ev := NewEvaluator(g, r, Config{Workers: 1})
 		for round := 0; round < 8; round++ {
 			for e := 0; e < g.NumEdges(); e++ {
 				he := graph.EdgeID(e)
@@ -279,32 +279,47 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestStructCacheEvictionInvariance runs full solves under cache
-// capacities from "evict almost everything" to "cache everything" and
-// asserts the schedule is byte-identical to the uncapped single-worker
-// reference: eviction may cost recomputation, never a different answer.
-// The multi-worker rounds also stress concurrent cache access under
-// -race.
-func TestStructCacheEvictionInvariance(t *testing.T) {
+// TestStructCacheComputedOnce: after a full solve the cache holds one
+// record per hub edge (round 0 evaluates every edge), each span stored
+// once, with entries summing to the MaxCrossEdges-capped intersections
+// recomputed from the graph; and the arena is no larger than what it
+// stores plus one partly filled chunk and, for every other chunk, a tail
+// shorter than the entry that retired it. Round 0 fans out at Workers 2
+// here, so -race also sees concurrent first evaluations.
+func TestStructCacheComputedOnce(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(400, 200), 11))
 	r := workload.LogDegree(g, 5)
-	ref := Solve(g, r, Config{Workers: 1})
-	for _, entries := range []int{1, 64, 4096} {
-		for _, workers := range []int{1, 4} {
-			got := Solve(g, r, Config{Workers: workers, StructCacheEntries: entries})
-			if got.Schedule.Cost(r) != ref.Schedule.Cost(r) {
-				t.Fatalf("entries=%d workers=%d cost %v differs from reference %v",
-					entries, workers, got.Schedule.Cost(r), ref.Schedule.Cost(r))
-			}
-			for e := 0; e < g.NumEdges(); e++ {
-				ee := graph.EdgeID(e)
-				if got.Schedule.IsPush(ee) != ref.Schedule.IsPush(ee) ||
-					got.Schedule.IsPull(ee) != ref.Schedule.IsPull(ee) ||
-					got.Schedule.IsCovered(ee) != ref.Schedule.IsCovered(ee) {
-					t.Fatalf("entries=%d workers=%d schedule differs at edge %d", entries, workers, e)
-				}
-			}
+	cfg := Config{Workers: 2}
+	st := newState(NewEvaluator(g, r, cfg), cfg)
+	if _, err := st.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ev := st.ev
+	stored, want, largest := 0, 0, 0
+	chunks := map[*structChunk]bool{}
+	for e, rec := range ev.structs.recs {
+		if rec.chunk == nil {
+			t.Fatalf("hub edge %d has no record", e)
 		}
+		chunks[rec.chunk] = true
+		stored += int(rec.n)
+		largest = max(largest, int(rec.n))
+		xs, _, _ := g.CommonInEdges(ev.src[e], g.EdgeTarget(graph.EdgeID(e)), ev.cfg.MaxCrossEdges, nil, nil, nil)
+		want += len(xs)
+	}
+	if stored != want {
+		t.Fatalf("records hold %d entries, the intersections have %d", stored, want)
+	}
+	used, capacity := 0, 0
+	for k := range chunks {
+		used += k.used
+		capacity += len(k.xs)
+	}
+	if used != stored {
+		t.Fatalf("chunks hold %d entries, records %d: an intersection was stored twice", used, stored)
+	}
+	if slack := capacity - stored; slack > chunkEntries+(len(chunks)-1)*(largest-1) {
+		t.Fatalf("%d chunks hold %d entries in %d slots (largest entry %d)", len(chunks), stored, capacity, largest)
 	}
 }
 

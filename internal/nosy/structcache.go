@@ -10,199 +10,78 @@ import (
 // evaluation: for hub edge w → y, the common-producer intersection
 // (Xs, XWEdges, XYEdges) returned by graph.CommonInEdges depends only on
 // the graph and the MaxCrossEdges bound, never on the schedule. It is
-// computed once, on first evaluation, and every later evaluation of the
-// same hub edge is a re-pricing pass over the cached arrays.
+// computed on the hub edge's first evaluation and kept for the solve:
+// nothing is evicted, as Σ|X| is 4.5–12 MB at 12 bytes an entry on the
+// benchmark and experiment graphs (DESIGN.md §6). Entries go to flat
+// (xs, xw, xy) chunks, and a per-edge record points at the span; an empty
+// X is a record with n = 0.
 //
-// Storage is arena-backed: entries live contiguously in flat
-// (xs, xw, xy) slabs — no per-candidate slice headers — and a per-edge
-// record table maps a hub edge to its (slab, offset, length) span.
-// Resident memory is bounded: each of the 64 shards keeps at most two
-// slab generations (current and previous), giving LRU-style eviction —
-// a slab that fills retires the previous generation, and an entry hit in
-// the previous generation is promoted into the current one so hot
-// entries survive the flip. Evicted entries are simply recomputed.
-// Empty intersections are remembered forever (they occupy no arena
-// space), which matters on social graphs where most hub edges have no
-// common producers at all.
-//
-// Concurrency: records and slab lengths are guarded by a per-shard
-// mutex. Slab data arrays are append-only at full preallocated capacity
-// — they never reallocate — so a slice handed out under the lock stays
-// valid after release; a retired slab's memory is dropped, not reused,
-// so readers holding slices into it are safe until GC.
+// Concurrency rests on the round barrier: a round evaluates each dirty
+// hub edge on exactly one goroutine and joins its workers before the next
+// round, so another goroutine reads a record only after the join that
+// follows its write, and records need no lock. The mutex guards the
+// append cursor alone: a span is reserved under it and filled after, and
+// chunk arrays are allocated at full length and never resliced, so
+// concurrent fills write disjoint elements.
 type structCache struct {
-	recs   []structRec // per hub edge; guarded by the owning shard's mu
-	shards []structShard
-	mask   int32
+	recs []structRec // per hub edge
+	mu   sync.Mutex
+	cur  *structChunk // the chunk being filled; guarded by mu
 }
 
-// structRec locates a hub edge's cached span: seq names the slab
-// generation it lives in (0 = not cached, emptySeq = cached empty).
-// seq is 64-bit so generation numbers never repeat: a stale record can
-// never alias a later slab, even under caps that flip every insert.
+// structRec locates a hub edge's intersection; chunk is nil until the
+// hub edge is first evaluated.
 type structRec struct {
-	seq      uint64
+	chunk    *structChunk
 	start, n int32
 }
 
-const (
-	structShardCount = 64 // power of two
-	emptySeq         = ^uint64(0)
-)
-
-// DefaultStructCacheEntries bounds the producer entries resident in the
-// structural cache (per generation, summed over shards): 4M entries ≈
-// 48 MB per generation at 12 bytes each. Multi-million-node runs evict;
-// bench-scale graphs cache everything. When the bound is defaulted, the
-// per-shard slab is additionally raised to MaxCrossEdges so the heaviest
-// (celebrity) intersections — exactly the entries worth amortizing —
-// always fit; an explicit Config.StructCacheEntries is honored strictly.
-const DefaultStructCacheEntries = 4 << 20
-
-type structShard struct {
-	mu        sync.Mutex
-	cur, prev *structSlab
-	nextSeq   uint64
-	slabCap   int
+// structChunk is one arena chunk, filled front to back; used is guarded
+// by structCache.mu.
+type structChunk struct {
+	xs     []graph.NodeID
+	xw, xy []graph.EdgeID
+	used   int
 }
 
-// structSlab is one arena generation: parallel flat arrays filled
-// front-to-back, preallocated at full capacity so they never move.
-type structSlab struct {
-	seq uint64
-	xs  []graph.NodeID
-	xw  []graph.EdgeID
-	xy  []graph.EdgeID
-}
+// chunkEntries is the length of an arena chunk. An intersection that
+// does not fit in the current chunk's rest starts a new one, and one at
+// least this long gets a chunk of its own size, so a chunk's unused tail
+// is shorter than the entry that retired it.
+const chunkEntries = 1 << 13
 
-// newStructCache sizes the cache for m hub edges and at most maxEntries
-// producer entries per generation across all shards. maxCross is the
-// evaluator's MaxCrossEdges bound — the largest entry an evaluation can
-// produce; the defaulted cache guarantees such an entry is cacheable.
-func newStructCache(m, maxEntries, maxCross int) *structCache {
-	explicit := maxEntries > 0
-	if !explicit {
-		maxEntries = DefaultStructCacheEntries
-	}
-	c := &structCache{
-		recs:   make([]structRec, m),
-		shards: make([]structShard, structShardCount),
-		mask:   structShardCount - 1,
-	}
-	per := maxEntries / structShardCount
-	if per < 1 {
-		per = 1
-	}
-	if !explicit && per < maxCross {
-		per = maxCross
-	}
-	for i := range c.shards {
-		c.shards[i].slabCap = per
-		c.shards[i].nextSeq = 1
-	}
-	return c
-}
-
-// newSlabFor returns the next slab generation for sh, sized to hold at
-// least need entries. Capacity starts small and grows 4× from the
-// retiring slab up to slabCap, so tiny graphs never preallocate the full
-// per-shard bound. The parallel arrays are preallocated at their final
-// capacity and never reallocate — the no-move invariant concurrent
-// readers depend on.
-func (sh *structShard) newSlabFor(need int) *structSlab {
-	c := minSlabEntries
-	if sh.cur != nil && 4*cap(sh.cur.xs) > c {
-		c = 4 * cap(sh.cur.xs)
-	}
-	if c < need {
-		c = need
-	}
-	if c > sh.slabCap {
-		c = sh.slabCap
-	}
-	s := &structSlab{
-		seq: sh.nextSeq,
-		xs:  make([]graph.NodeID, 0, c),
-		xw:  make([]graph.EdgeID, 0, c),
-		xy:  make([]graph.EdgeID, 0, c),
-	}
-	sh.nextSeq++
-	return s
-}
-
-// minSlabEntries is the smallest slab a shard allocates; capacity grows
-// 4× per generation from here toward slabCap, so warmup churn (a flip
-// evicts the previous generation, whose entries must be recomputed or
-// promoted) lasts at most a handful of flips.
-const minSlabEntries = 4096
-
-// get returns the cached intersection for hub edge he. ok is false on a
-// miss; a cached-empty entry returns ok with nil slices.
+// get returns the stored intersection of hub edge he; ok is false before
+// its first evaluation.
 func (c *structCache) get(he graph.EdgeID) (xs []graph.NodeID, xw, xy []graph.EdgeID, ok bool) {
-	sh := &c.shards[he&c.mask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	r := c.recs[he]
-	switch {
-	case r.seq == 0:
+	if r.chunk == nil {
 		return nil, nil, nil, false
-	case r.seq == emptySeq:
-		return nil, nil, nil, true
-	case sh.cur != nil && r.seq == sh.cur.seq:
-		s := sh.cur
-		return s.xs[r.start : r.start+r.n], s.xw[r.start : r.start+r.n], s.xy[r.start : r.start+r.n], true
-	case sh.prev != nil && r.seq == sh.prev.seq:
-		s := sh.prev
-		xs = s.xs[r.start : r.start+r.n]
-		xw = s.xw[r.start : r.start+r.n]
-		xy = s.xy[r.start : r.start+r.n]
-		// Promote to the current generation when it has room, so entries
-		// still in use outlive the next flip (the LRU-ish half of the
-		// two-generation policy). The previous-generation copy stays
-		// valid for concurrent readers.
-		if sh.cur != nil && len(sh.cur.xs)+int(r.n) <= cap(sh.cur.xs) {
-			start := int32(len(sh.cur.xs))
-			sh.cur.xs = append(sh.cur.xs, xs...)
-			sh.cur.xw = append(sh.cur.xw, xw...)
-			sh.cur.xy = append(sh.cur.xy, xy...)
-			c.recs[he] = structRec{seq: sh.cur.seq, start: start, n: r.n}
-		}
-		return xs, xw, xy, true
-	default:
-		return nil, nil, nil, false // evicted
 	}
+	lo, hi := r.start, r.start+r.n
+	return r.chunk.xs[lo:hi], r.chunk.xw[lo:hi], r.chunk.xy[lo:hi], true
 }
 
-// put stores the intersection for hub edge he and returns arena-backed
-// views of it. Entries larger than a whole slab are not cached (cached
-// reports false) and the caller keeps pricing from its own buffers.
-// A zero-length intersection is recorded as permanently empty.
-func (c *structCache) put(he graph.EdgeID, xs []graph.NodeID, xw, xy []graph.EdgeID) (cxs []graph.NodeID, cxw, cxy []graph.EdgeID, cached bool) {
+// put stores the intersection of hub edge he.
+func (c *structCache) put(he graph.EdgeID, xs []graph.NodeID, xw, xy []graph.EdgeID) {
 	n := len(xs)
-	sh := &c.shards[he&c.mask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if n == 0 {
-		c.recs[he] = structRec{seq: emptySeq}
-		return nil, nil, nil, true
+	c.mu.Lock()
+	k := c.cur
+	if k == nil || k.used+n > len(k.xs) {
+		size := max(n, chunkEntries)
+		k = &structChunk{
+			xs: make([]graph.NodeID, size),
+			xw: make([]graph.EdgeID, size),
+			xy: make([]graph.EdgeID, size),
+		}
+		if n < chunkEntries {
+			c.cur = k
+		}
 	}
-	if n > sh.slabCap {
-		return nil, nil, nil, false
-	}
-	if sh.cur == nil {
-		sh.cur = sh.newSlabFor(n)
-	} else if len(sh.cur.xs)+n > cap(sh.cur.xs) {
-		// Flip generations: retire prev (its records go stale by sequence
-		// mismatch — no walk needed), demote cur, start a fresh slab.
-		next := sh.newSlabFor(n)
-		sh.prev = sh.cur
-		sh.cur = next
-	}
-	s := sh.cur
-	start := int32(len(s.xs))
-	s.xs = append(s.xs, xs...)
-	s.xw = append(s.xw, xw...)
-	s.xy = append(s.xy, xy...)
-	c.recs[he] = structRec{seq: s.seq, start: start, n: int32(n)}
-	return s.xs[start : start+int32(n)], s.xw[start : start+int32(n)], s.xy[start : start+int32(n)], true
+	start := k.used
+	k.used += n
+	c.mu.Unlock()
+	copy(k.xs[start:], xs)
+	copy(k.xw[start:], xw)
+	copy(k.xy[start:], xy)
+	c.recs[he] = structRec{chunk: k, start: int32(start), n: int32(n)}
 }

@@ -196,15 +196,15 @@ func TestAmortizeFlipsAcceptOnIncumbentQualityPatch(t *testing.T) {
 		// lands and a re-solve triggers.
 		r.Prod[0] = 1
 		d, err := New(s, r, Config{
-			Regional:        identitySolver{},
-			DriftThreshold:  0.01,
-			CheckEvery:      1,
-			BudgetFraction:  -1,
-			DisableAmortize: disable,
+			Regional:       identitySolver{},
+			DriftThreshold: 0.01,
+			CheckEvery:     1,
+			BudgetFraction: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.noAmortize = disable
 		if err := d.Apply(workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: 100, Cons: 0}); err != nil {
 			t.Fatal(err)
 		}
@@ -247,15 +247,15 @@ func TestAmortizeFlashCrowdTrace(t *testing.T) {
 		r := freshRates(g, base)
 		s := chitchat.Solve(g, r, chitchat.Config{})
 		d, err := New(s, r, Config{
-			Regional:        identitySolver{},
-			DriftThreshold:  0.05,
-			CheckEvery:      8,
-			BudgetFraction:  -1,
-			DisableAmortize: disable,
+			Regional:       identitySolver{},
+			DriftThreshold: 0.05,
+			CheckEvery:     8,
+			BudgetFraction: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.noAmortize = disable
 		if err := d.ApplyTrace(trace); err != nil {
 			t.Fatal(err)
 		}

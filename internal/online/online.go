@@ -14,9 +14,7 @@
 //     otherwise, rescues on support removal. O(degree) per op.
 //  2. Track — each op charges its patch regret (the cost the greedy
 //     patch pays that a re-solve might not) as "dirt" on the op's
-//     endpoint nodes, and the daemon maintains a coverability lower
-//     bound on the optimal cost, so Drift() = (Cost − LB)/LB is
-//     available per op in O(1).
+//     endpoint nodes; Cost() is the running schedule cost, O(1) per op.
 //  3. Localize — every CheckEvery ops the daemon finds the dirtiest
 //     node; if the dirt inside its k-hop neighborhood exceeds
 //     DriftThreshold × the region's own hybrid cost mass (Σ c* over the
@@ -86,13 +84,6 @@ type Config struct {
 	// caller that takes one from a flag looks it up in a solver.Registry
 	// itself.
 	Regional solver.Solver
-	// DisableAmortize turns off the exterior-amortized pricing sweep
-	// that runs on every candidate patch after the refine free-coverage
-	// sweep (amortize.go): purchased hub coverage whose pooled refund
-	// beats the support price. The sweep only ever lowers the patch
-	// cost, so it is on by default; the flag exists for ablation and for
-	// pinning pre-PR-10 accept/revert sequences.
-	DisableAmortize bool
 	// ChitChat configures the default regional solver; ignored when
 	// Regional is set.
 	ChitChat chitchat.Config
@@ -219,7 +210,6 @@ type Daemon struct {
 	epoch *graph.Graph
 
 	dirt     []float64 // per-node accumulated patch regret
-	lb       float64   // coverability lower bound, recomputed per epoch
 	sinceChk int
 	// revertStreak counts consecutive reverted re-solves; each one
 	// doubles the effective drift threshold (reset on accept), so a
@@ -248,8 +238,11 @@ type Daemon struct {
 	}
 	attempt  attempt   // the re-solve under way, or the last one
 	amortize amortizer // exterior-amortization sweep scratch
-	stats    Stats
-	inst     daemonInstruments
+	// noAmortize skips the amortization sweep; only tests set it, to
+	// isolate what the sweep decides.
+	noAmortize bool
+	stats      Stats
+	inst       daemonInstruments
 }
 
 // daemonInstruments mirrors Stats into a telemetry registry. With no
@@ -262,8 +255,7 @@ type daemonInstruments struct {
 	driftChecks, regionExtractions  *telemetry.Counter
 	boundaryRepairs, amortized      *telemetry.Counter
 	breakerTransitions              *telemetry.Counter
-	cost, drift, lowerBound         *telemetry.Gauge
-	breakerState                    *telemetry.Gauge
+	cost, breakerState              *telemetry.Gauge
 	resolveWall                     *telemetry.Gauge
 	regionSize, stall               *telemetry.Histogram
 }
@@ -287,8 +279,6 @@ func newDaemonInstruments(reg *telemetry.Registry) daemonInstruments {
 		amortized:          reg.Counter("online_amortized_total"),
 		breakerTransitions: reg.Counter("online_breaker_transitions_total"),
 		cost:               reg.Gauge("online_cost"),
-		drift:              reg.Gauge("online_drift"),
-		lowerBound:         reg.Gauge("online_lower_bound"),
 		breakerState:       reg.Gauge("online_breaker_state"),
 		resolveWall:        reg.Gauge("online_resolve_wall_seconds_total"),
 		regionSize:         reg.Histogram("online_region_size", telemetry.SizeBuckets),
@@ -357,10 +347,7 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 	}
 	d.m = incremental.New(s, r)
 	d.m.OnRescue = d.onRescue
-	d.lb = lowerBound(d.epoch, r)
 	d.inst.cost.Set(d.m.Cost())
-	d.inst.lowerBound.Set(d.lb)
-	d.inst.drift.Set(d.Drift())
 	return d, nil
 }
 
@@ -382,25 +369,6 @@ func (d *Daemon) charge(u, v graph.NodeID, amount float64) {
 
 // Cost returns the current schedule cost (O(1), running).
 func (d *Daemon) Cost() float64 { return d.m.Cost() }
-
-// LowerBound returns the coverability lower bound of the optimal cost
-// over the live graph as of the last epoch: edges with no 2-hop
-// push/pull bracket available must pay at least their hybrid cost; all
-// others could in principle be covered for free.
-func (d *Daemon) LowerBound() float64 { return d.lb }
-
-// Drift reports how far the maintained cost sits above the epoch lower
-// bound, relative to the bound. It moves with every op (the cost is
-// running) and re-anchors at each accepted re-solve. Because the bound
-// is epoch-anchored, removals can pull the live cost below it between
-// epochs; drift is clamped at zero rather than reporting a negative
-// gap against a stale bound.
-func (d *Daemon) Drift() float64 {
-	if d.lb <= 0 {
-		return 0
-	}
-	return math.Max(0, (d.m.Cost()-d.lb)/d.lb)
-}
 
 // Stats returns the op and re-solve counters so far.
 func (d *Daemon) Stats() Stats {
@@ -494,7 +462,6 @@ func (d *Daemon) ApplyCtx(ctx context.Context, op workload.ChurnOp) error {
 		d.checkDrift(ctx)
 	}
 	d.inst.cost.Set(d.m.Cost())
-	d.inst.drift.Set(d.Drift())
 	return nil
 }
 
@@ -832,7 +799,7 @@ func (d *Daemon) resolveRegion(ctx context.Context) {
 	refined, pinned := refine.Pass(patched, d.r)
 	st.end("recovered=%d", refined.Recovered)
 	var amort amortizeResult
-	if !d.cfg.DisableAmortize {
+	if !d.noAmortize {
 		st = d.begin(root.id, "amortize", "")
 		amort = d.amortize.run(patched, d.r, regionEdges, pinned)
 		st.end("upgraded=%d", amort.Upgraded)
@@ -863,51 +830,9 @@ func (d *Daemon) resolveRegion(ctx context.Context) {
 	d.m.OnRescue = d.onRescue
 	d.epoch = liveG
 	st.end("")
-	st = d.begin(root.id, "lower-bound", "")
-	d.lb = lowerBound(liveG, d.r)
-	d.inst.lowerBound.Set(d.lb)
-	st.end("")
 	if d.OnSplice != nil {
 		st = d.begin(root.id, "publish", "")
 		d.OnSplice(liveG, patched)
 		st.end("")
 	}
-}
-
-// lowerBound computes the coverability bound: an edge u → v whose
-// producer and consumer share no middle node w with u → w and w → v in
-// the graph can never be hub-covered, so any valid schedule pays at
-// least its hybrid cost c*(e); coverable edges are bounded below by 0.
-// One sorted-intersection pass per edge.
-func lowerBound(g *graph.Graph, r *workload.Rates) float64 {
-	total := 0.0
-	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if !coverable(g, u, v) {
-			total += baseline.EdgeCost(r, u, v)
-		}
-		return true
-	})
-	return total
-}
-
-// coverable reports whether some node w has both u → w and w → v.
-func coverable(g *graph.Graph, u, v graph.NodeID) bool {
-	outs := g.OutNeighbors(u) // sorted
-	ins := g.InNeighbors(v)   // sorted
-	i, j := 0, 0
-	for i < len(outs) && j < len(ins) {
-		switch {
-		case outs[i] == ins[j]:
-			if outs[i] != u && outs[i] != v {
-				return true
-			}
-			i++
-			j++
-		case outs[i] < ins[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }

@@ -329,7 +329,7 @@ func TestRememberedRegionTransitions(t *testing.T) {
 		d := newDaemon(1e-9)
 		// A patch equal to the incumbent, with nothing left for the sweeps
 		// to win either, never beats the incumbent.
-		d.regional, d.cfg.DisableAmortize = identitySolver{}, true
+		d.regional, d.noAmortize = identitySolver{}, true
 		apply(d, rateOp(d, seed, 1))
 		apply(d, rateOp(d, outsider, 0.5)) // less dirt: second in line
 		epoch := d.epoch

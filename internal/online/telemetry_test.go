@@ -142,8 +142,7 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		"online_solver_errors_total", "online_region_edges_total",
 		"online_drift_checks_total", "online_region_extractions_total",
 		"online_boundary_repairs_total", "online_breaker_transitions_total",
-		"online_cost", "online_drift", "online_lower_bound",
-		"online_breaker_state", "online_stall_seconds",
+		"online_cost", "online_breaker_state", "online_stall_seconds",
 	} {
 		if _, ok := snap.Get(name); !ok {
 			t.Fatalf("series %s not registered at construction:\n%s", name, snap.String())
@@ -180,10 +179,6 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 	m, _ = snap.Get("online_cost")
 	if m.Value != d.Cost() {
 		t.Fatalf("online_cost = %v, want %v", m.Value, d.Cost())
-	}
-	m, _ = snap.Get("online_drift")
-	if m.Value != d.Drift() {
-		t.Fatalf("online_drift = %v, want %v", m.Value, d.Drift())
 	}
 }
 
