@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -177,6 +178,9 @@ func main() {
 			issued++
 		}
 	}
+	// The attempt the last check boundary started is spliced now, so the
+	// printed counts, tree and records cover the whole trace.
+	d.Flush(context.Background())
 	wall := time.Since(start)
 	if err := d.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "final schedule invalid: %v\n", err)

@@ -155,6 +155,7 @@ func main() {
 				i+1, d.Cost(), st.Resolves, st.Reverted, st.RegionEdges)
 		}
 	}
+	d.Flush(ctx) // splice the attempt still in flight before reading the end state
 	if err := d.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "final schedule invalid: %v\n", err)
 		os.Exit(1)

@@ -70,6 +70,9 @@ func main() {
 				i+1, d.Cost(), st.Resolves+st.Reverted, st.Rescues)
 		}
 	}
+	// The last check boundary may have left a re-solve in flight: splice
+	// it before reading the end state.
+	d.Flush(ctx)
 	if err := d.Validate(); err != nil {
 		panic(err)
 	}

@@ -34,24 +34,20 @@ import (
 // Maintainer wraps an optimized schedule over a base graph and applies
 // edge additions/removals and rate updates without re-optimizing.
 type Maintainer struct {
-	g     *graph.Graph
-	sched *core.Schedule
-	r     *workload.Rates
+	live
+	r *workload.Rates
 
-	removed *bitset.Set // removed base edges
 	// deps[e] lists covered edges (unified ids) whose hub relies on base
 	// support edge e (the push x → w or the pull w → y realizing the hub).
-	deps map[graph.EdgeID][]graph.EdgeID
+	deps [][]graph.EdgeID
 
-	extra      []extraEdge
 	extraIndex map[graph.Edge]int
 	// extraOut/extraIn index extra-edge slots by endpoint so rate
 	// updates reprice in O(degree) instead of scanning every extra edge
 	// ever added. Entries persist across removal/revival (the slot does
 	// too); scans skip removed slots.
-	extraOut  map[graph.NodeID][]int32
-	extraIn   map[graph.NodeID][]int32
-	liveExtra int
+	extraOut map[graph.NodeID][]int32
+	extraIn  map[graph.NodeID][]int32
 
 	cost    float64 // running schedule cost, maintained per mutation
 	covered int     // live covered edges (base + extra)
@@ -62,6 +58,37 @@ type Maintainer struct {
 	// drift tracker charges exactly this mass to the region.
 	OnRescue func(u, v graph.NodeID, cost float64)
 }
+
+// live is the part of a maintainer that says which edges are live and how
+// each is served: everything Rebase reads.
+type live struct {
+	g         *graph.Graph
+	sched     *core.Schedule
+	removed   *bitset.Set // removed base edges
+	extra     []extraEdge
+	liveExtra int
+}
+
+// Frozen is a maintainer's live edge set and assignments at one moment,
+// detached from it: the base graph shared, the rest copied. Its Rebase
+// returns what the maintainer's returned at that moment, and may run on
+// another goroutine while the maintainer takes further updates.
+type Frozen struct{ live }
+
+// Freeze copies what Rebase reads: the flags and hubs, the removed set and
+// the extras — flat copies, where Rebase builds a CSR graph.
+func (m *Maintainer) Freeze() *Frozen {
+	return &Frozen{live{
+		g:         m.g,
+		sched:     m.sched.Clone(),
+		removed:   m.removed.Clone(),
+		extra:     slices.Clone(m.extra),
+		liveExtra: m.liveExtra,
+	}}
+}
+
+// Rebase materializes the frozen state as Maintainer.Rebase does.
+func (f *Frozen) Rebase() (*graph.Graph, *core.Schedule) { return f.rebase() }
 
 // extraEdge is an edge added beyond the base graph: served directly
 // (push or pull flag) or covered through hub (coverage supports are base
@@ -79,15 +106,18 @@ type extraEdge struct {
 func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 	g := s.Graph()
 	m := &Maintainer{
-		g:          g,
-		sched:      s.Clone(),
+		live:       live{g: g, sched: s.Clone(), removed: bitset.New(g.NumEdges())},
 		r:          r,
-		removed:    bitset.New(g.NumEdges()),
-		deps:       make(map[graph.EdgeID][]graph.EdgeID),
+		deps:       make([][]graph.EdgeID, g.NumEdges()),
 		extraIndex: make(map[graph.Edge]int),
 		extraOut:   make(map[graph.NodeID][]int32),
 		extraIn:    make(map[graph.NodeID][]int32),
 	}
+	// Count, allocate once, fill: every support's list is a window of one
+	// backing array, capped at its count, so a later cover that outgrows a
+	// list reallocates that list alone. The lists fill in edge order.
+	var pairs []graph.EdgeID // covered edge, up support, down support (-1: none)
+	counts := make([]int32, g.NumEdges())
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		if m.sched.IsPush(e) {
 			m.cost += r.Prod[u]
@@ -100,19 +130,41 @@ func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 		}
 		m.covered++
 		w := m.sched.Hub(e)
-		if up, ok := g.EdgeID(u, w); ok {
-			m.deps[up] = append(m.deps[up], e)
+		up, ok := g.EdgeID(u, w)
+		if !ok {
+			up = -1
+		} else {
+			counts[up]++
 		}
-		if down, ok := g.EdgeID(w, v); ok {
-			m.deps[down] = append(m.deps[down], e)
+		down, ok := g.EdgeID(w, v)
+		if !ok {
+			down = -1
+		} else {
+			counts[down]++
 		}
+		pairs = append(pairs, e, up, down)
 		return true
 	})
+	backing := make([]graph.EdgeID, 2*m.covered)
+	off := 0
+	for e, c := range counts {
+		if c > 0 {
+			m.deps[e] = backing[off : off : off+int(c)]
+			off += int(c)
+		}
+	}
+	for i := 0; i < len(pairs); i += 3 {
+		for _, sup := range pairs[i+1 : i+3] {
+			if sup >= 0 {
+				m.deps[sup] = append(m.deps[sup], pairs[i])
+			}
+		}
+	}
 	return m
 }
 
 // baseM returns the unified-id boundary: ids below it are base edges.
-func (m *Maintainer) baseM() graph.EdgeID { return graph.EdgeID(m.g.NumEdges()) }
+func (m *live) baseM() graph.EdgeID { return graph.EdgeID(m.g.NumEdges()) }
 
 // endpoints returns the endpoints of a unified edge id.
 func (m *Maintainer) endpoints(d graph.EdgeID) (u, v graph.NodeID) {
@@ -158,7 +210,7 @@ func (m *Maintainer) isLive(d graph.EdgeID) bool {
 
 // NumEdges returns the number of live edges (base minus removed plus
 // live additions).
-func (m *Maintainer) NumEdges() int {
+func (m *live) NumEdges() int {
 	return m.g.NumEdges() - m.removed.Count() + m.liveExtra
 }
 
@@ -363,7 +415,7 @@ func (m *Maintainer) RemoveEdge(u, v graph.NodeID) error {
 			m.OnRescue(du, dv, added)
 		}
 	}
-	delete(m.deps, e)
+	m.deps[e] = nil
 	// The removed edge's flags stay recorded in the schedule but are
 	// ignored everywhere (cost, validation, rebase) until a revival
 	// resets them.
@@ -436,24 +488,16 @@ func (m *Maintainer) unlinkCovered(d, skip graph.EdgeID) {
 	m.covered--
 }
 
-// pruneDep removes d from deps[support], dropping the key once the list
-// empties (order within a list is not meaningful).
+// pruneDep removes d from deps[support] (order within a list is not
+// meaningful).
 func (m *Maintainer) pruneDep(support, d graph.EdgeID) {
-	list, ok := m.deps[support]
-	if !ok {
-		return
-	}
+	list := m.deps[support]
 	for i, x := range list {
 		if x == d {
 			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
+			m.deps[support] = list[:len(list)-1]
+			return
 		}
-	}
-	if len(list) == 0 {
-		delete(m.deps, support)
-	} else {
-		m.deps[support] = list
 	}
 }
 
@@ -480,19 +524,20 @@ func (m *Maintainer) Cost() float64 { return m.cost }
 // object passed to New; UpdateRates mutates it).
 func (m *Maintainer) Rates() *workload.Rates { return m.r }
 
-// Rebase materializes the live edge set into a fresh CSR graph and a
-// schedule over it mirroring the maintained assignments — the handoff
-// point from cheap greedy patching to a (localized) re-solve. Every live
-// edge keeps its flags; coverage carries over because the maintainer's
-// invariant guarantees hub supports of live covered edges are live. The
-// maintainer itself is not modified.
+// SetRates points the maintainer at r, which must hold the values it
+// prices against now: nothing is repriced. A maintainer built on a private
+// copy of the rates, and kept in step with it by the same UpdateRates
+// calls, hands over to the shared object this way.
+func (m *Maintainer) SetRates(r *workload.Rates) { m.r = r }
+
+// liveEdges calls fn for every live edge in ascending (source, target)
+// order, which is the edge-id order of the graph Rebase builds.
 //
 // The live set is the base CSR, already in edge-id order, minus the
 // removed edges, plus the live extras, which are never base edges (AddEdge
 // revives those in place). Merging the two sorted runs emits every live
-// edge once in the new graph's edge-id order, so an edge's new id is its
-// emission index and its flags and hub ride along: no sort, no lookup.
-func (m *Maintainer) Rebase() (*graph.Graph, *core.Schedule) {
+// edge once in that order: no lookup, and a sort of the extras only.
+func (m *live) liveEdges(fn func(u, v graph.NodeID, f core.Flag, hub graph.NodeID)) {
 	extras := make([]*extraEdge, 0, m.liveExtra)
 	for i := range m.extra {
 		if x := &m.extra[i]; !x.removed {
@@ -500,18 +545,11 @@ func (m *Maintainer) Rebase() (*graph.Graph, *core.Schedule) {
 		}
 	}
 	slices.SortFunc(extras, func(a, b *extraEdge) int { return a.edge.Compare(b.edge) })
-
-	n := m.NumEdges()
-	b := graph.NewBuilder(m.g.NumNodes())
-	flags := make([]core.Flag, 0, n)
-	hubs := make([]graph.NodeID, 0, n)
 	emitExtrasBefore := func(next graph.Edge) {
 		for len(extras) > 0 && extras[0].edge.Compare(next) < 0 {
 			x := extras[0]
 			extras = extras[1:]
-			b.AddEdge(x.edge.From, x.edge.To)
-			flags = append(flags, x.flags)
-			hubs = append(hubs, x.hub)
+			fn(x.edge.From, x.edge.To, x.flags, x.hub)
 		}
 	}
 	m.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
@@ -529,12 +567,50 @@ func (m *Maintainer) Rebase() (*graph.Graph, *core.Schedule) {
 		if m.sched.IsCovered(e) {
 			f |= core.FlagCovered
 		}
-		b.AddEdge(u, v)
-		flags = append(flags, f)
-		hubs = append(hubs, m.sched.Hub(e))
+		fn(u, v, f, m.sched.Hub(e))
 		return true
 	})
 	emitExtrasBefore(graph.Edge{From: graph.NodeID(m.g.NumNodes())})
+}
+
+// FreshCost prices the live assignments from scratch, in the order of the
+// graph Rebase builds and the way core.Schedule.Cost sums: what Cost
+// tracks, without the rounding its running sum has gathered. Two
+// maintainers holding the same assignments on the same live edge set return
+// the same bits, whatever base graphs they grew from.
+func (m *Maintainer) FreshCost() float64 {
+	total := 0.0
+	m.liveEdges(func(u, v graph.NodeID, f core.Flag, _ graph.NodeID) {
+		if f&core.FlagPush != 0 {
+			total += m.r.Prod[u]
+		}
+		if f&core.FlagPull != 0 {
+			total += m.r.Cons[v]
+		}
+	})
+	return total
+}
+
+// Rebase materializes the live edge set into a fresh CSR graph and a
+// schedule over it mirroring the maintained assignments — the handoff
+// point from cheap greedy patching to a (localized) re-solve. Every live
+// edge keeps its flags; coverage carries over because the maintainer's
+// invariant guarantees hub supports of live covered edges are live. The
+// maintainer itself is not modified.
+func (m *Maintainer) Rebase() (*graph.Graph, *core.Schedule) { return m.rebase() }
+
+// rebase is Rebase over the live state alone. An edge's new id is its
+// position in liveEdges' order, so its flags and hub ride along.
+func (m *live) rebase() (*graph.Graph, *core.Schedule) {
+	n := m.NumEdges()
+	b := graph.NewBuilder(m.g.NumNodes())
+	flags := make([]core.Flag, 0, n)
+	hubs := make([]graph.NodeID, 0, n)
+	m.liveEdges(func(u, v graph.NodeID, f core.Flag, hub graph.NodeID) {
+		b.AddEdge(u, v)
+		flags = append(flags, f)
+		hubs = append(hubs, hub)
+	})
 
 	ng := b.Build()
 	ns := core.NewSchedule(ng)

@@ -561,10 +561,21 @@ type state struct {
 	isCand    *bitset.Set    // hub edges whose cands slot holds a live candidate
 	cands     []*Candidate   // per hub edge, allocated on first candidacy, then reused
 	dirtyList []int32        // reused scratch: this round's dirty edges
-	evalOK    []bool         // parallel to dirtyList: the edge passed the gain test
-	candList  []*Candidate
-	keep      []int32     // reused scratch: the producers one decision keeps
-	scratch   []Candidate // per worker: what an evaluation prices into
+	// evalOK holds one bit per dirtyList entry, set when the edge passed
+	// the gain test: word i covers the workBatch entries of span i, and
+	// the worker that evaluated the span stores it once, at its end.
+	evalOK   []uint64
+	candList []*Candidate
+	keep     []int32         // reused scratch: the producers one decision keeps
+	scratch  []workerScratch // per worker: what an evaluation prices into
+}
+
+// workerScratch is one worker's pricing Candidate, padded so that no two
+// workers' scratch share a cache line: an evaluation rewrites the slice
+// headers on every producer it appends.
+type workerScratch struct {
+	Candidate
+	_ [64]byte
 }
 
 // newState builds the solver state Solve iterates on: all-unclaimed lock
@@ -581,7 +592,7 @@ func newState(ev *Evaluator, cfg Config) *state {
 		dirty:   bitset.New(m),
 		isCand:  bitset.New(m),
 		cands:   make([]*Candidate, m),
-		scratch: make([]Candidate, cfg.Workers),
+		scratch: make([]workerScratch, cfg.Workers),
 	}
 	for i := range st.locks {
 		st.locks[i].owner = -1
@@ -641,14 +652,15 @@ const (
 	workerShare = 512
 	// workBatch is the span handed out per pull on the work cursor: small
 	// enough to balance the skewed per-edge cost (celebrity neighborhoods),
-	// large enough that the cursor increment is noise.
-	workBatch = 32
+	// large enough that the cursor increment is noise, and one evalOK word.
+	workBatch = 64
 )
 
 // parallel runs fn over [0, n) on min(Workers, n/workerShare) workers,
 // the caller being worker 0; fn(lo, hi, wk) processes items [lo, hi) on
-// worker wk. Spans come off an atomic cursor, so results must be written
-// to storage indexed by item or worker to be independent of scheduling.
+// worker wk, lo a multiple of workBatch. Spans come off an atomic cursor,
+// so results must be written to storage indexed by item, span or worker
+// to be independent of scheduling.
 func (st *state) parallel(n int, fn func(lo, hi, wk int)) {
 	nw := min(st.cfg.Workers, n/workerShare)
 	if nw <= 1 {
@@ -685,15 +697,21 @@ func (st *state) parallel(n int, fn func(lo, hi, wk int)) {
 func (st *state) phaseCandidates() []*Candidate {
 	st.dirtyList = st.dirty.AppendSet(st.dirtyList[:0])
 	list := st.dirtyList
-	if cap(st.evalOK) < len(list) {
-		st.evalOK = make([]bool, len(list))
+	words := (len(list) + workBatch - 1) / workBatch
+	if cap(st.evalOK) < words {
+		st.evalOK = make([]uint64, words)
 	}
-	ok := st.evalOK[:len(list)]
+	ok := st.evalOK[:words]
 	st.parallel(len(list), func(lo, hi, wk int) {
-		sc := &st.scratch[wk]
-		for i := lo; i < hi; i++ {
-			e := list[i]
-			if ok[i] = st.ev.EvalCandidateReuse(graph.EdgeID(e), sc); ok[i] {
+		sc := &st.scratch[wk].Candidate
+		for span := lo; span < hi; span += workBatch {
+			var bits uint64
+			for i := span; i < min(span+workBatch, hi); i++ {
+				e := list[i]
+				if !st.ev.EvalCandidateReuse(graph.EdgeID(e), sc) {
+					continue
+				}
+				bits |= 1 << (i - span)
 				c := st.cands[e]
 				if c == nil {
 					c = &Candidate{}
@@ -701,11 +719,12 @@ func (st *state) phaseCandidates() []*Candidate {
 				}
 				c.copyFrom(sc)
 			}
+			ok[span/workBatch] = bits
 		}
 	})
 	for i, e := range list {
 		st.dirty.Clear(int(e))
-		if ok[i] {
+		if ok[i/workBatch]>>(i%workBatch)&1 != 0 {
 			st.isCand.Set(int(e))
 		} else {
 			st.isCand.Clear(int(e))

@@ -205,7 +205,7 @@ func TestAmortizeFlipsAcceptOnIncumbentQualityPatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.noAmortize = disable
-		if err := d.Apply(workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: 100, Cons: 0}); err != nil {
+		if err := d.ApplyTrace([]workload.ChurnOp{{Kind: workload.OpRates, U: 0, Prod: 100, Cons: 0}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Validate(); err != nil {

@@ -15,31 +15,32 @@
 //  2. Track — each op charges its patch regret (the cost the greedy
 //     patch pays that a re-solve might not) as "dirt" on the op's
 //     endpoint nodes; Cost() is the running schedule cost, O(1) per op.
-//  3. Localize — every CheckEvery ops the daemon finds the dirtiest
-//     node; if the dirt inside its k-hop neighborhood exceeds
-//     DriftThreshold × the region's own hybrid cost mass (Σ c* over the
-//     edges the neighborhood induces), the region is extracted from the
-//     rebased live graph (graph.Induced / graph.InducedEdgeIDs with ID
-//     remapping) and re-solved in isolation with CHITCHAT
-//     (chitchat.SolveInduced on the extracted subgraph) or PARALLELNOSY
-//     (nosy.SolveRestricted over the region edge set, reusing the
-//     dirty-set machinery).
-//  4. Splice — the patch replaces the region's assignments atomically
+//  3. Start — every CheckEvery ops the daemon finds the dirtiest node;
+//     if the dirt inside its k-hop neighborhood exceeds DriftThreshold ×
+//     the region's own hybrid cost mass (Σ c* over the edges the
+//     neighborhood induces), it snapshots the live graph, schedule and
+//     rates and hands them to one goroutine, which re-solves the region
+//     in isolation with CHITCHAT or PARALLELNOSY, refines, amortizes and
+//     builds a maintainer on the patch. Ingest goes on meanwhile, and
+//     every op is journaled.
+//  4. Splice — at the next check boundary the daemon waits for that
+//     goroutine, replays the journaled ops onto the patch and keeps it
+//     only if it costs less than the incumbent as it stands then
 //     (core.ApplyPatch restores boundary supports; DESIGN.md §7 argues
-//     validity), but only if it actually lowers the live cost —
-//     regressions are rolled back, so the daemon's schedule quality is
-//     monotone at every splice point.
+//     validity) — regressions are rolled back, so the daemon's schedule
+//     quality is monotone at every splice point.
 //
 // Everything is deterministic for a fixed trace, configuration and
 // seed: solver results are worker-count invariant, region selection
-// breaks ties by lowest node id, and no operation consults time or
-// randomness.
+// breaks ties by lowest node id, an attempt is spliced at an op count,
+// never at a clock, and no decision consults time or randomness.
 package online
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"piggyback/internal/baseline"
@@ -108,14 +109,17 @@ type Config struct {
 	// Tracer, when non-nil, records every localized re-solve as a
 	// `resolve` span with one timed child per step (DESIGN.md §12); the
 	// regional solver is wrapped in solver.WithTracing, so its `solve/…`
-	// span and whatever a composite solver begins nest under it. The
-	// re-solves are strictly sequential, so the span tree is
-	// deterministic for a fixed trace and configuration.
+	// span and whatever a composite solver begins nest under it. One
+	// attempt is in flight at a time, and while it is, only its goroutine
+	// begins spans, so the span tree is deterministic for a fixed trace
+	// and configuration as long as nothing else begins spans on the
+	// tracer during the trace.
 	Tracer *telemetry.Tracer
 	// Events, when non-nil, receives, in order, one ("resolve", …) event
 	// per re-solve attempt — its decision record, DESIGN.md §12 — and the
 	// circuit breaker's transitions as ("breaker", "closed->open"): the
-	// streams the telemetry and chaos tests pin exactly.
+	// streams the telemetry and chaos tests pin exactly. Transitions are
+	// emitted from the attempt's goroutine, records at its splice.
 	Events *telemetry.EventLog
 }
 
@@ -157,10 +161,10 @@ type Stats struct {
 	// SolverErrors is 0).
 	LastSolverErr error
 	// DriftChecks counts candidate regions held against the threshold
-	// (one per check boundary with new dirt, plus one per follow-up
-	// after a re-solve); RegionExtractions counts those that ran the
-	// region kernels because the dirtiest node or the epoch had changed.
-	// The rest were answered from the remembered region.
+	// (at most one per check boundary: one with new dirt, or the first
+	// after an attempt started); RegionExtractions counts those that ran
+	// the region kernels because the dirtiest node or the epoch had
+	// changed. The rest were answered from the remembered region.
 	DriftChecks, RegionExtractions int
 	// RegionEdges is the cumulative edge count of all re-solved regions
 	// (accepted or reverted) — the "localized work" measure: compare it
@@ -177,8 +181,8 @@ type Stats struct {
 	Amortized      int
 	AmortizedSaved float64
 	// ResolveWall is the cumulative wall-clock time spent inside the
-	// regional solver (accepted and reverted re-solves alike) — the
-	// solver's share of the daemon's stalls.
+	// regional solver (accepted and reverted re-solves alike), on the
+	// attempts' own goroutines: solver work, not time Apply waited.
 	ResolveWall time.Duration
 	// Breaker is the circuit-breaker state when Config.Fallback is set
 	// (nil otherwise): trips, probes, fallback solves, open/closed.
@@ -186,7 +190,11 @@ type Stats struct {
 }
 
 // Daemon maintains a near-optimal schedule over a churning graph. Not
-// safe for concurrent use; feed it from one goroutine (Serve does).
+// safe for concurrent use; feed it from one goroutine (Serve does). Its
+// own goroutine, one per re-solve attempt, touches nothing the caller can
+// reach: Cost, Stats, Snapshot and Validate report the daemon as of its
+// last splice, and an attempt still in flight when the caller stops
+// feeding ops is spliced by Flush (ApplyTrace and Serve call it).
 type Daemon struct {
 	cfg      Config
 	r        *workload.Rates
@@ -199,9 +207,10 @@ type Daemon struct {
 
 	// OnSplice, when non-nil, is called synchronously after every
 	// ACCEPTED localized re-solve with the rebased live graph and the
-	// newly spliced schedule. The daemon does not mutate the schedule it
-	// hands out (the maintainer works on its own clone), so receivers —
-	// e.g. a serving cluster swapping its live plan — may retain it.
+	// newly spliced schedule, the journaled ops replayed. The daemon does
+	// not mutate the schedule it hands out (the maintainer works on its
+	// own state), so receivers — e.g. a serving cluster swapping its live
+	// plan — may retain it.
 	OnSplice func(*graph.Graph, *core.Schedule)
 
 	// epoch is the CSR graph backing the current maintainer (the live
@@ -237,7 +246,8 @@ type Daemon struct {
 		stale bool
 	}
 	attempt  attempt   // the re-solve under way, or the last one
-	amortize amortizer // exterior-amortization sweep scratch
+	fl       flight    // the attempt in flight, if any
+	amortize amortizer // exterior-amortization sweep scratch, the attempt goroutine's
 	// noAmortize skips the amortization sweep; only tests set it, to
 	// isolate what the sweep decides.
 	noAmortize bool
@@ -257,7 +267,7 @@ type daemonInstruments struct {
 	breakerTransitions              *telemetry.Counter
 	cost, breakerState              *telemetry.Gauge
 	resolveWall                     *telemetry.Gauge
-	regionSize, stall               *telemetry.Histogram
+	regionSize, stall, apply        *telemetry.Histogram
 }
 
 func newDaemonInstruments(reg *telemetry.Registry) daemonInstruments {
@@ -283,6 +293,7 @@ func newDaemonInstruments(reg *telemetry.Registry) daemonInstruments {
 		resolveWall:        reg.Gauge("online_resolve_wall_seconds_total"),
 		regionSize:         reg.Histogram("online_region_size", telemetry.SizeBuckets),
 		stall:              reg.Histogram("online_stall_seconds", telemetry.LatencyBuckets),
+		apply:              reg.Histogram("online_apply_seconds", telemetry.LatencyBuckets),
 	}
 }
 
@@ -328,9 +339,10 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 			solver.BreakerConfig{
 				Threshold:  d.cfg.BreakerThreshold,
 				ProbeEvery: d.cfg.BreakerProbeEvery,
-				// Transitions are emitted sequentially in trip order (the
-				// daemon re-solves from one goroutine), so the event stream
-				// is an exact, assertable sequence.
+				// Transitions are emitted sequentially in trip order (one
+				// attempt is in flight at a time, and the Apply goroutine
+				// emits nothing until it has waited for it), so the event
+				// stream is an exact, assertable sequence.
 				OnTransition: func(from, to solver.BreakerState) {
 					inst.breakerState.Set(float64(to))
 					inst.breakerTransitions.Inc()
@@ -395,22 +407,32 @@ func (d *Daemon) Snapshot() (*graph.Graph, *core.Schedule) { return d.m.Rebase()
 func (d *Daemon) NumEdges() int { return d.m.NumEdges() }
 
 // Apply ingests one churn op: patch, charge drift, and — at check
-// boundaries — re-solve any region whose accumulated dirt crossed the
-// threshold.
+// boundaries — splice the attempt in flight and start one on any region
+// whose accumulated dirt crossed the threshold.
 func (d *Daemon) Apply(op workload.ChurnOp) error {
 	return d.ApplyCtx(context.Background(), op)
 }
 
 // ApplyCtx is Apply under a context: a context that is already done
-// fails fast before the op is ingested, and any localized re-solve the
-// op triggers runs under the context, so a caller that wants a wall
-// bound on the daemon's per-op latency passes a deadline. A re-solve cut
+// fails fast before the op is ingested, and an op that splices an attempt
+// waits for its solve under the context, so a caller that wants a wall
+// bound on the daemon's per-op latency passes a deadline. A solve cut
 // short by the context contributes its best-so-far patch through the
 // usual accept/revert gate.
 func (d *Daemon) ApplyCtx(ctx context.Context, op workload.ChurnOp) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if d.inst.apply == nil {
+		return d.apply(ctx, op)
+	}
+	start := time.Now()
+	err := d.apply(ctx, op)
+	d.inst.apply.Observe(time.Since(start).Seconds())
+	return err
+}
+
+func (d *Daemon) apply(ctx context.Context, op workload.ChurnOp) error {
 	switch op.Kind {
 	case workload.OpAdd:
 		before := d.m.Cost()
@@ -454,41 +476,60 @@ func (d *Daemon) ApplyCtx(ctx context.Context, op workload.ChurnOp) error {
 	default:
 		return fmt.Errorf("online: unknown op kind %d", op.Kind)
 	}
+	if d.fl.done != nil {
+		d.fl.journal = append(d.fl.journal, op)
+	}
 	d.stats.Ops++
 	d.inst.ops.Inc()
 	d.sinceChk++
 	if d.sinceChk >= d.cfg.CheckEvery {
 		d.sinceChk = 0
+		d.splice(ctx)
 		d.checkDrift(ctx)
 	}
 	d.inst.cost.Set(d.m.Cost())
 	return nil
 }
 
-// ApplyTrace ingests a whole trace, stopping at the first error.
+// Flush splices the attempt in flight, if any, as the next check boundary
+// would, and starts none: the end-of-stream rule. ApplyTrace and Serve
+// call it when their ops run out; a caller driving Apply by hand calls it
+// before it reads the final schedule. Its wait for the solve runs under
+// ctx, as a splicing ApplyCtx's does.
+func (d *Daemon) Flush(ctx context.Context) {
+	d.splice(ctx)
+	d.inst.cost.Set(d.m.Cost())
+}
+
+// ApplyTrace ingests a whole trace, stopping at the first error, and
+// flushes the attempt in flight at its end.
 func (d *Daemon) ApplyTrace(ops []workload.ChurnOp) error {
 	return d.ApplyTraceCtx(context.Background(), ops)
 }
 
 // ApplyTraceCtx ingests a whole trace under a context, stopping at the
-// first error (including context cancellation between ops).
+// first error (including context cancellation between ops), and flushes
+// the attempt in flight once every op is in.
 func (d *Daemon) ApplyTraceCtx(ctx context.Context, ops []workload.ChurnOp) error {
 	for i, op := range ops {
 		if err := d.ApplyCtx(ctx, op); err != nil {
 			return fmt.Errorf("online: op %d: %w", i, err)
 		}
 	}
+	d.Flush(ctx)
 	return nil
 }
 
-// Serve ingests ops from a stream until it closes — the daemon loop.
-// It returns the final stats and the first error, if any.
+// Serve ingests ops from a stream until it closes — the daemon loop —
+// and then flushes the attempt in flight. It returns the final stats and
+// the first error, if any.
 func (d *Daemon) Serve(ops <-chan workload.ChurnOp) (Stats, error) {
 	return d.ServeCtx(context.Background(), ops)
 }
 
 // ServeCtx is Serve under a context: the loop exits with the context's
-// error as soon as it fires, without waiting for the channel to close.
+// error as soon as it fires, without waiting for the channel to close;
+// an attempt then in flight stays there until the next splice or Flush.
 func (d *Daemon) ServeCtx(ctx context.Context, ops <-chan workload.ChurnOp) (Stats, error) {
 	for {
 		select {
@@ -496,6 +537,7 @@ func (d *Daemon) ServeCtx(ctx context.Context, ops <-chan workload.ChurnOp) (Sta
 			return d.Stats(), ctx.Err()
 		case op, ok := <-ops:
 			if !ok {
+				d.Flush(ctx)
 				return d.Stats(), nil
 			}
 			if err := d.ApplyCtx(ctx, op); err != nil {
@@ -519,10 +561,9 @@ func (d *Daemon) dirtiestNode() graph.NodeID {
 	return best
 }
 
-// checkDrift fires localized re-solves while the dirtiest node's k-hop
-// region has churned by more than DriftThreshold of its own hybrid cost
-// mass. Re-solving clears the region's dirt, so each pass makes strict
-// progress; the per-check cap bounds the worst-case stall.
+// checkDrift starts an attempt when the dirtiest node's k-hop region has
+// churned by more than DriftThreshold of its own hybrid cost mass. It runs
+// after the boundary's splice, so no attempt is in flight.
 func (d *Daemon) checkDrift(ctx context.Context) {
 	if d.cfg.DriftThreshold < 0 {
 		return
@@ -535,15 +576,13 @@ func (d *Daemon) checkDrift(ctx context.Context) {
 		float64(d.stats.RegionEdges) >= d.cfg.BudgetFraction*float64(d.m.NumEdges()) {
 		return // budget already spent; skip the check entirely
 	}
-	const maxResolvesPerCheck = 4
-	for pass := 0; pass < maxResolvesPerCheck && d.checkRegion(ctx); pass++ {
-	}
+	d.checkRegion(ctx)
 }
 
 // checkRegion holds the dirtiest node's region against the threshold and
-// re-solves it if it has crossed; it reports whether it did. The region
-// is read from d.region when the epoch and the dirtiest node are those of
-// the previous check, and extracted otherwise.
+// starts an attempt on it if it has crossed; it reports whether it did.
+// The region is read from d.region when the epoch and the dirtiest node
+// are those of the previous check, and extracted otherwise.
 func (d *Daemon) checkRegion(ctx context.Context) bool {
 	seed := d.dirtiestNode()
 	if seed < 0 {
@@ -575,7 +614,7 @@ func (d *Daemon) checkRegion(ctx context.Context) bool {
 		float64(d.stats.RegionEdges+rg.edges) > d.cfg.BudgetFraction*float64(d.m.NumEdges()) {
 		return false // out of re-solve budget; keep patching incrementally
 	}
-	d.resolveRegion(ctx)
+	d.start(ctx)
 	return true
 }
 
@@ -651,6 +690,7 @@ const (
 
 // attempt is one re-solve's decision record — the ("resolve", …) event,
 // fixed text with no timings — and the rule's state while the solver runs.
+// While the attempt is in flight its goroutine owns the rule's fields.
 type attempt struct {
 	seed         graph.NodeID
 	nodes, edges int
@@ -659,9 +699,11 @@ type attempt struct {
 	incumbent, hybrid float64
 	commits           int
 	saved, mark       float64 // Saved at the last event, at the last boundary
-	stopped           string  // early: the rule cut it; canceled: the caller did
-	// The patch as solved, after refine, after amortize, and the incumbent,
-	// each priced over the whole live graph.
+	stopped           string  // early: the rule cut it; canceled: a context did
+	lag               int     // ops ingested between start and splice
+	// The patch as solved, after refine, after amortize — each with the
+	// lag's ops replayed onto it — and the incumbent, each priced over the
+	// whole live graph at the splice.
 	raw, refined, amortized, total float64
 	verdict                        string // accepted, reverted, dissolved, failed
 	backoff                        int    // the revert streak it leaves
@@ -686,106 +728,108 @@ func (a *attempt) stop(n int, ev solver.ProgressEvent) bool {
 
 func (a *attempt) String() string {
 	return fmt.Sprintf("seed=%d nodes=%d edges=%d incumbent=%.1f hybrid=%.1f commits=%d saved=%.1f stopped=%s"+
-		" raw=%.1f refined=%.1f amortized=%.1f total=%.1f verdict=%s backoff=%d",
+		" lag=%d raw=%.1f refined=%.1f amortized=%.1f total=%.1f verdict=%s backoff=%d",
 		a.seed, a.nodes, a.edges, a.incumbent, a.hybrid, a.commits, a.saved, a.stopped,
-		a.raw, a.refined, a.amortized, a.total, a.verdict, a.backoff)
+		a.lag, a.raw, a.refined, a.amortized, a.total, a.verdict, a.backoff)
 }
 
-// resolveRegion rebases the live graph, re-solves the remembered region
-// in isolation through the configured solver.Solver, and splices the patch
-// in if it lowers the cost. Either way the region's dirt is cleared and
-// a fresh maintainer epoch begins when the patch is accepted. A tracer
-// sees the stall as one `resolve` span with its steps as children.
-func (d *Daemon) resolveRegion(ctx context.Context) {
-	nodes := d.region.nodes
-	start := time.Now()
+// flight is the Apply goroutine's handle on the attempt in flight, and
+// what the attempt's goroutine hands back. The goroutine writes the
+// results only before it closes done; the Apply goroutine reads them only
+// after, and leaves d.attempt and d.amortize alone while done is open.
+type flight struct {
+	done    chan struct{}      // non-nil while an attempt is in flight
+	cancel  context.CancelFunc // cuts its solve short
+	root    stage              // its `resolve` span
+	began   time.Duration      // what its start took on the Apply goroutine
+	journal []workload.ChurnOp // the ops ingested since its start, in order
+
+	// Written by the attempt's goroutine.
+	epoch    *graph.Graph // the live graph it was started on, rebased
+	res      *solver.Result
+	err      error
+	wall     time.Duration // inside the regional solver
+	refined  refine.Result
+	amort    amortizeResult
+	m        *incremental.Maintainer // the patch, on the attempt's copy of the rates
+	panicked any
+}
+
+// start begins an attempt on the remembered region: it freezes the live
+// state, copies the rates, clears the region's dirt and hands all three to
+// the attempt's own goroutine (solve). The next check boundary splices
+// it. A tracer sees the attempt as one `resolve` span, open until the
+// splice, with its steps as children.
+func (d *Daemon) start(ctx context.Context) {
+	began := time.Now()
+	nodes := slices.Clone(d.region.nodes)
 	_, parent := telemetry.FromContext(ctx)
 	root := d.begin(parent, "resolve", "seed=%d nodes=%d", d.region.seed, len(nodes))
-	a := &d.attempt
-	*a = attempt{seed: d.region.seed, nodes: len(nodes), stopped: "exhausted"}
-	defer func() {
-		d.inst.stall.Observe(time.Since(start).Seconds())
-		a.backoff = d.revertStreak
-		root.end("%s edges=%d", a.verdict, a.edges)
-		if d.cfg.Events != nil {
-			d.cfg.Events.Emit("resolve", a.String())
-		}
-	}()
-	st := d.begin(root.id, "rebase", "")
-	liveG, liveS := d.m.Rebase()
+	d.attempt = attempt{seed: d.region.seed, nodes: len(nodes), stopped: "exhausted"}
+	st := d.begin(root.id, "freeze", "")
+	frozen := d.m.Freeze()
+	r := &workload.Rates{Prod: slices.Clone(d.r.Prod), Cons: slices.Clone(d.r.Cons)}
+	st.end("")
+	// Clear the region's dirt up front: whatever the splice decides, it is
+	// final for this dirt mass, and leaving it would re-trigger forever.
+	// The dirtiest node moves with it, so the next boundary checks again.
+	for _, v := range nodes {
+		d.dirt[v] = 0
+	}
+	d.charged = true
+
+	fl := &d.fl
+	sctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	fl.done, fl.cancel, fl.root = make(chan struct{}), cancel, root
+	fl.journal = fl.journal[:0]
+	fl.res, fl.err, fl.wall, fl.m = nil, nil, 0, nil
+	fl.began = time.Since(began)
+	go d.solve(telemetry.NewContext(sctx, root.tr, root.id), frozen, r, nodes)
+}
+
+// solve is the attempt's goroutine: the rebase of the frozen state, the
+// region's edges on it, the regional solve, the two sweeps and a
+// maintainer on the patch, all on what start handed over. A panic is kept
+// for the splice to raise on the Apply goroutine.
+func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workload.Rates, nodes []graph.NodeID) {
+	fl, a := &d.fl, &d.attempt
+	defer close(fl.done)
+	defer func() { fl.panicked = recover() }()
+	st := d.begin(fl.root.id, "rebase", "")
+	liveG, liveS := frozen.Rebase()
 	st.end("edges=%d", liveG.NumEdges())
+	fl.epoch = liveG
 	// The region's NODE set was chosen on the (possibly lagging) epoch
 	// graph; its edges are extracted from the fresh live graph, so the
 	// re-solve always sees current structure.
-	st = d.begin(root.id, "extract", "")
-	regionEdges := graph.InducedEdgeIDs(liveG, nodes)
+	st = d.begin(fl.root.id, "extract", "")
+	region := graph.InducedEdgeIDs(liveG, nodes)
 	k := 0 // cursor over nodes: both lists ascend, and edge ids group by source
-	for _, e := range regionEdges {
+	for _, e := range region {
 		for _, hi := liveG.OutEdgeRange(nodes[k]); hi <= e; _, hi = liveG.OutEdgeRange(nodes[k]) {
 			k++
 		}
 		u, v := nodes[k], liveG.EdgeTarget(e)
-		a.hybrid += baseline.EdgeCost(d.r, u, v)
+		a.hybrid += baseline.EdgeCost(r, u, v)
 		if liveS.IsPush(e) {
-			a.incumbent += d.r.Prod[u]
+			a.incumbent += r.Prod[u]
 		}
 		if liveS.IsPull(e) {
-			a.incumbent += d.r.Cons[v]
+			a.incumbent += r.Cons[v]
 		}
 	}
-	a.edges = len(regionEdges)
+	a.edges = len(region)
 	st.end("edges=%d", a.edges)
-	d.stats.RegionEdges += a.edges
-	d.inst.regionEdges.Add(int64(a.edges))
-	d.inst.regionSize.Observe(float64(a.edges))
-
-	// Clear the region's dirt up front: whatever the decision below,
-	// it is final for this dirt mass, and leaving it would re-trigger
-	// forever.
-	for _, v := range nodes {
-		d.dirt[v] = 0
-	}
 	if a.edges == 0 {
-		// The epoch-stale region dissolved on the live graph; no solver
-		// ran, so neither the revert counter nor the backoff should move.
-		a.verdict = "dissolved"
-		return
+		return // the epoch-stale region dissolved on the live graph
 	}
 
-	solveStart := time.Now()
-	res, err := d.regional.Solve(telemetry.NewContext(ctx, root.tr, root.id), solver.Problem{
-		Graph:  liveG,
-		Rates:  d.r,
-		Base:   liveS,
-		Region: regionEdges,
-	})
-	wall := time.Since(solveStart)
-	d.stats.ResolveWall += wall
-	d.inst.resolveWall.Add(wall.Seconds())
-	if res == nil {
-		// Hard failure: the solver never produced a schedule. This is
-		// misconfiguration or a bug, not an unprofitable re-solve, so it
-		// is booked separately and does NOT feed the revert backoff —
-		// backoff models "patches cannot win here", which a solver that
-		// never ran says nothing about.
-		d.stats.SolverErrors++
-		d.inst.solverErrors.Inc()
-		d.stats.LastSolverErr = err
-		a.verdict = "failed"
+	began := time.Now()
+	fl.res, fl.err = d.regional.Solve(ctx, solver.Problem{Graph: liveG, Rates: r, Base: liveS, Region: region})
+	fl.wall = time.Since(began)
+	if fl.res == nil {
 		return
 	}
-	// A truncated re-solve — by the rule, or by the caller's context —
-	// still returns a valid best-so-far patch (res non-nil alongside
-	// err); only hard failures leave res nil, and then the maintained
-	// schedule stands.
-	patched := res.Schedule
-	a.commits = res.Report.Iterations
-	if err != nil {
-		a.stopped = "canceled"
-	}
-	d.stats.BoundaryRepairs += res.Report.BoundaryRepairs
-	d.inst.boundaryRepairs.Add(int64(res.Report.BoundaryRepairs))
-
 	// The regional solver saw the region in isolation, so region edges
 	// whose free exterior coverage the extraction severed came back as
 	// direct service. The free-coverage sweep wins them back
@@ -795,20 +839,113 @@ func (d *Daemon) resolveRegion(ctx context.Context) {
 	// direct edges against supports the exterior schedule already pays
 	// for. Both only ever lower the patch cost, so a patch that loses
 	// afterwards would have lost anyway.
-	st = d.begin(root.id, "refine", "")
-	refined, pinned := refine.Pass(patched, d.r)
+	patched := fl.res.Schedule
+	st = d.begin(fl.root.id, "refine", "")
+	refined, pinned := refine.Pass(patched, r)
 	st.end("recovered=%d", refined.Recovered)
-	var amort amortizeResult
+	fl.refined, fl.amort = refined, amortizeResult{}
 	if !d.noAmortize {
-		st = d.begin(root.id, "amortize", "")
-		amort = d.amortize.run(patched, d.r, regionEdges, pinned)
-		st.end("upgraded=%d", amort.Upgraded)
+		st = d.begin(fl.root.id, "amortize", "")
+		fl.amort = d.amortize.run(patched, r, region, pinned)
+		st.end("upgraded=%d", fl.amort.Upgraded)
 	}
+	st = d.begin(fl.root.id, "rebuild", "")
+	fl.m = incremental.New(patched, r)
+	st.end("")
+}
+
+// splice ends the attempt in flight, if any: it waits for the attempt's
+// goroutine — under ctx, whose end cuts the solve short — replays the
+// journaled ops onto the patch and runs the gate against the incumbent
+// as it stands now. The patch replaces the incumbent, and a fresh
+// maintainer epoch begins, only if it costs less.
+func (d *Daemon) splice(ctx context.Context) {
+	fl := &d.fl
+	if fl.done == nil {
+		return
+	}
+	began := time.Now()
+	select {
+	case <-fl.done:
+	case <-ctx.Done():
+		fl.cancel()
+		<-fl.done
+	}
+	fl.cancel()
+	fl.done = nil
+	if p := fl.panicked; p != nil {
+		fl.panicked = nil
+		panic(p)
+	}
+	a := &d.attempt
+	a.lag = len(fl.journal)
+	d.stats.ResolveWall += fl.wall
+	d.inst.resolveWall.Add(fl.wall.Seconds())
+	d.decide()
+	fl.res, fl.m = nil, nil
+
+	a.backoff = d.revertStreak
+	d.stats.RegionEdges += a.edges
+	d.inst.regionEdges.Add(int64(a.edges))
+	d.inst.regionSize.Observe(float64(a.edges))
+	// What the attempt held the ingest path up for: its start and this.
+	d.inst.stall.Observe((fl.began + time.Since(began)).Seconds())
+	fl.root.end("%s edges=%d", a.verdict, a.edges)
+	if d.cfg.Events != nil {
+		d.cfg.Events.Emit("resolve", a.String())
+	}
+}
+
+// decide books what the attempt's goroutine handed back and sets the
+// verdict: the patch, with the journal replayed onto it, against the
+// incumbent.
+func (d *Daemon) decide() {
+	fl, a := &d.fl, &d.attempt
+	res, m, root := fl.res, fl.m, fl.root
+	if a.edges == 0 {
+		// No live edge left in the region, and no solver ran, so neither
+		// the revert counter nor the backoff moves.
+		a.verdict = "dissolved"
+		return
+	}
+	if res == nil {
+		// Hard failure: the solver never produced a schedule. This is
+		// misconfiguration or a bug, not an unprofitable re-solve, so it
+		// is booked separately and does NOT feed the revert backoff —
+		// backoff models "patches cannot win here", which a solver that
+		// never ran says nothing about.
+		d.stats.SolverErrors++
+		d.inst.solverErrors.Inc()
+		d.stats.LastSolverErr = fl.err
+		a.verdict = "failed"
+		return
+	}
+	// A truncated re-solve — by the rule, or by a context — still returns
+	// a valid best-so-far patch (res non-nil alongside err); only hard
+	// failures leave res nil, and then the maintained schedule stands.
+	a.commits = res.Report.Iterations
+	if fl.err != nil {
+		a.stopped = "canceled"
+	}
+	d.stats.BoundaryRepairs += res.Report.BoundaryRepairs
+	d.inst.boundaryRepairs.Add(int64(res.Report.BoundaryRepairs))
+
+	// The ops ingested since the start land on the patch as they landed on
+	// the incumbent, on the rates as they were then. Their rescues charge
+	// no dirt: the incumbent already charged what each op cost it.
+	st := d.begin(root.id, "replay", "ops=%d", a.lag)
+	for i, op := range fl.journal {
+		if err := replay(m, op); err != nil {
+			panic(fmt.Sprintf("online: op %d of %d since the start does not replay onto the patch: %v", i, a.lag, err))
+		}
+	}
+	m.SetRates(d.r)
+	st.end("")
 
 	st = d.begin(root.id, "gate", "")
-	a.total, a.amortized = liveS.Cost(d.r), patched.Cost(d.r)
-	a.refined = a.amortized + amort.Saved
-	a.raw = a.refined + refined.Saved
+	a.total, a.amortized = d.m.FreshCost(), m.FreshCost()
+	a.refined = a.amortized + fl.amort.Saved
+	a.raw = a.refined + fl.refined.Saved
 	if a.amortized >= a.total {
 		st.end("incumbent=%.1f patch=%.1f revert", a.total, a.amortized)
 		d.stats.Reverted++
@@ -821,18 +958,27 @@ func (d *Daemon) resolveRegion(ctx context.Context) {
 	a.verdict = "accepted"
 	d.stats.Resolves++
 	d.inst.resolves.Inc()
-	d.stats.Amortized += amort.Upgraded
-	d.stats.AmortizedSaved += amort.Saved
-	d.inst.amortized.Add(int64(amort.Upgraded))
+	d.stats.Amortized += fl.amort.Upgraded
+	d.stats.AmortizedSaved += fl.amort.Saved
+	d.inst.amortized.Add(int64(fl.amort.Upgraded))
 	d.revertStreak = 0
-	st = d.begin(root.id, "rebuild", "")
-	d.m = incremental.New(patched, d.r)
-	d.m.OnRescue = d.onRescue
-	d.epoch = liveG
-	st.end("")
+	m.OnRescue = d.onRescue
+	d.m, d.epoch = m, fl.epoch
 	if d.OnSplice != nil {
 		st = d.begin(root.id, "publish", "")
-		d.OnSplice(liveG, patched)
+		d.OnSplice(m.Rebase())
 		st.end("")
+	}
+}
+
+// replay applies a journaled op to m as apply applied it to the incumbent.
+func replay(m *incremental.Maintainer, op workload.ChurnOp) error {
+	switch op.Kind {
+	case workload.OpAdd:
+		return m.AddEdge(op.U, op.V)
+	case workload.OpRemove:
+		return m.RemoveEdge(op.U, op.V)
+	default:
+		return m.UpdateRates(op.U, op.Prod, op.Cons)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/scenario"
+	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
 
@@ -117,13 +118,14 @@ func referenceCheck(d *Daemon) refCheck {
 	return c
 }
 
-// checkedBoundary is checkDrift with the reference held against every
-// pass: before each checkRegion the from-scratch evaluation of the same
-// state is taken, after it the remembered region and the decision must
-// equal it to the last bit. lockstep (below) ties this copy of
-// checkDrift's guards to the real one.
+// checkedBoundary is a check boundary with the reference held against its
+// check: the boundary's splice first, then the from-scratch evaluation of
+// the state the check sees, then checkRegion, after which the remembered
+// region and the decision must equal the reference to the last bit.
+// lockstep (below) ties this copy of the boundary to the real one.
 func checkedBoundary(t *testing.T, d *Daemon, at int) {
 	t.Helper()
+	d.splice(context.Background())
 	if d.cfg.DriftThreshold < 0 || !d.charged {
 		return
 	}
@@ -132,37 +134,32 @@ func checkedBoundary(t *testing.T, d *Daemon, at int) {
 		float64(d.stats.RegionEdges) >= d.cfg.BudgetFraction*float64(d.m.NumEdges()) {
 		return
 	}
-	for pass := 0; pass < 4; pass++ {
-		want, epoch := referenceCheck(d), d.epoch
-		did := d.checkRegion(context.Background())
-		if want.seed < 0 {
-			if did {
-				t.Fatalf("op %d pass %d: re-solved with no dirt anywhere", at, pass)
-			}
-			return
+	want, epoch := referenceCheck(d), d.epoch
+	did := d.checkRegion(context.Background())
+	if want.seed < 0 {
+		if did {
+			t.Fatalf("op %d: re-solved with no dirt anywhere", at)
 		}
-		rg := &d.region
-		switch {
-		case rg.seed != want.seed || rg.epoch != epoch:
-			t.Fatalf("op %d pass %d: seed %d, want %d (epoch current: %v)", at, pass, rg.seed, want.seed, rg.epoch == epoch)
-		case !slices.Equal(rg.nodes, want.nodes):
-			t.Fatalf("op %d pass %d: region of seed %d has %d nodes, reference %d", at, pass, rg.seed, len(rg.nodes), len(want.nodes))
-		case rg.edges != want.edges:
-			t.Fatalf("op %d pass %d: %d region edges, want %d", at, pass, rg.edges, want.edges)
-		case math.Float64bits(rg.cost) != math.Float64bits(want.cost):
-			t.Fatalf("op %d pass %d: Σc* = %v, want %v", at, pass, rg.cost, want.cost)
-		case math.Float64bits(rg.dirt) != math.Float64bits(want.dirt):
-			t.Fatalf("op %d pass %d: region dirt = %v, want %v", at, pass, rg.dirt, want.dirt)
-		case did != want.resolve:
-			t.Fatalf("op %d pass %d: re-solved = %v, want %v", at, pass, did, want.resolve)
-		}
-		for v := 0; v < rg.in.Len(); v++ {
-			if _, member := slices.BinarySearch(rg.nodes, graph.NodeID(v)); rg.in.Test(v) != member {
-				t.Fatalf("op %d pass %d: membership bit of node %d is %v", at, pass, v, rg.in.Test(v))
-			}
-		}
-		if !did {
-			return
+		return
+	}
+	rg := &d.region
+	switch {
+	case rg.seed != want.seed || rg.epoch != epoch:
+		t.Fatalf("op %d: seed %d, want %d (epoch current: %v)", at, rg.seed, want.seed, rg.epoch == epoch)
+	case !slices.Equal(rg.nodes, want.nodes):
+		t.Fatalf("op %d: region of seed %d has %d nodes, reference %d", at, rg.seed, len(rg.nodes), len(want.nodes))
+	case rg.edges != want.edges:
+		t.Fatalf("op %d: %d region edges, want %d", at, rg.edges, want.edges)
+	case math.Float64bits(rg.cost) != math.Float64bits(want.cost):
+		t.Fatalf("op %d: Σc* = %v, want %v", at, rg.cost, want.cost)
+	case math.Float64bits(rg.dirt) != math.Float64bits(want.dirt):
+		t.Fatalf("op %d: region dirt = %v, want %v", at, rg.dirt, want.dirt)
+	case did != want.resolve:
+		t.Fatalf("op %d: re-solved = %v, want %v", at, did, want.resolve)
+	}
+	for v := 0; v < rg.in.Len(); v++ {
+		if _, member := slices.BinarySearch(rg.nodes, graph.NodeID(v)); rg.in.Test(v) != member {
+			t.Fatalf("op %d: membership bit of node %d is %v", at, v, rg.in.Test(v))
 		}
 	}
 }
@@ -196,6 +193,8 @@ func lockstep(t *testing.T, g *graph.Graph, base *workload.Rates, trace []worklo
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
+	checked.Flush(context.Background())
+	plain.Flush(context.Background())
 	a, b := checked.Stats(), plain.Stats()
 	a.ResolveWall, b.ResolveWall = 0, 0
 	if a != b || math.Float64bits(checked.Cost()) != math.Float64bits(plain.Cost()) {
@@ -244,12 +243,13 @@ func TestRememberedRegionIsExact(t *testing.T) {
 	})
 }
 
-// checkNow makes the next drift check happen and holds it against the
-// reference.
+// checkNow makes the next drift check happen, holds it against the
+// reference and splices the attempt it starts.
 func checkNow(t *testing.T, d *Daemon) {
 	t.Helper()
 	d.charged = true
 	checkedBoundary(t, d, d.stats.Ops)
+	d.Flush(context.Background())
 }
 
 func rateOp(d *Daemon, u graph.NodeID, dProd float64) workload.ChurnOp {
@@ -335,11 +335,12 @@ func TestRememberedRegionTransitions(t *testing.T) {
 		epoch := d.epoch
 		checkNow(t, d)
 		st := d.Stats()
-		if st.Reverted == 0 || st.Resolves != 0 || d.epoch != epoch {
-			t.Fatalf("want reverts on the same epoch: %+v", st)
+		if st.Reverted != 1 || st.Resolves != 0 || d.epoch != epoch || d.dirt[seed] != 0 {
+			t.Fatalf("want one revert on the same epoch, the seed's dirt cleared: %+v, dirt %v", st, d.dirt[seed])
 		}
-		if d.dirt[seed] != 0 || d.region.seed == seed {
-			t.Fatalf("after the revert the check did not move on from seed %d (dirt %v, remembered seed %d)", seed, d.dirt[seed], d.region.seed)
+		checkNow(t, d) // the next boundary checks again, though no op charged anything
+		if d.region.seed == seed {
+			t.Fatalf("after the revert the check did not move on from seed %d", seed)
 		}
 		// The old seed, dirty again on the same epoch: a fresh extraction
 		// (one entry, and it now belongs to another seed) that must give
@@ -385,6 +386,7 @@ func TestCheckFromRememberedRegionDoesNotAllocate(t *testing.T) {
 	r := workload.LogDegree(g, 5)
 	d, err := New(baseline.Hybrid(g, r), r, Config{
 		DriftThreshold: 1e18, CheckEvery: 1, MaxRegionNodes: 64, BudgetFraction: -1,
+		Metrics: telemetry.NewRegistry(), // online_apply_seconds reads the clock on every op
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -143,6 +143,7 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		"online_drift_checks_total", "online_region_extractions_total",
 		"online_boundary_repairs_total", "online_breaker_transitions_total",
 		"online_cost", "online_breaker_state", "online_stall_seconds",
+		"online_apply_seconds",
 	} {
 		if _, ok := snap.Get(name); !ok {
 			t.Fatalf("series %s not registered at construction:\n%s", name, snap.String())
@@ -184,9 +185,12 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 
 // One ("resolve", …) event per re-solve attempt, in a fixed format with
 // no timings: what the region looked like, how far the solve got and
-// whether the stopping rule cut it, what the patch cost at each step and
-// what the gate made of it. On this 80-node trace the region is the whole
-// graph, so hybrid − saved is the raw patch and incumbent is total.
+// whether the stopping rule cut it, how many ops landed between start and
+// splice, what the patch cost at each step and what the gate made of it.
+// On this 80-node trace the region is the whole graph, so hybrid − saved
+// is the raw patch as solved and incumbent is the total at the start; the
+// eight ops replayed before the gate move both sides (the first record: a
+// patch equal to the incumbent stays equal, and is reverted).
 func TestDaemonDecisionRecord(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(80, 7))
 	base := workload.LogDegree(g, 5)
@@ -202,12 +206,12 @@ func TestDaemonDecisionRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"seed=53 nodes=80 edges=2187 incumbent=2933.1 hybrid=9950.6 commits=231 saved=7017.5 stopped=exhausted raw=2933.1 refined=2933.1 amortized=2933.1 total=2933.1 verdict=reverted backoff=1",
-		"seed=9 nodes=80 edges=2189 incumbent=2921.3 hybrid=9836.0 commits=232 saved=6910.8 stopped=exhausted raw=2925.1 refined=2919.9 amortized=2919.9 total=2921.3 verdict=accepted backoff=0",
-		"seed=15 nodes=80 edges=2189 incumbent=2895.0 hybrid=9833.0 commits=233 saved=6932.8 stopped=exhausted raw=2900.2 refined=2895.0 amortized=2895.0 total=2895.0 verdict=reverted backoff=1",
-		"seed=3 nodes=80 edges=2184 incumbent=2940.6 hybrid=9624.8 commits=128 saved=6757.6 stopped=early raw=2867.3 refined=2867.3 amortized=2867.3 total=2940.6 verdict=accepted backoff=0",
-		"seed=7 nodes=80 edges=2184 incumbent=2879.7 hybrid=9812.1 commits=214 saved=6926.8 stopped=exhausted raw=2885.3 refined=2885.3 amortized=2885.3 total=2879.7 verdict=reverted backoff=1",
-		"seed=29 nodes=80 edges=2177 incumbent=3062.2 hybrid=9891.5 commits=269 saved=6779.4 stopped=exhausted raw=3112.2 refined=3099.8 amortized=3099.8 total=3062.2 verdict=reverted backoff=2",
+		"seed=53 nodes=80 edges=2187 incumbent=2933.1 hybrid=9950.6 commits=231 saved=7017.5 stopped=exhausted lag=8 raw=2929.6 refined=2929.6 amortized=2929.6 total=2929.6 verdict=reverted backoff=1",
+		"seed=9 nodes=80 edges=2189 incumbent=2921.3 hybrid=9836.0 commits=232 saved=6910.8 stopped=exhausted lag=8 raw=2900.2 refined=2895.0 amortized=2895.0 total=2896.4 verdict=accepted backoff=0",
+		"seed=15 nodes=80 edges=2189 incumbent=2895.0 hybrid=9833.0 commits=233 saved=6932.8 stopped=exhausted lag=8 raw=2893.2 refined=2888.0 amortized=2888.0 total=2888.0 verdict=reverted backoff=1",
+		"seed=3 nodes=80 edges=2184 incumbent=2940.6 hybrid=9624.8 commits=128 saved=6757.6 stopped=early lag=8 raw=2879.7 refined=2879.7 amortized=2879.7 total=2961.7 verdict=accepted backoff=0",
+		"seed=7 nodes=80 edges=2184 incumbent=2879.7 hybrid=9812.1 commits=214 saved=6926.8 stopped=exhausted lag=8 raw=2889.4 refined=2889.4 amortized=2889.4 total=2883.7 verdict=reverted backoff=1",
+		"seed=29 nodes=80 edges=2177 incumbent=3062.2 hybrid=9891.5 commits=269 saved=6779.4 stopped=exhausted lag=8 raw=3101.4 refined=3089.0 amortized=3089.0 total=3051.4 verdict=reverted backoff=2",
 	}
 	got := ev.Attrs("resolve")
 	if len(got) != len(want) {

@@ -322,9 +322,10 @@ func GenerateChurn(g *Graph, r *Rates, n int, cfg ChurnConfig) []ChurnOp {
 // OnlineConfig tunes the online rescheduling daemon.
 type OnlineConfig = online.Config
 
-// OnlineDaemon ingests a churn stream, tracks cost drift against a
-// coverability lower bound, and wins quality back with localized
-// re-solves spliced atomically into the live schedule.
+// OnlineDaemon ingests a churn stream, books per-node drift, and wins
+// quality back with localized re-solves that run off the ingest path and
+// are spliced into the live schedule at the next drift check; Flush
+// splices the one in flight when the stream ends.
 type OnlineDaemon = online.Daemon
 
 // OnlineStats counts daemon activity (ops, rescues, re-solves, region
