@@ -1,6 +1,5 @@
 // Command experiments regenerates the paper's tables and figures
-// (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for a
-// recorded run).
+// (see DESIGN.md §4 for the experiment index).
 //
 // Usage:
 //

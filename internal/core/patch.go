@@ -45,12 +45,12 @@ func (s *Schedule) FinalizeEdges(r *workload.Rates, edges []graph.EdgeID) {
 func (s *Schedule) ClearEdge(e graph.EdgeID) {
 	s.flags[e] = 0
 	s.hub[e] = -1
-	s.pinned = nil
+	s.sup = Supports{}
 }
 
-// ApplyPatch splices patch — a valid schedule over sub.G, an induced
-// subgraph of s's graph — into s: every region-internal edge takes the
-// patch's assignment (hub ids remapped to parent ids), then
+// ApplyPatch splices patch — a valid schedule over sub.G, a subgraph
+// graph.Induced extracted from s's graph — into s: every region-internal
+// edge takes the patch's assignment (hub ids remapped to parent ids), then
 // RepairCoverage restores any exterior coverage whose support flags the
 // patch removed. The splice is atomic from the caller's perspective: s
 // is mutated only through this call, and on return it is valid whenever
@@ -61,11 +61,11 @@ func ApplyPatch(s *Schedule, sub *graph.Subgraph, patch *Schedule, r *workload.R
 	if err := Splice(s, sub, patch); err != nil {
 		return 0, err
 	}
-	// The repair resolves every covered edge's supports: have it leave the
-	// counts for the sweep that follows a region splice (TakePinned).
-	pinned := make([]int32, len(s.flags))
-	repairs := repairCoverage(s, r, pinned)
-	s.pinned = pinned
+	// The repair resolves every covered edge's supports: have it leave them
+	// for the sweeps that follow a region splice (TakeSupports).
+	t := newSupports(len(s.flags))
+	repairs := walkSupports(s, r, t)
+	s.sup = t
 	return repairs, nil
 }
 
@@ -80,26 +80,14 @@ func Splice(s *Schedule, sub *graph.Subgraph, patch *Schedule) error {
 	if patch.Graph() != sub.G {
 		return fmt.Errorf("core: patch schedule is not over the subgraph")
 	}
-	// Resolve the whole sub → parent edge mapping BEFORE writing
-	// anything: a stale subgraph (an edge since removed from s's graph)
-	// must fail without leaving s half-spliced.
-	gids := make([]graph.EdgeID, sub.G.NumEdges())
-	var err error
-	sub.G.Edges(func(pe graph.EdgeID, lu, lv graph.NodeID) bool {
-		gu, gv := sub.Global[lu], sub.Global[lv]
-		ge, ok := s.g.EdgeID(gu, gv)
-		if !ok {
-			err = fmt.Errorf("core: patch edge %d→%d missing from parent graph", gu, gv)
-			return false
-		}
-		gids[pe] = ge
-		return true
-	})
-	if err != nil {
-		return err
+	// The subgraph carries each edge's parent id, which names an edge of s
+	// only if s's graph is the parent: a subgraph extracted elsewhere (a
+	// stale epoch) fails here, before anything is written.
+	if sub.Parent != s.g {
+		return fmt.Errorf("core: subgraph was not extracted from the schedule's graph")
 	}
-	sub.G.Edges(func(pe graph.EdgeID, lu, lv graph.NodeID) bool {
-		ge := gids[pe]
+	for pe, ge := range sub.GlobalEdge {
+		pe := graph.EdgeID(pe)
 		s.ClearEdge(ge)
 		if patch.IsPush(pe) {
 			s.SetPush(ge)
@@ -110,8 +98,7 @@ func Splice(s *Schedule, sub *graph.Subgraph, patch *Schedule) error {
 		if patch.IsCovered(pe) {
 			s.SetCovered(ge, sub.Global[patch.Hub(pe)])
 		}
-		return true
-	})
+	}
 	return nil
 }
 
@@ -122,20 +109,27 @@ func Splice(s *Schedule, sub *graph.Subgraph, patch *Schedule) error {
 // be repaired that way and falls back to direct service with the
 // cheaper of push and pull. Repairs only add flags, so a repair never
 // invalidates another edge. Returns the number of edges touched.
-func RepairCoverage(s *Schedule, r *workload.Rates) int { return repairCoverage(s, r, nil) }
+func RepairCoverage(s *Schedule, r *workload.Rates) int { return walkSupports(s, r, Supports{}) }
 
-// repairCoverage also counts into pinned, when non-nil, the covered edges
-// resting on each support it resolves.
-func repairCoverage(s *Schedule, r *workload.Rates, pinned []int32) int {
+// walkSupports resolves the supports of every covered edge of s, in edge
+// order, and records them in t unless t is the zero table. With r non-nil
+// it is also RepairCoverage's walk; with r nil it writes nothing to s and
+// leaves a covered edge with a missing support covered, -1 in the table.
+// Edges group by source, so each source's out-row is stamped once and only
+// the down support w → v is searched.
+func walkSupports(s *Schedule, r *workload.Rates, t Supports) int {
+	var st graph.RowStamp
+	st.Reset(s.g)
 	repairs := 0
 	s.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		if !s.IsCovered(e) {
 			return true
 		}
 		w := s.hub[e]
-		up, ok1 := s.g.EdgeID(u, w)
+		st.Stamp(u)
+		up, ok1 := st.Edge(w)
 		down, ok2 := s.g.EdgeID(w, v)
-		if !ok1 || !ok2 {
+		if r != nil && !(ok1 && ok2) {
 			s.ClearCovered(e)
 			if r.Prod[u] <= r.Cons[v] {
 				s.SetPush(e)
@@ -145,9 +139,18 @@ func repairCoverage(s *Schedule, r *workload.Rates, pinned []int32) int {
 			repairs++
 			return true
 		}
-		if pinned != nil {
-			pinned[up]++
-			pinned[down]++
+		if t.Pinned != nil {
+			if ok1 {
+				t.Up[e] = up
+				t.Pinned[up]++
+			}
+			if ok2 {
+				t.Down[e] = down
+				t.Pinned[down]++
+			}
+		}
+		if r == nil {
+			return true
 		}
 		fixed := false
 		if !s.IsPush(up) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"reflect"
 	"testing"
 
 	"piggyback/internal/graph"
@@ -105,19 +105,19 @@ func TestApplyPatchKeepsCoverageAndRemapsHubNode(t *testing.T) {
 		t.Fatalf("coverage not remapped: covered=%v hub=%d", s.IsCovered(cov), s.Hub(cov))
 	}
 
-	// The repair walk leaves the obligation counts for the sweep that
-	// follows: one covered edge rests on each support. They are handed over
+	// The repair walk leaves the support table for the sweeps that follow:
+	// 0→2 rests on 0→1 and 1→2, one covered edge on each. It is handed over
 	// once, and not at all once coverage has changed.
 	up, _ := g.EdgeID(0, 1)
 	down, _ := g.EdgeID(1, 2)
-	want := make([]int32, g.NumEdges())
-	want[up], want[down] = 1, 1
-	if s.pinned == nil {
-		t.Fatal("ApplyPatch left no pinned counts")
+	want := newSupports(g.NumEdges())
+	want.Cover(cov, up, down)
+	if s.sup.Pinned == nil {
+		t.Fatal("ApplyPatch left no support table")
 	}
 	for _, from := range []string{"handed over", "walked"} {
-		if got := s.TakePinned(); !slices.Equal(got, want) || s.pinned != nil {
-			t.Fatalf("%s: pinned = %v (kept: %v), want %v", from, got, s.pinned != nil, want)
+		if got := s.TakeSupports(); !reflect.DeepEqual(got, want) || s.sup.Pinned != nil {
+			t.Fatalf("%s: table = %+v (kept: %v), want %+v", from, got, s.sup.Pinned != nil, want)
 		}
 	}
 	for _, change := range []func(){
@@ -125,13 +125,41 @@ func TestApplyPatchKeepsCoverageAndRemapsHubNode(t *testing.T) {
 		func() { s.SetCovered(cov, 1) },
 		func() { s.ClearEdge(cov) },
 	} {
-		s.pinned = want
-		if change(); s.pinned != nil {
-			t.Fatal("a coverage change kept the pinned counts")
+		s.KeepSupports(want)
+		if change(); s.sup.Pinned != nil {
+			t.Fatal("a coverage change kept the support table")
 		}
 	}
-	if got := s.TakePinned(); !slices.Equal(got, make([]int32, g.NumEdges())) {
-		t.Fatalf("pinned = %v with nothing covered", got)
+	if got := s.TakeSupports(); !reflect.DeepEqual(got, newSupports(g.NumEdges())) {
+		t.Fatalf("table = %+v with nothing covered", got)
+	}
+}
+
+// A subgraph carries its parent's edge ids, which name edges of that
+// parent only: spliced into a schedule over any other graph — here one
+// with the same edges, so the ids would even resolve — it must fail before
+// writing anything.
+func TestSpliceRejectsForeignSubgraph(t *testing.T) {
+	g, _, s := patchFixture(t)
+	twin := graph.FromEdges(g.NumNodes(), g.EdgeList())
+	sub := graph.Induced(twin, []graph.NodeID{0, 1, 2})
+	patch := NewSchedule(sub.G)
+	sub.G.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
+		patch.SetPull(e)
+		return true
+	})
+	want := s.Clone()
+	if err := Splice(s, sub, patch); err == nil {
+		t.Fatal("spliced a subgraph of another graph")
+	}
+	if _, err := ApplyPatch(s, sub, patch, workload.NewUniform(4, 1)); err == nil {
+		t.Fatal("ApplyPatch took a subgraph of another graph")
+	}
+	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		if s.flags[e] != want.flags[e] || s.hub[e] != want.hub[e] {
+			t.Fatalf("edge %d: flags %v hub %d after a rejected splice, want %v hub %d",
+				e, s.flags[e], s.hub[e], want.flags[e], want.hub[e])
+		}
 	}
 }
 

@@ -31,9 +31,39 @@ type Schedule struct {
 	g     *graph.Graph
 	flags []Flag
 	hub   []graph.NodeID // hub[e] = hub node for covered edge e, else -1
-	// pinned is TakePinned's result as ApplyPatch's repair walk left it,
-	// nil once coverage has changed since (or it was taken).
-	pinned []int32
+	// sup is TakeSupports' result as ApplyPatch's repair walk or
+	// KeepSupports left it; zero once coverage has changed since (or it
+	// was taken).
+	sup Supports
+}
+
+// Supports is the support table of a schedule: what a walk over its
+// covered edges resolves, handed from step to step so that no later step
+// searches for a support again.
+type Supports struct {
+	// Pinned[e] is the number of covered edges whose hub support e is: the
+	// obligations a sweep that clears direct flags must respect.
+	Pinned []int32
+	// Up[e] and Down[e] are the supports u → w and w → v of a covered edge
+	// e = u → v through hub w; -1 on an uncovered edge and for a support
+	// missing from the graph.
+	Up, Down []graph.EdgeID
+}
+
+// newSupports returns an empty table for m edges.
+func newSupports(m int) Supports {
+	t := Supports{Pinned: make([]int32, m), Up: make([]graph.EdgeID, m), Down: make([]graph.EdgeID, m)}
+	for e := range t.Up {
+		t.Up[e], t.Down[e] = -1, -1
+	}
+	return t
+}
+
+// Cover records that covered edge e now rests on up and down.
+func (t Supports) Cover(e, up, down graph.EdgeID) {
+	t.Up[e], t.Down[e] = up, down
+	t.Pinned[up]++
+	t.Pinned[down]++
 }
 
 // NewSchedule returns an empty schedule (no edge scheduled yet) for g.
@@ -71,40 +101,36 @@ func (s *Schedule) SetPull(e graph.EdgeID) { s.flags[e] |= FlagPull }
 func (s *Schedule) SetCovered(e graph.EdgeID, w graph.NodeID) {
 	s.flags[e] |= FlagCovered
 	s.hub[e] = w
-	s.pinned = nil
+	s.sup = Supports{}
 }
 
 // ClearCovered removes coverage from edge e (incremental maintenance).
 func (s *Schedule) ClearCovered(e graph.EdgeID) {
 	s.flags[e] &^= FlagCovered
 	s.hub[e] = -1
-	s.pinned = nil
+	s.sup = Supports{}
 }
 
-// TakePinned returns, per edge, the number of covered edges whose hub
-// support it is: the obligations a sweep that clears direct flags must
-// respect (refine.Pass). The caller owns the slice. ApplyPatch's repair
-// resolves the same support ids, so right after it — a region re-solve's
-// splice — its counts are handed over and no support is searched for twice.
-func (s *Schedule) TakePinned() []int32 {
-	if pinned := s.pinned; pinned != nil {
-		s.pinned = nil
-		return pinned
+// TakeSupports returns the schedule's support table, which the caller then
+// owns. ApplyPatch's repair walk resolves every support to repair it, so
+// right after it — a region re-solve's splice — that table is handed over,
+// as is one given back with KeepSupports; otherwise the same walk runs now.
+// A walk reads the schedule and writes nothing.
+func (s *Schedule) TakeSupports() Supports {
+	if t := s.sup; t.Pinned != nil {
+		s.sup = Supports{}
+		return t
 	}
-	pinned := make([]int32, len(s.flags))
-	s.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if s.IsCovered(e) {
-			if up, ok := s.g.EdgeID(u, s.hub[e]); ok {
-				pinned[up]++
-			}
-			if down, ok := s.g.EdgeID(s.hub[e], v); ok {
-				pinned[down]++
-			}
-		}
-		return true
-	})
-	return pinned
+	t := newSupports(len(s.flags))
+	walkSupports(s, nil, t)
+	return t
 }
+
+// KeepSupports hands t to the next TakeSupports. t must be s's table as
+// TakeSupports returned it, kept current (Supports.Cover) through every
+// coverage change the caller has made since: the sweeps that follow a
+// splice hand it on this way to incremental.New.
+func (s *Schedule) KeepSupports(t Supports) { s.sup = t }
 
 // ClearPush removes e from H.
 func (s *Schedule) ClearPush(e graph.EdgeID) { s.flags[e] &^= FlagPush }

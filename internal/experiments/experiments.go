@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4) on the synthetic Twitter-like and Flickr-like graphs.
 // Each experiment returns a Table whose rows correspond to the points of
-// the paper's plot; cmd/experiments prints them and EXPERIMENTS.md records
-// paper-vs-measured shapes.
+// the paper's plot; cmd/experiments prints them (DESIGN.md §4 indexes
+// the experiments).
 package experiments
 
 import (
@@ -89,7 +89,7 @@ var Quick = Scale{
 	Seed:              1,
 }
 
-// Default is sized for the recorded EXPERIMENTS.md run (minutes).
+// Default is sized for a full regeneration of the tables (minutes).
 var Default = Scale{
 	FlickrNodes:       3000,
 	TwitterNodes:      5000,

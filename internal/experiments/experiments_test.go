@@ -149,7 +149,7 @@ func TestFig9Shapes(t *testing.T) {
 		}
 		// The paper finds CHITCHAT above PARALLELNOSY everywhere; on our
 		// synthetic samples PARALLELNOSY occasionally edges ahead at single
-		// points (documented in EXPERIMENTS.md), so assert at sweep level:
+		// points, so assert at sweep level:
 		// CHITCHAT wins on average, or at worst sits within 5%.
 		if ccSum < pnSum*0.95 {
 			t.Fatalf("method %v: ChitChat average %v well below ParallelNosy %v",

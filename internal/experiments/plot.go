@@ -8,7 +8,7 @@ import (
 
 // Plot renders the table's numeric columns as an ASCII chart, one line
 // per row, with proportional bars — enough to eyeball the shape of a
-// figure in a terminal or EXPERIMENTS.md without gnuplot. Non-numeric
+// figure in a terminal without gnuplot. Non-numeric
 // cells (e.g. the "converged" row label) are passed through.
 func (t *Table) Plot() string {
 	if len(t.Rows) == 0 || len(t.Header) < 2 {

@@ -212,6 +212,48 @@ func (g *Graph) EdgeID(u, v NodeID) (EdgeID, bool) {
 	return -1, false
 }
 
+// RowStamp answers EdgeID(u, w) for one source u at a time without a
+// search: Stamp(u) writes the id of every out-edge u → w at index w of a
+// node-indexed array, and Edge(w) reads it back. An entry left by another
+// source's row is told apart by its id falling outside u's out-range, so
+// the array is never cleared. A sweep that visits edges grouped by source
+// pays one O(out-degree) stamp per source instead of a binary search per
+// lookup. The zero value is ready once Reset has named the graph.
+type RowStamp struct {
+	g      *Graph
+	at     []EdgeID
+	u      NodeID
+	lo, hi EdgeID
+}
+
+// Reset points the stamp at g, reusing its storage, with no row stamped.
+func (st *RowStamp) Reset(g *Graph) {
+	st.g, st.u, st.lo, st.hi = g, -1, 0, 0
+	if cap(st.at) < g.n {
+		st.at = make([]EdgeID, g.n)
+	}
+	st.at = st.at[:g.n]
+}
+
+// Stamp makes u the source Edge answers for; stamping the current source
+// again is free.
+func (st *RowStamp) Stamp(u NodeID) {
+	if u == st.u {
+		return
+	}
+	st.u = u
+	st.lo, st.hi = st.g.outStart[u], st.g.outStart[u+1]
+	for e := st.lo; e < st.hi; e++ {
+		st.at[st.g.outAdj[e]] = e
+	}
+}
+
+// Edge returns the id of the stamped source's edge to w, if it exists.
+func (st *RowStamp) Edge(w NodeID) (EdgeID, bool) {
+	e := st.at[w]
+	return e, e >= st.lo && e < st.hi && st.g.outAdj[e] == w
+}
+
 // EdgeSource returns the source node of edge e (binary search over the CSR
 // row offsets, O(log n)).
 func (g *Graph) EdgeSource(e EdgeID) NodeID {

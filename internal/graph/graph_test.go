@@ -277,3 +277,35 @@ func TestQuickCSRInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// RowStamp answers exactly what EdgeID does for the stamped source, over
+// random graphs and stamp orders, with one stamp reused across graphs of
+// different sizes (stale entries of an earlier row or graph must read as
+// absent, never as another edge).
+func TestRowStampMatchesEdgeID(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var st RowStamp
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		b := NewBuilder(n)
+		for i := rng.Intn(5 * n); i > 0; i-- {
+			b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		g := b.Build()
+		st.Reset(g)
+		if _, ok := st.Edge(NodeID(rng.Intn(n))); ok {
+			t.Fatalf("trial %d: an edge found with no row stamped", trial)
+		}
+		for i := 0; i < 2*n; i++ {
+			u := NodeID(rng.Intn(n))
+			st.Stamp(u)
+			for w := NodeID(0); int(w) < n; w++ {
+				got, gotOK := st.Edge(w)
+				want, wantOK := g.EdgeID(u, w)
+				if gotOK != wantOK || gotOK && got != want {
+					t.Fatalf("trial %d: Edge(%d) after Stamp(%d) = %d,%v, EdgeID = %d,%v", trial, w, u, got, gotOK, want, wantOK)
+				}
+			}
+		}
+	}
+}

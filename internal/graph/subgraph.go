@@ -25,6 +25,11 @@ type Subgraph struct {
 	// ascending, so extraction is deterministic for a given node set and
 	// a node's local id is its position in Global.
 	Global []NodeID
+	// GlobalEdge maps a local edge id to its parent edge id. It ascends
+	// too: it is InducedEdgeIDs of the node set.
+	GlobalEdge []EdgeID
+	// Parent is the graph the subgraph was extracted from.
+	Parent *Graph
 }
 
 // Local returns the local id of parent node u, if u is in the subgraph.
@@ -62,23 +67,29 @@ func countInduced(g *Graph, in *bitset.Set, uniq []NodeID) int {
 
 // Induced extracts the subgraph of g induced by the given nodes
 // (duplicates tolerated): every edge of g with both endpoints in the set
-// is kept, remapped to dense local ids. The input slice is not retained;
-// node order does not affect the result.
+// is kept, remapped to dense local ids, and its parent id recorded. The
+// input slice is not retained; node order does not affect the result.
 func Induced(g *Graph, nodes []NodeID) *Subgraph {
 	in, global := nodeSet(g, nodes)
 	// A member's local id is its rank in the ascending set. The edges
-	// come from g, in range and loop-free, so they skip AddEdge's checks.
+	// come from g, in range and loop-free, so they skip AddEdge's checks,
+	// and in g's edge-id order, so Build keeps that order and local edge i
+	// is parent edge ids[i].
 	ranks := in.Ranks()
+	m := countInduced(g, in, global)
 	b := NewBuilder(len(global))
-	b.edges = make([]Edge, 0, countInduced(g, in, global))
+	b.edges = make([]Edge, 0, m)
+	ids := make([]EdgeID, 0, m)
 	for lu, u := range global {
-		for _, v := range g.OutNeighbors(u) {
+		lo, _ := g.OutEdgeRange(u)
+		for i, v := range g.OutNeighbors(u) {
 			if in.Test(int(v)) {
 				b.edges = append(b.edges, Edge{NodeID(lu), NodeID(in.Rank(ranks, int(v)))})
+				ids = append(ids, lo+EdgeID(i))
 			}
 		}
 	}
-	return &Subgraph{G: b.Build(), Global: global}
+	return &Subgraph{G: b.Build(), Global: global, GlobalEdge: ids, Parent: g}
 }
 
 // InducedEdgeIDs returns the parent edge ids with both endpoints in the

@@ -252,6 +252,41 @@ func TestKernelsMatchMapReferences(t *testing.T) {
 	}
 }
 
+// Induced records each subgraph edge's parent id: the ids equal
+// InducedEdgeIDs of the same node set (duplicates and empty included), and
+// local edge i joins the local images of parent edge GlobalEdge[i]'s ends.
+func TestInducedGlobalEdgeMatchesInducedEdgeIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(90)
+		b := NewBuilder(n)
+		for i := rng.Intn(6 * n); i > 0; i-- {
+			b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		g := b.Build()
+		nodes := make([]NodeID, rng.Intn(3*n))
+		for i := range nodes {
+			nodes[i] = NodeID(rng.Intn(n))
+		}
+		if trial%10 == 0 {
+			nodes = nil
+		}
+		sub := Induced(g, nodes)
+		if want := InducedEdgeIDs(g, nodes); !slices.Equal(sub.GlobalEdge, want) {
+			t.Fatalf("trial %d: Induced(%v).GlobalEdge = %v, InducedEdgeIDs = %v", trial, nodes, sub.GlobalEdge, want)
+		}
+		if sub.Parent != g {
+			t.Fatalf("trial %d: Parent is not the graph extracted from", trial)
+		}
+		sub.G.Edges(func(e EdgeID, lu, lv NodeID) bool {
+			if pe := g.EdgeAt(sub.GlobalEdge[e]); pe != (Edge{sub.Global[lu], sub.Global[lv]}) {
+				t.Fatalf("trial %d: local edge %d (%d→%d) maps to parent edge %v", trial, e, sub.Global[lu], sub.Global[lv], pe)
+			}
+			return true
+		})
+	}
+}
+
 // The cases the property test reaches only by chance, pinned.
 func TestKHopEdgeCases(t *testing.T) {
 	g := subTestGraph()

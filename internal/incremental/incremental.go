@@ -101,10 +101,13 @@ type extraEdge struct {
 }
 
 // New builds a maintainer over an already-optimized schedule. The
-// schedule is cloned; the original is not modified. The rates are
-// retained (not copied): UpdateRates mutates them in place.
+// schedule is cloned and otherwise not modified, but its support table is
+// taken (core.Schedule.TakeSupports): the one a splice and the sweeps
+// after it handed over, or one walked now. The rates are retained (not
+// copied): UpdateRates mutates them in place.
 func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 	g := s.Graph()
+	sup := s.TakeSupports()
 	m := &Maintainer{
 		live:       live{g: g, sched: s.Clone(), removed: bitset.New(g.NumEdges())},
 		r:          r,
@@ -113,11 +116,22 @@ func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 		extraOut:   make(map[graph.NodeID][]int32),
 		extraIn:    make(map[graph.NodeID][]int32),
 	}
-	// Count, allocate once, fill: every support's list is a window of one
-	// backing array, capped at its count, so a later cover that outgrows a
-	// list reallocates that list alone. The lists fill in edge order.
-	var pairs []graph.EdgeID // covered edge, up support, down support (-1: none)
-	counts := make([]int32, g.NumEdges())
+	// Allocate once, fill: every support's list is a window of one backing
+	// array, capped at its count in the table, so a later cover that
+	// outgrows a list reallocates that list alone. The lists fill in edge
+	// order, each covered edge entering its up list before its down list.
+	total := 0
+	for _, c := range sup.Pinned {
+		total += int(c)
+	}
+	backing := make([]graph.EdgeID, total)
+	off := 0
+	for e, c := range sup.Pinned {
+		if c > 0 {
+			m.deps[e] = backing[off : off : off+int(c)]
+			off += int(c)
+		}
+	}
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		if m.sched.IsPush(e) {
 			m.cost += r.Prod[u]
@@ -129,37 +143,14 @@ func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 			return true
 		}
 		m.covered++
-		w := m.sched.Hub(e)
-		up, ok := g.EdgeID(u, w)
-		if !ok {
-			up = -1
-		} else {
-			counts[up]++
+		if up := sup.Up[e]; up >= 0 {
+			m.deps[up] = append(m.deps[up], e)
 		}
-		down, ok := g.EdgeID(w, v)
-		if !ok {
-			down = -1
-		} else {
-			counts[down]++
+		if down := sup.Down[e]; down >= 0 {
+			m.deps[down] = append(m.deps[down], e)
 		}
-		pairs = append(pairs, e, up, down)
 		return true
 	})
-	backing := make([]graph.EdgeID, 2*m.covered)
-	off := 0
-	for e, c := range counts {
-		if c > 0 {
-			m.deps[e] = backing[off : off : off+int(c)]
-			off += int(c)
-		}
-	}
-	for i := 0; i < len(pairs); i += 3 {
-		for _, sup := range pairs[i+1 : i+3] {
-			if sup >= 0 {
-				m.deps[sup] = append(m.deps[sup], pairs[i])
-			}
-		}
-	}
 	return m
 }
 

@@ -3,14 +3,17 @@ package incremental
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"piggyback/internal/baseline"
+	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
+	"piggyback/internal/refine"
 	"piggyback/internal/workload"
 )
 
@@ -495,4 +498,79 @@ func TestUpdateRatesRejectsBad(t *testing.T) {
 	if err := m.UpdateRates(0, math.NaN(), 1); err == nil {
 		t.Fatal("NaN rate accepted")
 	}
+}
+
+// sameDeps reports the first support whose dependency list differs between
+// two maintainers, entry by entry and in order.
+func sameDeps(t *testing.T, when string, got, want *Maintainer) {
+	t.Helper()
+	if len(got.deps) != len(want.deps) || got.covered != want.covered ||
+		math.Float64bits(got.cost) != math.Float64bits(want.cost) {
+		t.Fatalf("%s: %d lists, %d covered, cost %v; want %d, %d, %v", when,
+			len(got.deps), got.covered, got.cost, len(want.deps), want.covered, want.cost)
+	}
+	for e := range want.deps {
+		if !slices.Equal(got.deps[e], want.deps[e]) {
+			t.Fatalf("%s: deps[%d] = %v, want %v", when, e, got.deps[e], want.deps[e])
+		}
+	}
+}
+
+// New from the support table a region splice and refine hand over builds
+// the same dependency lists, in the same order, as New from a fresh walk —
+// and so the two maintainers stay identical through a 1k-op churn replay,
+// whose rescues and prunes read list order.
+func TestNewFromHandedTableMatchesWalk(t *testing.T) {
+	g := graphgen.Social(graphgen.FlickrLike(400, 7))
+	r := workload.LogDegree(g, 5)
+	ops := workload.GenerateChurn(g, r, 1000, workload.ChurnConfig{Seed: 7})
+	base := chitchat.Solve(g, r, chitchat.Config{Workers: 1})
+	for seed := graph.NodeID(0); seed < 4; seed++ {
+		s := base.Clone()
+		sub := graph.Induced(g, graph.KHop(g, []graph.NodeID{seed * 37}, 2, 120))
+		if _, err := core.ApplyPatch(s, sub, chitchat.SolveInduced(sub, r, chitchat.Config{Workers: 1}), r); err != nil {
+			t.Fatal(err)
+		}
+		_, sup := refine.Pass(s, r)
+		s.KeepSupports(sup)
+		rh, rw := cloneRates(r), cloneRates(r)
+		handed := New(s, rh)
+		walked := New(s, rw) // the table is taken: this one walks
+		sameDeps(t, "built", handed, walked)
+		for i, op := range ops {
+			for _, m := range []*Maintainer{handed, walked} {
+				var err error
+				switch op.Kind {
+				case workload.OpAdd:
+					err = m.AddEdge(op.U, op.V)
+				case workload.OpRemove:
+					err = m.RemoveEdge(op.U, op.V)
+				default:
+					err = m.UpdateRates(op.U, op.Prod, op.Cons)
+				}
+				if err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+			}
+		}
+		sameDeps(t, "after churn", handed, walked)
+		if handed.DepEntries() == 0 {
+			t.Fatal("no dependency entries; the comparison proved nothing")
+		}
+	}
+	// And New does read a handed-over table rather than walk: an empty one
+	// leaves every list empty.
+	s := base.Clone()
+	empty := core.Supports{Pinned: make([]int32, g.NumEdges()), Up: make([]graph.EdgeID, g.NumEdges()), Down: make([]graph.EdgeID, g.NumEdges())}
+	for e := range empty.Up {
+		empty.Up[e], empty.Down[e] = -1, -1
+	}
+	s.KeepSupports(empty)
+	if m := New(s, cloneRates(r)); m.DepEntries() != 0 || m.CoveredCount() == 0 {
+		t.Fatalf("New over an empty handed table: %d entries for %d covered edges", m.DepEntries(), m.CoveredCount())
+	}
+}
+
+func cloneRates(r *workload.Rates) *workload.Rates {
+	return &workload.Rates{Prod: slices.Clone(r.Prod), Cons: slices.Clone(r.Cons)}
 }

@@ -43,6 +43,7 @@ type amortizer struct {
 	ends    []int32     // per node: end of the hub's group in cands
 	found   []amortCand // candidates in discovery order
 	cands   []amortCand // the same, grouped by hub
+	out     graph.RowStamp
 }
 
 // grown returns b resized to n zeroed elements, reusing its storage.
@@ -57,27 +58,28 @@ func grown(b []int32, n int) []int32 {
 
 // run sweeps s in place, considering only the region's edges as upgrade
 // candidates (nil region means every edge; a region must be ascending,
-// as graph.InducedEdgeIDs returns it). pinned[e] must count the covered
-// edges of s whose hub support is e, as refine.Pass over s returns it: a
-// direct flag may only be cleared where it is 0, and the sweep keeps it
-// current as it buys. The schedule must be valid; it
-// stays valid, and its cost is strictly reduced or untouched — every hub
-// bundle is bought only when its pooled refund exceeds the price of its
-// missing supports.
+// as graph.InducedEdgeIDs returns it). sup must be s's support table, as
+// refine.Pass over s returns it: a direct flag may only be cleared where
+// sup.Pinned is 0, and the sweep keeps the table current as it buys. The
+// schedule must be valid; it stays valid, and its cost is strictly reduced
+// or untouched — every hub bundle is bought only when its pooled refund
+// exceeds the price of its missing supports.
 //
 // Determinism: hubs are processed in ascending node id, candidates in
-// ascending edge id, and the drop-to-fixpoint loop always removes the
-// lowest-id unprofitable candidate first.
-func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.EdgeID, pinned []int32) amortizeResult {
+// ascending edge id, and the drop-to-fixpoint loop keeps the survivors in
+// that order.
+func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.EdgeID, sup core.Supports) amortizeResult {
 	g := s.Graph()
 
 	// Collect candidates. A candidate is a region edge paying exactly one
 	// direct side that nothing depends on; each hub in out(u) ∩ in(v)
-	// that could serve it gets one entry.
+	// that could serve it gets one entry, by ascending hub: v's in-row is
+	// scanned against u's out-row, stamped once per source.
 	a.ends = grown(a.ends, g.NumNodes())
+	a.out.Reset(g)
 	found := a.found[:0]
 	consider := func(e graph.EdgeID, u, v graph.NodeID) {
-		if s.IsCovered(e) || pinned[e] > 0 {
+		if s.IsCovered(e) || sup.Pinned[e] > 0 {
 			return
 		}
 		push := s.IsPush(e)
@@ -88,27 +90,16 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 		if push {
 			refund = r.Prod[u]
 		}
-		outU := g.OutNeighbors(u)
-		loU, _ := g.OutEdgeRange(u)
-		inV := g.InNeighbors(v)
+		a.out.Stamp(u)
 		idsV := g.InEdgeIDs(v)
-		i, j := 0, 0
-		for i < len(outU) && j < len(inV) {
-			switch {
-			case outU[i] < inV[j]:
-				i++
-			case outU[i] > inV[j]:
-				j++
-			default:
-				if w := outU[i]; w != u && w != v {
-					a.ends[w]++
-					found = append(found, amortCand{
-						e: e, up: loU + graph.EdgeID(i), down: idsV[j],
-						hub: w, u: u, refund: refund, push: push,
-					})
-				}
-				i++
-				j++
+		for j, w := range g.InNeighbors(v) {
+			// Neither u nor v can be w: the graph has no self-loops.
+			if up, ok := a.out.Edge(w); ok {
+				a.ends[w]++
+				found = append(found, amortCand{
+					e: e, up: up, down: idsV[j],
+					hub: w, u: u, refund: refund, push: push,
+				})
 			}
 		}
 	}
@@ -176,7 +167,7 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 		// transitive; DESIGN.md §7). The group is ours to filter in place.
 		cands := all[lo:lo]
 		for _, c := range all[lo:hi] {
-			if !s.IsCovered(c.e) && pinned[c.e] == 0 {
+			if !s.IsCovered(c.e) && sup.Pinned[c.e] == 0 {
 				cands = append(cands, c)
 			}
 		}
@@ -190,13 +181,17 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 			}
 		}
 
-		// Drop-to-fixpoint: a candidate whose refund cannot even pay for
-		// the missing supports ONLY it needs is dead weight — removing it
-		// strictly improves the bundle, and removal can orphan another
-		// candidate's shared support, so rescan from the start.
+		// Drop to the fixpoint: a candidate whose refund cannot even pay for
+		// the missing supports ONLY it needs is dead weight, and removing it
+		// strictly improves the bundle. A removal can orphan another
+		// candidate's shared support, so passes repeat until one drops
+		// nothing. Dropping only raises the others' exclusive price, so a
+		// dead candidate stays dead and every removal order ends on the same
+		// set: the largest in which none is dead. Survivors keep their order.
 		for dropped := true; dropped; {
 			dropped = false
-			for i, c := range cands {
+			kept := cands[:0]
+			for _, c := range cands {
 				pUp, pDown := pushPrice(c), pullPrice(c.down)
 				excl := 0.0
 				if pUp > 0 && needers[c.up] == 1 {
@@ -205,18 +200,19 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 				if pDown > 0 && needers[c.down] == 1 {
 					excl += pDown
 				}
-				if c.refund <= excl {
-					if pUp > 0 {
-						needers[c.up]--
-					}
-					if pDown > 0 {
-						needers[c.down]--
-					}
-					cands = append(cands[:i], cands[i+1:]...)
-					dropped = true
-					break
+				if c.refund > excl {
+					kept = append(kept, c)
+					continue
 				}
+				if pUp > 0 {
+					needers[c.up]--
+				}
+				if pDown > 0 {
+					needers[c.down]--
+				}
+				dropped = true
 			}
+			cands = kept
 		}
 
 		// Price the bundle. The first candidate needing a support books
@@ -255,8 +251,7 @@ func (a *amortizer) run(s *core.Schedule, r *workload.Rates, region []graph.Edge
 				s.ClearPull(c.e)
 			}
 			s.SetCovered(c.e, graph.NodeID(w))
-			pinned[c.up]++
-			pinned[c.down]++
+			sup.Cover(c.e, c.up, c.down)
 			res.Upgraded++
 		}
 		res.Saved += refundSum - priceSum

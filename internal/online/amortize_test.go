@@ -2,7 +2,10 @@ package online
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,8 +36,8 @@ func (identitySolver) Solve(ctx context.Context, p solver.Problem) (*solver.Resu
 // sweep runs the amortizer the way the daemon does: after a refine pass,
 // on the obligation counts the pass ends with.
 func sweep(a *amortizer, s *core.Schedule, r *workload.Rates, region []graph.EdgeID) amortizeResult {
-	_, pinned := refine.Pass(s, r)
-	return a.run(s, r, region, pinned)
+	_, sup := refine.Pass(s, r)
+	return a.run(s, r, region, sup)
 }
 
 // spikeFixture is the minimal exterior-amortization instance: celebrity
@@ -313,50 +316,58 @@ func TestAmortizeKeepsSupportsOfEarlierBundles(t *testing.T) {
 	}
 }
 
-// Property: on random valid schedules under tie-heavy rates (so many
-// supports are already paid and many bundles break even), refine then
+// tieHeavySchedule draws a random graph under tie-heavy rates (so many
+// supports are already paid and many bundles break even) with a valid
+// schedule holding every kind of edge: hybrid or CHITCHAT, then a random
+// share of edges forced to the dearer direct side or to both sides, as
+// stale choices after a rate change look. Half the draws come with a
+// region, a 2-hop neighbourhood's induced edges; the rest with nil.
+func tieHeavySchedule(t *testing.T, seed int64) (*core.Schedule, *workload.Rates, []graph.EdgeID) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g := graphgen.Social(graphgen.Config{
+		Nodes: 5 + rng.Intn(60), AvgFollows: 2 + rng.Intn(6),
+		TriadProb: rng.Float64(), Reciprocity: rng.Float64(), Seed: seed,
+	})
+	n := g.NumNodes()
+	r := &workload.Rates{Prod: make([]float64, n), Cons: make([]float64, n)}
+	for u := 0; u < n; u++ {
+		r.Prod[u] = float64(int(1) << rng.Intn(4))
+		r.Cons[u] = float64(int(1) << rng.Intn(3))
+	}
+	s := core.NewSchedule(g)
+	if rng.Intn(2) == 0 {
+		s = chitchat.Solve(g, r, chitchat.Config{Workers: 1})
+	}
+	s.Finalize(r)
+	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		switch rng.Intn(6) {
+		case 0:
+			s.SetPush(e)
+		case 1:
+			s.SetPull(e)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("seed %d: input invalid: %v", seed, err)
+	}
+	var region []graph.EdgeID
+	if rng.Intn(2) == 0 {
+		region = graph.InducedEdgeIDs(g, graph.KHop(g, []graph.NodeID{graph.NodeID(rng.Intn(n))}, 2, 0))
+	}
+	return s, r, region
+}
+
+// Property: on random valid schedules under tie-heavy rates, refine then
 // amortize leaves a valid schedule, never a dearer one, and books exactly
 // the cost it removed.
 func TestQuickAmortizeSafety(t *testing.T) {
 	upgraded := 0
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := graphgen.Social(graphgen.Config{
-			Nodes: 5 + rng.Intn(60), AvgFollows: 2 + rng.Intn(6),
-			TriadProb: rng.Float64(), Reciprocity: rng.Float64(), Seed: seed,
-		})
-		n := g.NumNodes()
-		r := &workload.Rates{Prod: make([]float64, n), Cons: make([]float64, n)}
-		for u := 0; u < n; u++ {
-			r.Prod[u] = float64(int(1) << rng.Intn(4))
-			r.Cons[u] = float64(int(1) << rng.Intn(3))
-		}
-		// A valid schedule with every kind of edge: hybrid or CHITCHAT,
-		// then a random share of edges forced to the dearer direct side
-		// or to both sides, as stale choices after a rate change look.
-		s := core.NewSchedule(g)
-		if rng.Intn(2) == 0 {
-			s = chitchat.Solve(g, r, chitchat.Config{Workers: 1})
-		}
-		s.Finalize(r)
-		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
-			switch rng.Intn(6) {
-			case 0:
-				s.SetPush(e)
-			case 1:
-				s.SetPull(e)
-			}
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("seed %d: input invalid: %v", seed, err)
-		}
-		var region []graph.EdgeID
-		if rng.Intn(2) == 0 {
-			region = graph.InducedEdgeIDs(g, graph.KHop(g, []graph.NodeID{graph.NodeID(rng.Intn(n))}, 2, 0))
-		}
+		s, r, region := tieHeavySchedule(t, seed)
 		before := s.Cost(r)
-		refined, pinned := refine.Pass(s, r)
-		res := new(amortizer).run(s, r, region, pinned)
+		refined, sup := refine.Pass(s, r)
+		res := new(amortizer).run(s, r, region, sup)
 		upgraded += res.Upgraded
 		if err := s.Validate(); err != nil {
 			t.Logf("seed %d: invalid after amortize: %v", seed, err)
@@ -370,6 +381,287 @@ func TestQuickAmortizeSafety(t *testing.T) {
 	}
 	if upgraded == 0 {
 		t.Fatal("no sweep bought anything; the property proved nothing")
+	}
+}
+
+// referenceAmortize is the sweep amortizer.run replaced, kept as its
+// oracle: per candidate, a merge walk over out(u) ∩ in(v) to discover its
+// hubs, and a drop loop that restarts from the first candidate after every
+// single drop. run must buy the same bundles, book the same Saved to the
+// bit, and leave the same flags, hubs and pinned counts.
+func referenceAmortize(s *core.Schedule, r *workload.Rates, region []graph.EdgeID, pinned []int32) amortizeResult {
+	g := s.Graph()
+	ends := make([]int32, g.NumNodes())
+	var found []amortCand
+	consider := func(e graph.EdgeID, u, v graph.NodeID) {
+		if s.IsCovered(e) || pinned[e] > 0 {
+			return
+		}
+		push := s.IsPush(e)
+		if push == s.IsPull(e) {
+			return
+		}
+		refund := r.Cons[v]
+		if push {
+			refund = r.Prod[u]
+		}
+		outU := g.OutNeighbors(u)
+		loU, _ := g.OutEdgeRange(u)
+		inV := g.InNeighbors(v)
+		idsV := g.InEdgeIDs(v)
+		i, j := 0, 0
+		for i < len(outU) && j < len(inV) {
+			switch {
+			case outU[i] < inV[j]:
+				i++
+			case outU[i] > inV[j]:
+				j++
+			default:
+				if w := outU[i]; w != u && w != v {
+					ends[w]++
+					found = append(found, amortCand{
+						e: e, up: loU + graph.EdgeID(i), down: idsV[j],
+						hub: w, u: u, refund: refund, push: push,
+					})
+				}
+				i++
+				j++
+			}
+		}
+	}
+	if region == nil {
+		g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
+			consider(e, u, v)
+			return true
+		})
+	} else {
+		for _, e := range region {
+			consider(e, g.EdgeSource(e), g.EdgeTarget(e))
+		}
+	}
+
+	all := make([]amortCand, len(found))
+	sum := int32(0)
+	for w, cnt := range ends {
+		ends[w] = sum
+		sum += cnt
+	}
+	for _, c := range found {
+		all[ends[c.hub]] = c
+		ends[c.hub]++
+	}
+	pushPrice := func(c amortCand) float64 {
+		if s.IsPush(c.up) {
+			return 0
+		}
+		return r.Prod[c.u]
+	}
+	pullPrice := func(e graph.EdgeID) float64 {
+		if s.IsPull(e) {
+			return 0
+		}
+		return r.Cons[g.EdgeTarget(e)]
+	}
+	needers := make([]int32, g.NumEdges())
+
+	var res amortizeResult
+	lo := int32(0)
+	for w, hi := range ends {
+		if lo == hi {
+			continue
+		}
+		cands := all[lo:lo]
+		for _, c := range all[lo:hi] {
+			if !s.IsCovered(c.e) && pinned[c.e] == 0 {
+				cands = append(cands, c)
+			}
+		}
+		lo = hi
+		for _, c := range cands {
+			if pushPrice(c) > 0 {
+				needers[c.up]++
+			}
+			if pullPrice(c.down) > 0 {
+				needers[c.down]++
+			}
+		}
+		for dropped := true; dropped; {
+			dropped = false
+			for i, c := range cands {
+				pUp, pDown := pushPrice(c), pullPrice(c.down)
+				excl := 0.0
+				if pUp > 0 && needers[c.up] == 1 {
+					excl += pUp
+				}
+				if pDown > 0 && needers[c.down] == 1 {
+					excl += pDown
+				}
+				if c.refund <= excl {
+					if pUp > 0 {
+						needers[c.up]--
+					}
+					if pDown > 0 {
+						needers[c.down]--
+					}
+					cands = append(cands[:i], cands[i+1:]...)
+					dropped = true
+					break
+				}
+			}
+		}
+		refundSum, priceSum := 0.0, 0.0
+		for _, c := range cands {
+			refundSum += c.refund
+			if p := pushPrice(c); p > 0 && needers[c.up] > 0 {
+				needers[c.up] = 0
+				priceSum += p
+			}
+			if p := pullPrice(c.down); p > 0 && needers[c.down] > 0 {
+				needers[c.down] = 0
+				priceSum += p
+			}
+		}
+		if refundSum <= priceSum {
+			continue
+		}
+		for _, c := range cands {
+			if pushPrice(c) > 0 {
+				s.SetPush(c.up)
+			}
+			if pullPrice(c.down) > 0 {
+				s.SetPull(c.down)
+			}
+		}
+		for _, c := range cands {
+			if c.push {
+				s.ClearPush(c.e)
+			} else {
+				s.ClearPull(c.e)
+			}
+			s.SetCovered(c.e, graph.NodeID(w))
+			pinned[c.up]++
+			pinned[c.down]++
+			res.Upgraded++
+		}
+		res.Saved += refundSum - priceSum
+	}
+	return res
+}
+
+// checkAmortizeAgainstReference refines two clones of s, runs the sweep
+// on one and the reference on the other, and reports any difference in
+// the result (Saved to the bit), in flags or hub on any edge, or in the
+// pinned counts; and a support table the sweep ends with that differs from
+// a fresh walk's. It returns what was upgraded. Errors, not fatals: the
+// daemon calls it from an attempt's goroutine.
+func checkAmortizeAgainstReference(t *testing.T, s *core.Schedule, r *workload.Rates, region []graph.EdgeID) int {
+	t.Helper()
+	got, want := s.Clone(), s.Clone()
+	_, sup := refine.Pass(got, r)
+	_, refSup := refine.Pass(want, r)
+	res := new(amortizer).run(got, r, region, sup)
+	ref := referenceAmortize(want, r, region, refSup.Pinned)
+	if res.Upgraded != ref.Upgraded || math.Float64bits(res.Saved) != math.Float64bits(ref.Saved) {
+		t.Errorf("sweep returned %+v, reference %+v", res, ref)
+		return 0
+	}
+	for e := graph.EdgeID(0); int(e) < s.Graph().NumEdges(); e++ {
+		if got.IsPush(e) != want.IsPush(e) || got.IsPull(e) != want.IsPull(e) ||
+			got.IsCovered(e) != want.IsCovered(e) || got.Hub(e) != want.Hub(e) {
+			t.Errorf("edge %d: sweep left push=%v pull=%v hub=%d, reference push=%v pull=%v hub=%d", e,
+				got.IsPush(e), got.IsPull(e), got.Hub(e), want.IsPush(e), want.IsPull(e), want.Hub(e))
+			return 0
+		}
+	}
+	if !slices.Equal(sup.Pinned, refSup.Pinned) {
+		t.Error("the sweep's pinned counts differ from the reference's")
+	}
+	if walked := got.TakeSupports(); !reflect.DeepEqual(sup, walked) {
+		t.Error("the support table the sweep ends with differs from a fresh walk's")
+	}
+	return res.Upgraded
+}
+
+// The sweep against the one it replaced, over random valid schedules with
+// tie-heavy rates: many bundles break even, so drops cascade and the
+// removal order is exercised. The rates are scaled by 0.1, ties kept, so
+// that sums are inexact and a bundle summed in another order shows in the
+// bits of Saved.
+func TestAmortizeMatchesReference(t *testing.T) {
+	upgraded := 0
+	f := func(seed int64) bool {
+		s, r, region := tieHeavySchedule(t, seed)
+		for u := range r.Prod {
+			r.Prod[u] *= 0.1
+			r.Cons[u] *= 0.1
+		}
+		upgraded += checkAmortizeAgainstReference(t, s, r, region)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if upgraded == 0 {
+		t.Fatal("no sweep bought anything; the comparison proved nothing")
+	}
+}
+
+// amortizeChecked is a regional solver that holds the sweep to the
+// reference on every patched schedule it hands the daemon, over the
+// attempt's region — the hook refine's zoo comparison uses.
+type amortizeChecked struct {
+	solver.Solver
+	t        *testing.T
+	upgraded *int
+}
+
+func (c amortizeChecked) SupportsRegions() bool { return true }
+
+func (c amortizeChecked) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
+	res, err := c.Solver.Solve(ctx, p)
+	if res != nil {
+		*c.upgraded += checkAmortizeAgainstReference(c.t, res.Schedule, p.Rates, p.Region)
+	}
+	return res, err
+}
+
+// The sweep against the reference on every re-solve of every zoo
+// scenario, at the acceptance geometry (-short: flashcrowd only).
+func TestAmortizeMatchesReferenceOnZoo(t *testing.T) {
+	g := graphgen.Social(graphgen.FlickrLike(300, 11))
+	base := workload.LogDegree(g, 5)
+	total := 0
+	for _, name := range scenario.Default.Names() {
+		if testing.Short() && name != scenario.FlashCrowd {
+			continue
+		}
+		trace, err := scenario.Default.Generate(name, g, base, scenario.Params{Ops: 800, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := freshRates(g, base)
+		upgraded := 0
+		d, err := New(chitchat.Solve(g, r, chitchat.Config{}), r, Config{
+			Regional:       amortizeChecked{solver.NewChitChat(chitchat.Config{}), t, &upgraded},
+			DriftThreshold: 0.05,
+			CheckEvery:     8,
+			BudgetFraction: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ApplyTrace(trace); err != nil {
+			t.Fatal(err)
+		}
+		st := d.Stats()
+		if st.Resolves+st.Reverted == 0 {
+			t.Errorf("%s: no re-solve ran", name)
+		}
+		total += upgraded
+		t.Logf("%s: %d re-solves checked, %d edges upgraded", name, st.Resolves+st.Reverted, upgraded)
+	}
+	if total == 0 {
+		t.Fatal("no re-solve upgraded anything; the comparison proved nothing")
 	}
 }
 

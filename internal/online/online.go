@@ -841,14 +841,18 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 	// afterwards would have lost anyway.
 	patched := fl.res.Schedule
 	st = d.begin(fl.root.id, "refine", "")
-	refined, pinned := refine.Pass(patched, r)
+	refined, sup := refine.Pass(patched, r)
 	st.end("recovered=%d", refined.Recovered)
 	fl.refined, fl.amort = refined, amortizeResult{}
 	if !d.noAmortize {
 		st = d.begin(fl.root.id, "amortize", "")
-		fl.amort = d.amortize.run(patched, r, region, pinned)
+		fl.amort = d.amortize.run(patched, r, region, sup)
 		st.end("upgraded=%d", fl.amort.Upgraded)
 	}
+	// The support table refine took (from the splice's repair walk, when the
+	// solver spliced) and both sweeps kept current: the maintainer builds
+	// its dependency lists from it.
+	patched.KeepSupports(sup)
 	st = d.begin(fl.root.id, "rebuild", "")
 	fl.m = incremental.New(patched, r)
 	st.end("")

@@ -30,49 +30,41 @@ type Result struct {
 // pass is a fixpoint: it only clears direct flags and adds coverage,
 // neither of which creates a bracket, so a second pass recovers nothing.
 //
-// Alongside the result it returns the obligation counts it ends with:
-// pinned[e] is the number of covered edges whose hub support is e. Only
-// an edge with pinned == 0 and no coverage role may have its direct flags
+// Alongside the result it returns the support table it ends with, taken
+// from s (core.Schedule.TakeSupports) and kept current as it covers:
+// Pinned[e] is the number of covered edges whose hub support is e. Only
+// an edge with Pinned == 0 and no coverage role may have its direct flags
 // cleared, which a later sweep (the online daemon's amortizer) must know.
-func Pass(s *core.Schedule, r *workload.Rates) (Result, []int32) {
+func Pass(s *core.Schedule, r *workload.Rates) (Result, core.Supports) {
 	g := s.Graph()
 	n := g.NumNodes()
 
-	pinned := s.TakePinned()
+	sup := s.TakeSupports()
 
-	// Only a pushed out-edge of u and a pulled in-edge of v can bracket
-	// u → v, so those are what the sweep intersects, not out(u) ∩ in(v):
-	// push[pushAt[u]:pushAt[u+1]] are u's pushed out-edges by ascending
-	// target, pull[pullAt[v]:pullAt[v+1]] v's pulled in-edges by ascending
-	// source pullFrom.
-	cnt := s.Counts()
-	pushAt := make([]int32, n+1)
-	push := make([]graph.EdgeID, 0, cnt.Push)
+	// Only a pushed u → w and a pulled w → v can bracket u → v. The pulled
+	// in-edges of v are pull[pullAt[v]:pullAt[v+1]], by ascending source
+	// pullFrom; u's out-row is stamped once per source, so each of them is
+	// matched to u → w without a search or a merge.
 	pullAt := make([]int32, n+1)
-	pull := make([]graph.EdgeID, 0, cnt.Pull)
-	pullFrom := make([]graph.NodeID, 0, cnt.Pull)
-	for u := graph.NodeID(0); int(u) < n; u++ {
-		lo, hi := g.OutEdgeRange(u)
-		for e := lo; e < hi; e++ {
-			if s.IsPush(e) {
-				push = append(push, e)
-			}
-		}
-		pushAt[u+1] = int32(len(push))
-		ids := g.InEdgeIDs(u)
-		for j, w := range g.InNeighbors(u) {
+	var pull []graph.EdgeID
+	var pullFrom []graph.NodeID
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		ids := g.InEdgeIDs(v)
+		for j, w := range g.InNeighbors(v) {
 			if s.IsPull(ids[j]) {
 				pull = append(pull, ids[j])
 				pullFrom = append(pullFrom, w)
 			}
 		}
-		pullAt[u+1] = int32(len(pull))
+		pullAt[v+1] = int32(len(pull))
 	}
 
 	var res Result
+	var out graph.RowStamp
+	out.Reset(g)
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		// Candidates: edges paying a direct cost that nothing depends on.
-		if s.IsCovered(e) || pinned[e] > 0 {
+		if s.IsCovered(e) || sup.Pinned[e] > 0 {
 			return true
 		}
 		isPush := s.IsPush(e)
@@ -82,43 +74,32 @@ func Pass(s *core.Schedule, r *workload.Rates) (Result, []int32) {
 			// optimization with dependency subtleties — skip).
 			return true
 		}
-		// The lowest hub w with u → w pushed and w → v pulled. The lists
-		// are as of the start of the pass and the pass only ever clears
-		// flags, so a hit is re-checked against the live flags: what
-		// remains is exactly what a walk over the live schedule would find.
-		i, iEnd := pushAt[u], pushAt[u+1]
-		j, jEnd := pullAt[v], pullAt[v+1]
-		for i < iEnd && j < jEnd {
-			w := g.EdgeTarget(push[i])
-			switch {
-			case w < pullFrom[j]:
-				i++
-			case w > pullFrom[j]:
-				j++
-			default:
-				up, down := push[i], pull[j]
-				if s.IsPush(up) && s.IsPull(down) {
-					// Refund the direct cost and pin the new supports.
-					if isPush {
-						res.Saved += r.Prod[u]
-						s.ClearPush(e)
-					} else {
-						res.Saved += r.Cons[v]
-						s.ClearPull(e)
-					}
-					s.SetCovered(e, w)
-					pinned[up]++
-					pinned[down]++
-					res.Recovered++
-					return true // next edge
-				}
-				i++
-				j++
+		// The lowest hub w with u → w pushed and w → v pulled. The pull
+		// list is as of the start of the pass and the pass only ever clears
+		// flags, so each bracket is checked against the live flags: the
+		// first that holds is the hub a walk over the live schedule finds.
+		out.Stamp(u)
+		for j := pullAt[v]; j < pullAt[v+1]; j++ {
+			up, ok := out.Edge(pullFrom[j])
+			if !ok || !s.IsPush(up) || !s.IsPull(pull[j]) {
+				continue
 			}
+			// Refund the direct cost and pin the new supports.
+			if isPush {
+				res.Saved += r.Prod[u]
+				s.ClearPush(e)
+			} else {
+				res.Saved += r.Cons[v]
+				s.ClearPull(e)
+			}
+			s.SetCovered(e, pullFrom[j])
+			sup.Cover(e, up, pull[j])
+			res.Recovered++
+			return true // next edge
 		}
 		return true
 	})
-	return res, pinned
+	return res, sup
 }
 
 // Run is Pass for callers that only want the result.

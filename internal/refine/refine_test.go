@@ -3,7 +3,7 @@ package refine
 import (
 	"math"
 	"math/rand"
-	"slices"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -178,26 +178,27 @@ func sameSchedule(t *testing.T, got, want *core.Schedule) {
 // CheckAgainstReference runs Pass and the reference sweep on clones of s
 // and requires the same Result and the same flags and hub on every edge,
 // then a second Pass that recovers nothing. It returns what was recovered.
-// It takes s's handed-over pinned counts, if any, and checks them too.
+// It takes s's handed-over support table, if any, and checks it too, as
+// well as the table Pass ends with, against a fresh walk.
 func CheckAgainstReference(t *testing.T, s *core.Schedule, r *workload.Rates) int {
 	t.Helper()
-	// The counts core.ApplyPatch's repair left on s for Pass, when s comes
-	// from a region splice, against the walk Pass makes without them.
-	if handed, walked := s.TakePinned(), s.TakePinned(); !slices.Equal(handed, walked) {
-		t.Fatal("the pinned counts the splice handed over differ from a fresh walk's")
+	// The table core.ApplyPatch's repair left on s for Pass, when s comes
+	// from a region splice, against the walk Pass makes without it.
+	if handed, walked := s.TakeSupports(), s.TakeSupports(); !reflect.DeepEqual(handed, walked) {
+		t.Fatal("the support table the splice handed over differs from a fresh walk's")
 	}
 	got, want := s.Clone(), s.Clone()
-	res, pinned := Pass(got, r)
+	res, sup := Pass(got, r)
 	if ref := referencePass(want, r); res != ref {
 		t.Fatalf("pass returned %+v, reference %+v", res, ref)
 	}
 	sameSchedule(t, got, want)
-	again, pinned2 := Pass(got, r)
+	if walked := got.TakeSupports(); !reflect.DeepEqual(sup, walked) {
+		t.Fatal("the support table a pass ends with differs from a fresh walk's")
+	}
+	again, _ := Pass(got, r)
 	if again.Recovered != 0 || again.Saved != 0 {
 		t.Fatalf("second pass recovered %+v after the first recovered %+v", again, res)
-	}
-	if !slices.Equal(pinned, pinned2) {
-		t.Fatal("the pinned counts a pass ends with differ from those a fresh pass starts from")
 	}
 	return res.Recovered
 }

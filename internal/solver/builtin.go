@@ -161,12 +161,11 @@ func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (res *Result, err
 		region = slices.Clone(region)
 		slices.Sort(region)
 	}
-	nodes := endpointNodes(p.Graph, region)
-	if induced := graph.InducedEdgeIDs(p.Graph, nodes); !slices.Equal(induced, region) {
+	sub := graph.Induced(p.Graph, endpointNodes(p.Graph, region))
+	if !slices.Equal(sub.GlobalEdge, region) {
 		return nil, fmt.Errorf("%w: %d region edges vs %d induced by their endpoints",
-			ErrRegionNotInduced, len(p.Region), len(induced))
+			ErrRegionNotInduced, len(p.Region), len(sub.GlobalEdge))
 	}
-	sub := graph.Induced(p.Graph, nodes)
 	patch, cause := chitchat.SolveInducedCtx(ctx, sub, p.Rates, cfg)
 	out := p.Base.Clone()
 	repairs, aerr := core.ApplyPatch(out, sub, patch, p.Rates)
