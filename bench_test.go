@@ -19,10 +19,10 @@ import (
 	"piggyback/internal/densest"
 	"piggyback/internal/experiments"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/netstore"
 	"piggyback/internal/nosy"
 	"piggyback/internal/partition"
 	"piggyback/internal/sampling"
-	"piggyback/internal/store"
 	"piggyback/internal/workload"
 )
 
@@ -173,18 +173,18 @@ func BenchmarkPlacementCost(b *testing.B) {
 func BenchmarkPrototypeRequests(b *testing.B) {
 	g, r := benchGraph()
 	pn, _ := ParallelNosy(g, r, NosyConfig{})
-	c, err := store.NewCluster(pn, store.Options{Servers: 64})
+	c, err := netstore.NewCluster(pn, netstore.ClusterOptions{Servers: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	trace := store.GenerateTrace(r, 4096, 1)
+	trace := netstore.GenerateTrace(r, 4096, 1)
 	b.ResetTimer()
 	cl := c.NewClient()
 	for i := 0; i < b.N; i++ {
 		req := trace[i%len(trace)]
 		if req.IsUpdate {
-			cl.Update(req.User, store.Event{User: req.User, ID: int64(i), TS: int64(i)})
+			cl.Update(req.User, netstore.Event{User: req.User, ID: int64(i), TS: int64(i)})
 		} else {
 			cl.Query(req.User)
 		}

@@ -30,7 +30,6 @@ import (
 	_ "piggyback/internal/shard" // registers the "shard" solver
 	"piggyback/internal/solver"
 	"piggyback/internal/stats"
-	"piggyback/internal/store"
 	"piggyback/internal/workload"
 )
 
@@ -76,7 +75,7 @@ func main() {
 	fmt.Printf("started %d TCP data-store servers\n", len(addrs))
 
 	// Replay the workload from concurrent clients, collecting latencies.
-	trace := store.GenerateTrace(r, *requests, *seed)
+	trace := netstore.GenerateTrace(r, *requests, *seed)
 	lat := make([][]float64, *clients)
 	var wg sync.WaitGroup
 	chunk := (len(trace) + *clients - 1) / *clients
@@ -101,7 +100,7 @@ func main() {
 				req := trace[i]
 				t0 := time.Now()
 				if req.IsUpdate {
-					err = cl.Update(req.User, store.Event{User: req.User, ID: int64(i), TS: int64(i)})
+					err = cl.Update(req.User, netstore.Event{User: req.User, ID: int64(i), TS: int64(i)})
 				} else {
 					_, err = cl.Query(req.User)
 				}

@@ -33,7 +33,6 @@ import (
 	"piggyback/internal/netstore"
 	"piggyback/internal/online"
 	"piggyback/internal/scenario"
-	"piggyback/internal/store"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
@@ -123,9 +122,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Daemon: full telemetry, and every accepted splice publishes a new
-	// plan epoch to the tier — the client's per-server epoch gauges then
-	// record the rollout as its requests observe it.
+	// Daemon: full telemetry, and every accepted splice swaps the client
+	// onto the re-solved plan and publishes a new plan epoch to the tier —
+	// the client's per-server epoch gauges then record the rollout as its
+	// requests observe it.
 	epoch := uint32(0)
 	d, err := online.New(init, r, online.Config{
 		DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1,
@@ -135,7 +135,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	d.OnSplice = func(*graph.Graph, *core.Schedule) {
+	d.OnSplice = func(_ *graph.Graph, s *core.Schedule) {
+		if err := cl.Swap(s); err != nil {
+			fmt.Fprintf(os.Stderr, "swap: %v\n", err)
+			os.Exit(1)
+		}
 		epoch++
 		for _, s := range tier {
 			s.SetEpoch(epoch)
@@ -164,7 +168,7 @@ func main() {
 			u := graph.NodeID(rng.Intn(g.NumNodes()))
 			t0 := time.Now()
 			if issued%4 == 3 {
-				err = cl.Update(u, store.Event{User: u, ID: int64(issued), TS: int64(issued)})
+				err = cl.Update(u, netstore.Event{User: u, ID: int64(issued), TS: int64(issued)})
 				uLat.Observe(time.Since(t0).Seconds())
 				updates.Inc()
 			} else {

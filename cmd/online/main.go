@@ -5,7 +5,7 @@
 //
 // With -serve it additionally runs the prototype view-store cluster:
 // the daemon's accepted re-solves swap the cluster's live schedule
-// (store.Cluster.Swap), demoing serving + rescheduling end to end, and
+// (netstore.Cluster.Swap), demoing serving + rescheduling end to end, and
 // the throughput of the initial vs. final schedule is measured.
 //
 //	go run ./cmd/online -nodes 2000 -ops 5000 -solver chitchat
@@ -24,10 +24,10 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/netstore"
 	"piggyback/internal/online"
 	_ "piggyback/internal/shard" // registers the "shard" solver
 	"piggyback/internal/solver"
-	"piggyback/internal/store"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
@@ -118,12 +118,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	// -serve: the store tier executes the live schedule; every accepted
+	// -serve: the in-process tier executes the live schedule; every accepted
 	// splice goes live via an atomic plan swap, no drain needed.
-	var cluster *store.Cluster
+	var cluster *netstore.Cluster
 	swaps := 0
 	if *serve {
-		cluster, err = store.NewCluster(init, store.Options{Servers: *servers})
+		cluster, err = netstore.NewCluster(init, netstore.ClusterOptions{Servers: *servers})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -200,7 +200,7 @@ func main() {
 
 // measure replays a short sampled trace and reports per-client
 // throughput on the cluster's current plan.
-func measure(c *store.Cluster, r *workload.Rates, seed int64) float64 {
-	t := store.GenerateTrace(r, 4000, seed)
-	return store.MeasureThroughput(c, t, 4).PerClientRate
+func measure(c *netstore.Cluster, r *workload.Rates, seed int64) float64 {
+	t := netstore.GenerateTrace(r, 4000, seed)
+	return netstore.MeasureThroughput(c, t, 4).PerClientRate
 }

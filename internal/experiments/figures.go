@@ -9,11 +9,11 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/incremental"
+	"piggyback/internal/netstore"
 	"piggyback/internal/nosy"
 	"piggyback/internal/partition"
 	"piggyback/internal/sampling"
 	"piggyback/internal/stats"
-	"piggyback/internal/store"
 	"piggyback/internal/workload"
 )
 
@@ -155,17 +155,17 @@ func Fig6(sc Scale) *Table {
 	g, r := sc.flickr()
 	pn := nosy.Solve(g, r, nosy.Config{Workers: sc.Workers}).Schedule
 	ff := baseline.Hybrid(g, r)
-	trace := store.GenerateTrace(r, sc.PrototypeRequests, sc.Seed)
+	trace := netstore.GenerateTrace(r, sc.PrototypeRequests, sc.Seed)
 	for _, servers := range serverSweep(1024) {
 		rates := make([]float64, 2)
 		for i, s := range []*core.Schedule{pn, ff} {
-			c, err := store.NewCluster(s, store.Options{
+			c, err := netstore.NewCluster(s, netstore.ClusterOptions{
 				Servers: servers, PartitionSeed: sc.Seed,
 			})
 			if err != nil {
 				panic(err)
 			}
-			res := store.MeasureThroughput(c, trace, sc.PrototypeClients)
+			res := netstore.MeasureThroughput(c, trace, sc.PrototypeClients)
 			c.Close()
 			rates[i] = res.PerClientRate
 		}

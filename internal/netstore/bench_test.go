@@ -9,7 +9,6 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/partition"
-	"piggyback/internal/store"
 )
 
 // Plain go test -bench functions for profiling the request path; the
@@ -54,12 +53,13 @@ func benchTier(b *testing.B, plan func(*graph.Graph) *core.Schedule) (cl *Client
 	b.Cleanup(cl.Close)
 	for i := 0; i < 12*n; i++ {
 		u := graph.NodeID(i % n)
-		if err := cl.Update(u, store.Event{User: u, ID: int64(i), TS: int64(i)}); err != nil {
+		if err := cl.Update(u, Event{User: u, ID: int64(i), TS: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	p := cl.plan.Load()
 	for want := 1; want <= 2; want++ {
-		if q, u := len(cl.pullBatch[users[want]]), len(cl.pushBatch[users[want]]); max(q, u) != want {
+		if q, u := len(p.pullBatch[users[want]]), len(p.pushBatch[users[want]]); max(q, u) != want {
 			b.Fatalf("user %d has %d query and %d update batches, want %d", users[want], q, u, want)
 		}
 	}
@@ -86,7 +86,7 @@ func BenchmarkUpdateRoundTrip(b *testing.B) {
 		b.Run(fmt.Sprintf("batches=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ev := store.Event{User: users[n], ID: int64(i), TS: int64(1e6 + i)}
+				ev := Event{User: users[n], ID: int64(i), TS: int64(1e6 + i)}
 				if err := cl.Update(users[n], ev); err != nil {
 					b.Fatal(err)
 				}
@@ -95,18 +95,18 @@ func BenchmarkUpdateRoundTrip(b *testing.B) {
 	}
 }
 
-var sinkEvents []store.Event
+var sinkEvents []Event
 
 // BenchmarkServerQueryMerge is the server half of a query alone: V full
 // views, their heads copied under the shard locks and merged to the
 // stream size.
 func BenchmarkServerQueryMerge(b *testing.B) {
-	views := make(map[graph.NodeID][]store.Event)
+	views := make(map[graph.NodeID][]Event)
 	var ask []graph.NodeID
 	for v := 0; v < 64; v++ {
-		for j := 0; j < store.ViewCap; j++ {
-			views[graph.NodeID(v)] = append(views[graph.NodeID(v)], store.Event{
-				User: graph.NodeID(v), ID: int64(j), TS: int64(64*(store.ViewCap-j) + v)})
+		for j := 0; j < ViewCap; j++ {
+			views[graph.NodeID(v)] = append(views[graph.NodeID(v)], Event{
+				User: graph.NodeID(v), ID: int64(j), TS: int64(64*(ViewCap-j) + v)})
 		}
 		ask = append(ask, graph.NodeID(v))
 	}
@@ -121,7 +121,7 @@ func BenchmarkServerQueryMerge(b *testing.B) {
 			b.ReportAllocs()
 			var c connScratch
 			for i := 0; i < b.N; i++ {
-				sinkEvents = srv.query(&c, ask[:v], store.StreamSize)
+				sinkEvents = srv.query(&c, ask[:v], StreamSize)
 			}
 		})
 	}

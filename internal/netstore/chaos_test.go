@@ -15,7 +15,6 @@ import (
 	"piggyback/internal/fault"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
-	"piggyback/internal/store"
 	"piggyback/internal/workload"
 )
 
@@ -26,22 +25,22 @@ const (
 
 // chaosWorkload builds the pinned graph, schedule, and request trace
 // shared by the fault-free and chaos runs.
-func chaosWorkload(ops int) (*core.Schedule, store.Trace) {
+func chaosWorkload(ops int) (*core.Schedule, Trace) {
 	g := graphgen.Social(graphgen.TwitterLike(80, 9))
 	r := workload.LogDegree(g, 5)
-	return baseline.Hybrid(g, r), store.GenerateTrace(r, ops, chaosSeed)
+	return baseline.Hybrid(g, r), GenerateTrace(r, ops, chaosSeed)
 }
 
 // traceEvent is the event op i shares — a pure function of the trace,
 // identical in every run, with a trace-unique timestamp so the final
 // per-view event sets are insertion-order independent.
-func traceEvent(req store.Request, i int) store.Event {
-	return store.Event{User: req.User, ID: int64(i), TS: int64(i + 1)}
+func traceEvent(req Request, i int) Event {
+	return Event{User: req.User, ID: int64(i), TS: int64(i + 1)}
 }
 
 // restartServer rebinds a crashed server's address with its durable
 // views restored — the restart half of a crash-recovery cycle.
-func restartServer(t *testing.T, addr string, views map[graph.NodeID][]store.Event) *Server {
+func restartServer(t *testing.T, addr string, views map[graph.NodeID][]Event) *Server {
 	t.Helper()
 	var err error
 	for i := 0; i < 100; i++ {
@@ -58,7 +57,7 @@ func restartServer(t *testing.T, addr string, views map[graph.NodeID][]store.Eve
 // runFaultFree applies the trace against a healthy cluster and returns
 // each server's final views — the reference the chaos run must converge
 // to byte for byte.
-func runFaultFree(t *testing.T, sched *core.Schedule, trace store.Trace) []map[graph.NodeID][]store.Event {
+func runFaultFree(t *testing.T, sched *core.Schedule, trace Trace) []map[graph.NodeID][]Event {
 	t.Helper()
 	srvs := make([]*Server, chaosServers)
 	addrs := make([]string, chaosServers)
@@ -84,7 +83,7 @@ func runFaultFree(t *testing.T, sched *core.Schedule, trace store.Trace) []map[g
 		}
 	}
 	cl.Close()
-	snaps := make([]map[graph.NodeID][]store.Event, chaosServers)
+	snaps := make([]map[graph.NodeID][]Event, chaosServers)
 	for i, srv := range srvs {
 		srv.Close()
 		snaps[i] = srv.Snapshot()
@@ -100,7 +99,7 @@ func runFaultFree(t *testing.T, sched *core.Schedule, trace store.Trace) []map[g
 // views byte-identical to the fault-free run. It returns the per-server
 // retry logs and the client's final counters (bytes zeroed) so the
 // caller can pin the failure handling to what shipped.
-func runChaos(t *testing.T, sched *core.Schedule, trace store.Trace, want []map[graph.NodeID][]store.Event) ([][]string, ClientStats) {
+func runChaos(t *testing.T, sched *core.Schedule, trace Trace, want []map[graph.NodeID][]Event) ([][]string, ClientStats) {
 	t.Helper()
 	ops := len(trace)
 	crash1, restart1, crash2 := ops/5, ops*3/5, ops*4/5
@@ -142,7 +141,7 @@ func runChaos(t *testing.T, sched *core.Schedule, trace store.Trace, want []map[
 	}
 	defer cl.Close()
 
-	var snap1, snap2 map[graph.NodeID][]store.Event
+	var snap1, snap2 map[graph.NodeID][]Event
 	for i, req := range trace {
 		switch i {
 		case crash1:
@@ -259,12 +258,12 @@ func TestRedialAfterTimeout(t *testing.T) {
 	}
 	defer cl.Close()
 
-	if err := cl.Update(0, store.Event{User: 0, ID: 1, TS: 1}); err != nil {
+	if err := cl.Update(0, Event{User: 0, ID: 1, TS: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// This update is applied by the server, but its ack is dropped: the
 	// client times out and must redial + retry the identical frame.
-	if err := cl.Update(0, store.Event{User: 0, ID: 2, TS: 2}); err != nil {
+	if err := cl.Update(0, Event{User: 0, ID: 2, TS: 2}); err != nil {
 		t.Fatalf("update with a dropped ack failed instead of being retried: %v", err)
 	}
 	// Next request on the same logical server must succeed — and see the
@@ -346,11 +345,11 @@ func TestMalformedFrameGetsTypedError(t *testing.T) {
 	}
 
 	// The same connection still serves well-formed requests.
-	ev := store.Event{User: 7, ID: 3, TS: 9}
+	ev := Event{User: 7, ID: 3, TS: 9}
 	if _, err := roundTrip(encodeUpdate(nil, ev, []graph.NodeID{7})); err != nil {
 		t.Fatalf("update after malformed frames: %v", err)
 	}
-	body, err := roundTrip(encodeQuery(nil, store.StreamSize, []graph.NodeID{7}))
+	body, err := roundTrip(encodeQuery(nil, StreamSize, []graph.NodeID{7}))
 	if err != nil {
 		t.Fatalf("query after malformed frames: %v", err)
 	}
@@ -369,7 +368,7 @@ func TestMalformedFrameGetsTypedError(t *testing.T) {
 // downTier is a one-server tier whose server has just died with its
 // views saved, and a client that learns of it on its first failed call
 // (no retries) and then probes on every call or on none.
-func downTier(t *testing.T, probeEvery int) (cl *Client, addr string, saved map[graph.NodeID][]store.Event) {
+func downTier(t *testing.T, probeEvery int) (cl *Client, addr string, saved map[graph.NodeID][]Event) {
 	t.Helper()
 	g, _ := figure2()
 	srv, err := NewServer("127.0.0.1:0")
@@ -383,7 +382,7 @@ func downTier(t *testing.T, probeEvery int) (cl *Client, addr string, saved map[
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	if err := cl.Update(0, store.Event{User: 0, ID: 1, TS: 1}); err != nil {
+	if err := cl.Update(0, Event{User: 0, ID: 1, TS: 1}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -399,11 +398,11 @@ func TestParkedPayloadIsOwned(t *testing.T) {
 	cl, addr, saved := downTier(t, 1<<30)
 	var want [][]byte
 	for i := int64(2); i <= 4; i++ {
-		ev := store.Event{User: 0, ID: i, TS: i}
+		ev := Event{User: 0, ID: i, TS: i}
 		if err := cl.Update(0, ev); err != nil {
 			t.Fatalf("update %d against a down server: %v", i, err)
 		}
-		want = append(want, frameOf(0, encodeUpdate(nil, ev, cl.pushBatch[0][0].views)))
+		want = append(want, frameOf(0, encodeUpdate(nil, ev, cl.plan.Load().pushBatch[0][0].views)))
 	}
 	s := cl.conns[0]
 	s.mu.Lock()
@@ -439,7 +438,7 @@ func TestParkedPayloadIsOwned(t *testing.T) {
 func TestProbeReplySurvivesHandoffReplay(t *testing.T) {
 	cl, addr, saved := downTier(t, 1<<30)
 	for i := int64(2); i <= 3; i++ {
-		if err := cl.Update(0, store.Event{User: 0, ID: i, TS: i}); err != nil {
+		if err := cl.Update(0, Event{User: 0, ID: i, TS: i}); err != nil {
 			t.Fatalf("update %d against a down server: %v", i, err)
 		}
 	}
@@ -455,7 +454,7 @@ func TestProbeReplySurvivesHandoffReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The probe ran before the replay, so it saw the first event only.
-	if want := []store.Event{{User: 0, ID: 1, TS: 1}}; !reflect.DeepEqual(got, want) {
+	if want := []Event{{User: 0, ID: 1, TS: 1}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("probing query returned %v, want the probe's own reply %v", got, want)
 	}
 	if st := cl.Stats(); cl.ServerDown(0) || st.Replayed != 2 || st.HandoffDrops != 1 || st.ErrorFrames != 1 {

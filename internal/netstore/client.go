@@ -8,12 +8,12 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/partition"
-	"piggyback/internal/store"
 	"piggyback/internal/telemetry"
 )
 
@@ -32,6 +32,10 @@ var (
 	// server outage becomes a client-visible update failure.
 	ErrHandoffFull = errors.New("netstore: hinted-handoff buffer full")
 )
+
+// handoffCap bounds each server's hinted-handoff buffer (parked updates
+// awaiting replay).
+const handoffCap = 4096
 
 // DialConfig tunes the client's failure handling. The zero value uses
 // every default; DialWithSeed sets only Seed.
@@ -58,18 +62,11 @@ type DialConfig struct {
 	// pass between redial probes (the probe is attempt one of the next
 	// operation); 0 means 8. Lower values recover faster and dial more.
 	ProbeEvery int
-	// HandoffCap bounds the per-server hinted-handoff buffer (parked
-	// updates awaiting replay); 0 means 4096, negative disables
-	// handoff entirely (a down server then fails updates).
-	HandoffCap int
 	// OnRetry, when non-nil, observes every backoff sleep: the server
 	// index, the attempt number (1-based), and the slept duration. The
 	// per-server call sequence is deterministic for a fixed seed and
 	// fault schedule. Called from request goroutines.
 	OnRetry func(server, attempt int, delay time.Duration)
-	// OnStateChange, when non-nil, observes server health transitions.
-	// Called from request goroutines.
-	OnStateChange func(server int, down bool)
 	// Metrics, when non-nil, registers the client's counters and gauges
 	// (netstore_client_*) in the given registry, so retries, handoff
 	// traffic, bytes on wire, and per-server epoch observations surface
@@ -99,9 +96,6 @@ func (cfg DialConfig) withDefaults() DialConfig {
 	if cfg.ProbeEvery == 0 {
 		cfg.ProbeEvery = 8
 	}
-	if cfg.HandoffCap == 0 {
-		cfg.HandoffCap = 4096
-	}
 	if cfg.sleep == nil {
 		cfg.sleep = time.Sleep
 	}
@@ -129,12 +123,13 @@ type ClientStats struct {
 	BytesRead, BytesWritten int64
 }
 
-// Client is a schedule-driven application-logic client over TCP
-// (Algorithm 3). It keeps one connection per data-store server and
-// sends one batched message per server, waiting for all replies: the
-// first batch's round trip runs on the calling goroutine and each
-// further batch's on a helper goroutine, so the round trips overlap and
-// a request with one batch starts nothing (DESIGN.md §17).
+// Client is a schedule-driven application-logic client (Algorithm 3).
+// It keeps one connection per data-store server and sends one batched
+// message per server, waiting for all replies: the first batch's round
+// trip runs on the calling goroutine and each further batch's on a
+// helper goroutine, so the round trips overlap and a request with one
+// batch starts nothing (DESIGN.md §17). It routes by a plan it loads
+// once per request; Swap publishes a new one.
 //
 // Failure handling (none of which the paper's prototype has): a failed
 // round-trip is retried with capped exponential backoff on a FRESH
@@ -148,44 +143,38 @@ type ClientStats struct {
 //
 // A Client runs one request (Update or Query) at a time: the request in
 // flight and every connection's buffers are the client's own state, so
-// open one client per requesting goroutine. ServerDown, ServerEpoch,
-// Recover and Stats may be called from any goroutine at any time.
+// open one client per requesting goroutine. Swap, ServerDown,
+// ServerEpoch, Recover and Stats may be called from any goroutine at any
+// time.
 type Client struct {
-	sched  *core.Schedule
-	assign partition.Assignment
-	cfg    DialConfig
-	conns  []*sconn
-
-	pushBatch [][]batch
-	pullBatch [][]batch
+	plan  *atomic.Pointer[plan] // a Cluster's clients share the Cluster's
+	cfg   DialConfig
+	conns []*sconn
 
 	// The request in flight: its batches, whether it is an update and of
 	// which event, and one error and one reply slot per batch.
 	batches []batch
 	update  bool
-	ev      store.Event
+	ev      Event
 	errs    []error
-	replies [][]store.Event
+	replies [][]Event
 	wg      sync.WaitGroup // the helpers of the request in flight
-
-	// fallback memoizes the pull-all batches (own views of u and its
-	// in-neighbors) built on first degraded query per user.
-	fallback map[graph.NodeID][]batch
 
 	// inst backs both Stats() and (when DialConfig.Metrics is set) the
 	// /metrics exposition — one set of instruments, two readers.
 	inst *clientInstruments
 }
 
-// sconn is the client's per-server endpoint: the live connection (nil
-// while disconnected), health state, deterministic jitter stream, and
-// the hinted-handoff buffer. All fields but wbuf and events are guarded
-// by mu; a request holds the lock for the full call so per-server
-// operations serialize.
+// sconn is the client's per-server endpoint: how to reach the server,
+// the live connection (nil while disconnected), health state,
+// deterministic jitter stream, and the hinted-handoff buffer. All fields
+// but wbuf and events are guarded by mu; a request holds the lock for
+// the full call so per-server operations serialize.
 type sconn struct {
 	mu   sync.Mutex
 	idx  int
 	addr string
+	dial func() (net.Conn, error)
 	c    net.Conn
 	br   *bufio.Reader
 
@@ -201,7 +190,19 @@ type sconn struct {
 	// next round trip here, which only this client's next call starts
 	// (Recover touches down servers only, and those have no live reply).
 	wbuf, rbuf []byte
-	events     []store.Event
+	events     []Event
+}
+
+// plan is the immutable routing state derived from one schedule: the
+// per-user push and pull batches of Algorithm 3, the placement they were
+// grouped by, and the graph the degraded query path reads in-neighbours
+// from. A request finishes on the plan it loaded, so a swap only affects
+// later requests — the paper's model of a schedule change.
+type plan struct {
+	g         *graph.Graph
+	assign    partition.Assignment
+	pushBatch [][]batch
+	pullBatch [][]batch
 }
 
 type batch struct {
@@ -209,57 +210,27 @@ type batch struct {
 	views  []graph.NodeID
 }
 
-// DialWithSeed is DialConfigured with only a partition seed (must match
-// the seed used to shard data across the servers).
-func DialWithSeed(s *core.Schedule, addrs []string, seed int64) (*Client, error) {
-	return DialConfigured(s, addrs, DialConfig{Seed: seed})
-}
-
-// DialConfigured connects to the given data-store servers and precomputes
-// per-user batches from the schedule; addrs[i] hosts the views that the
-// hash assignment maps to server i. Every server must be reachable at
-// dial time; failure handling covers servers that die later.
-func DialConfigured(s *core.Schedule, addrs []string, cfg DialConfig) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("netstore: no servers")
-	}
-	cfg = cfg.withDefaults()
+func newPlan(s *core.Schedule, assign partition.Assignment) *plan {
 	g := s.Graph()
-	cl := &Client{
-		sched:    s,
-		assign:   partition.Hash(g.NumNodes(), len(addrs), cfg.Seed),
-		cfg:      cfg,
-		fallback: make(map[graph.NodeID][]batch),
-		inst:     newClientInstruments(cfg.Metrics, len(addrs)),
-		errs:     make([]error, len(addrs)),
-		replies:  make([][]store.Event, len(addrs)),
+	p := &plan{
+		g:         g,
+		assign:    assign,
+		pushBatch: make([][]batch, g.NumNodes()),
+		pullBatch: make([][]batch, g.NumNodes()),
 	}
-	for i, addr := range addrs {
-		sc := &sconn{
-			idx:  i,
-			addr: addr,
-			rng:  rand.New(rand.NewSource(cfg.Seed*7919 + int64(i))),
-		}
-		if err := cl.redial(sc); err != nil {
-			cl.Close()
-			return nil, fmt.Errorf("netstore: dialing %s: %w", addr, err)
-		}
-		cl.conns = append(cl.conns, sc)
-	}
-	cl.pushBatch = make([][]batch, g.NumNodes())
-	cl.pullBatch = make([][]batch, g.NumNodes())
 	for u := 0; u < g.NumNodes(); u++ {
 		uid := graph.NodeID(u)
-		cl.pushBatch[u] = cl.group(append(s.PushSet(uid), uid))
-		cl.pullBatch[u] = cl.group(append(s.PullSet(uid), uid))
+		p.pushBatch[u] = p.group(append(s.PushSet(uid), uid))
+		p.pullBatch[u] = p.group(append(s.PullSet(uid), uid))
 	}
-	return cl, nil
+	return p
 }
 
-func (cl *Client) group(views []graph.NodeID) []batch {
+// group buckets views by their hosting server, in server order.
+func (p *plan) group(views []graph.NodeID) []batch {
 	byServer := make(map[int][]graph.NodeID)
 	for _, v := range views {
-		s := int(cl.assign.Of(v))
+		s := int(p.assign.Of(v))
 		byServer[s] = append(byServer[s], v)
 	}
 	out := make([]batch, 0, len(byServer))
@@ -269,6 +240,79 @@ func (cl *Client) group(views []graph.NodeID) []batch {
 	sort.Slice(out, func(i, j int) bool { return out[i].server < out[j].server })
 	return out
 }
+
+// swapPlan publishes the plan of s in ptr. The schedule may be over a
+// different (churned) graph as long as the node-id space is unchanged —
+// views are keyed by node id, so served history carries over.
+func swapPlan(ptr *atomic.Pointer[plan], s *core.Schedule) error {
+	old := ptr.Load()
+	if got, want := s.Graph().NumNodes(), old.g.NumNodes(); got != want {
+		return fmt.Errorf("netstore: swap schedule has %d nodes, the plan has %d", got, want)
+	}
+	ptr.Store(newPlan(s, old.assign))
+	return nil
+}
+
+// DialWithSeed is DialConfigured with only a partition seed (must match
+// the seed used to shard data across the servers).
+func DialWithSeed(s *core.Schedule, addrs []string, seed int64) (*Client, error) {
+	return DialConfigured(s, addrs, DialConfig{Seed: seed})
+}
+
+// DialConfigured connects to the given data-store servers over TCP and
+// precomputes per-user batches from the schedule; addrs[i] hosts the
+// views that the hash assignment maps to server i. Every server must be
+// reachable at dial time; failure handling covers servers that die
+// later.
+func DialConfigured(s *core.Schedule, addrs []string, cfg DialConfig) (*Client, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("netstore: no servers")
+	}
+	cfg = cfg.withDefaults()
+	p := new(atomic.Pointer[plan])
+	p.Store(newPlan(s, partition.Hash(s.Graph().NumNodes(), len(addrs), cfg.Seed)))
+	dials := make([]func() (net.Conn, error), len(addrs))
+	for i := range addrs {
+		addr := addrs[i]
+		dials[i] = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, cfg.Timeout) }
+	}
+	cl := newClient(p, addrs, dials, cfg)
+	for _, sc := range cl.conns {
+		if err := cl.redial(sc); err != nil {
+			cl.Close()
+			return nil, fmt.Errorf("netstore: dialing %s: %w", sc.addr, err)
+		}
+	}
+	return cl, nil
+}
+
+// newClient returns a client routing by p that reaches server i as
+// addrs[i] through dials[i]. It dials nothing: a connection is made by
+// the first call that needs it.
+func newClient(p *atomic.Pointer[plan], addrs []string, dials []func() (net.Conn, error), cfg DialConfig) *Client {
+	cl := &Client{
+		plan:    p,
+		cfg:     cfg,
+		inst:    newClientInstruments(cfg.Metrics, len(addrs)),
+		errs:    make([]error, len(addrs)),
+		replies: make([][]Event, len(addrs)),
+	}
+	for i, addr := range addrs {
+		cl.conns = append(cl.conns, &sconn{
+			idx:  i,
+			addr: addr,
+			dial: dials[i],
+			rng:  rand.New(rand.NewSource(cfg.Seed*7919 + int64(i))),
+		})
+	}
+	return cl
+}
+
+// Swap publishes a new schedule: every later request routes by it, while
+// a request in flight completes on the old plan. The schedule must be
+// over the same node-id space. A client a Cluster handed out shares the
+// Cluster's plan, so this swaps it for all of them.
+func (cl *Client) Swap(s *core.Schedule) error { return swapPlan(cl.plan, s) }
 
 // Close tears down all connections. Parked handoff entries are
 // discarded.
@@ -320,7 +364,7 @@ func (cl *Client) ServerEpoch(i int) uint32 {
 func (cl *Client) redial(s *sconn) error {
 	s.closeConn()
 	cl.inst.redials.Inc()
-	c, err := net.DialTimeout("tcp", s.addr, cl.cfg.Timeout)
+	c, err := s.dial()
 	if err != nil {
 		return err
 	}
@@ -445,9 +489,6 @@ func (cl *Client) markUp(si int, s *sconn) {
 	s.down = false
 	s.downOps = 0
 	cl.inst.ups.Inc()
-	if cl.cfg.OnStateChange != nil {
-		cl.cfg.OnStateChange(si, false)
-	}
 	for len(s.handoff) > 0 {
 		frame := s.handoff[0]
 		if s.c == nil {
@@ -486,22 +527,16 @@ func (cl *Client) markDownLocked(si int, s *sconn) {
 	s.down = true
 	s.downOps = 0
 	cl.inst.downs.Inc()
-	if cl.cfg.OnStateChange != nil {
-		cl.cfg.OnStateChange(si, true)
-	}
 }
 
 // park stores a copy of a failed update's frame (the original is the
 // connection's encode buffer) in server si's hinted-handoff buffer for
 // replay on recovery.
 func (cl *Client) park(si int, frame []byte) error {
-	if cl.cfg.HandoffCap < 0 {
-		return fmt.Errorf("netstore: server %d: %w (handoff disabled)", si, ErrServerDown)
-	}
 	s := cl.conns[si]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.handoff) >= cl.cfg.HandoffCap {
+	if len(s.handoff) >= handoffCap {
 		cl.inst.drops.Inc()
 		return fmt.Errorf("netstore: server %d: %w (%d parked)", si, ErrHandoffFull, len(s.handoff))
 	}
@@ -543,8 +578,8 @@ func (cl *Client) Recover() int {
 // point of view and converges once the server returns. Only a full
 // handoff buffer (or a non-transport server rejection) surfaces as an
 // error.
-func (cl *Client) Update(u graph.NodeID, ev store.Event) error {
-	cl.dispatch(cl.pushBatch[u], true, ev)
+func (cl *Client) Update(u graph.NodeID, ev Event) error {
+	cl.dispatch(cl.plan.Load().pushBatch[u], true, ev)
 	for _, err := range cl.errs[:len(cl.batches)] {
 		if err != nil {
 			return err
@@ -556,7 +591,7 @@ func (cl *Client) Update(u graph.NodeID, ev store.Event) error {
 // dispatch runs every batch of one request and returns when all have
 // finished: batch 0 on the calling goroutine, each further batch on a
 // helper so that its round trip overlaps the caller's.
-func (cl *Client) dispatch(batches []batch, update bool, ev store.Event) {
+func (cl *Client) dispatch(batches []batch, update bool, ev Event) {
 	cl.batches, cl.update, cl.ev = batches, update, ev
 	for i := 1; i < len(batches); i++ {
 		cl.wg.Add(1)
@@ -590,9 +625,9 @@ func (cl *Client) runBatch(i int) {
 
 // queryBatch asks b's server for the newest events of b's views; the
 // result is that connection's scratch, good until its next call.
-func (cl *Client) queryBatch(b batch) ([]store.Event, error) {
+func (cl *Client) queryBatch(b batch) ([]Event, error) {
 	s := cl.conns[b.server]
-	s.wbuf = encodeQuery(newFrame(s.wbuf), store.StreamSize, b.views)
+	s.wbuf = encodeQuery(newFrame(s.wbuf), StreamSize, b.views)
 	body, err := cl.call(b.server, s.wbuf)
 	if err != nil {
 		return nil, err
@@ -613,8 +648,9 @@ func (cl *Client) queryBatch(b batch) ([]store.Event, error) {
 // producer) and can miss events parked for servers that are still
 // down. Results from the degraded path are exact-duplicate-deduped,
 // since hub views and own views overlap.
-func (cl *Client) Query(u graph.NodeID) ([]store.Event, error) {
-	cl.dispatch(cl.pullBatch[u], false, store.Event{})
+func (cl *Client) Query(u graph.NodeID) ([]Event, error) {
+	p := cl.plan.Load()
+	cl.dispatch(p.pullBatch[u], false, Event{})
 	errs, replies := cl.errs[:len(cl.batches)], cl.replies[:len(cl.batches)]
 
 	degraded := false
@@ -629,16 +665,17 @@ func (cl *Client) Query(u graph.NodeID) ([]store.Event, error) {
 		return nil, err
 	}
 	if !degraded {
-		return mergeNewest(make([]store.Event, 0, store.StreamSize), replies, store.StreamSize), nil
+		return mergeNewest(make([]Event, 0, StreamSize), replies, StreamSize), nil
 	}
 
 	cl.inst.degraded.Inc()
 	// Copied before the fallback's calls reuse the connections' scratch.
-	all := make([]store.Event, 0, store.StreamSize*(len(replies)+1))
+	all := make([]Event, 0, StreamSize*(len(replies)+1))
 	for _, evs := range replies {
 		all = append(all, evs...) // failed batches contribute nil
 	}
-	for _, b := range cl.fallbackBatches(u) {
+	// The pull-all floor: the own views of u and every in-neighbour.
+	for _, b := range p.group(append([]graph.NodeID{u}, p.g.InNeighbors(u)...)) {
 		if cl.ServerDown(b.server) {
 			continue // that producer's recent events are unreachable for now
 		}
@@ -648,28 +685,14 @@ func (cl *Client) Query(u graph.NodeID) ([]store.Event, error) {
 		}
 		all = append(all, evs...)
 	}
-	return dedupeNewest(all, store.StreamSize), nil
-}
-
-// fallbackBatches returns (building on first use) the pull-all batch
-// set for u: the own views of u and every in-neighbor, grouped by
-// server.
-func (cl *Client) fallbackBatches(u graph.NodeID) []batch {
-	if b, ok := cl.fallback[u]; ok {
-		return b
-	}
-	g := cl.sched.Graph()
-	views := append([]graph.NodeID{u}, g.InNeighbors(u)...)
-	b := cl.group(views)
-	cl.fallback[u] = b
-	return b
+	return dedupeNewest(all, StreamSize), nil
 }
 
 // dedupeNewest sorts events newest-first, removes exact duplicates, and
 // trims to k — the merge step of the degraded query path, where the
 // same event can arrive from both a hub view and its producer's own
 // view.
-func dedupeNewest(evs []store.Event, k int) []store.Event {
+func dedupeNewest(evs []Event, k int) []Event {
 	sort.Slice(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
 		if a.TS != b.TS {

@@ -1,160 +1,36 @@
-package store
+package netstore
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"piggyback/internal/baseline"
-	"piggyback/internal/core"
+	"piggyback/internal/fault"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
 	"piggyback/internal/workload"
 )
 
-func figure2() (*graph.Graph, *workload.Rates) {
-	g := graph.FromEdges(3, []graph.Edge{
-		{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 2},
-	})
-	return g, workload.NewUniform(3, 1)
-}
-
-func newCluster(t *testing.T, s *core.Schedule, servers int) *Cluster {
-	t.Helper()
-	c, err := NewCluster(s, Options{Servers: servers, ServiceSpins: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
-
-func TestUpdateThenQueryDirectPush(t *testing.T) {
-	g, r := figure2()
-	s := baseline.PushAll(g)
-	_ = r
-	c := newCluster(t, s, 2)
-	cl := c.NewClient()
-	cl.Update(0, Event{User: 0, ID: 1, TS: 100})
-	// Node 2 follows 0; with push-all the event is already in 2's view.
-	got := cl.Query(2)
-	if len(got) != 1 || got[0].ID != 1 {
-		t.Fatalf("Query(2) = %v, want the pushed event", got)
-	}
-	// Node 0's own stream contains its own event.
-	own := cl.Query(0)
-	if len(own) != 1 || own[0].ID != 1 {
-		t.Fatalf("Query(0) = %v, want own event", own)
-	}
-}
-
-func TestUpdateThenQueryDirectPull(t *testing.T) {
-	g, _ := figure2()
-	s := baseline.PullAll(g)
-	c := newCluster(t, s, 2)
-	cl := c.NewClient()
-	cl.Update(0, Event{User: 0, ID: 7, TS: 50})
-	got := cl.Query(2)
-	if len(got) != 1 || got[0].ID != 7 {
-		t.Fatalf("Query(2) = %v, want the pulled event", got)
-	}
-}
-
-// Bounded staleness through a hub (Θ = 2Δ): after the update completes,
-// the event is in the hub's view; the next query pulls it from there.
-func TestUpdateThenQueryThroughHub(t *testing.T) {
-	g, r := figure2()
-	res := nosy.Solve(g, r, nosy.Config{})
-	cross, _ := g.EdgeID(0, 2)
-	if !res.Schedule.IsCovered(cross) {
-		t.Fatal("precondition: edge 0→2 should be hub-covered")
-	}
-	c := newCluster(t, res.Schedule, 3)
-	cl := c.NewClient()
-	cl.Update(0, Event{User: 0, ID: 9, TS: 10})
-	got := cl.Query(2)
-	found := false
-	for _, ev := range got {
-		if ev.User == 0 && ev.ID == 9 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Query(2) = %v, missing hub-piggybacked event", got)
-	}
-}
-
-// Every schedule that passes Validate must deliver every producer's
-// events to every consumer — the prototype-level restatement of
-// Theorem 1, checked on a real graph with a real PARALLELNOSY schedule.
-func TestBoundedStalenessAllEdges(t *testing.T) {
-	g := graphgen.Social(graphgen.Config{
-		Nodes: 60, AvgFollows: 5, TriadProb: 0.6, Reciprocity: 0.4, Seed: 3,
-	})
-	r := workload.LogDegree(g, 5)
-	res := nosy.Solve(g, r, nosy.Config{})
-	if err := res.Schedule.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c := newCluster(t, res.Schedule, 5)
-	cl := c.NewClient()
-	ts := int64(1)
-	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		cl.Update(u, Event{User: u, ID: ts, TS: ts})
-		got := cl.Query(v)
-		found := false
-		for _, ev := range got {
-			if ev.User == u && ev.ID == ts {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("edge %d→%d: event not visible after one round", u, v)
-		}
-		ts++
-		return true
-	})
-}
-
-func TestStreamSizeFilter(t *testing.T) {
-	g, _ := figure2()
-	s := baseline.PushAll(g)
-	c := newCluster(t, s, 1)
-	cl := c.NewClient()
-	for i := 0; i < 30; i++ {
-		cl.Update(0, Event{User: 0, ID: int64(i), TS: int64(i)})
-	}
-	got := cl.Query(2)
-	if len(got) != StreamSize {
-		t.Fatalf("stream has %d events, want %d", len(got), StreamSize)
-	}
-	// Newest first: ids 29, 28, ...
-	for i, ev := range got {
-		if ev.ID != int64(29-i) {
-			t.Fatalf("stream[%d] = id %d, want %d", i, ev.ID, 29-i)
-		}
-	}
-}
-
 func TestViewCapTrims(t *testing.T) {
 	g, _ := figure2()
-	s := baseline.PushAll(g)
-	c := newCluster(t, s, 1)
-	cl := c.NewClient()
+	cl := startCluster(t, baseline.PushAll(g), 1).NewClient()
+	defer cl.Close()
 	for i := 0; i < ViewCap*3; i++ {
-		cl.Update(0, Event{User: 0, ID: int64(i), TS: int64(i)})
+		mustUpdate(t, cl, 0, Event{User: 0, ID: int64(i), TS: int64(i)})
 	}
 	// The query still returns the newest events despite trimming.
-	got := cl.Query(2)
-	if got[0].ID != int64(ViewCap*3-1) {
+	if got := mustQuery(t, cl, 2); got[0].ID != int64(ViewCap*3-1) {
 		t.Fatalf("newest event id = %d, want %d", got[0].ID, ViewCap*3-1)
 	}
 }
 
 func TestMessageCounts(t *testing.T) {
 	g, r := figure2()
-	s := baseline.Hybrid(g, r) // uniform ratio 1: pushes win ties
-	c := newCluster(t, s, 64)  // many servers → no accidental batching
+	s := baseline.Hybrid(g, r)  // uniform ratio 1: pushes win ties
+	c := startCluster(t, s, 64) // many servers → no accidental batching
 	// With hybrid at ratio 1, every edge is a push (ties to push):
 	// update by 0 touches views {0,1,2} → usually 3 distinct servers.
 	if got := c.MessagesPerUpdate(0); got < 1 || got > 3 {
@@ -193,7 +69,7 @@ func TestMeasureThroughputRuns(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(150, 2))
 	r := workload.LogDegree(g, 5)
 	s := nosy.Solve(g, r, nosy.Config{}).Schedule
-	c := newCluster(t, s, 8)
+	c := startCluster(t, s, 8)
 	tr := GenerateTrace(r, 2000, 3)
 	res := MeasureThroughput(c, tr, 4)
 	if res.Requests != 2000 || res.ReqPerSec <= 0 || res.PerClientRate <= 0 {
@@ -211,18 +87,15 @@ func TestMeasureThroughputRuns(t *testing.T) {
 func TestPredictedMessagesBounds(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(200, 4))
 	r := workload.LogDegree(g, 5)
-	s := baseline.Hybrid(g, r)
-	c := newCluster(t, s, 16)
-	pm := PredictedMessages(c, r)
-	if pm < 1 {
+	c := startCluster(t, baseline.Hybrid(g, r), 16)
+	if pm := PredictedMessages(c, r); pm < 1 {
 		t.Fatalf("predicted messages per request = %v, must be >= 1", pm)
 	}
 }
 
 func TestClusterRejectsZeroServers(t *testing.T) {
 	g, r := figure2()
-	s := baseline.Hybrid(g, r)
-	if _, err := NewCluster(s, Options{Servers: 0}); err == nil {
+	if _, err := NewCluster(baseline.Hybrid(g, r), ClusterOptions{Servers: 0}); err == nil {
 		t.Fatal("zero servers accepted")
 	}
 }
@@ -233,8 +106,7 @@ func TestMoreServersMoreMessages(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(300, 5))
 	r := workload.LogDegree(g, 5)
 	s := baseline.Hybrid(g, r)
-	c1 := newCluster(t, s, 1)
-	c64 := newCluster(t, s, 64)
+	c1, c64 := startCluster(t, s, 1), startCluster(t, s, 64)
 	if PredictedMessages(c1, r) >= PredictedMessages(c64, r) {
 		t.Fatalf("messages per request should grow with servers: %v vs %v",
 			PredictedMessages(c1, r), PredictedMessages(c64, r))
@@ -249,13 +121,14 @@ func TestSwapSchedule(t *testing.T) {
 	r := workload.LogDegree(g, 5)
 	hybrid := baseline.Hybrid(g, r)
 	pn := nosy.Solve(g, r, nosy.Config{}).Schedule
-	c := newCluster(t, hybrid, 4)
+	c := startCluster(t, hybrid, 4)
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		cl := c.NewClient()
+		defer cl.Close()
 		for u := graph.NodeID(0); ; u = (u + 1) % graph.NodeID(g.NumNodes()) {
 			select {
 			case <-stop:
@@ -282,9 +155,9 @@ func TestSwapSchedule(t *testing.T) {
 	// on pn (same server count and partition seed → same placement)
 	// must agree with the swapped plan for every user, and the plan
 	// must actually have moved off the hybrid batches for someone.
-	ref := newCluster(t, pn, 4)
+	ref := startCluster(t, pn, 4)
 	moved := false
-	pre := newCluster(t, hybrid, 4)
+	pre := startCluster(t, hybrid, 4)
 	for u := 0; u < g.NumNodes(); u++ {
 		uid := graph.NodeID(u)
 		if got, want := c.MessagesPerQuery(uid), ref.MessagesPerQuery(uid); got != want {
@@ -302,35 +175,51 @@ func TestSwapSchedule(t *testing.T) {
 		t.Fatal("swapped plan is identical to the hybrid plan for every user; Swap had no observable effect")
 	}
 
-	// Swapping a schedule over a different node-id space must fail.
-	small := graphgen.Social(graphgen.FlickrLike(50, 3))
-	bad := baseline.PushAll(small)
+	// Swapping a schedule over a different node-id space must fail, on a
+	// cluster and on a dialled client alike.
+	bad := baseline.PushAll(graphgen.Social(graphgen.FlickrLike(50, 3)))
 	if err := c.Swap(bad); err == nil {
-		t.Fatal("Swap accepted a schedule with a different node count")
+		t.Fatal("Cluster.Swap accepted a schedule with a different node count")
+	}
+	if err := dial(t, hybrid, startTier(t, 2)).Swap(bad); err == nil {
+		t.Fatal("Client.Swap accepted a schedule with a different node count")
 	}
 }
 
 // TestSwapRacesFaultyServersUnderLoad extends the swap-under-traffic
 // test with fault injection: while concurrent clients hammer
-// Update/Query, one goroutine keeps swapping the plan and another keeps
-// killing servers mid-swap (InjectFault: acked-but-lost writes). Run
-// under -race this pins the plan pointer, the per-server fault counter,
-// and the request channels against each other; functionally, the
-// cluster must stay live and serve writes issued after the chaos ends.
+// Update/Query, one goroutine keeps swapping the plan and every server
+// connection is reset under the clients at its 10th, 40th and 90th
+// reply, so requests fail mid-swap and are retried on fresh
+// connections. Run under -race this pins the shared plan pointer, the
+// clients' retry and redial paths and the servers' connection handling
+// against each other; functionally, the cluster must stay live and
+// serve writes issued after the chaos ends.
 func TestSwapRacesFaultyServersUnderLoad(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(150, 3))
 	r := workload.LogDegree(g, 5)
 	hybrid := baseline.Hybrid(g, r)
 	pn := nosy.Solve(g, r, nosy.Config{}).Schedule
-	c := newCluster(t, hybrid, 4)
+	plan := &fault.Plan{Rules: []fault.Rule{
+		{Kind: fault.KindReset, Conn: -1, Op: 10},
+		{Kind: fault.KindReset, Conn: -1, Op: 40},
+		{Kind: fault.KindReset, Conn: -1, Op: 90},
+	}}
+	c, err := NewCluster(hybrid, ClusterOptions{Servers: 4, wrap: plan.WrapListener})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var retries atomic.Int64
 	for k := 0; k < 4; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
 			cl := c.NewClient()
+			defer func() { retries.Add(int64(cl.Stats().Retries)); cl.Close() }()
 			u := graph.NodeID(k)
 			for i := 0; ; i++ {
 				select {
@@ -344,7 +233,12 @@ func TestSwapRacesFaultyServersUnderLoad(t *testing.T) {
 			}
 		}(k)
 	}
-	for i := 0; i < 25; i++ {
+	// Keep swapping until the resets have hit the clients a few times.
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; i < 25 || len(plan.Fired()) < 8; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d resets fired in 30 s of load", len(plan.Fired()))
+		}
 		next := hybrid
 		if i%2 == 1 {
 			next = pn
@@ -352,30 +246,27 @@ func TestSwapRacesFaultyServersUnderLoad(t *testing.T) {
 		if err := c.Swap(next); err != nil {
 			t.Fatal(err)
 		}
-		// Kill a server mid-swap: its next writes are acked and lost.
-		c.InjectFault(i%c.NumServers(), 3)
 	}
 	close(stop)
 	wg.Wait()
+	if retries.Load() == 0 {
+		t.Fatalf("%d resets fired and no request was retried", len(plan.Fired()))
+	}
 
-	// The leftover fault budget is bounded (25 swaps × 3 writes), so
-	// repeating a write must land within that many attempts — anything
-	// more means the cluster wedged rather than merely lost writes.
+	// A reset request is retried on a fresh connection, and a server
+	// marked down is probed every few operations, so repeating a write
+	// must land within a bounded number of attempts — anything more
+	// means the cluster wedged rather than merely failed requests.
 	cl := c.NewClient()
+	defer cl.Close()
 	for i := 0; ; i++ {
 		ev := Event{User: 0, ID: int64(4242 + i), TS: int64(1<<50 + i)}
-		cl.Update(0, ev)
-		landed := false
-		for _, got := range cl.Query(0) {
-			if got == ev {
-				landed = true
-			}
-		}
-		if landed {
+		mustUpdate(t, cl, 0, ev)
+		if contains(mustQuery(t, cl, 0), ev) {
 			break
 		}
 		if i > 25*3 {
-			t.Fatal("writes still lost after the injected fault budget was exhausted")
+			t.Fatal("writes still not landing after the chaos ended")
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package store
+package netstore
 
 import (
 	"math/rand"
@@ -106,18 +106,19 @@ func MeasureThroughput(c *Cluster, trace Trace, clients int) BenchResult {
 		go func(k, lo, hi int) {
 			defer wg.Done()
 			cl := c.NewClient()
+			defer cl.Close()
 			lat := make([]time.Duration, 0, hi-lo)
 			for i := lo; i < hi; i++ {
 				req := trace[i]
 				t0 := time.Now()
+				var err error
 				if req.IsUpdate {
-					cl.Update(req.User, Event{
-						User: req.User,
-						ID:   int64(i),
-						TS:   int64(i),
-					})
+					err = cl.Update(req.User, Event{User: req.User, ID: int64(i), TS: int64(i)})
 				} else {
-					cl.Query(req.User)
+					_, err = cl.Query(req.User)
+				}
+				if err != nil {
+					panic(err) // only a closed cluster fails a request
 				}
 				lat = append(lat, time.Since(t0))
 			}
@@ -154,11 +155,10 @@ func MeasureThroughput(c *Cluster, trace Trace, clients int) BenchResult {
 // placement-aware cost model predicts. Useful for checking that measured
 // throughput tracks the model (the paper's "striking" consistency).
 func PredictedMessages(c *Cluster, r *workload.Rates) float64 {
+	p := c.plan.Load()
 	var msgs, reqs float64
-	for u := 0; u < c.g.NumNodes(); u++ {
-		uid := graph.NodeID(u)
-		msgs += r.Prod[u]*float64(c.MessagesPerUpdate(uid)) +
-			r.Cons[u]*float64(c.MessagesPerQuery(uid))
+	for u := range p.pushBatch {
+		msgs += r.Prod[u]*float64(len(p.pushBatch[u])) + r.Cons[u]*float64(len(p.pullBatch[u]))
 		reqs += r.Prod[u] + r.Cons[u]
 	}
 	if reqs == 0 {

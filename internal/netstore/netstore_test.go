@@ -11,7 +11,6 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
-	"piggyback/internal/store"
 	"piggyback/internal/workload"
 )
 
@@ -47,77 +46,154 @@ func dial(t *testing.T, s *core.Schedule, addrs []string) *Client {
 	return cl
 }
 
-func TestUpdateQueryOverTCP(t *testing.T) {
-	g, _ := figure2()
-	s := baseline.PushAll(g)
-	cl := dial(t, s, startTier(t, 2))
-	if err := cl.Update(0, store.Event{User: 0, ID: 1, TS: 10}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.Query(2)
+// startCluster starts an in-process cluster of n servers routing by s.
+func startCluster(t *testing.T, s *core.Schedule, n int) *Cluster {
+	t.Helper()
+	c, err := NewCluster(s, ClusterOptions{Servers: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].ID != 1 || got[0].User != 0 {
-		t.Fatalf("Query(2) = %v", got)
+	t.Cleanup(c.Close)
+	return c
+}
+
+// An opener returns a client of a fresh n-server tier routing by s. One
+// client serves two tiers: overTCP, servers on loopback, and overPipe, a
+// Cluster's servers over in-memory pipes. Each behaviour below has one
+// check body and one test per tier.
+type opener func(t *testing.T, s *core.Schedule, n int) *Client
+
+func overTCP(t *testing.T, s *core.Schedule, n int) *Client { return dial(t, s, startTier(t, n)) }
+
+func overPipe(t *testing.T, s *core.Schedule, n int) *Client {
+	cl := startCluster(t, s, n).NewClient()
+	t.Cleanup(cl.Close)
+	return cl
+}
+
+// mustQuery is Query failing the test on an error.
+func mustQuery(t *testing.T, cl *Client, u graph.NodeID) []Event {
+	t.Helper()
+	got, err := cl.Query(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func mustUpdate(t *testing.T, cl *Client, u graph.NodeID, ev Event) {
+	t.Helper()
+	if err := cl.Update(u, ev); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestHubDeliveryOverTCP(t *testing.T) {
+func contains(evs []Event, ev Event) bool {
+	for _, got := range evs {
+		if got == ev {
+			return true
+		}
+	}
+	return false
+}
+
+// An event reaches a direct follower whether the edge is pushed or
+// pulled, and its producer's own stream.
+func checkUpdateThenQuery(t *testing.T, open opener, s *core.Schedule) {
+	t.Helper()
+	cl := open(t, s, 2)
+	ev := Event{User: 0, ID: 1, TS: 10}
+	mustUpdate(t, cl, 0, ev)
+	for _, u := range []graph.NodeID{2, 0} {
+		if got := mustQuery(t, cl, u); len(got) != 1 || got[0] != ev {
+			t.Fatalf("Query(%d) = %v, want [%v]", u, got, ev)
+		}
+	}
+}
+
+func TestUpdateQueryOverTCP(t *testing.T) {
+	g, _ := figure2()
+	t.Run("push", func(t *testing.T) { checkUpdateThenQuery(t, overTCP, baseline.PushAll(g)) })
+	t.Run("pull", func(t *testing.T) { checkUpdateThenQuery(t, overTCP, baseline.PullAll(g)) })
+}
+
+func TestUpdateThenQueryDirectPush(t *testing.T) {
+	g, _ := figure2()
+	checkUpdateThenQuery(t, overPipe, baseline.PushAll(g))
+}
+
+func TestUpdateThenQueryDirectPull(t *testing.T) {
+	g, _ := figure2()
+	checkUpdateThenQuery(t, overPipe, baseline.PullAll(g))
+}
+
+// Bounded staleness through a hub (Θ = 2Δ): after the update completes,
+// the event is in the hub's view; the next query pulls it from there.
+func checkHubDelivery(t *testing.T, open opener) {
+	t.Helper()
 	g, r := figure2()
 	res := nosy.Solve(g, r, nosy.Config{})
 	cross, _ := g.EdgeID(0, 2)
 	if !res.Schedule.IsCovered(cross) {
 		t.Fatal("precondition: 0→2 should be hub-covered")
 	}
-	cl := dial(t, res.Schedule, startTier(t, 3))
-	if err := cl.Update(0, store.Event{User: 0, ID: 9, TS: 5}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.Query(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, ev := range got {
-		if ev.User == 0 && ev.ID == 9 {
-			found = true
-		}
-	}
-	if !found {
+	cl := open(t, res.Schedule, 3)
+	ev := Event{User: 0, ID: 9, TS: 5}
+	mustUpdate(t, cl, 0, ev)
+	if got := mustQuery(t, cl, 2); !contains(got, ev) {
 		t.Fatalf("hub-piggybacked event missing from %v", got)
 	}
 }
 
-func TestBoundedStalenessOverTCPAllEdges(t *testing.T) {
+func TestHubDeliveryOverTCP(t *testing.T)        { checkHubDelivery(t, overTCP) }
+func TestUpdateThenQueryThroughHub(t *testing.T) { checkHubDelivery(t, overPipe) }
+
+// Every schedule that passes Validate must deliver every producer's
+// events to every consumer — the prototype-level restatement of
+// Theorem 1, checked on a real graph with a real PARALLELNOSY schedule,
+// and again after a live swap from the hybrid plan to it.
+func checkBoundedStaleness(t *testing.T, open opener) {
+	t.Helper()
 	g := graphgen.Social(graphgen.Config{
-		Nodes: 40, AvgFollows: 4, TriadProb: 0.6, Reciprocity: 0.4, Seed: 11,
+		Nodes: 60, AvgFollows: 5, TriadProb: 0.6, Reciprocity: 0.4, Seed: 3,
 	})
 	r := workload.LogDegree(g, 5)
-	res := nosy.Solve(g, r, nosy.Config{})
-	cl := dial(t, res.Schedule, startTier(t, 4))
-	ts := int64(1)
-	g.Edges(func(_ graph.EdgeID, u, v graph.NodeID) bool {
-		if err := cl.Update(u, store.Event{User: u, ID: ts, TS: ts}); err != nil {
+	pn := nosy.Solve(g, r, nosy.Config{}).Schedule
+	hybrid := baseline.Hybrid(g, r)
+	for _, s := range []*core.Schedule{pn, hybrid} {
+		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cl.Query(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, ev := range got {
-			if ev.User == u && ev.ID == ts {
-				found = true
+	}
+	for _, in := range []struct {
+		name  string
+		plans []*core.Schedule // served in turn, swapped live
+	}{{"nosy", []*core.Schedule{pn}}, {"hybrid-then-nosy", []*core.Schedule{hybrid, pn}}} {
+		t.Run(in.name, func(t *testing.T) {
+			cl := open(t, in.plans[0], 5)
+			ts := int64(1)
+			for i, s := range in.plans {
+				if i > 0 {
+					if err := cl.Swap(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				g.Edges(func(_ graph.EdgeID, u, v graph.NodeID) bool {
+					ev := Event{User: u, ID: ts, TS: ts}
+					mustUpdate(t, cl, u, ev)
+					if !contains(mustQuery(t, cl, v), ev) {
+						t.Fatalf("plan %d: edge %d→%d: event not visible after one round", i, u, v)
+					}
+					ts++
+					return true
+				})
 			}
-		}
-		if !found {
-			t.Fatalf("edge %d→%d: event not delivered over TCP", u, v)
-		}
-		ts++
-		return true
-	})
+		})
+	}
 }
+
+func TestBoundedStalenessOverTCPAllEdges(t *testing.T) { checkBoundedStaleness(t, overTCP) }
+func TestBoundedStalenessAllEdges(t *testing.T)        { checkBoundedStaleness(t, overPipe) }
 
 func TestConcurrentClients(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(100, 3))
@@ -139,7 +215,7 @@ func TestConcurrentClients(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				u := graph.NodeID((k*50 + i) % g.NumNodes())
 				if i%5 == 0 {
-					if err := cl.Update(u, store.Event{User: u, ID: int64(i), TS: int64(i)}); err != nil {
+					if err := cl.Update(u, Event{User: u, ID: int64(i), TS: int64(i)}); err != nil {
 						errCh <- err
 						return
 					}
@@ -157,26 +233,27 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestStreamSizeOverTCP(t *testing.T) {
+// A query returns the StreamSize newest events, newest first.
+func checkStreamSize(t *testing.T, open opener) {
+	t.Helper()
 	g, _ := figure2()
-	s := baseline.PushAll(g)
-	cl := dial(t, s, startTier(t, 1))
+	cl := open(t, baseline.PushAll(g), 1)
 	for i := 0; i < 30; i++ {
-		if err := cl.Update(0, store.Event{User: 0, ID: int64(i), TS: int64(i)}); err != nil {
-			t.Fatal(err)
+		mustUpdate(t, cl, 0, Event{User: 0, ID: int64(i), TS: int64(i)})
+	}
+	got := mustQuery(t, cl, 2)
+	if len(got) != StreamSize {
+		t.Fatalf("stream has %d events, want %d", len(got), StreamSize)
+	}
+	for i, ev := range got {
+		if ev.ID != int64(29-i) {
+			t.Fatalf("stream[%d] = id %d, want %d", i, ev.ID, 29-i)
 		}
 	}
-	got, err := cl.Query(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != store.StreamSize {
-		t.Fatalf("stream size = %d, want %d", len(got), store.StreamSize)
-	}
-	if got[0].ID != 29 {
-		t.Fatalf("newest id = %d, want 29", got[0].ID)
-	}
 }
+
+func TestStreamSizeOverTCP(t *testing.T) { checkStreamSize(t, overTCP) }
+func TestStreamSizeFilter(t *testing.T)  { checkStreamSize(t, overPipe) }
 
 func TestDialErrors(t *testing.T) {
 	g, r := figure2()
@@ -223,7 +300,7 @@ func TestShutdownIsNotAProtoError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Update(0, store.Event{User: 0, ID: int64(i), TS: int64(i)}); err != nil {
+		if err := cl.Update(0, Event{User: 0, ID: int64(i), TS: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
@@ -264,7 +341,7 @@ func TestServerDeathDegradesGracefully(t *testing.T) {
 	defer cl.Close()
 
 	// Workload works while both servers live.
-	if err := cl.Update(0, store.Event{User: 0, ID: 1, TS: 1}); err != nil {
+	if err := cl.Update(0, Event{User: 0, ID: 1, TS: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -274,7 +351,7 @@ func TestServerDeathDegradesGracefully(t *testing.T) {
 	// so ops now touch a dead server — they must still succeed, promptly.
 	done := make(chan error, 1)
 	go func() {
-		if err := cl.Update(0, store.Event{User: 0, ID: 2, TS: 2}); err != nil {
+		if err := cl.Update(0, Event{User: 0, ID: 2, TS: 2}); err != nil {
 			done <- err
 			return
 		}
@@ -307,7 +384,7 @@ func TestServerDeathDegradesGracefully(t *testing.T) {
 }
 
 func TestProtocolRoundTrips(t *testing.T) {
-	ev := store.Event{User: 42, ID: -7, TS: 1 << 40}
+	ev := Event{User: 42, ID: -7, TS: 1 << 40}
 	views := []graph.NodeID{1, 2, 3}
 	op, gotEv, _, gotViews, err := decodeRequest(encodeUpdate(nil, ev, views), nil)
 	if err != nil || op != opUpdate || gotEv != ev || len(gotViews) != 3 {
@@ -318,7 +395,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	if err != nil || op != opQuery || k != 10 || len(gotViews) != 2 {
 		t.Fatalf("query round trip: op=%d k=%d views=%v err=%v", op, k, gotViews, err)
 	}
-	events := []store.Event{ev, {User: 1, ID: 2, TS: 3}}
+	events := []Event{ev, {User: 1, ID: 2, TS: 3}}
 	got, err := decodeEvents(encodeEvents(nil, events), nil)
 	if err != nil || len(got) != 2 || got[0] != ev {
 		t.Fatalf("events round trip: %v err=%v", got, err)

@@ -1,10 +1,16 @@
-// Package netstore is the networked variant of the §4.3 prototype: the
-// data-store servers of package store exposed over TCP with a compact
-// binary protocol, and a schedule-driven client that batches one request
-// per server, exactly like Algorithm 3 against memcached. Where package
-// store measures the scheduling effect in isolation (in-process message
-// passing), netstore adds real sockets, so measured throughput includes
-// genuine network stack costs.
+// Package netstore is the social-networking prototype of §4.3: data-store
+// servers owning user views (event lists), and schedule-driven clients
+// running Algorithm 3 verbatim — updates write the user's own view plus
+// its push set, queries read the user's own view plus its pull set, one
+// batched message per server, merging the ten newest events.
+//
+// One server, one client and one compact binary protocol serve two
+// tiers. Over TCP (NewServer, DialConfigured) measured throughput
+// includes the network stack. In process (NewCluster) every server
+// listens on an in-memory listener whose connections are the two ends
+// of a net.Pipe, so the same framing, routing and failure handling run
+// without sockets, and faults are injected under either tier by
+// wrapping the listener.
 package netstore
 
 import (
@@ -14,8 +20,23 @@ import (
 	"io"
 
 	"piggyback/internal/graph"
-	"piggyback/internal/store"
 )
+
+// Event is the (user id, event id, timestamp) tuple of the prototype; 24
+// bytes, exactly as in §4.3.
+type Event struct {
+	User graph.NodeID
+	ID   int64
+	TS   int64
+}
+
+// StreamSize is the number of latest events a query returns (the
+// prototype returns "the 10 latest events across all friends").
+const StreamSize = 10
+
+// ViewCap bounds the events retained per view; the server trims views
+// that grow beyond it (the paper's thin memcached layer does the same).
+const ViewCap = 64
 
 // Protocol v2: every message is a length-prefixed frame carrying a
 // protocol version and the sender's plan epoch. The epoch is the hook
@@ -179,14 +200,14 @@ func decodeResponse(payload []byte) ([]byte, error) {
 	}
 }
 
-func appendEvent(b []byte, ev store.Event) []byte {
+func appendEvent(b []byte, ev Event) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(ev.User))
 	b = binary.LittleEndian.AppendUint64(b, uint64(ev.ID))
 	return binary.LittleEndian.AppendUint64(b, uint64(ev.TS))
 }
 
-func getEvent(b []byte) store.Event {
-	return store.Event{
+func getEvent(b []byte) Event {
+	return Event{
 		User: graph.NodeID(binary.LittleEndian.Uint32(b[0:])),
 		ID:   int64(binary.LittleEndian.Uint64(b[4:])),
 		TS:   int64(binary.LittleEndian.Uint64(b[12:])),
@@ -194,7 +215,7 @@ func getEvent(b []byte) store.Event {
 }
 
 // encodeUpdate appends an update request body to dst.
-func encodeUpdate(dst []byte, ev store.Event, views []graph.NodeID) []byte {
+func encodeUpdate(dst []byte, ev Event, views []graph.NodeID) []byte {
 	dst = append(dst, opUpdate)
 	dst = appendEvent(dst, ev)
 	return appendViews(dst, views)
@@ -217,9 +238,9 @@ func appendViews(dst []byte, views []graph.NodeID) []byte {
 
 // decodeRequest parses a request body; views is decoded into scratch's
 // storage, or a new slice of exactly its length when it does not fit.
-func decodeRequest(body []byte, scratch []graph.NodeID) (op byte, ev store.Event, k int, views []graph.NodeID, err error) {
+func decodeRequest(body []byte, scratch []graph.NodeID) (op byte, ev Event, k int, views []graph.NodeID, err error) {
 	if len(body) < 1 {
-		return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: empty request")
+		return 0, Event{}, 0, nil, fmt.Errorf("netstore: empty request")
 	}
 	op = body[0]
 	kind, off := "query", 9
@@ -228,10 +249,10 @@ func decodeRequest(body []byte, scratch []graph.NodeID) (op byte, ev store.Event
 		kind, off = "update", 1+eventWire+4
 	case opQuery:
 	default:
-		return 0, store.Event{}, 0, nil, unknownOpError(op)
+		return 0, Event{}, 0, nil, unknownOpError(op)
 	}
 	if len(body) < off {
-		return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: short %s frame", kind)
+		return 0, Event{}, 0, nil, fmt.Errorf("netstore: short %s frame", kind)
 	}
 	if op == opUpdate {
 		ev = getEvent(body[1:])
@@ -240,7 +261,7 @@ func decodeRequest(body []byte, scratch []graph.NodeID) (op byte, ev store.Event
 	}
 	n := int(binary.LittleEndian.Uint32(body[off-4:]))
 	if len(body) != off+4*n {
-		return 0, store.Event{}, 0, nil, fmt.Errorf("netstore: %s frame length mismatch", kind)
+		return 0, Event{}, 0, nil, fmt.Errorf("netstore: %s frame length mismatch", kind)
 	}
 	if cap(scratch) < n {
 		scratch = make([]graph.NodeID, n)
@@ -253,7 +274,7 @@ func decodeRequest(body []byte, scratch []graph.NodeID) (op byte, ev store.Event
 }
 
 // encodeEvents appends a query response body to dst.
-func encodeEvents(dst []byte, events []store.Event) []byte {
+func encodeEvents(dst []byte, events []Event) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(events)))
 	for _, ev := range events {
 		dst = appendEvent(dst, ev)
@@ -262,7 +283,7 @@ func encodeEvents(dst []byte, events []store.Event) []byte {
 }
 
 // decodeEvents parses a query response body into scratch's storage.
-func decodeEvents(body []byte, scratch []store.Event) ([]store.Event, error) {
+func decodeEvents(body []byte, scratch []Event) ([]Event, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("netstore: short query response")
 	}
@@ -271,7 +292,7 @@ func decodeEvents(body []byte, scratch []store.Event) ([]store.Event, error) {
 		return nil, fmt.Errorf("netstore: query response length mismatch")
 	}
 	if cap(scratch) < n {
-		scratch = make([]store.Event, n)
+		scratch = make([]Event, n)
 	}
 	out := scratch[:n]
 	for i := range out {
@@ -281,9 +302,9 @@ func decodeEvents(body []byte, scratch []store.Event) ([]store.Event, error) {
 }
 
 // mergeNewest appends to dst the k newest events of the newest-first
-// cursors, consuming them. Equal timestamps go to the earlier cursor,
-// which is what folding store.MergeNewest over them left to right gives.
-func mergeNewest(dst []store.Event, curs [][]store.Event, k int) []store.Event {
+// cursors, consuming them. Equal timestamps go to the earlier cursor, so
+// the result is the left fold of a two-list merge over the cursors.
+func mergeNewest(dst []Event, curs [][]Event, k int) []Event {
 	for len(dst) < k {
 		best := -1
 		for i, c := range curs {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"piggyback/internal/graph"
-	"piggyback/internal/store"
 	"piggyback/internal/telemetry"
 )
 
@@ -23,9 +22,6 @@ const DefaultIdleTimeout = 2 * time.Minute
 
 // ServerConfig tunes a Server. The zero value uses every default.
 type ServerConfig struct {
-	// IdleTimeout drops connections idle for this long; 0 means
-	// DefaultIdleTimeout, negative disables the deadline.
-	IdleTimeout time.Duration
 	// OnProtoError, when non-nil, is called for every malformed request
 	// (before the typed error frame goes out) and for frame-level
 	// failures that drop a connection — the hook that makes protocol
@@ -36,7 +32,7 @@ type ServerConfig struct {
 	// path: a server that comes back after a crash with its durable
 	// views intact (the chaos tests model a persistent tier; the
 	// paper's memcached tier would come back empty). The map is copied.
-	Views map[graph.NodeID][]store.Event
+	Views map[graph.NodeID][]Event
 	// Metrics, when non-nil, registers the server's counters
 	// (netstore_server_*) in the given registry; MetricsLabel
 	// distinguishes servers sharing one registry (typically the server
@@ -59,10 +55,10 @@ type ServerStats struct {
 	ProtoErrors int
 }
 
-// Server is one TCP data-store server holding user views. Unlike the
-// in-process store (one goroutine per server, no locks), a TCP server
-// handles many connections concurrently, so views live in a sharded,
-// mutex-protected container — the same shape as a memcached slab tier.
+// Server is one data-store server holding user views. It serves many
+// connections concurrently — over TCP, or over an in-memory listener in
+// a Cluster — so views live in a sharded, mutex-protected container, the
+// same shape as a memcached slab tier.
 type Server struct {
 	ln     net.Listener
 	cfg    ServerConfig
@@ -83,7 +79,7 @@ const viewShards = 64
 
 type viewShard struct {
 	mu    sync.Mutex
-	views map[graph.NodeID][]store.Event
+	views map[graph.NodeID][]Event
 }
 
 // NewServer starts a server listening on addr (use "127.0.0.1:0" for an
@@ -100,9 +96,6 @@ func NewServer(addr string) (*Server, error) {
 // listener — also the seam that lets tests interpose a fault-injecting
 // listener between the server and its clients.
 func NewServerOn(ln net.Listener, cfg ServerConfig) *Server {
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = DefaultIdleTimeout
-	}
 	s := &Server{
 		ln:    ln,
 		cfg:   cfg,
@@ -110,11 +103,11 @@ func NewServerOn(ln net.Listener, cfg ServerConfig) *Server {
 		conns: make(map[net.Conn]struct{}),
 	}
 	for i := range s.shards {
-		s.shards[i].views = make(map[graph.NodeID][]store.Event)
+		s.shards[i].views = make(map[graph.NodeID][]Event)
 	}
 	for v, list := range cfg.Views {
 		sh := s.shard(v)
-		sh.views[v] = append([]store.Event(nil), list...)
+		sh.views[v] = append([]Event(nil), list...)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -173,13 +166,13 @@ func (s *Server) closing() bool {
 // Snapshot copies out every view — the durable state a restarted server
 // would reload (ServerConfig.Views). Call after Close for a consistent
 // image, or any time for a best-effort one.
-func (s *Server) Snapshot() map[graph.NodeID][]store.Event {
-	out := make(map[graph.NodeID][]store.Event)
+func (s *Server) Snapshot() map[graph.NodeID][]Event {
+	out := make(map[graph.NodeID][]Event)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for v, list := range sh.views {
-			out[v] = append([]store.Event(nil), list...)
+			out[v] = append([]Event(nil), list...)
 		}
 		sh.mu.Unlock()
 	}
@@ -221,8 +214,8 @@ func (s *Server) protoError(conn net.Conn, err error) {
 type connScratch struct {
 	rbuf, wbuf []byte
 	views      []graph.NodeID
-	heads, out []store.Event
-	curs       [][]store.Event
+	heads, out []Event
+	curs       [][]Event
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -246,9 +239,7 @@ func (s *Server) handle(conn net.Conn) {
 		return err == nil
 	}
 	for {
-		if s.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(DefaultIdleTimeout))
 		payload, _, err := readFrame(br, &c.rbuf)
 		if err != nil {
 			// Frame-level failure: the stream position is untrustworthy,
@@ -307,7 +298,7 @@ func (s *Server) shard(v graph.NodeID) *viewShard {
 // timed out after the server applied its update retries the identical
 // frame, and a second application would diverge the view from a
 // fault-free run.
-func (s *Server) insert(v graph.NodeID, ev store.Event) {
+func (s *Server) insert(v graph.NodeID, ev Event) {
 	sh := s.shard(v)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -318,11 +309,11 @@ func (s *Server) insert(v graph.NodeID, ev store.Event) {
 			return // duplicate delivery (retry after lost ack)
 		}
 	}
-	list = append(list, store.Event{})
+	list = append(list, Event{})
 	copy(list[i+1:], list[i:])
 	list[i] = ev
-	if len(list) > store.ViewCap {
-		list = list[:store.ViewCap]
+	if len(list) > ViewCap {
+		list = list[:ViewCap]
 	}
 	sh.views[v] = list
 }
@@ -335,16 +326,16 @@ const mergeFanIn = 64
 // query returns the k newest events across views, in c's scratch: each
 // view's head is copied under its shard's lock, one lock at a time, and
 // one k-bounded merge runs over the copies once no lock is held.
-func (s *Server) query(c *connScratch, views []graph.NodeID, k int) []store.Event {
-	if k <= 0 || k > store.ViewCap {
-		k = store.StreamSize
+func (s *Server) query(c *connScratch, views []graph.NodeID, k int) []Event {
+	if k <= 0 || k > ViewCap {
+		k = StreamSize
 	}
 	c.out = c.out[:0]
 	for len(views) > 0 {
 		round := views[:min(len(views), mergeFanIn)]
 		views = views[len(round):]
 		if need := (len(round) + 1) * k; cap(c.heads) < need {
-			c.heads = make([]store.Event, 0, need) // the cursors alias it: no regrowth below
+			c.heads = make([]Event, 0, need) // the cursors alias it: no regrowth below
 		}
 		// The result so far is cursor 0, so ties still go to earlier views.
 		c.heads = append(c.heads[:0], c.out...)

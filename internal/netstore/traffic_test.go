@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"piggyback/internal/baseline"
-	"piggyback/internal/store"
 	"piggyback/internal/telemetry"
 )
 
@@ -30,7 +29,7 @@ func trafficRun(t *testing.T, reg *telemetry.Registry) (ClientStats, []ServerSta
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := cl.Update(0, store.Event{User: 0, ID: int64(i), TS: int64(i)}); err != nil {
+		if err := cl.Update(0, Event{User: 0, ID: int64(i), TS: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := cl.Query(2); err != nil {

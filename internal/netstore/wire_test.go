@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"piggyback/internal/graph"
-	"piggyback/internal/store"
 )
 
 // frameOf is one sealed frame carrying payload.
@@ -33,7 +32,7 @@ func writeFrame(w io.Writer, epoch uint32, payload []byte) error {
 // the payload's slice (buf = payload[:0]), whose capacity is the frame's
 // minus frameHdr, so every equal-sized frame allocated again.
 func TestReadFrameReusesItsBuffer(t *testing.T) {
-	one := frameOf(3, encodeQuery(nil, store.StreamSize, []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8}))
+	one := frameOf(3, encodeQuery(nil, StreamSize, []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8}))
 	stream := bytes.Repeat(one, 102) // one to size the buffer, AllocsPerRun's warm-up, 100 counted
 	r := bytes.NewReader(stream)
 	var buf []byte
@@ -49,20 +48,45 @@ func TestReadFrameReusesItsBuffer(t *testing.T) {
 	}
 }
 
-// The merge both ends use must be the left fold of store.MergeNewest it
-// replaced, ties included.
+// mergeTwo combines two newest-first event lists into the k newest: the
+// two-list filter step of Algorithm 3 that mergeNewest replaced, kept as
+// its reference.
+func mergeTwo(a, b []Event, k int) []Event {
+	out := make([]Event, 0, k)
+	i, j := 0, 0
+	for len(out) < k && (i < len(a) || j < len(b)) {
+		switch {
+		case i >= len(a):
+			out = append(out, b[j])
+			j++
+		case j >= len(b):
+			out = append(out, a[i])
+			i++
+		case a[i].TS >= b[j].TS:
+			out = append(out, a[i])
+			i++
+		default:
+			out = append(out, b[j])
+			j++
+		}
+	}
+	return out
+}
+
+// The merge both ends use must be the left fold of mergeTwo, ties
+// included.
 func TestMergeNewestMatchesFold(t *testing.T) {
-	lists := [][]store.Event{
+	lists := [][]Event{
 		{{User: 0, ID: 1, TS: 9}, {User: 0, ID: 2, TS: 5}, {User: 0, ID: 3, TS: 5}},
 		nil,
 		{{User: 2, ID: 1, TS: 9}, {User: 2, ID: 2, TS: 7}, {User: 2, ID: 3, TS: 1}},
 		{{User: 3, ID: 1, TS: 5}},
 	}
 	for k := 1; k <= 8; k++ {
-		var want []store.Event
-		curs := make([][]store.Event, len(lists))
+		var want []Event
+		curs := make([][]Event, len(lists))
 		for i, l := range lists {
-			want = store.MergeNewest(want, l, k)
+			want = mergeTwo(want, l, k)
 			curs[i] = l
 		}
 		if got := mergeNewest(nil, curs, k); !reflect.DeepEqual(got, want) {
@@ -74,12 +98,12 @@ func TestMergeNewestMatchesFold(t *testing.T) {
 // Server.query over more views than one merge round takes must still be
 // the fold, and must not grow its scratch with the number of views.
 func TestServerQueryFoldsAcrossRounds(t *testing.T) {
-	views := make(map[graph.NodeID][]store.Event)
+	views := make(map[graph.NodeID][]Event)
 	var ask []graph.NodeID
 	for v := 0; v < 3*mergeFanIn+5; v++ {
 		id := graph.NodeID(v)
 		for j := 0; j < 4; j++ {
-			views[id] = append(views[id], store.Event{User: id, ID: int64(j), TS: int64((v*7+3-j)%50 + 50*(3-j))})
+			views[id] = append(views[id], Event{User: id, ID: int64(j), TS: int64((v*7+3-j)%50 + 50*(3-j))})
 		}
 		ask = append(ask, id, id) // a view may be named twice
 	}
@@ -89,15 +113,15 @@ func TestServerQueryFoldsAcrossRounds(t *testing.T) {
 	}
 	srv := NewServerOn(ln, ServerConfig{Views: views})
 	defer srv.Close()
-	var want []store.Event
+	var want []Event
 	for _, v := range ask {
-		want = store.MergeNewest(want, views[v], store.StreamSize)
+		want = mergeTwo(want, views[v], StreamSize)
 	}
 	var c connScratch
-	if got := srv.query(&c, ask, store.StreamSize); !reflect.DeepEqual(got, want) {
+	if got := srv.query(&c, ask, StreamSize); !reflect.DeepEqual(got, want) {
 		t.Fatalf("query = %v, fold = %v", got, want)
 	}
-	if max := (mergeFanIn + 1) * store.StreamSize; len(c.heads) > max {
+	if max := (mergeFanIn + 1) * StreamSize; len(c.heads) > max {
 		t.Fatalf("scratch holds %d events for %d views, want ≤ %d", len(c.heads), len(ask), max)
 	}
 }
@@ -105,14 +129,14 @@ func TestServerQueryFoldsAcrossRounds(t *testing.T) {
 // fuzzSeeds are the payloads TestMalformedFrameGetsTypedError sends, the
 // replies it gets, and a few well-formed neighbours.
 func fuzzSeeds() [][]byte {
-	ev := store.Event{User: 7, ID: 3, TS: 9}
+	ev := Event{User: 7, ID: 3, TS: 9}
 	return [][]byte{
 		{99},
 		{opUpdate, 1, 2},
 		encodeUpdate(nil, ev, []graph.NodeID{7}),
-		encodeQuery(nil, store.StreamSize, []graph.NodeID{7}),
+		encodeQuery(nil, StreamSize, []graph.NodeID{7}),
 		encodeQuery(nil, 0, nil),
-		encodeEvents(nil, []store.Event{ev, {User: -1, ID: -7, TS: 1 << 40}}),
+		encodeEvents(nil, []Event{ev, {User: -1, ID: -7, TS: 1 << 40}}),
 		encodeEvents(nil, nil),
 		errResponse(ErrCodeUnknownOp, "netstore: unknown op 99"),
 		{},
@@ -218,7 +242,7 @@ func FuzzDecodeEvents(f *testing.F) {
 		if again := encodeEvents(nil, evs); !bytes.Equal(again, body) {
 			t.Fatalf("decode∘encode: %x became %x", body, again)
 		}
-		scratch := make([]store.Event, len(evs)+1)
+		scratch := make([]Event, len(evs)+1)
 		evs2, _ := decodeEvents(body, scratch)
 		if !slices.Equal(evs2, evs) || (len(evs2) > 0 && &evs2[0] != &scratch[0]) {
 			t.Fatalf("scratch decode = %v, fresh decode = %v", evs2, evs)

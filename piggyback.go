@@ -48,6 +48,7 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/incremental"
+	"piggyback/internal/netstore"
 	"piggyback/internal/nosy"
 	"piggyback/internal/online"
 	"piggyback/internal/partition"
@@ -55,7 +56,6 @@ import (
 	"piggyback/internal/sampling"
 	_ "piggyback/internal/shard" // registers the "shard" solver
 	"piggyback/internal/solver"
-	"piggyback/internal/store"
 	"piggyback/internal/workload"
 )
 
@@ -375,36 +375,61 @@ func NormalizedThroughput(s *Schedule, r *Rates, a Assignment) float64 {
 }
 
 // Event is the prototype's 24-byte view tuple.
-type Event = store.Event
+type Event = netstore.Event
 
-// Cluster is the prototype data-store tier: one goroutine per simulated
-// server, serving batched view updates and queries under a schedule.
-type Cluster = store.Cluster
+// Cluster is the prototype data-store tier in process: netstore servers
+// reached over in-memory pipes, serving batched view updates and queries
+// under a schedule with the same protocol as the TCP tier.
+type Cluster struct{ *netstore.Cluster }
 
 // ClusterOptions configures a prototype cluster.
-type ClusterOptions = store.Options
+type ClusterOptions = netstore.ClusterOptions
 
-// Client issues Algorithm-3 requests against a Cluster.
-type Client = store.Client
+// Client issues Algorithm-3 requests against a Cluster. A request error,
+// which only a closed cluster causes, panics.
+type Client struct{ cl *netstore.Client }
 
 // NewCluster starts a prototype cluster executing schedule s.
 func NewCluster(s *Schedule, opts ClusterOptions) (*Cluster, error) {
-	return store.NewCluster(s, opts)
+	c, err := netstore.NewCluster(s, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{c}, nil
+}
+
+// NewClient returns a client of the cluster; run one per goroutine.
+func (c *Cluster) NewClient() *Client { return &Client{c.Cluster.NewClient()} }
+
+// Update shares event ev by user u (the update half of Algorithm 3).
+func (c *Client) Update(u NodeID, ev Event) {
+	if err := c.cl.Update(u, ev); err != nil {
+		panic(err)
+	}
+}
+
+// Query returns u's event stream, newest first (the query half).
+func (c *Client) Query(u NodeID) []Event {
+	evs, err := c.cl.Query(u)
+	if err != nil {
+		panic(err)
+	}
+	return evs
 }
 
 // Trace is a replayable request workload for throughput measurement.
-type Trace = store.Trace
+type Trace = netstore.Trace
 
 // GenerateTrace samples a request trace from the workload rates.
 func GenerateTrace(r *Rates, n int, seed int64) Trace {
-	return store.GenerateTrace(r, n, seed)
+	return netstore.GenerateTrace(r, n, seed)
 }
 
 // BenchResult is a wall-clock throughput measurement.
-type BenchResult = store.BenchResult
+type BenchResult = netstore.BenchResult
 
 // MeasureThroughput replays a trace against a cluster with the given
 // number of client goroutines and reports actual requests/second.
 func MeasureThroughput(c *Cluster, t Trace, clients int) BenchResult {
-	return store.MeasureThroughput(c, t, clients)
+	return netstore.MeasureThroughput(c.Cluster, t, clients)
 }

@@ -33,7 +33,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Serve the schedule on the prototype.
-	c, err := NewCluster(pn, ClusterOptions{Servers: 8, ServiceSpins: 1})
+	c, err := NewCluster(pn, ClusterOptions{Servers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
