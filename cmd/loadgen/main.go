@@ -10,7 +10,7 @@
 // must be byte-identical across runs (the CI smoke diffs two runs).
 //
 //	go run ./cmd/loadgen -nodes 400 -ops 1500 -requests 2000 -servers 3 -faults
-//	go run ./cmd/loadgen -telemetry 127.0.0.1:9090 -spantree
+//	go run ./cmd/loadgen -nodes 2000 -ops 5000 -telemetry 127.0.0.1:9090 -linger 1m
 //	go run ./cmd/loadgen -scenario flashcrowd -snapshot
 //	go run ./cmd/loadgen -timedtree
 package main
@@ -47,6 +47,7 @@ func main() {
 	faults := flag.Bool("faults", false, "inject the pinned fault plan on server 0 (delays, a reset, a dropped reply)")
 	timeout := flag.Duration("timeout", 150*time.Millisecond, "client round-trip timeout")
 	telem := flag.String("telemetry", "", "serve /metrics and /debug/pprof on this address during the run")
+	linger := flag.Duration("linger", 0, "keep the -telemetry endpoint up this long after the run completes")
 	spantree := flag.Bool("spantree", false, "print the daemon's deterministic re-solve span tree and its decision record per re-solve")
 	timedtree := flag.Bool("timedtree", false, "print the span tree with each span's wall time (differs run to run)")
 	snapshot := flag.Bool("snapshot", false, "print the non-timing metric snapshot (byte-identical across seeded runs)")
@@ -64,6 +65,9 @@ func main() {
 		}
 		defer ln.Close()
 		fmt.Printf("telemetry: http://%s/metrics\n", ln.Addr())
+		if *linger > 0 {
+			defer time.Sleep(*linger)
+		}
 	}
 
 	// Workload: graph + rates + initial schedule, then a churn trace for

@@ -43,7 +43,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry the best-so-far valid schedule is reported")
 		progress = flag.Bool("progress", false, "print live per-iteration progress")
 		iters    = flag.Bool("iters", false, "trace finalized cost per iteration (implies -progress; nosy)")
-		out      = flag.String("o", "", "save the schedule (schedio format) for cmd/feedstore")
+		out      = flag.String("o", "", "save the schedule to this file (schedio format)")
 	)
 	flag.Parse()
 

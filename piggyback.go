@@ -118,22 +118,6 @@ func NewSolver(name string, opts Options) (Solver, error) { return solver.Defaul
 // Solvers returns every solver name in the default registry, sorted.
 func Solvers() []string { return solver.Default.Names() }
 
-// MustSolve runs the named registered solver to completion and panics
-// on any error — the one-liner for examples, tests, and scripts.
-// Production callers should use NewSolver/Solve for cancellation,
-// progress, and typed errors.
-func MustSolve(name string, g *Graph, r *Rates) *Schedule {
-	sv, err := NewSolver(name, Options{})
-	if err != nil {
-		panic(err)
-	}
-	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
-	if err != nil {
-		panic(err)
-	}
-	return res.Schedule
-}
-
 // NewChitChatSolver returns the CHITCHAT solver under its full typed
 // config (knobs beyond Options: exact oracle, per-commit progress hook).
 func NewChitChatSolver(cfg ChitChatConfig) Solver { return solver.NewChitChat(cfg) }
