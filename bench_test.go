@@ -181,6 +181,7 @@ func BenchmarkPrototypeRequests(b *testing.B) {
 	trace := netstore.GenerateTrace(r, 4096, 1)
 	b.ResetTimer()
 	cl := c.NewClient()
+	defer cl.Close()
 	for i := 0; i < b.N; i++ {
 		req := trace[i%len(trace)]
 		if req.IsUpdate {

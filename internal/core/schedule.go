@@ -283,9 +283,11 @@ func (s *Schedule) Validate() error {
 // PushSet returns, for user u, the users whose views must be updated when
 // u shares an event (excluding u's own view, which is implicit). This is
 // the h[u] of Algorithm 3.
-func (s *Schedule) PushSet(u graph.NodeID) []graph.NodeID {
+func (s *Schedule) PushSet(u graph.NodeID) []graph.NodeID { return s.AppendPushSet(nil, u) }
+
+// AppendPushSet appends u's push set to out, in out-edge order.
+func (s *Schedule) AppendPushSet(out []graph.NodeID, u graph.NodeID) []graph.NodeID {
 	lo, hi := s.g.OutEdgeRange(u)
-	var out []graph.NodeID
 	for e := lo; e < hi; e++ {
 		if s.IsPush(e) {
 			out = append(out, s.g.EdgeTarget(e))
@@ -297,10 +299,12 @@ func (s *Schedule) PushSet(u graph.NodeID) []graph.NodeID {
 // PullSet returns, for user v, the views that must be queried to assemble
 // v's event stream (excluding v's own view, which is implicit). This is
 // the l[u] of Algorithm 3.
-func (s *Schedule) PullSet(v graph.NodeID) []graph.NodeID {
+func (s *Schedule) PullSet(v graph.NodeID) []graph.NodeID { return s.AppendPullSet(nil, v) }
+
+// AppendPullSet appends v's pull set to out, in in-edge order.
+func (s *Schedule) AppendPullSet(out []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	in := s.g.InNeighbors(v)
 	ids := s.g.InEdgeIDs(v)
-	var out []graph.NodeID
 	for i, e := range ids {
 		if s.IsPull(e) {
 			out = append(out, in[i])

@@ -14,12 +14,13 @@ import (
 // Plain go test -bench functions for profiling the request path; the
 // numbers that gate anything are the repo benchmark's (DESIGN.md §17).
 
-// benchTier is two loopback servers, a client dialled with a pull-all or
-// push-all plan, and two users who reach the same number of views (eight
-// neighbours, followed and following, and their own): users[1]'s all sit
-// on its own server, users[2]'s are split four and four, so the one's
-// requests are one batch and the other's two. Every view is warm.
-func benchTier(b *testing.B, plan func(*graph.Graph) *core.Schedule) (cl *Client, users [3]graph.NodeID) {
+// twoServerTier is two loopback servers, a client dialled with a plan
+// such as pull-all or push-all, and two users who reach the same number
+// of views (eight neighbours, followed and following, and their own):
+// users[1]'s all sit on its own server, users[2]'s are split four and
+// four, so the one's requests are one batch and the other's two. Every
+// view is warm, and so is every helper.
+func twoServerTier(b testing.TB, plan func(*graph.Graph) *core.Schedule) (cl *Client, users [3]graph.NodeID) {
 	b.Helper()
 	const n = 64
 	assign := partition.Hash(n, 2, 0)
@@ -57,6 +58,9 @@ func benchTier(b *testing.B, plan func(*graph.Graph) *core.Schedule) (cl *Client
 			b.Fatal(err)
 		}
 	}
+	if _, err := cl.Query(users[2]); err != nil {
+		b.Fatal(err)
+	}
 	p := cl.plan.Load()
 	for want := 1; want <= 2; want++ {
 		if q, u := len(p.pullBatch[users[want]]), len(p.pushBatch[users[want]]); max(q, u) != want {
@@ -67,7 +71,7 @@ func benchTier(b *testing.B, plan func(*graph.Graph) *core.Schedule) (cl *Client
 }
 
 func BenchmarkQueryRoundTrip(b *testing.B) {
-	cl, users := benchTier(b, baseline.PullAll)
+	cl, users := twoServerTier(b, baseline.PullAll)
 	for n := 1; n <= 2; n++ {
 		b.Run(fmt.Sprintf("batches=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -81,7 +85,7 @@ func BenchmarkQueryRoundTrip(b *testing.B) {
 }
 
 func BenchmarkUpdateRoundTrip(b *testing.B) {
-	cl, users := benchTier(b, baseline.PushAll)
+	cl, users := twoServerTier(b, baseline.PushAll)
 	for n := 1; n <= 2; n++ {
 		b.Run(fmt.Sprintf("batches=%d", n), func(b *testing.B) {
 			b.ReportAllocs()

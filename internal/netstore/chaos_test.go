@@ -293,6 +293,99 @@ func TestRedialAfterTimeout(t *testing.T) {
 	}
 }
 
+// TestDeadlineStillBoundsRoundTrip: the client re-arms a connection's
+// deadline only once less than ⅞ of Timeout is left, and a closed
+// connection takes its armed deadline with it. So a lost reply fails its
+// round trip after ⅞·Timeout at the soonest and Timeout at the latest,
+// however long the connection was busy before, and the first message on
+// a redialled connection is armed even when the connection before it
+// died with a fresh deadline. Against a closeConn that keeps the armed
+// deadline, the last lost reply is waited for forever.
+func TestDeadlineStillBoundsRoundTrip(t *testing.T) {
+	const (
+		timeout = 150 * time.Millisecond
+		slack   = 100 * time.Millisecond // scheduling, past the deadline
+		busy    = 20                     // round trips, timeout/16 apart
+	)
+	plan := &fault.Plan{Rules: []fault.Rule{
+		{Kind: fault.KindDrop, Conn: 0, Op: busy}, // the reply after the busy stretch
+		{Kind: fault.KindReset, Conn: 1, Op: 0},   // the next connection dies at its first reply
+		{Kind: fault.KindDrop, Conn: 2, Op: 0},    // the one after loses its first reply
+	}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerOn(plan.WrapListener(ln), ServerConfig{})
+	defer srv.Close()
+	g, _ := figure2()
+	// No retries, and every call to a down server probes it with a redial.
+	cl, err := DialConfigured(baseline.PushAll(g), []string{srv.Addr()}, DialConfig{
+		Timeout: timeout, Retries: -1, ProbeEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// roundTrip sends one query through call, on a goroutine of its own so
+	// that a round trip with no deadline fails the test instead of hanging
+	// it.
+	roundTrip := func() (time.Duration, error) {
+		t.Helper()
+		s := cl.conns[0]
+		s.wbuf = encodeQuery(newFrame(s.wbuf), StreamSize, []graph.NodeID{0})
+		type result struct {
+			took time.Duration
+			err  error
+		}
+		done := make(chan result, 1)
+		t0 := time.Now()
+		go func() {
+			_, err := cl.call(0, s.wbuf)
+			done <- result{time.Since(t0), err}
+		}()
+		select {
+		case r := <-done:
+			return r.took, r.err
+		case <-time.After(timeout + 2*time.Second):
+			srv.Close() // ends the read, so that the deferred Close can take the connection
+			t.Fatal("a round trip whose reply was lost is still waiting: no deadline was armed")
+			return 0, nil
+		}
+	}
+	timesOut := func(what string) {
+		t.Helper()
+		took, err := roundTrip()
+		if !errors.Is(err, ErrServerDown) {
+			t.Fatalf("%s: got %v, want the round trip to time out", what, err)
+		}
+		if took < timeout*7/8 || took > timeout+slack {
+			t.Fatalf("%s: failed after %v, want between %v and %v", what, took, timeout*7/8, timeout+slack)
+		}
+	}
+
+	for i := 0; i < busy; i++ {
+		if _, err := roundTrip(); err != nil {
+			t.Fatalf("busy round trip %d: %v", i, err)
+		}
+		time.Sleep(timeout / 16)
+	}
+	timesOut("the reply lost after the busy stretch")
+	if _, err := roundTrip(); !errors.Is(err, ErrServerDown) {
+		t.Fatalf("probe on a connection reset at its first reply: got %v, want a failure", err)
+	}
+	timesOut("the first reply lost on the redialled connection")
+	if _, err := roundTrip(); err != nil {
+		t.Fatalf("probe after the faults: %v", err)
+	}
+	for conn := 0; conn < 3; conn++ {
+		if fired := plan.FiredOn(conn); len(fired) != 1 {
+			t.Fatalf("connection %d: the plan fired %v, want its one fault", conn, fired)
+		}
+	}
+}
+
 // TestMalformedFrameGetsTypedError pins the server's malformed-frame
 // behavior: a well-framed but undecodable payload gets a typed error
 // reply (not a silent drop), the OnProtoError hook fires, and the

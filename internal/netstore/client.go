@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,8 +128,10 @@ type ClientStats struct {
 // It keeps one connection per data-store server and sends one batched
 // message per server, waiting for all replies: the first batch's round
 // trip runs on the calling goroutine and each further batch's on a
-// helper goroutine, so the round trips overlap and a request with one
-// batch starts nothing (DESIGN.md §17). It routes by a plan it loads
+// long-lived helper goroutine, one per extra server a request has
+// reached, fed by a channel, so the round trips overlap and a request
+// starts no goroutine (DESIGN.md §17). Close stops the helpers; a
+// request after Close starts them again. It routes by a plan it loads
 // once per request; Swap publishes a new one.
 //
 // Failure handling (none of which the paper's prototype has): a failed
@@ -144,8 +147,8 @@ type ClientStats struct {
 // A Client runs one request (Update or Query) at a time: the request in
 // flight and every connection's buffers are the client's own state, so
 // open one client per requesting goroutine. Swap, ServerDown,
-// ServerEpoch, Recover and Stats may be called from any goroutine at any
-// time.
+// ServerEpoch, Recover, Stats and Close may be called from any goroutine
+// at any time.
 type Client struct {
 	plan  *atomic.Pointer[plan] // a Cluster's clients share the Cluster's
 	cfg   DialConfig
@@ -158,11 +161,26 @@ type Client struct {
 	ev      Event
 	errs    []error
 	replies [][]Event
-	wg      sync.WaitGroup // the helpers of the request in flight
+	wg      sync.WaitGroup // the helpers' batches of the request in flight
+
+	// crew is the running helpers, nil until a request needs one and
+	// again after Close. hmu orders a dispatch's feeding against Close,
+	// so a batch is only ever fed to a running helper.
+	hmu  sync.Mutex
+	crew *helpers
 
 	// inst backs both Stats() and (when DialConfig.Metrics is set) the
 	// /metrics exposition — one set of instruments, two readers.
 	inst *clientInstruments
+}
+
+// helpers is one generation of a client's helper goroutines: feeds[i-1]
+// hands batch i of a request to helper i, which runs until done is
+// closed; wg waits for them to exit.
+type helpers struct {
+	feeds []chan int
+	done  chan struct{}
+	wg    sync.WaitGroup
 }
 
 // sconn is the client's per-server endpoint: how to reach the server,
@@ -177,6 +195,9 @@ type sconn struct {
 	dial func() (net.Conn, error)
 	c    net.Conn
 	br   *bufio.Reader
+	// deadline is the deadline armed on c; zero while none is, which is
+	// how every fresh connection starts.
+	deadline time.Time
 
 	down      bool
 	downOps   int // ops refused since the last probe
@@ -210,35 +231,106 @@ type batch struct {
 	views  []graph.NodeID
 }
 
+// newPlan groups every user's two view lists, its push set plus its own
+// view (what an update writes) and its pull set plus its own (what a
+// query reads), in two passes over the same lists: the first sizes the
+// grouper's arenas exactly, the second cuts every list's batches from
+// them.
 func newPlan(s *core.Schedule, assign partition.Assignment) *plan {
 	g := s.Graph()
+	n := g.NumNodes()
 	p := &plan{
 		g:         g,
 		assign:    assign,
-		pushBatch: make([][]batch, g.NumNodes()),
-		pullBatch: make([][]batch, g.NumNodes()),
+		pushBatch: make([][]batch, n),
+		pullBatch: make([][]batch, n),
 	}
-	for u := 0; u < g.NumNodes(); u++ {
-		uid := graph.NodeID(u)
-		p.pushBatch[u] = p.group(append(s.PushSet(uid), uid))
-		p.pullBatch[u] = p.group(append(s.PullSet(uid), uid))
+	deg := 0
+	for u := 0; u < n; u++ {
+		deg = max(deg, g.OutDegree(graph.NodeID(u)), g.InDegree(graph.NodeID(u)))
+	}
+	push, pull := make([]graph.NodeID, 0, deg+1), make([]graph.NodeID, 0, deg+1)
+	lists := func(u graph.NodeID) {
+		push = append(s.AppendPushSet(push[:0], u), u)
+		pull = append(s.AppendPullSet(pull[:0], u), u)
+	}
+	gr := newGrouper(assign)
+	views, batches := 0, 0
+	for u := 0; u < n; u++ {
+		lists(graph.NodeID(u))
+		views += len(push) + len(pull)
+		batches += gr.count(push) + gr.count(pull)
+	}
+	gr.views, gr.batches = make([]graph.NodeID, 0, views), make([]batch, 0, batches)
+	for u := 0; u < n; u++ {
+		lists(graph.NodeID(u))
+		p.pushBatch[u], p.pullBatch[u] = gr.group(push), gr.group(pull)
 	}
 	return p
 }
 
-// group buckets views by their hosting server, in server order.
-func (p *plan) group(views []graph.NodeID) []batch {
-	byServer := make(map[int][]graph.NodeID)
-	for _, v := range views {
-		s := int(p.assign.Of(v))
-		byServer[s] = append(byServer[s], v)
+// grouper buckets view lists by hosting server with a counting sort: a
+// list's batches come out in server order, each batch's views in list
+// order. Its scratch is reused from list to list, and the batches and
+// their views are cut from two arenas that grow only when a list does
+// not fit (the batches cut earlier keep the arrays they were cut from).
+type grouper struct {
+	assign  partition.Assignment
+	at      []int   // per server: the list's views there, then the next slot; zero between lists
+	servers []int32 // the servers the list at hand touches
+	views   []graph.NodeID
+	batches []batch
+}
+
+func newGrouper(assign partition.Assignment) *grouper {
+	return &grouper{assign: assign, at: make([]int, assign.Servers), servers: make([]int32, 0, assign.Servers)}
+}
+
+// tally counts list's views per server and lists the servers touched.
+func (gr *grouper) tally(list []graph.NodeID) {
+	gr.servers = gr.servers[:0]
+	for _, v := range list {
+		s := gr.assign.Of(v)
+		if gr.at[s] == 0 {
+			gr.servers = append(gr.servers, s)
+		}
+		gr.at[s]++
 	}
-	out := make([]batch, 0, len(byServer))
-	for s, vs := range byServer {
-		out = append(out, batch{server: s, views: vs})
+}
+
+// reset zeroes the per-server slots the list at hand used.
+func (gr *grouper) reset() {
+	for _, s := range gr.servers {
+		gr.at[s] = 0
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].server < out[j].server })
-	return out
+}
+
+// count returns how many batches list groups into.
+func (gr *grouper) count(list []graph.NodeID) int {
+	gr.tally(list)
+	gr.reset()
+	return len(gr.servers)
+}
+
+// group returns list's batches.
+func (gr *grouper) group(list []graph.NodeID) []batch {
+	gr.tally(list)
+	slices.Sort(gr.servers)
+	first, next := len(gr.batches), len(gr.views)
+	gr.views = append(gr.views, list...) // the room; the views land below
+	for _, s := range gr.servers {
+		k := gr.at[s]
+		gr.at[s] = next
+		gr.batches = append(gr.batches, batch{server: int(s), views: gr.views[next : next+k : next+k]})
+		next += k
+	}
+	for _, v := range list {
+		s := gr.assign.Of(v)
+		gr.views[gr.at[s]] = v
+		gr.at[s]++
+	}
+	gr.reset()
+	return gr.batches[first:len(gr.batches):len(gr.batches)]
 }
 
 // swapPlan publishes the plan of s in ptr. The schedule may be over a
@@ -314,9 +406,19 @@ func newClient(p *atomic.Pointer[plan], addrs []string, dials []func() (net.Conn
 // Cluster's plan, so this swaps it for all of them.
 func (cl *Client) Swap(s *core.Schedule) error { return swapPlan(cl.plan, s) }
 
-// Close tears down all connections. Parked handoff entries are
-// discarded.
+// Close stops the helpers, waits for them to exit, and tears down all
+// connections; a request in flight finishes first on each helper and
+// connection it holds. Parked handoff entries are discarded. The client
+// stays usable: a later request dials again and starts new helpers.
 func (cl *Client) Close() {
+	cl.hmu.Lock()
+	h := cl.crew
+	cl.crew = nil
+	cl.hmu.Unlock()
+	if h != nil {
+		close(h.done)
+		h.wg.Wait()
+	}
 	for _, s := range cl.conns {
 		s.mu.Lock()
 		s.closeConn()
@@ -373,12 +475,23 @@ func (cl *Client) redial(s *sconn) error {
 	return nil
 }
 
-// closeConn drops the current connection, if any. Caller holds s.mu.
+// closeConn drops the current connection, if any, and with it its
+// armed deadline. Caller holds s.mu.
 func (s *sconn) closeConn() {
 	if s.c != nil {
 		s.c.Close()
-		s.c, s.br = nil, nil
+		s.c, s.br, s.deadline = nil, nil, time.Time{}
 	}
+}
+
+// rearm reports whether a connection whose deadline is armed (zero: none
+// is) must be re-armed at now to grant a round trip span: only once less
+// than ⅞ of span is left (DESIGN.md §11). A round trip is still granted
+// at least ⅞ of span and never more than all of it, and a busy
+// connection touches the runtime's timers about eight times per span
+// instead of once per message.
+func rearm(armed, now time.Time, span time.Duration) bool {
+	return armed.Sub(now) < span-span/8
 }
 
 // roundTripOnce sends one sealed frame and reads the reply (in s.rbuf)
@@ -387,8 +500,11 @@ func (s *sconn) closeConn() {
 // length-prefixed stream can no longer be trusted; the CALLER must
 // discard the connection.
 func (cl *Client) roundTripOnce(s *sconn, frame []byte) ([]byte, error) {
-	if err := s.c.SetDeadline(time.Now().Add(cl.cfg.Timeout)); err != nil {
-		return nil, err
+	if now := time.Now(); rearm(s.deadline, now, cl.cfg.Timeout) {
+		s.deadline = now.Add(cl.cfg.Timeout)
+		if err := s.c.SetDeadline(s.deadline); err != nil {
+			return nil, err
+		}
 	}
 	if _, err := s.c.Write(frame); err != nil {
 		return nil, err
@@ -589,21 +705,49 @@ func (cl *Client) Update(u graph.NodeID, ev Event) error {
 }
 
 // dispatch runs every batch of one request and returns when all have
-// finished: batch 0 on the calling goroutine, each further batch on a
-// helper so that its round trip overlaps the caller's.
+// finished: batch 0 on the calling goroutine, each further batch i on
+// helper i, so that its round trip overlaps the caller's. A helper is
+// started the first time a request needs it and kept.
 func (cl *Client) dispatch(batches []batch, update bool, ev Event) {
 	cl.batches, cl.update, cl.ev = batches, update, ev
-	for i := 1; i < len(batches); i++ {
-		cl.wg.Add(1)
-		go cl.help(i)
+	if len(batches) > 1 {
+		cl.wg.Add(len(batches) - 1)
+		cl.hmu.Lock()
+		if cl.crew == nil {
+			cl.crew = &helpers{done: make(chan struct{})}
+		}
+		h := cl.crew
+		for i := 1; i < len(batches); i++ {
+			if len(h.feeds) < i {
+				feed := make(chan int, 1)
+				h.feeds = append(h.feeds, feed)
+				h.wg.Add(1)
+				go cl.help(feed, h)
+			}
+			h.feeds[i-1] <- i // never blocks: the last batch fed was taken before its wg.Done
+		}
+		cl.hmu.Unlock()
 	}
 	cl.runBatch(0)
 	cl.wg.Wait()
 }
 
-func (cl *Client) help(i int) {
-	defer cl.wg.Done()
-	cl.runBatch(i)
+// help runs the batches fed to it until h.done is closed. Close takes h
+// from the client under hmu before it closes h.done, so a batch fed to
+// h is in the feed by then and still runs: its dispatch waits for it.
+func (cl *Client) help(feed <-chan int, h *helpers) {
+	defer h.wg.Done()
+	for {
+		select {
+		case i := <-feed:
+			cl.runBatch(i)
+			cl.wg.Done()
+		case <-h.done:
+			if len(feed) == 0 {
+				return
+			}
+		}
+	}
 }
 
 // runBatch performs batch i of the request in flight and fills its
@@ -675,7 +819,7 @@ func (cl *Client) Query(u graph.NodeID) ([]Event, error) {
 		all = append(all, evs...) // failed batches contribute nil
 	}
 	// The pull-all floor: the own views of u and every in-neighbour.
-	for _, b := range p.group(append([]graph.NodeID{u}, p.g.InNeighbors(u)...)) {
+	for _, b := range newGrouper(p.assign).group(append([]graph.NodeID{u}, p.g.InNeighbors(u)...)) {
 		if cl.ServerDown(b.server) {
 			continue // that producer's recent events are unreachable for now
 		}

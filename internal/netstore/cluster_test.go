@@ -1,6 +1,8 @@
 package netstore
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,8 +13,70 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
+	"piggyback/internal/partition"
 	"piggyback/internal/workload"
 )
+
+// groupByMap is the map-based grouping newPlan and the degraded query
+// path used before the counting pass, kept as the reference: one batch
+// per server a list touches, in server order, views in list order.
+func groupByMap(assign partition.Assignment, views []graph.NodeID) []batch {
+	byServer := make(map[int][]graph.NodeID)
+	for _, v := range views {
+		s := int(assign.Of(v))
+		byServer[s] = append(byServer[s], v)
+	}
+	out := make([]batch, 0, len(byServer))
+	for s, vs := range byServer {
+		out = append(out, batch{server: s, views: vs})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].server < out[j].server })
+	return out
+}
+
+// planAllocs is what newPlan allocates, however many users it groups:
+// the plan and its two per-user tables, the two list buffers, the
+// grouper's two scratch slices and its two arenas (the map grouping made
+// 30 261 on serve_static's graph).
+const planAllocs = 9
+
+// TestPlanMatchesMapGrouping holds the counting pass to the map-based
+// grouping, batch for batch and view for view, on serve_static's graph
+// and two servers and on BenchmarkPrototypeRequests' 64-server cluster;
+// the degraded query's own-views-of-in-neighbours lists too.
+func TestPlanMatchesMapGrouping(t *testing.T) {
+	for _, in := range []struct {
+		name    string
+		g       *graph.Graph
+		servers int
+		seed    int64
+	}{
+		{"serve_static", graphgen.StreamSocial(graphgen.FlickrLikeEdges(60_000, 7)), 2, 7},
+		{"prototype", graphgen.Social(graphgen.FlickrLike(800, 7)), 64, 0},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			s := nosy.Solve(in.g, workload.LogDegree(in.g, 5), nosy.Config{}).Schedule
+			assign := partition.Hash(in.g.NumNodes(), in.servers, in.seed)
+			p := newPlan(s, assign)
+			same := func(what string, u int, got, want []batch) {
+				t.Helper()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("user %d: %s batches\n%v\nare not the map grouping's\n%v", u, what, got, want)
+				}
+			}
+			for u := 0; u < in.g.NumNodes(); u++ {
+				uid := graph.NodeID(u)
+				same("update", u, p.pushBatch[u], groupByMap(assign, append(s.PushSet(uid), uid)))
+				same("query", u, p.pullBatch[u], groupByMap(assign, append(s.PullSet(uid), uid)))
+				floor := append([]graph.NodeID{uid}, in.g.InNeighbors(uid)...)
+				same("degraded query", u, newGrouper(assign).group(floor), groupByMap(assign, floor))
+			}
+			if n := testing.AllocsPerRun(10, func() { newPlan(s, assign) }); n != planAllocs {
+				t.Fatalf("newPlan made %v allocations for %d users, want %d", n, in.g.NumNodes(), planAllocs)
+			}
+		})
+	}
+}
 
 func TestViewCapTrims(t *testing.T) {
 	g, _ := figure2()

@@ -2,6 +2,7 @@ package netstore
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -254,6 +255,88 @@ func checkStreamSize(t *testing.T, open opener) {
 
 func TestStreamSizeOverTCP(t *testing.T) { checkStreamSize(t, overTCP) }
 func TestStreamSizeFilter(t *testing.T)  { checkStreamSize(t, overPipe) }
+
+// pushPullAll pushes and pulls every edge, so that a user's updates and
+// queries reach the same servers.
+func pushPullAll(g *graph.Graph) *core.Schedule {
+	s := baseline.PushAll(g)
+	for e := 0; e < g.NumEdges(); e++ {
+		s.SetPull(graph.EdgeID(e))
+	}
+	return s
+}
+
+// TestTwoServerRequestAllocatesNothing: a request's second batch goes to
+// a long-lived helper, so a warm two-server update allocates nothing, a
+// query only the slice it returns, no request starts a goroutine, and
+// Close ends the helper.
+func TestTwoServerRequestAllocatesNothing(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cl, users := twoServerTier(t, pushPullAll)
+	u, id := users[2], int64(0)
+	update := func() {
+		id++
+		if err := cl.Update(u, Event{User: u, ID: id, TS: 1e6 + id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := func() {
+		if _, err := cl.Query(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, update); n != 0 {
+		t.Errorf("a two-server update makes %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, query); n != 1 {
+		t.Errorf("a two-server query makes %v allocations, want 1 (the slice it returns)", n)
+	}
+	warm := runtime.NumGoroutine()
+	for i := 0; i < 500; i++ {
+		update()
+		query()
+	}
+	if n := runtime.NumGoroutine(); n > warm {
+		t.Errorf("1000 two-server requests left %d goroutines running, %d before them", n, warm)
+	}
+	cl.Close()
+	// What is left is the two servers' accept loops.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base+2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want %d: a helper outlived its client", runtime.NumGoroutine(), base+2)
+		}
+	}
+}
+
+// TestCloseRacesRequests: Close may run while another goroutine's request
+// is in flight. It stops the helpers without stranding a batch already fed
+// to one, and the next request dials again and starts new helpers.
+func TestCloseRacesRequests(t *testing.T) {
+	cl, users := twoServerTier(t, pushPullAll)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cl.Close()
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	u := users[2]
+	for i := 0; i < 1000; i++ {
+		ev := Event{User: u, ID: int64(i), TS: 2e6 + int64(i)}
+		mustUpdate(t, cl, u, ev)
+		if got := mustQuery(t, cl, u); got[0] != ev {
+			t.Fatalf("request %d: query returned %v first, want %v", i, got[0], ev)
+		}
+	}
+	close(stop)
+	<-stopped
+}
 
 func TestDialErrors(t *testing.T) {
 	g, r := figure2()

@@ -231,6 +231,7 @@ func (s *Server) handle(conn net.Conn) {
 	cc := countingConn{Conn: conn, r: s.inst.bytesRead, w: s.inst.bytesWritten}
 	br := bufio.NewReader(cc)
 	var c connScratch
+	var armed time.Time // the idle read deadline on conn; none yet
 	reply := func() bool {
 		if sealFrame(c.wbuf, s.epoch.Load()) != nil {
 			return false
@@ -239,7 +240,10 @@ func (s *Server) handle(conn net.Conn) {
 		return err == nil
 	}
 	for {
-		conn.SetReadDeadline(time.Now().Add(DefaultIdleTimeout))
+		if now := time.Now(); rearm(armed, now, DefaultIdleTimeout) {
+			armed = now.Add(DefaultIdleTimeout)
+			conn.SetReadDeadline(armed)
+		}
 		payload, _, err := readFrame(br, &c.rbuf)
 		if err != nil {
 			// Frame-level failure: the stream position is untrustworthy,

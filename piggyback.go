@@ -382,8 +382,13 @@ func NewCluster(s *Schedule, opts ClusterOptions) (*Cluster, error) {
 	return &Cluster{c}, nil
 }
 
-// NewClient returns a client of the cluster; run one per goroutine.
+// NewClient returns a client of the cluster; run one per goroutine, and
+// Close it when done.
 func (c *Cluster) NewClient() *Client { return &Client{c.Cluster.NewClient()} }
+
+// Close releases the client's connections and helper goroutines. A
+// later request opens them again.
+func (c *Client) Close() { c.cl.Close() }
 
 // Update shares event ev by user u (the update half of Algorithm 3).
 func (c *Client) Update(u NodeID, ev Event) {

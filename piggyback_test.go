@@ -42,6 +42,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if res.ReqPerSec <= 0 {
 		t.Fatalf("throughput: %+v", res)
 	}
+	cl := c.NewClient()
+	defer cl.Close()
+	ev := Event{User: 0, ID: 1, TS: 1 << 40}
+	cl.Update(0, ev)
+	if got := cl.Query(0); len(got) == 0 || got[0] != ev {
+		t.Fatalf("Query(0) = %v, want %v first", got, ev)
+	}
 }
 
 func TestIncrementalMaintenanceAPI(t *testing.T) {
