@@ -1,7 +1,10 @@
 package piggyback
 
 import (
+	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -25,5 +28,119 @@ func TestDocsNameExistingCommands(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDocsNameExistingTests keeps the docs and CI from naming a test that
+// no longer exists. In README, DESIGN and the verify SKILL every
+// backticked Test…, Benchmark… or Fuzz… name must be a function of the
+// module — of the named package when qualified (online.TestX), any
+// function with that prefix when followed by * or …, each expansion of
+// {a,b}; a deleted one is cited without backticks. There and in CI, every
+// alternative of a -run or -bench pattern (but a <placeholder>) must match
+// a function of the packages the command names.
+func TestDocsNameExistingTests(t *testing.T) {
+	funcs := map[string][]string{} // test, benchmark and fuzz functions → their package directories
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, _ fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(b, -1) {
+			funcs[string(m[1])] = append(funcs[string(m[1])], filepath.Dir(path))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// exists reports whether a function whose name satisfies ok lives in a
+	// directory that satisfies in.
+	exists := func(in func(dir string) bool, ok func(name string) bool) bool {
+		for name, dirs := range funcs {
+			for _, dir := range dirs {
+				if ok(name) && in(dir) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	flag := regexp.MustCompile(`-(?:run|bench)[ =]+(?:'([^']*)'|"([^"]*)"|(\S+))`)
+	name := regexp.MustCompile(`\b(?:(\w+)\.)?((?:Test|Benchmark|Fuzz)(?:[A-Z0-9_]\w*)?)(\{[^}]*\})?([*…]?)`)
+	// check holds one command or code span; names: its bare names too.
+	check := func(where, code string, names bool) {
+		var dirs []string
+		for _, f := range strings.Fields(code) {
+			if f == "." || strings.HasPrefix(f, "./") && !strings.HasSuffix(f, "...") {
+				dirs = append(dirs, filepath.Clean(f))
+			}
+		}
+		inCommand := func(dir string) bool {
+			for _, d := range dirs {
+				if d == dir {
+					return true
+				}
+			}
+			return len(dirs) == 0
+		}
+		for _, m := range flag.FindAllStringSubmatch(code, -1) {
+			for _, alt := range strings.Split(m[1]+m[2]+m[3], "|") {
+				if alt = strings.Split(alt, "/")[0]; alt == "" || alt == "^$" || strings.Contains(alt, "<") {
+					continue
+				}
+				re, err := regexp.Compile(alt)
+				if err != nil || !exists(inCommand, re.MatchString) {
+					t.Errorf("%s: pattern %q matches no function in %v (%v)", where, alt, dirs, err)
+				}
+			}
+		}
+		if !names {
+			return
+		}
+		for _, m := range name.FindAllStringSubmatch(flag.ReplaceAllString(code, ""), -1) {
+			pkg, open := m[1], m[4] != ""
+			inPkg := func(dir string) bool {
+				return pkg == "" || filepath.Base(dir) == pkg || dir == "." && pkg == "piggyback"
+			}
+			alts := []string{""}
+			if m[3] != "" {
+				alts = strings.Split(m[3][1:len(m[3])-1], ",")
+			}
+			for _, a := range alts {
+				want := m[2] + a
+				if !exists(inPkg, func(n string) bool { return n == want || open && strings.HasPrefix(n, want) }) {
+					t.Errorf("%s names %s, which is no function of the module", where, m[0])
+				}
+			}
+		}
+	}
+	fence := regexp.MustCompile("(?s)```.*?```")
+	span := regexp.MustCompile("`([^`]+)`")
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(b)
+		lineOf := func(at int) int { return strings.Count(text[:at], "\n") + 1 }
+		for _, loc := range fence.FindAllStringIndex(text, -1) {
+			for i, line := range strings.Split(text[loc[0]:loc[1]], "\n") {
+				check(fmt.Sprintf("%s:%d", doc, lineOf(loc[0])+i), line, true)
+			}
+		}
+		// Blank the fences out, keeping their lines, before the inline spans.
+		text = fence.ReplaceAllStringFunc(text, func(f string) string { return strings.Repeat("\n", strings.Count(f, "\n")) })
+		for _, loc := range span.FindAllStringSubmatchIndex(text, -1) {
+			check(fmt.Sprintf("%s:%d", doc, lineOf(loc[0])), text[loc[2]:loc[3]], true)
+		}
+	}
+	b, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(b), "\n") {
+		check(fmt.Sprintf("ci.yml:%d", i+1), line, false)
 	}
 }

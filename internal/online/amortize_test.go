@@ -2,6 +2,8 @@ package online
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -552,34 +554,30 @@ func referenceAmortize(s *core.Schedule, r *workload.Rates, region []graph.EdgeI
 // on one and the reference on the other, and reports any difference in
 // the result (Saved to the bit), in flags or hub on any edge, or in the
 // pinned counts; and a support table the sweep ends with that differs from
-// a fresh walk's. It returns what was upgraded. Errors, not fatals: the
-// daemon calls it from an attempt's goroutine.
-func checkAmortizeAgainstReference(t *testing.T, s *core.Schedule, r *workload.Rates, region []graph.EdgeID) int {
-	t.Helper()
+// a fresh walk's. It returns what was upgraded.
+func checkAmortizeAgainstReference(s *core.Schedule, r *workload.Rates, region []graph.EdgeID) (int, error) {
 	got, want := s.Clone(), s.Clone()
 	_, sup := refine.Pass(got, r)
 	_, refSup := refine.Pass(want, r)
 	res := new(amortizer).run(got, r, region, sup)
 	ref := referenceAmortize(want, r, region, refSup.Pinned)
 	if res.Upgraded != ref.Upgraded || math.Float64bits(res.Saved) != math.Float64bits(ref.Saved) {
-		t.Errorf("sweep returned %+v, reference %+v", res, ref)
-		return 0
+		return 0, fmt.Errorf("sweep returned %+v, reference %+v", res, ref)
 	}
 	for e := graph.EdgeID(0); int(e) < s.Graph().NumEdges(); e++ {
 		if got.IsPush(e) != want.IsPush(e) || got.IsPull(e) != want.IsPull(e) ||
 			got.IsCovered(e) != want.IsCovered(e) || got.Hub(e) != want.Hub(e) {
-			t.Errorf("edge %d: sweep left push=%v pull=%v hub=%d, reference push=%v pull=%v hub=%d", e,
+			return 0, fmt.Errorf("edge %d: sweep left push=%v pull=%v hub=%d, reference push=%v pull=%v hub=%d", e,
 				got.IsPush(e), got.IsPull(e), got.Hub(e), want.IsPush(e), want.IsPull(e), want.Hub(e))
-			return 0
 		}
 	}
 	if !slices.Equal(sup.Pinned, refSup.Pinned) {
-		t.Error("the sweep's pinned counts differ from the reference's")
+		return 0, errors.New("the sweep's pinned counts differ from the reference's")
 	}
 	if walked := got.TakeSupports(); !reflect.DeepEqual(sup, walked) {
-		t.Error("the support table the sweep ends with differs from a fresh walk's")
+		return 0, errors.New("the support table the sweep ends with differs from a fresh walk's")
 	}
-	return res.Upgraded
+	return res.Upgraded, nil
 }
 
 // The sweep against the one it replaced, over random valid schedules with
@@ -595,8 +593,13 @@ func TestAmortizeMatchesReference(t *testing.T) {
 			r.Prod[u] *= 0.1
 			r.Cons[u] *= 0.1
 		}
-		upgraded += checkAmortizeAgainstReference(t, s, r, region)
-		return !t.Failed()
+		n, err := checkAmortizeAgainstReference(s, r, region)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		upgraded += n
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -606,62 +609,19 @@ func TestAmortizeMatchesReference(t *testing.T) {
 	}
 }
 
-// amortizeChecked is a regional solver that holds the sweep to the
-// reference on every patched schedule it hands the daemon, over the
-// attempt's region — the hook refine's zoo comparison uses.
-type amortizeChecked struct {
-	solver.Solver
-	t        *testing.T
-	upgraded *int
-}
-
-func (c amortizeChecked) SupportsRegions() bool { return true }
-
-func (c amortizeChecked) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
-	res, err := c.Solver.Solve(ctx, p)
-	if res != nil {
-		*c.upgraded += checkAmortizeAgainstReference(c.t, res.Schedule, p.Rates, p.Region)
-	}
-	return res, err
-}
-
-// The sweep against the reference on every re-solve of every zoo
-// scenario, at the acceptance geometry (-short: flashcrowd only).
+// The sweep against the reference on every re-solve of every zoo cell,
+// cut solves included (the observed runs, zoo_test.go).
 func TestAmortizeMatchesReferenceOnZoo(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(300, 11))
-	base := workload.LogDegree(g, 5)
-	total := 0
-	for _, name := range scenario.Default.Names() {
-		if testing.Short() && name != scenario.FlashCrowd {
-			continue
-		}
-		trace, err := scenario.Default.Generate(name, g, base, scenario.Params{Ops: 800, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := freshRates(g, base)
-		upgraded := 0
-		d, err := New(chitchat.Solve(g, r, chitchat.Config{}), r, Config{
-			Regional:       amortizeChecked{solver.NewChitChat(chitchat.Config{}), t, &upgraded},
-			DriftThreshold: 0.05,
-			CheckEvery:     8,
-			BudgetFraction: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.ApplyTrace(trace); err != nil {
-			t.Fatal(err)
-		}
-		st := d.Stats()
-		if st.Resolves+st.Reverted == 0 {
-			t.Errorf("%s: no re-solve ran", name)
-		}
-		total += upgraded
-		t.Logf("%s: %d re-solves checked, %d edges upgraded", name, st.Resolves+st.Reverted, upgraded)
+	upgraded, truncated := 0, 0
+	for _, r := range zooReplays() {
+		noFindings(t, r.observed, oAmortize)
+		upgraded += r.observed.upgraded
+		truncated += r.observed.truncated
+		t.Logf("%s: %d re-solves checked, %d of them cut, %d edges upgraded", r.cell.name,
+			r.observed.stats.Resolves+r.observed.stats.Reverted, r.observed.truncated, r.observed.upgraded)
 	}
-	if total == 0 {
-		t.Fatal("no re-solve upgraded anything; the comparison proved nothing")
+	if upgraded == 0 || truncated == 0 {
+		t.Fatalf("%d edges upgraded, %d cut patches checked: the comparison proved too little", upgraded, truncated)
 	}
 }
 

@@ -190,11 +190,11 @@ type Stats struct {
 }
 
 // Daemon maintains a near-optimal schedule over a churning graph. Not
-// safe for concurrent use; feed it from one goroutine (Serve does). Its
-// own goroutine, one per re-solve attempt, touches nothing the caller can
-// reach: Cost, Stats, Snapshot and Validate report the daemon as of its
+// safe for concurrent use; feed it from one goroutine. Its own goroutine,
+// one per re-solve attempt, touches nothing the caller can reach: Cost,
+// Stats, Snapshot and Validate report the daemon as of its
 // last splice, and an attempt still in flight when the caller stops
-// feeding ops is spliced by Flush (ApplyTrace and Serve call it).
+// feeding ops is spliced by Flush (ApplyTrace calls it).
 type Daemon struct {
 	cfg      Config
 	r        *workload.Rates
@@ -492,8 +492,8 @@ func (d *Daemon) apply(ctx context.Context, op workload.ChurnOp) error {
 }
 
 // Flush splices the attempt in flight, if any, as the next check boundary
-// would, and starts none: the end-of-stream rule. ApplyTrace and Serve
-// call it when their ops run out; a caller driving Apply by hand calls it
+// would, and starts none: the end-of-stream rule. ApplyTrace calls it
+// when its ops run out; a caller driving Apply by hand calls it
 // before it reads the final schedule. Its wait for the solve runs under
 // ctx, as a splicing ApplyCtx's does.
 func (d *Daemon) Flush(ctx context.Context) {
@@ -504,13 +504,7 @@ func (d *Daemon) Flush(ctx context.Context) {
 // ApplyTrace ingests a whole trace, stopping at the first error, and
 // flushes the attempt in flight at its end.
 func (d *Daemon) ApplyTrace(ops []workload.ChurnOp) error {
-	return d.ApplyTraceCtx(context.Background(), ops)
-}
-
-// ApplyTraceCtx ingests a whole trace under a context, stopping at the
-// first error (including context cancellation between ops), and flushes
-// the attempt in flight once every op is in.
-func (d *Daemon) ApplyTraceCtx(ctx context.Context, ops []workload.ChurnOp) error {
+	ctx := context.Background()
 	for i, op := range ops {
 		if err := d.ApplyCtx(ctx, op); err != nil {
 			return fmt.Errorf("online: op %d: %w", i, err)
@@ -518,33 +512,6 @@ func (d *Daemon) ApplyTraceCtx(ctx context.Context, ops []workload.ChurnOp) erro
 	}
 	d.Flush(ctx)
 	return nil
-}
-
-// Serve ingests ops from a stream until it closes — the daemon loop —
-// and then flushes the attempt in flight. It returns the final stats and
-// the first error, if any.
-func (d *Daemon) Serve(ops <-chan workload.ChurnOp) (Stats, error) {
-	return d.ServeCtx(context.Background(), ops)
-}
-
-// ServeCtx is Serve under a context: the loop exits with the context's
-// error as soon as it fires, without waiting for the channel to close;
-// an attempt then in flight stays there until the next splice or Flush.
-func (d *Daemon) ServeCtx(ctx context.Context, ops <-chan workload.ChurnOp) (Stats, error) {
-	for {
-		select {
-		case <-ctx.Done():
-			return d.Stats(), ctx.Err()
-		case op, ok := <-ops:
-			if !ok {
-				d.Flush(ctx)
-				return d.Stats(), nil
-			}
-			if err := d.ApplyCtx(ctx, op); err != nil {
-				return d.Stats(), err
-			}
-		}
-	}
 }
 
 // dirtiestNode returns the node with maximum dirt (lowest id wins

@@ -110,37 +110,6 @@ func TestDaemonRecoversFromDegradedSchedule(t *testing.T) {
 	}
 }
 
-// Serve drains a channel like a daemon loop.
-func TestDaemonServe(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(150, 5))
-	base := workload.LogDegree(g, 5)
-	r := freshRates(g, base)
-	init := chitchat.Solve(g, r, chitchat.Config{Workers: 1})
-	trace := workload.GenerateChurn(g, base, 300, workload.ChurnConfig{Seed: 5})
-
-	d, err := New(init, r, Config{ChitChat: chitchat.Config{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan workload.ChurnOp)
-	go func() {
-		for _, op := range trace {
-			ch <- op
-		}
-		close(ch)
-	}()
-	st, err := d.Serve(ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ops != len(trace) {
-		t.Fatalf("served %d ops, want %d", st.Ops, len(trace))
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDaemonRejectsInvalidOps(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(100, 2))
 	base := workload.LogDegree(g, 5)
@@ -164,13 +133,13 @@ func TestDaemonRejectsInvalidOps(t *testing.T) {
 	}
 }
 
-// The pinned acceptance scenario (ISSUE 4): 2k-node Flickr-like graph,
+// The pinned acceptance scenario: 2k-node Flickr-like graph,
 // 5k-op churn trace, deterministic seed. The daemon must end within 10%
 // of a from-scratch CHITCHAT re-solve of the final graph while issuing
 // localized re-solves over regions totaling <25% of the live edges, and
-// a second, identical run must end on the same schedule bytes. (The
-// regional solver is CHITCHAT, which is serial; invariance under a
-// worker count is TestDaemonTelemetryDeterministic's, with NOSY.)
+// a second, identical run must end on the same schedule bytes. (Worker
+// invariance of the daemon's CHITCHAT is the zoo's disturbed run's, at
+// two workers: zoo_test.go.)
 func TestAcceptanceOnlineDaemon2k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acceptance scenario runs full size; -short exercises the scaled tests above")

@@ -2,6 +2,7 @@ package online
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -11,7 +12,6 @@ import (
 	"piggyback/internal/chitchat"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
-	"piggyback/internal/scenario"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
@@ -121,125 +121,67 @@ func referenceCheck(d *Daemon) refCheck {
 // checkedBoundary is a check boundary with the reference held against its
 // check: the boundary's splice first, then the from-scratch evaluation of
 // the state the check sees, then checkRegion, after which the remembered
-// region and the decision must equal the reference to the last bit.
-// lockstep (below) ties this copy of the boundary to the real one.
-func checkedBoundary(t *testing.T, d *Daemon, at int) {
-	t.Helper()
+// region and the decision must equal the reference to the last bit. The
+// disturbed zoo run makes every boundary this way, and must end where the
+// observed run, whose boundaries Apply makes, ends: that ties this copy of
+// the boundary to the real one.
+func checkedBoundary(d *Daemon, at int) error {
 	d.splice(context.Background())
 	if d.cfg.DriftThreshold < 0 || !d.charged {
-		return
+		return nil
 	}
 	d.charged = false
 	if d.cfg.BudgetFraction >= 0 &&
 		float64(d.stats.RegionEdges) >= d.cfg.BudgetFraction*float64(d.m.NumEdges()) {
-		return
+		return nil
 	}
 	want, epoch := referenceCheck(d), d.epoch
 	did := d.checkRegion(context.Background())
 	if want.seed < 0 {
 		if did {
-			t.Fatalf("op %d: re-solved with no dirt anywhere", at)
+			return fmt.Errorf("op %d: re-solved with no dirt anywhere", at)
 		}
-		return
+		return nil
 	}
 	rg := &d.region
 	switch {
 	case rg.seed != want.seed || rg.epoch != epoch:
-		t.Fatalf("op %d: seed %d, want %d (epoch current: %v)", at, rg.seed, want.seed, rg.epoch == epoch)
+		return fmt.Errorf("op %d: seed %d, want %d (epoch current: %v)", at, rg.seed, want.seed, rg.epoch == epoch)
 	case !slices.Equal(rg.nodes, want.nodes):
-		t.Fatalf("op %d: region of seed %d has %d nodes, reference %d", at, rg.seed, len(rg.nodes), len(want.nodes))
+		return fmt.Errorf("op %d: region of seed %d has %d nodes, reference %d", at, rg.seed, len(rg.nodes), len(want.nodes))
 	case rg.edges != want.edges:
-		t.Fatalf("op %d: %d region edges, want %d", at, rg.edges, want.edges)
+		return fmt.Errorf("op %d: %d region edges, want %d", at, rg.edges, want.edges)
 	case math.Float64bits(rg.cost) != math.Float64bits(want.cost):
-		t.Fatalf("op %d: Σc* = %v, want %v", at, rg.cost, want.cost)
+		return fmt.Errorf("op %d: Σc* = %v, want %v", at, rg.cost, want.cost)
 	case math.Float64bits(rg.dirt) != math.Float64bits(want.dirt):
-		t.Fatalf("op %d: region dirt = %v, want %v", at, rg.dirt, want.dirt)
+		return fmt.Errorf("op %d: region dirt = %v, want %v", at, rg.dirt, want.dirt)
 	case did != want.resolve:
-		t.Fatalf("op %d: re-solved = %v, want %v", at, did, want.resolve)
+		return fmt.Errorf("op %d: re-solved = %v, want %v", at, did, want.resolve)
 	}
 	for v := 0; v < rg.in.Len(); v++ {
 		if _, member := slices.BinarySearch(rg.nodes, graph.NodeID(v)); rg.in.Test(v) != member {
-			t.Fatalf("op %d: membership bit of node %d is %v", at, v, rg.in.Test(v))
+			return fmt.Errorf("op %d: membership bit of node %d is %v", at, v, rg.in.Test(v))
 		}
 	}
+	return nil
 }
 
-// lockstep runs a trace through two daemons: one whose every check pass
-// is held against the reference, and one left entirely to Apply. Their
-// end states must agree, so what the first one verified is what the
-// second one does.
-func lockstep(t *testing.T, g *graph.Graph, base *workload.Rates, trace []workload.ChurnOp, cfg Config) Stats {
-	t.Helper()
-	init := chitchat.Solve(g, base, chitchat.Config{Workers: 1})
-	every := cfg.CheckEvery
-	cfg.CheckEvery = math.MaxInt
-	checked, err := New(init, freshRates(g, base), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CheckEvery = every
-	plain, err := New(init, freshRates(g, base), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, op := range trace {
-		if err := checked.Apply(op); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-		if (i+1)%every == 0 {
-			checkedBoundary(t, checked, i)
-		}
-		if err := plain.Apply(op); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	checked.Flush(context.Background())
-	plain.Flush(context.Background())
-	a, b := checked.Stats(), plain.Stats()
-	a.ResolveWall, b.ResolveWall = 0, 0
-	if a != b || math.Float64bits(checked.Cost()) != math.Float64bits(plain.Cost()) {
-		t.Fatalf("checked run and plain run diverged:\n%+v cost %v\n%+v cost %v", a, checked.Cost(), b, plain.Cost())
-	}
-	return b
-}
-
-var zooDaemon = Config{DriftThreshold: 0.05, CheckEvery: 8, BudgetFraction: -1, ChitChat: chitchat.Config{Workers: 1}}
-
-// Every check of every zoo scenario, and of a stationary trace with rate
-// ops on a graph several regions wide, equals the from-scratch one.
+// Every check of every zoo cell equals the from-scratch one (the disturbed
+// runs, zoo_test.go). The churn cell, a stationary trace on a graph several
+// regions wide, takes every path: rate ops, extraction, reuse, accept and
+// revert.
 func TestRememberedRegionIsExact(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 150), 11))
-	base := workload.LogDegree(g, 5)
-	for _, name := range []string{
-		scenario.FlashCrowd, scenario.Diurnal, scenario.Cascade,
-		scenario.RegionChurn, scenario.LDBC, scenario.Preferential,
-	} {
-		t.Run(name, func(t *testing.T) {
-			trace, err := scenario.Default.Generate(name, g, base, scenario.Params{Ops: scaled(800, 240), Seed: 42})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := lockstep(t, g, base, trace, zooDaemon)
-			if st.DriftChecks == 0 || st.Resolves+st.Reverted == 0 {
-				t.Fatalf("nothing to compare: %+v", st)
-			}
-		})
-	}
-	t.Run("churn", func(t *testing.T) {
-		// 100-node regions of a CHITCHAT-scheduled graph rarely win (one or
-		// two accepts in ten seeds, before and after the stopping rule); the
-		// seed is the one whose trace accepts one at each size.
-		seed := int64(scaled(5, 8))
-		g := graphgen.Social(graphgen.FlickrLike(scaled(1500, 600), seed))
-		base := workload.LogDegree(g, 5)
-		trace := workload.GenerateChurn(g, base, scaled(3000, 800), workload.ChurnConfig{Seed: seed})
-		cfg := zooDaemon
-		cfg.MaxRegionNodes = 100
-		st := lockstep(t, g, base, trace, cfg)
-		if st.RateUpdates == 0 || st.RegionExtractions == 0 || st.RegionExtractions == st.DriftChecks ||
-			st.Resolves == 0 || st.Reverted == 0 {
+	eachCell(t, true, func(t *testing.T, r *zooResult) {
+		noFindings(t, r.disturbed, oLockstep)
+		st := r.disturbed.stats
+		if st.DriftChecks == 0 || st.Resolves+st.Reverted == 0 {
+			t.Fatalf("nothing to compare: %+v", st)
+		}
+		if r.cell.name == "churn" && (st.RateUpdates == 0 || st.RegionExtractions == 0 ||
+			st.RegionExtractions == st.DriftChecks || st.Resolves == 0 || st.Reverted == 0) {
 			t.Fatalf("trace misses a path (rate ops, extraction, reuse, accept, revert): %+v", st)
 		}
+		sameEnd(t, r)
 	})
 }
 
@@ -248,7 +190,9 @@ func TestRememberedRegionIsExact(t *testing.T) {
 func checkNow(t *testing.T, d *Daemon) {
 	t.Helper()
 	d.charged = true
-	checkedBoundary(t, d, d.stats.Ops)
+	if err := checkedBoundary(d, d.stats.Ops); err != nil {
+		t.Fatal(err)
+	}
 	d.Flush(context.Background())
 }
 

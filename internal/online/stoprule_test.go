@@ -2,17 +2,14 @@ package online
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
-	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
 	"piggyback/internal/scenario"
@@ -80,29 +77,6 @@ func TestStopRulePredicate(t *testing.T) {
 	}
 }
 
-// validating checks every patch a solver hands back, the truncated ones
-// included, and keeps the solver's progress stream reachable.
-type validating struct {
-	solver.Solver
-	t         *testing.T
-	truncated int
-}
-
-func (v *validating) ChainProgress(fn func(solver.ProgressEvent)) { solver.Observe(v.Solver, fn) }
-
-func (v *validating) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
-	res, err := v.Solver.Solve(ctx, p)
-	if res != nil {
-		if res.Report.Canceled {
-			v.truncated++
-		}
-		if verr := res.Schedule.Validate(); verr != nil {
-			v.t.Errorf("patch after %d commits (canceled=%v) invalid: %v", res.Report.Iterations, res.Report.Canceled, verr)
-		}
-	}
-	return res, err
-}
-
 func scheduleBytes(t *testing.T, s *core.Schedule) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -112,62 +86,19 @@ func scheduleBytes(t *testing.T, s *core.Schedule) []byte {
 	return buf.Bytes()
 }
 
-// stopRuleTrace is one input of the property test: a graph, the schedule
-// the daemon starts from (solved with the given worker count) and a trace.
-type stopRuleTrace struct {
-	name  string
-	g     *graph.Graph
-	base  *workload.Rates
-	init  func(workers int) *core.Schedule
-	trace []workload.ChurnOp
-	cfg   Config
-}
-
-func stopRuleTraces(t *testing.T) []stopRuleTrace {
-	t.Helper()
-	var out []stopRuleTrace
-	g := graphgen.Social(graphgen.FlickrLike(scaled(200, 100), 11))
-	base := workload.LogDegree(g, 5)
-	for _, name := range scenario.Default.Names() {
-		trace, err := scenario.Default.Generate(name, g, base, scenario.Params{Ops: scaled(400, 200), Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, stopRuleTrace{name, g, base,
-			func(int) *core.Schedule { return chitchat.Solve(g, base, chitchat.Config{}) },
-			trace, Config{DriftThreshold: 0.05, CheckEvery: 8, BudgetFraction: -1}})
-	}
-	// churn_local's shape: a streamed graph several regions wide, a NOSY
-	// schedule to start from, plain churn.
-	sg := graphgen.StreamSocial(graphgen.FlickrLikeEdges(scaled(20_000, 8_000), 7))
-	sbase := workload.LogDegree(sg, 5)
-	out = append(out, stopRuleTrace{"churn", sg, sbase,
-		func(workers int) *core.Schedule {
-			return nosy.Solve(sg, sbase, nosy.Config{Workers: workers}).Schedule
-		},
-		workload.GenerateChurn(sg, sbase, scaled(400, 200), workload.ChurnConfig{Seed: 7}),
-		Config{DriftThreshold: 0.05, CheckEvery: 8, BudgetFraction: -1, MaxRegionNodes: 256}})
-	return out
-}
-
-// The rule under the daemon, over the six zoo traces and one
-// churn_local-shaped trace: it fires, what it cuts is a valid patch, the
-// maintained schedule is valid after every op, and two runs — at one
-// worker count or two — end on the same schedule bytes, the same Stats,
-// the same decision records and the same span tree.
+// The rule under the daemon, over the zoo cells: it fires, every patch it
+// cuts is valid, the maintained schedule is valid after every op, and a
+// disturbed run at two solver workers ends on the same schedule bytes,
+// Stats, decision records and span tree (zoo_test.go).
 func TestStopRuleDaemonProperty(t *testing.T) {
-	for _, tc := range stopRuleTraces(t) {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			want := runTrace(t, tc, 1, false)
-			if early := strings.Count(want.records, "stopped=early"); early == 0 || early != want.truncated {
-				t.Errorf("%d records say stopped=early, the solver returned %d truncated patches:\n%s", early, want.truncated, want.records)
-			}
-			for _, workers := range []int{1, 2} {
-				sameRun(t, fmt.Sprintf("workers=%d", workers), runTrace(t, tc, workers, false), want)
-			}
-		})
-	}
+	eachCell(t, true, func(t *testing.T, r *zooResult) {
+		run := r.observed
+		if early := strings.Count(run.records, "stopped=early"); early == 0 || early != run.truncated {
+			t.Errorf("%d records say stopped=early, the solver returned %d truncated patches:\n%s", early, run.truncated, run.records)
+		}
+		noFindings(t, run, oPatch, oValidate)
+		sameEnd(t, r)
+	})
 }
 
 // mute hides a solver's progress stream, as any third-party Regional

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"sync"
 	"testing"
 
 	"piggyback/internal/chitchat"
@@ -61,12 +62,27 @@ func telemetryRun(t *testing.T, workers int) (tree, snap string, events []string
 	return tr.Tree(), full.NonTiming().String(), ev.Attrs("breaker"), d.Stats()
 }
 
+// telemetryFirst is telemetryRun(t, 1)'s first run, kept for every test
+// that reads one.
+var telemetryFirst struct {
+	sync.Once
+	tree, snap string
+	events     []string
+	st         Stats
+}
+
+func firstTelemetryRun(t *testing.T) (tree, snap string, events []string, st Stats) {
+	f := &telemetryFirst
+	f.Do(func() { f.tree, f.snap, f.events, f.st = telemetryRun(t, 1) })
+	return f.tree, f.snap, f.events, f.st
+}
+
 // Same seed, same fault plan, same configuration: two runs must produce
 // a byte-identical span tree, an identical non-timing metric snapshot,
 // and an identical breaker event stream — and the artifacts must not
 // depend on the solver's worker count either.
 func TestDaemonTelemetryDeterministic(t *testing.T) {
-	tree1, snap1, ev1, _ := telemetryRun(t, 1)
+	tree1, snap1, ev1, _ := firstTelemetryRun(t)
 	tree2, snap2, ev2, _ := telemetryRun(t, 1)
 	if tree1 != tree2 {
 		t.Fatalf("span tree differs across identical runs:\n--- run 1\n%s\n--- run 2\n%s", tree1, tree2)
@@ -99,7 +115,7 @@ func TestDaemonTelemetryDeterministic(t *testing.T) {
 // second probe succeeds and closes it. The EventLog pins the order, not
 // just the counts.
 func TestDaemonBreakerTransitionSequence(t *testing.T) {
-	_, _, events, st := telemetryRun(t, 1)
+	_, _, events, st := firstTelemetryRun(t)
 	want := []string{
 		"closed->open",
 		"open->half-open",

@@ -162,43 +162,39 @@ func TestQuickSafety(t *testing.T) {
 	}
 }
 
-// sameSchedule reports the first edge on which two schedules over one
-// graph differ in flags or hub.
-func sameSchedule(t *testing.T, got, want *core.Schedule) {
-	t.Helper()
-	for e := graph.EdgeID(0); int(e) < want.Graph().NumEdges(); e++ {
-		if got.IsPush(e) != want.IsPush(e) || got.IsPull(e) != want.IsPull(e) ||
-			got.IsCovered(e) != want.IsCovered(e) || got.Hub(e) != want.Hub(e) {
-			t.Fatalf("edge %d: pass left push=%v pull=%v hub=%d, reference push=%v pull=%v hub=%d", e,
-				got.IsPush(e), got.IsPull(e), got.Hub(e), want.IsPush(e), want.IsPull(e), want.Hub(e))
-		}
-	}
-}
-
 // CheckAgainstReference runs Pass and the reference sweep on clones of s
 // and requires the same Result and the same flags and hub on every edge,
 // then a second Pass that recovers nothing. It returns what was recovered.
 // It takes s's handed-over support table, if any, and checks it too, as
-// well as the table Pass ends with, against a fresh walk.
+// well as the table Pass ends with, against a fresh walk. It fails t with
+// Error, never Fatal: the daemon calls it from an attempt's goroutine.
 func CheckAgainstReference(t *testing.T, s *core.Schedule, r *workload.Rates) int {
 	t.Helper()
 	// The table core.ApplyPatch's repair left on s for Pass, when s comes
 	// from a region splice, against the walk Pass makes without it.
 	if handed, walked := s.TakeSupports(), s.TakeSupports(); !reflect.DeepEqual(handed, walked) {
-		t.Fatal("the support table the splice handed over differs from a fresh walk's")
+		t.Error("the support table the splice handed over differs from a fresh walk's")
+		return 0
 	}
 	got, want := s.Clone(), s.Clone()
 	res, sup := Pass(got, r)
 	if ref := referencePass(want, r); res != ref {
-		t.Fatalf("pass returned %+v, reference %+v", res, ref)
+		t.Errorf("pass returned %+v, reference %+v", res, ref)
+		return 0
 	}
-	sameSchedule(t, got, want)
+	for e := graph.EdgeID(0); int(e) < want.Graph().NumEdges(); e++ {
+		if got.IsPush(e) != want.IsPush(e) || got.IsPull(e) != want.IsPull(e) ||
+			got.IsCovered(e) != want.IsCovered(e) || got.Hub(e) != want.Hub(e) {
+			t.Errorf("edge %d: pass left push=%v pull=%v hub=%d, reference push=%v pull=%v hub=%d", e,
+				got.IsPush(e), got.IsPull(e), got.Hub(e), want.IsPush(e), want.IsPull(e), want.Hub(e))
+			return 0
+		}
+	}
 	if walked := got.TakeSupports(); !reflect.DeepEqual(sup, walked) {
-		t.Fatal("the support table a pass ends with differs from a fresh walk's")
+		t.Error("the support table a pass ends with differs from a fresh walk's")
 	}
-	again, _ := Pass(got, r)
-	if again.Recovered != 0 || again.Saved != 0 {
-		t.Fatalf("second pass recovered %+v after the first recovered %+v", again, res)
+	if again, _ := Pass(got, r); again.Recovered != 0 || again.Saved != 0 {
+		t.Errorf("second pass recovered %+v after the first recovered %+v", again, res)
 	}
 	return res.Recovered
 }
