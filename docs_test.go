@@ -42,7 +42,10 @@ func TestDocsNameExistingCommands(t *testing.T) {
 func TestDocsNameExistingTests(t *testing.T) {
 	funcs := map[string][]string{} // test, benchmark and fuzz functions → their package directories
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	err := filepath.WalkDir(".", func(path string, _ fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err == nil && e.IsDir() && path != "." && strings.HasPrefix(e.Name(), ".") {
+			return fs.SkipDir // .git, a benchmark's build cache
+		}
 		if err != nil || !strings.HasSuffix(path, "_test.go") {
 			return err
 		}
