@@ -39,11 +39,11 @@ func (s sleepy) Solve(ctx context.Context, p solver.Problem) (*solver.Result, er
 // workers, ends where the observed run ends — schedule bytes, Stats,
 // decision records and span tree (zoo_test.go).
 func TestSpliceDeterministic(t *testing.T) {
-	eachCell(t, true, func(t *testing.T, r *zooResult) {
+	eachCell(t, false, func(t *testing.T, r *zooResult) {
 		if !strings.Contains(r.observed.records, "lag=8") {
 			t.Fatalf("the trace splices nothing: %+v", r.observed.stats)
 		}
-		noFindings(t, r.disturbed)
+		noFindings(t, r.disturbed, oSplice, oValidate, oLockstep)
 		sameEnd(t, r)
 	})
 }

@@ -91,7 +91,7 @@ func scheduleBytes(t *testing.T, s *core.Schedule) []byte {
 // disturbed run at two solver workers ends on the same schedule bytes,
 // Stats, decision records and span tree (zoo_test.go).
 func TestStopRuleDaemonProperty(t *testing.T) {
-	eachCell(t, true, func(t *testing.T, r *zooResult) {
+	eachCell(t, false, func(t *testing.T, r *zooResult) {
 		run := r.observed
 		if early := strings.Count(run.records, "stopped=early"); early == 0 || early != run.truncated {
 			t.Errorf("%d records say stopped=early, the solver returned %d truncated patches:\n%s", early, run.truncated, run.records)

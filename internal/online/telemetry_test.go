@@ -1,6 +1,8 @@
 package online
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -13,12 +15,18 @@ import (
 	"piggyback/internal/workload"
 )
 
+// telemetryOut is one breaker-quarantine run's deterministic artifacts:
+// the span tree, the non-timing metric snapshot and the breaker event
+// stream, with the run's end Stats.
+type telemetryOut struct {
+	tree, snap string
+	events     []string
+	st         Stats
+}
+
 // telemetryRun drives the breaker-quarantine scenario (panicking primary,
-// chitchat fallback) with full telemetry attached and returns the three
-// deterministic artifacts: the span tree, the non-timing metric
-// snapshot, and the breaker event stream.
-func telemetryRun(t *testing.T, workers int) (tree, snap string, events []string, st Stats) {
-	t.Helper()
+// chitchat fallback) with full telemetry attached.
+func telemetryRun(workers int) (out telemetryOut, err error) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(400, 250), 7))
 	base := workload.LogDegree(g, 5)
 	r := freshRates(g, base)
@@ -42,39 +50,51 @@ func telemetryRun(t *testing.T, workers int) (tree, snap string, events []string
 		Events:            &ev,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return out, err
 	}
 	if err := d.ApplyTrace(trace); err != nil {
-		t.Fatalf("trace failed: %v", err)
+		return out, fmt.Errorf("trace failed: %w", err)
 	}
 	if err := d.Validate(); err != nil {
-		t.Fatalf("final schedule invalid: %v", err)
+		return out, fmt.Errorf("final schedule invalid: %w", err)
 	}
 	// One stall observed per re-solve attempt, whatever its verdict; a wall
 	// time, so in the registry and out of the deterministic snapshot.
 	full := reg.Snapshot()
 	if m, _ := full.Get("online_stall_seconds"); m.Count == 0 || int(m.Count) != len(ev.Attrs("resolve")) || m.Sum <= 0 {
-		t.Fatalf("online_stall_seconds = %+v over %d re-solve attempts", m, len(ev.Attrs("resolve")))
+		return out, fmt.Errorf("online_stall_seconds = %+v over %d re-solve attempts", m, len(ev.Attrs("resolve")))
 	}
 	if _, ok := full.NonTiming().Get("online_stall_seconds"); ok {
-		t.Fatal("online_stall_seconds is in the non-timing snapshot")
+		return out, errors.New("online_stall_seconds is in the non-timing snapshot")
 	}
-	return tr.Tree(), full.NonTiming().String(), ev.Attrs("breaker"), d.Stats()
+	return telemetryOut{tr.Tree(), full.NonTiming().String(), ev.Attrs("breaker"), d.Stats()}, nil
 }
 
-// telemetryFirst is telemetryRun(t, 1)'s first run, kept for every test
-// that reads one.
+func mustTelemetryRun(t *testing.T, workers int) telemetryOut {
+	t.Helper()
+	out, err := telemetryRun(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// telemetryFirst is telemetryRun(1)'s first run, kept for every test that
+// reads one; a failure is kept with it, so each reader fails on it.
 var telemetryFirst struct {
 	sync.Once
-	tree, snap string
-	events     []string
-	st         Stats
+	out telemetryOut
+	err error
 }
 
-func firstTelemetryRun(t *testing.T) (tree, snap string, events []string, st Stats) {
+func firstTelemetryRun(t *testing.T) telemetryOut {
+	t.Helper()
 	f := &telemetryFirst
-	f.Do(func() { f.tree, f.snap, f.events, f.st = telemetryRun(t, 1) })
-	return f.tree, f.snap, f.events, f.st
+	f.Do(func() { f.out, f.err = telemetryRun(1) })
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	return f.out
 }
 
 // Same seed, same fault plan, same configuration: two runs must produce
@@ -82,8 +102,9 @@ func firstTelemetryRun(t *testing.T) (tree, snap string, events []string, st Sta
 // and an identical breaker event stream — and the artifacts must not
 // depend on the solver's worker count either.
 func TestDaemonTelemetryDeterministic(t *testing.T) {
-	tree1, snap1, ev1, _ := firstTelemetryRun(t)
-	tree2, snap2, ev2, _ := telemetryRun(t, 1)
+	run1, run2 := firstTelemetryRun(t), mustTelemetryRun(t, 1)
+	tree1, snap1, ev1 := run1.tree, run1.snap, run1.events
+	tree2, snap2, ev2 := run2.tree, run2.snap, run2.events
 	if tree1 != tree2 {
 		t.Fatalf("span tree differs across identical runs:\n--- run 1\n%s\n--- run 2\n%s", tree1, tree2)
 	}
@@ -93,7 +114,8 @@ func TestDaemonTelemetryDeterministic(t *testing.T) {
 	if len(ev1) != len(ev2) {
 		t.Fatalf("event streams differ: %v vs %v", ev1, ev2)
 	}
-	tree4, snap4, ev4, _ := telemetryRun(t, 4)
+	run4 := mustTelemetryRun(t, 4)
+	tree4, snap4, ev4 := run4.tree, run4.snap, run4.events
 	if tree1 != tree4 {
 		t.Fatalf("span tree differs between Workers=1 and Workers=4:\n--- w1\n%s\n--- w4\n%s", tree1, tree4)
 	}
@@ -115,7 +137,8 @@ func TestDaemonTelemetryDeterministic(t *testing.T) {
 // second probe succeeds and closes it. The EventLog pins the order, not
 // just the counts.
 func TestDaemonBreakerTransitionSequence(t *testing.T) {
-	_, _, events, st := firstTelemetryRun(t)
+	run := firstTelemetryRun(t)
+	events, st := run.events, run.st
 	want := []string{
 		"closed->open",
 		"open->half-open",

@@ -18,7 +18,7 @@
 //
 // Observers record findings instead of failing (two of them run on the
 // attempt's goroutine); each test asserts its own oracle's. -short replays
-// the flashcrowd cell only.
+// five of the six scenarios on a smaller graph (zooCells).
 
 package online
 
@@ -64,40 +64,61 @@ var zooDaemon = Config{DriftThreshold: 0.05, CheckEvery: 8, BudgetFraction: -1, 
 // A zooCell is one replay input: a graph, the schedule the daemon starts
 // from, a trace and a configuration.
 type zooCell struct {
-	name  string
-	g     *graph.Graph
-	base  *workload.Rates
-	init  *core.Schedule
-	trace []workload.ChurnOp
-	cfg   Config
+	name   string
+	g      *graph.Graph
+	base   *workload.Rates
+	init   *core.Schedule
+	trace  []workload.ChurnOp
+	cfg    Config
+	pinned bool // at the acceptance geometry: acceptancePins holds its observed run
 }
 
-// zooCells are the named zoo scenarios at the acceptance geometry and,
-// if asked, one churn_local-shaped cell: a NOSY schedule to start from,
-// regions of 100 nodes on a 600-node graph, plain churn with rate ops.
-// That cell takes every path the remembered region and the stopping rule
-// have: rate ops, extraction, reuse, accept, revert, early.
-func zooCells(names []string, churn bool) []zooCell {
-	g := graphgen.Social(graphgen.FlickrLike(300, 11))
+// The acceptance geometry: FlickrLike(accNodes, 11), accOps ops at seed 42.
+const accNodes, accOps = 300, 800
+
+// zooCells are the six zoo scenarios and one churn_local-shaped cell: a
+// NOSY schedule to start from, regions of 100 nodes on a 600-node graph,
+// plain churn with rate ops. That cell takes every path the remembered
+// region and the stopping rule have: rate ops, extraction, reuse, accept,
+// revert, early. Under -short only flashcrowd keeps the acceptance
+// geometry; the other five scenarios run on FlickrLike(150, 11) with 320
+// ops, where every one of them still fires the rule, splices and accepts.
+func zooCells(short bool) []zooCell {
+	if !short {
+		return append(scenarioCells(accNodes, accOps, scenario.Default.Names()...), churnCell())
+	}
+	var rest []string
+	for _, name := range scenario.Default.Names() {
+		if name != scenario.FlashCrowd {
+			rest = append(rest, name)
+		}
+	}
+	cells := append(scenarioCells(accNodes, accOps, scenario.FlashCrowd), scenarioCells(150, 320, rest...)...)
+	return append(cells, churnCell())
+}
+
+func scenarioCells(nodes, ops int, names ...string) []zooCell {
+	g := graphgen.Social(graphgen.FlickrLike(nodes, 11))
 	base := workload.LogDegree(g, 5)
 	init := chitchat.Solve(g, base, chitchat.Config{Workers: 1})
 	var cells []zooCell
 	for _, name := range names {
-		trace, err := scenario.Default.Generate(name, g, base, scenario.Params{Ops: 800, Seed: 42})
+		trace, err := scenario.Default.Generate(name, g, base, scenario.Params{Ops: ops, Seed: 42})
 		if err != nil {
 			panic(err)
 		}
-		cells = append(cells, zooCell{name, g, base, init, trace, zooDaemon})
+		cells = append(cells, zooCell{name, g, base, init, trace, zooDaemon, nodes == accNodes && ops == accOps})
 	}
-	if !churn {
-		return cells
-	}
-	g = graphgen.Social(graphgen.FlickrLike(600, 5))
-	base = workload.LogDegree(g, 5)
+	return cells
+}
+
+func churnCell() zooCell {
+	g := graphgen.Social(graphgen.FlickrLike(600, 5))
+	base := workload.LogDegree(g, 5)
 	cfg := zooDaemon
 	cfg.MaxRegionNodes = 100
-	return append(cells, zooCell{"churn", g, base, nosy.Solve(g, base, nosy.Config{Workers: 1}).Schedule,
-		workload.GenerateChurn(g, base, 800, workload.ChurnConfig{Seed: 5}), cfg})
+	return zooCell{"churn", g, base, nosy.Solve(g, base, nosy.Config{Workers: 1}).Schedule,
+		workload.GenerateChurn(g, base, 800, workload.ChurnConfig{Seed: 5}), cfg, false}
 }
 
 // findings collects what one run's observers saw go wrong, by oracle,
@@ -250,12 +271,8 @@ var zoo struct {
 // caller the same results.
 func zooReplays() []*zooResult {
 	zoo.once.Do(func() {
-		names := scenario.Default.Names()
-		if testing.Short() {
-			names = []string{scenario.FlashCrowd}
-		}
 		var wg sync.WaitGroup
-		for _, c := range zooCells(names, !testing.Short()) {
+		for _, c := range zooCells(testing.Short()) {
 			c, r := c, &zooResult{cell: c}
 			zoo.results = append(zoo.results, r)
 			wg.Add(2)
@@ -271,11 +288,11 @@ func zooReplays() []*zooResult {
 	return zoo.results
 }
 
-// eachCell runs check on every replayed cell, the churn cell only if asked.
-func eachCell(t *testing.T, churn bool, check func(t *testing.T, r *zooResult)) {
+// eachCell runs check on every replayed cell, or on the pinned ones only.
+func eachCell(t *testing.T, pinnedOnly bool, check func(t *testing.T, r *zooResult)) {
 	for _, r := range zooReplays() {
 		r := r
-		if r.cell.name != "churn" || churn {
+		if r.cell.pinned || !pinnedOnly {
 			t.Run(r.cell.name, func(t *testing.T) { check(t, r) })
 		}
 	}
@@ -336,7 +353,7 @@ var acceptancePins = map[string]accPin{
 // and the disturbed run ending on the same bytes, Stats and cost. A change
 // that shifts a pin is a behavior change and updates it deliberately.
 func TestAcceptanceZooDaemon(t *testing.T) {
-	eachCell(t, false, func(t *testing.T, r *zooResult) {
+	eachCell(t, true, func(t *testing.T, r *zooResult) {
 		st := r.observed.stats
 		got := accPin{st.Resolves, st.Reverted, st.Amortized, math.Round(r.observed.cost*1000) / 1000}
 		if pin := acceptancePins[r.cell.name]; got != pin {
