@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -145,5 +146,34 @@ func TestDocsNameExistingTests(t *testing.T) {
 	}
 	for i, line := range strings.Split(string(b), "\n") {
 		check(fmt.Sprintf("ci.yml:%d", i+1), line, false)
+	}
+}
+
+// TestDocsNameExistingConfigFields keeps the docs from citing a daemon
+// field that no longer exists: in README, DESIGN and the verify SKILL
+// every backticked online.Config.F, OnlineConfig.F, online.Stats.F or
+// OnlineStats.F must be a field of that type; a deleted one is cited
+// without backticks.
+func TestDocsNameExistingConfigFields(t *testing.T) {
+	types := map[string]reflect.Type{
+		"online.Config": reflect.TypeOf(OnlineConfig{}), "OnlineConfig": reflect.TypeOf(OnlineConfig{}),
+		"online.Stats": reflect.TypeOf(OnlineStats{}), "OnlineStats": reflect.TypeOf(OnlineStats{}),
+	}
+	span := regexp.MustCompile("`([^`]+)`")
+	ref := regexp.MustCompile(`\b(online\.Config|OnlineConfig|online\.Stats|OnlineStats)\.(\w+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, s := range span.FindAllStringSubmatch(line, -1) {
+				for _, m := range ref.FindAllStringSubmatch(s[1], -1) {
+					if _, ok := types[m[1]].FieldByName(m[2]); !ok {
+						t.Errorf("%s:%d names %s, which is no field of %s", doc, i+1, m[0], m[1])
+					}
+				}
+			}
+		}
 	}
 }

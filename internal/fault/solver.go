@@ -48,6 +48,10 @@ func (s *sabotageSolver) Name() string { return s.inner.Name() }
 // the daemon's configuration-time capability check.
 func (s *sabotageSolver) SupportsRegions() bool { return solver.SupportsRegions(s.inner) }
 
+// ChainProgress delegates, as the solver.Middleware contract asks, so a
+// stopping rule wrapped around a sabotaged solver still sees its stream.
+func (s *sabotageSolver) ChainProgress(fn func(solver.ProgressEvent)) { solver.Observe(s.inner, fn) }
+
 func (s *sabotageSolver) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
 	s.n++
 	if s.n >= s.from && s.n < s.to {

@@ -8,8 +8,21 @@ import (
 	"piggyback/internal/chitchat"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/solver"
+	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
+
+// quarantine is the breaker the breaker tests hand the daemon as its
+// regional solver: primary's panics recovered into failures, two in a row
+// trip it, every second re-solve while it is open probes the primary,
+// CHITCHAT serves the rest, and each transition lands in ev as
+// ("breaker", "closed->open").
+func quarantine(primary solver.Solver, ev *telemetry.EventLog) *solver.Breaker {
+	return solver.NewBreaker(solver.Chain(primary, solver.WithRecover()), solver.NewChitChat(chitchat.Config{}),
+		solver.BreakerConfig{Threshold: 2, ProbeEvery: 2, OnTransition: func(from, to solver.BreakerState) {
+			ev.Emit("breaker", from.String()+"->"+to.String())
+		}})
+}
 
 // TestDaemonBreakerQuarantinesFailingSolver reads the flashcrowd cell
 // whose regional solver panics on its first solves (zoo_test.go): the
@@ -23,10 +36,7 @@ func TestDaemonBreakerQuarantinesFailingSolver(t *testing.T) {
 	if err := zoo.breaker.err; err != nil {
 		t.Fatal(err)
 	}
-	if st.Breaker == nil {
-		t.Fatal("Stats().Breaker is nil with Fallback configured")
-	}
-	if b := *st.Breaker; b.Trips == 0 || b.FallbackSolves == 0 || b.Closes == 0 || b.Open {
+	if b := zoo.breaker.bs; b.Trips == 0 || b.FallbackSolves == 0 || b.Closes == 0 || b.Open {
 		t.Fatalf("breaker never tripped, served from the fallback or recovered: %+v", b)
 	}
 	// The first panic happened below the trip threshold and must have
@@ -40,12 +50,13 @@ func TestDaemonBreakerQuarantinesFailingSolver(t *testing.T) {
 }
 
 // TestDaemonRejectsBadFallback pins the configuration-time check: a
-// region-incapable fallback fails New.
+// breaker whose fallback is region-incapable fails New.
 func TestDaemonRejectsBadFallback(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(100, 3))
 	base := workload.LogDegree(g, 5)
 	init := chitchat.Solve(g, base, chitchat.Config{})
-	if _, err := New(init, base, Config{Fallback: pushAllSolver(t)}); !errors.Is(err, solver.ErrRegionUnsupported) {
+	b := solver.NewBreaker(solver.NewChitChat(chitchat.Config{}), pushAllSolver(t), solver.BreakerConfig{})
+	if _, err := New(init, base, Config{Regional: b}); !errors.Is(err, solver.ErrRegionUnsupported) {
 		t.Fatalf("region-incapable fallback: err = %v, want ErrRegionUnsupported", err)
 	}
 }

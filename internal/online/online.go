@@ -55,13 +55,13 @@ import (
 	"piggyback/internal/workload"
 )
 
+// regionHops is the hop radius of the extracted dirty region: wide
+// enough to contain every hub structure a churned edge can participate in
+// (a hub neighborhood is 1 hop; its cross-edges span 2).
+const regionHops = 2
+
 // Config tunes the daemon. The zero value uses the defaults.
 type Config struct {
-	// K is the hop radius of the extracted dirty region; 0 means 2 —
-	// wide enough to contain every hub structure a churned edge can
-	// participate in (a hub neighborhood is 1 hop; its cross-edges span
-	// 2).
-	K int
 	// DriftThreshold triggers a localized re-solve when the dirt
 	// accumulated inside a candidate region exceeds DriftThreshold ×
 	// the region's own hybrid cost mass (Σ c* over its edges) — i.e.
@@ -83,28 +83,18 @@ type Config struct {
 	// solver.Solver that supports Problem.Region; nil means
 	// solver.NewChitChat(ChitChat). The daemon resolves no names: a
 	// caller that takes one from a flag looks it up in a solver.Registry
-	// itself.
+	// itself. Nor does it own a failure policy: a solver panic is fatal,
+	// and a caller that wants a failing solver quarantined hands in the
+	// solver package's circuit breaker, with its counters and transitions
+	// (DESIGN.md §11).
 	Regional solver.Solver
 	// ChitChat configures the default regional solver; ignored when
 	// Regional is set.
 	ChitChat chitchat.Config
-	// Fallback, when non-nil, backs a circuit breaker around the
-	// regional solver: BreakerThreshold consecutive hard re-solve
-	// failures quarantine the primary and route re-solves to the
-	// fallback, with half-open probing every BreakerProbeEvery-th
-	// re-solve. The primary is wrapped in solver.WithRecover so panics
-	// count as failures instead of killing the daemon. Nil disables the
-	// breaker (and panics stay fatal). It must support Problem.Region.
-	Fallback solver.Solver
-	// BreakerThreshold is the consecutive-failure trip count; 0 means
-	// the solver.BreakerConfig default (3).
-	BreakerThreshold int
-	// BreakerProbeEvery is the half-open probe cadence; 0 means the
-	// solver.BreakerConfig default (4).
-	BreakerProbeEvery int
-	// Metrics, when non-nil, registers the daemon's counters and gauges
-	// (online_*) in the given registry. Every series is registered at
-	// construction, so a scrape sees them at zero before the first op.
+	// Metrics, when non-nil, mirrors Stats and the running cost into the
+	// given registry (online_*), one daemon per registry. Every series is
+	// registered at construction, so a scrape sees them at zero before
+	// the first op.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records every localized re-solve as a
 	// `resolve` span with one timed child per step (DESIGN.md §12); the
@@ -116,17 +106,12 @@ type Config struct {
 	// tracer during the trace.
 	Tracer *telemetry.Tracer
 	// Events, when non-nil, receives, in order, one ("resolve", …) event
-	// per re-solve attempt — its decision record, DESIGN.md §12 — and the
-	// circuit breaker's transitions as ("breaker", "closed->open"): the
-	// streams the telemetry and chaos tests pin exactly. Transitions are
-	// emitted from the attempt's goroutine, records at its splice.
+	// per re-solve attempt at its splice — its decision record, DESIGN.md
+	// §12: the stream the telemetry and chaos tests pin exactly.
 	Events *telemetry.EventLog
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.K == 0 {
-		cfg.K = 2
-	}
 	if cfg.DriftThreshold == 0 {
 		cfg.DriftThreshold = 0.25
 	}
@@ -184,9 +169,6 @@ type Stats struct {
 	// regional solver (accepted and reverted re-solves alike), on the
 	// attempts' own goroutines: solver work, not time Apply waited.
 	ResolveWall time.Duration
-	// Breaker is the circuit-breaker state when Config.Fallback is set
-	// (nil otherwise): trips, probes, fallback solves, open/closed.
-	Breaker *solver.BreakerStats
 }
 
 // Daemon maintains a near-optimal schedule over a churning graph. Not
@@ -200,10 +182,6 @@ type Daemon struct {
 	r        *workload.Rates
 	m        *incremental.Maintainer
 	regional solver.Solver
-	// breaker is the circuit breaker wrapped around the regional solver
-	// when Config.Fallback is set; nil otherwise. d.regional aliases it
-	// then, so this field only serves Stats.
-	breaker *solver.Breaker
 
 	// OnSplice, when non-nil, is called synchronously after every
 	// ACCEPTED localized re-solve with the rebased live graph and the
@@ -255,46 +233,64 @@ type Daemon struct {
 	inst       daemonInstruments
 }
 
-// daemonInstruments mirrors Stats into a telemetry registry. With no
-// registry configured every field is a nil instrument and every update
-// is a no-op — the zero-cost-off contract.
+// counterSeries are the Stats counts the registry mirrors, one
+// online_*_total counter each, in daemonInstruments.counters order.
+var counterSeries = [...]struct {
+	name string
+	of   func(*Stats) int
+}{
+	{"online_ops_total", func(s *Stats) int { return s.Ops }},
+	{"online_adds_total", func(s *Stats) int { return s.Adds }},
+	{"online_removes_total", func(s *Stats) int { return s.Removes }},
+	{"online_rate_updates_total", func(s *Stats) int { return s.RateUpdates }},
+	{"online_rescues_total", func(s *Stats) int { return s.Rescues }},
+	{"online_resolves_total", func(s *Stats) int { return s.Resolves }},
+	{"online_reverted_total", func(s *Stats) int { return s.Reverted }},
+	{"online_solver_errors_total", func(s *Stats) int { return s.SolverErrors }},
+	{"online_region_edges_total", func(s *Stats) int { return s.RegionEdges }},
+	{"online_drift_checks_total", func(s *Stats) int { return s.DriftChecks }},
+	{"online_region_extractions_total", func(s *Stats) int { return s.RegionExtractions }},
+	{"online_boundary_repairs_total", func(s *Stats) int { return s.BoundaryRepairs }},
+	{"online_amortized_total", func(s *Stats) int { return s.Amortized }},
+}
+
+// daemonInstruments is the daemon's view of a telemetry registry: the
+// Stats mirror publish writes and the histograms only the registry keeps.
+// With no registry configured every field is a nil instrument whose
+// methods no-op.
 type daemonInstruments struct {
-	ops, adds, removes, rateUpdates *telemetry.Counter
-	rescues, resolves, reverted     *telemetry.Counter
-	solverErrors, regionEdges       *telemetry.Counter
-	driftChecks, regionExtractions  *telemetry.Counter
-	boundaryRepairs, amortized      *telemetry.Counter
-	breakerTransitions              *telemetry.Counter
-	cost, breakerState              *telemetry.Gauge
-	resolveWall                     *telemetry.Gauge
-	regionSize, stall, apply        *telemetry.Histogram
+	counters                 [len(counterSeries)]*telemetry.Counter
+	cost, resolveWall        *telemetry.Gauge
+	regionSize, stall, apply *telemetry.Histogram
 }
 
 func newDaemonInstruments(reg *telemetry.Registry) daemonInstruments {
-	// A nil registry hands out nil instruments whose methods no-op, so
-	// no per-field guard is needed here or at the update sites.
-	return daemonInstruments{
-		ops:                reg.Counter("online_ops_total"),
-		adds:               reg.Counter("online_adds_total"),
-		removes:            reg.Counter("online_removes_total"),
-		rateUpdates:        reg.Counter("online_rate_updates_total"),
-		rescues:            reg.Counter("online_rescues_total"),
-		resolves:           reg.Counter("online_resolves_total"),
-		reverted:           reg.Counter("online_reverted_total"),
-		solverErrors:       reg.Counter("online_solver_errors_total"),
-		regionEdges:        reg.Counter("online_region_edges_total"),
-		driftChecks:        reg.Counter("online_drift_checks_total"),
-		regionExtractions:  reg.Counter("online_region_extractions_total"),
-		boundaryRepairs:    reg.Counter("online_boundary_repairs_total"),
-		amortized:          reg.Counter("online_amortized_total"),
-		breakerTransitions: reg.Counter("online_breaker_transitions_total"),
-		cost:               reg.Gauge("online_cost"),
-		breakerState:       reg.Gauge("online_breaker_state"),
-		resolveWall:        reg.Gauge("online_resolve_wall_seconds_total"),
-		regionSize:         reg.Histogram("online_region_size", telemetry.SizeBuckets),
-		stall:              reg.Histogram("online_stall_seconds", telemetry.LatencyBuckets),
-		apply:              reg.Histogram("online_apply_seconds", telemetry.LatencyBuckets),
+	in := daemonInstruments{
+		cost:        reg.Gauge("online_cost"),
+		resolveWall: reg.Gauge("online_resolve_wall_seconds_total"),
+		regionSize:  reg.Histogram("online_region_size", telemetry.SizeBuckets),
+		stall:       reg.Histogram("online_stall_seconds", telemetry.LatencyBuckets),
+		apply:       reg.Histogram("online_apply_seconds", telemetry.LatencyBuckets),
 	}
+	for i, c := range counterSeries {
+		in.counters[i] = reg.Counter(c.name)
+	}
+	return in
+}
+
+// publish brings the registry up to Stats and the running cost: the one
+// place the daemon writes a counter. It runs where Stats may have moved —
+// the end of apply, Flush and New — and does nothing with no registry,
+// the zero-cost-off contract.
+func (d *Daemon) publish() {
+	if d.cfg.Metrics == nil {
+		return
+	}
+	for i, c := range d.inst.counters {
+		c.Add(int64(counterSeries[i].of(&d.stats)) - c.Value())
+	}
+	d.inst.resolveWall.Set(d.stats.ResolveWall.Seconds())
+	d.inst.cost.Set(d.m.Cost())
 }
 
 // New starts a daemon from an optimized valid schedule and its rates.
@@ -322,50 +318,23 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 			d.regional.Name(), solver.ErrRegionUnsupported)
 	}
 	// The stopping rule sits on the regional solver itself: whatever it
-	// streams is what the rule sees, and a breaker's fallback is not cut.
+	// streams is what the rule sees. A breaker streams its primary only,
+	// so the rule cuts the primary and never the fallback.
 	d.regional = solver.WithStop(d.attempt.stop)(d.regional)
-	if fb := d.cfg.Fallback; fb != nil {
-		if !solver.SupportsRegions(fb) {
-			return nil, fmt.Errorf("online: fallback solver %q: %w",
-				fb.Name(), solver.ErrRegionUnsupported)
-		}
-		// WithRecover turns a panicking primary into a hard failure the
-		// breaker can count; without the breaker a solver panic stays
-		// fatal, exactly as before.
-		events := d.cfg.Events
-		inst := d.inst
-		d.breaker = solver.NewBreaker(
-			solver.Chain(d.regional, solver.WithRecover()), fb,
-			solver.BreakerConfig{
-				Threshold:  d.cfg.BreakerThreshold,
-				ProbeEvery: d.cfg.BreakerProbeEvery,
-				// Transitions are emitted sequentially in trip order (one
-				// attempt is in flight at a time, and the Apply goroutine
-				// emits nothing until it has waited for it), so the event
-				// stream is an exact, assertable sequence.
-				OnTransition: func(from, to solver.BreakerState) {
-					inst.breakerState.Set(float64(to))
-					inst.breakerTransitions.Inc()
-					events.Emit("breaker", from.String()+"->"+to.String())
-				},
-			})
-		d.regional = d.breaker
-	}
 	if d.cfg.Tracer != nil {
-		// Wrap outermost so every daemon-triggered re-solve — primary,
-		// fallback, or probe alike — opens exactly one "solve/..." span,
+		// Wrap outermost so every daemon-triggered re-solve — a breaker's
+		// primary, fallback or probe alike — opens exactly one "solve/..." span,
 		// with a composite solver's spans nesting under it via the context.
 		d.regional = solver.WithTracing(d.cfg.Tracer)(d.regional)
 	}
 	d.m = incremental.New(s, r)
 	d.m.OnRescue = d.onRescue
-	d.inst.cost.Set(d.m.Cost())
+	d.publish()
 	return d, nil
 }
 
 func (d *Daemon) onRescue(u, v graph.NodeID, cost float64) {
 	d.stats.Rescues++
-	d.inst.rescues.Inc()
 	d.charge(u, v, cost)
 }
 
@@ -383,14 +352,7 @@ func (d *Daemon) charge(u, v graph.NodeID, amount float64) {
 func (d *Daemon) Cost() float64 { return d.m.Cost() }
 
 // Stats returns the op and re-solve counters so far.
-func (d *Daemon) Stats() Stats {
-	st := d.stats
-	if d.breaker != nil {
-		bs := d.breaker.Stats()
-		st.Breaker = &bs
-	}
-	return st
-}
+func (d *Daemon) Stats() Stats { return d.stats }
 
 // Rates returns the live workload rates (mutated by rate-update ops).
 func (d *Daemon) Rates() *workload.Rates { return d.r }
@@ -440,7 +402,6 @@ func (d *Daemon) apply(ctx context.Context, op workload.ChurnOp) error {
 			return err
 		}
 		d.stats.Adds++
-		d.inst.adds.Inc()
 		// A hub-covered add costs 0 and leaves no regret; a direct add
 		// pays c* that a re-solve might cover for free.
 		d.charge(op.U, op.V, d.m.Cost()-before)
@@ -449,7 +410,6 @@ func (d *Daemon) apply(ctx context.Context, op workload.ChurnOp) error {
 			return err
 		}
 		d.stats.Removes++
-		d.inst.removes.Inc()
 		// Rescue regret is charged by the hook as it happens. The
 		// removal itself only LOWERS the cost; stranded hub supports are
 		// second-order (bounded by what the hub still covers) and
@@ -464,7 +424,6 @@ func (d *Daemon) apply(ctx context.Context, op workload.ChurnOp) error {
 			return err
 		}
 		d.stats.RateUpdates++
-		d.inst.rateUpdates.Inc()
 		if d.region.in.Test(int(op.U)) {
 			d.region.stale = true
 		}
@@ -480,14 +439,13 @@ func (d *Daemon) apply(ctx context.Context, op workload.ChurnOp) error {
 		d.fl.journal = append(d.fl.journal, op)
 	}
 	d.stats.Ops++
-	d.inst.ops.Inc()
 	d.sinceChk++
 	if d.sinceChk >= d.cfg.CheckEvery {
 		d.sinceChk = 0
 		d.splice(ctx)
 		d.checkDrift(ctx)
 	}
-	d.inst.cost.Set(d.m.Cost())
+	d.publish()
 	return nil
 }
 
@@ -498,7 +456,7 @@ func (d *Daemon) apply(ctx context.Context, op workload.ChurnOp) error {
 // ctx, as a splicing ApplyCtx's does.
 func (d *Daemon) Flush(ctx context.Context) {
 	d.splice(ctx)
-	d.inst.cost.Set(d.m.Cost())
+	d.publish()
 }
 
 // ApplyTrace ingests a whole trace, stopping at the first error, and
@@ -556,7 +514,6 @@ func (d *Daemon) checkRegion(ctx context.Context) bool {
 		return false
 	}
 	d.stats.DriftChecks++
-	d.inst.driftChecks.Inc()
 	rg := &d.region
 	if rg.epoch != d.epoch || rg.seed != seed {
 		d.extractRegion(seed)
@@ -589,13 +546,12 @@ func (d *Daemon) checkRegion(ctx context.Context) bool {
 // neighborhood of seed on the current epoch graph.
 func (d *Daemon) extractRegion(seed graph.NodeID) {
 	d.stats.RegionExtractions++
-	d.inst.regionExtractions.Inc()
 	rg := &d.region
 	for _, v := range rg.nodes {
 		rg.in.Clear(int(v))
 	}
 	rg.epoch, rg.seed = d.epoch, seed
-	rg.nodes = graph.KHop(d.epoch, []graph.NodeID{seed}, d.cfg.K, d.cfg.MaxRegionNodes)
+	rg.nodes = graph.KHop(d.epoch, []graph.NodeID{seed}, regionHops, d.cfg.MaxRegionNodes)
 	for _, v := range rg.nodes {
 		rg.in.Set(int(v))
 	}
@@ -851,13 +807,11 @@ func (d *Daemon) splice(ctx context.Context) {
 	a := &d.attempt
 	a.lag = len(fl.journal)
 	d.stats.ResolveWall += fl.wall
-	d.inst.resolveWall.Add(fl.wall.Seconds())
 	d.decide()
 	fl.res, fl.m = nil, nil
 
 	a.backoff = d.revertStreak
 	d.stats.RegionEdges += a.edges
-	d.inst.regionEdges.Add(int64(a.edges))
 	d.inst.regionSize.Observe(float64(a.edges))
 	// What the attempt held the ingest path up for: its start and this.
 	d.inst.stall.Observe((fl.began + time.Since(began)).Seconds())
@@ -886,7 +840,6 @@ func (d *Daemon) decide() {
 		// backoff models "patches cannot win here", which a solver that
 		// never ran says nothing about.
 		d.stats.SolverErrors++
-		d.inst.solverErrors.Inc()
 		d.stats.LastSolverErr = fl.err
 		a.verdict = "failed"
 		return
@@ -899,7 +852,6 @@ func (d *Daemon) decide() {
 		a.stopped = "canceled"
 	}
 	d.stats.BoundaryRepairs += res.Report.BoundaryRepairs
-	d.inst.boundaryRepairs.Add(int64(res.Report.BoundaryRepairs))
 
 	// The ops ingested since the start land on the patch as they landed on
 	// the incumbent, on the rates as they were then. Their rescues charge
@@ -920,7 +872,6 @@ func (d *Daemon) decide() {
 	if a.amortized >= a.total {
 		st.end("incumbent=%.1f patch=%.1f revert", a.total, a.amortized)
 		d.stats.Reverted++
-		d.inst.reverted.Inc()
 		d.revertStreak++
 		a.verdict = "reverted"
 		return
@@ -928,10 +879,8 @@ func (d *Daemon) decide() {
 	st.end("incumbent=%.1f patch=%.1f accept", a.total, a.amortized)
 	a.verdict = "accepted"
 	d.stats.Resolves++
-	d.inst.resolves.Inc()
 	d.stats.Amortized += fl.amort.Upgraded
 	d.stats.AmortizedSaved += fl.amort.Saved
-	d.inst.amortized.Add(int64(fl.amort.Upgraded))
 	d.revertStreak = 0
 	m.OnRescue = d.onRescue
 	d.m, d.epoch = m, fl.epoch

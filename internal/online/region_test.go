@@ -102,7 +102,7 @@ func referenceCheck(d *Daemon) refCheck {
 	if c.seed < 0 {
 		return c
 	}
-	c.nodes = refKHop(d.epoch, c.seed, d.cfg.K, d.cfg.MaxRegionNodes)
+	c.nodes = refKHop(d.epoch, c.seed, regionHops, d.cfg.MaxRegionNodes)
 	for _, v := range c.nodes {
 		c.dirt += d.dirt[v]
 	}

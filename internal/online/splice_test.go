@@ -176,16 +176,14 @@ func TestSpliceFailures(t *testing.T) {
 	})
 
 	t.Run("panic through a breaker", func(t *testing.T) {
-		d, ev := newDaemon(Config{
-			Regional: solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverPanics(1, 2)),
-			Fallback: solver.NewChitChat(chitchat.Config{}),
-		})
+		b := quarantine(solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverPanics(1, 2)), nil)
+		d, ev := newDaemon(Config{Regional: b})
 		if err := d.ApplyTrace(trace); err != nil {
 			t.Fatal(err)
 		}
-		st := d.Stats()
-		if st.SolverErrors != 1 || st.Breaker.Failures != 1 || !strings.Contains(ev.Attrs("resolve")[0], "verdict=failed") {
-			t.Fatalf("want the first attempt failed and booked once: %+v %+v", st, *st.Breaker)
+		st, bs := d.Stats(), b.Stats()
+		if st.SolverErrors != 1 || bs.Failures != 1 || !strings.Contains(ev.Attrs("resolve")[0], "verdict=failed") {
+			t.Fatalf("want the first attempt failed and booked once: %+v %+v", st, bs)
 		}
 		if st.Resolves == 0 {
 			t.Fatalf("no attempt after the failure was kept: %+v", st)

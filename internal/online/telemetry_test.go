@@ -3,6 +3,8 @@ package online
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,11 +19,11 @@ import (
 
 // telemetryOut is one breaker-quarantine run's deterministic artifacts:
 // the span tree, the non-timing metric snapshot and the breaker event
-// stream, with the run's end Stats.
+// stream, with the breaker's end Stats.
 type telemetryOut struct {
 	tree, snap string
 	events     []string
-	st         Stats
+	bs         solver.BreakerStats
 }
 
 // telemetryRun drives the breaker-quarantine scenario (panicking primary,
@@ -36,18 +38,15 @@ func telemetryRun(workers int) (out telemetryOut, err error) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(7)
 	var ev telemetry.EventLog
-	primary := solver.Chain(solver.NewNosy(nosy.Config{Workers: workers}), fault.SolverPanics(1, 4))
+	b := quarantine(solver.Chain(solver.NewNosy(nosy.Config{Workers: workers}), fault.SolverPanics(1, 4)), &ev)
 	d, err := New(init, r, Config{
-		Regional:          primary,
-		Fallback:          solver.NewChitChat(chitchat.Config{}),
-		BreakerThreshold:  2,
-		BreakerProbeEvery: 2,
-		DriftThreshold:    0.02,
-		CheckEvery:        8,
-		BudgetFraction:    -1,
-		Metrics:           reg,
-		Tracer:            tr,
-		Events:            &ev,
+		Regional:       b,
+		DriftThreshold: 0.02,
+		CheckEvery:     8,
+		BudgetFraction: -1,
+		Metrics:        reg,
+		Tracer:         tr,
+		Events:         &ev,
 	})
 	if err != nil {
 		return out, err
@@ -67,7 +66,7 @@ func telemetryRun(workers int) (out telemetryOut, err error) {
 	if _, ok := full.NonTiming().Get("online_stall_seconds"); ok {
 		return out, errors.New("online_stall_seconds is in the non-timing snapshot")
 	}
-	return telemetryOut{tr.Tree(), full.NonTiming().String(), ev.Attrs("breaker"), d.Stats()}, nil
+	return telemetryOut{tr.Tree(), full.NonTiming().String(), ev.Attrs("breaker"), b.Stats()}, nil
 }
 
 func mustTelemetryRun(t *testing.T, workers int) telemetryOut {
@@ -138,7 +137,7 @@ func TestDaemonTelemetryDeterministic(t *testing.T) {
 // just the counts.
 func TestDaemonBreakerTransitionSequence(t *testing.T) {
 	run := firstTelemetryRun(t)
-	events, st := run.events, run.st
+	events := run.events
 	want := []string{
 		"closed->open",
 		"open->half-open",
@@ -154,14 +153,15 @@ func TestDaemonBreakerTransitionSequence(t *testing.T) {
 			t.Fatalf("transition %d = %q, want %q (full stream %v)", i, events[i], want[i], events)
 		}
 	}
-	if st.Breaker == nil || st.Breaker.Open {
-		t.Fatalf("breaker did not settle closed: %+v", st.Breaker)
+	if run.bs.Open {
+		t.Fatalf("breaker did not settle closed: %+v", run.bs)
 	}
 }
 
 // The registry mirror of Stats must agree with Stats itself, and every
 // online_* series must be registered (at zero) from construction so a
 // scrape between boot and the first op still sees the full inventory.
+// The breaker is the caller's, so no online_breaker_* series exists.
 func TestDaemonMetricsMirrorStats(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(200, 5))
 	base := workload.LogDegree(g, 5)
@@ -169,7 +169,7 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 	init := chitchat.Solve(g, r, chitchat.Config{})
 
 	reg := telemetry.NewRegistry()
-	d, err := New(init, r, Config{Metrics: reg, DriftThreshold: 0.05, CheckEvery: 8})
+	d, err := New(init, r, Config{Metrics: reg, DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,17 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		"online_resolves_total", "online_reverted_total",
 		"online_solver_errors_total", "online_region_edges_total",
 		"online_drift_checks_total", "online_region_extractions_total",
-		"online_boundary_repairs_total", "online_breaker_transitions_total",
-		"online_cost", "online_breaker_state", "online_stall_seconds",
-		"online_apply_seconds",
+		"online_boundary_repairs_total", "online_amortized_total",
+		"online_cost", "online_resolve_wall_seconds_total",
+		"online_region_size", "online_stall_seconds", "online_apply_seconds",
 	} {
 		if _, ok := snap.Get(name); !ok {
 			t.Fatalf("series %s not registered at construction:\n%s", name, snap.String())
+		}
+	}
+	for _, m := range snap.Metrics {
+		if strings.HasPrefix(m.Name, "online_breaker_") {
+			t.Fatalf("series %s registered by the daemon", m.Name)
 		}
 	}
 	m, _ := snap.Get("online_cost")
@@ -210,6 +215,9 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		"online_region_edges_total":       st.RegionEdges,
 		"online_drift_checks_total":       st.DriftChecks,
 		"online_region_extractions_total": st.RegionExtractions,
+		"online_solver_errors_total":      st.SolverErrors,
+		"online_boundary_repairs_total":   st.BoundaryRepairs,
+		"online_amortized_total":          st.Amortized,
 	} {
 		m, ok := snap.Get(name)
 		if !ok || int(m.Value) != want {
@@ -219,6 +227,10 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 	m, _ = snap.Get("online_cost")
 	if m.Value != d.Cost() {
 		t.Fatalf("online_cost = %v, want %v", m.Value, d.Cost())
+	}
+	m, _ = snap.Get("online_resolve_wall_seconds_total")
+	if st.Resolves == 0 || math.Abs(m.Value-st.ResolveWall.Seconds()) > 1e-9 {
+		t.Fatalf("online_resolve_wall_seconds_total = %v after %d re-solves, want %v (%+v)", m.Value, st.Resolves, st.ResolveWall.Seconds(), st)
 	}
 }
 

@@ -368,26 +368,34 @@ func TestAcceptanceZooDaemon(t *testing.T) {
 }
 
 // breakerRun is the end of a cell run against a daemon whose primary
-// regional solver panics on its solves 1..3, with a CHITCHAT fallback.
+// regional solver panics on its solves 1..3, quarantined behind a breaker
+// with a CHITCHAT fallback: the daemon's and the breaker's Stats, the
+// breaker's transitions and how many re-solves the stopping rule cut.
 type breakerRun struct {
 	st          Stats
+	bs          solver.BreakerStats
 	transitions []string
+	early       int
 	err         error
 }
 
 func breakerCell(c zooCell) (b breakerRun) {
 	var ev telemetry.EventLog
 	cfg := c.cfg
-	cfg.Regional = solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverPanics(1, 4))
-	cfg.Fallback = solver.NewChitChat(chitchat.Config{})
-	cfg.BreakerThreshold, cfg.BreakerProbeEvery, cfg.Events = 2, 2, &ev
+	br := quarantine(solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverPanics(1, 4)), &ev)
+	cfg.Regional, cfg.Events = br, &ev
 	d, err := New(c.init.Clone(), freshRates(c.g, c.base), cfg)
 	if err == nil {
 		err = d.ApplyTrace(c.trace)
 	}
 	if err == nil {
 		err = d.Validate()
-		b.st = d.Stats()
+		b.st, b.bs = d.Stats(), br.Stats()
+	}
+	for _, rec := range ev.Attrs("resolve") {
+		if strings.Contains(rec, "stopped=early") {
+			b.early++
+		}
 	}
 	b.transitions, b.err = ev.Attrs("breaker"), err
 	return b
@@ -395,7 +403,8 @@ func breakerCell(c zooCell) (b breakerRun) {
 
 // The breaker on the flashcrowd trace: it quarantines the primary, serves
 // from the fallback, recovers through a half-open probe, and emits exactly
-// the pinned transition sequence.
+// the pinned transition sequence; the stopping rule still cuts the
+// primary through the breaker and the fault middleware.
 func TestAcceptanceZooBreaker(t *testing.T) {
 	zooReplays()
 	st, transitions := zoo.breaker.st, zoo.breaker.transitions
@@ -412,10 +421,13 @@ func TestAcceptanceZooBreaker(t *testing.T) {
 	if !reflect.DeepEqual(transitions, want) {
 		t.Fatalf("breaker transitions = %v, want %v", transitions, want)
 	}
-	if st.Breaker == nil || st.Breaker.Open {
-		t.Fatalf("breaker did not settle closed: %+v", st.Breaker)
+	if b := zoo.breaker.bs; b.Open {
+		t.Fatalf("breaker did not settle closed: %+v", b)
 	}
 	if st.Resolves == 0 {
 		t.Fatalf("no accepted re-solves on the flashcrowd trace: %+v", st)
+	}
+	if zoo.breaker.early == 0 {
+		t.Fatal("the stopping rule cut no re-solve through the breaker")
 	}
 }

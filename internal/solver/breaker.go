@@ -147,6 +147,11 @@ func (b *Breaker) SupportsRegions() bool {
 	return SupportsRegions(b.primary) && SupportsRegions(b.fallback)
 }
 
+// ChainProgress implements ProgressChainer by forwarding to the primary
+// only: a stopping rule wrapped around the breaker cuts the primary's
+// solves and never sees, or cuts, the fallback's.
+func (b *Breaker) ChainProgress(fn func(ProgressEvent)) { Observe(b.primary, fn) }
+
 // Stats returns a copy of the breaker counters.
 func (b *Breaker) Stats() BreakerStats {
 	b.mu.Lock()

@@ -143,3 +143,59 @@ type named struct {
 }
 
 func (n named) Name() string { return n.name }
+
+// streamSolver is a scriptedSolver with a progress stream: a solve that
+// does not fail emits events progress events and, once its context is
+// cut, returns its best-so-far result flagged Canceled.
+type streamSolver struct {
+	scriptedSolver
+	events int
+	sinks  []func(ProgressEvent)
+}
+
+func (s *streamSolver) ChainProgress(fn func(ProgressEvent)) { s.sinks = append(s.sinks, fn) }
+
+func (s *streamSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
+	res, err := s.scriptedSolver.Solve(ctx, p)
+	if res == nil {
+		return nil, err
+	}
+	for i := 1; i <= s.events; i++ {
+		for _, fn := range s.sinks {
+			fn(ProgressEvent{Solver: s.name, Iteration: i})
+		}
+		res.Report.Iterations = i
+		if err := ctx.Err(); err != nil {
+			res.Report.Canceled = true
+			return res, err
+		}
+	}
+	return res, nil
+}
+
+// A stopping rule wrapped around a breaker sees the primary's stream and
+// cuts it; once the breaker has tripped it neither sees nor cuts the
+// fallback's.
+func TestBreakerForwardsProgressToPrimaryOnly(t *testing.T) {
+	primary := &streamSolver{scriptedSolver{name: "p", region: true, fail: func(n int) bool { return n == 2 }}, 10, nil}
+	fallback := &streamSolver{scriptedSolver{name: "f", region: true}, 10, nil}
+	seen := 0
+	sv := Chain(NewBreaker(primary, fallback, BreakerConfig{Threshold: 1, ProbeEvery: 100}),
+		WithStop(func(n int, _ ProgressEvent) bool { seen++; return n >= 3 }))
+	ctx := context.Background()
+
+	res, err := sv.Solve(ctx, Problem{})
+	if err != nil || res.Report.Solver != "p" || !res.Report.Canceled || res.Report.Iterations != 3 || seen != 3 {
+		t.Fatalf("closed: res=%+v err=%v seen=%d, want the primary cut at its 3rd event", res, err, seen)
+	}
+	for solve := 2; solve <= 3; solve++ { // 2 trips the breaker, 3 finds it open
+		seen = 0
+		res, err = sv.Solve(ctx, Problem{})
+		if err != nil || res.Report.Solver != "f" || res.Report.Canceled || res.Report.Iterations != 10 || seen != 0 {
+			t.Fatalf("solve %d: res=%+v err=%v seen=%d, want the fallback run out, unobserved", solve, res, err, seen)
+		}
+	}
+	if fallback.n != 2 {
+		t.Fatalf("fallback ran %d times, want 2", fallback.n)
+	}
+}

@@ -92,8 +92,9 @@ func (rs *recoverSolver) Solve(ctx context.Context, p Problem) (res *Result, err
 // runs produce byte-identical schedules.
 //
 // The stop is NOT surfaced as an error: the result comes back with a
-// nil error and Report.Canceled=true as the truncation marker.
-// Cancellation of the caller's own context propagates as usual.
+// nil error and Report.Canceled=true as the truncation marker. A cut
+// solve that returned no result keeps its error, and cancellation of
+// the caller's own context propagates as usual.
 // Solvers without a progress stream (the baselines) are unaffected.
 func WithStop(stop func(n int, ev ProgressEvent) bool) Middleware {
 	return func(next Solver) Solver {
@@ -138,7 +139,7 @@ func (s *stopSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
 	stopped := s.cancel == nil
 	s.cancel = nil
 	s.mu.Unlock()
-	if stopped && err != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) {
+	if stopped && res != nil && err != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) {
 		// The predicate, not the caller, stopped the solve: a deterministic
 		// completion, not a cancellation. Report.Canceled stays true as
 		// the truncation marker.

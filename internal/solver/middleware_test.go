@@ -188,6 +188,27 @@ func TestWithStopPropagatesOuterCancel(t *testing.T) {
 	}
 }
 
+// cutFails emits one progress event and then returns no result, with
+// its context's error: a solver that breaks the anytime contract.
+type cutFails struct{ sink func(ProgressEvent) }
+
+func (*cutFails) Name() string                           { return "cutfails" }
+func (c *cutFails) ChainProgress(fn func(ProgressEvent)) { c.sink = fn }
+func (c *cutFails) Solve(ctx context.Context, _ Problem) (*Result, error) {
+	c.sink(ProgressEvent{Iteration: 1})
+	return nil, ctx.Err()
+}
+
+// A solve the stop cut that returned no result failed: its error is not
+// swallowed as a completion.
+func TestWithStopKeepsFailedSolveError(t *testing.T) {
+	sv := Chain(&cutFails{}, WithStop(atEvent(1)))
+	res, err := sv.Solve(context.Background(), Problem{})
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("res=%v err=%v, want no result and context.Canceled", res, err)
+	}
+}
+
 // A predicate that never fires, or a solver without a progress stream,
 // passes through untouched.
 func TestWithStopNoopCases(t *testing.T) {
