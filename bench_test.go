@@ -297,7 +297,7 @@ func BenchmarkAblationChitChatOracle(b *testing.B) {
 // ---- Sharded million-edge solve (the PR-6 scale acceptance bench) ----
 
 // BenchmarkShardSolve1M solves a ≥1M-edge streaming-generated Flickr-like
-// graph end to end through the registered shard solver — the paper's
+// graph end to end through the shard solver — the paper's
 // evaluation scale on one machine. Peak RSS is reported as a metric
 // because bounding it is the point: one live shard subgraph per worker
 // keeps memory O(active shard), not O(graph). Nothing tracks the number

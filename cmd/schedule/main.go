@@ -1,6 +1,6 @@
 // Command schedule computes a request schedule for a social graph and
 // reports its cost against the baselines. Algorithms are selected by
-// name from the solver registry, run under a cancellable context
+// name from the built-in solvers, run under a cancellable context
 // (Ctrl-C or -timeout returns the best-so-far valid schedule), and
 // report live progress with -progress.
 //
@@ -28,7 +28,6 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphio"
 	"piggyback/internal/schedio"
-	_ "piggyback/internal/shard" // registers the "shard" solver
 	"piggyback/internal/solver"
 	"piggyback/internal/workload"
 )
@@ -37,7 +36,7 @@ func main() {
 	var (
 		path     = flag.String("graph", "", "graph file (binary or text; default stdin, binary)")
 		text     = flag.Bool("text", false, "graph file is in text format")
-		algo     = flag.String("algo", "nosy", "algorithm: "+strings.Join(solver.Default.Names(), " | "))
+		algo     = flag.String("algo", "nosy", "algorithm: "+strings.Join(solver.Names(), " | "))
 		ratio    = flag.Float64("ratio", workload.DefaultReadWriteRatio, "read/write ratio for the log-degree workload")
 		workers  = flag.Int("workers", 0, "solver parallelism (0 = all cores; chitchat uses them for its seed phase only)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry the best-so-far valid schedule is reported")
@@ -55,9 +54,9 @@ func main() {
 
 	opts := solver.Options{Workers: *workers, TraceCosts: *iters}
 	if *progress || *iters {
-		opts.Progress = printProgress
+		opts.Progress = func(ev solver.ProgressEvent) { printProgress(os.Stderr, ev) }
 	}
-	sv, err := solver.Default.New(*algo, opts)
+	sv, err := solver.New(*algo, opts)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -110,9 +109,9 @@ func main() {
 }
 
 // printProgress renders one live line per event: iteration stats for
-// the round-based solvers, a sampled coverage line for CHITCHAT's
-// per-commit stream.
-func printProgress(ev solver.ProgressEvent) {
+// NOSY's rounds, one line per solved shard, a sampled coverage line for
+// CHITCHAT's per-commit stream.
+func printProgress(w io.Writer, ev solver.ProgressEvent) {
 	switch ev.Solver {
 	case solver.ChitChat:
 		// One line every 1024 commits plus the final one keeps the
@@ -120,15 +119,18 @@ func printProgress(ev solver.ProgressEvent) {
 		if ev.Iteration%1024 != 0 && ev.Remaining != 0 {
 			return
 		}
-		fmt.Fprintf(os.Stderr, "commit %7d: covered=%d remaining=%d\n",
+		fmt.Fprintf(w, "commit %7d: covered=%d remaining=%d\n",
 			ev.Iteration, ev.Covered, ev.Remaining)
+	case solver.Shard:
+		fmt.Fprintf(w, "shard %d/%d: edges=%d cost=%.1f\n",
+			ev.Iteration, ev.Iteration+ev.Remaining, ev.Covered, ev.Cost)
 	default:
 		line := fmt.Sprintf("iteration %3d: dirty=%d candidates=%d commits=%d+%d covered=%d",
 			ev.Iteration+1, ev.Dirty, ev.Candidates, ev.FullCommits, ev.PartialCommits, ev.CoveredEdges)
 		if !math.IsNaN(ev.Cost) {
 			line += fmt.Sprintf(" cost=%.1f", ev.Cost)
 		}
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(w, line)
 	}
 }
 

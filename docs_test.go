@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"piggyback/internal/shard"
 )
 
 // TestDocsNameExistingCommands keeps the docs and CI from naming a binary
@@ -149,18 +151,20 @@ func TestDocsNameExistingTests(t *testing.T) {
 	}
 }
 
-// TestDocsNameExistingConfigFields keeps the docs from citing a daemon
-// field that no longer exists: in README, DESIGN and the verify SKILL
-// every backticked online.Config.F, OnlineConfig.F, online.Stats.F or
-// OnlineStats.F must be a field of that type; a deleted one is cited
-// without backticks.
+// TestDocsNameExistingConfigFields keeps the docs from citing a knob
+// that no longer exists: in README, DESIGN and the verify SKILL every
+// backticked online.Config.F, OnlineConfig.F, online.Stats.F,
+// OnlineStats.F, solver.Options.F, Options.F or shard.Config.F must be
+// a field of that type; a deleted one is cited without backticks.
 func TestDocsNameExistingConfigFields(t *testing.T) {
 	types := map[string]reflect.Type{
 		"online.Config": reflect.TypeOf(OnlineConfig{}), "OnlineConfig": reflect.TypeOf(OnlineConfig{}),
 		"online.Stats": reflect.TypeOf(OnlineStats{}), "OnlineStats": reflect.TypeOf(OnlineStats{}),
+		"solver.Options": reflect.TypeOf(Options{}), "Options": reflect.TypeOf(Options{}),
+		"shard.Config": reflect.TypeOf(shard.Config{}),
 	}
 	span := regexp.MustCompile("`([^`]+)`")
-	ref := regexp.MustCompile(`\b(online\.Config|OnlineConfig|online\.Stats|OnlineStats)\.(\w+)`)
+	ref := regexp.MustCompile(`\b(online\.Config|OnlineConfig|online\.Stats|OnlineStats|solver\.Options|Options|shard\.Config)\.(\w+)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {

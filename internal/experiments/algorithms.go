@@ -5,20 +5,18 @@ import (
 
 	"piggyback/internal/baseline"
 	"piggyback/internal/graph"
-	_ "piggyback/internal/shard" // registers the "shard" solver
 	"piggyback/internal/solver"
 	"piggyback/internal/workload"
 )
 
-// Algorithms runs EVERY registered solver on both reference graphs
-// through the one shared code path (the solver registry) and tabulates
-// cost, improvement over the hybrid baseline, and iteration counts —
-// the cross-algorithm summary the paper spreads over §4.2. A solver
-// registered by an importing program shows up here automatically.
+// Algorithms runs every built-in solver on both reference graphs
+// through the one shared code path (solver.New) and tabulates cost,
+// improvement over the hybrid baseline, and iteration counts — the
+// cross-algorithm summary the paper spreads over §4.2.
 func Algorithms(sc Scale) *Table {
 	t := &Table{
-		Title:  "All registered solvers — cost and improvement over FF",
-		Note:   "one registry code path; improvement = hybrid cost / solver cost",
+		Title:  "All solvers — cost and improvement over FF",
+		Note:   "one solver.New code path; improvement = hybrid cost / solver cost",
 		Header: []string{"solver", "graph", "cost", "improvement", "iterations", "hub-covered"},
 	}
 	for _, item := range []struct {
@@ -30,11 +28,8 @@ func Algorithms(sc Scale) *Table {
 	} {
 		g, r := item.build()
 		hybrid := baseline.HybridCost(g, r)
-		for _, name := range solver.Default.Names() {
-			sv, err := solver.Default.New(name, solver.Options{Workers: sc.Workers})
-			if err != nil {
-				continue // unregistered between Names and New: impossible, skip
-			}
+		for _, name := range solver.Names() {
+			sv, _ := solver.New(name, solver.Options{Workers: sc.Workers}) // every name from Names builds
 			res, err := sv.Solve(context.Background(), solver.Problem{Graph: g, Rates: r})
 			if err != nil {
 				t.Rows = append(t.Rows, []string{name, item.name, "error: " + err.Error(), "", "", ""})

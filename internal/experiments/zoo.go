@@ -14,7 +14,7 @@ import (
 	"piggyback/internal/workload"
 )
 
-// Zoo sweeps the full solver registry across the adversarial workload
+// Zoo sweeps every built-in solver across the adversarial workload
 // zoo (internal/scenario) on the Flickr-like graph. Region-capable
 // solvers run as the online daemon's regional solver over the live
 // trace — their row reports the daemon's final cost, cumulative
@@ -25,7 +25,7 @@ import (
 // block. Every scheduling improvement gets judged against this table.
 func Zoo(sc Scale) *Table {
 	t := &Table{
-		Title:  "Adversarial workload zoo — solver registry × scenario registry",
+		Title:  "Adversarial workload zoo — every solver × every scenario",
 		Note:   "daemon rows: final live cost after the trace; batch rows: from-scratch solve of the materialized graph",
 		Header: []string{"scenario", "solver", "mode", "cost", "wall", "re-solves", "reverted"},
 	}
@@ -49,11 +49,8 @@ func Zoo(sc Scale) *Table {
 			t.Rows = append(t.Rows, []string{scen, "", "", "error: " + err.Error(), "", "", ""})
 			continue
 		}
-		for _, name := range solver.Default.Names() {
-			sv, err := solver.Default.New(name, solver.Options{Workers: sc.Workers})
-			if err != nil {
-				continue
-			}
+		for _, name := range solver.Names() {
+			sv, _ := solver.New(name, solver.Options{Workers: sc.Workers}) // every name from Names builds
 			if solver.SupportsRegions(sv) {
 				row, rowErr := zooDaemonRow(incumbent, base, trace, sv)
 				if rowErr != nil {

@@ -82,7 +82,7 @@ type Config struct {
 	// Regional is the solver used for localized re-solves — any
 	// solver.Solver that supports Problem.Region; nil means
 	// solver.NewChitChat(ChitChat). The daemon resolves no names: a
-	// caller that takes one from a flag looks it up in a solver.Registry
+	// caller that takes one from a flag builds it with solver.New
 	// itself. Nor does it own a failure policy: a solver panic is fatal,
 	// and a caller that wants a failing solver quarantined hands in the
 	// solver package's circuit breaker, with its counters and transitions

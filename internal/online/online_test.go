@@ -208,7 +208,7 @@ func TestAcceptanceOnlineDaemon2k(t *testing.T) {
 // pushAllSolver is a solver that cannot re-solve regions.
 func pushAllSolver(t *testing.T) solver.Solver {
 	t.Helper()
-	sv, err := solver.NewBaseline(solver.PushAll)
+	sv, err := solver.New(solver.PushAll, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,57 +14,36 @@ import (
 	"piggyback/internal/workload"
 )
 
-// Built-in registry names.
+// Built-in scenario names, the keys of Default.
 const (
 	// FlashCrowd is the celebrity flash crowd: the hottest producer's
 	// rates spike ~1000× mid-trace while a follower crowd piles in, then
-	// decay back.
+	// decay back. It stresses push/pull choices priced at pre-spike
+	// rates, and exterior hub amortization.
 	FlashCrowd = "flashcrowd"
 	// Diurnal is the rate wave: user activity swings ±80% on a
-	// timezone-staggered triangle wave, two full cycles per trace.
+	// timezone-staggered triangle wave, two full cycles per trace. It
+	// stresses rate-driven drift with no structural churn signal.
 	Diurnal = "diurnal"
 	// Cascade is the viral follow cascade confined to one partition
 	// region: adoption spreads follower-of-follower with rate surges.
+	// Its correlated adds concentrate dirt in one re-solve region.
 	Cascade = "cascade"
 	// RegionChurn is region-correlated churn: alternating add/remove
-	// bursts localized to one partition.Locality region at a time.
+	// bursts localized to one partition.Locality region at a time. It
+	// stresses repeated re-solves of the same regions and revert backoff.
 	RegionChurn = "regionchurn"
 	// LDBC is the LDBC-SNB-style stationary generator: power-law degree
 	// growth with degree-correlated, heavy-tailed activity shifts, per
-	// the SIGMOD 2014 contest analysis of the LDBC social graph.
+	// the SIGMOD 2014 contest analysis of the LDBC social graph: a
+	// realistic stationary baseline with heavier tails than the control.
 	LDBC = "ldbc"
 	// Preferential is the control row: the repo's original stationary
 	// preferential-attachment churn (workload.GenerateChurn) under the
-	// zoo interface.
+	// zoo interface. It stresses nothing by design: it is the zoo's
+	// stationary reference point.
 	Preferential = "preferential"
 )
-
-func init() {
-	Default.MustRegister(FlashCrowd, GenFlashCrowd, Meta{
-		Summary:  "celebrity rate spike ~1000× mid-trace + follower pile-on, then decay",
-		Stresses: "stale push/pull choices priced at pre-spike rates; exterior hub amortization",
-	})
-	Default.MustRegister(Diurnal, GenDiurnal, Meta{
-		Summary:  "timezone-staggered ±80% activity waves, two cycles per trace",
-		Stresses: "rate-driven drift with no structural churn signal",
-	})
-	Default.MustRegister(Cascade, GenCascade, Meta{
-		Summary:  "viral follow cascade confined to one partition region",
-		Stresses: "correlated adds concentrating dirt in one re-solve region",
-	})
-	Default.MustRegister(RegionChurn, GenRegionChurn, Meta{
-		Summary:  "alternating add/remove bursts localized per Locality region",
-		Stresses: "repeated re-solves of the same regions; revert backoff",
-	})
-	Default.MustRegister(LDBC, GenLDBC, Meta{
-		Summary:  "LDBC-SNB-style degree skew with degree-correlated heavy-tailed activity",
-		Stresses: "realistic stationary baseline with heavier tails than the control",
-	})
-	Default.MustRegister(Preferential, GenPreferential, Meta{
-		Summary:  "the original workload.GenerateChurn trace (control)",
-		Stresses: "nothing by design — the zoo's stationary reference point",
-	})
-}
 
 // GenFlashCrowd emits the celebrity flash crowd. Three phases: calm
 // background churn; a spike where the hottest producer's rates ramp

@@ -1,4 +1,4 @@
-// Package scenario is the adversarial workload zoo: a named registry of
+// Package scenario is the adversarial workload zoo: a fixed table of
 // deterministic, seed-replayable churn-trace generators that stress the
 // hybrid push/pull schedule exactly where its optimizations are weakest.
 //
@@ -15,19 +15,18 @@
 // workload.ChurnOp stream, so the online daemon, cmd/loadgen and
 // cmd/experiments consume zoo traces unchanged.
 //
-// Determinism is a hard contract, mirrored from the solver registry's
-// consumers: the same (graph, rates, Params.Seed) yields a byte-identical
-// op stream, every op is valid at its position (no duplicate adds, no
-// removes of absent edges, finite non-negative rates), and generators
-// consult neither time nor global state. The acceptance suite leans on
-// this to pin the daemon's accept/revert behavior per scenario.
+// Determinism is a hard contract: the same (graph, rates, Params.Seed)
+// yields a byte-identical op stream, every op is valid at its position
+// (no duplicate adds, no removes of absent edges, finite non-negative
+// rates), and generators consult neither time nor global state. The
+// acceptance suite leans on this to pin the daemon's accept/revert
+// behavior per scenario.
 package scenario
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"piggyback/internal/graph"
 	"piggyback/internal/telemetry"
@@ -56,128 +55,41 @@ type Params struct {
 // g or r.
 type Generator func(g *graph.Graph, r *workload.Rates, p Params) []workload.ChurnOp
 
-// Meta is the per-entry registry metadata declared at registration.
-type Meta struct {
-	// Summary is the one-line description the zoo table prints.
-	Summary string
-	// Stresses names the schedule weakness the scenario targets.
-	Stresses string
-}
-
-// ErrUnknownScenario is wrapped by Get for names nobody registered.
+// ErrUnknownScenario is wrapped by Generate for a name outside Names.
 var ErrUnknownScenario = errors.New("scenario: unknown scenario")
 
-// ErrDuplicateScenario is wrapped by Register when the name is taken.
-var ErrDuplicateScenario = errors.New("scenario: duplicate registration")
+// Table maps scenario names to generators.
+type Table map[string]Generator
 
-type entry struct {
-	gen  Generator
-	meta Meta
+// Default is the built-in zoo, one generator per scenario constant. The
+// set is closed: a new scenario is a new constant, generator and row.
+var Default = Table{
+	FlashCrowd:   GenFlashCrowd,
+	Diurnal:      GenDiurnal,
+	Cascade:      GenCascade,
+	RegionChurn:  GenRegionChurn,
+	LDBC:         GenLDBC,
+	Preferential: GenPreferential,
 }
 
-// Registry maps scenario names to generators plus metadata — a
-// first-class value like solver.Registry, so tests build private ones
-// and Clone derives scratch copies. All methods are safe for concurrent
-// use. The zero value is NOT ready; use NewRegistry (or Clone).
-type Registry struct {
-	mu      sync.RWMutex
-	entries map[string]entry
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{entries: map[string]entry{}}
-}
-
-// Default is the process-global registry the built-in scenarios register
-// into at init time.
-var Default = NewRegistry()
-
-// Register makes a generator available under name with its metadata.
-// It returns an error wrapping ErrDuplicateScenario when the name is
-// taken, and a plain error on an empty name or nil generator.
-func (r *Registry) Register(name string, gen Generator, m Meta) error {
-	if name == "" || gen == nil {
-		return errors.New("scenario: Register with empty name or nil generator")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.entries[name]; dup {
-		return fmt.Errorf("%w of %q", ErrDuplicateScenario, name)
-	}
-	r.entries[name] = entry{gen: gen, meta: m}
-	return nil
-}
-
-// MustRegister is Register that panics on error — the init-time path.
-func (r *Registry) MustRegister(name string, gen Generator, m Meta) {
-	if err := r.Register(name, gen, m); err != nil {
-		panic(err)
-	}
-}
-
-// Get returns the generator registered under name, or an error wrapping
+// Generate runs the generator named name, or returns an error wrapping
 // ErrUnknownScenario that lists the known names.
-func (r *Registry) Get(name string) (Generator, error) {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	r.mu.RUnlock()
+func (t Table) Generate(name string, g *graph.Graph, rates *workload.Rates, p Params) ([]workload.ChurnOp, error) {
+	gen, ok := t[name]
 	if !ok {
-		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownScenario, name, r.Names())
-	}
-	return e.gen, nil
-}
-
-// Meta returns the metadata declared for name, or an error wrapping
-// ErrUnknownScenario.
-func (r *Registry) Meta(name string) (Meta, error) {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	r.mu.RUnlock()
-	if !ok {
-		return Meta{}, fmt.Errorf("%w %q (have %v)", ErrUnknownScenario, name, r.Names())
-	}
-	return e.meta, nil
-}
-
-// Generate is the one-step convenience: look name up and run it.
-func (r *Registry) Generate(name string, g *graph.Graph, rates *workload.Rates, p Params) ([]workload.ChurnOp, error) {
-	gen, err := r.Get(name)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownScenario, name, t.Names())
 	}
 	return gen(g, rates, p), nil
 }
 
-// Names returns every registered scenario name, sorted — deterministic
-// regardless of registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
+// Names returns every scenario name, sorted.
+func (t Table) Names() []string {
+	names := make([]string, 0, len(t))
+	for n := range t {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Len returns the number of registered scenarios.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.entries)
-}
-
-// Clone returns an independent copy of the registry.
-func (r *Registry) Clone() *Registry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c := &Registry{entries: make(map[string]entry, len(r.entries))}
-	for n, e := range r.entries {
-		c.entries[n] = e
-	}
-	return c
 }
 
 // Materialize replays a trace against (g, r) as a pure function and

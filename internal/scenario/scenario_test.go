@@ -30,43 +30,18 @@ func traceHash(ops []workload.ChurnOp) uint64 {
 	return h.Sum64()
 }
 
+// TestRegistryBasics pins the fixed table's lookup: an unknown name is
+// refused with the known ones listed, and Names is sorted.
 func TestRegistryBasics(t *testing.T) {
-	r := NewRegistry()
-	if r.Len() != 0 {
-		t.Fatalf("fresh registry has %d entries", r.Len())
+	g, r := zooGraph(t)
+	_, err := Default.Generate("nope", g, r, Params{Ops: 10})
+	if !errors.Is(err, ErrUnknownScenario) {
+		t.Fatalf("Generate(unknown) err = %v, want ErrUnknownScenario", err)
 	}
-	gen := func(g *graph.Graph, rates *workload.Rates, p Params) []workload.ChurnOp { return nil }
-	if err := r.Register("a", gen, Meta{Summary: "s"}); err != nil {
-		t.Fatalf("Register: %v", err)
+	if !strings.Contains(err.Error(), fmt.Sprint(Default.Names())) {
+		t.Fatalf("unknown-name error %q does not list the scenarios", err)
 	}
-	if err := r.Register("a", gen, Meta{}); !errors.Is(err, ErrDuplicateScenario) {
-		t.Fatalf("duplicate Register err = %v, want ErrDuplicateScenario", err)
-	}
-	if err := r.Register("", gen, Meta{}); err == nil {
-		t.Fatal("Register with empty name succeeded")
-	}
-	if err := r.Register("b", nil, Meta{}); err == nil {
-		t.Fatal("Register with nil generator succeeded")
-	}
-	if _, err := r.Get("nope"); !errors.Is(err, ErrUnknownScenario) {
-		t.Fatalf("Get(unknown) err = %v, want ErrUnknownScenario", err)
-	}
-	if _, err := r.Meta("nope"); !errors.Is(err, ErrUnknownScenario) {
-		t.Fatalf("Meta(unknown) err = %v, want ErrUnknownScenario", err)
-	}
-	m, err := r.Meta("a")
-	if err != nil || m.Summary != "s" {
-		t.Fatalf("Meta(a) = %+v, %v", m, err)
-	}
-	if _, err := r.Get("a"); err != nil {
-		t.Fatalf("Get(a): %v", err)
-	}
-	c := r.Clone()
-	c.MustRegister("b", gen, Meta{})
-	if r.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("Clone not independent: orig %d, clone %d", r.Len(), c.Len())
-	}
-	if got := c.Names(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+	if got := (Table{"b": GenDiurnal, "a": GenCascade}).Names(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("Names() = %v", got)
 	}
 }
@@ -75,15 +50,6 @@ func TestDefaultRegistryRoster(t *testing.T) {
 	want := []string{Cascade, Diurnal, FlashCrowd, LDBC, Preferential, RegionChurn}
 	if got := Default.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Default.Names() = %v, want %v", got, want)
-	}
-	for _, name := range want {
-		m, err := Default.Meta(name)
-		if err != nil {
-			t.Fatalf("Meta(%s): %v", name, err)
-		}
-		if m.Summary == "" || m.Stresses == "" {
-			t.Fatalf("scenario %s registered without full metadata: %+v", name, m)
-		}
 	}
 }
 

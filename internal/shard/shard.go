@@ -10,12 +10,12 @@
 //     graph structure (random-walk seeds, BFS growth, label-propagation
 //     refinement), keeping hub neighborhoods — where piggybacking gains
 //     live — inside one shard. The assignment is deterministic given
-//     (graph, shards, seed).
+//     (graph, shards).
 //  2. Extract. Each shard's node group becomes a standalone dense-ID
 //     subgraph via graph.Induced; rates are remapped alongside.
-//  3. Solve. Each subgraph is solved through the solver registry
-//     (Config.Inner, default chitchat), shards running concurrently up
-//     to Config.Workers. Inner solvers run single-threaded — shard-level
+//  3. Solve. Each subgraph is solved by the caller's SolveFunc (the
+//     solver package binds CHITCHAT), shards running concurrently up to
+//     Config.Workers. Per-shard solves run single-threaded — shard-level
 //     concurrency already saturates the machine, and one active solve
 //     per worker is what keeps peak memory O(active shard).
 //  4. Reconcile. Per-shard patches are spliced into one schedule in
@@ -51,30 +51,15 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/partition"
-	"piggyback/internal/solver"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
-
-// Name is the solver's registry name.
-const Name = "shard"
-
-func init() {
-	solver.Default.MustRegister(Name, func(o solver.Options) solver.Solver {
-		return New(Config{
-			Shards:        o.Shards,
-			Workers:       o.Workers,
-			MaxCrossEdges: o.MaxCrossEdges,
-			Progress:      o.Progress,
-		})
-	})
-}
 
 // autoShardEdges sizes the auto partition: one shard per ~128k edges, so
 // a million-edge graph splits into 8 active-shard-sized pieces.
 const autoShardEdges = 1 << 17
 
-// Config parameterizes the sharded solver.
+// Config parameterizes the sharded solve.
 type Config struct {
 	// Shards is the partition count; 0 sizes it from the edge count
 	// (one shard per ~128k edges), and it is clamped to the node count.
@@ -82,65 +67,55 @@ type Config struct {
 	// Workers bounds concurrently-solving shards; 0 means GOMAXPROCS.
 	// The schedule is byte-identical for every value.
 	Workers int
-	// Inner names the registry solver run on each shard; "" means
-	// chitchat.
-	Inner string
-	// Registry resolves Inner; nil means solver.Default.
-	Registry *solver.Registry
-	// Seed varies the partition layout. The default (0) is fine; the
-	// knob exists for partition-sensitivity experiments.
-	Seed int64
-	// MaxCrossEdges passes through to the inner solver.
-	MaxCrossEdges int
-	// Progress, when non-nil, receives one event per completed shard.
-	Progress func(solver.ProgressEvent)
+	// OnProgress, when non-nil, is called on the coordinating goroutine
+	// once per solved shard, in completion order.
+	OnProgress func(Progress)
 }
 
-type shardSolver struct {
-	cfg Config
+// Progress is one solved shard.
+type Progress struct {
+	Solved int     // shards solved so far, this one included
+	Shards int     // the partition count
+	Edges  int     // the shard's edge count
+	Cost   float64 // the shard's schedule cost under its rates
 }
 
-// New returns the sharded solver under its full typed config.
-func New(cfg Config) solver.Solver { return &shardSolver{cfg: cfg} }
+// SolveFunc solves one shard's subgraph from scratch. It returns the
+// schedule and its iteration count; a non-nil schedule with a non-nil
+// error is an anytime result cut short by ctx, a nil schedule a hard
+// failure that aborts the solve. Calls run concurrently, one per worker.
+type SolveFunc func(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, int, error)
 
-func (s *shardSolver) Name() string { return Name }
-
-// SupportsRegions implements solver.RegionCapable: a region re-solve is
-// already a localized problem; sharding it again has no purpose.
-func (s *shardSolver) SupportsRegions() bool { return false }
-
-// ChainProgress implements solver.ProgressChainer: fn is appended to
-// the per-shard progress stream, after any previously configured sink.
-func (s *shardSolver) ChainProgress(fn func(solver.ProgressEvent)) {
-	prev := s.cfg.Progress
-	if prev == nil {
-		s.cfg.Progress = fn
-		return
-	}
-	s.cfg.Progress = func(ev solver.ProgressEvent) {
-		prev(ev)
-		fn(ev)
-	}
+// Result is a finished (or canceled) sharded solve.
+type Result struct {
+	Schedule *core.Schedule
+	// Shards is the partition count the solve used.
+	Shards int
+	// CutCovered counts the cut edges reconcileCut covered through hubs.
+	CutCovered int
+	// BoundaryRepairs counts the exterior supports core.RepairCoverage
+	// restored after the splice (zero for node-disjoint shards).
+	BoundaryRepairs int
 }
 
 // shardResult carries one finished shard back to the coordinator.
 type shardResult struct {
 	idx   int
 	sub   *graph.Subgraph
-	res   *solver.Result
+	sched *core.Schedule
+	iters int
+	cost  float64
 	cause error // context cancellation, schedule still usable
 	err   error // hard failure, aborts the solve
 }
 
-func (s *shardSolver) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
-	if p.Graph == nil || p.Rates == nil {
-		return nil, solver.ErrNoGraph
-	}
-	if p.Region != nil {
-		return nil, fmt.Errorf("solver %s: %w", Name, solver.ErrRegionUnsupported)
-	}
-	g := p.Graph
-	k := s.cfg.Shards
+// SolveCtx partitions g, solves every shard with solve, and reconciles
+// the shard schedules into one valid schedule of g. On cancellation it
+// returns the schedule reconciled from the shards solved so far together
+// with ctx's error; on a shard's hard failure it returns a zero Result
+// and that error.
+func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config, solve SolveFunc) (Result, error) {
+	k := cfg.Shards
 	if k <= 0 {
 		k = 1 + g.NumEdges()/autoShardEdges
 	}
@@ -150,24 +125,11 @@ func (s *shardSolver) Solve(ctx context.Context, p solver.Problem) (*solver.Resu
 	if k < 1 {
 		k = 1
 	}
-	inner := s.cfg.Inner
-	if inner == "" {
-		inner = solver.ChitChat
-	}
-	reg := s.cfg.Registry
-	if reg == nil {
-		reg = solver.Default
-	}
-	innerOpts := solver.Options{Workers: 1, MaxCrossEdges: s.cfg.MaxCrossEdges}
-	// Fail on unknown inner names before doing any partitioning work.
-	if _, err := reg.Get(inner); err != nil {
-		return nil, fmt.Errorf("solver %s: inner solver: %w", Name, err)
-	}
 
-	assign := partition.Locality(g, k, s.cfg.Seed)
+	assign := partition.Locality(g, k, 0)
 	groups := assign.Groups()
 
-	workers := s.cfg.Workers
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -190,10 +152,9 @@ func (s *shardSolver) Solve(ctx context.Context, p solver.Problem) (*solver.Resu
 		}
 	}
 
-	// Solve shards concurrently. Each worker builds its own inner solver
-	// (Solver instances are not safe for concurrent calls) and extracts
-	// its subgraph itself, so at most `workers` subgraphs and instance
-	// stores are live at once.
+	// Solve shards concurrently. Each worker extracts its subgraph
+	// itself, so at most `workers` subgraphs and instance stores are
+	// live at once.
 	next := make(chan int)
 	results := make(chan shardResult)
 	innerCtx, cancel := context.WithCancel(ctx)
@@ -203,19 +164,18 @@ func (s *shardSolver) Solve(ctx context.Context, p solver.Problem) (*solver.Resu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			isv, _ := reg.New(inner, innerOpts)
 			for idx := range next {
 				sctx := innerCtx
 				if tr != nil {
 					sctx = telemetry.NewContext(innerCtx, tr, spans[idx])
 				}
 				start := time.Now()
-				r := solveShard(sctx, isv, g, p.Rates, groups[idx], idx)
+				res := solveShard(sctx, solve, g, r, groups[idx], idx)
 				if tr != nil {
 					tr.SetDuration(spans[idx], time.Since(start))
-					tr.End(spans[idx], shardAttrs(r))
+					tr.End(spans[idx], shardAttrs(res))
 				}
-				results <- r
+				results <- res
 			}
 		}()
 	}
@@ -239,35 +199,28 @@ func (s *shardSolver) Solve(ctx context.Context, p solver.Problem) (*solver.Resu
 	subs := make([]*graph.Subgraph, k)
 	patches := make([]*core.Schedule, k)
 	var firstErr, cause error
-	done, solved := 0, 0
-	for r := range results {
-		done++
+	solved := 0
+	for res := range results {
 		switch {
-		case r.err != nil:
+		case res.err != nil:
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = fmt.Errorf("shard %d: %w", res.idx, res.err)
 				cancel()
 			}
 		default:
-			if r.cause != nil && cause == nil {
-				cause = r.cause
+			if res.cause != nil && cause == nil {
+				cause = res.cause
 			}
-			subs[r.idx] = r.sub
-			patches[r.idx] = r.res.Schedule
+			subs[res.idx] = res.sub
+			patches[res.idx] = res.sched
 			solved++
-			if s.cfg.Progress != nil {
-				s.cfg.Progress(solver.ProgressEvent{
-					Solver:    Name,
-					Iteration: solved,
-					Covered:   r.sub.G.NumEdges(),
-					Remaining: k - solved,
-					Cost:      r.res.Report.Cost,
-				})
+			if cfg.OnProgress != nil {
+				cfg.OnProgress(Progress{Solved: solved, Shards: k, Edges: res.sub.G.NumEdges(), Cost: res.cost})
 			}
 		}
 	}
 	if firstErr != nil {
-		return nil, fmt.Errorf("solver %s: shard solve: %w", Name, firstErr)
+		return Result{}, firstErr
 	}
 	if cause == nil {
 		cause = ctx.Err()
@@ -283,10 +236,10 @@ func (s *shardSolver) Solve(ctx context.Context, p solver.Problem) (*solver.Resu
 			continue // canceled before this shard was solved
 		}
 		if err := core.Splice(out, subs[idx], patches[idx]); err != nil {
-			return nil, fmt.Errorf("solver %s: splicing shard %d: %w", Name, idx, err)
+			return Result{}, fmt.Errorf("splicing shard %d: %w", idx, err)
 		}
 	}
-	repairs := core.RepairCoverage(out, p.Rates)
+	repairs := core.RepairCoverage(out, r)
 	cutCovered := 0
 	if k > 1 {
 		var cut []graph.EdgeID
@@ -296,19 +249,10 @@ func (s *shardSolver) Solve(ctx context.Context, p solver.Problem) (*solver.Resu
 			}
 			return true
 		})
-		cutCovered = reconcileCut(out, g, p.Rates, cut)
+		cutCovered = reconcileCut(out, g, r, cut)
 	}
-	out.Finalize(p.Rates)
-
-	rep := solver.Report{
-		Solver:          Name,
-		Iterations:      k,
-		CoveredEdges:    cutCovered,
-		BoundaryRepairs: repairs,
-		Cost:            out.Cost(p.Rates),
-		Canceled:        cause != nil,
-	}
-	return &solver.Result{Schedule: out, Report: rep}, cause
+	out.Finalize(r)
+	return Result{Schedule: out, Shards: k, CutCovered: cutCovered, BoundaryRepairs: repairs}, cause
 }
 
 // reconcileCut covers cut edges through hubs after the per-shard
@@ -377,19 +321,19 @@ func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []gra
 
 // shardAttrs renders the deterministic End attributes for one finished
 // shard — outcome class, iteration count, cost; never wall time.
-func shardAttrs(r shardResult) string {
+func shardAttrs(res shardResult) string {
 	switch {
-	case r.err != nil:
+	case res.err != nil:
 		return "failed"
-	case r.cause != nil:
-		return fmt.Sprintf("canceled iters=%d", r.res.Report.Iterations)
+	case res.cause != nil:
+		return fmt.Sprintf("canceled iters=%d", res.iters)
 	default:
-		return fmt.Sprintf("ok iters=%d cost=%.1f", r.res.Report.Iterations, r.res.Report.Cost)
+		return fmt.Sprintf("ok iters=%d cost=%.1f", res.iters, res.cost)
 	}
 }
 
 // solveShard extracts one shard's subgraph and solves it.
-func solveShard(ctx context.Context, isv solver.Solver, g *graph.Graph, r *workload.Rates, nodes []graph.NodeID, idx int) shardResult {
+func solveShard(ctx context.Context, solve SolveFunc, g *graph.Graph, r *workload.Rates, nodes []graph.NodeID, idx int) shardResult {
 	sub := graph.Induced(g, nodes)
 	lr := &workload.Rates{
 		Prod: make([]float64, len(sub.Global)),
@@ -399,11 +343,11 @@ func solveShard(ctx context.Context, isv solver.Solver, g *graph.Graph, r *workl
 		lr.Prod[l] = r.Prod[u]
 		lr.Cons[l] = r.Cons[u]
 	}
-	res, err := isv.Solve(ctx, solver.Problem{Graph: sub.G, Rates: lr})
-	if err != nil && res == nil {
+	sched, iters, err := solve(ctx, sub.G, lr)
+	if sched == nil {
 		return shardResult{idx: idx, err: err}
 	}
-	// err != nil with a non-nil result is the anytime-cancellation path:
-	// the partial schedule is valid and worth splicing.
-	return shardResult{idx: idx, sub: sub, res: res, cause: err}
+	// err != nil with a schedule is the anytime-cancellation path: the
+	// partial schedule is valid and worth splicing.
+	return shardResult{idx: idx, sub: sub, sched: sched, iters: iters, cost: sched.Cost(lr), cause: err}
 }

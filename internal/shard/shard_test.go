@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/shard"
 	"piggyback/internal/solver"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
@@ -20,6 +21,16 @@ func quickProblem(t *testing.T) solver.Problem {
 	t.Helper()
 	g := graphgen.Social(graphgen.FlickrLike(400, 1))
 	return solver.Problem{Graph: g, Rates: workload.LogDegree(g, 5)}
+}
+
+// newShard builds the sharded solver by name.
+func newShard(t *testing.T, shards, workers int) solver.Solver {
+	t.Helper()
+	sv, err := solver.New(solver.Shard, solver.Options{Shards: shards, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
 }
 
 func sameSchedule(t *testing.T, label string, a, b *core.Schedule, g *graph.Graph) {
@@ -33,10 +44,10 @@ func sameSchedule(t *testing.T, label string, a, b *core.Schedule, g *graph.Grap
 	}
 }
 
-// The -short registry smoke test: the solver is registered, solves a
-// small graph end-to-end, and the result is Theorem-1 valid.
+// The -short smoke test: the solver is built by name, solves a small
+// graph end-to-end, and the result is Theorem-1 valid.
 func TestShardRegistrySmoke(t *testing.T) {
-	sv, err := solver.Default.New(Name, solver.Options{Shards: 4})
+	sv, err := solver.New(solver.Shard, solver.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +59,8 @@ func TestShardRegistrySmoke(t *testing.T) {
 	if err := res.Schedule.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.Solver != Name || res.Report.Iterations != 4 {
-		t.Fatalf("report = %+v, want solver %q over 4 shards", res.Report, Name)
+	if res.Report.Solver != solver.Shard || res.Report.Iterations != 4 {
+		t.Fatalf("report = %+v, want solver %q over 4 shards", res.Report, solver.Shard)
 	}
 	if res.Report.Cost != res.Schedule.Cost(p.Rates) {
 		t.Fatalf("reported cost %v != schedule cost %v", res.Report.Cost, res.Schedule.Cost(p.Rates))
@@ -62,7 +73,7 @@ func TestShardRegistrySmoke(t *testing.T) {
 func TestShardWorkerInvariance(t *testing.T) {
 	p := quickProblem(t)
 	for _, shards := range []int{1, 2, 8} {
-		ref, err := New(Config{Shards: shards, Workers: 1}).Solve(context.Background(), p)
+		ref, err := newShard(t, shards, 1).Solve(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +81,7 @@ func TestShardWorkerInvariance(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		for _, workers := range []int{1, 4} {
-			got, err := New(Config{Shards: shards, Workers: workers}).Solve(context.Background(), p)
+			got, err := newShard(t, shards, workers).Solve(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,11 +95,11 @@ func TestShardWorkerInvariance(t *testing.T) {
 // nothing may diverge.
 func TestShardOneShardMatchesUnsharded(t *testing.T) {
 	p := quickProblem(t)
-	sharded, err := New(Config{Shards: 1}).Solve(context.Background(), p)
+	sharded, err := newShard(t, 1, 0).Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := solver.Default.New(solver.ChitChat, solver.Options{Workers: 1})
+	plain, err := solver.New(solver.ChitChat, solver.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +120,7 @@ func TestShardOneShardMatchesUnsharded(t *testing.T) {
 // byte-identical — the ratio is exactly 1.
 func TestShardQuickCostWithinFivePercent(t *testing.T) {
 	p := quickProblem(t)
-	plain, err := solver.Default.New(solver.ChitChat, solver.Options{Workers: 1})
+	plain, err := solver.New(solver.ChitChat, solver.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +128,7 @@ func TestShardQuickCostWithinFivePercent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := New(Config{}).Solve(context.Background(), p)
+	sharded, err := newShard(t, 0, 0).Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +152,7 @@ func TestShardNeverWorseThanHybrid(t *testing.T) {
 	p := quickProblem(t)
 	hy := baseline.HybridCost(p.Graph, p.Rates)
 	for _, shards := range []int{2, 4, 8} {
-		res, err := New(Config{Shards: shards}).Solve(context.Background(), p)
+		res, err := newShard(t, shards, 0).Solve(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,13 +172,16 @@ func TestShardProgressAndAutoShards(t *testing.T) {
 	p := quickProblem(t)
 	events := 0
 	last := 0
-	sv := New(Config{Workers: 1, Progress: func(ev solver.ProgressEvent) {
+	sv, err := solver.New(solver.Shard, solver.Options{Workers: 1, Progress: func(ev solver.ProgressEvent) {
 		events++
-		if ev.Solver != Name || ev.Iteration != last+1 {
+		if ev.Solver != solver.Shard || ev.Iteration != last+1 {
 			t.Fatalf("unexpected event %+v after %d shards", ev, last)
 		}
 		last = ev.Iteration
 	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := sv.Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +200,7 @@ func TestShardSpanTreeDeterministic(t *testing.T) {
 	p := quickProblem(t)
 	run := func(workers int) string {
 		tr := telemetry.NewTracer(42)
-		sv := solver.Chain(New(Config{Shards: 4, Workers: workers}), solver.WithTracing(tr))
+		sv := solver.Chain(newShard(t, 4, workers), solver.WithTracing(tr))
 		if _, err := sv.Solve(context.Background(), p); err != nil {
 			t.Fatalf("solve (workers=%d): %v", workers, err)
 		}
@@ -218,18 +232,21 @@ func TestShardSpanTreeDeterministic(t *testing.T) {
 
 func TestShardErrors(t *testing.T) {
 	p := quickProblem(t)
-	if _, err := New(Config{}).Solve(context.Background(), solver.Problem{}); !errors.Is(err, solver.ErrNoGraph) {
+	if _, err := newShard(t, 0, 0).Solve(context.Background(), solver.Problem{}); !errors.Is(err, solver.ErrNoGraph) {
 		t.Fatalf("nil graph: err = %v", err)
 	}
 	region := solver.Problem{Graph: p.Graph, Rates: p.Rates, Base: core.NewSchedule(p.Graph), Region: []graph.EdgeID{0}}
-	if _, err := New(Config{}).Solve(context.Background(), region); !errors.Is(err, solver.ErrRegionUnsupported) {
+	if _, err := newShard(t, 0, 0).Solve(context.Background(), region); !errors.Is(err, solver.ErrRegionUnsupported) {
 		t.Fatalf("region: err = %v", err)
 	}
-	if _, err := New(Config{Inner: "no-such-solver"}).Solve(context.Background(), p); !errors.Is(err, solver.ErrUnknownSolver) {
-		t.Fatalf("unknown inner: err = %v", err)
-	}
-	if solver.SupportsRegions(New(Config{})) {
+	if solver.SupportsRegions(newShard(t, 0, 0)) {
 		t.Fatal("shard solver claims region support")
+	}
+	// A shard's hard failure aborts the whole solve with its error.
+	boom := errors.New("boom")
+	fail := func(context.Context, *graph.Graph, *workload.Rates) (*core.Schedule, int, error) { return nil, 0, boom }
+	if res, err := shard.SolveCtx(context.Background(), p.Graph, p.Rates, shard.Config{Shards: 2}, fail); !errors.Is(err, boom) || res.Schedule != nil {
+		t.Fatalf("failing shard: schedule %v, err = %v", res.Schedule != nil, err)
 	}
 }
 
@@ -239,7 +256,7 @@ func TestShardCancellation(t *testing.T) {
 	p := quickProblem(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := New(Config{Shards: 8}).Solve(ctx, p)
+	res, err := newShard(t, 8, 0).Solve(ctx, p)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -14,53 +14,63 @@ import (
 	"piggyback/internal/densest"
 	"piggyback/internal/graph"
 	"piggyback/internal/nosy"
+	"piggyback/internal/shard"
+	"piggyback/internal/workload"
 )
 
-// Built-in registry names.
+// The built-in solver names: the paper's two algorithms, the sharded
+// composite, and the three baselines. The set is closed; New and Names
+// are the whole lookup.
 const (
 	ChitChat = "chitchat"
 	Nosy     = "nosy"
+	Shard    = "shard"
 	Hybrid   = "hybrid"
 	PushAll  = "pushall"
 	PullAll  = "pullall"
 )
 
-func init() {
-	Default.MustRegister(ChitChat, func(o Options) Solver {
-		return withProgress(NewChitChat(chitchat.Config{Workers: o.Workers, MaxCrossEdges: o.MaxCrossEdges}), o.Progress)
-	})
-	Default.MustRegister(Nosy, func(o Options) Solver {
-		return withProgress(NewNosy(nosy.Config{
-			Workers:       o.Workers,
-			MaxIterations: o.MaxIterations,
-			MaxCrossEdges: o.MaxCrossEdges,
-			TraceCosts:    o.TraceCosts,
-		}), o.Progress)
-	})
-	Default.MustRegister(Hybrid, func(Options) Solver { return baselineSolver{Hybrid} })
-	Default.MustRegister(PushAll, func(Options) Solver { return baselineSolver{PushAll} })
-	Default.MustRegister(PullAll, func(Options) Solver { return baselineSolver{PullAll} })
+// Names returns the built-in solver names, sorted.
+func Names() []string {
+	return []string{ChitChat, Hybrid, Nosy, PullAll, PushAll, Shard}
 }
 
-// withProgress attaches a progress sink to a typed-constructor solver.
-func withProgress(s Solver, fn func(ProgressEvent)) Solver {
-	if fn != nil {
-		Observe(s, fn)
+// New builds the named built-in solver under opts, or returns an error
+// wrapping ErrUnknownSolver that lists the valid names — the name
+// usually arrives from a flag.
+func New(name string, opts Options) (Solver, error) {
+	var s Solver
+	switch name {
+	case ChitChat:
+		s = NewChitChat(chitchat.Config{Workers: opts.Workers})
+	case Nosy:
+		s = NewNosy(nosy.Config{Workers: opts.Workers, TraceCosts: opts.TraceCosts})
+	case Shard:
+		s = &shardSolver{cfg: shard.Config{Shards: opts.Shards, Workers: opts.Workers}}
+	case Hybrid, PushAll, PullAll:
+		return baselineSolver{name}, nil
+	default:
+		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownSolver, name, Names())
 	}
-	return s
+	if opts.Progress != nil {
+		Observe(s, opts.Progress)
+	}
+	return s, nil
 }
 
 // guard recovers the typed panics reachable from the public API —
 // oversized exact-oracle instances and out-of-range graph edges — and
-// converts them into returned errors; anything else keeps propagating.
-func guard(name string, res **Result, err *error) {
+// converts them into returned errors, zeroing *res; anything else keeps
+// propagating.
+func guard[T any](name string, res *T, err *error) {
 	p := recover()
 	if p == nil {
 		return
 	}
 	if e, ok := p.(error); ok &&
 		(errors.Is(e, densest.ErrInstanceTooLarge) || errors.Is(e, graph.ErrEdgeOutOfRange)) {
-		*res = nil
+		var zero T
+		*res = zero
 		*err = fmt.Errorf("solver %s: %w", name, e)
 		return
 	}
@@ -256,21 +266,74 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 	return finish(Nosy, nr.Schedule, p, rep, cause)
 }
 
+// shardSolver adapts the sharded composite (internal/shard): every
+// shard is a single-threaded CHITCHAT solve, run behind guard on its
+// shard worker's goroutine.
+type shardSolver struct {
+	cfg      shard.Config
+	progress func(ProgressEvent)
+}
+
+func (s *shardSolver) Name() string { return Shard }
+
+// SupportsRegions implements RegionCapable: a region re-solve is
+// already a localized problem; sharding it again has no purpose.
+func (s *shardSolver) SupportsRegions() bool { return false }
+
+// ChainProgress implements ProgressChainer: fn is appended to the
+// per-shard progress stream, after any previously attached sink.
+func (s *shardSolver) ChainProgress(fn func(ProgressEvent)) {
+	s.progress = chainSinks(s.progress, fn)
+}
+
+func (s *shardSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
+	if err := checkProblem(p); err != nil {
+		return nil, err
+	}
+	if p.Region != nil {
+		return nil, fmt.Errorf("solver %s: %w", Shard, ErrRegionUnsupported)
+	}
+	cfg := s.cfg
+	if s.progress != nil {
+		prev := cfg.OnProgress
+		cfg.OnProgress = func(pr shard.Progress) {
+			if prev != nil {
+				prev(pr)
+			}
+			s.progress(ProgressEvent{
+				Solver:    Shard,
+				Iteration: pr.Solved,
+				Covered:   pr.Edges,
+				Remaining: pr.Shards - pr.Solved,
+				Cost:      pr.Cost,
+			})
+		}
+	}
+	sr, cause := shard.SolveCtx(ctx, p.Graph, p.Rates, cfg, solveShardChitChat)
+	if sr.Schedule == nil {
+		return nil, fmt.Errorf("solver %s: %w", Shard, cause)
+	}
+	return finish(Shard, sr.Schedule, p, Report{
+		Iterations:      sr.Shards,
+		CoveredEdges:    sr.CutCovered,
+		BoundaryRepairs: sr.BoundaryRepairs,
+	}, cause)
+}
+
+// solveShardChitChat is the shard.SolveFunc of the sharded solver: one
+// single-threaded CHITCHAT solve, its commits counted as iterations.
+func solveShardChitChat(ctx context.Context, g *graph.Graph, r *workload.Rates) (sched *core.Schedule, commits int, err error) {
+	defer guard(ChitChat, &sched, &err)
+	cfg := chitchat.Config{Workers: 1, OnProgress: func(pr chitchat.Progress) { commits = pr.Commits }}
+	sched, err = chitchat.SolveCtx(ctx, g, r, cfg)
+	return sched, commits, err
+}
+
 // baselineSolver adapts the one-shot baselines. They are instantaneous,
 // so the context is only consulted once: a pre-canceled context still
 // yields the (valid) baseline schedule alongside its error, per the
 // anytime contract.
 type baselineSolver struct{ name string }
-
-// NewBaseline returns the named baseline solver: Hybrid (FEEDINGFRENZY,
-// each edge served the cheaper way), PushAll, or PullAll.
-func NewBaseline(name string) (Solver, error) {
-	switch name {
-	case Hybrid, PushAll, PullAll:
-		return baselineSolver{name}, nil
-	}
-	return nil, fmt.Errorf("%w %q (baselines: %s, %s, %s)", ErrUnknownSolver, name, Hybrid, PushAll, PullAll)
-}
 
 func (s baselineSolver) Name() string { return s.name }
 

@@ -25,9 +25,8 @@ func Chain(s Solver, mws ...Middleware) Solver {
 }
 
 // ProgressChainer is an optional interface a Solver implements to let
-// wrappers attach additional progress sinks after construction (the
-// factory binds Options.Progress at build time; middleware arrives
-// later). Implementations must preserve previously attached sinks.
+// wrappers attach additional progress sinks after construction (New
+// binds Options.Progress at build time; middleware arrives later). Implementations must preserve previously attached sinks.
 type ProgressChainer interface {
 	ChainProgress(fn func(ProgressEvent))
 }
@@ -60,7 +59,7 @@ func (w wrapped) ChainProgress(fn func(ProgressEvent)) { Observe(w.inner, fn) }
 
 // WithRecover converts ANY panic escaping Solve into a returned error.
 // The built-ins already convert the typed library panics; this is the
-// belt-and-braces wrapper for third-party registrants running inside a
+// belt-and-braces wrapper for a caller's own Solver running inside a
 // serving process.
 func WithRecover() Middleware {
 	return func(next Solver) Solver {

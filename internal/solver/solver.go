@@ -29,10 +29,9 @@
 //     errors (densest.ErrInstanceTooLarge, graph.ErrEdgeOutOfRange)
 //     instead of crashing the serving process.
 //
-// Solvers are looked up by name in a Registry — a first-class value
-// mapping names to factories; the package-wide Default instance is what
-// the cmd tools and the piggyback facade use, and Clone() derives
-// independent registries for tests and embedders. It lists algorithms
+// New builds a solver by name from a fixed table of the six built-ins
+// (Names lists them), which is what the cmd tools and the piggyback
+// facade resolve a flag or a caller's name against. It lists algorithms
 // only; DESIGN.md §10 has the measurement behind that. Cross-cutting
 // concerns wrap any Solver through Middleware and Chain: WithTracing,
 // WithRecover, WithStop (cancel on the solve's own progress,
@@ -70,7 +69,7 @@ type Problem struct {
 
 // Report summarizes a finished (or canceled) solve.
 type Report struct {
-	// Solver is the registered name of the algorithm that ran.
+	// Solver is the name of the algorithm that ran.
 	Solver string
 	// Iterations is how many iterations ran: PARALLELNOSY rounds,
 	// CHITCHAT greedy commits, 1 for the one-shot baselines.
@@ -104,10 +103,11 @@ type Result struct {
 // ProgressEvent is one live progress sample streamed to
 // Options.Progress while a solve runs.
 type ProgressEvent struct {
-	// Solver is the registered name of the algorithm reporting.
+	// Solver is the name of the algorithm reporting.
 	Solver string
 	// Iteration counts iterations so far: the 0-based round for
-	// PARALLELNOSY, the commit count for CHITCHAT.
+	// PARALLELNOSY, the commit count for CHITCHAT, the shards solved for
+	// the sharded solver.
 	Iteration int
 	// Dirty is the dirty-set size this round (hub edges re-evaluated;
 	// PARALLELNOSY only).
@@ -119,33 +119,29 @@ type ProgressEvent struct {
 	PartialCommits int
 	CoveredEdges   int
 	// Covered / Remaining are the served and still-unserved ground-set
-	// edge counts (CHITCHAT only).
+	// edge counts for CHITCHAT; for the sharded solver, the solved
+	// shard's edge count and the shards still to solve.
 	Covered   int
 	Remaining int
 	// Saved is what the commits so far have won over serving the edges
 	// they covered directly (CHITCHAT only; chitchat.Progress.Saved).
 	Saved float64
 	// Cost is the current finalized cost when the solver tracks it
-	// (PARALLELNOSY under Options.TraceCosts); NaN when not computed.
+	// (PARALLELNOSY under Options.TraceCosts; the solved shard's cost for
+	// the sharded solver); NaN when not computed.
 	Cost float64
 }
 
-// Options tunes a solver constructed through the registry. The zero
-// value uses every default. Knobs that do not apply to a given
-// algorithm are ignored; algorithm-specific configuration beyond these
-// is available through the typed constructors (NewChitChat, NewNosy).
+// Options tunes a solver constructed by New. The zero value uses every
+// default. Knobs that do not apply to a given algorithm are ignored;
+// algorithm-specific configuration beyond these is available through
+// the typed constructors (NewChitChat, NewNosy).
 type Options struct {
 	// Workers is the parallelism degree; 0 means GOMAXPROCS. Read by
 	// nosy, shard and chitchat (its seed phase; the greedy loop is
 	// serial); the baselines do no work worth splitting. Schedules are
 	// byte-identical for every worker count.
 	Workers int
-	// MaxIterations bounds iterative solvers; 0 means run to
-	// convergence.
-	MaxIterations int
-	// MaxCrossEdges is the per-hub cross-edge bound b of §4.2; 0 means
-	// the algorithm default (100 000).
-	MaxCrossEdges int
 	// Shards is the partition count for the sharded solver; 0 means
 	// auto-size from the edge count. Ignored by unsharded solvers.
 	Shards int
@@ -162,7 +158,7 @@ type Options struct {
 // Solver produces valid Theorem-1 schedules. Implementations are safe
 // for reuse across calls but not necessarily for concurrent calls.
 type Solver interface {
-	// Name returns the solver's registered name.
+	// Name returns the solver's name.
 	Name() string
 	// Solve solves p under ctx. See the package comment for the
 	// cancellation contract: a non-nil *Result accompanies a
@@ -170,8 +166,10 @@ type Solver interface {
 	Solve(ctx context.Context, p Problem) (*Result, error)
 }
 
-// Sentinel errors returned by Solve.
+// Sentinel errors returned by New and Solve.
 var (
+	// ErrUnknownSolver means New was given a name outside Names().
+	ErrUnknownSolver = errors.New("solver: unknown solver")
 	// ErrNoGraph means Problem.Graph or Problem.Rates was nil.
 	ErrNoGraph = errors.New("solver: problem has no graph or no rates")
 	// ErrNoBase means Problem.Region was set without a Base schedule.

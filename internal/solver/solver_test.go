@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"piggyback/internal/baseline"
@@ -36,48 +38,47 @@ func scheduleBytes(t *testing.T, s *core.Schedule) []byte {
 	return buf.Bytes()
 }
 
+// TestRegistryHasBuiltins pins the fixed name table: the six built-ins,
+// sorted, each built by New under its own name, and an unknown name
+// refused with the valid ones listed.
 func TestRegistryHasBuiltins(t *testing.T) {
-	// Algorithms only, and exactly these: "shard" registers itself from
-	// its own package, which this test binary does not link.
-	names := Default.Names()
-	want := []string{ChitChat, Hybrid, Nosy, PullAll, PushAll}
-	if !slices.Equal(names, want) {
+	want := []string{ChitChat, Hybrid, Nosy, PullAll, PushAll, Shard}
+	if names := Names(); !slices.Equal(names, want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}
 	for _, w := range want {
-		if _, err := Default.Get(w); err != nil {
-			t.Errorf("Get(%q): %v", w, err)
+		sv, err := New(w, Options{})
+		if err != nil {
+			t.Fatalf("New(%q): %v", w, err)
+		}
+		if sv.Name() != w {
+			t.Errorf("New(%q) built %q", w, sv.Name())
 		}
 	}
-	if _, err := Default.Get("no-such-algorithm"); !errors.Is(err, ErrUnknownSolver) {
-		t.Errorf("Get(unknown) = %v, want ErrUnknownSolver", err)
+	_, err := New("no-such-algorithm", Options{})
+	if !errors.Is(err, ErrUnknownSolver) {
+		t.Fatalf("New(unknown) = %v, want ErrUnknownSolver", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(want)) {
+		t.Errorf("unknown-name error %q does not list %v", msg, want)
 	}
 }
 
-func TestRegisterMisusePanics(t *testing.T) {
-	reg := NewRegistry()
-	reg.MustRegister(Hybrid, func(Options) Solver { return baselineSolver{Hybrid} })
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"empty name", func() { reg.MustRegister("", func(Options) Solver { return baselineSolver{Hybrid} }) }},
-		{"nil factory", func() { reg.MustRegister("x", nil) }},
-		{"duplicate", func() { reg.MustRegister(Hybrid, func(Options) Solver { return baselineSolver{Hybrid} }) }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("MustRegister %s: expected panic", tc.name)
-				}
-			}()
-			tc.fn()
-		}()
+// Names hands out a fresh slice: a caller sorting or editing its copy
+// cannot reorder the table for the next caller.
+func TestRegistryNamesSorted(t *testing.T) {
+	names := Names()
+	if !sort.StringsAreSorted(names) {
+		t.Fatalf("Names() not sorted: %v", names)
+	}
+	names[0] = "zeta"
+	if again := Names(); again[0] != ChitChat {
+		t.Fatalf("editing one Names() result changed the next: %v", again)
 	}
 }
 
 // TestSolversMatchPreRedesign pins the acceptance criterion: every
-// registered solver produces a byte-identical schedule to its
+// paper solver and baseline produces a byte-identical schedule to its
 // pre-redesign facade counterpart on the reference graph.
 func TestSolversMatchPreRedesign(t *testing.T) {
 	nodes := 400
@@ -94,7 +95,7 @@ func TestSolversMatchPreRedesign(t *testing.T) {
 	}
 	for name, old := range legacy {
 		t.Run(name, func(t *testing.T) {
-			sv, err := Default.New(name, Options{})
+			sv, err := New(name, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +134,7 @@ func TestCancelMidSolve(t *testing.T) {
 		cancelAt := 1 // cancel as the second round's stats stream
 		var events int
 		sv := NewNosy(nosy.Config{})
-		withProgress(sv, func(ev ProgressEvent) {
+		Observe(sv, func(ev ProgressEvent) {
 			events++
 			if ev.Iteration == cancelAt {
 				cancel()
@@ -172,7 +173,7 @@ func TestCancelMidSolve(t *testing.T) {
 		defer cancel()
 		const cancelAt = 25 // commits before canceling
 		sv := NewChitChat(chitchat.Config{})
-		withProgress(sv, func(ev ProgressEvent) {
+		Observe(sv, func(ev ProgressEvent) {
 			if ev.Iteration == cancelAt {
 				cancel()
 			}
@@ -225,7 +226,7 @@ func TestWorkerInvarianceUnderCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		sv := NewNosy(nosy.Config{Workers: workers})
-		withProgress(sv, func(ev ProgressEvent) {
+		Observe(sv, func(ev ProgressEvent) {
 			if ev.Iteration == 1 {
 				cancel()
 			}
@@ -439,7 +440,7 @@ func TestProgressStream(t *testing.T) {
 	g, r := quickProblem(t, 100)
 	var nosyEvents []ProgressEvent
 	sv := NewNosy(nosy.Config{TraceCosts: true})
-	withProgress(sv, func(ev ProgressEvent) { nosyEvents = append(nosyEvents, ev) })
+	Observe(sv, func(ev ProgressEvent) { nosyEvents = append(nosyEvents, ev) })
 	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +464,7 @@ func TestProgressStream(t *testing.T) {
 	}
 	var last ProgressEvent
 	cc := NewChitChat(chitchat.Config{})
-	withProgress(cc, func(ev ProgressEvent) { last = ev })
+	Observe(cc, func(ev ProgressEvent) { last = ev })
 	if _, err := cc.Solve(context.Background(), Problem{Graph: g, Rates: r}); err != nil {
 		t.Fatal(err)
 	}
@@ -484,8 +485,9 @@ func TestSupportsRegions(t *testing.T) {
 		Hybrid:   false,
 		PushAll:  false,
 		PullAll:  false,
+		Shard:    false,
 	} {
-		sv, err := Default.New(name, Options{})
+		sv, err := New(name, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@
 // cancellation (canceled solves return the best-so-far valid schedule
 // together with the context's error), live progress streaming, and
 // typed errors instead of panics. Solvers are selected by name from a
-// registry, so tools and services share a single code path.
+// fixed table, so tools and services share a single code path.
 //
 // Quick start:
 //
@@ -54,7 +54,6 @@ import (
 	"piggyback/internal/partition"
 	"piggyback/internal/refine"
 	"piggyback/internal/sampling"
-	_ "piggyback/internal/shard" // registers the "shard" solver
 	"piggyback/internal/solver"
 	"piggyback/internal/workload"
 )
@@ -83,21 +82,18 @@ type Report = solver.Report
 // while a solve runs.
 type ProgressEvent = solver.ProgressEvent
 
-// Options tunes a registry-constructed solver: workers, iteration and
-// cross-edge bounds, cost tracing, and the Progress callback.
+// Options tunes a solver built by NewSolver: workers, the shard count,
+// cost tracing, and the Progress callback.
 type Options = solver.Options
 
-// SolverFactory builds a configured Solver from Options.
-type SolverFactory = solver.Factory
-
-// Typed errors surfaced by Solve (and the registry).
+// Typed errors surfaced by Solve (and NewSolver).
 var (
 	// ErrInstanceTooLarge: the exact densest-subgraph oracle was asked
 	// to enumerate an instance with more than 24 nodes.
 	ErrInstanceTooLarge = densest.ErrInstanceTooLarge
 	// ErrEdgeOutOfRange: a graph edge referenced a node outside [0, n).
 	ErrEdgeOutOfRange = graph.ErrEdgeOutOfRange
-	// ErrUnknownSolver: no solver is registered under the given name.
+	// ErrUnknownSolver: NewSolver knows no solver by the given name.
 	ErrUnknownSolver = solver.ErrUnknownSolver
 	// ErrRegionUnsupported: the chosen solver cannot re-solve regions.
 	ErrRegionUnsupported = solver.ErrRegionUnsupported
@@ -106,17 +102,13 @@ var (
 	ErrRegionNotInduced = solver.ErrRegionNotInduced
 )
 
-// GetSolver returns the factory registered under name in the default
-// registry, or an error wrapping ErrUnknownSolver.
-func GetSolver(name string) (SolverFactory, error) { return solver.Default.Get(name) }
+// NewSolver builds the named solver: the algorithms "chitchat", "nosy"
+// and "shard" or the baselines "hybrid", "pushall" and "pullall". Any
+// other name is an error wrapping ErrUnknownSolver.
+func NewSolver(name string, opts Options) (Solver, error) { return solver.New(name, opts) }
 
-// NewSolver looks name up in the default registry and builds the solver.
-// The registered names are the algorithms "chitchat", "nosy" and "shard"
-// and the baselines "hybrid", "pushall" and "pullall".
-func NewSolver(name string, opts Options) (Solver, error) { return solver.Default.New(name, opts) }
-
-// Solvers returns every solver name in the default registry, sorted.
-func Solvers() []string { return solver.Default.Names() }
+// Solvers returns every solver name NewSolver accepts, sorted.
+func Solvers() []string { return solver.Names() }
 
 // NewChitChatSolver returns the CHITCHAT solver under its full typed
 // config (knobs beyond Options: exact oracle, per-commit progress hook).
