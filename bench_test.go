@@ -172,8 +172,7 @@ func BenchmarkPlacementCost(b *testing.B) {
 
 func BenchmarkPrototypeRequests(b *testing.B) {
 	g, r := benchGraph()
-	pn, _ := ParallelNosy(g, r, NosyConfig{})
-	c, err := netstore.NewCluster(pn, netstore.ClusterOptions{Servers: 64})
+	c, err := netstore.NewCluster(nosy.Solve(g, r, nosy.Config{}).Schedule, netstore.ClusterOptions{Servers: 64})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,6 +2,9 @@ package piggyback
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -178,6 +181,78 @@ func TestDocsNameExistingConfigFields(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDocsNameExistingDeclarations keeps the docs from citing a solver or
+// fault-injection name that no longer exists: in README, DESIGN and the
+// verify SKILL every backticked solver.X or fault.X must be a top-level
+// declaration of internal/solver or internal/fault, exported or not
+// (solver.guard); a deleted one is cited without backticks.
+func TestDocsNameExistingDeclarations(t *testing.T) {
+	decls := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, pkg := range []string{"solver", "fault"} {
+		dir := filepath.Join("internal", pkg)
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fi := range files {
+			if !strings.HasSuffix(fi.Name(), ".go") || strings.HasSuffix(fi.Name(), "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(dir, fi.Name()), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						decls[pkg+"."+d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, sp := range d.Specs {
+						switch sp := sp.(type) {
+						case *ast.TypeSpec:
+							decls[pkg+"."+sp.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								decls[pkg+"."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// Code spans may wrap a line, so scan each document whole: fences
+	// first, then the inline spans once the fences are blanked out.
+	fence := regexp.MustCompile("(?s)```.*?```")
+	span := regexp.MustCompile("`[^`]+`")
+	ref := regexp.MustCompile(`(?:^|[^\w/.])((?:solver|fault)\.\w+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(b)
+		check := func(code []int) {
+			for _, m := range ref.FindAllStringSubmatchIndex(text[code[0]:code[1]], -1) {
+				if name := text[code[0]+m[2] : code[0]+m[3]]; !decls[name] {
+					t.Errorf("%s:%d names %s, which is no declaration of internal/%s",
+						doc, strings.Count(text[:code[0]+m[2]], "\n")+1, name, strings.Split(name, ".")[0])
+				}
+			}
+		}
+		for _, loc := range fence.FindAllStringIndex(text, -1) {
+			check(loc)
+		}
+		text = fence.ReplaceAllStringFunc(text, func(f string) string { return strings.Repeat("\n", strings.Count(f, "\n")) })
+		for _, loc := range span.FindAllStringIndex(text, -1) {
+			check(loc)
 		}
 	}
 }

@@ -17,10 +17,10 @@ import (
 )
 
 // A panic while a seed worker builds a hub must surface on the goroutine
-// that called Solve, where solver.guard, WithRecover and the daemon's
-// breaker recover — on a spawned goroutine it would kill the process. Two
-// hubs panic, in blocks far apart; the lower one's value is what comes
-// back, typed or not, whichever worker met it first.
+// that called Solve, where solver.guard turns a typed one into an error
+// and a caller can recover any other — on a spawned goroutine it would
+// kill the process. Two hubs panic, in blocks far apart; the lower one's
+// value is what comes back, typed or not, whichever worker met it first.
 func TestSeedWorkerPanicReachesTheCaller(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -28,7 +28,7 @@ func TestSeedWorkerPanicReachesTheCaller(t *testing.T) {
 	p := solver.Problem{Graph: g, Rates: workload.LogDegree(g, 5)}
 	defer chitchat.SetSeedObserver(nil)
 	for _, workers := range []int{1, 2, 3} {
-		sv := solver.Chain(solver.NewChitChat(chitchat.Config{Workers: workers}), solver.WithRecover())
+		sv := solver.NewChitChat(chitchat.Config{Workers: workers})
 
 		chitchat.SetSeedObserver(func(w graph.NodeID) {
 			if w == 40 || w == 250 {
@@ -45,9 +45,13 @@ func TestSeedWorkerPanicReachesTheCaller(t *testing.T) {
 				panic(fmt.Sprintf("hub %d broke", w))
 			}
 		})
-		res, err = sv.Solve(context.Background(), p)
-		if res != nil || err == nil || !strings.Contains(err.Error(), "panic: hub 40 broke") {
-			t.Errorf("workers=%d, untyped panic: res=%v err=%v", workers, res, err)
+		raised := func() (r any) {
+			defer func() { r = recover() }()
+			res, err = sv.Solve(context.Background(), p)
+			return nil
+		}()
+		if raised != "hub 40 broke" {
+			t.Errorf("workers=%d, untyped panic: raised %v, res=%v err=%v", workers, raised, res, err)
 		}
 
 		chitchat.SetSeedObserver(nil)

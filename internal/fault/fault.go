@@ -15,8 +15,9 @@
 //     (write ops, not reads, because kernel read chunking is not
 //     deterministic while one frame flush is one write).
 //   - Solver: SolverPanics / SolverStalls are solver.Middleware that
-//     sabotage scheduled solve invocations, for driving the circuit
-//     breaker and WithRecover paths without a broken algorithm.
+//     sabotage scheduled solve invocations, for driving the daemon's
+//     failure handling (a panic raised at the splice, a stalled solve
+//     cut by the splice op's deadline) without a broken algorithm.
 package fault
 
 import (

@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -149,15 +150,22 @@ func (s *okSolver) Solve(context.Context, solver.Problem) (*solver.Result, error
 
 func TestSolverPanicsOnScheduledSolves(t *testing.T) {
 	inner := &okSolver{}
-	s := solver.Chain(inner, solver.WithRecover(), SolverPanics(2, 4))
+	s := SolverPanics(2, 4)(inner)
 	for i := 1; i <= 5; i++ {
-		res, err := s.Solve(context.Background(), solver.Problem{})
+		var res *solver.Result
+		var err error
+		raised := func() (p any) {
+			defer func() { p = recover() }()
+			res, err = s.Solve(context.Background(), solver.Problem{})
+			return nil
+		}()
 		sabotaged := i >= 2 && i < 4
-		if sabotaged && (res != nil || err == nil) {
-			t.Fatalf("solve %d: expected recovered panic, got res=%v err=%v", i, res, err)
+		want := fmt.Sprintf("fault: injected panic on solve %d of ok", i)
+		if sabotaged && raised != want {
+			t.Fatalf("solve %d: panicked with %v, want %q", i, raised, want)
 		}
-		if !sabotaged && (res == nil || err != nil) {
-			t.Fatalf("solve %d: expected success, got res=%v err=%v", i, res, err)
+		if !sabotaged && (raised != nil || res == nil || err != nil) {
+			t.Fatalf("solve %d: expected success, got panic=%v res=%v err=%v", i, raised, res, err)
 		}
 	}
 	if inner.solves != 3 {
@@ -167,7 +175,7 @@ func TestSolverPanicsOnScheduledSolves(t *testing.T) {
 
 func TestSolverStallsUntilContextDone(t *testing.T) {
 	inner := &okSolver{}
-	s := solver.Chain(inner, SolverStalls(1, 2))
+	s := SolverStalls(1, 2)(inner)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	res, err := s.Solve(ctx, solver.Problem{})

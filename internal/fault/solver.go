@@ -9,8 +9,8 @@ import (
 
 // SolverPanics is middleware that panics on solve invocations from..to
 // (1-based, inclusive from, exclusive to), counted per wrapper
-// instance. Paired with solver.WithRecover it turns into scheduled hard
-// failures — the deterministic way to exercise the circuit breaker.
+// instance — the deterministic way to exercise the daemon's handling of
+// a panic on its attempt goroutine, which it raises again at the splice.
 func SolverPanics(from, to int) solver.Middleware {
 	return func(next solver.Solver) solver.Solver {
 		return &sabotageSolver{inner: next, from: from, to: to, mode: sabotagePanic}

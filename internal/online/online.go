@@ -83,10 +83,9 @@ type Config struct {
 	// solver.Solver that supports Problem.Region; nil means
 	// solver.NewChitChat(ChitChat). The daemon resolves no names: a
 	// caller that takes one from a flag builds it with solver.New
-	// itself. Nor does it own a failure policy: a solver panic is fatal,
-	// and a caller that wants a failing solver quarantined hands in the
-	// solver package's circuit breaker, with its counters and transitions
-	// (DESIGN.md §11).
+	// itself. Its failures are the daemon's to handle (DESIGN.md §11): a
+	// panic is raised again at the splice, a solve that returns nothing
+	// is a failed attempt booked in SolverErrors.
 	Regional solver.Solver
 	// ChitChat configures the default regional solver; ignored when
 	// Regional is set.
@@ -318,13 +317,12 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 			d.regional.Name(), solver.ErrRegionUnsupported)
 	}
 	// The stopping rule sits on the regional solver itself: whatever it
-	// streams is what the rule sees. A breaker streams its primary only,
-	// so the rule cuts the primary and never the fallback.
+	// streams is what the rule sees.
 	d.regional = solver.WithStop(d.attempt.stop)(d.regional)
 	if d.cfg.Tracer != nil {
-		// Wrap outermost so every daemon-triggered re-solve — a breaker's
-		// primary, fallback or probe alike — opens exactly one "solve/..." span,
-		// with a composite solver's spans nesting under it via the context.
+		// Wrap outermost so every daemon-triggered re-solve opens exactly
+		// one "solve/..." span, with a composite solver's spans nesting
+		// under it via the context.
 		d.regional = solver.WithTracing(d.cfg.Tracer)(d.regional)
 	}
 	d.m = incremental.New(s, r)

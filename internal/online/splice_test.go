@@ -134,9 +134,9 @@ func TestSpliceReplayIsExact(t *testing.T) {
 }
 
 // What goes wrong in an attempt surfaces at its splice, on the Apply
-// goroutine: a panic without a breaker is raised there, through a breaker
-// it is a failed attempt, and a solver that never returns is cut by the
-// splice op's deadline and books a failure instead of hanging the daemon.
+// goroutine: a panic is raised there, and a solver that never returns is
+// cut by the splice op's deadline and books a failure instead of hanging
+// the daemon.
 func TestSpliceFailures(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(120, 4))
 	base := workload.LogDegree(g, 5)
@@ -164,7 +164,7 @@ func TestSpliceFailures(t *testing.T) {
 	}
 
 	t.Run("panic without a breaker", func(t *testing.T) {
-		d, _ := newDaemon(Config{Regional: solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverPanics(1, 2))})
+		d, _ := newDaemon(Config{Regional: fault.SolverPanics(1, 2)(solver.NewChitChat(chitchat.Config{}))})
 		i := untilSplice(d, 0)
 		raised := func() (p any) {
 			defer func() { p = recover() }()
@@ -175,23 +175,8 @@ func TestSpliceFailures(t *testing.T) {
 		}
 	})
 
-	t.Run("panic through a breaker", func(t *testing.T) {
-		b := quarantine(solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverPanics(1, 2)), nil)
-		d, ev := newDaemon(Config{Regional: b})
-		if err := d.ApplyTrace(trace); err != nil {
-			t.Fatal(err)
-		}
-		st, bs := d.Stats(), b.Stats()
-		if st.SolverErrors != 1 || bs.Failures != 1 || !strings.Contains(ev.Attrs("resolve")[0], "verdict=failed") {
-			t.Fatalf("want the first attempt failed and booked once: %+v %+v", st, bs)
-		}
-		if st.Resolves == 0 {
-			t.Fatalf("no attempt after the failure was kept: %+v", st)
-		}
-	})
-
 	t.Run("a stalled solve and a deadline on the splice op", func(t *testing.T) {
-		d, ev := newDaemon(Config{Regional: solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverStalls(1, 2))})
+		d, ev := newDaemon(Config{Regional: fault.SolverStalls(1, 2)(solver.NewChitChat(chitchat.Config{}))})
 		i := untilSplice(d, 0)
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		defer cancel()

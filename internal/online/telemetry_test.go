@@ -4,12 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"piggyback/internal/chitchat"
-	"piggyback/internal/fault"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
 	"piggyback/internal/solver"
@@ -17,30 +16,29 @@ import (
 	"piggyback/internal/workload"
 )
 
-// telemetryOut is one breaker-quarantine run's deterministic artifacts:
-// the span tree, the non-timing metric snapshot and the breaker event
-// stream, with the breaker's end Stats.
+// telemetryOut is one run's deterministic artifacts: the span tree, the
+// non-timing metric snapshot and the decision records.
 type telemetryOut struct {
 	tree, snap string
-	events     []string
-	bs         solver.BreakerStats
+	records    []string
 }
 
-// telemetryRun drives the breaker-quarantine scenario (panicking primary,
-// chitchat fallback) with full telemetry attached.
+// telemetryRun drives a churn trace through a daemon whose regional
+// solver is NOSY at the given worker count, with full telemetry attached.
 func telemetryRun(workers int) (out telemetryOut, err error) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(400, 250), 7))
 	base := workload.LogDegree(g, 5)
 	r := freshRates(g, base)
-	init := chitchat.Solve(g, r, chitchat.Config{})
+	// A NOSY incumbent: against CHITCHAT's every NOSY patch is dearer and
+	// reverted, and the test needs both verdicts.
+	init := nosy.Solve(g, r, nosy.Config{Workers: 1}).Schedule
 	trace := workload.GenerateChurn(g, base, scaled(2500, 1200), workload.ChurnConfig{Seed: 7})
 
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(7)
 	var ev telemetry.EventLog
-	b := quarantine(solver.Chain(solver.NewNosy(nosy.Config{Workers: workers}), fault.SolverPanics(1, 4)), &ev)
 	d, err := New(init, r, Config{
-		Regional:       b,
+		Regional:       solver.NewNosy(nosy.Config{Workers: workers}),
 		DriftThreshold: 0.02,
 		CheckEvery:     8,
 		BudgetFraction: -1,
@@ -66,102 +64,47 @@ func telemetryRun(workers int) (out telemetryOut, err error) {
 	if _, ok := full.NonTiming().Get("online_stall_seconds"); ok {
 		return out, errors.New("online_stall_seconds is in the non-timing snapshot")
 	}
-	return telemetryOut{tr.Tree(), full.NonTiming().String(), ev.Attrs("breaker"), b.Stats()}, nil
+	return telemetryOut{tr.Tree(), full.NonTiming().String(), ev.Attrs("resolve")}, nil
 }
 
-func mustTelemetryRun(t *testing.T, workers int) telemetryOut {
-	t.Helper()
-	out, err := telemetryRun(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// telemetryFirst is telemetryRun(1)'s first run, kept for every test that
-// reads one; a failure is kept with it, so each reader fails on it.
-var telemetryFirst struct {
-	sync.Once
-	out telemetryOut
-	err error
-}
-
-func firstTelemetryRun(t *testing.T) telemetryOut {
-	t.Helper()
-	f := &telemetryFirst
-	f.Do(func() { f.out, f.err = telemetryRun(1) })
-	if f.err != nil {
-		t.Fatal(f.err)
-	}
-	return f.out
-}
-
-// Same seed, same fault plan, same configuration: two runs must produce
-// a byte-identical span tree, an identical non-timing metric snapshot,
-// and an identical breaker event stream — and the artifacts must not
-// depend on the solver's worker count either.
+// Same seed, same trace, same configuration: runs at Workers 1, 1 and 4
+// must produce a byte-identical span tree, non-timing metric snapshot and
+// decision record stream. The records must hold an accepted and a
+// reverted attempt, so the runs agree on both of the gate's verdicts.
 func TestDaemonTelemetryDeterministic(t *testing.T) {
-	run1, run2 := firstTelemetryRun(t), mustTelemetryRun(t, 1)
-	tree1, snap1, ev1 := run1.tree, run1.snap, run1.events
-	tree2, snap2, ev2 := run2.tree, run2.snap, run2.events
-	if tree1 != tree2 {
-		t.Fatalf("span tree differs across identical runs:\n--- run 1\n%s\n--- run 2\n%s", tree1, tree2)
-	}
-	if snap1 != snap2 {
-		t.Fatalf("non-timing snapshot differs across identical runs:\n--- run 1\n%s\n--- run 2\n%s", snap1, snap2)
-	}
-	if len(ev1) != len(ev2) {
-		t.Fatalf("event streams differ: %v vs %v", ev1, ev2)
-	}
-	run4 := mustTelemetryRun(t, 4)
-	tree4, snap4, ev4 := run4.tree, run4.snap, run4.events
-	if tree1 != tree4 {
-		t.Fatalf("span tree differs between Workers=1 and Workers=4:\n--- w1\n%s\n--- w4\n%s", tree1, tree4)
-	}
-	if snap1 != snap4 {
-		t.Fatalf("non-timing snapshot differs between Workers=1 and Workers=4:\n--- w1\n%s\n--- w4\n%s", snap1, snap4)
-	}
-	for i := range ev1 {
-		if ev1[i] != ev4[i] {
-			t.Fatalf("event %d differs between worker counts: %q vs %q", i, ev1[i], ev4[i])
+	var want telemetryOut
+	for i, workers := range []int{1, 1, 4} {
+		got, err := telemetryRun(workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if tree1 == "" {
-		t.Fatal("no spans recorded — tracer was not wired through the daemon")
-	}
-}
-
-// The breaker's exact transition sequence under the pinned fault plan:
-// two panics trip it, the first probe panics and re-opens it, the
-// second probe succeeds and closes it. The EventLog pins the order, not
-// just the counts.
-func TestDaemonBreakerTransitionSequence(t *testing.T) {
-	run := firstTelemetryRun(t)
-	events := run.events
-	want := []string{
-		"closed->open",
-		"open->half-open",
-		"half-open->open",
-		"open->half-open",
-		"half-open->closed",
-	}
-	if len(events) != len(want) {
-		t.Fatalf("breaker transitions = %v, want %v", events, want)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("transition %d = %q, want %q (full stream %v)", i, events[i], want[i], events)
+		if i == 0 {
+			want = got
+			all := strings.Join(got.records, "\n")
+			if got.tree == "" {
+				t.Fatal("no spans recorded — tracer was not wired through the daemon")
+			}
+			if !strings.Contains(all, "verdict=accepted") || !strings.Contains(all, "verdict=reverted") {
+				t.Fatalf("want an accepted and a reverted attempt:\n%s", all)
+			}
+			continue
 		}
-	}
-	if run.bs.Open {
-		t.Fatalf("breaker did not settle closed: %+v", run.bs)
+		if got.tree != want.tree {
+			t.Fatalf("run %d (Workers=%d): span tree differs from run 1:\n--- run 1\n%s\n--- run %d\n%s", i+1, workers, want.tree, i+1, got.tree)
+		}
+		if got.snap != want.snap {
+			t.Fatalf("run %d (Workers=%d): non-timing snapshot differs from run 1:\n--- run 1\n%s\n--- run %d\n%s", i+1, workers, want.snap, i+1, got.snap)
+		}
+		if !reflect.DeepEqual(got.records, want.records) {
+			t.Fatalf("run %d (Workers=%d): decision records differ from run 1:\n--- run 1\n%s\n--- run %d\n%s",
+				i+1, workers, strings.Join(want.records, "\n"), i+1, strings.Join(got.records, "\n"))
+		}
 	}
 }
 
 // The registry mirror of Stats must agree with Stats itself, and every
 // online_* series must be registered (at zero) from construction so a
 // scrape between boot and the first op still sees the full inventory.
-// The breaker is the caller's, so no online_breaker_* series exists.
 func TestDaemonMetricsMirrorStats(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(200, 5))
 	base := workload.LogDegree(g, 5)
@@ -186,11 +129,6 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 	} {
 		if _, ok := snap.Get(name); !ok {
 			t.Fatalf("series %s not registered at construction:\n%s", name, snap.String())
-		}
-	}
-	for _, m := range snap.Metrics {
-		if strings.HasPrefix(m.Name, "online_breaker_") {
-			t.Fatalf("series %s registered by the daemon", m.Name)
 		}
 	}
 	m, _ := snap.Get("online_cost")

@@ -36,7 +36,6 @@ import (
 
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
-	"piggyback/internal/fault"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
@@ -263,12 +262,10 @@ type zooResult struct {
 var zoo struct {
 	once    sync.Once
 	results []*zooResult
-	breaker breakerRun
 }
 
-// zooReplays replays every cell, observed and disturbed, and the breaker
-// cell, all at once, the first time a test asks, and hands every later
-// caller the same results.
+// zooReplays replays every cell, observed and disturbed, all at once, the
+// first time a test asks, and hands every later caller the same results.
 func zooReplays() []*zooResult {
 	zoo.once.Do(func() {
 		var wg sync.WaitGroup
@@ -278,10 +275,6 @@ func zooReplays() []*zooResult {
 			wg.Add(2)
 			go func() { defer wg.Done(); r.observed = replayCell(c, false) }()
 			go func() { defer wg.Done(); r.disturbed = replayCell(c, true) }()
-			if c.name == scenario.FlashCrowd {
-				wg.Add(1)
-				go func() { defer wg.Done(); zoo.breaker = breakerCell(c) }()
-			}
 		}
 		wg.Wait()
 	})
@@ -365,69 +358,4 @@ func TestAcceptanceZooDaemon(t *testing.T) {
 		noFindings(t, r.observed, oValidate)
 		sameEnd(t, r)
 	})
-}
-
-// breakerRun is the end of a cell run against a daemon whose primary
-// regional solver panics on its solves 1..3, quarantined behind a breaker
-// with a CHITCHAT fallback: the daemon's and the breaker's Stats, the
-// breaker's transitions and how many re-solves the stopping rule cut.
-type breakerRun struct {
-	st          Stats
-	bs          solver.BreakerStats
-	transitions []string
-	early       int
-	err         error
-}
-
-func breakerCell(c zooCell) (b breakerRun) {
-	var ev telemetry.EventLog
-	cfg := c.cfg
-	br := quarantine(solver.Chain(solver.NewChitChat(chitchat.Config{}), fault.SolverPanics(1, 4)), &ev)
-	cfg.Regional, cfg.Events = br, &ev
-	d, err := New(c.init.Clone(), freshRates(c.g, c.base), cfg)
-	if err == nil {
-		err = d.ApplyTrace(c.trace)
-	}
-	if err == nil {
-		err = d.Validate()
-		b.st, b.bs = d.Stats(), br.Stats()
-	}
-	for _, rec := range ev.Attrs("resolve") {
-		if strings.Contains(rec, "stopped=early") {
-			b.early++
-		}
-	}
-	b.transitions, b.err = ev.Attrs("breaker"), err
-	return b
-}
-
-// The breaker on the flashcrowd trace: it quarantines the primary, serves
-// from the fallback, recovers through a half-open probe, and emits exactly
-// the pinned transition sequence; the stopping rule still cuts the
-// primary through the breaker and the fault middleware.
-func TestAcceptanceZooBreaker(t *testing.T) {
-	zooReplays()
-	st, transitions := zoo.breaker.st, zoo.breaker.transitions
-	if err := zoo.breaker.err; err != nil {
-		t.Fatal(err)
-	}
-	// Two panics trip the breaker, the first half-open probe eats panic 3
-	// and re-opens, the second probe finds the primary healed.
-	want := []string{
-		"closed->open",
-		"open->half-open", "half-open->open",
-		"open->half-open", "half-open->closed",
-	}
-	if !reflect.DeepEqual(transitions, want) {
-		t.Fatalf("breaker transitions = %v, want %v", transitions, want)
-	}
-	if b := zoo.breaker.bs; b.Open {
-		t.Fatalf("breaker did not settle closed: %+v", b)
-	}
-	if st.Resolves == 0 {
-		t.Fatalf("no accepted re-solves on the flashcrowd trace: %+v", st)
-	}
-	if zoo.breaker.early == 0 {
-		t.Fatal("the stopping rule cut no re-solve through the breaker")
-	}
 }

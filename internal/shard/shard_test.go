@@ -200,7 +200,7 @@ func TestShardSpanTreeDeterministic(t *testing.T) {
 	p := quickProblem(t)
 	run := func(workers int) string {
 		tr := telemetry.NewTracer(42)
-		sv := solver.Chain(newShard(t, 4, workers), solver.WithTracing(tr))
+		sv := solver.WithTracing(tr)(newShard(t, 4, workers))
 		if _, err := sv.Solve(context.Background(), p); err != nil {
 			t.Fatalf("solve (workers=%d): %v", workers, err)
 		}

@@ -3,26 +3,14 @@ package solver
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 )
 
-// Middleware wraps a Solver with cross-cutting behavior — tracing,
-// panic recovery, a stopping rule — without the solver knowing.
-// Middlewares compose with Chain and preserve the wrapped solver's Name,
-// region capability, and progress stream.
+// Middleware wraps a Solver with cross-cutting behavior — tracing, a
+// stopping rule — without the solver knowing. Middlewares compose by
+// application, WithTracing(tr)(WithStop(stop)(s)), and preserve the
+// wrapped solver's Name, region capability, and progress stream.
 type Middleware func(Solver) Solver
-
-// Chain applies the middlewares to s left to right: the first is
-// outermost, so Chain(s, a, b) solves through a(b(s)).
-func Chain(s Solver, mws ...Middleware) Solver {
-	for i := len(mws) - 1; i >= 0; i-- {
-		if mws[i] != nil {
-			s = mws[i](s)
-		}
-	}
-	return s
-}
 
 // ProgressChainer is an optional interface a Solver implements to let
 // wrappers attach additional progress sinks after construction (New
@@ -56,28 +44,6 @@ func (w wrapped) SupportsRegions() bool { return SupportsRegions(w.inner) }
 // ChainProgress implements ProgressChainer by delegation; a no-op when
 // the inner solver has no progress stream (the one-shot baselines).
 func (w wrapped) ChainProgress(fn func(ProgressEvent)) { Observe(w.inner, fn) }
-
-// WithRecover converts ANY panic escaping Solve into a returned error.
-// The built-ins already convert the typed library panics; this is the
-// belt-and-braces wrapper for a caller's own Solver running inside a
-// serving process.
-func WithRecover() Middleware {
-	return func(next Solver) Solver {
-		return &recoverSolver{wrapped{next}}
-	}
-}
-
-type recoverSolver struct{ wrapped }
-
-func (rs *recoverSolver) Solve(ctx context.Context, p Problem) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = fmt.Errorf("solver %s: panic: %v", rs.Name(), r)
-		}
-	}()
-	return rs.inner.Solve(ctx, p)
-}
 
 // WithStop cancels a solve on its own progress: stop sees every progress
 // event — a PARALLELNOSY round, a CHITCHAT greedy commit, a shard

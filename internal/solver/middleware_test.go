@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"piggyback/internal/chitchat"
@@ -18,52 +17,13 @@ func atEvent(units int) func(int, ProgressEvent) bool {
 	return func(n int, _ ProgressEvent) bool { return n >= units }
 }
 
-// tagSolver records the order middleware layers run in.
-type tagSolver struct {
-	wrapped
-	tag   string
-	order *[]string
-}
-
-func (ts *tagSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
-	*ts.order = append(*ts.order, ts.tag)
-	return ts.inner.Solve(ctx, p)
-}
-
-func tagMiddleware(tag string, order *[]string) Middleware {
-	return func(next Solver) Solver {
-		return &tagSolver{wrapped: wrapped{next}, tag: tag, order: order}
-	}
-}
-
-// Chain(s, a, b) must solve through a(b(s)): first middleware outermost.
-func TestChainOrder(t *testing.T) {
-	g, r := quickProblem(t, 60)
-	var order []string
-	sv := Chain(baselineSolver{Hybrid},
-		tagMiddleware("outer", &order),
-		nil, // nil entries are skipped
-		tagMiddleware("inner", &order),
-	)
-	if sv.Name() != Hybrid {
-		t.Fatalf("chained Name() = %q, want %q", sv.Name(), Hybrid)
-	}
-	if _, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r}); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"outer", "inner"}; len(order) != 2 || order[0] != want[0] || order[1] != want[1] {
-		t.Fatalf("layer order = %v, want %v", order, want)
-	}
-}
-
 // Wrapping preserves identity, region capability, and the progress
 // stream.
 func TestMiddlewarePreservesContract(t *testing.T) {
 	g, r := quickProblem(t, 60)
-	sv := Chain(NewNosy(nosy.Config{Workers: 1}),
-		WithRecover(), WithTracing(telemetry.NewTracer(1)), WithStop(atEvent(1000)))
+	sv := WithTracing(telemetry.NewTracer(1))(WithStop(atEvent(1000))(NewNosy(nosy.Config{Workers: 1})))
 	if sv.Name() != Nosy {
-		t.Errorf("Name() through 3 layers = %q, want %q", sv.Name(), Nosy)
+		t.Errorf("Name() through 2 layers = %q, want %q", sv.Name(), Nosy)
 	}
 	if !SupportsRegions(sv) {
 		t.Errorf("SupportsRegions lost through middleware")
@@ -77,23 +37,6 @@ func TestMiddlewarePreservesContract(t *testing.T) {
 	}
 	if events == 0 {
 		t.Errorf("no progress events reached the outer sink")
-	}
-}
-
-type panicSolver struct{}
-
-func (panicSolver) Name() string                                    { return "boom" }
-func (panicSolver) Solve(context.Context, Problem) (*Result, error) { panic("kaboom") }
-
-func TestWithRecoverConvertsPanic(t *testing.T) {
-	g, r := quickProblem(t, 60)
-	sv := Chain(panicSolver{}, WithRecover())
-	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
-	if res != nil {
-		t.Fatalf("panicking solve returned a result")
-	}
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("err = %v, want wrapped panic", err)
 	}
 }
 
@@ -116,7 +59,7 @@ func TestWithStopDeterministicTruncation(t *testing.T) {
 
 	var ref []byte
 	for _, workers := range []int{1, 4} {
-		sv := Chain(NewNosy(nosy.Config{Workers: workers}), WithStop(atEvent(budget)))
+		sv := WithStop(atEvent(budget))(NewNosy(nosy.Config{Workers: workers}))
 		res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 		if err != nil {
 			t.Fatalf("workers=%d: budget stop surfaced as error: %v", workers, err)
@@ -140,7 +83,7 @@ func TestWithStopDeterministicTruncation(t *testing.T) {
 	}
 
 	// A budget the solve never reaches changes nothing.
-	sv := Chain(NewNosy(nosy.Config{Workers: 1}), WithStop(atEvent(10000)))
+	sv := WithStop(atEvent(10000))(NewNosy(nosy.Config{Workers: 1}))
 	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +100,7 @@ func TestWithStopDeterministicTruncation(t *testing.T) {
 func TestWithStopChitChat(t *testing.T) {
 	g, r := quickProblem(t, 250)
 	const budget = 10
-	sv := Chain(NewChitChat(chitchat.Config{Workers: 1}), WithStop(atEvent(budget)))
+	sv := WithStop(atEvent(budget))(NewChitChat(chitchat.Config{Workers: 1}))
 	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +121,7 @@ func TestWithStopPropagatesOuterCancel(t *testing.T) {
 	g, r := quickProblem(t, 120)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sv := Chain(NewNosy(nosy.Config{Workers: 1}), WithStop(atEvent(1000)))
+	sv := WithStop(atEvent(1000))(NewNosy(nosy.Config{Workers: 1}))
 	res, err := sv.Solve(ctx, Problem{Graph: g, Rates: r})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -202,7 +145,7 @@ func (c *cutFails) Solve(ctx context.Context, _ Problem) (*Result, error) {
 // A solve the stop cut that returned no result failed: its error is not
 // swallowed as a completion.
 func TestWithStopKeepsFailedSolveError(t *testing.T) {
-	sv := Chain(&cutFails{}, WithStop(atEvent(1)))
+	sv := WithStop(atEvent(1))(&cutFails{})
 	res, err := sv.Solve(context.Background(), Problem{})
 	if res != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("res=%v err=%v, want no result and context.Canceled", res, err)
@@ -214,9 +157,9 @@ func TestWithStopKeepsFailedSolveError(t *testing.T) {
 func TestWithStopNoopCases(t *testing.T) {
 	g, r := quickProblem(t, 60)
 	for _, sv := range []Solver{
-		Chain(baselineSolver{Hybrid}, WithStop(atEvent(1))), // no progress stream
-		Chain(NewNosy(nosy.Config{Workers: 1}), // never fires
-			WithStop(func(int, ProgressEvent) bool { return false })),
+		WithStop(atEvent(1))(baselineSolver{Hybrid}), // no progress stream
+		WithStop(func(int, ProgressEvent) bool { return false })( // never fires
+			NewNosy(nosy.Config{Workers: 1})),
 	} {
 		res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 		if err != nil {

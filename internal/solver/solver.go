@@ -33,10 +33,8 @@
 // (Names lists them), which is what the cmd tools and the piggyback
 // facade resolve a flag or a caller's name against. It lists algorithms
 // only; DESIGN.md §10 has the measurement behind that. Cross-cutting
-// concerns wrap any Solver through Middleware and Chain: WithTracing,
-// WithRecover, WithStop (cancel on the solve's own progress,
-// deterministically), and the Breaker that quarantines a failing solver
-// behind a fallback.
+// concerns wrap any Solver as Middleware: WithTracing and WithStop
+// (cancel on the solve's own progress, deterministically).
 package solver
 
 import (

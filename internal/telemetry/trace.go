@@ -230,12 +230,12 @@ type Event struct {
 	Attrs string
 }
 
-// EventLog is an append-only stream of state-transition events —
-// breaker trips, health flips — whose exact sequence tests assert.
+// EventLog is an append-only stream of events — the daemon's decision
+// record per re-solve attempt — whose exact sequence tests assert.
 // The zero value is ready; a nil *EventLog is a no-op. Safe for
 // concurrent use, though a deterministic sequence additionally needs
-// deterministic emit order from the instrumented code (the breaker and
-// daemon emit from one goroutine).
+// deterministic emit order from the instrumented code (the daemon emits
+// from one goroutine).
 type EventLog struct {
 	mu     sync.Mutex
 	events []Event

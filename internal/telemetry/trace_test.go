@@ -140,13 +140,13 @@ func TestTracerConcurrentEnd(t *testing.T) {
 
 func TestEventLog(t *testing.T) {
 	var l EventLog
-	l.Emit("breaker", "closed->open")
-	l.Emit("breaker", "open->half-open")
+	l.Emit("resolve", "verdict=accepted")
+	l.Emit("resolve", "verdict=reverted")
 	l.Emit("other", "x")
-	if got := l.Attrs("breaker"); len(got) != 2 || got[0] != "closed->open" || got[1] != "open->half-open" {
+	if got := l.Attrs("resolve"); len(got) != 2 || got[0] != "verdict=accepted" || got[1] != "verdict=reverted" {
 		t.Fatalf("Attrs = %v", got)
 	}
-	want := "0 breaker closed->open\n1 breaker open->half-open\n2 other x\n"
+	want := "0 resolve verdict=accepted\n1 resolve verdict=reverted\n2 other x\n"
 	if l.String() != want {
 		t.Fatalf("String = %q, want %q", l.String(), want)
 	}

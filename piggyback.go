@@ -39,8 +39,6 @@
 package piggyback
 
 import (
-	"context"
-
 	"piggyback/internal/baseline"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
@@ -49,7 +47,6 @@ import (
 	"piggyback/internal/graphgen"
 	"piggyback/internal/incremental"
 	"piggyback/internal/netstore"
-	"piggyback/internal/nosy"
 	"piggyback/internal/online"
 	"piggyback/internal/partition"
 	"piggyback/internal/refine"
@@ -113,6 +110,9 @@ func Solvers() []string { return solver.Names() }
 // NewChitChatSolver returns the CHITCHAT solver under its full typed
 // config (knobs beyond Options: exact oracle, per-commit progress hook).
 func NewChitChatSolver(cfg ChitChatConfig) Solver { return solver.NewChitChat(cfg) }
+
+// ChitChatConfig tunes the CHITCHAT approximation algorithm.
+type ChitChatConfig = chitchat.Config
 
 // Graph is a directed social graph in CSR form; the edge u → v means v
 // subscribes to u. Build one with NewGraphBuilder or GraphFromEdges.
@@ -186,53 +186,6 @@ func UniformRates(n int, ratio float64) *Rates { return workload.NewUniform(n, r
 // edge served by the cheaper of push and pull.
 func Hybrid(g *Graph, r *Rates) *Schedule { return baseline.Hybrid(g, r) }
 
-// ChitChatConfig tunes the CHITCHAT approximation algorithm.
-type ChitChatConfig = chitchat.Config
-
-// ChitChat computes a schedule with the CHITCHAT O(ln n)-approximation.
-// It is the quality reference; use the "nosy" solver for very large
-// graphs. The solve is serial and deterministic.
-//
-// Deprecated: use NewChitChatSolver(cfg).Solve (or NewSolver("chitchat",
-// ...)) for cancellation, live progress, and typed errors. This wrapper
-// panics where Solve returns an error.
-func ChitChat(g *Graph, r *Rates, cfg ChitChatConfig) *Schedule {
-	res, err := NewChitChatSolver(cfg).Solve(context.Background(), Problem{Graph: g, Rates: r})
-	if err != nil {
-		panic(err)
-	}
-	return res.Schedule
-}
-
-// NosyConfig tunes PARALLELNOSY.
-type NosyConfig = nosy.Config
-
-// NosyIteration reports per-iteration progress of PARALLELNOSY.
-type NosyIteration = nosy.IterationStat
-
-// ParallelNosy computes a schedule with the PARALLELNOSY parallel
-// heuristic, returning the finalized schedule and per-iteration stats.
-//
-// Deprecated: use NewSolver("nosy", ...) for cancellation and live
-// progress; per-iteration stats stream through Options.Progress instead
-// of accumulating.
-func ParallelNosy(g *Graph, r *Rates, cfg NosyConfig) (*Schedule, []NosyIteration) {
-	// Accumulate the streamed stats, keeping any hook the caller installed.
-	var iters []NosyIteration
-	prev := cfg.OnIteration
-	cfg.OnIteration = func(it NosyIteration) {
-		iters = append(iters, it)
-		if prev != nil {
-			prev(it)
-		}
-	}
-	res, err := solver.NewNosy(cfg).Solve(context.Background(), Problem{Graph: g, Rates: r})
-	if err != nil {
-		panic(err)
-	}
-	return res.Schedule, iters
-}
-
 // HybridCost returns the FEEDINGFRENZY cost without materializing the
 // schedule; improvement ratios in the paper are relative to it.
 func HybridCost(g *Graph, r *Rates) float64 { return baseline.HybridCost(g, r) }
@@ -248,7 +201,7 @@ type RefineResult = refine.Result
 
 // Refine post-processes a valid schedule in place, converting direct
 // edges that are already bracketed by a push+pull hub path into free hub
-// coverage. It never increases cost. Converged ParallelNosy schedules
+// coverage. It never increases cost. Converged PARALLELNOSY schedules
 // have nothing to recover; truncated runs and the hybrid baseline often
 // do.
 func Refine(s *Schedule, r *Rates) RefineResult { return refine.Run(s, r) }

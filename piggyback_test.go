@@ -7,6 +7,26 @@ import (
 	"time"
 )
 
+// solve runs sv on the whole of (g, r) and returns its schedule.
+func solve(t *testing.T, sv Solver, g *Graph, r *Rates) *Schedule {
+	t.Helper()
+	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Schedule
+}
+
+// nosySolver is the facade's PARALLELNOSY solver under default options.
+func nosySolver(t *testing.T) Solver {
+	t.Helper()
+	sv, err := NewSolver("nosy", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
+}
+
 // TestPublicAPIEndToEnd walks the README quick-start path through the
 // facade: generate, schedule, compare, validate, serve.
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -14,15 +34,20 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	r := LogDegreeRates(g, 5)
 
 	hybrid := Hybrid(g, r)
-	pn, iters := ParallelNosy(g, r, NosyConfig{})
-	cc := ChitChat(g, r, ChitChatConfig{})
+	var iters int
+	nosy, err := NewSolver("nosy", Options{Progress: func(ProgressEvent) { iters++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn := solve(t, nosy, g, r)
+	cc := solve(t, NewChitChatSolver(ChitChatConfig{}), g, r)
 
 	for name, s := range map[string]*Schedule{"hybrid": hybrid, "pn": pn, "cc": cc} {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if len(iters) == 0 {
+	if iters == 0 {
 		t.Fatal("no iterations reported")
 	}
 	if ImprovementRatio(pn, r) < 1 || ImprovementRatio(cc, r) < 1 {
@@ -54,8 +79,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestIncrementalMaintenanceAPI(t *testing.T) {
 	g := TwitterLikeGraph(200, 3)
 	r := LogDegreeRates(g, 5)
-	pn, _ := ParallelNosy(g, r, NosyConfig{})
-	m := NewMaintainer(pn, r)
+	m := NewMaintainer(solve(t, nosySolver(t), g, r), r)
 	// Add a missing edge.
 	for a := NodeID(0); int(a) < g.NumNodes(); a++ {
 		if !g.HasEdge(a, (a+1)%NodeID(g.NumNodes())) && a+1 != NodeID(g.NumNodes()) {
@@ -99,7 +123,7 @@ func TestBuilderAPI(t *testing.T) {
 	b.AddEdge(1, 2)
 	g := b.Build()
 	r := UniformRates(3, 1)
-	s := ChitChat(g, r, ChitChatConfig{})
+	s := solve(t, NewChitChatSolver(ChitChatConfig{}), g, r)
 	if s.Cost(r) != 2 {
 		t.Fatalf("figure-2 cost = %v, want 2 (hub)", s.Cost(r))
 	}
@@ -149,16 +173,6 @@ func TestSolverFacade(t *testing.T) {
 	if res == nil || res.Schedule.Validate() != nil {
 		t.Fatal("canceled solve must return a valid best-so-far schedule")
 	}
-
-	// The deprecated wrappers ride on the same machinery.
-	ccSolver := NewChitChatSolver(ChitChatConfig{})
-	ccRes, err := ccSolver.Solve(context.Background(), Problem{Graph: g, Rates: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy := ChitChat(g, r, ChitChatConfig{}); legacy.Cost(r) != ccRes.Report.Cost {
-		t.Fatalf("facade wrapper cost %v != solver cost %v", legacy.Cost(r), ccRes.Report.Cost)
-	}
 }
 
 // TestOnlineDaemonCtxAPI exercises the daemon's context surface: a
@@ -168,13 +182,9 @@ func TestSolverFacade(t *testing.T) {
 func TestOnlineDaemonCtxAPI(t *testing.T) {
 	g := FlickrLikeGraph(200, 5)
 	r := LogDegreeRates(g, 5)
-	sched := ChitChat(g, r, ChitChatConfig{})
+	sched := solve(t, NewChitChatSolver(ChitChatConfig{}), g, r)
 	trace := GenerateChurn(g, r, 200, ChurnConfig{Seed: 2})
-
-	regional, err := NewSolver("nosy", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	regional := nosySolver(t)
 	run := func(apply func(*OnlineDaemon, ChurnOp) error) *OnlineDaemon {
 		rr := &Rates{Prod: append([]float64(nil), r.Prod...), Cons: append([]float64(nil), r.Cons...)}
 		d, err := NewOnlineDaemon(sched, rr, OnlineConfig{
