@@ -185,15 +185,19 @@ func TestDocsNameExistingConfigFields(t *testing.T) {
 	}
 }
 
-// TestDocsNameExistingDeclarations keeps the docs from citing a solver or
-// fault-injection name that no longer exists: in README, DESIGN and the
-// verify SKILL every backticked solver.X or fault.X must be a top-level
-// declaration of internal/solver or internal/fault, exported or not
-// (solver.guard); a deleted one is cited without backticks.
+// TestDocsNameExistingDeclarations keeps the docs from citing a solver,
+// algorithm or fault-injection name that no longer exists: in README,
+// DESIGN and the verify SKILL every backticked solver.X or fault.X must
+// be a top-level declaration of internal/solver or internal/fault,
+// exported or not (solver.guard), and every backticked nosy.X or
+// chitchat.X with X capitalized one of internal/nosy or internal/chitchat
+// (lower-case, they are bench metrics: nosy.scale). Test and Benchmark
+// names are TestDocsNameExistingTests' to check. A deleted name is cited
+// without backticks.
 func TestDocsNameExistingDeclarations(t *testing.T) {
 	decls := map[string]bool{}
 	fset := token.NewFileSet()
-	for _, pkg := range []string{"solver", "fault"} {
+	for _, pkg := range []string{"solver", "fault", "nosy", "chitchat"} {
 		dir := filepath.Join("internal", pkg)
 		files, err := os.ReadDir(dir)
 		if err != nil {
@@ -232,7 +236,7 @@ func TestDocsNameExistingDeclarations(t *testing.T) {
 	// first, then the inline spans once the fences are blanked out.
 	fence := regexp.MustCompile("(?s)```.*?```")
 	span := regexp.MustCompile("`[^`]+`")
-	ref := regexp.MustCompile(`(?:^|[^\w/.])((?:solver|fault)\.\w+)`)
+	ref := regexp.MustCompile(`(?:^|[^\w/.])((?:solver|fault)\.\w+|(?:nosy|chitchat)\.[A-Z]\w*)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -241,7 +245,11 @@ func TestDocsNameExistingDeclarations(t *testing.T) {
 		text := string(b)
 		check := func(code []int) {
 			for _, m := range ref.FindAllStringSubmatchIndex(text[code[0]:code[1]], -1) {
-				if name := text[code[0]+m[2] : code[0]+m[3]]; !decls[name] {
+				name := text[code[0]+m[2] : code[0]+m[3]]
+				if _, x, _ := strings.Cut(name, "."); strings.HasPrefix(x, "Test") || strings.HasPrefix(x, "Benchmark") {
+					continue
+				}
+				if !decls[name] {
 					t.Errorf("%s:%d names %s, which is no declaration of internal/%s",
 						doc, strings.Count(text[:code[0]+m[2]], "\n")+1, name, strings.Split(name, ".")[0])
 				}

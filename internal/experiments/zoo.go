@@ -15,14 +15,15 @@ import (
 )
 
 // Zoo sweeps every built-in solver across the adversarial workload
-// zoo (internal/scenario) on the Flickr-like graph. Region-capable
-// solvers run as the online daemon's regional solver over the live
-// trace — their row reports the daemon's final cost, cumulative
-// re-solve wall and accept/revert counts. Region-incapable solvers
-// batch-solve the materialized post-trace graph — the "what if we
-// re-solved from scratch afterwards" reference. SPAR's analytic
-// replication cost over the materialized graph closes each scenario
-// block. Every scheduling improvement gets judged against this table.
+// zoo (internal/scenario) on the Flickr-like graph. CHITCHAT, the one
+// region-capable solver, runs as the online daemon's regional solver
+// over the live trace — its row reports the daemon's final cost,
+// cumulative re-solve wall and accept/revert counts. Every other solver
+// (NOSY, the sharded composite, the baselines) batch-solves the
+// materialized post-trace graph — the "what if we re-solved from
+// scratch afterwards" reference. SPAR's analytic replication cost over
+// the materialized graph closes each scenario block. Every scheduling
+// improvement gets judged against this table.
 func Zoo(sc Scale) *Table {
 	t := &Table{
 		Title:  "Adversarial workload zoo — every solver × every scenario",

@@ -462,12 +462,14 @@ func TestChurnPropertyAddRemoveResolve(t *testing.T) {
 		case op%97 == 96: // periodic localized re-solve of a churned region
 			ng, ns := m.Rebase()
 			seed := graph.NodeID(rng.Intn(ng.NumNodes()))
-			region := graph.InducedEdgeIDs(ng, graph.KHop(ng, []graph.NodeID{seed}, 2, 60))
-			res := nosy.SolveRestricted(ng, r, nosy.Config{}, ns, region)
-			if err := res.Schedule.Validate(); err != nil {
-				t.Fatalf("op %d: restricted re-solve invalid: %v", op, err)
+			sub := graph.Induced(ng, graph.KHop(ng, []graph.NodeID{seed}, 2, 60))
+			if _, err := core.ApplyPatch(ns, sub, chitchat.SolveInduced(sub, r, chitchat.Config{Workers: 1}), r); err != nil {
+				t.Fatalf("op %d: splicing the region patch: %v", op, err)
 			}
-			m = New(res.Schedule, r)
+			if err := ns.Validate(); err != nil {
+				t.Fatalf("op %d: region re-solve invalid: %v", op, err)
+			}
+			m = New(ns, r)
 			live = ng
 		case rng.Intn(2) == 0:
 			el := live.EdgeList()

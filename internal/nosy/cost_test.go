@@ -58,8 +58,7 @@ func TestRunningCostMatchesFreshSnapshot(t *testing.T) {
 
 // The public TraceCosts wiring streams those values: the first traced
 // cost matches a MaxIterations=1 truncation and the last the final
-// schedule (the truncated run's extra RepairCoverage pass does not
-// apply to a full solve).
+// schedule.
 func TestTraceCostsMatchesTruncation(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 140), 9))
 	r := workload.LogDegree(g, 5)
@@ -74,42 +73,6 @@ func TestTraceCostsMatchesTruncation(t *testing.T) {
 	last := full.Iterations[len(full.Iterations)-1].Cost
 	if got := full.Schedule.Cost(r); !relClose(last, got) {
 		t.Fatalf("final traced cost %v != final schedule cost %v", last, got)
-	}
-}
-
-// The restricted entry point re-derives the running cost from the base
-// schedule after region clearing; every iteration must match the
-// pre-O(1) snapshot (clone + FinalizeEdges over the region), which by
-// base validity equals finalizing the whole schedule minus the final
-// boundary-repair pass.
-func TestRunningCostMatchesFreshRestricted(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(scaled(400, 160), 5))
-	r := workload.LogDegree(g, 5)
-	base := Solve(g, r, Config{Workers: 1}).Schedule
-	nodes := graph.KHop(g, []graph.NodeID{3, 40}, 2, 120)
-	region := graph.InducedEdgeIDs(g, nodes)
-	if len(region) == 0 {
-		t.Fatal("degenerate region")
-	}
-
-	cfg := Config{Workers: 1}
-	ev := newRestrictedEvaluator(g, r, cfg, base, region)
-	st := newState(ev, cfg)
-	iters := 0
-	for {
-		stat := st.iterate()
-		iters++
-		snap := ev.sched.Clone()
-		snap.FinalizeEdges(r, region)
-		if fresh := snap.Cost(r); !relClose(ev.Cost(), fresh) {
-			t.Fatalf("iteration %d: running cost %v, fresh snapshot cost %v", iters, ev.Cost(), fresh)
-		}
-		if stat.FullCommits+stat.PartialCommits == 0 {
-			break
-		}
-	}
-	if iters == 0 {
-		t.Fatal("restricted solve ran no iterations")
 	}
 }
 

@@ -11,20 +11,19 @@ import (
 	"piggyback/internal/workload"
 )
 
-// dirtyCase is one solve the dirty-propagation tests run; eval builds its
-// evaluator afresh (empty schedule, or a base with the region cleared).
+// dirtyCase is one solve the dirty-propagation tests run.
 type dirtyCase struct {
 	name string
 	g    *graph.Graph
+	r    *workload.Rates
 	cfg  Config
-	eval func() *Evaluator
 }
 
 // dirtyCases spans what the propagation rule has to hold under: sparse
 // Twitter-like, clustered Flickr-like and streamed dense graphs (every
-// one large enough that round 0 fans out at Workers 4), five seeds, full
-// and restricted solves, one and four workers, and a MaxCrossEdges of 3,
-// which truncates most intersections on these graphs.
+// one large enough that round 0 fans out at Workers 4), five seeds, one
+// and four workers, and a MaxCrossEdges of 3, which truncates most
+// intersections on these graphs.
 func dirtyCases(seeds int64) []dirtyCase {
 	var out []dirtyCase
 	for seed := int64(1); seed <= seeds; seed++ {
@@ -37,21 +36,10 @@ func dirtyCases(seeds int64) []dirtyCase {
 			{"stream", graphgen.StreamSocial(graphgen.FlickrLikeEdges(scaled(5000, 2400), seed))},
 		}
 		for _, gk := range graphs {
-			g := gk.g
-			r := workload.LogDegree(g, 5)
-			// Capped so that a broken rule fails in the oracle, not by never
-			// converging here: a round that commits covers a new edge.
-			base := Solve(g, r, Config{Workers: 1, MaxIterations: g.NumEdges() + 1}).Schedule
-			nodes := graph.KHop(g, []graph.NodeID{1, 7, graph.NodeID(g.NumNodes() - 1)}, 2, g.NumNodes()/2)
-			region := graph.InducedEdgeIDs(g, nodes)
+			r := workload.LogDegree(gk.g, 5)
 			for _, cfg := range []Config{{Workers: 1}, {Workers: 4, MaxCrossEdges: 3}} {
-				cfg := cfg
 				name := fmt.Sprintf("%s/seed%d/w%d/mx%d", gk.kind, seed, cfg.Workers, cfg.MaxCrossEdges)
-				out = append(out,
-					dirtyCase{name + "/full", g, cfg,
-						func() *Evaluator { return NewEvaluator(g, r, cfg) }},
-					dirtyCase{name + "/restricted", g, cfg,
-						func() *Evaluator { return newRestrictedEvaluator(g, r, cfg, base, region) }})
+				out = append(out, dirtyCase{name, gk.g, r, cfg})
 			}
 		}
 	}
@@ -96,7 +84,7 @@ func TestDirtyPropagationExact(t *testing.T) {
 				t.Fatalf("%s round %d: %v", tc.name, rounds, err)
 			}
 		}
-		st = newState(tc.eval(), cfg)
+		st = newState(NewEvaluator(tc.g, tc.r, cfg), cfg)
 		if _, err := st.run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -142,13 +130,8 @@ func parentRuleDirty(g *graph.Graph, ev *Evaluator, wasCovered, scratch *bitset.
 func TestDirtyPropagationMatchesFullSweep(t *testing.T) {
 	for _, tc := range dirtyCases(int64(scaled(5, 2))) {
 		m := tc.g.NumEdges()
-		st, ref := newState(tc.eval(), tc.cfg), newState(tc.eval(), tc.cfg)
+		st, ref := newState(NewEvaluator(tc.g, tc.r, tc.cfg), tc.cfg), newState(NewEvaluator(tc.g, tc.r, tc.cfg), tc.cfg)
 		wasCovered, scratch := bitset.New(m), bitset.New(m)
-		for e := 0; e < m; e++ {
-			if st.ev.sched.IsCovered(graph.EdgeID(e)) {
-				wasCovered.Set(e)
-			}
-		}
 		bound, saved := st.dirty.Count(), 0
 		for round := 0; ; round++ {
 			got := st.iterate()

@@ -82,7 +82,7 @@ type IterationStat struct {
 	Iteration int // 0-based round number
 	// Dirty is the number of hub edges re-priced this round: those whose
 	// evaluation reads a flag the previous round's commits wrote (round
-	// 0: every edge, or the region of a restricted solve).
+	// 0: every edge).
 	Dirty          int
 	Candidates     int     // hub-graphs passing the phase-1 gain test
 	FullCommits    int     // candidates committed with all locks
@@ -95,9 +95,6 @@ type IterationStat struct {
 type Result struct {
 	Schedule   *core.Schedule
 	Iterations []IterationStat
-	// BoundaryRepairs is the number of exterior coverage supports
-	// restored after a restricted solve (always 0 for full solves).
-	BoundaryRepairs int
 }
 
 // Solve runs PARALLELNOSY to convergence and returns the finalized
@@ -132,10 +129,7 @@ func (st *state) run(ctx context.Context) (iters []IterationStat, cause error) {
 		stat := st.iterate()
 		stat.Iteration = it
 		if cfg.TraceCosts {
-			// O(1) running finalized-equivalent cost. In a restricted solve
-			// base is valid, so every unscheduled edge is a region edge and
-			// this equals the FinalizeEdges(region) snapshot.
-			stat.Cost = st.ev.Cost()
+			stat.Cost = st.ev.Cost() // O(1) running finalized-equivalent cost
 		}
 		iters = append(iters, stat)
 		if cfg.OnIteration != nil {
@@ -146,55 +140,6 @@ func (st *state) run(ctx context.Context) (iters []IterationStat, cause error) {
 		}
 	}
 	return iters, nil
-}
-
-// SolveRestricted re-optimizes ONLY the given region edges of g, starting
-// from base — the localized re-solve entry point of the online
-// rescheduling subsystem (§3.3 extended). base must be a valid schedule
-// over g; it is cloned, the region edges are cleared, and the usual
-// three-phase iteration runs with the dirty set seeded to the region
-// instead of every edge, so the work is proportional to the region. A
-// candidate hub-graph is admitted only if its pull edge and every kept
-// (x→w, x→y) producer pair lie inside the region; edges outside the
-// region therefore keep their base assignment, except that RepairCoverage
-// may ADD a push/pull flag to restore exterior coverage whose support the
-// region re-solve reassigned (the splice-validity argument of DESIGN.md
-// §7). The result is valid and byte-identical for every worker count.
-func SolveRestricted(g *graph.Graph, r *workload.Rates, cfg Config,
-	base *core.Schedule, region []graph.EdgeID) Result {
-	res, _ := SolveRestrictedCtx(context.Background(), g, r, cfg, base, region)
-	return res
-}
-
-// SolveRestrictedCtx is SolveRestricted with the round-boundary
-// cancellation contract of SolveCtx: on cancellation the region edges
-// not re-covered by the rounds that did run are finalized with the
-// hybrid rule and exterior coverage is repaired, so the returned
-// schedule is valid for every stop point.
-func SolveRestrictedCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config,
-	base *core.Schedule, region []graph.EdgeID) (Result, error) {
-
-	ev := newRestrictedEvaluator(g, r, cfg, base, region)
-	iters, cause := newState(ev, cfg).run(ctx)
-	ev.sched.FinalizeEdges(r, region)
-	repairs := core.RepairCoverage(ev.sched, r)
-	return Result{Schedule: ev.sched, Iterations: iters, BoundaryRepairs: repairs}, cause
-}
-
-// newRestrictedEvaluator returns an evaluator over a clone of base with
-// the region edges cleared and every write confined to them.
-func newRestrictedEvaluator(g *graph.Graph, r *workload.Rates, cfg Config,
-	base *core.Schedule, region []graph.EdgeID) *Evaluator {
-
-	ev := NewEvaluator(g, r, cfg)
-	ev.sched = base.Clone()
-	ev.restrict = bitset.New(g.NumEdges())
-	for _, e := range region {
-		ev.restrict.Set(int(e))
-		ev.sched.ClearEdge(e)
-	}
-	ev.resetCost()
-	return ev
 }
 
 // Evaluator holds the candidate-pricing logic. All methods read the
@@ -223,11 +168,6 @@ type Evaluator struct {
 	// per mutation by the Apply* methods — the incremental.Maintainer
 	// discipline — so TraceCosts streams without an O(m) clone per round.
 	cost float64
-
-	// restrict, when non-nil, confines the solver to a region: only
-	// edges in the set may be written, so a candidate's hub edge and
-	// every kept producer pair must lie inside it (SolveRestricted).
-	restrict *bitset.Set
 
 	// stamp[v] == epoch marks v as an out-neighbour of a source whose edge
 	// into the commit target being swept changed (Commit); bumping epoch
@@ -264,28 +204,6 @@ func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 // schedule in O(1): the cost Schedule().Clone().Finalize(r).Cost(r)
 // would report, maintained incrementally by the Apply* mutators.
 func (ev *Evaluator) Cost() float64 { return ev.cost }
-
-// resetCost re-derives the running cost from the current schedule in
-// one O(m) pass — needed when the schedule is replaced wholesale (the
-// restricted solve starts from a cloned base with the region cleared).
-func (ev *Evaluator) resetCost() {
-	total := 0.0
-	s := ev.sched
-	for e := range ev.cstar {
-		id := graph.EdgeID(e)
-		if !s.IsScheduled(id) {
-			total += ev.cstar[e]
-			continue
-		}
-		if s.IsPush(id) {
-			total += ev.r.Prod[ev.src[e]]
-		}
-		if s.IsPull(id) {
-			total += ev.r.Cons[ev.g.EdgeTarget(id)]
-		}
-	}
-	ev.cost = total
-}
 
 // ApplyPush adds edge e to the push set, adjusting the running cost by
 // exactly the marginal push cost. e must not be covered-only (the
@@ -344,9 +262,6 @@ func (ev *Evaluator) EvalCandidate(he graph.EdgeID) (Candidate, bool) {
 // the schedule.
 func (ev *Evaluator) EvalCandidateReuse(he graph.EdgeID, c *Candidate) bool {
 	s := ev.sched
-	if ev.restrict != nil && !ev.restrict.Test(int(he)) {
-		return false // pull edge outside the region: the commit may not write it
-	}
 	if s.IsCovered(he) {
 		return false
 	}
@@ -368,18 +283,6 @@ func (ev *Evaluator) EvalCandidateReuse(he graph.EdgeID, c *Candidate) bool {
 	var saved, cost float64
 	for i, x := range xs {
 		xw, xy := xwIDs[i], xyIDs[i]
-		if ev.restrict != nil {
-			if !ev.restrict.Test(int(xy)) {
-				continue // covering an exterior cross-edge would rewrite it
-			}
-			if !ev.restrict.Test(int(xw)) && !s.IsPush(xw) {
-				// An exterior support is usable only when it is already a
-				// push: the commit's SetPush is then a no-op, so the
-				// exterior assignment never changes, while the candidate
-				// amortizes against structure the region did not pay for.
-				continue
-			}
-		}
 		if s.IsCovered(xw) {
 			continue // don't undo an earlier hub that covers x → w
 		}
@@ -489,7 +392,7 @@ func (ev *Evaluator) Apply(c *Candidate, keep []int32) {
 // commit's writes; commits of one round write disjoint edges, so that is
 // the round's snapshot. Flags only gain bits during a solve, so a hub
 // edge that is covered (never a candidate again; dirtied by the commit
-// that covered it) or outside restrict (never a candidate) is skipped.
+// that covered it) is skipped.
 func (ev *Evaluator) Commit(c *Candidate, keep []int32, dirty *bitset.Set) {
 	s := ev.sched
 	ev.epoch++
@@ -527,18 +430,15 @@ func (ev *Evaluator) stampOut(a graph.NodeID) {
 // sweep dirties the live hub edges b → y' with y' stamped and w' → b with
 // w' stamped.
 func (ev *Evaluator) sweep(b graph.NodeID, dirty *bitset.Set) {
-	live := func(e graph.EdgeID) bool {
-		return !ev.sched.IsCovered(e) && (ev.restrict == nil || ev.restrict.Test(int(e)))
-	}
 	lo, _ := ev.g.OutEdgeRange(b)
 	for i, y := range ev.g.OutNeighbors(b) {
-		if e := lo + graph.EdgeID(i); ev.stamp[y] == ev.epoch && live(e) {
+		if e := lo + graph.EdgeID(i); ev.stamp[y] == ev.epoch && !ev.sched.IsCovered(e) {
 			dirty.Set(int(e))
 		}
 	}
 	in := ev.g.InEdgeIDs(b)
 	for i, w := range ev.g.InNeighbors(b) {
-		if ev.stamp[w] == ev.epoch && live(in[i]) {
+		if ev.stamp[w] == ev.epoch && !ev.sched.IsCovered(in[i]) {
 			dirty.Set(int(in[i]))
 		}
 	}
@@ -597,16 +497,7 @@ func newState(ev *Evaluator, cfg Config) *state {
 	for i := range st.locks {
 		st.locks[i].owner = -1
 	}
-	if ev.restrict != nil {
-		// Restricted solve: only region edges can become candidates, so
-		// seeding anything else dirty would be wasted evaluation.
-		ev.restrict.Range(func(e int) bool {
-			st.dirty.Set(e)
-			return true
-		})
-	} else {
-		st.dirty.SetAll()
-	}
+	st.dirty.SetAll()
 	return st
 }
 

@@ -392,82 +392,3 @@ func schedulesEqual(a, b *core.Schedule, m int) bool {
 	}
 	return true
 }
-
-// A restricted solve over the FULL edge set, started from any valid base,
-// must reproduce the from-scratch solve exactly: clearing every edge
-// leaves the same initial state, the dirty seeding covers every edge, and
-// the boundary repair has nothing to do.
-func TestSolveRestrictedFullRegionMatchesSolve(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 120), 21))
-	r := workload.LogDegree(g, 5)
-	ref := Solve(g, r, Config{Workers: 1})
-
-	base := baseline.Hybrid(g, r)
-	region := make([]graph.EdgeID, g.NumEdges())
-	for e := range region {
-		region[e] = graph.EdgeID(e)
-	}
-	got := SolveRestricted(g, r, Config{Workers: 1}, base, region)
-	if !schedulesEqual(ref.Schedule, got.Schedule, g.NumEdges()) {
-		t.Fatal("full-region restricted solve differs from Solve")
-	}
-}
-
-// Locality contract: a restricted solve only rewrites region edges;
-// exterior edges keep their base assignment except for flags ADDED by the
-// boundary repair.
-func TestSolveRestrictedStaysInRegion(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(scaled(400, 160), 5))
-	r := workload.LogDegree(g, 5)
-	base := Solve(g, r, Config{Workers: 1}).Schedule
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	nodes := graph.KHop(g, []graph.NodeID{3, 40}, 2, 120)
-	region := graph.InducedEdgeIDs(g, nodes)
-	if len(region) == 0 || len(region) == g.NumEdges() {
-		t.Fatalf("degenerate region: %d of %d edges", len(region), g.NumEdges())
-	}
-	inRegion := make(map[graph.EdgeID]bool, len(region))
-	for _, e := range region {
-		inRegion[e] = true
-	}
-
-	res := SolveRestricted(g, r, Config{Workers: 1}, base, region)
-	if err := res.Schedule.Validate(); err != nil {
-		t.Fatalf("restricted result invalid: %v", err)
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		ee := graph.EdgeID(e)
-		if inRegion[ee] {
-			continue
-		}
-		// Exterior: coverage identical; push/pull may only be gained.
-		if res.Schedule.IsCovered(ee) != base.IsCovered(ee) ||
-			(res.Schedule.IsCovered(ee) && res.Schedule.Hub(ee) != base.Hub(ee)) {
-			t.Fatalf("exterior edge %d coverage changed", e)
-		}
-		if (base.IsPush(ee) && !res.Schedule.IsPush(ee)) ||
-			(base.IsPull(ee) && !res.Schedule.IsPull(ee)) {
-			t.Fatalf("exterior edge %d lost a flag", e)
-		}
-	}
-}
-
-// The restricted entry point inherits worker-count invariance from the
-// shared lock/decide machinery.
-func TestSolveRestrictedWorkerInvariance(t *testing.T) {
-	g := graphgen.Social(graphgen.TwitterLike(scaled(300, 150), 33))
-	r := workload.LogDegree(g, 5)
-	base := Solve(g, r, Config{Workers: 1}).Schedule
-	nodes := graph.KHop(g, []graph.NodeID{1, 17, 99}, 2, 150)
-	region := graph.InducedEdgeIDs(g, nodes)
-	ref := SolveRestricted(g, r, Config{Workers: 1}, base, region)
-	for _, workers := range []int{2, 4} {
-		got := SolveRestricted(g, r, Config{Workers: workers}, base, region)
-		if !schedulesEqual(ref.Schedule, got.Schedule, g.NumEdges()) {
-			t.Fatalf("workers=%d restricted schedule differs", workers)
-		}
-	}
-}

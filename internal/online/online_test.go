@@ -9,7 +9,6 @@ import (
 	"piggyback/internal/baseline"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/graphgen"
-	"piggyback/internal/nosy"
 	"piggyback/internal/schedio"
 	"piggyback/internal/solver"
 	"piggyback/internal/workload"
@@ -31,47 +30,38 @@ func freshRates(g interface{ NumNodes() int }, base *workload.Rates) *workload.R
 }
 
 // The daemon stays valid and keeps its running cost exact across a full
-// churn trace, for both localized solvers.
+// churn trace.
 func TestDaemonChurnValidAndCostExact(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(500, 200), 3))
 	base := workload.LogDegree(g, 5)
 	init := chitchat.Solve(g, base, chitchat.Config{Workers: 1})
 	trace := workload.GenerateChurn(g, base, scaled(2000, 600), workload.ChurnConfig{Seed: 3})
 
-	for _, tc := range []struct {
-		name     string
-		regional solver.Solver
-	}{
-		{"chitchat", nil},
-		{"nosy", solver.NewNosy(nosy.Config{Workers: 1})},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := freshRates(g, base)
-			d, err := New(init.Clone(), r, Config{
-				Regional:       tc.regional,
-				MaxRegionNodes: 120,
-				DriftThreshold: 0.1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.ApplyTrace(trace); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Validate(); err != nil {
-				t.Fatalf("final state invalid: %v", err)
-			}
-			_, liveS := d.Snapshot()
-			fresh := liveS.Cost(r)
-			if diff := math.Abs(fresh - d.Cost()); diff > 1e-6*(1+fresh) {
-				t.Fatalf("running cost %v != snapshot cost %v", d.Cost(), fresh)
-			}
-			st := d.Stats()
-			if st.Ops != len(trace) {
-				t.Fatalf("ops = %d, want %d", st.Ops, len(trace))
-			}
+	t.Run("chitchat", func(t *testing.T) {
+		r := freshRates(g, base)
+		d, err := New(init.Clone(), r, Config{
+			MaxRegionNodes: 120,
+			DriftThreshold: 0.1,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ApplyTrace(trace); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("final state invalid: %v", err)
+		}
+		_, liveS := d.Snapshot()
+		fresh := liveS.Cost(r)
+		if diff := math.Abs(fresh - d.Cost()); diff > 1e-6*(1+fresh) {
+			t.Fatalf("running cost %v != snapshot cost %v", d.Cost(), fresh)
+		}
+		st := d.Stats()
+		if st.Ops != len(trace) {
+			t.Fatalf("ops = %d, want %d", st.Ops, len(trace))
+		}
+	})
 }
 
 // When the incumbent schedule is badly degraded (hybrid seed — no hubs
@@ -205,24 +195,21 @@ func TestAcceptanceOnlineDaemon2k(t *testing.T) {
 	}
 }
 
-// pushAllSolver is a solver that cannot re-solve regions.
-func pushAllSolver(t *testing.T) solver.Solver {
-	t.Helper()
-	sv, err := solver.New(solver.PushAll, solver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sv
-}
-
 // TestRejectsRegionIncapableSolver pins the construction-time guard: a
-// regional solver that cannot handle Problem.Region is a configuration
-// error, not a stream of silent re-solve failures.
+// regional solver that cannot handle Problem.Region — a baseline, or NOSY,
+// which is a batch solver only — is a configuration error, not a stream
+// of silent re-solve failures.
 func TestRejectsRegionIncapableSolver(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(100, 1))
 	r := workload.LogDegree(g, 5)
 	s := chitchat.Solve(g, r, chitchat.Config{})
-	if _, err := New(s, r, Config{Regional: pushAllSolver(t)}); !errors.Is(err, solver.ErrRegionUnsupported) {
-		t.Fatalf("New with pushall regional = %v, want ErrRegionUnsupported", err)
+	for _, name := range []string{solver.PushAll, solver.Nosy} {
+		sv, err := solver.New(name, solver.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(s, r, Config{Regional: sv}); !errors.Is(err, solver.ErrRegionUnsupported) {
+			t.Errorf("New with %s regional = %v, want ErrRegionUnsupported", name, err)
+		}
 	}
 }

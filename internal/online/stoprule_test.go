@@ -11,7 +11,6 @@ import (
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
 	"piggyback/internal/graphgen"
-	"piggyback/internal/nosy"
 	"piggyback/internal/scenario"
 	"piggyback/internal/schedio"
 	"piggyback/internal/solver"
@@ -106,9 +105,8 @@ func TestStopRuleDaemonProperty(t *testing.T) {
 type mute struct{ solver.Solver }
 
 // What streams no Saved runs as it did before the rule existed: the
-// digests are the final schedules of the parent commit (16d7c15) on this
-// trace, for CHITCHAT behind a wrapper without a progress stream and for
-// NOSY.
+// digest is the final schedule of the parent commit (16d7c15) on this
+// trace, for CHITCHAT behind a wrapper without a progress stream.
 func TestStopRuleLeavesOtherSolversAlone(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(200, 11))
 	base := workload.LogDegree(g, 5)
@@ -116,39 +114,30 @@ func TestStopRuleLeavesOtherSolversAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want string
-	}{
-		{"no progress stream", Config{Regional: mute{solver.NewChitChat(chitchat.Config{})}},
-			"417fbdeaefcd4cf1d1d2f9d0b8ee0eb051449625dcffc829be97d330f1481368"},
-		{"nosy", Config{Regional: solver.NewNosy(nosy.Config{Workers: 1})},
-			"935dc8ffe555a798ba80522f222dbccc2f76c84ea74594a3289b0fb6ace6612b"},
-	} {
-		var ev telemetry.EventLog
-		cfg := tc.cfg
-		cfg.DriftThreshold, cfg.CheckEvery, cfg.BudgetFraction, cfg.Events = 0.05, 8, -1, &ev
-		r := freshRates(g, base)
-		d, err := New(chitchat.Solve(g, r, chitchat.Config{}), r, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.ApplyTrace(trace); err != nil {
-			t.Fatal(err)
-		}
-		st := d.Stats()
-		if st.Resolves == 0 || st.Reverted == 0 {
-			t.Fatalf("%s: %d accepted, %d reverted: the trace decides nothing", tc.name, st.Resolves, st.Reverted)
-		}
-		if records := strings.Join(ev.Attrs("resolve"), "\n"); strings.Contains(records, "stopped=early") {
-			t.Errorf("%s: the rule cut a solve it cannot see:\n%s", tc.name, records)
-		}
-		_, liveS := d.Snapshot()
-		sum := sha256.Sum256(scheduleBytes(t, liveS))
-		if got := hex.EncodeToString(sum[:]); got != tc.want {
-			t.Errorf("%s: final schedule digest %s, parent's %s", tc.name, got, tc.want)
-		}
+	const want = "417fbdeaefcd4cf1d1d2f9d0b8ee0eb051449625dcffc829be97d330f1481368"
+	var ev telemetry.EventLog
+	r := freshRates(g, base)
+	d, err := New(chitchat.Solve(g, r, chitchat.Config{}), r, Config{
+		Regional:       mute{solver.NewChitChat(chitchat.Config{})},
+		DriftThreshold: 0.05, CheckEvery: 8, BudgetFraction: -1, Events: &ev,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ApplyTrace(trace); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	if st.Resolves == 0 || st.Reverted == 0 {
+		t.Fatalf("%d accepted, %d reverted: the trace decides nothing", st.Resolves, st.Reverted)
+	}
+	if records := strings.Join(ev.Attrs("resolve"), "\n"); strings.Contains(records, "stopped=early") {
+		t.Errorf("the rule cut a solve it cannot see:\n%s", records)
+	}
+	_, liveS := d.Snapshot()
+	sum := sha256.Sum256(scheduleBytes(t, liveS))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("final schedule digest %s, parent's %s", got, want)
 	}
 }
 

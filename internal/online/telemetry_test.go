@@ -1,105 +1,46 @@
 package online
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
 	"piggyback/internal/chitchat"
 	"piggyback/internal/graphgen"
-	"piggyback/internal/nosy"
-	"piggyback/internal/solver"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
 
-// telemetryOut is one run's deterministic artifacts: the span tree, the
-// non-timing metric snapshot and the decision records.
-type telemetryOut struct {
-	tree, snap string
-	records    []string
-}
-
-// telemetryRun drives a churn trace through a daemon whose regional
-// solver is NOSY at the given worker count, with full telemetry attached.
-func telemetryRun(workers int) (out telemetryOut, err error) {
-	g := graphgen.Social(graphgen.FlickrLike(scaled(400, 250), 7))
-	base := workload.LogDegree(g, 5)
-	r := freshRates(g, base)
-	// A NOSY incumbent: against CHITCHAT's every NOSY patch is dearer and
-	// reverted, and the test needs both verdicts.
-	init := nosy.Solve(g, r, nosy.Config{Workers: 1}).Schedule
-	trace := workload.GenerateChurn(g, base, scaled(2500, 1200), workload.ChurnConfig{Seed: 7})
-
-	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer(7)
-	var ev telemetry.EventLog
-	d, err := New(init, r, Config{
-		Regional:       solver.NewNosy(nosy.Config{Workers: workers}),
-		DriftThreshold: 0.02,
-		CheckEvery:     8,
-		BudgetFraction: -1,
-		Metrics:        reg,
-		Tracer:         tr,
-		Events:         &ev,
-	})
-	if err != nil {
-		return out, err
-	}
-	if err := d.ApplyTrace(trace); err != nil {
-		return out, fmt.Errorf("trace failed: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return out, fmt.Errorf("final schedule invalid: %w", err)
-	}
-	// One stall observed per re-solve attempt, whatever its verdict; a wall
-	// time, so in the registry and out of the deterministic snapshot.
-	full := reg.Snapshot()
-	if m, _ := full.Get("online_stall_seconds"); m.Count == 0 || int(m.Count) != len(ev.Attrs("resolve")) || m.Sum <= 0 {
-		return out, fmt.Errorf("online_stall_seconds = %+v over %d re-solve attempts", m, len(ev.Attrs("resolve")))
-	}
-	if _, ok := full.NonTiming().Get("online_stall_seconds"); ok {
-		return out, errors.New("online_stall_seconds is in the non-timing snapshot")
-	}
-	return telemetryOut{tr.Tree(), full.NonTiming().String(), ev.Attrs("resolve")}, nil
-}
-
-// Same seed, same trace, same configuration: runs at Workers 1, 1 and 4
-// must produce a byte-identical span tree, non-timing metric snapshot and
-// decision record stream. The records must hold an accepted and a
-// reverted attempt, so the runs agree on both of the gate's verdicts.
+// The telemetry's determinism rides the zoo replay: on every cell the
+// disturbed run ends on the observed run's span tree, decision records and
+// non-timing metric snapshot (sameEnd). The churn cell's observed run,
+// which starts from a NOSY incumbent and has both of the gate's verdicts,
+// also holds the one wall-clock series the daemon keeps per attempt: one
+// stall observed per re-solve attempt, whatever its verdict, and kept out
+// of the non-timing snapshot.
 func TestDaemonTelemetryDeterministic(t *testing.T) {
-	var want telemetryOut
-	for i, workers := range []int{1, 1, 4} {
-		got, err := telemetryRun(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			want = got
-			all := strings.Join(got.records, "\n")
-			if got.tree == "" {
-				t.Fatal("no spans recorded — tracer was not wired through the daemon")
-			}
-			if !strings.Contains(all, "verdict=accepted") || !strings.Contains(all, "verdict=reverted") {
-				t.Fatalf("want an accepted and a reverted attempt:\n%s", all)
-			}
+	for _, r := range zooReplays() {
+		if r.cell.name != "churn" {
 			continue
 		}
-		if got.tree != want.tree {
-			t.Fatalf("run %d (Workers=%d): span tree differs from run 1:\n--- run 1\n%s\n--- run %d\n%s", i+1, workers, want.tree, i+1, got.tree)
+		run := r.observed
+		if run.tree == "" {
+			t.Fatal("no spans recorded — tracer was not wired through the daemon")
 		}
-		if got.snap != want.snap {
-			t.Fatalf("run %d (Workers=%d): non-timing snapshot differs from run 1:\n--- run 1\n%s\n--- run %d\n%s", i+1, workers, want.snap, i+1, got.snap)
+		if !strings.Contains(run.records, "verdict=accepted") || !strings.Contains(run.records, "verdict=reverted") {
+			t.Fatalf("want an accepted and a reverted attempt:\n%s", run.records)
 		}
-		if !reflect.DeepEqual(got.records, want.records) {
-			t.Fatalf("run %d (Workers=%d): decision records differ from run 1:\n--- run 1\n%s\n--- run %d\n%s",
-				i+1, workers, strings.Join(want.records, "\n"), i+1, strings.Join(got.records, "\n"))
+		attempts := strings.Count(run.records, "\n") + 1
+		if m, _ := run.metrics.Get("online_stall_seconds"); int(m.Count) != attempts || m.Sum <= 0 {
+			t.Errorf("online_stall_seconds = %+v over %d re-solve attempts", m, attempts)
 		}
+		if _, ok := run.metrics.NonTiming().Get("online_stall_seconds"); ok {
+			t.Error("online_stall_seconds is in the non-timing snapshot")
+		}
+		sameEnd(t, r)
+		return
 	}
+	t.Fatal("the zoo replay has no churn cell")
 }
 
 // The registry mirror of Stats must agree with Stats itself, and every

@@ -12,9 +12,9 @@
 //     wall-clock-random 0–50 ms and each op followed by a random 0–1 ms
 //     pause, every check boundary held against referenceCheck. It must end
 //     where the observed run ends: schedule bytes, Stats, decision records,
-//     span tree and cost bits. That one comparison is run-to-run
-//     determinism, worker invariance, an op-count splice point, and the
-//     checked boundary's equality with Apply's.
+//     span tree, non-timing metric snapshot and cost bits. That one
+//     comparison is run-to-run determinism, worker invariance, an op-count
+//     splice point, and the checked boundary's equality with Apply's.
 //
 // Observers record findings instead of failing (two of them run on the
 // attempt's goroutine); each test asserts its own oracle's. -short replays
@@ -171,6 +171,7 @@ type zooRun struct {
 	cost     float64
 	records  string
 	tree     string
+	metrics  telemetry.Snapshot // the run's registry, after the flush
 	// The observed run's: cut patches the solver returned, edges the
 	// amortize oracle saw bought, splices held against the reference.
 	truncated, upgraded, spliced int
@@ -183,9 +184,10 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	defer func() { run.findings = f.by }()
 	var ev telemetry.EventLog
 	tr := telemetry.NewTracer(7)
+	reg := telemetry.NewRegistry()
 	cfg := c.cfg
 	ob := &observing{Solver: solver.NewChitChat(chitchat.Config{Workers: 1}), f: f}
-	cfg.Regional, cfg.Events, cfg.Tracer = ob, &ev, tr
+	cfg.Regional, cfg.Events, cfg.Tracer, cfg.Metrics = ob, &ev, tr, reg
 	var jitter *rand.Rand
 	if disturbed {
 		now := time.Now().UnixNano()
@@ -249,7 +251,7 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	}
 	run.schedule, run.stats, run.cost = buf.Bytes(), d.Stats(), d.Cost()
 	run.stats.ResolveWall = 0
-	run.records, run.tree = strings.Join(ev.Attrs("resolve"), "\n"), tr.Tree()
+	run.records, run.tree, run.metrics = strings.Join(ev.Attrs("resolve"), "\n"), tr.Tree(), reg.Snapshot()
 	run.truncated, run.upgraded = ob.truncated, ob.upgraded
 	return run
 }
@@ -315,6 +317,8 @@ func sameEnd(t *testing.T, r *zooResult) {
 		t.Errorf("disturbed run: decision records differ:\n%s\n---\n%s", got.records, want.records)
 	case got.tree != want.tree:
 		t.Errorf("disturbed run: span trees differ:\n%s\n---\n%s", got.tree, want.tree)
+	case got.metrics.NonTiming().String() != want.metrics.NonTiming().String():
+		t.Errorf("disturbed run: non-timing snapshots differ:\n%s\n---\n%s", got.metrics.NonTiming(), want.metrics.NonTiming())
 	case math.Float64bits(got.cost) != math.Float64bits(want.cost):
 		t.Errorf("disturbed run: cost %v, observed %v", got.cost, want.cost)
 	}

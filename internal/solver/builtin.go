@@ -185,8 +185,8 @@ func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (res *Result, err
 	return finish(ChitChat, out, p, Report{Iterations: commits, BoundaryRepairs: repairs}, cause)
 }
 
-// nosySolver adapts PARALLELNOSY to the Solver contract. Region
-// re-solves run the restricted entry point.
+// nosySolver adapts PARALLELNOSY to the Solver contract. It is a batch
+// solver: CHITCHAT is the one region re-solver.
 type nosySolver struct {
 	cfg      nosy.Config
 	progress func(ProgressEvent)
@@ -198,7 +198,7 @@ func NewNosy(cfg nosy.Config) Solver { return &nosySolver{cfg: cfg} }
 func (s *nosySolver) Name() string { return Nosy }
 
 // SupportsRegions implements RegionCapable.
-func (s *nosySolver) SupportsRegions() bool { return true }
+func (s *nosySolver) SupportsRegions() bool { return false }
 
 // ChainProgress implements ProgressChainer: fn is appended to the
 // solver's progress stream, after any previously attached sink.
@@ -225,6 +225,9 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 	if err := checkProblem(p); err != nil {
 		return nil, err
 	}
+	if p.Region != nil {
+		return nil, fmt.Errorf("solver %s: %w", Nosy, ErrRegionUnsupported)
+	}
 	cfg := s.cfg
 	if s.progress != nil {
 		prev := cfg.OnIteration
@@ -248,16 +251,8 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 			})
 		}
 	}
-	var (
-		nr    nosy.Result
-		cause error
-	)
-	if p.Region != nil {
-		nr, cause = nosy.SolveRestrictedCtx(ctx, p.Graph, p.Rates, cfg, p.Base, p.Region)
-	} else {
-		nr, cause = nosy.SolveCtx(ctx, p.Graph, p.Rates, cfg)
-	}
-	rep := Report{Iterations: len(nr.Iterations), BoundaryRepairs: nr.BoundaryRepairs}
+	nr, cause := nosy.SolveCtx(ctx, p.Graph, p.Rates, cfg)
+	rep := Report{Iterations: len(nr.Iterations)}
 	for _, it := range nr.Iterations {
 		rep.FullCommits += it.FullCommits
 		rep.PartialCommits += it.PartialCommits

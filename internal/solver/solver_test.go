@@ -249,7 +249,7 @@ func TestWorkerInvarianceUnderCancel(t *testing.T) {
 }
 
 // TestRegionSolve pins the localized re-solve path through the Solver
-// interface against the pre-redesign entry points.
+// interface against the manual extract/solve/splice pipeline.
 func TestRegionSolve(t *testing.T) {
 	g, r := quickProblem(t, 250)
 	base := chitchat.Solve(g, r, chitchat.Config{})
@@ -259,23 +259,6 @@ func TestRegionSolve(t *testing.T) {
 	if len(region) == 0 {
 		t.Fatal("empty test region")
 	}
-	t.Run("nosy", func(t *testing.T) {
-		sv := NewNosy(nosy.Config{})
-		res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r, Base: base, Region: region})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Schedule.Validate(); err != nil {
-			t.Fatalf("patched schedule invalid: %v", err)
-		}
-		want := nosy.SolveRestricted(g, r, nosy.Config{}, base, region)
-		if !bytes.Equal(scheduleBytes(t, res.Schedule), scheduleBytes(t, want.Schedule)) {
-			t.Errorf("region schedule differs from nosy.SolveRestricted")
-		}
-		if res.Report.BoundaryRepairs != want.BoundaryRepairs {
-			t.Errorf("BoundaryRepairs = %d, want %d", res.Report.BoundaryRepairs, want.BoundaryRepairs)
-		}
-	})
 	t.Run("chitchat", func(t *testing.T) {
 		sv := NewChitChat(chitchat.Config{})
 		res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r, Base: base, Region: region})
@@ -376,6 +359,7 @@ func TestProblemValidation(t *testing.T) {
 		{"nil rates", NewNosy(nosy.Config{}), Problem{Graph: g}, ErrNoGraph},
 		{"region without base", NewNosy(nosy.Config{}), Problem{Graph: g, Rates: r, Region: region}, ErrNoBase},
 		{"baseline region", baselineSolver{Hybrid}, Problem{Graph: g, Rates: r, Base: base, Region: region}, ErrRegionUnsupported},
+		{"nosy region", NewNosy(nosy.Config{}), Problem{Graph: g, Rates: r, Base: base, Region: region}, ErrRegionUnsupported},
 	} {
 		res, err := tc.sv.Solve(context.Background(), tc.p)
 		if !errors.Is(err, tc.want) {
@@ -481,7 +465,7 @@ func TestProgressStream(t *testing.T) {
 func TestSupportsRegions(t *testing.T) {
 	for name, want := range map[string]bool{
 		ChitChat: true,
-		Nosy:     true,
+		Nosy:     false,
 		Hybrid:   false,
 		PushAll:  false,
 		PullAll:  false,

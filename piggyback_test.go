@@ -184,11 +184,10 @@ func TestOnlineDaemonCtxAPI(t *testing.T) {
 	r := LogDegreeRates(g, 5)
 	sched := solve(t, NewChitChatSolver(ChitChatConfig{}), g, r)
 	trace := GenerateChurn(g, r, 200, ChurnConfig{Seed: 2})
-	regional := nosySolver(t)
 	run := func(apply func(*OnlineDaemon, ChurnOp) error) *OnlineDaemon {
 		rr := &Rates{Prod: append([]float64(nil), r.Prod...), Cons: append([]float64(nil), r.Cons...)}
 		d, err := NewOnlineDaemon(sched, rr, OnlineConfig{
-			Regional: regional, DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1,
+			DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
