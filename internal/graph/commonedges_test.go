@@ -47,7 +47,7 @@ func TestCommonInEdgesAppendsToBuffers(t *testing.T) {
 
 // TestCommonInEdgesSkewed forces the galloping path: one endpoint is a
 // celebrity whose in-list dwarfs the other's by far more than
-// gallopFactor, in both orders, with and without a limit. The result
+// GallopFactor, in both orders, with and without a limit. The result
 // must match the linear-merge reference (CommonInNeighbors + EdgeID).
 func TestCommonInEdgesSkewed(t *testing.T) {
 	const n = 1200

@@ -115,11 +115,13 @@ func (g *Graph) DegreeHistogram() map[int]int {
 	return h
 }
 
-// gallopFactor is the length skew beyond which CommonInEdges abandons the
+// GallopFactor is the length skew beyond which CommonInEdges abandons the
 // linear merge for a galloping search over the longer list: when one
 // endpoint is a celebrity (in-degree orders of magnitude above the
 // other's), probing the long list in O(short · log long) beats walking it.
-const gallopFactor = 16
+// NOSY's structure build applies the same test to decide which pairs it
+// hands to CommonInEdges.
+const GallopFactor = 16
 
 // CommonInEdges intersects the in-neighbor lists of a and b and appends,
 // for every common producer x, the node and the edge ids of x → a and
@@ -133,9 +135,9 @@ func (g *Graph) CommonInEdges(a, b NodeID, limit int, xs []NodeID, ea, eb []Edge
 	la, lb := g.InNeighbors(a), g.InNeighbors(b)
 	ia, ib := g.InEdgeIDs(a), g.InEdgeIDs(b)
 	switch {
-	case len(la) > gallopFactor*len(lb):
+	case len(la) > GallopFactor*len(lb):
 		return intersectGallop(lb, ib, la, ia, true, limit, xs, ea, eb)
-	case len(lb) > gallopFactor*len(la):
+	case len(lb) > GallopFactor*len(la):
 		return intersectGallop(la, ia, lb, ib, false, limit, xs, ea, eb)
 	}
 	start := len(xs)

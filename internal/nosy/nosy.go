@@ -24,19 +24,20 @@
 // one candidate — the MapReduce structure of the paper, on goroutines.
 //
 // A round costs what the previous round's commits can change, not the
-// graph: the immutable structural half of every evaluation is computed
-// once per hub edge and kept (structCache); phase 1 re-prices only the
-// dirty set, and a commit dirties exactly the hub edges whose evaluation
-// reads a flag it wrote (Evaluator.Commit; DESIGN.md §15); round storage
-// is reused, and the lock table resets only the words the round bid on.
-// Evaluation fans out across workers when a worker's share outweighs a
-// thread wake-up; bidding, deciding and committing run on the solve
-// goroutine. The schedule produced is identical to the naive three-phase
-// sweep for every worker count.
+// graph: the immutable structural half of every evaluation is built once
+// per hub edge before round 0, on the workers, and kept (structCache);
+// phase 1 re-prices only the dirty set, and a commit dirties exactly the
+// hub edges whose evaluation reads a flag it wrote (Evaluator.Commit;
+// DESIGN.md §15); round storage is reused, and a lock is one 8-byte word
+// a bid max-merges into. Evaluation fans out across workers when a
+// worker's share outweighs a thread wake-up; bidding, deciding and
+// committing run on the solve goroutine. The schedule produced is
+// identical to the naive three-phase sweep for every worker count.
 package nosy
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -147,12 +148,11 @@ func (st *state) run(ctx context.Context) (iters []IterationStat, cause error) {
 // it, from one goroutine with no evaluation in flight.
 //
 // The structural half of an evaluation — the common-producer intersection
-// behind a hub edge — depends only on the immutable graph, so it is
-// computed once into an arena-backed structCache: the first evaluation of
-// a hub edge pays the CommonInEdges merge, every later one is a
+// behind a hub edge — depends only on the immutable graph, so NewEvaluator
+// builds it for every hub edge into a structCache, and an evaluation is a
 // re-pricing pass over the stored flat arrays. Evaluations are safe for
 // concurrent use by goroutines evaluating distinct hub edges, as a round
-// does (structCache states the round barrier); the mutators are not.
+// does; the mutators are not.
 type Evaluator struct {
 	g       *graph.Graph
 	r       *workload.Rates
@@ -176,10 +176,14 @@ type Evaluator struct {
 	epoch uint32
 }
 
-// NewEvaluator returns an evaluator over an empty schedule for g.
+// NewEvaluator returns an evaluator over an empty schedule for g, its
+// structCache built on cfg.Workers goroutines.
 func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 	if cfg.MaxCrossEdges == 0 {
 		cfg.MaxCrossEdges = DefaultMaxCrossEdges
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	ev := &Evaluator{
 		g:       g,
@@ -188,7 +192,7 @@ func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 		sched:   core.NewSchedule(g),
 		cstar:   make([]float64, g.NumEdges()),
 		src:     make([]graph.NodeID, g.NumEdges()),
-		structs: &structCache{recs: make([]structRec, g.NumEdges())},
+		structs: buildStructCache(g, cfg.MaxCrossEdges, cfg.Workers),
 		stamp:   make([]uint32, g.NumNodes()),
 	}
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
@@ -258,7 +262,7 @@ func (ev *Evaluator) EvalCandidate(he graph.EdgeID) (Candidate, bool) {
 // EvalCandidateReuse prices hub edge he into *c, reusing c's producer
 // slices so a steady-state re-evaluation allocates nothing. On true, c is
 // fully populated; on false, c's contents are unspecified. The structural
-// intersection comes from the memoized cache; only the pricing pass reads
+// intersection comes from the structCache; only the pricing pass reads
 // the schedule.
 func (ev *Evaluator) EvalCandidateReuse(he graph.EdgeID, c *Candidate) bool {
 	s := ev.sched
@@ -267,14 +271,7 @@ func (ev *Evaluator) EvalCandidateReuse(he graph.EdgeID, c *Candidate) bool {
 	}
 	w := ev.src[he]
 	y := ev.g.EdgeTarget(he)
-	xs, xwIDs, xyIDs, ok := ev.structs.get(he)
-	if !ok {
-		// First evaluation: compute into c's producer slices, which the
-		// pricing pass overwrites next, and store.
-		c.Xs, c.XWEdges, c.XYEdges = ev.g.CommonInEdges(w, y, ev.cfg.MaxCrossEdges, c.Xs[:0], c.XWEdges[:0], c.XYEdges[:0])
-		ev.structs.put(he, c.Xs, c.XWEdges, c.XYEdges)
-		xs, xwIDs, xyIDs, _ = ev.structs.get(he)
-	}
+	xs, xwIDs, xyIDs := ev.structs.get(he)
 	if len(xs) == 0 {
 		return false
 	}
@@ -335,7 +332,7 @@ func (ev *Evaluator) pullCost(wy graph.EdgeID, y graph.NodeID) float64 {
 // its original length when the candidate does not commit — plus the
 // partial and commit flags. The pull edge w → y must be granted for any
 // commit.
-func decideInto(ev *Evaluator, c *Candidate, g *lockGranter, buf []int32) ([]int32, bool, bool) {
+func decideInto(ev *Evaluator, c *Candidate, g lockGranter, buf []int32) ([]int32, bool, bool) {
 	if !g.granted(c.HubEdge) {
 		return buf, false, false
 	}
@@ -449,18 +446,17 @@ func (ev *Evaluator) sweep(b graph.NodeID, dirty *bitset.Set) {
 // a flag its evaluation reads (Evaluator.Commit) —
 // the same observation behind the paper's pull-based update
 // dissemination between MapReduce iterations. All round-transient
-// storage (dirty list, candidate list, per-worker scratch, keep buffer,
-// touched lock words) is retained and reused, so a steady-state
-// iteration is allocation-free and costs O(dirty + candidates), not O(m).
+// storage (dirty list, candidate list, per-worker scratch, keep buffer)
+// is retained and reused, so a steady-state iteration allocates nothing
+// and, but for the lock table's clear, costs O(dirty + candidates).
 type state struct {
 	ev        *Evaluator
 	cfg       Config
-	locks     []lockWord
-	touched   []graph.EdgeID // lock words bid on this round
-	dirty     *bitset.Set    // hub edges whose evaluation may have changed
-	isCand    *bitset.Set    // hub edges whose cands slot holds a live candidate
-	cands     []*Candidate   // per hub edge, allocated on first candidacy, then reused
-	dirtyList []int32        // reused scratch: this round's dirty edges
+	locks     []uint64     // per edge, the best bid this round (lockWord); 0 = unclaimed
+	dirty     *bitset.Set  // hub edges whose evaluation may have changed
+	isCand    *bitset.Set  // hub edges whose cands slot holds a live candidate
+	cands     []*Candidate // per hub edge, allocated on first candidacy, then reused
+	dirtyList []int32      // reused scratch: this round's dirty edges
 	// evalOK holds one bit per dirtyList entry, set when the edge passed
 	// the gain test: word i covers the workBatch entries of span i, and
 	// the worker that evaluated the span stores it once, at its end.
@@ -488,14 +484,11 @@ func newState(ev *Evaluator, cfg Config) *state {
 	st := &state{
 		ev:      ev,
 		cfg:     cfg,
-		locks:   make([]lockWord, m),
+		locks:   make([]uint64, m),
 		dirty:   bitset.New(m),
 		isCand:  bitset.New(m),
 		cands:   make([]*Candidate, m),
 		scratch: make([]workerScratch, cfg.Workers),
-	}
-	for i := range st.locks {
-		st.locks[i].owner = -1
 	}
 	st.dirty.SetAll()
 	return st
@@ -512,25 +505,26 @@ func (c *Candidate) copyFrom(sc *Candidate) {
 	c.XYEdges = append(c.XYEdges[:0], sc.XYEdges...)
 }
 
-// lockWord is an edge's lock cell: the best (gain, owner) request seen.
-// owner is the candidate's hub-edge id; -1 means unclaimed.
-type lockWord struct {
-	gain  float64
-	owner graph.EdgeID
+// lockWord packs candidate c's bid into one word: the float32 bits of
+// its gain above the complement of its hub-edge id. Gains are positive,
+// so a larger word is a larger float32 gain or, between equal gains, a
+// lower hub edge — the lock order, up to the float32 rounding bid settles
+// exactly. No candidate's word is 0, the unclaimed word.
+func lockWord(c *Candidate) uint64 {
+	return uint64(math.Float32bits(float32(c.Gain)))<<32 | uint64(^uint32(c.HubEdge))
 }
 
-// iterate runs one full candidate/lock/decide round, then returns the
-// lock words the round bid on to the unclaimed state — the lock table is
-// all-unowned between iterations without ever paying the O(m) clear.
+// lockOwner is the hub edge whose bid w is.
+func lockOwner(w uint64) graph.EdgeID { return graph.EdgeID(^uint32(w)) }
+
+// iterate runs one full candidate/lock/decide round, then clears the lock
+// table for the next.
 func (st *state) iterate() IterationStat {
 	cands := st.phaseCandidates()
 	st.phaseLocks(cands)
 	stat := st.phaseDecide(cands)
 	stat.Dirty = len(st.dirtyList)
-	for _, e := range st.touched {
-		st.locks[e] = lockWord{gain: 0, owner: -1}
-	}
-	st.touched = st.touched[:0]
+	clear(st.locks)
 	return stat
 }
 
@@ -547,13 +541,12 @@ const (
 	workBatch = 64
 )
 
-// parallel runs fn over [0, n) on min(Workers, n/workerShare) workers,
-// the caller being worker 0; fn(lo, hi, wk) processes items [lo, hi) on
-// worker wk, lo a multiple of workBatch. Spans come off an atomic cursor,
-// so results must be written to storage indexed by item, span or worker
-// to be independent of scheduling.
-func (st *state) parallel(n int, fn func(lo, hi, wk int)) {
-	nw := min(st.cfg.Workers, n/workerShare)
+// fanOut runs fn over [0, n) on nw workers, the caller being worker 0;
+// fn(lo, hi, wk) processes items [lo, hi) on worker wk, lo a multiple of
+// workBatch. Spans come off an atomic cursor, so results must be written
+// to storage indexed by item, span or worker to be independent of
+// scheduling. With nw ≤ 1, fn runs once over [0, n).
+func fanOut(nw, n int, fn func(lo, hi, wk int)) {
 	if nw <= 1 {
 		fn(0, n, 0)
 		return
@@ -593,7 +586,7 @@ func (st *state) phaseCandidates() []*Candidate {
 		st.evalOK = make([]uint64, words)
 	}
 	ok := st.evalOK[:words]
-	st.parallel(len(list), func(lo, hi, wk int) {
+	fanOut(min(st.cfg.Workers, len(list)/workerShare), len(list), func(lo, hi, wk int) {
 		sc := &st.scratch[wk].Candidate
 		for span := lo; span < hi; span += workBatch {
 			var bits uint64
@@ -636,37 +629,40 @@ func (st *state) phaseCandidates() []*Candidate {
 // synchronization than the second bidder saved (DESIGN.md §15).
 func (st *state) phaseLocks(cands []*Candidate) {
 	for _, c := range cands {
-		st.bid(c.HubEdge, c)
+		w := lockWord(c)
+		st.bid(c.HubEdge, w, c)
 		for j := range c.Xs {
-			st.bid(c.XWEdges[j], c)
-			st.bid(c.XYEdges[j], c)
+			st.bid(c.XWEdges[j], w, c)
+			st.bid(c.XYEdges[j], w, c)
 		}
 	}
 }
 
-// bid offers candidate c for lock word e. The first bid of the round
-// records e in the touched list (the owner transition off -1 happens
-// exactly once per round), which is what makes the end-of-round partial
-// reset complete: words never bid on were never dirtied, so the table is
-// all-unowned again in O(bids), not O(m).
-func (st *state) bid(e graph.EdgeID, c *Candidate) {
-	cur := &st.locks[e]
-	if cur.owner == -1 {
-		st.touched = append(st.touched, e)
-		*cur = lockWord{gain: c.Gain, owner: c.HubEdge}
-	} else if c.Gain > cur.gain || (c.Gain == cur.gain && c.HubEdge < cur.owner) {
-		*cur = lockWord{gain: c.Gain, owner: c.HubEdge}
+// bid offers candidate c, whose lockWord is w, for lock e: the larger
+// word wins, unless the two bids round to the same float32 gain, where
+// the exact float64 gains decide and only equal ones fall through to the
+// word (lowest hub edge).
+func (st *state) bid(e graph.EdgeID, w uint64, c *Candidate) {
+	cur := st.locks[e]
+	if cur>>32 == w>>32 && cur != 0 {
+		if g := st.cands[lockOwner(cur)].Gain; c.Gain != g {
+			if c.Gain > g {
+				st.locks[e] = w
+			}
+			return
+		}
 	}
+	st.locks[e] = max(cur, w)
 }
 
 // lockGranter reports whether an edge's lock is granted to the candidate
-// being decided: a direct lock-table read, so deciding allocates nothing.
+// being decided: the edge's word is the candidate's own lockWord.
 type lockGranter struct {
-	locks []lockWord
-	owner graph.EdgeID
+	locks []uint64
+	word  uint64
 }
 
-func (lg *lockGranter) granted(e graph.EdgeID) bool { return lg.locks[e].owner == lg.owner }
+func (lg lockGranter) granted(e graph.EdgeID) bool { return lg.locks[e] == lg.word }
 
 // phaseDecide runs the phase-3 rule (decideInto) for every
 // candidate against the lock table and commits the winners as it goes.
@@ -679,10 +675,9 @@ func (lg *lockGranter) granted(e graph.EdgeID) bool { return lg.locks[e].owner =
 // bought nothing measurable (DESIGN.md §15).
 func (st *state) phaseDecide(cands []*Candidate) IterationStat {
 	stat := IterationStat{Candidates: len(cands)}
-	lg := lockGranter{locks: st.locks}
 	for _, c := range cands {
-		lg.owner = c.HubEdge
-		keep, partial, ok := decideInto(st.ev, c, &lg, st.keep[:0])
+		lg := lockGranter{locks: st.locks, word: lockWord(c)}
+		keep, partial, ok := decideInto(st.ev, c, lg, st.keep[:0])
 		st.keep = keep
 		if !ok {
 			continue

@@ -3,6 +3,7 @@ package nosy
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -279,55 +280,71 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestStructCacheComputedOnce: after a full solve the cache holds one
-// record per hub edge (round 0 evaluates every edge), each span stored
-// once, with entries summing to the MaxCrossEdges-capped intersections
-// recomputed from the graph; and the arena is no larger than what it
-// stores plus one partly filled chunk and, for every other chunk, a tail
-// shorter than the entry that retired it. Round 0 fans out at Workers 2
-// here, so -race also sees concurrent first evaluations.
+// TestStructCacheComputedOnce: the cache NewEvaluator builds holds one
+// record per hub edge, each equal to the intersection CommonInEdges
+// recomputes from the graph (uncapped, and capped at 4, which truncates
+// many), and each span stored once: the chunks hold exactly the entries
+// the records name, and a full solve stores nothing more. The arena is no
+// larger than what it stores plus one partly filled chunk per worker and,
+// for every other chunk, a tail shorter than the entry that retired it.
+// The build fans out at Workers 2 here, so -race also sees concurrent
+// workers.
 func TestStructCacheComputedOnce(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(400, 200), 11))
 	r := workload.LogDegree(g, 5)
-	cfg := Config{Workers: 2}
-	st := newState(NewEvaluator(g, r, cfg), cfg)
-	if _, err := st.run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ev := st.ev
-	stored, want, largest := 0, 0, 0
-	chunks := map[*structChunk]bool{}
-	for e, rec := range ev.structs.recs {
-		if rec.chunk == nil {
-			t.Fatalf("hub edge %d has no record", e)
+	for _, cfg := range []Config{{Workers: 2}, {Workers: 2, MaxCrossEdges: 4}} {
+		ev := NewEvaluator(g, r, cfg)
+		stored, largest := 0, 0
+		chunks := map[*structChunk]bool{}
+		for e, rec := range ev.structs.recs {
+			if rec.chunk == nil {
+				t.Fatalf("mx%d: hub edge %d has no record", cfg.MaxCrossEdges, e)
+			}
+			chunks[rec.chunk] = true
+			stored += int(rec.n)
+			largest = max(largest, int(rec.n))
+			xs, xw, xy := ev.structs.get(graph.EdgeID(e))
+			wantXs, wantXW, wantXY := g.CommonInEdges(ev.src[e], g.EdgeTarget(graph.EdgeID(e)), ev.cfg.MaxCrossEdges, nil, nil, nil)
+			if !slices.Equal(xs, wantXs) || !slices.Equal(xw, wantXW) || !slices.Equal(xy, wantXY) {
+				t.Fatalf("mx%d: hub edge %d: stored %v %v %v, CommonInEdges %v %v %v",
+					cfg.MaxCrossEdges, e, xs, xw, xy, wantXs, wantXW, wantXY)
+			}
 		}
-		chunks[rec.chunk] = true
-		stored += int(rec.n)
-		largest = max(largest, int(rec.n))
-		xs, _, _ := g.CommonInEdges(ev.src[e], g.EdgeTarget(graph.EdgeID(e)), ev.cfg.MaxCrossEdges, nil, nil, nil)
-		want += len(xs)
-	}
-	if stored != want {
-		t.Fatalf("records hold %d entries, the intersections have %d", stored, want)
-	}
-	used, capacity := 0, 0
-	for k := range chunks {
-		used += k.used
-		capacity += len(k.xs)
-	}
-	if used != stored {
-		t.Fatalf("chunks hold %d entries, records %d: an intersection was stored twice", used, stored)
-	}
-	if slack := capacity - stored; slack > chunkEntries+(len(chunks)-1)*(largest-1) {
-		t.Fatalf("%d chunks hold %d entries in %d slots (largest entry %d)", len(chunks), stored, capacity, largest)
+		used := func() int {
+			n := 0
+			for k := range chunks {
+				n += k.used
+			}
+			return n
+		}
+		if n := used(); n != stored {
+			t.Fatalf("mx%d: chunks hold %d entries, records %d: an intersection was stored twice", cfg.MaxCrossEdges, n, stored)
+		}
+		capacity := 0
+		for k := range chunks {
+			capacity += len(k.xs)
+		}
+		if slack := capacity - stored; slack > cfg.Workers*chunkEntries+(len(chunks)-1)*(largest-1) {
+			t.Fatalf("mx%d: %d chunks hold %d entries in %d slots (largest entry %d)", cfg.MaxCrossEdges, len(chunks), stored, capacity, largest)
+		}
+		st := newState(ev, cfg)
+		if _, err := st.run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for e, rec := range ev.structs.recs {
+			if !chunks[rec.chunk] {
+				t.Fatalf("mx%d: hub edge %d: the solve stored a new intersection", cfg.MaxCrossEdges, e)
+			}
+		}
+		if n := used(); n != stored {
+			t.Fatalf("mx%d: after the solve chunks hold %d entries, records %d", cfg.MaxCrossEdges, n, stored)
+		}
 	}
 }
 
-// TestLockTableResetBetweenIterations is the regression test for the
-// partial lock reset: after every iteration the lock table must be
-// all-unclaimed — the touched-word reset may not leave a stale owner from
-// the round's bids, or the next round's decide phase could read a
-// phantom grant.
+// TestLockTableResetBetweenIterations: after every iteration every lock
+// word is 0, the unclaimed word — a stale bid left by the round could
+// read as a phantom grant in the next round's decide phase.
 func TestLockTableResetBetweenIterations(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 150), 9))
 	r := workload.LogDegree(g, 5)
@@ -337,10 +354,10 @@ func TestLockTableResetBetweenIterations(t *testing.T) {
 		committed := 0
 		for it := 0; it < 50; it++ {
 			stat := st.iterate()
-			for e, lw := range st.locks {
-				if lw.owner != -1 || lw.gain != 0 {
-					t.Fatalf("workers=%d iteration %d: stale lock word at edge %d: %+v",
-						workers, it, e, lw)
+			for e, w := range st.locks {
+				if w != 0 {
+					t.Fatalf("workers=%d iteration %d: stale lock word %#x at edge %d",
+						workers, it, w, e)
 				}
 			}
 			committed += stat.FullCommits + stat.PartialCommits
@@ -350,6 +367,57 @@ func TestLockTableResetBetweenIterations(t *testing.T) {
 		}
 		if committed == 0 {
 			t.Fatal("solver committed nothing; lock table never exercised")
+		}
+	}
+}
+
+// TestLockWordTieBreak: the packed lock word orders bids by float32 gain,
+// so bids whose gains round to the same float32 but differ as float64
+// must still go to the larger exact gain, and exactly equal gains to the
+// lowest hub edge, whatever the bid order. Each case holds a winner the
+// word alone would get wrong.
+func TestLockWordTieBreak(t *testing.T) {
+	near := 1 + 0x1p-40 // rounds to float32 1, as 1 does
+	if float32(near) != float32(1) {
+		t.Fatal("the near gain must share float32 1's key")
+	}
+	cases := []struct {
+		name string
+		bids []Candidate
+		want graph.EdgeID
+	}{
+		{"larger exact gain, higher hub edge", []Candidate{{HubEdge: 3, Gain: 1}, {HubEdge: 5, Gain: near}}, 5},
+		{"equal gains, lowest hub edge", []Candidate{{HubEdge: 7, Gain: near}, {HubEdge: 5, Gain: near}}, 5},
+		{"three on one key", []Candidate{{HubEdge: 2, Gain: 1}, {HubEdge: 9, Gain: near}, {HubEdge: 6, Gain: near}, {HubEdge: 4, Gain: 1}}, 6},
+		{"distinct keys, higher word", []Candidate{{HubEdge: 3, Gain: near}, {HubEdge: 8, Gain: 2}}, 8},
+	}
+	for _, tc := range cases {
+		for _, reverse := range []bool{false, true} {
+			bids := slices.Clone(tc.bids)
+			if reverse {
+				slices.Reverse(bids)
+			}
+			st := &state{locks: make([]uint64, 10), cands: make([]*Candidate, 10)}
+			var cands []*Candidate
+			for i := range bids {
+				c := &bids[i]
+				st.cands[c.HubEdge] = c
+				cands = append(cands, c)
+			}
+			// Every candidate bids on lock 0; its own hub edge is a lock
+			// only it bids on.
+			for _, c := range cands {
+				st.bid(0, lockWord(c), c)
+			}
+			if got := lockOwner(st.locks[0]); got != tc.want {
+				t.Errorf("%s (reverse %v): lock held by hub edge %d, want %d", tc.name, reverse, got, tc.want)
+			}
+			for _, c := range cands {
+				lg := lockGranter{locks: st.locks, word: lockWord(c)}
+				if lg.granted(0) != (c.HubEdge == tc.want) {
+					t.Errorf("%s (reverse %v): granted(0) for hub edge %d is %v", tc.name, reverse, c.HubEdge, lg.granted(0))
+				}
+			}
 		}
 	}
 }

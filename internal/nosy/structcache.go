@@ -1,43 +1,30 @@
 package nosy
 
-import (
-	"sync"
+import "piggyback/internal/graph"
 
-	"piggyback/internal/graph"
-)
-
-// structCache memoizes the immutable structural part of candidate
+// structCache holds the immutable structural part of candidate
 // evaluation: for hub edge w → y, the common-producer intersection
-// (Xs, XWEdges, XYEdges) returned by graph.CommonInEdges depends only on
+// (Xs, XWEdges, XYEdges) that graph.CommonInEdges returns depends only on
 // the graph and the MaxCrossEdges bound, never on the schedule. It is
-// computed on the hub edge's first evaluation and kept for the solve:
-// nothing is evicted, as Σ|X| is 4.5–12 MB at 12 bytes an entry on the
-// benchmark and experiment graphs (DESIGN.md §6). Entries go to flat
-// (xs, xw, xy) chunks, and a per-edge record points at the span; an empty
+// built once, before round 0, and kept for the solve: Σ|X| is 4.5–12 MB
+// at 12 bytes an entry on the benchmark and experiment graphs
+// (DESIGN.md §6). Entries go to flat (xs, xw, xy) chunks, each filled by
+// one build worker, and a per-edge record points at the span; an empty
 // X is a record with n = 0.
 //
-// Concurrency rests on the round barrier: a round evaluates each dirty
-// hub edge on exactly one goroutine and joins its workers before the next
-// round, so another goroutine reads a record only after the join that
-// follows its write, and records need no lock. The mutex guards the
-// append cursor alone: a span is reserved under it and filled after, and
-// chunk arrays are allocated at full length and never resliced, so
-// concurrent fills write disjoint elements.
+// The cache is written only while it is built and read-only after, so
+// evaluations on any number of goroutines share it without a lock.
 type structCache struct {
 	recs []structRec // per hub edge
-	mu   sync.Mutex
-	cur  *structChunk // the chunk being filled; guarded by mu
 }
 
-// structRec locates a hub edge's intersection; chunk is nil until the
-// hub edge is first evaluated.
+// structRec locates a hub edge's intersection.
 type structRec struct {
 	chunk    *structChunk
 	start, n int32
 }
 
-// structChunk is one arena chunk, filled front to back; used is guarded
-// by structCache.mu.
+// structChunk is one arena chunk, filled front to back by one worker.
 type structChunk struct {
 	xs     []graph.NodeID
 	xw, xy []graph.EdgeID
@@ -50,22 +37,77 @@ type structChunk struct {
 // is shorter than the entry that retired it.
 const chunkEntries = 1 << 13
 
-// get returns the stored intersection of hub edge he; ok is false before
-// its first evaluation.
-func (c *structCache) get(he graph.EdgeID) (xs []graph.NodeID, xw, xy []graph.EdgeID, ok bool) {
-	r := c.recs[he]
-	if r.chunk == nil {
-		return nil, nil, nil, false
-	}
-	lo, hi := r.start, r.start+r.n
-	return r.chunk.xs[lo:hi], r.chunk.xw[lo:hi], r.chunk.xy[lo:hi], true
+// buildScratch is one build worker's state, padded so that no two
+// workers' slice headers share a cache line: the intersection being
+// computed, the chunk being filled, and the stamp. mark[x] holds w+1 in
+// its high half and the id of edge x → w in its low half once in(w) is
+// stamped; a stale entry names another source, so mark is never cleared.
+type buildScratch struct {
+	xs     []graph.NodeID
+	xw, xy []graph.EdgeID
+	cur    *structChunk
+	mark   []uint64
+	_      [64]byte
 }
 
-// put stores the intersection of hub edge he.
-func (c *structCache) put(he graph.EdgeID, xs []graph.NodeID, xw, xy []graph.EdgeID) {
-	n := len(xs)
-	c.mu.Lock()
-	k := c.cur
+// buildStructCache computes every hub edge's intersection, capped at
+// limit entries, in spans of workBatch source nodes on up to workers
+// goroutines (one per workerShare edges). Per source w it stamps in(w)
+// once, then for each hub edge w → y scans in(y) against the stamp: the
+// hits come in ascending producer order and stop at the cap, which is
+// exactly CommonInEdges' output, without its branchy two-pointer merge.
+// A pair CommonInEdges would gallop goes to CommonInEdges itself.
+func buildStructCache(g *graph.Graph, limit, workers int) *structCache {
+	c := &structCache{recs: make([]structRec, g.NumEdges())}
+	nw := min(workers, g.NumEdges()/workerShare)
+	scratch := make([]buildScratch, max(nw, 1))
+	fanOut(nw, g.NumNodes(), func(lo, hi, wk int) {
+		sc := &scratch[wk]
+		if sc.mark == nil {
+			sc.mark = make([]uint64, g.NumNodes())
+		}
+		for w := graph.NodeID(lo); w < graph.NodeID(hi); w++ {
+			inW := g.InNeighbors(w)
+			stamped := false
+			tag := uint64(w) + 1
+			elo, ehi := g.OutEdgeRange(w)
+			for he := elo; he < ehi; he++ {
+				y := g.EdgeTarget(he)
+				inY := g.InNeighbors(y)
+				xs, xw, xy := sc.xs[:0], sc.xw[:0], sc.xy[:0]
+				if len(inW) > graph.GallopFactor*len(inY) || len(inY) > graph.GallopFactor*len(inW) {
+					xs, xw, xy = g.CommonInEdges(w, y, limit, xs, xw, xy)
+				} else {
+					if !stamped {
+						for i, id := range g.InEdgeIDs(w) {
+							sc.mark[inW[i]] = tag<<32 | uint64(uint32(id))
+						}
+						stamped = true
+					}
+					ids := g.InEdgeIDs(y)
+					for j, x := range inY {
+						if m := sc.mark[x]; m>>32 == tag {
+							xs = append(xs, x)
+							xw = append(xw, graph.EdgeID(uint32(m)))
+							xy = append(xy, ids[j])
+							if limit > 0 && len(xs) >= limit {
+								break
+							}
+						}
+					}
+				}
+				sc.xs, sc.xw, sc.xy = xs, xw, xy
+				c.put(he, sc)
+			}
+		}
+	})
+	return c
+}
+
+// put stores the intersection in sc as hub edge he's, in sc's chunk.
+func (c *structCache) put(he graph.EdgeID, sc *buildScratch) {
+	n := len(sc.xs)
+	k := sc.cur
 	if k == nil || k.used+n > len(k.xs) {
 		size := max(n, chunkEntries)
 		k = &structChunk{
@@ -74,14 +116,20 @@ func (c *structCache) put(he graph.EdgeID, xs []graph.NodeID, xw, xy []graph.Edg
 			xy: make([]graph.EdgeID, size),
 		}
 		if n < chunkEntries {
-			c.cur = k
+			sc.cur = k
 		}
 	}
 	start := k.used
 	k.used += n
-	c.mu.Unlock()
-	copy(k.xs[start:], xs)
-	copy(k.xw[start:], xw)
-	copy(k.xy[start:], xy)
+	copy(k.xs[start:], sc.xs)
+	copy(k.xw[start:], sc.xw)
+	copy(k.xy[start:], sc.xy)
 	c.recs[he] = structRec{chunk: k, start: int32(start), n: int32(n)}
+}
+
+// get returns the stored intersection of hub edge he.
+func (c *structCache) get(he graph.EdgeID) (xs []graph.NodeID, xw, xy []graph.EdgeID) {
+	r := c.recs[he]
+	lo, hi := r.start, r.start+r.n
+	return r.chunk.xs[lo:hi], r.chunk.xw[lo:hi], r.chunk.xy[lo:hi]
 }

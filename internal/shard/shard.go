@@ -242,23 +242,30 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 	repairs := core.RepairCoverage(out, r)
 	cutCovered := 0
 	if k > 1 {
-		var cut []graph.EdgeID
-		g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-			if assign.Of(u) != assign.Of(v) {
-				cut = append(cut, e)
-			}
-			return true
-		})
-		cutCovered = reconcileCut(out, g, r, cut)
+		cutCovered = reconcileCut(out, g, r, cutEdges(g, assign))
 	}
 	out.Finalize(r)
 	return Result{Schedule: out, Shards: k, CutCovered: cutCovered, BoundaryRepairs: repairs}, cause
 }
 
+// cutEdges lists, in ascending id order, the edges whose endpoints the
+// assignment puts on different shards.
+func cutEdges(g *graph.Graph, assign partition.Assignment) []graph.EdgeID {
+	var cut []graph.EdgeID
+	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
+		if assign.Of(u) != assign.Of(v) {
+			cut = append(cut, e)
+		}
+		return true
+	})
+	return cut
+}
+
 // reconcileCut covers cut edges through hubs after the per-shard
 // schedules are merged — the cross-shard reconciliation step. For each
 // cut edge u → v in ascending id order it scans the candidate hubs
-// w ∈ out(u) ∩ in(v) (two-pointer merge over sorted CSR adjacency) and
+// w ∈ out(u) ∩ in(v) — out(u) stamped once per source (graph.RowStamp),
+// in(v) scanned against it, so hubs come in ascending order — and
 // prices covering through w as the flags still missing: prod(u) unless
 // u → w already pushes, cons(v) unless w → v already pulls. The cheapest
 // hub (lowest id on ties) wins if it costs no more than serving the edge
@@ -268,6 +275,8 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 // scan ⇒ deterministic. Returns the number of edges covered.
 func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []graph.EdgeID) int {
 	covered := 0
+	var out graph.RowStamp
+	out.Reset(g)
 	for _, e := range cut {
 		if s.IsCovered(e) || s.IsPush(e) || s.IsPull(e) {
 			continue
@@ -278,35 +287,26 @@ func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []gra
 		if r.Cons[v] < direct {
 			direct = r.Cons[v]
 		}
-		outs := g.OutNeighbors(u)
-		outLo, _ := g.OutEdgeRange(u)
-		ins := g.InNeighbors(v)
+		out.Stamp(u)
 		inIDs := g.InEdgeIDs(v)
 		var bestHub graph.NodeID = -1
 		var bestUp, bestDown graph.EdgeID
 		bestCost := direct
-		for i, j := 0, 0; i < len(outs) && j < len(ins); {
-			switch {
-			case outs[i] < ins[j]:
-				i++
-			case outs[i] > ins[j]:
-				j++
-			default:
-				w := outs[i]
-				up := outLo + graph.EdgeID(i)
-				down := inIDs[j]
-				cost := 0.0
-				if !s.IsPush(up) {
-					cost += r.Prod[u]
-				}
-				if !s.IsPull(down) {
-					cost += r.Cons[v]
-				}
-				if w != u && w != v && cost <= bestCost && (bestHub < 0 || cost < bestCost) {
-					bestHub, bestUp, bestDown, bestCost = w, up, down, cost
-				}
-				i++
-				j++
+		for j, w := range g.InNeighbors(v) {
+			up, ok := out.Edge(w)
+			if !ok {
+				continue
+			}
+			down := inIDs[j]
+			cost := 0.0
+			if !s.IsPush(up) {
+				cost += r.Prod[u]
+			}
+			if !s.IsPull(down) {
+				cost += r.Cons[v]
+			}
+			if cost <= bestCost && (bestHub < 0 || cost < bestCost) {
+				bestHub, bestUp, bestDown, bestCost = w, up, down, cost
 			}
 		}
 		if bestHub >= 0 {
