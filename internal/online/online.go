@@ -206,31 +206,39 @@ type Daemon struct {
 	// check; an unchanged dirt landscape cannot newly cross the
 	// threshold, so the check (an O(n) scan for the dirtiest node plus a
 	// sum over its remembered region) is skipped entirely.
-	charged bool
-	// region is the candidate region of the previous drift check. It is
-	// a function of the immutable epoch graph and the seed alone, so a
-	// check whose epoch and seed repeat reads it instead of extracting
-	// it again (DESIGN.md §16 argues exactness).
-	region struct {
-		epoch *graph.Graph
-		seed  graph.NodeID
-		nodes []graph.NodeID // KHop of seed on epoch, ascending
-		in    *bitset.Set    // membership of nodes, over the node ids
-		edges int            // edges of epoch that nodes induce
-		cost  float64        // Σ c* over them, in ascending edge-id order
-		dirt  float64        // Σ dirt over nodes, as the last check read it
-		// stale: a member's rates changed since cost was summed.
-		stale bool
-	}
-	attempt  attempt   // the re-solve under way, or the last one
-	fl       flight    // the attempt in flight, if any
-	amortize amortizer // exterior-amortization sweep scratch, the attempt goroutine's
+	charged  bool
+	region   regionEntry // the previous check's candidate region
+	attempt  attempt     // the re-solve under way, or the last one
+	fl       flight      // the attempt in flight, if any
+	amortize amortizer   // exterior-amortization sweep scratch, the attempt goroutine's
 	// noAmortize skips the amortization sweep; only tests set it, to
 	// isolate what the sweep decides.
 	noAmortize bool
 	stats      Stats
 	inst       daemonInstruments
 }
+
+// regionEntry is the candidate region of the previous drift check. It is
+// a function of the immutable epoch graph and the seed alone, so a check
+// whose epoch and seed repeat reads it instead of extracting it again,
+// and resumes its Σc* where the last check stopped (DESIGN.md §16 argues
+// exactness).
+type regionEntry struct {
+	epoch *graph.Graph
+	seed  graph.NodeID
+	nodes []graph.NodeID // KHop of seed on epoch, ascending
+	in    *bitset.Set    // membership of nodes, over the node ids
+	// at is the cursor: edges and cost cover the edges of epoch that
+	// nodes induce with a source in nodes[:at], in ascending edge id.
+	at    int
+	edges int
+	cost  float64 // Σ c* over those edges, under the live rates
+	dirt  float64 // Σ dirt over nodes, as the last check read it
+}
+
+// reset empties the remembered prefix sum; the next check prices the
+// region from its first member.
+func (rg *regionEntry) reset() { rg.at, rg.edges, rg.cost = 0, 0, 0 }
 
 // counterSeries are the Stats counts the registry mirrors, one
 // online_*_total counter each, in daemonInstruments.counters order.
@@ -298,6 +306,16 @@ func (d *Daemon) publish() {
 func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("online: seed schedule invalid: %w", err)
+	}
+	// Rate ops are checked as they come (incremental.UpdateRates); the
+	// initial rates are checked here. The drift check's early exit needs
+	// every c* ≥ 0.
+	n := s.Graph().NumNodes()
+	if len(r.Prod) < n || len(r.Cons) < n {
+		return nil, fmt.Errorf("online: rates cover %d/%d users, graph has %d nodes", len(r.Prod), len(r.Cons), n)
+	}
+	if err := (&workload.Rates{Prod: r.Prod[:n], Cons: r.Cons[:n]}).Validate(n); err != nil {
+		return nil, fmt.Errorf("online: %w", err)
 	}
 	d := &Daemon{
 		cfg:   cfg.withDefaults(),
@@ -423,7 +441,7 @@ func (d *Daemon) apply(ctx context.Context, op workload.ChurnOp) error {
 		}
 		d.stats.RateUpdates++
 		if d.region.in.Test(int(op.U)) {
-			d.region.stale = true
+			d.region.reset() // a member's c* moved: the prefix is void
 		}
 		// Repricing regret scales with how much scheduled traffic the
 		// user carries; the epoch degrees are the cheap proxy.
@@ -515,8 +533,6 @@ func (d *Daemon) checkRegion(ctx context.Context) bool {
 	rg := &d.region
 	if rg.epoch != d.epoch || rg.seed != seed {
 		d.extractRegion(seed)
-	} else if rg.stale {
-		d.priceRegion()
 	}
 	dirt := 0.0
 	for _, v := range rg.nodes {
@@ -524,6 +540,7 @@ func (d *Daemon) checkRegion(ctx context.Context) bool {
 	}
 	rg.dirt = dirt
 	threshold := d.cfg.DriftThreshold * float64(int64(1)<<min(d.revertStreak, 40))
+	d.priceRegion(threshold)
 	if rg.dirt <= threshold*math.Max(rg.cost, 1e-9) {
 		// The region around the dirtiest node has not churned enough
 		// relative to its size. Other regions could in principle have a
@@ -553,25 +570,30 @@ func (d *Daemon) extractRegion(seed graph.NodeID) {
 	for _, v := range rg.nodes {
 		rg.in.Set(int(v))
 	}
-	d.priceRegion()
+	rg.reset()
 }
 
-// priceRegion counts the epoch edges the remembered nodes induce and
-// sums their hybrid costs under the live rates: one pass over the
-// members' out-ranges, which visits the induced edges in ascending edge
-// id — the summation order that makes the float reproducible.
-func (d *Daemon) priceRegion() {
+// priceRegion extends the remembered prefix sum member by member, under
+// the live rates, until it answers the check: it stops at the first
+// cursor at which dirt ≤ threshold·max(Σc*, 1e-9), or after the last
+// member. Every c* is ≥ 0, so the prefix never decreases and its "no"
+// is the full sum's; a check that crosses has priced every member, so it
+// holds the full edge count and the full sum. Each member's CSR
+// out-range is walked in order, so the induced edges are added in
+// ascending edge id whether a sum is built in one check or resumed over
+// several — the summation order that makes the float reproducible.
+func (d *Daemon) priceRegion(threshold float64) {
 	rg := &d.region
-	edges, cost := 0, 0.0
-	for _, u := range rg.nodes {
+	for rg.at < len(rg.nodes) && rg.dirt > threshold*math.Max(rg.cost, 1e-9) {
+		u := rg.nodes[rg.at]
 		for _, v := range rg.epoch.OutNeighbors(u) {
 			if rg.in.Test(int(v)) {
-				edges++
-				cost += baseline.EdgeCost(d.r, u, v)
+				rg.edges++
+				rg.cost += baseline.EdgeCost(d.r, u, v)
 			}
 		}
+		rg.at++
 	}
-	rg.edges, rg.cost, rg.stale = edges, cost, false
 }
 
 // stage is one traced step of a re-solve: a span and its wall time. The

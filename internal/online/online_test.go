@@ -123,6 +123,34 @@ func TestDaemonRejectsInvalidOps(t *testing.T) {
 	}
 }
 
+// New refuses initial rates the drift check cannot price: a Prod or Cons
+// shorter than the graph, or a negative, NaN or infinite entry. Rate ops
+// are held to the same rule as they come.
+func TestNewRejectsUnpriceableRates(t *testing.T) {
+	g := graphgen.Social(graphgen.FlickrLike(50, 2))
+	base := workload.LogDegree(g, 5)
+	s := baseline.Hybrid(g, base)
+	if _, err := New(s, freshRates(g, base), Config{}); err != nil {
+		t.Fatalf("valid rates rejected: %v", err)
+	}
+	for name, spoil := range map[string]func(r *workload.Rates){
+		"short Prod":    func(r *workload.Rates) { r.Prod = r.Prod[:len(r.Prod)-1] },
+		"short Cons":    func(r *workload.Rates) { r.Cons = r.Cons[:len(r.Cons)-1] },
+		"negative Prod": func(r *workload.Rates) { r.Prod[7] = -1 },
+		"negative Cons": func(r *workload.Rates) { r.Cons[7] = -0.5 },
+		"NaN Prod":      func(r *workload.Rates) { r.Prod[3] = math.NaN() },
+		"NaN Cons":      func(r *workload.Rates) { r.Cons[49] = math.NaN() },
+		"+Inf Prod":     func(r *workload.Rates) { r.Prod[0] = math.Inf(1) },
+		"-Inf Cons":     func(r *workload.Rates) { r.Cons[0] = math.Inf(-1) },
+	} {
+		r := freshRates(g, base)
+		spoil(r)
+		if _, err := New(s, r, Config{}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // The pinned acceptance scenario: 2k-node Flickr-like graph,
 // 5k-op churn trace, deterministic seed. The daemon must end within 10%
 // of a from-scratch CHITCHAT re-solve of the final graph while issuing

@@ -12,6 +12,7 @@ import (
 	"piggyback/internal/chitchat"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/scenario"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
@@ -19,14 +20,29 @@ import (
 // refCheck is one candidate-region evaluation as the daemon made it
 // before it remembered anything: everything derived from scratch, with
 // hashed membership and a binary-search EdgeSource per edge. It shares no
-// code with checkRegion, priceRegion or the graph kernels.
+// code with checkRegion, priceRegion or the graph kernels, and keeps its
+// sums at every member boundary.
 type refCheck struct {
-	seed    graph.NodeID // -1: no node carries dirt
-	nodes   []graph.NodeID
-	edges   int
-	dirt    float64
-	cost    float64
-	resolve bool
+	seed  graph.NodeID // -1: no node carries dirt
+	nodes []graph.NodeID
+	// edgesAt[k] and costAt[k] are the edge count and Σc* of the induced
+	// edges whose source is among nodes[:k], summed in ascending edge id.
+	edgesAt   []int
+	costAt    []float64
+	dirt      float64
+	threshold float64
+	resolve   bool // decided on the full sums
+}
+
+// stop is where a check whose prefix starts at from must stop: the least
+// k ≥ from with dirt ≤ threshold·max(costAt[k], 1e-9), or all members.
+func (c *refCheck) stop(from int) int {
+	for k := from; k < len(c.nodes); k++ {
+		if c.dirt <= c.threshold*math.Max(c.costAt[k], 1e-9) {
+			return k
+		}
+	}
+	return len(c.nodes)
 }
 
 func refSortDedup(nodes []graph.NodeID) []graph.NodeID {
@@ -106,26 +122,73 @@ func referenceCheck(d *Daemon) refCheck {
 	for _, v := range c.nodes {
 		c.dirt += d.dirt[v]
 	}
-	ids := refInducedEdgeIDs(d.epoch, c.nodes)
-	c.edges = len(ids)
-	for _, e := range ids {
-		c.cost += baseline.EdgeCost(d.r, d.epoch.EdgeSource(e), d.epoch.EdgeTarget(e))
+	n := len(c.nodes)
+	c.edgesAt, c.costAt = make([]int, n+1), make([]float64, n+1)
+	k, edges, cost := 0, 0, 0.0
+	for _, e := range refInducedEdgeIDs(d.epoch, c.nodes) {
+		for src := d.epoch.EdgeSource(e); c.nodes[k] != src; {
+			k++
+			c.edgesAt[k], c.costAt[k] = edges, cost
+		}
+		edges++
+		cost += baseline.EdgeCost(d.r, d.epoch.EdgeSource(e), d.epoch.EdgeTarget(e))
 	}
-	threshold := d.cfg.DriftThreshold * float64(int64(1)<<min(d.revertStreak, 40))
-	c.resolve = c.dirt > threshold*math.Max(c.cost, 1e-9) &&
+	for k < n {
+		k++
+		c.edgesAt[k], c.costAt[k] = edges, cost
+	}
+	c.threshold = d.cfg.DriftThreshold * float64(int64(1)<<min(d.revertStreak, 40))
+	c.resolve = c.dirt > c.threshold*math.Max(cost, 1e-9) &&
 		(d.cfg.BudgetFraction < 0 ||
-			float64(d.stats.RegionEdges+c.edges) <= d.cfg.BudgetFraction*float64(d.m.NumEdges()))
+			float64(d.stats.RegionEdges+edges) <= d.cfg.BudgetFraction*float64(d.m.NumEdges()))
 	return c
 }
 
-// checkedBoundary is a check boundary with the reference held against its
-// check: the boundary's splice first, then the from-scratch evaluation of
-// the state the check sees, then checkRegion, after which the remembered
-// region and the decision must equal the reference to the last bit. The
-// disturbed zoo run makes every boundary this way, and must end where the
-// observed run, whose boundaries Apply makes, ends: that ties this copy of
-// the boundary to the real one.
-func checkedBoundary(d *Daemon, at int) error {
+// lockstep holds a daemon's drift checks against referenceCheck. It keeps
+// the reference's own memory of the cursor: the region the previous check
+// read, where that check stopped, and the users of the rate ops applied
+// since. It also counts the members the checks priced.
+type lockstep struct {
+	d       *Daemon
+	epoch   *graph.Graph
+	seed    graph.NodeID
+	nodes   []graph.NodeID
+	at      int
+	touched []graph.NodeID // users of the rate ops since the previous check
+	pricing pricing
+}
+
+// pricing counts the members a run's drift checks priced, and the members
+// re-summing every extracted or rate-touched region in full (the rule
+// before checks stopped early) prices; the no fields count only the checks
+// that did not re-solve, the ones a prefix can save on: a re-solve needs
+// the full sum.
+type pricing struct{ priced, full, noPriced, noFull int }
+
+func newLockstep(d *Daemon) *lockstep { return &lockstep{d: d, seed: -1} }
+
+// apply ingests op, noting a rate op's user.
+func (ls *lockstep) apply(op workload.ChurnOp) error {
+	if err := ls.d.Apply(op); err != nil {
+		return err
+	}
+	if op.Kind == workload.OpRates {
+		ls.touched = append(ls.touched, op.U)
+	}
+	return nil
+}
+
+// boundary is a check boundary with the reference held against its check:
+// the boundary's splice first, then the from-scratch evaluation of the
+// state the check sees, then checkRegion, after which the remembered
+// region, its cursor and prefix sums, and the decision must equal the
+// reference to the last bit. The cursor starts at 0 after an extraction
+// or a member's rate op, and where the previous check stopped otherwise.
+// The disturbed zoo run makes every boundary this way, and must end where
+// the observed run, whose boundaries Apply makes, ends: that ties this
+// copy of the boundary to the real one.
+func (ls *lockstep) boundary(at int) error {
+	d := ls.d
 	d.splice(context.Background())
 	if d.cfg.DriftThreshold < 0 || !d.charged {
 		return nil
@@ -143,20 +206,37 @@ func checkedBoundary(d *Daemon, at int) error {
 		}
 		return nil
 	}
+	n := len(want.nodes)
+	from, full := 0, n
+	if want.seed == ls.seed && epoch == ls.epoch &&
+		!slices.ContainsFunc(ls.touched, func(u graph.NodeID) bool { return slices.Contains(ls.nodes, u) }) {
+		from, full = ls.at, 0
+	}
+	stop := want.stop(from)
+	p := &ls.pricing
+	p.priced, p.full = p.priced+stop-from, p.full+full
+	if !did {
+		p.noPriced, p.noFull = p.noPriced+stop-from, p.noFull+full
+	}
+	ls.epoch, ls.seed, ls.nodes, ls.at, ls.touched = epoch, want.seed, want.nodes, stop, ls.touched[:0]
 	rg := &d.region
 	switch {
 	case rg.seed != want.seed || rg.epoch != epoch:
 		return fmt.Errorf("op %d: seed %d, want %d (epoch current: %v)", at, rg.seed, want.seed, rg.epoch == epoch)
 	case !slices.Equal(rg.nodes, want.nodes):
-		return fmt.Errorf("op %d: region of seed %d has %d nodes, reference %d", at, rg.seed, len(rg.nodes), len(want.nodes))
-	case rg.edges != want.edges:
-		return fmt.Errorf("op %d: %d region edges, want %d", at, rg.edges, want.edges)
-	case math.Float64bits(rg.cost) != math.Float64bits(want.cost):
-		return fmt.Errorf("op %d: Σc* = %v, want %v", at, rg.cost, want.cost)
+		return fmt.Errorf("op %d: region of seed %d has %d nodes, reference %d", at, rg.seed, len(rg.nodes), n)
+	case rg.at != stop:
+		return fmt.Errorf("op %d: the check stopped after %d of %d members, want %d (from %d)", at, rg.at, n, stop, from)
+	case rg.edges != want.edgesAt[stop]:
+		return fmt.Errorf("op %d: %d region edges over %d members, want %d", at, rg.edges, stop, want.edgesAt[stop])
+	case math.Float64bits(rg.cost) != math.Float64bits(want.costAt[stop]):
+		return fmt.Errorf("op %d: Σc* over %d members = %v, want %v", at, stop, rg.cost, want.costAt[stop])
 	case math.Float64bits(rg.dirt) != math.Float64bits(want.dirt):
 		return fmt.Errorf("op %d: region dirt = %v, want %v", at, rg.dirt, want.dirt)
 	case did != want.resolve:
 		return fmt.Errorf("op %d: re-solved = %v, want %v", at, did, want.resolve)
+	case did && stop != n:
+		return fmt.Errorf("op %d: re-solved on %d of %d members", at, stop, n)
 	}
 	for v := 0; v < rg.in.Len(); v++ {
 		if _, member := slices.BinarySearch(rg.nodes, graph.NodeID(v)); rg.in.Test(v) != member {
@@ -185,36 +265,76 @@ func TestRememberedRegionIsExact(t *testing.T) {
 	})
 }
 
+// pricedPins are what the lockstep reference counted on each zoo cell,
+// timing-free, at the acceptance geometry and in the churn cell. The re-
+// solving checks price every member either way, which is why the churn
+// cell, where 14 of 99 checks re-solve, saves least.
+var pricedPins = map[string]pricing{
+	scenario.Cascade:      {priced: 9101, full: 29095, noPriced: 4901, noFull: 24895},
+	scenario.Diurnal:      {priced: 17522, full: 30000, noPriced: 5522, noFull: 18000},
+	scenario.FlashCrowd:   {priced: 17311, full: 28200, noPriced: 3787, noFull: 14700},
+	scenario.LDBC:         {priced: 10796, full: 27594, noPriced: 4798, noFull: 21596},
+	scenario.Preferential: {priced: 7875, full: 19461, noPriced: 4878, noFull: 16464},
+	scenario.RegionChurn:  {priced: 5907, full: 15896, noPriced: 4703, noFull: 14696},
+	"churn":               {priced: 2138, full: 2900, noPriced: 789, noFull: 1600},
+}
+
+// A check prices only the prefix its decision needs: the counts are
+// pinned, and on the churn cell the checks that do not re-solve price at
+// most half of what re-summing in full would price.
+func TestDriftCheckPricesPrefix(t *testing.T) {
+	eachCell(t, false, func(t *testing.T, r *zooResult) {
+		noFindings(t, r.disturbed, oLockstep)
+		got := r.disturbed.pricing
+		if pin, ok := pricedPins[r.cell.name]; ok && (r.cell.pinned || r.cell.name == "churn") && got != pin {
+			t.Errorf("members priced: %+v, pinned %+v", got, pin)
+		}
+		if got.priced > got.full {
+			t.Errorf("the checks priced %d members, more than the %d of re-summing in full", got.priced, got.full)
+		}
+		if r.cell.name == "churn" && 2*got.noPriced > got.noFull {
+			t.Errorf("the checks that did not re-solve priced %d members, more than half of %d", got.noPriced, got.noFull)
+		}
+	})
+}
+
 // checkNow makes the next drift check happen, holds it against the
 // reference and splices the attempt it starts.
-func checkNow(t *testing.T, d *Daemon) {
+func checkNow(t *testing.T, ls *lockstep) {
 	t.Helper()
-	d.charged = true
-	if err := checkedBoundary(d, d.stats.Ops); err != nil {
+	ls.d.charged = true
+	if err := ls.boundary(ls.d.stats.Ops); err != nil {
 		t.Fatal(err)
 	}
-	d.Flush(context.Background())
+	ls.d.Flush(context.Background())
 }
 
 func rateOp(d *Daemon, u graph.NodeID, dProd float64) workload.ChurnOp {
 	return workload.ChurnOp{Kind: workload.OpRates, U: u, Prod: d.r.Prod[u] + dProd, Cons: d.r.Cons[u]}
 }
 
+// halfway sets the daemon's threshold so that the next check, its region
+// priced from the first member, stops about half way through it.
+func halfway(d *Daemon) {
+	c := referenceCheck(d)
+	d.cfg.DriftThreshold = 2 * c.dirt / c.costAt[len(c.nodes)]
+}
+
 // The transitions of the remembered region, one at a time.
 func TestRememberedRegionTransitions(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(400, 5))
 	base := workload.LogDegree(g, 5)
-	newDaemon := func(threshold float64) *Daemon {
+	newDaemon := func(threshold float64) (*Daemon, *lockstep) {
 		cfg := Config{DriftThreshold: threshold, CheckEvery: math.MaxInt, MaxRegionNodes: 60, BudgetFraction: -1}
 		d, err := New(baseline.Hybrid(g, base), freshRates(g, base), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d
+		return d, newLockstep(d)
 	}
-	apply := func(d *Daemon, op workload.ChurnOp) {
+	apply := func(ls *lockstep, op workload.ChurnOp) {
 		t.Helper()
-		if err := d.Apply(op); err != nil {
+		if err := ls.apply(op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,92 +349,120 @@ func TestRememberedRegionTransitions(t *testing.T) {
 	for slices.Contains(region, outsider) || g.OutDegree(outsider) == 0 {
 		outsider++
 	}
+	// stopsInside fails t unless the last check stopped strictly inside
+	// the region: some members priced, some not.
+	stopsInside := func(d *Daemon) int {
+		t.Helper()
+		if at := d.region.at; at > 0 && at < len(d.region.nodes) {
+			return at
+		}
+		t.Fatalf("set-up: the check priced %d of %d members, want some but not all", d.region.at, len(d.region.nodes))
+		return 0
+	}
 
 	t.Run("rate op between two same-seed checks", func(t *testing.T) {
-		d := newDaemon(1e18) // checks, never re-solves
-		apply(d, rateOp(d, seed, 1000))
-		checkNow(t, d)
-		cost := d.region.cost
-		apply(d, rateOp(d, outsider, 1)) // no member touched: Σc* stands
-		checkNow(t, d)
-		if d.region.stale || d.region.cost != cost {
-			t.Fatalf("rate op outside the region moved Σc*: %v → %v", cost, d.region.cost)
+		d, ls := newDaemon(1e18) // checks, never re-solves
+		apply(ls, rateOp(d, seed, 1000))
+		halfway(d)
+		checkNow(t, ls)
+		at, cost := stopsInside(d), d.region.cost
+		apply(ls, rateOp(d, outsider, 1)) // no member touched: the prefix stands
+		if d.region.at != at || d.region.cost != cost {
+			t.Fatalf("rate op outside the region moved the prefix: %d members, Σc* %v → %d, %v", at, cost, d.region.at, d.region.cost)
 		}
-		apply(d, rateOp(d, member, 3)) // a member's rates moved: Σc* is summed again
-		if !d.region.stale {
-			t.Fatal("rate op on a member did not mark Σc* stale")
+		checkNow(t, ls)
+		if d.region.at != at || d.region.cost != cost {
+			t.Fatalf("no new dirt in the region, yet the prefix moved: %d members, Σc* %v → %d, %v", at, cost, d.region.at, d.region.cost)
 		}
-		checkNow(t, d)
-		if d.region.cost == cost {
-			t.Fatalf("Σc* unchanged after a member's rates moved")
+		apply(ls, rateOp(d, member, 3)) // a member's c* moved: the prefix is void
+		if d.region.at != 0 || d.region.edges != 0 || d.region.cost != 0 {
+			t.Fatalf("rate op on a member left the prefix at %d members, %d edges, Σc* %v", d.region.at, d.region.edges, d.region.cost)
 		}
+		checkNow(t, ls) // priced again from the first member, not re-extracted
 		if st := d.Stats(); st.DriftChecks != 3 || st.RegionExtractions != 1 {
 			t.Fatalf("DriftChecks %d RegionExtractions %d, want 3 and 1", st.DriftChecks, st.RegionExtractions)
 		}
 	})
 
+	t.Run("same seed with more dirt resumes from the cursor", func(t *testing.T) {
+		d, ls := newDaemon(1e18)
+		apply(ls, rateOp(d, seed, 1000))
+		halfway(d)
+		checkNow(t, ls)
+		at := stopsInside(d)
+		d.dirt[seed] += d.region.dirt / 4 // no op, so no rate op: the cursor stands
+		checkNow(t, ls)
+		if d.region.at <= at || d.region.at == len(d.region.nodes) {
+			t.Fatalf("a quarter more dirt moved the stop from %d to %d of %d members", at, d.region.at, len(d.region.nodes))
+		}
+		if st := d.Stats(); st.RegionExtractions != 1 || st.Resolves+st.Reverted != 0 {
+			t.Fatalf("same seed and epoch: %+v", st)
+		}
+	})
+
 	t.Run("accept replaces the epoch, and the entry with it", func(t *testing.T) {
-		d := newDaemon(1e-9) // hybrid start: CHITCHAT wins its region
-		apply(d, rateOp(d, seed, 1))
+		d, ls := newDaemon(1e-9) // hybrid start: CHITCHAT wins its region
+		apply(ls, rateOp(d, seed, 1))
 		epoch := d.epoch
-		checkNow(t, d)
+		checkNow(t, ls)
 		if st := d.Stats(); st.Resolves == 0 || d.epoch == epoch {
 			t.Fatalf("no accepted re-solve: %+v", st)
 		}
 		extractions := d.Stats().RegionExtractions
-		apply(d, rateOp(d, seed, 1)) // same seed, new epoch
-		checkNow(t, d)
+		apply(ls, rateOp(d, seed, 1)) // same seed, new epoch
+		checkNow(t, ls)
 		if d.Stats().RegionExtractions == extractions {
 			t.Fatalf("same seed on a new epoch was answered from the old epoch's region")
 		}
 	})
 
 	t.Run("revert keeps the epoch; the seed's dirt is gone", func(t *testing.T) {
-		d := newDaemon(1e-9)
+		d, ls := newDaemon(1e-9)
 		// A patch equal to the incumbent, with nothing left for the sweeps
 		// to win either, never beats the incumbent.
 		d.regional, d.noAmortize = identitySolver{}, true
-		apply(d, rateOp(d, seed, 1))
-		apply(d, rateOp(d, outsider, 0.5)) // less dirt: second in line
+		apply(ls, rateOp(d, seed, 1))
+		apply(ls, rateOp(d, outsider, 0.5)) // less dirt: second in line
 		epoch := d.epoch
-		checkNow(t, d)
+		checkNow(t, ls)
 		st := d.Stats()
 		if st.Reverted != 1 || st.Resolves != 0 || d.epoch != epoch || d.dirt[seed] != 0 {
 			t.Fatalf("want one revert on the same epoch, the seed's dirt cleared: %+v, dirt %v", st, d.dirt[seed])
 		}
-		checkNow(t, d) // the next boundary checks again, though no op charged anything
+		checkNow(t, ls) // the next boundary checks again, though no op charged anything
 		if d.region.seed == seed {
 			t.Fatalf("after the revert the check did not move on from seed %d", seed)
 		}
 		// The old seed, dirty again on the same epoch: a fresh extraction
 		// (one entry, and it now belongs to another seed) that must give
-		// the region it gave before.
-		apply(d, rateOp(d, seed, 1000))
-		d.cfg.DriftThreshold = 1e18
-		checkNow(t, d)
+		// the region it gave before, priced from its first member.
+		apply(ls, rateOp(d, seed, 1000))
+		halfway(d)
+		checkNow(t, ls)
 		if d.region.seed != seed || !slices.Equal(d.region.nodes, region) {
 			t.Fatalf("seed %d re-extracted to a different region on the same epoch", seed)
 		}
+		stopsInside(d)
 	})
 
 	t.Run("region dissolved on the live graph", func(t *testing.T) {
-		d := newDaemon(1e-9)
+		d, ls := newDaemon(1e-9)
 		for _, e := range graph.InducedEdgeIDs(g, region) {
-			apply(d, workload.ChurnOp{Kind: workload.OpRemove, U: g.EdgeSource(e), V: g.EdgeTarget(e)})
+			apply(ls, workload.ChurnOp{Kind: workload.OpRemove, U: g.EdgeSource(e), V: g.EdgeTarget(e)})
 		}
 		for v := range d.dirt { // whatever the removals' rescues charged
 			d.dirt[v] = 0
 		}
-		apply(d, rateOp(d, seed, 1))
+		apply(ls, rateOp(d, seed, 1))
 		epoch := d.epoch
-		checkNow(t, d)
+		checkNow(t, ls)
 		st := d.Stats()
 		if st.Resolves+st.Reverted != 0 || d.epoch != epoch || d.dirt[seed] != 0 {
 			t.Fatalf("dissolved region: %+v, dirt[seed] = %v", st, d.dirt[seed])
 		}
 		// The epoch still has the edges, so the entry still answers.
-		apply(d, rateOp(d, seed, 1))
-		checkNow(t, d)
+		apply(ls, rateOp(d, seed, 1))
+		checkNow(t, ls)
 		if st := d.Stats(); st.RegionExtractions != 1 || st.DriftChecks < 2 {
 			t.Fatalf("same seed and epoch after a dissolved re-solve: %+v", st)
 		}

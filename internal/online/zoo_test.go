@@ -10,8 +10,9 @@
 //     acceptance pins, which proves the observers moved no decision.
 //   - The disturbed run: CHITCHAT at two workers, each solve held up by a
 //     wall-clock-random 0–50 ms and each op followed by a random 0–1 ms
-//     pause, every check boundary held against referenceCheck. It must end
-//     where the observed run ends: schedule bytes, Stats, decision records,
+//     pause, every check boundary held against referenceCheck (lockstep,
+//     which also counts the members the checks priced). It must end where
+//     the observed run ends: schedule bytes, Stats, decision records,
 //     span tree, non-timing metric snapshot and cost bits. That one
 //     comparison is run-to-run determinism, worker invariance, an op-count
 //     splice point, and the checked boundary's equality with Apply's.
@@ -175,6 +176,7 @@ type zooRun struct {
 	// The observed run's: cut patches the solver returned, edges the
 	// amortize oracle saw bought, splices held against the reference.
 	truncated, upgraded, spliced int
+	pricing                      pricing // the disturbed run's drift checks
 	findings                     map[string][]string
 }
 
@@ -207,7 +209,7 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 		f.add(oRun, "%v", err)
 		return run
 	}
-	at := 0
+	ls, at := newLockstep(d), 0
 	d.OnSplice = func(liveG *graph.Graph, s *core.Schedule) {
 		run.spliced++
 		if refG, _ := ref.Snapshot(); !sameGraph(liveG, refG) {
@@ -223,7 +225,7 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 			f.add(oRun, "reference, op %d: %v", i, err)
 			return run
 		}
-		if err := d.Apply(op); err != nil {
+		if err := ls.apply(op); err != nil {
 			f.add(oRun, "op %d: %v", i, err)
 			return run
 		}
@@ -234,7 +236,7 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 			continue
 		}
 		if (i+1)%c.cfg.CheckEvery == 0 {
-			if err := checkedBoundary(d, i); err != nil {
+			if err := ls.boundary(i); err != nil {
 				f.add(oLockstep, "%v", err)
 			}
 		}
@@ -253,6 +255,7 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	run.stats.ResolveWall = 0
 	run.records, run.tree, run.metrics = strings.Join(ev.Attrs("resolve"), "\n"), tr.Tree(), reg.Snapshot()
 	run.truncated, run.upgraded = ob.truncated, ob.upgraded
+	run.pricing = ls.pricing
 	return run
 }
 
