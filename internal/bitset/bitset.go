@@ -65,10 +65,16 @@ func (s *Set) Reset() {
 }
 
 // Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return &Set{words: w, n: s.n}
+func (s *Set) Clone() *Set { return s.CloneInto(nil) }
+
+// CloneInto makes dst a deep copy of s, reusing dst's words where there
+// are enough, and returns it; a nil dst allocates.
+func (s *Set) CloneInto(dst *Set) *Set {
+	if dst == nil {
+		dst = &Set{}
+	}
+	dst.words, dst.n = append(dst.words[:0], s.words...), s.n
+	return dst
 }
 
 // Range calls fn for every set bit in increasing order. It stops early if

@@ -1,7 +1,8 @@
 // Package core defines the paper's central abstractions: the request
 // schedule (push set H, pull set L, hub-covered set C), the throughput
-// cost model c(H, L), the bounded-staleness validity check of Theorem 1,
-// and the active-store model of Theorem 3.
+// cost model c(H, L) and the bounded-staleness validity check of Theorem 1.
+// The active-store model of Theorem 3 lives in the package's tests, which
+// check that an active schedule never beats its passive form.
 package core
 
 import (
@@ -83,12 +84,20 @@ func NewSchedule(g *graph.Graph) *Schedule {
 func (s *Schedule) Graph() *graph.Graph { return s.g }
 
 // Clone returns an independent deep copy.
-func (s *Schedule) Clone() *Schedule {
-	return &Schedule{
-		g:     s.g,
-		flags: append([]Flag(nil), s.flags...),
-		hub:   append([]graph.NodeID(nil), s.hub...),
+func (s *Schedule) Clone() *Schedule { return s.CloneInto(nil) }
+
+// CloneInto makes dst an independent deep copy of s, reusing dst's arrays
+// where they are large enough, and returns it; a nil dst allocates.
+func (s *Schedule) CloneInto(dst *Schedule) *Schedule {
+	if dst == nil {
+		dst = &Schedule{}
 	}
+	*dst = Schedule{
+		g:     s.g,
+		flags: append(dst.flags[:0], s.flags...),
+		hub:   append(dst.hub[:0], s.hub...),
+	}
+	return dst
 }
 
 // SetPush adds edge e to the push set H.

@@ -75,16 +75,23 @@ type live struct {
 // another goroutine while the maintainer takes further updates.
 type Frozen struct{ live }
 
-// Freeze copies what Rebase reads: the flags and hubs, the removed set and
-// the extras — flat copies, where Rebase builds a CSR graph.
-func (m *Maintainer) Freeze() *Frozen {
-	return &Frozen{live{
+// Freeze copies what Rebase reads into f and returns it: the flags and
+// hubs, the removed set and the extras — flat copies, where Rebase builds a
+// CSR graph. f's arrays are reused where they are large enough, so a caller
+// that freezes again into the Frozen it is done with allocates nothing once
+// they have grown; a nil f allocates.
+func (m *Maintainer) Freeze(f *Frozen) *Frozen {
+	if f == nil {
+		f = &Frozen{}
+	}
+	f.live = live{
 		g:         m.g,
-		sched:     m.sched.Clone(),
-		removed:   m.removed.Clone(),
-		extra:     slices.Clone(m.extra),
+		sched:     m.sched.CloneInto(f.sched),
+		removed:   m.removed.CloneInto(f.removed),
+		extra:     append(f.extra[:0], m.extra...),
 		liveExtra: m.liveExtra,
-	}}
+	}
+	return f
 }
 
 // Rebase materializes the frozen state as Maintainer.Rebase does.

@@ -180,6 +180,48 @@ func TestRebaseMergeCorners(t *testing.T) {
 	}
 }
 
+// sameRebase fails t unless the two rebased pairs are one graph and one
+// schedule: the same edges in the same order, the same flags and hubs.
+func sameRebase(t *testing.T, round int, g, wantG *graph.Graph, s, wantS *core.Schedule) {
+	t.Helper()
+	if g.NumNodes() != wantG.NumNodes() || g.NumEdges() != wantG.NumEdges() {
+		t.Fatalf("round %d: %d nodes / %d edges, a fresh freeze's %d / %d", round, g.NumNodes(), g.NumEdges(), wantG.NumNodes(), wantG.NumEdges())
+	}
+	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		if g.EdgeAt(e) != wantG.EdgeAt(e) || s.IsPush(e) != wantS.IsPush(e) || s.IsPull(e) != wantS.IsPull(e) ||
+			s.IsCovered(e) != wantS.IsCovered(e) || s.Hub(e) != wantS.Hub(e) {
+			t.Fatalf("round %d: edge %d is %v, a fresh freeze's %v, or its flags or hub differ", round, e, g.EdgeAt(e), wantG.EdgeAt(e))
+		}
+	}
+}
+
+// A Frozen frozen into again is a fresh freeze: its Rebase equals one taken
+// at the same moment, after the maintainer has moved on, through extra-edge
+// adds, removals and rate ops between the freezes. Once its arrays have
+// grown, freezing into it allocates nothing.
+func TestFreezeReusesBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := graphgen.Social(graphgen.FlickrLike(200, 3))
+	r := workload.LogDegree(g, 5)
+	m := New(nosy.Solve(g, r, nosy.Config{Workers: 1}).Schedule, r)
+	var reused *Frozen
+	for round := 0; round < 8; round++ {
+		churn(rng, m, 40)
+		reused = m.Freeze(reused)
+		fresh := m.Freeze(nil)
+		churn(rng, m, 10) // the frozen copies are detached from m
+		g, s := reused.Rebase()
+		wantG, wantS := fresh.Rebase()
+		sameRebase(t, round, g, wantG, s, wantS)
+	}
+	if len(m.extra) == 0 || m.removed.Count() == 0 {
+		t.Fatalf("set-up: %d extra edges, %d removed base edges; want both", len(m.extra), m.removed.Count())
+	}
+	if allocs := testing.AllocsPerRun(50, func() { m.Freeze(reused) }); allocs != 0 {
+		t.Errorf("freezing into a Frozen of the same maintainer allocates %v times", allocs)
+	}
+}
+
 // BenchmarkRebaseChurn prices one Rebase at the churn_local geometry: a
 // PARALLELNOSY schedule over the 120k-edge streamed graph after the 1000
 // churn ops of one round.

@@ -195,7 +195,10 @@ type Daemon struct {
 	// the true live graph by at most the churn since the last re-solve.
 	epoch *graph.Graph
 
-	dirt     []float64 // per-node accumulated patch regret
+	dirt []float64 // per-node accumulated patch regret
+	// dirtiest is the argmax of dirt, lowest id on ties, or -1 while no
+	// node carries dirt. charge keeps it; start, where dirt falls, rescans.
+	dirtiest graph.NodeID
 	sinceChk int
 	// revertStreak counts consecutive reverted re-solves; each one
 	// doubles the effective drift threshold (reset on accept), so a
@@ -204,8 +207,8 @@ type Daemon struct {
 	revertStreak int
 	// charged records whether any dirt landed since the last drift
 	// check; an unchanged dirt landscape cannot newly cross the
-	// threshold, so the check (an O(n) scan for the dirtiest node plus a
-	// sum over its remembered region) is skipped entirely.
+	// threshold, so the check (a sum over the dirtiest node's remembered
+	// region) is skipped entirely.
 	charged  bool
 	region   regionEntry // the previous check's candidate region
 	attempt  attempt     // the re-solve under way, or the last one
@@ -234,10 +237,15 @@ type regionEntry struct {
 	edges int
 	cost  float64 // Σ c* over those edges, under the live rates
 	dirt  float64 // Σ dirt over nodes, as the last check read it
+	// rows caches the induced targets of every member the cursor has
+	// passed since the extraction, in CSR order: member k's are
+	// rows[off[k]:off[k+1]], for k < len(off)-1.
+	rows []graph.NodeID
+	off  []int32
 }
 
 // reset empties the remembered prefix sum; the next check prices the
-// region from its first member.
+// region from its first member, reading the cached rows.
 func (rg *regionEntry) reset() { rg.at, rg.edges, rg.cost = 0, 0, 0 }
 
 // counterSeries are the Stats counts the registry mirrors, one
@@ -318,10 +326,11 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("online: %w", err)
 	}
 	d := &Daemon{
-		cfg:   cfg.withDefaults(),
-		r:     r,
-		epoch: s.Graph(),
-		dirt:  make([]float64, s.Graph().NumNodes()),
+		cfg:      cfg.withDefaults(),
+		r:        r,
+		epoch:    s.Graph(),
+		dirt:     make([]float64, s.Graph().NumNodes()),
+		dirtiest: -1,
 	}
 	d.region.in = bitset.New(len(d.dirt))
 	d.inst = newDaemonInstruments(d.cfg.Metrics)
@@ -354,13 +363,18 @@ func (d *Daemon) onRescue(u, v graph.NodeID, cost float64) {
 	d.charge(u, v, cost)
 }
 
-// charge books patch regret on both endpoints of a churned edge.
+// charge books patch regret on both endpoints of a churned edge. Dirt only
+// grows here, so the argmax moves only to a node it charges.
 func (d *Daemon) charge(u, v graph.NodeID, amount float64) {
-	if amount <= 0 {
+	if !(amount > 0) {
 		return
 	}
-	d.dirt[u] += amount
-	d.dirt[v] += amount
+	for _, x := range [2]graph.NodeID{u, v} {
+		d.dirt[x] += amount
+		if b := d.dirtiest; b < 0 || d.dirt[x] > d.dirt[b] || d.dirt[x] == d.dirt[b] && x < b {
+			d.dirtiest = x
+		}
+	}
 	d.charged = true
 }
 
@@ -490,16 +504,22 @@ func (d *Daemon) ApplyTrace(ops []workload.ChurnOp) error {
 
 // dirtiestNode returns the node with maximum dirt (lowest id wins
 // ties), or -1 if no node carries dirt.
-func (d *Daemon) dirtiestNode() graph.NodeID {
-	best := graph.NodeID(-1)
-	bestDirt := 0.0
+func (d *Daemon) dirtiestNode() graph.NodeID { return d.dirtiest }
+
+// clearDirt zeroes the dirt of nodes and finds the dirtiest node again:
+// the one place dirt falls, and so the one scan of it, which start alone
+// runs.
+func (d *Daemon) clearDirt(nodes []graph.NodeID) {
+	for _, v := range nodes {
+		d.dirt[v] = 0
+	}
+	d.dirtiest = -1
+	most := 0.0
 	for v, amt := range d.dirt {
-		if amt > bestDirt {
-			best = graph.NodeID(v)
-			bestDirt = amt
+		if amt > most {
+			d.dirtiest, most = graph.NodeID(v), amt
 		}
 	}
-	return best
 }
 
 // checkDrift starts an attempt when the dirtiest node's k-hop region has
@@ -570,6 +590,7 @@ func (d *Daemon) extractRegion(seed graph.NodeID) {
 	for _, v := range rg.nodes {
 		rg.in.Set(int(v))
 	}
+	rg.rows, rg.off = rg.rows[:0], append(rg.off[:0], 0)
 	rg.reset()
 }
 
@@ -581,16 +602,26 @@ func (d *Daemon) extractRegion(seed graph.NodeID) {
 // holds the full edge count and the full sum. Each member's CSR
 // out-range is walked in order, so the induced edges are added in
 // ascending edge id whether a sum is built in one check or resumed over
-// several — the summation order that makes the float reproducible.
+// several — the summation order that makes the float reproducible. A
+// member's row is scanned against the bitmap once per extraction and
+// cached; a re-price reads the cache, which holds the same targets in the
+// same order, so it makes the same additions.
 func (d *Daemon) priceRegion(threshold float64) {
 	rg := &d.region
 	for rg.at < len(rg.nodes) && rg.dirt > threshold*math.Max(rg.cost, 1e-9) {
 		u := rg.nodes[rg.at]
-		for _, v := range rg.epoch.OutNeighbors(u) {
-			if rg.in.Test(int(v)) {
-				rg.edges++
-				rg.cost += baseline.EdgeCost(d.r, u, v)
+		if rg.at == len(rg.off)-1 {
+			for _, v := range rg.epoch.OutNeighbors(u) {
+				if rg.in.Test(int(v)) {
+					rg.rows = append(rg.rows, v)
+				}
 			}
+			rg.off = append(rg.off, int32(len(rg.rows)))
+		}
+		row := rg.rows[rg.off[rg.at]:rg.off[rg.at+1]]
+		rg.edges += len(row)
+		for _, v := range row {
+			rg.cost += baseline.EdgeCost(d.r, u, v)
 		}
 		rg.at++
 	}
@@ -681,11 +712,12 @@ func (a *attempt) String() string {
 // results only before it closes done; the Apply goroutine reads them only
 // after, and leaves d.attempt and d.amortize alone while done is open.
 type flight struct {
-	done    chan struct{}      // non-nil while an attempt is in flight
-	cancel  context.CancelFunc // cuts its solve short
-	root    stage              // its `resolve` span
-	began   time.Duration      // what its start took on the Apply goroutine
-	journal []workload.ChurnOp // the ops ingested since its start, in order
+	done    chan struct{}       // non-nil while an attempt is in flight
+	cancel  context.CancelFunc  // cuts its solve short
+	root    stage               // its `resolve` span
+	began   time.Duration       // what its start took on the Apply goroutine
+	journal []workload.ChurnOp  // the ops ingested since its start, in order
+	frozen  *incremental.Frozen // the live state it rebases from
 
 	// Written by the attempt's goroutine.
 	epoch    *graph.Graph // the live graph it was started on, rebased
@@ -709,25 +741,25 @@ func (d *Daemon) start(ctx context.Context) {
 	_, parent := telemetry.FromContext(ctx)
 	root := d.begin(parent, "resolve", "seed=%d nodes=%d", d.region.seed, len(nodes))
 	d.attempt = attempt{seed: d.region.seed, nodes: len(nodes), stopped: "exhausted"}
+	fl := &d.fl
 	st := d.begin(root.id, "freeze", "")
-	frozen := d.m.Freeze()
+	// The previous attempt's goroutine, the one reader of its Frozen, has
+	// ended: the boundary's splice waited for it.
+	fl.frozen = d.m.Freeze(fl.frozen)
 	r := &workload.Rates{Prod: slices.Clone(d.r.Prod), Cons: slices.Clone(d.r.Cons)}
 	st.end("")
 	// Clear the region's dirt up front: whatever the splice decides, it is
 	// final for this dirt mass, and leaving it would re-trigger forever.
 	// The dirtiest node moves with it, so the next boundary checks again.
-	for _, v := range nodes {
-		d.dirt[v] = 0
-	}
+	d.clearDirt(nodes)
 	d.charged = true
 
-	fl := &d.fl
 	sctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	fl.done, fl.cancel, fl.root = make(chan struct{}), cancel, root
 	fl.journal = fl.journal[:0]
 	fl.res, fl.err, fl.wall, fl.m = nil, nil, 0, nil
 	fl.began = time.Since(began)
-	go d.solve(telemetry.NewContext(sctx, root.tr, root.id), frozen, r, nodes)
+	go d.solve(telemetry.NewContext(sctx, root.tr, root.id), fl.frozen, r, nodes)
 }
 
 // solve is the attempt's goroutine: the rebase of the frozen state, the

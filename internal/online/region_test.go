@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -107,14 +108,21 @@ func refInducedEdgeIDs(g *graph.Graph, nodes []graph.NodeID) []graph.EdgeID {
 	return out
 }
 
-func referenceCheck(d *Daemon) refCheck {
-	c := refCheck{seed: -1}
-	best := 0.0
+// referenceDirtiest is the scan the daemon ran at every check before it
+// kept the argmax: the node with the most dirt, the lowest id on ties, or
+// -1 while no node carries dirt.
+func referenceDirtiest(d *Daemon) graph.NodeID {
+	seed, best := graph.NodeID(-1), 0.0
 	for v, amt := range d.dirt {
 		if amt > best {
-			c.seed, best = graph.NodeID(v), amt
+			seed, best = graph.NodeID(v), amt
 		}
 	}
+	return seed
+}
+
+func referenceCheck(d *Daemon) refCheck {
+	c := refCheck{seed: referenceDirtiest(d)}
 	if c.seed < 0 {
 		return c
 	}
@@ -180,9 +188,10 @@ func (ls *lockstep) apply(op workload.ChurnOp) error {
 
 // boundary is a check boundary with the reference held against its check:
 // the boundary's splice first, then the from-scratch evaluation of the
-// state the check sees, then checkRegion, after which the remembered
-// region, its cursor and prefix sums, and the decision must equal the
-// reference to the last bit. The cursor starts at 0 after an extraction
+// state the check sees, whose dirtiest node the daemon's kept argmax must
+// be, then checkRegion, after which the remembered region, its cursor and
+// prefix sums, its cached rows and the decision must equal the reference
+// to the last bit. The cursor starts at 0 after an extraction
 // or a member's rate op, and where the previous check stopped otherwise.
 // The disturbed zoo run makes every boundary this way, and must end where
 // the observed run, whose boundaries Apply makes, ends: that ties this
@@ -199,7 +208,13 @@ func (ls *lockstep) boundary(at int) error {
 		return nil
 	}
 	want, epoch := referenceCheck(d), d.epoch
+	if got := d.dirtiestNode(); got != want.seed {
+		return fmt.Errorf("op %d: dirtiest node %d, the scan finds %d", at, got, want.seed)
+	}
 	did := d.checkRegion(context.Background())
+	if err := cachedRowsAgree(&d.region); err != nil {
+		return fmt.Errorf("op %d: %v", at, err)
+	}
 	if want.seed < 0 {
 		if did {
 			return fmt.Errorf("op %d: re-solved with no dirt anywhere", at)
@@ -241,6 +256,33 @@ func (ls *lockstep) boundary(at int) error {
 	for v := 0; v < rg.in.Len(); v++ {
 		if _, member := slices.BinarySearch(rg.nodes, graph.NodeID(v)); rg.in.Test(v) != member {
 			return fmt.Errorf("op %d: membership bit of node %d is %v", at, v, rg.in.Test(v))
+		}
+	}
+	return nil
+}
+
+// cachedRowsAgree holds every cached row of the remembered region against
+// a fresh scan of its member's epoch out-row, membership by binary search
+// over the members: the cache covers at least the members the cursor has
+// passed, each row holding exactly the member's induced targets in CSR
+// order.
+func cachedRowsAgree(rg *regionEntry) error {
+	if len(rg.off) == 0 {
+		return nil // nothing extracted yet
+	}
+	cached := len(rg.off) - 1
+	if rg.off[0] != 0 || cached < rg.at || cached > len(rg.nodes) || int(rg.off[cached]) != len(rg.rows) {
+		return fmt.Errorf("row cache of %d members over %d targets, cursor %d of %d members", cached, len(rg.rows), rg.at, len(rg.nodes))
+	}
+	for k, u := range rg.nodes[:cached] {
+		var want []graph.NodeID
+		for _, v := range rg.epoch.OutNeighbors(u) {
+			if _, member := slices.BinarySearch(rg.nodes, v); member {
+				want = append(want, v)
+			}
+		}
+		if got := rg.rows[rg.off[k]:rg.off[k+1]]; !slices.Equal(got, want) {
+			return fmt.Errorf("cached row of member %d (node %d) is %v, a fresh scan %v", k, u, got, want)
 		}
 	}
 	return nil
@@ -384,6 +426,33 @@ func TestRememberedRegionTransitions(t *testing.T) {
 		}
 	})
 
+	t.Run("a member's rate op re-prices from the cached rows", func(t *testing.T) {
+		d, ls := newDaemon(1e-9)     // every check crosses,
+		d.cfg.BudgetFraction = 1e-12 // and none has budget: priced in full, never started
+		apply(ls, rateOp(d, seed, 1000))
+		checkNow(t, ls)
+		rg := &d.region
+		if rg.at != len(rg.nodes) || len(rg.off) != len(rg.nodes)+1 || len(rg.rows) == 0 {
+			t.Fatalf("set-up: the check priced %d of %d members and cached %d rows", rg.at, len(rg.nodes), len(rg.off)-1)
+		}
+		apply(ls, rateOp(d, member, 3)) // the prefix is void; the rows stand
+		want := referenceCheck(d)
+		// A target's membership bit, cleared for the one check: a re-price
+		// that scanned the rows against the bitmap would miss its edges.
+		victim := rg.rows[0]
+		rg.in.Clear(int(victim))
+		d.charged = true
+		d.checkRegion(context.Background())
+		rg.in.Set(int(victim))
+		n := len(want.nodes)
+		if rg.at != n || rg.edges != want.edgesAt[n] || math.Float64bits(rg.cost) != math.Float64bits(want.costAt[n]) {
+			t.Fatalf("re-priced %d of %d members: %d edges, Σc* %v; want %d, %v", rg.at, n, rg.edges, rg.cost, want.edgesAt[n], want.costAt[n])
+		}
+		if st := d.Stats(); st.DriftChecks != 2 || st.RegionExtractions != 1 || st.Resolves+st.Reverted != 0 {
+			t.Fatalf("the re-price extracted or re-solved: %+v", st)
+		}
+	})
+
 	t.Run("same seed with more dirt resumes from the cursor", func(t *testing.T) {
 		d, ls := newDaemon(1e18)
 		apply(ls, rateOp(d, seed, 1000))
@@ -450,9 +519,8 @@ func TestRememberedRegionTransitions(t *testing.T) {
 		for _, e := range graph.InducedEdgeIDs(g, region) {
 			apply(ls, workload.ChurnOp{Kind: workload.OpRemove, U: g.EdgeSource(e), V: g.EdgeTarget(e)})
 		}
-		for v := range d.dirt { // whatever the removals' rescues charged
-			d.dirt[v] = 0
-		}
+		clear(d.dirt) // whatever the removals' rescues charged
+		d.dirtiest = -1
 		apply(ls, rateOp(d, seed, 1))
 		epoch := d.epoch
 		checkNow(t, ls)
@@ -473,6 +541,8 @@ func TestRememberedRegionTransitions(t *testing.T) {
 // node stays put (one large rate op pins it) while rate ops land on a
 // user outside its region, every Apply is a check and none re-solves.
 // Such a check reads the remembered region: no extraction, no allocation.
+// Nor does a check after a rate op on a member, which re-prices the whole
+// region from its cached rows.
 func TestCheckFromRememberedRegionDoesNotAllocate(t *testing.T) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(20_000, 7))
 	r := workload.LogDegree(g, 5)
@@ -518,6 +588,65 @@ func TestCheckFromRememberedRegionDoesNotAllocate(t *testing.T) {
 	}
 	if st.DriftChecks-before.DriftChecks < runs || st.Resolves+st.Reverted != 0 {
 		t.Fatalf("the measured ops were not checks without a re-solve: %+v", st)
+	}
+
+	// Every check crosses and has no budget, so each prices the region in
+	// full; a rate op on a member voids the prefix before each.
+	d.cfg.DriftThreshold, d.cfg.BudgetFraction = 1e-9, 1e-12
+	member, step := region[len(region)-1], 1.0
+	reprice := func() { // Prod of the member: +1, −1, +1, …
+		apply(rateOp(d, member, step))
+		step = -step
+	}
+	reprice() // warms the row cache
+	if rg := &d.region; rg.seed != seed || rg.at != len(rg.nodes) {
+		t.Fatalf("set-up: remembered seed %d priced %d of %d members, want %d and all", rg.seed, rg.at, len(rg.nodes), seed)
+	}
+	before = d.Stats()
+	if allocs := testing.AllocsPerRun(runs, reprice); allocs != 0 {
+		t.Errorf("a check re-pricing from the cached rows allocates %v times", allocs)
+	}
+	st = d.Stats()
+	if st.RegionExtractions != before.RegionExtractions || st.DriftChecks-before.DriftChecks < runs || st.Resolves+st.Reverted != 0 {
+		t.Fatalf("the re-pricing ops were not checks of the remembered region without a re-solve: %+v", st)
+	}
+}
+
+// The kept argmax is the scan's after every op: random charges, many of
+// them landing on equal dirt (dyadic amounts over a few nodes), no-op
+// charges, and region clears.
+func TestDirtiestNodeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 24
+	d := &Daemon{dirt: make([]float64, n), dirtiest: -1}
+	amounts := []float64{0, -1, 0.25, 0.5, 1, 2}
+	ties, clears := 0, 0
+	for op := 0; op < 20_000; op++ {
+		if rng.Intn(16) == 0 {
+			var region []graph.NodeID
+			for _, v := range rng.Perm(n)[:1+rng.Intn(8)] {
+				region = append(region, graph.NodeID(v))
+			}
+			d.clearDirt(region)
+			clears++
+		} else {
+			u := graph.NodeID(rng.Intn(n))
+			v := u // a rate op charges its user twice
+			if rng.Intn(3) > 0 {
+				v = graph.NodeID(rng.Intn(n))
+			}
+			d.charge(u, v, amounts[rng.Intn(len(amounts))])
+		}
+		want := referenceDirtiest(d)
+		if got := d.dirtiestNode(); got != want {
+			t.Fatalf("op %d: dirtiest node %d, the scan finds %d; dirt %v", op, got, want, d.dirt)
+		}
+		if want >= 0 && slices.Index(d.dirt[want+1:], d.dirt[want]) >= 0 {
+			ties++
+		}
+	}
+	if ties < 100 || clears == 0 {
+		t.Fatalf("%d ops ended on a tie for the most dirt and %d cleared a region; want both", ties, clears)
 	}
 }
 
