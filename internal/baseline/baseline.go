@@ -5,8 +5,6 @@
 package baseline
 
 import (
-	"math"
-
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/workload"
@@ -46,9 +44,10 @@ func Hybrid(g *graph.Graph, r *workload.Rates) *core.Schedule {
 
 // EdgeCost returns c*(u → v) = min(rp(u), rc(v)), the hybrid cost of
 // serving one edge directly. Both CHITCHAT and PARALLELNOSY price
-// alternatives against it.
+// alternatives against it. The builtin min inlines, unlike math.Min, and
+// returns its bits for every rate Rates.Validate admits.
 func EdgeCost(r *workload.Rates, u, v graph.NodeID) float64 {
-	return math.Min(r.Prod[u], r.Cons[v])
+	return min(r.Prod[u], r.Cons[v])
 }
 
 // HybridCost returns the total cost of the hybrid schedule without

@@ -82,6 +82,27 @@ func TestEdgeCost(t *testing.T) {
 	}
 }
 
+// EdgeCost's builtin min returns math.Min's bits for every pair of rates
+// Rates.Validate admits, and for +Inf: zeros of both signs, subnormals,
+// the normal edge, equal values and the largest finite float.
+func TestEdgeCostIsMathMinBitwise(t *testing.T) {
+	lattice := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), 0x1p-1022, 0.5, 1, math.Nextafter(1, 2),
+		3, math.MaxFloat64 / 2, math.Nextafter(math.MaxFloat64, 0), math.MaxFloat64, math.Inf(1),
+	}
+	r := &workload.Rates{Prod: lattice, Cons: lattice}
+	for u, p := range lattice {
+		for v, c := range lattice {
+			got, want := EdgeCost(r, graph.NodeID(u), graph.NodeID(v)), math.Min(p, c)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("EdgeCost(%v, %v) = %v (%#x), math.Min gives %v (%#x)",
+					p, c, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestReadDominatedPrefersPushAll(t *testing.T) {
 	// With consumption far above production, hybrid ≈ push-all < pull-all.
 	g := graphgen.Social(graphgen.FlickrLike(200, 2))

@@ -37,6 +37,21 @@ func (s *Set) Test(i int) bool {
 	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
+// Bit returns bit i as 0 or 1, for a caller that adds it instead of
+// branching on it.
+func (s *Set) Bit(i int) uint64 {
+	return s.words[i>>6] >> (uint(i) & 63) & 1
+}
+
+// AndNot clears in s every bit set in t, a word at a time. t must be at
+// least as long as s.
+func (s *Set) AndNot(t *Set) {
+	tw := t.words[:len(s.words)]
+	for i := range s.words {
+		s.words[i] &^= tw[i]
+	}
+}
+
 // SetAll sets every bit 0..Len()-1, leaving the spare bits of the last
 // word clear so Count stays exact.
 func (s *Set) SetAll() {

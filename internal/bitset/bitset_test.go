@@ -225,3 +225,35 @@ func TestRankIsPositionInAppendSet(t *testing.T) {
 		}
 	}
 }
+
+// Bit is Test as 0 or 1, and AndNot leaves Test(i) && !t.Test(i) at
+// every i, across word boundaries and with a longer t.
+func TestBitAndNotAgainstTest(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 63, 64, 65, 200, 1000} {
+		for _, tn := range []int{n, n + 70} {
+			s, u := New(n), New(tn)
+			for i := 0; i < tn; i++ {
+				if i < n && rng.Intn(2) == 0 {
+					s.Set(i)
+				}
+				if rng.Intn(3) == 0 {
+					u.Set(i)
+				}
+			}
+			want := make([]bool, n)
+			for i := range want {
+				if bit := s.Bit(i); bit > 1 || (bit == 1) != s.Test(i) {
+					t.Fatalf("n=%d: Bit(%d) = %d, Test %v", n, i, bit, s.Test(i))
+				}
+				want[i] = s.Test(i) && !u.Test(i)
+			}
+			s.AndNot(u)
+			for i, w := range want {
+				if s.Test(i) != w {
+					t.Fatalf("n=%d, len(t)=%d: bit %d is %v after AndNot, want %v", n, tn, i, s.Test(i), w)
+				}
+			}
+		}
+	}
+}

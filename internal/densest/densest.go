@@ -27,7 +27,6 @@ package densest
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrInstanceTooLarge is the panic value (wrapped) raised when Exact is
@@ -44,8 +43,8 @@ type Instance struct {
 	Weight []float64 // len N, all >= 0
 }
 
-// Result is the selected node set and its density. Density may be +Inf
-// (positive edges, zero weight); Denser compares results exactly without
+// Result is the selected node set and its density, EdgeCnt/Weight, which
+// may be +Inf (positive edges, zero weight); Denser compares results exactly without
 // dividing.
 type Result struct {
 	Members []int32
@@ -56,17 +55,6 @@ type Result struct {
 	// removing Peeled[k]: Decremental.Replay's input. Nil from Exact.
 	Peeled     []int32
 	EdgesAfter []int32
-}
-
-// Density returns |E(S)|/g(S); +Inf if g(S)=0 and |E(S)|>0; 0 if both 0.
-func (r Result) Density() float64 {
-	if r.Weight == 0 {
-		if r.EdgeCnt > 0 {
-			return inf()
-		}
-		return 0
-	}
-	return float64(r.EdgeCnt) / r.Weight
 }
 
 // Denser reports whether r is strictly denser than o, comparing by
@@ -85,8 +73,6 @@ func denser(rE int, rW float64, oE int, oW float64) bool {
 	// Equal ratios: prefer more coverage (more edges).
 	return rE > oE
 }
-
-func inf() float64 { return math.Inf(1) }
 
 // Scratch is a reusable per-worker arena for the peel: the heap, its
 // position index, the removal order with its edge counts and the removed

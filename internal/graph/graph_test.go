@@ -211,15 +211,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := diamond()
-	h := g.DegreeHistogram()
-	// out-degrees: node0=3, node1=1, node2=1, node3=0
-	if h[3] != 1 || h[1] != 2 || h[0] != 1 {
-		t.Fatalf("DegreeHistogram = %v", h)
-	}
-}
-
 // Property: for random graphs, CSR invariants hold — every edge id round
 // trips, in- and out-adjacency are consistent, and degrees sum to edge
 // count.

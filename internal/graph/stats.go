@@ -105,16 +105,6 @@ func (g *Graph) undirectedNeighbors(u NodeID) []NodeID {
 	return merged
 }
 
-// DegreeHistogram returns out-degree counts: hist[d] = number of nodes with
-// out-degree d (sparse map form).
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		h[g.OutDegree(NodeID(u))]++
-	}
-	return h
-}
-
 // GallopFactor is the length skew beyond which CommonInEdges abandons the
 // linear merge for a galloping search over the longer list: when one
 // endpoint is a celebrity (in-degree orders of magnitude above the

@@ -129,7 +129,8 @@ func KHop(g *Graph, seeds []NodeID, k, maxNodes int) []NodeID {
 	}
 	// layer holds the WHOLE next layer before any of it is admitted, so a
 	// cap admits the layer's lowest ids regardless of which frontier node
-	// found them; seen holds what has been admitted.
+	// found them; seen holds what has been admitted, cleared from layer a
+	// word at a time instead of tested per neighbour.
 	seen, layer := bitset.New(n), bitset.New(n)
 	for _, v := range seeds {
 		layer.Set(int(v))
@@ -149,16 +150,13 @@ func KHop(g *Graph, seeds []NodeID, k, maxNodes int) []NodeID {
 		layer.Reset()
 		for _, u := range frontier {
 			for _, v := range g.OutNeighbors(u) {
-				if !seen.Test(int(v)) {
-					layer.Set(int(v))
-				}
+				layer.Set(int(v))
 			}
 			for _, v := range g.InNeighbors(u) {
-				if !seen.Test(int(v)) {
-					layer.Set(int(v))
-				}
+				layer.Set(int(v))
 			}
 		}
+		layer.AndNot(seen)
 	}
 	return seen.AppendSet(make([]NodeID, 0, count))
 }

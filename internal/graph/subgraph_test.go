@@ -246,8 +246,12 @@ func TestKernelsMatchMapReferences(t *testing.T) {
 		// above n, no cap, and k = 0 all come up in this range.
 		seeds := nodes[:min(len(nodes), rng.Intn(5))]
 		k, maxNodes := rng.Intn(4), rng.Intn(n+3)
-		if got, want := KHop(g, seeds, k, maxNodes), refKHop(g, seeds, k, maxNodes); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: KHop(%v, %d, %d) = %v, want %v", trial, seeds, k, maxNodes, got, want)
+		// So are the caps 1 and n, and one past the seeds, which the first
+		// layer exceeds wherever the seeds have two new neighbours.
+		for _, maxNodes := range []int{maxNodes, 1, n, len(refDedupSorted(seeds)) + 1} {
+			if got, want := KHop(g, seeds, k, maxNodes), refKHop(g, seeds, k, maxNodes); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: KHop(%v, %d, %d) = %v, want %v", trial, seeds, k, maxNodes, got, want)
+			}
 		}
 	}
 }

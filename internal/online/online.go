@@ -242,11 +242,40 @@ type regionEntry struct {
 	// rows[off[k]:off[k+1]], for k < len(off)-1.
 	rows []graph.NodeID
 	off  []int32
+	// sums[k] is cost before member k, its checkpoint (the edge count
+	// before it is off[k]), for k < at = len(sums).
+	sums []float64
 }
 
-// reset empties the remembered prefix sum; the next check prices the
-// region from its first member, reading the cached rows.
-func (rg *regionEntry) reset() { rg.at, rg.edges, rg.cost = 0, 0, 0 }
+// reset empties the remembered prefix sum and its checkpoints, keeping
+// their capacity; the next check prices the region from its first member.
+func (rg *regionEntry) reset() { rg.at, rg.edges, rg.cost, rg.sums = 0, 0, 0, rg.sums[:0] }
+
+// rewind moves the cursor back to the first priced member whose cached
+// row holds an edge whose c* the rate op on member u moved: u's own row,
+// or that of a member x with an edge x → u. p and c are u's rates before
+// the op, r the rates after it. With no such member the prefix stands.
+func (rg *regionEntry) rewind(r *workload.Rates, u graph.NodeID, p, c float64) {
+	j := rg.at
+	if k, ok := slices.BinarySearch(rg.nodes[:j], u); ok {
+		for _, v := range rg.rows[rg.off[k]:rg.off[k+1]] {
+			if math.Float64bits(min(p, r.Cons[v])) != math.Float64bits(baseline.EdgeCost(r, u, v)) {
+				j = k
+				break
+			}
+		}
+	}
+	for _, x := range rg.epoch.InNeighbors(u) {
+		if rg.in.Test(int(x)) && math.Float64bits(min(r.Prod[x], c)) != math.Float64bits(baseline.EdgeCost(r, x, u)) {
+			if k, ok := slices.BinarySearch(rg.nodes[:j], x); ok {
+				j = k
+			}
+		}
+	}
+	if j < rg.at {
+		rg.at, rg.edges, rg.cost, rg.sums = j, int(rg.off[j]), rg.sums[j], rg.sums[:j]
+	}
+}
 
 // counterSeries are the Stats counts the registry mirrors, one
 // online_*_total counter each, in daemonInstruments.counters order.
@@ -455,7 +484,7 @@ func (d *Daemon) apply(ctx context.Context, op workload.ChurnOp) error {
 		}
 		d.stats.RateUpdates++
 		if d.region.in.Test(int(op.U)) {
-			d.region.reset() // a member's c* moved: the prefix is void
+			d.region.rewind(d.r, op.U, oldP, oldC)
 		}
 		// Repricing regret scales with how much scheduled traffic the
 		// user carries; the epoch degrees are the cheap proxy.
@@ -561,7 +590,7 @@ func (d *Daemon) checkRegion(ctx context.Context) bool {
 	rg.dirt = dirt
 	threshold := d.cfg.DriftThreshold * float64(int64(1)<<min(d.revertStreak, 40))
 	d.priceRegion(threshold)
-	if rg.dirt <= threshold*math.Max(rg.cost, 1e-9) {
+	if rg.dirt <= threshold*max(rg.cost, 1e-9) {
 		// The region around the dirtiest node has not churned enough
 		// relative to its size. Other regions could in principle have a
 		// higher dirt ratio, but the dirtiest node is the cheap
@@ -604,20 +633,26 @@ func (d *Daemon) extractRegion(seed graph.NodeID) {
 // ascending edge id whether a sum is built in one check or resumed over
 // several — the summation order that makes the float reproducible. A
 // member's row is scanned against the bitmap once per extraction and
-// cached; a re-price reads the cache, which holds the same targets in the
-// same order, so it makes the same additions.
+// cached: every target is written and the end advances by its membership
+// bit, so the scan does not branch on it. A re-price reads the cache,
+// which holds the same targets in the same order, so it makes the same
+// additions; the cost before each member is kept as its checkpoint.
 func (d *Daemon) priceRegion(threshold float64) {
 	rg := &d.region
-	for rg.at < len(rg.nodes) && rg.dirt > threshold*math.Max(rg.cost, 1e-9) {
+	for rg.at < len(rg.nodes) && rg.dirt > threshold*max(rg.cost, 1e-9) {
 		u := rg.nodes[rg.at]
 		if rg.at == len(rg.off)-1 {
-			for _, v := range rg.epoch.OutNeighbors(u) {
-				if rg.in.Test(int(v)) {
-					rg.rows = append(rg.rows, v)
-				}
+			out := rg.epoch.OutNeighbors(u)
+			end := len(rg.rows)
+			rows := slices.Grow(rg.rows, len(out))[:end+len(out)]
+			for _, v := range out {
+				rows[end] = v
+				end += int(rg.in.Bit(int(v)))
 			}
-			rg.off = append(rg.off, int32(len(rg.rows)))
+			rg.rows = rows[:end]
+			rg.off = append(rg.off, int32(end))
 		}
+		rg.sums = append(rg.sums, rg.cost)
 		row := rg.rows[rg.off[rg.at]:rg.off[rg.at+1]]
 		rg.edges += len(row)
 		for _, v := range row {

@@ -154,15 +154,16 @@ func referenceCheck(d *Daemon) refCheck {
 
 // lockstep holds a daemon's drift checks against referenceCheck. It keeps
 // the reference's own memory of the cursor: the region the previous check
-// read, where that check stopped, and the users of the rate ops applied
-// since. It also counts the members the checks priced.
+// read, where that check stopped, moved back by the member rate ops
+// applied since, and whether there were any. It also counts the members
+// the checks priced.
 type lockstep struct {
 	d       *Daemon
 	epoch   *graph.Graph
 	seed    graph.NodeID
 	nodes   []graph.NodeID
 	at      int
-	touched []graph.NodeID // users of the rate ops since the previous check
+	touched bool // a rate op on a member since the previous check
 	pricing pricing
 }
 
@@ -175,15 +176,45 @@ type pricing struct{ priced, full, noPriced, noFull int }
 
 func newLockstep(d *Daemon) *lockstep { return &lockstep{d: d, seed: -1} }
 
-// apply ingests op, noting a rate op's user.
+// apply ingests op, moving the cursor back for a member's rate op.
 func (ls *lockstep) apply(op workload.ChurnOp) error {
+	var p, c float64
+	if op.Kind == workload.OpRates && op.U >= 0 && int(op.U) < len(ls.d.r.Prod) {
+		p, c = ls.d.r.Prod[op.U], ls.d.r.Cons[op.U]
+	}
 	if err := ls.d.Apply(op); err != nil {
 		return err
 	}
-	if op.Kind == workload.OpRates {
-		ls.touched = append(ls.touched, op.U)
+	if _, member := slices.BinarySearch(ls.nodes, op.U); op.Kind == workload.OpRates && member {
+		ls.touched = true
+		ls.rewind(op.U, p, c)
 	}
 	return nil
+}
+
+// rewind moves the cursor back to the first member before it with an
+// induced out-edge whose c* changed bits when u's rates went from p, c to
+// the live ones: every induced edge of the priced prefix is priced twice.
+func (ls *lockstep) rewind(u graph.NodeID, p, c float64) {
+	r := ls.d.r
+	before := func(x graph.NodeID, live []float64, old float64) float64 {
+		if x == u {
+			return old
+		}
+		return live[x]
+	}
+	for k, x := range ls.nodes[:ls.at] {
+		for _, y := range ls.epoch.OutNeighbors(x) {
+			if _, member := slices.BinarySearch(ls.nodes, y); !member || x != u && y != u {
+				continue
+			}
+			was := math.Min(before(x, r.Prod, p), before(y, r.Cons, c))
+			if math.Float64bits(was) != math.Float64bits(math.Min(r.Prod[x], r.Cons[y])) {
+				ls.at = k
+				return
+			}
+		}
+	}
 }
 
 // boundary is a check boundary with the reference held against its check:
@@ -191,8 +222,9 @@ func (ls *lockstep) apply(op workload.ChurnOp) error {
 // state the check sees, whose dirtiest node the daemon's kept argmax must
 // be, then checkRegion, after which the remembered region, its cursor and
 // prefix sums, its cached rows and the decision must equal the reference
-// to the last bit. The cursor starts at 0 after an extraction
-// or a member's rate op, and where the previous check stopped otherwise.
+// to the last bit, and so must the checkpoints. The cursor starts at 0
+// after an extraction, and where the previous check stopped otherwise,
+// moved back by the member rate ops since (lockstep.rewind).
 // The disturbed zoo run makes every boundary this way, and must end where
 // the observed run, whose boundaries Apply makes, ends: that ties this
 // copy of the boundary to the real one.
@@ -223,9 +255,11 @@ func (ls *lockstep) boundary(at int) error {
 	}
 	n := len(want.nodes)
 	from, full := 0, n
-	if want.seed == ls.seed && epoch == ls.epoch &&
-		!slices.ContainsFunc(ls.touched, func(u graph.NodeID) bool { return slices.Contains(ls.nodes, u) }) {
-		from, full = ls.at, 0
+	if want.seed == ls.seed && epoch == ls.epoch {
+		from = ls.at
+		if !ls.touched {
+			full = 0
+		}
 	}
 	stop := want.stop(from)
 	p := &ls.pricing
@@ -233,7 +267,7 @@ func (ls *lockstep) boundary(at int) error {
 	if !did {
 		p.noPriced, p.noFull = p.noPriced+stop-from, p.noFull+full
 	}
-	ls.epoch, ls.seed, ls.nodes, ls.at, ls.touched = epoch, want.seed, want.nodes, stop, ls.touched[:0]
+	ls.epoch, ls.seed, ls.nodes, ls.at, ls.touched = epoch, want.seed, want.nodes, stop, false
 	rg := &d.region
 	switch {
 	case rg.seed != want.seed || rg.epoch != epoch:
@@ -246,6 +280,8 @@ func (ls *lockstep) boundary(at int) error {
 		return fmt.Errorf("op %d: %d region edges over %d members, want %d", at, rg.edges, stop, want.edgesAt[stop])
 	case math.Float64bits(rg.cost) != math.Float64bits(want.costAt[stop]):
 		return fmt.Errorf("op %d: Σc* over %d members = %v, want %v", at, stop, rg.cost, want.costAt[stop])
+	case !slices.EqualFunc(rg.sums, want.costAt[:stop], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }):
+		return fmt.Errorf("op %d: %d checkpoints %v, want %v", at, len(rg.sums), rg.sums, want.costAt[:stop])
 	case math.Float64bits(rg.dirt) != math.Float64bits(want.dirt):
 		return fmt.Errorf("op %d: region dirt = %v, want %v", at, rg.dirt, want.dirt)
 	case did != want.resolve:
@@ -310,15 +346,19 @@ func TestRememberedRegionIsExact(t *testing.T) {
 // pricedPins are what the lockstep reference counted on each zoo cell,
 // timing-free, at the acceptance geometry and in the churn cell. The re-
 // solving checks price every member either way, which is why the churn
-// cell, where 14 of 99 checks re-solve, saves least.
+// cell, where 14 of 99 checks re-solve, saves least. A member's rate op
+// rewinds only to the first member whose c* it moved; when it reset the
+// prefix instead, priced and noPriced were 9101/4901 (cascade), 17522/5522
+// (diurnal), 17311/3787 (flashcrowd), 10796/4798 (ldbc), 7875/4878
+// (preferential), 5907/4703 (regionchurn) and 2138/789 (churn).
 var pricedPins = map[string]pricing{
-	scenario.Cascade:      {priced: 9101, full: 29095, noPriced: 4901, noFull: 24895},
-	scenario.Diurnal:      {priced: 17522, full: 30000, noPriced: 5522, noFull: 18000},
-	scenario.FlashCrowd:   {priced: 17311, full: 28200, noPriced: 3787, noFull: 14700},
-	scenario.LDBC:         {priced: 10796, full: 27594, noPriced: 4798, noFull: 21596},
-	scenario.Preferential: {priced: 7875, full: 19461, noPriced: 4878, noFull: 16464},
-	scenario.RegionChurn:  {priced: 5907, full: 15896, noPriced: 4703, noFull: 14696},
-	"churn":               {priced: 2138, full: 2900, noPriced: 789, noFull: 1600},
+	scenario.Cascade:      {priced: 6795, full: 29095, noPriced: 2877, noFull: 24895},
+	scenario.Diurnal:      {priced: 17272, full: 30000, noPriced: 5290, noFull: 18000},
+	scenario.FlashCrowd:   {priced: 15484, full: 28200, noPriced: 2863, noFull: 14700},
+	scenario.LDBC:         {priced: 9797, full: 27594, noPriced: 4108, noFull: 21596},
+	scenario.Preferential: {priced: 4813, full: 19461, noPriced: 2690, noFull: 16464},
+	scenario.RegionChurn:  {priced: 4321, full: 15896, noPriced: 3143, noFull: 14696},
+	"churn":               {priced: 1973, full: 2900, noPriced: 680, noFull: 1600},
 }
 
 // A check prices only the prefix its decision needs: the counts are
@@ -403,24 +443,87 @@ func TestRememberedRegionTransitions(t *testing.T) {
 	}
 
 	t.Run("rate op between two same-seed checks", func(t *testing.T) {
-		d, ls := newDaemon(1e18) // checks, never re-solves
-		apply(ls, rateOp(d, seed, 1000))
-		halfway(d)
+		// The first seed whose halfway check leaves a priced member whose
+		// row costs its targets' rc throughout (raising its rp moves no
+		// c*), a member past the cursor with a row edge that costs its rp,
+		// and one with an in-edge from a priced member other than the
+		// first (the region of an early hub, whose row reaches every
+		// member, has none).
+		var (
+			d                     *Daemon
+			ls                    *lockstep
+			at, quiet, past, late int
+			first                 int
+		)
+		for s := graph.NodeID(0); ; s++ {
+			if int(s) == g.NumNodes() {
+				t.Fatal("set-up: no seed has the members the rate ops need")
+			}
+			if g.OutDegree(s) == 0 || g.InDegree(s) == 0 {
+				continue
+			}
+			d, ls = newDaemon(1e18) // checks, never re-solves
+			apply(ls, rateOp(d, s, 1000))
+			halfway(d)
+			checkNow(t, ls)
+			rg := &d.region
+			if at = rg.at; at == 0 || at == len(rg.nodes) {
+				continue
+			}
+			quiet = slices.IndexFunc(rg.nodes[:at], func(u graph.NodeID) bool {
+				k, _ := slices.BinarySearch(rg.nodes, u)
+				row := rg.rows[rg.off[k]:rg.off[k+1]]
+				return len(row) > 0 && !slices.ContainsFunc(row, func(v graph.NodeID) bool { return d.r.Cons[v] > d.r.Prod[u] })
+			})
+			past = at + slices.IndexFunc(rg.nodes[at:], func(u graph.NodeID) bool {
+				return slices.ContainsFunc(g.OutNeighbors(u), func(v graph.NodeID) bool {
+					return rg.in.Test(int(v)) && d.r.Prod[u] < d.r.Cons[v]
+				})
+			})
+			for late = at; late < len(rg.nodes); late++ {
+				u := rg.nodes[late]
+				first = slices.IndexFunc(rg.nodes[:at], func(x graph.NodeID) bool {
+					return slices.Contains(g.OutNeighbors(x), u) && d.r.Prod[x] > 0
+				})
+				if first > 0 && d.r.Cons[u] > 0 {
+					break
+				}
+			}
+			if quiet >= 0 && past >= at && late < len(rg.nodes) {
+				break
+			}
+		}
+		rg := &d.region
+		edges, cost := rg.edges, rg.cost
+		stands := func(what string) {
+			t.Helper()
+			if rg.at != at || rg.edges != edges || rg.cost != cost {
+				t.Fatalf("%s moved the prefix: %d members, %d edges, Σc* %v → %d, %d, %v", what, at, edges, cost, rg.at, rg.edges, rg.cost)
+			}
+		}
+		away := graph.NodeID(0) // outside this seed's region
+		for slices.Contains(rg.nodes, away) || g.OutDegree(away) == 0 {
+			away++
+		}
+		apply(ls, rateOp(d, away, 1))
+		stands("a rate op outside the region")
 		checkNow(t, ls)
-		at, cost := stopsInside(d), d.region.cost
-		apply(ls, rateOp(d, outsider, 1)) // no member touched: the prefix stands
-		if d.region.at != at || d.region.cost != cost {
-			t.Fatalf("rate op outside the region moved the prefix: %d members, Σc* %v → %d, %v", at, cost, d.region.at, d.region.cost)
+		stands("a check with no new dirt in the region")
+		apply(ls, rateOp(d, rg.nodes[quiet], 5))
+		stands("a rate op that moves no c*")
+		// Past the cursor, an rp op moves only the member's own row.
+		apply(ls, rateOp(d, rg.nodes[past], 3))
+		stands("a rate op whose c* all lie past the cursor")
+		// An rc op on a member past the cursor moves the c* of its
+		// in-edges, the first of them out of member first's row.
+		u := rg.nodes[late]
+		apply(ls, workload.ChurnOp{Kind: workload.OpRates, U: u, Prod: d.r.Prod[u], Cons: 0})
+		want := referenceCheck(d)
+		if rg.at != first || rg.edges != want.edgesAt[first] || math.Float64bits(rg.cost) != math.Float64bits(want.costAt[first]) {
+			t.Fatalf("an in-edge's c* moved at member %d of the %d priced: the prefix went to %d members, %d edges, Σc* %v; want %d, %v",
+				first, at, rg.at, rg.edges, rg.cost, want.edgesAt[first], want.costAt[first])
 		}
-		checkNow(t, ls)
-		if d.region.at != at || d.region.cost != cost {
-			t.Fatalf("no new dirt in the region, yet the prefix moved: %d members, Σc* %v → %d, %v", at, cost, d.region.at, d.region.cost)
-		}
-		apply(ls, rateOp(d, member, 3)) // a member's c* moved: the prefix is void
-		if d.region.at != 0 || d.region.edges != 0 || d.region.cost != 0 {
-			t.Fatalf("rate op on a member left the prefix at %d members, %d edges, Σc* %v", d.region.at, d.region.edges, d.region.cost)
-		}
-		checkNow(t, ls) // priced again from the first member, not re-extracted
+		checkNow(t, ls) // resumed from that member against the reference, not re-extracted
 		if st := d.Stats(); st.DriftChecks != 3 || st.RegionExtractions != 1 {
 			t.Fatalf("DriftChecks %d RegionExtractions %d, want 3 and 1", st.DriftChecks, st.RegionExtractions)
 		}
@@ -541,8 +644,8 @@ func TestRememberedRegionTransitions(t *testing.T) {
 // node stays put (one large rate op pins it) while rate ops land on a
 // user outside its region, every Apply is a check and none re-solves.
 // Such a check reads the remembered region: no extraction, no allocation.
-// Nor does a check after a rate op on a member, which re-prices the whole
-// region from its cached rows.
+// Nor does a check after a rate op on a member, which rewinds to that
+// member and re-prices the rest of the region from its cached rows.
 func TestCheckFromRememberedRegionDoesNotAllocate(t *testing.T) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(20_000, 7))
 	r := workload.LogDegree(g, 5)
@@ -591,9 +694,18 @@ func TestCheckFromRememberedRegionDoesNotAllocate(t *testing.T) {
 	}
 
 	// Every check crosses and has no budget, so each prices the region in
-	// full; a rate op on a member voids the prefix before each.
+	// full; before each, a rate op on the first member with a row edge
+	// that costs its rp moves that c* and rewinds the prefix to it.
 	d.cfg.DriftThreshold, d.cfg.BudgetFraction = 1e-9, 1e-12
-	member, step := region[len(region)-1], 1.0
+	k := slices.IndexFunc(region, func(u graph.NodeID) bool {
+		return slices.ContainsFunc(g.OutNeighbors(u), func(v graph.NodeID) bool {
+			return slices.Contains(region, v) && d.r.Prod[u]+1 < d.r.Cons[v]
+		})
+	})
+	if k < 0 {
+		t.Fatal("set-up: no member has a row edge that costs its rp")
+	}
+	member, step := region[k], 1.0
 	reprice := func() { // Prod of the member: +1, −1, +1, …
 		apply(rateOp(d, member, step))
 		step = -step

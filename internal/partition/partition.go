@@ -53,21 +53,6 @@ func (a Assignment) Groups() [][]graph.NodeID {
 	return groups
 }
 
-// CutEdges counts the edges of g whose endpoints live on different
-// servers — the cross-shard traffic a placement induces.
-func (a Assignment) CutEdges(g *graph.Graph) int {
-	cut := 0
-	for u := 0; u < g.NumNodes(); u++ {
-		su := a.of[u]
-		for _, v := range g.OutNeighbors(graph.NodeID(u)) {
-			if a.of[v] != su {
-				cut++
-			}
-		}
-	}
-	return cut
-}
-
 // Locality assigns views to servers by graph structure instead of
 // hashing: seed one region per server with a random-walk hot node
 // (sampling.WalkSeeds), grow the regions breadth-first so each server

@@ -116,13 +116,3 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// CoefficientOfVariation returns sd/mean, the imbalance measure we report
-// for per-server load; 0 when the mean is 0.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return math.Sqrt(Variance(xs)) / m
-}

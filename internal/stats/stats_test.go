@@ -82,15 +82,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestCoefficientOfVariation(t *testing.T) {
-	if CoefficientOfVariation([]float64{5, 5, 5}) != 0 {
-		t.Fatal("constant slice should have CV 0")
-	}
-	if CoefficientOfVariation(nil) != 0 {
-		t.Fatal("empty slice should have CV 0")
-	}
-}
-
 // Property: streaming mean/variance agree with the batch formulas.
 func TestQuickStreamMatchesBatch(t *testing.T) {
 	f := func(seed int64) bool {
