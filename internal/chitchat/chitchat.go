@@ -209,24 +209,6 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 	return s, cause
 }
 
-// SolveInduced is the restricted entry point for localized
-// re-optimization: it solves the extracted region sub.G under the global
-// rates projected through the subgraph's node mapping, returning a patch
-// schedule over sub.G ready for core.ApplyPatch. CHITCHAT's quality
-// guarantee (Theorem 4) applies to the region in isolation; the splice
-// validity is argued at core.ApplyPatch.
-func SolveInduced(sub *graph.Subgraph, r *workload.Rates, cfg Config) *core.Schedule {
-	s, _ := SolveInducedCtx(context.Background(), sub, r, cfg)
-	return s
-}
-
-// SolveInducedCtx is SolveInduced with the cancellation contract of
-// SolveCtx: the returned patch is always valid over sub.G, and a non-nil
-// error means the greedy ran only partially before the context fired.
-func SolveInducedCtx(ctx context.Context, sub *graph.Subgraph, r *workload.Rates, cfg Config) (*core.Schedule, error) {
-	return SolveCtx(ctx, sub.G, r.Project(sub.Global), cfg)
-}
-
 // noteCommit bumps the progress counters after a greedy commit and
 // streams a snapshot to Config.OnProgress when set.
 func (sv *solver) noteCommit(hub bool) {

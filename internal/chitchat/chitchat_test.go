@@ -231,8 +231,9 @@ func TestQuickValidAndBounded(t *testing.T) {
 	}
 }
 
-// SolveInduced on a region must produce a valid patch over the subgraph
-// that splices back into the full schedule without breaking validity.
+// A solve of a region's induced subgraph under the projected rates must
+// produce a valid patch that splices back into the full schedule without
+// breaking validity.
 func TestSolveInducedPatchRoundTrip(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(250, 8))
 	r := workload.LogDegree(g, 5)
@@ -243,7 +244,7 @@ func TestSolveInducedPatchRoundTrip(t *testing.T) {
 
 	nodes := graph.KHop(g, []graph.NodeID{7, 42}, 2, 100)
 	sub := graph.Induced(g, nodes)
-	patch := SolveInduced(sub, r, Config{Workers: 1})
+	patch := Solve(sub.G, r.Project(sub.Global), Config{Workers: 1})
 	if err := patch.Validate(); err != nil {
 		t.Fatalf("patch invalid: %v", err)
 	}

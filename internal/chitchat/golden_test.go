@@ -87,7 +87,7 @@ func pinnedCases(t *testing.T) []pinnedCase {
 
 // stallRegion is a daemon re-solve region — 768 nodes around one seed of
 // a streamed 120k-edge graph, churn_local's stall — with its projected
-// rates: what SolveInduced solves.
+// rates: what the daemon's regional solve solves.
 func stallRegion(t *testing.T) (*graph.Subgraph, *workload.Rates) {
 	t.Helper()
 	sub, r := stallRegionOnce()

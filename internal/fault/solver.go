@@ -44,10 +44,6 @@ type sabotageSolver struct {
 
 func (s *sabotageSolver) Name() string { return s.inner.Name() }
 
-// SupportsRegions delegates so a sabotaged regional solver still passes
-// the daemon's configuration-time capability check.
-func (s *sabotageSolver) SupportsRegions() bool { return solver.SupportsRegions(s.inner) }
-
 // ChainProgress delegates, as the solver.Middleware contract asks, so a
 // stopping rule wrapped around a sabotaged solver still sees its stream.
 func (s *sabotageSolver) ChainProgress(fn func(solver.ProgressEvent)) { solver.Observe(s.inner, fn) }

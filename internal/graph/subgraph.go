@@ -4,7 +4,7 @@
 // re-solved in isolation, and the result is spliced back through the
 // recorded node mapping.
 //
-// The three kernels here test region membership in a per-call bitmap over
+// The kernels here test region membership in a per-call bitmap over
 // the parent's node ids and read adjacency in CSR order, so ascending
 // output falls out of the scan: nothing is hashed and nothing is sorted.
 
@@ -26,7 +26,8 @@ type Subgraph struct {
 	// a node's local id is its position in Global.
 	Global []NodeID
 	// GlobalEdge maps a local edge id to its parent edge id. It ascends
-	// too: it is InducedEdgeIDs of the node set.
+	// too: it is every parent edge with both endpoints in the node set, in
+	// edge-id order.
 	GlobalEdge []EdgeID
 	// Parent is the graph the subgraph was extracted from.
 	Parent *Graph
@@ -90,29 +91,6 @@ func Induced(g *Graph, nodes []NodeID) *Subgraph {
 		}
 	}
 	return &Subgraph{G: b.Build(), Global: global, GlobalEdge: ids, Parent: g}
-}
-
-// InducedEdgeIDs returns the parent edge ids with both endpoints in the
-// node set (duplicates tolerated), ascending — the restricted edge set
-// a localized solver run is allowed to touch; nil when there is none. CSR
-// edge ids are contiguous and ascending per source node, so walking the
-// members in order yields the result already sorted and unique.
-func InducedEdgeIDs(g *Graph, nodes []NodeID) []EdgeID {
-	in, uniq := nodeSet(g, nodes)
-	m := countInduced(g, in, uniq)
-	if m == 0 {
-		return nil
-	}
-	out := make([]EdgeID, 0, m)
-	for _, u := range uniq {
-		lo, _ := g.OutEdgeRange(u)
-		for i, v := range g.OutNeighbors(u) {
-			if in.Test(int(v)) {
-				out = append(out, lo+EdgeID(i))
-			}
-		}
-	}
-	return out
 }
 
 // KHop returns the nodes within k hops of the seeds, treating edges as

@@ -44,7 +44,7 @@ func TestInducedRemapsIDs(t *testing.T) {
 
 func TestInducedEdgeIDs(t *testing.T) {
 	g := subTestGraph()
-	ids := InducedEdgeIDs(g, []NodeID{0, 1, 2})
+	ids := Induced(g, []NodeID{0, 1, 2}).GlobalEdge
 	want := []EdgeID{}
 	g.Edges(func(e EdgeID, u, v NodeID) bool {
 		if u <= 2 && v <= 2 {
@@ -53,7 +53,7 @@ func TestInducedEdgeIDs(t *testing.T) {
 		return true
 	})
 	if !reflect.DeepEqual(ids, want) {
-		t.Fatalf("InducedEdgeIDs = %v, want %v", ids, want)
+		t.Fatalf("Induced(0, 1, 2).GlobalEdge = %v, want %v", ids, want)
 	}
 }
 
@@ -237,11 +237,6 @@ func TestKernelsMatchMapReferences(t *testing.T) {
 			}
 		}
 
-		got, want := InducedEdgeIDs(g, nodes), refInducedEdgeIDs(g, nodes)
-		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
-			t.Fatalf("trial %d: InducedEdgeIDs(%v) = %v, want %v", trial, nodes, got, want)
-		}
-
 		// Seeds beyond the cap, caps that cut a layer in the middle, caps
 		// above n, no cap, and k = 0 all come up in this range.
 		seeds := nodes[:min(len(nodes), rng.Intn(5))]
@@ -256,10 +251,11 @@ func TestKernelsMatchMapReferences(t *testing.T) {
 	}
 }
 
-// Induced records each subgraph edge's parent id: the ids equal
-// InducedEdgeIDs of the same node set (duplicates and empty included), and
-// local edge i joins the local images of parent edge GlobalEdge[i]'s ends.
-func TestInducedGlobalEdgeMatchesInducedEdgeIDs(t *testing.T) {
+// Induced records each subgraph edge's parent id: the ids equal the
+// reference's induced edge ids of the same node set (duplicates and empty
+// included), and local edge i joins the local images of parent edge
+// GlobalEdge[i]'s ends.
+func TestInducedGlobalEdgeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(90)
@@ -276,8 +272,8 @@ func TestInducedGlobalEdgeMatchesInducedEdgeIDs(t *testing.T) {
 			nodes = nil
 		}
 		sub := Induced(g, nodes)
-		if want := InducedEdgeIDs(g, nodes); !slices.Equal(sub.GlobalEdge, want) {
-			t.Fatalf("trial %d: Induced(%v).GlobalEdge = %v, InducedEdgeIDs = %v", trial, nodes, sub.GlobalEdge, want)
+		if want := refInducedEdgeIDs(g, nodes); !slices.Equal(sub.GlobalEdge, want) {
+			t.Fatalf("trial %d: Induced(%v).GlobalEdge = %v, reference %v", trial, nodes, sub.GlobalEdge, want)
 		}
 		if sub.Parent != g {
 			t.Fatalf("trial %d: Parent is not the graph extracted from", trial)
@@ -312,10 +308,7 @@ func TestKHopEdgeCases(t *testing.T) {
 			t.Errorf("%s: KHop = %v, want %v", c.name, got, want)
 		}
 	}
-	if got := InducedEdgeIDs(g, []NodeID{0, 4}); got != nil {
-		t.Errorf("InducedEdgeIDs with no induced edge = %v, want nil", got)
-	}
-	if sub := Induced(g, []NodeID{0, 4}); sub.G.NumEdges() != 0 || sub.NumNodes() != 2 {
-		t.Errorf("Induced with no induced edge: %d nodes, %d edges", sub.NumNodes(), sub.G.NumEdges())
+	if sub := Induced(g, []NodeID{0, 4}); sub.G.NumEdges() != 0 || len(sub.GlobalEdge) != 0 || sub.NumNodes() != 2 {
+		t.Errorf("Induced with no induced edge: %d nodes, %d edges, edge ids %v", sub.NumNodes(), sub.G.NumEdges(), sub.GlobalEdge)
 	}
 }

@@ -58,7 +58,7 @@ func grown(b []int32, n int) []int32 {
 
 // run sweeps s in place, considering only the region's edges as upgrade
 // candidates (nil region means every edge; a region must be ascending,
-// as graph.InducedEdgeIDs returns it). sup must be s's support table, as
+// as a graph.Subgraph's GlobalEdge is). sup must be s's support table, as
 // refine.Pass over s returns it: a direct flag may only be cleared where
 // sup.Pinned is 0, and the sweep keeps the table current as it buys. The
 // schedule must be valid; it stays valid, and its cost is strictly reduced

@@ -11,28 +11,90 @@ import (
 	"testing"
 	"testing/quick"
 
+	"piggyback/internal/baseline"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/nosy"
 	"piggyback/internal/refine"
 	"piggyback/internal/scenario"
 	"piggyback/internal/solver"
 	"piggyback/internal/workload"
 )
 
-// identitySolver returns the base schedule unchanged — a patch of
-// exactly CHITCHAT-incumbent quality, so any accept the daemon makes
-// with it is attributable to post-processing alone.
-type identitySolver struct{}
+// identitySolver hands back d's attempt's incumbent restricted to the
+// subgraph it is given — a patch of exactly incumbent quality, so any
+// accept the daemon makes with it is attributable to post-processing
+// alone. A region edge the incumbent covers through a hub outside the
+// region is one a patch over the subgraph cannot express: the patch serves
+// it directly, by the hybrid rule, and exterior counts it.
+type identitySolver struct {
+	d        *Daemon
+	exterior int // written on the attempt goroutine
+}
 
-func (identitySolver) Name() string          { return "identity" }
-func (identitySolver) SupportsRegions() bool { return true }
-func (identitySolver) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
-	return &solver.Result{
-		Schedule: p.Base.Clone(),
-		Report:   solver.Report{Solver: "identity", Iterations: 1},
-	}, nil
+func (*identitySolver) Name() string { return "identity" }
+
+func (s *identitySolver) Solve(_ context.Context, p solver.Problem) (*solver.Result, error) {
+	// While an attempt is in flight its frozen state and the remembered
+	// region's nodes are the ones it started from.
+	liveG, liveS := s.d.fl.frozen.Rebase()
+	sub := graph.Induced(liveG, s.d.region.nodes)
+	if !slices.Equal(sub.G.EdgeList(), p.Graph.EdgeList()) || sub.NumNodes() != p.Graph.NumNodes() {
+		return nil, errors.New("identity: the problem is not the attempt's region")
+	}
+	patch := core.NewSchedule(p.Graph)
+	for le, e := range sub.GlobalEdge {
+		le := graph.EdgeID(le)
+		if liveS.IsPush(e) {
+			patch.SetPush(le)
+		}
+		if liveS.IsPull(e) {
+			patch.SetPull(le)
+		}
+		if liveS.IsCovered(e) {
+			if w, ok := sub.Local(liveS.Hub(e)); ok {
+				patch.SetCovered(le, w)
+			} else {
+				s.exterior++
+			}
+		}
+	}
+	patch.Finalize(p.Rates)
+	return &solver.Result{Schedule: patch, Report: solver.Report{Solver: "identity", Iterations: 1}}, nil
+}
+
+// A region edge covered through a hub the region's cap left outside: hub 2
+// covers 0→1, and the region around node 1, capped at two nodes, is {0, 1}.
+// The identity patch must serve the edge directly, and the spliced schedule
+// must pass every patch oracle.
+func TestIdentityPatchServesExteriorCoverage(t *testing.T) {
+	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 2, To: 1}})
+	r := &workload.Rates{Prod: []float64{1, 1, 1}, Cons: []float64{1, 1, 1}}
+	s := core.NewSchedule(g)
+	e01, _ := g.EdgeID(0, 1)
+	e02, _ := g.EdgeID(0, 2)
+	e21, _ := g.EdgeID(2, 1)
+	s.SetPush(e02)
+	s.SetPull(e21)
+	s.SetCovered(e01, 2)
+	id := &identitySolver{}
+	d, err := New(s, r, Config{Regional: id, DriftThreshold: 1e-9, CheckEvery: 1, MaxRegionNodes: 2, BudgetFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := &patchOracles{f: &findings{by: map[string][]string{}}}
+	id.d, d.observe = d, ob.observe
+	if err := d.ApplyTrace([]workload.ChurnOp{{Kind: workload.OpRates, U: 1, Prod: 1, Cons: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Resolves+st.Reverted != 1 || id.exterior != 1 {
+		t.Fatalf("want one re-solve meeting one exterior-covered edge: %d, stats %+v", id.exterior, st)
+	}
+	for o, fs := range ob.f.by {
+		t.Errorf("%s oracle: %s", o, fs[0])
+	}
 }
 
 // sweep runs the amortizer the way the daemon does: after a refine pass,
@@ -200,8 +262,9 @@ func TestAmortizeFlipsAcceptOnIncumbentQualityPatch(t *testing.T) {
 		// Un-spike: the daemon must see the spike as a churn op so dirt
 		// lands and a re-solve triggers.
 		r.Prod[0] = 1
+		id := &identitySolver{}
 		d, err := New(s, r, Config{
-			Regional:       identitySolver{},
+			Regional:       id,
 			DriftThreshold: 0.01,
 			CheckEvery:     1,
 			BudgetFraction: -1,
@@ -209,12 +272,15 @@ func TestAmortizeFlipsAcceptOnIncumbentQualityPatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.noAmortize = disable
+		id.d, d.noAmortize = d, disable
 		if err := d.ApplyTrace([]workload.ChurnOp{{Kind: workload.OpRates, U: 0, Prod: 100, Cons: 0}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
+		}
+		if id.exterior != 0 {
+			t.Fatalf("%d region edges covered through an exterior hub", id.exterior)
 		}
 		return d.Stats()
 	}
@@ -251,8 +317,9 @@ func TestAmortizeFlashCrowdTrace(t *testing.T) {
 	run := func(disable bool) (Stats, float64) {
 		r := freshRates(g, base)
 		s := chitchat.Solve(g, r, chitchat.Config{})
+		id := &identitySolver{}
 		d, err := New(s, r, Config{
-			Regional:       identitySolver{},
+			Regional:       id,
 			DriftThreshold: 0.05,
 			CheckEvery:     8,
 			BudgetFraction: -1,
@@ -260,12 +327,15 @@ func TestAmortizeFlashCrowdTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.noAmortize = disable
+		id.d, d.noAmortize = d, disable
 		if err := d.ApplyTrace(trace); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
+		}
+		if id.exterior != 0 {
+			t.Fatalf("%d region edges covered through an exterior hub", id.exterior)
 		}
 		return d.Stats(), d.Cost()
 	}
@@ -355,7 +425,10 @@ func tieHeavySchedule(t *testing.T, seed int64) (*core.Schedule, *workload.Rates
 	}
 	var region []graph.EdgeID
 	if rng.Intn(2) == 0 {
-		region = graph.InducedEdgeIDs(g, graph.KHop(g, []graph.NodeID{graph.NodeID(rng.Intn(n))}, 2, 0))
+		// An empty region stays nil, which sweeps the whole graph.
+		if ids := graph.Induced(g, graph.KHop(g, []graph.NodeID{graph.NodeID(rng.Intn(n))}, 2, 0)).GlobalEdge; len(ids) > 0 {
+			region = ids
+		}
 	}
 	return s, r, region
 }
@@ -622,6 +695,184 @@ func TestAmortizeMatchesReferenceOnZoo(t *testing.T) {
 	}
 	if upgraded == 0 || truncated == 0 {
 		t.Fatalf("%d edges upgraded, %d cut patches checked: the comparison proved too little", upgraded, truncated)
+	}
+}
+
+// referencePass is the sweep refine.Pass replaced, kept as its oracle: the
+// full merge walk over out(u) ∩ in(v) of every candidate edge against the
+// live flags, with pinned computed by its own closure. Pass must leave the
+// same flags and hubs on every edge and return the same Result.
+func referencePass(s *core.Schedule, r *workload.Rates) refine.Result {
+	g := s.Graph()
+
+	// pinned[e] counts obligations on e's flags: covered edges whose hub
+	// support is e. An edge with pinned == 0 and no coverage role may have
+	// its direct flags cleared.
+	pinned := make([]int32, g.NumEdges())
+	pin := func(u, w, v graph.NodeID) {
+		if up, ok := g.EdgeID(u, w); ok {
+			pinned[up]++
+		}
+		if down, ok := g.EdgeID(w, v); ok {
+			pinned[down]++
+		}
+	}
+	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
+		if s.IsCovered(e) {
+			pin(u, s.Hub(e), v)
+		}
+		return true
+	})
+
+	var res refine.Result
+	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
+		// Candidates: edges paying a direct cost that nothing depends on.
+		if s.IsCovered(e) || pinned[e] > 0 {
+			return true
+		}
+		push := s.IsPush(e)
+		pull := s.IsPull(e)
+		if push == pull {
+			// Neither (invalid input, leave alone) or both (the edge is
+			// doing double duty; clearing one side is a different
+			// optimization with dependency subtleties — skip).
+			return true
+		}
+		// Look for a hub w with u → w already pushed and w → v already
+		// pulled: walk out(u) ∩ in(v).
+		outU := g.OutNeighbors(u)
+		loU, _ := g.OutEdgeRange(u)
+		inV := g.InNeighbors(v)
+		idsV := g.InEdgeIDs(v)
+		i, j := 0, 0
+		for i < len(outU) && j < len(inV) {
+			switch {
+			case outU[i] < inV[j]:
+				i++
+			case outU[i] > inV[j]:
+				j++
+			default:
+				w := outU[i]
+				up := loU + graph.EdgeID(i)
+				down := idsV[j]
+				if w != u && w != v && s.IsPush(up) && s.IsPull(down) {
+					// Refund the direct cost and pin the new supports.
+					if push {
+						res.Saved += r.Prod[u]
+						s.ClearPush(e)
+					} else {
+						res.Saved += r.Cons[v]
+						s.ClearPull(e)
+					}
+					s.SetCovered(e, w)
+					pinned[up]++
+					pinned[down]++
+					res.Recovered++
+					return true // next edge
+				}
+				i++
+				j++
+			}
+		}
+		return true
+	})
+	return res
+}
+
+// checkPassAgainstReference runs refine.Pass and referencePass on clones of
+// s and reports any difference in the Result or in flags or hub on any
+// edge, and a second pass that recovers anything. The support table s
+// holds (a splice's repair walk hands one over) and the one the pass ends
+// with are held against fresh walks; s keeps its table. It returns what
+// was recovered.
+func checkPassAgainstReference(s *core.Schedule, r *workload.Rates) (int, error) {
+	handed := s.TakeSupports()
+	s.KeepSupports(handed)
+	if walked := s.Clone().TakeSupports(); !reflect.DeepEqual(handed, walked) {
+		return 0, errors.New("the support table the splice handed over differs from a fresh walk's")
+	}
+	got, want := s.Clone(), s.Clone()
+	res, sup := refine.Pass(got, r)
+	if ref := referencePass(want, r); res != ref {
+		return 0, fmt.Errorf("pass returned %+v, reference %+v", res, ref)
+	}
+	for e := graph.EdgeID(0); int(e) < want.Graph().NumEdges(); e++ {
+		if got.IsPush(e) != want.IsPush(e) || got.IsPull(e) != want.IsPull(e) ||
+			got.IsCovered(e) != want.IsCovered(e) || got.Hub(e) != want.Hub(e) {
+			return 0, fmt.Errorf("edge %d: pass left push=%v pull=%v hub=%d, reference push=%v pull=%v hub=%d", e,
+				got.IsPush(e), got.IsPull(e), got.Hub(e), want.IsPush(e), want.IsPull(e), want.Hub(e))
+		}
+	}
+	if walked := got.TakeSupports(); !reflect.DeepEqual(sup, walked) {
+		return 0, errors.New("the support table a pass ends with differs from a fresh walk's")
+	}
+	if again, _ := refine.Pass(got, r); again.Recovered != 0 || again.Saved != 0 {
+		return 0, fmt.Errorf("second pass recovered %+v after the first recovered %+v", again, res)
+	}
+	return res.Recovered, nil
+}
+
+// refine.Pass against the sweep it replaced, over random valid schedules:
+// the hybrid baseline at push/pull-mixing rates, converged and truncated
+// PARALLELNOSY, each also with a random share of its covered edges put
+// back to direct service (so candidates, pinned supports and stale list
+// entries all occur).
+func TestPassMatchesReferenceSweep(t *testing.T) {
+	recovered := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := graphgen.Social(graphgen.Config{
+			Nodes: 5 + rng.Intn(120), AvgFollows: 3 + rng.Intn(6),
+			TriadProb: rng.Float64(), Reciprocity: rng.Float64(), Seed: seed,
+		})
+		r := workload.LogDegree(g, 0.5+rng.Float64()*5)
+		var s *core.Schedule
+		switch rng.Intn(3) {
+		case 0:
+			s = baseline.Hybrid(g, r)
+		case 1:
+			s = nosy.Solve(g, r, nosy.Config{}).Schedule
+		default:
+			s = nosy.Solve(g, r, nosy.Config{MaxIterations: 1 + rng.Intn(2)}).Schedule
+		}
+		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+			if s.IsCovered(e) && rng.Intn(3) == 0 {
+				s.ClearCovered(e)
+				s.FinalizeEdges(r, []graph.EdgeID{e})
+			}
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("seed %d: input invalid: %v", seed, err)
+		}
+		n, err := checkPassAgainstReference(s, r)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		recovered += n
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if recovered == 0 {
+		t.Fatal("no schedule had anything to recover; the comparison proved nothing")
+	}
+}
+
+// refine.Pass against the reference on every spliced patch of every zoo
+// cell, cut solves included (the observed runs, zoo_test.go).
+func TestPassMatchesReferenceSweepOnZoo(t *testing.T) {
+	recovered, truncated := 0, 0
+	for _, r := range zooReplays() {
+		noFindings(t, r.observed, oRefine)
+		recovered += r.observed.recovered
+		truncated += r.observed.truncated
+		t.Logf("%s: %d re-solves checked, %d of them cut, %d edges recovered", r.cell.name,
+			r.observed.stats.Resolves+r.observed.stats.Reverted, r.observed.truncated, r.observed.recovered)
+	}
+	if recovered == 0 || truncated == 0 {
+		t.Fatalf("%d edges recovered, %d cut patches checked: the comparison proved too little", recovered, truncated)
 	}
 }
 

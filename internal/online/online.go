@@ -19,16 +19,16 @@
 //     if the dirt inside its k-hop neighborhood exceeds DriftThreshold ×
 //     the region's own hybrid cost mass (Σ c* over the edges the
 //     neighborhood induces), it snapshots the live graph, schedule and
-//     rates and hands them to one goroutine, which re-solves the region
-//     in isolation with CHITCHAT or PARALLELNOSY, refines, amortizes and
-//     builds a maintainer on the patch. Ingest goes on meanwhile, and
-//     every op is journaled.
-//  4. Splice — at the next check boundary the daemon waits for that
-//     goroutine, replays the journaled ops onto the patch and keeps it
-//     only if it costs less than the incumbent as it stands then
-//     (core.ApplyPatch restores boundary supports; DESIGN.md §7 argues
-//     validity) — regressions are rolled back, so the daemon's schedule
-//     quality is monotone at every splice point.
+//     rates and hands them to one goroutine, which solves the region's
+//     induced subgraph in isolation, splices the patch into its copy of
+//     the schedule (core.ApplyPatch restores boundary supports; DESIGN.md
+//     §7 argues validity), refines, amortizes and builds a maintainer on
+//     the result. Ingest goes on meanwhile, and every op is journaled.
+//  4. Gate — at the next check boundary the daemon waits for that
+//     goroutine, replays the journaled ops onto the patched schedule and
+//     keeps it only if it costs less than the incumbent as it stands then
+//     — regressions are rolled back, so the daemon's schedule quality is
+//     monotone at every splice point.
 //
 // Everything is deterministic for a fixed trace, configuration and
 // seed: solver results are worker-count invariant, region selection
@@ -79,13 +79,14 @@ type Config struct {
 	// work no matter how the drift signal behaves. 0 means 0.2; negative
 	// removes the cap.
 	BudgetFraction float64
-	// Regional is the solver used for localized re-solves — any
-	// solver.Solver that supports Problem.Region; nil means
-	// solver.NewChitChat(ChitChat). The daemon resolves no names: a
-	// caller that takes one from a flag builds it with solver.New
-	// itself. Its failures are the daemon's to handle (DESIGN.md §11): a
-	// panic is raised again at the splice, a solve that returns nothing
-	// is a failed attempt booked in SolverErrors.
+	// Regional is the solver of localized re-solves: the daemon hands it
+	// the region's induced subgraph under the projected rates and splices
+	// the schedule it returns; nil means solver.NewChitChat(ChitChat).
+	// The daemon resolves no names: a caller that takes one from a flag
+	// builds it with solver.New itself. Its failures are the daemon's to
+	// handle (DESIGN.md §11): a panic is raised again at the splice; a
+	// solve that returns nothing, or a schedule that is not over the
+	// subgraph, is a failed attempt booked in SolverErrors.
 	Regional solver.Solver
 	// ChitChat configures the default regional solver; ignored when
 	// Regional is set.
@@ -155,8 +156,9 @@ type Stats struct {
 	// against the live edge count to see how much of the graph the
 	// daemon ever re-solved.
 	RegionEdges int
-	// BoundaryRepairs counts exterior coverage supports restored by
-	// splices.
+	// BoundaryRepairs counts exterior coverage supports the splices'
+	// repair walks restored (core.ApplyPatch), over every patch spliced,
+	// accepted or reverted.
 	BoundaryRepairs int
 	// Amortized counts direct edges upgraded to purchased hub coverage
 	// by the exterior-amortization sweep, over accepted patches only;
@@ -217,8 +219,13 @@ type Daemon struct {
 	// noAmortize skips the amortization sweep; only tests set it, to
 	// isolate what the sweep decides.
 	noAmortize bool
-	stats      Stats
-	inst       daemonInstruments
+	// observe, when non-nil, is called on the attempt's goroutine with every
+	// schedule a patch was spliced into, before the sweeps run on it: the
+	// schedule, the attempt's rates, the region's edges and the solve's
+	// report. Only tests set it, to hold each patch to their oracles.
+	observe func(s *core.Schedule, r *workload.Rates, region []graph.EdgeID, rep solver.Report)
+	stats   Stats
+	inst    daemonInstruments
 }
 
 // regionEntry is the candidate region of the previous drift check. It is
@@ -366,11 +373,6 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 	d.regional = d.cfg.Regional
 	if d.regional == nil {
 		d.regional = solver.NewChitChat(d.cfg.ChitChat)
-	} else if !solver.SupportsRegions(d.regional) {
-		// Fail at configuration time: a region-incapable solver would
-		// turn every triggered re-solve into a silent no-op.
-		return nil, fmt.Errorf("online: regional solver %q: %w",
-			d.regional.Name(), solver.ErrRegionUnsupported)
 	}
 	// The stopping rule sits on the regional solver itself: whatever it
 	// streams is what the rule sees.
@@ -759,6 +761,7 @@ type flight struct {
 	res      *solver.Result
 	err      error
 	wall     time.Duration // inside the regional solver
+	repairs  int           // the splice's boundary repairs
 	refined  refine.Result
 	amort    amortizeResult
 	m        *incremental.Maintainer // the patch, on the attempt's copy of the rates
@@ -792,15 +795,16 @@ func (d *Daemon) start(ctx context.Context) {
 	sctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	fl.done, fl.cancel, fl.root = make(chan struct{}), cancel, root
 	fl.journal = fl.journal[:0]
-	fl.res, fl.err, fl.wall, fl.m = nil, nil, 0, nil
+	fl.res, fl.err, fl.wall, fl.repairs, fl.m = nil, nil, 0, 0, nil
 	fl.began = time.Since(began)
 	go d.solve(telemetry.NewContext(sctx, root.tr, root.id), fl.frozen, r, nodes)
 }
 
 // solve is the attempt's goroutine: the rebase of the frozen state, the
-// region's edges on it, the regional solve, the two sweeps and a
-// maintainer on the patch, all on what start handed over. A panic is kept
-// for the splice to raise on the Apply goroutine.
+// region's induced subgraph on it, the regional solve of that subgraph,
+// the patch's splice into the rebased schedule, the two sweeps and a
+// maintainer on the result, all on what start handed over. A panic is
+// kept for the splice to raise on the Apply goroutine.
 func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workload.Rates, nodes []graph.NodeID) {
 	fl, a := &d.fl, &d.attempt
 	defer close(fl.done)
@@ -810,16 +814,13 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 	st.end("edges=%d", liveG.NumEdges())
 	fl.epoch = liveG
 	// The region's NODE set was chosen on the (possibly lagging) epoch
-	// graph; its edges are extracted from the fresh live graph, so the
+	// graph; its subgraph is extracted from the fresh live graph, so the
 	// re-solve always sees current structure.
 	st = d.begin(fl.root.id, "extract", "")
-	region := graph.InducedEdgeIDs(liveG, nodes)
-	k := 0 // cursor over nodes: both lists ascend, and edge ids group by source
-	for _, e := range region {
-		for _, hi := liveG.OutEdgeRange(nodes[k]); hi <= e; _, hi = liveG.OutEdgeRange(nodes[k]) {
-			k++
-		}
-		u, v := nodes[k], liveG.EdgeTarget(e)
+	sub := graph.Induced(liveG, nodes)
+	region := sub.GlobalEdge
+	sub.G.Edges(func(le graph.EdgeID, lu, lv graph.NodeID) bool {
+		e, u, v := region[le], sub.Global[lu], sub.Global[lv]
 		a.hybrid += baseline.EdgeCost(r, u, v)
 		if liveS.IsPush(e) {
 			a.incumbent += r.Prod[u]
@@ -827,7 +828,8 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 		if liveS.IsPull(e) {
 			a.incumbent += r.Cons[v]
 		}
-	}
+		return true
+	})
 	a.edges = len(region)
 	st.end("edges=%d", a.edges)
 	if a.edges == 0 {
@@ -835,10 +837,25 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 	}
 
 	began := time.Now()
-	fl.res, fl.err = d.regional.Solve(ctx, solver.Problem{Graph: liveG, Rates: r, Base: liveS, Region: region})
+	fl.res, fl.err = d.regional.Solve(ctx, solver.Problem{Graph: sub.G, Rates: r.Project(sub.Global)})
 	fl.wall = time.Since(began)
 	if fl.res == nil {
 		return
+	}
+	// The rebased schedule is the attempt's own copy: the patch replaces
+	// the region's assignments in it, and the repair walk restores the
+	// exterior supports the patch cleared.
+	st = d.begin(fl.root.id, "splice", "")
+	repairs, err := core.ApplyPatch(liveS, sub, fl.res.Schedule, r)
+	if err != nil {
+		st.end("failed")
+		fl.res, fl.err = nil, fmt.Errorf("online: splicing the %s patch: %w", d.regional.Name(), err)
+		return
+	}
+	st.end("repairs=%d", repairs)
+	fl.repairs = repairs
+	if d.observe != nil {
+		d.observe(liveS, r, region, fl.res.Report)
 	}
 	// The regional solver saw the region in isolation, so region edges
 	// whose free exterior coverage the extraction severed came back as
@@ -849,22 +866,21 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 	// direct edges against supports the exterior schedule already pays
 	// for. Both only ever lower the patch cost, so a patch that loses
 	// afterwards would have lost anyway.
-	patched := fl.res.Schedule
 	st = d.begin(fl.root.id, "refine", "")
-	refined, sup := refine.Pass(patched, r)
+	refined, sup := refine.Pass(liveS, r)
 	st.end("recovered=%d", refined.Recovered)
 	fl.refined, fl.amort = refined, amortizeResult{}
 	if !d.noAmortize {
 		st = d.begin(fl.root.id, "amortize", "")
-		fl.amort = d.amortize.run(patched, r, region, sup)
+		fl.amort = d.amortize.run(liveS, r, region, sup)
 		st.end("upgraded=%d", fl.amort.Upgraded)
 	}
-	// The support table refine took (from the splice's repair walk, when the
-	// solver spliced) and both sweeps kept current: the maintainer builds
-	// its dependency lists from it.
-	patched.KeepSupports(sup)
+	// The support table refine took (from the splice's repair walk) and both
+	// sweeps kept current: the maintainer builds its dependency lists from
+	// it.
+	liveS.KeepSupports(sup)
 	st = d.begin(fl.root.id, "rebuild", "")
-	fl.m = incremental.New(patched, r)
+	fl.m = incremental.New(liveS, r)
 	st.end("")
 }
 
@@ -938,7 +954,7 @@ func (d *Daemon) decide() {
 	if fl.err != nil {
 		a.stopped = "canceled"
 	}
-	d.stats.BoundaryRepairs += res.Report.BoundaryRepairs
+	d.stats.BoundaryRepairs += fl.repairs
 
 	// The ops ingested since the start land on the patch as they landed on
 	// the incumbent, on the rates as they were then. Their rescues charge

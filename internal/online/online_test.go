@@ -2,7 +2,6 @@ package online
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"piggyback/internal/chitchat"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/schedio"
-	"piggyback/internal/solver"
 	"piggyback/internal/workload"
 )
 
@@ -220,24 +218,5 @@ func TestAcceptanceOnlineDaemon2k(t *testing.T) {
 	}
 	if d1.Cost() != dRep.Cost() {
 		t.Fatalf("cost differs between two identical runs: %v vs %v", d1.Cost(), dRep.Cost())
-	}
-}
-
-// TestRejectsRegionIncapableSolver pins the construction-time guard: a
-// regional solver that cannot handle Problem.Region — a baseline, or NOSY,
-// which is a batch solver only — is a configuration error, not a stream
-// of silent re-solve failures.
-func TestRejectsRegionIncapableSolver(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(100, 1))
-	r := workload.LogDegree(g, 5)
-	s := chitchat.Solve(g, r, chitchat.Config{})
-	for _, name := range []string{solver.PushAll, solver.Nosy} {
-		sv, err := solver.New(name, solver.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := New(s, r, Config{Regional: sv}); !errors.Is(err, solver.ErrRegionUnsupported) {
-			t.Errorf("New with %s regional = %v, want ErrRegionUnsupported", name, err)
-		}
 	}
 }

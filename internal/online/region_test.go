@@ -592,14 +592,16 @@ func TestRememberedRegionTransitions(t *testing.T) {
 		d, ls := newDaemon(1e-9)
 		// A patch equal to the incumbent, with nothing left for the sweeps
 		// to win either, never beats the incumbent.
-		d.regional, d.noAmortize = identitySolver{}, true
+		id := &identitySolver{d: d}
+		d.regional, d.noAmortize = id, true
 		apply(ls, rateOp(d, seed, 1))
 		apply(ls, rateOp(d, outsider, 0.5)) // less dirt: second in line
 		epoch := d.epoch
 		checkNow(t, ls)
 		st := d.Stats()
-		if st.Reverted != 1 || st.Resolves != 0 || d.epoch != epoch || d.dirt[seed] != 0 {
-			t.Fatalf("want one revert on the same epoch, the seed's dirt cleared: %+v, dirt %v", st, d.dirt[seed])
+		if st.Reverted != 1 || st.Resolves != 0 || d.epoch != epoch || d.dirt[seed] != 0 || id.exterior != 0 {
+			t.Fatalf("want one revert on the same epoch, the seed's dirt cleared, no exterior-covered edge: %+v, dirt %v, %d exterior",
+				st, d.dirt[seed], id.exterior)
 		}
 		checkNow(t, ls) // the next boundary checks again, though no op charged anything
 		if d.region.seed == seed {
@@ -619,7 +621,7 @@ func TestRememberedRegionTransitions(t *testing.T) {
 
 	t.Run("region dissolved on the live graph", func(t *testing.T) {
 		d, ls := newDaemon(1e-9)
-		for _, e := range graph.InducedEdgeIDs(g, region) {
+		for _, e := range graph.Induced(g, region).GlobalEdge {
 			apply(ls, workload.ChurnOp{Kind: workload.OpRemove, U: g.EdgeSource(e), V: g.EdgeTarget(e)})
 		}
 		clear(d.dirt) // whatever the removals' rescues charged

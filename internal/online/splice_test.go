@@ -133,10 +133,21 @@ func TestSpliceReplayIsExact(t *testing.T) {
 	})
 }
 
+// foreignPatch answers every solve with a valid schedule over a copy of
+// the problem's graph, which the daemon cannot splice.
+type foreignPatch struct{}
+
+func (foreignPatch) Name() string { return "foreign" }
+
+func (foreignPatch) Solve(_ context.Context, p solver.Problem) (*solver.Result, error) {
+	g := graph.FromEdges(p.Graph.NumNodes(), p.Graph.EdgeList())
+	return &solver.Result{Schedule: baseline.Hybrid(g, p.Rates)}, nil
+}
+
 // What goes wrong in an attempt surfaces at its splice, on the Apply
-// goroutine: a panic is raised there, and a solver that never returns is
-// cut by the splice op's deadline and books a failure instead of hanging
-// the daemon.
+// goroutine: a panic is raised there, a solver that never returns is cut
+// by the splice op's deadline and books a failure instead of hanging the
+// daemon, and so does a patch that is not over the region's subgraph.
 func TestSpliceFailures(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(120, 4))
 	base := workload.LogDegree(g, 5)
@@ -191,6 +202,20 @@ func TestSpliceFailures(t *testing.T) {
 		}
 		if st := d.Stats(); st.Resolves == 0 {
 			t.Fatalf("the daemon kept nothing after the stall: %+v", st)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("a patch over another graph", func(t *testing.T) {
+		d, ev := newDaemon(Config{Regional: foreignPatch{}})
+		if err := d.ApplyTrace(trace); err != nil {
+			t.Fatal(err)
+		}
+		st := d.Stats()
+		if st.SolverErrors == 0 || st.Resolves+st.Reverted != 0 || !strings.Contains(ev.Attrs("resolve")[0], "verdict=failed") {
+			t.Fatalf("want every attempt failed: %+v %v", st, ev.Attrs("resolve"))
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)

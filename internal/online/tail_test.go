@@ -29,7 +29,7 @@ func BenchmarkAttemptTail(b *testing.B) {
 	r := workload.LogDegree(g, 5)
 	base := nosy.Solve(g, r, nosy.Config{}).Schedule
 	sub := graph.Induced(g, graph.KHop(g, []graph.NodeID{1000}, 2, 768))
-	patch := chitchat.SolveInduced(sub, r, chitchat.Config{})
+	patch := chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{})
 	var a amortizer
 	const (
 		splice = iota

@@ -1,13 +1,14 @@
 // The zoo replay: every oracle of the re-solve path rides one of two runs
 // of each cell, and each cell is replayed once per test binary.
 //
-//   - The observed run: CHITCHAT at one worker under observers that forward
-//     its progress stream, so the stopping rule cuts what it would cut
-//     unobserved. Every patch is validated (the cut ones counted) and its
-//     amortization sweep held against referenceAmortize; the maintained
-//     schedule is validated after every op; every accepted splice is held
-//     against a daemon that never re-solves. The run must hit the
-//     acceptance pins, which proves the observers moved no decision.
+//   - The observed run: CHITCHAT at one worker, every spliced patch handed
+//     to the daemon's observe hook before the sweeps: validated (the cut
+//     ones counted), its refine pass held against referencePass and its
+//     amortization sweep against referenceAmortize, on clones. The
+//     maintained schedule is validated after every op; every accepted
+//     splice is held against a daemon that never re-solves. The run must
+//     hit the acceptance pins, which proves the observers moved no
+//     decision.
 //   - The disturbed run: CHITCHAT at two workers, each solve held up by a
 //     wall-clock-random 0–50 ms and each op followed by a random 0–1 ms
 //     pause, every check boundary held against referenceCheck (lockstep,
@@ -17,8 +18,8 @@
 //     comparison is run-to-run determinism, worker invariance, an op-count
 //     splice point, and the checked boundary's equality with Apply's.
 //
-// Observers record findings instead of failing (two of them run on the
-// attempt's goroutine); each test asserts its own oracle's. -short replays
+// Observers record findings instead of failing (the observe hook runs on
+// the attempt's goroutine); each test asserts its own oracle's. -short replays
 // five of the six scenarios on a smaller graph (zooCells).
 
 package online
@@ -49,8 +50,9 @@ import (
 
 // The oracles, as findings are filed under them.
 const (
-	oPatch    = "patch"    // every patch the solver returns is valid
-	oAmortize = "amortize" // the sweep equals referenceAmortize on every patch
+	oPatch    = "patch"    // every spliced patch is valid
+	oRefine   = "refine"   // refine.Pass equals referencePass on every spliced patch
+	oAmortize = "amortize" // the sweep equals referenceAmortize on every spliced patch
 	oValidate = "validate" // the maintained schedule is valid after every op
 	oSplice   = "splice"   // an accepted splice lands on the never-re-solving daemon's graph, its cost exact
 	oLockstep = "lockstep" // every check equals referenceCheck
@@ -134,34 +136,32 @@ func (f *findings) add(oracle, format string, args ...any) {
 	f.by[oracle] = append(f.by[oracle], fmt.Sprintf(format, args...))
 }
 
-// observing holds every patch the solver hands the daemon to the patch
-// and amortize oracles, and keeps the solver's progress stream reachable.
-type observing struct {
-	solver.Solver
+// patchOracles holds every schedule the daemon splices a patch into to
+// the patch, refine and amortize oracles, on clones, through Daemon.observe.
+type patchOracles struct {
 	f *findings
 	// Written on the attempt goroutine, read after the flush.
-	truncated, upgraded int
+	truncated, recovered, upgraded int
 }
 
-func (o *observing) ChainProgress(fn func(solver.ProgressEvent)) { solver.Observe(o.Solver, fn) }
-
-func (o *observing) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
-	res, err := o.Solver.Solve(ctx, p)
-	if res == nil {
-		return res, err
-	}
-	if res.Report.Canceled {
+func (o *patchOracles) observe(s *core.Schedule, r *workload.Rates, region []graph.EdgeID, rep solver.Report) {
+	if rep.Canceled {
 		o.truncated++
 	}
-	if verr := res.Schedule.Validate(); verr != nil {
-		o.f.add(oPatch, "patch after %d commits (canceled=%v) invalid: %v", res.Report.Iterations, res.Report.Canceled, verr)
+	if err := s.Validate(); err != nil {
+		o.f.add(oPatch, "patch after %d commits (canceled=%v) invalid: %v", rep.Iterations, rep.Canceled, err)
+		return
 	}
-	upgraded, aerr := checkAmortizeAgainstReference(res.Schedule, p.Rates, p.Region)
-	if aerr != nil {
-		o.f.add(oAmortize, "patch after %d commits (canceled=%v): %v", res.Report.Iterations, res.Report.Canceled, aerr)
+	recovered, err := checkPassAgainstReference(s, r)
+	if err != nil {
+		o.f.add(oRefine, "patch after %d commits (canceled=%v): %v", rep.Iterations, rep.Canceled, err)
 	}
+	upgraded, err := checkAmortizeAgainstReference(s, r, region)
+	if err != nil {
+		o.f.add(oAmortize, "patch after %d commits (canceled=%v): %v", rep.Iterations, rep.Canceled, err)
+	}
+	o.recovered += recovered
 	o.upgraded += upgraded
-	return res, err
 }
 
 // zooRun is one replay of a cell: what must repeat across runs, and what
@@ -173,11 +173,12 @@ type zooRun struct {
 	records  string
 	tree     string
 	metrics  telemetry.Snapshot // the run's registry, after the flush
-	// The observed run's: cut patches the solver returned, edges the
-	// amortize oracle saw bought, splices held against the reference.
-	truncated, upgraded, spliced int
-	pricing                      pricing // the disturbed run's drift checks
-	findings                     map[string][]string
+	// The observed run's: cut patches the solver returned, edges the refine
+	// and amortize oracles saw recovered and bought, splices held against
+	// the reference.
+	truncated, recovered, upgraded, spliced int
+	pricing                                 pricing // the disturbed run's drift checks
+	findings                                map[string][]string
 }
 
 // replayCell runs c observed or disturbed (see the top of the file).
@@ -188,8 +189,7 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	tr := telemetry.NewTracer(7)
 	reg := telemetry.NewRegistry()
 	cfg := c.cfg
-	ob := &observing{Solver: solver.NewChitChat(chitchat.Config{Workers: 1}), f: f}
-	cfg.Regional, cfg.Events, cfg.Tracer, cfg.Metrics = ob, &ev, tr, reg
+	cfg.Events, cfg.Tracer, cfg.Metrics = &ev, tr, reg
 	var jitter *rand.Rand
 	if disturbed {
 		now := time.Now().UnixNano()
@@ -201,6 +201,10 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	if err != nil {
 		f.add(oRun, "%v", err)
 		return run
+	}
+	ob := &patchOracles{f: f}
+	if !disturbed {
+		d.observe = ob.observe
 	}
 	// ref never re-solves: after every accepted splice the live graph must
 	// be its graph, edge for edge.
@@ -254,7 +258,7 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	run.schedule, run.stats, run.cost = buf.Bytes(), d.Stats(), d.Cost()
 	run.stats.ResolveWall = 0
 	run.records, run.tree, run.metrics = strings.Join(ev.Attrs("resolve"), "\n"), tr.Tree(), reg.Snapshot()
-	run.truncated, run.upgraded = ob.truncated, ob.upgraded
+	run.truncated, run.recovered, run.upgraded = ob.truncated, ob.recovered, ob.upgraded
 	run.pricing = ls.pricing
 	return run
 }

@@ -3,7 +3,6 @@ package refine
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -159,86 +158,6 @@ func TestQuickSafety(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// CheckAgainstReference runs Pass and the reference sweep on clones of s
-// and requires the same Result and the same flags and hub on every edge,
-// then a second Pass that recovers nothing. It returns what was recovered.
-// It takes s's handed-over support table, if any, and checks it too, as
-// well as the table Pass ends with, against a fresh walk. It fails t with
-// Error, never Fatal: the daemon calls it from an attempt's goroutine.
-func CheckAgainstReference(t *testing.T, s *core.Schedule, r *workload.Rates) int {
-	t.Helper()
-	// The table core.ApplyPatch's repair left on s for Pass, when s comes
-	// from a region splice, against the walk Pass makes without it.
-	if handed, walked := s.TakeSupports(), s.TakeSupports(); !reflect.DeepEqual(handed, walked) {
-		t.Error("the support table the splice handed over differs from a fresh walk's")
-		return 0
-	}
-	got, want := s.Clone(), s.Clone()
-	res, sup := Pass(got, r)
-	if ref := referencePass(want, r); res != ref {
-		t.Errorf("pass returned %+v, reference %+v", res, ref)
-		return 0
-	}
-	for e := graph.EdgeID(0); int(e) < want.Graph().NumEdges(); e++ {
-		if got.IsPush(e) != want.IsPush(e) || got.IsPull(e) != want.IsPull(e) ||
-			got.IsCovered(e) != want.IsCovered(e) || got.Hub(e) != want.Hub(e) {
-			t.Errorf("edge %d: pass left push=%v pull=%v hub=%d, reference push=%v pull=%v hub=%d", e,
-				got.IsPush(e), got.IsPull(e), got.Hub(e), want.IsPush(e), want.IsPull(e), want.Hub(e))
-			return 0
-		}
-	}
-	if walked := got.TakeSupports(); !reflect.DeepEqual(sup, walked) {
-		t.Error("the support table a pass ends with differs from a fresh walk's")
-	}
-	if again, _ := Pass(got, r); again.Recovered != 0 || again.Saved != 0 {
-		t.Errorf("second pass recovered %+v after the first recovered %+v", again, res)
-	}
-	return res.Recovered
-}
-
-// Pass against the sweep it replaced, over random valid schedules: the
-// hybrid baseline at push/pull-mixing rates, converged and truncated
-// PARALLELNOSY, each also with a random share of its covered edges put
-// back to direct service (so candidates, pinned supports and stale list
-// entries all occur).
-func TestPassMatchesReferenceSweep(t *testing.T) {
-	recovered := 0
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := graphgen.Social(graphgen.Config{
-			Nodes: 5 + rng.Intn(120), AvgFollows: 3 + rng.Intn(6),
-			TriadProb: rng.Float64(), Reciprocity: rng.Float64(), Seed: seed,
-		})
-		r := workload.LogDegree(g, 0.5+rng.Float64()*5)
-		var s *core.Schedule
-		switch rng.Intn(3) {
-		case 0:
-			s = baseline.Hybrid(g, r)
-		case 1:
-			s = nosy.Solve(g, r, nosy.Config{}).Schedule
-		default:
-			s = nosy.Solve(g, r, nosy.Config{MaxIterations: 1 + rng.Intn(2)}).Schedule
-		}
-		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
-			if s.IsCovered(e) && rng.Intn(3) == 0 {
-				s.ClearCovered(e)
-				s.FinalizeEdges(r, []graph.EdgeID{e})
-			}
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("seed %d: input invalid: %v", seed, err)
-		}
-		recovered += CheckAgainstReference(t, s, r)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if recovered == 0 {
-		t.Fatal("no schedule had anything to recover; the comparison proved nothing")
 	}
 }
 

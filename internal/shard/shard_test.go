@@ -235,13 +235,6 @@ func TestShardErrors(t *testing.T) {
 	if _, err := newShard(t, 0, 0).Solve(context.Background(), solver.Problem{}); !errors.Is(err, solver.ErrNoGraph) {
 		t.Fatalf("nil graph: err = %v", err)
 	}
-	region := solver.Problem{Graph: p.Graph, Rates: p.Rates, Base: core.NewSchedule(p.Graph), Region: []graph.EdgeID{0}}
-	if _, err := newShard(t, 0, 0).Solve(context.Background(), region); !errors.Is(err, solver.ErrRegionUnsupported) {
-		t.Fatalf("region: err = %v", err)
-	}
-	if solver.SupportsRegions(newShard(t, 0, 0)) {
-		t.Fatal("shard solver claims region support")
-	}
 	// A shard's hard failure aborts the whole solve with its error.
 	boom := errors.New("boom")
 	fail := func(context.Context, *graph.Graph, *workload.Rates) (*core.Schedule, int, error) { return nil, 0, boom }

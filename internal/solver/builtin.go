@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"piggyback/internal/baseline"
-	"piggyback/internal/bitset"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
 	"piggyback/internal/densest"
@@ -80,41 +78,15 @@ func guard[T any](name string, res *T, err *error) {
 // finish assembles the Result for a completed (or canceled) solve.
 // cause is nil or the context error that cut the solve short; it is
 // passed through so callers keep the best-so-far schedule alongside it.
-// Report.Cost (an O(m) pass) is computed for full solves only: region
-// re-solve callers sit on a hot path, post-process the patch (refine)
-// before pricing it, and never read the field.
 func finish(name string, s *core.Schedule, p Problem, rep Report, cause error) (*Result, error) {
 	rep.Solver = name
-	if p.Region == nil {
-		rep.Cost = s.Cost(p.Rates)
-	} else {
-		rep.Cost = math.NaN()
-	}
+	rep.Cost = s.Cost(p.Rates)
 	rep.Canceled = cause != nil
 	return &Result{Schedule: s, Report: rep}, cause
 }
 
-// endpointNodes returns the ascending endpoint set of the region edges.
-// The region must be ascending: CSR edge ids are grouped by source, so
-// one cursor over the out-ranges, advanced alongside the region, names
-// every edge's source without a search.
-func endpointNodes(g *graph.Graph, region []graph.EdgeID) []graph.NodeID {
-	in := bitset.New(g.NumNodes())
-	u := graph.NodeID(0)
-	for _, e := range region {
-		for _, hi := g.OutEdgeRange(u); hi <= e; _, hi = g.OutEdgeRange(u) {
-			u++
-		}
-		in.Set(int(u))
-		in.Set(int(g.EdgeTarget(e)))
-	}
-	return in.AppendSet(make([]graph.NodeID, 0, in.Count()))
-}
-
 // chitchatSolver adapts the CHITCHAT approximation to the Solver
-// contract. Region re-solves extract the induced subgraph of the
-// region's endpoints, solve it in isolation, and splice the patch into
-// the base schedule via core.ApplyPatch.
+// contract.
 type chitchatSolver struct {
 	cfg      chitchat.Config
 	progress func(ProgressEvent)
@@ -126,9 +98,6 @@ type chitchatSolver struct {
 func NewChitChat(cfg chitchat.Config) Solver { return &chitchatSolver{cfg: cfg} }
 
 func (s *chitchatSolver) Name() string { return ChitChat }
-
-// SupportsRegions implements RegionCapable.
-func (s *chitchatSolver) SupportsRegions() bool { return true }
 
 // ChainProgress implements ProgressChainer: fn is appended to the
 // solver's progress stream, after any previously attached sink.
@@ -162,31 +131,11 @@ func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (res *Result, err
 			})
 		}
 	}
-	if p.Region == nil {
-		sched, cause := chitchat.SolveCtx(ctx, p.Graph, p.Rates, cfg)
-		return finish(ChitChat, sched, p, Report{Iterations: commits}, cause)
-	}
-	region := p.Region
-	if !slices.IsSorted(region) {
-		region = slices.Clone(region)
-		slices.Sort(region)
-	}
-	sub := graph.Induced(p.Graph, endpointNodes(p.Graph, region))
-	if !slices.Equal(sub.GlobalEdge, region) {
-		return nil, fmt.Errorf("%w: %d region edges vs %d induced by their endpoints",
-			ErrRegionNotInduced, len(p.Region), len(sub.GlobalEdge))
-	}
-	patch, cause := chitchat.SolveInducedCtx(ctx, sub, p.Rates, cfg)
-	out := p.Base.Clone()
-	repairs, aerr := core.ApplyPatch(out, sub, patch, p.Rates)
-	if aerr != nil {
-		return nil, fmt.Errorf("solver %s: splicing region patch: %w", ChitChat, aerr)
-	}
-	return finish(ChitChat, out, p, Report{Iterations: commits, BoundaryRepairs: repairs}, cause)
+	sched, cause := chitchat.SolveCtx(ctx, p.Graph, p.Rates, cfg)
+	return finish(ChitChat, sched, p, Report{Iterations: commits}, cause)
 }
 
-// nosySolver adapts PARALLELNOSY to the Solver contract. It is a batch
-// solver: CHITCHAT is the one region re-solver.
+// nosySolver adapts PARALLELNOSY to the Solver contract.
 type nosySolver struct {
 	cfg      nosy.Config
 	progress func(ProgressEvent)
@@ -196,9 +145,6 @@ type nosySolver struct {
 func NewNosy(cfg nosy.Config) Solver { return &nosySolver{cfg: cfg} }
 
 func (s *nosySolver) Name() string { return Nosy }
-
-// SupportsRegions implements RegionCapable.
-func (s *nosySolver) SupportsRegions() bool { return false }
 
 // ChainProgress implements ProgressChainer: fn is appended to the
 // solver's progress stream, after any previously attached sink.
@@ -224,9 +170,6 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 	defer guard(Nosy, &res, &err)
 	if err := checkProblem(p); err != nil {
 		return nil, err
-	}
-	if p.Region != nil {
-		return nil, fmt.Errorf("solver %s: %w", Nosy, ErrRegionUnsupported)
 	}
 	cfg := s.cfg
 	if s.progress != nil {
@@ -271,10 +214,6 @@ type shardSolver struct {
 
 func (s *shardSolver) Name() string { return Shard }
 
-// SupportsRegions implements RegionCapable: a region re-solve is
-// already a localized problem; sharding it again has no purpose.
-func (s *shardSolver) SupportsRegions() bool { return false }
-
 // ChainProgress implements ProgressChainer: fn is appended to the
 // per-shard progress stream, after any previously attached sink.
 func (s *shardSolver) ChainProgress(fn func(ProgressEvent)) {
@@ -284,9 +223,6 @@ func (s *shardSolver) ChainProgress(fn func(ProgressEvent)) {
 func (s *shardSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
 	if err := checkProblem(p); err != nil {
 		return nil, err
-	}
-	if p.Region != nil {
-		return nil, fmt.Errorf("solver %s: %w", Shard, ErrRegionUnsupported)
 	}
 	cfg := s.cfg
 	if s.progress != nil {
@@ -332,16 +268,10 @@ type baselineSolver struct{ name string }
 
 func (s baselineSolver) Name() string { return s.name }
 
-// SupportsRegions implements RegionCapable.
-func (s baselineSolver) SupportsRegions() bool { return false }
-
 func (s baselineSolver) Solve(ctx context.Context, p Problem) (res *Result, err error) {
 	defer guard(s.Name(), &res, &err)
 	if err := checkProblem(p); err != nil {
 		return nil, err
-	}
-	if p.Region != nil {
-		return nil, fmt.Errorf("solver %s: %w", s.name, ErrRegionUnsupported)
 	}
 	var sched *core.Schedule
 	switch s.name {

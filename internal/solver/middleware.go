@@ -9,7 +9,7 @@ import (
 // Middleware wraps a Solver with cross-cutting behavior — tracing, a
 // stopping rule — without the solver knowing. Middlewares compose by
 // application, WithTracing(tr)(WithStop(stop)(s)), and preserve the
-// wrapped solver's Name, region capability, and progress stream.
+// wrapped solver's Name and progress stream.
 type Middleware func(Solver) Solver
 
 // ProgressChainer is an optional interface a Solver implements to let
@@ -31,15 +31,12 @@ func Observe(s Solver, fn func(ProgressEvent)) bool {
 }
 
 // wrapped is the embeddable base of every shipped middleware: it
-// forwards identity, region capability, and progress chaining to the
-// inner solver, so a wrapped chitchat still reports Name "chitchat",
-// still declares region support, and still streams progress.
+// forwards identity and progress chaining to the inner solver, so a
+// wrapped chitchat still reports Name "chitchat" and still streams
+// progress.
 type wrapped struct{ inner Solver }
 
 func (w wrapped) Name() string { return w.inner.Name() }
-
-// SupportsRegions implements RegionCapable by delegation.
-func (w wrapped) SupportsRegions() bool { return SupportsRegions(w.inner) }
 
 // ChainProgress implements ProgressChainer by delegation; a no-op when
 // the inner solver has no progress stream (the one-shot baselines).

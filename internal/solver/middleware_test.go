@@ -17,16 +17,12 @@ func atEvent(units int) func(int, ProgressEvent) bool {
 	return func(n int, _ ProgressEvent) bool { return n >= units }
 }
 
-// Wrapping preserves identity, region capability, and the progress
-// stream.
+// Wrapping preserves identity and the progress stream.
 func TestMiddlewarePreservesContract(t *testing.T) {
 	g, r := quickProblem(t, 60)
 	sv := WithTracing(telemetry.NewTracer(1))(WithStop(atEvent(1000))(NewNosy(nosy.Config{Workers: 1})))
 	if sv.Name() != Nosy {
 		t.Errorf("Name() through 2 layers = %q, want %q", sv.Name(), Nosy)
-	}
-	if SupportsRegions(sv) { // a wrapper that drops RegionCapable reports the default, true
-		t.Errorf("SupportsRegions lost through middleware")
 	}
 	var events int
 	if !Observe(sv, func(ProgressEvent) { events++ }) {

@@ -3,11 +3,9 @@
 // cmd tools, the examples, and the online rescheduling daemon consume.
 //
 // The paper's algorithms (CHITCHAT §3.1, PARALLELNOSY §3.2, the
-// FEEDINGFRENZY hybrid baseline of Silberstein et al., and the localized
-// region re-solves of the online subsystem) share one abstraction:
-// each is "a thing that produces a valid Theorem-1 schedule for (graph,
-// rates), possibly incrementally". Solver is that abstraction made
-// explicit:
+// FEEDINGFRENZY hybrid baseline of Silberstein et al.) share one
+// abstraction: each is "a thing that produces a valid Theorem-1 schedule
+// for (graph, rates)". Solver is that abstraction made explicit:
 //
 //	Solve(ctx context.Context, p Problem) (*Result, error)
 //
@@ -29,6 +27,10 @@
 //     errors (densest.ErrInstanceTooLarge, graph.ErrEdgeOutOfRange)
 //     instead of crashing the serving process.
 //
+// A localized re-solve is a solve like any other: the online daemon cuts
+// the region out as a graph.Induced subgraph, solves it under the
+// projected rates, and splices the patch back itself (core.ApplyPatch).
+//
 // New builds a solver by name from a fixed table of the six built-ins
 // (Names lists them), which is what the cmd tools and the piggyback
 // facade resolve a flag or a caller's name against. It lists algorithms
@@ -46,23 +48,12 @@ import (
 	"piggyback/internal/workload"
 )
 
-// Problem is one solve request: a graph, its workload rates, and — for
-// localized re-solves — a base schedule plus the region to re-optimize.
+// Problem is one solve request: a graph and its workload rates.
 type Problem struct {
 	// Graph is the social graph to schedule. Required.
 	Graph *graph.Graph
 	// Rates is the workload (per-user production/consumption). Required.
 	Rates *workload.Rates
-	// Base is a valid schedule over Graph that a localized re-solve
-	// starts from. Required when Region is set, ignored otherwise.
-	Base *core.Schedule
-	// Region restricts the solve to the given edge ids of Graph: only
-	// region edges may be reassigned; everything else keeps its Base
-	// assignment (boundary coverage may gain push/pull support flags —
-	// the splice-validity rule of DESIGN.md §7). Nil means solve the
-	// whole graph. Solvers that cannot re-solve regions return
-	// ErrRegionUnsupported.
-	Region []graph.EdgeID
 }
 
 // Report summarizes a finished (or canceled) solve.
@@ -77,13 +68,11 @@ type Report struct {
 	FullCommits    int
 	PartialCommits int
 	CoveredEdges   int
-	// BoundaryRepairs counts exterior coverage supports restored after
-	// a region re-solve (always 0 for full solves).
+	// BoundaryRepairs counts the coverage supports the sharded solver's
+	// repair pass restored after merging its shards (0 for every other
+	// solver).
 	BoundaryRepairs int
 	// Cost is the finalized schedule's cost under the problem rates.
-	// For localized re-solves (Problem.Region set) it is NaN: callers
-	// there post-process the patch before pricing it, so they ask the
-	// schedule directly instead of paying an extra O(m) pass here.
 	Cost float64
 	// Canceled records that the solve was cut short by its context and
 	// the schedule is the best-so-far anytime result.
@@ -170,44 +159,12 @@ var (
 	ErrUnknownSolver = errors.New("solver: unknown solver")
 	// ErrNoGraph means Problem.Graph or Problem.Rates was nil.
 	ErrNoGraph = errors.New("solver: problem has no graph or no rates")
-	// ErrNoBase means Problem.Region was set without a Base schedule.
-	ErrNoBase = errors.New("solver: region re-solve requires a base schedule")
-	// ErrRegionUnsupported means the solver cannot do localized
-	// re-solves (every built-in solver but CHITCHAT).
-	ErrRegionUnsupported = errors.New("solver: algorithm does not support region re-solves")
-	// ErrRegionNotInduced means the region edge set is not the full
-	// induced edge set of its endpoint nodes, which the subgraph-
-	// extraction re-solvers require (re-solving a partial induced set
-	// would rewrite edges outside the region).
-	ErrRegionNotInduced = errors.New("solver: region is not the induced edge set of its endpoints")
 )
-
-// RegionCapable is an optional interface a Solver implements to declare
-// up front whether it handles Problem.Region — letting consumers that
-// depend on region re-solves (the online daemon) fail fast at
-// configuration time instead of discovering ErrRegionUnsupported on the
-// first triggered re-solve.
-type RegionCapable interface {
-	SupportsRegions() bool
-}
-
-// SupportsRegions reports whether s declares region-re-solve support.
-// Solvers that do not implement RegionCapable are assumed capable; they
-// still fail per-call with ErrRegionUnsupported if they are not.
-func SupportsRegions(s Solver) bool {
-	if rc, ok := s.(RegionCapable); ok {
-		return rc.SupportsRegions()
-	}
-	return true
-}
 
 // checkProblem validates the request shape shared by all solvers.
 func checkProblem(p Problem) error {
 	if p.Graph == nil || p.Rates == nil {
 		return ErrNoGraph
-	}
-	if p.Region != nil && p.Base == nil {
-		return ErrNoBase
 	}
 	return nil
 }

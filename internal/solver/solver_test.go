@@ -248,107 +248,8 @@ func TestWorkerInvarianceUnderCancel(t *testing.T) {
 	}
 }
 
-// TestRegionSolve pins the localized re-solve path through the Solver
-// interface against the manual extract/solve/splice pipeline.
-func TestRegionSolve(t *testing.T) {
-	g, r := quickProblem(t, 250)
-	base := chitchat.Solve(g, r, chitchat.Config{})
-	seed := graph.NodeID(g.NumNodes() / 2)
-	nodes := graph.KHop(g, []graph.NodeID{seed}, 2, 60)
-	region := graph.InducedEdgeIDs(g, nodes)
-	if len(region) == 0 {
-		t.Fatal("empty test region")
-	}
-	t.Run("chitchat", func(t *testing.T) {
-		sv := NewChitChat(chitchat.Config{})
-		res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r, Base: base, Region: region})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Schedule.Validate(); err != nil {
-			t.Fatalf("patched schedule invalid: %v", err)
-		}
-		// Reference: the manual extract/solve/splice pipeline over the
-		// region's endpoint nodes (== the induced node set for an
-		// induced region).
-		sub := graph.Induced(g, endpointNodes(g, region))
-		patch := chitchat.SolveInduced(sub, r, chitchat.Config{})
-		want := base.Clone()
-		if _, err := core.ApplyPatch(want, sub, patch, r); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(scheduleBytes(t, res.Schedule), scheduleBytes(t, want)) {
-			t.Errorf("region schedule differs from manual extract+solve+splice")
-		}
-	})
-	t.Run("endpoints", func(t *testing.T) {
-		// The cursor walk against a binary search per edge.
-		set := map[graph.NodeID]bool{}
-		for _, e := range region {
-			set[g.EdgeSource(e)], set[g.EdgeTarget(e)] = true, true
-		}
-		got := endpointNodes(g, region)
-		if len(got) != len(set) || !slices.IsSorted(got) {
-			t.Fatalf("endpointNodes: %d nodes (sorted %v), want %d", len(got), slices.IsSorted(got), len(set))
-		}
-		for _, v := range got {
-			if !set[v] {
-				t.Fatalf("endpointNodes: %d is no endpoint", v)
-			}
-		}
-		// A region in any order is the same region.
-		sv := NewChitChat(chitchat.Config{})
-		want, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r, Base: base, Region: region})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reversed := slices.Clone(region)
-		slices.Reverse(reversed)
-		res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r, Base: base, Region: reversed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(scheduleBytes(t, res.Schedule), scheduleBytes(t, want.Schedule)) {
-			t.Errorf("reversed region re-solves to a different schedule")
-		}
-	})
-	t.Run("not-induced", func(t *testing.T) {
-		// Drop one edge whose endpoints stay in the region through other
-		// edges: the induced set of the endpoints then strictly contains
-		// the region, which the subgraph re-solver must reject.
-		partial := findNonInducedSubset(g, region)
-		if partial == nil {
-			t.Skip("region has no droppable edge")
-		}
-		sv := NewChitChat(chitchat.Config{})
-		_, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r, Base: base, Region: partial})
-		if !errors.Is(err, ErrRegionNotInduced) {
-			t.Errorf("err = %v, want ErrRegionNotInduced", err)
-		}
-	})
-}
-
-// findNonInducedSubset drops one region edge both of whose endpoints
-// appear in other region edges, producing a non-induced region.
-func findNonInducedSubset(g *graph.Graph, region []graph.EdgeID) []graph.EdgeID {
-	degree := map[graph.NodeID]int{}
-	for _, e := range region {
-		degree[g.EdgeSource(e)]++
-		degree[g.EdgeTarget(e)]++
-	}
-	for i, e := range region {
-		if degree[g.EdgeSource(e)] > 1 && degree[g.EdgeTarget(e)] > 1 {
-			out := append([]graph.EdgeID(nil), region[:i]...)
-			return append(out, region[i+1:]...)
-		}
-	}
-	return nil
-}
-
 func TestProblemValidation(t *testing.T) {
 	g, r := quickProblem(t, 50)
-	base := baseline.Hybrid(g, r)
-	region := []graph.EdgeID{0}
 	for _, tc := range []struct {
 		name string
 		sv   Solver
@@ -357,9 +258,6 @@ func TestProblemValidation(t *testing.T) {
 	}{
 		{"nil graph", NewNosy(nosy.Config{}), Problem{Rates: r}, ErrNoGraph},
 		{"nil rates", NewNosy(nosy.Config{}), Problem{Graph: g}, ErrNoGraph},
-		{"region without base", NewNosy(nosy.Config{}), Problem{Graph: g, Rates: r, Region: region}, ErrNoBase},
-		{"baseline region", baselineSolver{Hybrid}, Problem{Graph: g, Rates: r, Base: base, Region: region}, ErrRegionUnsupported},
-		{"nosy region", NewNosy(nosy.Config{}), Problem{Graph: g, Rates: r, Base: base, Region: region}, ErrRegionUnsupported},
 	} {
 		res, err := tc.sv.Solve(context.Background(), tc.p)
 		if !errors.Is(err, tc.want) {
@@ -457,26 +355,5 @@ func TestProgressStream(t *testing.T) {
 	}
 	if last.Covered != g.NumEdges() {
 		t.Errorf("final chitchat event covered %d of %d edges", last.Covered, g.NumEdges())
-	}
-}
-
-// TestSupportsRegions pins the capability discovery consumers like the
-// online daemon use to fail fast on misconfiguration.
-func TestSupportsRegions(t *testing.T) {
-	for name, want := range map[string]bool{
-		ChitChat: true,
-		Nosy:     false,
-		Hybrid:   false,
-		PushAll:  false,
-		PullAll:  false,
-		Shard:    false,
-	} {
-		sv, err := New(name, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := SupportsRegions(sv); got != want {
-			t.Errorf("SupportsRegions(%s) = %v, want %v", name, got, want)
-		}
 	}
 }

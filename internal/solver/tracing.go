@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"piggyback/internal/telemetry"
@@ -41,9 +40,6 @@ type tracingSolver struct {
 
 // problemAttrs renders the deterministic Begin attributes for p.
 func problemAttrs(p Problem) string {
-	if p.Region != nil {
-		return fmt.Sprintf("region=%d", len(p.Region))
-	}
 	if p.Graph != nil {
 		return fmt.Sprintf("nodes=%d edges=%d", p.Graph.NumNodes(), p.Graph.NumEdges())
 	}
@@ -60,10 +56,7 @@ func outcomeAttrs(res *Result, err error) string {
 	case res == nil:
 		return "failed"
 	}
-	s := fmt.Sprintf("ok iters=%d", res.Report.Iterations)
-	if !math.IsNaN(res.Report.Cost) {
-		s += fmt.Sprintf(" cost=%.1f", res.Report.Cost)
-	}
+	s := fmt.Sprintf("ok iters=%d cost=%.1f", res.Report.Iterations, res.Report.Cost)
 	if res.Report.Canceled {
 		s += " canceled"
 	}
@@ -81,11 +74,7 @@ func errClass(err error) string {
 		return "canceled"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "deadline"
-	case errors.Is(err, ErrRegionUnsupported):
-		return "region-unsupported"
-	case errors.Is(err, ErrRegionNotInduced):
-		return "region-not-induced"
-	case errors.Is(err, ErrNoGraph), errors.Is(err, ErrNoBase):
+	case errors.Is(err, ErrNoGraph):
 		return "bad-problem"
 	default:
 		return "error"

@@ -63,8 +63,7 @@ import (
 // contract.
 type Solver = solver.Solver
 
-// Problem is one solve request: Graph and Rates for a full solve, plus
-// Base and Region for a localized re-solve.
+// Problem is one solve request: a Graph and its Rates.
 type Problem = solver.Problem
 
 // Result is a solver output: a Theorem-1-valid Schedule and the run
@@ -92,11 +91,6 @@ var (
 	ErrEdgeOutOfRange = graph.ErrEdgeOutOfRange
 	// ErrUnknownSolver: NewSolver knows no solver by the given name.
 	ErrUnknownSolver = solver.ErrUnknownSolver
-	// ErrRegionUnsupported: the chosen solver cannot re-solve regions.
-	ErrRegionUnsupported = solver.ErrRegionUnsupported
-	// ErrRegionNotInduced: a region re-solve needs the region to be the
-	// full induced edge set of its endpoint nodes.
-	ErrRegionNotInduced = solver.ErrRegionNotInduced
 )
 
 // NewSolver builds the named solver: the algorithms "chitchat", "nosy"
