@@ -185,19 +185,19 @@ func TestDocsNameExistingConfigFields(t *testing.T) {
 	}
 }
 
-// TestDocsNameExistingDeclarations keeps the docs from citing a solver,
-// algorithm or fault-injection name that no longer exists: in README,
-// DESIGN and the verify SKILL every backticked solver.X or fault.X must
-// be a top-level declaration of internal/solver or internal/fault,
-// exported or not (solver.guard), and every backticked nosy.X or
-// chitchat.X with X capitalized one of internal/nosy or internal/chitchat
-// (lower-case, they are bench metrics: nosy.scale). Test and Benchmark
-// names are TestDocsNameExistingTests' to check. A deleted name is cited
-// without backticks.
+// TestDocsNameExistingDeclarations keeps the docs from citing a name that
+// no longer exists: in README, DESIGN and the verify SKILL every
+// backticked solver.X or fault.X must be a declaration of internal/solver
+// or internal/fault, exported or not (solver.guard), and every backticked
+// pkg.X with X capitalized, for pkg one of nosy, chitchat, telemetry,
+// shard, online, core, incremental, refine and graph, one of internal/pkg
+// (lower-case, they are bench metrics: nosy.scale). A method counts by its
+// own name. Test and Benchmark names are TestDocsNameExistingTests' to
+// check. A deleted name is cited without backticks.
 func TestDocsNameExistingDeclarations(t *testing.T) {
 	decls := map[string]bool{}
 	fset := token.NewFileSet()
-	for _, pkg := range []string{"solver", "fault", "nosy", "chitchat"} {
+	for _, pkg := range []string{"solver", "fault", "nosy", "chitchat", "telemetry", "shard", "online", "core", "incremental", "refine", "graph"} {
 		dir := filepath.Join("internal", pkg)
 		files, err := os.ReadDir(dir)
 		if err != nil {
@@ -213,10 +213,8 @@ func TestDocsNameExistingDeclarations(t *testing.T) {
 			}
 			for _, d := range f.Decls {
 				switch d := d.(type) {
-				case *ast.FuncDecl:
-					if d.Recv == nil {
-						decls[pkg+"."+d.Name.Name] = true
-					}
+				case *ast.FuncDecl: // a method counts too: `graph.CommonInEdges`
+					decls[pkg+"."+d.Name.Name] = true
 				case *ast.GenDecl:
 					for _, sp := range d.Specs {
 						switch sp := sp.(type) {
@@ -236,7 +234,7 @@ func TestDocsNameExistingDeclarations(t *testing.T) {
 	// first, then the inline spans once the fences are blanked out.
 	fence := regexp.MustCompile("(?s)```.*?```")
 	span := regexp.MustCompile("`[^`]+`")
-	ref := regexp.MustCompile(`(?:^|[^\w/.])((?:solver|fault)\.\w+|(?:nosy|chitchat)\.[A-Z]\w*)`)
+	ref := regexp.MustCompile(`(?:^|[^\w/.])((?:solver|fault)\.\w+|(?:nosy|chitchat|telemetry|shard|online|core|incremental|refine|graph)\.[A-Z]\w*)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {

@@ -23,24 +23,6 @@ import (
 	"piggyback/internal/workload"
 )
 
-// FinalizeEdges serves every still-unscheduled edge in the given set
-// directly, choosing the cheaper of push and pull — Finalize restricted
-// to an edge subset, for localized re-solves that must not touch edges
-// outside their region.
-func (s *Schedule) FinalizeEdges(r *workload.Rates, edges []graph.EdgeID) {
-	for _, e := range edges {
-		if s.flags[e] == 0 {
-			u := s.g.EdgeSource(e)
-			v := s.g.EdgeTarget(e)
-			if r.Prod[u] <= r.Cons[v] {
-				s.flags[e] |= FlagPush
-			} else {
-				s.flags[e] |= FlagPull
-			}
-		}
-	}
-}
-
 // ClearEdge removes every assignment from edge e (push, pull, coverage).
 func (s *Schedule) ClearEdge(e graph.EdgeID) {
 	s.flags[e] = 0

@@ -31,21 +31,6 @@ func patchFixture(t *testing.T) (*graph.Graph, *workload.Rates, *Schedule) {
 	return g, r, s
 }
 
-func TestFinalizeEdgesRestricted(t *testing.T) {
-	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}})
-	r := workload.NewUniform(3, 2) // push cheaper
-	s := NewSchedule(g)
-	e0, _ := g.EdgeID(0, 1)
-	e1, _ := g.EdgeID(1, 2)
-	s.FinalizeEdges(r, []graph.EdgeID{e0})
-	if !s.IsPush(e0) {
-		t.Fatal("restricted edge not finalized")
-	}
-	if s.IsScheduled(e1) {
-		t.Fatal("edge outside the set was finalized")
-	}
-}
-
 func TestApplyPatchSplicesAndRemapsHubs(t *testing.T) {
 	g, r, s := patchFixture(t)
 	// Region = {0, 1, 2}; re-solve flips the region to all-direct pushes.

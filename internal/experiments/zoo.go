@@ -50,9 +50,8 @@ func Zoo(sc Scale) *Table {
 			continue
 		}
 		for _, name := range solver.Names() {
-			sv, _ := solver.New(name, solver.Options{Workers: sc.Workers}) // every name from Names builds
 			if name == solver.ChitChat {
-				row, rowErr := zooDaemonRow(incumbent, base, trace, sv)
+				row, rowErr := zooDaemonRow(incumbent, base, trace, sc.Workers)
 				if rowErr != nil {
 					t.Rows = append(t.Rows, []string{scen, name, "daemon", "error: " + rowErr.Error(), "", "", ""})
 					continue
@@ -60,6 +59,7 @@ func Zoo(sc Scale) *Table {
 				t.Rows = append(t.Rows, append([]string{scen, name}, row...))
 				continue
 			}
+			sv, _ := solver.New(name, solver.Options{Workers: sc.Workers}) // every name from Names builds
 			start := time.Now()
 			res, err := sv.Solve(context.Background(), solver.Problem{Graph: finalG, Rates: finalR})
 			if err != nil {
@@ -80,17 +80,17 @@ func Zoo(sc Scale) *Table {
 	return t
 }
 
-// zooDaemonRow replays one zoo trace through the online daemon with the
-// given regional solver, starting from incumbent, and reports (mode,
-// cost, wall, re-solves, reverted). Rates are cloned because the daemon
-// mutates them in place.
-func zooDaemonRow(incumbent *core.Schedule, base *workload.Rates, trace []workload.ChurnOp, regional solver.Solver) ([]string, error) {
+// zooDaemonRow replays one zoo trace through the online daemon, its
+// regional CHITCHAT at the given worker count, starting from incumbent,
+// and reports (mode, cost, wall, re-solves, reverted). Rates are cloned
+// because the daemon mutates them in place.
+func zooDaemonRow(incumbent *core.Schedule, base *workload.Rates, trace []workload.ChurnOp, workers int) ([]string, error) {
 	r := &workload.Rates{
 		Prod: append([]float64(nil), base.Prod...),
 		Cons: append([]float64(nil), base.Cons...),
 	}
 	dm, err := online.New(incumbent, r, online.Config{
-		Regional:       regional,
+		ChitChat:       chitchat.Config{Workers: workers},
 		DriftThreshold: 0.05,
 		CheckEvery:     8,
 		BudgetFraction: -1,

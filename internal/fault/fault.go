@@ -1,23 +1,17 @@
-// Package fault is deterministic fault injection for the serving tier
-// and the solver layer. The paper's prototype omits failure handling
-// "for simplicity"; this repository does not, and a robustness layer is
-// only testable if its faults are reproducible. Everything here is
-// schedule-driven: a Plan names exactly which operation on which
-// connection misbehaves, seed-derived rules (Scatter) expand the same
-// way every run, and the solver injectors count solves — so the same
-// Plan pins the same chaos, byte for byte, run after run.
+// Package fault is deterministic fault injection for the serving tier.
+// The paper's prototype omits failure handling "for simplicity"; this
+// repository does not, and a robustness layer is only testable if its
+// faults are reproducible. Everything here is schedule-driven: a Plan
+// names exactly which operation on which connection misbehaves, and
+// seed-derived rules (Scatter) expand the same way every run — so the
+// same Plan pins the same chaos, byte for byte, run after run.
 //
-// Two injection surfaces:
-//
-//   - Network: Plan.WrapListener / Plan.WrapConn interpose on net.Conn
-//     writes and inject delays, silent drops, partial writes, and
-//     mid-stream resets at scheduled per-connection write-op counts
-//     (write ops, not reads, because kernel read chunking is not
-//     deterministic while one frame flush is one write).
-//   - Solver: SolverPanics / SolverStalls are solver.Middleware that
-//     sabotage scheduled solve invocations, for driving the daemon's
-//     failure handling (a panic raised at the splice, a stalled solve
-//     cut by the splice op's deadline) without a broken algorithm.
+// Plan.WrapListener / Plan.WrapConn interpose on net.Conn writes and
+// inject delays, silent drops, partial writes, and mid-stream resets at
+// scheduled per-connection write-op counts (write ops, not reads,
+// because kernel read chunking is not deterministic while one frame
+// flush is one write). The daemon's solver failures are injected by
+// its own tests, which replace its regional solver.
 package fault
 
 import (

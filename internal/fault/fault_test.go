@@ -1,16 +1,12 @@
 package fault
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"reflect"
 	"testing"
 	"time"
-
-	"piggyback/internal/solver"
 )
 
 // pipePair returns a wrapped client end and the raw server end of an
@@ -135,54 +131,5 @@ func TestWrapListenerIndexesConnsInAcceptOrder(t *testing.T) {
 			t.Fatalf("accepted conn %d got plan index %d", i, got)
 		}
 		c.Close()
-	}
-}
-
-// okSolver is a stub that always succeeds with a nil schedule-free
-// result (enough for counting).
-type okSolver struct{ solves int }
-
-func (s *okSolver) Name() string { return "ok" }
-func (s *okSolver) Solve(context.Context, solver.Problem) (*solver.Result, error) {
-	s.solves++
-	return &solver.Result{}, nil
-}
-
-func TestSolverPanicsOnScheduledSolves(t *testing.T) {
-	inner := &okSolver{}
-	s := SolverPanics(2, 4)(inner)
-	for i := 1; i <= 5; i++ {
-		var res *solver.Result
-		var err error
-		raised := func() (p any) {
-			defer func() { p = recover() }()
-			res, err = s.Solve(context.Background(), solver.Problem{})
-			return nil
-		}()
-		sabotaged := i >= 2 && i < 4
-		want := fmt.Sprintf("fault: injected panic on solve %d of ok", i)
-		if sabotaged && raised != want {
-			t.Fatalf("solve %d: panicked with %v, want %q", i, raised, want)
-		}
-		if !sabotaged && (raised != nil || res == nil || err != nil) {
-			t.Fatalf("solve %d: expected success, got panic=%v res=%v err=%v", i, raised, res, err)
-		}
-	}
-	if inner.solves != 3 {
-		t.Fatalf("inner ran %d times, want 3", inner.solves)
-	}
-}
-
-func TestSolverStallsUntilContextDone(t *testing.T) {
-	inner := &okSolver{}
-	s := SolverStalls(1, 2)(inner)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	res, err := s.Solve(ctx, solver.Problem{})
-	if res != nil || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("stalled solve: res=%v err=%v", res, err)
-	}
-	if res, err := s.Solve(context.Background(), solver.Problem{}); res == nil || err != nil {
-		t.Fatalf("post-stall solve failed: %v", err)
 	}
 }

@@ -80,12 +80,12 @@ func TestIdentityPatchServesExteriorCoverage(t *testing.T) {
 	s.SetPull(e21)
 	s.SetCovered(e01, 2)
 	id := &identitySolver{}
-	d, err := New(s, r, Config{Regional: id, DriftThreshold: 1e-9, CheckEvery: 1, MaxRegionNodes: 2, BudgetFraction: -1})
+	d, err := New(s, r, Config{DriftThreshold: 1e-9, CheckEvery: 1, MaxRegionNodes: 2, BudgetFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ob := &patchOracles{f: &findings{by: map[string][]string{}}}
-	id.d, d.observe = d, ob.observe
+	id.d, d.regional, d.observe = d, id, ob.observe
 	if err := d.ApplyTrace([]workload.ChurnOp{{Kind: workload.OpRates, U: 1, Prod: 1, Cons: 3}}); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,6 @@ func TestAmortizeFlipsAcceptOnIncumbentQualityPatch(t *testing.T) {
 		r.Prod[0] = 1
 		id := &identitySolver{}
 		d, err := New(s, r, Config{
-			Regional:       id,
 			DriftThreshold: 0.01,
 			CheckEvery:     1,
 			BudgetFraction: -1,
@@ -272,7 +271,7 @@ func TestAmortizeFlipsAcceptOnIncumbentQualityPatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id.d, d.noAmortize = d, disable
+		id.d, d.regional, d.noAmortize = d, id, disable
 		if err := d.ApplyTrace([]workload.ChurnOp{{Kind: workload.OpRates, U: 0, Prod: 100, Cons: 0}}); err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +318,6 @@ func TestAmortizeFlashCrowdTrace(t *testing.T) {
 		s := chitchat.Solve(g, r, chitchat.Config{})
 		id := &identitySolver{}
 		d, err := New(s, r, Config{
-			Regional:       id,
 			DriftThreshold: 0.05,
 			CheckEvery:     8,
 			BudgetFraction: -1,
@@ -327,7 +325,7 @@ func TestAmortizeFlashCrowdTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id.d, d.noAmortize = d, disable
+		id.d, d.regional, d.noAmortize = d, id, disable
 		if err := d.ApplyTrace(trace); err != nil {
 			t.Fatal(err)
 		}
@@ -838,9 +836,9 @@ func TestPassMatchesReferenceSweep(t *testing.T) {
 		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 			if s.IsCovered(e) && rng.Intn(3) == 0 {
 				s.ClearCovered(e)
-				s.FinalizeEdges(r, []graph.EdgeID{e})
 			}
 		}
+		s.Finalize(r) // the hybrid rule, on the edges just uncovered
 		if err := s.Validate(); err != nil {
 			t.Fatalf("seed %d: input invalid: %v", seed, err)
 		}

@@ -38,6 +38,7 @@ package online
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -79,17 +80,11 @@ type Config struct {
 	// work no matter how the drift signal behaves. 0 means 0.2; negative
 	// removes the cap.
 	BudgetFraction float64
-	// Regional is the solver of localized re-solves: the daemon hands it
-	// the region's induced subgraph under the projected rates and splices
-	// the schedule it returns; nil means solver.NewChitChat(ChitChat).
-	// The daemon resolves no names: a caller that takes one from a flag
-	// builds it with solver.New itself. Its failures are the daemon's to
-	// handle (DESIGN.md §11): a panic is raised again at the splice; a
-	// solve that returns nothing, or a schedule that is not over the
-	// subgraph, is a failed attempt booked in SolverErrors.
-	Regional solver.Solver
-	// ChitChat configures the default regional solver; ignored when
-	// Regional is set.
+	// ChitChat configures the regional solver, the paper's CHITCHAT: each
+	// localized re-solve hands it the region's induced subgraph under the
+	// projected rates and splices the schedule it returns. Its OnProgress,
+	// when set, runs on every commit before the daemon's stopping rule
+	// (DESIGN.md §7), which reads the same Progress.
 	ChitChat chitchat.Config
 	// Metrics, when non-nil, mirrors Stats and the running cost into the
 	// given registry (online_*), one daemon per registry. Every series is
@@ -97,13 +92,11 @@ type Config struct {
 	// the first op.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records every localized re-solve as a
-	// `resolve` span with one timed child per step (DESIGN.md §12); the
-	// regional solver is wrapped in solver.WithTracing, so its `solve/…`
-	// span and whatever a composite solver begins nest under it. One
-	// attempt is in flight at a time, and while it is, only its goroutine
-	// begins spans, so the span tree is deterministic for a fixed trace
-	// and configuration as long as nothing else begins spans on the
-	// tracer during the trace.
+	// `resolve` span with one timed child per step (DESIGN.md §12), the
+	// solve's `solve/chitchat` among them. One attempt is in flight at a
+	// time, and while it is, only its goroutine begins spans, so the span
+	// tree is deterministic for a fixed trace and configuration as long as
+	// nothing else begins spans on the tracer during the trace.
 	Tracer *telemetry.Tracer
 	// Events, when non-nil, receives, in order, one ("resolve", …) event
 	// per re-solve attempt at its splice — its decision record, DESIGN.md
@@ -179,9 +172,15 @@ type Stats struct {
 // last splice, and an attempt still in flight when the caller stops
 // feeding ops is spliced by Flush (ApplyTrace calls it).
 type Daemon struct {
-	cfg      Config
-	r        *workload.Rates
-	m        *incremental.Maintainer
+	cfg Config
+	r   *workload.Rates
+	m   *incremental.Maintainer
+	// regional is CHITCHAT under cfg.ChitChat, the stopping rule on its
+	// OnProgress. Only tests replace it, after New, to inject a fault or a
+	// patch. What goes wrong in it is the daemon's to handle (DESIGN.md
+	// §11): a panic is raised again at the splice; a solve that returns
+	// nothing, or a schedule that is not over the subgraph, is a failed
+	// attempt booked in SolverErrors.
 	regional solver.Solver
 
 	// OnSplice, when non-nil, is called synchronously after every
@@ -370,19 +369,15 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 	}
 	d.region.in = bitset.New(len(d.dirt))
 	d.inst = newDaemonInstruments(d.cfg.Metrics)
-	d.regional = d.cfg.Regional
-	if d.regional == nil {
-		d.regional = solver.NewChitChat(d.cfg.ChitChat)
+	cc := d.cfg.ChitChat
+	own := cc.OnProgress
+	cc.OnProgress = func(pr chitchat.Progress) {
+		if own != nil {
+			own(pr)
+		}
+		d.attempt.onCommit(pr)
 	}
-	// The stopping rule sits on the regional solver itself: whatever it
-	// streams is what the rule sees.
-	d.regional = solver.WithStop(d.attempt.stop)(d.regional)
-	if d.cfg.Tracer != nil {
-		// Wrap outermost so every daemon-triggered re-solve opens exactly
-		// one "solve/..." span, with a composite solver's spans nesting
-		// under it via the context.
-		d.regional = solver.WithTracing(d.cfg.Tracer)(d.regional)
-	}
+	d.regional = solver.NewChitChat(cc)
 	d.m = incremental.New(s, r)
 	d.m.OnRescue = d.onRescue
 	d.publish()
@@ -709,9 +704,12 @@ type attempt struct {
 	// pull ⇒ rc(v)) and Σ c*, so hybrid − Saved is the solve's pay so far.
 	incumbent, hybrid float64
 	commits           int
-	saved, mark       float64 // Saved at the last event, at the last boundary
+	saved, mark       float64 // Saved at the last commit, at the last boundary
 	stopped           string  // early: the rule cut it; canceled: a context did
 	lag               int     // ops ingested between start and splice
+	// cut cancels the solve under way; the rule calls it at most once and
+	// clears it when it does.
+	cut context.CancelFunc
 	// The patch as solved, after refine, after amortize — each with the
 	// lag's ops replayed onto it — and the incumbent, each priced over the
 	// whole live graph at the splice.
@@ -720,21 +718,58 @@ type attempt struct {
 	backoff                        int    // the revert streak it leaves
 }
 
-// stop is the rule, over the solver's progress stream: CHITCHAT's n-th
-// event is its n-th commit. A stream that carries no Saved (NOSY's) never
-// satisfies the second half.
-func (a *attempt) stop(n int, ev solver.ProgressEvent) bool {
-	a.saved = ev.Saved
-	if n%stopEvery != 0 {
+// onCommit runs the rule on one CHITCHAT commit and cuts the solve when
+// it fires. Once it has, the commits the solve still streams pass it by.
+func (a *attempt) onCommit(pr chitchat.Progress) {
+	if a.cut != nil && a.stop(pr) {
+		a.cut()
+		a.cut = nil
+	}
+}
+
+// stop is the rule's predicate at a commit.
+func (a *attempt) stop(pr chitchat.Progress) bool {
+	a.saved = pr.Saved
+	if pr.Commits%stopEvery != 0 {
 		return false
 	}
-	gained := ev.Saved - a.mark
-	a.mark = ev.Saved
-	early := a.hybrid-ev.Saved < a.incumbent && gained < stopGain*ev.Saved
+	gained := pr.Saved - a.mark
+	a.mark = pr.Saved
+	early := a.hybrid-pr.Saved < a.incumbent && gained < stopGain*pr.Saved
 	if early {
 		a.stopped = "early"
 	}
 	return early
+}
+
+// solveOutcome renders the end of a `solve/…` span: the solve's commits,
+// cost and truncation, or its failure, with the class of its error.
+func solveOutcome(res *solver.Result, err error) string {
+	s := "failed"
+	if res != nil {
+		s = fmt.Sprintf("ok iters=%d cost=%.1f", res.Report.Iterations, res.Report.Cost)
+		if res.Report.Canceled {
+			s += " canceled"
+		}
+	}
+	if err != nil {
+		s += " class=" + errClass(err)
+	}
+	return s
+}
+
+// errClass buckets an error into a small deterministic vocabulary: error
+// strings can carry run-dependent detail, classes cannot.
+func errClass(err error) string {
+	switch {
+	case errors.Is(err, context.Canceled):
+		return "canceled"
+	case errors.Is(err, context.DeadlineExceeded):
+		return "deadline"
+	case errors.Is(err, solver.ErrNoGraph):
+		return "bad-problem"
+	}
+	return "error"
 }
 
 func (a *attempt) String() string {
@@ -776,8 +811,7 @@ type flight struct {
 func (d *Daemon) start(ctx context.Context) {
 	began := time.Now()
 	nodes := slices.Clone(d.region.nodes)
-	_, parent := telemetry.FromContext(ctx)
-	root := d.begin(parent, "resolve", "seed=%d nodes=%d", d.region.seed, len(nodes))
+	root := d.begin(telemetry.RootSpan, "resolve", "seed=%d nodes=%d", d.region.seed, len(nodes))
 	d.attempt = attempt{seed: d.region.seed, nodes: len(nodes), stopped: "exhausted"}
 	fl := &d.fl
 	st := d.begin(root.id, "freeze", "")
@@ -797,7 +831,7 @@ func (d *Daemon) start(ctx context.Context) {
 	fl.journal = fl.journal[:0]
 	fl.res, fl.err, fl.wall, fl.repairs, fl.m = nil, nil, 0, 0, nil
 	fl.began = time.Since(began)
-	go d.solve(telemetry.NewContext(sctx, root.tr, root.id), fl.frozen, r, nodes)
+	go d.solve(sctx, fl.frozen, r, nodes)
 }
 
 // solve is the attempt's goroutine: the rebase of the frozen state, the
@@ -836,9 +870,19 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 		return // the epoch-stale region dissolved on the live graph
 	}
 
+	st = d.begin(fl.root.id, "solve/"+d.regional.Name(), "nodes=%d edges=%d", sub.G.NumNodes(), sub.G.NumEdges())
+	sctx, cut := context.WithCancel(ctx)
+	defer cut()
+	a.cut = cut
 	began := time.Now()
-	fl.res, fl.err = d.regional.Solve(ctx, solver.Problem{Graph: sub.G, Rates: r.Project(sub.Global)})
+	fl.res, fl.err = d.regional.Solve(sctx, solver.Problem{Graph: sub.G, Rates: r.Project(sub.Global)})
 	fl.wall = time.Since(began)
+	// A cut the rule made is a finish, not a failure, unless the attempt's
+	// own context ended too; the report still says Canceled.
+	if a.stopped == "early" && fl.res != nil && ctx.Err() == nil && errors.Is(fl.err, context.Canceled) {
+		fl.err = nil
+	}
+	st.end("%s", solveOutcome(fl.res, fl.err))
 	if fl.res == nil {
 		return
 	}

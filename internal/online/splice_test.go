@@ -12,7 +12,6 @@ import (
 
 	"piggyback/internal/baseline"
 	"piggyback/internal/chitchat"
-	"piggyback/internal/fault"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/solver"
@@ -26,8 +25,6 @@ type sleepy struct {
 	solver.Solver
 	rng *rand.Rand // seeded from the clock; read on the attempt goroutines, one at a time
 }
-
-func (s sleepy) ChainProgress(fn func(solver.ProgressEvent)) { solver.Observe(s.Solver, fn) }
 
 func (s sleepy) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
 	time.Sleep(time.Duration(s.rng.Intn(51)) * time.Millisecond)
@@ -144,22 +141,62 @@ func (foreignPatch) Solve(_ context.Context, p solver.Problem) (*solver.Result, 
 	return &solver.Result{Schedule: baseline.Hybrid(g, p.Rates)}, nil
 }
 
+// sabotaged misbehaves on the daemon's first solve and hands every later
+// one to the daemon's own solver: it panics, or it blocks until the
+// solve's context ends and then returns nothing (stall) or passes the
+// ended context on (late).
+type sabotaged struct {
+	solver.Solver
+	mode   string // panic, stall or late
+	solves int
+}
+
+func (s *sabotaged) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
+	if s.solves++; s.solves > 1 {
+		return s.Solver.Solve(ctx, p)
+	}
+	switch s.mode {
+	case "panic":
+		panic("injected panic")
+	case "stall":
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	<-ctx.Done()
+	return s.Solver.Solve(ctx, p)
+}
+
+// solveSpans returns the end of every `solve/…` span in a span tree, in
+// order.
+func solveSpans(tree string) (ends []string) {
+	for _, line := range strings.Split(tree, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "solve/") {
+			_, end, _ := strings.Cut(line, " -> ")
+			ends = append(ends, end)
+		}
+	}
+	return ends
+}
+
 // What goes wrong in an attempt surfaces at its splice, on the Apply
 // goroutine: a panic is raised there, a solver that never returns is cut
 // by the splice op's deadline and books a failure instead of hanging the
-// daemon, and so does a patch that is not over the region's subgraph.
+// daemon, and so does a patch that is not over the region's subgraph. A
+// CHITCHAT solve the deadline cuts is a truncated patch, not a failure,
+// and the rule, which did not cut it, does not make it a finish.
 func TestSpliceFailures(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(120, 4))
 	base := workload.LogDegree(g, 5)
 	trace := workload.GenerateChurn(g, base, 400, workload.ChurnConfig{Seed: 4})
-	newDaemon := func(cfg Config) (*Daemon, *telemetry.EventLog) {
+	newDaemon := func() (*Daemon, *telemetry.EventLog, *telemetry.Tracer) {
 		var ev telemetry.EventLog
-		cfg.DriftThreshold, cfg.CheckEvery, cfg.BudgetFraction, cfg.Events = 0.02, 8, -1, &ev
+		tr := telemetry.NewTracer(1)
+		cfg := Config{DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1, Events: &ev, Tracer: tr}
 		d, err := New(baseline.Hybrid(g, base), freshRates(g, base), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d, &ev
+		return d, &ev, tr
 	}
 	// untilSplice applies ops until the next one would splice the attempt
 	// in flight, and returns the index of that op.
@@ -173,9 +210,23 @@ func TestSpliceFailures(t *testing.T) {
 		}
 		return i
 	}
+	// spliceByDeadline runs d up to the splice of its first attempt, which
+	// a sabotaged solver holds up, makes that splice under a deadline, and
+	// returns the splice op's index.
+	spliceByDeadline := func(d *Daemon) int {
+		t.Helper()
+		i := untilSplice(d, 0)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if err := d.ApplyCtx(ctx, trace[i]); err != nil {
+			t.Fatalf("the splice op: %v", err)
+		}
+		return i
+	}
 
 	t.Run("panic without a breaker", func(t *testing.T) {
-		d, _ := newDaemon(Config{Regional: fault.SolverPanics(1, 2)(solver.NewChitChat(chitchat.Config{}))})
+		d, _, _ := newDaemon()
+		d.regional = &sabotaged{Solver: d.regional, mode: "panic"}
 		i := untilSplice(d, 0)
 		raised := func() (p any) {
 			defer func() { p = recover() }()
@@ -186,16 +237,17 @@ func TestSpliceFailures(t *testing.T) {
 		}
 	})
 
+	// The splice cancels the attempt's own context, not the op's, so the
+	// solve sees a cancellation, whatever ended the op.
 	t.Run("a stalled solve and a deadline on the splice op", func(t *testing.T) {
-		d, ev := newDaemon(Config{Regional: fault.SolverStalls(1, 2)(solver.NewChitChat(chitchat.Config{}))})
-		i := untilSplice(d, 0)
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		defer cancel()
-		if err := d.ApplyCtx(ctx, trace[i]); err != nil {
-			t.Fatalf("the splice op: %v", err)
-		}
+		d, ev, tr := newDaemon()
+		d.regional = &sabotaged{Solver: d.regional, mode: "stall"}
+		i := spliceByDeadline(d)
 		if st := d.Stats(); st.SolverErrors != 1 || !strings.Contains(ev.Attrs("resolve")[0], "verdict=failed") {
 			t.Fatalf("want the stalled attempt failed: %+v %v", st, ev.Attrs("resolve"))
+		}
+		if ends := solveSpans(tr.Tree()); len(ends) != 1 || ends[0] != "failed class=canceled" {
+			t.Fatalf("solve spans end %q, want one failed class=canceled", ends)
 		}
 		if err := d.ApplyTrace(trace[i+1:]); err != nil {
 			t.Fatal(err)
@@ -208,8 +260,21 @@ func TestSpliceFailures(t *testing.T) {
 		}
 	})
 
+	t.Run("a CHITCHAT solve cut by a deadline on the splice op", func(t *testing.T) {
+		d, ev, tr := newDaemon()
+		d.regional = &sabotaged{Solver: d.regional, mode: "late"}
+		spliceByDeadline(d)
+		if st := d.Stats(); st.SolverErrors != 0 || !strings.Contains(ev.Attrs("resolve")[0], " stopped=canceled ") {
+			t.Fatalf("want the cut attempt booked stopped=canceled: %+v %v", st, ev.Attrs("resolve"))
+		}
+		if ends := solveSpans(tr.Tree()); len(ends) != 1 || !strings.HasPrefix(ends[0], "ok ") || !strings.HasSuffix(ends[0], " canceled class=canceled") {
+			t.Fatalf("solve spans end %q, want one ok … canceled class=canceled", ends)
+		}
+	})
+
 	t.Run("a patch over another graph", func(t *testing.T) {
-		d, ev := newDaemon(Config{Regional: foreignPatch{}})
+		d, ev, _ := newDaemon()
+		d.regional = foreignPatch{}
 		if err := d.ApplyTrace(trace); err != nil {
 			t.Fatal(err)
 		}

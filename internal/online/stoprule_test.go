@@ -38,7 +38,7 @@ var stallCurve = []float64{
 func firesAt(a *attempt, every int, saved []float64) (fired []int) {
 	for i, s := range saved {
 		for _, commit := range []int{every * (i + 1), every*(i+1) + 1} {
-			if a.stop(commit, solver.ProgressEvent{Saved: s}) {
+			if a.stop(chitchat.Progress{Commits: commit, Saved: s}) {
 				fired = append(fired, commit)
 			}
 		}
@@ -65,9 +65,9 @@ func TestStopRulePredicate(t *testing.T) {
 		{"level with the incumbent is not ahead", 1000, 900, stopEvery, flat, nil},
 		{"flat and ahead", 1000, 901, stopEvery, flat, []int{128, 192, 256}},
 		{"off the boundary", 1000, 901, stopEvery + 1, flat, nil},
-		// NOSY's rounds carry no Saved: even an incumbent dearer than
+		// A solve that has saved nothing: even an incumbent dearer than
 		// hybrid (an edge paid both ways) does not satisfy the second half.
-		{"no Saved streamed", 1000, 1100, stopEvery, []float64{0, 0, 0}, nil},
+		{"nothing saved", 1000, 1100, stopEvery, []float64{0, 0, 0}, nil},
 	} {
 		a := &attempt{hybrid: tc.hybrid, incumbent: tc.incumbent}
 		if got := firesAt(a, tc.every, tc.saved); !reflect.DeepEqual(got, tc.want) {
@@ -86,7 +86,8 @@ func scheduleBytes(t *testing.T, s *core.Schedule) []byte {
 }
 
 // The rule under the daemon, over the zoo cells: it fires, every patch it
-// cuts is valid, the maintained schedule is valid after every op, and a
+// cuts is valid and its solve span ends as a truncated finish, not a
+// failure, the maintained schedule is valid after every op, and a
 // disturbed run at two solver workers ends on the same schedule bytes,
 // Stats, decision records and span tree (zoo_test.go).
 func TestStopRuleDaemonProperty(t *testing.T) {
@@ -95,18 +96,33 @@ func TestStopRuleDaemonProperty(t *testing.T) {
 		if early := strings.Count(run.records, "stopped=early"); early == 0 || early != run.truncated {
 			t.Errorf("%d records say stopped=early, the solver returned %d truncated patches:\n%s", early, run.truncated, run.records)
 		}
+		// Every attempt but a dissolved one solves, and its span is the
+		// next solve span in the tree.
+		ends := solveSpans(run.tree)
+		for _, rec := range strings.Split(run.records, "\n") {
+			if strings.Contains(rec, "verdict=dissolved") {
+				continue
+			}
+			if len(ends) == 0 {
+				t.Fatalf("more solving attempts than solve spans:\n%s", run.tree)
+			}
+			end := ends[0]
+			ends = ends[1:]
+			if strings.Contains(rec, "stopped=early") && (!strings.HasSuffix(end, " canceled") || strings.Contains(end, "class=")) {
+				t.Errorf("an early-stopped attempt's solve span ends %q, want ok … canceled with no class", end)
+			}
+		}
+		if len(ends) != 0 {
+			t.Errorf("%d solve spans no attempt accounts for", len(ends))
+		}
 		noFindings(t, run, oPatch, oValidate)
 		sameEnd(t, r)
 	})
 }
 
-// mute hides a solver's progress stream, as any third-party Regional
-// without solver.ProgressChainer does.
-type mute struct{ solver.Solver }
-
-// What streams no Saved runs as it did before the rule existed: the
-// digest is the final schedule of the parent commit (16d7c15) on this
-// trace, for CHITCHAT behind a wrapper without a progress stream.
+// A regional solve the rule does not see runs as it did before the rule
+// existed: the digest is the final schedule of commit 16d7c15 on this
+// trace, for a CHITCHAT without the rule on its OnProgress.
 func TestStopRuleLeavesOtherSolversAlone(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(200, 11))
 	base := workload.LogDegree(g, 5)
@@ -118,12 +134,12 @@ func TestStopRuleLeavesOtherSolversAlone(t *testing.T) {
 	var ev telemetry.EventLog
 	r := freshRates(g, base)
 	d, err := New(chitchat.Solve(g, r, chitchat.Config{}), r, Config{
-		Regional:       mute{solver.NewChitChat(chitchat.Config{})},
 		DriftThreshold: 0.05, CheckEvery: 8, BudgetFraction: -1, Events: &ev,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.regional = solver.NewChitChat(chitchat.Config{})
 	if err := d.ApplyTrace(trace); err != nil {
 		t.Fatal(err)
 	}

@@ -190,11 +190,10 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	reg := telemetry.NewRegistry()
 	cfg := c.cfg
 	cfg.Events, cfg.Tracer, cfg.Metrics = &ev, tr, reg
-	var jitter *rand.Rand
+	now := time.Now().UnixNano()
+	jitter := rand.New(rand.NewSource(now + 1))
 	if disturbed {
-		now := time.Now().UnixNano()
-		cfg.Regional = sleepy{solver.NewChitChat(chitchat.Config{Workers: 2}), rand.New(rand.NewSource(now))}
-		jitter = rand.New(rand.NewSource(now + 1))
+		cfg.ChitChat.Workers = 2
 		cfg.CheckEvery = math.MaxInt // the loop below makes every boundary, checked
 	}
 	d, err := New(c.init.Clone(), freshRates(c.g, c.base), cfg)
@@ -203,7 +202,9 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 		return run
 	}
 	ob := &patchOracles{f: f}
-	if !disturbed {
+	if disturbed {
+		d.regional = sleepy{d.regional, rand.New(rand.NewSource(now))}
+	} else {
 		d.observe = ob.observe
 	}
 	// ref never re-solves: after every accepted splice the live graph must

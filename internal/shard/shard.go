@@ -46,12 +46,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/partition"
-	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
 
@@ -137,21 +135,6 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 		workers = k
 	}
 
-	// Span discipline: every shard's span is begun HERE, on the
-	// coordinator, in ascending shard order — before any worker runs —
-	// so the span tree is identical for every Workers value. Workers
-	// only End the spans (order-independent); shards never dispatched
-	// because of cancellation stay marked [open].
-	tr, parent := telemetry.FromContext(ctx)
-	var spans []telemetry.SpanID
-	if tr != nil {
-		spans = make([]telemetry.SpanID, k)
-		for idx := 0; idx < k; idx++ {
-			spans[idx] = tr.Begin(parent, "shard/solve",
-				fmt.Sprintf("shard=%d nodes=%d", idx, len(groups[idx])))
-		}
-	}
-
 	// Solve shards concurrently. Each worker extracts its subgraph
 	// itself, so at most `workers` subgraphs and instance stores are
 	// live at once.
@@ -165,17 +148,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				sctx := innerCtx
-				if tr != nil {
-					sctx = telemetry.NewContext(innerCtx, tr, spans[idx])
-				}
-				start := time.Now()
-				res := solveShard(sctx, solve, g, r, groups[idx], idx)
-				if tr != nil {
-					tr.SetDuration(spans[idx], time.Since(start))
-					tr.End(spans[idx], shardAttrs(res))
-				}
-				results <- res
+				results <- solveShard(innerCtx, solve, g, r, groups[idx], idx)
 			}
 		}()
 	}
@@ -317,19 +290,6 @@ func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []gra
 		}
 	}
 	return covered
-}
-
-// shardAttrs renders the deterministic End attributes for one finished
-// shard — outcome class, iteration count, cost; never wall time.
-func shardAttrs(res shardResult) string {
-	switch {
-	case res.err != nil:
-		return "failed"
-	case res.cause != nil:
-		return fmt.Sprintf("canceled iters=%d", res.iters)
-	default:
-		return fmt.Sprintf("ok iters=%d cost=%.1f", res.iters, res.cost)
-	}
 }
 
 // solveShard extracts one shard's subgraph and solves it.

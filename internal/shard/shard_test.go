@@ -3,8 +3,6 @@ package shard_test
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 
 	"piggyback/internal/baseline"
@@ -13,7 +11,6 @@ import (
 	"piggyback/internal/graphgen"
 	"piggyback/internal/shard"
 	"piggyback/internal/solver"
-	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
 
@@ -188,45 +185,6 @@ func TestShardProgressAndAutoShards(t *testing.T) {
 	}
 	if events != res.Report.Iterations || events < 1 {
 		t.Fatalf("saw %d progress events for %d shards", events, res.Report.Iterations)
-	}
-}
-
-// WithTracing around the sharded solver yields one nested tree: the
-// solver's own span with one shard/solve child per shard, begun on the
-// coordinating goroutine in shard order — so the tree is byte-identical
-// across two runs and across Workers, the determinism contract every
-// composite solver owes the tracer.
-func TestShardSpanTreeDeterministic(t *testing.T) {
-	p := quickProblem(t)
-	run := func(workers int) string {
-		tr := telemetry.NewTracer(42)
-		sv := solver.WithTracing(tr)(newShard(t, 4, workers))
-		if _, err := sv.Solve(context.Background(), p); err != nil {
-			t.Fatalf("solve (workers=%d): %v", workers, err)
-		}
-		return tr.Tree()
-	}
-	t1 := run(1)
-	if again := run(1); again != t1 {
-		t.Fatalf("two identical runs differ:\n%s\nvs\n%s", t1, again)
-	}
-	if t2 := run(2); t2 != t1 {
-		t.Fatalf("tree differs across Workers:\n%s\nvs\n%s", t1, t2)
-	}
-	lines := strings.Split(strings.TrimSpace(t1), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("want the solver's span + 4 shard spans, got:\n%s", t1)
-	}
-	if !strings.HasPrefix(lines[0], "solve/shard#") {
-		t.Fatalf("root = %q", lines[0])
-	}
-	for i, l := range lines[1:] {
-		if !strings.HasPrefix(l, "  shard/solve#") || !strings.Contains(l, fmt.Sprintf("shard=%d ", i)) {
-			t.Fatalf("shard span %d wrong or out of order:\n%s", i, t1)
-		}
-		if strings.Contains(l, "[open]") {
-			t.Fatalf("unended span in a completed solve:\n%s", t1)
-		}
 	}
 }
 

@@ -37,23 +37,17 @@ func Names() []string {
 // wrapping ErrUnknownSolver that lists the valid names — the name
 // usually arrives from a flag.
 func New(name string, opts Options) (Solver, error) {
-	var s Solver
 	switch name {
 	case ChitChat:
-		s = NewChitChat(chitchat.Config{Workers: opts.Workers})
+		return &chitchatSolver{chitchat.Config{Workers: opts.Workers}, opts.Progress}, nil
 	case Nosy:
-		s = NewNosy(nosy.Config{Workers: opts.Workers, TraceCosts: opts.TraceCosts})
+		return &nosySolver{nosy.Config{Workers: opts.Workers, TraceCosts: opts.TraceCosts}, opts.Progress}, nil
 	case Shard:
-		s = &shardSolver{cfg: shard.Config{Shards: opts.Shards, Workers: opts.Workers}}
+		return &shardSolver{shard.Config{Shards: opts.Shards, Workers: opts.Workers}, opts.Progress}, nil
 	case Hybrid, PushAll, PullAll:
 		return baselineSolver{name}, nil
-	default:
-		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownSolver, name, Names())
 	}
-	if opts.Progress != nil {
-		Observe(s, opts.Progress)
-	}
-	return s, nil
+	return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownSolver, name, Names())
 }
 
 // guard recovers the typed panics reachable from the public API —
@@ -86,7 +80,8 @@ func finish(name string, s *core.Schedule, p Problem, rep Report, cause error) (
 }
 
 // chitchatSolver adapts the CHITCHAT approximation to the Solver
-// contract.
+// contract. Each adapter streams to progress, Options.Progress as New
+// was given it (nil from the typed constructors).
 type chitchatSolver struct {
 	cfg      chitchat.Config
 	progress func(ProgressEvent)
@@ -99,19 +94,13 @@ func NewChitChat(cfg chitchat.Config) Solver { return &chitchatSolver{cfg: cfg} 
 
 func (s *chitchatSolver) Name() string { return ChitChat }
 
-// ChainProgress implements ProgressChainer: fn is appended to the
-// solver's progress stream, after any previously attached sink.
-func (s *chitchatSolver) ChainProgress(fn func(ProgressEvent)) {
-	s.progress = chainSinks(s.progress, fn)
-}
-
 func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (res *Result, err error) {
 	defer guard(s.Name(), &res, &err)
 	if err := checkProblem(p); err != nil {
 		return nil, err
 	}
-	// Count greedy commits through the progress hook (chained with the
-	// caller's sink) so the report's iteration count is exact.
+	// Count greedy commits through the progress hook (after the config's
+	// own hook) so the report's iteration count is exact.
 	cfg := s.cfg
 	commits := 0
 	prev := cfg.OnProgress
@@ -126,7 +115,6 @@ func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (res *Result, err
 				Iteration: pr.Commits,
 				Covered:   pr.Covered,
 				Remaining: pr.Remaining,
-				Saved:     pr.Saved,
 				Cost:      math.NaN(),
 			})
 		}
@@ -145,26 +133,6 @@ type nosySolver struct {
 func NewNosy(cfg nosy.Config) Solver { return &nosySolver{cfg: cfg} }
 
 func (s *nosySolver) Name() string { return Nosy }
-
-// ChainProgress implements ProgressChainer: fn is appended to the
-// solver's progress stream, after any previously attached sink.
-func (s *nosySolver) ChainProgress(fn func(ProgressEvent)) {
-	s.progress = chainSinks(s.progress, fn)
-}
-
-// chainSinks composes two progress sinks, tolerating nils.
-func chainSinks(prev, next func(ProgressEvent)) func(ProgressEvent) {
-	if prev == nil {
-		return next
-	}
-	if next == nil {
-		return prev
-	}
-	return func(ev ProgressEvent) {
-		prev(ev)
-		next(ev)
-	}
-}
 
 func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err error) {
 	defer guard(Nosy, &res, &err)
@@ -213,12 +181,6 @@ type shardSolver struct {
 }
 
 func (s *shardSolver) Name() string { return Shard }
-
-// ChainProgress implements ProgressChainer: fn is appended to the
-// per-shard progress stream, after any previously attached sink.
-func (s *shardSolver) ChainProgress(fn func(ProgressEvent)) {
-	s.progress = chainSinks(s.progress, fn)
-}
 
 func (s *shardSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
 	if err := checkProblem(p); err != nil {

@@ -34,9 +34,9 @@
 // New builds a solver by name from a fixed table of the six built-ins
 // (Names lists them), which is what the cmd tools and the piggyback
 // facade resolve a flag or a caller's name against. It lists algorithms
-// only; DESIGN.md §10 has the measurement behind that. Cross-cutting
-// concerns wrap any Solver as Middleware: WithTracing and WithStop
-// (cancel on the solve's own progress, deterministically).
+// only; DESIGN.md §10 has the measurement behind that. There is no
+// wrapper layer: the daemon traces its solve and runs its stopping rule
+// itself, on chitchat.Config.OnProgress.
 package solver
 
 import (
@@ -110,9 +110,6 @@ type ProgressEvent struct {
 	// shard's edge count and the shards still to solve.
 	Covered   int
 	Remaining int
-	// Saved is what the commits so far have won over serving the edges
-	// they covered directly (CHITCHAT only; chitchat.Progress.Saved).
-	Saved float64
 	// Cost is the current finalized cost when the solver tracks it
 	// (PARALLELNOSY under Options.TraceCosts; the solved shard's cost for
 	// the sharded solver); NaN when not computed.

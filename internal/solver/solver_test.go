@@ -133,13 +133,12 @@ func TestCancelMidSolve(t *testing.T) {
 		defer cancel()
 		cancelAt := 1 // cancel as the second round's stats stream
 		var events int
-		sv := NewNosy(nosy.Config{})
-		Observe(sv, func(ev ProgressEvent) {
+		sv, _ := New(Nosy, Options{Progress: func(ev ProgressEvent) {
 			events++
 			if ev.Iteration == cancelAt {
 				cancel()
 			}
-		})
+		}})
 		res, err := sv.Solve(ctx, Problem{Graph: g, Rates: r})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
@@ -172,12 +171,11 @@ func TestCancelMidSolve(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		const cancelAt = 25 // commits before canceling
-		sv := NewChitChat(chitchat.Config{})
-		Observe(sv, func(ev ProgressEvent) {
+		sv, _ := New(ChitChat, Options{Progress: func(ev ProgressEvent) {
 			if ev.Iteration == cancelAt {
 				cancel()
 			}
-		})
+		}})
 		res, err := sv.Solve(ctx, Problem{Graph: g, Rates: r})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
@@ -225,12 +223,11 @@ func TestWorkerInvarianceUnderCancel(t *testing.T) {
 	run := func(workers int) []byte {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		sv := NewNosy(nosy.Config{Workers: workers})
-		Observe(sv, func(ev ProgressEvent) {
+		sv, _ := New(Nosy, Options{Workers: workers, Progress: func(ev ProgressEvent) {
 			if ev.Iteration == 1 {
 				cancel()
 			}
-		})
+		}})
 		res, err := sv.Solve(ctx, Problem{Graph: g, Rates: r})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -321,8 +318,7 @@ func TestBuilderTypedError(t *testing.T) {
 func TestProgressStream(t *testing.T) {
 	g, r := quickProblem(t, 100)
 	var nosyEvents []ProgressEvent
-	sv := NewNosy(nosy.Config{TraceCosts: true})
-	Observe(sv, func(ev ProgressEvent) { nosyEvents = append(nosyEvents, ev) })
+	sv, _ := New(Nosy, Options{TraceCosts: true, Progress: func(ev ProgressEvent) { nosyEvents = append(nosyEvents, ev) }})
 	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 	if err != nil {
 		t.Fatal(err)
@@ -345,8 +341,7 @@ func TestProgressStream(t *testing.T) {
 		}
 	}
 	var last ProgressEvent
-	cc := NewChitChat(chitchat.Config{})
-	Observe(cc, func(ev ProgressEvent) { last = ev })
+	cc, _ := New(ChitChat, Options{Progress: func(ev ProgressEvent) { last = ev }})
 	if _, err := cc.Solve(context.Background(), Problem{Graph: g, Rates: r}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -36,10 +35,10 @@ type span struct {
 // callers: the tracer guarantees IDs and rendering are pure functions
 // of the Begin sequence; instrumentation guarantees the Begin sequence
 // itself is deterministic by beginning spans at coordination points
-// (the shard solver begins per-shard spans in index order before
-// dispatch; the online daemon's re-solves are sequential by design).
-// End may happen concurrently from worker goroutines — the tree orders
-// children by Begin, not End, and End attributes attach per span.
+// (the online daemon's re-solves are sequential by design, and one
+// goroutine begins each one's spans). End may happen concurrently from
+// worker goroutines — the tree orders children by Begin, not End, and
+// End attributes attach per span.
 //
 // Wall-clock durations are deliberately carried OUT-OF-BAND
 // (SetDuration/Duration): the tree itself contains no timing, so it
@@ -193,33 +192,6 @@ func (t *Tracer) render(timed bool) string {
 		walk(s, 0)
 	}
 	return b.String()
-}
-
-// spanCtxKey carries (tracer, span) through a context.
-type spanCtxKey struct{}
-
-type spanCtx struct {
-	t  *Tracer
-	id SpanID
-}
-
-// NewContext returns ctx carrying the tracer and current span, so
-// nested instrumentation (an inner solve inside a shard) parents its
-// spans correctly.
-func NewContext(ctx context.Context, t *Tracer, id SpanID) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, spanCtx{t: t, id: id})
-}
-
-// FromContext extracts the tracer and current span from ctx; a nil
-// tracer means ctx carries none.
-func FromContext(ctx context.Context) (*Tracer, SpanID) {
-	if sc, ok := ctx.Value(spanCtxKey{}).(spanCtx); ok {
-		return sc.t, sc.id
-	}
-	return nil, RootSpan
 }
 
 // Event is one entry in an EventLog: a deterministic sequence number,
