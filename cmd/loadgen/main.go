@@ -95,7 +95,7 @@ func main() {
 	// behind the pinned PR-8 chaos plan (ambient delays every connection,
 	// one mid-stream reset, one silently dropped reply), so the latency
 	// histogram captures retry and failover cost, not just happy-path RTT.
-	plan := &fault.Plan{Seed: *seed, Rules: []fault.Rule{
+	plan := &fault.Plan{Rules: []fault.Rule{
 		{Kind: fault.KindDelay, Conn: -1, Op: 40, Count: 3, Delay: 2 * time.Millisecond},
 		{Kind: fault.KindDelay, Conn: -1, Op: 200, Count: 2, Delay: 3 * time.Millisecond},
 		{Kind: fault.KindReset, Conn: 0, Op: 120},

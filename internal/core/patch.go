@@ -44,7 +44,7 @@ func ApplyPatch(s *Schedule, sub *graph.Subgraph, patch *Schedule, r *workload.R
 		return 0, err
 	}
 	// The repair resolves every covered edge's supports: have it leave them
-	// for the sweeps that follow a region splice (TakeSupports).
+	// for the refine sweep that follows a region splice (TakeSupports).
 	t := newSupports(len(s.flags))
 	repairs := walkSupports(s, r, t)
 	s.sup = t

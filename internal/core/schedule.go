@@ -137,8 +137,8 @@ func (s *Schedule) TakeSupports() Supports {
 
 // KeepSupports hands t to the next TakeSupports. t must be s's table as
 // TakeSupports returned it, kept current (Supports.Cover) through every
-// coverage change the caller has made since: the sweeps that follow a
-// splice hand it on this way to incremental.New.
+// coverage change the caller has made since: the refine sweep that follows
+// a splice hands it on this way to incremental.New.
 func (s *Schedule) KeepSupports(t Supports) { s.sup = t }
 
 // ClearPush removes e from H.

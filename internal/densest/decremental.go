@@ -108,8 +108,8 @@ func (d *Decremental) ZeroWeight(u int) { d.weight[u] = 0 }
 
 // Compact squeezes dead elements out of the adjacency once fewer than half
 // the represented elements are live, and is a no-op otherwise — so the
-// scans in Solve and IncidentEdges stay within 2× of the live size at an
-// amortized O(1) per RemoveEdge. It rewrites adj and off in place (the
+// scans in Solve and IncidentEdges stay within 2× of the live size at
+// O(1) per RemoveEdge, averaged over a run of removals. It rewrites adj and off in place (the
 // live entries only move left); element ids, Edge and EdgeAlive are
 // unaffected. It is a mutation like RemoveEdge: it must not run
 // concurrently with Solve, nor while a caller iterates an IncidentEdges

@@ -78,7 +78,7 @@ func denser(rE int, rW float64, oE int, oW float64) bool {
 // position index, the removal order with its edge counts and the removed
 // marks. A nil Scratch makes every call allocate fresh; callers in hot
 // loops (each CHITCHAT oracle evaluation runs one peel) hold one Scratch
-// per worker goroutine and amortize all of it. The zero value is ready to
+// per worker goroutine and reuse all of it. The zero value is ready to
 // use. A Scratch must not be shared between concurrent calls.
 type Scratch struct {
 	heap  []peelEntry

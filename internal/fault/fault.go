@@ -2,8 +2,7 @@
 // The paper's prototype omits failure handling "for simplicity"; this
 // repository does not, and a robustness layer is only testable if its
 // faults are reproducible. Everything here is schedule-driven: a Plan
-// names exactly which operation on which connection misbehaves, and
-// seed-derived rules (Scatter) expand the same way every run — so the
+// names exactly which operation on which connection misbehaves — so the
 // same Plan pins the same chaos, byte for byte, run after run.
 //
 // Plan.WrapListener / Plan.WrapConn interpose on net.Conn writes and
@@ -15,7 +14,6 @@
 package fault
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -86,12 +84,10 @@ type Fired struct {
 	Kind     Kind
 }
 
-// Plan is a deterministic fault schedule: explicit Rules, plus Seed for
-// deriving scattered rules (Scatter) — same seed, same schedule. A Plan
-// may wrap many connections; each gets the next index in wrap order.
-// Safe for concurrent use.
+// Plan is a deterministic fault schedule: explicit Rules. A Plan may wrap
+// many connections; each gets the next index in wrap order. Safe for
+// concurrent use.
 type Plan struct {
-	Seed  int64
 	Rules []Rule
 
 	mu    sync.Mutex
@@ -133,25 +129,4 @@ func (p *Plan) nextIndex() int {
 	i := p.next
 	p.next++
 	return i
-}
-
-// Scatter derives n pseudo-random rules of the given kind from seed:
-// connection indices in [0, conns), write ops in [0, ops), each
-// firing once, delays in [delay/2, delay) for KindDelay. The expansion
-// is a pure function of its arguments — the seed-driven half of a
-// deterministic chaos schedule.
-func Scatter(seed int64, kind Kind, n, conns, ops int, delay time.Duration) []Rule {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Rule, n)
-	for i := range out {
-		out[i] = Rule{
-			Kind: kind,
-			Conn: rng.Intn(conns),
-			Op:   rng.Intn(ops),
-		}
-		if kind == KindDelay {
-			out[i].Delay = delay/2 + time.Duration(rng.Int63n(int64(delay/2)+1))
-		}
-	}
-	return out
 }

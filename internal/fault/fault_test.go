@@ -16,26 +16,6 @@ func pipePair(p *Plan) (net.Conn, net.Conn) {
 	return p.WrapConn(a), b
 }
 
-func TestScatterDeterministic(t *testing.T) {
-	a := Scatter(42, KindDelay, 8, 4, 1000, 50*time.Millisecond)
-	b := Scatter(42, KindDelay, 8, 4, 1000, 50*time.Millisecond)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different rules:\n%v\n%v", a, b)
-	}
-	c := Scatter(43, KindDelay, 8, 4, 1000, 50*time.Millisecond)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical rules")
-	}
-	for _, r := range a {
-		if r.Conn < 0 || r.Conn >= 4 || r.Op < 0 || r.Op >= 1000 {
-			t.Fatalf("rule out of range: %+v", r)
-		}
-		if r.Delay < 25*time.Millisecond || r.Delay > 50*time.Millisecond {
-			t.Fatalf("delay out of range: %v", r.Delay)
-		}
-	}
-}
-
 func TestDropSwallowsScheduledWrite(t *testing.T) {
 	p := &Plan{Rules: []Rule{{Kind: KindDrop, Conn: 0, Op: 1}}}
 	cw, sr := pipePair(p)

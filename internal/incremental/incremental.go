@@ -109,9 +109,9 @@ type extraEdge struct {
 
 // New builds a maintainer over an already-optimized schedule. The
 // schedule is cloned and otherwise not modified, but its support table is
-// taken (core.Schedule.TakeSupports): the one a splice and the sweeps
-// after it handed over, or one walked now. The rates are retained (not
-// copied): UpdateRates mutates them in place.
+// taken (core.Schedule.TakeSupports): the one a splice and the refine
+// sweep after it handed over, or one walked now. The rates are retained
+// (not copied): UpdateRates mutates them in place.
 func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 	g := s.Graph()
 	sup := s.TakeSupports()

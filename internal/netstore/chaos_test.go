@@ -104,7 +104,7 @@ func runChaos(t *testing.T, sched *core.Schedule, trace Trace, want []map[graph.
 	ops := len(trace)
 	crash1, restart1, crash2 := ops/5, ops*3/5, ops*4/5
 
-	plan := &fault.Plan{Seed: chaosSeed, Rules: []fault.Rule{
+	plan := &fault.Plan{Rules: []fault.Rule{
 		{Kind: fault.KindDelay, Conn: -1, Op: 40, Count: 3, Delay: 2 * time.Millisecond},
 		{Kind: fault.KindDelay, Conn: -1, Op: 200, Count: 2, Delay: 3 * time.Millisecond},
 		{Kind: fault.KindReset, Conn: 0, Op: 120},

@@ -22,8 +22,8 @@
 //     rates and hands them to one goroutine, which solves the region's
 //     induced subgraph in isolation, splices the patch into its copy of
 //     the schedule (core.ApplyPatch restores boundary supports; DESIGN.md
-//     §7 argues validity), refines, amortizes and builds a maintainer on
-//     the result. Ingest goes on meanwhile, and every op is journaled.
+//     §7 argues validity), refines and builds a maintainer on the
+//     result. Ingest goes on meanwhile, and every op is journaled.
 //  4. Gate — at the next check boundary the daemon waits for that
 //     goroutine, replays the journaled ops onto the patched schedule and
 //     keeps it only if it costs less than the incumbent as it stands then
@@ -61,6 +61,9 @@ import (
 // (a hub neighborhood is 1 hop; its cross-edges span 2).
 const regionHops = 2
 
+// maxRegionNodes caps the extracted region size.
+const maxRegionNodes = 768
+
 // Config tunes the daemon. The zero value uses the defaults.
 type Config struct {
 	// DriftThreshold triggers a localized re-solve when the dirt
@@ -72,8 +75,6 @@ type Config struct {
 	DriftThreshold float64
 	// CheckEvery is how many ops pass between drift checks; 0 means 16.
 	CheckEvery int
-	// MaxRegionNodes caps the extracted region size; 0 means 768.
-	MaxRegionNodes int
 	// BudgetFraction caps the cumulative re-solved region size (accepted
 	// or reverted) at this fraction of the live edge count — the hard
 	// guarantee that localized re-solving stays a small share of total
@@ -110,9 +111,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.CheckEvery == 0 {
 		cfg.CheckEvery = 16
-	}
-	if cfg.MaxRegionNodes == 0 {
-		cfg.MaxRegionNodes = 768
 	}
 	if cfg.BudgetFraction == 0 {
 		cfg.BudgetFraction = 0.2
@@ -153,12 +151,9 @@ type Stats struct {
 	// repair walks restored (core.ApplyPatch), over every patch spliced,
 	// accepted or reverted.
 	BoundaryRepairs int
-	// Amortized counts direct edges upgraded to purchased hub coverage
-	// by the exterior-amortization sweep, over accepted patches only;
-	// AmortizedSaved is the net cost those purchases removed. Reverted
-	// patches book nothing — their sweep work was rolled back with them.
-	Amortized      int
-	AmortizedSaved float64
+	// Amortized is always 0; kept for the bench seam until a benchmark
+	// issue drops it.
+	Amortized int
 	// ResolveWall is the cumulative wall-clock time spent inside the
 	// regional solver (accepted and reverted re-solves alike), on the
 	// attempts' own goroutines: solver work, not time Apply waited.
@@ -182,6 +177,9 @@ type Daemon struct {
 	// nothing, or a schedule that is not over the subgraph, is a failed
 	// attempt booked in SolverErrors.
 	regional solver.Solver
+	// maxRegion caps the extracted region size: maxRegionNodes, which only
+	// tests change, after New.
+	maxRegion int
 
 	// OnSplice, when non-nil, is called synchronously after every
 	// ACCEPTED localized re-solve with the rebased live graph and the
@@ -210,19 +208,15 @@ type Daemon struct {
 	// check; an unchanged dirt landscape cannot newly cross the
 	// threshold, so the check (a sum over the dirtiest node's remembered
 	// region) is skipped entirely.
-	charged  bool
-	region   regionEntry // the previous check's candidate region
-	attempt  attempt     // the re-solve under way, or the last one
-	fl       flight      // the attempt in flight, if any
-	amortize amortizer   // exterior-amortization sweep scratch, the attempt goroutine's
-	// noAmortize skips the amortization sweep; only tests set it, to
-	// isolate what the sweep decides.
-	noAmortize bool
+	charged bool
+	region  regionEntry // the previous check's candidate region
+	attempt attempt     // the re-solve under way, or the last one
+	fl      flight      // the attempt in flight, if any
 	// observe, when non-nil, is called on the attempt's goroutine with every
-	// schedule a patch was spliced into, before the sweeps run on it: the
-	// schedule, the attempt's rates, the region's edges and the solve's
-	// report. Only tests set it, to hold each patch to their oracles.
-	observe func(s *core.Schedule, r *workload.Rates, region []graph.EdgeID, rep solver.Report)
+	// schedule a patch was spliced into, before refine runs on it: the
+	// schedule, the attempt's rates and the solve's report. Only tests set
+	// it, to hold each patch to their oracles.
+	observe func(s *core.Schedule, r *workload.Rates, rep solver.Report)
 	stats   Stats
 	inst    daemonInstruments
 }
@@ -301,7 +295,6 @@ var counterSeries = [...]struct {
 	{"online_drift_checks_total", func(s *Stats) int { return s.DriftChecks }},
 	{"online_region_extractions_total", func(s *Stats) int { return s.RegionExtractions }},
 	{"online_boundary_repairs_total", func(s *Stats) int { return s.BoundaryRepairs }},
-	{"online_amortized_total", func(s *Stats) int { return s.Amortized }},
 }
 
 // daemonInstruments is the daemon's view of a telemetry registry: the
@@ -361,11 +354,12 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("online: %w", err)
 	}
 	d := &Daemon{
-		cfg:      cfg.withDefaults(),
-		r:        r,
-		epoch:    s.Graph(),
-		dirt:     make([]float64, s.Graph().NumNodes()),
-		dirtiest: -1,
+		cfg:       cfg.withDefaults(),
+		r:         r,
+		maxRegion: maxRegionNodes,
+		epoch:     s.Graph(),
+		dirt:      make([]float64, s.Graph().NumNodes()),
+		dirtiest:  -1,
 	}
 	d.region.in = bitset.New(len(d.dirt))
 	d.inst = newDaemonInstruments(d.cfg.Metrics)
@@ -612,7 +606,7 @@ func (d *Daemon) extractRegion(seed graph.NodeID) {
 		rg.in.Clear(int(v))
 	}
 	rg.epoch, rg.seed = d.epoch, seed
-	rg.nodes = graph.KHop(d.epoch, []graph.NodeID{seed}, regionHops, d.cfg.MaxRegionNodes)
+	rg.nodes = graph.KHop(d.epoch, []graph.NodeID{seed}, regionHops, d.maxRegion)
 	for _, v := range rg.nodes {
 		rg.in.Set(int(v))
 	}
@@ -710,12 +704,12 @@ type attempt struct {
 	// cut cancels the solve under way; the rule calls it at most once and
 	// clears it when it does.
 	cut context.CancelFunc
-	// The patch as solved, after refine, after amortize — each with the
-	// lag's ops replayed onto it — and the incumbent, each priced over the
-	// whole live graph at the splice.
-	raw, refined, amortized, total float64
-	verdict                        string // accepted, reverted, dissolved, failed
-	backoff                        int    // the revert streak it leaves
+	// The patch as solved and after refine — each with the lag's ops
+	// replayed onto it — and the incumbent, each priced over the whole live
+	// graph at the splice.
+	raw, refined, total float64
+	verdict             string // accepted, reverted, dissolved, failed
+	backoff             int    // the revert streak it leaves
 }
 
 // onCommit runs the rule on one CHITCHAT commit and cuts the solve when
@@ -774,15 +768,15 @@ func errClass(err error) string {
 
 func (a *attempt) String() string {
 	return fmt.Sprintf("seed=%d nodes=%d edges=%d incumbent=%.1f hybrid=%.1f commits=%d saved=%.1f stopped=%s"+
-		" lag=%d raw=%.1f refined=%.1f amortized=%.1f total=%.1f verdict=%s backoff=%d",
+		" lag=%d raw=%.1f refined=%.1f total=%.1f verdict=%s backoff=%d",
 		a.seed, a.nodes, a.edges, a.incumbent, a.hybrid, a.commits, a.saved, a.stopped,
-		a.lag, a.raw, a.refined, a.amortized, a.total, a.verdict, a.backoff)
+		a.lag, a.raw, a.refined, a.total, a.verdict, a.backoff)
 }
 
 // flight is the Apply goroutine's handle on the attempt in flight, and
 // what the attempt's goroutine hands back. The goroutine writes the
 // results only before it closes done; the Apply goroutine reads them only
-// after, and leaves d.attempt and d.amortize alone while done is open.
+// after, and leaves d.attempt alone while done is open.
 type flight struct {
 	done    chan struct{}       // non-nil while an attempt is in flight
 	cancel  context.CancelFunc  // cuts its solve short
@@ -798,7 +792,6 @@ type flight struct {
 	wall     time.Duration // inside the regional solver
 	repairs  int           // the splice's boundary repairs
 	refined  refine.Result
-	amort    amortizeResult
 	m        *incremental.Maintainer // the patch, on the attempt's copy of the rates
 	panicked any
 }
@@ -836,7 +829,7 @@ func (d *Daemon) start(ctx context.Context) {
 
 // solve is the attempt's goroutine: the rebase of the frozen state, the
 // region's induced subgraph on it, the regional solve of that subgraph,
-// the patch's splice into the rebased schedule, the two sweeps and a
+// the patch's splice into the rebased schedule, the refine sweep and a
 // maintainer on the result, all on what start handed over. A panic is
 // kept for the splice to raise on the Apply goroutine.
 func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workload.Rates, nodes []graph.NodeID) {
@@ -899,29 +892,20 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 	st.end("repairs=%d", repairs)
 	fl.repairs = repairs
 	if d.observe != nil {
-		d.observe(liveS, r, region, fl.res.Report)
+		d.observe(liveS, r, fl.res.Report)
 	}
 	// The regional solver saw the region in isolation, so region edges
 	// whose free exterior coverage the extraction severed came back as
 	// direct service. The free-coverage sweep wins them back
-	// deterministically before the accept/revert decision, and the
-	// exterior-amortization sweep then prices support PURCHASES the
-	// isolated solve could not see: a pooled refund across the region's
-	// direct edges against supports the exterior schedule already pays
-	// for. Both only ever lower the patch cost, so a patch that loses
-	// afterwards would have lost anyway.
+	// deterministically before the accept/revert decision; it only ever
+	// lowers the patch cost, so a patch that loses afterwards would have
+	// lost anyway.
 	st = d.begin(fl.root.id, "refine", "")
 	refined, sup := refine.Pass(liveS, r)
 	st.end("recovered=%d", refined.Recovered)
-	fl.refined, fl.amort = refined, amortizeResult{}
-	if !d.noAmortize {
-		st = d.begin(fl.root.id, "amortize", "")
-		fl.amort = d.amortize.run(liveS, r, region, sup)
-		st.end("upgraded=%d", fl.amort.Upgraded)
-	}
-	// The support table refine took (from the splice's repair walk) and both
-	// sweeps kept current: the maintainer builds its dependency lists from
-	// it.
+	fl.refined = refined
+	// The support table refine took (from the splice's repair walk) and kept
+	// current: the maintainer builds its dependency lists from it.
 	liveS.KeepSupports(sup)
 	st = d.begin(fl.root.id, "rebuild", "")
 	fl.m = incremental.New(liveS, r)
@@ -1013,21 +997,18 @@ func (d *Daemon) decide() {
 	st.end("")
 
 	st = d.begin(root.id, "gate", "")
-	a.total, a.amortized = d.m.FreshCost(), m.FreshCost()
-	a.refined = a.amortized + fl.amort.Saved
+	a.total, a.refined = d.m.FreshCost(), m.FreshCost()
 	a.raw = a.refined + fl.refined.Saved
-	if a.amortized >= a.total {
-		st.end("incumbent=%.1f patch=%.1f revert", a.total, a.amortized)
+	if a.refined >= a.total {
+		st.end("incumbent=%.1f patch=%.1f revert", a.total, a.refined)
 		d.stats.Reverted++
 		d.revertStreak++
 		a.verdict = "reverted"
 		return
 	}
-	st.end("incumbent=%.1f patch=%.1f accept", a.total, a.amortized)
+	st.end("incumbent=%.1f patch=%.1f accept", a.total, a.refined)
 	a.verdict = "accepted"
 	d.stats.Resolves++
-	d.stats.Amortized += fl.amort.Upgraded
-	d.stats.AmortizedSaved += fl.amort.Saved
 	d.revertStreak = 0
 	m.OnRescue = d.onRescue
 	d.m, d.epoch = m, fl.epoch

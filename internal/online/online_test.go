@@ -37,13 +37,11 @@ func TestDaemonChurnValidAndCostExact(t *testing.T) {
 
 	t.Run("chitchat", func(t *testing.T) {
 		r := freshRates(g, base)
-		d, err := New(init.Clone(), r, Config{
-			MaxRegionNodes: 120,
-			DriftThreshold: 0.1,
-		})
+		d, err := New(init.Clone(), r, Config{DriftThreshold: 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.maxRegion = 120
 		if err := d.ApplyTrace(trace); err != nil {
 			t.Fatal(err)
 		}
@@ -74,13 +72,13 @@ func TestDaemonRecoversFromDegradedSchedule(t *testing.T) {
 
 	d, err := New(seed, r, Config{
 		DriftThreshold: 0.05,
-		MaxRegionNodes: 150,
 		BudgetFraction: -1, // the point here is recovery, not the budget
 		ChitChat:       chitchat.Config{Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.maxRegion = 150
 	start := d.Cost()
 	if err := d.ApplyTrace(trace); err != nil {
 		t.Fatal(err)
@@ -172,10 +170,11 @@ func TestAcceptanceOnlineDaemon2k(t *testing.T) {
 
 	run := func() (*Daemon, []byte) {
 		r := freshRates(g, base)
-		d, err := New(init.Clone(), r, Config{MaxRegionNodes: 150})
+		d, err := New(init.Clone(), r, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.maxRegion = 150
 		if err := d.ApplyTrace(trace); err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"piggyback/internal/baseline"
 	"piggyback/internal/chitchat"
+	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/solver"
@@ -286,4 +287,79 @@ func TestSpliceFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// identitySolver hands back d's attempt's incumbent restricted to the
+// subgraph it is given — a patch of exactly incumbent quality, so any
+// accept the daemon makes with it is attributable to post-processing
+// alone. A region edge the incumbent covers through a hub outside the
+// region is one a patch over the subgraph cannot express: the patch serves
+// it directly, by the hybrid rule, and exterior counts it.
+type identitySolver struct {
+	d        *Daemon
+	exterior int // written on the attempt goroutine
+}
+
+func (*identitySolver) Name() string { return "identity" }
+
+func (s *identitySolver) Solve(_ context.Context, p solver.Problem) (*solver.Result, error) {
+	// While an attempt is in flight its frozen state and the remembered
+	// region's nodes are the ones it started from.
+	liveG, liveS := s.d.fl.frozen.Rebase()
+	sub := graph.Induced(liveG, s.d.region.nodes)
+	if !slices.Equal(sub.G.EdgeList(), p.Graph.EdgeList()) || sub.NumNodes() != p.Graph.NumNodes() {
+		return nil, errors.New("identity: the problem is not the attempt's region")
+	}
+	patch := core.NewSchedule(p.Graph)
+	for le, e := range sub.GlobalEdge {
+		le := graph.EdgeID(le)
+		if liveS.IsPush(e) {
+			patch.SetPush(le)
+		}
+		if liveS.IsPull(e) {
+			patch.SetPull(le)
+		}
+		if liveS.IsCovered(e) {
+			if w, ok := sub.Local(liveS.Hub(e)); ok {
+				patch.SetCovered(le, w)
+			} else {
+				s.exterior++
+			}
+		}
+	}
+	patch.Finalize(p.Rates)
+	return &solver.Result{Schedule: patch, Report: solver.Report{Solver: "identity", Iterations: 1}}, nil
+}
+
+// A region edge covered through a hub the region's cap left outside: hub 2
+// covers 0→1, and the region around node 1, capped at two nodes, is {0, 1}.
+// The identity patch must serve the edge directly, and the spliced schedule
+// must pass every patch oracle.
+func TestIdentityPatchServesExteriorCoverage(t *testing.T) {
+	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 2, To: 1}})
+	r := &workload.Rates{Prod: []float64{1, 1, 1}, Cons: []float64{1, 1, 1}}
+	s := core.NewSchedule(g)
+	e01, _ := g.EdgeID(0, 1)
+	e02, _ := g.EdgeID(0, 2)
+	e21, _ := g.EdgeID(2, 1)
+	s.SetPush(e02)
+	s.SetPull(e21)
+	s.SetCovered(e01, 2)
+	id := &identitySolver{}
+	d, err := New(s, r, Config{DriftThreshold: 1e-9, CheckEvery: 1, BudgetFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.maxRegion = 2
+	ob := &patchOracles{f: &findings{by: map[string][]string{}}}
+	id.d, d.regional, d.observe = d, id, ob.observe
+	if err := d.ApplyTrace([]workload.ChurnOp{{Kind: workload.OpRates, U: 1, Prod: 1, Cons: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Resolves+st.Reverted != 1 || id.exterior != 1 {
+		t.Fatalf("want one re-solve meeting one exterior-covered edge: %d, stats %+v", id.exterior, st)
+	}
+	for o, fs := range ob.f.by {
+		t.Errorf("%s oracle: %s", o, fs[0])
+	}
 }

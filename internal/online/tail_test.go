@@ -22,19 +22,16 @@ import (
 //
 //	splice    core.ApplyPatch: the splice and its repair walk
 //	refine    refine.Pass, on the table the repair hands over
-//	amortize  the amortizer over the region, on the table refine returns
-//	rebuild   incremental.New, on the table both sweeps kept current
+//	rebuild   incremental.New, on the table refine kept current
 func BenchmarkAttemptTail(b *testing.B) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
 	r := workload.LogDegree(g, 5)
 	base := nosy.Solve(g, r, nosy.Config{}).Schedule
 	sub := graph.Induced(g, graph.KHop(g, []graph.NodeID{1000}, 2, 768))
 	patch := chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{})
-	var a amortizer
 	const (
 		splice = iota
 		refined
-		amortized
 		rebuilt
 	)
 	// tail runs the steps from..to-1 on s. Each leaves the support table on
@@ -49,10 +46,6 @@ func BenchmarkAttemptTail(b *testing.B) {
 			case refined:
 				_, sup := refine.Pass(s, r)
 				s.KeepSupports(sup)
-			case amortized:
-				sup := s.TakeSupports()
-				a.run(s, r, sub.GlobalEdge, sup)
-				s.KeepSupports(sup)
 			case rebuilt:
 				incremental.New(s, r)
 			}
@@ -64,8 +57,7 @@ func BenchmarkAttemptTail(b *testing.B) {
 	}{
 		{"all", splice, rebuilt + 1},
 		{"splice", splice, refined},
-		{"refine", refined, amortized},
-		{"amortize", amortized, rebuilt},
+		{"refine", refined, rebuilt},
 		{"rebuild", rebuilt, rebuilt + 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -64,7 +64,7 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		"online_resolves_total", "online_reverted_total",
 		"online_solver_errors_total", "online_region_edges_total",
 		"online_drift_checks_total", "online_region_extractions_total",
-		"online_boundary_repairs_total", "online_amortized_total",
+		"online_boundary_repairs_total",
 		"online_cost", "online_resolve_wall_seconds_total",
 		"online_region_size", "online_stall_seconds", "online_apply_seconds",
 	} {
@@ -96,7 +96,6 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		"online_region_extractions_total": st.RegionExtractions,
 		"online_solver_errors_total":      st.SolverErrors,
 		"online_boundary_repairs_total":   st.BoundaryRepairs,
-		"online_amortized_total":          st.Amortized,
 	} {
 		m, ok := snap.Get(name)
 		if !ok || int(m.Value) != want {
@@ -136,12 +135,12 @@ func TestDaemonDecisionRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"seed=53 nodes=80 edges=2187 incumbent=2933.1 hybrid=9950.6 commits=231 saved=7017.5 stopped=exhausted lag=8 raw=2929.6 refined=2929.6 amortized=2929.6 total=2929.6 verdict=reverted backoff=1",
-		"seed=9 nodes=80 edges=2189 incumbent=2921.3 hybrid=9836.0 commits=232 saved=6910.8 stopped=exhausted lag=8 raw=2900.2 refined=2895.0 amortized=2895.0 total=2896.4 verdict=accepted backoff=0",
-		"seed=15 nodes=80 edges=2189 incumbent=2895.0 hybrid=9833.0 commits=233 saved=6932.8 stopped=exhausted lag=8 raw=2893.2 refined=2888.0 amortized=2888.0 total=2888.0 verdict=reverted backoff=1",
-		"seed=3 nodes=80 edges=2184 incumbent=2940.6 hybrid=9624.8 commits=128 saved=6757.6 stopped=early lag=8 raw=2879.7 refined=2879.7 amortized=2879.7 total=2961.7 verdict=accepted backoff=0",
-		"seed=7 nodes=80 edges=2184 incumbent=2879.7 hybrid=9812.1 commits=214 saved=6926.8 stopped=exhausted lag=8 raw=2889.4 refined=2889.4 amortized=2889.4 total=2883.7 verdict=reverted backoff=1",
-		"seed=29 nodes=80 edges=2177 incumbent=3062.2 hybrid=9891.5 commits=269 saved=6779.4 stopped=exhausted lag=8 raw=3101.4 refined=3089.0 amortized=3089.0 total=3051.4 verdict=reverted backoff=2",
+		"seed=53 nodes=80 edges=2187 incumbent=2933.1 hybrid=9950.6 commits=231 saved=7017.5 stopped=exhausted lag=8 raw=2929.6 refined=2929.6 total=2929.6 verdict=reverted backoff=1",
+		"seed=9 nodes=80 edges=2189 incumbent=2921.3 hybrid=9836.0 commits=232 saved=6910.8 stopped=exhausted lag=8 raw=2900.2 refined=2895.0 total=2896.4 verdict=accepted backoff=0",
+		"seed=15 nodes=80 edges=2189 incumbent=2895.0 hybrid=9833.0 commits=233 saved=6932.8 stopped=exhausted lag=8 raw=2893.2 refined=2888.0 total=2888.0 verdict=reverted backoff=1",
+		"seed=3 nodes=80 edges=2184 incumbent=2940.6 hybrid=9624.8 commits=128 saved=6757.6 stopped=early lag=8 raw=2879.7 refined=2879.7 total=2961.7 verdict=accepted backoff=0",
+		"seed=7 nodes=80 edges=2184 incumbent=2879.7 hybrid=9812.1 commits=214 saved=6926.8 stopped=exhausted lag=8 raw=2889.4 refined=2889.4 total=2883.7 verdict=reverted backoff=1",
+		"seed=29 nodes=80 edges=2177 incumbent=3062.2 hybrid=9891.5 commits=269 saved=6779.4 stopped=exhausted lag=8 raw=3101.4 refined=3089.0 total=3051.4 verdict=reverted backoff=2",
 	}
 	got := ev.Attrs("resolve")
 	if len(got) != len(want) {

@@ -32,9 +32,9 @@ type Result struct {
 //
 // Alongside the result it returns the support table it ends with, taken
 // from s (core.Schedule.TakeSupports) and kept current as it covers:
-// Pinned[e] is the number of covered edges whose hub support is e. Only
-// an edge with Pinned == 0 and no coverage role may have its direct flags
-// cleared, which a later sweep (the online daemon's amortizer) must know.
+// Pinned[e] is the number of covered edges whose hub support is e. The
+// online daemon hands it on to incremental.New (core.Schedule.KeepSupports),
+// so the maintainer built on the refined patch walks no supports again.
 func Pass(s *core.Schedule, r *workload.Rates) (Result, core.Supports) {
 	g := s.Graph()
 	n := g.NumNodes()

@@ -19,7 +19,7 @@ const (
 	// FlashCrowd is the celebrity flash crowd: the hottest producer's
 	// rates spike ~1000× mid-trace while a follower crowd piles in, then
 	// decay back. It stresses push/pull choices priced at pre-spike
-	// rates, and exterior hub amortization.
+	// rates, and hub coverage of the crowd's new edges.
 	FlashCrowd = "flashcrowd"
 	// Diurnal is the rate wave: user activity swings ±80% on a
 	// timezone-staggered triangle wave, two full cycles per trace. It
@@ -52,8 +52,8 @@ const (
 // ×0.82 per step back to base while part of the crowd unfollows. The
 // crowd is drawn follower-of-follower (v follows c where some w has
 // c → w and w → v live), so the new edges share candidate cover hubs
-// with the pre-spike schedule — the structure exterior-amortized
-// region pricing exists to exploit.
+// with the pre-spike schedule: coverage the maintainer's adds and the
+// refine sweep after a re-solve can take for free.
 func GenFlashCrowd(g *graph.Graph, r *workload.Rates, p Params) []workload.ChurnOp {
 	b := newBuilder(FlashCrowd, g, r, p)
 	if b.want <= 0 || b.n < 4 {
