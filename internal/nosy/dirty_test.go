@@ -47,23 +47,18 @@ func dirtyCases(seeds int64) []dirtyCase {
 }
 
 // cleanSlotsMatchFresh is the exactness oracle: every hub edge NOT in the
-// dirty set must hold, in its cached slot, exactly what evaluating it now
-// returns — same candidacy, bit-identical gain, same producers in the
-// same order. It goes through EvalCandidateReuse itself, so an edit that
-// makes an evaluation read a flag Commit does not propagate shows up here
-// as a stale clean slot.
+// dirty set must hold, in its span and gain slot, exactly what a fresh,
+// never-compacted evaluation returns now — same candidacy, bit-identical
+// gain, same producers in the same order (slotMatchesFresh). An edit that
+// makes an evaluation read a flag Commit does not propagate, or compact
+// on a different filter, shows up here as a stale clean slot.
 func cleanSlotsMatchFresh(st *state) error {
-	var fresh Candidate
 	for e := 0; e < st.ev.g.NumEdges(); e++ {
 		if st.dirty.Test(e) {
 			continue
 		}
-		ok := st.ev.EvalCandidateReuse(graph.EdgeID(e), &fresh)
-		if ok != st.isCand.Test(e) {
-			return fmt.Errorf("clean hub edge %d: cached candidacy %v, fresh %v", e, st.isCand.Test(e), ok)
-		}
-		if ok && !sameCandidate(*st.cands[e], fresh) {
-			return fmt.Errorf("clean hub edge %d: cached %+v, fresh %+v", e, *st.cands[e], fresh)
+		if err := slotMatchesFresh(st.ev, graph.EdgeID(e), st.isCand.Test(e), st.gain[e]); err != nil {
+			return fmt.Errorf("clean %v", err)
 		}
 	}
 	return nil
@@ -92,6 +87,70 @@ func TestDirtyPropagationExact(t *testing.T) {
 			t.Fatalf("%s: %d rounds, %d clean slots checked; the oracle never bit", tc.name, rounds, clean)
 		}
 	}
+}
+
+// TestCompactedSpansMatchFilter checks the compaction itself after every
+// round: every span is an ordered subsequence of its build-time
+// intersection (CommonInEdges under the same bound), and an uncovered hub
+// edge's span, filtered under the current flags, is that intersection
+// filtered under them — compaction never dropped a producer that could
+// pass again. A clean uncovered span is that filtered intersection
+// itself. Round 0 evaluates every hub edge, so every span has been
+// compacted at least once. Workers 2 fans evaluations out on these
+// graphs, so -race sees workers compacting the shared cache.
+func TestCompactedSpansMatchFilter(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(scaled(5000, 2400), seed))
+		r := workload.LogDegree(g, 5)
+		for _, cfg := range []Config{{Workers: 1, MaxCrossEdges: 3}, {Workers: 2, MaxCrossEdges: 3}, {Workers: 2}} {
+			name := fmt.Sprintf("seed%d/w%d/mx%d", seed, cfg.Workers, cfg.MaxCrossEdges)
+			var st *state
+			rounds, dropped := 0, 0
+			cfg.OnIteration = func(IterationStat) {
+				rounds++
+				ev := st.ev
+				for e := 0; e < g.NumEdges(); e++ {
+					he := graph.EdgeID(e)
+					ixs, ixw, ixy := g.CommonInEdges(ev.src[he], g.EdgeTarget(he), ev.cfg.MaxCrossEdges, nil, nil, nil)
+					xs, xw, xy := ev.structs.get(he)
+					if !isSubsequence(xs, xw, xy, ixs, ixw, ixy) {
+						t.Fatalf("%s round %d: hub edge %d: span %v %v %v is no ordered subsequence of %v %v %v",
+							name, rounds, e, xs, xw, xy, ixs, ixw, ixy)
+					}
+					dropped += len(ixs) - len(xs)
+					if ev.sched.IsCovered(he) {
+						continue
+					}
+					want := filtered(ev, ixs, ixw, ixy)
+					if got := filtered(ev, xs, xw, xy); !want.equal(got.xs, got.xw, got.xy) {
+						t.Fatalf("%s round %d: hub edge %d: span filters to %+v, intersection to %+v", name, rounds, e, got, want)
+					}
+					if !st.dirty.Test(e) && !want.equal(xs, xw, xy) {
+						t.Fatalf("%s round %d: clean hub edge %d: span %v %v %v, filtered intersection %+v", name, rounds, e, xs, xw, xy, want)
+					}
+				}
+			}
+			st = newState(NewEvaluator(g, r, cfg), cfg)
+			if _, err := st.run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if rounds < 2 || dropped == 0 {
+				t.Fatalf("%s: %d rounds, %d producers dropped; the oracle never bit", name, rounds, dropped)
+			}
+		}
+	}
+}
+
+// isSubsequence reports whether the triples (xs, xw, xy) appear in
+// (ixs, ixw, ixy) in the same order.
+func isSubsequence(xs []graph.NodeID, xw, xy []graph.EdgeID, ixs []graph.NodeID, ixw, ixy []graph.EdgeID) bool {
+	i := 0
+	for j := range ixs {
+		if i < len(xs) && xs[i] == ixs[j] && xw[i] == ixw[j] && xy[i] == ixy[j] {
+			i++
+		}
+	}
+	return i == len(xs)
 }
 
 // parentRuleDirty is the rule this package used before exact propagation:

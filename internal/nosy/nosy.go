@@ -24,9 +24,11 @@
 // one candidate — the MapReduce structure of the paper, on goroutines.
 //
 // A round costs what the previous round's commits can change, not the
-// graph: the immutable structural half of every evaluation is built once
-// per hub edge before round 0, on the workers, and kept (structCache);
-// phase 1 re-prices only the dirty set, and a commit dirties exactly the
+// graph: every hub edge's producer span is built once before round 0, on
+// the workers (structCache), and is that hub edge's candidate. An
+// evaluation compacts the span in place to the producers that pass its
+// filter and stores the gain per edge, so no producer list is copied.
+// Phase 1 re-prices only the dirty set, and a commit dirties exactly the
 // hub edges whose evaluation reads a flag it wrote (Evaluator.Commit;
 // DESIGN.md §15); round storage is reused, and a lock is one 8-byte word
 // a bid max-merges into. Evaluation fans out across workers when a
@@ -150,9 +152,9 @@ func (st *state) run(ctx context.Context) (iters []IterationStat, cause error) {
 // The structural half of an evaluation — the common-producer intersection
 // behind a hub edge — depends only on the immutable graph, so NewEvaluator
 // builds it for every hub edge into a structCache, and an evaluation is a
-// re-pricing pass over the stored flat arrays. Evaluations are safe for
-// concurrent use by goroutines evaluating distinct hub edges, as a round
-// does; the mutators are not.
+// re-pricing pass over the stored span that compacts it. Evaluations are
+// safe for concurrent use by goroutines evaluating distinct hub edges, as
+// a round does; the mutators are not.
 type Evaluator struct {
 	g       *graph.Graph
 	r       *workload.Rates
@@ -237,67 +239,42 @@ func (ev *Evaluator) ApplyCover(e graph.EdgeID, hub graph.NodeID) {
 // Schedule returns the mutable schedule under optimization.
 func (ev *Evaluator) Schedule() *core.Schedule { return ev.sched }
 
-// Candidate is a profitable hub-graph G(X, w, y) from phase 1. HubEdge
-// (the edge w → y) doubles as the candidate's identity.
-type Candidate struct {
-	HubEdge graph.EdgeID
-	W, Y    graph.NodeID
-	Gain    float64
-	Xs      []graph.NodeID // producers; parallel arrays below
-	XWEdges []graph.EdgeID // x → w
-	XYEdges []graph.EdgeID // x → y
-}
-
-// EvalCandidate builds the hub-graph for hub edge he = (w → y) and prices
-// it against the snapshot, per the phase-1 rules of Algorithm 2. It
-// returns false if the hub-graph offers no positive gain.
-func (ev *Evaluator) EvalCandidate(he graph.EdgeID) (Candidate, bool) {
-	var c Candidate
-	if !ev.EvalCandidateReuse(he, &c) {
-		return Candidate{}, false
-	}
-	return c, true
-}
-
-// EvalCandidateReuse prices hub edge he into *c, reusing c's producer
-// slices so a steady-state re-evaluation allocates nothing. On true, c is
-// fully populated; on false, c's contents are unspecified. The structural
-// intersection comes from the structCache; only the pricing pass reads
-// the schedule.
-func (ev *Evaluator) EvalCandidateReuse(he graph.EdgeID, c *Candidate) bool {
+// eval prices hub edge he = (w → y) against the snapshot, per the
+// phase-1 rules of Algorithm 2, and compacts its span in place: the
+// producers that pass the filter move to the front, in order, and the
+// record keeps their count. It returns the gain and whether the hub-graph
+// offers a positive one; the span is then the candidate's producer list.
+// Both filters read flags that only gain bits during a solve, so a
+// dropped producer could never pass again (DESIGN.md §15).
+func (ev *Evaluator) eval(he graph.EdgeID) (float64, bool) {
 	s := ev.sched
 	if s.IsCovered(he) {
-		return false
+		return 0, false
 	}
-	w := ev.src[he]
-	y := ev.g.EdgeTarget(he)
-	xs, xwIDs, xyIDs := ev.structs.get(he)
-	if len(xs) == 0 {
-		return false
-	}
-	c.HubEdge, c.W, c.Y = he, w, y
-	c.Xs, c.XWEdges, c.XYEdges = c.Xs[:0], c.XWEdges[:0], c.XYEdges[:0]
+	xs, xw, xy := ev.structs.get(he)
+	n := 0
 	var saved, cost float64
 	for i, x := range xs {
-		xw, xy := xwIDs[i], xyIDs[i]
-		if s.IsCovered(xw) {
+		if s.IsCovered(xw[i]) {
 			continue // don't undo an earlier hub that covers x → w
 		}
-		if s.IsScheduled(xy) {
+		if s.IsScheduled(xy[i]) {
 			continue // cross-edge already served; covering it is useless
 		}
-		saved += ev.cstar[xy]
-		cost += ev.pushCost(xw, x)
-		c.Xs = append(c.Xs, x)
-		c.XWEdges = append(c.XWEdges, xw)
-		c.XYEdges = append(c.XYEdges, xy)
+		saved += ev.cstar[xy[i]]
+		cost += ev.pushCost(xw[i], x)
+		if n != i {
+			xs[n], xw[n], xy[n] = x, xw[i], xy[i]
+		}
+		n++
 	}
-	if len(c.Xs) == 0 {
-		return false
+	ev.structs.recs[he].n = int32(n)
+	if n == 0 {
+		return 0, false
 	}
-	cost += ev.pullCost(he, y)
-	c.Gain = saved - cost
-	return c.Gain > 0
+	cost += ev.pullCost(he, ev.g.EdgeTarget(he))
+	gain := saved - cost
+	return gain, gain > 0
 }
 
 // pushCost is c_X(x → w): the extra cost of making the edge a push.
@@ -326,20 +303,21 @@ func (ev *Evaluator) pullCost(wy graph.EdgeID, y graph.NodeID) float64 {
 	}
 }
 
-// decideInto implements phase 3 for one candidate given the lock table:
-// the indices (into c.Xs) of the producers it commits are appended to buf
-// (which may be nil). It returns the extended buffer — truncated back to
-// its original length when the candidate does not commit — plus the
-// partial and commit flags. The pull edge w → y must be granted for any
-// commit.
-func decideInto(ev *Evaluator, c *Candidate, g lockGranter, buf []int32) ([]int32, bool, bool) {
-	if !g.granted(c.HubEdge) {
+// decideInto implements phase 3 for the candidate of hub edge he given
+// the lock table: the indices (into its span) of the producers it commits
+// are appended to buf (which may be nil). It returns the extended buffer
+// — truncated back to its original length when the candidate does not
+// commit — plus the partial and commit flags. The pull edge w → y must be
+// granted for any commit.
+func decideInto(ev *Evaluator, he graph.EdgeID, g lockGranter, buf []int32) ([]int32, bool, bool) {
+	if !g.granted(he) {
 		return buf, false, false
 	}
+	_, xw, xy := ev.structs.get(he)
 	lo := len(buf)
 	full := true
-	for j := range c.Xs {
-		if g.granted(c.XWEdges[j]) && g.granted(c.XYEdges[j]) {
+	for j := range xw {
+		if g.granted(xw[j]) && g.granted(xy[j]) {
 			buf = append(buf, int32(j))
 		} else {
 			full = false
@@ -348,31 +326,35 @@ func decideInto(ev *Evaluator, c *Candidate, g lockGranter, buf []int32) ([]int3
 	if full {
 		return buf, false, true
 	}
-	if ev.cfg.DisablePartialCommits || len(buf) == lo || ev.subsetGain(c, buf[lo:]) <= 0 {
+	if ev.cfg.DisablePartialCommits || len(buf) == lo || ev.subsetGain(he, buf[lo:]) <= 0 {
 		return buf[:lo], false, false
 	}
 	return buf, true, true
 }
 
-// subsetGain re-evaluates the sub-hub-graph G(X', w, y) restricted to the
-// producers keep (indices into c.Xs) against the same snapshot.
-func (ev *Evaluator) subsetGain(c *Candidate, keep []int32) float64 {
+// subsetGain re-evaluates the sub-hub-graph G(X', w, y) of hub edge he
+// restricted to the producers keep (indices into its span) against the
+// same snapshot.
+func (ev *Evaluator) subsetGain(he graph.EdgeID, keep []int32) float64 {
+	xs, xw, xy := ev.structs.get(he)
 	var saved, cost float64
 	for _, j := range keep {
-		saved += ev.cstar[c.XYEdges[j]]
-		cost += ev.pushCost(c.XWEdges[j], c.Xs[j])
+		saved += ev.cstar[xy[j]]
+		cost += ev.pushCost(xw[j], xs[j])
 	}
-	cost += ev.pullCost(c.HubEdge, c.Y)
+	cost += ev.pullCost(he, ev.g.EdgeTarget(he))
 	return saved - cost
 }
 
-// Apply commits the decided subset: pull on w → y, pushes x → w, and hub
-// coverage of the cross-edges. The running cost tracks every write.
-func (ev *Evaluator) Apply(c *Candidate, keep []int32) {
-	ev.ApplyPull(c.HubEdge)
+// Apply commits the decided subset of hub edge he's span: pull on w → y,
+// pushes x → w, and hub coverage of the cross-edges. The running cost
+// tracks every write.
+func (ev *Evaluator) Apply(he graph.EdgeID, keep []int32) {
+	_, xw, xy := ev.structs.get(he)
+	ev.ApplyPull(he)
 	for _, j := range keep {
-		ev.ApplyPush(c.XWEdges[j])
-		ev.ApplyCover(c.XYEdges[j], c.W)
+		ev.ApplyPush(xw[j])
+		ev.ApplyCover(xy[j], ev.src[he])
 	}
 }
 
@@ -390,31 +372,33 @@ func (ev *Evaluator) Apply(c *Candidate, keep []int32) {
 // the round's snapshot. Flags only gain bits during a solve, so a hub
 // edge that is covered (never a candidate again; dirtied by the commit
 // that covered it) is skipped.
-func (ev *Evaluator) Commit(c *Candidate, keep []int32, dirty *bitset.Set) {
+func (ev *Evaluator) Commit(he graph.EdgeID, keep []int32, dirty *bitset.Set) {
 	s := ev.sched
+	xs, xw, xy := ev.structs.get(he)
+	w, y := ev.src[he], ev.g.EdgeTarget(he)
 	ev.epoch++
 	changed := false
 	for _, j := range keep {
-		if xw := c.XWEdges[j]; !s.IsPush(xw) {
-			dirty.Set(int(xw))
-			ev.stampOut(c.Xs[j])
+		if !s.IsPush(xw[j]) {
+			dirty.Set(int(xw[j]))
+			ev.stampOut(xs[j])
 			changed = true
 		}
 	}
 	if changed {
-		ev.sweep(c.W, dirty)
+		ev.sweep(w, dirty)
 	}
 	ev.epoch++
-	if !s.IsPull(c.HubEdge) {
-		dirty.Set(int(c.HubEdge))
-		ev.stampOut(c.W)
+	if !s.IsPull(he) {
+		dirty.Set(int(he))
+		ev.stampOut(w)
 	}
 	for _, j := range keep {
-		dirty.Set(int(c.XYEdges[j]))
-		ev.stampOut(c.Xs[j])
+		dirty.Set(int(xy[j]))
+		ev.stampOut(xs[j])
 	}
-	ev.sweep(c.Y, dirty)
-	ev.Apply(c, keep)
+	ev.sweep(y, dirty)
+	ev.Apply(he, keep)
 }
 
 // stampOut marks the out-neighbours of a for the current epoch.
@@ -445,33 +429,25 @@ func (ev *Evaluator) sweep(b graph.NodeID, dirty *bitset.Set) {
 // cache: a hub edge is re-priced only in the round after a commit wrote
 // a flag its evaluation reads (Evaluator.Commit) —
 // the same observation behind the paper's pull-based update
-// dissemination between MapReduce iterations. All round-transient
-// storage (dirty list, candidate list, per-worker scratch, keep buffer)
-// is retained and reused, so a steady-state iteration allocates nothing
-// and, but for the lock table's clear, costs O(dirty + candidates).
+// dissemination between MapReduce iterations. A candidate is its hub
+// edge's compacted span plus its gain slot. All round-transient storage
+// (dirty list, candidate list, keep buffer) is retained and reused, so a
+// steady-state iteration allocates nothing and, but for the lock table's
+// clear, costs O(dirty + candidates).
 type state struct {
 	ev        *Evaluator
 	cfg       Config
-	locks     []uint64     // per edge, the best bid this round (lockWord); 0 = unclaimed
-	dirty     *bitset.Set  // hub edges whose evaluation may have changed
-	isCand    *bitset.Set  // hub edges whose cands slot holds a live candidate
-	cands     []*Candidate // per hub edge, allocated on first candidacy, then reused
-	dirtyList []int32      // reused scratch: this round's dirty edges
+	locks     []uint64    // per edge, the best bid this round (lockWord); 0 = unclaimed
+	dirty     *bitset.Set // hub edges whose evaluation may have changed
+	isCand    *bitset.Set // hub edges whose span and gain hold a live candidate
+	gain      []float64   // per hub edge, the gain of its last evaluation
+	dirtyList []int32     // reused scratch: this round's dirty edges
 	// evalOK holds one bit per dirtyList entry, set when the edge passed
-	// the gain test: word i covers the workBatch entries of span i, and
-	// the worker that evaluated the span stores it once, at its end.
+	// the gain test: word i covers the workBatch entries of batch i, and
+	// the worker that evaluated the batch stores it once, at its end.
 	evalOK   []uint64
-	candList []*Candidate
-	keep     []int32         // reused scratch: the producers one decision keeps
-	scratch  []workerScratch // per worker: what an evaluation prices into
-}
-
-// workerScratch is one worker's pricing Candidate, padded so that no two
-// workers' scratch share a cache line: an evaluation rewrites the slice
-// headers on every producer it appends.
-type workerScratch struct {
-	Candidate
-	_ [64]byte
+	candList []int32 // reused scratch: this round's candidates, by hub edge
+	keep     []int32 // reused scratch: the producers one decision keeps
 }
 
 // newState builds the solver state Solve iterates on: all-unclaimed lock
@@ -482,36 +458,25 @@ func newState(ev *Evaluator, cfg Config) *state {
 	}
 	m := ev.g.NumEdges()
 	st := &state{
-		ev:      ev,
-		cfg:     cfg,
-		locks:   make([]uint64, m),
-		dirty:   bitset.New(m),
-		isCand:  bitset.New(m),
-		cands:   make([]*Candidate, m),
-		scratch: make([]workerScratch, cfg.Workers),
+		ev:     ev,
+		cfg:    cfg,
+		locks:  make([]uint64, m),
+		dirty:  bitset.New(m),
+		isCand: bitset.New(m),
+		gain:   make([]float64, m),
 	}
 	st.dirty.SetAll()
 	return st
 }
 
-// copyFrom overwrites c with a deep copy of sc, reusing c's capacity.
-// Evaluations price into a per-worker scratch Candidate and only those
-// passing the gain test are copied to their per-edge slot, so an edge
-// that is never a candidate costs one nil pointer, not producer slices.
-func (c *Candidate) copyFrom(sc *Candidate) {
-	c.HubEdge, c.W, c.Y, c.Gain = sc.HubEdge, sc.W, sc.Y, sc.Gain
-	c.Xs = append(c.Xs[:0], sc.Xs...)
-	c.XWEdges = append(c.XWEdges[:0], sc.XWEdges...)
-	c.XYEdges = append(c.XYEdges[:0], sc.XYEdges...)
-}
-
-// lockWord packs candidate c's bid into one word: the float32 bits of
-// its gain above the complement of its hub-edge id. Gains are positive,
-// so a larger word is a larger float32 gain or, between equal gains, a
-// lower hub edge — the lock order, up to the float32 rounding bid settles
-// exactly. No candidate's word is 0, the unclaimed word.
-func lockWord(c *Candidate) uint64 {
-	return uint64(math.Float32bits(float32(c.Gain)))<<32 | uint64(^uint32(c.HubEdge))
+// lockWord packs the bid of hub edge he's candidate, whose gain is gain,
+// into one word: the float32 bits of the gain above the complement of
+// he. Gains are positive, so a larger word is a larger float32 gain or,
+// between equal gains, a lower hub edge — the lock order, up to the
+// float32 rounding bid settles exactly. No candidate's word is 0, the
+// unclaimed word.
+func lockWord(gain float64, he graph.EdgeID) uint64 {
+	return uint64(math.Float32bits(float32(gain)))<<32 | uint64(^uint32(he))
 }
 
 // lockOwner is the hub edge whose bid w is.
@@ -574,11 +539,11 @@ func fanOut(nw, n int, fn func(lo, hi, wk int)) {
 }
 
 // phaseCandidates re-evaluates exactly the dirty hub edges, then returns
-// the full current candidate list (cached entries for clean edges, fresh
-// ones for dirty edges) in hub-edge order. Workers write only per-edge
-// slots and per-item results; the bitsets are updated afterwards by the
-// caller alone.
-func (st *state) phaseCandidates() []*Candidate {
+// the full current candidate list (clean candidates as they stand, dirty
+// edges freshly evaluated) in hub-edge order. Workers write only their
+// edges' spans and gain slots and per-item results; the bitsets are
+// updated afterwards by the caller alone.
+func (st *state) phaseCandidates() []int32 {
 	st.dirtyList = st.dirty.AppendSet(st.dirtyList[:0])
 	list := st.dirtyList
 	words := (len(list) + workBatch - 1) / workBatch
@@ -586,24 +551,17 @@ func (st *state) phaseCandidates() []*Candidate {
 		st.evalOK = make([]uint64, words)
 	}
 	ok := st.evalOK[:words]
-	fanOut(min(st.cfg.Workers, len(list)/workerShare), len(list), func(lo, hi, wk int) {
-		sc := &st.scratch[wk].Candidate
-		for span := lo; span < hi; span += workBatch {
+	fanOut(min(st.cfg.Workers, len(list)/workerShare), len(list), func(lo, hi, _ int) {
+		for b := lo; b < hi; b += workBatch {
 			var bits uint64
-			for i := span; i < min(span+workBatch, hi); i++ {
+			for i := b; i < min(b+workBatch, hi); i++ {
 				e := list[i]
-				if !st.ev.EvalCandidateReuse(graph.EdgeID(e), sc) {
-					continue
+				if gain, pass := st.ev.eval(graph.EdgeID(e)); pass {
+					st.gain[e] = gain
+					bits |= 1 << (i - b)
 				}
-				bits |= 1 << (i - span)
-				c := st.cands[e]
-				if c == nil {
-					c = &Candidate{}
-					st.cands[e] = c
-				}
-				c.copyFrom(sc)
 			}
-			ok[span/workBatch] = bits
+			ok[b/workBatch] = bits
 		}
 	})
 	for i, e := range list {
@@ -614,11 +572,7 @@ func (st *state) phaseCandidates() []*Candidate {
 			st.isCand.Clear(int(e))
 		}
 	}
-	st.candList = st.candList[:0]
-	st.isCand.Range(func(e int) bool {
-		st.candList = append(st.candList, st.cands[e])
-		return true
-	})
+	st.candList = st.isCand.AppendSet(st.candList[:0])
 	return st.candList
 }
 
@@ -627,26 +581,29 @@ func (st *state) phaseCandidates() []*Candidate {
 // candidate order: the phase is a scattered max-merge into the lock
 // table, and sharing that table between bidders cost more in
 // synchronization than the second bidder saved (DESIGN.md §15).
-func (st *state) phaseLocks(cands []*Candidate) {
-	for _, c := range cands {
-		w := lockWord(c)
-		st.bid(c.HubEdge, w, c)
-		for j := range c.Xs {
-			st.bid(c.XWEdges[j], w, c)
-			st.bid(c.XYEdges[j], w, c)
+func (st *state) phaseLocks(cands []int32) {
+	for _, e := range cands {
+		he := graph.EdgeID(e)
+		gain := st.gain[he]
+		w := lockWord(gain, he)
+		st.bid(he, w, gain)
+		_, xw, xy := st.ev.structs.get(he)
+		for j := range xw {
+			st.bid(xw[j], w, gain)
+			st.bid(xy[j], w, gain)
 		}
 	}
 }
 
-// bid offers candidate c, whose lockWord is w, for lock e: the larger
-// word wins, unless the two bids round to the same float32 gain, where
-// the exact float64 gains decide and only equal ones fall through to the
-// word (lowest hub edge).
-func (st *state) bid(e graph.EdgeID, w uint64, c *Candidate) {
+// bid offers a candidate whose gain is gain and lockWord w for lock e:
+// the larger word wins, unless the two bids round to the same float32
+// gain, where the exact float64 gains decide and only equal ones fall
+// through to the word (lowest hub edge).
+func (st *state) bid(e graph.EdgeID, w uint64, gain float64) {
 	cur := st.locks[e]
 	if cur>>32 == w>>32 && cur != 0 {
-		if g := st.cands[lockOwner(cur)].Gain; c.Gain != g {
-			if c.Gain > g {
+		if g := st.gain[lockOwner(cur)]; gain != g {
+			if gain > g {
 				st.locks[e] = w
 			}
 			return
@@ -673,16 +630,17 @@ func (lg lockGranter) granted(e graph.EdgeID) bool { return lg.locks[e] == lg.wo
 // the next round before it writes. The phase stays on one goroutine: it
 // is reads of the lock table the bidder just wrote, and a second core
 // bought nothing measurable (DESIGN.md §15).
-func (st *state) phaseDecide(cands []*Candidate) IterationStat {
+func (st *state) phaseDecide(cands []int32) IterationStat {
 	stat := IterationStat{Candidates: len(cands)}
-	for _, c := range cands {
-		lg := lockGranter{locks: st.locks, word: lockWord(c)}
-		keep, partial, ok := decideInto(st.ev, c, lg, st.keep[:0])
+	for _, e := range cands {
+		he := graph.EdgeID(e)
+		lg := lockGranter{locks: st.locks, word: lockWord(st.gain[he], he)}
+		keep, partial, ok := decideInto(st.ev, he, lg, st.keep[:0])
 		st.keep = keep
 		if !ok {
 			continue
 		}
-		st.ev.Commit(c, keep, st.dirty)
+		st.ev.Commit(he, keep, st.dirty)
 		if partial {
 			stat.PartialCommits++
 		} else {

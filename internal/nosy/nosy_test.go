@@ -2,6 +2,7 @@ package nosy
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -169,63 +170,78 @@ func TestEmptyGraph(t *testing.T) {
 	}
 }
 
-// freshEvalReference prices hub edge he with the structural intersection
-// recomputed from the graph — the pre-cache EvalCandidate, kept as the
-// oracle the memoized path must match forever.
-func freshEvalReference(ev *Evaluator, he graph.EdgeID) (Candidate, bool) {
-	s := ev.sched
-	if s.IsCovered(he) {
-		return Candidate{}, false
-	}
-	w := ev.src[he]
-	y := ev.g.EdgeTarget(he)
-	xs, xwIDs, xyIDs := ev.g.CommonInEdges(w, y, ev.cfg.MaxCrossEdges, nil, nil, nil)
-	if len(xs) == 0 {
-		return Candidate{}, false
-	}
-	c := Candidate{HubEdge: he, W: w, Y: y}
-	var saved, cost float64
+// producers is a hub edge's producer list: x, x → w and x → y per index.
+type producers struct {
+	xs     []graph.NodeID
+	xw, xy []graph.EdgeID
+}
+
+func (p producers) equal(xs []graph.NodeID, xw, xy []graph.EdgeID) bool {
+	return slices.Equal(p.xs, xs) && slices.Equal(p.xw, xw) && slices.Equal(p.xy, xy)
+}
+
+// filtered returns the producers of (xs, xw, xy) that pass phase 1's
+// filter under the current flags, in order.
+func filtered(ev *Evaluator, xs []graph.NodeID, xw, xy []graph.EdgeID) producers {
+	var p producers
 	for i, x := range xs {
-		xw, xy := xwIDs[i], xyIDs[i]
-		if s.IsCovered(xw) || s.IsScheduled(xy) {
+		if ev.sched.IsCovered(xw[i]) || ev.sched.IsScheduled(xy[i]) {
 			continue
 		}
-		saved += ev.cstar[xy]
-		cost += ev.pushCost(xw, x)
-		c.Xs = append(c.Xs, x)
-		c.XWEdges = append(c.XWEdges, xw)
-		c.XYEdges = append(c.XYEdges, xy)
+		p.xs, p.xw, p.xy = append(p.xs, x), append(p.xw, xw[i]), append(p.xy, xy[i])
 	}
-	if len(c.Xs) == 0 {
-		return Candidate{}, false
+	return p
+}
+
+// freshEvalReference prices hub edge he with the structural intersection
+// recomputed from the graph and never compacted — the pre-cache
+// evaluation, kept as the oracle the compacting one must match forever.
+// It returns the filtered producers and the gain of an uncovered hub
+// edge, and whether that is a candidate.
+func freshEvalReference(ev *Evaluator, he graph.EdgeID) (producers, float64, bool) {
+	if ev.sched.IsCovered(he) {
+		return producers{}, 0, false
+	}
+	y := ev.g.EdgeTarget(he)
+	xs, xw, xy := ev.g.CommonInEdges(ev.src[he], y, ev.cfg.MaxCrossEdges, nil, nil, nil)
+	p := filtered(ev, xs, xw, xy)
+	if len(p.xs) == 0 {
+		return p, 0, false
+	}
+	var saved, cost float64
+	for i, x := range p.xs {
+		saved += ev.cstar[p.xy[i]]
+		cost += ev.pushCost(p.xw[i], x)
 	}
 	cost += ev.pullCost(he, y)
-	c.Gain = saved - cost
-	if c.Gain <= 0 {
-		return Candidate{}, false
-	}
-	return c, true
+	gain := saved - cost
+	return p, gain, gain > 0
 }
 
-func sameCandidate(a, b Candidate) bool {
-	if a.HubEdge != b.HubEdge || a.W != b.W || a.Y != b.Y || a.Gain != b.Gain ||
-		len(a.Xs) != len(b.Xs) {
-		return false
+// slotMatchesFresh compares hub edge he's compacted span, candidacy and
+// gain bits with freshEvalReference. An uncovered hub edge's span must be
+// the fresh producer list whether or not it is a candidate; a covered
+// one's is never compacted again and is not compared.
+func slotMatchesFresh(ev *Evaluator, he graph.EdgeID, isCand bool, gain float64) error {
+	want, wantGain, wantCand := freshEvalReference(ev, he)
+	if isCand != wantCand {
+		return fmt.Errorf("hub edge %d: candidacy %v, fresh %v", he, isCand, wantCand)
 	}
-	for i := range a.Xs {
-		if a.Xs[i] != b.Xs[i] || a.XWEdges[i] != b.XWEdges[i] || a.XYEdges[i] != b.XYEdges[i] {
-			return false
-		}
+	if isCand && gain != wantGain {
+		return fmt.Errorf("hub edge %d: gain %v, fresh %v", he, gain, wantGain)
 	}
-	return true
+	if xs, xw, xy := ev.structs.get(he); !ev.sched.IsCovered(he) && !want.equal(xs, xw, xy) {
+		return fmt.Errorf("hub edge %d: span %v %v %v, fresh %+v", he, xs, xw, xy, want)
+	}
+	return nil
 }
 
-// Property pinning the structural cache: on random graphs, under
-// arbitrary interleavings of hub commits and direct schedule writes, a
-// cached-candidate re-pricing is exactly a fresh EvalCandidate — same
-// producers in the same order, bit-identical gain. The first pass over
-// the edges computes and stores every intersection, later passes read
-// the stored ones.
+// Property pinning the compacted spans: on random graphs, under arbitrary
+// interleavings of hub commits and direct schedule writes, evaluating a
+// hub edge leaves its span equal to the fresh, never-compacted filter of
+// its intersection — same producers in the same order — and returns the
+// fresh candidacy and bit-identical gain. Every pass evaluates every hub
+// edge, so later passes walk spans earlier ones compacted.
 func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -240,29 +256,28 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 		r := workload.LogDegree(g, 0.5+rng.Float64()*10)
 		ev := NewEvaluator(g, r, Config{Workers: 1})
 		for round := 0; round < 8; round++ {
+			var cands []graph.EdgeID
 			for e := 0; e < g.NumEdges(); e++ {
 				he := graph.EdgeID(e)
-				got, okGot := ev.EvalCandidate(he)
-				want, okWant := freshEvalReference(ev, he)
-				if okGot != okWant || (okGot && !sameCandidate(got, want)) {
+				gain, ok := ev.eval(he)
+				if err := slotMatchesFresh(ev, he, ok, gain); err != nil {
+					t.Logf("seed %d round %d: %v", seed, round, err)
 					return false
 				}
-			}
-			// Mutate the schedule: commit a random surviving candidate in
-			// full, plus a couple of direct push/pull writes.
-			var cands []Candidate
-			for e := 0; e < g.NumEdges(); e++ {
-				if c, ok := ev.EvalCandidate(graph.EdgeID(e)); ok {
-					cands = append(cands, c)
+				if ok {
+					cands = append(cands, he)
 				}
 			}
+			// Mutate the schedule: commit a random candidate in full, plus
+			// a couple of direct push/pull writes.
 			if len(cands) > 0 {
-				c := cands[rng.Intn(len(cands))]
-				keep := make([]int32, len(c.Xs))
+				he := cands[rng.Intn(len(cands))]
+				xs, _, _ := ev.structs.get(he)
+				keep := make([]int32, len(xs))
 				for i := range keep {
 					keep[i] = int32(i)
 				}
-				ev.Apply(&c, keep)
+				ev.Apply(he, keep)
 			}
 			for k := 0; k < 2; k++ {
 				e := graph.EdgeID(rng.Intn(g.NumEdges()))
@@ -281,14 +296,15 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 }
 
 // TestStructCacheComputedOnce: the cache NewEvaluator builds holds one
-// record per hub edge, each equal to the intersection CommonInEdges
-// recomputes from the graph (uncapped, and capped at 4, which truncates
-// many), and each span stored once: the chunks hold exactly the entries
-// the records name, and a full solve stores nothing more. The arena is no
-// larger than what it stores plus one partly filled chunk per worker and,
-// for every other chunk, a tail shorter than the entry that retired it.
-// The build fans out at Workers 2 here, so -race also sees concurrent
-// workers.
+// record per hub edge, each equal before round 0 to the intersection
+// CommonInEdges recomputes from the graph (uncapped, and capped at 4,
+// which truncates many), and each span stored once: the chunks hold
+// exactly the entries the records name, and a full solve stores nothing
+// more — every record keeps its chunk and start, and compaction only
+// shortens it. The arena is no larger than what it stores plus one partly
+// filled chunk per worker and, for every other chunk, a tail shorter than
+// the entry that retired it. The build fans out at Workers 2 here, so
+// -race also sees concurrent workers.
 func TestStructCacheComputedOnce(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(400, 200), 11))
 	r := workload.LogDegree(g, 5)
@@ -327,17 +343,18 @@ func TestStructCacheComputedOnce(t *testing.T) {
 		if slack := capacity - stored; slack > cfg.Workers*chunkEntries+(len(chunks)-1)*(largest-1) {
 			t.Fatalf("mx%d: %d chunks hold %d entries in %d slots (largest entry %d)", cfg.MaxCrossEdges, len(chunks), stored, capacity, largest)
 		}
+		built := slices.Clone(ev.structs.recs)
 		st := newState(ev, cfg)
 		if _, err := st.run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		for e, rec := range ev.structs.recs {
-			if !chunks[rec.chunk] {
-				t.Fatalf("mx%d: hub edge %d: the solve stored a new intersection", cfg.MaxCrossEdges, e)
+			if b := built[e]; rec.chunk != b.chunk || rec.start != b.start || rec.n > b.n {
+				t.Fatalf("mx%d: hub edge %d: record %+v after the solve, %+v before", cfg.MaxCrossEdges, e, rec, b)
 			}
 		}
 		if n := used(); n != stored {
-			t.Fatalf("mx%d: after the solve chunks hold %d entries, records %d", cfg.MaxCrossEdges, n, stored)
+			t.Fatalf("mx%d: after the solve chunks hold %d entries, records built %d", cfg.MaxCrossEdges, n, stored)
 		}
 	}
 }
@@ -381,15 +398,19 @@ func TestLockWordTieBreak(t *testing.T) {
 	if float32(near) != float32(1) {
 		t.Fatal("the near gain must share float32 1's key")
 	}
+	type bid struct {
+		he   graph.EdgeID
+		gain float64
+	}
 	cases := []struct {
 		name string
-		bids []Candidate
+		bids []bid
 		want graph.EdgeID
 	}{
-		{"larger exact gain, higher hub edge", []Candidate{{HubEdge: 3, Gain: 1}, {HubEdge: 5, Gain: near}}, 5},
-		{"equal gains, lowest hub edge", []Candidate{{HubEdge: 7, Gain: near}, {HubEdge: 5, Gain: near}}, 5},
-		{"three on one key", []Candidate{{HubEdge: 2, Gain: 1}, {HubEdge: 9, Gain: near}, {HubEdge: 6, Gain: near}, {HubEdge: 4, Gain: 1}}, 6},
-		{"distinct keys, higher word", []Candidate{{HubEdge: 3, Gain: near}, {HubEdge: 8, Gain: 2}}, 8},
+		{"larger exact gain, higher hub edge", []bid{{3, 1}, {5, near}}, 5},
+		{"equal gains, lowest hub edge", []bid{{7, near}, {5, near}}, 5},
+		{"three on one key", []bid{{2, 1}, {9, near}, {6, near}, {4, 1}}, 6},
+		{"distinct keys, higher word", []bid{{3, near}, {8, 2}}, 8},
 	}
 	for _, tc := range cases {
 		for _, reverse := range []bool{false, true} {
@@ -397,25 +418,22 @@ func TestLockWordTieBreak(t *testing.T) {
 			if reverse {
 				slices.Reverse(bids)
 			}
-			st := &state{locks: make([]uint64, 10), cands: make([]*Candidate, 10)}
-			var cands []*Candidate
-			for i := range bids {
-				c := &bids[i]
-				st.cands[c.HubEdge] = c
-				cands = append(cands, c)
+			st := &state{locks: make([]uint64, 10), gain: make([]float64, 10)}
+			for _, b := range bids {
+				st.gain[b.he] = b.gain
 			}
 			// Every candidate bids on lock 0; its own hub edge is a lock
 			// only it bids on.
-			for _, c := range cands {
-				st.bid(0, lockWord(c), c)
+			for _, b := range bids {
+				st.bid(0, lockWord(st.gain[b.he], b.he), st.gain[b.he])
 			}
 			if got := lockOwner(st.locks[0]); got != tc.want {
 				t.Errorf("%s (reverse %v): lock held by hub edge %d, want %d", tc.name, reverse, got, tc.want)
 			}
-			for _, c := range cands {
-				lg := lockGranter{locks: st.locks, word: lockWord(c)}
-				if lg.granted(0) != (c.HubEdge == tc.want) {
-					t.Errorf("%s (reverse %v): granted(0) for hub edge %d is %v", tc.name, reverse, c.HubEdge, lg.granted(0))
+			for _, b := range bids {
+				lg := lockGranter{locks: st.locks, word: lockWord(st.gain[b.he], b.he)}
+				if lg.granted(0) != (b.he == tc.want) {
+					t.Errorf("%s (reverse %v): granted(0) for hub edge %d is %v", tc.name, reverse, b.he, lg.granted(0))
 				}
 			}
 		}

@@ -2,23 +2,25 @@ package nosy
 
 import "piggyback/internal/graph"
 
-// structCache holds the immutable structural part of candidate
-// evaluation: for hub edge w → y, the common-producer intersection
-// (Xs, XWEdges, XYEdges) that graph.CommonInEdges returns depends only on
-// the graph and the MaxCrossEdges bound, never on the schedule. It is
-// built once, before round 0, and kept for the solve: Σ|X| is 4.5–12 MB
-// at 12 bytes an entry on the benchmark and experiment graphs
-// (DESIGN.md §6). Entries go to flat (xs, xw, xy) chunks, each filled by
-// one build worker, and a per-edge record points at the span; an empty
-// X is a record with n = 0.
+// structCache holds every hub edge's producer span: for hub edge w → y,
+// the common-producer intersection (xs, xw, xy) that graph.CommonInEdges
+// returns under the MaxCrossEdges bound. It is built once, before round
+// 0: Σ|X| is 4.5–12 MB at 12 bytes an entry on the benchmark and
+// experiment graphs (DESIGN.md §6). Entries go to flat (xs, xw, xy)
+// chunks, each filled by one build worker, and a per-edge record points
+// at the span; an empty X is a record with n = 0.
 //
-// The cache is written only while it is built and read-only after, so
-// evaluations on any number of goroutines share it without a lock.
+// The span is also the hub edge's candidate. Each evaluation (eval)
+// moves the producers that pass its filter to the front, in order, and
+// shrinks the record's n to their count; flags only gain bits during a
+// solve, so a dropped producer could never pass again. An evaluation
+// writes only its own hub edge's record and span, so the workers of a
+// round share the cache without a lock.
 type structCache struct {
 	recs []structRec // per hub edge
 }
 
-// structRec locates a hub edge's intersection.
+// structRec locates a hub edge's span: n entries from start.
 type structRec struct {
 	chunk    *structChunk
 	start, n int32
@@ -127,7 +129,7 @@ func (c *structCache) put(he graph.EdgeID, sc *buildScratch) {
 	c.recs[he] = structRec{chunk: k, start: int32(start), n: int32(n)}
 }
 
-// get returns the stored intersection of hub edge he.
+// get returns hub edge he's span.
 func (c *structCache) get(he graph.EdgeID) (xs []graph.NodeID, xw, xy []graph.EdgeID) {
 	r := c.recs[he]
 	lo, hi := r.start, r.start+r.n

@@ -5,16 +5,15 @@
 //
 // Format (little-endian): magic "PGS1", node count, edge count, then per
 // edge one flag byte (push/pull/covered bits) and, for covered edges
-// only, the int32 hub node. The graph itself is not stored; the loader
-// verifies node/edge counts against the supplied graph and re-validates
-// the schedule, so a schedule file cannot silently attach to the wrong
-// graph.
+// only, the int32 hub node. The graph itself is not stored, so a reader
+// verifies node/edge counts against the graph it is given and
+// re-validates the schedule; the package's tests hold the decoder that
+// does so.
 package schedio
 
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 
 	"piggyback/internal/core"
@@ -59,52 +58,4 @@ func Write(w io.Writer, s *core.Schedule) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Read deserializes a schedule for g, verifying sizes and Theorem-1
-// validity.
-func Read(r io.Reader, g *graph.Graph) (*core.Schedule, error) {
-	br := bufio.NewReader(r)
-	var hdr [3]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("schedio: reading header: %w", err)
-	}
-	if hdr[0] != magic {
-		return nil, fmt.Errorf("schedio: bad magic %#x", hdr[0])
-	}
-	if int(hdr[1]) != g.NumNodes() || int(hdr[2]) != g.NumEdges() {
-		return nil, fmt.Errorf("schedio: schedule is for a %d-node/%d-edge graph, got %d/%d",
-			hdr[1], hdr[2], g.NumNodes(), g.NumEdges())
-	}
-	s := core.NewSchedule(g)
-	for e := 0; e < g.NumEdges(); e++ {
-		id := graph.EdgeID(e)
-		f, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("schedio: reading edge %d: %w", e, err)
-		}
-		if f&^(flagPush|flagPull|flagCovered) != 0 {
-			return nil, fmt.Errorf("schedio: edge %d has unknown flags %#x", e, f)
-		}
-		if f&flagPush != 0 {
-			s.SetPush(id)
-		}
-		if f&flagPull != 0 {
-			s.SetPull(id)
-		}
-		if f&flagCovered != 0 {
-			var hub int32
-			if err := binary.Read(br, binary.LittleEndian, &hub); err != nil {
-				return nil, fmt.Errorf("schedio: reading hub of edge %d: %w", e, err)
-			}
-			if hub < 0 || int(hub) >= g.NumNodes() {
-				return nil, fmt.Errorf("schedio: edge %d hub %d out of range", e, hub)
-			}
-			s.SetCovered(id, hub)
-		}
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("schedio: loaded schedule invalid: %w", err)
-	}
-	return s, nil
 }

@@ -1,7 +1,11 @@
 package schedio
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,7 +25,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf, g)
+	got, err := read(&buf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +50,7 @@ func TestWrongGraphRejected(t *testing.T) {
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(&buf, other); err == nil {
+	if _, err := read(&buf, other); err == nil {
 		t.Fatal("schedule attached to a different graph")
 	}
 }
@@ -59,21 +63,21 @@ func TestCorruptInputRejected(t *testing.T) {
 	Write(&buf, s)
 	data := buf.Bytes()
 
-	if _, err := Read(bytes.NewReader(nil), g); err == nil {
+	if _, err := read(bytes.NewReader(nil), g); err == nil {
 		t.Fatal("empty input accepted")
 	}
 	bad := append([]byte{}, data...)
 	bad[0] ^= 0xff // break magic
-	if _, err := Read(bytes.NewReader(bad), g); err == nil {
+	if _, err := read(bytes.NewReader(bad), g); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if _, err := Read(bytes.NewReader(data[:len(data)-2]), g); err == nil {
+	if _, err := read(bytes.NewReader(data[:len(data)-2]), g); err == nil {
 		t.Fatal("truncated input accepted")
 	}
 	// Flip a flag byte to an unknown value.
 	bad = append([]byte{}, data...)
 	bad[12] = 0x80
-	if _, err := Read(bytes.NewReader(bad), g); err == nil {
+	if _, err := read(bytes.NewReader(bad), g); err == nil {
 		t.Fatal("unknown flags accepted")
 	}
 }
@@ -87,7 +91,7 @@ func TestInvalidScheduleRejected(t *testing.T) {
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(&buf, g); err == nil {
+	if _, err := read(&buf, g); err == nil {
 		t.Fatal("invalid (unserved) schedule accepted")
 	}
 }
@@ -106,7 +110,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if Write(&buf, s) != nil {
 			return false
 		}
-		got, err := Read(&buf, g)
+		got, err := read(&buf, g)
 		if err != nil {
 			return false
 		}
@@ -115,4 +119,53 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// read is Write's decoder: it deserializes a schedule for g, verifying
+// sizes and Theorem-1 validity. Nothing outside the round-trip tests
+// reads schedule files, so it lives here.
+func read(r io.Reader, g *graph.Graph) (*core.Schedule, error) {
+	br := bufio.NewReader(r)
+	var hdr [3]uint32
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("schedio: reading header: %w", err)
+	}
+	if hdr[0] != magic {
+		return nil, fmt.Errorf("schedio: bad magic %#x", hdr[0])
+	}
+	if int(hdr[1]) != g.NumNodes() || int(hdr[2]) != g.NumEdges() {
+		return nil, fmt.Errorf("schedio: schedule is for a %d-node/%d-edge graph, got %d/%d",
+			hdr[1], hdr[2], g.NumNodes(), g.NumEdges())
+	}
+	s := core.NewSchedule(g)
+	for e := 0; e < g.NumEdges(); e++ {
+		id := graph.EdgeID(e)
+		f, err := br.ReadByte()
+		if err != nil {
+			return nil, fmt.Errorf("schedio: reading edge %d: %w", e, err)
+		}
+		if f&^(flagPush|flagPull|flagCovered) != 0 {
+			return nil, fmt.Errorf("schedio: edge %d has unknown flags %#x", e, f)
+		}
+		if f&flagPush != 0 {
+			s.SetPush(id)
+		}
+		if f&flagPull != 0 {
+			s.SetPull(id)
+		}
+		if f&flagCovered != 0 {
+			var hub int32
+			if err := binary.Read(br, binary.LittleEndian, &hub); err != nil {
+				return nil, fmt.Errorf("schedio: reading hub of edge %d: %w", e, err)
+			}
+			if hub < 0 || int(hub) >= g.NumNodes() {
+				return nil, fmt.Errorf("schedio: edge %d hub %d out of range", e, hub)
+			}
+			s.SetCovered(id, hub)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("schedio: loaded schedule invalid: %w", err)
+	}
+	return s, nil
 }
