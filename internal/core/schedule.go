@@ -219,17 +219,6 @@ func (s *Schedule) Cost(r *workload.Rates) float64 {
 	return total
 }
 
-// PredictedThroughput is the inverse of the schedule cost (§4.2). It is
-// "predicted" in the paper's sense: derived from the cost model rather
-// than measured on the prototype.
-func (s *Schedule) PredictedThroughput(r *workload.Rates) float64 {
-	c := s.Cost(r)
-	if c == 0 {
-		return 0
-	}
-	return 1 / c
-}
-
 // Finalize serves every still-unscheduled edge directly, choosing the
 // cheaper of push and pull per edge (the hybrid rule). Algorithms call
 // this after hub selection so the schedule satisfies bounded staleness.

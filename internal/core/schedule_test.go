@@ -94,9 +94,6 @@ func TestCostModel(t *testing.T) {
 	if got := s.Cost(r); got != 15 {
 		t.Fatalf("Cost = %v, want 15", got)
 	}
-	if got := s.PredictedThroughput(r); math.Abs(got-1.0/15) > 1e-12 {
-		t.Fatalf("PredictedThroughput = %v", got)
-	}
 
 	// Both push and pull on the same edge costs both terms.
 	s2 := NewSchedule(g)

@@ -12,12 +12,15 @@
 // and wins it back with localized re-solves, using Rebase to materialize
 // the live graph and schedule.
 //
-// Edge identity: base edges keep their graph.EdgeID; edges added beyond
-// the base graph live in an extra table and are addressed by the unified
-// id NumEdges()+index, so the support-dependency index can reference
-// both kinds. Coverage supports are always base edges (the membership
-// check only considers them), which keeps hub lookups on the immutable
-// CSR structure.
+// Edge identity: every edge the maintainer has seen has one id. Base
+// edges keep their graph.EdgeID; the i-th edge added beyond the base graph
+// is NumEdges(base)+i, and keeps only its endpoints. The flags and hub of
+// every edge, base or added, sit in two flat arrays under that id. A
+// removed edge's flags are gone, which carries no push, pull or covered
+// bit, so no liveness test is needed where a flag is read; re-adding an
+// edge revives it under its old id. Coverage supports are always base
+// edges (the membership check only considers them), which keeps hub
+// lookups on the immutable CSR structure.
 package incremental
 
 import (
@@ -25,11 +28,15 @@ import (
 	"math"
 	"slices"
 
-	"piggyback/internal/bitset"
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/workload"
 )
+
+// gone is the flags of a removed edge: a value no schedule writes, with
+// none of the push, pull and covered bits. A live edge with no flags at
+// all is unserved, not removed.
+const gone core.Flag = 1 << 7
 
 // Maintainer wraps an optimized schedule over a base graph and applies
 // edge additions/removals and rate updates without re-optimizing.
@@ -37,20 +44,19 @@ type Maintainer struct {
 	live
 	r *workload.Rates
 
-	// deps[e] lists covered edges (unified ids) whose hub relies on base
-	// support edge e (the push x → w or the pull w → y realizing the hub).
+	// deps[e] lists covered edges whose hub relies on base support edge e
+	// (the push x → w or the pull w → y realizing the hub).
 	deps [][]graph.EdgeID
 
-	extraIndex map[graph.Edge]int
-	// extraOut/extraIn index extra-edge slots by endpoint so rate
-	// updates reprice in O(degree) instead of scanning every extra edge
-	// ever added. Entries persist across removal/revival (the slot does
-	// too); scans skip removed slots.
-	extraOut map[graph.NodeID][]int32
-	extraIn  map[graph.NodeID][]int32
+	addedID map[graph.Edge]graph.EdgeID
+	// addedOut/addedIn index added edges by endpoint so rate updates
+	// reprice in O(degree) instead of scanning every edge ever added.
+	// Entries persist across removal and revival, as the id does.
+	addedOut map[graph.NodeID][]graph.EdgeID
+	addedIn  map[graph.NodeID][]graph.EdgeID
 
 	cost    float64 // running schedule cost, maintained per mutation
-	covered int     // live covered edges (base + extra)
+	covered int     // live covered edges (base + added)
 
 	// OnRescue, when set, is called for every covered edge re-served
 	// directly because a hub support disappeared — u → v is the rescued
@@ -62,11 +68,11 @@ type Maintainer struct {
 // live is the part of a maintainer that says which edges are live and how
 // each is served: everything Rebase reads.
 type live struct {
-	g         *graph.Graph
-	sched     *core.Schedule
-	removed   *bitset.Set // removed base edges
-	extra     []extraEdge
-	liveExtra int
+	g     *graph.Graph
+	added []graph.Edge   // endpoints of the added edges, by id − NumEdges(g)
+	flags []core.Flag    // by id; gone on a removed edge
+	hubs  []graph.NodeID // by id; the hub of a covered edge, else -1
+	n     int            // live edges
 }
 
 // Frozen is a maintainer's live edge set and assignments at one moment,
@@ -75,21 +81,21 @@ type live struct {
 // another goroutine while the maintainer takes further updates.
 type Frozen struct{ live }
 
-// Freeze copies what Rebase reads into f and returns it: the flags and
-// hubs, the removed set and the extras — flat copies, where Rebase builds a
-// CSR graph. f's arrays are reused where they are large enough, so a caller
-// that freezes again into the Frozen it is done with allocates nothing once
-// they have grown; a nil f allocates.
+// Freeze copies what Rebase reads into f and returns it: the flags and hub
+// of every edge and the added edges' endpoints — flat copies, where Rebase
+// builds a CSR graph. f's arrays are reused where they are large enough,
+// so a caller that freezes again into the Frozen it is done with allocates
+// nothing once they have grown; a nil f allocates.
 func (m *Maintainer) Freeze(f *Frozen) *Frozen {
 	if f == nil {
 		f = &Frozen{}
 	}
 	f.live = live{
-		g:         m.g,
-		sched:     m.sched.CloneInto(f.sched),
-		removed:   m.removed.CloneInto(f.removed),
-		extra:     append(f.extra[:0], m.extra...),
-		liveExtra: m.liveExtra,
+		g:     m.g,
+		added: append(f.added[:0], m.added...),
+		flags: append(f.flags[:0], m.flags...),
+		hubs:  append(f.hubs[:0], m.hubs...),
+		n:     m.n,
 	}
 	return f
 }
@@ -97,31 +103,29 @@ func (m *Maintainer) Freeze(f *Frozen) *Frozen {
 // Rebase materializes the frozen state as Maintainer.Rebase does.
 func (f *Frozen) Rebase() (*graph.Graph, *core.Schedule) { return f.rebase() }
 
-// extraEdge is an edge added beyond the base graph: served directly
-// (push or pull flag) or covered through hub (coverage supports are base
-// edges).
-type extraEdge struct {
-	edge    graph.Edge
-	flags   core.Flag
-	hub     graph.NodeID
-	removed bool
-}
-
 // New builds a maintainer over an already-optimized schedule. The
-// schedule is cloned and otherwise not modified, but its support table is
-// taken (core.Schedule.TakeSupports): the one a splice and the refine
-// sweep after it handed over, or one walked now. The rates are retained
-// (not copied): UpdateRates mutates them in place.
+// schedule's assignments are copied and it is otherwise not modified, but
+// its support table is taken (core.Schedule.TakeSupports): the one a
+// splice and the refine sweep after it handed over, or one walked now. The
+// rates are retained (not copied): UpdateRates mutates them in place.
 func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 	g := s.Graph()
 	sup := s.TakeSupports()
+	// Room for added edges, so that the first adds do not copy both arrays
+	// (≈ 0.5 ms at 120k edges, a third of a 1000-op churn round).
+	n, room := g.NumEdges(), g.NumEdges()+g.NumEdges()/8
 	m := &Maintainer{
-		live:       live{g: g, sched: s.Clone(), removed: bitset.New(g.NumEdges())},
-		r:          r,
-		deps:       make([][]graph.EdgeID, g.NumEdges()),
-		extraIndex: make(map[graph.Edge]int),
-		extraOut:   make(map[graph.NodeID][]int32),
-		extraIn:    make(map[graph.NodeID][]int32),
+		live: live{
+			g:     g,
+			flags: make([]core.Flag, n, room),
+			hubs:  make([]graph.NodeID, n, room),
+			n:     n,
+		},
+		r:        r,
+		deps:     make([][]graph.EdgeID, n),
+		addedID:  make(map[graph.Edge]graph.EdgeID),
+		addedOut: make(map[graph.NodeID][]graph.EdgeID),
+		addedIn:  make(map[graph.NodeID][]graph.EdgeID),
 	}
 	// Allocate once, fill: every support's list is a window of one backing
 	// array, capped at its count in the table, so a later cover that
@@ -140,15 +144,19 @@ func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 		}
 	}
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if m.sched.IsPush(e) {
+		m.hubs[e] = s.Hub(e)
+		if s.IsPush(e) {
+			m.flags[e] |= core.FlagPush
 			m.cost += r.Prod[u]
 		}
-		if m.sched.IsPull(e) {
+		if s.IsPull(e) {
+			m.flags[e] |= core.FlagPull
 			m.cost += r.Cons[v]
 		}
-		if !m.sched.IsCovered(e) {
+		if !s.IsCovered(e) {
 			return true
 		}
+		m.flags[e] |= core.FlagCovered
 		m.covered++
 		if up := sup.Up[e]; up >= 0 {
 			m.deps[up] = append(m.deps[up], e)
@@ -161,56 +169,31 @@ func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 	return m
 }
 
-// baseM returns the unified-id boundary: ids below it are base edges.
+// baseM returns the id boundary: ids below it are base edges.
 func (m *live) baseM() graph.EdgeID { return graph.EdgeID(m.g.NumEdges()) }
 
-// endpoints returns the endpoints of a unified edge id.
-func (m *Maintainer) endpoints(d graph.EdgeID) (u, v graph.NodeID) {
+// endpoints returns the endpoints of edge id d.
+func (m *live) endpoints(d graph.EdgeID) (u, v graph.NodeID) {
 	if d < m.baseM() {
 		return m.g.EdgeSource(d), m.g.EdgeTarget(d)
 	}
-	x := m.extra[d-m.baseM()].edge
+	x := m.added[d-m.baseM()]
 	return x.From, x.To
 }
 
-// coveredHub returns the hub of a covered unified edge, or -1.
-func (m *Maintainer) coveredHub(d graph.EdgeID) graph.NodeID {
-	if d < m.baseM() {
-		if !m.sched.IsCovered(d) {
-			return -1
-		}
-		return m.sched.Hub(d)
+// id returns the id of u → v, live or removed, if the maintainer has seen
+// the edge.
+func (m *Maintainer) id(u, v graph.NodeID) (graph.EdgeID, bool) {
+	if e, ok := m.g.EdgeID(u, v); ok {
+		return e, true
 	}
-	x := &m.extra[d-m.baseM()]
-	if x.flags&core.FlagCovered == 0 {
-		return -1
-	}
-	return x.hub
-}
-
-// hasDirectFlag reports whether a unified edge id already carries a
-// push or pull mark (a covered edge that is also a hub support, say) —
-// such an edge is served even without its coverage.
-func (m *Maintainer) hasDirectFlag(d graph.EdgeID) bool {
-	if d < m.baseM() {
-		return m.sched.IsPush(d) || m.sched.IsPull(d)
-	}
-	return m.extra[d-m.baseM()].flags&(core.FlagPush|core.FlagPull) != 0
-}
-
-// isLive reports whether a unified edge id refers to a live edge.
-func (m *Maintainer) isLive(d graph.EdgeID) bool {
-	if d < m.baseM() {
-		return !m.removed.Test(int(d))
-	}
-	return !m.extra[d-m.baseM()].removed
+	d, ok := m.addedID[graph.Edge{From: u, To: v}]
+	return d, ok
 }
 
 // NumEdges returns the number of live edges (base minus removed plus
 // live additions).
-func (m *live) NumEdges() int {
-	return m.g.NumEdges() - m.removed.Count() + m.liveExtra
-}
+func (m *live) NumEdges() int { return m.n }
 
 // CoveredCount returns the number of live covered edges — the quantity
 // that bounds the support-dependency index (each covered edge appears in
@@ -222,19 +205,19 @@ func (m *Maintainer) CoveredCount() int { return m.covered }
 // edge w → v. It scans the smaller of u's out-neighborhood and v's
 // in-neighborhood — O(degree) with an O(log degree) opposite-side lookup
 // per candidate — and returns the lowest such w, so the choice is
-// deterministic. Extra (non-base) support edges are not considered:
-// coverage supports stay on the immutable CSR structure.
+// deterministic. Added support edges are not considered: coverage
+// supports stay on the immutable CSR structure.
 func (m *Maintainer) findHub(u, v graph.NodeID) (w graph.NodeID, up, down graph.EdgeID, ok bool) {
 	if m.g.OutDegree(u) <= m.g.InDegree(v) {
 		lo, hi := m.g.OutEdgeRange(u)
 		targets := m.g.OutNeighbors(u)
 		for e := lo; e < hi; e++ {
 			cand := targets[e-lo]
-			if cand == v || m.removed.Test(int(e)) || !m.sched.IsPush(e) {
+			if cand == v || m.flags[e]&core.FlagPush == 0 {
 				continue
 			}
 			de, found := m.g.EdgeID(cand, v)
-			if found && !m.removed.Test(int(de)) && m.sched.IsPull(de) {
+			if found && m.flags[de]&core.FlagPull != 0 {
 				return cand, e, de, true
 			}
 		}
@@ -243,55 +226,42 @@ func (m *Maintainer) findHub(u, v graph.NodeID) (w graph.NodeID, up, down graph.
 	ids := m.g.InEdgeIDs(v)
 	for i, cand := range m.g.InNeighbors(v) {
 		e := ids[i]
-		if cand == u || m.removed.Test(int(e)) || !m.sched.IsPull(e) {
+		if cand == u || m.flags[e]&core.FlagPull == 0 {
 			continue
 		}
 		ue, found := m.g.EdgeID(u, cand)
-		if found && !m.removed.Test(int(ue)) && m.sched.IsPush(ue) {
+		if found && m.flags[ue]&core.FlagPush != 0 {
 			return cand, ue, e, true
 		}
 	}
 	return 0, 0, 0, false
 }
 
-// cover records coverage of unified edge d (endpoints u → v) through hub
-// w with base supports up/down, registering the dependency entries so a
-// later support removal rescues d.
+// cover records coverage of edge d through hub w with base supports
+// up/down, registering the dependency entries so a later support removal
+// rescues d.
 func (m *Maintainer) cover(d graph.EdgeID, w graph.NodeID, up, down graph.EdgeID) {
-	if d < m.baseM() {
-		m.sched.SetCovered(d, w)
-	} else {
-		x := &m.extra[d-m.baseM()]
-		x.flags = core.FlagCovered
-		x.hub = w
-	}
+	m.flags[d] |= core.FlagCovered
+	m.hubs[d] = w
 	m.deps[up] = append(m.deps[up], d)
 	m.deps[down] = append(m.deps[down], d)
 	m.covered++
 }
 
-// serveDirect serves unified edge d with the cheaper of push and pull
-// and returns the cost it added.
+// serveDirect serves edge d = u → v with the cheaper of push and pull and
+// returns the cost it added.
 func (m *Maintainer) serveDirect(d graph.EdgeID, u, v graph.NodeID) float64 {
 	if m.r.Prod[u] <= m.r.Cons[v] {
-		if d < m.baseM() {
-			m.sched.SetPush(d)
-		} else {
-			m.extra[d-m.baseM()].flags = core.FlagPush
-		}
+		m.flags[d] |= core.FlagPush
 		return m.r.Prod[u]
 	}
-	if d < m.baseM() {
-		m.sched.SetPull(d)
-	} else {
-		m.extra[d-m.baseM()].flags = core.FlagPull
-	}
+	m.flags[d] |= core.FlagPull
 	return m.r.Cons[v]
 }
 
-// serveNew assigns a newly live unified edge d = u → v: free hub coverage
-// through an already-paid hub when one exists (§3.3 extended by the
-// membership check), direct service otherwise. Updates the running cost.
+// serveNew assigns a newly live edge d = u → v: free hub coverage through
+// an already-paid hub when one exists (§3.3 extended by the membership
+// check), direct service otherwise. Updates the running cost.
 func (m *Maintainer) serveNew(d graph.EdgeID, u, v graph.NodeID) {
 	if w, up, down, ok := m.findHub(u, v); ok {
 		m.cover(d, w, up, down)
@@ -303,8 +273,8 @@ func (m *Maintainer) serveNew(d graph.EdgeID, u, v graph.NodeID) {
 // AddEdge inserts the edge u → v. If an existing hub already has a paid
 // push u → w and pull w → v, the edge is covered through it at zero
 // marginal cost; otherwise it is served directly with the cheaper of
-// push and pull (§3.3). Re-adding a removed edge revives it. Adding an
-// existing live edge is an error.
+// push and pull (§3.3). Re-adding a removed edge revives it under its
+// old id. Adding an existing live edge is an error.
 func (m *Maintainer) AddEdge(u, v graph.NodeID) error {
 	if u == v {
 		return fmt.Errorf("incremental: self-loop %d→%d", u, v)
@@ -312,35 +282,22 @@ func (m *Maintainer) AddEdge(u, v graph.NodeID) error {
 	if int(u) >= m.g.NumNodes() || int(v) >= m.g.NumNodes() || u < 0 || v < 0 {
 		return fmt.Errorf("incremental: edge %d→%d out of range", u, v)
 	}
-	if e, ok := m.g.EdgeID(u, v); ok {
-		if !m.removed.Test(int(e)) {
-			return fmt.Errorf("incremental: edge %d→%d already present", u, v)
-		}
-		// Revive the base edge in place.
-		m.removed.Clear(int(e))
-		m.sched.ClearEdge(e)
-		m.serveNew(e, u, v)
-		return nil
+	d, ok := m.id(u, v)
+	if !ok {
+		d = graph.EdgeID(len(m.flags))
+		key := graph.Edge{From: u, To: v}
+		m.added = append(m.added, key)
+		m.flags = append(m.flags, gone)
+		m.hubs = append(m.hubs, -1)
+		m.addedID[key] = d
+		m.addedOut[u] = append(m.addedOut[u], d)
+		m.addedIn[v] = append(m.addedIn[v], d)
+	} else if m.flags[d] != gone {
+		return fmt.Errorf("incremental: edge %d→%d already present", u, v)
 	}
-	key := graph.Edge{From: u, To: v}
-	if i, ok := m.extraIndex[key]; ok {
-		if !m.extra[i].removed {
-			return fmt.Errorf("incremental: edge %d→%d already added", u, v)
-		}
-		m.extra[i].removed = false
-		m.extra[i].flags = 0
-		m.extra[i].hub = -1
-		m.liveExtra++
-		m.serveNew(m.baseM()+graph.EdgeID(i), u, v)
-		return nil
-	}
-	m.extra = append(m.extra, extraEdge{edge: key, hub: -1})
-	i := len(m.extra) - 1
-	m.extraIndex[key] = i
-	m.extraOut[u] = append(m.extraOut[u], int32(i))
-	m.extraIn[v] = append(m.extraIn[v], int32(i))
-	m.liveExtra++
-	m.serveNew(m.baseM()+graph.EdgeID(i), u, v)
+	m.flags[d] = 0
+	m.n++
+	m.serveNew(d, u, v)
 	return nil
 }
 
@@ -348,56 +305,42 @@ func (m *Maintainer) AddEdge(u, v graph.NodeID) error {
 // push into the hub or the hub's pull), every edge covered through it is
 // migrated to another already-paid hub when one brackets it, and
 // re-served directly otherwise. Dep lists are pruned as coverage
-// dissolves — a
-// rescued (or removed) covered edge leaves the dep list of its other
-// support too — so the index stays bounded by the live covered set across
-// arbitrarily long add/remove sequences.
+// dissolves — a rescued (or removed) covered edge leaves the dep list of
+// its other support too — so the index stays bounded by the live covered
+// set across arbitrarily long add/remove sequences.
 func (m *Maintainer) RemoveEdge(u, v graph.NodeID) error {
 	if int(u) >= m.g.NumNodes() || int(v) >= m.g.NumNodes() || u < 0 || v < 0 {
 		return fmt.Errorf("incremental: edge %d→%d out of range", u, v)
 	}
-	key := graph.Edge{From: u, To: v}
-	if i, ok := m.extraIndex[key]; ok && !m.extra[i].removed {
-		x := &m.extra[i]
-		switch {
-		case x.flags&core.FlagCovered != 0:
-			m.unlinkCovered(m.baseM()+graph.EdgeID(i), -1)
-		case x.flags&core.FlagPush != 0:
-			m.cost -= m.r.Prod[u]
-		case x.flags&core.FlagPull != 0:
-			m.cost -= m.r.Cons[v]
-		}
-		x.removed = true
-		x.flags = 0
-		x.hub = -1
-		m.liveExtra--
-		return nil
-	}
-	e, ok := m.g.EdgeID(u, v)
-	if !ok || m.removed.Test(int(e)) {
+	e, ok := m.id(u, v)
+	if !ok || m.flags[e] == gone {
 		return fmt.Errorf("incremental: edge %d→%d not present", u, v)
 	}
-	m.removed.Set(int(e))
-	if m.sched.IsPush(e) {
+	if m.flags[e]&core.FlagPush != 0 {
 		m.cost -= m.r.Prod[u]
 	}
-	if m.sched.IsPull(e) {
+	if m.flags[e]&core.FlagPull != 0 {
 		m.cost -= m.r.Cons[v]
 	}
-	if m.sched.IsCovered(e) {
+	if m.flags[e]&core.FlagCovered != 0 {
 		// The removed edge no longer needs its hub; unlink it from both
 		// support dep lists so they cannot accumulate dead entries.
 		m.unlinkCovered(e, -1)
 	}
+	m.flags[e] = gone
+	m.n--
+	if e >= m.baseM() {
+		return nil // an added edge supports no hub
+	}
 	for _, d := range m.deps[e] {
-		if !m.isLive(d) || m.coveredHub(d) < 0 {
+		if m.flags[d]&core.FlagCovered == 0 {
 			continue
 		}
 		// Only rescue edges whose hub actually used e as support; deps may
 		// be stale if d was already re-served and re-covered (it cannot be
 		// re-covered by this maintainer, but stay defensive).
 		m.unlinkCovered(d, e)
-		if m.hasDirectFlag(d) {
+		if m.flags[d]&(core.FlagPush|core.FlagPull) != 0 {
 			continue // already pushed or pulled; losing coverage costs nothing
 		}
 		du, dv := m.endpoints(d)
@@ -414,15 +357,12 @@ func (m *Maintainer) RemoveEdge(u, v graph.NodeID) error {
 		}
 	}
 	m.deps[e] = nil
-	// The removed edge's flags stay recorded in the schedule but are
-	// ignored everywhere (cost, validation, rebase) until a revival
-	// resets them.
 	return nil
 }
 
 // UpdateRates replaces user u's production and consumption rates,
 // repricing every live assignment that reads them: pushes out of u pay
-// Prod[u], pulls into u pay Cons[u]. O(degree of u, base and extra). The
+// Prod[u], pulls into u pay Cons[u]. O(degree of u, base and added). The
 // rates object passed to New is mutated in place, so schedules sharing
 // it observe the new rates too.
 func (m *Maintainer) UpdateRates(u graph.NodeID, prod, cons float64) error {
@@ -437,24 +377,22 @@ func (m *Maintainer) UpdateRates(u graph.NodeID, prod, cons float64) error {
 	dC := cons - m.r.Cons[u]
 	lo, hi := m.g.OutEdgeRange(u)
 	for e := lo; e < hi; e++ {
-		if !m.removed.Test(int(e)) && m.sched.IsPush(e) {
+		if m.flags[e]&core.FlagPush != 0 {
 			m.cost += dP
 		}
 	}
 	for _, e := range m.g.InEdgeIDs(u) {
-		if !m.removed.Test(int(e)) && m.sched.IsPull(e) {
+		if m.flags[e]&core.FlagPull != 0 {
 			m.cost += dC
 		}
 	}
-	for _, i := range m.extraOut[u] {
-		x := &m.extra[i]
-		if !x.removed && x.flags&core.FlagPush != 0 {
+	for _, d := range m.addedOut[u] {
+		if m.flags[d]&core.FlagPush != 0 {
 			m.cost += dP
 		}
 	}
-	for _, i := range m.extraIn[u] {
-		x := &m.extra[i]
-		if !x.removed && x.flags&core.FlagPull != 0 {
+	for _, d := range m.addedIn[u] {
+		if m.flags[d]&core.FlagPull != 0 {
 			m.cost += dC
 		}
 	}
@@ -463,12 +401,12 @@ func (m *Maintainer) UpdateRates(u graph.NodeID, prod, cons float64) error {
 	return nil
 }
 
-// unlinkCovered dissolves the hub coverage of unified edge d: it is
-// pruned from the dep lists of its hub's support edges (except skip, the
-// support currently being torn down wholesale by the caller) and loses
-// its covered mark.
+// unlinkCovered dissolves the hub coverage of edge d: it is pruned from
+// the dep lists of its hub's support edges (except skip, the support
+// currently being torn down wholesale by the caller) and loses its
+// covered mark.
 func (m *Maintainer) unlinkCovered(d, skip graph.EdgeID) {
-	w := m.coveredHub(d)
+	w := m.hubs[d]
 	du, dv := m.endpoints(d)
 	if up, ok := m.g.EdgeID(du, w); ok && up != skip {
 		m.pruneDep(up, d)
@@ -476,13 +414,8 @@ func (m *Maintainer) unlinkCovered(d, skip graph.EdgeID) {
 	if down, ok := m.g.EdgeID(w, dv); ok && down != skip {
 		m.pruneDep(down, d)
 	}
-	if d < m.baseM() {
-		m.sched.ClearCovered(d)
-	} else {
-		x := &m.extra[d-m.baseM()]
-		x.flags &^= core.FlagCovered
-		x.hub = -1
-	}
+	m.flags[d] &^= core.FlagCovered
+	m.hubs[d] = -1
 	m.covered--
 }
 
@@ -532,43 +465,36 @@ func (m *Maintainer) SetRates(r *workload.Rates) { m.r = r }
 // order, which is the edge-id order of the graph Rebase builds.
 //
 // The live set is the base CSR, already in edge-id order, minus the
-// removed edges, plus the live extras, which are never base edges (AddEdge
-// revives those in place). Merging the two sorted runs emits every live
-// edge once in that order: no lookup, and a sort of the extras only.
+// removed edges, plus the live added edges, which are never base edges
+// (AddEdge revives those under their base id). Merging the two sorted runs
+// emits every live edge once in that order: no lookup, and a sort of the
+// added edges only.
 func (m *live) liveEdges(fn func(u, v graph.NodeID, f core.Flag, hub graph.NodeID)) {
-	extras := make([]*extraEdge, 0, m.liveExtra)
-	for i := range m.extra {
-		if x := &m.extra[i]; !x.removed {
-			extras = append(extras, x)
+	base := m.baseM()
+	added := make([]graph.EdgeID, 0, len(m.added))
+	for d := base; int(d) < len(m.flags); d++ {
+		if m.flags[d] != gone {
+			added = append(added, d)
 		}
 	}
-	slices.SortFunc(extras, func(a, b *extraEdge) int { return a.edge.Compare(b.edge) })
-	emitExtrasBefore := func(next graph.Edge) {
-		for len(extras) > 0 && extras[0].edge.Compare(next) < 0 {
-			x := extras[0]
-			extras = extras[1:]
-			fn(x.edge.From, x.edge.To, x.flags, x.hub)
+	slices.SortFunc(added, func(a, b graph.EdgeID) int { return m.added[a-base].Compare(m.added[b-base]) })
+	emitAddedBefore := func(next graph.Edge) {
+		for len(added) > 0 && m.added[added[0]-base].Compare(next) < 0 {
+			d := added[0]
+			added = added[1:]
+			x := m.added[d-base]
+			fn(x.From, x.To, m.flags[d], m.hubs[d])
 		}
 	}
 	m.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if m.removed.Test(int(e)) {
+		if m.flags[e] == gone {
 			return true
 		}
-		emitExtrasBefore(graph.Edge{From: u, To: v})
-		var f core.Flag
-		if m.sched.IsPush(e) {
-			f |= core.FlagPush
-		}
-		if m.sched.IsPull(e) {
-			f |= core.FlagPull
-		}
-		if m.sched.IsCovered(e) {
-			f |= core.FlagCovered
-		}
-		fn(u, v, f, m.sched.Hub(e))
+		emitAddedBefore(graph.Edge{From: u, To: v})
+		fn(u, v, m.flags[e], m.hubs[e])
 		return true
 	})
-	emitExtrasBefore(graph.Edge{From: graph.NodeID(m.g.NumNodes())})
+	emitAddedBefore(graph.Edge{From: graph.NodeID(m.g.NumNodes())})
 }
 
 // FreshCost prices the live assignments from scratch, in the order of the
@@ -630,40 +556,17 @@ func (m *live) rebase() (*graph.Graph, *core.Schedule) {
 // edge is pushed, pulled, or covered by a hub whose support edges are
 // live and scheduled correctly.
 func (m *Maintainer) Validate() error {
-	var err error
-	m.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if m.removed.Test(int(e)) {
-			return true
-		}
-		if m.sched.IsPush(e) || m.sched.IsPull(e) {
-			return true
-		}
-		if !m.sched.IsCovered(e) {
-			err = fmt.Errorf("incremental: live edge %d→%d unserved", u, v)
-			return false
-		}
-		if !m.supportsLive(u, v, m.sched.Hub(e)) {
-			err = fmt.Errorf("incremental: live edge %d→%d has broken hub %d", u, v, m.sched.Hub(e))
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	for _, x := range m.extra {
-		if x.removed {
+	for i, f := range m.flags {
+		if f == gone || f&(core.FlagPush|core.FlagPull) != 0 {
 			continue
 		}
-		if x.flags&(core.FlagPush|core.FlagPull) != 0 {
-			continue
+		d := graph.EdgeID(i)
+		u, v := m.endpoints(d)
+		if f&core.FlagCovered == 0 {
+			return fmt.Errorf("incremental: live edge %d→%d unserved", u, v)
 		}
-		if x.flags&core.FlagCovered == 0 {
-			return fmt.Errorf("incremental: added edge %d→%d unserved", x.edge.From, x.edge.To)
-		}
-		if !m.supportsLive(x.edge.From, x.edge.To, x.hub) {
-			return fmt.Errorf("incremental: added edge %d→%d has broken hub %d",
-				x.edge.From, x.edge.To, x.hub)
+		if !m.supportsLive(u, v, m.hubs[d]) {
+			return fmt.Errorf("incremental: live edge %d→%d has broken hub %d", u, v, m.hubs[d])
 		}
 	}
 	return nil
@@ -674,7 +577,5 @@ func (m *Maintainer) Validate() error {
 func (m *Maintainer) supportsLive(u, v, w graph.NodeID) bool {
 	up, ok1 := m.g.EdgeID(u, w)
 	down, ok2 := m.g.EdgeID(w, v)
-	return ok1 && ok2 &&
-		!m.removed.Test(int(up)) && !m.removed.Test(int(down)) &&
-		m.sched.IsPush(up) && m.sched.IsPull(down)
+	return ok1 && ok2 && m.flags[up]&core.FlagPush != 0 && m.flags[down]&core.FlagPull != 0
 }

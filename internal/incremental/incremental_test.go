@@ -133,6 +133,55 @@ func TestRemovePushSupportRescues(t *testing.T) {
 	}
 }
 
+// A live edge with no flags is unserved, not removed: Validate names it,
+// NumEdges and Rebase count it, and it can be removed. A removed support
+// keeps none of its flags: an edge its hub would bracket is served
+// directly, not covered through it.
+func TestUnservedIsNotRemoved(t *testing.T) {
+	// 0→2 pushed and 2→3 pulled make 2 a hub able to cover 0→3; 0→1 is
+	// live with no flags.
+	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 2, To: 3}})
+	r := workload.NewUniform(4, 1)
+	s := core.NewSchedule(g)
+	s.Finalize(r)
+	unserved, _ := g.EdgeID(0, 1)
+	pull, _ := g.EdgeID(2, 3)
+	s.ClearEdge(unserved)
+	s.ClearPush(pull)
+	s.SetPull(pull)
+	m := New(s, r)
+
+	want := "incremental: live edge 0→1 unserved"
+	if err := m.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("Validate = %v, want %q", err, want)
+	}
+	if rg, _ := m.Rebase(); m.NumEdges() != 3 || rg.NumEdges() != 3 {
+		t.Fatalf("NumEdges = %d, rebased graph %d edges; want 3 and 3", m.NumEdges(), rg.NumEdges())
+	}
+	if err := m.RemoveEdge(0, 1); err != nil {
+		t.Fatalf("removing the unserved edge: %v", err)
+	}
+
+	if err := m.RemoveEdge(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddEdge(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	rg, rs := m.Rebase()
+	e, _ := rg.EdgeID(0, 3)
+	if rs.IsCovered(e) || !rs.IsPush(e) || m.CoveredCount() != 0 {
+		t.Fatalf("0→3 covered=%v push=%v (CoveredCount %d): want it pushed, not covered through the removed 0→2",
+			rs.IsCovered(e), rs.IsPush(e), m.CoveredCount())
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Cost(); got != 2 {
+		t.Fatalf("cost = %v, want 2 (pull 2→3, push 0→3)", got)
+	}
+}
+
 func TestRemoveThenReAdd(t *testing.T) {
 	_, _, m := optimized(200, 5)
 	g := graphgen.Social(graphgen.TwitterLike(200, 5))
@@ -200,20 +249,14 @@ func TestIncrementalVsStatic(t *testing.T) {
 	}
 }
 
-// countCovered recounts live covered edges (base and extra) from scratch
+// countCovered recounts live covered edges (base and added) from scratch
 // — the quantity that bounds the dep index, cross-checked against the
 // maintainer's running CoveredCount.
 func countCovered(t *testing.T, m *Maintainer) int {
 	t.Helper()
 	covered := 0
-	m.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if !m.removed.Test(int(e)) && m.sched.IsCovered(e) {
-			covered++
-		}
-		return true
-	})
-	for _, x := range m.extra {
-		if !x.removed && x.flags&core.FlagCovered != 0 {
+	for _, f := range m.flags {
+		if f != gone && f&core.FlagCovered != 0 {
 			covered++
 		}
 	}
@@ -335,7 +378,7 @@ func TestAddEdgeCoversThroughExistingHub(t *testing.T) {
 		t.Fatalf("CoveredCount = %d, want 2", got)
 	}
 
-	// Removing the pull support 1→3 must rescue the covered extra edge.
+	// Removing the pull support 1→3 must rescue the covered added edge.
 	rescued := 0
 	m.OnRescue = func(u, v graph.NodeID, cost float64) {
 		if u == 0 && v == 3 {
@@ -364,7 +407,7 @@ func TestReAddOnHubDenseGraphBeatsDirectPatching(t *testing.T) {
 
 	var coveredEdges []graph.Edge
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if m.sched.IsCovered(e) && len(coveredEdges) < 40 {
+		if m.flags[e]&core.FlagCovered != 0 && len(coveredEdges) < 40 {
 			coveredEdges = append(coveredEdges, graph.Edge{From: u, To: v})
 		}
 		return true

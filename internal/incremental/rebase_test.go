@@ -17,15 +17,10 @@ import (
 // replaced, and of nothing else.
 func (m *Maintainer) LiveEdges() []graph.Edge {
 	out := make([]graph.Edge, 0, m.NumEdges())
-	m.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if !m.removed.Test(int(e)) {
+	for d, f := range m.flags {
+		if f != gone {
+			u, v := m.endpoints(graph.EdgeID(d))
 			out = append(out, graph.Edge{From: u, To: v})
-		}
-		return true
-	})
-	for _, x := range m.extra {
-		if !x.removed {
-			out = append(out, x.edge)
 		}
 	}
 	return out
@@ -49,26 +44,10 @@ func referenceRebase(m *Maintainer) (*graph.Graph, *core.Schedule) {
 			ns.SetCovered(ne, hub)
 		}
 	}
-	m.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
-		if m.removed.Test(int(e)) {
-			return true
-		}
-		var f core.Flag
-		if m.sched.IsPush(e) {
-			f |= core.FlagPush
-		}
-		if m.sched.IsPull(e) {
-			f |= core.FlagPull
-		}
-		if m.sched.IsCovered(e) {
-			f |= core.FlagCovered
-		}
-		copyFlags(u, v, f, m.sched.Hub(e))
-		return true
-	})
-	for _, x := range m.extra {
-		if !x.removed {
-			copyFlags(x.edge.From, x.edge.To, x.flags, x.hub)
+	for d, f := range m.flags {
+		if f != gone {
+			u, v := m.endpoints(graph.EdgeID(d))
+			copyFlags(u, v, f, m.hubs[d])
 		}
 	}
 	return ng, ns
@@ -80,9 +59,9 @@ func rebaseAgrees(t *testing.T, m *Maintainer) {
 	t.Helper()
 	g, s := m.Rebase()
 	rg, rs := referenceRebase(m)
-	if g.NumNodes() != rg.NumNodes() || g.NumEdges() != rg.NumEdges() {
-		t.Fatalf("rebased graph has %d nodes / %d edges, reference %d / %d",
-			g.NumNodes(), g.NumEdges(), rg.NumNodes(), rg.NumEdges())
+	if g.NumNodes() != rg.NumNodes() || g.NumEdges() != rg.NumEdges() || m.NumEdges() != rg.NumEdges() {
+		t.Fatalf("rebased graph has %d nodes / %d edges, NumEdges %d, reference %d / %d",
+			g.NumNodes(), g.NumEdges(), m.NumEdges(), rg.NumNodes(), rg.NumEdges())
 	}
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 		if g.EdgeAt(e) != rg.EdgeAt(e) {
@@ -146,7 +125,7 @@ func TestRebaseMatchesReference(t *testing.T) {
 
 // The corner the merge has to get right by construction: added edges
 // before, between and after the base edges, a base edge removed and
-// re-added (it revives in place and must not show up as an extra), an
+// re-added (it revives in place and must not show up as an added edge), an
 // added edge removed and re-added, and an added edge that stays removed.
 func TestRebaseMergeCorners(t *testing.T) {
 	g := graph.FromEdges(6, []graph.Edge{{From: 1, To: 2}, {From: 1, To: 4}, {From: 3, To: 2}, {From: 3, To: 4}})
@@ -175,8 +154,8 @@ func TestRebaseMergeCorners(t *testing.T) {
 		}
 		rebaseAgrees(t, m)
 	}
-	if len(m.extra) != 5 {
-		t.Fatalf("%d extra slots, want 5: a revived base edge must not become an extra", len(m.extra))
+	if len(m.added) != 5 {
+		t.Fatalf("%d added edges, want 5: a revived base edge must not become an added one", len(m.added))
 	}
 }
 
@@ -196,7 +175,7 @@ func sameRebase(t *testing.T, round int, g, wantG *graph.Graph, s, wantS *core.S
 }
 
 // A Frozen frozen into again is a fresh freeze: its Rebase equals one taken
-// at the same moment, after the maintainer has moved on, through extra-edge
+// at the same moment, after the maintainer has moved on, through added-edge
 // adds, removals and rate ops between the freezes. Once its arrays have
 // grown, freezing into it allocates nothing.
 func TestFreezeReusesBuffers(t *testing.T) {
@@ -214,22 +193,32 @@ func TestFreezeReusesBuffers(t *testing.T) {
 		wantG, wantS := fresh.Rebase()
 		sameRebase(t, round, g, wantG, s, wantS)
 	}
-	if len(m.extra) == 0 || m.removed.Count() == 0 {
-		t.Fatalf("set-up: %d extra edges, %d removed base edges; want both", len(m.extra), m.removed.Count())
+	removed := 0
+	for _, f := range m.flags[:g.NumEdges()] {
+		if f == gone {
+			removed++
+		}
+	}
+	if len(m.added) == 0 || removed == 0 {
+		t.Fatalf("set-up: %d added edges, %d removed base edges; want both", len(m.added), removed)
 	}
 	if allocs := testing.AllocsPerRun(50, func() { m.Freeze(reused) }); allocs != 0 {
 		t.Errorf("freezing into a Frozen of the same maintainer allocates %v times", allocs)
 	}
 }
 
-// BenchmarkRebaseChurn prices one Rebase at the churn_local geometry: a
-// PARALLELNOSY schedule over the 120k-edge streamed graph after the 1000
-// churn ops of one round.
-func BenchmarkRebaseChurn(b *testing.B) {
+// churnLocal is the churn_local set-up: a PARALLELNOSY schedule over the
+// 120k-edge streamed graph, LogDegree rates, and one round's 1000 churn
+// ops.
+func churnLocal() (*core.Schedule, *workload.Rates, []workload.ChurnOp) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
 	r := workload.LogDegree(g, 5)
-	m := New(nosy.Solve(g, r, nosy.Config{}).Schedule, r)
-	for i, op := range workload.GenerateChurn(g, r, 1000, workload.ChurnConfig{Seed: 7}) {
+	return nosy.Solve(g, r, nosy.Config{}).Schedule, r, workload.GenerateChurn(g, r, 1000, workload.ChurnConfig{Seed: 7})
+}
+
+// replay applies ops to m in order.
+func replay(tb testing.TB, m *Maintainer, ops []workload.ChurnOp) {
+	for i, op := range ops {
 		var err error
 		switch op.Kind {
 		case workload.OpAdd:
@@ -240,12 +229,35 @@ func BenchmarkRebaseChurn(b *testing.B) {
 			err = m.UpdateRates(op.U, op.Prod, op.Cons)
 		}
 		if err != nil {
-			b.Fatalf("op %d: %v", i, err)
+			tb.Fatalf("op %d: %v", i, err)
 		}
 	}
+}
+
+// BenchmarkRebaseChurn prices one Rebase at the churn_local geometry,
+// after the churn ops of one round.
+func BenchmarkRebaseChurn(b *testing.B) {
+	s, r, ops := churnLocal()
+	m := New(s, r)
+	replay(b, m, ops)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Rebase()
+	}
+}
+
+// BenchmarkMaintainerOps prices the maintainer's share of the ingest path
+// at the churn_local geometry: one iteration replays the round's 1000 ops
+// on a fresh maintainer, built outside the timer.
+func BenchmarkMaintainerOps(b *testing.B) {
+	s, r, ops := churnLocal()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := New(s, cloneRates(r))
+		b.StartTimer()
+		replay(b, m, ops)
 	}
 }
