@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -333,8 +335,7 @@ func TestDeadlineStillBoundsRoundTrip(t *testing.T) {
 	// it.
 	roundTrip := func() (time.Duration, error) {
 		t.Helper()
-		s := cl.conns[0]
-		s.wbuf = encodeQuery(newFrame(s.wbuf), StreamSize, []graph.NodeID{0})
+		frame := frameOf(0, encodeQuery(nil, StreamSize, []graph.NodeID{0}))
 		type result struct {
 			took time.Duration
 			err  error
@@ -342,7 +343,7 @@ func TestDeadlineStillBoundsRoundTrip(t *testing.T) {
 		done := make(chan result, 1)
 		t0 := time.Now()
 		go func() {
-			_, err := cl.call(0, s.wbuf)
+			_, err := cl.call(0, frame)
 			done <- result{time.Since(t0), err}
 		}()
 		select {
@@ -455,6 +456,59 @@ func TestMalformedFrameGetsTypedError(t *testing.T) {
 	defer mu.Unlock()
 	if len(hooked) != 2 {
 		t.Fatalf("OnProtoError fired %d times, want 2: %v", len(hooked), hooked)
+	}
+}
+
+// TestV2FrameGetsVersionMismatch: a v2 peer's frame (a 4-byte
+// little-endian length, version 2, a 4-byte epoch, fixed-width fields)
+// gets the typed error frame naming ErrVersionMismatch, the hook sees
+// the mismatch, and the server then drops the connection: no v2 code
+// path is left to serve it.
+func TestV2FrameGetsVersionMismatch(t *testing.T) {
+	var mu sync.Mutex
+	var hooked []error
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerOn(ln, ServerConfig{
+		OnProtoError: func(remote string, err error) {
+			mu.Lock()
+			hooked = append(hooked, err)
+			mu.Unlock()
+		},
+	})
+	defer srv.Close()
+	c, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+
+	// A v2 query for the newest StreamSize events of no view.
+	v2 := []byte{14, 0, 0, 0, 2, 0, 0, 0, 0, opQuery, StreamSize, 0, 0, 0, 0, 0, 0, 0}
+	if _, err := c.Write(v2); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	var buf []byte
+	reply, _, err := readFrame(br, &buf)
+	if err != nil {
+		t.Fatalf("server dropped the connection without the error frame: %v", err)
+	}
+	var se *ServerError
+	if _, err := decodeResponse(reply); !errors.As(err, &se) || se.Code != ErrCodeMalformed ||
+		!strings.HasPrefix(se.Msg, ErrVersionMismatch.Error()) {
+		t.Fatalf("v2 frame: got %v, want a malformed ServerError naming the version mismatch", err)
+	}
+	if _, _, err := readFrame(br, &buf); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the error frame: got %v, want the connection closed", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(hooked) != 1 || !errors.Is(hooked[0], ErrVersionMismatch) {
+		t.Fatalf("OnProtoError saw %v, want the one version mismatch", hooked)
 	}
 }
 

@@ -531,15 +531,12 @@ func (cl *Client) backoff(s *sconn, attempt int) time.Duration {
 
 // call performs one request against server si with the full failure
 // discipline: retry with backoff on fresh connections, down-marking,
-// probe-gated recovery, and handoff replay after a probe succeeds. call
-// seals frame (a newFrame plus payload); the reply body is in s.rbuf.
+// probe-gated recovery, and handoff replay after a probe succeeds.
+// frame is sealed; the reply body is in s.rbuf.
 func (cl *Client) call(si int, frame []byte) ([]byte, error) {
 	s := cl.conns[si]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := sealFrame(frame, 0); err != nil {
-		return nil, err
-	}
 
 	attempts := cl.cfg.Retries + 1
 	if s.down {
@@ -760,9 +757,11 @@ func (cl *Client) runBatch(i int) {
 	}
 	s := cl.conns[b.server]
 	s.wbuf = encodeUpdate(newFrame(s.wbuf), cl.ev, b.views)
-	_, err := cl.call(b.server, s.wbuf)
-	if errors.Is(err, ErrServerDown) {
-		err = cl.park(b.server, s.wbuf)
+	frame, err := sealFrame(s.wbuf, 0)
+	if err == nil {
+		if _, err = cl.call(b.server, frame); errors.Is(err, ErrServerDown) {
+			err = cl.park(b.server, frame)
+		}
 	}
 	cl.errs[i] = err
 }
@@ -772,7 +771,11 @@ func (cl *Client) runBatch(i int) {
 func (cl *Client) queryBatch(b batch) ([]Event, error) {
 	s := cl.conns[b.server]
 	s.wbuf = encodeQuery(newFrame(s.wbuf), StreamSize, b.views)
-	body, err := cl.call(b.server, s.wbuf)
+	frame, err := sealFrame(s.wbuf, 0)
+	if err != nil {
+		return nil, err
+	}
+	body, err := cl.call(b.server, frame)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,45 @@
 // of a net.Pipe, so the same framing, routing and failure handling run
 // without sockets, and faults are injected under either tier by
 // wrapping the listener.
+//
+// # Wire protocol v3
+//
+// Every message is a frame carrying its length, the protocol version
+// and the sender's plan epoch. The epoch is the hook for drain-free
+// schedule rollout (ROADMAP item 2b): servers stamp responses with the
+// plan epoch they are serving, so a client can observe a rollout
+// propagate without any side channel. Every integer on the wire is a
+// varint, and view and event lists are delta-coded, so the small ids
+// and steps of a newest-first stream take a byte or two each:
+//
+//	frame   := len(uvarint) version(1)=3 epoch(uvarint) payload    len counts version, epoch and payload
+//	request payload :=
+//	    opUpdate(1) event views
+//	  | opQuery(1)  k(uvarint) views
+//	views   := n(uvarint) n×Δview(varint)                          Δ from the previous id, the first from 0
+//	events  := n(uvarint) n×event
+//	event   := user(varint) Δid(varint) Δts(varint)                Δ from the previous event mod 2⁶⁴, the first from 0
+//	response payload := status(1) rest
+//	    status=statusOK:  update → empty, query → events
+//	    status=statusErr: code(1) message(utf-8, rest of payload)
+//
+// A uvarint is encoding/binary's; a varint is its zigzag form, so a
+// small negative step is as short as a small positive one. An update's
+// event is coded as a one-event list. Every varint must be canonical
+// (the shortest encoding of its value, the one encoding/binary writes),
+// and a payload must end where its last field does: decoders reject
+// overlong encodings and trailing bytes, so whatever decodes encodes
+// back to the same bytes. An event takes 3 to 25 bytes on the wire, a
+// view 1 to 5.
+//
+// Typed error frames replace v1's silent connection drops: a malformed
+// request gets a statusErr reply (the framing is still intact — a bad
+// payload says nothing about the stream position), while frame-level
+// corruption still closes the connection, the only safe move once the
+// length prefix itself cannot be trusted. A v2 peer's frame (a 4-byte
+// little-endian length, then version 2) of under 128 bytes reads as
+// version 0 and gets ErrVersionMismatch; a longer one fails the version
+// check, the length prefix or the payload decode.
 package netstore
 
 import (
@@ -18,12 +57,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 
 	"piggyback/internal/graph"
 )
 
-// Event is the (user id, event id, timestamp) tuple of the prototype; 24
-// bytes, exactly as in §4.3.
+// Event is the (user id, event id, timestamp) tuple of the prototype: 24
+// bytes in memory, exactly as in §4.3. On the wire an event takes 3–25
+// bytes, its id and timestamp coded as steps from the event before it.
 type Event struct {
 	User graph.NodeID
 	ID   int64
@@ -38,25 +80,8 @@ const StreamSize = 10
 // that grow beyond it (the paper's thin memcached layer does the same).
 const ViewCap = 64
 
-// Protocol v2: every message is a length-prefixed frame carrying a
-// protocol version and the sender's plan epoch. The epoch is the hook
-// for drain-free schedule rollout (ROADMAP item 2b): servers stamp
-// responses with the plan epoch they are serving, so a client can
-// observe a rollout propagate without any side channel.
-//
-//	frame  := len(uint32 LE) version(1) epoch(uint32 LE) payload
-//	request payload :=
-//	    opUpdate(1) event{user int32, id int64, ts int64} n(uint32) n×view(int32)
-//	  | opQuery(1)  k(uint32) n(uint32) n×view(int32)
-//	response payload := status(1) rest
-//	    status=statusOK:  update → empty, query → count(uint32) count×event
-//	    status=statusErr: code(1) message(utf-8, rest of payload)
-//
-// Typed error frames replace v1's silent connection drops: a malformed
-// request gets a statusErr reply (the framing is still intact — a bad
-// payload says nothing about the stream position), while frame-level
-// corruption still closes the connection, the only safe move once the
-// length prefix itself cannot be trusted.
+// The request ops of the wire protocol (the package comment has its
+// grammar).
 const (
 	opUpdate byte = 1
 	opQuery  byte = 2
@@ -64,15 +89,12 @@ const (
 
 // protocolVersion is the wire version this build speaks. A peer frame
 // with any other version is rejected with ErrVersionMismatch.
-const protocolVersion = 2
+const protocolVersion = 3
 
 const (
 	statusOK  byte = 0
 	statusErr byte = 1
 )
-
-// frameHdr is the fixed frame overhead past the length prefix.
-const frameHdr = 1 + 4 // version + epoch
 
 // ErrVersionMismatch is returned when a peer speaks a different
 // protocol version; the connection must be dropped.
@@ -116,60 +138,113 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("netstore: server error (%s): %s", e.Code, e.Msg)
 }
 
-// maxFrame bounds a frame to keep a malicious or corrupt peer from
-// forcing huge allocations.
+// maxFrame bounds a frame's payload to keep a malicious or corrupt peer
+// from forcing huge allocations.
 const maxFrame = 16 << 20
 
-const eventWire = 4 + 8 + 8 // user + id + ts
+// frameRoom is the header room newFrame reserves: the longest length
+// prefix, the version and the longest epoch. maxFrameLen is the largest
+// length a prefix may carry.
+const (
+	frameRoom   = binary.MaxVarintLen32 + 1 + binary.MaxVarintLen32
+	maxFrameLen = maxFrame + 1 + binary.MaxVarintLen32
+)
 
-// newFrame starts a frame in buf's storage: room for the length, the
-// version, room for the epoch. The caller appends the payload (a
-// response's status byte first, so no body is copied behind one) and
-// seals the result.
+// eventMin is the fewest bytes an event takes on the wire (one per
+// varint); a decoder sizes nothing past what the payload could hold.
+const eventMin = 3
+
+// newFrame starts a frame in buf's storage: room for the header. The
+// caller appends the payload (a response's status byte first, so no
+// body is copied behind one) and seals the result.
 func newFrame(buf []byte) []byte {
-	return append(buf[:0], 0, 0, 0, 0, protocolVersion, 0, 0, 0, 0)
+	var room [frameRoom]byte
+	return append(buf[:0], room[:]...)
 }
 
-// sealFrame stamps a frame begun by newFrame with its length and epoch.
-func sealFrame(frame []byte, epoch uint32) error {
-	if len(frame)-4-frameHdr > maxFrame {
-		return fmt.Errorf("netstore: frame of %d bytes exceeds limit", len(frame)-4-frameHdr)
+// sealFrame writes the header of a frame begun by newFrame flush against
+// its payload and returns the frame from its first byte, which lies
+// inside the room newFrame left.
+func sealFrame(frame []byte, epoch uint32) ([]byte, error) {
+	payload := len(frame) - frameRoom
+	if payload > maxFrame {
+		return nil, fmt.Errorf("netstore: frame of %d bytes exceeds limit", payload)
 	}
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	binary.LittleEndian.PutUint32(frame[5:], epoch)
-	return nil
+	n := 1 + uvarintLen(uint64(epoch)) + payload
+	start := frameRoom + payload - n - uvarintLen(uint64(n))
+	h := binary.AppendUvarint(frame[start:start], uint64(n))
+	h = append(h, protocolVersion)
+	binary.AppendUvarint(h, uint64(epoch))
+	return frame[start:], nil
+}
+
+// uvarintLen is the length of x's uvarint.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
+}
+
+// frameReader is what readFrame reads from: the length prefix a byte at
+// a time, the rest of the frame in one piece.
+type frameReader interface {
+	io.Reader
+	io.ByteReader
 }
 
 // readFrame reads one frame into *buf, grown only when the frame does
 // not fit, and returns the payload, which aliases *buf until the next
-// read into it. The length prefix goes through *buf too: a local array
-// handed to an io.Reader escapes, one allocation per frame.
-func readFrame(r io.Reader, buf *[]byte) (payload []byte, epoch uint32, err error) {
-	if cap(*buf) < 4 {
-		*buf = make([]byte, 64)
-	}
-	b := (*buf)[:4]
-	if _, err := io.ReadFull(r, b); err != nil {
+// read into it.
+func readFrame(r frameReader, buf *[]byte) (payload []byte, epoch uint32, err error) {
+	n, err := readLength(r)
+	if err != nil {
 		return nil, 0, err
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > maxFrame+frameHdr {
-		return nil, 0, fmt.Errorf("netstore: frame of %d bytes exceeds limit", n)
+	if cap(*buf) < n {
+		*buf = make([]byte, max(n, 64))
 	}
-	if n < frameHdr {
-		return nil, 0, fmt.Errorf("netstore: frame of %d bytes is shorter than its header", n)
-	}
-	if cap(b) < int(n) {
-		*buf = make([]byte, n)
-	}
-	b = (*buf)[:n]
+	b := (*buf)[:n]
 	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, 0, err
 	}
 	if b[0] != protocolVersion {
 		return nil, 0, fmt.Errorf("%w: got %d, want %d", ErrVersionMismatch, b[0], protocolVersion)
 	}
-	return b[frameHdr:], binary.LittleEndian.Uint32(b[1:]), nil
+	w := wire{b: b, off: 1}
+	if e := w.uvarint(); !w.bad && e <= math.MaxUint32 {
+		return b[w.off:], uint32(e), nil
+	}
+	return nil, 0, fmt.Errorf("netstore: frame with a malformed epoch")
+}
+
+// readLength reads a frame's length prefix: a canonical uvarint of at
+// least the version and an epoch and at most maxFrameLen. It stops at
+// the first byte that makes the prefix too long, so garbage is not read
+// on.
+func readLength(r io.ByteReader) (int, error) {
+	var n uint64
+	for shift := 0; ; shift += 7 {
+		c, err := r.ReadByte()
+		if err != nil {
+			if shift > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		n |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			switch {
+			case shift > 0 && c == 0:
+				return 0, fmt.Errorf("netstore: overlong frame length prefix")
+			case n > maxFrameLen:
+				return 0, fmt.Errorf("netstore: frame of %d bytes exceeds limit", n)
+			case n < 2:
+				return 0, fmt.Errorf("netstore: frame of %d bytes is shorter than its header", n)
+			}
+			return int(n), nil
+		}
+		if 1<<(shift+7) > maxFrameLen {
+			return 0, fmt.Errorf("netstore: frame length prefix exceeds limit")
+		}
+	}
 }
 
 // errResponse builds a statusErr response payload.
@@ -200,38 +275,102 @@ func decodeResponse(payload []byte) ([]byte, error) {
 	}
 }
 
-func appendEvent(b []byte, ev Event) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(ev.User))
-	b = binary.LittleEndian.AppendUint64(b, uint64(ev.ID))
-	return binary.LittleEndian.AppendUint64(b, uint64(ev.TS))
+// wire is a payload being decoded: each read takes one canonical varint
+// at off and moves off past it. The first read that fails sets bad and
+// moves off to the end, so every later read fails too and returns 0.
+type wire struct {
+	b   []byte
+	off int
+	bad bool
 }
 
-func getEvent(b []byte) Event {
-	return Event{
-		User: graph.NodeID(binary.LittleEndian.Uint32(b[0:])),
-		ID:   int64(binary.LittleEndian.Uint64(b[4:])),
-		TS:   int64(binary.LittleEndian.Uint64(b[12:])),
+func (w *wire) fail() {
+	w.off, w.bad = len(w.b), true
+}
+
+// done reports whether every read so far succeeded and the payload ends
+// where the last one did.
+func (w *wire) done() bool {
+	return !w.bad && w.off == len(w.b)
+}
+
+// uvarint reads a canonical uvarint: at most 64 bits, and no last byte
+// of 0 after the first. Most steps fit one byte, read without the loop.
+func (w *wire) uvarint() uint64 {
+	if w.off < len(w.b) && w.b[w.off] < 0x80 {
+		w.off++
+		return uint64(w.b[w.off-1])
 	}
+	x, n := binary.Uvarint(w.b[w.off:])
+	if n <= 0 || (n > 1 && w.b[w.off+n-1] == 0) {
+		w.fail()
+		return 0
+	}
+	w.off += n
+	return x
+}
+
+func (w *wire) varint() int64 {
+	u := w.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// node reads a node id coded as a step from prev.
+func (w *wire) node(prev graph.NodeID) graph.NodeID {
+	v := int64(prev) + w.varint()
+	if v != int64(graph.NodeID(v)) {
+		w.fail()
+		return 0
+	}
+	return graph.NodeID(v)
+}
+
+// event reads an event coded against prev.
+func (w *wire) event(prev Event) Event {
+	user := w.node(0)
+	id := prev.ID + w.varint()
+	return Event{User: user, ID: id, TS: prev.TS + w.varint()}
+}
+
+// count reads a list length and holds it to what the rest of the
+// payload could hold at size bytes per element.
+func (w *wire) count(size int) int {
+	n := w.uvarint()
+	if n > uint64((len(w.b)-w.off)/size) {
+		w.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// appendEvent appends ev coded against prev, the event before it in its
+// list.
+func appendEvent(b []byte, ev, prev Event) []byte {
+	b = binary.AppendVarint(b, int64(ev.User))
+	b = binary.AppendVarint(b, ev.ID-prev.ID)
+	return binary.AppendVarint(b, ev.TS-prev.TS)
 }
 
 // encodeUpdate appends an update request body to dst.
 func encodeUpdate(dst []byte, ev Event, views []graph.NodeID) []byte {
 	dst = append(dst, opUpdate)
-	dst = appendEvent(dst, ev)
+	dst = appendEvent(dst, ev, Event{})
 	return appendViews(dst, views)
 }
 
 // encodeQuery appends a query request body to dst.
 func encodeQuery(dst []byte, k int, views []graph.NodeID) []byte {
 	dst = append(dst, opQuery)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
+	dst = binary.AppendUvarint(dst, uint64(uint32(k)))
 	return appendViews(dst, views)
 }
 
 func appendViews(dst []byte, views []graph.NodeID) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(views)))
+	dst = binary.AppendUvarint(dst, uint64(len(views)))
+	prev := int64(0)
 	for _, v := range views {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+		dst = binary.AppendVarint(dst, int64(v)-prev)
+		prev = int64(v)
 	}
 	return dst
 }
@@ -243,60 +382,68 @@ func decodeRequest(body []byte, scratch []graph.NodeID) (op byte, ev Event, k in
 		return 0, Event{}, 0, nil, fmt.Errorf("netstore: empty request")
 	}
 	op = body[0]
-	kind, off := "query", 9
+	w := wire{b: body, off: 1}
+	kind := "query"
 	switch op {
 	case opUpdate:
-		kind, off = "update", 1+eventWire+4
+		kind, ev = "update", w.event(Event{})
 	case opQuery:
+		if u := w.uvarint(); u <= math.MaxUint32 {
+			k = int(u)
+		} else {
+			w.fail()
+		}
 	default:
 		return 0, Event{}, 0, nil, unknownOpError(op)
 	}
-	if len(body) < off {
-		return 0, Event{}, 0, nil, fmt.Errorf("netstore: short %s frame", kind)
+	n := w.count(1)
+	if !w.bad {
+		if cap(scratch) < n {
+			scratch = make([]graph.NodeID, n)
+		}
+		views = scratch[:n]
+		prev := graph.NodeID(0)
+		for i := range views {
+			prev = w.node(prev)
+			views[i] = prev
+		}
 	}
-	if op == opUpdate {
-		ev = getEvent(body[1:])
-	} else {
-		k = int(binary.LittleEndian.Uint32(body[1:]))
-	}
-	n := int(binary.LittleEndian.Uint32(body[off-4:]))
-	if len(body) != off+4*n {
-		return 0, Event{}, 0, nil, fmt.Errorf("netstore: %s frame length mismatch", kind)
-	}
-	if cap(scratch) < n {
-		scratch = make([]graph.NodeID, n)
-	}
-	views = scratch[:n]
-	for i := range views {
-		views[i] = graph.NodeID(binary.LittleEndian.Uint32(body[off+4*i:]))
+	if !w.done() {
+		return 0, Event{}, 0, nil, fmt.Errorf("netstore: malformed %s frame", kind)
 	}
 	return op, ev, k, views, nil
 }
 
 // encodeEvents appends a query response body to dst.
 func encodeEvents(dst []byte, events []Event) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(events)))
+	dst = binary.AppendUvarint(dst, uint64(len(events)))
+	prev := Event{}
 	for _, ev := range events {
-		dst = appendEvent(dst, ev)
+		dst = appendEvent(dst, ev, prev)
+		prev = ev
 	}
 	return dst
 }
 
-// decodeEvents parses a query response body into scratch's storage.
+// decodeEvents parses a query response body into scratch's storage, or
+// a new slice of exactly its length when it does not fit.
 func decodeEvents(body []byte, scratch []Event) ([]Event, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("netstore: short query response")
-	}
-	n := int(binary.LittleEndian.Uint32(body))
-	if len(body) != 4+eventWire*n {
-		return nil, fmt.Errorf("netstore: query response length mismatch")
+	w := wire{b: body}
+	n := w.count(eventMin)
+	if w.bad {
+		return nil, fmt.Errorf("netstore: malformed query response")
 	}
 	if cap(scratch) < n {
 		scratch = make([]Event, n)
 	}
 	out := scratch[:n]
+	prev := Event{}
 	for i := range out {
-		out[i] = getEvent(body[4+eventWire*i:])
+		prev = w.event(prev)
+		out[i] = prev
+	}
+	if !w.done() {
+		return nil, fmt.Errorf("netstore: malformed query response")
 	}
 	return out, nil
 }

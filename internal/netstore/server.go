@@ -233,10 +233,11 @@ func (s *Server) handle(conn net.Conn) {
 	var c connScratch
 	var armed time.Time // the idle read deadline on conn; none yet
 	reply := func() bool {
-		if sealFrame(c.wbuf, s.epoch.Load()) != nil {
+		frame, err := sealFrame(c.wbuf, s.epoch.Load())
+		if err != nil {
 			return false
 		}
-		_, err := cc.Write(c.wbuf)
+		_, err = cc.Write(frame)
 		return err == nil
 	}
 	for {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -14,8 +15,8 @@ import (
 
 // frameOf is one sealed frame carrying payload.
 func frameOf(epoch uint32, payload []byte) []byte {
-	frame := append(newFrame(nil), payload...)
-	if err := sealFrame(frame, epoch); err != nil {
+	frame, err := sealFrame(append(newFrame(nil), payload...), epoch)
+	if err != nil {
 		panic(err)
 	}
 	return frame
@@ -30,21 +31,50 @@ func writeFrame(w io.Writer, epoch uint32, payload []byte) error {
 
 // A connection's read buffer must be reused as a whole: the parent kept
 // the payload's slice (buf = payload[:0]), whose capacity is the frame's
-// minus frameHdr, so every equal-sized frame allocated again.
+// minus its header, so every equal-sized frame allocated again.
 func TestReadFrameReusesItsBuffer(t *testing.T) {
-	one := frameOf(3, encodeQuery(nil, StreamSize, []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8}))
-	stream := bytes.Repeat(one, 102) // one to size the buffer, AllocsPerRun's warm-up, 100 counted
+	query := encodeQuery(nil, StreamSize, []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8})
+	stream := bytes.Repeat(frameOf(3, query), 102) // one to size the buffer, AllocsPerRun's warm-up, 100 counted
 	r := bytes.NewReader(stream)
 	var buf []byte
 	read := func() {
 		payload, epoch, err := readFrame(r, &buf)
-		if err != nil || epoch != 3 || len(payload) != len(one)-4-frameHdr {
-			t.Fatalf("readFrame = %d bytes, epoch %d, %v", len(payload), epoch, err)
+		if err != nil || epoch != 3 || !bytes.Equal(payload, query) {
+			t.Fatalf("readFrame = %x, epoch %d, %v", payload, epoch, err)
 		}
 	}
 	read() // the first frame sizes the buffer
 	if avg := testing.AllocsPerRun(100, read); avg != 0 {
 		t.Fatalf("reading an equal-sized frame allocates %.2f times, want 0", avg)
+	}
+}
+
+// TestWireSizes pins the v3 coding's length on the messages a served
+// request is made of (v2 took 204, 57 and 9 bytes for the three).
+func TestWireSizes(t *testing.T) {
+	// A newest-first reply: users below 8192 take two bytes each (zigzag),
+	// the first event's id and timestamp two each, every later one's
+	// steps of -1 a byte each.
+	reply := make([]Event, StreamSize)
+	for i := range reply {
+		reply[i] = Event{User: graph.NodeID(8191 - 811*i), ID: 5000 - int64(i), TS: 8000 - int64(i)}
+	}
+	if got, want := len(encodeEvents(nil, reply)), 1+(2+2+2)+(StreamSize-1)*(2+1+1); got != want {
+		t.Fatalf("a %d-event reply takes %d bytes, want %d", StreamSize, got, want)
+	}
+	// An update: op, the event as above, the count, and eight ascending
+	// views whose steps are all below 64.
+	update := encodeUpdate(nil, Event{User: 300, ID: 5000, TS: 8000},
+		[]graph.NodeID{3, 17, 40, 41, 50, 60, 61, 63})
+	if got, want := len(update), 1+(2+2+2)+1+8; got != want {
+		t.Fatalf("an update naming 8 views takes %d bytes, want %d", got, want)
+	}
+	// A frame header: the length and the epoch below 128 take a byte
+	// each, with the version between them.
+	for _, epoch := range []uint32{0, 127} {
+		if got := len(frameOf(epoch, update)) - len(update); got != 3 {
+			t.Fatalf("a frame header at epoch %d takes %d bytes, want 3", epoch, got)
+		}
 	}
 }
 
@@ -127,7 +157,10 @@ func TestServerQueryFoldsAcrossRounds(t *testing.T) {
 }
 
 // fuzzSeeds are the payloads TestMalformedFrameGetsTypedError sends, the
-// replies it gets, and a few well-formed neighbours.
+// replies it gets, a few well-formed neighbours, and the edges of the
+// varint coding: an overlong varint, an event at the int64 extremes
+// (steps that wrap), a decreasing view list (negative steps), a trailing
+// byte, and a view stepped past the int32 range.
 func fuzzSeeds() [][]byte {
 	ev := Event{User: 7, ID: 3, TS: 9}
 	return [][]byte{
@@ -140,38 +173,48 @@ func fuzzSeeds() [][]byte {
 		encodeEvents(nil, nil),
 		errResponse(ErrCodeUnknownOp, "netstore: unknown op 99"),
 		{},
+		{opQuery, 0x8a, 0x00, 0}, // k = 10 in two bytes
+		encodeEvents(nil, []Event{
+			{User: math.MaxInt32, ID: math.MaxInt64, TS: math.MinInt64},
+			{User: math.MinInt32, ID: math.MinInt64, TS: math.MaxInt64},
+		}),
+		encodeQuery(nil, StreamSize, []graph.NodeID{math.MaxInt32, 40, 7, 0, math.MinInt32}),
+		append(encodeQuery(nil, StreamSize, []graph.NodeID{7}), 0),
+		append(encodeQuery(nil, StreamSize, []graph.NodeID{math.MaxInt32})[:2], 2, 0xfe, 0xff, 0xff, 0xff, 0x0f, 2),
 	}
 }
 
-// FuzzReadFrame: any byte stream either yields a payload the stream
-// really contains or an error, in a buffer no larger than the stream's
-// own length prefix asked for (which readFrame holds to maxFrame); a
-// frame this package sealed reads back as written, into the same buffer
-// when it fits.
+// FuzzReadFrame: any byte stream either yields a frame that seals back
+// to the stream's own first bytes (the header canonical, the payload
+// what the stream holds) or an error, in a buffer no larger than the
+// stream's own uvarint length prefix asked for (which readFrame holds to
+// maxFrameLen); a frame this package sealed reads back as written, into
+// the same buffer when it fits.
 func FuzzReadFrame(f *testing.F) {
 	for _, p := range fuzzSeeds() {
 		f.Add(frameOf(5, p), uint32(5))
 		f.Add(p, uint32(0))
 	}
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint32(0)) // TestServerRejectsGarbage
-	f.Add([]byte{9, 0, 0, 0, 1, 0, 0, 0, 0, statusOK, 0, 0, 0}, uint32(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint32(0))                       // TestServerRejectsGarbage
+	f.Add([]byte{9, 0, 0, 0, 2, 0, 0, 0, 0, statusOK, 0, 0, 0}, uint32(0)) // a v2 frame
+	f.Add([]byte{0x83, 0x00, protocolVersion, 0, statusOK}, uint32(0))     // an overlong length prefix
+	f.Add([]byte{3, protocolVersion, 0x80, 0x00, statusOK}, uint32(0))     // an overlong epoch
 	f.Fuzz(func(t *testing.T, stream []byte, epoch uint32) {
 		limit := 64
-		if len(stream) >= 4 {
-			if n := binary.LittleEndian.Uint32(stream); n >= frameHdr && n <= maxFrame+frameHdr {
-				limit = max(limit, int(n))
-			}
+		n, m := binary.Uvarint(stream)
+		if m > 0 && n <= maxFrameLen {
+			limit = max(limit, int(n))
 		}
 		var buf []byte
-		payload, _, err := readFrame(bytes.NewReader(stream), &buf)
+		payload, got, err := readFrame(bytes.NewReader(stream), &buf)
 		if cap(buf) > limit {
-			t.Fatalf("a stream starting %x left a %d-byte buffer", stream[:min(len(stream), 4)], cap(buf))
+			t.Fatalf("a stream starting %x left a %d-byte buffer", stream[:min(len(stream), binary.MaxVarintLen32)], cap(buf))
 		}
-		if err == nil && !bytes.Equal(payload, stream[4+frameHdr:4+frameHdr+len(payload)]) {
-			t.Fatalf("payload %x is not in stream %x", payload, stream)
+		if err == nil && !bytes.Equal(frameOf(got, payload), stream[:m+int(n)]) {
+			t.Fatalf("frame %x read from stream %x seals back as %x", payload, stream, frameOf(got, payload))
 		}
-		limit = max(cap(buf), len(stream)+frameHdr)
-		payload, got, err := readFrame(bytes.NewReader(frameOf(epoch, stream)), &buf)
+		limit = max(64, cap(buf), 1+binary.MaxVarintLen32+len(stream))
+		payload, got, err = readFrame(bytes.NewReader(frameOf(epoch, stream)), &buf)
 		if err != nil || got != epoch || !bytes.Equal(payload, stream) {
 			t.Fatalf("sealed frame read back as %x, epoch %d, %v", payload, got, err)
 		}
@@ -182,8 +225,9 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzDecodeRequest: no body panics the decoder or makes it allocate
-// more view slots than the body has bytes for, and whatever decodes
-// encodes back to the same bytes.
+// more view slots than the body has bytes for (a view takes one at the
+// least), and whatever decodes encodes back to the same bytes, so the
+// decoder takes canonical varints only.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, p := range fuzzSeeds() {
 		f.Add(p)
@@ -196,7 +240,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			return
 		}
-		if 4*cap(views) > len(body) {
+		if cap(views) > len(body) {
 			t.Fatalf("%d view slots for a %d-byte body", cap(views), len(body))
 		}
 		var again []byte
@@ -223,7 +267,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeEvents is FuzzDecodeRequest for the query response body.
+// FuzzDecodeEvents is FuzzDecodeRequest for the query response body,
+// whose events take eventMin bytes at the least.
 func FuzzDecodeEvents(f *testing.F) {
 	for _, p := range fuzzSeeds() {
 		f.Add(p)
@@ -236,7 +281,7 @@ func FuzzDecodeEvents(f *testing.F) {
 			}
 			return
 		}
-		if eventWire*cap(evs) > len(body) {
+		if eventMin*cap(evs) > len(body) {
 			t.Fatalf("%d event slots for a %d-byte body", cap(evs), len(body))
 		}
 		if again := encodeEvents(nil, evs); !bytes.Equal(again, body) {

@@ -495,9 +495,14 @@ func (st *state) iterate() IterationStat {
 
 const (
 	// workerShare is the fewest dirty edges a worker must be handed before
-	// evaluation fans out. Waking a parked thread costs 8.5–13 µs on the
-	// reference container (bench/README), about 50 warm evaluations, so
-	// a share must be many times that for the second worker to pay; late
+	// evaluation fans out. bench/README's 8.5–13 µs wake-up is a loopback
+	// ping-pong between two hot goroutines; inside a fan-out the helper
+	// starts later. On solve_batch's streamed 60k graph (seed 7, ten
+	// solves, 2 CPUs) its first batch starts 63–84 / 68–101 / 111–539 µs
+	// (p10/p50/p90 per solve) after the go statement, while the caller's
+	// own share takes 229–411 µs at p50; after ≥ 1.5 ms idle the p50 is
+	// the same and the p90 reaches 1.2 ms. So a share must be many
+	// wake-ups' worth of evaluations for the second worker to pay; late
 	// rounds with tens of dirty edges run on the caller.
 	workerShare = 512
 	// workBatch is the span handed out per pull on the work cursor: small
