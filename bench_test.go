@@ -300,8 +300,8 @@ func BenchmarkAblationChitChatOracle(b *testing.B) {
 // evaluation scale on one machine. Peak RSS is reported as a metric
 // because bounding it is the point: one live shard subgraph per worker
 // keeps memory O(active shard), not O(graph). Nothing tracks the number
-// (91 MB at 1.18M edges, DESIGN.md §4) until the repo benchmark has a
-// ≥1M-edge layer (ROADMAP item 8).
+// (91 MB at 1.18M edges, DESIGN.md §4): the repo benchmark has no
+// ≥1M-edge layer.
 func BenchmarkShardSolve1M(b *testing.B) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(1_100_000, 1))
 	if g.NumEdges() < 1_000_000 {

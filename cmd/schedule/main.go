@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -41,7 +40,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "solver parallelism (0 = all cores; chitchat uses them for its seed phase only)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry the best-so-far valid schedule is reported")
 		progress = flag.Bool("progress", false, "print live per-iteration progress")
-		iters    = flag.Bool("iters", false, "trace finalized cost per iteration (implies -progress; nosy)")
 		out      = flag.String("o", "", "save the schedule to this file (schedio format)")
 	)
 	flag.Parse()
@@ -52,8 +50,8 @@ func main() {
 	}
 	r := workload.LogDegree(g, *ratio)
 
-	opts := solver.Options{Workers: *workers, TraceCosts: *iters}
-	if *progress || *iters {
+	opts := solver.Options{Workers: *workers}
+	if *progress {
 		opts.Progress = func(ev solver.ProgressEvent) { printProgress(os.Stderr, ev) }
 	}
 	sv, err := solver.New(*algo, opts)
@@ -125,12 +123,8 @@ func printProgress(w io.Writer, ev solver.ProgressEvent) {
 		fmt.Fprintf(w, "shard %d/%d: edges=%d cost=%.1f\n",
 			ev.Iteration, ev.Iteration+ev.Remaining, ev.Covered, ev.Cost)
 	default:
-		line := fmt.Sprintf("iteration %3d: dirty=%d candidates=%d commits=%d+%d covered=%d",
-			ev.Iteration+1, ev.Dirty, ev.Candidates, ev.FullCommits, ev.PartialCommits, ev.CoveredEdges)
-		if !math.IsNaN(ev.Cost) {
-			line += fmt.Sprintf(" cost=%.1f", ev.Cost)
-		}
-		fmt.Fprintln(w, line)
+		fmt.Fprintf(w, "iteration %3d: dirty=%d candidates=%d commits=%d+%d covered=%d cost=%.1f\n",
+			ev.Iteration+1, ev.Dirty, ev.Candidates, ev.FullCommits, ev.PartialCommits, ev.CoveredEdges, ev.Cost)
 	}
 }
 

@@ -262,3 +262,43 @@ func TestDocsNameExistingDeclarations(t *testing.T) {
 		}
 	}
 }
+
+// TestCodeCitesNoRoadmapItem keeps plan item numbers out of the code: an
+// item is renumbered or closed as the plan moves on, so a comment that
+// cites one by number goes stale while the code it explains does not. A
+// comment states the fact instead. The benchmark harness under bench/ is
+// not scanned.
+func TestCodeCitesNoRoadmapItem(t *testing.T) {
+	const cite = "ROADMAP" + " item" // split, so this file does not match itself
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err == nil && e.IsDir() && path != "." && (strings.HasPrefix(e.Name(), ".") || path == "bench") {
+			return fs.SkipDir
+		}
+		if err != nil || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		for i, line := range strings.Split(string(b), "\n") {
+			if strings.Contains(line, cite) {
+				t.Errorf("%s:%d cites a %s by number; state the fact instead", path, i+1, cite)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDesignDocDoesNotGrow holds DESIGN.md to the size it had when the
+// budget was set: a section that gains text must lose as much elsewhere.
+func TestDesignDocDoesNotGrow(t *testing.T) {
+	const budget = 158031 // bytes
+	fi, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() > budget {
+		t.Errorf("DESIGN.md is %d B, over its %d B budget", fi.Size(), budget)
+	}
+}

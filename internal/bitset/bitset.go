@@ -79,33 +79,6 @@ func (s *Set) Reset() {
 	}
 }
 
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set { return s.CloneInto(nil) }
-
-// CloneInto makes dst a deep copy of s, reusing dst's words where there
-// are enough, and returns it; a nil dst allocates.
-func (s *Set) CloneInto(dst *Set) *Set {
-	if dst == nil {
-		dst = &Set{}
-	}
-	dst.words, dst.n = append(dst.words[:0], s.words...), s.n
-	return dst
-}
-
-// Range calls fn for every set bit in increasing order. It stops early if
-// fn returns false.
-func (s *Set) Range(fn func(i int) bool) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !fn(wi<<6 + b) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
 // NextSet returns the index of the first set bit at or after i, scanning
 // whole words at a time. The second return is false when no set bit
 // remains.

@@ -71,55 +71,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	s := New(70)
-	s.Set(5)
-	c := s.Clone()
-	c.Set(6)
-	if s.Test(6) {
-		t.Fatal("Clone shares storage with original")
-	}
-	if !c.Test(5) {
-		t.Fatal("Clone lost bit 5")
-	}
-}
-
-func TestRangeOrder(t *testing.T) {
-	s := New(300)
-	want := []int{2, 63, 64, 150, 299}
-	for _, i := range want {
-		s.Set(i)
-	}
-	var got []int
-	s.Range(func(i int) bool {
-		got = append(got, i)
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %d bits, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Range order: got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRangeEarlyStop(t *testing.T) {
-	s := New(100)
-	for i := 0; i < 100; i++ {
-		s.Set(i)
-	}
-	n := 0
-	s.Range(func(int) bool {
-		n++
-		return n < 10
-	})
-	if n != 10 {
-		t.Fatalf("Range visited %d bits after early stop, want 10", n)
-	}
-}
-
 func TestNextSet(t *testing.T) {
 	s := New(300)
 	want := []int{2, 63, 64, 150, 299}

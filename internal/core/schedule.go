@@ -278,12 +278,9 @@ func (s *Schedule) Validate() error {
 	return err
 }
 
-// PushSet returns, for user u, the users whose views must be updated when
-// u shares an event (excluding u's own view, which is implicit). This is
-// the h[u] of Algorithm 3.
-func (s *Schedule) PushSet(u graph.NodeID) []graph.NodeID { return s.AppendPushSet(nil, u) }
-
-// AppendPushSet appends u's push set to out, in out-edge order.
+// AppendPushSet appends u's push set to out, in out-edge order: the users
+// whose views must be updated when u shares an event (excluding u's own
+// view, which is implicit). This is the h[u] of Algorithm 3.
 func (s *Schedule) AppendPushSet(out []graph.NodeID, u graph.NodeID) []graph.NodeID {
 	lo, hi := s.g.OutEdgeRange(u)
 	for e := lo; e < hi; e++ {
@@ -294,12 +291,9 @@ func (s *Schedule) AppendPushSet(out []graph.NodeID, u graph.NodeID) []graph.Nod
 	return out
 }
 
-// PullSet returns, for user v, the views that must be queried to assemble
-// v's event stream (excluding v's own view, which is implicit). This is
-// the l[u] of Algorithm 3.
-func (s *Schedule) PullSet(v graph.NodeID) []graph.NodeID { return s.AppendPullSet(nil, v) }
-
-// AppendPullSet appends v's pull set to out, in in-edge order.
+// AppendPullSet appends v's pull set to out, in in-edge order: the views
+// that must be queried to assemble v's event stream (excluding v's own
+// view, which is implicit). This is the l[u] of Algorithm 3.
 func (s *Schedule) AppendPullSet(out []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	in := s.g.InNeighbors(v)
 	ids := s.g.InEdgeIDs(v)

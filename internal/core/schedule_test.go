@@ -189,15 +189,15 @@ func TestPushPullSets(t *testing.T) {
 	s.SetPush(up)
 	s.SetPull(down)
 	s.SetCovered(cross, 1)
-	ps := s.PushSet(0)
+	ps := s.AppendPushSet(nil, 0)
 	if len(ps) != 1 || ps[0] != 1 {
-		t.Fatalf("PushSet(0) = %v, want [1]", ps)
+		t.Fatalf("AppendPushSet(nil, 0) = %v, want [1]", ps)
 	}
-	ls := s.PullSet(2)
+	ls := s.AppendPullSet(nil, 2)
 	if len(ls) != 1 || ls[0] != 1 {
-		t.Fatalf("PullSet(2) = %v, want [1]", ls)
+		t.Fatalf("AppendPullSet(nil, 2) = %v, want [1]", ls)
 	}
-	if len(s.PushSet(2)) != 0 || len(s.PullSet(0)) != 0 {
+	if len(s.AppendPushSet(nil, 2)) != 0 || len(s.AppendPullSet(nil, 0)) != 0 {
 		t.Fatal("unexpected nonempty sets")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"piggyback/internal/baseline"
@@ -56,7 +57,7 @@ func Fig4(sc Scale) *Table {
 	for i, build := range []func() (*graph.Graph, *workload.Rates){sc.flickr, sc.twitter} {
 		g, r := build()
 		hybrid := baseline.HybridCost(g, r)
-		res := nosy.Solve(g, r, nosy.Config{TraceCosts: true, Workers: sc.Workers})
+		res := nosy.Solve(g, r, nosy.Config{Workers: sc.Workers})
 		for _, it := range res.Iterations {
 			series[i] = append(series[i], hybrid/it.Cost)
 		}
@@ -226,13 +227,7 @@ func Fig8(sc Scale) *Table {
 			return out
 		}
 		nPN, nFF := norm(loadPN), norm(loadFF)
-		sd := func(xs []float64) float64 {
-			var s stats.Stream
-			for _, x := range xs {
-				s.Add(x)
-			}
-			return s.StdDev()
-		}
+		sd := func(xs []float64) float64 { return math.Sqrt(stats.Variance(xs)) }
 		t.Rows = append(t.Rows, []string{
 			d(servers),
 			e2(stats.Mean(nPN)), e2(sd(nPN)),

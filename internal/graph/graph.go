@@ -92,9 +92,6 @@ func (b *Builder) TryAddEdge(u, v NodeID) error {
 	return nil
 }
 
-// NumPending returns the number of edges added so far (before dedup).
-func (b *Builder) NumPending() int { return len(b.edges) }
-
 // Build freezes the accumulated edges into an immutable Graph; edges
 // added in edge-id order (an induced subgraph, a rebase) are not re-sorted.
 func (b *Builder) Build() *Graph {

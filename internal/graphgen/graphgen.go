@@ -54,7 +54,7 @@ func FlickrLike(n int, seed int64) Config {
 // v → u is added too.
 func Social(cfg Config) *graph.Graph {
 	if cfg.Nodes < 2 {
-		return graph.FromEdges(maxInt(cfg.Nodes, 0), nil)
+		return graph.FromEdges(max(cfg.Nodes, 0), nil)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.Nodes
@@ -80,7 +80,7 @@ func Social(cfg Config) *graph.Graph {
 	}
 
 	// Seed clique so preferential attachment has tickets to draw.
-	seedSize := minInt(4, n)
+	seedSize := min(4, n)
 	for i := 0; i < seedSize; i++ {
 		for j := 0; j < seedSize; j++ {
 			if i != j {
@@ -147,7 +147,7 @@ func FlickrLikeEdges(m int, seed int64) Config {
 func StreamSocial(cfg Config) *graph.Graph {
 	n := cfg.Nodes
 	if n < 2 {
-		return graph.FromEdges(maxInt(n, 0), nil)
+		return graph.FromEdges(max(n, 0), nil)
 	}
 	sb := graph.NewStreamBuilder(n)
 	streamSocialPass(cfg, sb.CountEdge)
@@ -189,7 +189,7 @@ func streamSocialPass(cfg Config, emit func(u, v graph.NodeID)) {
 	// attachment its first tickets. Emitted pair-by-pair without RNG so the
 	// seed never produces duplicate edges (Social's reciprocity draws can,
 	// relying on Builder dedup that a stream does not get).
-	seedSize := minInt(4, n)
+	seedSize := min(4, n)
 	for i := 0; i < seedSize; i++ {
 		for j := 0; j < seedSize; j++ {
 			if i == j {
@@ -326,18 +326,4 @@ func ZipfConfiguration(n int, s float64, maxDeg int, seed int64) *graph.Graph {
 		}
 	}
 	return b.Build()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

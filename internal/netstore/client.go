@@ -73,9 +73,6 @@ type DialConfig struct {
 	// traffic, bytes on wire, and per-server epoch observations surface
 	// on /metrics. Client.Stats() works either way.
 	Metrics *telemetry.Registry
-
-	// sleep is the test seam for backoff waits; nil means time.Sleep.
-	sleep func(time.Duration)
 }
 
 func (cfg DialConfig) withDefaults() DialConfig {
@@ -96,9 +93,6 @@ func (cfg DialConfig) withDefaults() DialConfig {
 	}
 	if cfg.ProbeEvery == 0 {
 		cfg.ProbeEvery = 8
-	}
-	if cfg.sleep == nil {
-		cfg.sleep = time.Sleep
 	}
 	return cfg
 }
@@ -146,9 +140,8 @@ type ClientStats struct {
 //
 // A Client runs one request (Update or Query) at a time: the request in
 // flight and every connection's buffers are the client's own state, so
-// open one client per requesting goroutine. Swap, ServerDown,
-// ServerEpoch, Recover, Stats and Close may be called from any goroutine
-// at any time.
+// open one client per requesting goroutine. Swap, ServerDown, Recover,
+// Stats and Close may be called from any goroutine at any time.
 type Client struct {
 	plan  *atomic.Pointer[plan] // a Cluster's clients share the Cluster's
 	cfg   DialConfig
@@ -199,11 +192,10 @@ type sconn struct {
 	// how every fresh connection starts.
 	deadline time.Time
 
-	down      bool
-	downOps   int // ops refused since the last probe
-	lastEpoch uint32
-	rng       *rand.Rand // jitter; seeded from cfg.Seed and the index
-	handoff   [][]byte   // parked update frames awaiting replay, each its own copy
+	down    bool
+	downOps int        // ops refused since the last probe
+	rng     *rand.Rand // jitter; seeded from cfg.Seed and the index
+	handoff [][]byte   // parked update frames awaiting replay, each its own copy
 
 	// Reused from request to request. wbuf (the frame sent) and events
 	// (the decoded reply) belong to the goroutine running this server's
@@ -452,15 +444,6 @@ func (cl *Client) ServerDown(i int) bool {
 	return s.down
 }
 
-// ServerEpoch returns the plan epoch the last response from server i
-// carried — the client-side observation point for a rolling plan swap.
-func (cl *Client) ServerEpoch(i int) uint32 {
-	s := cl.conns[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastEpoch
-}
-
 // redial replaces s.c with a fresh connection. Caller holds s.mu (or
 // owns s exclusively, as during dial).
 func (cl *Client) redial(s *sconn) error {
@@ -513,7 +496,6 @@ func (cl *Client) roundTripOnce(s *sconn, frame []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.lastEpoch = epoch
 	cl.inst.epochs[s.idx].Set(float64(epoch))
 	return decodeResponse(reply)
 }
@@ -558,7 +540,7 @@ func (cl *Client) call(si int, frame []byte) ([]byte, error) {
 			if cl.cfg.OnRetry != nil {
 				cl.cfg.OnRetry(si, attempt, d)
 			}
-			cl.cfg.sleep(d)
+			time.Sleep(d)
 		}
 		if s.c == nil {
 			if err := cl.redial(s); err != nil {

@@ -66,8 +66,8 @@ func TestPlanMatchesMapGrouping(t *testing.T) {
 			}
 			for u := 0; u < in.g.NumNodes(); u++ {
 				uid := graph.NodeID(u)
-				same("update", u, p.pushBatch[u], groupByMap(assign, append(s.PushSet(uid), uid)))
-				same("query", u, p.pullBatch[u], groupByMap(assign, append(s.PullSet(uid), uid)))
+				same("update", u, p.pushBatch[u], groupByMap(assign, append(s.AppendPushSet(nil, uid), uid)))
+				same("query", u, p.pullBatch[u], groupByMap(assign, append(s.AppendPullSet(nil, uid), uid)))
 				floor := append([]graph.NodeID{uid}, in.g.InNeighbors(uid)...)
 				same("degraded query", u, newGrouper(assign).group(floor), groupByMap(assign, floor))
 			}

@@ -51,43 +51,24 @@ type clientInstruments struct {
 }
 
 func newClientInstruments(reg *telemetry.Registry, servers int) *clientInstruments {
-	in := &clientInstruments{}
-	if reg == nil {
-		in.bytesRead = &telemetry.Counter{}
-		in.bytesWritten = &telemetry.Counter{}
-		in.retries = &telemetry.Counter{}
-		in.redials = &telemetry.Counter{}
-		in.parked = &telemetry.Counter{}
-		in.replayed = &telemetry.Counter{}
-		in.drops = &telemetry.Counter{}
-		in.degraded = &telemetry.Counter{}
-		in.downs = &telemetry.Counter{}
-		in.ups = &telemetry.Counter{}
-		in.errorFrames = &telemetry.Counter{}
-		in.backoffSleep = &telemetry.Gauge{}
-		in.handoffDepth = &telemetry.Gauge{}
-		in.epochs = make([]*telemetry.Gauge, servers)
-		for i := range in.epochs {
-			in.epochs[i] = &telemetry.Gauge{}
-		}
-		return in
+	in := &clientInstruments{
+		bytesRead:    counter(reg, "netstore_client_bytes_read_total"),
+		bytesWritten: counter(reg, "netstore_client_bytes_written_total"),
+		retries:      counter(reg, "netstore_client_retries_total"),
+		redials:      counter(reg, "netstore_client_redials_total"),
+		parked:       counter(reg, "netstore_client_parked_total"),
+		replayed:     counter(reg, "netstore_client_replayed_total"),
+		drops:        counter(reg, "netstore_client_handoff_drops_total"),
+		degraded:     counter(reg, "netstore_client_degraded_queries_total"),
+		downs:        counter(reg, "netstore_client_down_events_total"),
+		ups:          counter(reg, "netstore_client_up_events_total"),
+		errorFrames:  counter(reg, "netstore_client_error_frames_total"),
+		backoffSleep: gauge(reg, "netstore_client_backoff_sleep_seconds_total"),
+		handoffDepth: gauge(reg, "netstore_client_handoff_depth"),
+		epochs:       make([]*telemetry.Gauge, servers),
 	}
-	in.bytesRead = reg.Counter("netstore_client_bytes_read_total")
-	in.bytesWritten = reg.Counter("netstore_client_bytes_written_total")
-	in.retries = reg.Counter("netstore_client_retries_total")
-	in.redials = reg.Counter("netstore_client_redials_total")
-	in.parked = reg.Counter("netstore_client_parked_total")
-	in.replayed = reg.Counter("netstore_client_replayed_total")
-	in.drops = reg.Counter("netstore_client_handoff_drops_total")
-	in.degraded = reg.Counter("netstore_client_degraded_queries_total")
-	in.downs = reg.Counter("netstore_client_down_events_total")
-	in.ups = reg.Counter("netstore_client_up_events_total")
-	in.errorFrames = reg.Counter("netstore_client_error_frames_total")
-	in.backoffSleep = reg.Gauge("netstore_client_backoff_sleep_seconds_total")
-	in.handoffDepth = reg.Gauge("netstore_client_handoff_depth")
-	in.epochs = make([]*telemetry.Gauge, servers)
 	for i := range in.epochs {
-		in.epochs[i] = reg.Gauge("netstore_client_epoch", telemetry.Label{Key: "server", Value: serverLabel(i)})
+		in.epochs[i] = gauge(reg, "netstore_client_epoch", telemetry.Label{Key: "server", Value: serverLabel(i)})
 	}
 	return in
 }
@@ -101,28 +82,35 @@ type serverInstruments struct {
 }
 
 func newServerInstruments(reg *telemetry.Registry, label string) *serverInstruments {
-	if reg == nil {
-		return &serverInstruments{
-			bytesRead:    &telemetry.Counter{},
-			bytesWritten: &telemetry.Counter{},
-			frames:       &telemetry.Counter{},
-			protoErrors:  &telemetry.Counter{},
-			conns:        &telemetry.Counter{},
-			epoch:        &telemetry.Gauge{},
-		}
-	}
 	var labels []telemetry.Label
 	if label != "" {
 		labels = []telemetry.Label{{Key: "server", Value: label}}
 	}
 	return &serverInstruments{
-		bytesRead:    reg.Counter("netstore_server_bytes_read_total", labels...),
-		bytesWritten: reg.Counter("netstore_server_bytes_written_total", labels...),
-		frames:       reg.Counter("netstore_server_frames_total", labels...),
-		protoErrors:  reg.Counter("netstore_server_proto_errors_total", labels...),
-		conns:        reg.Counter("netstore_server_conns_total", labels...),
-		epoch:        reg.Gauge("netstore_server_epoch", labels...),
+		bytesRead:    counter(reg, "netstore_server_bytes_read_total", labels...),
+		bytesWritten: counter(reg, "netstore_server_bytes_written_total", labels...),
+		frames:       counter(reg, "netstore_server_frames_total", labels...),
+		protoErrors:  counter(reg, "netstore_server_proto_errors_total", labels...),
+		conns:        counter(reg, "netstore_server_conns_total", labels...),
+		epoch:        gauge(reg, "netstore_server_epoch", labels...),
 	}
+}
+
+// counter is reg's series name{labels}, or a standalone counter that
+// only backs Stats() when reg is nil.
+func counter(reg *telemetry.Registry, name string, labels ...telemetry.Label) *telemetry.Counter {
+	if reg == nil {
+		return &telemetry.Counter{}
+	}
+	return reg.Counter(name, labels...)
+}
+
+// gauge is counter's twin for gauges.
+func gauge(reg *telemetry.Registry, name string, labels ...telemetry.Label) *telemetry.Gauge {
+	if reg == nil {
+		return &telemetry.Gauge{}
+	}
+	return reg.Gauge(name, labels...)
 }
 
 // serverLabel renders a server index as a label value without pulling

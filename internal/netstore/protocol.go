@@ -16,9 +16,9 @@
 //
 // Every message is a frame carrying its length, the protocol version
 // and the sender's plan epoch. The epoch is the hook for drain-free
-// schedule rollout (ROADMAP item 2b): servers stamp responses with the
-// plan epoch they are serving, so a client can observe a rollout
-// propagate without any side channel. Every integer on the wire is a
+// schedule rollout: servers stamp responses with the plan epoch they are
+// serving, so a client can observe a rollout propagate without any side
+// channel. Every integer on the wire is a
 // varint, and view and event lists are delta-coded, so the small ids
 // and steps of a newest-first stream take a byte or two each:
 //
@@ -409,7 +409,7 @@ func decodeRequest(body []byte, scratch []graph.NodeID) (op byte, ev Event, k in
 		}
 	}
 	if !w.done() {
-		return 0, Event{}, 0, nil, fmt.Errorf("netstore: malformed %s frame", kind)
+		return 0, Event{}, 0, views, fmt.Errorf("netstore: malformed %s frame", kind)
 	}
 	return op, ev, k, views, nil
 }
@@ -443,7 +443,7 @@ func decodeEvents(body []byte, scratch []Event) ([]Event, error) {
 		out[i] = prev
 	}
 	if !w.done() {
-		return nil, fmt.Errorf("netstore: malformed query response")
+		return out, fmt.Errorf("netstore: malformed query response")
 	}
 	return out, nil
 }

@@ -138,9 +138,6 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// Epoch returns the currently published plan epoch.
-func (s *Server) Epoch() uint32 { return s.epoch.Load() }
-
 // Close stops accepting, closes live connections, and waits for handler
 // goroutines to drain.
 func (s *Server) Close() error {

@@ -181,6 +181,7 @@ func fuzzSeeds() [][]byte {
 		encodeQuery(nil, StreamSize, []graph.NodeID{math.MaxInt32, 40, 7, 0, math.MinInt32}),
 		append(encodeQuery(nil, StreamSize, []graph.NodeID{7}), 0),
 		append(encodeQuery(nil, StreamSize, []graph.NodeID{math.MaxInt32})[:2], 2, 0xfe, 0xff, 0xff, 0xff, 0x0f, 2),
+		{2, 0, 0}, // two events declared, room for two bytes of them
 	}
 }
 
@@ -226,22 +227,19 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzDecodeRequest: no body panics the decoder or makes it allocate
 // more view slots than the body has bytes for (a view takes one at the
-// least), and whatever decodes encodes back to the same bytes, so the
-// decoder takes canonical varints only.
+// least), rejected or not, and whatever decodes encodes back to the same
+// bytes, so the decoder takes canonical varints only.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, p := range fuzzSeeds() {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		op, ev, k, views, err := decodeRequest(body, nil)
-		if err != nil {
-			if views != nil {
-				t.Fatalf("a rejected body returned views %v", views)
-			}
-			return
-		}
 		if cap(views) > len(body) {
-			t.Fatalf("%d view slots for a %d-byte body", cap(views), len(body))
+			t.Fatalf("%d view slots for a %d-byte body (err %v)", cap(views), len(body), err)
+		}
+		if err != nil {
+			return
 		}
 		var again []byte
 		switch op {
@@ -275,14 +273,11 @@ func FuzzDecodeEvents(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		evs, err := decodeEvents(body, nil)
-		if err != nil {
-			if evs != nil {
-				t.Fatalf("a rejected body returned events %v", evs)
-			}
-			return
-		}
 		if eventMin*cap(evs) > len(body) {
-			t.Fatalf("%d event slots for a %d-byte body", cap(evs), len(body))
+			t.Fatalf("%d event slots for a %d-byte body (err %v)", cap(evs), len(body), err)
+		}
+		if err != nil {
+			return
 		}
 		if again := encodeEvents(nil, evs); !bytes.Equal(again, body) {
 			t.Fatalf("decode∘encode: %x became %x", body, again)

@@ -56,17 +56,16 @@ func TestRunningCostMatchesFreshSnapshot(t *testing.T) {
 	}
 }
 
-// The public TraceCosts wiring streams those values: the first traced
-// cost matches a MaxIterations=1 truncation and the last the final
-// schedule.
+// Every IterationStat carries those values: the first round's cost
+// matches a one-round truncation and the last the final schedule.
 func TestTraceCostsMatchesTruncation(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 140), 9))
 	r := workload.LogDegree(g, 5)
-	full := Solve(g, r, Config{Workers: 1, TraceCosts: true})
+	full := Solve(g, r, Config{Workers: 1})
 	if len(full.Iterations) < 2 {
 		t.Fatalf("want a multi-iteration run, got %d", len(full.Iterations))
 	}
-	one := Solve(g, r, Config{Workers: 1, MaxIterations: 1})
+	one, _ := solveRounds(g, r, Config{Workers: 1}, 1)
 	if got, fresh := full.Iterations[0].Cost, one.Schedule.Cost(r); !relClose(got, fresh) {
 		t.Fatalf("iteration 1: running cost %v, fresh finalized cost %v", got, fresh)
 	}

@@ -49,15 +49,16 @@ func dirtyCases(seeds int64) []dirtyCase {
 // cleanSlotsMatchFresh is the exactness oracle: every hub edge NOT in the
 // dirty set must hold, in its span and gain slot, exactly what a fresh,
 // never-compacted evaluation returns now — same candidacy, bit-identical
-// gain, same producers in the same order (slotMatchesFresh). An edit that
-// makes an evaluation read a flag Commit does not propagate, or compact
-// on a different filter, shows up here as a stale clean slot.
-func cleanSlotsMatchFresh(st *state) error {
+// gain, same producers in the same order (slotMatchesFresh), given every
+// hub edge's intersection ixs. An edit that makes an evaluation read a
+// flag Commit does not propagate, or compact on a different filter, shows
+// up here as a stale clean slot.
+func cleanSlotsMatchFresh(st *state, ixs []producers) error {
 	for e := 0; e < st.ev.g.NumEdges(); e++ {
 		if st.dirty.Test(e) {
 			continue
 		}
-		if err := slotMatchesFresh(st.ev, graph.EdgeID(e), st.isCand.Test(e), st.gain[e]); err != nil {
+		if err := slotMatchesFresh(st.ev, graph.EdgeID(e), ixs[e], st.isCand.Test(e), st.gain[e]); err != nil {
 			return fmt.Errorf("clean %v", err)
 		}
 	}
@@ -70,16 +71,22 @@ func cleanSlotsMatchFresh(st *state) error {
 func TestDirtyPropagationExact(t *testing.T) {
 	for _, tc := range dirtyCases(5) {
 		var st *state
+		var ixs []producers
 		cfg := tc.cfg
 		rounds, clean := 0, 0
 		cfg.OnIteration = func(IterationStat) {
 			rounds++
 			clean += st.dirty.Len() - st.dirty.Count()
-			if err := cleanSlotsMatchFresh(st); err != nil {
+			if err := cleanSlotsMatchFresh(st, ixs); err != nil {
 				t.Fatalf("%s round %d: %v", tc.name, rounds, err)
 			}
 		}
-		st = newState(NewEvaluator(tc.g, tc.r, cfg), cfg)
+		ev := NewEvaluator(tc.g, tc.r, cfg)
+		ixs = make([]producers, tc.g.NumEdges())
+		for e := range ixs {
+			ixs[e] = intersection(ev, graph.EdgeID(e))
+		}
+		st = newState(ev, cfg)
 		if _, err := st.run(context.Background()); err != nil {
 			t.Fatal(err)
 		}

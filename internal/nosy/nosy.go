@@ -55,25 +55,16 @@ import (
 type Config struct {
 	// Workers is the parallelism degree; 0 means GOMAXPROCS.
 	Workers int
-	// MaxIterations bounds the outer loop; 0 means run to convergence
-	// (no candidate commits).
-	MaxIterations int
 	// MaxCrossEdges bounds |X| per candidate hub-graph, the bound b of
 	// §4.2 (100 000 for the Twitter runs). 0 means DefaultMaxCrossEdges.
 	MaxCrossEdges int
 	// DisablePartialCommits turns off the X'-subset re-evaluation of
 	// phase 3 (ablation: convergence needs more iterations).
 	DisablePartialCommits bool
-	// TraceCosts records the finalized-equivalent schedule cost after
-	// every iteration (the Figure 4 harness and live progress streams).
-	// The cost is maintained incrementally by the Evaluator, so tracing
-	// is O(1) per round, not an O(m) clone.
-	TraceCosts bool
 	// OnIteration, when non-nil, streams every IterationStat as the
-	// round that produced it completes (Cost is filled only under
-	// TraceCosts). The callback runs on the solve goroutine between
-	// rounds; it must not mutate solver inputs and should return
-	// quickly.
+	// round that produced it completes. The callback runs on the solve
+	// goroutine between rounds; it must not mutate solver inputs and
+	// should return quickly.
 	OnIteration func(IterationStat)
 }
 
@@ -91,7 +82,7 @@ type IterationStat struct {
 	FullCommits    int     // candidates committed with all locks
 	PartialCommits int     // candidates committed as sub-hub-graphs
 	CoveredEdges   int     // cross-edges newly covered this iteration
-	Cost           float64 // finalized schedule cost after the iteration (if TraceCosts)
+	Cost           float64 // finalized-equivalent schedule cost after the iteration
 }
 
 // Result is the solver output.
@@ -121,22 +112,19 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 	return Result{Schedule: st.ev.sched, Iterations: iters}, cause
 }
 
-// run iterates rounds until one commits nothing, MaxIterations is
-// reached, or ctx is done (checked at round boundaries only).
+// run iterates rounds until one commits nothing or ctx is done (checked
+// at round boundaries only).
 func (st *state) run(ctx context.Context) (iters []IterationStat, cause error) {
-	cfg := st.cfg
-	for it := 0; cfg.MaxIterations == 0 || it < cfg.MaxIterations; it++ {
+	for it := 0; ; it++ {
 		if err := ctx.Err(); err != nil {
 			return iters, err
 		}
 		stat := st.iterate()
 		stat.Iteration = it
-		if cfg.TraceCosts {
-			stat.Cost = st.ev.Cost() // O(1) running finalized-equivalent cost
-		}
+		stat.Cost = st.ev.Cost()
 		iters = append(iters, stat)
-		if cfg.OnIteration != nil {
-			cfg.OnIteration(stat)
+		if st.cfg.OnIteration != nil {
+			st.cfg.OnIteration(stat)
 		}
 		if stat.FullCommits+stat.PartialCommits == 0 {
 			break
@@ -168,7 +156,7 @@ type Evaluator struct {
 	// edges priced by their push/pull flags, unscheduled edges at their
 	// hybrid cost c* (what Finalize will charge them). Maintained O(1)
 	// per mutation by the Apply* methods — the incremental.Maintainer
-	// discipline — so TraceCosts streams without an O(m) clone per round.
+	// discipline — so every round reports it without an O(m) clone.
 	cost float64
 
 	// stamp[v] == epoch marks v as an out-neighbour of a source whose edge

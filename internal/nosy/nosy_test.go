@@ -2,6 +2,7 @@ package nosy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -88,7 +89,7 @@ func TestConvergence(t *testing.T) {
 func TestTraceCostsMonotone(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(500, 250), 9))
 	r := workload.LogDegree(g, 5)
-	res := Solve(g, r, Config{TraceCosts: true})
+	res := Solve(g, r, Config{})
 	prev := baseline.HybridCost(g, r) + 1e-9
 	for i, it := range res.Iterations {
 		if it.Cost > prev+1e-6 {
@@ -138,12 +139,29 @@ func TestPartialCommitsHelp(t *testing.T) {
 	}
 }
 
-func TestMaxIterationsBounds(t *testing.T) {
+// solveRounds runs at most k rounds: cancelling the context from
+// OnIteration stops SolveCtx at the next round boundary, where it
+// finalizes the rounds committed so far.
+func solveRounds(g *graph.Graph, r *workload.Rates, cfg Config, k int) (Result, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.OnIteration = func(it IterationStat) {
+		if it.Iteration+1 == k {
+			cancel()
+		}
+	}
+	return SolveCtx(ctx, g, r, cfg)
+}
+
+func TestCancelFromOnIterationStopsAtRoundBoundary(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(400, 17))
 	r := workload.LogDegree(g, 5)
-	res := Solve(g, r, Config{MaxIterations: 1})
+	res, err := solveRounds(g, r, Config{}, 1)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
 	if len(res.Iterations) != 1 {
-		t.Fatalf("MaxIterations=1 ran %d iterations", len(res.Iterations))
+		t.Fatalf("cancelled after round 1 but ran %d rounds", len(res.Iterations))
 	}
 	if err := res.Schedule.Validate(); err != nil {
 		t.Fatalf("bounded run still must finalize to a valid schedule: %v", err)
@@ -193,18 +211,25 @@ func filtered(ev *Evaluator, xs []graph.NodeID, xw, xy []graph.EdgeID) producers
 	return p
 }
 
-// freshEvalReference prices hub edge he with the structural intersection
-// recomputed from the graph and never compacted — the pre-cache
-// evaluation, kept as the oracle the compacting one must match forever.
-// It returns the filtered producers and the gain of an uncovered hub
-// edge, and whether that is a candidate.
-func freshEvalReference(ev *Evaluator, he graph.EdgeID) (producers, float64, bool) {
+// intersection is hub edge he's structural producer list recomputed from
+// the graph, under ev's bound: what a never-compacted evaluation filters.
+// It depends on the graph alone, so it can be computed once per edge.
+func intersection(ev *Evaluator, he graph.EdgeID) producers {
+	xs, xw, xy := ev.g.CommonInEdges(ev.src[he], ev.g.EdgeTarget(he), ev.cfg.MaxCrossEdges, nil, nil, nil)
+	return producers{xs, xw, xy}
+}
+
+// freshEvalReference prices hub edge he from its intersection ix, never
+// compacted — the pre-cache evaluation, kept as the oracle the
+// compacting one must match forever. It returns the filtered producers
+// and the gain of an uncovered hub edge, and whether that is a
+// candidate.
+func freshEvalReference(ev *Evaluator, he graph.EdgeID, ix producers) (producers, float64, bool) {
 	if ev.sched.IsCovered(he) {
 		return producers{}, 0, false
 	}
 	y := ev.g.EdgeTarget(he)
-	xs, xw, xy := ev.g.CommonInEdges(ev.src[he], y, ev.cfg.MaxCrossEdges, nil, nil, nil)
-	p := filtered(ev, xs, xw, xy)
+	p := filtered(ev, ix.xs, ix.xw, ix.xy)
 	if len(p.xs) == 0 {
 		return p, 0, false
 	}
@@ -219,11 +244,12 @@ func freshEvalReference(ev *Evaluator, he graph.EdgeID) (producers, float64, boo
 }
 
 // slotMatchesFresh compares hub edge he's compacted span, candidacy and
-// gain bits with freshEvalReference. An uncovered hub edge's span must be
-// the fresh producer list whether or not it is a candidate; a covered
-// one's is never compacted again and is not compared.
-func slotMatchesFresh(ev *Evaluator, he graph.EdgeID, isCand bool, gain float64) error {
-	want, wantGain, wantCand := freshEvalReference(ev, he)
+// gain bits with freshEvalReference on its intersection ix. An uncovered
+// hub edge's span must be the fresh producer list whether or not it is a
+// candidate; a covered one's is never compacted again and is not
+// compared.
+func slotMatchesFresh(ev *Evaluator, he graph.EdgeID, ix producers, isCand bool, gain float64) error {
+	want, wantGain, wantCand := freshEvalReference(ev, he, ix)
 	if isCand != wantCand {
 		return fmt.Errorf("hub edge %d: candidacy %v, fresh %v", he, isCand, wantCand)
 	}
@@ -260,7 +286,7 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 			for e := 0; e < g.NumEdges(); e++ {
 				he := graph.EdgeID(e)
 				gain, ok := ev.eval(he)
-				if err := slotMatchesFresh(ev, he, ok, gain); err != nil {
+				if err := slotMatchesFresh(ev, he, intersection(ev, he), ok, gain); err != nil {
 					t.Logf("seed %d round %d: %v", seed, round, err)
 					return false
 				}

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -152,7 +153,17 @@ func TestPassMatchesReferenceSweep(t *testing.T) {
 		case 1:
 			s = nosy.Solve(g, r, nosy.Config{}).Schedule
 		default:
-			s = nosy.Solve(g, r, nosy.Config{MaxIterations: 1 + rng.Intn(2)}).Schedule
+			// A solve cut after one or two rounds: cancelling from
+			// OnIteration stops it at that round boundary.
+			rounds := 1 + rng.Intn(2)
+			ctx, cancel := context.WithCancel(context.Background())
+			res, _ := nosy.SolveCtx(ctx, g, r, nosy.Config{OnIteration: func(it nosy.IterationStat) {
+				if it.Iteration+1 == rounds {
+					cancel()
+				}
+			}})
+			cancel()
+			s = res.Schedule
 		}
 		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 			if s.IsCovered(e) && rng.Intn(3) == 0 {

@@ -109,8 +109,8 @@ func TestManyServersApproachPlacementFreeCost(t *testing.T) {
 	want := 0.0
 	for u := 0; u < g.NumNodes(); u++ {
 		uid := graph.NodeID(u)
-		want += r.Prod[u] * float64(1+len(s.PushSet(uid)))
-		want += r.Cons[u] * float64(1+len(s.PullSet(uid)))
+		want += r.Prod[u] * float64(1+len(s.AppendPushSet(nil, uid)))
+		want += r.Cons[u] * float64(1+len(s.AppendPullSet(nil, uid)))
 	}
 	got := Cost(s, r, Hash(g.NumNodes(), 1<<20, 0))
 	if math.Abs(got-want)/want > 0.02 {
@@ -193,8 +193,8 @@ func TestQuickCostBounds(t *testing.T) {
 		for u := 0; u < n; u++ {
 			uid := graph.NodeID(u)
 			lower += r.Prod[u] + r.Cons[u]
-			upper += r.Prod[u] * float64(1+len(s.PushSet(uid)))
-			upper += r.Cons[u] * float64(1+len(s.PullSet(uid)))
+			upper += r.Prod[u] * float64(1+len(s.AppendPushSet(nil, uid)))
+			upper += r.Cons[u] * float64(1+len(s.AppendPullSet(nil, uid)))
 		}
 		return got >= lower-1e-6 && got <= upper+1e-6
 	}

@@ -31,10 +31,6 @@ func (q *IndexedMin) Len() int { return len(q.heap) }
 // Contains reports whether id is queued.
 func (q *IndexedMin) Contains(id int) bool { return q.pos[id] >= 0 }
 
-// Priority returns the current priority of a queued id. Undefined if id is
-// not queued.
-func (q *IndexedMin) Priority(id int) float64 { return q.prio[id] }
-
 // Push inserts id with priority p. Panics if id is already queued.
 func (q *IndexedMin) Push(id int, p float64) {
 	if q.pos[id] >= 0 {

@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,7 +100,16 @@ func TestConvergedNosyLeavesNothing(t *testing.T) {
 func TestImprovesTruncatedNosy(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(800, 7))
 	r := workload.LogDegree(g, 5)
-	s := nosy.Solve(g, r, nosy.Config{MaxIterations: 2}).Schedule
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Cancelling after round 2 stops the solve at that round boundary.
+	stop := nosy.Config{OnIteration: func(it nosy.IterationStat) {
+		if it.Iteration == 1 {
+			cancel()
+		}
+	}}
+	truncated, _ := nosy.SolveCtx(ctx, g, r, stop)
+	s := truncated.Schedule
 	before := s.Cost(r)
 	res := Run(s, r)
 	if err := s.Validate(); err != nil {

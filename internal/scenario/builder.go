@@ -108,12 +108,6 @@ func (b *builder) book(op workload.ChurnOp) {
 	b.opsTotal.Inc()
 }
 
-// hasEdge reports whether u → v is live.
-func (b *builder) hasEdge(u, v graph.NodeID) bool {
-	_, ok := b.index[graph.Edge{From: u, To: v}]
-	return ok
-}
-
 // add emits an OpAdd if the edge is addable (no self-loop, not live,
 // trace not full) and reports whether it did.
 func (b *builder) add(u, v graph.NodeID) bool {

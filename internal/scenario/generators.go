@@ -7,6 +7,7 @@
 package scenario
 
 import (
+	"math"
 	"math/rand"
 
 	"piggyback/internal/graph"
@@ -73,7 +74,7 @@ func GenFlashCrowd(g *graph.Graph, r *workload.Rates, p Params) []workload.Churn
 	// Ramp ops are spread evenly across the spike phase; everything
 	// between them is crowd arrival.
 	nextRamp := len(b.ops)
-	rampGap := maxInt((spikeEnd-len(b.ops))/rampSteps, 1)
+	rampGap := max((spikeEnd-len(b.ops))/rampSteps, 1)
 	ramped := 0
 	var crowd []graph.NodeID // consumers that joined during the spike
 	followers := g.OutNeighbors(c)
@@ -112,10 +113,10 @@ func GenFlashCrowd(g *graph.Graph, r *workload.Rates, p Params) []workload.Churn
 
 	b.phase("decay")
 	nextDecay := len(b.ops)
-	decayGap := maxInt((b.want-len(b.ops))/64, 1)
+	decayGap := max((b.want-len(b.ops))/64, 1)
 	for !b.full() {
 		if len(b.ops) >= nextDecay && (b.prod[c] > baseP || b.cons[c] > baseC) {
-			b.setRates(c, maxFloat(b.prod[c]*0.82, baseP), maxFloat(b.cons[c]*0.82, baseC))
+			b.setRates(c, max(b.prod[c]*0.82, baseP), max(b.cons[c]*0.82, baseC))
 			nextDecay += decayGap
 			continue
 		}
@@ -156,7 +157,7 @@ func GenDiurnal(g *graph.Graph, r *workload.Rates, p Params) []workload.ChurnOp 
 			t := float64(len(b.ops)) / float64(b.want)
 			x := 2*t + float64(u%24)/24
 			x -= float64(int(x)) // frac
-			wave := 1 + 0.8*(4*absFloat(x-0.5)-1)
+			wave := 1 + 0.8*(4*math.Abs(x-0.5)-1)
 			b.setRates(graph.NodeID(u), baseP[u]*wave, baseC[u]*wave)
 			continue
 		}
@@ -346,25 +347,4 @@ func GenPreferential(g *graph.Graph, r *workload.Rates, p Params) []workload.Chu
 	b.phaseOps = len(ops)
 	b.opsTotal.Add(int64(len(ops)))
 	return b.done()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func absFloat(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

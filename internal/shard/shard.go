@@ -1,8 +1,7 @@
 // Package shard solves million-edge instances by partitioning the graph,
 // solving each part independently, and reconciling the per-shard
-// schedules into one valid whole — the composition ROADMAP item 1 calls
-// for, and the only solver here whose peak memory is O(shard), not
-// O(graph).
+// schedules into one valid whole. It is the only solver here whose peak
+// memory is O(shard), not O(graph).
 //
 // The pipeline (DESIGN.md §9 gives the validity argument):
 //
@@ -295,14 +294,7 @@ func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []gra
 // solveShard extracts one shard's subgraph and solves it.
 func solveShard(ctx context.Context, solve SolveFunc, g *graph.Graph, r *workload.Rates, nodes []graph.NodeID, idx int) shardResult {
 	sub := graph.Induced(g, nodes)
-	lr := &workload.Rates{
-		Prod: make([]float64, len(sub.Global)),
-		Cons: make([]float64, len(sub.Global)),
-	}
-	for l, u := range sub.Global {
-		lr.Prod[l] = r.Prod[u]
-		lr.Cons[l] = r.Cons[u]
-	}
+	lr := r.Project(sub.Global)
 	sched, iters, err := solve(ctx, sub.G, lr)
 	if sched == nil {
 		return shardResult{idx: idx, err: err}

@@ -41,7 +41,7 @@ func New(name string, opts Options) (Solver, error) {
 	case ChitChat:
 		return &chitchatSolver{chitchat.Config{Workers: opts.Workers}, opts.Progress}, nil
 	case Nosy:
-		return &nosySolver{nosy.Config{Workers: opts.Workers, TraceCosts: opts.TraceCosts}, opts.Progress}, nil
+		return &nosySolver{nosy.Config{Workers: opts.Workers}, opts.Progress}, nil
 	case Shard:
 		return &shardSolver{shard.Config{Shards: opts.Shards, Workers: opts.Workers}, opts.Progress}, nil
 	case Hybrid, PushAll, PullAll:
@@ -129,9 +129,6 @@ type nosySolver struct {
 	progress func(ProgressEvent)
 }
 
-// NewNosy returns the PARALLELNOSY solver under a full typed config.
-func NewNosy(cfg nosy.Config) Solver { return &nosySolver{cfg: cfg} }
-
 func (s *nosySolver) Name() string { return Nosy }
 
 func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err error) {
@@ -141,15 +138,7 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 	}
 	cfg := s.cfg
 	if s.progress != nil {
-		prev := cfg.OnIteration
 		cfg.OnIteration = func(it nosy.IterationStat) {
-			if prev != nil {
-				prev(it)
-			}
-			cost := it.Cost
-			if !cfg.TraceCosts {
-				cost = math.NaN()
-			}
 			s.progress(ProgressEvent{
 				Solver:         Nosy,
 				Iteration:      it.Iteration,
@@ -158,7 +147,7 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 				FullCommits:    it.FullCommits,
 				PartialCommits: it.PartialCommits,
 				CoveredEdges:   it.CoveredEdges,
-				Cost:           cost,
+				Cost:           it.Cost,
 			})
 		}
 	}

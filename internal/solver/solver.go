@@ -110,16 +110,16 @@ type ProgressEvent struct {
 	// shard's edge count and the shards still to solve.
 	Covered   int
 	Remaining int
-	// Cost is the current finalized cost when the solver tracks it
-	// (PARALLELNOSY under Options.TraceCosts; the solved shard's cost for
-	// the sharded solver); NaN when not computed.
+	// Cost is PARALLELNOSY's finalized-equivalent cost after the round,
+	// or the solved shard's cost for the sharded solver; NaN for
+	// CHITCHAT, which does not track it.
 	Cost float64
 }
 
 // Options tunes a solver constructed by New. The zero value uses every
 // default. Knobs that do not apply to a given algorithm are ignored;
 // algorithm-specific configuration beyond these is available through
-// the typed constructors (NewChitChat, NewNosy).
+// the typed constructor NewChitChat.
 type Options struct {
 	// Workers is the parallelism degree; 0 means GOMAXPROCS. Read by
 	// nosy, shard and chitchat (its seed phase; the greedy loop is
@@ -129,10 +129,6 @@ type Options struct {
 	// Shards is the partition count for the sharded solver; 0 means
 	// auto-size from the edge count. Ignored by unsharded solvers.
 	Shards int
-	// TraceCosts makes PARALLELNOSY compute the finalized cost every
-	// iteration (one O(m) pass + clone per round) so ProgressEvent.Cost
-	// is live.
-	TraceCosts bool
 	// Progress, when non-nil, receives ProgressEvents on the solve
 	// goroutine as the solve runs. It must return quickly and must not
 	// mutate solver inputs.

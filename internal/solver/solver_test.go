@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -196,7 +197,7 @@ func TestCancelMidSolve(t *testing.T) {
 	t.Run("pre-canceled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already done before the solve starts
-		sv := NewNosy(nosy.Config{})
+		sv, _ := New(Nosy, Options{})
 		res, err := sv.Solve(ctx, Problem{Graph: g, Rates: r})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
@@ -247,14 +248,15 @@ func TestWorkerInvarianceUnderCancel(t *testing.T) {
 
 func TestProblemValidation(t *testing.T) {
 	g, r := quickProblem(t, 50)
+	nv, _ := New(Nosy, Options{})
 	for _, tc := range []struct {
 		name string
 		sv   Solver
 		p    Problem
 		want error
 	}{
-		{"nil graph", NewNosy(nosy.Config{}), Problem{Rates: r}, ErrNoGraph},
-		{"nil rates", NewNosy(nosy.Config{}), Problem{Graph: g}, ErrNoGraph},
+		{"nil graph", nv, Problem{Rates: r}, ErrNoGraph},
+		{"nil rates", nv, Problem{Graph: g}, ErrNoGraph},
 	} {
 		res, err := tc.sv.Solve(context.Background(), tc.p)
 		if !errors.Is(err, tc.want) {
@@ -318,7 +320,7 @@ func TestBuilderTypedError(t *testing.T) {
 func TestProgressStream(t *testing.T) {
 	g, r := quickProblem(t, 100)
 	var nosyEvents []ProgressEvent
-	sv, _ := New(Nosy, Options{TraceCosts: true, Progress: func(ev ProgressEvent) { nosyEvents = append(nosyEvents, ev) }})
+	sv, _ := New(Nosy, Options{Progress: func(ev ProgressEvent) { nosyEvents = append(nosyEvents, ev) }})
 	res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: r})
 	if err != nil {
 		t.Fatal(err)
@@ -336,8 +338,8 @@ func TestProgressStream(t *testing.T) {
 		if ev.Dirty == 0 {
 			t.Errorf("event %d reports empty dirty set", i)
 		}
-		if ev.Cost != ev.Cost { // NaN despite TraceCosts
-			t.Errorf("event %d has NaN cost under TraceCosts", i)
+		if math.IsNaN(ev.Cost) {
+			t.Errorf("event %d has a NaN cost", i)
 		}
 	}
 	var last ProgressEvent

@@ -1,70 +1,11 @@
 // Package stats provides small numeric helpers used by the evaluation
-// harness: streaming mean/variance (Welford), percentiles, and histogram
-// summaries for load-balance reporting (Figure 8).
+// harness: mean, variance and percentiles of a sample.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Stream accumulates count, mean and variance in one pass (Welford's
-// algorithm). The zero value is ready to use.
-type Stream struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add feeds one observation.
-func (s *Stream) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Stream) N() int64 { return s.n }
-
-// Mean returns the running mean (0 for an empty stream).
-func (s *Stream) Mean() float64 { return s.mean }
-
-// Variance returns the population variance (0 if fewer than 2 samples).
-func (s *Stream) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// StdDev returns the population standard deviation.
-func (s *Stream) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation (0 for an empty stream).
-func (s *Stream) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty stream).
-func (s *Stream) Max() float64 { return s.max }
-
-// String summarizes the stream for table output.
-func (s *Stream) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {

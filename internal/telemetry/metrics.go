@@ -254,11 +254,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{by: map[string]*entry{}} }
 
-// Default is the process-global registry, for programs that want one
-// shared sink without plumbing. Libraries take a *Registry parameter
-// instead of reaching for this.
-var Default = NewRegistry()
-
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""

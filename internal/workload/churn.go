@@ -46,18 +46,19 @@ type ChurnConfig struct {
 	// RemoveFraction is the fraction of ops that remove edges; 0 means
 	// 0.35. The remainder are rate updates.
 	RemoveFraction float64
-	// RateScale bounds the multiplicative swing of a rate update; 0
-	// means 2 (a user's activity at most doubles or halves per update).
-	RateScale float64
-	Seed      int64
+	Seed           int64
 }
+
+// rateScale bounds the multiplicative swing of a rate update: a user's
+// activity at most doubles or halves per update.
+const rateScale = 2.0
 
 // GenerateChurn synthesizes n churn ops against the live edge set that
 // starts as g. Adds pick the producer by follower-count preferential
 // attachment over the EVOLVING graph and the consumer uniformly;
 // removes pick a live edge uniformly; rate updates pick a user
 // uniformly and scale both rates by an independent factor in
-// [1/RateScale, RateScale]. Every op is valid at its position in the
+// [1/rateScale, rateScale]. Every op is valid at its position in the
 // stream (no duplicate adds, no removes of absent edges), and the
 // result is deterministic given cfg.Seed.
 func GenerateChurn(g *graph.Graph, r *Rates, n int, cfg ChurnConfig) []ChurnOp {
@@ -66,9 +67,6 @@ func GenerateChurn(g *graph.Graph, r *Rates, n int, cfg ChurnConfig) []ChurnOp {
 	}
 	if cfg.RemoveFraction == 0 {
 		cfg.RemoveFraction = 0.35
-	}
-	if cfg.RateScale == 0 {
-		cfg.RateScale = 2
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nn := g.NumNodes()
@@ -151,7 +149,7 @@ func GenerateChurn(g *graph.Graph, r *Rates, n int, cfg ChurnConfig) []ChurnOp {
 		default:
 			u := graph.NodeID(rng.Intn(nn))
 			scale := func() float64 {
-				s := 1 + rng.Float64()*(cfg.RateScale-1)
+				s := 1 + rng.Float64()*(rateScale-1)
 				if rng.Intn(2) == 0 {
 					return 1 / s
 				}

@@ -132,9 +132,6 @@ func (r *Rates) Project(nodes []graph.NodeID) *Rates {
 	return out
 }
 
-// N returns the number of users covered by the rates.
-func (r *Rates) N() int { return len(r.Prod) }
-
 // ReadWriteRatio reports mean consumption / mean production.
 func (r *Rates) ReadWriteRatio() float64 {
 	var sumP, sumC float64

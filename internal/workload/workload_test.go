@@ -12,8 +12,8 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestUniform(t *testing.T) {
 	r := NewUniform(10, 5)
-	if r.N() != 10 {
-		t.Fatalf("N = %d", r.N())
+	if len(r.Prod) != 10 {
+		t.Fatalf("N = %d", len(r.Prod))
 	}
 	if !almost(r.ReadWriteRatio(), 5) {
 		t.Fatalf("ratio = %v", r.ReadWriteRatio())
@@ -91,8 +91,8 @@ func TestValidateErrors(t *testing.T) {
 func TestEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(0, nil)
 	r := LogDegree(g, 5)
-	if r.N() != 0 {
-		t.Fatalf("N = %d", r.N())
+	if len(r.Prod) != 0 {
+		t.Fatalf("N = %d", len(r.Prod))
 	}
 	if err := r.Validate(0); err != nil {
 		t.Fatal(err)
@@ -101,8 +101,8 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestZipfRates(t *testing.T) {
 	r := Zipf(500, 1.5, 5, 7)
-	if r.N() != 500 {
-		t.Fatalf("N = %d", r.N())
+	if len(r.Prod) != 500 {
+		t.Fatalf("N = %d", len(r.Prod))
 	}
 	if err := r.Validate(500); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestZipfRates(t *testing.T) {
 	if maxP < 5*sum/float64(len(r.Prod)) {
 		t.Fatalf("zipf rates not skewed: max %v vs mean %v", maxP, sum/float64(len(r.Prod)))
 	}
-	if Zipf(0, 1.5, 5, 1).N() != 0 {
+	if len(Zipf(0, 1.5, 5, 1).Prod) != 0 {
 		t.Fatal("empty zipf rates broken")
 	}
 }

@@ -78,8 +78,8 @@ type Report = solver.Report
 // while a solve runs.
 type ProgressEvent = solver.ProgressEvent
 
-// Options tunes a solver built by NewSolver: workers, the shard count,
-// cost tracing, and the Progress callback.
+// Options tunes a solver built by NewSolver: workers, the shard count
+// and the Progress callback.
 type Options = solver.Options
 
 // Typed errors surfaced by Solve (and NewSolver).
