@@ -24,7 +24,7 @@ func main() {
 		preset = flag.String("preset", "twitter", "graph shape: twitter | flickr | er | zipf")
 		nodes  = flag.Int("nodes", 10000, "number of nodes")
 		edges  = flag.Int("edges", 0, "number of edges (er preset; default 20×nodes)")
-		scale  = flag.Int("scale", 0, "target edge count; sizes the graph and switches to the O(n)-state streaming generator (twitter/flickr presets)")
+		scale  = flag.Int("scale", 0, "target edge count; sizes the graph and switches to the streaming generator, whose own state is O(n) (twitter/flickr presets)")
 		seed   = flag.Int64("seed", 1, "generator seed")
 		out    = flag.String("o", "", "output file (default stdout)")
 		format = flag.String("format", "binary", "output format: binary | text")

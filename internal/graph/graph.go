@@ -92,52 +92,78 @@ func (b *Builder) TryAddEdge(u, v NodeID) error {
 	return nil
 }
 
-// Build freezes the accumulated edges into an immutable Graph; edges
-// added in edge-id order (an induced subgraph, a rebase) are not re-sorted.
+// Build freezes the accumulated edges into an immutable Graph; the
+// builder is left as it was. Edges are placed by counting into per-source
+// rows, each row is sorted (unless already in order) and deduplicated in
+// place, and the in-adjacency is derived from the rows: O(m) but for the
+// per-row sorts.
 func (b *Builder) Build() *Graph {
-	if !slices.IsSortedFunc(b.edges, Edge.Compare) {
-		slices.SortFunc(b.edges, Edge.Compare)
+	n := b.n
+	start := make([]int32, n+1)
+	for _, e := range b.edges {
+		start[e.From+1]++
 	}
-	// Dedup in place.
-	dst := 0
-	for i, e := range b.edges {
-		if i > 0 && e == b.edges[i-1] {
-			continue
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	adj := make([]NodeID, len(b.edges))
+	cursor := make([]int32, n)
+	copy(cursor, start[:n])
+	for _, e := range b.edges {
+		adj[cursor[e.From]] = e.To
+		cursor[e.From]++
+	}
+	// Compact the rows leftwards: row u is read from its placed span
+	// [lo, hi) before start[u] is moved to where its kept edges begin.
+	w := int32(0)
+	for u := 0; u < n; u++ {
+		lo, hi := start[u], start[u+1]
+		row := adj[lo:hi]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
 		}
-		b.edges[dst] = e
-		dst++
+		start[u] = w
+		for _, v := range row {
+			if w > start[u] && adj[w-1] == v {
+				continue
+			}
+			adj[w] = v
+			w++
+		}
 	}
-	edges := b.edges[:dst]
+	start[n] = w
+	return withInAdjacency(n, start, adj[:w])
+}
 
+// withInAdjacency returns the graph with the given out-adjacency (rows
+// ascending, no duplicates, no self-loops) and derives its in-adjacency:
+// rows are visited in source order, so each target's in-list comes out
+// sorted by source.
+func withInAdjacency(n int, outStart []int32, outAdj []NodeID) *Graph {
 	g := &Graph{
-		n:        b.n,
-		outStart: make([]int32, b.n+1),
-		outAdj:   make([]NodeID, len(edges)),
-		inStart:  make([]int32, b.n+1),
-		inAdj:    make([]NodeID, len(edges)),
-		inEdge:   make([]EdgeID, len(edges)),
+		n:        n,
+		outStart: outStart,
+		outAdj:   outAdj,
+		inStart:  make([]int32, n+1),
+		inAdj:    make([]NodeID, len(outAdj)),
+		inEdge:   make([]EdgeID, len(outAdj)),
 	}
-	for _, e := range edges {
-		g.outStart[e.From+1]++
-		g.inStart[e.To+1]++
+	for _, v := range outAdj {
+		g.inStart[v+1]++
 	}
-	for i := 0; i < b.n; i++ {
-		g.outStart[i+1] += g.outStart[i]
-		g.inStart[i+1] += g.inStart[i]
+	for v := 0; v < n; v++ {
+		g.inStart[v+1] += g.inStart[v]
 	}
-	for i, e := range edges {
-		g.outAdj[i] = e.To
-	}
-	// Fill in-adjacency sorted by source: iterate edges in (From,To) order
-	// and append per target; afterwards each target's list is sorted by
-	// source because edge iteration is sorted by From.
-	cursor := make([]int32, b.n)
-	copy(cursor, g.inStart[:b.n])
-	for i, e := range edges {
-		p := cursor[e.To]
-		g.inAdj[p] = e.From
-		g.inEdge[p] = EdgeID(i)
-		cursor[e.To]++
+	cursor := make([]int32, n)
+	copy(cursor, g.inStart[:n])
+	for u := 0; u < n; u++ {
+		for e := outStart[u]; e < outStart[u+1]; e++ {
+			v := outAdj[e]
+			p := cursor[v]
+			g.inAdj[p] = NodeID(u)
+			g.inEdge[p] = e
+			cursor[v] = p + 1
+		}
 	}
 	return g
 }

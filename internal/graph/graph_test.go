@@ -62,6 +62,69 @@ func TestBuildSortedReversedAndDuplicated(t *testing.T) {
 	}
 }
 
+// referenceCSR is Build's model: sort the edge list, drop self-loops and
+// duplicates, then lay out each array the slow way — every in-list by a
+// scan of the whole edge list in id order.
+func referenceCSR(n int, in []Edge) *Graph {
+	edges := slices.Clone(in)
+	slices.SortFunc(edges, Edge.Compare)
+	edges = slices.Compact(edges)
+	edges = slices.DeleteFunc(edges, func(e Edge) bool { return e.From == e.To })
+	g := &Graph{n: n, outStart: make([]int32, n+1), inStart: make([]int32, n+1)}
+	for u := 0; u < n; u++ {
+		for _, e := range edges {
+			if int(e.From) == u {
+				g.outAdj = append(g.outAdj, e.To)
+			}
+		}
+		g.outStart[u+1] = int32(len(g.outAdj))
+	}
+	for v := 0; v < n; v++ {
+		for id, e := range edges {
+			if int(e.To) == v {
+				g.inAdj = append(g.inAdj, e.From)
+				g.inEdge = append(g.inEdge, EdgeID(id))
+			}
+		}
+		g.inStart[v+1] = int32(len(g.inAdj))
+	}
+	return g
+}
+
+// Build lays out all six CSR arrays exactly as the reference does, over
+// random edge lists with duplicates, self-loops and empty rows, fed
+// shuffled, sorted and reversed.
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(30)
+		sources := 1 + rng.Intn(n) // nodes ≥ sources have empty out-rows
+		var edges []Edge
+		for i := rng.Intn(6 * n); i > 0; i-- {
+			e := Edge{NodeID(rng.Intn(sources)), NodeID(rng.Intn(n))}
+			edges = append(edges, e)
+			if rng.Intn(4) == 0 {
+				edges = append(edges, e)
+			}
+		}
+		want := referenceCSR(n, edges)
+		sorted := slices.Clone(edges)
+		slices.SortFunc(sorted, Edge.Compare)
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		for _, order := range []struct {
+			name  string
+			edges []Edge
+		}{{"shuffled", edges}, {"sorted", sorted}, {"reversed", reversed}} {
+			g := FromEdges(n, order.edges)
+			if g.n != want.n || !slices.Equal(g.outStart, want.outStart) || !slices.Equal(g.outAdj, want.outAdj) ||
+				!slices.Equal(g.inStart, want.inStart) || !slices.Equal(g.inAdj, want.inAdj) || !slices.Equal(g.inEdge, want.inEdge) {
+				t.Fatalf("trial %d, %s input %v:\ngot  %+v\nwant %+v", trial, order.name, order.edges, *g, *want)
+			}
+		}
+	}
+}
+
 func TestOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

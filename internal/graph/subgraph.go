@@ -72,25 +72,26 @@ func countInduced(g *Graph, in *bitset.Set, uniq []NodeID) int {
 // input slice is not retained; node order does not affect the result.
 func Induced(g *Graph, nodes []NodeID) *Subgraph {
 	in, global := nodeSet(g, nodes)
-	// A member's local id is its rank in the ascending set. The edges
-	// come from g, in range and loop-free, so they skip AddEdge's checks,
-	// and in g's edge-id order, so Build keeps that order and local edge i
-	// is parent edge ids[i].
+	// A member's local id is its rank in the ascending set. Members are
+	// visited ascending and g's rows ascend, so each local row comes out
+	// sorted, loop-free and in g's edge-id order: local edge i is parent
+	// edge ids[i].
 	ranks := in.Ranks()
 	m := countInduced(g, in, global)
-	b := NewBuilder(len(global))
-	b.edges = make([]Edge, 0, m)
+	start := make([]int32, len(global)+1)
+	adj := make([]NodeID, 0, m)
 	ids := make([]EdgeID, 0, m)
 	for lu, u := range global {
 		lo, _ := g.OutEdgeRange(u)
 		for i, v := range g.OutNeighbors(u) {
 			if in.Test(int(v)) {
-				b.edges = append(b.edges, Edge{NodeID(lu), NodeID(in.Rank(ranks, int(v)))})
+				adj = append(adj, NodeID(in.Rank(ranks, int(v))))
 				ids = append(ids, lo+EdgeID(i))
 			}
 		}
+		start[lu+1] = int32(len(adj))
 	}
-	return &Subgraph{G: b.Build(), Global: global, GlobalEdge: ids, Parent: g}
+	return &Subgraph{G: withInAdjacency(len(global), start, adj), Global: global, GlobalEdge: ids, Parent: g}
 }
 
 // KHop returns the nodes within k hops of the seeds, treating edges as

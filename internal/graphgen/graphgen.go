@@ -130,16 +130,16 @@ func FlickrLikeEdges(m int, seed int64) Config {
 }
 
 // StreamSocial generates the same style of graph as Social with O(n)
-// generator state, built for million-edge scale. Three substitutions keep
+// generator state, built for million-edge scale. Two substitutions keep
 // the state small without changing the graph's character:
 //
 //   - Preferential attachment draws from a Fenwick tree over per-node
 //     ticket counts (O(log n) per draw) instead of an O(m) ticket array.
 //   - Triadic closure samples from a fixed-size reservoir of each node's
 //     followees instead of full followee lists.
-//   - The CSR is built by replaying the deterministic edge stream through
-//     graph.NewStreamBuilder's two passes, so no edge-list intermediate
-//     is ever materialized.
+//
+// The generator runs once, straight into a graph.Builder; while it runs
+// the builder's edge list (8 B/edge) is the only O(m) state.
 //
 // Deterministic given cfg.Seed, like every generator here. The schedule
 // of RNG draws differs from Social's, so StreamSocial(cfg) and
@@ -149,11 +149,9 @@ func StreamSocial(cfg Config) *graph.Graph {
 	if n < 2 {
 		return graph.FromEdges(max(n, 0), nil)
 	}
-	sb := graph.NewStreamBuilder(n)
-	streamSocialPass(cfg, sb.CountEdge)
-	sb.BeginFill()
-	streamSocialPass(cfg, sb.PlaceEdge)
-	return sb.Build()
+	b := graph.NewBuilder(n)
+	streamSocialPass(cfg, b.AddEdge)
+	return b.Build()
 }
 
 // reservoirSize bounds the per-node followee sample kept for triadic
@@ -161,8 +159,7 @@ func StreamSocial(cfg Config) *graph.Graph {
 const reservoirSize = 8
 
 // streamSocialPass runs one full deterministic generation pass, emitting
-// every edge u → v exactly once. All state is created inside the pass, so
-// replaying it with the same cfg yields a byte-identical stream.
+// every edge u → v exactly once.
 func streamSocialPass(cfg Config, emit func(u, v graph.NodeID)) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.Nodes
@@ -186,9 +183,7 @@ func streamSocialPass(cfg Config, emit func(u, v graph.NodeID)) {
 	}
 
 	// Seed: a complete digraph on the first few nodes, giving preferential
-	// attachment its first tickets. Emitted pair-by-pair without RNG so the
-	// seed never produces duplicate edges (Social's reciprocity draws can,
-	// relying on Builder dedup that a stream does not get).
+	// attachment its first tickets, emitted pair by pair without RNG.
 	seedSize := min(4, n)
 	for i := 0; i < seedSize; i++ {
 		for j := 0; j < seedSize; j++ {

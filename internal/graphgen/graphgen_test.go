@@ -1,6 +1,8 @@
 package graphgen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -184,5 +186,42 @@ func TestFlickrLikeEdgesHitsTarget(t *testing.T) {
 	m := g.NumEdges()
 	if m < target*7/10 || m > target*13/10 {
 		t.Fatalf("generated %d edges for target %d (outside ±30%%)", m, target)
+	}
+}
+
+// edgeDigest is the FNV-64a hash of g's edge list in id order, each edge
+// as two little-endian int32s: equal digests mean byte-identical graphs.
+func edgeDigest(g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, e := range g.EdgeList() {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(e.From))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(e.To))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// The generators' graphs at the benchmark's geometries are pinned byte
+// for byte, so a change to how a graph is built (not just to what a
+// solver makes of it) shows here first.
+func TestGeneratorDigestsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		gen   func() *graph.Graph
+		edges int
+		want  uint64
+	}{
+		{"StreamSocial/5000", func() *graph.Graph { return StreamSocial(FlickrLikeEdges(5000, 7)) }, 3235, 0x44e5e9914fbfe045},
+		{"StreamSocial/60000", func() *graph.Graph { return StreamSocial(FlickrLikeEdges(60000, 7)) }, 54770, 0xc336f8ee46aad452},
+		{"StreamSocial/120000", func() *graph.Graph { return StreamSocial(FlickrLikeEdges(120000, 7)) }, 112885, 0xa23aa46bf3e7b39f},
+		{"Social/50", func() *graph.Graph { return Social(FlickrLike(50, 7)) }, 1151, 0xeeaa08562db04cfe},
+		{"Social/200", func() *graph.Graph { return Social(FlickrLike(200, 7)) }, 6857, 0x7c5967bc3f59f0ce},
+		{"Social/500", func() *graph.Graph { return Social(FlickrLike(500, 7)) }, 19171, 0x658c14f5df26dbb7},
+	} {
+		g := c.gen()
+		if got := edgeDigest(g); g.NumEdges() != c.edges || got != c.want {
+			t.Errorf("%s: %d edges, digest %#x; pinned %d edges, %#x", c.name, g.NumEdges(), got, c.edges, c.want)
+		}
 	}
 }

@@ -130,3 +130,22 @@ func BenchmarkServerQueryMerge(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDecodeEvents is a client's decode of one 10-event query
+// reply, newest first, from users spread over a few thousand ids: the
+// user field takes two bytes, the id and timestamp steps one.
+func BenchmarkDecodeEvents(b *testing.B) {
+	events := make([]Event, 10)
+	for i := range events {
+		events[i] = Event{User: graph.NodeID(1000 + 317*i), ID: int64(5 * i), TS: int64(9000 - 13*i)}
+	}
+	body := encodeEvents(nil, events)
+	scratch := make([]Event, 0, len(events))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out, err := decodeEvents(body, scratch)
+		if err != nil || len(out) != len(events) {
+			b.Fatal(len(out), err)
+		}
+	}
+}

@@ -52,23 +52,23 @@ type clientInstruments struct {
 
 func newClientInstruments(reg *telemetry.Registry, servers int) *clientInstruments {
 	in := &clientInstruments{
-		bytesRead:    counter(reg, "netstore_client_bytes_read_total"),
-		bytesWritten: counter(reg, "netstore_client_bytes_written_total"),
-		retries:      counter(reg, "netstore_client_retries_total"),
-		redials:      counter(reg, "netstore_client_redials_total"),
-		parked:       counter(reg, "netstore_client_parked_total"),
-		replayed:     counter(reg, "netstore_client_replayed_total"),
-		drops:        counter(reg, "netstore_client_handoff_drops_total"),
-		degraded:     counter(reg, "netstore_client_degraded_queries_total"),
-		downs:        counter(reg, "netstore_client_down_events_total"),
-		ups:          counter(reg, "netstore_client_up_events_total"),
-		errorFrames:  counter(reg, "netstore_client_error_frames_total"),
-		backoffSleep: gauge(reg, "netstore_client_backoff_sleep_seconds_total"),
-		handoffDepth: gauge(reg, "netstore_client_handoff_depth"),
+		bytesRead:    reg.Counter("netstore_client_bytes_read_total"),
+		bytesWritten: reg.Counter("netstore_client_bytes_written_total"),
+		retries:      reg.Counter("netstore_client_retries_total"),
+		redials:      reg.Counter("netstore_client_redials_total"),
+		parked:       reg.Counter("netstore_client_parked_total"),
+		replayed:     reg.Counter("netstore_client_replayed_total"),
+		drops:        reg.Counter("netstore_client_handoff_drops_total"),
+		degraded:     reg.Counter("netstore_client_degraded_queries_total"),
+		downs:        reg.Counter("netstore_client_down_events_total"),
+		ups:          reg.Counter("netstore_client_up_events_total"),
+		errorFrames:  reg.Counter("netstore_client_error_frames_total"),
+		backoffSleep: reg.Gauge("netstore_client_backoff_sleep_seconds_total"),
+		handoffDepth: reg.Gauge("netstore_client_handoff_depth"),
 		epochs:       make([]*telemetry.Gauge, servers),
 	}
 	for i := range in.epochs {
-		in.epochs[i] = gauge(reg, "netstore_client_epoch", telemetry.Label{Key: "server", Value: serverLabel(i)})
+		in.epochs[i] = reg.Gauge("netstore_client_epoch", telemetry.Label{Key: "server", Value: serverLabel(i)})
 	}
 	return in
 }
@@ -87,30 +87,13 @@ func newServerInstruments(reg *telemetry.Registry, label string) *serverInstrume
 		labels = []telemetry.Label{{Key: "server", Value: label}}
 	}
 	return &serverInstruments{
-		bytesRead:    counter(reg, "netstore_server_bytes_read_total", labels...),
-		bytesWritten: counter(reg, "netstore_server_bytes_written_total", labels...),
-		frames:       counter(reg, "netstore_server_frames_total", labels...),
-		protoErrors:  counter(reg, "netstore_server_proto_errors_total", labels...),
-		conns:        counter(reg, "netstore_server_conns_total", labels...),
-		epoch:        gauge(reg, "netstore_server_epoch", labels...),
+		bytesRead:    reg.Counter("netstore_server_bytes_read_total", labels...),
+		bytesWritten: reg.Counter("netstore_server_bytes_written_total", labels...),
+		frames:       reg.Counter("netstore_server_frames_total", labels...),
+		protoErrors:  reg.Counter("netstore_server_proto_errors_total", labels...),
+		conns:        reg.Counter("netstore_server_conns_total", labels...),
+		epoch:        reg.Gauge("netstore_server_epoch", labels...),
 	}
-}
-
-// counter is reg's series name{labels}, or a standalone counter that
-// only backs Stats() when reg is nil.
-func counter(reg *telemetry.Registry, name string, labels ...telemetry.Label) *telemetry.Counter {
-	if reg == nil {
-		return &telemetry.Counter{}
-	}
-	return reg.Counter(name, labels...)
-}
-
-// gauge is counter's twin for gauges.
-func gauge(reg *telemetry.Registry, name string, labels ...telemetry.Label) *telemetry.Gauge {
-	if reg == nil {
-		return &telemetry.Gauge{}
-	}
-	return reg.Gauge(name, labels...)
 }
 
 // serverLabel renders a server index as a label value without pulling

@@ -295,29 +295,32 @@ func (w *wire) done() bool {
 }
 
 // uvarint reads a canonical uvarint: at most 64 bits, and no last byte
-// of 0 after the first. Most steps fit one byte, read without the loop.
-func (w *wire) uvarint() uint64 {
-	if w.off < len(w.b) && w.b[w.off] < 0x80 {
+// of 0 after the first. It is one small loop, so it inlines into its
+// callers and a one-byte step costs no call.
+func (w *wire) uvarint() (x uint64) {
+	for s := uint(0); s < 64 && w.off < len(w.b); s += 7 {
+		c := uint64(w.b[w.off])
 		w.off++
-		return uint64(w.b[w.off-1])
+		x |= c & 0x7f << s
+		if c < 0x80 {
+			if c == 0 && s > 0 || s == 63 && c > 1 {
+				break
+			}
+			return x
+		}
 	}
-	x, n := binary.Uvarint(w.b[w.off:])
-	if n <= 0 || (n > 1 && w.b[w.off+n-1] == 0) {
-		w.fail()
-		return 0
-	}
-	w.off += n
-	return x
+	w.fail()
+	return 0
 }
 
-func (w *wire) varint() int64 {
-	u := w.uvarint()
+// unzigzag undoes binary.AppendVarint's zigzag coding of a signed step.
+func unzigzag(u uint64) int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
 // node reads a node id coded as a step from prev.
 func (w *wire) node(prev graph.NodeID) graph.NodeID {
-	v := int64(prev) + w.varint()
+	v := int64(prev) + unzigzag(w.uvarint())
 	if v != int64(graph.NodeID(v)) {
 		w.fail()
 		return 0
@@ -328,8 +331,8 @@ func (w *wire) node(prev graph.NodeID) graph.NodeID {
 // event reads an event coded against prev.
 func (w *wire) event(prev Event) Event {
 	user := w.node(0)
-	id := prev.ID + w.varint()
-	return Event{User: user, ID: id, TS: prev.TS + w.varint()}
+	id := prev.ID + unzigzag(w.uvarint())
+	return Event{User: user, ID: id, TS: prev.TS + unzigzag(w.uvarint())}
 }
 
 // count reads a list length and holds it to what the rest of the

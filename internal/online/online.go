@@ -299,8 +299,8 @@ var counterSeries = [...]struct {
 
 // daemonInstruments is the daemon's view of a telemetry registry: the
 // Stats mirror publish writes and the histograms only the registry keeps.
-// With no registry configured every field is a nil instrument whose
-// methods no-op.
+// With no registry configured the histograms are nil and no-op, and the
+// counters and gauges are standalone ones publish never writes.
 type daemonInstruments struct {
 	counters                 [len(counterSeries)]*telemetry.Counter
 	cost, resolveWall        *telemetry.Gauge

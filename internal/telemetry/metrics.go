@@ -8,9 +8,10 @@
 // Three design rules, argued in DESIGN.md §12:
 //
 //   - The off switch is nil. Every instrument method is nil-receiver
-//     safe and a nil *Registry hands out nil instruments, so an
-//     uninstrumented hot path costs one predictable nil check and zero
-//     allocations — pinned by testing.AllocsPerRun.
+//     safe and a nil *Registry hands out nil histograms (and standalone
+//     counters and gauges, never listed), so an uninstrumented hot path
+//     costs one predictable nil check and zero allocations — pinned by
+//     testing.AllocsPerRun.
 //   - Snapshots are deterministic. Histogram bucket bounds are fixed at
 //     creation (never adaptive), snapshot order is a stable sort over
 //     (name, labels), and metrics that measure WALL CLOCK follow a
@@ -292,10 +293,10 @@ func (r *Registry) get(name string, kind Kind, labels []Label, make func() *entr
 }
 
 // Counter returns (creating if needed) the counter for name+labels.
-// Nil registry → nil counter.
+// Nil registry → a fresh standalone counter, readable but never listed.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
-		return nil
+		return &Counter{}
 	}
 	e := r.get(name, KindCounter, labels, func() *entry {
 		return &entry{name: name, labels: labels, kind: KindCounter, c: &Counter{}}
@@ -304,10 +305,10 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 }
 
 // Gauge returns (creating if needed) the gauge for name+labels.
-// Nil registry → nil gauge.
+// Nil registry → a fresh standalone gauge, as for Counter.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
-		return nil
+		return &Gauge{}
 	}
 	e := r.get(name, KindGauge, labels, func() *entry {
 		return &entry{name: name, labels: labels, kind: KindGauge, g: &Gauge{}}
@@ -318,7 +319,8 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // Histogram returns (creating if needed) the histogram for name+labels
 // with the given fixed bucket bounds. The bounds of an existing series
 // win; passing different bounds for the same identity panics.
-// Nil registry → nil histogram.
+// Nil registry → nil histogram, whose methods no-op: a caller can gate
+// work (a clock read per observation) on it.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
 	if r == nil {
 		return nil

@@ -39,17 +39,23 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	c := r.Counter("x_total")
 	g := r.Gauge("y")
 	h := r.Histogram("z", SizeBuckets)
-	if c != nil || g != nil || h != nil {
-		t.Fatalf("nil registry handed out non-nil instruments")
+	if c == nil || g == nil || h != nil {
+		t.Fatalf("nil registry handed out counter %p, gauge %p, histogram %p; want standalone, standalone, nil", c, g, h)
 	}
-	// All no-ops, no panics.
+	if c2 := r.Counter("x_total"); c2 == c {
+		t.Fatalf("nil registry handed out one counter twice")
+	}
+	// The standalone instruments count; the nil histogram no-ops.
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatalf("nil instruments reported non-zero values")
+	if c.Value() != 4 || g.Value() != 2 {
+		t.Fatalf("standalone counter = %d, gauge = %g; want 4, 2", c.Value(), g.Value())
+	}
+	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatalf("nil histogram reported non-zero values")
 	}
 	snap := r.Snapshot()
 	if len(snap.Metrics) != 0 || snap.String() != "" || snap.PromText() != "" {

@@ -152,9 +152,9 @@ func FlickrLikeGraph(nodes int, seed int64) *Graph {
 // SocialGraphConfig exposes the generator's knobs for custom shapes.
 type SocialGraphConfig = graphgen.Config
 
-// StreamSocialGraph generates a synthetic social graph through the
-// two-pass streaming CSR builder, with generator state O(nodes) instead
-// of an in-memory edge list — the million-edge path (the RNG draw order
+// StreamSocialGraph generates a synthetic social graph in one pass with
+// generator state O(nodes) instead of O(edges) (the graph builder still
+// holds an 8 B/edge edge list) — the million-edge path (the RNG draw order
 // differs from TwitterLikeGraph's and FlickrLikeGraph's, so the same
 // config gives a distinct edge set). Pair with the "shard" solver to keep
 // solve memory O(shard).
