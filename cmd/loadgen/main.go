@@ -88,7 +88,7 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		trace = workload.GenerateChurn(g, r, *ops, workload.ChurnConfig{Seed: *seed})
+		trace = scenario.GenerateChurn(g, r, *ops, scenario.ChurnConfig{Seed: *seed})
 	}
 
 	// Serving tier: *servers TCP servers; with -faults, server 0 sits

@@ -25,7 +25,6 @@ package incremental
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"piggyback/internal/core"
@@ -369,8 +368,7 @@ func (m *Maintainer) UpdateRates(u graph.NodeID, prod, cons float64) error {
 	if int(u) >= m.g.NumNodes() || u < 0 {
 		return fmt.Errorf("incremental: user %d out of range", u)
 	}
-	if prod < 0 || cons < 0 || math.IsNaN(prod) || math.IsNaN(cons) ||
-		math.IsInf(prod, 0) || math.IsInf(cons, 0) {
+	if !workload.ValidRate(prod) || !workload.ValidRate(cons) {
 		return fmt.Errorf("incremental: invalid rates prod=%v cons=%v", prod, cons)
 	}
 	dP := prod - m.r.Prod[u]

@@ -14,6 +14,7 @@ import (
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
 	"piggyback/internal/refine"
+	"piggyback/internal/scenario"
 	"piggyback/internal/workload"
 )
 
@@ -568,7 +569,7 @@ func sameDeps(t *testing.T, when string, got, want *Maintainer) {
 func TestNewFromHandedTableMatchesWalk(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(400, 7))
 	r := workload.LogDegree(g, 5)
-	ops := workload.GenerateChurn(g, r, 1000, workload.ChurnConfig{Seed: 7})
+	ops := scenario.GenerateChurn(g, r, 1000, scenario.ChurnConfig{Seed: 7})
 	base := chitchat.Solve(g, r, chitchat.Config{Workers: 1})
 	for seed := graph.NodeID(0); seed < 4; seed++ {
 		s := base.Clone()

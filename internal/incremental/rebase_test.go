@@ -9,6 +9,7 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
+	"piggyback/internal/scenario"
 	"piggyback/internal/workload"
 )
 
@@ -213,7 +214,7 @@ func TestFreezeReusesBuffers(t *testing.T) {
 func churnLocal() (*core.Schedule, *workload.Rates, []workload.ChurnOp) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
 	r := workload.LogDegree(g, 5)
-	return nosy.Solve(g, r, nosy.Config{}).Schedule, r, workload.GenerateChurn(g, r, 1000, workload.ChurnConfig{Seed: 7})
+	return nosy.Solve(g, r, nosy.Config{}).Schedule, r, scenario.GenerateChurn(g, r, 1000, scenario.ChurnConfig{Seed: 7})
 }
 
 // replay applies ops to m in order.

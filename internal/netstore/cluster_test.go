@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"piggyback/internal/baseline"
+	"piggyback/internal/core"
 	"piggyback/internal/fault"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
@@ -148,12 +150,47 @@ func TestMeasureThroughputRuns(t *testing.T) {
 	}
 }
 
-func TestPredictedMessagesBounds(t *testing.T) {
+// planMessages is the message rate the cluster's plan serves: every
+// update by u costs MessagesPerUpdate(u), every query MessagesPerQuery(u).
+func planMessages(c *Cluster, r *workload.Rates) float64 {
+	total := 0.0
+	for u := range r.Prod {
+		total += r.Prod[u]*float64(c.MessagesPerUpdate(graph.NodeID(u))) +
+			r.Cons[u]*float64(c.MessagesPerQuery(graph.NodeID(u)))
+	}
+	return total
+}
+
+// TestPlanMessagesMatchPartitionCost ties what the cluster serves to the
+// cost model: at 1, 2, 3 and 64 servers, the messages the plan sends,
+// weighted by the rates, equal partition.Cost of the schedule under the
+// cluster's hash placement. A plan that drops the user's own view
+// breaks the identity, and so does any that touches other servers than
+// the model prices. Every request touches at least its own view's server.
+func TestPlanMessagesMatchPartitionCost(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(200, 4))
 	r := workload.LogDegree(g, 5)
-	c := startCluster(t, baseline.Hybrid(g, r), 16)
-	if pm := PredictedMessages(c, r); pm < 1 {
-		t.Fatalf("predicted messages per request = %v, must be >= 1", pm)
+	reqs := 0.0
+	for u := range r.Prod {
+		reqs += r.Prod[u] + r.Cons[u]
+	}
+	const seed = 5
+	for _, s := range []*core.Schedule{baseline.Hybrid(g, r), nosy.Solve(g, r, nosy.Config{}).Schedule} {
+		for _, servers := range []int{1, 2, 3, 64} {
+			c, err := NewCluster(s, ClusterOptions{Servers: servers, PartitionSeed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := planMessages(c, r)
+			c.Close()
+			want := partition.Cost(s, r, partition.Hash(g.NumNodes(), servers, seed))
+			if math.Abs(got-want) > 1e-12*want {
+				t.Errorf("%d servers: plan serves %v messages, partition.Cost %v", servers, got, want)
+			}
+			if got < reqs {
+				t.Errorf("%d servers: %v messages for %v requests, want at least one each", servers, got, reqs)
+			}
+		}
 	}
 }
 
@@ -171,9 +208,9 @@ func TestMoreServersMoreMessages(t *testing.T) {
 	r := workload.LogDegree(g, 5)
 	s := baseline.Hybrid(g, r)
 	c1, c64 := startCluster(t, s, 1), startCluster(t, s, 64)
-	if PredictedMessages(c1, r) >= PredictedMessages(c64, r) {
+	if planMessages(c1, r) >= planMessages(c64, r) {
 		t.Fatalf("messages per request should grow with servers: %v vs %v",
-			PredictedMessages(c1, r), PredictedMessages(c64, r))
+			planMessages(c1, r), planMessages(c64, r))
 	}
 }
 

@@ -149,20 +149,3 @@ func MeasureThroughput(c *Cluster, trace Trace, clients int) BenchResult {
 	}
 	return res
 }
-
-// PredictedMessages returns the average number of server messages per
-// request under the trace's stationary distribution — the quantity the
-// placement-aware cost model predicts. Useful for checking that measured
-// throughput tracks the model (the paper's "striking" consistency).
-func PredictedMessages(c *Cluster, r *workload.Rates) float64 {
-	p := c.plan.Load()
-	var msgs, reqs float64
-	for u := range p.pushBatch {
-		msgs += r.Prod[u]*float64(len(p.pushBatch[u])) + r.Cons[u]*float64(len(p.pullBatch[u]))
-		reqs += r.Prod[u] + r.Cons[u]
-	}
-	if reqs == 0 {
-		return 0
-	}
-	return msgs / reqs
-}

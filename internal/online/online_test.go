@@ -8,6 +8,7 @@ import (
 	"piggyback/internal/baseline"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/scenario"
 	"piggyback/internal/schedio"
 	"piggyback/internal/workload"
 )
@@ -33,7 +34,7 @@ func TestDaemonChurnValidAndCostExact(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(500, 200), 3))
 	base := workload.LogDegree(g, 5)
 	init := chitchat.Solve(g, base, chitchat.Config{Workers: 1})
-	trace := workload.GenerateChurn(g, base, scaled(2000, 600), workload.ChurnConfig{Seed: 3})
+	trace := scenario.GenerateChurn(g, base, scaled(2000, 600), scenario.ChurnConfig{Seed: 3})
 
 	t.Run("chitchat", func(t *testing.T) {
 		r := freshRates(g, base)
@@ -68,7 +69,7 @@ func TestDaemonRecoversFromDegradedSchedule(t *testing.T) {
 	base := workload.LogDegree(g, 5)
 	r := freshRates(g, base)
 	seed := baseline.Hybrid(g, r)
-	trace := workload.GenerateChurn(g, base, scaled(2000, 700), workload.ChurnConfig{Seed: 9})
+	trace := scenario.GenerateChurn(g, base, scaled(2000, 700), scenario.ChurnConfig{Seed: 9})
 
 	d, err := New(seed, r, Config{
 		DriftThreshold: 0.05,
@@ -166,7 +167,7 @@ func TestAcceptanceOnlineDaemon2k(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(nodes, seed))
 	base := workload.LogDegree(g, 5)
 	init := chitchat.Solve(g, base, chitchat.Config{Workers: 1})
-	trace := workload.GenerateChurn(g, base, ops, workload.ChurnConfig{Seed: seed})
+	trace := scenario.GenerateChurn(g, base, ops, scenario.ChurnConfig{Seed: seed})
 
 	run := func() (*Daemon, []byte) {
 		r := freshRates(g, base)

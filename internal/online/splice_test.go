@@ -15,6 +15,7 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/scenario"
 	"piggyback/internal/solver"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
@@ -71,7 +72,7 @@ func TestSpliceReplayIsExact(t *testing.T) {
 	t.Run("flushed after any lag", func(t *testing.T) {
 		g := graphgen.Social(graphgen.FlickrLike(scaled(300, 150), 3))
 		base := workload.LogDegree(g, 5)
-		trace := workload.GenerateChurn(g, base, scaled(1200, 800), workload.ChurnConfig{
+		trace := scenario.GenerateChurn(g, base, scaled(1200, 800), scenario.ChurnConfig{
 			AddFraction: 0.3, RemoveFraction: 0.4, Seed: 3,
 		})
 		init := chitchat.Solve(g, base, chitchat.Config{Workers: 1})
@@ -188,7 +189,7 @@ func solveSpans(tree string) (ends []string) {
 func TestSpliceFailures(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(120, 4))
 	base := workload.LogDegree(g, 5)
-	trace := workload.GenerateChurn(g, base, 400, workload.ChurnConfig{Seed: 4})
+	trace := scenario.GenerateChurn(g, base, 400, scenario.ChurnConfig{Seed: 4})
 	newDaemon := func() (*Daemon, *telemetry.EventLog, *telemetry.Tracer) {
 		var ev telemetry.EventLog
 		tr := telemetry.NewTracer(1)

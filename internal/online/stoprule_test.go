@@ -176,7 +176,7 @@ func TestStopRuleRateHeavySmallRegions(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(300, 5))
 	base := workload.LogDegree(g, 5)
 	init := chitchat.Solve(g, base, chitchat.Config{})
-	trace := workload.GenerateChurn(g, base, 2000, workload.ChurnConfig{
+	trace := scenario.GenerateChurn(g, base, 2000, scenario.ChurnConfig{
 		AddFraction: 0.1, RemoveFraction: 0.1, Seed: 5,
 	})
 	d, err := New(init, freshRates(g, base), Config{

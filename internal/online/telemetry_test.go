@@ -7,6 +7,7 @@ import (
 
 	"piggyback/internal/chitchat"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/scenario"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
@@ -77,7 +78,7 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		t.Fatalf("online_cost = %v at boot, want %v", m.Value, d.Cost())
 	}
 
-	trace := workload.GenerateChurn(g, base, 600, workload.ChurnConfig{Seed: 3})
+	trace := scenario.GenerateChurn(g, base, 600, scenario.ChurnConfig{Seed: 3})
 	if err := d.ApplyTrace(trace); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestDaemonDecisionRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ApplyTrace(workload.GenerateChurn(g, base, 120, workload.ChurnConfig{Seed: 7})); err != nil {
+	if err := d.ApplyTrace(scenario.GenerateChurn(g, base, 120, scenario.ChurnConfig{Seed: 7})); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{

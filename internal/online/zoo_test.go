@@ -117,7 +117,7 @@ func churnCell() zooCell {
 	g := graphgen.Social(graphgen.FlickrLike(600, 5))
 	base := workload.LogDegree(g, 5)
 	return zooCell{"churn", g, base, nosy.Solve(g, base, nosy.Config{Workers: 1}).Schedule,
-		workload.GenerateChurn(g, base, 800, workload.ChurnConfig{Seed: 5}), zooDaemon, 100, false}
+		scenario.GenerateChurn(g, base, 800, scenario.ChurnConfig{Seed: 5}), zooDaemon, 100, false}
 }
 
 // findings collects what one run's observers saw go wrong, by oracle,

@@ -144,18 +144,19 @@ func (b *builder) remove(u, v graph.NodeID) bool {
 	return true
 }
 
-// removeRandom removes a uniformly drawn live edge; false when none.
-func (b *builder) removeRandom() bool {
+// removeRandom removes a uniformly drawn live edge and returns it;
+// false when none.
+func (b *builder) removeRandom() (graph.Edge, bool) {
 	if len(b.live) == 0 {
-		return false
+		return graph.Edge{}, false
 	}
 	e := b.live[b.rng.Intn(len(b.live))]
-	return b.remove(e.From, e.To)
+	return e, b.remove(e.From, e.To)
 }
 
 // setRates emits an OpRates pinning u's rates to (prod, cons).
 func (b *builder) setRates(u graph.NodeID, prod, cons float64) bool {
-	if b.full() || u < 0 || int(u) >= b.n || !(prod >= 0) || !(cons >= 0) {
+	if b.full() || u < 0 || int(u) >= b.n || !workload.ValidRate(prod) || !workload.ValidRate(cons) {
 		return false
 	}
 	b.prod[u] = prod
@@ -167,6 +168,16 @@ func (b *builder) setRates(u graph.NodeID, prod, cons float64) bool {
 // scaleRates multiplies u's current rates by (fp, fc).
 func (b *builder) scaleRates(u graph.NodeID, fp, fc float64) bool {
 	return b.setRates(u, b.prod[u]*fp, b.cons[u]*fc)
+}
+
+// swing draws a rate factor in [1/top, top]: a uniform step up, or its
+// inverse down with probability one half.
+func (b *builder) swing(top float64) float64 {
+	s := 1 + b.rng.Float64()*(top-1)
+	if b.rng.Intn(2) == 0 {
+		return 1 / s
+	}
+	return s
 }
 
 // randomLiveFrom returns the producer of a uniformly drawn live edge —
@@ -211,15 +222,7 @@ func (b *builder) backgroundOp(addFrac, removeFrac float64) {
 	case x < addFrac+removeFrac:
 		b.removeRandom()
 	default:
-		u := graph.NodeID(b.rng.Intn(b.n))
-		scale := func() float64 {
-			s := 1 + b.rng.Float64()*0.5
-			if b.rng.Intn(2) == 0 {
-				return 1 / s
-			}
-			return s
-		}
-		b.scaleRates(u, scale(), scale())
+		b.scaleRates(graph.NodeID(b.rng.Intn(b.n)), b.swing(1.5), b.swing(1.5))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Edge cases the zoo exposed: zero-rate users, remove-then-re-add of
 // the same edge, and empty-input determinism.
 
-package workload
+package scenario
 
 import (
 	"math"
@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"piggyback/internal/graph"
+	"piggyback/internal/workload"
 )
 
 func TestGenerateChurnZeroRateNodes(t *testing.T) {
@@ -16,14 +17,14 @@ func TestGenerateChurnZeroRateNodes(t *testing.T) {
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3},
 		{From: 3, To: 4}, {From: 4, To: 5}, {From: 5, To: 0},
 	})
-	r := &Rates{Prod: make([]float64, 6), Cons: make([]float64, 6)}
+	r := &workload.Rates{Prod: make([]float64, 6), Cons: make([]float64, 6)}
 	ops := GenerateChurn(g, r, 400, ChurnConfig{Seed: 3})
 	if len(ops) != 400 {
 		t.Fatalf("emitted %d ops, want 400", len(ops))
 	}
 	sawRates := false
 	for i, op := range ops {
-		if op.Kind != OpRates {
+		if op.Kind != workload.OpRates {
 			continue
 		}
 		sawRates = true
@@ -46,7 +47,7 @@ func TestGenerateChurnRemoveThenReAdd(t *testing.T) {
 		{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 2},
 		{From: 2, To: 3}, {From: 3, To: 0},
 	})
-	r := &Rates{
+	r := &workload.Rates{
 		Prod: []float64{1, 1, 1, 1, 1, 1, 1, 1},
 		Cons: []float64{1, 1, 1, 1, 1, 1, 1, 1},
 	}
@@ -63,7 +64,7 @@ func TestGenerateChurnRemoveThenReAdd(t *testing.T) {
 	for i, op := range ops {
 		e := graph.Edge{From: op.U, To: op.V}
 		switch op.Kind {
-		case OpAdd:
+		case workload.OpAdd:
 			if live[e] {
 				t.Fatalf("op %d: duplicate add %d→%d", i, op.U, op.V)
 			}
@@ -71,7 +72,7 @@ func TestGenerateChurnRemoveThenReAdd(t *testing.T) {
 				reAdds++
 			}
 			live[e] = true
-		case OpRemove:
+		case workload.OpRemove:
 			if !live[e] {
 				t.Fatalf("op %d: remove of absent edge %d→%d", i, op.U, op.V)
 			}
@@ -87,16 +88,21 @@ func TestGenerateChurnRemoveThenReAdd(t *testing.T) {
 func TestGenerateChurnEmptyInputsDeterministic(t *testing.T) {
 	// Zero-length request: empty stream, not nil-pointer surprises.
 	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}})
-	r := &Rates{Prod: make([]float64, 4), Cons: make([]float64, 4)}
+	r := &workload.Rates{Prod: make([]float64, 4), Cons: make([]float64, 4)}
 	if ops := GenerateChurn(g, r, 0, ChurnConfig{Seed: 1}); len(ops) != 0 {
 		t.Fatalf("n=0 emitted %d ops", len(ops))
+	}
+	// A graph without nodes has no user to draw: an empty stream, as
+	// from every zoo generator, not a panic.
+	if ops := GenerateChurn(graph.FromEdges(0, nil), &workload.Rates{}, 50, ChurnConfig{Seed: 1}); len(ops) != 0 {
+		t.Fatalf("0-node graph emitted %d ops", len(ops))
 	}
 
 	// Edgeless graph: removals have nothing to draw and must be skipped,
 	// not emitted; the stream still reaches full length and is
 	// byte-identical for the same seed.
 	empty := graph.FromEdges(5, nil)
-	er := &Rates{Prod: make([]float64, 5), Cons: make([]float64, 5)}
+	er := &workload.Rates{Prod: make([]float64, 5), Cons: make([]float64, 5)}
 	a := GenerateChurn(empty, er, 200, ChurnConfig{Seed: 9})
 	b := GenerateChurn(empty, er, 200, ChurnConfig{Seed: 9})
 	if len(a) != 200 {
@@ -115,12 +121,12 @@ func TestGenerateChurnEmptyInputsDeterministic(t *testing.T) {
 	for i, op := range a {
 		e := graph.Edge{From: op.U, To: op.V}
 		switch op.Kind {
-		case OpAdd:
+		case workload.OpAdd:
 			if live[e] {
 				t.Fatalf("op %d: duplicate add", i)
 			}
 			live[e] = true
-		case OpRemove:
+		case workload.OpRemove:
 			if !live[e] {
 				t.Fatalf("op %d: remove of absent edge on edgeless start", i)
 			}

@@ -40,9 +40,9 @@ const (
 	// realistic stationary baseline with heavier tails than the control.
 	LDBC = "ldbc"
 	// Preferential is the control row: the repo's original stationary
-	// preferential-attachment churn (workload.GenerateChurn) under the
-	// zoo interface. It stresses nothing by design: it is the zoo's
-	// stationary reference point.
+	// preferential-attachment churn, the trace GenerateChurn draws. It
+	// stresses nothing by design: it is the zoo's stationary reference
+	// point.
 	Preferential = "preferential"
 )
 
@@ -333,18 +333,95 @@ func GenLDBC(g *graph.Graph, r *workload.Rates, p Params) []workload.ChurnOp {
 	return b.done()
 }
 
-// GenPreferential wraps workload.GenerateChurn — the repo's original
-// stationary churn — under the zoo interface, so every zoo consumer
-// gets the pre-zoo trace as its control row.
+// ChurnConfig tunes GenerateChurn. The zero value uses the defaults.
+type ChurnConfig struct {
+	// AddFraction is the fraction of ops that add edges; 0 means 0.55
+	// (graphs grow: follows outnumber unfollows, per the LDBC-style
+	// dynamic-workload analyses).
+	AddFraction float64
+	// RemoveFraction is the fraction of ops that remove edges; 0 means
+	// 0.35. The remainder are rate updates.
+	RemoveFraction float64
+	Seed           int64
+}
+
+// The control row's mix, and GenerateChurn's default.
+const preferentialAdd, preferentialRemove = 0.55, 0.35
+
+// GenerateChurn synthesizes n ops of the Preferential control churn
+// against the live edge set that starts as g, with cfg's add/remove mix
+// and no telemetry. Every op is valid at its position, a graph without
+// nodes yields an empty trace, and the result is deterministic given
+// cfg.Seed.
+func GenerateChurn(g *graph.Graph, r *workload.Rates, n int, cfg ChurnConfig) []workload.ChurnOp {
+	add, remove := cfg.AddFraction, cfg.RemoveFraction
+	if add == 0 {
+		add = preferentialAdd
+	}
+	if remove == 0 {
+		remove = preferentialRemove
+	}
+	return newBuilder(Preferential, g, r, Params{Ops: n, Seed: cfg.Seed}).preferential(add, remove)
+}
+
+// GenPreferential emits the control row: GenerateChurn's default mix
+// under the zoo interface, in one "stationary" phase.
 func GenPreferential(g *graph.Graph, r *workload.Rates, p Params) []workload.ChurnOp {
-	b := newBuilder(Preferential, g, r, p)
-	if b.want <= 0 || b.n < 2 {
+	return newBuilder(Preferential, g, r, p).preferential(preferentialAdd, preferentialRemove)
+}
+
+// preferential draws stationary preferential-attachment churn: addFrac
+// of the ops add an edge whose producer is drawn by live follower count
+// (one draw in five uniformly) and whose consumer is uniform, removeFrac
+// remove a uniformly drawn live edge, and the rest scale a uniform
+// user's rates by independent factors in [1/2, 2].
+func (b *builder) preferential(addFrac, removeFrac float64) []workload.ChurnOp {
+	if b.want <= 0 || b.n == 0 {
 		return b.done()
 	}
 	b.phase("stationary")
-	ops := workload.GenerateChurn(g, r, p.Ops, workload.ChurnConfig{Seed: p.Seed})
-	b.ops = ops
-	b.phaseOps = len(ops)
-	b.opsTotal.Add(int64(len(ops)))
+	// A ticket is handed out per follow and never withdrawn, so a drawn
+	// producer is accepted with probability liveDeg/given: the weight
+	// tracks the live follower count, not cumulative adds.
+	tickets := make([]graph.NodeID, 0, len(b.live)+b.want)
+	given := make([]int, b.n)
+	liveDeg := make([]int, b.n)
+	for _, e := range b.live {
+		tickets = append(tickets, e.From)
+		given[e.From]++
+		liveDeg[e.From]++
+	}
+	producer := func() graph.NodeID {
+		for try := 0; try < 4 && len(tickets) > 0; try++ {
+			u := tickets[b.rng.Intn(len(tickets))]
+			if b.rng.Float64()*float64(given[u]) < float64(liveDeg[u]) {
+				return u
+			}
+		}
+		return graph.NodeID(b.rng.Intn(b.n))
+	}
+	for !b.full() {
+		x := b.rng.Float64()
+		switch {
+		case x < addFrac:
+			var u graph.NodeID
+			if b.rng.Float64() < 0.8 {
+				u = producer()
+			} else {
+				u = graph.NodeID(b.rng.Intn(b.n))
+			}
+			if b.add(u, graph.NodeID(b.rng.Intn(b.n))) {
+				tickets = append(tickets, u)
+				given[u]++
+				liveDeg[u]++
+			}
+		case x < addFrac+removeFrac:
+			if e, ok := b.removeRandom(); ok {
+				liveDeg[e.From]--
+			}
+		default:
+			b.scaleRates(graph.NodeID(b.rng.Intn(b.n)), b.swing(2), b.swing(2))
+		}
+	}
 	return b.done()
 }

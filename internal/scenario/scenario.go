@@ -3,8 +3,9 @@
 // hybrid push/pull schedule exactly where its optimizations are weakest.
 //
 // Every number in the repo used to be pinned to one Flickr-like preset
-// plus stationary preferential-attachment churn
-// (workload.GenerateChurn). The paper's own evaluation (Twitter, Flickr
+// plus stationary preferential-attachment churn (GenerateChurn, the
+// Preferential row, drawn on the same builder as every other row). The
+// paper's own evaluation (Twitter, Flickr
 // and Yahoo! traces) and the SIGMOD 2014 programming-contest analysis of
 // the LDBC social-network graph both argue that the interesting regime
 // is non-stationary: skewed, bursty, correlated. Each generator here is
@@ -17,8 +18,9 @@
 //
 // Determinism is a hard contract: the same (graph, rates, Params.Seed)
 // yields a byte-identical op stream, every op is valid at its position
-// (no duplicate adds, no removes of absent edges, finite non-negative
-// rates), and generators consult neither time nor global state. The
+// (no duplicate adds, no removes of absent edges, rates that pass
+// workload.ValidRate), and generators consult neither time nor global
+// state. The
 // acceptance suite leans on this to pin the daemon's accept/revert
 // behavior per scenario.
 package scenario
@@ -135,7 +137,7 @@ func Materialize(g *graph.Graph, r *workload.Rates, ops []workload.ChurnOp) (*gr
 			live = live[:last]
 			delete(index, e)
 		case workload.OpRates:
-			if !(op.Prod >= 0) || !(op.Cons >= 0) {
+			if !workload.ValidRate(op.Prod) || !workload.ValidRate(op.Cons) {
 				return nil, nil, fmt.Errorf("scenario: op %d: invalid rates prod=%v cons=%v", i, op.Prod, op.Cons)
 			}
 			out.Prod[op.U] = op.Prod

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -115,7 +116,11 @@ func TestZooEmptyAndTinyInputs(t *testing.T) {
 	g, r := zooGraph(t)
 	tiny := graphgen.Social(graphgen.FlickrLike(3, 1))
 	tinyR := workload.LogDegree(tiny, 5)
+	empty := graph.FromEdges(0, nil)
 	for _, name := range Default.Names() {
+		if ops, err := Default.Generate(name, empty, &workload.Rates{}, Params{Ops: 50, Seed: 1}); err != nil || len(ops) != 0 {
+			t.Errorf("%s: 0-node graph gave %d ops, err %v", name, len(ops), err)
+		}
 		if ops, err := Default.Generate(name, g, r, Params{Ops: 0, Seed: 1}); err != nil || len(ops) != 0 {
 			t.Errorf("%s: Ops=0 gave %d ops, err %v", name, len(ops), err)
 		}
@@ -174,6 +179,8 @@ func TestMaterializeRejectsInvalidOps(t *testing.T) {
 		{"absent remove", workload.ChurnOp{Kind: workload.OpRemove, U: 1, V: 2}},
 		{"out of range", workload.ChurnOp{Kind: workload.OpAdd, U: 0, V: 9}},
 		{"negative rate", workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: -1, Cons: 1}},
+		{"+Inf rate", workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: 1, Cons: math.Inf(1)}},
+		{"NaN rate", workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: math.NaN(), Cons: 1}},
 		{"unknown kind", workload.ChurnOp{Kind: 99, U: 0, V: 1}},
 	}
 	for _, tc := range cases {

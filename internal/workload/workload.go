@@ -7,6 +7,10 @@
 // follower / followee counts, scaled so that the ratio of average
 // consumption rate to average production rate equals the read/write ratio
 // (reference value 5, per Silberstein et al.).
+//
+// It also defines the churn-op stream (ChurnOp) the online rescheduling
+// subsystem ingests, and the one rule every rate must meet (ValidRate);
+// the traces themselves are drawn by internal/scenario.
 package workload
 
 import (
@@ -20,6 +24,33 @@ import (
 // DefaultReadWriteRatio is the reference consumption/production ratio from
 // the paper (§4.1).
 const DefaultReadWriteRatio = 5.0
+
+// OpKind discriminates churn operations.
+type OpKind uint8
+
+const (
+	// OpAdd inserts the edge U → V (V follows U).
+	OpAdd OpKind = iota
+	// OpRemove deletes the edge U → V.
+	OpRemove
+	// OpRates replaces user U's production/consumption rates with
+	// Prod/Cons.
+	OpRates
+)
+
+// ChurnOp is one update in a churn stream.
+type ChurnOp struct {
+	Kind OpKind
+	U, V graph.NodeID
+	// Prod, Cons are the new rates for OpRates ops.
+	Prod, Cons float64
+}
+
+// ValidRate reports whether x is a usable rate: finite and non-negative.
+// Validate, the scenario builder and replayer, and the incremental
+// maintainer all apply this one rule, so a trace one of them accepts the
+// others accept too.
+func ValidRate(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // Rates holds per-user request rates. Prod[u] is the rate at which u
 // shares events; Cons[u] is the rate at which u requests its event stream.
@@ -153,9 +184,7 @@ func (r *Rates) Validate(n int) error {
 			len(r.Prod), len(r.Cons), n)
 	}
 	for i := 0; i < n; i++ {
-		if r.Prod[i] < 0 || r.Cons[i] < 0 ||
-			math.IsNaN(r.Prod[i]) || math.IsNaN(r.Cons[i]) ||
-			math.IsInf(r.Prod[i], 0) || math.IsInf(r.Cons[i], 0) {
+		if !ValidRate(r.Prod[i]) || !ValidRate(r.Cons[i]) {
 			return fmt.Errorf("workload: invalid rate for user %d: prod=%v cons=%v",
 				i, r.Prod[i], r.Cons[i])
 		}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"piggyback/internal/graph"
@@ -88,6 +89,21 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidRate pins the one rate rule: finite and non-negative, zero
+// and the largest float64 included.
+func TestValidRate(t *testing.T) {
+	for _, x := range []float64{0, 1, math.MaxFloat64} {
+		if !ValidRate(x) {
+			t.Errorf("ValidRate(%v) = false", x)
+		}
+	}
+	for _, x := range []float64{-1, math.Copysign(math.SmallestNonzeroFloat64, -1), math.Inf(1), math.Inf(-1), math.NaN()} {
+		if ValidRate(x) {
+			t.Errorf("ValidRate(%v) = true", x)
+		}
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(0, nil)
 	r := LogDegree(g, 5)
@@ -130,5 +146,13 @@ func TestZipfRates(t *testing.T) {
 	}
 	if len(Zipf(0, 1.5, 5, 1).Prod) != 0 {
 		t.Fatal("empty zipf rates broken")
+	}
+}
+
+func TestProjectRates(t *testing.T) {
+	r := &Rates{Prod: []float64{1, 2, 3, 4}, Cons: []float64{5, 6, 7, 8}}
+	p := r.Project([]graph.NodeID{3, 1})
+	if !reflect.DeepEqual(p.Prod, []float64{4, 2}) || !reflect.DeepEqual(p.Cons, []float64{8, 6}) {
+		t.Fatalf("Project = %+v", p)
 	}
 }

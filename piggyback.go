@@ -51,6 +51,7 @@ import (
 	"piggyback/internal/partition"
 	"piggyback/internal/refine"
 	"piggyback/internal/sampling"
+	"piggyback/internal/scenario"
 	"piggyback/internal/solver"
 	"piggyback/internal/workload"
 )
@@ -234,12 +235,12 @@ const (
 )
 
 // ChurnConfig tunes the synthetic churn-trace generator.
-type ChurnConfig = workload.ChurnConfig
+type ChurnConfig = scenario.ChurnConfig
 
 // GenerateChurn synthesizes a deterministic churn trace against the
 // live edge set starting at g.
 func GenerateChurn(g *Graph, r *Rates, n int, cfg ChurnConfig) []ChurnOp {
-	return workload.GenerateChurn(g, r, n, cfg)
+	return scenario.GenerateChurn(g, r, n, cfg)
 }
 
 // OnlineConfig tunes the online rescheduling daemon.
