@@ -44,7 +44,7 @@ func TestPrintProgressLines(t *testing.T) {
 		{solver.Nosy, solver.Options{}, func(l []string) []string { return l[:1] },
 			[]string{"iteration   1: dirty=10792 candidates=10629 commits=1+3 covered=186 cost=52211.5"}},
 		{solver.Shard, solver.Options{Shards: 2, Workers: 1}, func(l []string) []string { return l },
-			[]string{"shard 1/2: edges=6106 cost=9308.5", "shard 2/2: edges=570 cost=2430.7"}},
+			[]string{"shard 1/2: edges=6106 cost=9367.6", "shard 2/2: edges=570 cost=2430.7"}},
 	} {
 		if got := tc.pick(run(tc.name, tc.opts)); !slices.Equal(got, tc.want) {
 			t.Errorf("%s progress lines = %q, want %q", tc.name, got, tc.want)

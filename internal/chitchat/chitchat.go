@@ -34,16 +34,15 @@
 // selection; here a commit eagerly re-evaluates only the hubs whose ratio
 // may have IMPROVED (support weights zeroed — the committed hub itself,
 // or the hub paid for by a singleton), while hubs that merely lost
-// elements keep their stale queue entries until they reach the head. A
-// stale head is re-evaluated alone; if it then loses the head, up to
-// refreshWidth further stale hubs are popped and re-evaluated. What
-// holds: a commit happens only on a fresh head, and the queue orders by
-// (priority, id). What does not: a stale entry is no lower bound of its
-// hub's ratio — the peel is a factor-2 heuristic, not monotone under
-// element loss — so which stale hubs get looked at decides, rarely, which
-// hub commits. The width is therefore part of the algorithm's definition
-// and fixed; TestSchedulesMatchShipped pins the schedules it yields
-// (DESIGN.md §14 has the counterexample).
+// elements keep their stale queue entries until they reach the head. That
+// is plain lazy greedy: a stale head is popped, re-evaluated and
+// requeued, and the loop commits whichever head is fresh. A stale entry
+// is no lower bound of its hub's ratio — the peel is a factor-2
+// heuristic, not monotone under element loss — so a fresh head may commit
+// ahead of a stale hub that would re-evaluate below it. Which hubs get
+// re-evaluated is therefore part of the algorithm's definition;
+// TestSchedulesMatchShipped pins the schedules it yields (DESIGN.md §14
+// has the counterexample).
 //
 // Post-commit replay. The hub that has just committed is not re-peeled:
 // its next peel would pop the saved prefix of the committed one, and
@@ -91,10 +90,9 @@ type Config struct {
 // Progress is the solve-progress snapshot streamed to Config.OnProgress
 // after each greedy commit.
 type Progress struct {
-	Commits    int // greedy commits so far (hubs + singletons)
-	HubCommits int // hub commits among them
-	Covered    int // ground-set edges served so far
-	Remaining  int // ground-set edges still unserved
+	Commits   int // greedy commits so far (hubs + singletons)
+	Covered   int // ground-set edges served so far
+	Remaining int // ground-set edges still unserved
 	// Saved is what the commits so far have won over serving every edge
 	// they covered directly: Σ c*(covered element) − Σ support weight paid.
 	// A singleton pays exactly its c*, so only hub commits move it, and
@@ -104,12 +102,6 @@ type Progress struct {
 
 // DefaultMaxCrossEdges matches the bound used for the Twitter runs in §4.2.
 const DefaultMaxCrossEdges = 100000
-
-// refreshWidth is how many further stale hubs refreshHead re-evaluates
-// once a refreshed head has lost its place. Not a tuning knob: schedules
-// depend on it (package comment), so a change re-pins
-// TestSchedulesMatchShipped.
-const refreshWidth = 16
 
 // seedBlock is how many hubs a seed worker takes per pull on the cursor:
 // small, because a celebrity's instance costs hundreds of times a leaf's.
@@ -178,29 +170,28 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 			cause = err
 			break
 		}
-		id, _ := sv.q.Min()
+		id, _ := sv.q.PopMin()
 		if id >= n {
 			// Singleton edge: ratio never changes; skip if already covered.
-			sv.q.PopMin()
 			e := graph.EdgeID(id - n)
 			if !sv.uncovered.Test(int(e)) {
 				continue
 			}
 			sv.commitSingleton(e)
-			sv.noteCommit(false)
+			sv.noteCommit()
 			continue
 		}
 		w := graph.NodeID(id)
-		if sv.fresh(w) {
-			// The head's oracle output was computed against the current
-			// state of its instance, which no commit has touched since:
-			// commit it.
-			sv.q.PopMin()
-			sv.commitHub(w)
-			sv.noteCommit(true)
+		if !sv.fresh(w) {
+			// Stale head: re-evaluate and requeue it (or drop it, exhausted);
+			// the next turn commits whichever head is then fresh.
+			sv.reEval(w)
 			continue
 		}
-		sv.refreshHead()
+		// The head's oracle output was computed against the current state
+		// of its instance, which no commit has touched since: commit it.
+		sv.commitHub(w)
+		sv.noteCommit()
 	}
 	// Serve anything left directly: on the normal path this is defensive
 	// (singletons cover every edge); on the cancellation path it is the
@@ -211,18 +202,14 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 
 // noteCommit bumps the progress counters after a greedy commit and
 // streams a snapshot to Config.OnProgress when set.
-func (sv *solver) noteCommit(hub bool) {
+func (sv *solver) noteCommit() {
 	sv.commits++
-	if hub {
-		sv.hubCommits++
-	}
 	if sv.cfg.OnProgress != nil {
 		sv.cfg.OnProgress(Progress{
-			Commits:    sv.commits,
-			HubCommits: sv.hubCommits,
-			Covered:    sv.g.NumEdges() - sv.remaining,
-			Remaining:  sv.remaining,
-			Saved:      sv.saved,
+			Commits:   sv.commits,
+			Covered:   sv.g.NumEdges() - sv.remaining,
+			Remaining: sv.remaining,
+			Saved:     sv.saved,
 		})
 	}
 }
@@ -256,9 +243,8 @@ type solver struct {
 	evals []hubEval
 
 	// Progress counters for Config.OnProgress.
-	commits    int
-	hubCommits int
-	saved      float64
+	commits int
+	saved   float64
 
 	memb []bool // member marks, sized to the largest instance
 }
@@ -618,42 +604,6 @@ func (sv *solver) requeue(w graph.NodeID, ev hubEval) {
 	sv.evals[w] = ev
 	if ev.Members != nil {
 		sv.q.Push(int(w), ev.ratio())
-	}
-}
-
-// refreshHead handles a stale hub at the head of the queue. Classic lazy
-// greedy first: re-evaluate the head alone, and if it is still the
-// minimum the main loop commits it — one oracle call decided the commit.
-// Only when the head loses its place are the next stale hubs, up to
-// refreshWidth of them, popped and then re-evaluated: the head region is
-// churning, so those evaluations are likely needed next. Pop first,
-// evaluate after — the order is part of what refreshWidth pins.
-func (sv *solver) refreshHead() {
-	id, _ := sv.q.PopMin() // caller established: a hub with a stale entry
-	w := graph.NodeID(id)
-	sv.reEval(w)
-	if !sv.fresh(w) {
-		return // exhausted hub; it never regains value
-	}
-	if sv.q.Len() == 1 {
-		return // sole candidate; the main loop commits it
-	}
-	if head, _ := sv.q.Min(); head == id {
-		return // still the minimum; the main loop commits it
-	}
-	var stale [refreshWidth]graph.NodeID
-	k := 0
-	for k < refreshWidth && sv.q.Len() > 0 {
-		nid, _ := sv.q.Min()
-		if nid >= sv.n || sv.fresh(graph.NodeID(nid)) {
-			break // fresh hub or singleton: the main loop handles it
-		}
-		sv.q.PopMin()
-		stale[k] = graph.NodeID(nid)
-		k++
-	}
-	for _, w := range stale[:k] {
-		sv.reEval(w)
 	}
 }
 

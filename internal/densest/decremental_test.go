@@ -290,8 +290,7 @@ func TestDecrementalRemovalAccounting(t *testing.T) {
 }
 
 // Solve must be a pure read of the maintained state: concurrent solves
-// with distinct scratches (CHITCHAT's refresh batches run exactly this
-// way) return identical results. Run under -race.
+// with distinct scratches return identical results. Run under -race.
 func TestDecrementalConcurrentSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inst := randomInstance(rng)

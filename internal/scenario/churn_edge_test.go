@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"piggyback/internal/graph"
 	"piggyback/internal/workload"
@@ -96,6 +97,26 @@ func TestGenerateChurnEmptyInputsDeterministic(t *testing.T) {
 	// from every zoo generator, not a panic.
 	if ops := GenerateChurn(graph.FromEdges(0, nil), &workload.Rates{}, 50, ChurnConfig{Seed: 1}); len(ops) != 0 {
 		t.Fatalf("0-node graph emitted %d ops", len(ops))
+	}
+	// One node under a mix without a rate share: every add is a
+	// self-loop and there is no edge to remove, so no op can be drawn.
+	// Each runs under a deadline, so a regression fails instead of hanging.
+	one := graph.FromEdges(1, nil)
+	or := &workload.Rates{Prod: []float64{1}, Cons: []float64{1}}
+	for _, cfg := range []ChurnConfig{
+		{AddFraction: 0.5, RemoveFraction: 0.5, Seed: 1},
+		{AddFraction: 1, RemoveFraction: 0.35, Seed: 1},
+	} {
+		done := make(chan []workload.ChurnOp, 1)
+		go func() { done <- GenerateChurn(one, or, 50, cfg) }()
+		select {
+		case ops := <-done:
+			if len(ops) != 0 {
+				t.Fatalf("1-node graph under %+v emitted %d ops", cfg, len(ops))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("1-node graph under %+v: GenerateChurn did not return", cfg)
+		}
 	}
 
 	// Edgeless graph: removals have nothing to draw and must be skipped,

@@ -350,9 +350,11 @@ const preferentialAdd, preferentialRemove = 0.55, 0.35
 
 // GenerateChurn synthesizes n ops of the Preferential control churn
 // against the live edge set that starts as g, with cfg's add/remove mix
-// and no telemetry. Every op is valid at its position, a graph without
-// nodes yields an empty trace, and the result is deterministic given
-// cfg.Seed.
+// and no telemetry. Every op is valid at its position, and the result is
+// deterministic given cfg.Seed. A graph without nodes yields an empty
+// trace, and so does a one-node graph under a mix whose add and remove
+// fractions sum to 1 or more: it has no edge to add or remove and no
+// rate update to draw instead.
 func GenerateChurn(g *graph.Graph, r *workload.Rates, n int, cfg ChurnConfig) []workload.ChurnOp {
 	add, remove := cfg.AddFraction, cfg.RemoveFraction
 	if add == 0 {
@@ -376,7 +378,9 @@ func GenPreferential(g *graph.Graph, r *workload.Rates, p Params) []workload.Chu
 // remove a uniformly drawn live edge, and the rest scale a uniform
 // user's rates by independent factors in [1/2, 2].
 func (b *builder) preferential(addFrac, removeFrac float64) []workload.ChurnOp {
-	if b.want <= 0 || b.n == 0 {
+	// One node admits no edge but a self-loop, so a mix without a rate
+	// share could never emit an op.
+	if b.want <= 0 || b.n == 0 || b.n < 2 && addFrac+removeFrac >= 1 {
 		return b.done()
 	}
 	b.phase("stationary")

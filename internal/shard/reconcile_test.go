@@ -75,9 +75,8 @@ func referenceReconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, 
 func spliced(t *testing.T, g *graph.Graph, r *workload.Rates, k int) (*core.Schedule, []graph.EdgeID) {
 	t.Helper()
 	assign := partition.Locality(g, k, 0)
-	solve := func(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, int, error) {
-		s, err := chitchat.SolveCtx(ctx, g, r, chitchat.Config{Workers: 1})
-		return s, 0, err
+	solve := func(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
+		return chitchat.SolveCtx(ctx, g, r, chitchat.Config{Workers: 1})
 	}
 	out := core.NewSchedule(g)
 	for idx, nodes := range assign.Groups() {

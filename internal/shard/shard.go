@@ -77,11 +77,11 @@ type Progress struct {
 	Cost   float64 // the shard's schedule cost under its rates
 }
 
-// SolveFunc solves one shard's subgraph from scratch. It returns the
-// schedule and its iteration count; a non-nil schedule with a non-nil
-// error is an anytime result cut short by ctx, a nil schedule a hard
-// failure that aborts the solve. Calls run concurrently, one per worker.
-type SolveFunc func(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, int, error)
+// SolveFunc solves one shard's subgraph from scratch. A non-nil schedule
+// with a non-nil error is an anytime result cut short by ctx, a nil
+// schedule a hard failure that aborts the solve. Calls run concurrently,
+// one per worker.
+type SolveFunc func(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error)
 
 // Result is a finished (or canceled) sharded solve.
 type Result struct {
@@ -100,7 +100,6 @@ type shardResult struct {
 	idx   int
 	sub   *graph.Subgraph
 	sched *core.Schedule
-	iters int
 	cost  float64
 	cause error // context cancellation, schedule still usable
 	err   error // hard failure, aborts the solve
@@ -295,11 +294,11 @@ func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []gra
 func solveShard(ctx context.Context, solve SolveFunc, g *graph.Graph, r *workload.Rates, nodes []graph.NodeID, idx int) shardResult {
 	sub := graph.Induced(g, nodes)
 	lr := r.Project(sub.Global)
-	sched, iters, err := solve(ctx, sub.G, lr)
+	sched, err := solve(ctx, sub.G, lr)
 	if sched == nil {
 		return shardResult{idx: idx, err: err}
 	}
 	// err != nil with a schedule is the anytime-cancellation path: the
 	// partial schedule is valid and worth splicing.
-	return shardResult{idx: idx, sub: sub, sched: sched, iters: iters, cost: sched.Cost(lr), cause: err}
+	return shardResult{idx: idx, sub: sub, sched: sched, cost: sched.Cost(lr), cause: err}
 }

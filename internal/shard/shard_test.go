@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"piggyback/internal/baseline"
+	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
@@ -28,6 +29,13 @@ func newShard(t *testing.T, shards, workers int) solver.Solver {
 		t.Fatal(err)
 	}
 	return sv
+}
+
+// solveChitChat is the SolveFunc the shard solver binds: one
+// single-threaded CHITCHAT solve. Tests that read shard.Result call
+// shard.SolveCtx with it.
+func solveChitChat(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
+	return chitchat.SolveCtx(ctx, g, r, chitchat.Config{Workers: 1})
 }
 
 func sameSchedule(t *testing.T, label string, a, b *core.Schedule, g *graph.Graph) {
@@ -92,7 +100,7 @@ func TestShardWorkerInvariance(t *testing.T) {
 // nothing may diverge.
 func TestShardOneShardMatchesUnsharded(t *testing.T) {
 	p := quickProblem(t)
-	sharded, err := newShard(t, 1, 0).Solve(context.Background(), p)
+	sharded, err := shard.SolveCtx(context.Background(), p.Graph, p.Rates, shard.Config{Shards: 1}, solveChitChat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +113,8 @@ func TestShardOneShardMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSchedule(t, "shards=1 vs unsharded chitchat", ref.Schedule, sharded.Schedule, p.Graph)
-	if sharded.Report.BoundaryRepairs != 0 {
-		t.Fatalf("boundary repairs = %d, want 0", sharded.Report.BoundaryRepairs)
+	if sharded.BoundaryRepairs != 0 {
+		t.Fatalf("boundary repairs = %d, want 0", sharded.BoundaryRepairs)
 	}
 }
 
@@ -149,17 +157,17 @@ func TestShardNeverWorseThanHybrid(t *testing.T) {
 	p := quickProblem(t)
 	hy := baseline.HybridCost(p.Graph, p.Rates)
 	for _, shards := range []int{2, 4, 8} {
-		res, err := newShard(t, shards, 0).Solve(context.Background(), p)
+		res, err := shard.SolveCtx(context.Background(), p.Graph, p.Rates, shard.Config{Shards: shards}, solveChitChat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := res.Schedule.Validate(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if res.Report.Cost > hy {
-			t.Fatalf("shards=%d: cost %.1f exceeds hybrid %.1f", shards, res.Report.Cost, hy)
+		if cost := res.Schedule.Cost(p.Rates); cost > hy {
+			t.Fatalf("shards=%d: cost %.1f exceeds hybrid %.1f", shards, cost, hy)
 		}
-		if res.Report.CoveredEdges == 0 {
+		if res.CutCovered == 0 {
 			t.Fatalf("shards=%d: cut reconciliation covered nothing", shards)
 		}
 	}
@@ -195,7 +203,7 @@ func TestShardErrors(t *testing.T) {
 	}
 	// A shard's hard failure aborts the whole solve with its error.
 	boom := errors.New("boom")
-	fail := func(context.Context, *graph.Graph, *workload.Rates) (*core.Schedule, int, error) { return nil, 0, boom }
+	fail := func(context.Context, *graph.Graph, *workload.Rates) (*core.Schedule, error) { return nil, boom }
 	if res, err := shard.SolveCtx(context.Background(), p.Graph, p.Rates, shard.Config{Shards: 2}, fail); !errors.Is(err, boom) || res.Schedule != nil {
 		t.Fatalf("failing shard: schedule %v, err = %v", res.Schedule != nil, err)
 	}

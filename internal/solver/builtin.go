@@ -152,13 +152,7 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 		}
 	}
 	nr, cause := nosy.SolveCtx(ctx, p.Graph, p.Rates, cfg)
-	rep := Report{Iterations: len(nr.Iterations)}
-	for _, it := range nr.Iterations {
-		rep.FullCommits += it.FullCommits
-		rep.PartialCommits += it.PartialCommits
-		rep.CoveredEdges += it.CoveredEdges
-	}
-	return finish(Nosy, nr.Schedule, p, rep, cause)
+	return finish(Nosy, nr.Schedule, p, Report{Iterations: len(nr.Iterations)}, cause)
 }
 
 // shardSolver adapts the sharded composite (internal/shard): every
@@ -195,20 +189,14 @@ func (s *shardSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
 	if sr.Schedule == nil {
 		return nil, fmt.Errorf("solver %s: %w", Shard, cause)
 	}
-	return finish(Shard, sr.Schedule, p, Report{
-		Iterations:      sr.Shards,
-		CoveredEdges:    sr.CutCovered,
-		BoundaryRepairs: sr.BoundaryRepairs,
-	}, cause)
+	return finish(Shard, sr.Schedule, p, Report{Iterations: sr.Shards}, cause)
 }
 
 // solveShardChitChat is the shard.SolveFunc of the sharded solver: one
-// single-threaded CHITCHAT solve, its commits counted as iterations.
-func solveShardChitChat(ctx context.Context, g *graph.Graph, r *workload.Rates) (sched *core.Schedule, commits int, err error) {
+// single-threaded CHITCHAT solve.
+func solveShardChitChat(ctx context.Context, g *graph.Graph, r *workload.Rates) (sched *core.Schedule, err error) {
 	defer guard(ChitChat, &sched, &err)
-	cfg := chitchat.Config{Workers: 1, OnProgress: func(pr chitchat.Progress) { commits = pr.Commits }}
-	sched, err = chitchat.SolveCtx(ctx, g, r, cfg)
-	return sched, commits, err
+	return chitchat.SolveCtx(ctx, g, r, chitchat.Config{Workers: 1})
 }
 
 // baselineSolver adapts the one-shot baselines. They are instantaneous,

@@ -61,17 +61,9 @@ type Report struct {
 	// Solver is the name of the algorithm that ran.
 	Solver string
 	// Iterations is how many iterations ran: PARALLELNOSY rounds,
-	// CHITCHAT greedy commits, 1 for the one-shot baselines.
+	// CHITCHAT greedy commits, shards for the sharded solver, 1 for the
+	// one-shot baselines.
 	Iterations int
-	// FullCommits / PartialCommits / CoveredEdges aggregate the
-	// PARALLELNOSY iteration stats (zero for other solvers).
-	FullCommits    int
-	PartialCommits int
-	CoveredEdges   int
-	// BoundaryRepairs counts the coverage supports the sharded solver's
-	// repair pass restored after merging its shards (0 for every other
-	// solver).
-	BoundaryRepairs int
 	// Cost is the finalized schedule's cost under the problem rates.
 	Cost float64
 	// Canceled records that the solve was cut short by its context and

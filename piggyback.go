@@ -71,8 +71,8 @@ type Problem = solver.Problem
 // Report.
 type Result = solver.Result
 
-// Report summarizes a finished (or canceled) solve: iteration counts,
-// commit stats, boundary repairs, final cost.
+// Report summarizes a finished (or canceled) solve: the solver name, its
+// iteration count, the final cost and whether it was canceled.
 type Report = solver.Report
 
 // ProgressEvent is a live progress sample streamed to Options.Progress
