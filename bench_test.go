@@ -238,8 +238,7 @@ func BenchmarkCommonInEdges(b *testing.B) {
 // ---- Ablations (design choices from DESIGN.md §6) ----
 
 // One PARALLELNOSY solve per design choice, each reporting its
-// improvement over hybrid and its rounds next to its time: phase 3's
-// sub-hub-graph rescue against all-or-nothing locks, and a tight §4.2
+// improvement over hybrid and its rounds next to its time: a tight §4.2
 // bound b against the default. Social/ErdosRenyi is the null model:
 // piggybacking feeds on co-subscription structure, and on a uniform
 // random graph of the same density hubs barely exist and the gain falls
@@ -257,8 +256,7 @@ func BenchmarkAblationNosy(b *testing.B) {
 		r    *Rates
 		cfg  nosy.Config
 	}{
-		{"PartialCommits", g, r, nosy.Config{}},
-		{"NoPartialCommits", g, r, nosy.Config{DisablePartialCommits: true}},
+		{"Default", g, r, nosy.Config{}},
 		{"CrossEdgeBound16", g, r, nosy.Config{MaxCrossEdges: 16}},
 		{"Social", soc, LogDegreeRates(soc, 5), nosy.Config{}},
 		{"ErdosRenyi", er, LogDegreeRates(er, 5), nosy.Config{}},
@@ -271,24 +269,6 @@ func BenchmarkAblationNosy(b *testing.B) {
 			}
 			b.ReportMetric(baseline.HybridCost(a.g, a.r)/res.Schedule.Cost(a.r), "improvement")
 			b.ReportMetric(float64(len(res.Iterations)), "rounds")
-		})
-	}
-}
-
-// CHITCHAT oracle: exact brute force vs factor-2 peeling on a small graph.
-func BenchmarkAblationChitChatOracle(b *testing.B) {
-	g := graphgen.Social(graphgen.Config{
-		Nodes: 60, AvgFollows: 4, TriadProb: 0.6, Reciprocity: 0.4, Seed: 5,
-	})
-	r := LogDegreeRates(g, 5)
-	for _, exact := range []bool{true, false} {
-		name := map[bool]string{true: "Exact", false: "Peel"}[exact]
-		b.Run(name, func(b *testing.B) {
-			var s *Schedule
-			for i := 0; i < b.N; i++ {
-				s = chitchat.Solve(g, r, chitchat.Config{ExactOracle: exact})
-			}
-			b.ReportMetric(baseline.HybridCost(g, r)/s.Cost(r), "improvement")
 		})
 	}
 }

@@ -188,7 +188,7 @@ func TestDocsNameExistingConfigFields(t *testing.T) {
 // TestDocsNameExistingDeclarations keeps the docs from citing a name that
 // no longer exists: in README, DESIGN and the verify SKILL every
 // backticked solver.X or fault.X must be a declaration of internal/solver
-// or internal/fault, exported or not (solver.guard), and every backticked
+// or internal/fault, exported or not (solver.finish), and every backticked
 // pkg.X with X capitalized, for pkg one of nosy, chitchat, telemetry,
 // shard, online, core, incremental, refine and graph, one of internal/pkg
 // (lower-case, they are bench metrics: nosy.scale). A method counts by its
@@ -293,7 +293,7 @@ func TestCodeCitesNoRoadmapItem(t *testing.T) {
 // TestDesignDocDoesNotGrow holds DESIGN.md to the size it had when the
 // budget was set: a section that gains text must lose as much elsewhere.
 func TestDesignDocDoesNotGrow(t *testing.T) {
-	const budget = 157997 // bytes
+	const budget = 157935 // bytes
 	fi, err := os.Stat("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)

@@ -74,10 +74,6 @@ type Config struct {
 	// coverage are computed from the same materialized element set, so
 	// they always agree.
 	MaxCrossEdges int
-	// ExactOracle replaces the peeling oracle with brute-force subset
-	// enumeration (instances up to 24 nodes; larger hub-graphs fall back
-	// to peeling). Only sensible on tiny graphs; used by ablation benches.
-	ExactOracle bool
 	// Workers bounds the seed phase's goroutines; 0 means GOMAXPROCS, which
 	// also caps it. Schedules and Progress streams are the same for every value.
 	Workers int
@@ -287,7 +283,7 @@ func (sv *solver) seed() {
 					seedObserver(graph.NodeID(w))
 				}
 				hi := buildHubInstance(sv.g, sv.r, graph.NodeID(w), sv.cfg, sc)
-				if ev := evalHub(hi, sv.cfg, sc); ev.Members != nil {
+				if ev := evalHub(hi, sc); ev.Members != nil {
 					sv.insts[w], sv.evals[w] = hi, ev
 				}
 			}
@@ -579,10 +575,6 @@ func (sv *solver) commitHub(w graph.NodeID) {
 	if commitObserver != nil {
 		commitObserver(w, ev.EdgeCnt, covered)
 	}
-	if sv.cfg.ExactOracle {
-		sv.reEval(w) // a brute-force selection has no peel to replay
-		return
-	}
 	// The commit zeroed the members' weights and removed the live elements
 	// among them, and nothing else in this instance: Replay's precondition.
 	res := hi.d.Replay(densest.Result(ev), &sv.sc.dsc)
@@ -594,7 +586,7 @@ func (sv *solver) commitHub(w graph.NodeID) {
 
 // reEval re-runs the oracle for a hub that is not currently queued.
 func (sv *solver) reEval(w graph.NodeID) {
-	sv.requeue(w, evalHub(sv.ensureInst(w), sv.cfg, &sv.sc))
+	sv.requeue(w, evalHub(sv.ensureInst(w), &sv.sc))
 }
 
 // requeue records ev as the unqueued hub w's oracle output and re-inserts
@@ -618,19 +610,11 @@ func (h hubEval) ratio() float64 { return h.Weight / float64(h.EdgeCnt) }
 
 // evalHub runs the oracle over the hub's live sub-instance; zero when
 // there is no instance or nothing usable in it.
-func evalHub(hi *hubInstance, cfg Config, sc *scratch) hubEval {
+func evalHub(hi *hubInstance, sc *scratch) hubEval {
 	if hi == nil || hi.d.AliveEdges() == 0 {
 		return hubEval{}
 	}
-	var res densest.Result
-	if cfg.ExactOracle && hi.d.N() <= 24 {
-		var inst densest.Instance
-		inst, sc.liveBuf = hi.d.LiveInstance(sc.liveBuf)
-		res = densest.Exact(inst, &sc.dsc)
-	} else {
-		res = hi.d.Solve(&sc.dsc)
-	}
-	return usable(hi, res)
+	return usable(hi, hi.d.Solve(&sc.dsc))
 }
 
 // usable admits an oracle selection as a greedy candidate, or returns
@@ -658,15 +642,14 @@ func usable(hi *hubInstance, res densest.Result) hubEval {
 // scratch holds one goroutine's reusable buffers: yMark/yPos form a
 // generation-stamped index from node id to the hub instance's Y-side
 // vertex (a per-build map dominated profiles); weight/edges/gids back
-// instance materialization, liveBuf the exact-oracle snapshot, dsc is the
-// peel arena: a steady-state evaluation allocates only its result slice.
+// instance materialization, dsc is the peel arena: a steady-state
+// evaluation allocates only its result slice.
 type scratch struct {
-	yMark   []int64
-	yPos    []int32
-	gen     int64
-	weight  []float64
-	edges   [][2]int32
-	gids    []graph.EdgeID
-	liveBuf [][2]int32
-	dsc     densest.Scratch
+	yMark  []int64
+	yPos   []int32
+	gen    int64
+	weight []float64
+	edges  [][2]int32
+	gids   []graph.EdgeID
+	dsc    densest.Scratch
 }

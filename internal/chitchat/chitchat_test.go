@@ -178,18 +178,6 @@ func TestTruncatedCoverageRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestExactOracleSmallGraph(t *testing.T) {
-	g := figure2()
-	r := workload.NewUniform(3, 1)
-	s := Solve(g, r, Config{ExactOracle: true})
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Cost(r) != 2 {
-		t.Fatalf("exact-oracle cost = %v, want 2", s.Cost(r))
-	}
-}
-
 func TestHighReadWriteRatioApproachesHybrid(t *testing.T) {
 	// With consumption 100× production, pushes are nearly free and the
 	// hybrid schedule (all push) is near optimal; CHITCHAT's gain should

@@ -9,18 +9,20 @@ import (
 	"testing"
 
 	"piggyback/internal/chitchat"
-	"piggyback/internal/densest"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/solver"
 	"piggyback/internal/workload"
 )
 
+// errHubBroke is the typed panic value the test's seed observer raises.
+var errHubBroke = errors.New("hub broke")
+
 // A panic while a seed worker builds a hub must surface on the goroutine
-// that called Solve, where solver.guard turns a typed one into an error
-// and a caller can recover any other — on a spawned goroutine it would
-// kill the process. Two hubs panic, in blocks far apart; the lower one's
-// value is what comes back, typed or not, whichever worker met it first.
+// that called Solve, where a caller can recover it — on a spawned
+// goroutine it would kill the process. Two hubs panic, in blocks far
+// apart; the lower one's value is what comes back, typed or not,
+// whichever worker met it first.
 func TestSeedWorkerPanicReachesTheCaller(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -29,15 +31,24 @@ func TestSeedWorkerPanicReachesTheCaller(t *testing.T) {
 	defer chitchat.SetSeedObserver(nil)
 	for _, workers := range []int{1, 2, 3} {
 		sv := solver.NewChitChat(chitchat.Config{Workers: workers})
+		var (
+			res *solver.Result
+			err error
+		)
+		solve := func() (r any) {
+			defer func() { r = recover() }()
+			res, err = sv.Solve(context.Background(), p)
+			return nil
+		}
 
 		chitchat.SetSeedObserver(func(w graph.NodeID) {
 			if w == 40 || w == 250 {
-				panic(fmt.Errorf("hub %d: %w", w, densest.ErrInstanceTooLarge))
+				panic(fmt.Errorf("hub %d: %w", w, errHubBroke))
 			}
 		})
-		res, err := sv.Solve(context.Background(), p)
-		if res != nil || !errors.Is(err, densest.ErrInstanceTooLarge) || !strings.Contains(err.Error(), "hub 40:") {
-			t.Errorf("workers=%d, typed panic: res=%v err=%v", workers, res, err)
+		raised := solve()
+		if e, ok := raised.(error); !ok || !errors.Is(e, errHubBroke) || !strings.HasPrefix(e.Error(), "hub 40:") {
+			t.Errorf("workers=%d, typed panic: raised %v, res=%v err=%v", workers, raised, res, err)
 		}
 
 		chitchat.SetSeedObserver(func(w graph.NodeID) {
@@ -45,12 +56,7 @@ func TestSeedWorkerPanicReachesTheCaller(t *testing.T) {
 				panic(fmt.Sprintf("hub %d broke", w))
 			}
 		})
-		raised := func() (r any) {
-			defer func() { r = recover() }()
-			res, err = sv.Solve(context.Background(), p)
-			return nil
-		}()
-		if raised != "hub 40 broke" {
+		if raised = solve(); raised != "hub 40 broke" {
 			t.Errorf("workers=%d, untyped panic: raised %v, res=%v err=%v", workers, raised, res, err)
 		}
 

@@ -299,17 +299,3 @@ func (d *Decremental) snapshot(edges int, peeled, after []int32, shift int32, go
 	best.EdgesAfter = buf[d.n:]
 	return best
 }
-
-// LiveInstance appends the live edges to buf and returns an Instance view
-// of the current state (weights alias the oracle; treat as read-only).
-// Used by callers that need to hand the live sub-instance to a different
-// oracle, e.g. the exact brute-force reference.
-func (d *Decremental) LiveInstance(buf [][2]int32) (Instance, [][2]int32) {
-	buf = buf[:0]
-	for ei, e := range d.edges {
-		if d.alive[ei] {
-			buf = append(buf, e)
-		}
-	}
-	return Instance{N: d.n, Weight: d.weight, Edges: buf}, buf
-}

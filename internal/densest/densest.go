@@ -7,7 +7,7 @@
 // The oracle is the modified Asahiro/Charikar greedy: repeatedly delete
 // the node with the smallest weighted degree deg(u)/g(u) and return the
 // best intermediate subgraph. Lemma 1 proves this is a factor-2
-// approximation. Exact provides a brute-force reference for tests.
+// approximation.
 // Decremental materializes an instance once and maintains it under
 // element removal and weight zeroing — the exact mutations CHITCHAT's
 // greedy commits perform — so re-solving skips the instance rebuild, and
@@ -23,16 +23,6 @@
 // every candidate subgraph; a subgraph with positive edges and zero total
 // weight has infinite density — i.e., free coverage.
 package densest
-
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrInstanceTooLarge is the panic value (wrapped) raised when Exact is
-// asked to enumerate an instance with more than 24 nodes. The public
-// solver API recovers it and surfaces it as a returned error.
-var ErrInstanceTooLarge = errors.New("densest: exact oracle instance too large (N > 24)")
 
 // Instance is an undirected multigraph with weighted nodes. Parallel
 // edges are allowed (they never arise in CHITCHAT's hub-graphs but cost
@@ -52,7 +42,7 @@ type Result struct {
 	Weight  float64
 	// Peeled is the peel's removal order up to the best snapshot (the
 	// complement of Members), EdgesAfter[k] the live elements left after
-	// removing Peeled[k]: Decremental.Replay's input. Nil from Exact.
+	// removing Peeled[k]: Decremental.Replay's input.
 	Peeled     []int32
 	EdgesAfter []int32
 }
@@ -168,44 +158,4 @@ func (h peelHeap) down(i int, e peelEntry, pos []int32) {
 	}
 	h[i] = e
 	pos[e.id] = int32(i)
-}
-
-// Exact solves the problem by subset enumeration; only usable for small
-// instances (N <= 24). Used by tests to verify the 2-approximation bound.
-// sc is accepted for call-site symmetry with Peel (the oracle switches
-// between them); Exact's only allocation is the returned member list.
-func Exact(inst Instance, sc *Scratch) Result {
-	_ = sc
-	n := inst.N
-	if n == 0 || n > 24 {
-		if n > 24 {
-			panic(fmt.Errorf("%w: N=%d", ErrInstanceTooLarge, n))
-		}
-		return Result{}
-	}
-	var best Result
-	bestMask := 0
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		var r Result
-		for u := 0; u < n; u++ {
-			if mask&(1<<uint(u)) != 0 {
-				r.Weight += inst.Weight[u]
-			}
-		}
-		for _, e := range inst.Edges {
-			if mask&(1<<uint(e[0])) != 0 && mask&(1<<uint(e[1])) != 0 {
-				r.EdgeCnt++
-			}
-		}
-		if r.Denser(best) {
-			best = r
-			bestMask = mask
-		}
-	}
-	for u := 0; u < n; u++ {
-		if bestMask&(1<<uint(u)) != 0 {
-			best.Members = append(best.Members, int32(u))
-		}
-	}
-	return best
 }

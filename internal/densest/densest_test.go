@@ -1,6 +1,7 @@
 package densest
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -119,7 +120,7 @@ func TestExactSmall(t *testing.T) {
 		Edges:  [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}},
 		Weight: []float64{1, 1, 1, 3, 3},
 	}
-	r := Exact(inst, nil)
+	r := Exact(inst)
 	if r.EdgeCnt != 3 || r.Weight != 3 || len(r.Members) != 3 {
 		t.Fatalf("Exact: %+v", r)
 	}
@@ -127,11 +128,11 @@ func TestExactSmall(t *testing.T) {
 
 func TestExactPanicsOnLarge(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Exact on large instance should panic")
+		if e, ok := recover().(error); !ok || !errors.Is(e, ErrInstanceTooLarge) {
+			t.Fatalf("Exact on large instance: panic %v, want ErrInstanceTooLarge", e)
 		}
 	}()
-	Exact(Instance{N: 30, Weight: make([]float64, 30)}, nil)
+	Exact(Instance{N: 30, Weight: make([]float64, 30)})
 }
 
 // Property (Lemma 1): Peel achieves at least half the optimal density on
@@ -156,7 +157,7 @@ func TestQuickTwoApproximation(t *testing.T) {
 			}
 		}
 		inst := Instance{N: n, Edges: edges, Weight: w}
-		opt := Exact(inst, nil)
+		opt := Exact(inst)
 		got := Peel(inst, nil)
 		// density(got) * 2 >= density(opt), compared without division:
 		// 2*gotE*optW >= optE*gotW

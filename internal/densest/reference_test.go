@@ -1,6 +1,15 @@
 package densest
 
-import "piggyback/internal/pq"
+import (
+	"errors"
+	"fmt"
+
+	"piggyback/internal/pq"
+)
+
+// ErrInstanceTooLarge is the panic value (wrapped) raised when Exact is
+// asked to enumerate an instance with more than 24 nodes.
+var ErrInstanceTooLarge = errors.New("densest: exact oracle instance too large (N > 24)")
 
 // referencePeel is the reference implementation of the oracle: the
 // straightforward peel with EVERY vertex in a generic indexed heap —
@@ -100,6 +109,45 @@ func referencePeel(inst Instance) Result {
 		if !removed[u] {
 			best.Members = append(best.Members, int32(u))
 			best.Weight += weight[u]
+		}
+	}
+	return best
+}
+
+// Exact is the brute-force reference oracle: it solves the problem by
+// subset enumeration, so it panics with an error wrapping
+// ErrInstanceTooLarge on instances with more than 24 nodes. The tests
+// hold the peel to Lemma 1's factor-2 bound against it.
+func Exact(inst Instance) Result {
+	n := inst.N
+	if n == 0 || n > 24 {
+		if n > 24 {
+			panic(fmt.Errorf("%w: N=%d", ErrInstanceTooLarge, n))
+		}
+		return Result{}
+	}
+	var best Result
+	bestMask := 0
+	for mask := 1; mask < 1<<uint(n); mask++ {
+		var r Result
+		for u := 0; u < n; u++ {
+			if mask&(1<<uint(u)) != 0 {
+				r.Weight += inst.Weight[u]
+			}
+		}
+		for _, e := range inst.Edges {
+			if mask&(1<<uint(e[0])) != 0 && mask&(1<<uint(e[1])) != 0 {
+				r.EdgeCnt++
+			}
+		}
+		if r.Denser(best) {
+			best = r
+			bestMask = mask
+		}
+	}
+	for u := 0; u < n; u++ {
+		if bestMask&(1<<uint(u)) != 0 {
+			best.Members = append(best.Members, int32(u))
 		}
 	}
 	return best

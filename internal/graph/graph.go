@@ -67,11 +67,10 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge records the edge u → v (v subscribes to u). Out-of-range node
-// ids panic with an error wrapping ErrEdgeOutOfRange (the solver API
-// recovers it into a returned error; use TryAddEdge to handle it at the
-// call site); self-loops are silently ignored (a user's own view always
-// carries the user's events — the cost of serving oneself is implicit in
-// the model).
+// ids panic with an error wrapping ErrEdgeOutOfRange (use TryAddEdge to
+// handle it at the call site); self-loops are silently ignored (a user's
+// own view always carries the user's events — the cost of serving oneself
+// is implicit in the model).
 func (b *Builder) AddEdge(u, v NodeID) {
 	if err := b.TryAddEdge(u, v); err != nil {
 		panic(err)

@@ -58,9 +58,6 @@ type Config struct {
 	// MaxCrossEdges bounds |X| per candidate hub-graph, the bound b of
 	// §4.2 (100 000 for the Twitter runs). 0 means DefaultMaxCrossEdges.
 	MaxCrossEdges int
-	// DisablePartialCommits turns off the X'-subset re-evaluation of
-	// phase 3 (ablation: convergence needs more iterations).
-	DisablePartialCommits bool
 	// OnIteration, when non-nil, streams every IterationStat as the
 	// round that produced it completes. The callback runs on the solve
 	// goroutine between rounds; it must not mutate solver inputs and
@@ -314,7 +311,7 @@ func decideInto(ev *Evaluator, he graph.EdgeID, g lockGranter, buf []int32) ([]i
 	if full {
 		return buf, false, true
 	}
-	if ev.cfg.DisablePartialCommits || len(buf) == lo || ev.subsetGain(he, buf[lo:]) <= 0 {
+	if len(buf) == lo || ev.subsetGain(he, buf[lo:]) <= 0 {
 		return buf[:lo], false, false
 	}
 	return buf, true, true

@@ -120,25 +120,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestPartialCommitsHelp(t *testing.T) {
-	g := graphgen.Social(graphgen.FlickrLike(scaled(600, 250), 21))
-	r := workload.LogDegree(g, 5)
-	with := Solve(g, r, Config{})
-	without := Solve(g, r, Config{DisablePartialCommits: true})
-	if err := without.Schedule.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Partial commits should not hurt the final cost, and the variant
-	// without them must still be valid and no worse than hybrid.
-	hy := baseline.HybridCost(g, r)
-	if without.Schedule.Cost(r) > hy+1e-6 {
-		t.Fatal("no-partial variant worse than hybrid")
-	}
-	if with.Schedule.Cost(r) > hy+1e-6 {
-		t.Fatal("default variant worse than hybrid")
-	}
-}
-
 // solveRounds runs at most k rounds: cancelling the context from
 // OnIteration stops SolveCtx at the next round boundary, where it
 // finalizes the rounds committed so far.

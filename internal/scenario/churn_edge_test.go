@@ -98,24 +98,34 @@ func TestGenerateChurnEmptyInputsDeterministic(t *testing.T) {
 	if ops := GenerateChurn(graph.FromEdges(0, nil), &workload.Rates{}, 50, ChurnConfig{Seed: 1}); len(ops) != 0 {
 		t.Fatalf("0-node graph emitted %d ops", len(ops))
 	}
-	// One node under a mix without a rate share: every add is a
-	// self-loop and there is no edge to remove, so no op can be drawn.
+	// Mixes that run out of emittable kinds end the trace early. One node
+	// without a rate share: every add is a self-loop and there is no edge
+	// to remove. Two edgeless nodes under adds only: both possible adds,
+	// then nothing. A complete 3-node graph under adds only: nothing.
 	// Each runs under a deadline, so a regression fails instead of hanging.
 	one := graph.FromEdges(1, nil)
-	or := &workload.Rates{Prod: []float64{1}, Cons: []float64{1}}
-	for _, cfg := range []ChurnConfig{
-		{AddFraction: 0.5, RemoveFraction: 0.5, Seed: 1},
-		{AddFraction: 1, RemoveFraction: 0.35, Seed: 1},
+	two := graph.FromEdges(2, nil)
+	full3 := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 0}, {From: 0, To: 2},
+		{From: 2, To: 0}, {From: 1, To: 2}, {From: 2, To: 1}})
+	for _, tc := range []struct {
+		g    *graph.Graph
+		cfg  ChurnConfig
+		want int
+	}{
+		{one, ChurnConfig{AddFraction: 0.5, RemoveFraction: 0.5, Seed: 1}, 0},
+		{one, ChurnConfig{AddFraction: 1, RemoveFraction: 0.35, Seed: 1}, 0},
+		{two, ChurnConfig{AddFraction: 1, Seed: 1}, 2},
+		{full3, ChurnConfig{AddFraction: 1, Seed: 1}, 0},
 	} {
 		done := make(chan []workload.ChurnOp, 1)
-		go func() { done <- GenerateChurn(one, or, 50, cfg) }()
+		go func() { done <- GenerateChurn(tc.g, workload.NewUniform(tc.g.NumNodes(), 1), 50, tc.cfg) }()
 		select {
 		case ops := <-done:
-			if len(ops) != 0 {
-				t.Fatalf("1-node graph under %+v emitted %d ops", cfg, len(ops))
+			if len(ops) != tc.want {
+				t.Fatalf("%d-node graph under %+v emitted %d ops, want %d", tc.g.NumNodes(), tc.cfg, len(ops), tc.want)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("1-node graph under %+v: GenerateChurn did not return", cfg)
+			t.Fatalf("%d-node graph under %+v: GenerateChurn did not return", tc.g.NumNodes(), tc.cfg)
 		}
 	}
 

@@ -352,9 +352,13 @@ const preferentialAdd, preferentialRemove = 0.55, 0.35
 // against the live edge set that starts as g, with cfg's add/remove mix
 // and no telemetry. Every op is valid at its position, and the result is
 // deterministic given cfg.Seed. A graph without nodes yields an empty
-// trace, and so does a one-node graph under a mix whose add and remove
-// fractions sum to 1 or more: it has no edge to add or remove and no
-// rate update to draw instead.
+// trace. The trace ends early, at fewer than n ops, once no kind the mix
+// can draw is emittable: an add needs an absent ordered pair of distinct
+// nodes, a remove a remove share (RemoveFraction > 0, AddFraction < 1)
+// and a live edge, a rate update a rate share (the two fractions sum
+// below 1). So a one-node graph under a mix without a rate share yields
+// nothing, and an edgeless two-node graph under AddFraction 1 its two
+// adds.
 func GenerateChurn(g *graph.Graph, r *workload.Rates, n int, cfg ChurnConfig) []workload.ChurnOp {
 	add, remove := cfg.AddFraction, cfg.RemoveFraction
 	if add == 0 {
@@ -378,9 +382,7 @@ func GenPreferential(g *graph.Graph, r *workload.Rates, p Params) []workload.Chu
 // remove a uniformly drawn live edge, and the rest scale a uniform
 // user's rates by independent factors in [1/2, 2].
 func (b *builder) preferential(addFrac, removeFrac float64) []workload.ChurnOp {
-	// One node admits no edge but a self-loop, so a mix without a rate
-	// share could never emit an op.
-	if b.want <= 0 || b.n == 0 || b.n < 2 && addFrac+removeFrac >= 1 {
+	if b.want <= 0 || b.n == 0 {
 		return b.done()
 	}
 	b.phase("stationary")
@@ -404,7 +406,18 @@ func (b *builder) preferential(addFrac, removeFrac float64) []workload.ChurnOp {
 		}
 		return graph.NodeID(b.rng.Intn(b.n))
 	}
+	pairs := b.n * (b.n - 1)
+	rateShare := addFrac+removeFrac < 1
+	removeShare := removeFrac > 0 && addFrac < 1
 	for !b.full() {
+		// Stop once no kind the mix can draw is emittable: the loop would
+		// draw forever. The check reads no randomness, so a trace that
+		// fills keeps every byte.
+		canAdd := len(b.live) < pairs
+		canRemove := removeShare && len(b.live) > 0
+		if !canAdd && !canRemove && !rateShare {
+			break
+		}
 		x := b.rng.Float64()
 		switch {
 		case x < addFrac:

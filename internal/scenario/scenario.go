@@ -96,55 +96,24 @@ func (t Table) Names() []string {
 
 // Materialize replays a trace against (g, r) as a pure function and
 // returns the final live graph and rates — what a from-scratch solver
-// should be handed after the scenario ran. It errors on the first op
-// that is invalid at its position, which doubles as the validity check
-// the generator tests replay every zoo trace through.
+// should be handed after the scenario ran. The replay runs on the trace
+// builder, so it admits exactly what a generator may emit; it errors on
+// the first op that is invalid at its position.
 func Materialize(g *graph.Graph, r *workload.Rates, ops []workload.ChurnOp) (*graph.Graph, *workload.Rates, error) {
-	live := g.EdgeList()
-	index := make(map[graph.Edge]int, len(live))
-	for i, e := range live {
-		index[e] = i
-	}
-	n := g.NumNodes()
-	out := &workload.Rates{
-		Prod: append([]float64(nil), r.Prod...),
-		Cons: append([]float64(nil), r.Cons...),
-	}
+	b := newBuilder("", g, r, Params{Ops: len(ops)})
 	for i, op := range ops {
-		if int(op.U) < 0 || int(op.U) >= n || (op.Kind != workload.OpRates && (int(op.V) < 0 || int(op.V) >= n)) {
-			return nil, nil, fmt.Errorf("scenario: op %d: node out of range", i)
-		}
+		ok := false
 		switch op.Kind {
 		case workload.OpAdd:
-			e := graph.Edge{From: op.U, To: op.V}
-			if op.U == op.V {
-				return nil, nil, fmt.Errorf("scenario: op %d: self-loop add %d", i, op.U)
-			}
-			if _, dup := index[e]; dup {
-				return nil, nil, fmt.Errorf("scenario: op %d: duplicate add %d→%d", i, op.U, op.V)
-			}
-			index[e] = len(live)
-			live = append(live, e)
+			ok = b.add(op.U, op.V)
 		case workload.OpRemove:
-			e := graph.Edge{From: op.U, To: op.V}
-			j, ok := index[e]
-			if !ok {
-				return nil, nil, fmt.Errorf("scenario: op %d: remove of absent edge %d→%d", i, op.U, op.V)
-			}
-			last := len(live) - 1
-			live[j] = live[last]
-			index[live[j]] = j
-			live = live[:last]
-			delete(index, e)
+			ok = b.remove(op.U, op.V)
 		case workload.OpRates:
-			if !workload.ValidRate(op.Prod) || !workload.ValidRate(op.Cons) {
-				return nil, nil, fmt.Errorf("scenario: op %d: invalid rates prod=%v cons=%v", i, op.Prod, op.Cons)
-			}
-			out.Prod[op.U] = op.Prod
-			out.Cons[op.U] = op.Cons
-		default:
-			return nil, nil, fmt.Errorf("scenario: op %d: unknown kind %d", i, op.Kind)
+			ok = b.setRates(op.U, op.Prod, op.Cons)
+		}
+		if !ok {
+			return nil, nil, fmt.Errorf("scenario: op %d: %+v is invalid at its position", i, op)
 		}
 	}
-	return graph.FromEdges(n, live), out, nil
+	return graph.FromEdges(b.n, b.live), &workload.Rates{Prod: b.prod, Cons: b.cons}, nil
 }

@@ -6,11 +6,14 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"piggyback/internal/baseline"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/incremental"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
@@ -167,23 +170,31 @@ func TestZooTelemetry(t *testing.T) {
 	}
 }
 
+// invalidOps are single ops that are invalid on invalidOpsGraph.
+var invalidOps = []struct {
+	name string
+	op   workload.ChurnOp
+}{
+	{"self-loop add", workload.ChurnOp{Kind: workload.OpAdd, U: 2, V: 2}},
+	{"duplicate add", workload.ChurnOp{Kind: workload.OpAdd, U: 0, V: 1}},
+	{"absent remove", workload.ChurnOp{Kind: workload.OpRemove, U: 1, V: 2}},
+	{"out of range", workload.ChurnOp{Kind: workload.OpAdd, U: 0, V: 9}},
+	{"negative rate", workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: -1, Cons: 1}},
+	{"+Inf rate", workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: 1, Cons: math.Inf(1)}},
+	{"NaN rate", workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: math.NaN(), Cons: 1}},
+	{"unknown kind", workload.ChurnOp{Kind: 99, U: 0, V: 1}},
+}
+
+// invalidOpsGraph is the 3-node graph with the one edge 0→1 and unit
+// rates that invalidOps are invalid on.
+func invalidOpsGraph() (*graph.Graph, *workload.Rates) {
+	return graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}}),
+		&workload.Rates{Prod: []float64{1, 1, 1}, Cons: []float64{1, 1, 1}}
+}
+
 func TestMaterializeRejectsInvalidOps(t *testing.T) {
-	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}})
-	r := &workload.Rates{Prod: []float64{1, 1, 1}, Cons: []float64{1, 1, 1}}
-	cases := []struct {
-		name string
-		op   workload.ChurnOp
-	}{
-		{"self-loop add", workload.ChurnOp{Kind: workload.OpAdd, U: 2, V: 2}},
-		{"duplicate add", workload.ChurnOp{Kind: workload.OpAdd, U: 0, V: 1}},
-		{"absent remove", workload.ChurnOp{Kind: workload.OpRemove, U: 1, V: 2}},
-		{"out of range", workload.ChurnOp{Kind: workload.OpAdd, U: 0, V: 9}},
-		{"negative rate", workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: -1, Cons: 1}},
-		{"+Inf rate", workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: 1, Cons: math.Inf(1)}},
-		{"NaN rate", workload.ChurnOp{Kind: workload.OpRates, U: 0, Prod: math.NaN(), Cons: 1}},
-		{"unknown kind", workload.ChurnOp{Kind: 99, U: 0, V: 1}},
-	}
-	for _, tc := range cases {
+	g, r := invalidOpsGraph()
+	for _, tc := range invalidOps {
 		if _, _, err := Materialize(g, r, []workload.ChurnOp{tc.op}); err == nil {
 			t.Errorf("%s: Materialize accepted invalid op", tc.name)
 		}
@@ -204,6 +215,71 @@ func TestMaterializeRejectsInvalidOps(t *testing.T) {
 	}
 	if mr.Prod[2] != 0 || mr.Cons[2] != 3.5 {
 		t.Fatalf("final rates for node 2 = %v/%v", mr.Prod[2], mr.Cons[2])
+	}
+}
+
+// maintainerReplay replays ops through the incremental maintainer over
+// the hybrid schedule of (g, copy of r) and returns its live edge set and
+// rates, or the first op the maintainer refuses.
+func maintainerReplay(g *graph.Graph, r *workload.Rates, ops []workload.ChurnOp) (*graph.Graph, *workload.Rates, error) {
+	rc := &workload.Rates{Prod: slices.Clone(r.Prod), Cons: slices.Clone(r.Cons)}
+	m := incremental.New(baseline.Hybrid(g, rc), rc)
+	for i, op := range ops {
+		var err error
+		switch op.Kind {
+		case workload.OpAdd:
+			err = m.AddEdge(op.U, op.V)
+		case workload.OpRemove:
+			err = m.RemoveEdge(op.U, op.V)
+		case workload.OpRates:
+			err = m.UpdateRates(op.U, op.Prod, op.Cons)
+		default:
+			err = fmt.Errorf("unknown kind %d", op.Kind)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("op %d: %w", i, err)
+		}
+	}
+	mg, _ := m.Rebase()
+	return mg, m.Rates(), nil
+}
+
+// TestMaterializeMatchesMaintainer holds Materialize, and through it the
+// generators' validity, to an independent replayer: the incremental
+// maintainer shares no code with the trace builder. Every zoo trace at
+// the acceptance geometry and one GenerateChurn trace must end on the
+// same edge list and rates under both, and the maintainer must refuse
+// every op Materialize refuses.
+func TestMaterializeMatchesMaintainer(t *testing.T) {
+	g, r := zooGraph(t)
+	traces := map[string][]workload.ChurnOp{
+		"churn": GenerateChurn(g, r, 800, ChurnConfig{AddFraction: 0.1, RemoveFraction: 0.1, Seed: 42}),
+	}
+	for _, name := range Default.Names() {
+		traces[name], _ = Default.Generate(name, g, r, Params{Ops: 800, Seed: 42})
+	}
+	for name, ops := range traces {
+		mg, mr, err := Materialize(g, r, ops)
+		if err != nil {
+			t.Fatalf("%s: Materialize: %v", name, err)
+		}
+		rg, rr, err := maintainerReplay(g, r, ops)
+		if err != nil {
+			t.Fatalf("%s: maintainer: %v", name, err)
+		}
+		if !slices.Equal(mg.EdgeList(), rg.EdgeList()) {
+			t.Errorf("%s: Materialize ends on %d edges, the maintainer on %d, or they differ",
+				name, mg.NumEdges(), rg.NumEdges())
+		}
+		if !slices.Equal(mr.Prod, rr.Prod) || !slices.Equal(mr.Cons, rr.Cons) {
+			t.Errorf("%s: Materialize and the maintainer end on different rates", name)
+		}
+	}
+	g3, r3 := invalidOpsGraph()
+	for _, tc := range invalidOps {
+		if _, _, err := maintainerReplay(g3, r3, []workload.ChurnOp{tc.op}); err == nil {
+			t.Errorf("%s: the maintainer accepted an op Materialize refuses", tc.name)
+		}
 	}
 }
 

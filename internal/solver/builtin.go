@@ -2,14 +2,12 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"piggyback/internal/baseline"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
-	"piggyback/internal/densest"
 	"piggyback/internal/graph"
 	"piggyback/internal/nosy"
 	"piggyback/internal/shard"
@@ -50,25 +48,6 @@ func New(name string, opts Options) (Solver, error) {
 	return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownSolver, name, Names())
 }
 
-// guard recovers the typed panics reachable from the public API —
-// oversized exact-oracle instances and out-of-range graph edges — and
-// converts them into returned errors, zeroing *res; anything else keeps
-// propagating.
-func guard[T any](name string, res *T, err *error) {
-	p := recover()
-	if p == nil {
-		return
-	}
-	if e, ok := p.(error); ok &&
-		(errors.Is(e, densest.ErrInstanceTooLarge) || errors.Is(e, graph.ErrEdgeOutOfRange)) {
-		var zero T
-		*res = zero
-		*err = fmt.Errorf("solver %s: %w", name, e)
-		return
-	}
-	panic(p)
-}
-
 // finish assembles the Result for a completed (or canceled) solve.
 // cause is nil or the context error that cut the solve short; it is
 // passed through so callers keep the best-so-far schedule alongside it.
@@ -88,14 +67,13 @@ type chitchatSolver struct {
 }
 
 // NewChitChat returns the CHITCHAT solver under a full typed config —
-// the constructor for callers that need knobs beyond Options (the exact
-// oracle, the per-commit OnProgress hook).
+// the constructor for callers that need knobs beyond Options (the
+// cross-edge bound, the per-commit OnProgress hook).
 func NewChitChat(cfg chitchat.Config) Solver { return &chitchatSolver{cfg: cfg} }
 
 func (s *chitchatSolver) Name() string { return ChitChat }
 
-func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (res *Result, err error) {
-	defer guard(s.Name(), &res, &err)
+func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
 	if err := checkProblem(p); err != nil {
 		return nil, err
 	}
@@ -131,8 +109,7 @@ type nosySolver struct {
 
 func (s *nosySolver) Name() string { return Nosy }
 
-func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err error) {
-	defer guard(Nosy, &res, &err)
+func (s *nosySolver) Solve(ctx context.Context, p Problem) (*Result, error) {
 	if err := checkProblem(p); err != nil {
 		return nil, err
 	}
@@ -156,8 +133,8 @@ func (s *nosySolver) Solve(ctx context.Context, p Problem) (res *Result, err err
 }
 
 // shardSolver adapts the sharded composite (internal/shard): every
-// shard is a single-threaded CHITCHAT solve, run behind guard on its
-// shard worker's goroutine.
+// shard is a single-threaded CHITCHAT solve on its shard worker's
+// goroutine.
 type shardSolver struct {
 	cfg      shard.Config
 	progress func(ProgressEvent)
@@ -194,8 +171,7 @@ func (s *shardSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
 
 // solveShardChitChat is the shard.SolveFunc of the sharded solver: one
 // single-threaded CHITCHAT solve.
-func solveShardChitChat(ctx context.Context, g *graph.Graph, r *workload.Rates) (sched *core.Schedule, err error) {
-	defer guard(ChitChat, &sched, &err)
+func solveShardChitChat(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
 	return chitchat.SolveCtx(ctx, g, r, chitchat.Config{Workers: 1})
 }
 
@@ -207,8 +183,7 @@ type baselineSolver struct{ name string }
 
 func (s baselineSolver) Name() string { return s.name }
 
-func (s baselineSolver) Solve(ctx context.Context, p Problem) (res *Result, err error) {
-	defer guard(s.Name(), &res, &err)
+func (s baselineSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
 	if err := checkProblem(p); err != nil {
 		return nil, err
 	}

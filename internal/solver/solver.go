@@ -9,7 +9,7 @@
 //
 //	Solve(ctx context.Context, p Problem) (*Result, error)
 //
-// with three contracts layered on top of the batch facade it replaces:
+// with two contracts layered on top of the batch facade it replaces:
 //
 //   - Cancellation (anytime semantics). The context is checked at
 //     iteration granularity — a PARALLELNOSY round, a CHITCHAT greedy
@@ -22,10 +22,6 @@
 //   - Observability. Options.Progress streams ProgressEvents while the
 //     solve runs (iteration stats, dirty-set size, running cost when
 //     tracked), replacing the after-the-fact iteration slices.
-//   - Typed failure. Library panics reachable from the public API are
-//     recovered at the Solve boundary and surfaced as wrapped typed
-//     errors (densest.ErrInstanceTooLarge, graph.ErrEdgeOutOfRange)
-//     instead of crashing the serving process.
 //
 // A localized re-solve is a solve like any other: the online daemon cuts
 // the region out as a graph.Induced subgraph, solves it under the

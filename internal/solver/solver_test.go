@@ -14,7 +14,6 @@ import (
 	"piggyback/internal/baseline"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
-	"piggyback/internal/densest"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/nosy"
@@ -268,35 +267,9 @@ func TestProblemValidation(t *testing.T) {
 	}
 }
 
-// TestGuardConvertsTypedPanics checks the panic→error boundary: typed
-// library panics become returned errors, everything else propagates.
-func TestGuardConvertsTypedPanics(t *testing.T) {
-	surface := func(p any) (res *Result, err error) {
-		defer guard("test", &res, &err)
-		res = &Result{}
-		panic(p)
-	}
-	res, err := surface(fmt.Errorf("wrapped: %w", densest.ErrInstanceTooLarge))
-	if !errors.Is(err, densest.ErrInstanceTooLarge) || res != nil {
-		t.Errorf("instance-too-large panic: res=%v err=%v", res, err)
-	}
-	res, err = surface(fmt.Errorf("wrapped: %w", graph.ErrEdgeOutOfRange))
-	if !errors.Is(err, graph.ErrEdgeOutOfRange) || res != nil {
-		t.Errorf("edge-out-of-range panic: res=%v err=%v", res, err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("unrelated panic was swallowed")
-			}
-		}()
-		surface("unrelated")
-	}()
-}
-
-// TestBuilderTypedError pins the graph-builder error conversion the
-// guard relies on: AddEdge panics with an error wrapping
-// ErrEdgeOutOfRange, TryAddEdge returns it.
+// TestBuilderTypedError pins the graph builder's typed error: AddEdge
+// panics with an error wrapping ErrEdgeOutOfRange, TryAddEdge returns
+// it.
 func TestBuilderTypedError(t *testing.T) {
 	b := graph.NewBuilder(3)
 	if err := b.TryAddEdge(0, 5); !errors.Is(err, graph.ErrEdgeOutOfRange) {

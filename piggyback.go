@@ -22,9 +22,9 @@
 // Every algorithm is exposed through one typed contract, the Solver
 // interface: Solve(ctx, Problem) (*Result, error) with cooperative
 // cancellation (canceled solves return the best-so-far valid schedule
-// together with the context's error), live progress streaming, and
-// typed errors instead of panics. Solvers are selected by name from a
-// fixed table, so tools and services share a single code path.
+// together with the context's error) and live progress streaming.
+// Solvers are selected by name from a fixed table, so tools and services
+// share a single code path.
 //
 // Quick start:
 //
@@ -42,7 +42,6 @@ import (
 	"piggyback/internal/baseline"
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
-	"piggyback/internal/densest"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/incremental"
@@ -83,12 +82,10 @@ type ProgressEvent = solver.ProgressEvent
 // and the Progress callback.
 type Options = solver.Options
 
-// Typed errors surfaced by Solve (and NewSolver).
+// Typed errors returned by GraphBuilder.TryAddEdge and NewSolver.
 var (
-	// ErrInstanceTooLarge: the exact densest-subgraph oracle was asked
-	// to enumerate an instance with more than 24 nodes.
-	ErrInstanceTooLarge = densest.ErrInstanceTooLarge
-	// ErrEdgeOutOfRange: a graph edge referenced a node outside [0, n).
+	// ErrEdgeOutOfRange: a graph edge referenced a node outside [0, n);
+	// GraphBuilder.AddEdge panics with it.
 	ErrEdgeOutOfRange = graph.ErrEdgeOutOfRange
 	// ErrUnknownSolver: NewSolver knows no solver by the given name.
 	ErrUnknownSolver = solver.ErrUnknownSolver
@@ -103,7 +100,8 @@ func NewSolver(name string, opts Options) (Solver, error) { return solver.New(na
 func Solvers() []string { return solver.Names() }
 
 // NewChitChatSolver returns the CHITCHAT solver under its full typed
-// config (knobs beyond Options: exact oracle, per-commit progress hook).
+// config (knobs beyond Options: cross-edge bound, per-commit progress
+// hook).
 func NewChitChatSolver(cfg ChitChatConfig) Solver { return solver.NewChitChat(cfg) }
 
 // ChitChatConfig tunes the CHITCHAT approximation algorithm.
