@@ -55,7 +55,7 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(*seed)
-	var events telemetry.EventLog
+	var records []string // the daemon's decision records, one per re-solve
 	if *telem != "" {
 		reg.Gauge("piggyback_up").Set(1)
 		ln, err := telemetry.Serve(*telem, reg)
@@ -133,7 +133,7 @@ func main() {
 	epoch := uint32(0)
 	d, err := online.New(init, r, online.Config{
 		DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1,
-		Metrics: reg, Tracer: tr, Events: &events,
+		Metrics: reg, Tracer: tr, Events: func(rec string) { records = append(records, rec) },
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -227,7 +227,7 @@ func main() {
 		stall := reg.Histogram("online_stall_seconds", telemetry.LatencyBuckets)
 		fmt.Printf("re-solve stall: p50 %.1fms over %d stalls\n", 1000*stall.Quantile(0.5), stall.Count())
 		fmt.Printf("\n--- span tree (deterministic) ---\n%s", tr.Tree())
-		fmt.Printf("\n--- re-solve decisions (deterministic) ---\n%s\n", strings.Join(events.Attrs("resolve"), "\n"))
+		fmt.Printf("\n--- re-solve decisions (deterministic) ---\n%s\n", strings.Join(records, "\n"))
 	}
 	if *timedtree {
 		fmt.Printf("\n--- span tree (timed) ---\n%s", tr.TimedTree())

@@ -53,7 +53,7 @@ func (s *Set) AndNot(t *Set) {
 }
 
 // SetAll sets every bit 0..Len()-1, leaving the spare bits of the last
-// word clear so Count stays exact.
+// word clear so NextSet and Ranks never see a bit past Len().
 func (s *Set) SetAll() {
 	for i := range s.words {
 		s.words[i] = ^uint64(0)
@@ -61,15 +61,6 @@ func (s *Set) SetAll() {
 	if rem := uint(s.n) & 63; rem != 0 {
 		s.words[len(s.words)-1] = (1 << rem) - 1
 	}
-}
-
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // Reset clears all bits.

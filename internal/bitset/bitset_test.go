@@ -8,12 +8,12 @@ import (
 
 func TestEmpty(t *testing.T) {
 	s := New(0)
-	if s.Count() != 0 || s.Len() != 0 {
-		t.Fatalf("empty set: count=%d len=%d", s.Count(), s.Len())
+	if len(s.AppendSet(nil)) != 0 || s.Len() != 0 {
+		t.Fatalf("empty set: count=%d len=%d", len(s.AppendSet(nil)), s.Len())
 	}
 	s.SetAll() // no-op on the empty set, must not touch missing words
-	if s.Count() != 0 {
-		t.Fatalf("SetAll on empty set: count=%d", s.Count())
+	if len(s.AppendSet(nil)) != 0 {
+		t.Fatalf("SetAll on empty set: count=%d", len(s.AppendSet(nil)))
 	}
 }
 
@@ -22,8 +22,8 @@ func TestSetAll(t *testing.T) {
 		s := New(n)
 		s.Set(0) // pre-existing bits must not confuse the fill
 		s.SetAll()
-		if s.Count() != n {
-			t.Fatalf("n=%d: SetAll count=%d", n, s.Count())
+		if len(s.AppendSet(nil)) != n {
+			t.Fatalf("n=%d: SetAll count=%d", n, len(s.AppendSet(nil)))
 		}
 		for i := 0; i < n; i++ {
 			if !s.Test(i) {
@@ -31,8 +31,8 @@ func TestSetAll(t *testing.T) {
 			}
 		}
 		s.Clear(n - 1)
-		if s.Count() != n-1 {
-			t.Fatalf("n=%d: count=%d after one Clear", n, s.Count())
+		if len(s.AppendSet(nil)) != n-1 {
+			t.Fatalf("n=%d: count=%d after one Clear", n, len(s.AppendSet(nil)))
 		}
 	}
 }
@@ -48,15 +48,15 @@ func TestSetTestClear(t *testing.T) {
 			t.Fatalf("bit %d clear after Set", i)
 		}
 	}
-	if got := s.Count(); got != 8 {
-		t.Fatalf("Count = %d, want 8", got)
+	if got := len(s.AppendSet(nil)); got != 8 {
+		t.Fatalf("%d bits set, want 8", got)
 	}
 	s.Clear(64)
 	if s.Test(64) {
 		t.Fatal("bit 64 still set after Clear")
 	}
-	if got := s.Count(); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
+	if got := len(s.AppendSet(nil)); got != 7 {
+		t.Fatalf("%d bits set, want 7", got)
 	}
 }
 
@@ -66,8 +66,8 @@ func TestReset(t *testing.T) {
 		s.Set(i)
 	}
 	s.Reset()
-	if s.Count() != 0 {
-		t.Fatalf("Count after Reset = %d", s.Count())
+	if len(s.AppendSet(nil)) != 0 {
+		t.Fatalf("%d bits set after Reset", len(s.AppendSet(nil)))
 	}
 }
 
@@ -144,7 +144,7 @@ func TestQuickAgainstMap(t *testing.T) {
 				}
 			}
 		}
-		if s.Count() != len(ref) {
+		if len(s.AppendSet(nil)) != len(ref) {
 			return false
 		}
 		for i := range ref {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"piggyback/internal/graph"
@@ -68,7 +69,7 @@ func TestApplyPatchKeepsCoverageAndRemapsHubNode(t *testing.T) {
 	sub := graph.Induced(g, []graph.NodeID{0, 1, 2})
 	// Patch reproduces the hub structure: push 0→1, pull 1→2, cover 0→2
 	// through local node of 1.
-	l1, _ := sub.Local(1)
+	l1 := mustLocal(t, sub, 1)
 	patch := NewSchedule(sub.G)
 	pup, _ := sub.G.EdgeID(mustLocal(t, sub, 0), l1)
 	pdown, _ := sub.G.EdgeID(l1, mustLocal(t, sub, 2))
@@ -213,9 +214,9 @@ func TestRepairCoverageFallsBackWhenSupportMissing(t *testing.T) {
 
 func mustLocal(t *testing.T, sub *graph.Subgraph, u graph.NodeID) graph.NodeID {
 	t.Helper()
-	l, ok := sub.Local(u)
+	l, ok := slices.BinarySearch(sub.Global, u)
 	if !ok {
 		t.Fatalf("node %d not in subgraph", u)
 	}
-	return l
+	return graph.NodeID(l)
 }

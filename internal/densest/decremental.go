@@ -64,9 +64,6 @@ func NewDecremental(inst Instance) *Decremental {
 // N returns the number of instance nodes.
 func (d *Decremental) N() int { return d.n }
 
-// NumEdges returns the number of materialized edges (live or not).
-func (d *Decremental) NumEdges() int { return len(d.edges) }
-
 // AliveEdges returns the number of live elements.
 func (d *Decremental) AliveEdges() int { return d.live }
 
@@ -85,9 +82,6 @@ func (d *Decremental) EdgeAlive(ei int) bool { return d.alive[ei] }
 func (d *Decremental) IncidentEdges(u int) []int32 {
 	return d.adj[d.off[u]:d.off[u+1]]
 }
-
-// Weight returns the current weight of node u.
-func (d *Decremental) Weight(u int) float64 { return d.weight[u] }
 
 // RemoveEdge deletes element ei from the ground set. Removing an already
 // dead element is a no-op; it reports whether the element was live.

@@ -68,9 +68,9 @@ func hubInstance(rng *rand.Rand, nx, ny, cross int) Instance {
 func filtered(d *Decremental) Instance {
 	inst := Instance{N: d.N(), Weight: make([]float64, d.N())}
 	for u := 0; u < d.N(); u++ {
-		inst.Weight[u] = d.Weight(u)
+		inst.Weight[u] = d.weight[u]
 	}
-	for ei := 0; ei < d.NumEdges(); ei++ {
+	for ei := 0; ei < len(d.edges); ei++ {
 		if d.EdgeAlive(ei) {
 			a, b := d.Edge(ei)
 			inst.Edges = append(inst.Edges, [2]int32{a, b})
@@ -110,7 +110,7 @@ func driveToEmpty(rng *rand.Rand, d *Decremental) (compactions int, err error) {
 	if err := checkAgainstReference(d, &sc); err != nil {
 		return 0, fmt.Errorf("initial: %w", err)
 	}
-	for step, ei := range rng.Perm(d.NumEdges()) {
+	for step, ei := range rng.Perm(len(d.edges)) {
 		d.RemoveEdge(ei)
 		if rng.Intn(4) == 0 {
 			d.ZeroWeight(rng.Intn(d.N()))
@@ -146,7 +146,7 @@ func checkAdjacency(d *Decremental) error {
 			seen[[2]int32{int32(u), ei}]++
 		}
 	}
-	for ei := 0; ei < d.NumEdges(); ei++ {
+	for ei := 0; ei < len(d.edges); ei++ {
 		if !d.EdgeAlive(ei) {
 			continue
 		}
@@ -278,8 +278,8 @@ func TestDecrementalRemovalAccounting(t *testing.T) {
 	}
 	// Mutating the source instance must not affect the oracle.
 	inst.Weight[0] = 99
-	if d.Weight(0) != 1 {
-		t.Fatalf("Weight(0) = %v, want 1 (materialized copy)", d.Weight(0))
+	if d.weight[0] != 1 {
+		t.Fatalf("weight[0] = %v, want 1 (materialized copy)", d.weight[0])
 	}
 }
 
@@ -325,7 +325,7 @@ func commit(d *Decremental, res Result) {
 		member[u] = true
 		d.ZeroWeight(int(u))
 	}
-	for ei := 0; ei < d.NumEdges(); ei++ {
+	for ei := 0; ei < len(d.edges); ei++ {
 		if a, b := d.Edge(ei); member[a] && member[b] {
 			d.RemoveEdge(ei)
 		}
@@ -359,7 +359,7 @@ func driveCommits(rng *rand.Rand, d *Decremental) (longest int, err error) {
 		}
 		longest = max(longest, walked)
 		for i := rng.Intn(4); i >= 0; i-- {
-			d.RemoveEdge(rng.Intn(d.NumEdges()))
+			d.RemoveEdge(rng.Intn(len(d.edges)))
 			if rng.Intn(3) == 0 {
 				d.ZeroWeight(rng.Intn(d.N()))
 			}
@@ -457,7 +457,7 @@ func FuzzDecrementalEquivalence(f *testing.F) {
 func lateInstance() *Decremental {
 	rng := rand.New(rand.NewSource(13))
 	d := NewDecremental(hubInstance(rng, 51, 51, 541))
-	for _, ei := range rng.Perm(d.NumEdges())[:d.NumEdges()*4/5] {
+	for _, ei := range rng.Perm(len(d.edges))[:len(d.edges)*4/5] {
 		d.RemoveEdge(ei)
 	}
 	for u := 0; u < d.N(); u += 2 {

@@ -15,8 +15,7 @@
 // and isolated nodes never enter the peel heap, and the adjacency is
 // compacted as elements die (DESIGN.md §14 states the invariant and why
 // the result is bit-identical to the every-node peel, which survives as
-// the tests' referencePeel). Peel is the one-shot form: materialize,
-// solve once.
+// the tests' referencePeel).
 //
 // Zero-weight nodes (cost already paid by earlier greedy steps) have
 // infinite priority, so they would be peeled last and are members of
@@ -85,14 +84,6 @@ func grow[T any](b []T, n int) []T {
 		return make([]T, n)
 	}
 	return b[:n]
-}
-
-// Peel runs the weighted peeling algorithm on a one-shot instance and
-// returns the densest intermediate subgraph encountered: it materializes
-// inst and solves it once. O((n + m) log n). Callers that solve the same
-// instance repeatedly under removals hold a Decremental instead.
-func Peel(inst Instance, sc *Scratch) Result {
-	return NewDecremental(inst).Solve(sc)
 }
 
 // peelEntry is one queued vertex: key and id are stored together, so a

@@ -30,7 +30,7 @@ func unitWeights(n int) []float64 {
 }
 
 func TestEmptyInstance(t *testing.T) {
-	r := Peel(Instance{}, nil)
+	r := NewDecremental(Instance{}).Solve(nil)
 	if r.EdgeCnt != 0 || density(r) != 0 {
 		t.Fatalf("empty instance: %+v", r)
 	}
@@ -38,7 +38,7 @@ func TestEmptyInstance(t *testing.T) {
 
 func TestSingleEdge(t *testing.T) {
 	inst := Instance{N: 2, Edges: [][2]int32{{0, 1}}, Weight: unitWeights(2)}
-	r := Peel(inst, nil)
+	r := NewDecremental(inst).Solve(nil)
 	if r.EdgeCnt != 1 || r.Weight != 2 {
 		t.Fatalf("single edge: %+v", r)
 	}
@@ -49,10 +49,10 @@ func TestSingleEdge(t *testing.T) {
 
 func TestCliquePlusPendant(t *testing.T) {
 	// 4-clique (density 6/4=1.5 unweighted) plus a pendant node lowering
-	// density if included (7/5=1.4). Peel should return the clique.
+	// density if included (7/5=1.4). The peel should return the clique.
 	edges := [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {3, 4}}
 	inst := Instance{N: 5, Edges: edges, Weight: unitWeights(5)}
-	r := Peel(inst, nil)
+	r := NewDecremental(inst).Solve(nil)
 	if len(r.Members) != 4 || r.EdgeCnt != 6 {
 		t.Fatalf("expected 4-clique, got %+v", r)
 	}
@@ -70,7 +70,7 @@ func TestWeightsSteerSelection(t *testing.T) {
 		Edges:  [][2]int32{{0, 1}, {2, 3}},
 		Weight: []float64{1, 1, 100, 100},
 	}
-	r := Peel(inst, nil)
+	r := NewDecremental(inst).Solve(nil)
 	// Densest subset = {0,1}: density 1/2 vs 1/200 (or 2/202 combined).
 	if len(r.Members) != 2 || r.Members[0] != 0 || r.Members[1] != 1 {
 		t.Fatalf("expected cheap pair, got %+v", r)
@@ -84,7 +84,7 @@ func TestZeroWeightFreeCoverage(t *testing.T) {
 		Edges:  [][2]int32{{0, 1}, {1, 2}},
 		Weight: []float64{0, 0, 5},
 	}
-	r := Peel(inst, nil)
+	r := NewDecremental(inst).Solve(nil)
 	if !math.IsInf(density(r), 1) {
 		t.Fatalf("density = %v, want +Inf", density(r))
 	}
@@ -135,7 +135,7 @@ func TestExactPanicsOnLarge(t *testing.T) {
 	Exact(Instance{N: 30, Weight: make([]float64, 30)})
 }
 
-// Property (Lemma 1): Peel achieves at least half the optimal density on
+// Property (Lemma 1): the peel achieves at least half the optimal density on
 // random weighted instances.
 func TestQuickTwoApproximation(t *testing.T) {
 	f := func(seed int64) bool {
@@ -158,13 +158,13 @@ func TestQuickTwoApproximation(t *testing.T) {
 		}
 		inst := Instance{N: n, Edges: edges, Weight: w}
 		opt := Exact(inst)
-		got := Peel(inst, nil)
+		got := NewDecremental(inst).Solve(nil)
 		// density(got) * 2 >= density(opt), compared without division:
 		// 2*gotE*optW >= optE*gotW
 		lhs := 2 * float64(got.EdgeCnt) * opt.Weight
 		rhs := float64(opt.EdgeCnt) * got.Weight
 		if opt.Weight == 0 && opt.EdgeCnt > 0 {
-			// Optimal is infinite; Peel must also find an infinite-density
+			// Optimal is infinite; the peel must also find an infinite-density
 			// subgraph (zero weight, positive edges).
 			return got.Weight == 0 && got.EdgeCnt > 0
 		}
@@ -175,7 +175,7 @@ func TestQuickTwoApproximation(t *testing.T) {
 	}
 }
 
-// Property: Peel's reported members are consistent with its edge count
+// Property: the peel's reported members are consistent with its edge count
 // and weight.
 func TestQuickResultConsistent(t *testing.T) {
 	f := func(seed int64) bool {
@@ -194,7 +194,7 @@ func TestQuickResultConsistent(t *testing.T) {
 			w[i] = rng.Float64() * 3
 		}
 		inst := Instance{N: n, Edges: edges, Weight: w}
-		r := Peel(inst, nil)
+		r := NewDecremental(inst).Solve(nil)
 		in := make(map[int32]bool, len(r.Members))
 		for _, u := range r.Members {
 			in[u] = true
@@ -240,8 +240,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			}
 		}
 		inst := Instance{N: n, Edges: edges, Weight: w}
-		got := Peel(inst, &sc)
-		want := Peel(inst, nil)
+		got := NewDecremental(inst).Solve(&sc)
+		want := NewDecremental(inst).Solve(nil)
 		if got.EdgeCnt != want.EdgeCnt || got.Weight != want.Weight ||
 			len(got.Members) != len(want.Members) {
 			t.Fatalf("round %d: scratch %+v != fresh %+v", round, got, want)

@@ -87,7 +87,8 @@ func referencePeel(inst Instance) Result {
 			}
 			if alive[other] {
 				deg[other]--
-				q.Update(int(other), prio(int(other)))
+				q.Remove(int(other))
+				q.Push(int(other), prio(int(other)))
 			}
 		}
 		if snap := (Result{EdgeCnt: curEdges, Weight: curWeight}); snap.Denser(best) {

@@ -98,7 +98,7 @@ func TestWrapListenerIndexesConnsInAcceptOrder(t *testing.T) {
 			if err != nil {
 				return
 			}
-			idx <- Index(c)
+			idx <- c.(*faultConn).idx
 			c.Close()
 		}
 	}()

@@ -39,15 +39,6 @@ func (p *Plan) WrapConn(c net.Conn) net.Conn {
 	return &faultConn{Conn: c, p: p, idx: p.nextIndex()}
 }
 
-// Index reports the plan index WrapConn assigned to c, or -1 when c is
-// not a wrapped connection.
-func Index(c net.Conn) int {
-	if fc, ok := c.(*faultConn); ok {
-		return fc.idx
-	}
-	return -1
-}
-
 type faultConn struct {
 	net.Conn
 	p   *Plan

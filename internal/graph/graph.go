@@ -287,11 +287,6 @@ func (g *Graph) EdgeSource(e EdgeID) NodeID {
 // EdgeTarget returns the target node of edge e.
 func (g *Graph) EdgeTarget(e EdgeID) NodeID { return g.outAdj[e] }
 
-// EdgeAt returns both endpoints of edge e.
-func (g *Graph) EdgeAt(e EdgeID) Edge {
-	return Edge{From: g.EdgeSource(e), To: g.EdgeTarget(e)}
-}
-
 // Edges calls fn for every edge in id order; it stops early if fn returns
 // false.
 func (g *Graph) Edges(fn func(id EdgeID, u, v NodeID) bool) {

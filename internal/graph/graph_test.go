@@ -163,9 +163,6 @@ func TestEdgeIDRoundTrip(t *testing.T) {
 			t.Fatalf("EdgeSource/Target(%d) = (%d,%d), want (%d,%d)",
 				id, g.EdgeSource(id), g.EdgeTarget(id), u, v)
 		}
-		if e := g.EdgeAt(id); e.From != u || e.To != v {
-			t.Fatalf("EdgeAt(%d) = %v", id, e)
-		}
 		return true
 	})
 	if _, ok := g.EdgeID(3, 0); ok {

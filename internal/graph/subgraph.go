@@ -10,11 +10,7 @@
 
 package graph
 
-import (
-	"slices"
-
-	"piggyback/internal/bitset"
-)
+import "piggyback/internal/bitset"
 
 // Subgraph is a node-induced subgraph of a parent graph, with dense local
 // node and edge IDs plus the mapping back to the parent.
@@ -32,15 +28,6 @@ type Subgraph struct {
 	// Parent is the graph the subgraph was extracted from.
 	Parent *Graph
 }
-
-// Local returns the local id of parent node u, if u is in the subgraph.
-func (s *Subgraph) Local(u NodeID) (NodeID, bool) {
-	i, ok := slices.BinarySearch(s.Global, u)
-	return NodeID(i), ok
-}
-
-// NumNodes returns the number of nodes in the subgraph.
-func (s *Subgraph) NumNodes() int { return len(s.Global) }
 
 // nodeSet marks nodes (duplicates tolerated) in a bitmap over g's node
 // ids and returns it with the distinct members ascending.

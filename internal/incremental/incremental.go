@@ -54,8 +54,7 @@ type Maintainer struct {
 	addedOut map[graph.NodeID][]graph.EdgeID
 	addedIn  map[graph.NodeID][]graph.EdgeID
 
-	cost    float64 // running schedule cost, maintained per mutation
-	covered int     // live covered edges (base + added)
+	cost float64 // running schedule cost, maintained per mutation
 
 	// OnRescue, when set, is called for every covered edge re-served
 	// directly because a hub support disappeared — u → v is the rescued
@@ -156,7 +155,6 @@ func New(s *core.Schedule, r *workload.Rates) *Maintainer {
 			return true
 		}
 		m.flags[e] |= core.FlagCovered
-		m.covered++
 		if up := sup.Up[e]; up >= 0 {
 			m.deps[up] = append(m.deps[up], e)
 		}
@@ -193,11 +191,6 @@ func (m *Maintainer) id(u, v graph.NodeID) (graph.EdgeID, bool) {
 // NumEdges returns the number of live edges (base minus removed plus
 // live additions).
 func (m *live) NumEdges() int { return m.n }
-
-// CoveredCount returns the number of live covered edges — the quantity
-// that bounds the support-dependency index (each covered edge appears in
-// at most two dep lists).
-func (m *Maintainer) CoveredCount() int { return m.covered }
 
 // findHub looks for an existing hub already able to cover u → v for
 // free: a node w with a live base push edge u → w and a live base pull
@@ -244,7 +237,6 @@ func (m *Maintainer) cover(d graph.EdgeID, w graph.NodeID, up, down graph.EdgeID
 	m.hubs[d] = w
 	m.deps[up] = append(m.deps[up], d)
 	m.deps[down] = append(m.deps[down], d)
-	m.covered++
 }
 
 // serveDirect serves edge d = u → v with the cheaper of push and pull and
@@ -414,7 +406,6 @@ func (m *Maintainer) unlinkCovered(d, skip graph.EdgeID) {
 	}
 	m.flags[d] &^= core.FlagCovered
 	m.hubs[d] = -1
-	m.covered--
 }
 
 // pruneDep removes d from deps[support] (order within a list is not
@@ -430,28 +421,12 @@ func (m *Maintainer) pruneDep(support, d graph.EdgeID) {
 	}
 }
 
-// DepEntries returns the total number of dep-list entries — the index the
-// maintainer keeps from support edges to the covered edges relying on
-// them. With pruning it is bounded by twice the number of live covered
-// edges; exposed for tests and capacity monitoring.
-func (m *Maintainer) DepEntries() int {
-	total := 0
-	for _, list := range m.deps {
-		total += len(list)
-	}
-	return total
-}
-
 // Cost returns the throughput cost of the maintained schedule over the
 // live edge set. It is a running value adjusted by every mutation —
 // O(1), so an online scheduler can consult it per operation. Rebase plus
 // core.Schedule.Cost recomputes it from scratch; the two agree up to
 // floating-point accumulation.
 func (m *Maintainer) Cost() float64 { return m.cost }
-
-// Rates returns the workload rates the maintainer prices against (the
-// object passed to New; UpdateRates mutates it).
-func (m *Maintainer) Rates() *workload.Rates { return m.r }
 
 // SetRates points the maintainer at r, which must hold the values it
 // prices against now: nothing is repriced. A maintainer built on a private

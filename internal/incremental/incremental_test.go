@@ -171,9 +171,9 @@ func TestUnservedIsNotRemoved(t *testing.T) {
 	}
 	rg, rs := m.Rebase()
 	e, _ := rg.EdgeID(0, 3)
-	if rs.IsCovered(e) || !rs.IsPush(e) || m.CoveredCount() != 0 {
-		t.Fatalf("0→3 covered=%v push=%v (CoveredCount %d): want it pushed, not covered through the removed 0→2",
-			rs.IsCovered(e), rs.IsPush(e), m.CoveredCount())
+	if covered, _ := coverIndex(m); rs.IsCovered(e) || !rs.IsPush(e) || covered != 0 {
+		t.Fatalf("0→3 covered=%v push=%v (%d covered edges): want it pushed, not covered through the removed 0→2",
+			rs.IsCovered(e), rs.IsPush(e), covered)
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
@@ -250,21 +250,18 @@ func TestIncrementalVsStatic(t *testing.T) {
 	}
 }
 
-// countCovered recounts live covered edges (base and added) from scratch
-// — the quantity that bounds the dep index, cross-checked against the
-// maintainer's running CoveredCount.
-func countCovered(t *testing.T, m *Maintainer) int {
-	t.Helper()
-	covered := 0
+// coverIndex counts m's live covered edges (base and added) from their
+// flags, and the entries of its support-dependency index.
+func coverIndex(m *Maintainer) (covered, entries int) {
 	for _, f := range m.flags {
 		if f != gone && f&core.FlagCovered != 0 {
 			covered++
 		}
 	}
-	if got := m.CoveredCount(); got != covered {
-		t.Fatalf("CoveredCount = %d, recount = %d", got, covered)
+	for _, list := range m.deps {
+		entries += len(list)
 	}
-	return covered
+	return covered, entries
 }
 
 // TestChurnDepsStayBounded drives a long random add/remove sequence and
@@ -280,9 +277,8 @@ func TestChurnDepsStayBounded(t *testing.T) {
 
 	// Each dep entry must reference a live covered edge, and a covered
 	// edge has at most two supports: the index is bounded by 2·covered.
-	bound := func() int { return 2 * countCovered(t, m) }
-	if got := m.DepEntries(); got > bound() {
-		t.Fatalf("initial deps entries %d exceed 2·covered = %d", got, bound())
+	if covered, entries := coverIndex(m); entries > 2*covered {
+		t.Fatalf("initial deps entries %d exceed 2·covered = %d", entries, 2*covered)
 	}
 
 	edges := g.EdgeList()
@@ -301,8 +297,8 @@ func TestChurnDepsStayBounded(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
-		if got, b := m.DepEntries(), bound(); got > b {
-			t.Fatalf("op %d: deps entries %d exceed 2·covered = %d", op, got, b)
+		if covered, entries := coverIndex(m); entries > 2*covered {
+			t.Fatalf("op %d: deps entries %d exceed 2·covered = %d", op, entries, 2*covered)
 		}
 	}
 }
@@ -375,8 +371,8 @@ func TestAddEdgeCoversThroughExistingHub(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.CoveredCount(); got != 2 {
-		t.Fatalf("CoveredCount = %d, want 2", got)
+	if covered, _ := coverIndex(m); covered != 2 {
+		t.Fatalf("%d covered edges, want 2", covered)
 	}
 
 	// Removing the pull support 1→3 must rescue the covered added edge.
@@ -550,10 +546,12 @@ func TestUpdateRatesRejectsBad(t *testing.T) {
 // two maintainers, entry by entry and in order.
 func sameDeps(t *testing.T, when string, got, want *Maintainer) {
 	t.Helper()
-	if len(got.deps) != len(want.deps) || got.covered != want.covered ||
+	gotCovered, _ := coverIndex(got)
+	wantCovered, _ := coverIndex(want)
+	if len(got.deps) != len(want.deps) || gotCovered != wantCovered ||
 		math.Float64bits(got.cost) != math.Float64bits(want.cost) {
 		t.Fatalf("%s: %d lists, %d covered, cost %v; want %d, %d, %v", when,
-			len(got.deps), got.covered, got.cost, len(want.deps), want.covered, want.cost)
+			len(got.deps), gotCovered, got.cost, len(want.deps), wantCovered, want.cost)
 	}
 	for e := range want.deps {
 		if !slices.Equal(got.deps[e], want.deps[e]) {
@@ -600,7 +598,7 @@ func TestNewFromHandedTableMatchesWalk(t *testing.T) {
 			}
 		}
 		sameDeps(t, "after churn", handed, walked)
-		if handed.DepEntries() == 0 {
+		if _, entries := coverIndex(handed); entries == 0 {
 			t.Fatal("no dependency entries; the comparison proved nothing")
 		}
 	}
@@ -612,8 +610,8 @@ func TestNewFromHandedTableMatchesWalk(t *testing.T) {
 		empty.Up[e], empty.Down[e] = -1, -1
 	}
 	s.KeepSupports(empty)
-	if m := New(s, cloneRates(r)); m.DepEntries() != 0 || m.CoveredCount() == 0 {
-		t.Fatalf("New over an empty handed table: %d entries for %d covered edges", m.DepEntries(), m.CoveredCount())
+	if covered, entries := coverIndex(New(s, cloneRates(r))); entries != 0 || covered == 0 {
+		t.Fatalf("New over an empty handed table: %d entries for %d covered edges", entries, covered)
 	}
 }
 

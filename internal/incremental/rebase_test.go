@@ -64,13 +64,14 @@ func rebaseAgrees(t *testing.T, m *Maintainer) {
 		t.Fatalf("rebased graph has %d nodes / %d edges, NumEdges %d, reference %d / %d",
 			g.NumNodes(), g.NumEdges(), m.NumEdges(), rg.NumNodes(), rg.NumEdges())
 	}
+	edges, ref := g.EdgeList(), rg.EdgeList()
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
-		if g.EdgeAt(e) != rg.EdgeAt(e) {
-			t.Fatalf("edge %d is %v, reference %v", e, g.EdgeAt(e), rg.EdgeAt(e))
+		if edges[e] != ref[e] {
+			t.Fatalf("edge %d is %v, reference %v", e, edges[e], ref[e])
 		}
 		if s.IsPush(e) != rs.IsPush(e) || s.IsPull(e) != rs.IsPull(e) ||
 			s.IsCovered(e) != rs.IsCovered(e) || s.Hub(e) != rs.Hub(e) {
-			t.Fatalf("edge %d %v: flags or hub differ from the reference", e, g.EdgeAt(e))
+			t.Fatalf("edge %d %v: flags or hub differ from the reference", e, edges[e])
 		}
 	}
 	if err := s.Validate(); err != nil {
@@ -167,10 +168,11 @@ func sameRebase(t *testing.T, round int, g, wantG *graph.Graph, s, wantS *core.S
 	if g.NumNodes() != wantG.NumNodes() || g.NumEdges() != wantG.NumEdges() {
 		t.Fatalf("round %d: %d nodes / %d edges, a fresh freeze's %d / %d", round, g.NumNodes(), g.NumEdges(), wantG.NumNodes(), wantG.NumEdges())
 	}
+	edges, want := g.EdgeList(), wantG.EdgeList()
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
-		if g.EdgeAt(e) != wantG.EdgeAt(e) || s.IsPush(e) != wantS.IsPush(e) || s.IsPull(e) != wantS.IsPull(e) ||
+		if edges[e] != want[e] || s.IsPush(e) != wantS.IsPush(e) || s.IsPull(e) != wantS.IsPull(e) ||
 			s.IsCovered(e) != wantS.IsCovered(e) || s.Hub(e) != wantS.Hub(e) {
-			t.Fatalf("round %d: edge %d is %v, a fresh freeze's %v, or its flags or hub differ", round, e, g.EdgeAt(e), wantG.EdgeAt(e))
+			t.Fatalf("round %d: edge %d is %v, a fresh freeze's %v, or its flags or hub differ", round, e, edges[e], want[e])
 		}
 	}
 }

@@ -131,6 +131,29 @@ func TestGenerateTraceDistribution(t *testing.T) {
 	}
 }
 
+// Rates that ask for nothing give an empty trace: no rates at all, and
+// every rate 0, which must not put n requests on one user either.
+func TestGenerateTraceWithoutRates(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		r    *workload.Rates
+	}{
+		{"no rates", &workload.Rates{}},
+		{"all zero", &workload.Rates{Prod: make([]float64, 5), Cons: make([]float64, 5)}},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: GenerateTrace panicked: %v", c.name, p)
+				}
+			}()
+			if tr := GenerateTrace(c.r, 10, 1); len(tr) != 0 {
+				t.Errorf("%s: %d requests, want none: %v", c.name, len(tr), tr)
+			}
+		}()
+	}
+}
+
 func TestMeasureThroughputRuns(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(150, 2))
 	r := workload.LogDegree(g, 5)

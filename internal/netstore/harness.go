@@ -23,15 +23,15 @@ type Trace []Request
 // update with probability Σrp/(Σrp+Σrc), and the issuing user is drawn
 // proportionally to their production (resp. consumption) rate —
 // consistent with the cost model, where rates are request frequencies.
+// With every rate 0 (or no user) nobody makes a request, and the trace
+// is empty.
 func GenerateTrace(r *workload.Rates, n int, seed int64) Trace {
-	rng := rand.New(rand.NewSource(seed))
-	prodCum := cumulative(r.Prod)
-	consCum := cumulative(r.Cons)
-	var sumP, sumC float64
-	if len(prodCum) > 0 {
-		sumP = prodCum[len(prodCum)-1]
-		sumC = consCum[len(consCum)-1]
+	prodCum, sumP := cumulative(r.Prod)
+	consCum, sumC := cumulative(r.Cons)
+	if !(sumP+sumC > 0) {
+		return nil
 	}
+	rng := rand.New(rand.NewSource(seed))
 	out := make(Trace, n)
 	for i := range out {
 		if rng.Float64()*(sumP+sumC) < sumP {
@@ -43,14 +43,14 @@ func GenerateTrace(r *workload.Rates, n int, seed int64) Trace {
 	return out
 }
 
-func cumulative(w []float64) []float64 {
-	out := make([]float64, len(w))
-	sum := 0.0
+// cumulative returns the prefix sums of w and their total.
+func cumulative(w []float64) (cum []float64, sum float64) {
+	cum = make([]float64, len(w))
 	for i, x := range w {
 		sum += x
-		out[i] = sum
+		cum[i] = sum
 	}
-	return out
+	return cum, sum
 }
 
 func draw(cum []float64, rng *rand.Rand) graph.NodeID {

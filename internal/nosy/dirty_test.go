@@ -76,7 +76,7 @@ func TestDirtyPropagationExact(t *testing.T) {
 		rounds, clean := 0, 0
 		cfg.OnIteration = func(IterationStat) {
 			rounds++
-			clean += st.dirty.Len() - st.dirty.Count()
+			clean += st.dirty.Len() - len(st.dirty.AppendSet(nil))
 			if err := cleanSlotsMatchFresh(st, ixs); err != nil {
 				t.Fatalf("%s round %d: %v", tc.name, rounds, err)
 			}
@@ -84,7 +84,7 @@ func TestDirtyPropagationExact(t *testing.T) {
 		ev := NewEvaluator(tc.g, tc.r, cfg)
 		ixs = make([]producers, tc.g.NumEdges())
 		for e := range ixs {
-			ixs[e] = intersection(ev, graph.EdgeID(e))
+			ixs[e] = intersection(ev, graph.EdgeID(e), crossBound(cfg))
 		}
 		st = newState(ev, cfg)
 		if _, err := st.run(context.Background()); err != nil {
@@ -118,7 +118,7 @@ func TestCompactedSpansMatchFilter(t *testing.T) {
 				ev := st.ev
 				for e := 0; e < g.NumEdges(); e++ {
 					he := graph.EdgeID(e)
-					ixs, ixw, ixy := g.CommonInEdges(ev.src[he], g.EdgeTarget(he), ev.cfg.MaxCrossEdges, nil, nil, nil)
+					ixs, ixw, ixy := g.CommonInEdges(ev.src[he], g.EdgeTarget(he), crossBound(cfg), nil, nil, nil)
 					xs, xw, xy := ev.structs.get(he)
 					if !isSubsequence(xs, xw, xy, ixs, ixw, ixy) {
 						t.Fatalf("%s round %d: hub edge %d: span %v %v %v is no ordered subsequence of %v %v %v",
@@ -183,7 +183,7 @@ func parentRuleDirty(g *graph.Graph, ev *Evaluator, wasCovered, scratch *bitset.
 			mark(g.EdgeTarget(id))
 		}
 	}
-	return scratch.Count()
+	return len(scratch.AppendSet(nil))
 }
 
 // TestDirtyPropagationMatchesFullSweep runs every case next to a
@@ -198,7 +198,7 @@ func TestDirtyPropagationMatchesFullSweep(t *testing.T) {
 		m := tc.g.NumEdges()
 		st, ref := newState(NewEvaluator(tc.g, tc.r, tc.cfg), tc.cfg), newState(NewEvaluator(tc.g, tc.r, tc.cfg), tc.cfg)
 		wasCovered, scratch := bitset.New(m), bitset.New(m)
-		bound, saved := st.dirty.Count(), 0
+		bound, saved := len(st.dirty.AppendSet(nil)), 0
 		for round := 0; ; round++ {
 			got := st.iterate()
 			ref.dirty.SetAll()

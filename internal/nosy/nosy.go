@@ -143,7 +143,6 @@ func (st *state) run(ctx context.Context) (iters []IterationStat, cause error) {
 type Evaluator struct {
 	g       *graph.Graph
 	r       *workload.Rates
-	cfg     Config
 	sched   *core.Schedule
 	cstar   []float64      // hybrid per-edge cost c*(e)
 	src     []graph.NodeID // source node per edge (avoids CSR binary search)
@@ -175,7 +174,6 @@ func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 	ev := &Evaluator{
 		g:       g,
 		r:       r,
-		cfg:     cfg,
 		sched:   core.NewSchedule(g),
 		cstar:   make([]float64, g.NumEdges()),
 		src:     make([]graph.NodeID, g.NumEdges()),
@@ -192,7 +190,7 @@ func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 }
 
 // Cost returns the finalized-equivalent running cost of the current
-// schedule in O(1): the cost Schedule().Clone().Finalize(r).Cost(r)
+// schedule in O(1): the cost sched.Clone().Finalize(r).Cost(r)
 // would report, maintained incrementally by the Apply* mutators.
 func (ev *Evaluator) Cost() float64 { return ev.cost }
 
@@ -220,9 +218,6 @@ func (ev *Evaluator) ApplyCover(e graph.EdgeID, hub graph.NodeID) {
 	}
 	ev.sched.SetCovered(e, hub)
 }
-
-// Schedule returns the mutable schedule under optimization.
-func (ev *Evaluator) Schedule() *core.Schedule { return ev.sched }
 
 // eval prices hub edge he = (w → y) against the snapshot, per the
 // phase-1 rules of Algorithm 2, and compacts its span in place: the

@@ -192,11 +192,20 @@ func filtered(ev *Evaluator, xs []graph.NodeID, xw, xy []graph.EdgeID) producers
 	return p
 }
 
+// crossBound is the cross-edge bound an evaluator built under cfg uses.
+func crossBound(cfg Config) int {
+	if cfg.MaxCrossEdges == 0 {
+		return DefaultMaxCrossEdges
+	}
+	return cfg.MaxCrossEdges
+}
+
 // intersection is hub edge he's structural producer list recomputed from
-// the graph, under ev's bound: what a never-compacted evaluation filters.
-// It depends on the graph alone, so it can be computed once per edge.
-func intersection(ev *Evaluator, he graph.EdgeID) producers {
-	xs, xw, xy := ev.g.CommonInEdges(ev.src[he], ev.g.EdgeTarget(he), ev.cfg.MaxCrossEdges, nil, nil, nil)
+// the graph, under the bound mx: what a never-compacted evaluation
+// filters. It depends on the graph alone, so it can be computed once per
+// edge.
+func intersection(ev *Evaluator, he graph.EdgeID, mx int) producers {
+	xs, xw, xy := ev.g.CommonInEdges(ev.src[he], ev.g.EdgeTarget(he), mx, nil, nil, nil)
 	return producers{xs, xw, xy}
 }
 
@@ -267,7 +276,7 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 			for e := 0; e < g.NumEdges(); e++ {
 				he := graph.EdgeID(e)
 				gain, ok := ev.eval(he)
-				if err := slotMatchesFresh(ev, he, intersection(ev, he), ok, gain); err != nil {
+				if err := slotMatchesFresh(ev, he, intersection(ev, he, DefaultMaxCrossEdges), ok, gain); err != nil {
 					t.Logf("seed %d round %d: %v", seed, round, err)
 					return false
 				}
@@ -289,9 +298,9 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 			for k := 0; k < 2; k++ {
 				e := graph.EdgeID(rng.Intn(g.NumEdges()))
 				if rng.Intn(2) == 0 {
-					ev.Schedule().SetPush(e)
+					ev.sched.SetPush(e)
 				} else {
-					ev.Schedule().SetPull(e)
+					ev.sched.SetPull(e)
 				}
 			}
 		}
@@ -327,7 +336,7 @@ func TestStructCacheComputedOnce(t *testing.T) {
 			stored += int(rec.n)
 			largest = max(largest, int(rec.n))
 			xs, xw, xy := ev.structs.get(graph.EdgeID(e))
-			wantXs, wantXW, wantXY := g.CommonInEdges(ev.src[e], g.EdgeTarget(graph.EdgeID(e)), ev.cfg.MaxCrossEdges, nil, nil, nil)
+			wantXs, wantXW, wantXY := g.CommonInEdges(ev.src[e], g.EdgeTarget(graph.EdgeID(e)), crossBound(cfg), nil, nil, nil)
 			if !slices.Equal(xs, wantXs) || !slices.Equal(xw, wantXW) || !slices.Equal(xy, wantXY) {
 				t.Fatalf("mx%d: hub edge %d: stored %v %v %v, CommonInEdges %v %v %v",
 					cfg.MaxCrossEdges, e, xs, xw, xy, wantXs, wantXW, wantXY)

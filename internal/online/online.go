@@ -51,7 +51,6 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/incremental"
 	"piggyback/internal/refine"
-	"piggyback/internal/solver"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
@@ -99,10 +98,11 @@ type Config struct {
 	// tree is deterministic for a fixed trace and configuration as long as
 	// nothing else begins spans on the tracer during the trace.
 	Tracer *telemetry.Tracer
-	// Events, when non-nil, receives, in order, one ("resolve", …) event
-	// per re-solve attempt at its splice — its decision record, DESIGN.md
-	// §12: the stream the telemetry and chaos tests pin exactly.
-	Events *telemetry.EventLog
+	// Events, when non-nil, is called once per re-solve attempt, at its
+	// splice on the Apply goroutine, with the attempt's decision record
+	// (DESIGN.md §12): the records the telemetry and chaos tests pin
+	// exactly.
+	Events func(record string)
 }
 
 func (cfg Config) withDefaults() Config {
@@ -170,13 +170,13 @@ type Daemon struct {
 	cfg Config
 	r   *workload.Rates
 	m   *incremental.Maintainer
-	// regional is CHITCHAT under cfg.ChitChat, the stopping rule on its
-	// OnProgress. Only tests replace it, after New, to inject a fault or a
-	// patch. What goes wrong in it is the daemon's to handle (DESIGN.md
-	// §11): a panic is raised again at the splice; a solve that returns
-	// nothing, or a schedule that is not over the subgraph, is a failed
-	// attempt booked in SolverErrors.
-	regional solver.Solver
+	// regional is chitchat.SolveCtx under cfg.ChitChat, the stopping rule
+	// on its OnProgress. Only tests replace it, after New, to inject a
+	// fault or a patch. What goes wrong in it is the daemon's to handle
+	// (DESIGN.md §11): a panic is raised again at the splice; a solve that
+	// returns nothing, or a schedule that is not over the subgraph, is a
+	// failed attempt booked in SolverErrors.
+	regional func(context.Context, *graph.Graph, *workload.Rates) (*core.Schedule, error)
 	// maxRegion caps the extracted region size: maxRegionNodes, which only
 	// tests change, after New.
 	maxRegion int
@@ -214,9 +214,10 @@ type Daemon struct {
 	fl      flight      // the attempt in flight, if any
 	// observe, when non-nil, is called on the attempt's goroutine with every
 	// schedule a patch was spliced into, before refine runs on it: the
-	// schedule, the attempt's rates and the solve's report. Only tests set
-	// it, to hold each patch to their oracles.
-	observe func(s *core.Schedule, r *workload.Rates, rep solver.Report)
+	// schedule, the attempt's rates, the solve's commits and whether it
+	// returned an error (a cut). Only tests set it, to hold each patch to
+	// their oracles.
+	observe func(s *core.Schedule, r *workload.Rates, commits int, canceled bool)
 	stats   Stats
 	inst    daemonInstruments
 }
@@ -371,7 +372,9 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 		}
 		d.attempt.onCommit(pr)
 	}
-	d.regional = solver.NewChitChat(cc)
+	d.regional = func(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
+		return chitchat.SolveCtx(ctx, g, r, cc)
+	}
 	d.m = incremental.New(s, r)
 	d.m.OnRescue = d.onRescue
 	d.publish()
@@ -688,8 +691,8 @@ const (
 	stopGain  = 0.01
 )
 
-// attempt is one re-solve's decision record — the ("resolve", …) event,
-// fixed text with no timings — and the rule's state while the solver runs.
+// attempt is one re-solve's decision record — the text Config.Events
+// receives, with no timings — and the rule's state while the solver runs.
 // While the attempt is in flight its goroutine owns the rule's fields.
 type attempt struct {
 	seed         graph.NodeID
@@ -712,9 +715,11 @@ type attempt struct {
 	backoff             int    // the revert streak it leaves
 }
 
-// onCommit runs the rule on one CHITCHAT commit and cuts the solve when
-// it fires. Once it has, the commits the solve still streams pass it by.
+// onCommit counts one CHITCHAT commit, runs the rule on it and cuts the
+// solve when it fires. Once it has, the rule lets the commits the solve
+// still streams pass by.
 func (a *attempt) onCommit(pr chitchat.Progress) {
+	a.commits = pr.Commits
 	if a.cut != nil && a.stop(pr) {
 		a.cut()
 		a.cut = nil
@@ -736,13 +741,14 @@ func (a *attempt) stop(pr chitchat.Progress) bool {
 	return early
 }
 
-// solveOutcome renders the end of a `solve/…` span: the solve's commits,
-// cost and truncation, or its failure, with the class of its error.
-func solveOutcome(res *solver.Result, err error) string {
+// solveOutcome renders the end of the `solve/chitchat` span: the solve's
+// commits, the patch's cost under the region's rates r and whether the
+// solve returned an error (a cut), or its failure, with the class of err.
+func solveOutcome(patch *core.Schedule, r *workload.Rates, commits int, canceled bool, err error) string {
 	s := "failed"
-	if res != nil {
-		s = fmt.Sprintf("ok iters=%d cost=%.1f", res.Report.Iterations, res.Report.Cost)
-		if res.Report.Canceled {
+	if patch != nil {
+		s = fmt.Sprintf("ok iters=%d cost=%.1f", commits, patch.Cost(r))
+		if canceled {
 			s += " canceled"
 		}
 	}
@@ -760,8 +766,6 @@ func errClass(err error) string {
 		return "canceled"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "deadline"
-	case errors.Is(err, solver.ErrNoGraph):
-		return "bad-problem"
 	}
 	return "error"
 }
@@ -787,12 +791,11 @@ type flight struct {
 
 	// Written by the attempt's goroutine.
 	epoch    *graph.Graph // the live graph it was started on, rebased
-	res      *solver.Result
 	err      error
 	wall     time.Duration // inside the regional solver
 	repairs  int           // the splice's boundary repairs
 	refined  refine.Result
-	m        *incremental.Maintainer // the patch, on the attempt's copy of the rates
+	m        *incremental.Maintainer // the spliced patch, on the attempt's copy of the rates; nil if it failed
 	panicked any
 }
 
@@ -822,7 +825,7 @@ func (d *Daemon) start(ctx context.Context) {
 	sctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	fl.done, fl.cancel, fl.root = make(chan struct{}), cancel, root
 	fl.journal = fl.journal[:0]
-	fl.res, fl.err, fl.wall, fl.repairs, fl.m = nil, nil, 0, 0, nil
+	fl.err, fl.wall, fl.repairs, fl.m = nil, 0, 0, nil
 	fl.began = time.Since(began)
 	go d.solve(sctx, fl.frozen, r, nodes)
 }
@@ -863,36 +866,41 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 		return // the epoch-stale region dissolved on the live graph
 	}
 
-	st = d.begin(fl.root.id, "solve/"+d.regional.Name(), "nodes=%d edges=%d", sub.G.NumNodes(), sub.G.NumEdges())
+	st = d.begin(fl.root.id, "solve/chitchat", "nodes=%d edges=%d", sub.G.NumNodes(), sub.G.NumEdges())
 	sctx, cut := context.WithCancel(ctx)
 	defer cut()
 	a.cut = cut
 	began := time.Now()
-	fl.res, fl.err = d.regional.Solve(sctx, solver.Problem{Graph: sub.G, Rates: r.Project(sub.Global)})
+	subR := r.Project(sub.Global)
+	patch, err := d.regional(sctx, sub.G, subR)
 	fl.wall = time.Since(began)
 	// A cut the rule made is a finish, not a failure, unless the attempt's
-	// own context ended too; the report still says Canceled.
-	if a.stopped == "early" && fl.res != nil && ctx.Err() == nil && errors.Is(fl.err, context.Canceled) {
-		fl.err = nil
+	// own context ended too; the span and the oracles still see it canceled.
+	canceled := err != nil
+	if a.stopped == "early" && patch != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) {
+		err = nil
 	}
-	st.end("%s", solveOutcome(fl.res, fl.err))
-	if fl.res == nil {
+	fl.err = err
+	if st.tr != nil {
+		st.end("%s", solveOutcome(patch, subR, a.commits, canceled, err))
+	}
+	if patch == nil {
 		return
 	}
 	// The rebased schedule is the attempt's own copy: the patch replaces
 	// the region's assignments in it, and the repair walk restores the
 	// exterior supports the patch cleared.
 	st = d.begin(fl.root.id, "splice", "")
-	repairs, err := core.ApplyPatch(liveS, sub, fl.res.Schedule, r)
+	repairs, err := core.ApplyPatch(liveS, sub, patch, r)
 	if err != nil {
 		st.end("failed")
-		fl.res, fl.err = nil, fmt.Errorf("online: splicing the %s patch: %w", d.regional.Name(), err)
+		fl.err = fmt.Errorf("online: splicing the regional patch: %w", err)
 		return
 	}
 	st.end("repairs=%d", repairs)
 	fl.repairs = repairs
 	if d.observe != nil {
-		d.observe(liveS, r, fl.res.Report)
+		d.observe(liveS, r, a.commits, canceled)
 	}
 	// The regional solver saw the region in isolation, so region edges
 	// whose free exterior coverage the extraction severed came back as
@@ -939,7 +947,7 @@ func (d *Daemon) splice(ctx context.Context) {
 	a.lag = len(fl.journal)
 	d.stats.ResolveWall += fl.wall
 	d.decide()
-	fl.res, fl.m = nil, nil
+	fl.m = nil
 
 	a.backoff = d.revertStreak
 	d.stats.RegionEdges += a.edges
@@ -948,7 +956,7 @@ func (d *Daemon) splice(ctx context.Context) {
 	d.inst.stall.Observe((fl.began + time.Since(began)).Seconds())
 	fl.root.end("%s edges=%d", a.verdict, a.edges)
 	if d.cfg.Events != nil {
-		d.cfg.Events.Emit("resolve", a.String())
+		d.cfg.Events(a.String())
 	}
 }
 
@@ -957,28 +965,27 @@ func (d *Daemon) splice(ctx context.Context) {
 // incumbent.
 func (d *Daemon) decide() {
 	fl, a := &d.fl, &d.attempt
-	res, m, root := fl.res, fl.m, fl.root
+	m, root := fl.m, fl.root
 	if a.edges == 0 {
 		// No live edge left in the region, and no solver ran, so neither
 		// the revert counter nor the backoff moves.
 		a.verdict = "dissolved"
 		return
 	}
-	if res == nil {
-		// Hard failure: the solver never produced a schedule. This is
-		// misconfiguration or a bug, not an unprofitable re-solve, so it
-		// is booked separately and does NOT feed the revert backoff —
-		// backoff models "patches cannot win here", which a solver that
-		// never ran says nothing about.
+	if m == nil {
+		// Hard failure: the solver never produced a schedule, or not one
+		// over the region. This is misconfiguration or a bug, not an
+		// unprofitable re-solve, so it is booked separately and does NOT
+		// feed the revert backoff — backoff models "patches cannot win
+		// here", which a solver that never ran says nothing about.
 		d.stats.SolverErrors++
 		d.stats.LastSolverErr = fl.err
 		a.verdict = "failed"
 		return
 	}
 	// A truncated re-solve — by the rule, or by a context — still returns
-	// a valid best-so-far patch (res non-nil alongside err); only hard
-	// failures leave res nil, and then the maintained schedule stands.
-	a.commits = res.Report.Iterations
+	// a valid best-so-far patch alongside its error; only hard failures
+	// leave no patch, and then the maintained schedule stands.
 	if fl.err != nil {
 		a.stopped = "canceled"
 	}

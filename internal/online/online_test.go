@@ -28,6 +28,12 @@ func freshRates(g interface{ NumNodes() int }, base *workload.Rates) *workload.R
 	}
 }
 
+// collect returns a Config.Events that appends each decision record to
+// *records.
+func collect(records *[]string) func(string) {
+	return func(record string) { *records = append(*records, record) }
+}
+
 // The daemon stays valid and keeps its running cost exact across a full
 // churn trace.
 func TestDaemonChurnValidAndCostExact(t *testing.T) {

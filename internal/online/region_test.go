@@ -597,7 +597,7 @@ func TestRememberedRegionTransitions(t *testing.T) {
 		// A patch equal to the incumbent, with nothing left for refine to
 		// win either, never beats the incumbent.
 		id := &identitySolver{d: d}
-		d.regional = id
+		d.regional = id.solve
 		apply(ls, rateOp(d, seed, 1))
 		apply(ls, rateOp(d, outsider, 0.5)) // less dirt: second in line
 		epoch := d.epoch

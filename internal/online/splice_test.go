@@ -16,21 +16,22 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/scenario"
-	"piggyback/internal/solver"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
 
-// sleepy holds every solve up by a wall-clock-random 0–50 ms, so that
-// how long an attempt runs has nothing to do with the trace.
-type sleepy struct {
-	solver.Solver
-	rng *rand.Rand // seeded from the clock; read on the attempt goroutines, one at a time
-}
+// regionalSolve is the daemon's regional solve, which the fakes below
+// stand in for.
+type regionalSolve = func(context.Context, *graph.Graph, *workload.Rates) (*core.Schedule, error)
 
-func (s sleepy) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
-	time.Sleep(time.Duration(s.rng.Intn(51)) * time.Millisecond)
-	return s.Solver.Solve(ctx, p)
+// sleepy holds every solve of next up by a wall-clock-random 0–50 ms, so
+// that how long an attempt runs has nothing to do with the trace. rng is
+// seeded from the clock and read on the attempt goroutines, one at a time.
+func sleepy(next regionalSolve, rng *rand.Rand) regionalSolve {
+	return func(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
+		time.Sleep(time.Duration(rng.Intn(51)) * time.Millisecond)
+		return next(ctx, g, r)
+	}
 }
 
 // The splice point is an op count, never a clock: over the zoo cells, a
@@ -134,28 +135,23 @@ func TestSpliceReplayIsExact(t *testing.T) {
 
 // foreignPatch answers every solve with a valid schedule over a copy of
 // the problem's graph, which the daemon cannot splice.
-type foreignPatch struct{}
-
-func (foreignPatch) Name() string { return "foreign" }
-
-func (foreignPatch) Solve(_ context.Context, p solver.Problem) (*solver.Result, error) {
-	g := graph.FromEdges(p.Graph.NumNodes(), p.Graph.EdgeList())
-	return &solver.Result{Schedule: baseline.Hybrid(g, p.Rates)}, nil
+func foreignPatch(_ context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
+	return baseline.Hybrid(graph.FromEdges(g.NumNodes(), g.EdgeList()), r), nil
 }
 
 // sabotaged misbehaves on the daemon's first solve and hands every later
-// one to the daemon's own solver: it panics, or it blocks until the
+// one to the daemon's own solve, next: it panics, or it blocks until the
 // solve's context ends and then returns nothing (stall) or passes the
 // ended context on (late).
 type sabotaged struct {
-	solver.Solver
+	next   regionalSolve
 	mode   string // panic, stall or late
 	solves int
 }
 
-func (s *sabotaged) Solve(ctx context.Context, p solver.Problem) (*solver.Result, error) {
+func (s *sabotaged) solve(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
 	if s.solves++; s.solves > 1 {
-		return s.Solver.Solve(ctx, p)
+		return s.next(ctx, g, r)
 	}
 	switch s.mode {
 	case "panic":
@@ -165,14 +161,14 @@ func (s *sabotaged) Solve(ctx context.Context, p solver.Problem) (*solver.Result
 		return nil, ctx.Err()
 	}
 	<-ctx.Done()
-	return s.Solver.Solve(ctx, p)
+	return s.next(ctx, g, r)
 }
 
-// solveSpans returns the end of every `solve/…` span in a span tree, in
-// order.
+// solveSpans returns the end of every `solve/chitchat` span in a span
+// tree, in order.
 func solveSpans(tree string) (ends []string) {
 	for _, line := range strings.Split(tree, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "solve/") {
+		if strings.HasPrefix(strings.TrimSpace(line), "solve/chitchat#") {
 			_, end, _ := strings.Cut(line, " -> ")
 			ends = append(ends, end)
 		}
@@ -190,15 +186,15 @@ func TestSpliceFailures(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(120, 4))
 	base := workload.LogDegree(g, 5)
 	trace := scenario.GenerateChurn(g, base, 400, scenario.ChurnConfig{Seed: 4})
-	newDaemon := func() (*Daemon, *telemetry.EventLog, *telemetry.Tracer) {
-		var ev telemetry.EventLog
+	newDaemon := func() (*Daemon, *[]string, *telemetry.Tracer) {
+		records := new([]string)
 		tr := telemetry.NewTracer(1)
-		cfg := Config{DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1, Events: &ev, Tracer: tr}
+		cfg := Config{DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1, Events: collect(records), Tracer: tr}
 		d, err := New(baseline.Hybrid(g, base), freshRates(g, base), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d, &ev, tr
+		return d, records, tr
 	}
 	// untilSplice applies ops until the next one would splice the attempt
 	// in flight, and returns the index of that op.
@@ -228,7 +224,7 @@ func TestSpliceFailures(t *testing.T) {
 
 	t.Run("panic without a breaker", func(t *testing.T) {
 		d, _, _ := newDaemon()
-		d.regional = &sabotaged{Solver: d.regional, mode: "panic"}
+		d.regional = (&sabotaged{next: d.regional, mode: "panic"}).solve
 		i := untilSplice(d, 0)
 		raised := func() (p any) {
 			defer func() { p = recover() }()
@@ -242,11 +238,11 @@ func TestSpliceFailures(t *testing.T) {
 	// The splice cancels the attempt's own context, not the op's, so the
 	// solve sees a cancellation, whatever ended the op.
 	t.Run("a stalled solve and a deadline on the splice op", func(t *testing.T) {
-		d, ev, tr := newDaemon()
-		d.regional = &sabotaged{Solver: d.regional, mode: "stall"}
+		d, records, tr := newDaemon()
+		d.regional = (&sabotaged{next: d.regional, mode: "stall"}).solve
 		i := spliceByDeadline(d)
-		if st := d.Stats(); st.SolverErrors != 1 || !strings.Contains(ev.Attrs("resolve")[0], "verdict=failed") {
-			t.Fatalf("want the stalled attempt failed: %+v %v", st, ev.Attrs("resolve"))
+		if st := d.Stats(); st.SolverErrors != 1 || !strings.Contains((*records)[0], "verdict=failed") {
+			t.Fatalf("want the stalled attempt failed: %+v %v", st, *records)
 		}
 		if ends := solveSpans(tr.Tree()); len(ends) != 1 || ends[0] != "failed class=canceled" {
 			t.Fatalf("solve spans end %q, want one failed class=canceled", ends)
@@ -263,11 +259,11 @@ func TestSpliceFailures(t *testing.T) {
 	})
 
 	t.Run("a CHITCHAT solve cut by a deadline on the splice op", func(t *testing.T) {
-		d, ev, tr := newDaemon()
-		d.regional = &sabotaged{Solver: d.regional, mode: "late"}
+		d, records, tr := newDaemon()
+		d.regional = (&sabotaged{next: d.regional, mode: "late"}).solve
 		spliceByDeadline(d)
-		if st := d.Stats(); st.SolverErrors != 0 || !strings.Contains(ev.Attrs("resolve")[0], " stopped=canceled ") {
-			t.Fatalf("want the cut attempt booked stopped=canceled: %+v %v", st, ev.Attrs("resolve"))
+		if st := d.Stats(); st.SolverErrors != 0 || !strings.Contains((*records)[0], " stopped=canceled ") {
+			t.Fatalf("want the cut attempt booked stopped=canceled: %+v %v", st, *records)
 		}
 		if ends := solveSpans(tr.Tree()); len(ends) != 1 || !strings.HasPrefix(ends[0], "ok ") || !strings.HasSuffix(ends[0], " canceled class=canceled") {
 			t.Fatalf("solve spans end %q, want one ok … canceled class=canceled", ends)
@@ -275,14 +271,14 @@ func TestSpliceFailures(t *testing.T) {
 	})
 
 	t.Run("a patch over another graph", func(t *testing.T) {
-		d, ev, _ := newDaemon()
-		d.regional = foreignPatch{}
+		d, records, _ := newDaemon()
+		d.regional = foreignPatch
 		if err := d.ApplyTrace(trace); err != nil {
 			t.Fatal(err)
 		}
 		st := d.Stats()
-		if st.SolverErrors == 0 || st.Resolves+st.Reverted != 0 || !strings.Contains(ev.Attrs("resolve")[0], "verdict=failed") {
-			t.Fatalf("want every attempt failed: %+v %v", st, ev.Attrs("resolve"))
+		if st.SolverErrors == 0 || st.Resolves+st.Reverted != 0 || !strings.Contains((*records)[0], "verdict=failed") {
+			t.Fatalf("want every attempt failed: %+v %v", st, *records)
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
@@ -301,17 +297,15 @@ type identitySolver struct {
 	exterior int // written on the attempt goroutine
 }
 
-func (*identitySolver) Name() string { return "identity" }
-
-func (s *identitySolver) Solve(_ context.Context, p solver.Problem) (*solver.Result, error) {
+func (s *identitySolver) solve(_ context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
 	// While an attempt is in flight its frozen state and the remembered
 	// region's nodes are the ones it started from.
 	liveG, liveS := s.d.fl.frozen.Rebase()
 	sub := graph.Induced(liveG, s.d.region.nodes)
-	if !slices.Equal(sub.G.EdgeList(), p.Graph.EdgeList()) || sub.NumNodes() != p.Graph.NumNodes() {
+	if !slices.Equal(sub.G.EdgeList(), g.EdgeList()) || len(sub.Global) != g.NumNodes() {
 		return nil, errors.New("identity: the problem is not the attempt's region")
 	}
-	patch := core.NewSchedule(p.Graph)
+	patch := core.NewSchedule(g)
 	for le, e := range sub.GlobalEdge {
 		le := graph.EdgeID(le)
 		if liveS.IsPush(e) {
@@ -321,15 +315,15 @@ func (s *identitySolver) Solve(_ context.Context, p solver.Problem) (*solver.Res
 			patch.SetPull(le)
 		}
 		if liveS.IsCovered(e) {
-			if w, ok := sub.Local(liveS.Hub(e)); ok {
-				patch.SetCovered(le, w)
+			if w, ok := slices.BinarySearch(sub.Global, liveS.Hub(e)); ok {
+				patch.SetCovered(le, graph.NodeID(w))
 			} else {
 				s.exterior++
 			}
 		}
 	}
-	patch.Finalize(p.Rates)
-	return &solver.Result{Schedule: patch, Report: solver.Report{Solver: "identity", Iterations: 1}}, nil
+	patch.Finalize(r)
+	return patch, nil
 }
 
 // A region edge covered through a hub the region's cap left outside: hub 2
@@ -353,7 +347,7 @@ func TestIdentityPatchServesExteriorCoverage(t *testing.T) {
 	}
 	d.maxRegion = 2
 	ob := &patchOracles{f: &findings{by: map[string][]string{}}}
-	id.d, d.regional, d.observe = d, id, ob.observe
+	id.d, d.regional, d.observe = d, id.solve, ob.observe
 	if err := d.ApplyTrace([]workload.ChurnOp{{Kind: workload.OpRates, U: 1, Prod: 1, Cons: 3}}); err != nil {
 		t.Fatal(err)
 	}

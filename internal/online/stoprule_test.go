@@ -2,6 +2,7 @@ package online
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
@@ -10,11 +11,10 @@ import (
 
 	"piggyback/internal/chitchat"
 	"piggyback/internal/core"
+	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/scenario"
 	"piggyback/internal/schedio"
-	"piggyback/internal/solver"
-	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
 
@@ -131,15 +131,17 @@ func TestStopRuleLeavesOtherSolversAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = "417fbdeaefcd4cf1d1d2f9d0b8ee0eb051449625dcffc829be97d330f1481368"
-	var ev telemetry.EventLog
+	var records []string
 	r := freshRates(g, base)
 	d, err := New(chitchat.Solve(g, r, chitchat.Config{}), r, Config{
-		DriftThreshold: 0.05, CheckEvery: 8, BudgetFraction: -1, Events: &ev,
+		DriftThreshold: 0.05, CheckEvery: 8, BudgetFraction: -1, Events: collect(&records),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.regional = solver.NewChitChat(chitchat.Config{})
+	d.regional = func(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
+		return chitchat.SolveCtx(ctx, g, r, chitchat.Config{})
+	}
 	if err := d.ApplyTrace(trace); err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +149,8 @@ func TestStopRuleLeavesOtherSolversAlone(t *testing.T) {
 	if st.Resolves == 0 || st.Reverted == 0 {
 		t.Fatalf("%d accepted, %d reverted: the trace decides nothing", st.Resolves, st.Reverted)
 	}
-	if records := strings.Join(ev.Attrs("resolve"), "\n"); strings.Contains(records, "stopped=early") {
-		t.Errorf("the rule cut a solve it cannot see:\n%s", records)
+	if joined := strings.Join(records, "\n"); strings.Contains(joined, "stopped=early") {
+		t.Errorf("the rule cut a solve it cannot see:\n%s", joined)
 	}
 	_, liveS := d.Snapshot()
 	sum := sha256.Sum256(scheduleBytes(t, liveS))

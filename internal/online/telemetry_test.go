@@ -125,9 +125,9 @@ func TestDaemonDecisionRecord(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(80, 7))
 	base := workload.LogDegree(g, 5)
 	r := freshRates(g, base)
-	var ev telemetry.EventLog
+	var got []string
 	d, err := New(chitchat.Solve(g, r, chitchat.Config{}), r, Config{
-		DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1, Events: &ev,
+		DriftThreshold: 0.02, CheckEvery: 8, BudgetFraction: -1, Events: collect(&got),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,9 +143,8 @@ func TestDaemonDecisionRecord(t *testing.T) {
 		"seed=7 nodes=80 edges=2184 incumbent=2879.7 hybrid=9812.1 commits=214 saved=6926.8 stopped=exhausted lag=8 raw=2889.4 refined=2889.4 total=2883.7 verdict=reverted backoff=1",
 		"seed=29 nodes=80 edges=2177 incumbent=3062.2 hybrid=9891.5 commits=269 saved=6779.4 stopped=exhausted lag=8 raw=3101.4 refined=3089.0 total=3051.4 verdict=reverted backoff=2",
 	}
-	got := ev.Attrs("resolve")
 	if len(got) != len(want) {
-		t.Fatalf("%d decision records, want %d:\n%s", len(got), len(want), ev.String())
+		t.Fatalf("%d decision records, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
 	}
 	for i := range want {
 		if got[i] != want[i] {

@@ -42,7 +42,6 @@ import (
 	"piggyback/internal/nosy"
 	"piggyback/internal/scenario"
 	"piggyback/internal/schedio"
-	"piggyback/internal/solver"
 	"piggyback/internal/telemetry"
 	"piggyback/internal/workload"
 )
@@ -141,17 +140,17 @@ type patchOracles struct {
 	truncated, recovered int
 }
 
-func (o *patchOracles) observe(s *core.Schedule, r *workload.Rates, rep solver.Report) {
-	if rep.Canceled {
+func (o *patchOracles) observe(s *core.Schedule, r *workload.Rates, commits int, canceled bool) {
+	if canceled {
 		o.truncated++
 	}
 	if err := s.Validate(); err != nil {
-		o.f.add(oPatch, "patch after %d commits (canceled=%v) invalid: %v", rep.Iterations, rep.Canceled, err)
+		o.f.add(oPatch, "patch after %d commits (canceled=%v) invalid: %v", commits, canceled, err)
 		return
 	}
 	recovered, err := checkPassAgainstReference(s, r)
 	if err != nil {
-		o.f.add(oRefine, "patch after %d commits (canceled=%v): %v", rep.Iterations, rep.Canceled, err)
+		o.f.add(oRefine, "patch after %d commits (canceled=%v): %v", commits, canceled, err)
 	}
 	o.recovered += recovered
 }
@@ -176,11 +175,11 @@ type zooRun struct {
 func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	f := &findings{by: map[string][]string{}}
 	defer func() { run.findings = f.by }()
-	var ev telemetry.EventLog
+	var records []string
 	tr := telemetry.NewTracer(7)
 	reg := telemetry.NewRegistry()
 	cfg := c.cfg
-	cfg.Events, cfg.Tracer, cfg.Metrics = &ev, tr, reg
+	cfg.Events, cfg.Tracer, cfg.Metrics = collect(&records), tr, reg
 	now := time.Now().UnixNano()
 	jitter := rand.New(rand.NewSource(now + 1))
 	if disturbed {
@@ -195,7 +194,7 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	d.maxRegion = c.maxRegion
 	ob := &patchOracles{f: f}
 	if disturbed {
-		d.regional = sleepy{d.regional, rand.New(rand.NewSource(now))}
+		d.regional = sleepy(d.regional, rand.New(rand.NewSource(now)))
 	} else {
 		d.observe = ob.observe
 	}
@@ -250,7 +249,7 @@ func replayCell(c zooCell, disturbed bool) (run zooRun) {
 	}
 	run.schedule, run.stats, run.cost = buf.Bytes(), d.Stats(), d.Cost()
 	run.stats.ResolveWall = 0
-	run.records, run.tree, run.metrics = strings.Join(ev.Attrs("resolve"), "\n"), tr.Tree(), reg.Snapshot()
+	run.records, run.tree, run.metrics = strings.Join(records, "\n"), tr.Tree(), reg.Snapshot()
 	run.truncated, run.recovered = ob.truncated, ob.recovered
 	run.pricing = ls.pricing
 	return run

@@ -1,7 +1,8 @@
 // Package pq implements an indexed binary min-heap keyed by float64
-// priorities. Items are dense integer ids, which lets callers decrease or
-// update priorities in O(log n) — the operation CHITCHAT's lazy greedy
-// needs. (The densest-subgraph peel has its own decrease-key-only heap.)
+// priorities. Items are dense integer ids, which lets callers test for
+// and remove any queued item in O(log n) — what CHITCHAT's lazy greedy
+// needs when a commit makes a queued singleton redundant. (The
+// densest-subgraph peel has its own decrease-key-only heap.)
 package pq
 
 // IndexedMin is a min-priority queue over item ids 0..n-1. The zero value
@@ -40,30 +41,6 @@ func (q *IndexedMin) Push(id int, p float64) {
 	q.pos[id] = int32(len(q.heap))
 	q.heap = append(q.heap, int32(id))
 	q.up(len(q.heap) - 1)
-}
-
-// Update changes the priority of a queued id (up or down), or inserts it if
-// absent.
-func (q *IndexedMin) Update(id int, p float64) {
-	if q.pos[id] < 0 {
-		q.Push(id, p)
-		return
-	}
-	old := q.prio[id]
-	q.prio[id] = p
-	i := int(q.pos[id])
-	if p < old {
-		q.up(i)
-	} else {
-		q.down(i)
-	}
-}
-
-// Min returns the id and priority of the minimum element without removing
-// it. Panics if empty.
-func (q *IndexedMin) Min() (id int, p float64) {
-	id = int(q.heap[0])
-	return id, q.prio[id]
 }
 
 // PopMin removes and returns the id with the minimum priority.

@@ -27,36 +27,6 @@ func TestPushPopOrdered(t *testing.T) {
 	}
 }
 
-func TestUpdateDecrease(t *testing.T) {
-	q := New(3)
-	q.Push(0, 10)
-	q.Push(1, 20)
-	q.Push(2, 30)
-	q.Update(2, 5)
-	if id, p := q.Min(); id != 2 || p != 5 {
-		t.Fatalf("Min = (%d,%v), want (2,5)", id, p)
-	}
-}
-
-func TestUpdateIncrease(t *testing.T) {
-	q := New(3)
-	q.Push(0, 1)
-	q.Push(1, 2)
-	q.Push(2, 3)
-	q.Update(0, 100)
-	if id, _ := q.Min(); id != 1 {
-		t.Fatalf("Min id = %d, want 1", id)
-	}
-}
-
-func TestUpdateInsertsWhenAbsent(t *testing.T) {
-	q := New(2)
-	q.Update(1, 7)
-	if !q.Contains(1) || q.Len() != 1 {
-		t.Fatal("Update did not insert absent id")
-	}
-}
-
 func TestRemove(t *testing.T) {
 	q := New(5)
 	for i := 0; i < 5; i++ {
@@ -95,7 +65,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 }
 
 // Property: drain order matches sorting, under random priorities and a
-// random subset of updates.
+// random subset of re-prioritizations (Remove, then Push).
 func TestQuickHeapOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -110,7 +80,8 @@ func TestQuickHeapOrder(t *testing.T) {
 		for k := 0; k < n/2; k++ {
 			id := rng.Intn(n)
 			p := rng.Float64() * 100
-			q.Update(id, p)
+			q.Remove(id)
+			q.Push(id, p)
 			final[id] = p
 		}
 		var want []float64

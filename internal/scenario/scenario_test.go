@@ -241,7 +241,7 @@ func maintainerReplay(g *graph.Graph, r *workload.Rates, ops []workload.ChurnOp)
 		}
 	}
 	mg, _ := m.Rebase()
-	return mg, m.Rates(), nil
+	return mg, rc, nil
 }
 
 // TestMaterializeMatchesMaintainer holds Materialize, and through it the

@@ -1,6 +1,6 @@
 // Package solver defines the typed, cancellable, observable contract
 // every scheduling algorithm in this repository implements — the API the
-// cmd tools, the examples, and the online rescheduling daemon consume.
+// cmd tools and the piggyback facade consume.
 //
 // The paper's algorithms (CHITCHAT §3.1, PARALLELNOSY §3.2, the
 // FEEDINGFRENZY hybrid baseline of Silberstein et al.) share one
@@ -23,16 +23,13 @@
 //     solve runs (iteration stats, dirty-set size, running cost when
 //     tracked), replacing the after-the-fact iteration slices.
 //
-// A localized re-solve is a solve like any other: the online daemon cuts
-// the region out as a graph.Induced subgraph, solves it under the
-// projected rates, and splices the patch back itself (core.ApplyPatch).
-//
 // New builds a solver by name from a fixed table of the six built-ins
 // (Names lists them), which is what the cmd tools and the piggyback
 // facade resolve a flag or a caller's name against. It lists algorithms
-// only; DESIGN.md §10 has the measurement behind that. There is no
-// wrapper layer: the daemon traces its solve and runs its stopping rule
-// itself, on chitchat.Config.OnProgress.
+// only; DESIGN.md §10 has the measurement behind that. The online daemon
+// does not go through this package: it calls chitchat.SolveCtx on each
+// region itself, and traces the solve and runs its stopping rule on
+// chitchat.Config.OnProgress.
 package solver
 
 import (

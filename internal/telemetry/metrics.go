@@ -1,9 +1,8 @@
 // Package telemetry is the zero-dependency observability core shared by
 // every layer of the repository: a metrics registry (counters, gauges,
-// fixed-bucket histograms) with a lock-free atomic hot path, a
+// fixed-bucket histograms) with a lock-free atomic hot path, and a
 // DETERMINISTIC tracer whose span trees are byte-identical across runs
-// and worker counts, and an append-only event stream for state
-// transitions the tests pin exactly.
+// and worker counts.
 //
 // Three design rules, argued in DESIGN.md §12:
 //

@@ -41,8 +41,9 @@ type span struct {
 // End attributes attach per span.
 //
 // Wall-clock durations are deliberately carried OUT-OF-BAND
-// (SetDuration/Duration): the tree itself contains no timing, so it
-// can be pinned byte for byte while latency still gets measured.
+// (SetDuration, rendered only by TimedTree): the tree itself contains
+// no timing, so it can be pinned byte for byte while latency still gets
+// measured.
 //
 // A nil *Tracer is a no-op on every method — the telemetry-off path,
 // allocation-free.
@@ -114,7 +115,7 @@ func (t *Tracer) End(id SpanID, endAttrs string) {
 }
 
 // SetDuration records a span's wall-clock duration out-of-band: it
-// never appears in Tree(), only through Duration/Durations.
+// never appears in Tree(), only in TimedTree().
 func (t *Tracer) SetDuration(id SpanID, d time.Duration) {
 	if t == nil || id == RootSpan {
 		return
@@ -122,17 +123,6 @@ func (t *Tracer) SetDuration(id SpanID, d time.Duration) {
 	t.mu.Lock()
 	t.durs[id] = d
 	t.mu.Unlock()
-}
-
-// Duration returns a span's out-of-band wall-clock duration (0 when
-// none was recorded).
-func (t *Tracer) Duration(id SpanID) time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.durs[id]
 }
 
 // Len returns the number of spans begun so far.
@@ -190,68 +180,6 @@ func (t *Tracer) render(timed bool) string {
 	}
 	for _, s := range t.tops {
 		walk(s, 0)
-	}
-	return b.String()
-}
-
-// Event is one entry in an EventLog: a deterministic sequence number,
-// a name, and a deterministic attribute string.
-type Event struct {
-	Seq   int
-	Name  string
-	Attrs string
-}
-
-// EventLog is an append-only stream of events — the daemon's decision
-// record per re-solve attempt — whose exact sequence tests assert.
-// The zero value is ready; a nil *EventLog is a no-op. Safe for
-// concurrent use, though a deterministic sequence additionally needs
-// deterministic emit order from the instrumented code (the daemon emits
-// from one goroutine).
-type EventLog struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Emit appends one event.
-func (l *EventLog) Emit(name, attrs string) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.events = append(l.events, Event{Seq: len(l.events), Name: name, Attrs: attrs})
-	l.mu.Unlock()
-}
-
-// Events returns a copy of the stream so far.
-func (l *EventLog) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
-}
-
-// Attrs returns the attribute strings of every event with the given
-// name, in order — the shape transition-sequence assertions want.
-func (l *EventLog) Attrs(name string) []string {
-	var out []string
-	for _, e := range l.Events() {
-		if e.Name == name {
-			out = append(out, e.Attrs)
-		}
-	}
-	return out
-}
-
-// String renders the stream one event per line, deterministically.
-func (l *EventLog) String() string {
-	var b strings.Builder
-	for _, e := range l.Events() {
-		fmt.Fprintf(&b, "%d %s %s\n", e.Seq, e.Name, e.Attrs)
 	}
 	return b.String()
 }

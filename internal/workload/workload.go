@@ -16,7 +16,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"piggyback/internal/graph"
 )
@@ -97,33 +96,6 @@ func LogDegree(g *graph.Graph, readWriteRatio float64) *Rates {
 	return r
 }
 
-// Zipf derives rates where user activity is Zipf-distributed and
-// independent of degree — an alternative to the paper's log-degree model
-// for sensitivity analysis: the log-degree model ties activity to
-// position in the graph, Zipf breaks that tie while keeping heavy skew.
-// s > 1 is the Zipf exponent; consumption is rescaled to the read/write
-// ratio as in LogDegree. Deterministic given the seed.
-func Zipf(n int, s, readWriteRatio float64, seed int64) *Rates {
-	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, s, 1, 1000)
-	r := &Rates{Prod: make([]float64, n), Cons: make([]float64, n)}
-	var sumP, sumC float64
-	for u := 0; u < n; u++ {
-		r.Prod[u] = 1 + float64(z.Uint64())
-		r.Cons[u] = 1 + float64(z.Uint64())
-		sumP += r.Prod[u]
-		sumC += r.Cons[u]
-	}
-	if n == 0 || sumC == 0 || sumP == 0 {
-		return r
-	}
-	scale := readWriteRatio * sumP / sumC
-	for u := range r.Cons {
-		r.Cons[u] *= scale
-	}
-	return r
-}
-
 // WithRatio returns a copy of r with consumption rates rescaled so the
 // mean consumption / mean production ratio equals readWriteRatio. Used by
 // the Figure 9 sweep, which varies the read/write ratio on fixed graphs.
@@ -161,19 +133,6 @@ func (r *Rates) Project(nodes []graph.NodeID) *Rates {
 		out.Cons[i] = r.Cons[u]
 	}
 	return out
-}
-
-// ReadWriteRatio reports mean consumption / mean production.
-func (r *Rates) ReadWriteRatio() float64 {
-	var sumP, sumC float64
-	for i := range r.Prod {
-		sumP += r.Prod[i]
-		sumC += r.Cons[i]
-	}
-	if sumP == 0 {
-		return 0
-	}
-	return sumC / sumP
 }
 
 // Validate checks the rates are usable for a graph with n nodes: correct

@@ -7,6 +7,7 @@ import (
 
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/stats"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -16,8 +17,8 @@ func TestUniform(t *testing.T) {
 	if len(r.Prod) != 10 {
 		t.Fatalf("N = %d", len(r.Prod))
 	}
-	if !almost(r.ReadWriteRatio(), 5) {
-		t.Fatalf("ratio = %v", r.ReadWriteRatio())
+	if !almost(stats.Mean(r.Cons)/stats.Mean(r.Prod), 5) {
+		t.Fatalf("ratio = %v", stats.Mean(r.Cons)/stats.Mean(r.Prod))
 	}
 	if err := r.Validate(10); err != nil {
 		t.Fatal(err)
@@ -28,8 +29,8 @@ func TestLogDegreeRatio(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(1000, 2))
 	for _, ratio := range []float64{1, 5, 100} {
 		r := LogDegree(g, ratio)
-		if !almost(r.ReadWriteRatio(), ratio) {
-			t.Fatalf("ratio %v: got %v", ratio, r.ReadWriteRatio())
+		if !almost(stats.Mean(r.Cons)/stats.Mean(r.Prod), ratio) {
+			t.Fatalf("ratio %v: got %v", ratio, stats.Mean(r.Cons)/stats.Mean(r.Prod))
 		}
 		if err := r.Validate(g.NumNodes()); err != nil {
 			t.Fatal(err)
@@ -57,12 +58,12 @@ func TestWithRatioRescales(t *testing.T) {
 	base := LogDegree(g, 5)
 	for _, ratio := range []float64{1, 2, 10, 100} {
 		r := base.WithRatio(ratio)
-		if !almost(r.ReadWriteRatio(), ratio) {
-			t.Fatalf("WithRatio(%v) ratio = %v", ratio, r.ReadWriteRatio())
+		if !almost(stats.Mean(r.Cons)/stats.Mean(r.Prod), ratio) {
+			t.Fatalf("WithRatio(%v) ratio = %v", ratio, stats.Mean(r.Cons)/stats.Mean(r.Prod))
 		}
 	}
 	// Original untouched.
-	if !almost(base.ReadWriteRatio(), 5) {
+	if !almost(stats.Mean(base.Cons)/stats.Mean(base.Prod), 5) {
 		t.Fatal("WithRatio mutated the receiver")
 	}
 	// Relative production ordering preserved.
@@ -112,40 +113,6 @@ func TestEmptyGraph(t *testing.T) {
 	}
 	if err := r.Validate(0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestZipfRates(t *testing.T) {
-	r := Zipf(500, 1.5, 5, 7)
-	if len(r.Prod) != 500 {
-		t.Fatalf("N = %d", len(r.Prod))
-	}
-	if err := r.Validate(500); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.ReadWriteRatio()-5) > 1e-9 {
-		t.Fatalf("ratio = %v, want 5", r.ReadWriteRatio())
-	}
-	// Deterministic per seed.
-	r2 := Zipf(500, 1.5, 5, 7)
-	for i := range r.Prod {
-		if r.Prod[i] != r2.Prod[i] {
-			t.Fatal("same seed produced different rates")
-		}
-	}
-	// Skewed: the max producer is far above the median.
-	maxP, sum := 0.0, 0.0
-	for _, p := range r.Prod {
-		if p > maxP {
-			maxP = p
-		}
-		sum += p
-	}
-	if maxP < 5*sum/float64(len(r.Prod)) {
-		t.Fatalf("zipf rates not skewed: max %v vs mean %v", maxP, sum/float64(len(r.Prod)))
-	}
-	if len(Zipf(0, 1.5, 5, 1).Prod) != 0 {
-		t.Fatal("empty zipf rates broken")
 	}
 }
 

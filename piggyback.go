@@ -347,7 +347,8 @@ func (c *Client) Query(u NodeID) []Event {
 // Trace is a replayable request workload for throughput measurement.
 type Trace = netstore.Trace
 
-// GenerateTrace samples a request trace from the workload rates.
+// GenerateTrace samples a request trace from the workload rates; it is
+// empty when every rate is 0.
 func GenerateTrace(r *Rates, n int, seed int64) Trace {
 	return netstore.GenerateTrace(r, n, seed)
 }
