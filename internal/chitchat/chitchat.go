@@ -10,7 +10,7 @@
 // weighted densest-subgraph oracle of package densest (Lemma 1), giving
 // an overall O(ln n) approximation (Theorem 4). The solve is Algorithm 1
 // as written: build every hub instance and evaluate it once (hubs are
-// independent there: Config.Workers goroutines, merged in hub order), then
+// independent there: par.Blocks on Config.Workers, merged in hub order), then
 // one serial loop that commits a fresh queue head or re-evaluates a stale one.
 //
 // Instances. Each hub-graph is materialized once (CSR adjacency + weights,
@@ -51,16 +51,14 @@ package chitchat
 
 import (
 	"context"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"piggyback/internal/baseline"
 	"piggyback/internal/bitset"
 	"piggyback/internal/core"
 	"piggyback/internal/densest"
 	"piggyback/internal/graph"
+	"piggyback/internal/par"
 	"piggyback/internal/pq"
 	"piggyback/internal/workload"
 )
@@ -74,8 +72,8 @@ type Config struct {
 	// coverage are computed from the same materialized element set, so
 	// they always agree.
 	MaxCrossEdges int
-	// Workers bounds the seed phase's goroutines; 0 means GOMAXPROCS, which
-	// also caps it. Schedules and Progress streams are the same for every value.
+	// Workers bounds the seed phase's goroutines; 0 means GOMAXPROCS.
+	// Schedules and Progress streams are the same for every value.
 	Workers int
 	// OnProgress, when non-nil, streams a Progress snapshot after every
 	// greedy commit. The callback runs on the solve goroutine; it must
@@ -248,60 +246,31 @@ type solver struct {
 // seed builds every hub instance and evaluates it against the full ground
 // set, keeping the hubs the oracle keeps something of. That reads only the
 // graph and the rates and writes the hub's two slots, so blocks of hubs
-// come off a shared cursor onto the caller and up to Workers−1 goroutines
-// (none below two blocks), one scratch each. A panic — the lowest hub's, if
-// several — is re-raised once all have returned; index reads the slots in
-// hub order, so nothing downstream can tell how many workers filled them.
+// fan out on par.Blocks (at most one worker per block), one scratch per
+// worker; a panic — the lowest hub's, if several — reaches the caller.
+// index reads the slots in hub order, so nothing downstream can tell how
+// many workers filled them.
 func (sv *solver) seed() {
-	var (
-		n       = sv.n
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		fault   any // panic value of the lowest hub that raised one
-		faultAt = n
-	)
-	work := func(sc *scratch) {
-		w := 0
-		defer func() {
-			if p := recover(); p != nil {
-				mu.Lock()
-				if w < faultAt {
-					fault, faultAt = p, w
-				}
-				mu.Unlock()
+	n := sv.n
+	nw := par.Workers(sv.cfg.Workers, n, seedBlock)
+	scs := make([]*scratch, nw)
+	scs[0] = &sv.sc
+	par.Blocks(nw, n, seedBlock, func(from, to, wk int) {
+		sc := scs[wk]
+		if sc == nil {
+			sc = &scratch{yMark: make([]int64, n), yPos: make([]int32, n)}
+			scs[wk] = sc
+		}
+		for w := from; w < to; w++ {
+			if seedObserver != nil {
+				seedObserver(graph.NodeID(w))
 			}
-			wg.Done()
-		}()
-		for {
-			lo := int(next.Add(seedBlock)) - seedBlock
-			if lo >= n {
-				return
-			}
-			for w = lo; w < min(lo+seedBlock, n); w++ {
-				if seedObserver != nil {
-					seedObserver(graph.NodeID(w))
-				}
-				hi := buildHubInstance(sv.g, sv.r, graph.NodeID(w), sv.cfg, sc)
-				if ev := evalHub(hi, sc); ev.Members != nil {
-					sv.insts[w], sv.evals[w] = hi, ev
-				}
+			hi := buildHubInstance(sv.g, sv.r, graph.NodeID(w), sv.cfg, sc)
+			if ev := evalHub(hi, sc); ev.Members != nil {
+				sv.insts[w], sv.evals[w] = hi, ev
 			}
 		}
-	}
-	nw := max(1, min(runtime.GOMAXPROCS(0), n/seedBlock))
-	if sv.cfg.Workers > 0 {
-		nw = min(nw, sv.cfg.Workers)
-	}
-	wg.Add(nw)
-	for ; nw > 1; nw-- {
-		go work(&scratch{yMark: make([]int64, n), yPos: make([]int32, n)})
-	}
-	work(&sv.sc)
-	wg.Wait()
-	if fault != nil {
-		panic(fault)
-	}
+	})
 	sv.index()
 }
 

@@ -2,10 +2,10 @@ package netstore
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"piggyback/internal/graph"
+	"piggyback/internal/par"
 	"piggyback/internal/stats"
 	"piggyback/internal/workload"
 )
@@ -81,51 +81,39 @@ type BenchResult struct {
 	LatencyP99    time.Duration
 }
 
-// MeasureThroughput replays the trace against the cluster using the given
-// number of client goroutines and returns wall-clock request throughput
+// MeasureThroughput replays the trace against the cluster on the given
+// number of concurrent clients and returns wall-clock request throughput
 // and latency percentiles. Event ids/timestamps are synthesized from the
 // request index so runs are reproducible.
 func MeasureThroughput(c *Cluster, trace Trace, clients int) BenchResult {
 	if clients < 1 {
 		clients = 1
 	}
-	var wg sync.WaitGroup
+	// One span of the trace per client, each replayed on its own
+	// connection; a failed request's panic reaches the caller.
+	chunk := max(1, (len(trace)+clients-1)/clients)
 	latencies := make([][]time.Duration, clients)
 	start := time.Now()
-	chunk := (len(trace) + clients - 1) / clients
-	for k := 0; k < clients; k++ {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > len(trace) {
-			hi = len(trace)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			cl := c.NewClient()
-			defer cl.Close()
-			lat := make([]time.Duration, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				req := trace[i]
-				t0 := time.Now()
-				var err error
-				if req.IsUpdate {
-					err = cl.Update(req.User, Event{User: req.User, ID: int64(i), TS: int64(i)})
-				} else {
-					_, err = cl.Query(req.User)
-				}
-				if err != nil {
-					panic(err) // only a closed cluster fails a request
-				}
-				lat = append(lat, time.Since(t0))
+	par.Blocks(clients, len(trace), chunk, func(lo, hi, _ int) {
+		cl := c.NewClient()
+		defer cl.Close()
+		lat := make([]time.Duration, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			req := trace[i]
+			t0 := time.Now()
+			var err error
+			if req.IsUpdate {
+				err = cl.Update(req.User, Event{User: req.User, ID: int64(i), TS: int64(i)})
+			} else {
+				_, err = cl.Query(req.User)
 			}
-			latencies[k] = lat
-		}(k, lo, hi)
-	}
-	wg.Wait()
+			if err != nil {
+				panic(err) // only a closed cluster fails a request
+			}
+			lat = append(lat, time.Since(t0))
+		}
+		latencies[lo/chunk] = lat
+	})
 	elapsed := time.Since(start)
 	rate := float64(len(trace)) / elapsed.Seconds()
 

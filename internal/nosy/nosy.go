@@ -31,23 +31,22 @@
 // Phase 1 re-prices only the dirty set, and a commit dirties exactly the
 // hub edges whose evaluation reads a flag it wrote (Evaluator.Commit;
 // DESIGN.md §15); round storage is reused, and a lock is one 8-byte word
-// a bid max-merges into. Evaluation fans out across workers when a
-// worker's share outweighs a thread wake-up; bidding, deciding and
-// committing run on the solve goroutine. The schedule produced is
+// a bid max-merges into. Evaluation and the structure build fan out on
+// par.Blocks when a worker's share outweighs a thread wake-up, and a
+// worker's panic reaches the caller; bidding, deciding and committing
+// run on the solve goroutine. The schedule produced is
 // identical to the naive three-phase sweep for every worker count.
 package nosy
 
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"piggyback/internal/baseline"
 	"piggyback/internal/bitset"
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
+	"piggyback/internal/par"
 	"piggyback/internal/workload"
 )
 
@@ -167,9 +166,6 @@ type Evaluator struct {
 func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 	if cfg.MaxCrossEdges == 0 {
 		cfg.MaxCrossEdges = DefaultMaxCrossEdges
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	ev := &Evaluator{
 		g:       g,
@@ -433,9 +429,6 @@ type state struct {
 // newState builds the solver state Solve iterates on: all-unclaimed lock
 // table, everything dirty, no candidates yet.
 func newState(ev *Evaluator, cfg Config) *state {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	m := ev.g.NumEdges()
 	st := &state{
 		ev:     ev,
@@ -491,38 +484,6 @@ const (
 	workBatch = 64
 )
 
-// fanOut runs fn over [0, n) on nw workers, the caller being worker 0;
-// fn(lo, hi, wk) processes items [lo, hi) on worker wk, lo a multiple of
-// workBatch. Spans come off an atomic cursor, so results must be written
-// to storage indexed by item, span or worker to be independent of
-// scheduling. With nw ≤ 1, fn runs once over [0, n).
-func fanOut(nw, n int, fn func(lo, hi, wk int)) {
-	if nw <= 1 {
-		fn(0, n, 0)
-		return
-	}
-	var next atomic.Int64
-	work := func(wk int) {
-		for {
-			lo := int(next.Add(workBatch)) - workBatch
-			if lo >= n {
-				return
-			}
-			fn(lo, min(lo+workBatch, n), wk)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(nw - 1)
-	for wk := 1; wk < nw; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			work(wk)
-		}(wk)
-	}
-	work(0)
-	wg.Wait()
-}
-
 // phaseCandidates re-evaluates exactly the dirty hub edges, then returns
 // the full current candidate list (clean candidates as they stand, dirty
 // edges freshly evaluated) in hub-edge order. Workers write only their
@@ -536,18 +497,16 @@ func (st *state) phaseCandidates() []int32 {
 		st.evalOK = make([]uint64, words)
 	}
 	ok := st.evalOK[:words]
-	fanOut(min(st.cfg.Workers, len(list)/workerShare), len(list), func(lo, hi, _ int) {
-		for b := lo; b < hi; b += workBatch {
-			var bits uint64
-			for i := b; i < min(b+workBatch, hi); i++ {
-				e := list[i]
-				if gain, pass := st.ev.eval(graph.EdgeID(e)); pass {
-					st.gain[e] = gain
-					bits |= 1 << (i - b)
-				}
+	par.Blocks(par.Workers(st.cfg.Workers, len(list), workerShare), len(list), workBatch, func(lo, hi, _ int) {
+		var bits uint64
+		for i := lo; i < hi; i++ {
+			e := list[i]
+			if gain, pass := st.ev.eval(graph.EdgeID(e)); pass {
+				st.gain[e] = gain
+				bits |= 1 << (i - lo)
 			}
-			ok[b/workBatch] = bits
 		}
+		ok[lo/workBatch] = bits
 	})
 	for i, e := range list {
 		st.dirty.Clear(int(e))

@@ -1,6 +1,9 @@
 package nosy
 
-import "piggyback/internal/graph"
+import (
+	"piggyback/internal/graph"
+	"piggyback/internal/par"
+)
 
 // structCache holds every hub edge's producer span: for hub edge w → y,
 // the common-producer intersection (xs, xw, xy) that graph.CommonInEdges
@@ -61,9 +64,9 @@ type buildScratch struct {
 // A pair CommonInEdges would gallop goes to CommonInEdges itself.
 func buildStructCache(g *graph.Graph, limit, workers int) *structCache {
 	c := &structCache{recs: make([]structRec, g.NumEdges())}
-	nw := min(workers, g.NumEdges()/workerShare)
-	scratch := make([]buildScratch, max(nw, 1))
-	fanOut(nw, g.NumNodes(), func(lo, hi, wk int) {
+	nw := par.Workers(workers, g.NumEdges(), workerShare)
+	scratch := make([]buildScratch, nw)
+	par.Blocks(nw, g.NumNodes(), workBatch, func(lo, hi, wk int) {
 		sc := &scratch[wk]
 		if sc.mark == nil {
 			sc.mark = make([]uint64, g.NumNodes())

@@ -33,7 +33,8 @@ type builder struct {
 	root      telemetry.SpanID
 	phaseSpan telemetry.SpanID
 	phaseOps  int
-	opsTotal  *telemetry.Counter
+	opsTotal  *telemetry.Counter // scenario_ops_total
+	phaseTot  *telemetry.Counter // the open phase's scenario_phase_ops_total
 	metrics   *telemetry.Registry
 	scenario  string
 }
@@ -75,7 +76,7 @@ func (b *builder) phase(name string) {
 		b.phaseSpan = b.tracer.Begin(b.root, "phase/"+name, "")
 	}
 	if b.metrics != nil {
-		b.opsTotal = b.metrics.Counter("scenario_phase_ops_total",
+		b.phaseTot = b.metrics.Counter("scenario_phase_ops_total",
 			telemetry.Label{Key: "scenario", Value: b.scenario},
 			telemetry.Label{Key: "phase", Value: name})
 	}
@@ -106,6 +107,7 @@ func (b *builder) book(op workload.ChurnOp) {
 	b.ops = append(b.ops, op)
 	b.phaseOps++
 	b.opsTotal.Inc()
+	b.phaseTot.Inc()
 }
 
 // add emits an OpAdd if the edge is addable (no self-loop, not live,

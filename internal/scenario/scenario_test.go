@@ -168,6 +168,28 @@ func TestZooTelemetry(t *testing.T) {
 	if !strings.Contains(snap, "scenario_phase_ops_total") || !strings.Contains(snap, `phase="spike"`) {
 		t.Errorf("snapshot missing phase series:\n%s", snap)
 	}
+
+	// Every booked op counts once in the scenario's total and once in its
+	// phase's series, for every zoo scenario.
+	for _, name := range Default.Names() {
+		reg := telemetry.NewRegistry()
+		ops, err := Default.Generate(name, g, r, Params{Ops: 400, Seed: 9, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total, phases float64
+		for _, m := range reg.Snapshot().Metrics {
+			switch m.Name {
+			case "scenario_ops_total":
+				total += m.Value
+			case "scenario_phase_ops_total":
+				phases += m.Value
+			}
+		}
+		if total != float64(len(ops)) || phases != float64(len(ops)) {
+			t.Errorf("%s: scenario_ops_total %v, phase series sum %v, trace %d ops", name, total, phases, len(ops))
+		}
+	}
 }
 
 // invalidOps are single ops that are invalid on invalidOpsGraph.

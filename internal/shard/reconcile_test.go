@@ -80,7 +80,7 @@ func spliced(t *testing.T, g *graph.Graph, r *workload.Rates, k int) (*core.Sche
 	}
 	out := core.NewSchedule(g)
 	for idx, nodes := range assign.Groups() {
-		res := solveShard(context.Background(), solve, g, r, nodes, idx)
+		res := solveShard(context.Background(), solve, g, r, nodes)
 		if res.err != nil || res.cause != nil {
 			t.Fatalf("shard %d: %v %v", idx, res.err, res.cause)
 		}

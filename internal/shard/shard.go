@@ -13,10 +13,12 @@
 //  2. Extract. Each shard's node group becomes a standalone dense-ID
 //     subgraph via graph.Induced; rates are remapped alongside.
 //  3. Solve. Each subgraph is solved by the caller's SolveFunc (the
-//     solver package binds CHITCHAT), shards running concurrently up to
-//     Config.Workers. Per-shard solves run single-threaded — shard-level
-//     concurrency already saturates the machine, and one active solve
-//     per worker is what keeps peak memory O(active shard).
+//     solver package binds CHITCHAT), shards fanning out on par.Blocks
+//     over Config.Workers: a solve's panic reaches the caller, and a hard
+//     failure returns the lowest failing shard's error. Per-shard solves
+//     run single-threaded — shard-level concurrency already saturates
+//     the machine, and one active solve per worker is what keeps peak
+//     memory O(active shard).
 //  4. Reconcile. Per-shard patches are spliced into one schedule in
 //     ascending shard order (core.Splice), exterior coverage is repaired
 //     once (core.RepairCoverage — provably zero repairs for node-disjoint
@@ -43,11 +45,11 @@ package shard
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
+	"piggyback/internal/par"
 	"piggyback/internal/partition"
 	"piggyback/internal/workload"
 )
@@ -64,8 +66,9 @@ type Config struct {
 	// Workers bounds concurrently-solving shards; 0 means GOMAXPROCS.
 	// The schedule is byte-identical for every value.
 	Workers int
-	// OnProgress, when non-nil, is called on the coordinating goroutine
-	// once per solved shard, in completion order.
+	// OnProgress, when non-nil, is called once per solved shard, in
+	// completion order, on the worker that solved it and under a lock,
+	// so calls never overlap.
 	OnProgress func(Progress)
 }
 
@@ -95,9 +98,8 @@ type Result struct {
 	BoundaryRepairs int
 }
 
-// shardResult carries one finished shard back to the coordinator.
+// shardResult is one finished shard.
 type shardResult struct {
-	idx   int
 	sub   *graph.Subgraph
 	sched *core.Schedule
 	cost  float64
@@ -125,73 +127,51 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 	assign := partition.Locality(g, k, 0)
 	groups := assign.Groups()
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
-
-	// Solve shards concurrently. Each worker extracts its subgraph
-	// itself, so at most `workers` subgraphs and instance stores are
-	// live at once.
-	next := make(chan int)
-	results := make(chan shardResult)
+	// Solve shards on par.Blocks, one span per shard. Each worker extracts
+	// its subgraph itself, so at most Workers subgraphs and instance
+	// stores are live at once. A shard is skipped once ctx is done or a
+	// lower shard has failed, and the lowest failure is the one returned;
+	// shards are taken in ascending order, so every shard below it ran.
 	innerCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				results <- solveShard(innerCtx, solve, g, r, groups[idx], idx)
-			}
-		}()
-	}
-	go func() {
-		defer close(next)
-		for idx := 0; idx < k; idx++ {
-			select {
-			case next <- idx:
-			case <-innerCtx.Done():
-				return
-			}
+	var (
+		mu      sync.Mutex
+		subs    = make([]*graph.Subgraph, k)
+		patches = make([]*core.Schedule, k)
+		failAt  = k
+		failErr error
+		cause   error
+		solved  int
+	)
+	par.Blocks(par.Workers(cfg.Workers, k, 1), k, 1, func(idx, _, _ int) {
+		mu.Lock()
+		skip := ctx.Err() != nil || failAt < idx
+		mu.Unlock()
+		if skip {
+			return
 		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Coordinator: collect every shard, remember the first hard error or
-	// cancellation cause, emit progress as shards land.
-	subs := make([]*graph.Subgraph, k)
-	patches := make([]*core.Schedule, k)
-	var firstErr, cause error
-	solved := 0
-	for res := range results {
+		res := solveShard(innerCtx, solve, g, r, groups[idx])
+		mu.Lock()
+		defer mu.Unlock()
 		switch {
 		case res.err != nil:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", res.idx, res.err)
+			if idx < failAt {
+				failAt, failErr = idx, fmt.Errorf("shard %d: %w", idx, res.err)
 				cancel()
 			}
 		default:
 			if res.cause != nil && cause == nil {
 				cause = res.cause
 			}
-			subs[res.idx] = res.sub
-			patches[res.idx] = res.sched
+			subs[idx], patches[idx] = res.sub, res.sched
 			solved++
 			if cfg.OnProgress != nil {
 				cfg.OnProgress(Progress{Solved: solved, Shards: k, Edges: res.sub.G.NumEdges(), Cost: res.cost})
 			}
 		}
-	}
-	if firstErr != nil {
-		return Result{}, firstErr
+	})
+	if failErr != nil {
+		return Result{}, failErr
 	}
 	if cause == nil {
 		cause = ctx.Err()
@@ -291,14 +271,14 @@ func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []gra
 }
 
 // solveShard extracts one shard's subgraph and solves it.
-func solveShard(ctx context.Context, solve SolveFunc, g *graph.Graph, r *workload.Rates, nodes []graph.NodeID, idx int) shardResult {
+func solveShard(ctx context.Context, solve SolveFunc, g *graph.Graph, r *workload.Rates, nodes []graph.NodeID) shardResult {
 	sub := graph.Induced(g, nodes)
 	lr := r.Project(sub.Global)
 	sched, err := solve(ctx, sub.G, lr)
 	if sched == nil {
-		return shardResult{idx: idx, err: err}
+		return shardResult{err: err}
 	}
 	// err != nil with a schedule is the anytime-cancellation path: the
 	// partial schedule is valid and worth splicing.
-	return shardResult{idx: idx, sub: sub, sched: sched, cost: sched.Cost(lr), cause: err}
+	return shardResult{sub: sub, sched: sched, cost: sched.Cost(lr), cause: err}
 }

@@ -3,6 +3,8 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"piggyback/internal/baseline"
@@ -10,6 +12,7 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/partition"
 	"piggyback/internal/shard"
 	"piggyback/internal/solver"
 	"piggyback/internal/workload"
@@ -227,5 +230,63 @@ func TestShardCancellation(t *testing.T) {
 	}
 	if !res.Report.Canceled {
 		t.Fatal("report does not record cancellation")
+	}
+}
+
+// shardRates tags every node's production rate with its shard under the
+// partition SolveCtx makes of g into k, so a SolveFunc can tell from its
+// projected rates which shard it is solving.
+func shardRates(g *graph.Graph, k int) *workload.Rates {
+	assign := partition.Locality(g, k, 0)
+	r := &workload.Rates{Prod: make([]float64, g.NumNodes()), Cons: make([]float64, g.NumNodes())}
+	for u := range r.Prod {
+		r.Prod[u] = float64(assign.Of(graph.NodeID(u)))
+	}
+	return r
+}
+
+// A shard's panic reaches the goroutine that called SolveCtx, where it
+// can be recovered: on a spawned goroutine it would kill the process.
+// Every shard panics, and shard 0's value is the one that comes back at
+// every worker count.
+func TestShardPanicReachesTheCaller(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	const k = 8
+	g := quickProblem(t).Graph
+	r := shardRates(g, k)
+	boom := func(_ context.Context, _ *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
+		panic(fmt.Sprintf("shard %d broke", int(r.Prod[0])))
+	}
+	for workers := 1; workers <= 4; workers++ {
+		raised := func() (p any) {
+			defer func() { p = recover() }()
+			shard.SolveCtx(context.Background(), g, r, shard.Config{Shards: k, Workers: workers}, boom)
+			return nil
+		}()
+		if raised != "shard 0 broke" {
+			t.Errorf("workers=%d: raised %v, want shard 0's panic", workers, raised)
+		}
+	}
+}
+
+// With every shard failing, the error returned is shard 0's at every
+// worker count, whichever shard's worker fails first.
+func TestShardErrorIsTheLowestShards(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	const k = 8
+	g := quickProblem(t).Graph
+	r := shardRates(g, k)
+	fail := func(_ context.Context, _ *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
+		return nil, fmt.Errorf("shard %d failed", int(r.Prod[0]))
+	}
+	for workers := 1; workers <= 4; workers++ {
+		for run := 0; run < 20; run++ {
+			res, err := shard.SolveCtx(context.Background(), g, r, shard.Config{Shards: k, Workers: workers}, fail)
+			if err == nil || err.Error() != "shard 0: shard 0 failed" || res.Schedule != nil {
+				t.Fatalf("workers=%d run %d: err = %v, schedule %v", workers, run, err, res.Schedule != nil)
+			}
+		}
 	}
 }

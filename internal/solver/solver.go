@@ -114,8 +114,9 @@ type Options struct {
 	// Shards is the partition count for the sharded solver; 0 means
 	// auto-size from the edge count. Ignored by unsharded solvers.
 	Shards int
-	// Progress, when non-nil, receives ProgressEvents on the solve
-	// goroutine as the solve runs. It must return quickly and must not
+	// Progress, when non-nil, receives ProgressEvents as the solve runs:
+	// on the solve goroutine, but for shard on the worker that solved the
+	// shard, one call at a time. It must return quickly and must not
 	// mutate solver inputs.
 	Progress func(ProgressEvent)
 }
