@@ -27,7 +27,6 @@ import (
 func (s *Schedule) ClearEdge(e graph.EdgeID) {
 	s.flags[e] = 0
 	s.hub[e] = -1
-	s.sup = Supports{}
 }
 
 // ApplyPatch splices patch — a valid schedule over sub.G, a subgraph
@@ -38,17 +37,16 @@ func (s *Schedule) ClearEdge(e graph.EdgeID) {
 // is mutated only through this call, and on return it is valid whenever
 // it was valid before and patch is valid over sub.G.
 //
-// It returns the number of boundary repairs performed.
-func ApplyPatch(s *Schedule, sub *graph.Subgraph, patch *Schedule, r *workload.Rates) (int, error) {
+// It returns the number of boundary repairs performed and the support
+// table the repair walk resolved on the way, which is WalkSupports' of the
+// spliced schedule: the refine sweep that follows a region splice takes it
+// from here.
+func ApplyPatch(s *Schedule, sub *graph.Subgraph, patch *Schedule, r *workload.Rates) (int, Supports, error) {
 	if err := Splice(s, sub, patch); err != nil {
-		return 0, err
+		return 0, Supports{}, err
 	}
-	// The repair resolves every covered edge's supports: have it leave them
-	// for the refine sweep that follows a region splice (TakeSupports).
 	t := newSupports(len(s.flags))
-	repairs := walkSupports(s, r, t)
-	s.sup = t
-	return repairs, nil
+	return walkSupports(s, r, t), t, nil
 }
 
 // Splice is ApplyPatch without the repair pass: it writes patch's
@@ -92,6 +90,14 @@ func Splice(s *Schedule, sub *graph.Subgraph, patch *Schedule) error {
 // cheaper of push and pull. Repairs only add flags, so a repair never
 // invalidates another edge. Returns the number of edges touched.
 func RepairCoverage(s *Schedule, r *workload.Rates) int { return walkSupports(s, r, Supports{}) }
+
+// WalkSupports returns the support table of s, walked now. It reads s and
+// writes nothing; a covered edge with a missing support is -1 there.
+func WalkSupports(s *Schedule) Supports {
+	t := newSupports(len(s.flags))
+	walkSupports(s, nil, t)
+	return t
+}
 
 // walkSupports resolves the supports of every covered edge of s, in edge
 // order, and records them in t unless t is the zero table. With r non-nil

@@ -44,7 +44,7 @@ func TestApplyPatchSplicesAndRemapsHubs(t *testing.T) {
 	if err := patch.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	repairs, err := ApplyPatch(s, sub, patch, r)
+	repairs, _, err := ApplyPatch(s, sub, patch, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,8 @@ func TestApplyPatchKeepsCoverageAndRemapsHubNode(t *testing.T) {
 	if err := patch.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ApplyPatch(s, sub, patch, r); err != nil {
+	_, sup, err := ApplyPatch(s, sub, patch, r)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Validate(); err != nil {
@@ -91,33 +92,18 @@ func TestApplyPatchKeepsCoverageAndRemapsHubNode(t *testing.T) {
 		t.Fatalf("coverage not remapped: covered=%v hub=%d", s.IsCovered(cov), s.Hub(cov))
 	}
 
-	// The repair walk leaves the support table for the sweeps that follow:
-	// 0→2 rests on 0→1 and 1→2, one covered edge on each. It is handed over
-	// once, and not at all once coverage has changed.
+	// The repair walk hands its support table to the sweeps that follow:
+	// 0→2 rests on 0→1 and 1→2, one covered edge on each, as a fresh walk
+	// of the spliced schedule finds.
 	up, _ := g.EdgeID(0, 1)
 	down, _ := g.EdgeID(1, 2)
 	want := newSupports(g.NumEdges())
 	want.Cover(cov, up, down)
-	if s.sup.Pinned == nil {
-		t.Fatal("ApplyPatch left no support table")
+	if !reflect.DeepEqual(sup, want) {
+		t.Fatalf("ApplyPatch's table = %+v, want %+v", sup, want)
 	}
-	for _, from := range []string{"handed over", "walked"} {
-		if got := s.TakeSupports(); !reflect.DeepEqual(got, want) || s.sup.Pinned != nil {
-			t.Fatalf("%s: table = %+v (kept: %v), want %+v", from, got, s.sup.Pinned != nil, want)
-		}
-	}
-	for _, change := range []func(){
-		func() { s.ClearCovered(cov) },
-		func() { s.SetCovered(cov, 1) },
-		func() { s.ClearEdge(cov) },
-	} {
-		s.KeepSupports(want)
-		if change(); s.sup.Pinned != nil {
-			t.Fatal("a coverage change kept the support table")
-		}
-	}
-	if got := s.TakeSupports(); !reflect.DeepEqual(got, newSupports(g.NumEdges())) {
-		t.Fatalf("table = %+v with nothing covered", got)
+	if walked := WalkSupports(s); !reflect.DeepEqual(sup, walked) {
+		t.Fatalf("ApplyPatch's table = %+v, a fresh walk's %+v", sup, walked)
 	}
 }
 
@@ -138,7 +124,7 @@ func TestSpliceRejectsForeignSubgraph(t *testing.T) {
 	if err := Splice(s, sub, patch); err == nil {
 		t.Fatal("spliced a subgraph of another graph")
 	}
-	if _, err := ApplyPatch(s, sub, patch, workload.NewUniform(4, 1)); err == nil {
+	if _, _, err := ApplyPatch(s, sub, patch, workload.NewUniform(4, 1)); err == nil {
 		t.Fatal("ApplyPatch took a subgraph of another graph")
 	}
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
@@ -178,7 +164,7 @@ func TestApplyPatchRepairsBoundarySupports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	repairs, err := ApplyPatch(s, sub, patch, r)
+	repairs, sup, err := ApplyPatch(s, sub, patch, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +173,10 @@ func TestApplyPatchRepairsBoundarySupports(t *testing.T) {
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("after repair: %v", err)
+	}
+	// The table resolved while repairing is the repaired schedule's.
+	if walked := WalkSupports(s); !reflect.DeepEqual(sup, walked) {
+		t.Fatalf("ApplyPatch's table = %+v, a fresh walk's %+v", sup, walked)
 	}
 	if !s.IsPull(down) {
 		t.Fatal("support pull 1→2 not restored")

@@ -1,8 +1,12 @@
 // Package core defines the paper's central abstractions: the request
 // schedule (push set H, pull set L, hub-covered set C), the throughput
 // cost model c(H, L) and the bounded-staleness validity check of Theorem 1.
-// The active-store model of Theorem 3 lives in the package's tests, which
-// check that an active schedule never beats its passive form.
+// A Schedule is plain data: per edge its flags and its hub. What a walk over
+// its covered edges resolves, the support table, is passed between the
+// steps that read it as an argument: ApplyPatch returns the one its repair
+// walk filled, and WalkSupports walks one now. The active-store model of
+// Theorem 3 lives in the package's tests, which check that an active
+// schedule never beats its passive form.
 package core
 
 import (
@@ -32,15 +36,12 @@ type Schedule struct {
 	g     *graph.Graph
 	flags []Flag
 	hub   []graph.NodeID // hub[e] = hub node for covered edge e, else -1
-	// sup is TakeSupports' result as ApplyPatch's repair walk or
-	// KeepSupports left it; zero once coverage has changed since (or it
-	// was taken).
-	sup Supports
 }
 
 // Supports is the support table of a schedule: what a walk over its
-// covered edges resolves, handed from step to step so that no later step
-// searches for a support again.
+// covered edges resolves (ApplyPatch, WalkSupports). A caller that changes
+// coverage keeps it current with Cover and hands it on, so that no later
+// step searches for a support again.
 type Supports struct {
 	// Pinned[e] is the number of covered edges whose hub support e is: the
 	// obligations a sweep that clears direct flags must respect.
@@ -110,36 +111,13 @@ func (s *Schedule) SetPull(e graph.EdgeID) { s.flags[e] |= FlagPull }
 func (s *Schedule) SetCovered(e graph.EdgeID, w graph.NodeID) {
 	s.flags[e] |= FlagCovered
 	s.hub[e] = w
-	s.sup = Supports{}
 }
 
 // ClearCovered removes coverage from edge e (incremental maintenance).
 func (s *Schedule) ClearCovered(e graph.EdgeID) {
 	s.flags[e] &^= FlagCovered
 	s.hub[e] = -1
-	s.sup = Supports{}
 }
-
-// TakeSupports returns the schedule's support table, which the caller then
-// owns. ApplyPatch's repair walk resolves every support to repair it, so
-// right after it — a region re-solve's splice — that table is handed over,
-// as is one given back with KeepSupports; otherwise the same walk runs now.
-// A walk reads the schedule and writes nothing.
-func (s *Schedule) TakeSupports() Supports {
-	if t := s.sup; t.Pinned != nil {
-		s.sup = Supports{}
-		return t
-	}
-	t := newSupports(len(s.flags))
-	walkSupports(s, nil, t)
-	return t
-}
-
-// KeepSupports hands t to the next TakeSupports. t must be s's table as
-// TakeSupports returned it, kept current (Supports.Cover) through every
-// coverage change the caller has made since: the refine sweep that follows
-// a splice hands it on this way to incremental.New.
-func (s *Schedule) KeepSupports(t Supports) { s.sup = t }
 
 // ClearPush removes e from H.
 func (s *Schedule) ClearPush(e graph.EdgeID) { s.flags[e] &^= FlagPush }

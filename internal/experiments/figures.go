@@ -57,10 +57,9 @@ func Fig4(sc Scale) *Table {
 	for i, build := range []func() (*graph.Graph, *workload.Rates){sc.flickr, sc.twitter} {
 		g, r := build()
 		hybrid := baseline.HybridCost(g, r)
-		res := nosy.Solve(g, r, nosy.Config{Workers: sc.Workers})
-		for _, it := range res.Iterations {
+		nosy.Solve(g, r, nosy.Config{Workers: sc.Workers, OnIteration: func(it nosy.IterationStat) {
 			series[i] = append(series[i], hybrid/it.Cost)
-		}
+		}})
 	}
 	// The paper plots iterations 1..20; the heuristic keeps harvesting
 	// marginal gains long after the plateau, so the table shows the
@@ -107,7 +106,7 @@ func Fig5(sc Scale) *Table {
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	half := len(edges) / 2
 	base := graph.FromEdges(full.NumNodes(), edges[:half])
-	baseSched := nosy.Solve(base, r, nosy.Config{Workers: sc.Workers}).Schedule
+	baseSched := nosy.Solve(base, r, nosy.Config{Workers: sc.Workers})
 
 	// Batch sizes: powers of ten up to the spare half (the paper sweeps
 	// 10^4..10^7 on the 71M-edge graph; we scale to the synthetic size).
@@ -127,7 +126,7 @@ func Fig5(sc Scale) *Table {
 		}
 		gk := graph.FromEdges(full.NumNodes(), edges[:half+k])
 		hybrid := baseline.HybridCost(gk, r)
-		static := nosy.Solve(gk, r, nosy.Config{Workers: sc.Workers}).Schedule.Cost(r)
+		static := nosy.Solve(gk, r, nosy.Config{Workers: sc.Workers}).Cost(r)
 		t.Rows = append(t.Rows, []string{
 			d(k), f3(hybrid / m.Cost()), f3(hybrid / static),
 		})
@@ -154,7 +153,7 @@ func Fig6(sc Scale) *Table {
 		Header: []string{"servers", "ParallelNosy", "FF", "actual-ratio"},
 	}
 	g, r := sc.flickr()
-	pn := nosy.Solve(g, r, nosy.Config{Workers: sc.Workers}).Schedule
+	pn := nosy.Solve(g, r, nosy.Config{Workers: sc.Workers})
 	ff := baseline.Hybrid(g, r)
 	trace := netstore.GenerateTrace(r, sc.PrototypeRequests, sc.Seed)
 	for _, servers := range serverSweep(1024) {
@@ -187,7 +186,7 @@ func Fig7(sc Scale) *Table {
 		Header: []string{"servers", "ParallelNosy", "FF", "predicted-ratio"},
 	}
 	g, r := sc.flickr()
-	pn := nosy.Solve(g, r, nosy.Config{Workers: sc.Workers}).Schedule
+	pn := nosy.Solve(g, r, nosy.Config{Workers: sc.Workers})
 	ff := baseline.Hybrid(g, r)
 	for _, servers := range serverSweep(10000) {
 		a := partition.Hash(g.NumNodes(), servers, sc.Seed)
@@ -209,7 +208,7 @@ func Fig8(sc Scale) *Table {
 		Header: []string{"servers", "PN-mean", "PN-sd", "FF-mean", "FF-sd"},
 	}
 	g, r := sc.flickr()
-	pn := nosy.Solve(g, r, nosy.Config{Workers: sc.Workers}).Schedule
+	pn := nosy.Solve(g, r, nosy.Config{Workers: sc.Workers})
 	ff := baseline.Hybrid(g, r)
 	var total float64
 	for _, c := range r.Cons {
@@ -276,7 +275,7 @@ func Fig9(sc Scale, method SampleMethod) *Table {
 				r := base.WithRatio(ratio)
 				hybrid := baseline.HybridCost(sg, r)
 				cc := chitchat.Solve(sg, r, chitchat.Config{}).Cost(r)
-				pn := nosy.Solve(sg, r, nosy.Config{Workers: sc.Workers}).Schedule.Cost(r)
+				pn := nosy.Solve(sg, r, nosy.Config{Workers: sc.Workers}).Cost(r)
 				for len(cols[gi*2]) < len(ratios) {
 					cols[gi*2] = append(cols[gi*2], 0)
 					cols[gi*2+1] = append(cols[gi*2+1], 0)

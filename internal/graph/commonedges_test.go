@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,10 +46,30 @@ func TestCommonInEdgesAppendsToBuffers(t *testing.T) {
 	}
 }
 
-// TestCommonInEdgesSkewed forces the galloping path: one endpoint is a
-// celebrity whose in-list dwarfs the other's by far more than
-// GallopFactor, in both orders, with and without a limit. The result
-// must match the linear-merge reference (CommonInNeighbors + EdgeID).
+// matchesReference reports where CommonInEdges(a, b, limit) departs from
+// the linear-merge reference, CommonInNeighbors plus EdgeID lookups.
+func matchesReference(g *Graph, a, b NodeID, limit int) error {
+	want := g.CommonInNeighbors(a, b, limit)
+	xs, ea, eb := g.CommonInEdges(a, b, limit, nil, nil, nil)
+	if len(xs) != len(want) || len(ea) != len(want) || len(eb) != len(want) {
+		return fmt.Errorf("pair %d,%d limit %d: %d producers, want %d", a, b, limit, len(xs), len(want))
+	}
+	for i, x := range want {
+		wa, _ := g.EdgeID(x, a)
+		wb, _ := g.EdgeID(x, b)
+		if xs[i] != x || ea[i] != wa || eb[i] != wb {
+			return fmt.Errorf("pair %d,%d limit %d: entry %d = (%d, %d, %d), want (%d, %d, %d)",
+				a, b, limit, i, xs[i], ea[i], eb[i], x, wa, wb)
+		}
+	}
+	return nil
+}
+
+// TestCommonInEdgesSkewed holds CommonInEdges to the reference at every
+// skew: on a planted celebrity whose in-list dwarfs the other's by far
+// more than GallopFactor, in both orders, and on random graphs over
+// balanced pairs and pairs skewed beyond GallopFactor alike, at limits 0,
+// 1 and 3.
 func TestCommonInEdgesSkewed(t *testing.T) {
 	const n = 1200
 	b := NewBuilder(n)
@@ -62,29 +83,57 @@ func TestCommonInEdgesSkewed(t *testing.T) {
 		b.AddEdge(NodeID(u), 1)
 	}
 	g := b.Build()
+	limits := []int{0, 1, 3}
 	for _, pair := range [][2]NodeID{{0, 1}, {1, 0}} {
-		for _, limit := range []int{0, 3} {
-			want := g.CommonInNeighbors(pair[0], pair[1], limit)
-			xs, ea, eb := g.CommonInEdges(pair[0], pair[1], limit, nil, nil, nil)
-			if len(xs) != len(want) {
-				t.Fatalf("pair %v limit %d: %d producers, want %d", pair, limit, len(xs), len(want))
+		for _, limit := range limits {
+			if err := matchesReference(g, pair[0], pair[1], limit); err != nil {
+				t.Fatal(err)
 			}
-			for i, x := range xs {
-				if x != want[i] {
-					t.Fatalf("pair %v limit %d: xs[%d] = %d, want %d", pair, limit, i, x, want[i])
-				}
-				wa, ok1 := g.EdgeID(x, pair[0])
-				wb, ok2 := g.EdgeID(x, pair[1])
-				if !ok1 || !ok2 || ea[i] != wa || eb[i] != wb {
-					t.Fatalf("pair %v: edge ids for producer %d wrong", pair, x)
+		}
+	}
+
+	var balanced, skewed int
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 60 + rng.Intn(240)
+		b := NewBuilder(n)
+		celeb := NodeID(rng.Intn(n))
+		for u := 0; u < n; u++ {
+			if u != int(celeb) && rng.Float64() < 0.8 {
+				b.AddEdge(NodeID(u), celeb)
+			}
+		}
+		for i := 0; i < 4*n; i++ {
+			b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		g := b.Build()
+		for trial := 0; trial < 200; trial++ {
+			a, c := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if trial%4 == 0 {
+				a = celeb
+			} else if trial%4 == 1 {
+				c = celeb
+			}
+			la, lc := len(g.InNeighbors(a)), len(g.InNeighbors(c))
+			if la > GallopFactor*lc || lc > GallopFactor*la {
+				skewed++
+			} else {
+				balanced++
+			}
+			for _, limit := range limits {
+				if err := matchesReference(g, a, c, limit); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
 		}
 	}
+	if balanced == 0 || skewed == 0 {
+		t.Fatalf("%d balanced and %d skewed pairs: the comparison missed a kind", balanced, skewed)
+	}
 }
 
-// Property: the galloping and linear merges agree on random graphs with a
-// planted celebrity, across random (a, b) pairs involving it.
+// Property: CommonInEdges agrees with the reference on random graphs with
+// a planted celebrity, across random (a, b) pairs involving it.
 func TestQuickCommonInEdgesGallopAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -110,20 +159,8 @@ func TestQuickCommonInEdgesGallopAgree(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				limit = 1 + rng.Intn(5)
 			}
-			want := g.CommonInNeighbors(a, c, limit)
-			xs, ea, eb := g.CommonInEdges(a, c, limit, nil, nil, nil)
-			if len(xs) != len(want) {
+			if matchesReference(g, a, c, limit) != nil {
 				return false
-			}
-			for i := range want {
-				if xs[i] != want[i] {
-					return false
-				}
-				wa, _ := g.EdgeID(want[i], a)
-				wc, _ := g.EdgeID(want[i], c)
-				if ea[i] != wa || eb[i] != wc {
-					return false
-				}
 			}
 		}
 		return true
@@ -145,22 +182,8 @@ func TestQuickCommonInEdgesAgree(t *testing.T) {
 		}
 		g := b.Build()
 		for trial := 0; trial < 10; trial++ {
-			a := NodeID(rng.Intn(n))
-			c := NodeID(rng.Intn(n))
-			want := g.CommonInNeighbors(a, c, 0)
-			xs, ea, eb := g.CommonInEdges(a, c, 0, nil, nil, nil)
-			if len(xs) != len(want) {
+			if matchesReference(g, NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), 0) != nil {
 				return false
-			}
-			for i := range want {
-				if xs[i] != want[i] {
-					return false
-				}
-				wa, _ := g.EdgeID(want[i], a)
-				wc, _ := g.EdgeID(want[i], c)
-				if ea[i] != wa || eb[i] != wc {
-					return false
-				}
 			}
 		}
 		return true

@@ -6,7 +6,9 @@
 // stored in compressed sparse row (CSR) form with both out- and
 // in-adjacency, and every edge has a dense integer id — its position in the
 // out-adjacency array — so request schedules can be kept as flat per-edge
-// arrays instead of hash sets.
+// arrays instead of hash sets. The in-adjacency keeps the edge ids parallel
+// to the neighbor lists, so CommonInEdges, the galloping intersection NOSY
+// hands its skewed pairs, returns both ids of each common producer.
 package graph
 
 import (

@@ -105,60 +105,29 @@ func (g *Graph) undirectedNeighbors(u NodeID) []NodeID {
 	return merged
 }
 
-// GallopFactor is the length skew beyond which CommonInEdges abandons the
-// linear merge for a galloping search over the longer list: when one
+// GallopFactor is the length skew beyond which NOSY's structure build
+// hands a pair to CommonInEdges instead of its own stamp scan: when one
 // endpoint is a celebrity (in-degree orders of magnitude above the
 // other's), probing the long list in O(short · log long) beats walking it.
-// NOSY's structure build applies the same test to decide which pairs it
-// hands to CommonInEdges.
 const GallopFactor = 16
 
 // CommonInEdges intersects the in-neighbor lists of a and b and appends,
-// for every common producer x, the node and the edge ids of x → a and
-// x → b to the provided buffers (which may be nil). It returns the
-// extended buffers. The result is truncated to limit entries if
-// limit > 0. This is PARALLELNOSY's candidate-selection hot path: the
-// in-CSR keeps edge ids parallel to the neighbor lists, so no binary
-// searches are needed in the balanced case, and the skewed (celebrity)
-// case gallops through the longer list instead of scanning it.
+// for every common producer x in ascending order, the node and the edge
+// ids of x → a and x → b to the provided buffers (which may be nil). It
+// returns the extended buffers. The result is truncated to limit entries
+// if limit > 0. It gallops: each element of the shorter list is found in
+// the longer by an exponential probe and a binary search forward from the
+// last match, and the in-CSR keeps edge ids parallel to the neighbor
+// lists, so both ids come with the match. CommonInNeighbors is the linear
+// merge it is held to.
 func (g *Graph) CommonInEdges(a, b NodeID, limit int, xs []NodeID, ea, eb []EdgeID) ([]NodeID, []EdgeID, []EdgeID) {
-	la, lb := g.InNeighbors(a), g.InNeighbors(b)
-	ia, ib := g.InEdgeIDs(a), g.InEdgeIDs(b)
-	switch {
-	case len(la) > GallopFactor*len(lb):
-		return intersectGallop(lb, ib, la, ia, true, limit, xs, ea, eb)
-	case len(lb) > GallopFactor*len(la):
-		return intersectGallop(la, ia, lb, ib, false, limit, xs, ea, eb)
+	short, long := g.InNeighbors(a), g.InNeighbors(b)
+	shortIDs, longIDs := g.InEdgeIDs(a), g.InEdgeIDs(b)
+	// swapped: the short list is b's, so its ids go to eb.
+	swapped := len(short) > len(long)
+	if swapped {
+		short, long, shortIDs, longIDs = long, short, longIDs, shortIDs
 	}
-	start := len(xs)
-	i, j := 0, 0
-	for i < len(la) && j < len(lb) {
-		switch {
-		case la[i] < lb[j]:
-			i++
-		case la[i] > lb[j]:
-			j++
-		default:
-			xs = append(xs, la[i])
-			ea = append(ea, ia[i])
-			eb = append(eb, ib[j])
-			if limit > 0 && len(xs)-start >= limit {
-				return xs, ea, eb
-			}
-			i++
-			j++
-		}
-	}
-	return xs, ea, eb
-}
-
-// intersectGallop intersects a short sorted list against a much longer
-// one: for each short element it gallops (exponential probe + binary
-// search) forward through the long list from the last match position.
-// swapped says the short list belongs to b, i.e. shortIDs are eb-side ids.
-func intersectGallop(short []NodeID, shortIDs []EdgeID, long []NodeID, longIDs []EdgeID,
-	swapped bool, limit int, xs []NodeID, ea, eb []EdgeID) ([]NodeID, []EdgeID, []EdgeID) {
-
 	start := len(xs)
 	j := 0
 	for i, x := range short {

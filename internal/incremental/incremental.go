@@ -10,7 +10,9 @@
 // per operation. Patching is still greedy and quality drifts away from
 // the CHITCHAT/NOSY optimum over time; package online watches that drift
 // and wins it back with localized re-solves, using Rebase to materialize
-// the live graph and schedule.
+// the live graph and schedule. A maintainer is built from the schedule's
+// support table (NewFrom; New walks one first), so one that follows a
+// splice reuses the table the splice and the refine sweep handed on.
 //
 // Edge identity: every edge the maintainer has seen has one id. Base
 // edges keep their graph.EdgeID; the i-th edge added beyond the base graph
@@ -101,14 +103,19 @@ func (m *Maintainer) Freeze(f *Frozen) *Frozen {
 // Rebase materializes the frozen state as Maintainer.Rebase does.
 func (f *Frozen) Rebase() (*graph.Graph, *core.Schedule) { return f.rebase() }
 
-// New builds a maintainer over an already-optimized schedule. The
-// schedule's assignments are copied and it is otherwise not modified, but
-// its support table is taken (core.Schedule.TakeSupports): the one a
-// splice and the refine sweep after it handed over, or one walked now. The
-// rates are retained (not copied): UpdateRates mutates them in place.
+// New builds a maintainer over an already-optimized schedule: NewFrom on
+// a table walked now (core.WalkSupports).
 func New(s *core.Schedule, r *workload.Rates) *Maintainer {
+	return NewFrom(s, r, core.WalkSupports(s))
+}
+
+// NewFrom builds a maintainer over s from sup, s's support table: the one
+// a splice's repair walk resolved and the refine sweep after it kept
+// current. The schedule's assignments are copied and neither s nor sup is
+// modified. The rates are retained (not copied): UpdateRates mutates them
+// in place.
+func NewFrom(s *core.Schedule, r *workload.Rates, sup core.Supports) *Maintainer {
 	g := s.Graph()
-	sup := s.TakeSupports()
 	// Room for added edges, so that the first adds do not copy both arrays
 	// (≈ 0.5 ms at 120k edges, a third of a 1000-op churn round).
 	n, room := g.NumEdges(), g.NumEdges()+g.NumEdges()/8

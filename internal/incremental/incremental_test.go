@@ -3,6 +3,7 @@ package incremental
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -22,16 +23,16 @@ func optimized(n int, seed int64) (*graph.Graph, *workload.Rates, *Maintainer) {
 	g := graphgen.Social(graphgen.TwitterLike(n, seed))
 	r := workload.LogDegree(g, 5)
 	res := nosy.Solve(g, r, nosy.Config{})
-	return g, r, New(res.Schedule, r)
+	return g, r, New(res, r)
 }
 
 func TestCostMatchesScheduleInitially(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(300, 1))
 	r := workload.LogDegree(g, 5)
 	res := nosy.Solve(g, r, nosy.Config{})
-	m := New(res.Schedule, r)
-	if math.Abs(m.Cost()-res.Schedule.Cost(r)) > 1e-9 {
-		t.Fatalf("maintainer cost %v != schedule cost %v", m.Cost(), res.Schedule.Cost(r))
+	m := New(res, r)
+	if math.Abs(m.Cost()-res.Cost(r)) > 1e-9 {
+		t.Fatalf("maintainer cost %v != schedule cost %v", m.Cost(), res.Cost(r))
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestRemoveSupportEdgeRescuesCovered(t *testing.T) {
 	})
 	r := workload.NewUniform(3, 1)
 	res := nosy.Solve(g, r, nosy.Config{})
-	m := New(res.Schedule, r)
+	m := New(res, r)
 
 	// Removing the pull edge 1→2 must rescue the covered edge 0→2.
 	if err := m.RemoveEdge(1, 2); err != nil {
@@ -125,7 +126,7 @@ func TestRemovePushSupportRescues(t *testing.T) {
 	})
 	r := workload.NewUniform(3, 1)
 	res := nosy.Solve(g, r, nosy.Config{})
-	m := New(res.Schedule, r)
+	m := New(res, r)
 	if err := m.RemoveEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestIncrementalVsStatic(t *testing.T) {
 	rest := edges[len(edges)/2:]
 
 	base := graph.FromEdges(full.NumNodes(), half)
-	baseSched := nosy.Solve(base, r, nosy.Config{}).Schedule
+	baseSched := nosy.Solve(base, r, nosy.Config{})
 	m := New(baseSched, r)
 	for _, e := range rest {
 		if err := m.AddEdge(e.From, e.To); err != nil {
@@ -240,7 +241,7 @@ func TestIncrementalVsStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	incCost := m.Cost()
-	staticCost := nosy.Solve(full, r, nosy.Config{}).Schedule.Cost(r)
+	staticCost := nosy.Solve(full, r, nosy.Config{}).Cost(r)
 	hybrid := baseline.HybridCost(full, r)
 	if staticCost > incCost+1e-9 {
 		t.Fatalf("static re-optimization (%v) worse than incremental (%v)", staticCost, incCost)
@@ -273,7 +274,7 @@ func coverIndex(m *Maintainer) (covered, entries int) {
 func TestChurnDepsStayBounded(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(200, 3))
 	r := workload.LogDegree(g, 5)
-	m := New(nosy.Solve(g, r, nosy.Config{}).Schedule, r)
+	m := New(nosy.Solve(g, r, nosy.Config{}), r)
 
 	// Each dep entry must reference a live covered edge, and a covered
 	// edge has at most two supports: the index is bounded by 2·covered.
@@ -313,7 +314,7 @@ func TestQuickRandomChurn(t *testing.T) {
 			Nodes: n, AvgFollows: 4, TriadProb: 0.5, Reciprocity: 0.3, Seed: seed,
 		})
 		r := workload.LogDegree(g, 5)
-		m := New(nosy.Solve(g, r, nosy.Config{}).Schedule, r)
+		m := New(nosy.Solve(g, r, nosy.Config{}), r)
 		edges := g.EdgeList()
 		for op := 0; op < 40; op++ {
 			if rng.Intn(2) == 0 && len(edges) > 0 {
@@ -400,7 +401,7 @@ func TestAddEdgeCoversThroughExistingHub(t *testing.T) {
 func TestReAddOnHubDenseGraphBeatsDirectPatching(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(300, 17))
 	r := workload.LogDegree(g, 5)
-	m := New(nosy.Solve(g, r, nosy.Config{}).Schedule, r)
+	m := New(nosy.Solve(g, r, nosy.Config{}), r)
 
 	var coveredEdges []graph.Edge
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
@@ -493,7 +494,7 @@ func TestChurnPropertyAddRemoveResolve(t *testing.T) {
 	}
 	g := graphgen.Social(graphgen.FlickrLike(nodes, 23))
 	r := workload.LogDegree(g, 5)
-	m := New(nosy.Solve(g, r, nosy.Config{}).Schedule, r)
+	m := New(nosy.Solve(g, r, nosy.Config{}), r)
 	live := g
 	rng := rand.New(rand.NewSource(99))
 
@@ -503,7 +504,7 @@ func TestChurnPropertyAddRemoveResolve(t *testing.T) {
 			ng, ns := m.Rebase()
 			seed := graph.NodeID(rng.Intn(ng.NumNodes()))
 			sub := graph.Induced(ng, graph.KHop(ng, []graph.NodeID{seed}, 2, 60))
-			if _, err := core.ApplyPatch(ns, sub, chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{Workers: 1}), r); err != nil {
+			if _, _, err := core.ApplyPatch(ns, sub, chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{Workers: 1}), r); err != nil {
 				t.Fatalf("op %d: splicing the region patch: %v", op, err)
 			}
 			if err := ns.Validate(); err != nil {
@@ -560,7 +561,7 @@ func sameDeps(t *testing.T, when string, got, want *Maintainer) {
 	}
 }
 
-// New from the support table a region splice and refine hand over builds
+// NewFrom on the support table a region splice and refine hand over builds
 // the same dependency lists, in the same order, as New from a fresh walk —
 // and so the two maintainers stay identical through a 1k-op churn replay,
 // whose rescues and prunes read list order.
@@ -572,14 +573,17 @@ func TestNewFromHandedTableMatchesWalk(t *testing.T) {
 	for seed := graph.NodeID(0); seed < 4; seed++ {
 		s := base.Clone()
 		sub := graph.Induced(g, graph.KHop(g, []graph.NodeID{seed * 37}, 2, 120))
-		if _, err := core.ApplyPatch(s, sub, chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{Workers: 1}), r); err != nil {
+		_, sup, err := core.ApplyPatch(s, sub, chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{Workers: 1}), r)
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, sup := refine.Pass(s, r)
-		s.KeepSupports(sup)
+		refine.Pass(s, r, sup)
+		if !reflect.DeepEqual(sup, core.WalkSupports(s)) {
+			t.Fatal("the table the sweep kept current differs from a fresh walk's")
+		}
 		rh, rw := cloneRates(r), cloneRates(r)
-		handed := New(s, rh)
-		walked := New(s, rw) // the table is taken: this one walks
+		handed := NewFrom(s, rh, sup)
+		walked := New(s, rw)
 		sameDeps(t, "built", handed, walked)
 		for i, op := range ops {
 			for _, m := range []*Maintainer{handed, walked} {
@@ -602,16 +606,14 @@ func TestNewFromHandedTableMatchesWalk(t *testing.T) {
 			t.Fatal("no dependency entries; the comparison proved nothing")
 		}
 	}
-	// And New does read a handed-over table rather than walk: an empty one
-	// leaves every list empty.
-	s := base.Clone()
+	// And NewFrom does read the table rather than walk: an empty one leaves
+	// every list empty.
 	empty := core.Supports{Pinned: make([]int32, g.NumEdges()), Up: make([]graph.EdgeID, g.NumEdges()), Down: make([]graph.EdgeID, g.NumEdges())}
 	for e := range empty.Up {
 		empty.Up[e], empty.Down[e] = -1, -1
 	}
-	s.KeepSupports(empty)
-	if covered, entries := coverIndex(New(s, cloneRates(r))); entries != 0 || covered == 0 {
-		t.Fatalf("New over an empty handed table: %d entries for %d covered edges", entries, covered)
+	if covered, entries := coverIndex(NewFrom(base, cloneRates(r), empty)); entries != 0 || covered == 0 {
+		t.Fatalf("NewFrom over an empty table: %d entries for %d covered edges", entries, covered)
 	}
 }
 

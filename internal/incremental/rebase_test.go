@@ -112,7 +112,7 @@ func TestRebaseMatchesReference(t *testing.T) {
 			Nodes: 10 + rng.Intn(80), AvgFollows: 4, TriadProb: 0.5, Reciprocity: 0.3, Seed: seed,
 		})
 		r := workload.LogDegree(g, 5)
-		m := New(nosy.Solve(g, r, nosy.Config{}).Schedule, r)
+		m := New(nosy.Solve(g, r, nosy.Config{}), r)
 		rebaseAgrees(t, m) // nothing removed, nothing added
 		for round := 0; round < 4; round++ {
 			churn(rng, m, 30)
@@ -185,7 +185,7 @@ func TestFreezeReusesBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graphgen.Social(graphgen.FlickrLike(200, 3))
 	r := workload.LogDegree(g, 5)
-	m := New(nosy.Solve(g, r, nosy.Config{Workers: 1}).Schedule, r)
+	m := New(nosy.Solve(g, r, nosy.Config{Workers: 1}), r)
 	var reused *Frozen
 	for round := 0; round < 8; round++ {
 		churn(rng, m, 40)
@@ -216,7 +216,7 @@ func TestFreezeReusesBuffers(t *testing.T) {
 func churnLocal() (*core.Schedule, *workload.Rates, []workload.ChurnOp) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
 	r := workload.LogDegree(g, 5)
-	return nosy.Solve(g, r, nosy.Config{}).Schedule, r, scenario.GenerateChurn(g, r, 1000, scenario.ChurnConfig{Seed: 7})
+	return nosy.Solve(g, r, nosy.Config{}), r, scenario.GenerateChurn(g, r, 1000, scenario.ChurnConfig{Seed: 7})
 }
 
 // replay applies ops to m in order.

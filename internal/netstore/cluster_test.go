@@ -57,7 +57,7 @@ func TestPlanMatchesMapGrouping(t *testing.T) {
 		{"prototype", graphgen.Social(graphgen.FlickrLike(800, 7)), 64, 0},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			s := nosy.Solve(in.g, workload.LogDegree(in.g, 5), nosy.Config{}).Schedule
+			s := nosy.Solve(in.g, workload.LogDegree(in.g, 5), nosy.Config{})
 			assign := partition.Hash(in.g.NumNodes(), in.servers, in.seed)
 			p := newPlan(s, assign)
 			same := func(what string, u int, got, want []batch) {
@@ -157,7 +157,7 @@ func TestGenerateTraceWithoutRates(t *testing.T) {
 func TestMeasureThroughputRuns(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(150, 2))
 	r := workload.LogDegree(g, 5)
-	s := nosy.Solve(g, r, nosy.Config{}).Schedule
+	s := nosy.Solve(g, r, nosy.Config{})
 	c := startCluster(t, s, 8)
 	tr := GenerateTrace(r, 2000, 3)
 	res := MeasureThroughput(c, tr, 4)
@@ -198,7 +198,7 @@ func TestPlanMessagesMatchPartitionCost(t *testing.T) {
 		reqs += r.Prod[u] + r.Cons[u]
 	}
 	const seed = 5
-	for _, s := range []*core.Schedule{baseline.Hybrid(g, r), nosy.Solve(g, r, nosy.Config{}).Schedule} {
+	for _, s := range []*core.Schedule{baseline.Hybrid(g, r), nosy.Solve(g, r, nosy.Config{})} {
 		for _, servers := range []int{1, 2, 3, 64} {
 			c, err := NewCluster(s, ClusterOptions{Servers: servers, PartitionSeed: seed})
 			if err != nil {
@@ -244,7 +244,7 @@ func TestSwapSchedule(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(150, 3))
 	r := workload.LogDegree(g, 5)
 	hybrid := baseline.Hybrid(g, r)
-	pn := nosy.Solve(g, r, nosy.Config{}).Schedule
+	pn := nosy.Solve(g, r, nosy.Config{})
 	c := startCluster(t, hybrid, 4)
 
 	stop := make(chan struct{})
@@ -323,7 +323,7 @@ func TestSwapRacesFaultyServersUnderLoad(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(150, 3))
 	r := workload.LogDegree(g, 5)
 	hybrid := baseline.Hybrid(g, r)
-	pn := nosy.Solve(g, r, nosy.Config{}).Schedule
+	pn := nosy.Solve(g, r, nosy.Config{})
 	plan := &fault.Plan{Rules: []fault.Rule{
 		{Kind: fault.KindReset, Conn: -1, Op: 10},
 		{Kind: fault.KindReset, Conn: -1, Op: 40},

@@ -135,10 +135,10 @@ func checkHubDelivery(t *testing.T, open opener) {
 	g, r := figure2()
 	res := nosy.Solve(g, r, nosy.Config{})
 	cross, _ := g.EdgeID(0, 2)
-	if !res.Schedule.IsCovered(cross) {
+	if !res.IsCovered(cross) {
 		t.Fatal("precondition: 0→2 should be hub-covered")
 	}
-	cl := open(t, res.Schedule, 3)
+	cl := open(t, res, 3)
 	ev := Event{User: 0, ID: 9, TS: 5}
 	mustUpdate(t, cl, 0, ev)
 	if got := mustQuery(t, cl, 2); !contains(got, ev) {
@@ -159,7 +159,7 @@ func checkBoundedStaleness(t *testing.T, open opener) {
 		Nodes: 60, AvgFollows: 5, TriadProb: 0.6, Reciprocity: 0.4, Seed: 3,
 	})
 	r := workload.LogDegree(g, 5)
-	pn := nosy.Solve(g, r, nosy.Config{}).Schedule
+	pn := nosy.Solve(g, r, nosy.Config{})
 	hybrid := baseline.Hybrid(g, r)
 	for _, s := range []*core.Schedule{pn, hybrid} {
 		if err := s.Validate(); err != nil {

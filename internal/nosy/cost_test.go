@@ -61,16 +61,16 @@ func TestRunningCostMatchesFreshSnapshot(t *testing.T) {
 func TestTraceCostsMatchesTruncation(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(300, 140), 9))
 	r := workload.LogDegree(g, 5)
-	full := Solve(g, r, Config{Workers: 1})
-	if len(full.Iterations) < 2 {
-		t.Fatalf("want a multi-iteration run, got %d", len(full.Iterations))
+	full, rounds := solveTraced(g, r, Config{Workers: 1})
+	if len(rounds) < 2 {
+		t.Fatalf("want a multi-iteration run, got %d", len(rounds))
 	}
-	one, _ := solveRounds(g, r, Config{Workers: 1}, 1)
-	if got, fresh := full.Iterations[0].Cost, one.Schedule.Cost(r); !relClose(got, fresh) {
+	one, _, _ := solveRounds(g, r, Config{Workers: 1}, 1)
+	if got, fresh := rounds[0].Cost, one.Cost(r); !relClose(got, fresh) {
 		t.Fatalf("iteration 1: running cost %v, fresh finalized cost %v", got, fresh)
 	}
-	last := full.Iterations[len(full.Iterations)-1].Cost
-	if got := full.Schedule.Cost(r); !relClose(last, got) {
+	last := rounds[len(rounds)-1].Cost
+	if got := full.Cost(r); !relClose(last, got) {
 		t.Fatalf("final traced cost %v != final schedule cost %v", last, got)
 	}
 }
@@ -87,8 +87,7 @@ func TestRunningCostViaEvaluatorApply(t *testing.T) {
 	// then replay the final schedule's assignments through a fresh
 	// Evaluator's Apply* methods and compare the running cost with the
 	// finalized cost.
-	res := Solve(g, r, Config{Workers: 1})
-	final := res.Schedule
+	final := Solve(g, r, Config{Workers: 1})
 	for e := 0; e < g.NumEdges(); e++ {
 		ee := graph.EdgeID(e)
 		// Flags before coverage: the Apply* preconditions (an edge being

@@ -1,13 +1,17 @@
 package nosy
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"piggyback/internal/bitset"
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
+	"piggyback/internal/schedio"
 	"piggyback/internal/workload"
 )
 
@@ -87,7 +91,7 @@ func TestDirtyPropagationExact(t *testing.T) {
 			ixs[e] = intersection(ev, graph.EdgeID(e), crossBound(cfg))
 		}
 		st = newState(ev, cfg)
-		if _, err := st.run(context.Background()); err != nil {
+		if err := st.run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if rounds < 2 || clean == 0 {
@@ -138,7 +142,7 @@ func TestCompactedSpansMatchFilter(t *testing.T) {
 				}
 			}
 			st = newState(NewEvaluator(g, r, cfg), cfg)
-			if _, err := st.run(context.Background()); err != nil {
+			if err := st.run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			if rounds < 2 || dropped == 0 {
@@ -240,14 +244,38 @@ func TestEvalsAndRoundsPinned(t *testing.T) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(edges, 7))
 	r := workload.LogDegree(g, 5)
 	for _, workers := range []int{1, 2} {
-		res := Solve(g, r, Config{Workers: workers})
+		_, rounds := solveTraced(g, r, Config{Workers: workers})
 		evals := 0
-		for _, it := range res.Iterations {
+		for _, it := range rounds {
 			evals += it.Dirty
 		}
-		if evals != wantEvals || len(res.Iterations) != wantRounds {
+		if evals != wantEvals || len(rounds) != wantRounds {
 			t.Errorf("Workers %d: %d evals in %d rounds, pinned %d in %d",
-				workers, evals, len(res.Iterations), wantEvals, wantRounds)
+				workers, evals, len(rounds), wantEvals, wantRounds)
+		}
+	}
+}
+
+// TestNosySchedulesPinned holds the solve to the schedule bytes it
+// produced at commit e099d50, before the per-round record left its
+// result: each literal is sha256(schedio.Write(schedule)) taken there, on
+// the graph and rates TestEvalsAndRoundsPinned solves. Both worker counts
+// must land on them.
+func TestNosySchedulesPinned(t *testing.T) {
+	edges, want := 60_000, "1b1c232ef12b4a8a3a32ffe94052e3e49ca06c87c454d79b9ff1d6c9131b1178"
+	if testing.Short() {
+		edges, want = 20_000, "a8ad54a02ec3fbc36bfb05ffe2f71f0524fd03873006f68c284c36c3fd19033e"
+	}
+	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(edges, 7))
+	r := workload.LogDegree(g, 5)
+	for _, workers := range []int{1, 2} {
+		var buf bytes.Buffer
+		if err := schedio.Write(&buf, Solve(g, r, Config{Workers: workers})); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("Workers %d: schedule digest %s, pinned %s", workers, got, want)
 		}
 	}
 }

@@ -35,7 +35,9 @@
 // par.Blocks when a worker's share outweighs a thread wake-up, and a
 // worker's panic reaches the caller; bidding, deciding and committing
 // run on the solve goroutine. The schedule produced is
-// identical to the naive three-phase sweep for every worker count.
+// identical to the naive three-phase sweep for every worker count. A solve
+// returns the schedule alone; its rounds are streamed, one IterationStat
+// each, to Config.OnIteration and kept nowhere.
 package nosy
 
 import (
@@ -81,17 +83,11 @@ type IterationStat struct {
 	Cost           float64 // finalized-equivalent schedule cost after the iteration
 }
 
-// Result is the solver output.
-type Result struct {
-	Schedule   *core.Schedule
-	Iterations []IterationStat
-}
-
 // Solve runs PARALLELNOSY to convergence and returns the finalized
 // schedule (every edge pushed, pulled, or hub-covered).
-func Solve(g *graph.Graph, r *workload.Rates, cfg Config) Result {
-	res, _ := SolveCtx(context.Background(), g, r, cfg)
-	return res
+func Solve(g *graph.Graph, r *workload.Rates, cfg Config) *core.Schedule {
+	s, _ := SolveCtx(context.Background(), g, r, cfg)
+	return s
 }
 
 // SolveCtx is Solve with cooperative cancellation: the context is checked
@@ -101,32 +97,31 @@ func Solve(g *graph.Graph, r *workload.Rates, cfg Config) Result {
 // PARALLELNOSY's rounds are monotone — each only adds profitable hub
 // commits on top of a schedule the finalization completes with the hybrid
 // rule — so the result is a valid anytime schedule for every stop point.
-func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config) (Result, error) {
+// The rounds are reported on Config.OnIteration only.
+func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config) (*core.Schedule, error) {
 	st := newState(NewEvaluator(g, r, cfg), cfg)
-	iters, cause := st.run(ctx)
+	cause := st.run(ctx)
 	st.ev.sched.Finalize(r)
-	return Result{Schedule: st.ev.sched, Iterations: iters}, cause
+	return st.ev.sched, cause
 }
 
 // run iterates rounds until one commits nothing or ctx is done (checked
 // at round boundaries only).
-func (st *state) run(ctx context.Context) (iters []IterationStat, cause error) {
+func (st *state) run(ctx context.Context) error {
 	for it := 0; ; it++ {
 		if err := ctx.Err(); err != nil {
-			return iters, err
+			return err
 		}
 		stat := st.iterate()
 		stat.Iteration = it
 		stat.Cost = st.ev.Cost()
-		iters = append(iters, stat)
 		if st.cfg.OnIteration != nil {
 			st.cfg.OnIteration(stat)
 		}
 		if stat.FullCommits+stat.PartialCommits == 0 {
-			break
+			return nil
 		}
 	}
-	return iters, nil
 }
 
 // Evaluator holds the candidate-pricing logic. All methods read the

@@ -37,14 +37,14 @@ func TestFigure2UsesHub(t *testing.T) {
 	g := figure2()
 	r := workload.NewUniform(3, 1)
 	res := Solve(g, r, Config{})
-	if err := res.Schedule.Validate(); err != nil {
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Schedule.Cost(r); got != 2 {
+	if got := res.Cost(r); got != 2 {
 		t.Fatalf("cost = %v, want 2 (hub through node 1)", got)
 	}
 	cross, _ := g.EdgeID(0, 2)
-	if !res.Schedule.IsCovered(cross) || res.Schedule.Hub(cross) != 1 {
+	if !res.IsCovered(cross) || res.Hub(cross) != 1 {
 		t.Fatalf("edge 0→2 not covered through hub 1")
 	}
 }
@@ -53,12 +53,12 @@ func TestNeverWorseThanHybrid(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(scaled(500, 250), 3))
 	r := workload.LogDegree(g, 5)
 	res := Solve(g, r, Config{})
-	if err := res.Schedule.Validate(); err != nil {
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	hy := baseline.HybridCost(g, r)
-	if res.Schedule.Cost(r) > hy+1e-6 {
-		t.Fatalf("PARALLELNOSY cost %v worse than hybrid %v", res.Schedule.Cost(r), hy)
+	if res.Cost(r) > hy+1e-6 {
+		t.Fatalf("PARALLELNOSY cost %v worse than hybrid %v", res.Cost(r), hy)
 	}
 }
 
@@ -67,7 +67,7 @@ func TestBeatsHybridOnClusteredGraph(t *testing.T) {
 	r := workload.LogDegree(g, 5)
 	res := Solve(g, r, Config{})
 	hy := baseline.HybridCost(g, r)
-	if ratio := hy / res.Schedule.Cost(r); ratio < 1.05 {
+	if ratio := hy / res.Cost(r); ratio < 1.05 {
 		t.Fatalf("improvement ratio = %.3f; expected real gain on clustered graph", ratio)
 	}
 }
@@ -75,11 +75,11 @@ func TestBeatsHybridOnClusteredGraph(t *testing.T) {
 func TestConvergence(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(scaled(400, 200), 5))
 	r := workload.LogDegree(g, 5)
-	res := Solve(g, r, Config{})
-	if len(res.Iterations) < 2 {
-		t.Fatalf("want multi-iteration convergence, got %d iterations", len(res.Iterations))
+	_, rounds := solveTraced(g, r, Config{})
+	if len(rounds) < 2 {
+		t.Fatalf("want multi-iteration convergence, got %d iterations", len(rounds))
 	}
-	last := res.Iterations[len(res.Iterations)-1]
+	last := rounds[len(rounds)-1]
 	if last.FullCommits+last.PartialCommits != 0 {
 		t.Fatalf("did not converge: last iteration committed %d+%d",
 			last.FullCommits, last.PartialCommits)
@@ -89,9 +89,9 @@ func TestConvergence(t *testing.T) {
 func TestTraceCostsMonotone(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(500, 250), 9))
 	r := workload.LogDegree(g, 5)
-	res := Solve(g, r, Config{})
+	_, rounds := solveTraced(g, r, Config{})
 	prev := baseline.HybridCost(g, r) + 1e-9
-	for i, it := range res.Iterations {
+	for i, it := range rounds {
 		if it.Cost > prev+1e-6 {
 			t.Fatalf("iteration %d increased cost: %v → %v", i, prev, it.Cost)
 		}
@@ -105,46 +105,56 @@ func TestWorkerCountInvariance(t *testing.T) {
 	ref := Solve(g, r, Config{Workers: 1})
 	for _, workers := range []int{2, 4, 8} {
 		got := Solve(g, r, Config{Workers: workers})
-		if got.Schedule.Cost(r) != ref.Schedule.Cost(r) {
+		if got.Cost(r) != ref.Cost(r) {
 			t.Fatalf("workers=%d cost %v differs from single-worker %v",
-				workers, got.Schedule.Cost(r), ref.Schedule.Cost(r))
+				workers, got.Cost(r), ref.Cost(r))
 		}
 		for e := 0; e < g.NumEdges(); e++ {
 			ee := graph.EdgeID(e)
-			if got.Schedule.IsPush(ee) != ref.Schedule.IsPush(ee) ||
-				got.Schedule.IsPull(ee) != ref.Schedule.IsPull(ee) ||
-				got.Schedule.IsCovered(ee) != ref.Schedule.IsCovered(ee) {
+			if got.IsPush(ee) != ref.IsPush(ee) ||
+				got.IsPull(ee) != ref.IsPull(ee) ||
+				got.IsCovered(ee) != ref.IsCovered(ee) {
 				t.Fatalf("workers=%d schedule differs at edge %d", workers, e)
 			}
 		}
 	}
 }
 
+// solveTraced is Solve, with every round's IterationStat collected from
+// OnIteration.
+func solveTraced(g *graph.Graph, r *workload.Rates, cfg Config) (*core.Schedule, []IterationStat) {
+	var rounds []IterationStat
+	cfg.OnIteration = func(it IterationStat) { rounds = append(rounds, it) }
+	return Solve(g, r, cfg), rounds
+}
+
 // solveRounds runs at most k rounds: cancelling the context from
 // OnIteration stops SolveCtx at the next round boundary, where it
-// finalizes the rounds committed so far.
-func solveRounds(g *graph.Graph, r *workload.Rates, cfg Config, k int) (Result, error) {
+// finalizes the rounds committed so far. It returns how many ran.
+func solveRounds(g *graph.Graph, r *workload.Rates, cfg Config, k int) (*core.Schedule, int, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	ran := 0
 	cfg.OnIteration = func(it IterationStat) {
-		if it.Iteration+1 == k {
+		if ran++; ran == k {
 			cancel()
 		}
 	}
-	return SolveCtx(ctx, g, r, cfg)
+	s, err := SolveCtx(ctx, g, r, cfg)
+	return s, ran, err
 }
 
 func TestCancelFromOnIterationStopsAtRoundBoundary(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(400, 17))
 	r := workload.LogDegree(g, 5)
-	res, err := solveRounds(g, r, Config{}, 1)
+	res, ran, err := solveRounds(g, r, Config{}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(res.Iterations) != 1 {
-		t.Fatalf("cancelled after round 1 but ran %d rounds", len(res.Iterations))
+	if ran != 1 {
+		t.Fatalf("cancelled after round 1 but ran %d rounds", ran)
 	}
-	if err := res.Schedule.Validate(); err != nil {
+	if err := res.Validate(); err != nil {
 		t.Fatalf("bounded run still must finalize to a valid schedule: %v", err)
 	}
 }
@@ -153,10 +163,10 @@ func TestCrossEdgeBoundValid(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(300, 19))
 	r := workload.LogDegree(g, 5)
 	res := Solve(g, r, Config{MaxCrossEdges: 1})
-	if err := res.Schedule.Validate(); err != nil {
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Schedule.Cost(r) > baseline.HybridCost(g, r)+1e-6 {
+	if res.Cost(r) > baseline.HybridCost(g, r)+1e-6 {
 		t.Fatal("bounded variant worse than hybrid")
 	}
 }
@@ -164,7 +174,7 @@ func TestCrossEdgeBoundValid(t *testing.T) {
 func TestEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(0, nil)
 	res := Solve(g, workload.NewUniform(0, 5), Config{})
-	if err := res.Schedule.Validate(); err != nil {
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -361,7 +371,7 @@ func TestStructCacheComputedOnce(t *testing.T) {
 		}
 		built := slices.Clone(ev.structs.recs)
 		st := newState(ev, cfg)
-		if _, err := st.run(context.Background()); err != nil {
+		if err := st.run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		for e, rec := range ev.structs.recs {
@@ -473,10 +483,10 @@ func TestQuickValidAndBounded(t *testing.T) {
 		}
 		r := workload.LogDegree(g, 0.5+rng.Float64()*20)
 		res := Solve(g, r, Config{Workers: 1 + rng.Intn(4)})
-		if res.Schedule.Validate() != nil {
+		if res.Validate() != nil {
 			return false
 		}
-		return res.Schedule.Cost(r) <= baseline.HybridCost(g, r)+1e-6
+		return res.Cost(r) <= baseline.HybridCost(g, r)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -60,8 +60,9 @@ type buildScratch struct {
 // goroutines (one per workerShare edges). Per source w it stamps in(w)
 // once, then for each hub edge w → y scans in(y) against the stamp: the
 // hits come in ascending producer order and stop at the cap, which is
-// exactly CommonInEdges' output, without its branchy two-pointer merge.
-// A pair CommonInEdges would gallop goes to CommonInEdges itself.
+// exactly CommonInEdges' output. A pair skewed beyond graph.GallopFactor
+// goes to CommonInEdges itself, which gallops the short list into the
+// long one instead of scanning it.
 func buildStructCache(g *graph.Graph, limit, workers int) *structCache {
 	c := &structCache{recs: make([]structRec, g.NumEdges())}
 	nw := par.Workers(workers, g.NumEdges(), workerShare)

@@ -214,10 +214,11 @@ type Daemon struct {
 	fl      flight      // the attempt in flight, if any
 	// observe, when non-nil, is called on the attempt's goroutine with every
 	// schedule a patch was spliced into, before refine runs on it: the
-	// schedule, the attempt's rates, the solve's commits and whether it
+	// schedule, the support table the splice handed over (which it must not
+	// modify), the attempt's rates, the solve's commits and whether it
 	// returned an error (a cut). Only tests set it, to hold each patch to
 	// their oracles.
-	observe func(s *core.Schedule, r *workload.Rates, commits int, canceled bool)
+	observe func(s *core.Schedule, sup core.Supports, r *workload.Rates, commits int, canceled bool)
 	stats   Stats
 	inst    daemonInstruments
 }
@@ -891,7 +892,7 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 	// the region's assignments in it, and the repair walk restores the
 	// exterior supports the patch cleared.
 	st = d.begin(fl.root.id, "splice", "")
-	repairs, err := core.ApplyPatch(liveS, sub, patch, r)
+	repairs, sup, err := core.ApplyPatch(liveS, sub, patch, r)
 	if err != nil {
 		st.end("failed")
 		fl.err = fmt.Errorf("online: splicing the regional patch: %w", err)
@@ -900,7 +901,7 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 	st.end("repairs=%d", repairs)
 	fl.repairs = repairs
 	if d.observe != nil {
-		d.observe(liveS, r, a.commits, canceled)
+		d.observe(liveS, sup, r, a.commits, canceled)
 	}
 	// The regional solver saw the region in isolation, so region edges
 	// whose free exterior coverage the extraction severed came back as
@@ -909,14 +910,14 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 	// lowers the patch cost, so a patch that loses afterwards would have
 	// lost anyway.
 	st = d.begin(fl.root.id, "refine", "")
-	refined, sup := refine.Pass(liveS, r)
+	// The support table travels from the splice's repair walk through the
+	// sweep, which keeps it current, to the maintainer's dependency lists:
+	// the supports are walked once per attempt.
+	refined := refine.Pass(liveS, r, sup)
 	st.end("recovered=%d", refined.Recovered)
 	fl.refined = refined
-	// The support table refine took (from the splice's repair walk) and kept
-	// current: the maintainer builds its dependency lists from it.
-	liveS.KeepSupports(sup)
 	st = d.begin(fl.root.id, "rebuild", "")
-	fl.m = incremental.New(liveS, r)
+	fl.m = incremental.NewFrom(liveS, r, sup)
 	st.end("")
 }
 

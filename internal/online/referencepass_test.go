@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,18 +102,17 @@ func referencePass(s *core.Schedule, r *workload.Rates) refine.Result {
 
 // checkPassAgainstReference runs refine.Pass and referencePass on clones of
 // s and reports any difference in the Result or in flags or hub on any
-// edge, and a second pass that recovers anything. The support table s
-// holds (a splice's repair walk hands one over) and the one the pass ends
-// with are held against fresh walks; s keeps its table. It returns what
-// was recovered.
-func checkPassAgainstReference(s *core.Schedule, r *workload.Rates) (int, error) {
-	handed := s.TakeSupports()
-	s.KeepSupports(handed)
-	if walked := s.Clone().TakeSupports(); !reflect.DeepEqual(handed, walked) {
+// edge, and a second pass that recovers anything. handed, the support
+// table s comes with (a splice's repair walk hands one over), and the one
+// the pass ends with are held against fresh walks; neither s nor handed is
+// modified. It returns what was recovered.
+func checkPassAgainstReference(s *core.Schedule, handed core.Supports, r *workload.Rates) (int, error) {
+	if walked := core.WalkSupports(s); !reflect.DeepEqual(handed, walked) {
 		return 0, errors.New("the support table the splice handed over differs from a fresh walk's")
 	}
 	got, want := s.Clone(), s.Clone()
-	res, sup := refine.Pass(got, r)
+	sup := core.Supports{Pinned: slices.Clone(handed.Pinned), Up: slices.Clone(handed.Up), Down: slices.Clone(handed.Down)}
+	res := refine.Pass(got, r, sup)
 	if ref := referencePass(want, r); res != ref {
 		return 0, fmt.Errorf("pass returned %+v, reference %+v", res, ref)
 	}
@@ -123,10 +123,10 @@ func checkPassAgainstReference(s *core.Schedule, r *workload.Rates) (int, error)
 				got.IsPush(e), got.IsPull(e), got.Hub(e), want.IsPush(e), want.IsPull(e), want.Hub(e))
 		}
 	}
-	if walked := got.TakeSupports(); !reflect.DeepEqual(sup, walked) {
+	if walked := core.WalkSupports(got); !reflect.DeepEqual(sup, walked) {
 		return 0, errors.New("the support table a pass ends with differs from a fresh walk's")
 	}
-	if again, _ := refine.Pass(got, r); again.Recovered != 0 || again.Saved != 0 {
+	if again := refine.Pass(got, r, sup); again.Recovered != 0 || again.Saved != 0 {
 		return 0, fmt.Errorf("second pass recovered %+v after the first recovered %+v", again, res)
 	}
 	return res.Recovered, nil
@@ -151,19 +151,18 @@ func TestPassMatchesReferenceSweep(t *testing.T) {
 		case 0:
 			s = baseline.Hybrid(g, r)
 		case 1:
-			s = nosy.Solve(g, r, nosy.Config{}).Schedule
+			s = nosy.Solve(g, r, nosy.Config{})
 		default:
 			// A solve cut after one or two rounds: cancelling from
 			// OnIteration stops it at that round boundary.
 			rounds := 1 + rng.Intn(2)
 			ctx, cancel := context.WithCancel(context.Background())
-			res, _ := nosy.SolveCtx(ctx, g, r, nosy.Config{OnIteration: func(it nosy.IterationStat) {
+			s, _ = nosy.SolveCtx(ctx, g, r, nosy.Config{OnIteration: func(it nosy.IterationStat) {
 				if it.Iteration+1 == rounds {
 					cancel()
 				}
 			}})
 			cancel()
-			s = res.Schedule
 		}
 		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 			if s.IsCovered(e) && rng.Intn(3) == 0 {
@@ -174,7 +173,7 @@ func TestPassMatchesReferenceSweep(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("seed %d: input invalid: %v", seed, err)
 		}
-		n, err := checkPassAgainstReference(s, r)
+		n, err := checkPassAgainstReference(s, core.WalkSupports(s), r)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -22,11 +22,11 @@ import (
 //
 //	splice    core.ApplyPatch: the splice and its repair walk
 //	refine    refine.Pass, on the table the repair hands over
-//	rebuild   incremental.New, on the table refine kept current
+//	rebuild   incremental.NewFrom, on the table refine kept current
 func BenchmarkAttemptTail(b *testing.B) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
 	r := workload.LogDegree(g, 5)
-	base := nosy.Solve(g, r, nosy.Config{}).Schedule
+	base := nosy.Solve(g, r, nosy.Config{})
 	sub := graph.Induced(g, graph.KHop(g, []graph.NodeID{1000}, 2, 768))
 	patch := chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{})
 	const (
@@ -34,22 +34,23 @@ func BenchmarkAttemptTail(b *testing.B) {
 		refined
 		rebuilt
 	)
-	// tail runs the steps from..to-1 on s. Each leaves the support table on
-	// s for the next (Take and Keep are free on a handed-over table).
-	tail := func(s *core.Schedule, from, to int) {
+	// tail runs the steps from..to-1 on s and sup, the support table each
+	// step hands to the next, and returns the table.
+	tail := func(s *core.Schedule, sup core.Supports, from, to int) core.Supports {
 		for step := from; step < to; step++ {
 			switch step {
 			case splice:
-				if _, err := core.ApplyPatch(s, sub, patch, r); err != nil {
+				var err error
+				if _, sup, err = core.ApplyPatch(s, sub, patch, r); err != nil {
 					b.Fatal(err)
 				}
 			case refined:
-				_, sup := refine.Pass(s, r)
-				s.KeepSupports(sup)
+				refine.Pass(s, r, sup)
 			case rebuilt:
-				incremental.New(s, r)
+				incremental.NewFrom(s, r, sup)
 			}
 		}
+		return sup
 	}
 	for _, bc := range []struct {
 		name     string
@@ -65,9 +66,9 @@ func BenchmarkAttemptTail(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s := base.Clone()
-				tail(s, splice, bc.from)
+				sup := tail(s, core.Supports{}, splice, bc.from)
 				b.StartTimer()
-				tail(s, bc.from, bc.to)
+				tail(s, sup, bc.from, bc.to)
 			}
 		})
 	}

@@ -115,7 +115,7 @@ func scenarioCells(nodes, ops int, names ...string) []zooCell {
 func churnCell() zooCell {
 	g := graphgen.Social(graphgen.FlickrLike(600, 5))
 	base := workload.LogDegree(g, 5)
-	return zooCell{"churn", g, base, nosy.Solve(g, base, nosy.Config{Workers: 1}).Schedule,
+	return zooCell{"churn", g, base, nosy.Solve(g, base, nosy.Config{Workers: 1}),
 		scenario.GenerateChurn(g, base, 800, scenario.ChurnConfig{Seed: 5}), zooDaemon, 100, false}
 }
 
@@ -140,7 +140,7 @@ type patchOracles struct {
 	truncated, recovered int
 }
 
-func (o *patchOracles) observe(s *core.Schedule, r *workload.Rates, commits int, canceled bool) {
+func (o *patchOracles) observe(s *core.Schedule, sup core.Supports, r *workload.Rates, commits int, canceled bool) {
 	if canceled {
 		o.truncated++
 	}
@@ -148,7 +148,7 @@ func (o *patchOracles) observe(s *core.Schedule, r *workload.Rates, commits int,
 		o.f.add(oPatch, "patch after %d commits (canceled=%v) invalid: %v", commits, canceled, err)
 		return
 	}
-	recovered, err := checkPassAgainstReference(s, r)
+	recovered, err := checkPassAgainstReference(s, sup, r)
 	if err != nil {
 		o.f.add(oRefine, "patch after %d commits (canceled=%v): %v", commits, canceled, err)
 	}

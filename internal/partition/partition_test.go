@@ -123,7 +123,7 @@ func TestParallelNosyWinsAtScale(t *testing.T) {
 	// servers the PARALLELNOSY schedule (fewer messages) must win.
 	g, r := setup(500, 4)
 	ff := baseline.Hybrid(g, r)
-	pn := nosy.Solve(g, r, nosy.Config{}).Schedule
+	pn := nosy.Solve(g, r, nosy.Config{})
 	big := Hash(g.NumNodes(), 4096, 0)
 	if Cost(pn, r, big) >= Cost(ff, r, big) {
 		t.Fatalf("PARALLELNOSY (%v) should beat FF (%v) at 4096 servers",
@@ -163,7 +163,7 @@ func TestLoadBalanceShape(t *testing.T) {
 	// paper's error bars show the same effect magnified on the right of
 	// the log plot); the mean trend is the invariant worth locking in.
 	g, r := setup(2000, 6)
-	pn := nosy.Solve(g, r, nosy.Config{}).Schedule
+	pn := nosy.Solve(g, r, nosy.Config{})
 	ff := baseline.Hybrid(g, r)
 	prevPN, prevFF := math.Inf(1), math.Inf(1)
 	for _, servers := range []int{4, 16, 64, 256} {

@@ -10,7 +10,9 @@
 // x → y coexists with a push x → w and a pull w → y that are both pinned
 // by other obligations, then x → y can be re-served through hub w and its
 // direct cost refunded. The sweep finds all such edges in
-// O(Σ_e |common predecessors|) and never worsens the schedule.
+// O(Σ_e |common predecessors|) and never worsens the schedule. It reads
+// the pinned supports from the schedule's support table (core.Supports),
+// which the caller hands in and the sweep keeps current.
 package refine
 
 import (
@@ -30,16 +32,14 @@ type Result struct {
 // pass is a fixpoint: it only clears direct flags and adds coverage,
 // neither of which creates a bracket, so a second pass recovers nothing.
 //
-// Alongside the result it returns the support table it ends with, taken
-// from s (core.Schedule.TakeSupports) and kept current as it covers:
-// Pinned[e] is the number of covered edges whose hub support is e. The
-// online daemon hands it on to incremental.New (core.Schedule.KeepSupports),
-// so the maintainer built on the refined patch walks no supports again.
-func Pass(s *core.Schedule, r *workload.Rates) (Result, core.Supports) {
+// sup must be s's support table (core.ApplyPatch's, or
+// core.WalkSupports'): Pinned[e] is the number of covered edges whose hub
+// support is e. Pass keeps it current as it covers, so the online daemon
+// builds the maintainer of the refined patch from it
+// (incremental.NewFrom) without walking the supports again.
+func Pass(s *core.Schedule, r *workload.Rates, sup core.Supports) Result {
 	g := s.Graph()
 	n := g.NumNodes()
-
-	sup := s.TakeSupports()
 
 	// Only a pushed u → w and a pulled w → v can bracket u → v. The pulled
 	// in-edges of v are pull[pullAt[v]:pullAt[v+1]], by ascending source
@@ -99,11 +99,5 @@ func Pass(s *core.Schedule, r *workload.Rates) (Result, core.Supports) {
 		}
 		return true
 	})
-	return res, sup
-}
-
-// Run is Pass for callers that only want the result.
-func Run(s *core.Schedule, r *workload.Rates) Result {
-	res, _ := Pass(s, r)
 	return res
 }

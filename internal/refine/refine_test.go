@@ -34,7 +34,7 @@ func TestRecoversBracketedEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Cost(r)
-	res := Run(s, r)
+	res := Pass(s, r, core.WalkSupports(s))
 	if res.Recovered != 1 {
 		t.Fatalf("Recovered = %d, want 1", res.Recovered)
 	}
@@ -72,7 +72,7 @@ func TestDoesNotUnpinSupports(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost := s.Cost(r)
-	Run(s, r)
+	Pass(s, r, core.WalkSupports(s))
 	if err := s.Validate(); err != nil {
 		t.Fatalf("after refine: %v", err)
 	}
@@ -88,8 +88,8 @@ func TestDoesNotUnpinSupports(t *testing.T) {
 func TestConvergedNosyLeavesNothing(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(600, 7))
 	r := workload.LogDegree(g, 5)
-	s := nosy.Solve(g, r, nosy.Config{}).Schedule
-	if res := Run(s, r); res.Recovered != 0 {
+	s := nosy.Solve(g, r, nosy.Config{})
+	if res := Pass(s, r, core.WalkSupports(s)); res.Recovered != 0 {
 		t.Fatalf("converged PARALLELNOSY left %d recoverable edges (saved %.1f)",
 			res.Recovered, res.Saved)
 	}
@@ -108,10 +108,9 @@ func TestImprovesTruncatedNosy(t *testing.T) {
 			cancel()
 		}
 	}}
-	truncated, _ := nosy.SolveCtx(ctx, g, r, stop)
-	s := truncated.Schedule
+	s, _ := nosy.SolveCtx(ctx, g, r, stop)
 	before := s.Cost(r)
-	res := Run(s, r)
+	res := Pass(s, r, core.WalkSupports(s))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestImprovesHybrid(t *testing.T) {
 	r := workload.LogDegree(g, 1)
 	s := baseline.Hybrid(g, r)
 	before := s.Cost(r)
-	res := Run(s, r)
+	res := Pass(s, r, core.WalkSupports(s))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +159,10 @@ func TestQuickSafety(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			s = baseline.Hybrid(g, r)
 		} else {
-			s = nosy.Solve(g, r, nosy.Config{}).Schedule
+			s = nosy.Solve(g, r, nosy.Config{})
 		}
 		before := s.Cost(r)
-		Run(s, r)
+		Pass(s, r, core.WalkSupports(s))
 		return s.Validate() == nil && s.Cost(r) <= before+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -177,13 +176,13 @@ func TestQuickSafety(t *testing.T) {
 func BenchmarkRefinePassChurn(b *testing.B) {
 	g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(120_000, 7))
 	r := workload.LogDegree(g, 5)
-	base := nosy.Solve(g, r, nosy.Config{}).Schedule
+	base := nosy.Solve(g, r, nosy.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := base.Clone()
 		b.StartTimer()
-		Pass(s, r)
+		Pass(s, r, core.WalkSupports(s))
 	}
 }

@@ -20,7 +20,7 @@ import (
 func TestRoundTrip(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(200, 1))
 	r := workload.LogDegree(g, 5)
-	s := nosy.Solve(g, r, nosy.Config{}).Schedule
+	s := nosy.Solve(g, r, nosy.Config{})
 	var buf bytes.Buffer
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestWrongGraphRejected(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(100, 1))
 	other := graphgen.Social(graphgen.TwitterLike(120, 2))
 	r := workload.LogDegree(g, 5)
-	s := nosy.Solve(g, r, nosy.Config{}).Schedule
+	s := nosy.Solve(g, r, nosy.Config{})
 	var buf bytes.Buffer
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestWrongGraphRejected(t *testing.T) {
 func TestCorruptInputRejected(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(60, 3))
 	r := workload.LogDegree(g, 5)
-	s := nosy.Solve(g, r, nosy.Config{}).Schedule
+	s := nosy.Solve(g, r, nosy.Config{})
 	var buf bytes.Buffer
 	Write(&buf, s)
 	data := buf.Bytes()
@@ -105,7 +105,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			Nodes: n, AvgFollows: 4, TriadProb: 0.5, Reciprocity: 0.4, Seed: seed,
 		})
 		r := workload.LogDegree(g, 0.5+rng.Float64()*10)
-		s := nosy.Solve(g, r, nosy.Config{}).Schedule
+		s := nosy.Solve(g, r, nosy.Config{})
 		var buf bytes.Buffer
 		if Write(&buf, s) != nil {
 			return false

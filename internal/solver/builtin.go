@@ -37,164 +37,124 @@ func Names() []string {
 func New(name string, opts Options) (Solver, error) {
 	switch name {
 	case ChitChat:
-		return &chitchatSolver{chitchat.Config{Workers: opts.Workers}, opts.Progress}, nil
+		return chitchatSolver(chitchat.Config{Workers: opts.Workers}, opts.Progress), nil
 	case Nosy:
-		return &nosySolver{nosy.Config{Workers: opts.Workers}, opts.Progress}, nil
+		return builtin{Nosy, func(ctx context.Context, p Problem) (*core.Schedule, int, error) {
+			rounds := 0
+			cfg := nosy.Config{Workers: opts.Workers, OnIteration: func(it nosy.IterationStat) {
+				rounds++
+				if opts.Progress != nil {
+					opts.Progress(ProgressEvent{
+						Solver:         Nosy,
+						Iteration:      it.Iteration,
+						Dirty:          it.Dirty,
+						Candidates:     it.Candidates,
+						FullCommits:    it.FullCommits,
+						PartialCommits: it.PartialCommits,
+						CoveredEdges:   it.CoveredEdges,
+						Cost:           it.Cost,
+					})
+				}
+			}}
+			s, cause := nosy.SolveCtx(ctx, p.Graph, p.Rates, cfg)
+			return s, rounds, cause
+		}}, nil
 	case Shard:
-		return &shardSolver{shard.Config{Shards: opts.Shards, Workers: opts.Workers}, opts.Progress}, nil
+		// Every shard is a single-threaded CHITCHAT solve on its shard
+		// worker's goroutine.
+		return builtin{Shard, func(ctx context.Context, p Problem) (*core.Schedule, int, error) {
+			cfg := shard.Config{Shards: opts.Shards, Workers: opts.Workers}
+			if opts.Progress != nil {
+				cfg.OnProgress = func(pr shard.Progress) {
+					opts.Progress(ProgressEvent{
+						Solver:    Shard,
+						Iteration: pr.Solved,
+						Covered:   pr.Edges,
+						Remaining: pr.Shards - pr.Solved,
+						Cost:      pr.Cost,
+					})
+				}
+			}
+			sr, cause := shard.SolveCtx(ctx, p.Graph, p.Rates, cfg, solveShardChitChat)
+			return sr.Schedule, sr.Shards, cause
+		}}, nil
 	case Hybrid, PushAll, PullAll:
-		return baselineSolver{name}, nil
+		// The one-shot baselines are instantaneous, so the context is only
+		// consulted once: a pre-canceled context still yields the (valid)
+		// baseline schedule alongside its error.
+		return builtin{name, func(ctx context.Context, p Problem) (*core.Schedule, int, error) {
+			switch name {
+			case PushAll:
+				return baseline.PushAll(p.Graph), 1, ctx.Err()
+			case PullAll:
+				return baseline.PullAll(p.Graph), 1, ctx.Err()
+			}
+			return baseline.Hybrid(p.Graph, p.Rates), 1, ctx.Err()
+		}}, nil
 	}
 	return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownSolver, name, Names())
 }
 
-// finish assembles the Result for a completed (or canceled) solve.
-// cause is nil or the context error that cut the solve short; it is
-// passed through so callers keep the best-so-far schedule alongside it.
-func finish(name string, s *core.Schedule, p Problem, rep Report, cause error) (*Result, error) {
-	rep.Solver = name
-	rep.Cost = s.Cost(p.Rates)
-	rep.Canceled = cause != nil
-	return &Result{Schedule: s, Report: rep}, cause
+// builtin is every built-in solver: its name, and the algorithm as one
+// function that returns the schedule, the iterations it ran and the
+// context error that cut it short, if any.
+type builtin struct {
+	name string
+	run  func(ctx context.Context, p Problem) (*core.Schedule, int, error)
 }
 
-// chitchatSolver adapts the CHITCHAT approximation to the Solver
-// contract. Each adapter streams to progress, Options.Progress as New
-// was given it (nil from the typed constructors).
-type chitchatSolver struct {
-	cfg      chitchat.Config
-	progress func(ProgressEvent)
+func (b builtin) Name() string { return b.name }
+
+// Solve implements the Solver contract once for every built-in: it checks
+// the problem, runs the algorithm, and returns the best-so-far schedule
+// together with the error that cut the solve short. A run that returns no
+// schedule failed (a shard solve's error) and yields no Result.
+func (b builtin) Solve(ctx context.Context, p Problem) (*Result, error) {
+	if p.Graph == nil || p.Rates == nil {
+		return nil, ErrNoGraph
+	}
+	s, iterations, cause := b.run(ctx, p)
+	if s == nil {
+		return nil, fmt.Errorf("solver %s: %w", b.name, cause)
+	}
+	rep := Report{Solver: b.name, Iterations: iterations, Cost: s.Cost(p.Rates), Canceled: cause != nil}
+	return &Result{Schedule: s, Report: rep}, cause
 }
 
 // NewChitChat returns the CHITCHAT solver under a full typed config —
 // the constructor for callers that need knobs beyond Options (the
 // cross-edge bound, the per-commit OnProgress hook).
-func NewChitChat(cfg chitchat.Config) Solver { return &chitchatSolver{cfg: cfg} }
+func NewChitChat(cfg chitchat.Config) Solver { return chitchatSolver(cfg, nil) }
 
-func (s *chitchatSolver) Name() string { return ChitChat }
-
-func (s *chitchatSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
-	if err := checkProblem(p); err != nil {
-		return nil, err
-	}
-	// Count greedy commits through the progress hook (after the config's
-	// own hook) so the report's iteration count is exact.
-	cfg := s.cfg
-	commits := 0
-	prev := cfg.OnProgress
-	cfg.OnProgress = func(pr chitchat.Progress) {
-		commits = pr.Commits
-		if prev != nil {
-			prev(pr)
-		}
-		if s.progress != nil {
-			s.progress(ProgressEvent{
-				Solver:    ChitChat,
-				Iteration: pr.Commits,
-				Covered:   pr.Covered,
-				Remaining: pr.Remaining,
-				Cost:      math.NaN(),
-			})
-		}
-	}
-	sched, cause := chitchat.SolveCtx(ctx, p.Graph, p.Rates, cfg)
-	return finish(ChitChat, sched, p, Report{Iterations: commits}, cause)
-}
-
-// nosySolver adapts PARALLELNOSY to the Solver contract.
-type nosySolver struct {
-	cfg      nosy.Config
-	progress func(ProgressEvent)
-}
-
-func (s *nosySolver) Name() string { return Nosy }
-
-func (s *nosySolver) Solve(ctx context.Context, p Problem) (*Result, error) {
-	if err := checkProblem(p); err != nil {
-		return nil, err
-	}
-	cfg := s.cfg
-	if s.progress != nil {
-		cfg.OnIteration = func(it nosy.IterationStat) {
-			s.progress(ProgressEvent{
-				Solver:         Nosy,
-				Iteration:      it.Iteration,
-				Dirty:          it.Dirty,
-				Candidates:     it.Candidates,
-				FullCommits:    it.FullCommits,
-				PartialCommits: it.PartialCommits,
-				CoveredEdges:   it.CoveredEdges,
-				Cost:           it.Cost,
-			})
-		}
-	}
-	nr, cause := nosy.SolveCtx(ctx, p.Graph, p.Rates, cfg)
-	return finish(Nosy, nr.Schedule, p, Report{Iterations: len(nr.Iterations)}, cause)
-}
-
-// shardSolver adapts the sharded composite (internal/shard): every
-// shard is a single-threaded CHITCHAT solve on its shard worker's
-// goroutine.
-type shardSolver struct {
-	cfg      shard.Config
-	progress func(ProgressEvent)
-}
-
-func (s *shardSolver) Name() string { return Shard }
-
-func (s *shardSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
-	if err := checkProblem(p); err != nil {
-		return nil, err
-	}
-	cfg := s.cfg
-	if s.progress != nil {
-		prev := cfg.OnProgress
-		cfg.OnProgress = func(pr shard.Progress) {
-			if prev != nil {
-				prev(pr)
+// chitchatSolver is the CHITCHAT solver under cfg, streaming to progress
+// (nil from NewChitChat). The greedy commits are counted through the
+// progress hook, after cfg's own, so the report's iteration count is exact.
+func chitchatSolver(cfg chitchat.Config, progress func(ProgressEvent)) Solver {
+	return builtin{ChitChat, func(ctx context.Context, p Problem) (*core.Schedule, int, error) {
+		commits := 0
+		c := cfg
+		c.OnProgress = func(pr chitchat.Progress) {
+			commits = pr.Commits
+			if cfg.OnProgress != nil {
+				cfg.OnProgress(pr)
 			}
-			s.progress(ProgressEvent{
-				Solver:    Shard,
-				Iteration: pr.Solved,
-				Covered:   pr.Edges,
-				Remaining: pr.Shards - pr.Solved,
-				Cost:      pr.Cost,
-			})
+			if progress != nil {
+				progress(ProgressEvent{
+					Solver:    ChitChat,
+					Iteration: pr.Commits,
+					Covered:   pr.Covered,
+					Remaining: pr.Remaining,
+					Cost:      math.NaN(),
+				})
+			}
 		}
-	}
-	sr, cause := shard.SolveCtx(ctx, p.Graph, p.Rates, cfg, solveShardChitChat)
-	if sr.Schedule == nil {
-		return nil, fmt.Errorf("solver %s: %w", Shard, cause)
-	}
-	return finish(Shard, sr.Schedule, p, Report{Iterations: sr.Shards}, cause)
+		s, cause := chitchat.SolveCtx(ctx, p.Graph, p.Rates, c)
+		return s, commits, cause
+	}}
 }
 
 // solveShardChitChat is the shard.SolveFunc of the sharded solver: one
 // single-threaded CHITCHAT solve.
 func solveShardChitChat(ctx context.Context, g *graph.Graph, r *workload.Rates) (*core.Schedule, error) {
 	return chitchat.SolveCtx(ctx, g, r, chitchat.Config{Workers: 1})
-}
-
-// baselineSolver adapts the one-shot baselines. They are instantaneous,
-// so the context is only consulted once: a pre-canceled context still
-// yields the (valid) baseline schedule alongside its error, per the
-// anytime contract.
-type baselineSolver struct{ name string }
-
-func (s baselineSolver) Name() string { return s.name }
-
-func (s baselineSolver) Solve(ctx context.Context, p Problem) (*Result, error) {
-	if err := checkProblem(p); err != nil {
-		return nil, err
-	}
-	var sched *core.Schedule
-	switch s.name {
-	case PushAll:
-		sched = baseline.PushAll(p.Graph)
-	case PullAll:
-		sched = baseline.PullAll(p.Graph)
-	default:
-		sched = baseline.Hybrid(p.Graph, p.Rates)
-	}
-	return finish(s.name, sched, p, Report{Iterations: 1}, ctx.Err())
 }

@@ -23,6 +23,11 @@
 //     solve runs (iteration stats, dirty-set size, running cost when
 //     tracked), replacing the after-the-fact iteration slices.
 //
+// Both are implemented once, by the one built-in solver type: each
+// algorithm is a function that returns its schedule, the iterations it ran
+// and the context error that cut it short, and translates its own progress
+// into ProgressEvents.
+//
 // New builds a solver by name from a fixed table of the six built-ins
 // (Names lists them), which is what the cmd tools and the piggyback
 // facade resolve a flag or a caller's name against. It lists algorithms
@@ -139,11 +144,3 @@ var (
 	// ErrNoGraph means Problem.Graph or Problem.Rates was nil.
 	ErrNoGraph = errors.New("solver: problem has no graph or no rates")
 )
-
-// checkProblem validates the request shape shared by all solvers.
-func checkProblem(p Problem) error {
-	if p.Graph == nil || p.Rates == nil {
-		return ErrNoGraph
-	}
-	return nil
-}

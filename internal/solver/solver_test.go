@@ -88,7 +88,7 @@ func TestSolversMatchPreRedesign(t *testing.T) {
 	g, r := quickProblem(t, nodes)
 	legacy := map[string]func() *core.Schedule{
 		ChitChat: func() *core.Schedule { return chitchat.Solve(g, r, chitchat.Config{}) },
-		Nosy:     func() *core.Schedule { return nosy.Solve(g, r, nosy.Config{}).Schedule },
+		Nosy:     func() *core.Schedule { return nosy.Solve(g, r, nosy.Config{}) },
 		Hybrid:   func() *core.Schedule { return baseline.Hybrid(g, r) },
 		PushAll:  func() *core.Schedule { return baseline.PushAll(g) },
 		PullAll:  func() *core.Schedule { return baseline.PullAll(g) },

@@ -197,7 +197,7 @@ type RefineResult = refine.Result
 // coverage. It never increases cost. Converged PARALLELNOSY schedules
 // have nothing to recover; truncated runs and the hybrid baseline often
 // do.
-func Refine(s *Schedule, r *Rates) RefineResult { return refine.Run(s, r) }
+func Refine(s *Schedule, r *Rates) RefineResult { return refine.Pass(s, r, core.WalkSupports(s)) }
 
 // Maintainer applies incremental graph updates (§3.3) to an optimized
 // schedule without re-running the optimizer: new edges are covered for
