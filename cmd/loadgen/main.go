@@ -233,6 +233,6 @@ func main() {
 		fmt.Printf("\n--- span tree (timed) ---\n%s", tr.TimedTree())
 	}
 	if *snapshot {
-		fmt.Printf("\n--- non-timing snapshot (deterministic) ---\n%s", reg.Snapshot().NonTiming().String())
+		fmt.Printf("\n--- non-timing snapshot (deterministic) ---\n%s", reg.Snapshot().NonTiming().PromText())
 	}
 }

@@ -19,9 +19,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Len returns the capacity of the set in bits.
-func (s *Set) Len() int { return s.n }
-
 // Set sets bit i.
 func (s *Set) Set(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
@@ -52,8 +49,8 @@ func (s *Set) AndNot(t *Set) {
 	}
 }
 
-// SetAll sets every bit 0..Len()-1, leaving the spare bits of the last
-// word clear so NextSet and Ranks never see a bit past Len().
+// SetAll sets every bit 0..n-1 of an n-bit set, leaving the spare bits of
+// the last word clear so NextSet and Ranks never see a bit past n-1.
 func (s *Set) SetAll() {
 	for i := range s.words {
 		s.words[i] = ^uint64(0)

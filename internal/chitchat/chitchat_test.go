@@ -236,7 +236,7 @@ func TestSolveInducedPatchRoundTrip(t *testing.T) {
 	if err := patch.Validate(); err != nil {
 		t.Fatalf("patch invalid: %v", err)
 	}
-	if _, _, err := core.ApplyPatch(full, sub, patch, r); err != nil {
+	if _, _, err := core.ApplyPatch(full, sub, patch); err != nil {
 		t.Fatal(err)
 	}
 	if err := full.Validate(); err != nil {

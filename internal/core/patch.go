@@ -10,9 +10,10 @@
 // nodes), so patched region edges are self-consistently served. The only
 // edges that can break are OUTSIDE the region: an exterior covered edge
 // whose hub support crosses into the region may lose the support's
-// push/pull flag when the patch reassigns it. RepairCoverage restores
-// exactly those flags — it only ever adds push/pull marks, so it cannot
-// invalidate anything else, and the repaired schedule is valid.
+// push/pull flag when the patch reassigns it; its support EDGES stay, since
+// a splice changes no graph edge. ApplyPatch's walk restores exactly those
+// flags — it only ever adds push/pull marks, so it cannot invalidate
+// anything else, and the repaired schedule is valid.
 
 package core
 
@@ -20,7 +21,6 @@ import (
 	"fmt"
 
 	"piggyback/internal/graph"
-	"piggyback/internal/workload"
 )
 
 // ClearEdge removes every assignment from edge e (push, pull, coverage).
@@ -32,30 +32,29 @@ func (s *Schedule) ClearEdge(e graph.EdgeID) {
 // ApplyPatch splices patch — a valid schedule over sub.G, a subgraph
 // graph.Induced extracted from s's graph — into s: every region-internal
 // edge takes the patch's assignment (hub ids remapped to parent ids), then
-// RepairCoverage restores any exterior coverage whose support flags the
-// patch removed. The splice is atomic from the caller's perspective: s
-// is mutated only through this call, and on return it is valid whenever
-// it was valid before and patch is valid over sub.G.
+// one walk over the covered edges restores the support flags of any
+// exterior coverage the patch removed. The splice is atomic from the
+// caller's perspective: s is mutated only through this call, and on return
+// it is valid whenever it was valid before and patch is valid over sub.G.
 //
 // It returns the number of boundary repairs performed and the support
 // table the repair walk resolved on the way, which is WalkSupports' of the
 // spliced schedule: the refine sweep that follows a region splice takes it
 // from here.
-func ApplyPatch(s *Schedule, sub *graph.Subgraph, patch *Schedule, r *workload.Rates) (int, Supports, error) {
+func ApplyPatch(s *Schedule, sub *graph.Subgraph, patch *Schedule) (int, Supports, error) {
 	if err := Splice(s, sub, patch); err != nil {
 		return 0, Supports{}, err
 	}
-	t := newSupports(len(s.flags))
-	return walkSupports(s, r, t), t, nil
+	t, repairs := walkSupports(s, true)
+	return repairs, t, nil
 }
 
-// Splice is ApplyPatch without the repair pass: it writes patch's
+// Splice is ApplyPatch without the repair walk: it writes patch's
 // assignments into s and leaves any exterior coverage whose support the
-// patch cleared unrepaired. Callers splicing SEVERAL patches — the
-// sharded solver merging node-disjoint per-shard schedules — use it to
-// pay RepairCoverage's full-graph sweep once after the last splice
-// instead of once per patch. A schedule holding un-repaired splices is
-// not necessarily valid; it must not escape before RepairCoverage runs.
+// patch cleared unrepaired. The sharded solver splices its node-disjoint
+// per-shard schedules into an empty schedule with it: each patch's covers
+// rest on its own shard's edges, which no other patch touches, and no cut
+// edge is covered yet, so there is nothing to repair (DESIGN.md §9).
 func Splice(s *Schedule, sub *graph.Subgraph, patch *Schedule) error {
 	if patch.Graph() != sub.G {
 		return fmt.Errorf("core: patch schedule is not over the subgraph")
@@ -82,32 +81,23 @@ func Splice(s *Schedule, sub *graph.Subgraph, patch *Schedule) error {
 	return nil
 }
 
-// RepairCoverage restores the validity of covered edges whose hub
-// support flags have been cleared (by a region re-solve whose boundary
-// crossed the supports): the missing push/pull marks are re-added. A
-// covered edge whose support EDGE no longer exists in the graph cannot
-// be repaired that way and falls back to direct service with the
-// cheaper of push and pull. Repairs only add flags, so a repair never
-// invalidates another edge. Returns the number of edges touched.
-func RepairCoverage(s *Schedule, r *workload.Rates) int { return walkSupports(s, r, Supports{}) }
-
 // WalkSupports returns the support table of s, walked now. It reads s and
 // writes nothing; a covered edge with a missing support is -1 there.
 func WalkSupports(s *Schedule) Supports {
-	t := newSupports(len(s.flags))
-	walkSupports(s, nil, t)
+	t, _ := walkSupports(s, false)
 	return t
 }
 
 // walkSupports resolves the supports of every covered edge of s, in edge
-// order, and records them in t unless t is the zero table. With r non-nil
-// it is also RepairCoverage's walk; with r nil it writes nothing to s and
-// leaves a covered edge with a missing support covered, -1 in the table.
+// order, into a fresh table. With repair set it also adds a support's
+// missing push or pull — only where both supports were found, so a covered
+// edge whose support is not in the graph stays -1 in the table and never
+// flags a wrong edge — and returns the number of covered edges it touched.
 // Edges group by source, so each source's out-row is stamped once and only
 // the down support w → v is searched.
-func walkSupports(s *Schedule, r *workload.Rates, t Supports) int {
-	var st graph.RowStamp
-	st.Reset(s.g)
+func walkSupports(s *Schedule, repair bool) (Supports, int) {
+	t := newSupports(len(s.flags))
+	st := graph.NewRowStamp(s.g)
 	repairs := 0
 	s.g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		if !s.IsCovered(e) {
@@ -117,27 +107,15 @@ func walkSupports(s *Schedule, r *workload.Rates, t Supports) int {
 		st.Stamp(u)
 		up, ok1 := st.Edge(w)
 		down, ok2 := s.g.EdgeID(w, v)
-		if r != nil && !(ok1 && ok2) {
-			s.ClearCovered(e)
-			if r.Prod[u] <= r.Cons[v] {
-				s.SetPush(e)
-			} else {
-				s.SetPull(e)
-			}
-			repairs++
-			return true
+		if ok1 {
+			t.Up[e] = up
+			t.Pinned[up]++
 		}
-		if t.Pinned != nil {
-			if ok1 {
-				t.Up[e] = up
-				t.Pinned[up]++
-			}
-			if ok2 {
-				t.Down[e] = down
-				t.Pinned[down]++
-			}
+		if ok2 {
+			t.Down[e] = down
+			t.Pinned[down]++
 		}
-		if r == nil {
+		if !repair || !ok1 || !ok2 {
 			return true
 		}
 		fixed := false
@@ -154,5 +132,5 @@ func walkSupports(s *Schedule, r *workload.Rates, t Supports) int {
 		}
 		return true
 	})
-	return repairs
+	return t, repairs
 }

@@ -6,17 +6,15 @@ import (
 	"testing"
 
 	"piggyback/internal/graph"
-	"piggyback/internal/workload"
 )
 
 // patchFixture: 0→1 (push support), 1→2 (pull support), 0→2 covered
 // through 1, plus an exterior tail 3→0.
-func patchFixture(t *testing.T) (*graph.Graph, *workload.Rates, *Schedule) {
+func patchFixture(t *testing.T) (*graph.Graph, *Schedule) {
 	t.Helper()
 	g := graph.FromEdges(4, []graph.Edge{
 		{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 2}, {From: 3, To: 0},
 	})
-	r := workload.NewUniform(4, 1)
 	s := NewSchedule(g)
 	up, _ := g.EdgeID(0, 1)
 	down, _ := g.EdgeID(1, 2)
@@ -29,11 +27,11 @@ func patchFixture(t *testing.T) (*graph.Graph, *workload.Rates, *Schedule) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return g, r, s
+	return g, s
 }
 
 func TestApplyPatchSplicesAndRemapsHubs(t *testing.T) {
-	g, r, s := patchFixture(t)
+	g, s := patchFixture(t)
 	// Region = {0, 1, 2}; re-solve flips the region to all-direct pushes.
 	sub := graph.Induced(g, []graph.NodeID{0, 1, 2})
 	patch := NewSchedule(sub.G)
@@ -44,7 +42,7 @@ func TestApplyPatchSplicesAndRemapsHubs(t *testing.T) {
 	if err := patch.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	repairs, _, err := ApplyPatch(s, sub, patch, r)
+	repairs, _, err := ApplyPatch(s, sub, patch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +63,7 @@ func TestApplyPatchSplicesAndRemapsHubs(t *testing.T) {
 }
 
 func TestApplyPatchKeepsCoverageAndRemapsHubNode(t *testing.T) {
-	g, r, s := patchFixture(t)
+	g, s := patchFixture(t)
 	sub := graph.Induced(g, []graph.NodeID{0, 1, 2})
 	// Patch reproduces the hub structure: push 0→1, pull 1→2, cover 0→2
 	// through local node of 1.
@@ -80,7 +78,7 @@ func TestApplyPatchKeepsCoverageAndRemapsHubNode(t *testing.T) {
 	if err := patch.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	_, sup, err := ApplyPatch(s, sub, patch, r)
+	_, sup, err := ApplyPatch(s, sub, patch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +110,7 @@ func TestApplyPatchKeepsCoverageAndRemapsHubNode(t *testing.T) {
 // with the same edges, so the ids would even resolve — it must fail before
 // writing anything.
 func TestSpliceRejectsForeignSubgraph(t *testing.T) {
-	g, _, s := patchFixture(t)
+	g, s := patchFixture(t)
 	twin := graph.FromEdges(g.NumNodes(), g.EdgeList())
 	sub := graph.Induced(twin, []graph.NodeID{0, 1, 2})
 	patch := NewSchedule(sub.G)
@@ -124,7 +122,7 @@ func TestSpliceRejectsForeignSubgraph(t *testing.T) {
 	if err := Splice(s, sub, patch); err == nil {
 		t.Fatal("spliced a subgraph of another graph")
 	}
-	if _, _, err := ApplyPatch(s, sub, patch, workload.NewUniform(4, 1)); err == nil {
+	if _, _, err := ApplyPatch(s, sub, patch); err == nil {
 		t.Fatal("ApplyPatch took a subgraph of another graph")
 	}
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
@@ -137,14 +135,13 @@ func TestSpliceRejectsForeignSubgraph(t *testing.T) {
 
 // The boundary case the splice-validity argument hinges on: an exterior
 // edge covered through a hub whose support lies INSIDE the region. The
-// patch drops the support's flag; RepairCoverage must restore it.
+// patch drops the support's flag; ApplyPatch's walk must restore it.
 func TestApplyPatchRepairsBoundarySupports(t *testing.T) {
 	// 0→1 (push), 1→2 (pull), 0→2 covered via 1. Region = {1, 2} contains
 	// the pull support 1→2 but not the covered edge 0→2.
 	g := graph.FromEdges(3, []graph.Edge{
 		{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 2},
 	})
-	r := workload.NewUniform(3, 1)
 	s := NewSchedule(g)
 	up, _ := g.EdgeID(0, 1)
 	down, _ := g.EdgeID(1, 2)
@@ -164,7 +161,7 @@ func TestApplyPatchRepairsBoundarySupports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	repairs, sup, err := ApplyPatch(s, sub, patch, r)
+	repairs, sup, err := ApplyPatch(s, sub, patch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,19 +183,25 @@ func TestApplyPatchRepairsBoundarySupports(t *testing.T) {
 	}
 }
 
-func TestRepairCoverageFallsBackWhenSupportMissing(t *testing.T) {
-	// Covered edge whose hub support edge does not exist in the graph:
-	// repair must re-serve it directly.
+// A covered edge whose support is not in the graph breaks ApplyPatch's
+// precondition, and no valid splice produces one. The repair walk must
+// then flag no edge, and the table must keep -1 for the missing support,
+// so the schedule stays as invalid as it came.
+func TestRepairWalkFlagsNothingForMissingSupport(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 2}, {From: 1, To: 2}})
-	r := workload.NewUniform(3, 1)
 	s := NewSchedule(g)
 	cov, _ := g.EdgeID(0, 2)
-	s.SetCovered(cov, 1) // support 0→1 missing
-	if n := RepairCoverage(s, r); n != 1 {
-		t.Fatalf("repairs = %d, want 1", n)
+	down, _ := g.EdgeID(1, 2)
+	s.SetCovered(cov, 1) // up support 0→1 missing
+	sup, repairs := walkSupports(s, true)
+	if repairs != 0 || s.IsScheduled(down) {
+		t.Fatalf("repairs = %d, 1→2 flags push=%v pull=%v; want no repair", repairs, s.IsPush(down), s.IsPull(down))
 	}
-	if s.IsCovered(cov) || !s.IsScheduled(cov) {
-		t.Fatal("unrepairable coverage should become direct service")
+	if sup.Up[cov] != -1 || sup.Down[cov] != down || sup.Pinned[down] != 1 {
+		t.Fatalf("table up=%d down=%d pinned=%d, want -1, %d, 1", sup.Up[cov], sup.Down[cov], sup.Pinned[down], down)
+	}
+	if s.Validate() == nil {
+		t.Fatal("a cover without its support validated")
 	}
 }
 

@@ -4,13 +4,14 @@
 // A Schedule is plain data: per edge its flags and its hub. What a walk over
 // its covered edges resolves, the support table, is passed between the
 // steps that read it as an argument: ApplyPatch returns the one its repair
-// walk filled, and WalkSupports walks one now. The active-store model of
-// Theorem 3 lives in the package's tests, which check that an active
-// schedule never beats its passive form.
+// walk filled, and WalkSupports walks one now; both run the package's one
+// support walk. The active-store model of Theorem 3 lives in the package's
+// tests, which check that an active schedule never beats its passive form.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"piggyback/internal/graph"
 	"piggyback/internal/workload"
@@ -85,20 +86,8 @@ func NewSchedule(g *graph.Graph) *Schedule {
 func (s *Schedule) Graph() *graph.Graph { return s.g }
 
 // Clone returns an independent deep copy.
-func (s *Schedule) Clone() *Schedule { return s.CloneInto(nil) }
-
-// CloneInto makes dst an independent deep copy of s, reusing dst's arrays
-// where they are large enough, and returns it; a nil dst allocates.
-func (s *Schedule) CloneInto(dst *Schedule) *Schedule {
-	if dst == nil {
-		dst = &Schedule{}
-	}
-	*dst = Schedule{
-		g:     s.g,
-		flags: append(dst.flags[:0], s.flags...),
-		hub:   append(dst.hub[:0], s.hub...),
-	}
-	return dst
+func (s *Schedule) Clone() *Schedule {
+	return &Schedule{g: s.g, flags: slices.Clone(s.flags), hub: slices.Clone(s.hub)}
 }
 
 // SetPush adds edge e to the push set H.
@@ -111,12 +100,6 @@ func (s *Schedule) SetPull(e graph.EdgeID) { s.flags[e] |= FlagPull }
 func (s *Schedule) SetCovered(e graph.EdgeID, w graph.NodeID) {
 	s.flags[e] |= FlagCovered
 	s.hub[e] = w
-}
-
-// ClearCovered removes coverage from edge e (incremental maintenance).
-func (s *Schedule) ClearCovered(e graph.EdgeID) {
-	s.flags[e] &^= FlagCovered
-	s.hub[e] = -1
 }
 
 // ClearPush removes e from H.

@@ -170,13 +170,13 @@ func TestClearOperations(t *testing.T) {
 	if s.IsPush(e) || !s.IsPull(e) || !s.IsCovered(e) {
 		t.Fatal("ClearPush broke other flags")
 	}
-	s.ClearCovered(e)
-	if s.IsCovered(e) || s.Hub(e) != -1 {
-		t.Fatal("ClearCovered incomplete")
-	}
 	s.ClearPull(e)
-	if s.IsScheduled(e) {
-		t.Fatal("edge should be unscheduled")
+	if s.IsPull(e) || !s.IsCovered(e) || s.Hub(e) != 2 {
+		t.Fatal("ClearPull broke coverage")
+	}
+	s.ClearEdge(e)
+	if s.IsScheduled(e) || s.Hub(e) != -1 {
+		t.Fatal("ClearEdge incomplete")
 	}
 }
 

@@ -242,7 +242,7 @@ func (g *Graph) EdgeID(u, v NodeID) (EdgeID, bool) {
 // source's row is told apart by its id falling outside u's out-range, so
 // the array is never cleared. A sweep that visits edges grouped by source
 // pays one O(out-degree) stamp per source instead of a binary search per
-// lookup. The zero value is ready once Reset has named the graph.
+// lookup.
 type RowStamp struct {
 	g      *Graph
 	at     []EdgeID
@@ -250,13 +250,9 @@ type RowStamp struct {
 	lo, hi EdgeID
 }
 
-// Reset points the stamp at g, reusing its storage, with no row stamped.
-func (st *RowStamp) Reset(g *Graph) {
-	st.g, st.u, st.lo, st.hi = g, -1, 0, 0
-	if cap(st.at) < g.n {
-		st.at = make([]EdgeID, g.n)
-	}
-	st.at = st.at[:g.n]
+// NewRowStamp returns a stamp over g with no row stamped.
+func NewRowStamp(g *Graph) RowStamp {
+	return RowStamp{g: g, at: make([]EdgeID, g.n), u: -1}
 }
 
 // Stamp makes u the source Edge answers for; stamping the current source

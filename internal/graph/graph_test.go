@@ -330,12 +330,10 @@ func TestQuickCSRInvariants(t *testing.T) {
 }
 
 // RowStamp answers exactly what EdgeID does for the stamped source, over
-// random graphs and stamp orders, with one stamp reused across graphs of
-// different sizes (stale entries of an earlier row or graph must read as
-// absent, never as another edge).
+// random graphs and stamp orders (stale entries of an earlier row must
+// read as absent, never as another edge).
 func TestRowStampMatchesEdgeID(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	var st RowStamp
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
 		b := NewBuilder(n)
@@ -343,7 +341,7 @@ func TestRowStampMatchesEdgeID(t *testing.T) {
 			b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
 		}
 		g := b.Build()
-		st.Reset(g)
+		st := NewRowStamp(g)
 		if _, ok := st.Edge(NodeID(rng.Intn(n))); ok {
 			t.Fatalf("trial %d: an edge found with no row stamped", trial)
 		}

@@ -504,7 +504,7 @@ func TestChurnPropertyAddRemoveResolve(t *testing.T) {
 			ng, ns := m.Rebase()
 			seed := graph.NodeID(rng.Intn(ng.NumNodes()))
 			sub := graph.Induced(ng, graph.KHop(ng, []graph.NodeID{seed}, 2, 60))
-			if _, _, err := core.ApplyPatch(ns, sub, chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{Workers: 1}), r); err != nil {
+			if _, _, err := core.ApplyPatch(ns, sub, chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{Workers: 1})); err != nil {
 				t.Fatalf("op %d: splicing the region patch: %v", op, err)
 			}
 			if err := ns.Validate(); err != nil {
@@ -573,7 +573,7 @@ func TestNewFromHandedTableMatchesWalk(t *testing.T) {
 	for seed := graph.NodeID(0); seed < 4; seed++ {
 		s := base.Clone()
 		sub := graph.Induced(g, graph.KHop(g, []graph.NodeID{seed * 37}, 2, 120))
-		_, sup, err := core.ApplyPatch(s, sub, chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{Workers: 1}), r)
+		_, sup, err := core.ApplyPatch(s, sub, chitchat.Solve(sub.G, r.Project(sub.Global), chitchat.Config{Workers: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}

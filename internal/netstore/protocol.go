@@ -108,9 +108,6 @@ const (
 	ErrCodeMalformed ErrCode = 1
 	// ErrCodeUnknownOp means the request op byte is not recognized.
 	ErrCodeUnknownOp ErrCode = 2
-	// ErrCodeInternal means the server failed while serving a
-	// well-formed request.
-	ErrCodeInternal ErrCode = 3
 )
 
 // String names the code for logs.
@@ -120,8 +117,6 @@ func (c ErrCode) String() string {
 		return "malformed"
 	case ErrCodeUnknownOp:
 		return "unknown-op"
-	case ErrCodeInternal:
-		return "internal"
 	}
 	return fmt.Sprintf("code-%d", byte(c))
 }

@@ -113,7 +113,7 @@ func TestTrafficMetricsExposition(t *testing.T) {
 		"netstore_server_conns_total",
 	} {
 		if _, ok := snap.Get(name); !ok {
-			t.Fatalf("metric %s missing from registry:\n%s", name, snap.String())
+			t.Fatalf("metric %s missing from registry:\n%s", name, snap.PromText())
 		}
 	}
 }

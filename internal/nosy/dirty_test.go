@@ -80,7 +80,7 @@ func TestDirtyPropagationExact(t *testing.T) {
 		rounds, clean := 0, 0
 		cfg.OnIteration = func(IterationStat) {
 			rounds++
-			clean += st.dirty.Len() - len(st.dirty.AppendSet(nil))
+			clean += tc.g.NumEdges() - len(st.dirty.AppendSet(nil))
 			if err := cleanSlotsMatchFresh(st, ixs); err != nil {
 				t.Fatalf("%s round %d: %v", tc.name, rounds, err)
 			}

@@ -348,11 +348,7 @@ func New(s *core.Schedule, r *workload.Rates, cfg Config) (*Daemon, error) {
 	// Rate ops are checked as they come (incremental.UpdateRates); the
 	// initial rates are checked here. The drift check's early exit needs
 	// every c* ≥ 0.
-	n := s.Graph().NumNodes()
-	if len(r.Prod) < n || len(r.Cons) < n {
-		return nil, fmt.Errorf("online: rates cover %d/%d users, graph has %d nodes", len(r.Prod), len(r.Cons), n)
-	}
-	if err := (&workload.Rates{Prod: r.Prod[:n], Cons: r.Cons[:n]}).Validate(n); err != nil {
+	if err := r.Validate(s.Graph().NumNodes()); err != nil {
 		return nil, fmt.Errorf("online: %w", err)
 	}
 	d := &Daemon{
@@ -892,7 +888,7 @@ func (d *Daemon) solve(ctx context.Context, frozen *incremental.Frozen, r *workl
 	// the region's assignments in it, and the repair walk restores the
 	// exterior supports the patch cleared.
 	st = d.begin(fl.root.id, "splice", "")
-	repairs, sup, err := core.ApplyPatch(liveS, sub, patch, r)
+	repairs, sup, err := core.ApplyPatch(liveS, sub, patch)
 	if err != nil {
 		st.end("failed")
 		fl.err = fmt.Errorf("online: splicing the regional patch: %w", err)

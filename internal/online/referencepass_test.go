@@ -166,7 +166,15 @@ func TestPassMatchesReferenceSweep(t *testing.T) {
 		}
 		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 			if s.IsCovered(e) && rng.Intn(3) == 0 {
-				s.ClearCovered(e)
+				// Uncover e and keep its direct flags.
+				push, pull := s.IsPush(e), s.IsPull(e)
+				s.ClearEdge(e)
+				if push {
+					s.SetPush(e)
+				}
+				if pull {
+					s.SetPull(e)
+				}
 			}
 		}
 		s.Finalize(r) // the hybrid rule, on the edges just uncovered

@@ -289,7 +289,7 @@ func (ls *lockstep) boundary(at int) error {
 	case did && stop != n:
 		return fmt.Errorf("op %d: re-solved on %d of %d members", at, stop, n)
 	}
-	for v := 0; v < rg.in.Len(); v++ {
+	for v := range d.dirt {
 		if _, member := slices.BinarySearch(rg.nodes, graph.NodeID(v)); rg.in.Test(v) != member {
 			return fmt.Errorf("op %d: membership bit of node %d is %v", at, v, rg.in.Test(v))
 		}

@@ -41,7 +41,7 @@ func BenchmarkAttemptTail(b *testing.B) {
 			switch step {
 			case splice:
 				var err error
-				if _, sup, err = core.ApplyPatch(s, sub, patch, r); err != nil {
+				if _, sup, err = core.ApplyPatch(s, sub, patch); err != nil {
 					b.Fatal(err)
 				}
 			case refined:

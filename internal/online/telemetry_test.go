@@ -70,7 +70,7 @@ func TestDaemonMetricsMirrorStats(t *testing.T) {
 		"online_region_size", "online_stall_seconds", "online_apply_seconds",
 	} {
 		if _, ok := snap.Get(name); !ok {
-			t.Fatalf("series %s not registered at construction:\n%s", name, snap.String())
+			t.Fatalf("series %s not registered at construction:\n%s", name, snap.PromText())
 		}
 	}
 	m, _ := snap.Get("online_cost")

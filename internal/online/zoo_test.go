@@ -316,8 +316,8 @@ func sameEnd(t *testing.T, r *zooResult) {
 		t.Errorf("disturbed run: decision records differ:\n%s\n---\n%s", got.records, want.records)
 	case got.tree != want.tree:
 		t.Errorf("disturbed run: span trees differ:\n%s\n---\n%s", got.tree, want.tree)
-	case got.metrics.NonTiming().String() != want.metrics.NonTiming().String():
-		t.Errorf("disturbed run: non-timing snapshots differ:\n%s\n---\n%s", got.metrics.NonTiming(), want.metrics.NonTiming())
+	case got.metrics.NonTiming().PromText() != want.metrics.NonTiming().PromText():
+		t.Errorf("disturbed run: non-timing snapshots differ:\n%s\n---\n%s", got.metrics.NonTiming().PromText(), want.metrics.NonTiming().PromText())
 	case math.Float64bits(got.cost) != math.Float64bits(want.cost):
 		t.Errorf("disturbed run: cost %v, observed %v", got.cost, want.cost)
 	}

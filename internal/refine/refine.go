@@ -60,8 +60,7 @@ func Pass(s *core.Schedule, r *workload.Rates, sup core.Supports) Result {
 	}
 
 	var res Result
-	var out graph.RowStamp
-	out.Reset(g)
+	out := graph.NewRowStamp(g)
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
 		// Candidates: edges paying a direct cost that nothing depends on.
 		if s.IsCovered(e) || sup.Pinned[e] > 0 {

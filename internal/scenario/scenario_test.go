@@ -161,7 +161,7 @@ func TestZooTelemetry(t *testing.T) {
 			t.Errorf("span tree missing %q:\n%s", want, tree)
 		}
 	}
-	snap := reg.Snapshot().String()
+	snap := reg.Snapshot().PromText()
 	if !strings.Contains(snap, "scenario_ops_total") || !strings.Contains(snap, `scenario="flashcrowd"`) {
 		t.Errorf("snapshot missing scenario series:\n%s", snap)
 	}

@@ -19,13 +19,13 @@
 //     run single-threaded — shard-level concurrency already saturates
 //     the machine, and one active solve per worker is what keeps peak
 //     memory O(active shard).
-//  4. Reconcile. Per-shard patches are spliced into one schedule in
-//     ascending shard order (core.Splice), exterior coverage is repaired
-//     once (core.RepairCoverage — provably zero repairs for node-disjoint
-//     shards, kept as a safety net), cut edges are covered through hubs
-//     where the flags already paid for by the shard schedules make that
-//     no dearer than direct service (reconcileCut), and whatever remains
-//     is served directly by the hybrid rule (Finalize).
+//  4. Reconcile. Per-shard patches are spliced into one empty schedule
+//     in ascending shard order (core.Splice; node-disjoint patches leave
+//     no cover unsupported, so nothing is repaired), cut edges are
+//     covered through hubs where the flags already paid for by the shard
+//     schedules make that no dearer than direct service (reconcileCut),
+//     and whatever remains is served directly by the hybrid rule
+//     (Finalize).
 //
 // Every stage is deterministic and the merge order is fixed, so the
 // schedule is byte-identical across Config.Workers. With Shards = 1 the
@@ -91,11 +91,6 @@ type Result struct {
 	Schedule *core.Schedule
 	// Shards is the partition count the solve used.
 	Shards int
-	// CutCovered counts the cut edges reconcileCut covered through hubs.
-	CutCovered int
-	// BoundaryRepairs counts the exterior supports core.RepairCoverage
-	// restored after the splice (zero for node-disjoint shards).
-	BoundaryRepairs int
 }
 
 // shardResult is one finished shard.
@@ -190,13 +185,11 @@ func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config
 			return Result{}, fmt.Errorf("splicing shard %d: %w", idx, err)
 		}
 	}
-	repairs := core.RepairCoverage(out, r)
-	cutCovered := 0
 	if k > 1 {
-		cutCovered = reconcileCut(out, g, r, cutEdges(g, assign))
+		reconcileCut(out, g, r, cutEdges(g, assign))
 	}
 	out.Finalize(r)
-	return Result{Schedule: out, Shards: k, CutCovered: cutCovered, BoundaryRepairs: repairs}, cause
+	return Result{Schedule: out, Shards: k}, cause
 }
 
 // cutEdges lists, in ascending id order, the edges whose endpoints the
@@ -223,11 +216,9 @@ func cutEdges(g *graph.Graph, assign partition.Assignment) []graph.EdgeID {
 // directly — cost-neutral covers are taken because the flags they add
 // are shared by later cut edges through the same hub, which is where the
 // gain over the plain hybrid fallback comes from. Sequential ascending
-// scan ⇒ deterministic. Returns the number of edges covered.
-func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []graph.EdgeID) int {
-	covered := 0
-	var out graph.RowStamp
-	out.Reset(g)
+// scan ⇒ deterministic.
+func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []graph.EdgeID) {
+	out := graph.NewRowStamp(g)
 	for _, e := range cut {
 		if s.IsCovered(e) || s.IsPush(e) || s.IsPull(e) {
 			continue
@@ -264,10 +255,8 @@ func reconcileCut(s *core.Schedule, g *graph.Graph, r *workload.Rates, cut []gra
 			s.SetPush(bestUp)
 			s.SetPull(bestDown)
 			s.SetCovered(e, bestHub)
-			covered++
 		}
 	}
-	return covered
 }
 
 // solveShard extracts one shard's subgraph and solves it.

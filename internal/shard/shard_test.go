@@ -1,7 +1,10 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,6 +16,7 @@ import (
 	"piggyback/internal/graph"
 	"piggyback/internal/graphgen"
 	"piggyback/internal/partition"
+	"piggyback/internal/schedio"
 	"piggyback/internal/shard"
 	"piggyback/internal/solver"
 	"piggyback/internal/workload"
@@ -116,9 +120,6 @@ func TestShardOneShardMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSchedule(t, "shards=1 vs unsharded chitchat", ref.Schedule, sharded.Schedule, p.Graph)
-	if sharded.BoundaryRepairs != 0 {
-		t.Fatalf("boundary repairs = %d, want 0", sharded.BoundaryRepairs)
-	}
 }
 
 // Acceptance: at Quick scale the default-configured shard solver stays
@@ -155,7 +156,9 @@ func TestShardQuickCostWithinFivePercent(t *testing.T) {
 // shows the same throughput penalty as server counts grow), but the
 // reconciliation rule — cover a cut edge only when no dearer than direct
 // service — guarantees the result never falls behind the hybrid
-// baseline.
+// baseline. At each shard count the spliced shards must already support
+// every cover (shard.Spliced checks it), and some cut edge must end up
+// covered.
 func TestShardNeverWorseThanHybrid(t *testing.T) {
 	p := quickProblem(t)
 	hy := baseline.HybridCost(p.Graph, p.Rates)
@@ -170,7 +173,16 @@ func TestShardNeverWorseThanHybrid(t *testing.T) {
 		if cost := res.Schedule.Cost(p.Rates); cost > hy {
 			t.Fatalf("shards=%d: cost %.1f exceeds hybrid %.1f", shards, cost, hy)
 		}
-		if res.CutCovered == 0 {
+		shard.Spliced(t, p.Graph, p.Rates, shards)
+		assign := partition.Locality(p.Graph, shards, 0)
+		cutCovered := 0
+		p.Graph.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {
+			if assign.Of(u) != assign.Of(v) && res.Schedule.IsCovered(e) {
+				cutCovered++
+			}
+			return true
+		})
+		if cutCovered == 0 {
 			t.Fatalf("shards=%d: cut reconciliation covered nothing", shards)
 		}
 	}
@@ -286,6 +298,60 @@ func TestShardErrorIsTheLowestShards(t *testing.T) {
 			res, err := shard.SolveCtx(context.Background(), g, r, shard.Config{Shards: k, Workers: workers}, fail)
 			if err == nil || err.Error() != "shard 0: shard 0 failed" || res.Schedule != nil {
 				t.Fatalf("workers=%d run %d: err = %v, schedule %v", workers, run, err, res.Schedule != nil)
+			}
+		}
+	}
+}
+
+// TestShardSchedulesPinned holds the sharded solve to the schedule bytes it
+// produced at commit 6aacff4, before the splice's repair walk left it: each
+// literal is sha256(schedio.Write(schedule)) taken there, at 2, 4 and 8
+// shards on a Flickr-like and a streamed graph. Both worker counts must
+// land on them.
+func TestShardSchedulesPinned(t *testing.T) {
+	nodes, edges := 600, 60_000
+	want := map[string]string{
+		"flickr/2": "43b916a8e3d5cfe0086a21f1f569a0aacb8c52c61bf9653f105a4014def679b3",
+		"flickr/4": "97ead38f83bcf10b70786788e79636206a6dcad4809d63e35fa0323044a3400a",
+		"flickr/8": "3cf2a9f6b8881b6e3203a31879836f0a42671c0fa48d9914b667d5dfe0366533",
+		"stream/2": "3eb056182acc87fc003061b84c4e4fd6f5c434f07c85707318e66e8ef0f79908",
+		"stream/4": "102280cea1036589a37d7feb3af1023d024dbb69815d0368155854dcdad0d1af",
+		"stream/8": "ca6ce469fa35541eeb23e08c55353a970c3b83d9fc48cf56121bf9c096009e7b",
+	}
+	if testing.Short() {
+		nodes, edges = 250, 20_000
+		want = map[string]string{
+			"flickr/2": "b77f334a1edadba3d5f9e70418bb0800d1ab6de1a43de48b8bf6fdd442b8c9f7",
+			"flickr/4": "d94a83beb3d193af0a87ee344b395f9531ac4ac0ed68986d3945bba47051ef1a",
+			"flickr/8": "275d66666100270af2ee19c33894382190db952408798b9c6065ae12552d7bba",
+			"stream/2": "9ac6032ced3f360552a7dff69c103bf55b32b05ec8fceaa8ec5cab699e00bc22",
+			"stream/4": "0807ad10f5b0175b31803725382797402cddc29aa02a92d4b545fa8a9b691f7f",
+			"stream/8": "f33c6f874169520a415a3bb09f63cc7df0cfde50e3ebb660de519128317502d2",
+		}
+	}
+	for _, gk := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"flickr", graphgen.Social(graphgen.FlickrLike(nodes, 1))},
+		{"stream", graphgen.StreamSocial(graphgen.FlickrLikeEdges(edges, 7))},
+	} {
+		r := workload.LogDegree(gk.g, 5)
+		for _, shards := range []int{2, 4, 8} {
+			key := fmt.Sprintf("%s/%d", gk.name, shards)
+			for _, workers := range []int{1, 2} {
+				res, err := shard.SolveCtx(context.Background(), gk.g, r, shard.Config{Shards: shards, Workers: workers}, solveChitChat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := schedio.Write(&buf, res.Schedule); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != want[key] {
+					t.Errorf("%s, Workers %d: schedule digest %s, pinned %s", key, workers, got, want[key])
+				}
 			}
 		}
 	}

@@ -106,12 +106,16 @@ type builtin struct {
 func (b builtin) Name() string { return b.name }
 
 // Solve implements the Solver contract once for every built-in: it checks
-// the problem, runs the algorithm, and returns the best-so-far schedule
-// together with the error that cut the solve short. A run that returns no
-// schedule failed (a shard solve's error) and yields no Result.
+// the problem (the rates must pass Rates.Validate for the graph), runs the
+// algorithm, and returns the best-so-far schedule together with the error
+// that cut the solve short. A run that returns no schedule failed (a shard
+// solve's error) and yields no Result.
 func (b builtin) Solve(ctx context.Context, p Problem) (*Result, error) {
 	if p.Graph == nil || p.Rates == nil {
 		return nil, ErrNoGraph
+	}
+	if err := p.Rates.Validate(p.Graph.NumNodes()); err != nil {
+		return nil, fmt.Errorf("solver %s: %w: %v", b.name, ErrBadRates, err)
 	}
 	s, iterations, cause := b.run(ctx, p)
 	if s == nil {

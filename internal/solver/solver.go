@@ -143,4 +143,7 @@ var (
 	ErrUnknownSolver = errors.New("solver: unknown solver")
 	// ErrNoGraph means Problem.Graph or Problem.Rates was nil.
 	ErrNoGraph = errors.New("solver: problem has no graph or no rates")
+	// ErrBadRates means Problem.Rates does not cover every node of
+	// Problem.Graph, or holds a negative, NaN or infinite rate for one.
+	ErrBadRates = errors.New("solver: rates do not fit the graph")
 )

@@ -267,6 +267,40 @@ func TestProblemValidation(t *testing.T) {
 	}
 }
 
+// TestBadRatesRejected: every built-in refuses rates that do not fit the
+// graph — too few for its nodes, or a negative, NaN or +Inf rate — with an
+// error wrapping ErrBadRates and no result, instead of indexing past the
+// rates or pricing a schedule with them.
+func TestBadRatesRejected(t *testing.T) {
+	g, _ := quickProblem(t, 100)
+	bad := func(prod, cons float64) *workload.Rates {
+		r := workload.LogDegree(g, workload.DefaultReadWriteRatio)
+		r.Prod[17], r.Cons[63] = prod, cons
+		return r
+	}
+	cases := []struct {
+		name string
+		r    *workload.Rates
+	}{
+		{"short", workload.NewUniform(50, 1)},
+		{"negative", bad(-1, 1)},
+		{"NaN", bad(1, math.NaN())},
+		{"+Inf", bad(math.Inf(1), 1)},
+	}
+	for _, name := range Names() {
+		sv, err := New(name, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			res, err := sv.Solve(context.Background(), Problem{Graph: g, Rates: tc.r})
+			if !errors.Is(err, ErrBadRates) || res != nil {
+				t.Errorf("%s, %s rates: result %v, err = %v; want no result and ErrBadRates", name, tc.name, res, err)
+			}
+		}
+	}
+}
+
 // TestBuilderTypedError pins the graph builder's typed error: AddEdge
 // panics with an error wrapping ErrEdgeOutOfRange, TryAddEdge returns
 // it.

@@ -11,7 +11,6 @@ import (
 // Handler returns an http.Handler exposing the registry:
 //
 //	/metrics      Prometheus text format 0.0.4
-//	/metrics.txt  the compact deterministic Snapshot().String() form
 //	/debug/vars   expvar (process-global, includes memstats/cmdline)
 //	/debug/pprof  the standard net/http/pprof profiles
 //
@@ -24,10 +23,6 @@ func Handler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprint(w, r.Snapshot().PromText())
 	})
-	mux.HandleFunc("/metrics.txt", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, r.Snapshot().String())
-	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -39,7 +34,7 @@ func Handler(r *Registry) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "piggyback telemetry\n\n/metrics\n/metrics.txt\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "piggyback telemetry\n\n/metrics\n/debug/vars\n/debug/pprof/\n")
 	})
 	return mux
 }

@@ -27,9 +27,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "ops_total 7") {
 		t.Fatalf("/metrics = %d %q", code, body)
 	}
-	if code, body := get("/metrics.txt"); code != 200 || !strings.Contains(body, "ops_total 7") {
-		t.Fatalf("/metrics.txt = %d %q", code, body)
-	}
 	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "memstats") {
 		t.Fatalf("/debug/vars = %d (want expvar json)", code)
 	}

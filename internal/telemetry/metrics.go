@@ -15,7 +15,8 @@
 //     creation (never adaptive), snapshot order is a stable sort over
 //     (name, labels), and metrics that measure WALL CLOCK follow a
 //     naming convention (IsTiming) so tests can compare everything
-//     else byte for byte.
+//     else byte for byte. A snapshot renders one way, as Prometheus
+//     text (PromText), for /metrics and for the tests alike.
 //   - Identity is a string. A metric is its name plus an ordered label
 //     list, rendered once at registration; the hot path never formats.
 package telemetry
@@ -359,8 +360,6 @@ type Metric struct {
 	Buckets []Bucket
 }
 
-func (m Metric) identity() string { return m.Name + renderLabels(m.Labels) }
-
 // Snapshot is a stable-sorted copy of every registered series.
 type Snapshot struct{ Metrics []Metric }
 
@@ -426,30 +425,6 @@ func (s Snapshot) Get(name string) (Metric, bool) {
 		}
 	}
 	return Metric{}, false
-}
-
-// String renders the snapshot as compact deterministic lines — one
-// series per line, histograms as count/sum plus the cumulative buckets.
-// This is the format the determinism gates diff.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	for _, m := range s.Metrics {
-		fmt.Fprintf(&b, "%s", m.identity())
-		switch m.Kind {
-		case KindHistogram:
-			fmt.Fprintf(&b, " count=%d sum=%g buckets=[", m.Count, m.Sum)
-			for i, bk := range m.Buckets {
-				if i > 0 {
-					b.WriteByte(' ')
-				}
-				fmt.Fprintf(&b, "%g:%d", bk.Le, bk.Count)
-			}
-			b.WriteString("]\n")
-		default:
-			fmt.Fprintf(&b, " %g\n", m.Value)
-		}
-	}
-	return b.String()
 }
 
 // PromText renders the snapshot in the Prometheus text exposition

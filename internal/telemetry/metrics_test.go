@@ -58,7 +58,7 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 		t.Fatalf("nil histogram reported non-zero values")
 	}
 	snap := r.Snapshot()
-	if len(snap.Metrics) != 0 || snap.String() != "" || snap.PromText() != "" {
+	if len(snap.Metrics) != 0 || snap.PromText() != "" {
 		t.Fatalf("nil registry snapshot not empty")
 	}
 }
@@ -113,12 +113,17 @@ func TestSnapshotDeterministicOrderAndRender(t *testing.T) {
 		r.Histogram("c", []float64{1, 10}).Observe(3)
 		return r
 	}
-	s1, s2 := build().Snapshot().String(), build().Snapshot().String()
+	s1, s2 := build().Snapshot().PromText(), build().Snapshot().PromText()
 	if s1 != s2 {
 		t.Fatalf("snapshots differ:\n%s\nvs\n%s", s1, s2)
 	}
-	wantOrder := []string{"a ", "b_total ", `b_total{k="v"} `, "c "}
-	lines := strings.Split(strings.TrimSpace(s1), "\n")
+	wantOrder := []string{"a ", "b_total ", `b_total{k="v"} `, `c_bucket{le="1"} `, `c_bucket{le="10"} `, `c_bucket{le="+Inf"} `, "c_sum ", "c_count "}
+	var lines []string
+	for _, l := range strings.Split(strings.TrimSpace(s1), "\n") {
+		if !strings.HasPrefix(l, "# ") {
+			lines = append(lines, l)
+		}
+	}
 	if len(lines) != len(wantOrder) {
 		t.Fatalf("got %d lines: %q", len(lines), lines)
 	}
@@ -158,7 +163,7 @@ func TestNonTimingExcludesWallClock(t *testing.T) {
 	r.Histogram("lat_seconds", LatencyBuckets).Observe(0.01)
 	nt := r.Snapshot().NonTiming()
 	if len(nt.Metrics) != 1 || nt.Metrics[0].Name != "ops_total" {
-		t.Fatalf("NonTiming kept timing series: %s", nt.String())
+		t.Fatalf("NonTiming kept timing series: %s", nt.PromText())
 	}
 }
 

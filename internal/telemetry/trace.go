@@ -125,16 +125,6 @@ func (t *Tracer) SetDuration(id SpanID, d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of spans begun so far.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(t.seq)
-}
-
 // Tree renders the span forest: one line per span, two-space indent
 // per depth, `name#id attrs -> endAttrs`, children in Begin order.
 // Byte-identical across runs whenever the Begin sequence and the

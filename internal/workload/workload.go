@@ -135,10 +135,11 @@ func (r *Rates) Project(nodes []graph.NodeID) *Rates {
 	return out
 }
 
-// Validate checks the rates are usable for a graph with n nodes: correct
-// length, non-negative, finite.
+// Validate checks the rates are usable for a graph with n nodes: they
+// cover every node, and the first n are non-negative and finite. Entries
+// past n belong to no node and are not read.
 func (r *Rates) Validate(n int) error {
-	if len(r.Prod) != n || len(r.Cons) != n {
+	if len(r.Prod) < n || len(r.Cons) < n {
 		return fmt.Errorf("workload: rates cover %d/%d users, graph has %d nodes",
 			len(r.Prod), len(r.Cons), n)
 	}
