@@ -293,7 +293,7 @@ func TestCodeCitesNoRoadmapItem(t *testing.T) {
 // TestDesignDocDoesNotGrow holds DESIGN.md to the size it had when the
 // budget was set: a section that gains text must lose as much elsewhere.
 func TestDesignDocDoesNotGrow(t *testing.T) {
-	const budget = 157668 // bytes
+	const budget = 157627 // bytes
 	fi, err := os.Stat("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)

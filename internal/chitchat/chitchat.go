@@ -14,15 +14,15 @@
 // one serial loop that commits a fresh queue head or re-evaluates a stale one.
 //
 // Instances. Each hub-graph is materialized once (CSR adjacency + weights,
-// capped at Config.MaxCrossEdges cross-edges) into a densest.Decremental
+// capped at the cross-edge bound b) into a densest.Decremental
 // that stays resident for the whole solve, next to the hub's latest oracle
 // output. Re-evaluating a hub is a peel of the live, unpaid part of its
 // instance — no rebuild, no graph adjacency scans, no visit to covered
 // elements (ensureInst compacts an instance's adjacency once half of it
 // is dead) or to paid supports. Coverage is committed from the same
 // materialized elements the oracle counted, so the claimed newlyCovered
-// always equals the coverage the commit performs, including when
-// MaxCrossEdges truncates the instance.
+// always equals the coverage the commit performs, including when the
+// bound truncates the instance.
 //
 // Inverted index. inv maps a graph edge to the (hub, element) pairs that
 // materialized it, so a commit removes each covered element from exactly
@@ -65,13 +65,6 @@ import (
 
 // Config tunes CHITCHAT. The zero value uses the defaults.
 type Config struct {
-	// MaxCrossEdges bounds the number of cross-edges materialized per
-	// hub-graph instance, mirroring the bound b of §3.2/§4.2. 0 means
-	// DefaultMaxCrossEdges. The bound is applied once, when the instance
-	// is materialized; both the oracle's coverage claim and the committed
-	// coverage are computed from the same materialized element set, so
-	// they always agree.
-	MaxCrossEdges int
 	// Workers bounds the seed phase's goroutines; 0 means GOMAXPROCS.
 	// Schedules and Progress streams are the same for every value.
 	Workers int
@@ -79,6 +72,14 @@ type Config struct {
 	// greedy commit. The callback runs on the solve goroutine; it must
 	// not mutate solver inputs and should return quickly.
 	OnProgress func(Progress)
+
+	// maxCrossEdges bounds the number of cross-edges materialized per
+	// hub-graph instance, the bound b of §3.2/§4.2; 0 means
+	// defaultMaxCrossEdges. Only tests set it. The bound is applied
+	// once, when the instance is materialized; both the oracle's
+	// coverage claim and the committed coverage are computed from the
+	// same materialized element set, so they always agree.
+	maxCrossEdges int
 }
 
 // Progress is the solve-progress snapshot streamed to Config.OnProgress
@@ -94,8 +95,8 @@ type Progress struct {
 	Saved float64
 }
 
-// DefaultMaxCrossEdges matches the bound used for the Twitter runs in §4.2.
-const DefaultMaxCrossEdges = 100000
+// defaultMaxCrossEdges matches the bound used for the Twitter runs in §4.2.
+const defaultMaxCrossEdges = 100000
 
 // seedBlock is how many hubs a seed worker takes per pull on the cursor:
 // small, because a celebrity's instance costs hundreds of times a leaf's.
@@ -127,8 +128,8 @@ func Solve(g *graph.Graph, r *workload.Rates, cfg Config) *core.Schedule {
 // context's error. The returned schedule is always Theorem-1 valid, even
 // when err != nil — CHITCHAT is an anytime solver under this contract.
 func SolveCtx(ctx context.Context, g *graph.Graph, r *workload.Rates, cfg Config) (*core.Schedule, error) {
-	if cfg.MaxCrossEdges == 0 {
-		cfg.MaxCrossEdges = DefaultMaxCrossEdges
+	if cfg.maxCrossEdges == 0 {
+		cfg.maxCrossEdges = defaultMaxCrossEdges
 	}
 	n, m := g.NumNodes(), g.NumEdges()
 	s := core.NewSchedule(g)
@@ -333,7 +334,7 @@ func (hi *hubInstance) yIndex(y graph.NodeID) (int, bool) {
 
 // buildHubInstance materializes the maximal hub-graph centered on w — X =
 // producers of w, Y = consumers of w, elements restricted to the first
-// MaxCrossEdges cross-edges in (producer, adjacency) order — into a
+// maxCrossEdges cross-edges in (producer, adjacency) order — into a
 // decremental oracle; nil when w has no producers or no consumers. It
 // runs before any commit, so every edge is an element and every support
 // weight is unpaid.
@@ -372,7 +373,7 @@ func buildHubInstance(g *graph.Graph, r *workload.Rates, w graph.NodeID,
 		sc.yPos[y] = int32(nx + j)
 	}
 	// Cross-edges x → y, bounded as in the paper.
-	crossBudget := cfg.MaxCrossEdges
+	crossBudget := cfg.maxCrossEdges
 	for i, x := range xs {
 		if crossBudget <= 0 {
 			break

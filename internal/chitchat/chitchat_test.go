@@ -111,7 +111,7 @@ func TestCrossEdgeBound(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(scaled(300, 200), 5))
 	r := workload.LogDegree(g, 5)
 	// A tiny bound must still produce a valid schedule, just a worse one.
-	tight := Solve(g, r, Config{MaxCrossEdges: 2})
+	tight := Solve(g, r, Config{maxCrossEdges: 2})
 	if err := tight.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCrossEdgeBound(t *testing.T) {
 }
 
 // TestCommitMatchesClaimUnderTruncation is the regression test for the
-// cross-edge accounting bug: with a binding MaxCrossEdges the oracle used
+// cross-edge accounting bug: with a binding maxCrossEdges the oracle used
 // to count only the truncated instance while the commit covered every
 // uncovered cross-edge, so the greedy ratio disagreed with what the
 // schedule actually did. Both are now computed from the same materialized
@@ -141,7 +141,7 @@ func TestCommitMatchesClaimUnderTruncation(t *testing.T) {
 					t.Errorf("maxCross=%d workers=%d hub %d: claimed %d covered %d", maxCross, workers, w, claimed, covered)
 				}
 			}
-			s := Solve(g, r, Config{MaxCrossEdges: maxCross, Workers: workers})
+			s := Solve(g, r, Config{maxCrossEdges: maxCross, Workers: workers})
 			commitObserver = nil
 			if err := s.Validate(); err != nil {
 				t.Fatalf("maxCross=%d workers=%d: %v", maxCross, workers, err)
@@ -153,7 +153,7 @@ func TestCommitMatchesClaimUnderTruncation(t *testing.T) {
 	}
 }
 
-// TestTruncatedCoverageRespectsBudget checks the fixed MaxCrossEdges
+// TestTruncatedCoverageRespectsBudget checks the fixed maxCrossEdges
 // semantics end to end: each hub instance materializes at most b
 // cross-edges, so no hub may cover more than b cross-edges in the final
 // schedule (support edges are push/pull, not covered).
@@ -161,7 +161,7 @@ func TestTruncatedCoverageRespectsBudget(t *testing.T) {
 	const budget = 3
 	g := graphgen.Social(graphgen.FlickrLike(scaled(200, 120), 9))
 	r := workload.LogDegree(g, 5)
-	s := Solve(g, r, Config{MaxCrossEdges: budget})
+	s := Solve(g, r, Config{maxCrossEdges: budget})
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}

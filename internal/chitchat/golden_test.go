@@ -66,7 +66,7 @@ func pinnedCases(t *testing.T) []pinnedCase {
 	}
 
 	g := graphgen.Social(graphgen.FlickrLike(150, 1))
-	out = append(out, pinnedCase{"MaxCrossEdges=8", g, workload.LogDegree(g, 5), Config{MaxCrossEdges: 8},
+	out = append(out, pinnedCase{"MaxCrossEdges=8", g, workload.LogDegree(g, 5), Config{maxCrossEdges: 8},
 		"952ffffae8f4378d4502dc107fa47cbe4a5a6e23db183b15834560a997b05f01"})
 
 	// End states of two zoo traces, the geometry of TestReplayMatchesRePeelOnZoo.

@@ -30,11 +30,11 @@ func TestSeedWorkerPanicReachesTheCaller(t *testing.T) {
 	p := solver.Problem{Graph: g, Rates: workload.LogDegree(g, 5)}
 	defer chitchat.SetSeedObserver(nil)
 	for _, workers := range []int{1, 2, 3} {
-		sv := solver.NewChitChat(chitchat.Config{Workers: workers})
-		var (
-			res *solver.Result
-			err error
-		)
+		sv, err := solver.New(solver.ChitChat, solver.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *solver.Result
 		solve := func() (r any) {
 			defer func() { r = recover() }()
 			res, err = sv.Solve(context.Background(), p)

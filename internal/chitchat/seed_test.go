@@ -43,7 +43,7 @@ func TestSeedIndexMatchesAppendReference(t *testing.T) {
 	var serial []hubEval
 	for _, workers := range seedWorkers {
 		sv := &solver{
-			g: g, r: r, cfg: Config{MaxCrossEdges: DefaultMaxCrossEdges, Workers: workers}, s: core.NewSchedule(g),
+			g: g, r: r, cfg: Config{maxCrossEdges: defaultMaxCrossEdges, Workers: workers}, s: core.NewSchedule(g),
 			n: n, uncovered: bitset.New(m), remaining: m, q: pq.New(n + m),
 			sc:    scratch{yMark: make([]int64, n), yPos: make([]int32, n)},
 			insts: make([]*hubInstance, n), evals: make([]hubEval, n),

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -51,8 +52,8 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 				return nil, fmt.Errorf("graphio: line %d: expected node count, got %q", line, text)
 			}
 			n, err := strconv.Atoi(fields[0])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graphio: line %d: bad node count %q", line, text)
+			if err != nil || n < 0 || n > maxNodes {
+				return nil, fmt.Errorf("graphio: line %d: bad node count %q (want 0 to %d)", line, text, maxNodes)
 			}
 			b = graph.NewBuilder(n)
 			continue
@@ -65,7 +66,7 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("graphio: line %d: bad edge %q", line, text)
 		}
-		if err := addChecked(b, graph.NodeID(u), graph.NodeID(v)); err != nil {
+		if err := b.TryAddEdge(graph.NodeID(u), graph.NodeID(v)); err != nil {
 			return nil, fmt.Errorf("graphio: line %d: %w", line, err)
 		}
 	}
@@ -78,11 +79,10 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 	return b.Build(), nil
 }
 
-// addChecked adds an edge, reporting the typed graph.ErrEdgeOutOfRange
-// for bad endpoints instead of panicking (file input is untrusted).
-func addChecked(b *graph.Builder, u, v graph.NodeID) error {
-	return b.TryAddEdge(u, v)
-}
+// maxNodes is the most nodes a graph.NodeID (int32) can address. Both
+// readers refuse a larger count before it reaches graph.NewBuilder, which
+// would allocate for every node the file claims.
+const maxNodes = math.MaxInt32
 
 // binaryMagic identifies the binary format ("PGY1").
 const binaryMagic = 0x50475931
@@ -126,17 +126,17 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if hdr[0] != binaryMagic {
 		return nil, fmt.Errorf("graphio: bad magic %#x", hdr[0])
 	}
-	n, m := int(hdr[1]), int(hdr[2])
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("graphio: negative sizes in header")
+	if hdr[1] > maxNodes {
+		return nil, fmt.Errorf("graphio: header claims %d nodes, more than the %d a node id can address", hdr[1], maxNodes)
 	}
+	n, m := int(hdr[1]), int(hdr[2])
 	b := graph.NewBuilder(n)
 	pair := make([]int32, 2)
 	for i := 0; i < m; i++ {
 		if err := binary.Read(br, binary.LittleEndian, &pair); err != nil {
 			return nil, fmt.Errorf("graphio: reading edge %d: %w", i, err)
 		}
-		if err := addChecked(b, pair[0], pair[1]); err != nil {
+		if err := b.TryAddEdge(pair[0], pair[1]); err != nil {
 			return nil, fmt.Errorf("graphio: edge %d: %w", i, err)
 		}
 	}

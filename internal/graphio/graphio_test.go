@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -71,11 +72,15 @@ func TestReadTextErrors(t *testing.T) {
 		"3\n0 x\n",      // bad edge number
 		"2\n0 5\n",      // out of range
 		"1 2\n0 1\n3 4", // first line must be node count (arity error)
+		"2147483648\n",  // more nodes than a NodeID addresses
 	}
 	for _, in := range cases {
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
 			t.Fatalf("input %q parsed without error", in)
 		}
+	}
+	if _, err := ReadText(strings.NewReader("3000000000\n")); err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("3e9 nodes: err = %v, want one naming the limit", err)
 	}
 }
 
@@ -85,6 +90,12 @@ func TestReadBinaryErrors(t *testing.T) {
 	}
 	if _, err := ReadBinary(bytes.NewReader([]byte{1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0})); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+	// A 12-byte header claiming 3 000 000 000 nodes and no edges.
+	huge := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(
+		binary.LittleEndian.AppendUint32(nil, binaryMagic), 3_000_000_000), 0)
+	if _, err := ReadBinary(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("3e9 nodes: err = %v, want one naming the limit", err)
 	}
 	// Truncated edge section.
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})

@@ -133,8 +133,8 @@ func runChaos(t *testing.T, sched *core.Schedule, trace Trace, want []map[graph.
 		Timeout:     500 * time.Millisecond,
 		BackoffBase: 2 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
-		ProbeEvery:  4,
-		OnRetry: func(server, attempt int, delay time.Duration) {
+		probeEvery:  4,
+		onRetry: func(server, attempt int, delay time.Duration) {
 			logs[server] = append(logs[server], fmt.Sprintf("a%d/%s", attempt, delay))
 		},
 	})
@@ -214,7 +214,7 @@ func TestChaosAcceptance(t *testing.T) {
 		ops = 800
 		wantStats = ClientStats{Retries: 6, Redials: 55, Parked: 77, Replayed: 77, DegradedQueries: 104, DownEvents: 2, UpEvents: 2}
 	}
-	wantLogs := [][]string{ // OnRetry as a<attempt>/<delay>, the same at both sizes
+	wantLogs := [][]string{ // onRetry as a<attempt>/<delay>, the same at both sizes
 		{"a1/2.09253ms", "a1/2.652711ms"},
 		{"a1/2.753528ms", "a2/4.259686ms"},
 		{"a1/2.040502ms", "a2/4.259475ms"},
@@ -323,7 +323,7 @@ func TestDeadlineStillBoundsRoundTrip(t *testing.T) {
 	g, _ := figure2()
 	// No retries, and every call to a down server probes it with a redial.
 	cl, err := DialConfigured(baseline.PushAll(g), []string{srv.Addr()}, DialConfig{
-		Timeout: timeout, Retries: -1, ProbeEvery: 1,
+		Timeout: timeout, retries: -1, probeEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +389,7 @@ func TestDeadlineStillBoundsRoundTrip(t *testing.T) {
 
 // TestMalformedFrameGetsTypedError pins the server's malformed-frame
 // behavior: a well-framed but undecodable payload gets a typed error
-// reply (not a silent drop), the OnProtoError hook fires, and the
+// reply (not a silent drop), the onProtoError hook fires, and the
 // connection stays usable for well-formed requests afterwards.
 func TestMalformedFrameGetsTypedError(t *testing.T) {
 	var mu sync.Mutex
@@ -399,7 +399,7 @@ func TestMalformedFrameGetsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServerOn(ln, ServerConfig{
-		OnProtoError: func(remote string, err error) {
+		onProtoError: func(remote string, err error) {
 			mu.Lock()
 			hooked = append(hooked, err)
 			mu.Unlock()
@@ -455,7 +455,7 @@ func TestMalformedFrameGetsTypedError(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(hooked) != 2 {
-		t.Fatalf("OnProtoError fired %d times, want 2: %v", len(hooked), hooked)
+		t.Fatalf("onProtoError fired %d times, want 2: %v", len(hooked), hooked)
 	}
 }
 
@@ -472,7 +472,7 @@ func TestV2FrameGetsVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServerOn(ln, ServerConfig{
-		OnProtoError: func(remote string, err error) {
+		onProtoError: func(remote string, err error) {
 			mu.Lock()
 			hooked = append(hooked, err)
 			mu.Unlock()
@@ -508,7 +508,7 @@ func TestV2FrameGetsVersionMismatch(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(hooked) != 1 || !errors.Is(hooked[0], ErrVersionMismatch) {
-		t.Fatalf("OnProtoError saw %v, want the one version mismatch", hooked)
+		t.Fatalf("onProtoError saw %v, want the one version mismatch", hooked)
 	}
 }
 
@@ -523,7 +523,7 @@ func downTier(t *testing.T, probeEvery int) (cl *Client, addr string, saved map[
 		t.Fatal(err)
 	}
 	cl, err = DialConfigured(baseline.PushAll(g), []string{srv.Addr()}, DialConfig{
-		Timeout: 500 * time.Millisecond, Retries: -1, ProbeEvery: probeEvery,
+		Timeout: 500 * time.Millisecond, retries: -1, probeEvery: probeEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -595,7 +595,7 @@ func TestProbeReplySurvivesHandoffReplay(t *testing.T) {
 	srv := restartServer(t, addr, saved)
 	defer srv.Close()
 
-	cl.cfg.ProbeEvery = 1 // the next call probes
+	cl.cfg.probeEvery = 1 // the next call probes
 	got, err := cl.Query(2)
 	if err != nil {
 		t.Fatal(err)

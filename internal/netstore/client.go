@@ -49,41 +49,44 @@ type DialConfig struct {
 	Seed int64
 	// Timeout bounds one round-trip; 0 means RequestTimeout.
 	Timeout time.Duration
-	// Retries is how many times a failed round-trip is retried (with
-	// backoff and a fresh connection) before the server is marked down;
-	// 0 means 2, negative means none.
-	Retries int
 	// BackoffBase/BackoffMax shape the capped exponential backoff
 	// between retries: attempt k waits min(BackoffBase·2^(k-1),
 	// BackoffMax) plus deterministic jitter in [0, wait/2). Defaults
 	// 5ms / 250ms.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// ProbeEvery is how many operations that would touch a down server
-	// pass between redial probes (the probe is attempt one of the next
-	// operation); 0 means 8. Lower values recover faster and dial more.
-	ProbeEvery int
-	// OnRetry, when non-nil, observes every backoff sleep: the server
-	// index, the attempt number (1-based), and the slept duration. The
-	// per-server call sequence is deterministic for a fixed seed and
-	// fault schedule. Called from request goroutines.
-	OnRetry func(server, attempt int, delay time.Duration)
 	// Metrics, when non-nil, registers the client's counters and gauges
 	// (netstore_client_*) in the given registry, so retries, handoff
 	// traffic, bytes on wire, and per-server epoch observations surface
 	// on /metrics. Client.Stats() works either way.
 	Metrics *telemetry.Registry
+
+	// The failure handling's knobs that only tests set.
+	//
+	// retries is how many times a failed round-trip is retried (with
+	// backoff and a fresh connection) before the server is marked down;
+	// 0 means 2, negative means none.
+	retries int
+	// probeEvery is how many operations that would touch a down server
+	// pass between redial probes (the probe is attempt one of the next
+	// operation); 0 means 8.
+	probeEvery int
+	// onRetry, when non-nil, observes every backoff sleep: the server
+	// index, the attempt number (1-based), and the slept duration. The
+	// per-server call sequence is deterministic for a fixed seed and
+	// fault schedule. Called from request goroutines.
+	onRetry func(server, attempt int, delay time.Duration)
 }
 
 func (cfg DialConfig) withDefaults() DialConfig {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = RequestTimeout
 	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 2
+	if cfg.retries == 0 {
+		cfg.retries = 2
 	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
+	if cfg.retries < 0 {
+		cfg.retries = 0
 	}
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = 5 * time.Millisecond
@@ -91,8 +94,8 @@ func (cfg DialConfig) withDefaults() DialConfig {
 	if cfg.BackoffMax == 0 {
 		cfg.BackoffMax = 250 * time.Millisecond
 	}
-	if cfg.ProbeEvery == 0 {
-		cfg.ProbeEvery = 8
+	if cfg.probeEvery == 0 {
+		cfg.probeEvery = 8
 	}
 	return cfg
 }
@@ -135,8 +138,8 @@ type ClientStats struct {
 // While a server is down, updates park their frames in a bounded
 // hinted-handoff buffer replayed on recovery, and queries degrade to
 // pulling the producers' own views from healthy servers (the paper's
-// pull-all floor: correct, costlier). Every ProbeEvery-th operation
-// that would touch a down server probes it with a redial.
+// pull-all floor: correct, costlier). Every eighth operation that would
+// touch a down server probes it with a redial.
 //
 // A Client runs one request (Update or Query) at a time: the request in
 // flight and every connection's buffers are the client's own state, so
@@ -520,12 +523,12 @@ func (cl *Client) call(si int, frame []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	attempts := cl.cfg.Retries + 1
+	attempts := cl.cfg.retries + 1
 	if s.down {
-		// While down, most operations fail fast; every ProbeEvery-th
+		// While down, most operations fail fast; every probeEvery-th
 		// one becomes a single-attempt probe.
 		s.downOps++
-		if s.downOps%cl.cfg.ProbeEvery != 0 {
+		if s.downOps%cl.cfg.probeEvery != 0 {
 			return nil, fmt.Errorf("netstore: server %d (%s): %w", si, s.addr, ErrServerDown)
 		}
 		attempts = 1
@@ -537,8 +540,8 @@ func (cl *Client) call(si int, frame []byte) ([]byte, error) {
 			d := cl.backoff(s, attempt)
 			cl.inst.retries.Inc()
 			cl.inst.backoffSleep.Add(d.Seconds())
-			if cl.cfg.OnRetry != nil {
-				cl.cfg.OnRetry(si, attempt, d)
+			if cl.cfg.onRetry != nil {
+				cl.cfg.onRetry(si, attempt, d)
 			}
 			time.Sleep(d)
 		}
@@ -642,7 +645,7 @@ func (cl *Client) park(si int, frame []byte) error {
 }
 
 // Recover probes every down server immediately (ignoring the
-// ProbeEvery spacing) and replays its hinted handoff on success. It
+// probeEvery spacing) and replays its hinted handoff on success. It
 // returns the number of servers still down afterwards. Useful after an
 // orchestrated restart; normal operation recovers on its own through
 // probe-gated calls.

@@ -131,15 +131,20 @@ func TestGenerateTraceDistribution(t *testing.T) {
 	}
 }
 
-// Rates that ask for nothing give an empty trace: no rates at all, and
-// every rate 0, which must not put n requests on one user either.
+// Rates or a length that ask for nothing give an empty trace: no rates
+// at all, every rate 0 (which must not put n requests on one user
+// either), and n ≤ 0 under real rates.
 func TestGenerateTraceWithoutRates(t *testing.T) {
+	rates := &workload.Rates{Prod: []float64{1, 2}, Cons: []float64{3, 4}}
 	for _, c := range []struct {
 		name string
 		r    *workload.Rates
+		n    int
 	}{
-		{"no rates", &workload.Rates{}},
-		{"all zero", &workload.Rates{Prod: make([]float64, 5), Cons: make([]float64, 5)}},
+		{"no rates", &workload.Rates{}, 10},
+		{"all zero", &workload.Rates{Prod: make([]float64, 5), Cons: make([]float64, 5)}, 10},
+		{"n = 0", rates, 0},
+		{"n < 0", rates, -1},
 	} {
 		func() {
 			defer func() {
@@ -147,7 +152,7 @@ func TestGenerateTraceWithoutRates(t *testing.T) {
 					t.Errorf("%s: GenerateTrace panicked: %v", c.name, p)
 				}
 			}()
-			if tr := GenerateTrace(c.r, 10, 1); len(tr) != 0 {
+			if tr := GenerateTrace(c.r, c.n, 1); len(tr) != 0 {
 				t.Errorf("%s: %d requests, want none: %v", c.name, len(tr), tr)
 			}
 		}()

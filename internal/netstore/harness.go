@@ -24,11 +24,11 @@ type Trace []Request
 // proportionally to their production (resp. consumption) rate —
 // consistent with the cost model, where rates are request frequencies.
 // With every rate 0 (or no user) nobody makes a request, and the trace
-// is empty.
+// is empty; so it is for n ≤ 0.
 func GenerateTrace(r *workload.Rates, n int, seed int64) Trace {
 	prodCum, sumP := cumulative(r.Prod)
 	consCum, sumC := cumulative(r.Cons)
-	if !(sumP+sumC > 0) {
+	if n <= 0 || !(sumP+sumC > 0) {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))

@@ -22,12 +22,6 @@ const DefaultIdleTimeout = 2 * time.Minute
 
 // ServerConfig tunes a Server. The zero value uses every default.
 type ServerConfig struct {
-	// OnProtoError, when non-nil, is called for every malformed request
-	// (before the typed error frame goes out) and for frame-level
-	// failures that drop a connection — the hook that makes protocol
-	// bugs visible instead of looking like network flakes. Called from
-	// handler goroutines; must be safe for concurrent use.
-	OnProtoError func(remote string, err error)
 	// Views seeds the server with existing view state — the restart
 	// path: a server that comes back after a crash with its durable
 	// views intact (the chaos tests model a persistent tier; the
@@ -39,6 +33,13 @@ type ServerConfig struct {
 	// index). Server.Stats() works either way.
 	Metrics      *telemetry.Registry
 	MetricsLabel string
+
+	// onProtoError, when non-nil, is called for every malformed request
+	// (before the typed error frame goes out) and for frame-level
+	// failures that drop a connection: the test seam that tells a
+	// protocol bug from a network flake. Called from handler goroutines;
+	// it must be safe for concurrent use.
+	onProtoError func(remote string, err error)
 }
 
 // ServerStats counts one server's connections and traffic so far.
@@ -51,7 +52,7 @@ type ServerStats struct {
 	BytesRead, BytesWritten int64
 	Frames                  int64
 	// ProtoErrors counts malformed requests and frame-level failures —
-	// everything routed through ServerConfig.OnProtoError.
+	// everything routed through ServerConfig.onProtoError.
 	ProtoErrors int
 }
 
@@ -199,8 +200,8 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) protoError(conn net.Conn, err error) {
 	s.inst.protoErrors.Inc()
-	if s.cfg.OnProtoError != nil {
-		s.cfg.OnProtoError(conn.RemoteAddr().String(), err)
+	if s.cfg.onProtoError != nil {
+		s.cfg.onProtoError(conn.RemoteAddr().String(), err)
 	}
 }
 

@@ -26,7 +26,7 @@ type dirtyCase struct {
 // dirtyCases spans what the propagation rule has to hold under: sparse
 // Twitter-like, clustered Flickr-like and streamed dense graphs (every
 // one large enough that round 0 fans out at Workers 4), five seeds, one
-// and four workers, and a MaxCrossEdges of 3, which truncates most
+// and four workers, and a maxCrossEdges of 3, which truncates most
 // intersections on these graphs.
 func dirtyCases(seeds int64) []dirtyCase {
 	var out []dirtyCase
@@ -41,8 +41,8 @@ func dirtyCases(seeds int64) []dirtyCase {
 		}
 		for _, gk := range graphs {
 			r := workload.LogDegree(gk.g, 5)
-			for _, cfg := range []Config{{Workers: 1}, {Workers: 4, MaxCrossEdges: 3}} {
-				name := fmt.Sprintf("%s/seed%d/w%d/mx%d", gk.kind, seed, cfg.Workers, cfg.MaxCrossEdges)
+			for _, cfg := range []Config{{Workers: 1}, {Workers: 4, maxCrossEdges: 3}} {
+				name := fmt.Sprintf("%s/seed%d/w%d/mx%d", gk.kind, seed, cfg.Workers, cfg.maxCrossEdges)
 				out = append(out, dirtyCase{name, gk.g, r, cfg})
 			}
 		}
@@ -113,8 +113,8 @@ func TestCompactedSpansMatchFilter(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		g := graphgen.StreamSocial(graphgen.FlickrLikeEdges(scaled(5000, 2400), seed))
 		r := workload.LogDegree(g, 5)
-		for _, cfg := range []Config{{Workers: 1, MaxCrossEdges: 3}, {Workers: 2, MaxCrossEdges: 3}, {Workers: 2}} {
-			name := fmt.Sprintf("seed%d/w%d/mx%d", seed, cfg.Workers, cfg.MaxCrossEdges)
+		for _, cfg := range []Config{{Workers: 1, maxCrossEdges: 3}, {Workers: 2, maxCrossEdges: 3}, {Workers: 2}} {
+			name := fmt.Sprintf("seed%d/w%d/mx%d", seed, cfg.Workers, cfg.maxCrossEdges)
 			var st *state
 			rounds, dropped := 0, 0
 			cfg.OnIteration = func(IterationStat) {

@@ -56,18 +56,19 @@ import (
 type Config struct {
 	// Workers is the parallelism degree; 0 means GOMAXPROCS.
 	Workers int
-	// MaxCrossEdges bounds |X| per candidate hub-graph, the bound b of
-	// §4.2 (100 000 for the Twitter runs). 0 means DefaultMaxCrossEdges.
-	MaxCrossEdges int
 	// OnIteration, when non-nil, streams every IterationStat as the
 	// round that produced it completes. The callback runs on the solve
 	// goroutine between rounds; it must not mutate solver inputs and
 	// should return quickly.
 	OnIteration func(IterationStat)
+
+	// maxCrossEdges bounds |X| per candidate hub-graph, the bound b of
+	// §4.2; 0 means defaultMaxCrossEdges. Only tests set it.
+	maxCrossEdges int
 }
 
-// DefaultMaxCrossEdges matches §4.2.
-const DefaultMaxCrossEdges = 100000
+// defaultMaxCrossEdges matches §4.2 (the Twitter runs).
+const defaultMaxCrossEdges = 100000
 
 // IterationStat describes one PARALLELNOSY iteration.
 type IterationStat struct {
@@ -159,8 +160,8 @@ type Evaluator struct {
 // NewEvaluator returns an evaluator over an empty schedule for g, its
 // structCache built on cfg.Workers goroutines.
 func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
-	if cfg.MaxCrossEdges == 0 {
-		cfg.MaxCrossEdges = DefaultMaxCrossEdges
+	if cfg.maxCrossEdges == 0 {
+		cfg.maxCrossEdges = defaultMaxCrossEdges
 	}
 	ev := &Evaluator{
 		g:       g,
@@ -168,7 +169,7 @@ func NewEvaluator(g *graph.Graph, r *workload.Rates, cfg Config) *Evaluator {
 		sched:   core.NewSchedule(g),
 		cstar:   make([]float64, g.NumEdges()),
 		src:     make([]graph.NodeID, g.NumEdges()),
-		structs: buildStructCache(g, cfg.MaxCrossEdges, cfg.Workers),
+		structs: buildStructCache(g, cfg.maxCrossEdges, cfg.Workers),
 		stamp:   make([]uint32, g.NumNodes()),
 	}
 	g.Edges(func(e graph.EdgeID, u, v graph.NodeID) bool {

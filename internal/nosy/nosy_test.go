@@ -162,7 +162,7 @@ func TestCancelFromOnIterationStopsAtRoundBoundary(t *testing.T) {
 func TestCrossEdgeBoundValid(t *testing.T) {
 	g := graphgen.Social(graphgen.TwitterLike(300, 19))
 	r := workload.LogDegree(g, 5)
-	res := Solve(g, r, Config{MaxCrossEdges: 1})
+	res := Solve(g, r, Config{maxCrossEdges: 1})
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +204,10 @@ func filtered(ev *Evaluator, xs []graph.NodeID, xw, xy []graph.EdgeID) producers
 
 // crossBound is the cross-edge bound an evaluator built under cfg uses.
 func crossBound(cfg Config) int {
-	if cfg.MaxCrossEdges == 0 {
-		return DefaultMaxCrossEdges
+	if cfg.maxCrossEdges == 0 {
+		return defaultMaxCrossEdges
 	}
-	return cfg.MaxCrossEdges
+	return cfg.maxCrossEdges
 }
 
 // intersection is hub edge he's structural producer list recomputed from
@@ -286,7 +286,7 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 			for e := 0; e < g.NumEdges(); e++ {
 				he := graph.EdgeID(e)
 				gain, ok := ev.eval(he)
-				if err := slotMatchesFresh(ev, he, intersection(ev, he, DefaultMaxCrossEdges), ok, gain); err != nil {
+				if err := slotMatchesFresh(ev, he, intersection(ev, he, defaultMaxCrossEdges), ok, gain); err != nil {
 					t.Logf("seed %d round %d: %v", seed, round, err)
 					return false
 				}
@@ -334,13 +334,13 @@ func TestStructCacheRepriceMatchesFresh(t *testing.T) {
 func TestStructCacheComputedOnce(t *testing.T) {
 	g := graphgen.Social(graphgen.FlickrLike(scaled(400, 200), 11))
 	r := workload.LogDegree(g, 5)
-	for _, cfg := range []Config{{Workers: 2}, {Workers: 2, MaxCrossEdges: 4}} {
+	for _, cfg := range []Config{{Workers: 2}, {Workers: 2, maxCrossEdges: 4}} {
 		ev := NewEvaluator(g, r, cfg)
 		stored, largest := 0, 0
 		chunks := map[*structChunk]bool{}
 		for e, rec := range ev.structs.recs {
 			if rec.chunk == nil {
-				t.Fatalf("mx%d: hub edge %d has no record", cfg.MaxCrossEdges, e)
+				t.Fatalf("mx%d: hub edge %d has no record", cfg.maxCrossEdges, e)
 			}
 			chunks[rec.chunk] = true
 			stored += int(rec.n)
@@ -349,7 +349,7 @@ func TestStructCacheComputedOnce(t *testing.T) {
 			wantXs, wantXW, wantXY := g.CommonInEdges(ev.src[e], g.EdgeTarget(graph.EdgeID(e)), crossBound(cfg), nil, nil, nil)
 			if !slices.Equal(xs, wantXs) || !slices.Equal(xw, wantXW) || !slices.Equal(xy, wantXY) {
 				t.Fatalf("mx%d: hub edge %d: stored %v %v %v, CommonInEdges %v %v %v",
-					cfg.MaxCrossEdges, e, xs, xw, xy, wantXs, wantXW, wantXY)
+					cfg.maxCrossEdges, e, xs, xw, xy, wantXs, wantXW, wantXY)
 			}
 		}
 		used := func() int {
@@ -360,14 +360,14 @@ func TestStructCacheComputedOnce(t *testing.T) {
 			return n
 		}
 		if n := used(); n != stored {
-			t.Fatalf("mx%d: chunks hold %d entries, records %d: an intersection was stored twice", cfg.MaxCrossEdges, n, stored)
+			t.Fatalf("mx%d: chunks hold %d entries, records %d: an intersection was stored twice", cfg.maxCrossEdges, n, stored)
 		}
 		capacity := 0
 		for k := range chunks {
 			capacity += len(k.xs)
 		}
 		if slack := capacity - stored; slack > cfg.Workers*chunkEntries+(len(chunks)-1)*(largest-1) {
-			t.Fatalf("mx%d: %d chunks hold %d entries in %d slots (largest entry %d)", cfg.MaxCrossEdges, len(chunks), stored, capacity, largest)
+			t.Fatalf("mx%d: %d chunks hold %d entries in %d slots (largest entry %d)", cfg.maxCrossEdges, len(chunks), stored, capacity, largest)
 		}
 		built := slices.Clone(ev.structs.recs)
 		st := newState(ev, cfg)
@@ -376,11 +376,11 @@ func TestStructCacheComputedOnce(t *testing.T) {
 		}
 		for e, rec := range ev.structs.recs {
 			if b := built[e]; rec.chunk != b.chunk || rec.start != b.start || rec.n > b.n {
-				t.Fatalf("mx%d: hub edge %d: record %+v after the solve, %+v before", cfg.MaxCrossEdges, e, rec, b)
+				t.Fatalf("mx%d: hub edge %d: record %+v after the solve, %+v before", cfg.maxCrossEdges, e, rec, b)
 			}
 		}
 		if n := used(); n != stored {
-			t.Fatalf("mx%d: after the solve chunks hold %d entries, records built %d", cfg.MaxCrossEdges, n, stored)
+			t.Fatalf("mx%d: after the solve chunks hold %d entries, records built %d", cfg.maxCrossEdges, n, stored)
 		}
 	}
 }
@@ -503,4 +503,22 @@ func schedulesEqual(a, b *core.Schedule, m int) bool {
 		}
 	}
 	return true
+}
+
+// BenchmarkAblationCrossEdgeBound16 is the tight-bound row of the root
+// package's BenchmarkAblationNosy, on its graph (FlickrLikeGraph(800, 7),
+// LogDegreeRates 5): one solve with the §4.2 bound b at 16 instead of the
+// default, reporting its improvement over hybrid and its rounds.
+func BenchmarkAblationCrossEdgeBound16(b *testing.B) {
+	g := graphgen.Social(graphgen.FlickrLike(800, 7))
+	r := workload.LogDegree(g, 5)
+	var s *core.Schedule
+	rounds := 0
+	cfg := Config{maxCrossEdges: 16, OnIteration: func(IterationStat) { rounds++ }}
+	for i := 0; i < b.N; i++ {
+		rounds = 0
+		s = Solve(g, r, cfg)
+	}
+	b.ReportMetric(baseline.HybridCost(g, r)/s.Cost(r), "improvement")
+	b.ReportMetric(float64(rounds), "rounds")
 }

@@ -7,7 +7,7 @@ import (
 
 // structCache holds every hub edge's producer span: for hub edge w → y,
 // the common-producer intersection (xs, xw, xy) that graph.CommonInEdges
-// returns under the MaxCrossEdges bound. It is built once, before round
+// returns under the maxCrossEdges bound. It is built once, before round
 // 0: Σ|X| is 4.5–12 MB at 12 bytes an entry on the benchmark and
 // experiment graphs (DESIGN.md §6). Entries go to flat (xs, xw, xy)
 // chunks, each filled by one build worker, and a per-edge record points

@@ -16,8 +16,10 @@ import (
 
 // Result is a sampled subgraph plus the mapping back to original node ids.
 type Result struct {
-	Graph    *graph.Graph
-	Original []graph.NodeID // Original[i] = id in the source graph of node i
+	Graph *graph.Graph
+	// Original[i] is the id in the source graph of node i; it ascends
+	// (graph.Induced's labelling), whatever order the nodes were visited in.
+	Original []graph.NodeID
 }
 
 // RandomWalk samples nodes by a random walk with restarts on the
@@ -77,7 +79,8 @@ func RandomWalk(g *graph.Graph, targetEdges int, seed int64) Result {
 		}
 		cur = nbrs[rng.Intn(len(nbrs))]
 	}
-	return induce(g, order)
+	sub := graph.Induced(g, order)
+	return Result{Graph: sub.G, Original: sub.Global}
 }
 
 // BFS samples nodes in breadth-first order from a random start (restarting
@@ -122,7 +125,8 @@ func BFS(g *graph.Graph, targetEdges int, seed int64) Result {
 			}
 		}
 	}
-	return induce(g, order)
+	sub := graph.Induced(g, order)
+	return Result{Graph: sub.G, Original: sub.Global}
 }
 
 // WalkSeeds picks k well-connected, well-spread seed nodes by random-walk
@@ -235,24 +239,4 @@ func undirected(g *graph.Graph, v graph.NodeID) []graph.NodeID {
 	nbrs = append(nbrs, out...)
 	nbrs = append(nbrs, in...)
 	return nbrs
-}
-
-// induce builds the subgraph induced by the given nodes (in sample order),
-// relabeling them 0..len-1.
-func induce(g *graph.Graph, nodes []graph.NodeID) Result {
-	index := make(map[graph.NodeID]int32, len(nodes))
-	for i, v := range nodes {
-		index[v] = int32(i)
-	}
-	b := graph.NewBuilder(len(nodes))
-	for i, v := range nodes {
-		for _, u := range g.OutNeighbors(v) {
-			if j, ok := index[u]; ok {
-				b.AddEdge(int32(i), j)
-			}
-		}
-	}
-	orig := make([]graph.NodeID, len(nodes))
-	copy(orig, nodes)
-	return Result{Graph: b.Build(), Original: orig}
 }

@@ -1,6 +1,10 @@
 package sampling
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
 	"testing"
 
 	"piggyback/internal/graph"
@@ -81,16 +85,35 @@ func TestSampleWholeGraph(t *testing.T) {
 	}
 }
 
+// TestDeterministicSeeds: a seed fixes the sample. Two runs agree, and
+// the edge set in the source graph's ids, the sha256 of the sorted
+// (Original[u], Original[v]) pairs, is pinned: how the extraction labels
+// the sampled nodes may change, which nodes and edges it samples may not.
 func TestDeterministicSeeds(t *testing.T) {
 	g := testGraph()
-	a := RandomWalk(g, 2000, 9)
-	b := RandomWalk(g, 2000, 9)
-	if a.Graph.NumNodes() != b.Graph.NumNodes() || a.Graph.NumEdges() != b.Graph.NumEdges() {
-		t.Fatal("same seed gave different samples")
-	}
-	for i := range a.Original {
-		if a.Original[i] != b.Original[i] {
-			t.Fatal("same seed gave different node orders")
+	for _, c := range []struct {
+		name   string
+		sample func(*graph.Graph, int, int64) Result
+		seed   int64
+		want   string
+	}{
+		{"rw/seed1", RandomWalk, 1, "2c9d9623c594825d"},
+		{"rw/seed9", RandomWalk, 9, "d12e1d27d2657139"},
+		{"bfs/seed1", BFS, 1, "bcbf84e8fb11a6fb"},
+		{"bfs/seed9", BFS, 9, "c220ebd0f7408d79"},
+	} {
+		r := c.sample(g, 2000, c.seed)
+		if again := c.sample(g, 2000, c.seed); !slices.Equal(r.Original, again.Original) || r.Graph.NumEdges() != again.Graph.NumEdges() {
+			t.Fatalf("%s: same seed gave different samples", c.name)
+		}
+		edges := r.Graph.EdgeList()
+		for i, e := range edges {
+			edges[i] = graph.Edge{From: r.Original[e.From], To: r.Original[e.To]}
+		}
+		slices.SortFunc(edges, graph.Edge.Compare)
+		sum := sha256.Sum256(fmt.Append(nil, len(r.Original), edges))
+		if got := hex.EncodeToString(sum[:8]); got != c.want {
+			t.Errorf("%s: %d nodes, %d edges, digest %s, want %s", c.name, len(r.Original), len(edges), got, c.want)
 		}
 	}
 }

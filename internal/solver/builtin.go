@@ -37,7 +37,25 @@ func Names() []string {
 func New(name string, opts Options) (Solver, error) {
 	switch name {
 	case ChitChat:
-		return chitchatSolver(chitchat.Config{Workers: opts.Workers}, opts.Progress), nil
+		// The greedy commits are counted through the progress hook, so
+		// the report's iteration count is exact.
+		return builtin{ChitChat, func(ctx context.Context, p Problem) (*core.Schedule, int, error) {
+			commits := 0
+			cfg := chitchat.Config{Workers: opts.Workers, OnProgress: func(pr chitchat.Progress) {
+				commits = pr.Commits
+				if opts.Progress != nil {
+					opts.Progress(ProgressEvent{
+						Solver:    ChitChat,
+						Iteration: pr.Commits,
+						Covered:   pr.Covered,
+						Remaining: pr.Remaining,
+						Cost:      math.NaN(),
+					})
+				}
+			}}
+			s, cause := chitchat.SolveCtx(ctx, p.Graph, p.Rates, cfg)
+			return s, commits, cause
+		}}, nil
 	case Nosy:
 		return builtin{Nosy, func(ctx context.Context, p Problem) (*core.Schedule, int, error) {
 			rounds := 0
@@ -123,38 +141,6 @@ func (b builtin) Solve(ctx context.Context, p Problem) (*Result, error) {
 	}
 	rep := Report{Solver: b.name, Iterations: iterations, Cost: s.Cost(p.Rates), Canceled: cause != nil}
 	return &Result{Schedule: s, Report: rep}, cause
-}
-
-// NewChitChat returns the CHITCHAT solver under a full typed config —
-// the constructor for callers that need knobs beyond Options (the
-// cross-edge bound, the per-commit OnProgress hook).
-func NewChitChat(cfg chitchat.Config) Solver { return chitchatSolver(cfg, nil) }
-
-// chitchatSolver is the CHITCHAT solver under cfg, streaming to progress
-// (nil from NewChitChat). The greedy commits are counted through the
-// progress hook, after cfg's own, so the report's iteration count is exact.
-func chitchatSolver(cfg chitchat.Config, progress func(ProgressEvent)) Solver {
-	return builtin{ChitChat, func(ctx context.Context, p Problem) (*core.Schedule, int, error) {
-		commits := 0
-		c := cfg
-		c.OnProgress = func(pr chitchat.Progress) {
-			commits = pr.Commits
-			if cfg.OnProgress != nil {
-				cfg.OnProgress(pr)
-			}
-			if progress != nil {
-				progress(ProgressEvent{
-					Solver:    ChitChat,
-					Iteration: pr.Commits,
-					Covered:   pr.Covered,
-					Remaining: pr.Remaining,
-					Cost:      math.NaN(),
-				})
-			}
-		}
-		s, cause := chitchat.SolveCtx(ctx, p.Graph, p.Rates, c)
-		return s, commits, cause
-	}}
 }
 
 // solveShardChitChat is the shard.SolveFunc of the sharded solver: one

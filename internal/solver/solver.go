@@ -107,9 +107,7 @@ type ProgressEvent struct {
 }
 
 // Options tunes a solver constructed by New. The zero value uses every
-// default. Knobs that do not apply to a given algorithm are ignored;
-// algorithm-specific configuration beyond these is available through
-// the typed constructor NewChitChat.
+// default. Knobs that do not apply to a given algorithm are ignored.
 type Options struct {
 	// Workers is the parallelism degree; 0 means GOMAXPROCS. Read by
 	// nosy, shard and chitchat (its seed phase; the greedy loop is

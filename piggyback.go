@@ -99,12 +99,8 @@ func NewSolver(name string, opts Options) (Solver, error) { return solver.New(na
 // Solvers returns every solver name NewSolver accepts, sorted.
 func Solvers() []string { return solver.Names() }
 
-// NewChitChatSolver returns the CHITCHAT solver under its full typed
-// config (knobs beyond Options: cross-edge bound, per-commit progress
-// hook).
-func NewChitChatSolver(cfg ChitChatConfig) Solver { return solver.NewChitChat(cfg) }
-
-// ChitChatConfig tunes the CHITCHAT approximation algorithm.
+// ChitChatConfig tunes the CHITCHAT approximation algorithm, as the
+// online daemon's OnlineConfig.ChitChat runs it.
 type ChitChatConfig = chitchat.Config
 
 // Graph is a directed social graph in CSR form; the edge u → v means v
@@ -347,8 +343,8 @@ func (c *Client) Query(u NodeID) []Event {
 // Trace is a replayable request workload for throughput measurement.
 type Trace = netstore.Trace
 
-// GenerateTrace samples a request trace from the workload rates; it is
-// empty when every rate is 0.
+// GenerateTrace samples a request trace of n requests from the workload
+// rates; it is empty when every rate is 0 or n ≤ 0.
 func GenerateTrace(r *Rates, n int, seed int64) Trace {
 	return netstore.GenerateTrace(r, n, seed)
 }

@@ -17,10 +17,10 @@ func solve(t *testing.T, sv Solver, g *Graph, r *Rates) *Schedule {
 	return res.Schedule
 }
 
-// nosySolver is the facade's PARALLELNOSY solver under default options.
-func nosySolver(t *testing.T) Solver {
+// newSolver is the facade's named solver under default options.
+func newSolver(t *testing.T, name string) Solver {
 	t.Helper()
-	sv, err := NewSolver("nosy", Options{})
+	sv, err := NewSolver(name, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn := solve(t, nosy, g, r)
-	cc := solve(t, NewChitChatSolver(ChitChatConfig{}), g, r)
+	cc := solve(t, newSolver(t, "chitchat"), g, r)
 
 	for name, s := range map[string]*Schedule{"hybrid": hybrid, "pn": pn, "cc": cc} {
 		if err := s.Validate(); err != nil {
@@ -79,7 +79,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestIncrementalMaintenanceAPI(t *testing.T) {
 	g := TwitterLikeGraph(200, 3)
 	r := LogDegreeRates(g, 5)
-	m := NewMaintainer(solve(t, nosySolver(t), g, r), r)
+	m := NewMaintainer(solve(t, newSolver(t, "nosy"), g, r), r)
 	// Add a missing edge.
 	for a := NodeID(0); int(a) < g.NumNodes(); a++ {
 		if !g.HasEdge(a, (a+1)%NodeID(g.NumNodes())) && a+1 != NodeID(g.NumNodes()) {
@@ -123,7 +123,7 @@ func TestBuilderAPI(t *testing.T) {
 	b.AddEdge(1, 2)
 	g := b.Build()
 	r := UniformRates(3, 1)
-	s := solve(t, NewChitChatSolver(ChitChatConfig{}), g, r)
+	s := solve(t, newSolver(t, "chitchat"), g, r)
 	if s.Cost(r) != 2 {
 		t.Fatalf("figure-2 cost = %v, want 2 (hub)", s.Cost(r))
 	}
@@ -182,7 +182,7 @@ func TestSolverFacade(t *testing.T) {
 func TestOnlineDaemonCtxAPI(t *testing.T) {
 	g := FlickrLikeGraph(200, 5)
 	r := LogDegreeRates(g, 5)
-	sched := solve(t, NewChitChatSolver(ChitChatConfig{}), g, r)
+	sched := solve(t, newSolver(t, "chitchat"), g, r)
 	trace := GenerateChurn(g, r, 200, ChurnConfig{Seed: 2})
 	run := func(apply func(*OnlineDaemon, ChurnOp) error) *OnlineDaemon {
 		rr := &Rates{Prod: append([]float64(nil), r.Prod...), Cons: append([]float64(nil), r.Cons...)}

@@ -5,8 +5,11 @@ package piggyback
 import (
 	"fmt"
 	"go/ast"
+	gobuild "go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -234,4 +237,148 @@ func readAllowlist(t *testing.T, path string) map[string]bool {
 		set[name] = true
 	}
 	return set
+}
+
+// TestExportedOptionsHaveProductCallers lists every exported field of
+// every exported struct named Config, *Config, Options, *Options or
+// Params declared in a non-test file under internal/ that no product code
+// sets, and fails unless that list is exactly testdata/options.txt. A
+// field is set by a composite-literal key in the non-test code of cmd/*,
+// bench, internal/ or the facade, or by an assignment outside the package
+// that declares it, so a package's own zero-means-default handling sets
+// nothing. Fields resolve through go/types, so an alias such as the
+// facade's OnlineConfig counts for the type it names. Run it with
+//
+//	go test -tags reachability -count=1 -run TestExportedOptionsHaveProductCallers .
+func TestExportedOptionsHaveProductCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	l := &loader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*checked{}}
+	dirs, _ := filepath.Glob("cmd/*")
+	dirs = append(dirs, ".", "bench")
+	err := filepath.WalkDir("internal", func(path string, e fs.DirEntry, err error) error {
+		if err == nil && e.IsDir() {
+			dirs = append(dirs, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	options := map[*types.Var]string{}
+	set := map[*types.Var]bool{}
+	for _, dir := range dirs {
+		if files, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(files) == 0 {
+			continue
+		}
+		p, err := l.load(strings.TrimSuffix("piggyback/"+filepath.ToSlash(dir), "/."))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !optionType.MatchString(name) || !strings.HasPrefix(dir, "internal") {
+				continue
+			}
+			st, _ := tn.Type().Underlying().(*types.Struct)
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					options[f] = strings.TrimPrefix(p.pkg.Path(), "piggyback/internal/") + "." + name + "." + f.Name()
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					key, _ := n.Key.(*ast.Ident)
+					if v, ok := p.info.Uses[key].(*types.Var); ok && v.IsField() {
+						set[v] = true
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						sel, _ := lhs.(*ast.SelectorExpr)
+						if s := p.info.Selections[sel]; s != nil && s.Obj().Pkg() != p.pkg {
+							set[s.Obj().(*types.Var)] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	for f, name := range options {
+		if !set[f] {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	t.Logf("%d of %d exported option fields set by no product code:\n%s", len(unset), len(options), strings.Join(unset, "\n"))
+	allowed := readAllowlist(t, "testdata/options.txt")
+	for _, name := range unset {
+		if !allowed[name] {
+			t.Errorf("%s is set by no product code: unexport it, or add it to testdata/options.txt with the reason it stays", name)
+		}
+		delete(allowed, name)
+	}
+	for name := range allowed {
+		t.Errorf("testdata/options.txt lists %s, which product code sets or no option struct declares: drop its line", name)
+	}
+}
+
+// optionType matches the exported names of the option structs.
+var optionType = regexp.MustCompile(`^([A-Z]\w*)?(Config|Options)$|^Params$`)
+
+// loader type-checks this module's packages from source, each once, so
+// that every package sees the same types.Var for a field; the standard
+// library comes from std.
+type loader struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*checked
+}
+
+// checked is one type-checked package: its non-test files and what the
+// checker recorded about them.
+type checked struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if path != "piggyback" && !strings.HasPrefix(path, "piggyback/") {
+		return l.std.Import(path)
+	}
+	p, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.pkg, nil
+}
+
+// load type-checks the module package at import path path.
+func (l *loader) load(path string) (*checked, error) {
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	bp, err := gobuild.ImportDir("."+strings.TrimPrefix(path, "piggyback"), 0)
+	if err != nil {
+		return nil, err
+	}
+	p := &checked{info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	if p.pkg, err = (&types.Config{Importer: l}).Check(path, l.fset, p.files, p.info); err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	return p, nil
 }
